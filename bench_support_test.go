@@ -7,6 +7,7 @@ import (
 	"metro"
 	"metro/internal/netsim"
 	"metro/internal/stats"
+	"metro/internal/telemetry"
 	"metro/internal/traffic"
 	"metro/internal/word"
 )
@@ -184,7 +185,7 @@ func BenchmarkRouterEvalThroughput(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(n.Engine.Components()), "components/cycle")
+	b.ReportMetric(float64(n.Engine.Kernel().Units()), "units/cycle")
 }
 
 // BenchmarkSingleMessageLatency times one complete reliable delivery
@@ -380,7 +381,10 @@ func BenchmarkBlockingProfile(b *testing.B) {
 	run := func() {
 		rows = rows[:0]
 		for _, load := range loads {
+			// Only the streaming sink is read, so the ring stays minimal.
 			counters := metro.NewStageCounters()
+			rec := telemetry.New(telemetry.Options{Capacity: 1})
+			rec.SetSink(counters.Sink)
 			driver := &traffic.ClosedLoop{
 				Load:        load,
 				MsgBytes:    20,
@@ -392,7 +396,7 @@ func BenchmarkBlockingProfile(b *testing.B) {
 			params := netsim.Params{
 				Spec: metro.Figure3Topology(), Width: 8, DataPipe: 1, LinkDelay: 1,
 				FastReclaim: true, Seed: 71, RetryLimit: 1000,
-				Tracer:   counters,
+				Recorder: rec,
 				OnResult: driver.OnResult,
 			}
 			n, err := netsim.Build(params)

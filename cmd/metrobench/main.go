@@ -45,18 +45,10 @@ type Benchmark struct {
 	AllocsOp   int64   `json:"allocs_per_op"`
 }
 
-// TracingOverhead compares the congested-network step benchmarks with
-// and without the flight recorder.
-type TracingOverhead struct {
-	DisabledNsPerCycle float64 `json:"disabled_ns_per_cycle"`
-	EnabledNsPerCycle  float64 `json:"enabled_ns_per_cycle"`
-	OverheadPct        float64 `json:"overhead_pct"`
-}
-
-// MetricsOverhead compares the congested-network step benchmarks with
-// and without the operational-metrics block (engine gauges sampled on
-// the cycle grid) attached.
-type MetricsOverhead struct {
+// Overhead compares BenchmarkCongestedStep — the congested-network
+// cycle on the engine's one path — with a variant of it that attaches
+// one observability layer.
+type Overhead struct {
 	DisabledNsPerCycle float64 `json:"disabled_ns_per_cycle"`
 	EnabledNsPerCycle  float64 `json:"enabled_ns_per_cycle"`
 	OverheadPct        float64 `json:"overhead_pct"`
@@ -64,19 +56,19 @@ type MetricsOverhead struct {
 
 // Snapshot is one BENCH_<n>.json file.
 type Snapshot struct {
-	Index      int              `json:"index"`
-	Date       string           `json:"date"`
-	GoVersion  string           `json:"go_version"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	CPUs       int              `json:"cpus"`
-	Bench      string           `json:"bench_pattern"`
-	Benchtime  string           `json:"benchtime"`
-	Count      int              `json:"count"`
-	Benchmarks []Benchmark      `json:"benchmarks"`
-	Tracing    *TracingOverhead `json:"tracing_overhead,omitempty"`
-	Metrics    *MetricsOverhead `json:"metrics_overhead,omitempty"`
-	Scale      []ScalePoint     `json:"scale,omitempty"`
+	Index      int          `json:"index"`
+	Date       string       `json:"date"`
+	GoVersion  string       `json:"go_version"`
+	GOOS       string       `json:"goos"`
+	GOARCH     string       `json:"goarch"`
+	CPUs       int          `json:"cpus"`
+	Bench      string       `json:"bench_pattern"`
+	Benchtime  string       `json:"benchtime"`
+	Count      int          `json:"count"`
+	Benchmarks []Benchmark  `json:"benchmarks"`
+	Tracing    *Overhead    `json:"tracing_overhead,omitempty"` // flight recorder attached
+	Metrics    *Overhead    `json:"metrics_overhead,omitempty"` // engine gauges sampled on the cycle grid
+	Scale      []ScalePoint `json:"scale,omitempty"`
 }
 
 func main() {
@@ -89,7 +81,7 @@ func main() {
 	scale := flag.String("scale", "", "comma-separated endpoint counts for the kernel scaling curve (empty = off)")
 	scaleRadix := flag.Int("scale-radix", 4, "router radix for the scaling curve (topo.Scale)")
 	scaleCycles := flag.Int("scale-cycles", 256, "measured cycles per scaling point")
-	scaleWorkers := flag.String("scale-workers", "0,1,2,4,8", "comma-separated worker counts swept per scaling size (0 = serial engine)")
+	scaleWorkers := flag.String("scale-workers", "0,1,2,4,8", "comma-separated worker counts swept per scaling size (0 = inline, no worker goroutines)")
 	index := flag.Int("index", 0, "snapshot index to write (0 = next free BENCH_<n>.json)")
 	force := flag.Bool("force", false, "allow overwriting an existing BENCH_<n>.json")
 	flag.Parse()
@@ -144,8 +136,8 @@ func main() {
 		Benchtime:  *benchtime,
 		Count:      *count,
 		Benchmarks: benchmarks,
-		Tracing:    overhead(benchmarks),
-		Metrics:    metricsOverhead(benchmarks),
+		Tracing:    overhead(benchmarks, "BenchmarkCongestedStepTraced"),
+		Metrics:    overhead(benchmarks, "BenchmarkCongestedStepMetrics"),
 		Scale:      scalePoints,
 	}
 
@@ -273,46 +265,25 @@ func parse(out string) []Benchmark {
 	return benchmarks
 }
 
-// benchPair finds the ns/op of a baseline/variant benchmark pair by
-// bare name (GOMAXPROCS suffix stripped); either is 0 when absent.
-func benchPair(benchmarks []Benchmark, base, variant string) (disabled, enabled float64) {
+// overhead derives the cost of one observability layer from the
+// congested-step pair — BenchmarkCongestedStep and the named variant,
+// matched by bare name (GOMAXPROCS suffix stripped) — or returns nil
+// unless both ran. The BENCH_5 acceptance bar holds the metrics variant
+// at or under 2%.
+func overhead(benchmarks []Benchmark, variant string) *Overhead {
+	var disabled, enabled float64
 	for _, b := range benchmarks {
-		name := strings.SplitN(b.Name, "-", 2)[0]
-		switch name {
-		case base:
+		switch strings.SplitN(b.Name, "-", 2)[0] {
+		case "BenchmarkCongestedStep":
 			disabled = b.NsPerOp
 		case variant:
 			enabled = b.NsPerOp
 		}
 	}
-	return disabled, enabled
-}
-
-// overhead derives the tracing cost from the congested-step benchmark
-// pair when both ran.
-func overhead(benchmarks []Benchmark) *TracingOverhead {
-	disabled, enabled := benchPair(benchmarks,
-		"BenchmarkCongestedStep", "BenchmarkCongestedStepTraced")
 	if disabled == 0 || enabled == 0 {
 		return nil
 	}
-	return &TracingOverhead{
-		DisabledNsPerCycle: disabled,
-		EnabledNsPerCycle:  enabled,
-		OverheadPct:        (enabled - disabled) / disabled * 100,
-	}
-}
-
-// metricsOverhead derives the operational-metrics cost from the
-// congested-step benchmark pair when both ran — the BENCH_5 acceptance
-// bar holds it at or under 2%.
-func metricsOverhead(benchmarks []Benchmark) *MetricsOverhead {
-	disabled, enabled := benchPair(benchmarks,
-		"BenchmarkCongestedStep", "BenchmarkCongestedStepMetrics")
-	if disabled == 0 || enabled == 0 {
-		return nil
-	}
-	return &MetricsOverhead{
+	return &Overhead{
 		DisabledNsPerCycle: disabled,
 		EnabledNsPerCycle:  enabled,
 		OverheadPct:        (enabled - disabled) / disabled * 100,

@@ -37,18 +37,19 @@ func TestOverheadDerivations(t *testing.T) {
 		{Name: "BenchmarkCongestedStepTraced-2", NsPerOp: 1100},
 		{Name: "BenchmarkCongestedStepMetrics-2", NsPerOp: 1010},
 	}
-	tr := overhead(bs)
+	const traced, metrics = "BenchmarkCongestedStepTraced", "BenchmarkCongestedStepMetrics"
+	tr := overhead(bs, traced)
 	if tr == nil || tr.OverheadPct < 9.9 || tr.OverheadPct > 10.1 {
 		t.Errorf("tracing overhead wrong: %+v", tr)
 	}
-	mo := metricsOverhead(bs)
+	mo := overhead(bs, metrics)
 	if mo == nil || mo.OverheadPct < 0.9 || mo.OverheadPct > 1.1 {
 		t.Errorf("metrics overhead wrong: %+v", mo)
 	}
-	if metricsOverhead(bs[:2]) != nil {
+	if overhead(bs[:2], metrics) != nil {
 		t.Error("metrics overhead derived without the Metrics half")
 	}
-	if overhead(bs[:1]) != nil {
+	if overhead(bs[:1], traced) != nil {
 		t.Error("tracing overhead derived without the Traced half")
 	}
 }

@@ -15,10 +15,10 @@ import (
 
 // ScalePoint is one measured point of the kernel scaling curve: a
 // Figure 3-family network (topo.Scale) at a given endpoint count,
-// stepped on the compiled kernel under closed-loop load with a given
-// worker count. The curve answers the METRO scaling question directly:
-// how much wall clock does one network cycle cost as the machine grows,
-// and how much of it the partitioned engine claws back per worker.
+// stepped under closed-loop load with a given worker count. The curve
+// answers the METRO scaling question directly: how much wall clock does
+// one network cycle cost as the machine grows, and how much of it the
+// engine's worker pool claws back per worker.
 type ScalePoint struct {
 	Endpoints          int     `json:"endpoints"`
 	Radix              int     `json:"radix"`
@@ -38,7 +38,7 @@ type ScalePoint struct {
 var scalePayload = [4]byte{0xa5, 0x3c, 0x96, 0x0f}
 
 // runScale measures the kernel scaling curve: for each endpoint count it
-// builds one compiled-kernel network, charges the build's heap growth to
+// builds one network, charges the build's heap growth to
 // the size (bytes/endpoint), then sweeps the worker counts over the same
 // warm network. Load is closed-loop — endpoints/8 messages stay in
 // flight, every completion immediately replaced — so each measured cycle
@@ -57,7 +57,7 @@ func runScale(sizes []int, radix, cycles int, workers []int) ([]ScalePoint, erro
 		buildStart := time.Now()
 		n, err := netsim.Build(netsim.Params{
 			Spec: spec, Width: 8, DataPipe: 2, LinkDelay: 1,
-			Seed: 71, RetryLimit: 600, ListenTimeout: 200, Kernel: true,
+			Seed: 71, RetryLimit: 600, ListenTimeout: 200,
 			OnResult: func(nic.Result) { completed++ },
 		})
 		if err != nil {

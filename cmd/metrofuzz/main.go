@@ -3,7 +3,7 @@
 // traffic schedule, dynamic fault schedule) from seeds, runs each one
 // under the oracle battery of internal/metrofuzz — exactly-once
 // delivery with payload checksums, message conservation, bounded
-// progress, per-cycle router invariants, serial-vs-parallel
+// progress, per-cycle router invariants, inline-vs-parallel
 // differential equality — and, on failure, shrinks the scenario to a
 // minimal failing configuration with a one-line replayable repro.
 //
@@ -38,9 +38,9 @@ func main() {
 	shrink := flag.Bool("shrink", true, "on failure, shrink to a minimal failing scenario before reporting")
 	shrinkRuns := flag.Int("shrink-runs", 150, "run budget for the shrinker")
 	verbose := flag.Bool("v", false, "print one line per scenario")
-	traceOut := flag.String("trace", "", "single-scenario mode: record the serial reference leg's telemetry to this mtr1 file")
-	metrics := flag.Bool("metrics", false, "single-scenario mode: print the serial reference leg's telemetry summary")
-	kernel := flag.Bool("kernel", false, "also run every scenario on the compiled flat kernel and demand bit-identity with the serial reference")
+	traceOut := flag.String("trace", "", "single-scenario mode: record the primary (oracle-audited) leg's telemetry to this mtr1 file")
+	metrics := flag.Bool("metrics", false, "single-scenario mode: print the primary (oracle-audited) leg's telemetry summary")
+	kernel := flag.Bool("kernel", false, "also run every scenario on the per-component reference stepper and demand bit-identity with the compiled kernel")
 	flag.Parse()
 
 	switch {

@@ -43,8 +43,7 @@ func main() {
 	hist := flag.Bool("hist", false, "print the latency histogram of the highest-load point")
 	traceOut := flag.String("trace", "", "rerun the highest-load point with the flight recorder and write its mtr1 trace to this file")
 	metrics := flag.Bool("metrics", false, "rerun the highest-load point with the flight recorder and print its telemetry summary")
-	workers := flag.Int("workers", 0, "parallel Eval/Commit workers; 0 runs the serial reference engine")
-	kernel := flag.Bool("kernel", false, "run on the compiled flat kernel (bit-identical; see docs/KERNEL.md)")
+	workers := flag.Int("workers", 0, "parallel Eval/Commit workers; 0 steps the engine on one goroutine (results are bit-identical either way)")
 	flag.Parse()
 
 	var spec metro.TopologySpec
@@ -99,7 +98,6 @@ func main() {
 			Seed:         *seed,
 			RetryLimit:   1000,
 			Workers:      *workers,
-			Kernel:       *kernel,
 		},
 		MsgBytes:      *msgBytes,
 		Pattern:       pat,
@@ -116,9 +114,6 @@ func main() {
 	engine := "serial engine"
 	if *workers > 0 {
 		engine = fmt.Sprintf("parallel engine, workers=%d", *workers)
-	}
-	if *kernel {
-		engine += ", compiled kernel"
 	}
 	fmt.Printf("network %s, %d endpoints, %s %s traffic, %d-byte messages, w=%d dp=%d vtd=%d hw=%d c=%d, %s\n",
 		*network, spec.Endpoints, model, pat.Name(), *msgBytes, *width, *dp, *vtd, *hw, *cascadeW, engine)

@@ -21,16 +21,18 @@ package cascade
 import (
 	"fmt"
 
-	"metro/internal/clock"
 	"metro/internal/core"
 	"metro/internal/prng"
 	"metro/internal/word"
 )
 
 // Group is a width-cascaded logical router: c member routers evaluated in
-// lockstep under one engine registration, with the consistency check run
-// combinationally after each evaluation. Only the Group is added to the
-// clock engine; members must not be registered individually.
+// lockstep as one clocked element, with the consistency check run
+// combinationally after each evaluation. The members draw from one
+// shared LFSR stream and the wired-AND IN-USE check reads every member
+// within a cycle, so a Group is always driven whole — one kernel unit
+// (kernel.Builder.AddCascade) or one clock.Component — and its members
+// must never be registered individually.
 type Group struct {
 	name    string
 	members []*core.Router
@@ -52,17 +54,6 @@ func NewGroup(name string, cfg core.Config, set core.Settings, c int, shared *pr
 	return g
 }
 
-// AddTo registers the group with the engine under the given co-location
-// affinity. This is the cascade's shard-affinity declaration for the
-// parallel engine: the members draw from one shared LFSR stream and the
-// wired-AND IN-USE check reads every member within a cycle, so the
-// whole group must evaluate on a single shard. The Group being one
-// clock.Component enforces that by construction — AddTo exists so
-// assemblers state the affinity explicitly (and can co-locate the
-// group's links on the same shard) instead of registering members ad
-// hoc.
-func (g *Group) AddTo(e *clock.Engine, aff clock.ShardAffinity) { e.AddSharded(aff, g) }
-
 // Width returns the cascade width c.
 func (g *Group) Width() int { return len(g.members) }
 
@@ -77,7 +68,7 @@ func (g *Group) Kills() int { return g.kills }
 // Eval evaluates every member and then applies the wired-AND IN-USE
 // consistency check.
 //
-//metrovet:shared members are the group's own state: only the Group is engine-registered, and AddTo pins it to one shard
+//metrovet:shared members are the group's own state: the Group is a single kernel unit (or a single component), so one goroutine evaluates all of them
 //metrovet:bounds NewGroup panics on c < 1, so members[0] always exists
 func (g *Group) Eval(cycle uint64) {
 	for _, r := range g.members {
@@ -96,7 +87,7 @@ func (g *Group) Commit(cycle uint64) {
 // check compares the members' backward-port allocation masks and kills any
 // connection the members disagree about, on every member.
 //
-//metrovet:shared the wired-AND check reads all co-located members within the cycle; that is why a Group must never be split across shards
+//metrovet:shared the wired-AND check reads every member within the cycle; that is why a Group is one unit and never split across workers
 //metrovet:bounds NewGroup panics on c < 1 and sizes victims to cfg.Inputs, the kill loop's bound
 func (g *Group) check(cycle uint64) {
 	base := g.members[0].BackwardInUse()

@@ -15,28 +15,31 @@
 // within a cycle is irrelevant: the model is a faithful register-transfer
 // abstraction of a synchronous circuit.
 //
-// # Parallel execution
+// # Execution
 //
-// The register-transfer abstraction is also a license to evaluate
-// components concurrently. SetWorkers(n) with n >= 1 partitions the
-// sharded components (registered with AddSharded) across n shards and
-// fans each phase over a pool of worker goroutines, with a barrier
-// between Eval and Commit. Because a well-behaved component's Eval
-// touches only its own state plus the staged slots of its attached link
-// ends — distinct memory per writer — and its Commit latches only its own
-// registers, the phase barrier is the only synchronization needed, and
-// the parallel schedule is bit-for-bit equivalent to the serial one.
+// An engine drives two populations. The kernel (SetKernel) is the
+// network plane: a fixed set of evaluation units addressed by dense
+// index, plus batched commit work for the link pipelines. Components
+// registered with Add are the serialized epilogue: traffic drivers,
+// fault injectors, collectors — anything whose Eval reaches into other
+// components' state. Every cycle runs one schedule:
 //
-// Components whose Eval reaches into other components' state — traffic
-// drivers calling Network.Send, fault injectors killing links — must be
-// registered with plain Add. In parallel mode those form the serialized
-// epilogue: they run one at a time, in registration order, after the
-// worker barrier of each phase. Registering them after every sharded
-// component (as netsim and the drivers do) makes the epilogue schedule
-// identical to their position in the serial loop, preserving bit-for-bit
-// equivalence. Components that share combinational or randomness state
-// every cycle (cascade groups over a shared LFSR) must be co-located on
-// one shard: register them under a single ShardAffinity.
+//	unit eval -> epilogue eval -> unit commit + CommitBatch -> epilogue commit
+//
+// The register-transfer abstraction is also a license to evaluate units
+// concurrently. SetWorkers(n) with n >= 1 splits the unit index space
+// into n contiguous ranges and fans each unit phase over a pool of
+// worker goroutines, with a barrier before the epilogue of that phase.
+// Because a well-behaved unit's Eval touches only its own state plus
+// the staged slots of its attached link ends — distinct memory per
+// writer — and its Commit latches only its own registers, the phase
+// barrier is the only synchronization needed, and the partitioned
+// schedule is bit-for-bit equivalent to the inline one (workers = 0).
+// The epilogue always runs one component at a time, in registration
+// order, on the stepping goroutine.
+//
+// An engine with no kernel simply steps its Add-ed components: that is
+// how unit tests and the examples drive a handful of hand-wired routers.
 package clock
 
 import (
@@ -58,25 +61,23 @@ type Component interface {
 	Commit(cycle uint64)
 }
 
-// Kernel is a compiled execution plan: a fixed population of evaluation
-// units plus batched commit work, standing in for the sharded component
-// plane. Where the per-component engine dispatches a virtual Eval/Commit
-// per registered component, a kernel exposes its units by dense index so
-// the engine can drive them with plain loops — serially in index order, or
-// partitioned into contiguous index ranges across workers.
+// Kernel is the network plane of an engine: a fixed population of
+// evaluation units plus batched commit work. A kernel exposes its units
+// by dense index so the engine can drive them with plain loops — in
+// index order on the stepping goroutine, or partitioned into contiguous
+// index ranges across workers.
 //
-// Units must obey the same isolation contract as sharded components: a
-// unit's EvalUnit touches only unit-local state plus the staged slots of
-// its attached links, and CommitUnit latches only unit-local registers, so
-// any index partition yields bit-for-bit the serial schedule. State owned
-// by no single unit — batched link shuttling through a link.Arena — is
-// advanced by CommitBatch(part, parts), which the engine calls exactly once
-// per partition during the commit phase; implementations must touch
+// Units must obey the isolation contract: a unit's EvalUnit touches only
+// unit-local state plus the staged slots of its attached links, and
+// CommitUnit latches only unit-local registers, so any index partition
+// yields bit-for-bit the same schedule. State owned by no single unit —
+// batched link shuttling through a link.Arena — is advanced by
+// CommitBatch(part, parts), which the engine calls exactly once per
+// partition during the commit phase; implementations must touch
 // disjoint memory for disjoint parts.
 //
-// Serialized components registered with Add still run as the epilogue of
-// each phase, after every unit, in registration order — the same schedule
-// they have on the per-component path.
+// Components registered with Add run as the epilogue of each phase,
+// after every unit, in registration order.
 type Kernel interface {
 	// Units returns the number of evaluation units. Fixed for the
 	// lifetime of the kernel.
@@ -88,40 +89,18 @@ type Kernel interface {
 	// CommitUnits runs the commit phase of units [lo, hi) in index order.
 	CommitUnits(lo, hi int, cycle uint64)
 	// CommitBatch advances shared bulk state (link pipelines) for one
-	// partition of parts total. Serial execution calls CommitBatch(0, 1).
+	// partition of parts total. Inline execution calls CommitBatch(0, 1).
 	CommitBatch(part, parts int, cycle uint64)
 }
 
-// ShardAffinity identifies a co-location group: every component registered
-// under the same affinity is evaluated by the same worker, in registration
-// order, so components that share combinational or randomness state within
-// a cycle can never race. Obtain affinities from Engine.NewShardAffinity.
-type ShardAffinity int
-
-// serialized marks a component registered with plain Add: it runs in the
-// serialized epilogue after the worker barrier in parallel mode.
-const serialized ShardAffinity = -1
-
-// entry is one registered component with its shard assignment.
-type entry struct {
-	comp  Component
-	shard ShardAffinity
-}
-
-// Engine drives a set of components from a single central clock.
-//
-// The zero-worker engine (the default, and SetWorkers(0)) is the serial
-// reference implementation: one goroutine, components evaluated and
-// committed in registration order. SetWorkers(n >= 1) selects the
-// partitioned parallel engine described in the package comment.
+// Engine drives a kernel and a set of serialized components from a
+// single central clock; see the package comment for the schedule.
 type Engine struct {
-	entries []entry
-	nextAff ShardAffinity
+	comps   []Component // the serialized epilogue, registration order
 	cycle   uint64
 	workers int
-	pool    *pool
 	kernel  Kernel
-	kpool   *kernelPool
+	pool    *pool // built lazily on the first Step after a change
 
 	// Operational gauges (see metrics.go). met == nil — the default —
 	// costs one branch per Step.
@@ -130,80 +109,33 @@ type Engine struct {
 	metLast time.Time // previous sampling-grid instant
 }
 
-// New returns an empty engine at cycle 0, in serial mode.
+// New returns an empty engine at cycle 0 with no kernel and no workers.
 func New() *Engine { return &Engine{} }
 
-// Add registers components with the engine's clock. In parallel mode they
-// run in the serialized epilogue (after the worker barrier, in
-// registration order) — the safe default for components whose Eval
-// touches other components' state, such as traffic drivers and fault
-// injectors.
-func (e *Engine) Add(cs ...Component) {
-	e.invalidate()
-	for _, c := range cs {
-		e.entries = append(e.entries, entry{comp: c, shard: serialized})
-	}
-}
+// Add registers components with the engine's clock. They form the
+// serialized epilogue: each phase runs them one at a time, in
+// registration order, after every kernel unit — the safe home for
+// components whose Eval touches other components' state, such as
+// traffic drivers and fault injectors.
+func (e *Engine) Add(cs ...Component) { e.comps = append(e.comps, cs...) }
 
-// NewShardAffinity allocates a fresh co-location group for AddSharded.
-func (e *Engine) NewShardAffinity() ShardAffinity {
-	a := e.nextAff
-	e.nextAff++
-	return a
-}
-
-// AddSharded registers components under a co-location group. All
-// components sharing an affinity are pinned to one worker and evaluated
-// in registration order; components under different affinities may
-// evaluate concurrently, so a sharded component's Eval must touch only
-// its own state and its attached link ends.
-func (e *Engine) AddSharded(a ShardAffinity, cs ...Component) {
-	if a < 0 || a >= e.nextAff {
-		panic("clock: AddSharded affinity was not obtained from NewShardAffinity")
-	}
-	if e.kernel != nil {
-		panic("clock: AddSharded after SetKernel — the kernel owns the sharded plane")
-	}
-	e.invalidate()
-	for _, c := range cs {
-		e.entries = append(e.entries, entry{comp: c, shard: a})
-	}
-}
-
-// AddColocated registers components under a fresh co-location group and
-// returns the affinity, for attaching further components later.
-func (e *Engine) AddColocated(cs ...Component) ShardAffinity {
-	a := e.NewShardAffinity()
-	e.AddSharded(a, cs...)
-	return a
-}
-
-// SetKernel installs a compiled kernel as the engine's sharded plane. The
-// kernel replaces AddSharded registration entirely: it is an error to mix
-// the two (the per-component and compiled planes would race over the same
-// link state). Components registered with plain Add keep running as the
-// serialized epilogue of each phase. SetWorkers applies to kernels exactly
-// as it does to sharded components: units are partitioned by contiguous
-// index range instead of by affinity.
+// SetKernel installs k as the engine's network plane, replacing any
+// previous kernel (a decorator can wrap and later restore the original).
+// Components registered with Add keep running as the epilogue.
 func (e *Engine) SetKernel(k Kernel) {
-	for i := range e.entries {
-		if e.entries[i].shard != serialized {
-			panic("clock: SetKernel with sharded components registered — the kernel owns the sharded plane")
-		}
-	}
 	e.invalidate()
 	e.kernel = k
 }
 
-// Kernel returns the installed kernel, or nil on the per-component path.
+// Kernel returns the installed kernel, or nil.
 func (e *Engine) Kernel() Kernel { return e.kernel }
 
-// SetWorkers selects the execution mode: 0 (or negative) restores the
-// serial reference engine; n >= 1 partitions sharded components across n
-// shards executed by min(n, GOMAXPROCS) persistent worker goroutines.
-// The schedule is bit-for-bit equivalent for every n, so n is purely a
-// throughput knob. Changing the worker count mid-run is allowed; the
-// pool is rebuilt lazily on the next Step.
+// SetWorkers selects how the kernel's units execute: 0 (or negative)
+// runs them inline on the stepping goroutine; n >= 1 splits them into n
+// contiguous index ranges executed by min(n, GOMAXPROCS) persistent
+// worker goroutines. The schedule is bit-for-bit equivalent for every
+// n, so n is purely a throughput knob. Changing the worker count
+// mid-run is allowed; the pool is rebuilt lazily on the next Step.
 func (e *Engine) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -212,105 +144,57 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers returns the configured worker count (0 = serial engine).
+// Workers returns the configured worker count (0 = inline).
 func (e *Engine) Workers() int { return e.workers }
 
 // StopWorkers releases the worker goroutines, if any are running. The
-// engine remains usable: the pool restarts lazily on the next parallel
-// Step. Call it when discarding an engine driven in parallel mode, so
-// sweeps over many networks do not accumulate idle goroutines.
+// engine remains usable: the pool restarts lazily on the next Step.
+// Call it when discarding an engine with workers > 0, so sweeps over
+// many networks do not accumulate idle goroutines.
 func (e *Engine) StopWorkers() { e.invalidate() }
 
-// invalidate tears down the worker pool; registration changes and mode
-// switches rebuild it lazily on the next Step.
+// invalidate tears down the worker pool; kernel, worker-count and
+// metrics changes rebuild it lazily on the next Step.
 func (e *Engine) invalidate() {
 	if e.pool != nil {
 		e.pool.stop()
 		e.pool = nil
-	}
-	if e.kpool != nil {
-		e.kpool.stop()
-		e.kpool = nil
 	}
 }
 
 // Cycle returns the number of completed clock cycles.
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
-// Components returns the number of registered components.
-func (e *Engine) Components() int { return len(e.entries) }
+// Components returns the number of components registered with Add.
+func (e *Engine) Components() int { return len(e.comps) }
 
 // Step advances the system by one clock cycle.
 func (e *Engine) Step() {
-	switch {
-	case e.kernel != nil:
-		e.stepKernel()
-	case e.workers == 0:
-		c := e.cycle
-		for i := range e.entries {
-			e.entries[i].comp.Eval(c)
-		}
-		for i := range e.entries {
-			e.entries[i].comp.Commit(c)
-		}
-		e.cycle++
-	default:
-		if e.pool == nil {
-			e.pool = newPool(e.workers, e.entries, e.metShardNs())
-		}
-		c := e.cycle
-		timed := e.metTimed()
-		e.pool.phase(phaseEval, c, timed)
-		for _, comp := range e.pool.serial {
-			comp.Eval(c)
-		}
-		e.pool.phase(phaseCommit, c, timed)
-		for _, comp := range e.pool.serial {
-			comp.Commit(c)
-		}
-		e.cycle++
+	c := e.cycle
+	e.units(phaseEval, c)
+	for _, comp := range e.comps {
+		comp.Eval(c)
 	}
+	e.units(phaseCommit, c)
+	for _, comp := range e.comps {
+		comp.Commit(c)
+	}
+	e.cycle++
 	if e.met != nil {
 		e.metTick()
 	}
 }
 
-// stepKernel advances one cycle on the compiled-kernel path. The serial
-// schedule — every unit in index order, then the epilogue — is the
-// reference; the parallel schedule partitions units into contiguous index
-// ranges with the same phase barrier and epilogue discipline as the
-// per-component pool, and is bit-for-bit equivalent because units are
-// isolated and commit effects are order-free.
-func (e *Engine) stepKernel() {
-	k := e.kernel
-	c := e.cycle
-	if e.workers == 0 {
-		n := k.Units()
-		k.EvalUnits(0, n, c)
-		for i := range e.entries {
-			e.entries[i].comp.Eval(c)
-		}
-		k.CommitUnits(0, n, c)
-		k.CommitBatch(0, 1, c)
-		for i := range e.entries {
-			e.entries[i].comp.Commit(c)
-		}
-		e.cycle++
+// units runs one phase of every kernel unit and returns once all of
+// them have finished it. A kernel-less engine has no units.
+func (e *Engine) units(kind phaseKind, cycle uint64) {
+	if e.kernel == nil {
 		return
 	}
-	if e.kpool == nil {
-		e.kpool = newKernelPool(e.workers, k, e.metShardNs())
+	if e.pool == nil {
+		e.pool = newPool(e.workers, e.kernel, e.metShardNs())
 	}
-	timed := e.metTimed()
-	e.kpool.phase(phaseEval, c, timed)
-	for i := range e.entries {
-		e.entries[i].comp.Eval(c)
-	}
-	e.kpool.phase(phaseCommit, c, timed)
-	for i := range e.entries {
-		e.entries[i].comp.Commit(c)
-	}
-	e.cycle++
+	e.pool.phase(kind, cycle, e.metTimed())
 }
 
 // Run advances the system by n clock cycles.
@@ -341,7 +225,7 @@ func (e *Engine) RunUntil(done func() bool, max uint64) bool {
 	return done()
 }
 
-// phaseKind selects which half of the two-phase cycle a worker executes.
+// phaseKind selects which half of the two-phase cycle a partition executes.
 type phaseKind uint8
 
 const (
@@ -350,40 +234,42 @@ const (
 )
 
 // poolCmd is one phase broadcast to a worker. timed marks a
-// metrics-sampled cycle: the worker brackets each shard's phase with
-// wall-clock reads and publishes the duration to that shard's gauge.
+// metrics-sampled cycle: the worker brackets each partition's phase with
+// wall-clock reads and publishes the duration to that partition's gauge.
 type poolCmd struct {
 	kind  phaseKind
 	cycle uint64
 	timed bool
 }
 
-// pool is the parallel engine's worker set. Shard count equals the
-// configured worker count (so the partition is a pure function of the
-// registration sequence); goroutine count is bounded by GOMAXPROCS, each
-// goroutine executing shards i, i+g, i+2g, … in order. The barrier
-// WaitGroup plus the command channels provide the happens-before edges:
-// every write a worker makes during a phase is visible to the
-// coordinator after phase() returns, and to every worker on the next
-// phase broadcast.
+// pool drives a kernel's units. The unit population is split into parts
+// contiguous index ranges — the configured worker count, or one range
+// when that is 0 — so the partition is a pure function of the kernel,
+// not of GOMAXPROCS. With workers the pool owns min(workers, GOMAXPROCS)
+// persistent goroutines, each executing partitions i, i+g, i+2g, … in
+// order; with none, phase runs the single partition inline on the
+// caller. The barrier WaitGroup plus the command channels provide the
+// happens-before edges: every write a worker makes during a phase is
+// visible to the coordinator after phase() returns, and to every worker
+// on the next phase broadcast.
 type pool struct {
-	shards  [][]Component    // shard index -> components, registration order
-	shardNs []*metrics.Gauge // shard index -> step-time gauge (may be short or nil)
-	serial  []Component      // serialized epilogue, registration order
-	cmd     []chan poolCmd
+	k       Kernel
+	bounds  []int            // partition p covers units [bounds[p], bounds[p+1])
+	shardNs []*metrics.Gauge // partition p -> step-time gauge (may be short or nil)
+	cmd     []chan poolCmd   // one per goroutine; empty when workers == 0
 	barrier sync.WaitGroup
 	done    sync.WaitGroup
 }
 
-func newPool(workers int, entries []entry, shardNs []*metrics.Gauge) *pool {
-	p := &pool{shards: make([][]Component, workers), shardNs: shardNs}
-	for _, en := range entries {
-		if en.shard < 0 {
-			p.serial = append(p.serial, en.comp)
-			continue
-		}
-		s := int(en.shard) % workers
-		p.shards[s] = append(p.shards[s], en.comp)
+func newPool(workers int, k Kernel, shardNs []*metrics.Gauge) *pool {
+	parts := workers
+	if parts == 0 {
+		parts = 1
+	}
+	p := &pool{k: k, bounds: make([]int, parts+1), shardNs: shardNs}
+	n := k.Units()
+	for i := range p.bounds {
+		p.bounds[i] = i * n / parts
 	}
 	g := workers
 	if max := runtime.GOMAXPROCS(0); g > max {
@@ -400,47 +286,54 @@ func newPool(workers int, entries []entry, shardNs []*metrics.Gauge) *pool {
 
 func (p *pool) worker(i int) {
 	defer p.done.Done()
-	stride := len(p.cmd)
+	parts, stride := len(p.bounds)-1, len(p.cmd)
 	for cmd := range p.cmd[i] {
-		for s := i; s < len(p.shards); s += stride {
-			comps := p.shards[s]
-			var t0 time.Time
-			if cmd.timed && s < len(p.shardNs) {
-				t0 = time.Now() //metrovet:ignore no-wallclock per-shard step-time gauge on sampled cycles; never observable by the model
-			}
-			switch cmd.kind {
-			case phaseEval:
-				for _, c := range comps {
-					c.Eval(cmd.cycle)
-				}
-			case phaseCommit:
-				for _, c := range comps {
-					c.Commit(cmd.cycle)
-				}
-			}
-			if cmd.timed && s < len(p.shardNs) {
-				ns := float64(time.Since(t0).Nanoseconds()) //metrovet:ignore no-wallclock per-shard step-time gauge on sampled cycles; never observable by the model
-				publishShardNs(p.shardNs[s], cmd.kind, ns)
-			}
+		for part := i; part < parts; part += stride {
+			p.run(part, cmd)
 		}
 		p.barrier.Done()
 	}
 }
 
-// publishShardNs records one phase duration: eval starts the cycle's
-// total (Set), commit completes it (Add), so after a sampled cycle the
-// gauge holds the shard's whole step time.
-func publishShardNs(g *metrics.Gauge, kind phaseKind, ns float64) {
-	if kind == phaseEval {
-		g.Set(ns)
-		return
+// run executes one phase of one partition: its unit range and, on
+// commit, its share of the batched link shuttle.
+//
+//metrovet:bounds part < len(bounds)-1 by both callers (the worker's stride loop and the inline part 0), and shardNs is length-checked
+func (p *pool) run(part int, cmd poolCmd) {
+	timed := cmd.timed && part < len(p.shardNs)
+	var t0 time.Time
+	if timed {
+		t0 = time.Now() //metrovet:ignore no-wallclock per-partition step-time gauge on sampled cycles; never observable by the model
 	}
-	g.Add(ns)
+	lo, hi := p.bounds[part], p.bounds[part+1]
+	switch cmd.kind {
+	case phaseEval:
+		p.k.EvalUnits(lo, hi, cmd.cycle)
+	case phaseCommit:
+		p.k.CommitUnits(lo, hi, cmd.cycle)
+		p.k.CommitBatch(part, len(p.bounds)-1, cmd.cycle)
+	}
+	if timed {
+		ns := float64(time.Since(t0).Nanoseconds()) //metrovet:ignore no-wallclock per-partition step-time gauge on sampled cycles; never observable by the model
+		// Eval starts the cycle's total (Set), commit completes it
+		// (Add), so after a sampled cycle the gauge holds the
+		// partition's whole step time.
+		if cmd.kind == phaseEval {
+			p.shardNs[part].Set(ns)
+		} else {
+			p.shardNs[part].Add(ns)
+		}
+	}
 }
 
-// phase broadcasts one half-cycle to every worker and waits for all of
-// them to finish it.
+// phase runs one half-cycle over every partition and waits for all of
+// them to finish it. Inline execution is never timed per partition: the
+// engine's StepNs gauge already covers the one goroutine there is.
 func (p *pool) phase(kind phaseKind, cycle uint64, timed bool) {
+	if len(p.cmd) == 0 {
+		p.run(0, poolCmd{kind: kind, cycle: cycle})
+		return
+	}
 	p.barrier.Add(len(p.cmd))
 	for _, ch := range p.cmd {
 		ch <- poolCmd{kind: kind, cycle: cycle, timed: timed}
@@ -450,86 +343,6 @@ func (p *pool) phase(kind phaseKind, cycle uint64, timed bool) {
 
 // stop shuts the workers down and waits for them to exit.
 func (p *pool) stop() {
-	for _, ch := range p.cmd {
-		close(ch)
-	}
-	p.done.Wait()
-}
-
-// kernelPool drives a compiled kernel with persistent workers. The unit
-// population is split into parts contiguous index ranges (parts = the
-// configured worker count, so the partition is a pure function of the
-// kernel, not of GOMAXPROCS); goroutine count is bounded by GOMAXPROCS,
-// each goroutine executing partitions i, i+g, i+2g, … in order, exactly
-// like pool's shard striping. During the commit phase each partition also
-// runs its share of the batched link shuttle via CommitBatch.
-type kernelPool struct {
-	k       Kernel
-	parts   int
-	bounds  []int            // partition p covers units [bounds[p], bounds[p+1])
-	shardNs []*metrics.Gauge // partition p -> step-time gauge (may be short or nil)
-	cmd     []chan poolCmd
-	barrier sync.WaitGroup
-	done    sync.WaitGroup
-}
-
-func newKernelPool(parts int, k Kernel, shardNs []*metrics.Gauge) *kernelPool {
-	p := &kernelPool{k: k, parts: parts, bounds: make([]int, parts+1), shardNs: shardNs}
-	n := k.Units()
-	for i := 0; i <= parts; i++ {
-		p.bounds[i] = i * n / parts
-	}
-	g := parts
-	if max := runtime.GOMAXPROCS(0); g > max {
-		g = max
-	}
-	p.cmd = make([]chan poolCmd, g)
-	p.done.Add(g)
-	for i := range p.cmd {
-		p.cmd[i] = make(chan poolCmd)
-		go p.worker(i)
-	}
-	return p
-}
-
-func (p *kernelPool) worker(i int) {
-	defer p.done.Done()
-	stride := len(p.cmd)
-	for cmd := range p.cmd[i] {
-		for part := i; part < p.parts; part += stride {
-			lo, hi := p.bounds[part], p.bounds[part+1]
-			var t0 time.Time
-			if cmd.timed && part < len(p.shardNs) {
-				t0 = time.Now() //metrovet:ignore no-wallclock per-partition step-time gauge on sampled cycles; never observable by the model
-			}
-			switch cmd.kind {
-			case phaseEval:
-				p.k.EvalUnits(lo, hi, cmd.cycle)
-			case phaseCommit:
-				p.k.CommitUnits(lo, hi, cmd.cycle)
-				p.k.CommitBatch(part, p.parts, cmd.cycle)
-			}
-			if cmd.timed && part < len(p.shardNs) {
-				ns := float64(time.Since(t0).Nanoseconds()) //metrovet:ignore no-wallclock per-partition step-time gauge on sampled cycles; never observable by the model
-				publishShardNs(p.shardNs[part], cmd.kind, ns)
-			}
-		}
-		p.barrier.Done()
-	}
-}
-
-// phase broadcasts one half-cycle to every kernel worker and waits for all
-// of them to finish it.
-func (p *kernelPool) phase(kind phaseKind, cycle uint64, timed bool) {
-	p.barrier.Add(len(p.cmd))
-	for _, ch := range p.cmd {
-		ch <- poolCmd{kind: kind, cycle: cycle, timed: timed}
-	}
-	p.barrier.Wait()
-}
-
-// stop shuts the kernel workers down and waits for them to exit.
-func (p *kernelPool) stop() {
 	for _, ch := range p.cmd {
 		close(ch)
 	}

@@ -34,12 +34,12 @@ type EngineMetrics struct {
 	// last sampling window.
 	StepNs *metrics.Gauge
 
-	// ShardNs receives per-shard (per-partition, on the kernel path)
-	// phase wall times in nanoseconds, measured on sampled cycles only:
-	// shard s's gauge is Set during eval and Add-ed during commit, so
-	// after a sampled cycle it holds that shard's total step time.
-	// Shards beyond len(ShardNs) are not timed. Parallel engines only;
-	// the serial engine reports StepNs alone.
+	// ShardNs receives per-partition phase wall times in nanoseconds,
+	// measured on sampled cycles only: partition p's gauge is Set during
+	// eval and Add-ed during commit, so after a sampled cycle it holds
+	// that partition's total step time. Partitions beyond len(ShardNs)
+	// are not timed. Workers >= 1 only; inline execution reports StepNs
+	// alone.
 	ShardNs []*metrics.Gauge
 
 	// KernelUnits, KernelLinks, and KernelArenas are static-shape gauges
@@ -59,8 +59,8 @@ func (m *EngineMetrics) every() uint64 {
 }
 
 // SetMetrics attaches (or, with nil, detaches) operational gauges.
-// Worker pools are rebuilt lazily so the per-shard gauge wiring takes
-// effect on the next Step. Sampling state resets: the first window
+// The worker pool is rebuilt lazily so the per-partition gauge wiring
+// takes effect on the next Step. Sampling state resets: the first window
 // completes Every cycles after attachment.
 func (e *Engine) SetMetrics(m *EngineMetrics) {
 	e.invalidate()
@@ -72,7 +72,7 @@ func (e *Engine) SetMetrics(m *EngineMetrics) {
 // Metrics returns the attached gauge set, or nil.
 func (e *Engine) Metrics() *EngineMetrics { return e.met }
 
-// metShardNs returns the per-shard gauge list for pool construction.
+// metShardNs returns the per-partition gauge list for pool construction.
 func (e *Engine) metShardNs() []*metrics.Gauge {
 	if e.met == nil {
 		return nil
@@ -81,7 +81,7 @@ func (e *Engine) metShardNs() []*metrics.Gauge {
 }
 
 // metTimed reports whether the cycle about to execute lands on the
-// sampling grid and per-shard timing is wired, so the phase broadcast
+// sampling grid and per-partition timing is wired, so the phase broadcast
 // should carry the timed flag.
 func (e *Engine) metTimed() bool {
 	return e.met != nil && len(e.met.ShardNs) > 0 && (e.metN+1)%e.met.every() == 0

@@ -61,13 +61,11 @@ func TestEngineMetricsSerial(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsParallelShards verifies per-shard step-time gauges
-// are written on sampled cycles in parallel mode.
+// TestEngineMetricsParallelShards verifies per-partition step-time
+// gauges are written on sampled cycles when workers are running.
 func TestEngineMetricsParallelShards(t *testing.T) {
 	e := New()
-	a0, a1 := e.NewShardAffinity(), e.NewShardAffinity()
-	e.AddSharded(a0, &spinComp{})
-	e.AddSharded(a1, &spinComp{})
+	e.SetKernel(newFakeKernel(&spinComp{}, &spinComp{}))
 	e.SetWorkers(2)
 	defer e.StopWorkers()
 	_, m := newEngineMetrics(4, 2)

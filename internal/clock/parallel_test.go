@@ -1,9 +1,88 @@
 package clock
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
+
+// fakeKernel adapts a slice of Components to the Kernel interface and
+// audits how the engine drives it: which unit ranges each phase was
+// handed and which CommitBatch partitions ran. All tallies are atomic —
+// the engine calls in from several workers at once.
+type fakeKernel struct {
+	units   []Component
+	evals   []atomic.Int32 // per unit, EvalUnits visits since reset
+	commits []atomic.Int32 // per unit, CommitUnits visits since reset
+	batches []atomic.Int32 // per part, CommitBatch calls since reset
+	parts   atomic.Int32   // parts argument of the last CommitBatch
+	bad     atomic.Int32   // CommitBatch calls with part outside [0, parts) or cap
+}
+
+// maxParts bounds the CommitBatch tally; tests stay at or below it.
+const maxParts = 16
+
+func newFakeKernel(units ...Component) *fakeKernel {
+	return &fakeKernel{
+		units:   units,
+		evals:   make([]atomic.Int32, len(units)),
+		commits: make([]atomic.Int32, len(units)),
+		batches: make([]atomic.Int32, maxParts),
+	}
+}
+
+func (k *fakeKernel) Units() int { return len(k.units) }
+
+func (k *fakeKernel) EvalUnits(lo, hi int, cycle uint64) {
+	for u := lo; u < hi; u++ {
+		k.evals[u].Add(1)
+		k.units[u].Eval(cycle)
+	}
+}
+
+func (k *fakeKernel) CommitUnits(lo, hi int, cycle uint64) {
+	for u := lo; u < hi; u++ {
+		k.commits[u].Add(1)
+		k.units[u].Commit(cycle)
+	}
+}
+
+func (k *fakeKernel) CommitBatch(part, parts int, cycle uint64) {
+	if part < 0 || part >= parts || parts > maxParts {
+		k.bad.Add(1)
+		return
+	}
+	k.parts.Store(int32(parts))
+	k.batches[part].Add(1)
+}
+
+// audit asserts that since the last reset every unit was evaluated and
+// committed exactly steps times and CommitBatch ran exactly steps times
+// for each of wantParts partitions, then resets the tallies.
+func (k *fakeKernel) audit(t *testing.T, label string, steps int32, wantParts int) {
+	t.Helper()
+	for u := range k.units {
+		if e, c := k.evals[u].Swap(0), k.commits[u].Swap(0); e != steps || c != steps {
+			t.Errorf("%s: unit %d evaluated %d and committed %d times in %d steps", label, u, e, c, steps)
+		}
+	}
+	if k.bad.Swap(0) != 0 {
+		t.Errorf("%s: CommitBatch called with part outside [0, parts)", label)
+	}
+	if got := int(k.parts.Load()); got != wantParts {
+		t.Errorf("%s: CommitBatch parts = %d, want %d", label, got, wantParts)
+	}
+	for p := range k.batches {
+		want := int32(0)
+		if p < wantParts {
+			want = steps
+		}
+		if got := k.batches[p].Swap(0); got != want {
+			t.Errorf("%s: CommitBatch part %d ran %d times, want %d", label, p, got, want)
+		}
+	}
+}
 
 // barrierProbe checks the two-phase contract under concurrency: every
 // Eval of cycle c must complete before any Commit of cycle c starts, and
@@ -31,39 +110,63 @@ func (b *barrierProbe) Commit(cycle uint64) {
 	b.commits.Add(1)
 }
 
+// TestParallelPhaseBarrier: no CommitUnits starts before every EvalUnits
+// (and the epilogue's Evals) of the cycle has returned, at any worker
+// count, with units and epilogue components sharing one set of counters.
 func TestParallelPhaseBarrier(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, workers := range []int{0, 1, 2, 3, 8} {
 		e := New()
 		var evals, commits, violations atomic.Int64
-		const sharded, epilogue = 13, 3
-		probes := make([]*barrierProbe, 0, sharded+epilogue)
-		for i := 0; i < sharded+epilogue; i++ {
+		const units, epilogue = 13, 3
+		probes := make([]Component, 0, units+epilogue)
+		for i := 0; i < units+epilogue; i++ {
 			probes = append(probes, &barrierProbe{
-				n: sharded + epilogue, evals: &evals, commits: &commits, violations: &violations,
+				n: units + epilogue, evals: &evals, commits: &commits, violations: &violations,
 			})
 		}
-		for i := 0; i < sharded; i++ {
-			e.AddSharded(e.NewShardAffinity(), probes[i])
-		}
-		for i := sharded; i < sharded+epilogue; i++ {
-			e.Add(probes[i])
-		}
+		e.SetKernel(newFakeKernel(probes[:units]...))
+		e.Add(probes[units:]...)
 		e.SetWorkers(workers)
 		e.Run(50)
 		e.StopWorkers()
 		if v := violations.Load(); v != 0 {
 			t.Errorf("workers=%d: %d phase-barrier violations", workers, v)
 		}
-		if got := evals.Load(); got != 50*(sharded+epilogue) {
+		if got := evals.Load(); got != 50*(units+epilogue) {
 			t.Errorf("workers=%d: evals = %d", workers, got)
 		}
 	}
 }
 
-// orderProbe appends to an unsynchronized log. Safe only when every
-// probe sharing a log is pinned to one shard (co-location) or runs in
-// the serialized epilogue — which is exactly what the tests assert,
-// with the race detector watching.
+// TestPartitionsCoverUnitsOnce: whatever the worker count — including
+// more workers than units, and a kernel with no units at all — every
+// unit is evaluated and committed exactly once per cycle and CommitBatch
+// runs exactly once per partition.
+func TestPartitionsCoverUnitsOnce(t *testing.T) {
+	for _, units := range []int{0, 1, 3, 13} {
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			comps := make([]Component, units)
+			for i := range comps {
+				comps[i] = &counter{}
+			}
+			k := newFakeKernel(comps...)
+			e := New()
+			e.SetKernel(k)
+			e.SetWorkers(workers)
+			e.Run(5)
+			e.StopWorkers()
+			parts := workers
+			if parts == 0 {
+				parts = 1
+			}
+			k.audit(t, fmt.Sprintf("units=%d workers=%d", units, workers), 5, parts)
+		}
+	}
+}
+
+// orderProbe appends to an unsynchronized log. Safe only because every
+// probe sharing a log runs in the serialized epilogue — which is exactly
+// what the test asserts, with the race detector watching.
 type orderProbe struct {
 	log  *[]string
 	name string
@@ -72,36 +175,14 @@ type orderProbe struct {
 func (p *orderProbe) Eval(cycle uint64)   { *p.log = append(*p.log, p.name+"E") }
 func (p *orderProbe) Commit(cycle uint64) { *p.log = append(*p.log, p.name+"C") }
 
-func TestColocationPreservesOrder(t *testing.T) {
-	e := New()
-	var log []string
-	aff := e.NewShardAffinity()
-	e.AddSharded(aff, &orderProbe{&log, "a"}, &orderProbe{&log, "b"})
-	e.AddSharded(aff, &orderProbe{&log, "c"})
-	// Unrelated shards keep the workers busy around the co-located group.
-	for i := 0; i < 5; i++ {
-		e.AddColocated(&counter{})
-	}
-	e.SetWorkers(8)
-	e.Run(3)
-	e.StopWorkers()
-	want := []string{"aE", "bE", "cE", "aC", "bC", "cC"}
-	if len(log) != 3*len(want) {
-		t.Fatalf("log length = %d, want %d", len(log), 3*len(want))
-	}
-	for i, entry := range log {
-		if entry != want[i%len(want)] {
-			t.Fatalf("log[%d] = %q, want %q (log %v)", i, entry, want[i%len(want)], log)
-		}
-	}
-}
-
 func TestSerializedEpilogueOrder(t *testing.T) {
 	e := New()
 	var log []string
-	for i := 0; i < 6; i++ {
-		e.AddColocated(&counter{})
+	units := make([]Component, 6)
+	for i := range units {
+		units[i] = &counter{}
 	}
+	e.SetKernel(newFakeKernel(units...))
 	// Plain Add components share a log with no locking: the epilogue
 	// must serialize them in registration order.
 	e.Add(&orderProbe{&log, "x"}, &orderProbe{&log, "y"})
@@ -149,39 +230,53 @@ func buildLatchRing(n int) []*latch {
 	return ls
 }
 
-// TestParallelMatchesSerial is the kernel-level differential test: the
-// same register network stepped by the serial engine and by the parallel
-// engine at several worker counts must produce bit-identical state.
+// latchKernel wraps a latch ring as kernel units.
+func latchKernel(ls []*latch) *fakeKernel {
+	units := make([]Component, len(ls))
+	for i, l := range ls {
+		units[i] = l
+	}
+	return newFakeKernel(units...)
+}
+
+// TestParallelMatchesSerial is the engine-level differential test: the
+// same register network stepped as plain Add-ed components (no kernel)
+// and as kernel units at several worker counts must produce
+// bit-identical state.
 func TestParallelMatchesSerial(t *testing.T) {
 	const n, cycles = 24, 200
-	run := func(workers int) []uint64 {
-		e := New()
-		ls := buildLatchRing(n)
-		for _, l := range ls {
-			e.AddSharded(e.NewShardAffinity(), l)
-		}
-		e.SetWorkers(workers)
-		e.Run(cycles)
-		e.StopWorkers()
+	state := func(ls []*latch) []uint64 {
 		out := make([]uint64, n)
 		for i, l := range ls {
 			out[i] = l.q
 		}
 		return out
 	}
-	want := run(0)
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := run(workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: latch %d state %#x, want %#x", workers, i, got[i], want[i])
+	ref := New()
+	rls := buildLatchRing(n)
+	for _, l := range rls {
+		ref.Add(l)
+	}
+	ref.Run(cycles)
+	want := state(rls)
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		e := New()
+		ls := buildLatchRing(n)
+		e.SetKernel(latchKernel(ls))
+		e.SetWorkers(workers)
+		e.Run(cycles)
+		e.StopWorkers()
+		for i, got := range state(ls) {
+			if got != want[i] {
+				t.Fatalf("workers=%d: latch %d state %#x, want %#x", workers, i, got, want[i])
 			}
 		}
 	}
 }
 
-// TestSetWorkersMidRun switches execution modes mid-simulation; the
-// final state must match an uninterrupted serial run.
+// TestSetWorkersMidRun switches worker counts mid-simulation; the final
+// state must match an uninterrupted kernel-less run, and every segment
+// must partition the units for its own worker count.
 func TestSetWorkersMidRun(t *testing.T) {
 	const n = 16
 	serial := New()
@@ -193,16 +288,20 @@ func TestSetWorkersMidRun(t *testing.T) {
 
 	e := New()
 	ls := buildLatchRing(n)
-	for _, l := range ls {
-		e.AddSharded(e.NewShardAffinity(), l)
+	k := latchKernel(ls)
+	e.SetKernel(k)
+	for _, seg := range []struct {
+		workers int
+		cycles  uint64
+	}{{0, 30}, {4, 30}, {0, 15}, {2, 15}} {
+		e.SetWorkers(seg.workers)
+		e.Run(seg.cycles)
+		parts := seg.workers
+		if parts == 0 {
+			parts = 1
+		}
+		k.audit(t, "mid-run", int32(seg.cycles), parts)
 	}
-	e.Run(30) // serial mode
-	e.SetWorkers(4)
-	e.Run(30) // parallel
-	e.SetWorkers(0)
-	e.Run(15)
-	e.SetWorkers(2)
-	e.Run(15)
 	e.StopWorkers()
 
 	if e.Cycle() != serial.Cycle() {
@@ -215,41 +314,54 @@ func TestSetWorkersMidRun(t *testing.T) {
 	}
 }
 
+// TestAddAfterParallelStepRebuildsPool: registering an epilogue
+// component between parallel steps takes effect on the next Step while
+// the units keep running.
 func TestAddAfterParallelStepRebuildsPool(t *testing.T) {
 	e := New()
-	c1 := &counter{}
-	e.AddColocated(c1)
+	unit, c1 := &counter{}, &counter{}
+	e.SetKernel(newFakeKernel(unit))
+	e.Add(c1)
 	e.SetWorkers(2)
 	e.Run(5)
 	c2 := &counter{}
-	e.AddColocated(c2) // tears down and lazily rebuilds the pool
+	e.Add(c2)
 	e.Run(5)
 	e.StopWorkers()
-	if c1.evals != 10 || c2.evals != 5 {
-		t.Fatalf("evals = %d, %d; want 10, 5", c1.evals, c2.evals)
+	if unit.evals != 10 || c1.evals != 10 || c2.evals != 5 {
+		t.Fatalf("evals = %d, %d, %d; want 10, 10, 5", unit.evals, c1.evals, c2.evals)
 	}
 }
 
+// TestStopWorkersIdempotent: StopWorkers is safe with no pool, twice in
+// a row, and between steps, and it really ends the worker goroutines.
 func TestStopWorkersIdempotent(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	e := New()
-	e.AddColocated(&counter{})
+	e.SetKernel(newFakeKernel(&counter{}, &counter{}, &counter{}))
 	e.StopWorkers() // no pool yet
 	e.SetWorkers(3)
 	e.Run(2)
+	running := 3 // goroutines are capped at GOMAXPROCS
+	if max := runtime.GOMAXPROCS(0); running > max {
+		running = max
+	}
+	if got := runtime.NumGoroutine(); got < baseline+running {
+		t.Errorf("%d goroutines between parallel steps, want at least %d over the baseline of %d", got, running, baseline)
+	}
 	e.StopWorkers()
 	e.StopWorkers() // second stop is a no-op
 	e.Run(2)        // pool restarts lazily
 	e.StopWorkers()
-}
-
-func TestAddShardedRejectsForeignAffinity(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddSharded with a made-up affinity should panic")
+	// stop() waits for every worker's deferred Done, which runs a few
+	// instructions before the goroutine is gone from the count: yield
+	// until it is, with a bound far beyond what that takes.
+	for yields := 0; runtime.NumGoroutine() > baseline; yields++ {
+		if yields == 1_000_000 {
+			t.Fatalf("%d goroutines after StopWorkers, baseline %d", runtime.NumGoroutine(), baseline)
 		}
-	}()
-	e.AddSharded(ShardAffinity(7), &counter{})
+		runtime.Gosched()
+	}
 }
 
 func TestWorkersAccessor(t *testing.T) {

@@ -119,28 +119,6 @@ func TestRouterIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTeeTracer checks fan-out, nil filtering, and the degenerate arities.
-func TestTeeTracer(t *testing.T) {
-	a, b := &captureTracer{}, &captureTracer{}
-	tee := core.Tee(nil, a, b)
-	id := core.RouterID{Stage: 1, Index: 2, Lane: 0}
-	tee.Allocated(1, id, 0, 1)
-	tee.Blocked(2, id, 0, 0, true)
-	tee.Released(3, id, 0, 1)
-	tee.Reversed(4, id, 0, false)
-	for _, c := range []*captureTracer{a, b} {
-		if c.allocated != 1 || c.blocked != 1 || c.released != 1 || c.reversed != 1 {
-			t.Fatalf("tee fan-out missed events: %+v", c)
-		}
-	}
-	if got := core.Tee(nil); got != (core.NopTracer{}) {
-		t.Fatalf("Tee() of nils = %T, want NopTracer", got)
-	}
-	if got := core.Tee(a); got != core.Tracer(a) {
-		t.Fatalf("Tee(single) = %T, want the tracer itself", got)
-	}
-}
-
 func TestInvariantsOnFreshAndActiveRouter(t *testing.T) {
 	cfg := cfg4x4()
 	h := newHarness(cfg, dil1Settings(cfg), 5)

@@ -51,48 +51,3 @@ func (NopTracer) Released(uint64, RouterID, int, int) {}
 
 // Reversed implements Tracer.
 func (NopTracer) Reversed(uint64, RouterID, int, bool) {}
-
-// Tee fans every event out to each non-nil tracer in ts, in order. It
-// lets a network attach an aggregate observer and a recording sink to
-// the same router without either knowing about the other.
-func Tee(ts ...Tracer) Tracer {
-	kept := make([]Tracer, 0, len(ts))
-	for _, t := range ts {
-		if t != nil {
-			kept = append(kept, t)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return NopTracer{}
-	case 1:
-		return kept[0]
-	}
-	return teeTracer(kept)
-}
-
-type teeTracer []Tracer
-
-func (tt teeTracer) Allocated(cycle uint64, id RouterID, fp, bp int) {
-	for _, t := range tt {
-		t.Allocated(cycle, id, fp, bp)
-	}
-}
-
-func (tt teeTracer) Blocked(cycle uint64, id RouterID, fp, dir int, fast bool) {
-	for _, t := range tt {
-		t.Blocked(cycle, id, fp, dir, fast)
-	}
-}
-
-func (tt teeTracer) Released(cycle uint64, id RouterID, fp, bp int) {
-	for _, t := range tt {
-		t.Released(cycle, id, fp, bp)
-	}
-}
-
-func (tt teeTracer) Reversed(cycle uint64, id RouterID, fp int, towardSource bool) {
-	for _, t := range tt {
-		t.Reversed(cycle, id, fp, towardSource)
-	}
-}

@@ -1,10 +1,9 @@
 // Package kernel compiles an assembled METRO network into a flattened
-// struct-of-arrays execution plan for the clock engine.
+// struct-of-arrays execution plan — the clock engine's one cycle path.
 //
-// The per-component engine pays a pointer-chasing tax on every cycle: one
-// virtual Eval and Commit per registered component, link pipelines
-// scattered across hundreds of small allocations, and shard dispatch
-// through per-affinity slices. A compiled kernel removes all of it. Link
+// Driving each component through a virtual Eval and Commit, with link
+// pipelines scattered across hundreds of small allocations, pays a
+// pointer-chasing tax on every cycle. A compiled kernel removes it. Link
 // pipeline registers live in flat per-delay-class arenas (link.Arena), so
 // the whole commit phase of the interconnect is a strided sweep over a few
 // contiguous slices. Evaluation units — router columns and endpoints — are
@@ -21,11 +20,13 @@
 // docs/KERNEL.md — the kernel changes where state lives and how it is
 // driven, never what it is.
 //
-// Unit order is the contract that makes the kernel bit-identical to the
-// per-component engine: the builder must be fed units in exactly the order
-// the equivalent AddSharded registrations would occur, and a cascade group
-// is a single unit because its members share an LFSR stream and the
-// wired-AND IN-USE check within a cycle.
+// Unit order is part of the determinism contract: the builder is fed
+// router columns stage-major and endpoints after, a pure function of the
+// topology, so every worker partition of the index space is too. A
+// cascade group is a single unit because its members share an LFSR
+// stream and the wired-AND IN-USE check within a cycle. netsim.Reference
+// steps the same units in the same order through the virtual interface;
+// the differential tests hold the two bit-identical.
 package kernel
 
 import (
@@ -54,7 +55,7 @@ type LinkRef struct {
 }
 
 // Builder accumulates the flattened layout while netsim elaborates a
-// network. Feed it units in registration order, then Compile.
+// network. Feed it units in index order, then Compile.
 type Builder struct {
 	c        Compiled
 	refCount map[LinkRef]int
@@ -65,24 +66,14 @@ func NewBuilder() *Builder {
 	return &Builder{refCount: make(map[LinkRef]int)}
 }
 
-// Arena creates a link arena for one delay class and registers it with the
-// plan. Capacity must be exact: the arena panics past it, and Compile
-// audits that every carved link is referenced by exactly two units.
-func (b *Builder) Arena(delay, capacity int) *link.Arena {
+// Arena creates a link arena for one delay class, registers it with the
+// plan and returns it with its plan index, for building LinkRefs.
+// Capacity must be exact: the arena panics past it, and Compile audits
+// that every carved link is referenced by exactly two units.
+func (b *Builder) Arena(delay, capacity int) (*link.Arena, int32) {
 	a := link.NewArena(delay, capacity)
 	b.c.arenas = append(b.c.arenas, a)
-	return a
-}
-
-// ArenaIndex returns the plan index of an arena created by Arena, for
-// building LinkRefs.
-func (b *Builder) ArenaIndex(a *link.Arena) int32 {
-	for i, have := range b.c.arenas {
-		if have == a {
-			return int32(i)
-		}
-	}
-	panic("kernel: arena was not created by this builder")
+	return a, int32(len(b.c.arenas) - 1)
 }
 
 // AddRouter appends a single-router column unit. attached lists the

@@ -23,9 +23,8 @@ var OracleNames = []string{
 // Hooks are the harness's self-test seams: each one injects a
 // simulator-bug-shaped defect without touching simulator source, so
 // tests can prove every oracle actually fires (and the shrinker
-// actually shrinks). All hooks apply identically to the serial and
-// parallel legs — they model bugs in the system under test, which both
-// legs share.
+// actually shrinks). All hooks apply identically to every leg — they
+// model bugs in the system under test, which all legs share.
 type Hooks struct {
 	// Mutate runs after each leg's network is built and before it runs
 	// (e.g. install a link corruptor to fake a routing-layer bug).
@@ -36,7 +35,7 @@ type Hooks struct {
 	// DropResult suppresses completion records (a lost-completion bug).
 	DropResult func(nic.Result) bool
 	// Recorder, when set, attaches the telemetry flight recorder to the
-	// serial reference leg — the leg the oracles audit — so any
+	// primary leg — the leg the oracles audit — so any
 	// scenario, including a shrunken repro, can be replayed with full
 	// telemetry. A Recorder wires into at most one network build, so
 	// Hooks carrying one must be used for exactly one Run.
@@ -51,12 +50,12 @@ type Hooks struct {
 	// Progress, when set, observes the run between engine steps: every
 	// ProgressPeriod cycles (and once when a leg finishes) it receives
 	// the current cycle and the running offer/completion/delivery
-	// counts of the serial reference leg. Returning false cancels the
+	// counts of the primary leg. Returning false cancels the
 	// run — runLeg stops stepping, Run records a single "canceled"
 	// failure and sets Report.Canceled. The hook runs on the driving
 	// goroutine, never inside Eval, so it may block or do I/O
 	// (metroserve streams it over SSE and wires cancellation to a
-	// context deadline). Differential legs replay the reference leg's
+	// context deadline). Differential legs replay the primary leg's
 	// fixed cycle span; they invoke the hook for cancellation polling
 	// only, with reporting counts from the leg under audit.
 	Progress func(cycle uint64, offered, completed, delivered int) bool
@@ -64,12 +63,12 @@ type Hooks struct {
 	// selects DefaultProgressPeriod.
 	ProgressPeriod uint64
 	// KernelOracle enables the kernel-vs-reference differential leg:
-	// the scenario re-runs on the compiled flat kernel
-	// (netsim.Params.Kernel) for exactly the reference leg's cycle
-	// span, and its result and delivery streams must match the serial
-	// reference bit for bit. Unlike the fields above it arms an oracle
-	// rather than injecting a defect. The other hooks apply to the
-	// kernel leg like any other, so self-test defects stay symmetric.
+	// the scenario re-runs on the per-component reference stepper
+	// (netsim.Reference) for exactly the primary leg's cycle span, and
+	// the compiled kernel's result and delivery streams must match it
+	// bit for bit. Unlike the fields above it arms an oracle rather
+	// than injecting a defect. The other hooks apply to the reference
+	// leg like any other, so self-test defects stay symmetric.
 	KernelOracle bool
 }
 
@@ -95,7 +94,7 @@ func (f Failure) String() string { return f.Oracle + ": " + f.Detail }
 type Report struct {
 	Scenario    Scenario
 	Spec        string // EncodeSpec(Scenario), the replay currency
-	Cycles      uint64 // cycles the serial reference leg executed
+	Cycles      uint64 // cycles the primary leg executed
 	Offered     int
 	Delivered   int
 	Duplicates  int // intact deliveries beyond the first, per message
@@ -117,67 +116,64 @@ func (r *Report) fail(oracle, format string, args ...any) {
 	r.Failures = append(r.Failures, Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
 }
 
-// Run executes a scenario under the oracle battery: the serial
-// reference engine first (with per-cycle invariant checks and the
-// behavioural oracles), then — when the scenario requests workers — a
-// parallel leg whose result and delivery streams must match the serial
-// leg bit for bit.
+// Run executes a scenario under the oracle battery: the primary leg
+// first — the compiled kernel stepped inline, with per-cycle invariant
+// checks and the behavioural oracles — then, when the scenario requests
+// workers, the same kernel partitioned across them, and, when
+// h.KernelOracle is set, the reference stepper. Each extra leg's result
+// and delivery streams must match the primary leg bit for bit.
 func Run(s Scenario, h Hooks) *Report {
 	r := &Report{Scenario: s, Spec: EncodeSpec(s)}
 	if err := s.Validate(); err != nil {
 		r.fail("spec", "%v", err)
 		return r
 	}
-	serial, err := runLeg(s, h, legConfig{checkInv: true})
+	primary, err := runLeg(s, h, legConfig{checkInv: true})
 	if err != nil {
-		if errors.Is(err, ErrCanceled) {
-			r.Canceled = true
-			r.fail("canceled", "%v", err)
-		} else {
-			r.fail("build", "%v", err)
-		}
+		r.legFailed("", err)
 		return r
 	}
-	r.Cycles = serial.cycles
-	r.Offered = len(serial.offers)
-	r.FaultsFired = len(serial.fired)
-	if serial.invariantErr != "" {
-		r.fail("invariants", "%s", serial.invariantErr)
+	r.Cycles = primary.cycles
+	r.Offered = len(primary.offers)
+	r.FaultsFired = len(primary.fired)
+	if primary.invariantErr != "" {
+		r.fail("invariants", "%s", primary.invariantErr)
 	}
-	if serial.progressErr != "" {
-		r.fail("progress", "%s", serial.progressErr)
+	if primary.progressErr != "" {
+		r.fail("progress", "%s", primary.progressErr)
 	}
-	r.checkConservation(serial)
-	r.checkDelivery(s, serial)
-	r.checkPayload(s, h, serial)
+	r.checkConservation(primary)
+	r.checkDelivery(s, primary)
+	r.checkPayload(s, h, primary)
 
 	if s.Workers > 0 {
-		par, err := runLeg(s, h, legConfig{workers: s.Workers, fixedCycles: serial.cycles})
+		par, err := runLeg(s, h, legConfig{workers: s.Workers, fixedCycles: primary.cycles})
 		if err != nil {
-			if errors.Is(err, ErrCanceled) {
-				r.Canceled = true
-				r.fail("canceled", "parallel leg: %v", err)
-			} else {
-				r.fail("build", "parallel leg: %v", err)
-			}
+			r.legFailed("parallel leg: ", err)
 			return r
 		}
-		r.diffLegs("differential", "parallel", serial, par)
+		r.diffLegs("differential", "parallel", primary, par)
 	}
 	if h.KernelOracle {
-		ker, err := runLeg(s, h, legConfig{kernel: true, fixedCycles: serial.cycles})
+		ref, err := runLeg(s, h, legConfig{reference: true, fixedCycles: primary.cycles})
 		if err != nil {
-			if errors.Is(err, ErrCanceled) {
-				r.Canceled = true
-				r.fail("canceled", "kernel leg: %v", err)
-			} else {
-				r.fail("build", "kernel leg: %v", err)
-			}
+			r.legFailed("reference leg: ", err)
 			return r
 		}
-		r.diffLegs("kernel", "kernel", serial, ker)
+		r.diffLegs("kernel", "reference", primary, ref)
 	}
 	return r
+}
+
+// legFailed records a leg that did not run to completion: canceled by
+// the Progress hook, or unbuildable.
+func (r *Report) legFailed(prefix string, err error) {
+	if errors.Is(err, ErrCanceled) {
+		r.Canceled = true
+		r.fail("canceled", "%s%v", prefix, err)
+	} else {
+		r.fail("build", "%s%v", prefix, err)
+	}
 }
 
 // --- leg execution -----------------------------------------------------
@@ -209,15 +205,15 @@ type legOut struct {
 	invariantErr string
 }
 
-// legConfig selects how one leg executes: engine mode (workers /
-// compiled kernel), whether the per-cycle invariant oracle runs
-// (serial reference leg only — the other legs are compared against it
+// legConfig selects how one leg executes: the compiled kernel at a
+// worker count or the reference stepper, whether the per-cycle invariant
+// oracle runs (primary leg only — the other legs are compared against it
 // instead), and an optional fixed cycle span (differential legs mirror
-// the reference leg's span; 0 means run to quiescence under the
-// progress watchdog).
+// the primary leg's span; 0 means run to quiescence under the progress
+// watchdog).
 type legConfig struct {
 	workers     int
-	kernel      bool
+	reference   bool
 	checkInv    bool
 	fixedCycles uint64
 }
@@ -244,7 +240,6 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 		RetryLimit:         s.RetryLimit,
 		ListenTimeout:      uint64(s.ListenTimeout),
 		Workers:            lc.workers,
-		Kernel:             lc.kernel,
 		EngineMetrics:      h.EngineMetrics,
 		OnResult: func(res nic.Result) {
 			inj.onResult(res)
@@ -261,9 +256,9 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 			leg.deliveries = append(leg.deliveries, delivery{Dest: dest, Payload: buf, Intact: intact})
 		},
 	}
-	// The recorder observes the serial reference leg only (checkInv
-	// marks it): a recorder wires into one build, and the parallel leg
-	// is audited against the serial one rather than traced itself.
+	// The recorder observes the primary leg only (checkInv marks it): a
+	// recorder wires into one build, and the other legs are audited
+	// against the primary one rather than traced themselves.
 	if h.Recorder != nil && lc.checkInv {
 		p.Recorder = h.Recorder
 	}
@@ -272,6 +267,9 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 		return nil, err
 	}
 	defer n.Close()
+	if lc.reference {
+		n.Engine.SetKernel(netsim.NewReference(n))
+	}
 	if h.Mutate != nil {
 		h.Mutate(n)
 	}
@@ -284,7 +282,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	}
 	// observe reports the leg's running counts to the Progress hook and
 	// returns false when the hook asks to cancel. Reporting is
-	// per-leg: the reference leg's stream is what metroserve shows
+	// per-leg: the primary leg's stream is what metroserve shows
 	// live; differential legs call it mainly for cancellation polling.
 	observe := func(cycle uint64) bool {
 		if h.Progress == nil {
@@ -398,10 +396,9 @@ func checkAllInvariants(n *netsim.Network) string {
 // --- the injector ------------------------------------------------------
 
 // injector is the harness's own traffic driver. It registers with the
-// engine after netsim's collector, so in both engine modes it runs in
-// the serialized epilogue with completions already replayed in
-// deterministic order — its random stream is consumed identically in
-// the serial and parallel legs.
+// engine after netsim's collector, so it runs in the serialized
+// epilogue with completions already replayed in deterministic order —
+// its random stream is consumed identically in every leg.
 type injector struct {
 	s   Scenario
 	net *netsim.Network
@@ -653,11 +650,11 @@ func (r *Report) checkPayload(s Scenario, h Hooks, leg *legOut) {
 	}
 }
 
-// diffLegs: an alternative engine leg (the partitioned parallel engine,
-// or the compiled flat kernel) must reproduce the serial reference bit
-// for bit — same completions, same deliveries, same order. oracle names
-// the firing oracle ("differential" or "kernel"), legName the leg under
-// audit in the failure text.
+// diffLegs: another leg (the kernel partitioned across workers, or the
+// reference stepper) must agree with the primary, serially stepped
+// kernel leg bit for bit — same completions, same deliveries, same
+// order. oracle names the firing oracle ("differential" or "kernel"),
+// legName the other leg in the failure text.
 func (r *Report) diffLegs(oracle, legName string, serial, other *legOut) {
 	if len(serial.results) != len(other.results) {
 		r.fail(oracle, "serial leg completed %d messages, %s leg %d",

@@ -265,9 +265,10 @@ func TestRecorderHookIsPassive(t *testing.T) {
 }
 
 // TestKernelOracleClean runs a window of generated scenarios with the
-// kernel-vs-reference leg armed: the compiled kernel must reproduce the
-// serial reference bit for bit across everything the generator throws
-// at it — mixed topologies, cascades, faults, variable link delays.
+// kernel-vs-reference leg armed: the compiled kernel must agree with the
+// per-component reference stepper bit for bit across everything the
+// generator throws at it — mixed topologies, cascades, faults, variable
+// link delays.
 func TestKernelOracleClean(t *testing.T) {
 	n := 12
 	if testing.Short() || raceEnabled {
@@ -285,15 +286,17 @@ func TestKernelOracleClean(t *testing.T) {
 }
 
 // TestKernelOracleCatchesDivergence: the mutation gate for the kernel
-// oracle. A defect planted only in the kernel leg (the hook checks
-// which engine it landed on) must trip the kernel differential — proof
-// the oracle compares the legs rather than vacuously passing.
+// oracle. A defect planted only in the compiled-kernel legs (the hook
+// checks which stepper the leg installed) must trip the kernel
+// differential — proof the oracle compares the legs rather than
+// vacuously passing — and the shrinker must hold on to it down to a
+// replayable spec that still fails.
 func TestKernelOracleCatchesDivergence(t *testing.T) {
 	s := tinyScenario()
 	s.Workers = 0
 	bug := Hooks{KernelOracle: true, Mutate: func(n *netsim.Network) {
-		if n.Engine.Kernel() == nil {
-			return // leave the serial reference leg clean
+		if _, ok := n.Engine.Kernel().(*netsim.Reference); ok {
+			return // leave the reference stepper leg clean
 		}
 		for k := range n.Topo.Inject[0] {
 			n.InjectLink(0, k).SetCorruptor(func(w word.Word) word.Word {
@@ -305,5 +308,16 @@ func TestKernelOracleCatchesDivergence(t *testing.T) {
 	rep := Run(s, bug)
 	if !rep.Failed() || !hasOracle(rep, "kernel") {
 		t.Fatalf("kernel-leg divergence not flagged by the kernel oracle: %v", rep.Failures)
+	}
+	min, minRep := Shrink(s, bug, 60)
+	if !hasOracle(minRep, "kernel") {
+		t.Fatalf("shrink lost the kernel divergence: %v", minRep.Failures)
+	}
+	replayed, err := DecodeSpec(EncodeSpec(min))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := Run(replayed, bug); !hasOracle(again, "kernel") {
+		t.Fatalf("replaying the shrunk spec %q lost the kernel divergence: %v", minRep.Spec, again.Failures)
 	}
 }

@@ -96,8 +96,8 @@ type Scenario struct {
 	RetryLimit       int
 	ListenTimeout    int
 
-	// Workers is the shard count for the parallel leg of the
-	// differential oracle; 0 runs the serial engine only (no
+	// Workers is the worker count for the parallel leg of the
+	// differential oracle; 0 runs the inline primary leg only (no
 	// differential).
 	Workers int
 

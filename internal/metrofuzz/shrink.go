@@ -3,7 +3,7 @@ package metrofuzz
 import "metro/internal/topo"
 
 // Shrink greedily minimizes a failing scenario: it tries a ladder of
-// simplifying transformations — serial engine, fewer faults, fewer
+// simplifying transformations — no parallel leg, fewer faults, fewer
 // messages, shorter schedules, smaller payloads, narrower cascades,
 // smaller topologies — and adopts any candidate that still fails any
 // oracle, restarting the ladder after each success until a fixpoint or
@@ -69,8 +69,8 @@ func shrinkCandidates(s Scenario) []Scenario {
 	var out []Scenario
 	add := func(c Scenario) { out = append(out, c) }
 
-	// Drop the parallel leg: most failures don't need workers, and the
-	// serial engine halves the cost of every later candidate.
+	// Drop the parallel leg: most failures don't need workers, and one
+	// leg fewer halves the cost of every later candidate.
 	if s.Workers > 0 {
 		c := s
 		c.Workers = 0

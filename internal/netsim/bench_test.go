@@ -10,18 +10,6 @@ import (
 	"metro/internal/topo"
 )
 
-// benchCycles drives a congested Figure 3 network for b.N cycles with
-// a fixed two-messages-per-cycle schedule — the whole-network hot loop
-// the perf trajectory tracks. The recorder, when non-nil, measures the
-// enabled-tracing overhead; metrobench reports the pair side by side.
-func benchCycles(b *testing.B, rec *telemetry.Recorder) {
-	benchCyclesOn(b, rec, false)
-}
-
-func benchCyclesOn(b *testing.B, rec *telemetry.Recorder, kernel bool) {
-	benchCyclesObs(b, rec, kernel, nil)
-}
-
 // benchEngineMetrics builds a fully-populated engine-metrics block on a
 // throwaway registry, sampling every 64 cycles — the operational
 // configuration metroserve runs with.
@@ -38,11 +26,16 @@ func benchEngineMetrics() *clock.EngineMetrics {
 	}
 }
 
-func benchCyclesObs(b *testing.B, rec *telemetry.Recorder, kernel bool, em *clock.EngineMetrics) {
+// benchCycles drives a congested Figure 3 network for b.N cycles with
+// a fixed two-messages-per-cycle schedule — the whole-network hot loop
+// the perf trajectory tracks. The recorder and the engine-metrics block,
+// when non-nil, measure the enabled-observability overheads; metrobench
+// reports each against the bare run.
+func benchCycles(b *testing.B, rec *telemetry.Recorder, em *clock.EngineMetrics) {
 	n, err := Build(Params{
 		Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
 		Seed: 71, RetryLimit: 600, ListenTimeout: 200, Recorder: rec,
-		Kernel: kernel, EngineMetrics: em,
+		EngineMetrics: em,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -67,31 +60,19 @@ func benchCyclesObs(b *testing.B, rec *telemetry.Recorder, kernel bool, em *cloc
 var benchPayload [20]byte
 
 // BenchmarkCongestedStep is the untraced baseline: ns per simulated
-// cycle of a congested Figure 3 network.
+// cycle of a congested Figure 3 network. perf/BENCH_1..5 recorded the
+// retired per-component engine under this name and this engine as
+// BenchmarkKernelCongestedStep; compare across that boundary accordingly
+// (EXPERIMENTS.md E19).
 func BenchmarkCongestedStep(b *testing.B) {
-	benchCycles(b, nil)
+	benchCycles(b, nil, nil)
 }
 
 // BenchmarkCongestedStepTraced is the same workload with the flight
 // recorder attached; the delta against BenchmarkCongestedStep is the
 // tracing overhead metrobench records.
 func BenchmarkCongestedStepTraced(b *testing.B) {
-	benchCycles(b, telemetry.New(telemetry.Options{}))
-}
-
-// BenchmarkKernelCongestedStep is the identical congested workload on the
-// compiled struct-of-arrays kernel — the number BENCH_4 compares against
-// BENCH_1's per-component ~38 µs step. The result streams are proven
-// bit-identical by TestKernelDifferentialCongestedFigure3, so the delta
-// is pure execution cost.
-func BenchmarkKernelCongestedStep(b *testing.B) {
-	benchCyclesOn(b, nil, true)
-}
-
-// BenchmarkKernelCongestedStepTraced is the kernel path with the flight
-// recorder attached.
-func BenchmarkKernelCongestedStepTraced(b *testing.B) {
-	benchCyclesOn(b, telemetry.New(telemetry.Options{}), true)
+	benchCycles(b, telemetry.New(telemetry.Options{}), nil)
 }
 
 // BenchmarkCongestedStepMetrics is the untraced congested workload with
@@ -100,11 +81,5 @@ func BenchmarkKernelCongestedStepTraced(b *testing.B) {
 // is the metrics-instrumentation overhead metrobench records — the
 // BENCH_5 acceptance bar holds it at or under 2%.
 func BenchmarkCongestedStepMetrics(b *testing.B) {
-	benchCyclesObs(b, nil, false, benchEngineMetrics())
-}
-
-// BenchmarkKernelCongestedStepMetrics is the kernel path with the
-// metrics block attached.
-func BenchmarkKernelCongestedStepMetrics(b *testing.B) {
-	benchCyclesObs(b, nil, true, benchEngineMetrics())
+	benchCycles(b, nil, benchEngineMetrics())
 }

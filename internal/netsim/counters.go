@@ -3,69 +3,54 @@ package netsim
 import (
 	"fmt"
 	"strings"
-	"sync"
 
-	"metro/internal/core"
+	"metro/internal/telemetry"
 )
 
-// Counters is a core.Tracer that aggregates router events per network
-// stage: where connections are won, where they block, how often paths
-// reverse. It quantifies the congestion structure of a multistage network
-// — classically, contention concentrates in the early dilated stages where
+// Counters aggregates router connection events per network stage: where
+// connections are won, where they block, how often paths reverse. It
+// quantifies the congestion structure of a multistage network —
+// classically, contention concentrates in the early dilated stages where
 // paths have not yet separated.
 //
-// Aggregation keys on the structured core.RouterID the tracer API
-// carries (netsim stamps every router, including each cascade lane,
-// with its stage/index/lane at Build), so there is no name parsing:
-// routers built by hand report under stage -1 until SetID places them,
-// and cascade lanes (the old ".m<lane>" name suffix) fold into their
-// logical router's stage exactly.
-//
-// Counters is safe for concurrent use, although the simulation engine is
-// single-threaded; the lock simply makes the tracer safe to share between
-// a running simulation and an observer goroutine in interactive tools.
+// Counters consumes the flight-recorder stream: hand its Sink to
+// Recorder.SetSink on the Recorder passed as Params.Recorder. Events
+// carry the emitting router's structured identity, so cascade lanes fold
+// into their logical router's stage and routers never placed in a
+// network (stage -1) are ignored. The sink runs on the stepping
+// goroutine at every worker count; read the aggregates between steps.
 type Counters struct {
-	mu        sync.Mutex
-	allocated map[int]uint64
-	blocked   map[int]uint64
-	released  map[int]uint64
-	reversed  map[int]uint64
+	stages []StageStats // indexed by stage, grown on a stage's first event
 }
 
-// NewCounters returns an empty aggregate tracer.
-func NewCounters() *Counters {
-	return &Counters{
-		allocated: map[int]uint64{},
-		blocked:   map[int]uint64{},
-		released:  map[int]uint64{},
-		reversed:  map[int]uint64{},
+// NewCounters returns an empty aggregate.
+func NewCounters() *Counters { return &Counters{} }
+
+// Sink tallies the connection events of one drained recorder buffer; it
+// has the signature Recorder.SetSink expects.
+//
+//metrovet:alloc grows once per network stage, on that stage's first event
+func (c *Counters) Sink(events []telemetry.Event) {
+	for i := range events {
+		ev := &events[i]
+		stage := int(ev.Src.Stage)
+		if ev.Src.Kind != telemetry.SrcRouter || stage < 0 {
+			continue
+		}
+		for stage >= len(c.stages) {
+			c.stages = append(c.stages, StageStats{Stage: len(c.stages)})
+		}
+		st := &c.stages[stage]
+		if k := ev.Kind; k == telemetry.EvConnSetup {
+			st.Allocated++
+		} else if k == telemetry.EvConnBlockedFast || k == telemetry.EvConnBlockedDetailed {
+			st.Blocked++
+		} else if k == telemetry.EvConnReleased {
+			st.Released++
+		} else if k == telemetry.EvConnTurned {
+			st.Reversed++
+		}
 	}
-}
-
-// Allocated implements core.Tracer.
-func (c *Counters) Allocated(cycle uint64, id core.RouterID, fp, bp int) {
-	c.bump(c.allocated, id)
-}
-
-// Blocked implements core.Tracer.
-func (c *Counters) Blocked(cycle uint64, id core.RouterID, fp, dir int, fast bool) {
-	c.bump(c.blocked, id)
-}
-
-// Released implements core.Tracer.
-func (c *Counters) Released(cycle uint64, id core.RouterID, fp, bp int) {
-	c.bump(c.released, id)
-}
-
-// Reversed implements core.Tracer.
-func (c *Counters) Reversed(cycle uint64, id core.RouterID, fp int, towardSource bool) {
-	c.bump(c.reversed, id)
-}
-
-func (c *Counters) bump(m map[int]uint64, id core.RouterID) {
-	c.mu.Lock()
-	m[id.Stage]++
-	c.mu.Unlock()
 }
 
 // StageStats reports the aggregate for one stage.
@@ -85,42 +70,20 @@ func (s StageStats) BlockRate() float64 {
 
 // PerStage returns the aggregates for stages [0, n).
 func (c *Counters) PerStage(n int) []StageStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]StageStats, n)
-	for s := 0; s < n; s++ {
-		out[s] = StageStats{
-			Stage:     s,
-			Allocated: c.allocated[s],
-			Blocked:   c.blocked[s],
-			Released:  c.released[s],
-			Reversed:  c.reversed[s],
-		}
+	for s := range out {
+		out[s].Stage = s
 	}
+	copy(out, c.stages)
 	return out
 }
 
 // String renders a compact summary.
 func (c *Counters) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	maxStage := -1
-	//metrovet:ordered max over keys is order-independent
-	for s := range c.allocated {
-		if s > maxStage {
-			maxStage = s
-		}
-	}
-	//metrovet:ordered max over keys is order-independent
-	for s := range c.blocked {
-		if s > maxStage {
-			maxStage = s
-		}
-	}
 	var b strings.Builder
-	for s := 0; s <= maxStage; s++ {
+	for _, s := range c.stages {
 		fmt.Fprintf(&b, "stage %d: alloc=%d blocked=%d released=%d reversed=%d\n",
-			s, c.allocated[s], c.blocked[s], c.released[s], c.reversed[s])
+			s.Stage, s.Allocated, s.Blocked, s.Released, s.Reversed)
 	}
 	return b.String()
 }

@@ -4,19 +4,25 @@ import (
 	"testing"
 
 	"metro/internal/core"
+	"metro/internal/telemetry"
 	"metro/internal/topo"
 )
 
 // TestCountersStructuredIdentity checks that aggregation keys on the
-// RouterID stage directly: cascade lanes fold into their logical stage,
-// and unplaced routers (FreeID) report under stage -1 instead of being
-// misparsed.
+// event source's stage directly: cascade lanes fold into their logical
+// stage, and unplaced routers (FreeID, stage -1) are ignored instead of
+// leaking into a real stage.
 func TestCountersStructuredIdentity(t *testing.T) {
+	// Feed the sink through the same adapter netsim wires into routers.
+	rec := telemetry.New(telemetry.Options{Capacity: 8})
 	c := NewCounters()
-	c.Allocated(1, core.RouterID{Stage: 2, Index: 11, Lane: 0}, 0, 0)
-	c.Allocated(2, core.RouterID{Stage: 2, Index: 4, Lane: 1}, 0, 0) // cascade lane, same stage
-	c.Blocked(3, core.RouterID{Stage: 0, Index: 0, Lane: 0}, 0, 0, true)
-	c.Allocated(4, core.FreeID(), 0, 0) // unplaced router
+	rec.SetSink(c.Sink)
+	tr := telemetry.RouterTracer(rec.NewBuf())
+	tr.Allocated(1, core.RouterID{Stage: 2, Index: 11, Lane: 0}, 0, 0)
+	tr.Allocated(2, core.RouterID{Stage: 2, Index: 4, Lane: 1}, 0, 0) // cascade lane, same stage
+	tr.Blocked(3, core.RouterID{Stage: 0, Index: 0, Lane: 0}, 0, 0, true)
+	tr.Allocated(4, core.FreeID(), 0, 0) // unplaced router
+	rec.Flush()
 	stats := c.PerStage(3)
 	if stats[2].Allocated != 2 {
 		t.Errorf("stage 2 allocated = %d, want 2 (lane events must fold in)", stats[2].Allocated)
@@ -34,15 +40,21 @@ func TestCountersStructuredIdentity(t *testing.T) {
 	}
 }
 
+// TestCountersAggregatePerStage runs at two workers: the sink consumes
+// the merged stream on the stepping goroutine, so the aggregate needs no
+// lock (the race detector checks) and no serial-engine restriction.
 func TestCountersAggregatePerStage(t *testing.T) {
 	counters := NewCounters()
+	rec := telemetry.New(telemetry.Options{})
+	rec.SetSink(counters.Sink)
 	n, err := Build(Params{
 		Spec: topo.Figure1(), Width: 8, DataPipe: 1, LinkDelay: 1,
-		FastReclaim: true, Seed: 3, RetryLimit: 500, Tracer: counters,
+		FastReclaim: true, Seed: 3, RetryLimit: 500, Recorder: rec, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer n.Close()
 	for src := 0; src < 16; src++ {
 		for d := 1; d <= 4; d++ {
 			n.Send(src, (src+d*3)%16, []byte{byte(src)})

@@ -81,19 +81,16 @@ type Params struct {
 	// before its reply is ready; the connection is held open with
 	// DATA-IDLE fill meanwhile.
 	ResponderDelay func(dest int, payload []byte) int
-	// Tracer, when set, observes router events. Tracing requires the
-	// serial engine: Build rejects Tracer combined with Workers > 0,
-	// because routers on different shards would interleave trace calls
-	// nondeterministically. (The Recorder path below has no such
-	// restriction — it buffers per shard and merges at the barrier.)
-	Tracer core.Tracer
-	// Recorder, when set, attaches the telemetry flight recorder: every
-	// router, endpoint, the gauge sampler and any fault injector record
-	// cycle-stamped events into per-shard buffers that are merged in
+	// Recorder, when set, attaches the telemetry flight recorder — the
+	// one attach point for observing the network's events: every router,
+	// endpoint, the gauge sampler and any fault injector record
+	// cycle-stamped events into per-unit buffers that are merged in
 	// deterministic order at the cycle barrier. Works at every worker
-	// count — recorded traces are byte-identical across them. A Recorder
-	// instance must be wired into at most one Build (buffer registration
-	// defines the merge order).
+	// count — recorded traces are byte-identical across them. Streaming
+	// consumers (Counters, the metrics bridge, metroserve's SSE tap)
+	// subscribe with Recorder.SetSink. A Recorder instance must be wired
+	// into at most one Build (buffer registration defines the merge
+	// order).
 	Recorder *telemetry.Recorder
 	// GaugePeriod is the cycle period of the per-cycle gauges (port
 	// occupancy, open connections, queue depths) when Recorder is set;
@@ -101,32 +98,22 @@ type Params struct {
 	GaugePeriod uint64
 	// EngineMetrics, when set, attaches operational gauges to the cycle
 	// engine: cycles-per-second and step-time sampled on a cycle grid,
-	// per-shard phase times in parallel mode, and — on the kernel path —
-	// the compiled plane's static shape. Purely observational: gauge
+	// per-partition phase times when Workers > 0, and the compiled
+	// plane's static shape. Purely observational: gauge
 	// writes are atomic stores that never feed back into the model, so
 	// results are bit-identical with metrics on or off (see
 	// clock.EngineMetrics).
 	EngineMetrics *clock.EngineMetrics
-	// Kernel selects the compiled struct-of-arrays execution path: link
-	// pipeline registers live in flat per-delay-class arenas shuttled by
-	// batched copies, and router columns and endpoints are driven as
-	// dense evaluation units instead of individually registered
-	// components (see internal/kernel and docs/KERNEL.md). Every feature
-	// — cascading, tracing, the recorder, fault injection, scan — works
-	// identically, and results are bit-for-bit equal to the
-	// per-component path at every worker count. The per-component path
-	// remains the reference the kernel is differentially tested against.
-	Kernel bool
-	// Workers selects the engine execution mode: 0 (the default) runs
-	// the serial reference engine; n >= 1 runs the partitioned parallel
-	// engine with n shards (stage-major partitioning — each router
-	// column and each endpoint is a co-location group; see
-	// internal/clock). Results are bit-for-bit identical for every
+	// Workers selects how the compiled kernel's units execute: 0 (the
+	// default) steps them inline on the calling goroutine; n >= 1
+	// splits the unit index space — router columns stage-major, then
+	// endpoints — into n contiguous ranges run by worker goroutines
+	// (see internal/clock). Results are bit-for-bit identical for every
 	// value, so Workers is purely a throughput knob. Responder and
 	// ResponderDelay run on worker goroutines when Workers > 0 and must
 	// therefore be pure functions of their arguments; OnResult and
 	// OnDeliver are unaffected (they are replayed in deterministic
-	// order on the coordinating goroutine in both modes).
+	// order on the stepping goroutine at every worker count).
 	Workers int
 	// OnResult, when set, observes every completed message in addition to
 	// the Results accumulator.
@@ -161,12 +148,10 @@ type Network struct {
 	Routers   [][]*core.Router
 	Cascades  [][]*cascade.Group // nil entries when CascadeWidth == 1
 	Endpoints []*nic.Endpoint
-	// Compiled is the flattened execution plan when Params.Kernel is
-	// set, nil on the per-component path.
+	// Compiled is the flattened execution plan Build installs as the
+	// engine's kernel; its arenas hold every link of the network.
 	Compiled *kernel.Compiled
 
-	injLinks [][]*link.Link     // [endpoint][k], lane 0
-	outLinks [][][]*link.Link   // [stage][router][bp], lane 0
 	injLanes [][][]*link.Link   // [endpoint][k][lane]
 	outLanes [][][][]*link.Link // [stage][router][bp][lane]
 
@@ -179,9 +164,9 @@ type Network struct {
 // event is one endpoint callback (completion or delivery) captured
 // during Eval and replayed by the collector in deterministic order:
 // cycle-major, endpoint-index minor, per-endpoint FIFO — exactly the
-// order the serial engine's in-Eval callbacks produced before buffering
-// existed. Using the same buffered path in serial and parallel modes
-// makes callback ordering trivially identical between them.
+// order in-Eval callbacks from an inline, index-ordered unit sweep would
+// produce. Buffering at every worker count makes callback ordering
+// trivially identical between them.
 type event struct {
 	isResult bool
 	result   nic.Result
@@ -190,11 +175,11 @@ type event struct {
 }
 
 // collector is the unexported component that replays buffered endpoint
-// callbacks. It is registered with plain Engine.Add — after every
-// sharded component, before any driver — so in parallel mode it runs in
-// the serialized epilogue: all endpoint Evals have completed (barrier),
-// and drivers whose OnResult hooks mutate their own state and draw
-// random numbers observe completions in the same order as a serial run.
+// callbacks. It is the first component registered with Engine.Add —
+// before any driver — so it opens the serialized epilogue: all endpoint
+// Evals have completed (barrier), and drivers whose OnResult hooks
+// mutate their own state and draw random numbers observe completions in
+// the same order at every worker count.
 type collector struct{ n *Network }
 
 func (col *collector) Eval(cycle uint64) {
@@ -228,32 +213,9 @@ func Build(p Params) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{Params: p, Topo: top, Engine: clock.New()}
-	if p.Workers > 0 && p.Tracer != nil {
-		return nil, fmt.Errorf("netsim: Tracer requires the serial engine (Workers = 0), got Workers = %d", p.Workers)
-	}
 	n.Engine.SetWorkers(p.Workers)
 	if p.EngineMetrics != nil {
 		n.Engine.SetMetrics(p.EngineMetrics)
-	}
-
-	// Stage-major shard partitioning: each router column (the logical
-	// router at (stage, index) — every cascade lane — plus its output
-	// links) and each endpoint (plus its injection links) is one
-	// co-location group. Links could in fact live on any shard (their
-	// Eval is empty and their Commit touches only their own registers);
-	// grouping them with their driving component is a locality choice.
-	// The affinity allocation order is a pure function of the topology,
-	// keeping the partition deterministic.
-	affCol := make([][]clock.ShardAffinity, len(p.Spec.Stages))
-	for s := range affCol {
-		affCol[s] = make([]clock.ShardAffinity, top.RoutersPerStage[s])
-		for j := range affCol[s] {
-			affCol[s][j] = n.Engine.NewShardAffinity()
-		}
-	}
-	affEp := make([]clock.ShardAffinity, p.Spec.Endpoints)
-	for e := range affEp {
-		affEp[e] = n.Engine.NewShardAffinity()
 	}
 
 	// delayOf resolves the link pipeline depth for a tier (0 = injection,
@@ -277,11 +239,12 @@ func Build(p Params) (*Network, error) {
 		return p.HeaderWords
 	}
 
-	// Compiled-kernel layout. Units are numbered router columns first
-	// (stage-major, matching the AddSharded registration order of the
-	// per-component path, which is what makes the two schedules
-	// bit-identical) and endpoints after. Link capacity per delay class
-	// is counted exactly up front so the arenas are carved full.
+	// Kernel layout. Units are numbered router columns first, stage-major
+	// (a column is the logical router at (stage, index) — every cascade
+	// lane), and endpoints after; the order is a pure function of the
+	// topology, which is what keeps every worker partition deterministic.
+	// Link capacity per delay class is counted exactly up front so the
+	// arenas are carved full.
 	c := p.CascadeWidth
 	nCols := 0
 	colBase := make([]int, len(p.Spec.Stages))
@@ -291,55 +254,41 @@ func Build(p Params) (*Network, error) {
 	}
 	colUnit := func(s, j int) int { return colBase[s] + j }
 	epUnit := func(e int) int { return nCols + e }
-	var (
-		kb       *kernel.Builder
-		unitRefs [][]kernel.LinkRef
-		arenaFor map[int]*link.Arena
-		arenaIdx map[int]int32
-	)
-	if p.Kernel {
-		kb = kernel.NewBuilder()
-		unitRefs = make([][]kernel.LinkRef, nCols+p.Spec.Endpoints)
-		counts := make(map[int]int)
-		var delayOrder []int
-		tally := func(tier, links int) {
-			d := delayOf(tier)
-			if _, ok := counts[d]; !ok {
-				delayOrder = append(delayOrder, d)
-			}
-			counts[d] += links
+	kb := kernel.NewBuilder()
+	unitRefs := make([][]kernel.LinkRef, nCols+p.Spec.Endpoints)
+	type delayClass struct {
+		links int         // exact population, tallied before carving
+		arena *link.Arena // created once the tally is complete
+		index int32       // of the arena in the plan
+	}
+	classes := make(map[int]*delayClass)
+	var delayOrder []int
+	tally := func(tier, links int) {
+		d := delayOf(tier)
+		if classes[d] == nil {
+			classes[d] = &delayClass{}
+			delayOrder = append(delayOrder, d)
 		}
-		for _, refs := range top.Inject {
-			tally(0, len(refs)*c)
-		}
-		for s := range top.Out {
-			for j := range top.Out[s] {
-				tally(s+1, len(top.Out[s][j])*c)
-			}
-		}
-		arenaFor = make(map[int]*link.Arena, len(delayOrder))
-		arenaIdx = make(map[int]int32, len(delayOrder))
-		for _, d := range delayOrder {
-			a := kb.Arena(d, counts[d])
-			arenaFor[d] = a
-			arenaIdx[d] = kb.ArenaIndex(a)
+		classes[d].links += links
+	}
+	for _, refs := range top.Inject {
+		tally(0, len(refs)*c)
+	}
+	for s := range top.Out {
+		for j := range top.Out[s] {
+			tally(s+1, len(top.Out[s][j])*c)
 		}
 	}
-	// makeLink creates one physical link on whichever plane is selected:
-	// a private allocation registered under the owning shard affinity
-	// (per-component path), or a carve from the tier's delay-class arena
-	// recorded in the adjacency table of both attached units (kernel
-	// path).
-	makeLink := func(tier int, name string, aff clock.ShardAffinity, ua, ub int) *link.Link {
-		if kb == nil {
-			l := link.New(name, delayOf(tier))
-			n.Engine.AddSharded(aff, l)
-			return l
-		}
-		d := delayOf(tier)
-		a := arenaFor[d]
-		ref := kernel.LinkRef{Arena: arenaIdx[d], Index: int32(a.Len())}
-		l := a.New(name)
+	for _, d := range delayOrder {
+		dc := classes[d]
+		dc.arena, dc.index = kb.Arena(d, dc.links)
+	}
+	// makeLink carves one physical link from its tier's delay-class arena
+	// and records it in the adjacency table of both attached units.
+	makeLink := func(tier int, name string, ua, ub int) *link.Link {
+		dc := classes[delayOf(tier)]
+		ref := kernel.LinkRef{Arena: dc.index, Index: int32(dc.arena.Len())}
+		l := dc.arena.New(name)
 		unitRefs[ua] = append(unitRefs[ua], ref)
 		unitRefs[ub] = append(unitRefs[ub], ref)
 		return l
@@ -447,28 +396,8 @@ func Build(p Params) (*Network, error) {
 		n.Endpoints[e] = ep
 	}
 
-	// Tracer wiring. The flight recorder path tees a per-column recording
-	// tracer into every lane (the column's lanes are co-located on one
-	// shard, so they may share a buffer); the legacy aggregate Tracer, if
-	// any, rides along on the same chain.
 	if p.Recorder != nil {
-		recTracers := wireTelemetry(n, lanes)
-		for s := range lanes {
-			for j := range lanes[s] {
-				t := core.Tee(p.Tracer, recTracers[s][j])
-				for _, r := range lanes[s][j] {
-					r.SetTracer(t)
-				}
-			}
-		}
-	} else if p.Tracer != nil {
-		for s := range lanes {
-			for j := range lanes[s] {
-				for _, r := range lanes[s][j] {
-					r.SetTracer(p.Tracer)
-				}
-			}
-		}
+		wireTelemetry(n, lanes)
 	}
 
 	// Links: injection, inter-stage, delivery — one physical link per
@@ -479,34 +408,28 @@ func Build(p Params) (*Network, error) {
 		}
 		return cascade.NewWideChannel(ends, p.Width)
 	}
-	n.injLinks = make([][]*link.Link, p.Spec.Endpoints)
 	n.injLanes = make([][][]*link.Link, p.Spec.Endpoints)
 	for e, refs := range top.Inject {
-		n.injLinks[e] = make([]*link.Link, len(refs))
 		n.injLanes[e] = make([][]*link.Link, len(refs))
 		for k, ref := range refs {
 			ends := make([]*link.End, c)
 			n.injLanes[e][k] = make([]*link.Link, c)
 			for lane := 0; lane < c; lane++ {
 				l := makeLink(0, fmt.Sprintf("ep%d.%d.l%d->%s", e, k, lane, ref),
-					affEp[e], epUnit(e), colUnit(ref.Stage, ref.Index))
+					epUnit(e), colUnit(ref.Stage, ref.Index))
 				n.injLanes[e][k][lane] = l
 				ends[lane] = l.A()
 				r := lanes[ref.Stage][ref.Index][lane]
 				r.AttachForward(ref.Port, l.B())
 				setTurnDelay(r, ref.Port, delayOf(0))
 			}
-			n.injLinks[e][k] = n.injLanes[e][k][0]
 			n.Endpoints[e].AttachInject(channel(ends))
 		}
 	}
-	n.outLinks = make([][][]*link.Link, len(p.Spec.Stages))
 	n.outLanes = make([][][][]*link.Link, len(p.Spec.Stages))
 	for s := range top.Out {
-		n.outLinks[s] = make([][]*link.Link, len(top.Out[s]))
 		n.outLanes[s] = make([][][]*link.Link, len(top.Out[s]))
 		for j := range top.Out[s] {
-			n.outLinks[s][j] = make([]*link.Link, len(top.Out[s][j]))
 			n.outLanes[s][j] = make([][]*link.Link, len(top.Out[s][j]))
 			for bp, ref := range top.Out[s][j] {
 				ends := make([]*link.End, c)
@@ -517,7 +440,7 @@ func Build(p Params) (*Network, error) {
 				}
 				for lane := 0; lane < c; lane++ {
 					l := makeLink(s+1, fmt.Sprintf("s%dr%d.b%d.l%d->%s", s, j, bp, lane, ref),
-						affCol[s][j], colUnit(s, j), downUnit)
+						colUnit(s, j), downUnit)
 					n.outLanes[s][j][bp][lane] = l
 					up := lanes[s][j][lane]
 					up.AttachBackward(bp, l.A())
@@ -529,7 +452,6 @@ func Build(p Params) (*Network, error) {
 						setTurnDelay(down, ref.Port, delayOf(s+1))
 					}
 				}
-				n.outLinks[s][j][bp] = n.outLanes[s][j][bp][0]
 				if ref.Kind == topo.KindEndpoint {
 					n.Endpoints[ref.Index].AttachDeliver(channel(ends))
 				}
@@ -537,50 +459,31 @@ func Build(p Params) (*Network, error) {
 		}
 	}
 
-	if p.Kernel {
-		// Unit order mirrors the AddSharded order below: router columns
-		// stage-major, then endpoints. A cascaded column is one unit for
-		// the same reason AddTo pins the whole group to one shard.
-		for s := range n.Routers {
-			for j := range n.Routers[s] {
-				if c == 1 {
-					kb.AddRouter(n.Routers[s][j], unitRefs[colUnit(s, j)]...)
-				} else {
-					kb.AddCascade(n.Cascades[s][j], unitRefs[colUnit(s, j)]...)
-				}
+	// A cascaded column is one unit: its lanes share a random stream and
+	// the wired-AND IN-USE check within a cycle, so they must never split
+	// across workers.
+	for s := range n.Routers {
+		for j := range n.Routers[s] {
+			if c == 1 {
+				kb.AddRouter(n.Routers[s][j], unitRefs[colUnit(s, j)]...)
+			} else {
+				kb.AddCascade(n.Cascades[s][j], unitRefs[colUnit(s, j)]...)
 			}
-		}
-		for e, ep := range n.Endpoints {
-			kb.AddEndpoint(ep, unitRefs[epUnit(e)]...)
-		}
-		compiled, err := kb.Compile()
-		if err != nil {
-			return nil, err
-		}
-		n.Compiled = compiled
-		n.Engine.SetKernel(compiled)
-		if m := p.EngineMetrics; m != nil {
-			compiled.PublishShape(m.KernelUnits, m.KernelLinks, m.KernelArenas)
-		}
-	} else {
-		for s := range n.Routers {
-			for j := range n.Routers[s] {
-				if c == 1 {
-					n.Engine.AddSharded(affCol[s][j], n.Routers[s][j])
-				} else {
-					// The group declares its own co-location contract: all
-					// lanes plus the shared random stream on one shard.
-					n.Cascades[s][j].AddTo(n.Engine, affCol[s][j])
-				}
-			}
-		}
-		for e, ep := range n.Endpoints {
-			n.Engine.AddSharded(affEp[e], ep)
 		}
 	}
+	for e, ep := range n.Endpoints {
+		kb.AddEndpoint(ep, unitRefs[epUnit(e)]...)
+	}
+	n.Compiled, err = kb.Compile()
+	if err != nil {
+		return nil, err
+	}
+	n.Engine.SetKernel(n.Compiled)
+	if m := p.EngineMetrics; m != nil {
+		n.Compiled.PublishShape(m.KernelUnits, m.KernelLinks, m.KernelArenas)
+	}
 	// The collector must be the first serialized component: after every
-	// sharded Eval (links, routers, endpoints), before any driver or
-	// injector registered post-Build.
+	// unit's Eval, before any driver or injector registered post-Build.
 	n.Engine.Add(&collector{n: n})
 	if p.Recorder != nil {
 		period := p.GaugePeriod
@@ -588,7 +491,7 @@ func Build(p Params) (*Network, error) {
 			period = 1
 		}
 		// The sampler reads the quiescent network at the barrier; the
-		// flusher then drains every shard buffer in registration order.
+		// flusher then drains every unit's buffer in registration order.
 		// Components registered after Build (drivers, fault injectors) run
 		// after the flusher, so their events — stamped with the cycle they
 		// occurred on — reach the ring one flush later, identically at
@@ -599,18 +502,17 @@ func Build(p Params) (*Network, error) {
 	return n, nil
 }
 
-// Close releases the engine's worker goroutines when the network runs in
-// parallel mode (Workers > 0); it is a no-op for the serial engine. The
-// network remains usable afterwards — the pool restarts lazily on the
-// next Step — so Close is safe to defer unconditionally. Sweeps that
-// build many networks should call it to avoid accumulating idle
-// goroutines.
+// Close releases the engine's worker goroutines when the network runs
+// with Workers > 0; it is a no-op otherwise. The network remains usable
+// afterwards — the pool restarts lazily on the next Step — so Close is
+// safe to defer unconditionally. Sweeps that build many networks should
+// call it to avoid accumulating idle goroutines.
 func (n *Network) Close() { n.Engine.StopWorkers() }
 
 // Send offers a message from src to dest and returns its ID.
 //
 //metrovet:mutator traffic injection entry point; called between cycles or from drivers in the serialized epilogue
-//metrovet:shared traffic drivers run in the serialized epilogue, so injection cannot race shard Evals
+//metrovet:shared traffic drivers run in the serialized epilogue, so injection cannot race unit Evals
 //metrovet:bounds caller contract: src is an endpoint id below Spec.Endpoints, the size of Endpoints
 func (n *Network) Send(src, dest int, payload []byte) uint64 {
 	n.nextID++
@@ -666,26 +568,20 @@ func (n *Network) RouterAt(stage, index int) *core.Router { return n.Routers[sta
 // InjectLink returns endpoint e's k-th injection link.
 //
 //metrovet:bounds caller contract: e is an endpoint id and k one of its injection links
-func (n *Network) InjectLink(e, k int) *link.Link { return n.injLinks[e][k] }
+func (n *Network) InjectLink(e, k int) *link.Link { return n.injLanes[e][k][0] }
 
 // OutLink returns the link attached to backward port bp of router (stage,
 // index).
 //
 //metrovet:bounds caller contract: (stage, index, bp) addresses a built output port
-func (n *Network) OutLink(stage, index, bp int) *link.Link { return n.outLinks[stage][index][bp] }
+func (n *Network) OutLink(stage, index, bp int) *link.Link { return n.outLanes[stage][index][bp][0] }
 
-// EachLink visits every link in the network.
+// EachLink visits every physical link in the network — every cascade
+// lane of every wire — in arena order.
 func (n *Network) EachLink(f func(*link.Link)) {
-	for _, ls := range n.injLinks {
-		for _, l := range ls {
-			f(l)
-		}
-	}
-	for _, stage := range n.outLinks {
-		for _, router := range stage {
-			for _, l := range router {
-				f(l)
-			}
+	for _, a := range n.Compiled.Arenas() {
+		for i := 0; i < a.Len(); i++ {
+			f(a.At(i))
 		}
 	}
 }

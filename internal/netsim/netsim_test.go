@@ -370,6 +370,17 @@ func TestNetworkAccessors(t *testing.T) {
 	if count != 128 {
 		t.Fatalf("EachLink visited %d links, want 128", count)
 	}
+	// Every wire of a width-cascaded network is CascadeWidth physical
+	// links, and EachLink must visit each lane, not lane 0 only.
+	wide, err := Build(Params{Spec: topo.Figure1(), Width: 4, CascadeWidth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count = 0
+	wide.EachLink(func(l *link.Link) { count++ })
+	if count != 256 {
+		t.Fatalf("EachLink visited %d links of the cascade-2 network, want 256", count)
+	}
 	n.Send(0, 1, []byte{1})
 	n.Run(100)
 	if len(n.TakeResults()) != 1 {

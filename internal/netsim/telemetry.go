@@ -8,30 +8,28 @@ import (
 )
 
 // wireTelemetry attaches the flight recorder to a network under
-// construction: one shard-local buffer per router column (all cascade
-// lanes of a logical router are co-located by construction), one per
-// endpoint, and one network-scope buffer for the serialized-epilogue
-// emitters (gauge sampler, fault injector). Buffer registration order —
-// router columns stage-major, then endpoints, then the network buffer —
-// is a pure function of the topology, so the recorder's within-cycle
-// merge order is identical under the serial and parallel engines.
-//
-// The returned router tracers are indexed [stage][router]; Build tees
-// them into each lane's tracer chain.
-func wireTelemetry(n *Network, lanes [][][]*core.Router) [][]core.Tracer {
+// construction: one unit-local buffer per router column (all cascade
+// lanes of a logical router belong to one kernel unit, so they may share
+// it), one per endpoint, and one network-scope buffer for the
+// serialized-epilogue emitters (gauge sampler, fault injector). Buffer
+// registration order — router columns stage-major, then endpoints, then
+// the network buffer — is a pure function of the topology, so the
+// recorder's within-cycle merge order is identical at every worker
+// count.
+func wireTelemetry(n *Network, lanes [][][]*core.Router) {
 	rec := n.Params.Recorder
-	tracers := make([][]core.Tracer, len(lanes))
 	for s := range lanes {
-		tracers[s] = make([]core.Tracer, len(lanes[s]))
 		for j := range lanes[s] {
-			tracers[s][j] = telemetry.RouterTracer(rec.NewBuf())
+			t := telemetry.RouterTracer(rec.NewBuf())
+			for _, r := range lanes[s][j] {
+				r.SetTracer(t)
+			}
 		}
 	}
 	for _, ep := range n.Endpoints {
 		ep.SetTracer(telemetry.EndpointTracer(rec.NewBuf()))
 	}
 	n.netBuf = rec.NewBuf()
-	return tracers
 }
 
 // FaultSink returns the network-scope telemetry buffer serialized
@@ -42,7 +40,7 @@ func (n *Network) FaultSink() *telemetry.Buf { return n.netBuf }
 // gaugeSampler is the per-cycle gauge emitter: port occupancy and open
 // connections per stage, endpoint queue depths, and in-flight endpoint
 // count. It registers in the serialized epilogue (plain Engine.Add), so
-// it observes the network between the sharded Evals and the commit —
+// it observes the network between the unit Evals and the commit —
 // the same quiescent window the collector uses — and only reads.
 type gaugeSampler struct {
 	n      *Network
@@ -52,7 +50,7 @@ type gaugeSampler struct {
 
 // Eval samples every gauge when the cycle lands on the sampling period.
 //
-//metrovet:shared read-only sampler in the serialized epilogue: every sharded Eval has completed at the barrier, and nothing is mutated
+//metrovet:shared read-only sampler in the serialized epilogue: every unit Eval has completed at the barrier, and nothing is mutated
 //metrovet:bounds j ranges over Routers[s] itself
 //metrovet:truncate gauge counts are bounded by port, router and endpoint counts, far below 2^31
 func (g *gaugeSampler) Eval(cycle uint64) {

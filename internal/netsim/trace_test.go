@@ -1,121 +1,11 @@
 package netsim
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"metro/internal/telemetry"
 	"metro/internal/topo"
 )
-
-// recordCongested runs the congested fixed-schedule workload with the
-// flight recorder attached and returns the canonical mtr1 encoding of
-// the recorded trace — the byte-identity currency of the differential.
-func recordCongested(t *testing.T, p Params, injectSeed int64, perCycle, cycles int) []byte {
-	t.Helper()
-	rec := telemetry.New(telemetry.Options{Capacity: 1 << 20})
-	p.Recorder = rec
-	n, err := Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	rng := rand.New(rand.NewSource(injectSeed))
-	eps := p.Spec.Endpoints
-	for cycle := 0; cycle < cycles; cycle++ {
-		for k := 0; k < perCycle; k++ {
-			src := rng.Intn(eps)
-			dest := rng.Intn(eps)
-			if dest == src {
-				dest = (dest + 1) % eps
-			}
-			n.Send(src, dest, []byte{byte(cycle), byte(src), byte(dest)})
-		}
-		n.Engine.Step()
-	}
-	var buf bytes.Buffer
-	if err := telemetry.Encode(&buf, rec.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestParallelTraceIdentityCongestedFigure3 is the observability
-// acceptance gate: the full recorded event stream of a congested
-// Figure 3 run — message lifecycle, connection lifecycle, per-cycle
-// gauges — must be byte-identical between the serial reference engine
-// and the parallel engine at every worker count. Event buffering is
-// per-shard and the merge happens at the cycle barrier in registration
-// order, so no goroutine interleaving may show through.
-func TestParallelTraceIdentityCongestedFigure3(t *testing.T) {
-	cycles := 1200
-	if testing.Short() {
-		cycles = 500
-	}
-	params := func(workers int) Params {
-		return Params{
-			Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
-			FastReclaim: false, Seed: 71, RetryLimit: 600, ListenTimeout: 200,
-			Workers: workers,
-		}
-	}
-	want := recordCongested(t, params(0), 17, 2, cycles)
-	ref, err := telemetry.Decode(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("serial trace does not decode: %v", err)
-	}
-	if len(ref.Events) == 0 {
-		t.Fatal("congested run recorded no events; the differential compares nothing")
-	}
-	// The stream must cover all four event families.
-	var msgs, conns, gauges int
-	for _, e := range ref.Events {
-		switch {
-		case e.Kind >= telemetry.EvMsgQueued && e.Kind <= telemetry.EvMsgArrived:
-			msgs++
-		case e.Kind >= telemetry.EvConnSetup && e.Kind <= telemetry.EvConnReleased:
-			conns++
-		case e.Kind >= telemetry.EvGaugeConns:
-			gauges++
-		}
-	}
-	if msgs == 0 || conns == 0 || gauges == 0 {
-		t.Fatalf("trace families missing: %d message, %d connection, %d gauge events", msgs, conns, gauges)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := recordCongested(t, params(workers), 17, 2, cycles)
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: recorded trace diverges from the serial engine (%d vs %d bytes)",
-				workers, len(got), len(want))
-		}
-	}
-}
-
-// TestParallelTraceIdentityCascade covers the cascade lanes: with
-// CascadeWidth = 2 every logical router contributes two event sources
-// (lane IDs distinguish them), all sharing one column buffer. Worker
-// counts must still not show through.
-func TestParallelTraceIdentityCascade(t *testing.T) {
-	cycles := 400
-	if testing.Short() {
-		cycles = 200
-	}
-	params := func(workers int) Params {
-		return Params{
-			Spec: topo.Figure1(), Width: 4, DataPipe: 1, LinkDelay: 1,
-			CascadeWidth: 2, FastReclaim: true, Seed: 5, RetryLimit: 300,
-			ListenTimeout: 300, Workers: workers,
-		}
-	}
-	want := recordCongested(t, params(0), 23, 1, cycles)
-	for _, workers := range []int{1, 4} {
-		got := recordCongested(t, params(workers), 23, 1, cycles)
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: cascade trace diverges from the serial engine", workers)
-		}
-	}
-}
 
 // TestTraceCapturesEndToEndLifecycle sends one message through a quiet
 // network and checks the recorded stream tells its whole story: queued,

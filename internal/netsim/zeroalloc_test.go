@@ -37,7 +37,7 @@ func benchSteadyKernel(b *testing.B, observed bool) {
 	completed := 0
 	p := Params{
 		Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
-		Seed: 71, RetryLimit: 600, ListenTimeout: 200, Kernel: true,
+		Seed: 71, RetryLimit: 600, ListenTimeout: 200,
 		OnResult: func(nic.Result) { completed++ },
 	}
 	bridge := &telemetry.MetricsSink{}

@@ -75,13 +75,12 @@ var _ Source = (*LFSR)(nil)
 // same bits, which is exactly the property cascading relies on.
 //
 // Shared is not safe for concurrent use: every consumer of one Shared
-// stream must evaluate on the same goroutine. Under the parallel clock
-// engine this is a co-location requirement — all components drawing
-// from one Shared stream must be registered under a single
-// clock.ShardAffinity. cascade.Group satisfies it by construction (the
-// group is one component, so its members and their forks always
-// evaluate together); any other fan-out must declare co-location the
-// same way.
+// stream must evaluate on the same goroutine. With engine workers this
+// is a co-location requirement — all routers drawing from one Shared
+// stream must belong to a single kernel unit. cascade.Group satisfies it
+// by construction (the group is one unit, so its members and their
+// forks always evaluate together); any other fan-out must be packaged
+// the same way.
 type Shared struct {
 	gen     *LFSR
 	buf     []uint8 // one bit per element

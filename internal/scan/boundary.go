@@ -91,7 +91,7 @@ func (b *Boundary) Driving() bool { return b.drive }
 // Eval implements clock.Component: while EXTEST is active, drive the
 // output cells onto every disabled backward port's link.
 //
-//metrovet:shared reads only its own router's settings and drives its links; a Boundary must be co-located with its router
+//metrovet:shared reads only its own router's settings and drives its links; a Boundary registers via Engine.Add, so it never runs concurrently with its router's Eval
 //metrovet:bounds out is sized to Outputs by NewBoundary, the loop's bound
 //metrovet:width width copies Config.Width, which Config.Validate bounds to [1,32]
 func (b *Boundary) Eval(cycle uint64) {

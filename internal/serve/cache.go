@@ -24,12 +24,14 @@ const EngineRevision = "metro-pr9"
 type Engine string
 
 const (
-	// EngineReference runs the serial reference engine (plus the
-	// parallel differential leg when the spec's wk field asks for one).
+	// EngineReference is the default battery: the compiled kernel stepped
+	// inline (plus the parallel differential leg when the spec's wk
+	// field asks for one). The name is wire format — it is hashed into
+	// every cache key — and predates the kernel being the only engine.
 	EngineReference Engine = "reference"
-	// EngineKernel additionally re-runs the scenario on the compiled
-	// struct-of-arrays kernel and demands bit-identity with the
-	// reference — the serving-path version of `metrofuzz -kernel`.
+	// EngineKernel additionally re-runs the scenario on the
+	// per-component reference stepper and demands bit-identity with the
+	// compiled kernel — the serving-path version of `metrofuzz -kernel`.
 	EngineKernel Engine = "kernel"
 )
 

@@ -41,7 +41,7 @@ type Result struct {
 	// Summary is byte-identical to `metrofuzz -replay -shrink=false`
 	// output for this spec; the e2e harness diffs the two.
 	Summary string `json:"summary"`
-	// Trace carries the serial reference leg's mtr1 telemetry stream
+	// Trace carries the primary leg's mtr1 telemetry stream
 	// when the job was submitted with trace=1.
 	Trace string `json:"trace,omitempty"`
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // RouterTracer returns a core.Tracer that records the connection
-// lifecycle into buf. Attach one per shard-local Buf: netsim gives every
-// router column (all cascade lanes, which are co-located by
-// construction) one buffer.
+// lifecycle into buf. Attach one per unit-local Buf: netsim gives every
+// router column (all cascade lanes, which form one kernel unit) one
+// buffer.
 func RouterTracer(buf *Buf) core.Tracer { return routerTracer{buf} }
 
 type routerTracer struct{ b *Buf }
@@ -46,8 +46,8 @@ func (t routerTracer) Reversed(cycle uint64, id core.RouterID, fp int, towardSou
 }
 
 // EndpointTracer returns a nic.Tracer that records the message lifecycle
-// into buf. Attach one per endpoint (each endpoint is its own shard
-// co-location group).
+// into buf. Attach one per endpoint (each endpoint is its own kernel
+// unit).
 func EndpointTracer(buf *Buf) nic.Tracer { return endpointTracer{buf} }
 
 type endpointTracer struct{ b *Buf }

@@ -1,9 +1,9 @@
 // Package telemetry is the deterministic, cycle-stamped event bus of the
 // simulator: routers, endpoints, the fault injector and netsim's gauge
-// sampler emit fixed-size events into per-shard buffers, and a central
+// sampler emit fixed-size events into per-unit buffers, and a central
 // flight recorder merges them in a deterministic order at the cycle
-// barrier. The same buffered path runs under the serial and the
-// partitioned parallel engine, so recorded traces are byte-identical
+// barrier. The same buffered path runs at every engine worker
+// count, so recorded traces are byte-identical
 // across worker counts (the differential tests in internal/netsim prove
 // it). Exporters turn a recorded trace into Perfetto/Chrome trace-event
 // JSON, CSV, and aggregate latency summaries comparable to the paper's

@@ -1,12 +1,12 @@
 package telemetry
 
-// Buf is a shard-local event buffer. Every emitter group that may run on
-// its own engine shard (a router column, an endpoint, the network-scope
+// Buf is a unit-local event buffer. Every emitter group that may run on
+// its own engine worker (a router column, an endpoint, the network-scope
 // epilogue emitters) appends into its own Buf during Eval — no locks, no
-// cross-shard traffic — and the Recorder drains every Buf in its fixed
+// cross-worker traffic — and the Recorder drains every Buf in its fixed
 // registration order at the cycle barrier. Because the drain order is a
 // pure function of network construction (never of goroutine timing), the
-// merged stream is identical under the serial and parallel engines.
+// merged stream is identical at every worker count.
 //
 // Emit may grow the buffer's backing array while the simulation warms
 // up; once the high-water mark is reached the append stays within
@@ -38,7 +38,7 @@ type Options struct {
 const DefaultCapacity = 1 << 18
 
 // Recorder is the flight recorder: a bounded ring of the most recent
-// events, fed by per-shard Bufs. NewBuf registers buffers at network
+// events, fed by per-unit Bufs. NewBuf registers buffers at network
 // construction time; Flush (driven by a Flusher component in the
 // engine's serialized epilogue) drains them in registration order.
 //
@@ -63,7 +63,7 @@ func New(opts Options) *Recorder {
 	return &Recorder{ring: make([]Event, c)}
 }
 
-// NewBuf registers and returns a new shard-local buffer. Registration
+// NewBuf registers and returns a new unit-local buffer. Registration
 // order defines the within-cycle merge order of the recorded stream, so
 // callers must register in a deterministic order (netsim registers
 // router columns stage-major, then endpoints, then the network buf).
@@ -80,8 +80,8 @@ func (r *Recorder) NewBuf() *Buf {
 // merge the ring sees) before the buffer is reset. The slice is only
 // valid for the duration of the call — the buffer backing it is reused
 // next cycle — so a sink that retains events must copy them. The sink
-// runs on the flushing goroutine (the serialized epilogue under the
-// parallel engine), so it must be fast and must never block on the
+// runs on the flushing goroutine (the stepping goroutine, in the
+// serialized epilogue), so it must be fast and must never block on the
 // simulation's own output; metroserve's adapter copies into a bounded
 // channel and drops on overflow. Set it before the clock starts and
 // leave it in place: with no sink the recording path stays
@@ -150,9 +150,8 @@ type Trace struct {
 }
 
 // Flusher adapts a Recorder to the simulation clock. Register it with
-// plain Engine.Add after every sharded component (netsim does this
-// during Build): under the parallel engine it then runs in the
-// serialized epilogue, after the barrier, where every shard's Buf is
+// plain Engine.Add (netsim does this during Build): it then runs in the
+// serialized epilogue, after the barrier, where every unit's Buf is
 // quiescent.
 type Flusher struct {
 	R *Recorder

@@ -5,63 +5,79 @@ import (
 	"testing"
 
 	"metro/internal/netsim"
+	"metro/internal/nic"
+	"metro/internal/stats"
 	"metro/internal/topo"
 )
+
+// driver is what the two measurement drivers share for the differential.
+type driver interface {
+	OnResult(nic.Result)
+	Bind(*netsim.Network)
+	Injected() int
+	Measured() []nic.Result
+	Point() stats.LoadPoint
+}
+
+// diffDriver is the traffic members of the differential family (see
+// internal/netsim/differential_test.go): the same driven workload on the
+// per-component reference stepper and on the compiled kernel at workers
+// {0, 1, 2, 4, 8} must agree on the injection count, on every measured
+// result and on the summarized load point, bit for bit. Every run gets
+// a fresh driver, with the network built around its OnResult hook.
+func diffDriver(t *testing.T, cycles uint64, p netsim.Params, fresh func() driver) {
+	run := func(reference bool, workers int) driver {
+		d := fresh()
+		p := p
+		p.Workers, p.OnResult = workers, d.OnResult
+		n, err := netsim.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if reference {
+			n.Engine.SetKernel(netsim.NewReference(n))
+		}
+		d.Bind(n)
+		n.Run(cycles)
+		return d
+	}
+	want := run(true, 0)
+	if len(want.Measured()) == 0 {
+		t.Fatal("run measured no completions; the differential compares nothing")
+	}
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		got := run(false, workers)
+		if got.Injected() != want.Injected() {
+			t.Errorf("kernel workers=%d: injected %d, want %d", workers, got.Injected(), want.Injected())
+		}
+		if !reflect.DeepEqual(got.Measured(), want.Measured()) {
+			t.Errorf("kernel workers=%d: measured results diverge from the reference stepper (%d vs %d messages)",
+				workers, len(got.Measured()), len(want.Measured()))
+		}
+		if !reflect.DeepEqual(got.Point(), want.Point()) {
+			t.Errorf("kernel workers=%d: load point diverges:\n got %+v\nwant %+v", workers, got.Point(), want.Point())
+		}
+	}
+}
 
 // TestClosedLoopParallelDifferential runs the Figure 3 closed-loop
 // workload — the paper's measurement configuration, and the hardest
 // equivalence case, because the driver's OnResult hook both mutates
 // per-endpoint state and draws think times from its PRNG, so any
 // perturbation of completion order changes the entire remaining random
-// stream. Serial and parallel runs must agree on every measured result
-// and on the summarized load point, bit for bit.
+// stream.
 func TestClosedLoopParallelDifferential(t *testing.T) {
 	cycles := uint64(2000)
 	if testing.Short() {
 		cycles = 800
 	}
-	run := func(workers int) (*ClosedLoop, error) {
-		driver := &ClosedLoop{
-			Load: 0.85, MsgBytes: 20, Outstanding: 2, Seed: 5, Warmup: 200,
-		}
-		p := netsim.Params{
-			Spec: topo.Figure3(), Width: 8, HeaderWords: 2, DataPipe: 2,
-			LinkDelay: 1, FastReclaim: true, Seed: 7, RetryLimit: 1000,
-			Workers:  workers,
-			OnResult: driver.OnResult,
-		}
-		n, err := netsim.Build(p)
-		if err != nil {
-			return nil, err
-		}
-		defer n.Close()
-		driver.Bind(n)
-		n.Run(cycles)
-		return driver, nil
-	}
-	want, err := run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Measured()) == 0 {
-		t.Fatal("closed-loop run measured no completions; the differential compares nothing")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := run(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.Injected() != want.Injected() {
-			t.Errorf("workers=%d: injected %d, want %d", workers, got.Injected(), want.Injected())
-		}
-		if !reflect.DeepEqual(got.Measured(), want.Measured()) {
-			t.Errorf("workers=%d: measured results diverge from the serial engine (%d vs %d messages)",
-				workers, len(got.Measured()), len(want.Measured()))
-		}
-		if !reflect.DeepEqual(got.Point(), want.Point()) {
-			t.Errorf("workers=%d: load point diverges:\n got %+v\nwant %+v", workers, got.Point(), want.Point())
-		}
-	}
+	diffDriver(t, cycles, netsim.Params{
+		Spec: topo.Figure3(), Width: 8, HeaderWords: 2, DataPipe: 2,
+		LinkDelay: 1, FastReclaim: true, Seed: 7, RetryLimit: 1000,
+	}, func() driver {
+		return &ClosedLoop{Load: 0.85, MsgBytes: 20, Outstanding: 2, Seed: 5, Warmup: 200}
+	})
 }
 
 // TestOpenLoopParallelDifferential covers the Bernoulli-injection driver
@@ -72,39 +88,10 @@ func TestOpenLoopParallelDifferential(t *testing.T) {
 	if testing.Short() {
 		cycles = 500
 	}
-	run := func(workers int) (*OpenLoop, error) {
-		driver := &OpenLoop{Load: 0.6, MsgBytes: 12, Seed: 11, Warmup: 100}
-		p := netsim.Params{
-			Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
-			FastReclaim: true, Seed: 13, RetryLimit: 500,
-			Workers:  workers,
-			OnResult: driver.OnResult,
-		}
-		n, err := netsim.Build(p)
-		if err != nil {
-			return nil, err
-		}
-		defer n.Close()
-		driver.Bind(n)
-		n.Run(cycles)
-		return driver, nil
-	}
-	want, err := run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Measured()) == 0 {
-		t.Fatal("open-loop run measured no completions; the differential compares nothing")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := run(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.Injected() != want.Injected() ||
-			!reflect.DeepEqual(got.Measured(), want.Measured()) ||
-			!reflect.DeepEqual(got.Point(), want.Point()) {
-			t.Errorf("workers=%d: open-loop run diverges from the serial engine", workers)
-		}
-	}
+	diffDriver(t, cycles, netsim.Params{
+		Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
+		FastReclaim: true, Seed: 13, RetryLimit: 500,
+	}, func() driver {
+		return &OpenLoop{Load: 0.6, MsgBytes: 12, Seed: 11, Warmup: 100}
+	})
 }

@@ -180,8 +180,9 @@ type (
 )
 
 // StageCounters aggregates router events (allocations, blocks, reversals)
-// per network stage, quantifying where congestion concentrates. Pass it as
-// NetworkParams.Tracer.
+// per network stage, quantifying where congestion concentrates. It
+// consumes the flight-recorder stream: pass its Sink to SetSink on the
+// telemetry.Recorder given as NetworkParams.Recorder.
 type StageCounters = netsim.Counters
 
 // StageStats is one stage's aggregate from StageCounters.
