@@ -11,15 +11,13 @@ import (
 	"strings"
 )
 
-// The -bce mode is the compiler-verified complement of the MV011
-// provable-bounds rule: metrovet's abstract interpreter proves (or the
-// author justifies) that hot-path indexing cannot fault, and the gate
-// below asks gc's SSA backend which bounds checks it actually managed
-// to eliminate. Every check that survives compilation of a hot-path
-// package is a branch executed each simulated cycle, so the surviving
-// set is pinned in docs/bce_allowlist.txt and CI fails when it grows —
-// a change that silently defeats bounds-check elimination has to be
-// either restructured or explicitly accepted by regenerating the list.
+// The -bce mode is metrovet's bounds gate: it asks gc's SSA backend
+// which bounds checks it actually managed to eliminate. Every check
+// that survives compilation of a hot-path package is a branch executed
+// each simulated cycle, so the surviving set is pinned in
+// docs/bce_allowlist.txt and CI fails when it grows — a change that
+// silently defeats bounds-check elimination has to be either
+// restructured or explicitly accepted by regenerating the list.
 
 // bcePackages are the per-cycle hot-path packages: everything executed
 // on every simulated clock edge of every router, link, and endpoint.

@@ -7,21 +7,16 @@
 //
 // It walks the requested packages, runs every analyzer in
 // internal/analysis, prints findings as "file:line: rule-id: message"
-// and exits nonzero if any finding is neither inline-suppressed nor
-// baselined. CI runs it alongside go vet.
+// and exits nonzero if any finding is not inline-suppressed. CI runs it
+// alongside go vet.
 //
 // Flags:
 //
-//	-baseline file        read accepted findings from file
-//	-write-baseline file  write current findings to file and exit 0
-//	                      (refuses to overwrite an existing file
-//	                      without -force)
-//	-force                allow -write-baseline to overwrite
 //	-json                 emit findings as the metrovet JSON report
-//	-sarif                emit findings as a SARIF 2.1.0 log
-//	-cache dir            keep an incremental analysis cache in dir,
-//	                      keyed by file content hashes; unchanged trees
-//	                      skip type-checking entirely
+//	-cache dir            keep the last result in dir, keyed by file
+//	                      content hashes; an unchanged tree skips
+//	                      type-checking entirely, any edit re-runs
+//	                      everything
 //	-rules                print the rule set and exit
 //	-machines             print the extracted protocol state machines
 //	-write-machines dir   write the extracted machine tables to dir
@@ -40,8 +35,8 @@
 //	                      has none)
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or internal error. The -json
-// and -sarif documents are byte-stable for a given tree and are pinned
-// by golden tests.
+// document is byte-stable for a given tree and is pinned by a golden
+// test.
 package main
 
 import (
@@ -54,12 +49,8 @@ import (
 )
 
 func main() {
-	baselinePath := flag.String("baseline", "", "read accepted findings from `file`")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to `file` and exit 0")
-	force := flag.Bool("force", false, "allow -write-baseline to overwrite an existing file")
 	jsonOut := flag.Bool("json", false, "emit findings as the metrovet JSON report")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	cacheDir := flag.String("cache", "", "keep an incremental analysis cache in `dir`")
+	cacheDir := flag.String("cache", "", "keep the last result in `dir`; an unchanged tree is served from it")
 	listRules := flag.Bool("rules", false, "print the rule set and exit")
 	printMachines := flag.Bool("machines", false, "print the extracted protocol state machines")
 	writeMachines := flag.String("write-machines", "", "write extracted machine tables to `dir`")
@@ -75,9 +66,6 @@ func main() {
 			fmt.Printf("%-6s %-22s %s\n", analysis.RuleID(a.Name), a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fatal(fmt.Errorf("-json and -sarif are mutually exclusive"))
 	}
 
 	root, err := findModuleRoot()
@@ -114,49 +102,17 @@ func main() {
 			if res.FullHit {
 				fmt.Fprintln(os.Stderr, "metrovet: cache: full hit")
 			} else {
-				fmt.Fprintf(os.Stderr, "metrovet: cache: %d/%d package hit(s)\n", res.PkgHits, res.Packages)
+				fmt.Fprintln(os.Stderr, "metrovet: cache: miss")
 			}
 		}
 	}
 	findings := res.Findings
 
-	if *writeBaseline != "" {
-		if !*force {
-			if _, err := os.Stat(*writeBaseline); err == nil {
-				fatal(fmt.Errorf("%s exists; pass -force to overwrite it", *writeBaseline))
-			}
-		}
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fatal(err)
-		}
-		if err := analysis.WriteBaseline(f, findings); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrovet: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		base, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		findings = base.Filter(findings)
-	}
-
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		if err := analysis.EncodeJSON(os.Stdout, findings); err != nil {
 			fatal(err)
 		}
-	case *sarifOut:
-		if err := analysis.EncodeSARIF(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Println(f)
 		}

@@ -2,7 +2,6 @@ package main_test
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -48,8 +47,8 @@ func TestSelfHost(t *testing.T) {
 	}
 }
 
-// The badpkg goldens pin all three emitters on the same fixture run —
-// text, JSON report, and SARIF log — including the findings exit code.
+// The badpkg goldens pin both emitters on the same fixture run — text
+// and JSON report — including the findings exit code.
 func TestGoldenBadpkgText(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs a subprocess; skipped in -short mode")
@@ -68,30 +67,6 @@ func TestGoldenBadpkgJSON(t *testing.T) {
 		t.Fatal("-json output is not byte-stable across runs")
 	}
 	clitest.GoldenBytes(t, "badpkg-json", one)
-}
-
-func TestGoldenBadpkgSARIF(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs a subprocess; skipped in -short mode")
-	}
-	one := clitest.ExitCode(t, 1, "metrovet", "-sarif", badpkg)
-	two := clitest.ExitCode(t, 1, "metrovet", "-sarif", badpkg)
-	if !bytes.Equal(one, two) {
-		t.Fatal("-sarif output is not byte-stable across runs")
-	}
-	clitest.GoldenBytes(t, "badpkg-sarif", one)
-}
-
-// TestExclusiveOutputFlags pins the usage-error exit code for the
-// impossible flag combination.
-func TestExclusiveOutputFlags(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs a subprocess; skipped in -short mode")
-	}
-	out := clitest.ExitCode(t, 2, "metrovet", "-json", "-sarif", badpkg)
-	if !strings.Contains(string(out), "mutually exclusive") {
-		t.Fatalf("usage error should name the conflict:\n%s", out)
-	}
 }
 
 // TestCacheMissThenHit drives the incremental cache through a cold miss
@@ -113,39 +88,6 @@ func TestCacheMissThenHit(t *testing.T) {
 	verbose := clitest.ExitCode(t, 1, "metrovet", "-cache", cacheDir, "-v", badpkg)
 	if !strings.Contains(string(verbose), "cache: full hit") {
 		t.Fatalf("-v on an unchanged tree should report a full hit:\n%s", verbose)
-	}
-}
-
-// TestWriteBaselineRefusesClobber pins the -write-baseline safety rail:
-// overwriting an existing baseline requires -force.
-func TestWriteBaselineRefusesClobber(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs a subprocess; skipped in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "baseline.txt")
-	clitest.ExitCode(t, 0, "metrovet", "-write-baseline", path, badpkg)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	out := clitest.ExitCode(t, 2, "metrovet", "-write-baseline", path, badpkg)
-	if !strings.Contains(string(out), "-force") {
-		t.Fatalf("clobber refusal should mention -force:\n%s", out)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("refused overwrite must leave the baseline untouched")
-	}
-
-	clitest.ExitCode(t, 0, "metrovet", "-write-baseline", path, "-force", badpkg)
-	// And the baseline it wrote absorbs the findings it was written from.
-	out = clitest.ExitCode(t, 0, "metrovet", "-baseline", path, badpkg)
-	if len(out) != 0 {
-		t.Fatalf("baselined run should be silent:\n%s", out)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package badpkg is a deliberately non-conforming fixture: the golden
-// tests for metrovet's -json/-sarif emitters and the incremental cache
+// tests for metrovet's text and -json emitters and the analysis cache
 // point the tool at this package. It lives under a testdata directory so
 // the Go toolchain and metrovet's own recursive tree walks both skip it;
 // only an explicit pattern reaches it.
@@ -24,9 +24,9 @@ func bump() { count() }
 func count() { hits++ }
 
 // Slicer breaks the value-range rules on purpose: byte(cycle) truncates
-// an unbounded counter (MV010), the lut index is a field the analysis
-// cannot bound (MV011), and the shift amount on a 32-bit operand is
-// never proven below 32 (MV012).
+// an unbounded counter (MV010), and the shift amount on a 32-bit operand
+// is never proven below 32 (MV012). The unbounded lut index is left for
+// the compiler's -bce gate, which is not pointed at this package.
 type Slicer struct {
 	lut  []byte
 	bits int

@@ -12,9 +12,8 @@
 //
 // The pass is built from named, individually testable analyzers (see
 // Analyzers). Each reports findings as "file:line: rule-id: message".
-// Findings are fixed, suppressed inline with a justified directive
-// comment, or recorded in a baseline file (see package baseline handling
-// in baseline.go). The recognized directives are:
+// Findings are fixed or suppressed inline with a justified directive
+// comment; there is no baseline file. The recognized directives are:
 //
 //	//metrovet:ordered <reason>   — this map iteration is order-independent
 //	//metrovet:mutator <reason>   — this exported method is a deliberate
@@ -28,8 +27,6 @@
 //	                                one shard, or serialized epilogue)
 //	//metrovet:truncate <reason>  — this narrowing conversion is an
 //	                                intended truncation
-//	//metrovet:bounds <reason>    — this index is guaranteed in bounds by
-//	                                an invariant the analysis cannot see
 //	//metrovet:width <reason>     — this width/shift amount is validated
 //	                                outside the analyzed region
 //	//metrovet:ignore <rule> <reason> — suppress any rule on this line
@@ -88,7 +85,6 @@ func Analyzers() []*Analyzer {
 		EvalIsolation(),
 		ShardPurity(),
 		TruncatingConversion(),
-		ProvableBounds(),
 		WidthContract(),
 	}
 }
@@ -233,7 +229,7 @@ func parseDirective(text string) (directive, bool) {
 	kind, rest, _ := strings.Cut(body, " ")
 	rest = strings.TrimSpace(rest)
 	switch kind {
-	case "ordered", "mutator", "nonexhaustive", "alloc", "shared", "truncate", "bounds", "width":
+	case "ordered", "mutator", "nonexhaustive", "alloc", "shared", "truncate", "width":
 		if rest == "" {
 			return directive{}, false
 		}
@@ -308,7 +304,7 @@ func docDirective(doc *ast.CommentGroup, kind string) bool {
 
 // SortFindings orders findings by (file, line, column, rule, message)
 // for stable output: every emitter sorts through this one comparator, so
-// text, JSON, SARIF and cache encodings all agree on order.
+// text, JSON and cache encodings all agree on order.
 func SortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

@@ -10,26 +10,21 @@ import (
 	"strings"
 )
 
-// The incremental analysis cache. Keys are content hashes, never
-// timestamps: a cache entry is valid iff the bytes it was computed from
-// are identical, so a warm run is guaranteed to reproduce the cold run's
+// The analysis cache. The key is a content hash, never a timestamp: the
+// cached result is valid iff the bytes it was computed from are
+// identical, so a warm run is guaranteed to reproduce the cold run's
 // findings (the test suite asserts this equality).
 //
-// Two key granularities cover the two analyzer classes:
-//
-//   - The program key hashes every matched package's sources plus go.mod
-//     and the rule-set identity. It guards the whole-tree result: when it
-//     matches, the cached findings are served without parsing or
-//     type-checking anything.
-//   - Per-package keys hash one package directory's sources. They guard
-//     the per-package rules' findings: after an edit, only the touched
-//     packages re-run those rules. Whole-program rules (which see the
-//     interprocedural call graph) always re-run on a partial hit — any
-//     edit anywhere can change a summary three packages away.
+// There is one tier. The program key hashes every matched package's
+// sources plus go.mod and the rule-set identity; when it matches, the
+// cached findings are served without parsing or type-checking anything,
+// and when it does not, the whole tree is analyzed again. A finer tier
+// would have nothing to save: after any edit the loader still
+// type-checks every package, which is ~99% of a run.
 
 // cacheVersion invalidates every cache file when the schema or the
 // analysis semantics change shape.
-const cacheVersion = 1
+const cacheVersion = 2
 
 // cacheFileName is the single JSON document kept in the cache directory.
 const cacheFileName = "metrovet-cache.json"
@@ -41,14 +36,6 @@ type cacheFile struct {
 	ProgramKey string `json:"program_key"`
 	// Findings is the complete whole-tree result (program and package
 	// rules merged, sorted), valid while ProgramKey matches.
-	Findings []FindingJSON `json:"findings"`
-	// Packages maps import paths to their per-package-rule results.
-	Packages map[string]cachePkgEntry `json:"packages"`
-}
-
-// cachePkgEntry is one package's cached per-package-rule findings.
-type cachePkgEntry struct {
-	Key      string        `json:"key"`
 	Findings []FindingJSON `json:"findings"`
 }
 
@@ -115,17 +102,13 @@ func programKey(root, rules string, dirKeys map[string]string) string {
 // readCache loads the cache document, returning an empty one on any
 // miss or decode problem (a corrupt cache must never fail the run).
 func readCache(dir string) *cacheFile {
-	cf := &cacheFile{Version: cacheVersion, Packages: map[string]cachePkgEntry{}}
 	data, err := os.ReadFile(filepath.Join(dir, cacheFileName))
 	if err != nil {
-		return cf
+		return &cacheFile{}
 	}
 	var onDisk cacheFile
 	if json.Unmarshal(data, &onDisk) != nil || onDisk.Version != cacheVersion {
-		return cf
-	}
-	if onDisk.Packages == nil {
-		onDisk.Packages = map[string]cachePkgEntry{}
+		return &cacheFile{}
 	}
 	return &onDisk
 }

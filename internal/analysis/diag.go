@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the machine-readable diagnostics backbone: stable finding
-// IDs, content fingerprints, and the byte-stable -json and -sarif
-// encodings. Two invariants matter here:
+// IDs, content fingerprints, and the byte-stable -json encoding (also
+// the cache's on-disk form). Two invariants matter here:
 //
 //   - Rule IDs are append-only. MVnnn numbers are wire format — editors,
 //     CI annotations and dashboards key on them — so a renamed or deleted
@@ -19,7 +19,9 @@ import (
 //     inputs. The golden CLI tests pin the exact bytes.
 
 // ruleIDs maps each analyzer name to its stable diagnostic ID, in the
-// order the rules were introduced. Append-only: never renumber.
+// order the rules were introduced. Append-only: never renumber. MV011
+// was provable-bounds, retired when the -bce gate was found to cover
+// every line it flagged; the number is never reused.
 var ruleIDs = map[string]string{
 	"no-wallclock":           "MV001",
 	"no-global-rand":         "MV002",
@@ -31,7 +33,6 @@ var ruleIDs = map[string]string{
 	"eval-isolation":         "MV008",
 	"shard-purity":           "MV009",
 	"truncating-conversion":  "MV010",
-	"provable-bounds":        "MV011",
 	"width-contract":         "MV012",
 }
 
@@ -45,9 +46,8 @@ func RuleID(rule string) string {
 }
 
 // Fingerprint returns the line-independent identity of a finding as a
-// 16-hex-digit FNV-1a hash of (file, rule, message) — the same identity
-// the baseline format uses, so a finding keeps its fingerprint when
-// unrelated edits above it move its line number.
+// 16-hex-digit FNV-1a hash of (file, rule, message), so a finding keeps
+// its fingerprint when unrelated edits above it move its line number.
 func Fingerprint(f Finding) string {
 	h := fnv.New64a()
 	io.WriteString(h, f.Pos.Filename)
@@ -108,120 +108,6 @@ func EncodeJSON(w io.Writer, fs []Finding) error {
 		rep.Findings = append(rep.Findings, findingToJSON(f))
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// SARIF 2.1.0 document shapes — the subset metrovet emits. Structs keep
-// the field order fixed, so the encoding is deterministic.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	Name             string    `json:"name"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID              string            `json:"ruleId"`
-	RuleIndex           int               `json:"ruleIndex"`
-	Level               string            `json:"level"`
-	Message             sarifText         `json:"message"`
-	Locations           []sarifLocation   `json:"locations"`
-	PartialFingerprints map[string]string `json:"partialFingerprints"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// EncodeSARIF writes the findings as a SARIF 2.1.0 log. The driver's
-// rule table always lists the full rule set in reporting order, so the
-// document shape does not depend on which rules fired. Findings must be
-// pre-sorted for byte stability.
-func EncodeSARIF(w io.Writer, fs []Finding) error {
-	rules := Analyzers()
-	driver := sarifDriver{
-		Name:           "metrovet",
-		InformationURI: "https://example.invalid/metro/docs/DETERMINISM.md",
-		Rules:          []sarifRule{},
-	}
-	ruleIndex := map[string]int{}
-	for i, a := range rules {
-		driver.Rules = append(driver.Rules, sarifRule{
-			ID:               RuleID(a.Name),
-			Name:             a.Name,
-			ShortDescription: sarifText{Text: a.Doc},
-		})
-		ruleIndex[a.Name] = i
-	}
-	results := []sarifResult{}
-	for _, f := range fs {
-		idx, ok := ruleIndex[f.Rule]
-		if !ok {
-			idx = -1
-		}
-		results = append(results, sarifResult{
-			RuleID:    RuleID(f.Rule),
-			RuleIndex: idx,
-			Level:     "error",
-			Message:   sarifText{Text: f.Msg},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: f.Pos.Filename},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-			PartialFingerprints: map[string]string{"metrovet/v1": Fingerprint(f)},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: driver}, Results: results}},
-	}
-	data, err := json.MarshalIndent(log, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -122,63 +122,3 @@ func TestEncodeJSONByteStable(t *testing.T) {
 		t.Errorf("empty report must not contain null:\n%s", one.String())
 	}
 }
-
-func TestEncodeSARIFByteStable(t *testing.T) {
-	fs := diagFixtureFindings()
-	SortFindings(fs)
-	var one, two bytes.Buffer
-	if err := EncodeSARIF(&one, fs); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeSARIF(&two, fs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(one.Bytes(), two.Bytes()) {
-		t.Error("EncodeSARIF is not byte-stable across calls")
-	}
-	var doc struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				RuleIndex int    `json:"ruleIndex"`
-				Locations []struct {
-					PhysicalLocation struct {
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(one.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not valid SARIF JSON: %v", err)
-	}
-	if doc.Version != "2.1.0" || len(doc.Runs) != 1 {
-		t.Fatalf("version %q runs %d, want 2.1.0 with one run", doc.Version, len(doc.Runs))
-	}
-	if got := len(doc.Runs[0].Tool.Driver.Rules); got != len(Analyzers()) {
-		t.Errorf("driver lists %d rules, want the full set of %d", got, len(Analyzers()))
-	}
-	if len(doc.Runs[0].Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(doc.Runs[0].Results))
-	}
-	r0 := doc.Runs[0].Results[0]
-	if r0.RuleID != "MV007" || r0.Locations[0].PhysicalLocation.Region.StartLine != 42 {
-		t.Errorf("first result = %+v, want MV007 at line 42", r0)
-	}
-	// RuleIndex must point at the matching rules[] entry.
-	for _, r := range doc.Runs[0].Results {
-		if r.RuleIndex < 0 || doc.Runs[0].Tool.Driver.Rules[r.RuleIndex].ID != r.RuleID {
-			t.Errorf("ruleIndex %d does not resolve to %s", r.RuleIndex, r.RuleID)
-		}
-	}
-}

@@ -33,7 +33,7 @@ type Program struct {
 	// build per tree.
 	cg *CallGraph
 	// vr caches the value-range analysis shared by the
-	// truncating-conversion, provable-bounds, and width-contract rules.
+	// truncating-conversion and width-contract rules.
 	vr *valueRange
 }
 

@@ -114,6 +114,7 @@ type siteEffect struct {
 type callSite struct {
 	call    *ast.CallExpr
 	recvX   ast.Expr // method selector receiver, nil for plain calls
+	recv    base     // where recvX's callee-side receiver lives (classifyRecv)
 	selName string
 	targets []CallEdge
 }
@@ -307,6 +308,7 @@ func (fc *funcCtx) collectEffects(cg *CallGraph) {
 			if sel, ok := fun.(*ast.SelectorExpr); ok {
 				if _, isPkg := pkgQualifier(fc.p, sel); !isPkg {
 					cs.recvX = sel.X
+					cs.recv = fc.classifyRecv(sel.X)
 					cs.selName = sel.Sel.Name
 				} else {
 					cs.selName = sel.Sel.Name
@@ -366,6 +368,19 @@ func (fc *funcCtx) classify(e ast.Expr) base {
 			return joinBase(worst, base{region: regionUnknown})
 		}
 	}
+}
+
+// classifyRecv classifies a method call's receiver expression. classify
+// judges the storage an expression names by the values its selector
+// chain passes through, which is right for a write (c.other = nil
+// writes c's own field); a call on c.other instead lands on whatever
+// c.other is, so the expression's own static type counts too.
+func (fc *funcCtx) classifyRecv(x ast.Expr) base {
+	b := fc.classify(x)
+	if named := componentNamed(fc.p.TypeOf(x)); named != nil && named.Obj().Name() != fc.ownRecv {
+		b = joinBase(b, base{region: regionForeign, name: named.Obj().Name()})
+	}
+	return b
 }
 
 // classifyObj classifies a chain's root object.
@@ -475,7 +490,7 @@ func (an *purityAnalysis) fixpoint() {
 						continue
 					}
 					if callee.sum.writesRecv && cs.recvX != nil {
-						if fc.absorb(fc.classify(cs.recvX)) {
+						if fc.absorb(cs.recv) {
 							changed = true
 						}
 					}
@@ -605,11 +620,8 @@ func (an *purityAnalysis) reportCall(fc *funcCtx, cs callSite, ri RootInfo, emit
 					emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call through %s may dispatch to (%s).%s, which mutates that component's state",
 						e.IfaceName, e.IfaceRecv.Obj().Name(), cs.selName))
 				}
-			} else {
-				b := fc.classify(cs.recvX)
-				if b.region == regionForeign && b.name != ri.Type {
-					emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call to (%s).%s mutates that component's state", b.name, cs.selName))
-				}
+			} else if cs.recv.region == regionForeign && cs.recv.name != ri.Type {
+				emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call to (%s).%s mutates that component's state", cs.recv.name, cs.selName))
 			}
 		}
 		for i := range callee.sum.writesParams {

@@ -11,8 +11,7 @@ type TreeOptions struct {
 	// Patterns are loader patterns ("./...", "./dir", "./dir/...");
 	// empty means the whole module.
 	Patterns []string
-	// CacheDir enables the incremental cache (see cache.go) when
-	// non-empty.
+	// CacheDir enables the analysis cache (see cache.go) when non-empty.
 	CacheDir string
 	// Rules overrides the rule set (nil = Analyzers()).
 	Rules []*Analyzer
@@ -28,9 +27,6 @@ type TreeResult struct {
 	// FullHit reports that the whole result was served from the cache
 	// without parsing or type-checking anything.
 	FullHit bool
-	// PkgHits counts packages whose per-package-rule findings came from
-	// the cache (equals Packages on a full hit).
-	PkgHits int
 	// Key is the whole-tree cache key (content hash).
 	Key string
 	// TypeErrs holds type-checker diagnostics ("path: err"), empty on a
@@ -39,9 +35,10 @@ type TreeResult struct {
 }
 
 // RunTree is the one entry point the CLI, the tests and the benchmark
-// share: resolve patterns, consult the cache, load what must be loaded,
-// run per-package rules per package and whole-program rules once over
-// the combined Program, and return stable, module-relative findings.
+// share: resolve patterns, serve an unchanged tree from the cache, else
+// load everything, run per-package rules per package and whole-program
+// rules once over the combined Program, and return stable,
+// module-relative findings.
 func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 	rules := opts.Rules
 	if rules == nil {
@@ -74,13 +71,10 @@ func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 	key := programKey(root, rh, dirKeys)
 	res := &TreeResult{Packages: len(dirs), Key: key}
 
-	var cf *cacheFile
 	if opts.CacheDir != "" {
-		cf = readCache(opts.CacheDir)
-		if cf.RuleHash == rh && cf.ProgramKey == key {
+		if cf := readCache(opts.CacheDir); cf.RuleHash == rh && cf.ProgramKey == key {
 			res.Findings = decodeFindings(cf.Findings)
 			res.FullHit = true
-			res.PkgHits = len(dirs)
 			return res, nil
 		}
 	}
@@ -95,62 +89,33 @@ func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 		}
 	}
 
-	// relativize rewrites filenames module-relative and zeroes the
-	// byte offset, so fresh findings compare equal to cache-decoded ones.
-	relativize := func(fs []Finding) []Finding {
-		for i := range fs {
-			if rel, err := filepath.Rel(root, fs[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-				fs[i].Pos.Filename = filepath.ToSlash(rel)
-			}
-			fs[i].Pos.Offset = 0
-		}
-		return fs
-	}
-
-	var pkgRules, progRules []*Analyzer
+	var all []Finding
+	prog := NewProgram(pkgs)
 	for _, a := range rules {
 		if a.RunProgram != nil {
-			progRules = append(progRules, a)
-		} else {
-			pkgRules = append(pkgRules, a)
+			all = append(all, a.RunProgram(prog)...)
+			continue
+		}
+		for _, p := range pkgs {
+			all = append(all, a.Run(p)...)
 		}
 	}
-
-	useCache := cf != nil && cf.RuleHash == rh
-	newCf := &cacheFile{Version: cacheVersion, RuleHash: rh, ProgramKey: key, Packages: map[string]cachePkgEntry{}}
-	var all []Finding
-	for _, p := range pkgs {
-		if useCache {
-			if e, ok := cf.Packages[p.ImportPath]; ok && e.Key == dirKeys[p.ImportPath] {
-				all = append(all, decodeFindings(e.Findings)...)
-				newCf.Packages[p.ImportPath] = e
-				res.PkgHits++
-				continue
-			}
+	// Module-relative filenames and a zeroed byte offset, so fresh
+	// findings compare equal to cache-decoded ones.
+	for i := range all {
+		if rel, err := filepath.Rel(root, all[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			all[i].Pos.Filename = filepath.ToSlash(rel)
 		}
-		var fs []Finding
-		for _, a := range pkgRules {
-			fs = append(fs, a.Run(p)...)
-		}
-		fs = relativize(fs)
-		SortFindings(fs)
-		newCf.Packages[p.ImportPath] = cachePkgEntry{Key: dirKeys[p.ImportPath], Findings: encodeFindings(fs)}
-		all = append(all, fs...)
-	}
-
-	// Whole-program rules always run on a partial hit: an edit anywhere
-	// can change an interprocedural summary packages away.
-	prog := NewProgram(pkgs)
-	for _, a := range progRules {
-		all = append(all, relativize(a.RunProgram(prog))...)
+		all[i].Pos.Offset = 0
 	}
 	SortFindings(all)
 	res.Findings = all
 
 	if opts.CacheDir != "" {
-		newCf.Findings = encodeFindings(all)
 		// Best-effort: a failed cache write only costs the next run time.
-		_ = writeCache(opts.CacheDir, newCf)
+		_ = writeCache(opts.CacheDir, &cacheFile{
+			Version: cacheVersion, RuleHash: rh, ProgramKey: key, Findings: encodeFindings(all),
+		})
 	}
 	return res, nil
 }

@@ -9,8 +9,7 @@ import (
 
 // scaffoldModule writes a small on-disk module for RunTree tests. The
 // component's Eval allocates and writes package-level state, so several
-// rules fire; the util package stays clean so per-package cache hits are
-// observable on partial rebuilds.
+// rules fire; the util package stays clean.
 func scaffoldModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -88,8 +87,7 @@ func TestRunTreeCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Touch one package: the other package's per-package results should
-	// still come from the cache, but the run itself must not be a full hit.
+	// Touch one package: the run must not be a hit.
 	compPath := filepath.Join(root, "internal", "comp", "comp.go")
 	src, err := os.ReadFile(compPath)
 	if err != nil {
@@ -99,18 +97,12 @@ func TestRunTreeCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	partial, err := RunTree(root, TreeOptions{CacheDir: cacheDir})
+	edited, err := RunTree(root, TreeOptions{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if partial.FullHit {
-		t.Fatal("edited tree must not be a full cache hit")
-	}
-	if partial.PkgHits == 0 {
-		t.Error("untouched packages should hit the per-package cache")
-	}
-	if partial.PkgHits >= partial.Packages {
-		t.Error("edited package must miss the per-package cache")
+	if edited.FullHit {
+		t.Fatal("edited tree must not be a cache hit")
 	}
 
 	// And the result after the edit equals an uncached run (the cache can
@@ -119,8 +111,8 @@ func TestRunTreeCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(partial.Findings, bare.Findings) {
-		t.Fatalf("cached run differs from uncached:\ncached: %v\nbare: %v", partial.Findings, bare.Findings)
+	if !reflect.DeepEqual(edited.Findings, bare.Findings) {
+		t.Fatalf("cached run differs from uncached:\ncached: %v\nbare: %v", edited.Findings, bare.Findings)
 	}
 }
 

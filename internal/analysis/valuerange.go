@@ -1,45 +1,34 @@
 package analysis
 
-// Interprocedural value-range analysis and the three rules built on it:
+// Value-range analysis and the two rules built on it:
 //
 //	truncating-conversion (MV010) — a narrowing integer conversion in
 //	    Eval/Commit-reachable code must be proven lossless.
-//	provable-bounds (MV011) — every slice/array index in
-//	    Eval/Commit-reachable code must be proven >= 0 and < len.
 //	width-contract (MV012) — width arguments at internal/word call
 //	    sites proven within [1, 32], and every shift amount proven
 //	    below the shifted operand's bit width.
 //
+// Index bounds are not this analysis's business: the compiler's own
+// prover behind the -bce gate covers them (docs/ANALYZERS.md).
+//
 // The analysis runs the AbsVal transfer functions (interval.go) over the
 // bodies of every function reachable from the clock.Component Eval/Commit
-// roots on the PR-6 call graph, flow-sensitively: assignments update an
-// abstract environment, branch conditions refine it on each arm, and
-// loops run to a small local fixpoint with widening. Alongside plain
-// values the environment carries symbolic length facts — len(s) bounds
-// per canonical path, "n == len(s)" and "i < len(s)" relations — which
-// is what proves the `for i := 0; i < len(s); i++ { s[i] }` and
-// `for i := range s` idioms.
+// roots on the call graph, one function at a time and flow-sensitively:
+// assignments update an abstract environment, branch conditions refine
+// it on each arm, and loops run to a small local fixpoint with widening.
+// The call graph only selects which bodies are checked; nothing flows
+// across a call. Parameters, call results and lengths of slices read as
+// the full range of their type, so a proof never depends on who calls
+// the function.
 //
-// Across functions, parameter facts are joined over the argument values
-// observed at static and CHA-resolved call sites inside the analyzed
-// region, and result facts over return statements, to a bounded global
-// fixpoint. Checks are recorded only in a final pass over the converged
-// facts.
-//
-// Documented concessions (see docs/ANALYZERS.md): parameter facts cover
-// only Eval/Commit-reachable call sites — the rules certify hot-path
-// executions, not arbitrary callers; field-path value facts are dropped
-// at every call, but length facts survive calls (lengths of long-lived
-// buffers are set up at construction; the compiler-verified -bce gate is
-// the cross-check); functions using goto or labeled branches degrade to
-// flow-insensitive evaluation. On any concession the analysis loses
+// Documented concessions (see docs/ANALYZERS.md): field-path value facts
+// are dropped at every call; functions using goto or labeled branches
+// degrade to flow-insensitive evaluation. On either the analysis loses
 // precision, never soundness of what it does claim.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"math"
 	"strings"
 )
@@ -58,24 +47,6 @@ func TruncatingConversion() *Analyzer {
 		},
 		RunProgram: func(prog *Program) []Finding {
 			return valueRangeFindings(prog, "truncating-conversion")
-		},
-	}
-}
-
-// ProvableBounds returns the provable-bounds analyzer: the contract the
-// flattened struct-of-arrays kernel's adjacency indexing is held to.
-// Every slice or array index reachable from Eval/Commit must be proven
-// in bounds from propagated facts, so the compiler can eliminate the
-// bounds check and a corrupted index can never panic mid-cycle.
-func ProvableBounds() *Analyzer {
-	return &Analyzer{
-		Name: "provable-bounds",
-		Doc:  "slice/array indexes reachable from Eval/Commit must be proven in bounds by value-range analysis; annotate //metrovet:bounds <reason> when externally guaranteed",
-		Run: func(p *Package) []Finding {
-			return valueRangeFindings(NewProgram([]*Package{p}), "provable-bounds")
-		},
-		RunProgram: func(prog *Program) []Finding {
-			return valueRangeFindings(prog, "provable-bounds")
 		},
 	}
 }
@@ -118,9 +89,12 @@ func isWordPackage(path string) bool {
 }
 
 // valueRange is the shared result of one analysis run over a Program,
-// cached on the Program so the three rules compute it once.
+// cached on the Program so both rules compute it once.
 type valueRange struct {
 	findings map[string][]Finding
+	// seen deduplicates findings (a closure body or loop head can be
+	// walked more than once).
+	seen map[string]bool
 }
 
 // valueRangeFindings returns one rule's findings, computing and caching
@@ -132,102 +106,18 @@ func valueRangeFindings(prog *Program, rule string) []Finding {
 	return append([]Finding(nil), prog.vr.findings[rule]...)
 }
 
-// vrSummary is one function's interprocedural summary.
-type vrSummary struct {
-	// params joins the abstract argument values observed at analyzed
-	// call sites, by parameter index (receivers excluded). Bot until a
-	// call site contributes.
-	params []AbsVal
-	// paramsTop marks functions whose callers cannot all be seen: roots,
-	// reference-taken functions, variadic or arity-mismatched calls.
-	paramsTop bool
-	// results joins the return values seen so far, by result index.
-	results []AbsVal
-}
-
-// computeValueRange runs the whole analysis: reachability, the bounded
-// interprocedural fixpoint, and the final recording pass.
+// computeValueRange runs the whole analysis: one recording pass over the
+// bodies of the functions reachable from the Eval/Commit roots, each
+// with its parameters at their type range.
 func computeValueRange(prog *Program) *valueRange {
-	vr := &valueRange{findings: map[string][]Finding{}}
+	vr := &valueRange{findings: map[string][]Finding{}, seen: map[string]bool{}}
 	roots := componentRoots(prog, nil, "Eval", "Commit")
 	if len(roots) == 0 {
 		return vr
 	}
 	reached := prog.CallGraph().Reachable(roots, nil)
-	nodes := reachedNodes(reached)
-
-	summaries := map[*FuncNode]*vrSummary{}
-	for _, n := range nodes {
-		summaries[n] = &vrSummary{}
-	}
-	for _, r := range roots {
-		if s := summaries[r.Node]; s != nil {
-			s.paramsTop = true
-		}
-	}
-	// A function whose reference is taken can be called with anything
-	// by whoever holds the reference.
-	for _, n := range nodes {
-		for _, e := range prog.CallGraph().Edges[n] {
-			if e.Kind == EdgeRef {
-				if s := summaries[e.Callee]; s != nil {
-					s.paramsTop = true
-				}
-			}
-		}
-	}
-
-	const maxPasses = 6
-	converged := false
-	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
-		for _, n := range nodes {
-			ev := &vrEval{prog: prog, summaries: summaries, node: n, sum: summaries[n]}
-			ev.run()
-			if ev.changed {
-				changed = true
-			}
-		}
-		if !changed {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		// The bounded fixpoint did not settle: drop to the sound floor
-		// (unknown params everywhere) and re-evaluate results once so the
-		// recording pass never reads an under-approximation.
-		for _, s := range summaries {
-			s.paramsTop = true
-			s.results = nil
-		}
-		for _, n := range nodes {
-			ev := &vrEval{prog: prog, summaries: summaries, node: n, sum: summaries[n]}
-			ev.run()
-		}
-	}
-
-	// Recording pass over the converged facts.
-	seen := map[string]bool{}
-	for _, n := range nodes {
-		info := reached[n]
-		ev := &vrEval{
-			prog: prog, summaries: summaries, node: n, sum: summaries[n],
-			root: info.Root,
-			record: func(rule, kind string, pos token.Pos, msg string) {
-				p := n.Pkg
-				position := p.Fset.Position(pos)
-				dedup := fmt.Sprintf("%s|%s:%d:%d|%s", rule, position.Filename, position.Line, position.Column, msg)
-				if seen[dedup] {
-					return
-				}
-				seen[dedup] = true
-				if p.suppressed(rule, kind, position) {
-					return
-				}
-				vr.findings[rule] = append(vr.findings[rule], Finding{Pos: position, Rule: rule, Msg: msg})
-			},
-		}
+	for _, n := range reachedNodes(reached) {
+		ev := &vrEval{vr: vr, node: n, root: reached[n].Root}
 		ev.run()
 	}
 	for rule := range vr.findings {
@@ -236,49 +126,21 @@ func computeValueRange(prog *Program) *valueRange {
 	return vr
 }
 
-// vrEnv is the flow-sensitive abstract environment: values, length
-// facts, and symbolic relations, all keyed by canonical expression path
-// ("i", "p.injHead", "r.fwd").
+// vrEnv is the flow-sensitive abstract environment: integer value facts
+// keyed by canonical expression path ("i", "p.injHead", "r.fwd").
 type vrEnv struct {
 	// vals abstracts integer-valued paths; a missing key is top.
 	vals map[string]AbsVal
-	// lens bounds len(path) for slice/string paths; missing is [0, +inf].
-	lens map[string]AbsVal
-	// symLen records paths holding exactly len(target): symLen["n"] = "s"
-	// after n := len(s). A slice-typed key means the key's own length
-	// equals len(target): symLen["out"] = "s" after out := make(T, len(s)).
-	symLen map[string]string
-	// lt records "path < len(target)" relations: lt["i"]["s"] after the
-	// i < len(s) branch or inside for i := range s.
-	lt map[string]map[string]bool
 }
 
 func newEnv() *vrEnv {
-	return &vrEnv{
-		vals:   map[string]AbsVal{},
-		lens:   map[string]AbsVal{},
-		symLen: map[string]string{},
-		lt:     map[string]map[string]bool{},
-	}
+	return &vrEnv{vals: map[string]AbsVal{}}
 }
 
 func (e *vrEnv) clone() *vrEnv {
 	out := newEnv()
 	for k, v := range e.vals {
 		out.vals[k] = v
-	}
-	for k, v := range e.lens {
-		out.lens[k] = v
-	}
-	for k, v := range e.symLen {
-		out.symLen[k] = v
-	}
-	for k, set := range e.lt {
-		ns := map[string]bool{}
-		for t := range set {
-			ns[t] = true
-		}
-		out.lt[k] = ns
 	}
 	return out
 }
@@ -299,30 +161,6 @@ func joinEnv(a, b *vrEnv) *vrEnv {
 			out.vals[k] = av.Join(bv)
 		}
 	}
-	for k, av := range a.lens {
-		if bv, ok := b.lens[k]; ok {
-			out.lens[k] = av.Join(bv)
-		}
-	}
-	for k, at := range a.symLen {
-		if bt, ok := b.symLen[k]; ok && at == bt {
-			out.symLen[k] = at
-		}
-	}
-	for k, aset := range a.lt {
-		bset := b.lt[k]
-		if bset == nil {
-			continue
-		}
-		for t := range aset {
-			if bset[t] {
-				if out.lt[k] == nil {
-					out.lt[k] = map[string]bool{}
-				}
-				out.lt[k][t] = true
-			}
-		}
-	}
 	return out
 }
 
@@ -332,34 +170,12 @@ func equalEnv(a, b *vrEnv) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if len(a.vals) != len(b.vals) || len(a.lens) != len(b.lens) ||
-		len(a.symLen) != len(b.symLen) || len(a.lt) != len(b.lt) {
+	if len(a.vals) != len(b.vals) {
 		return false
 	}
 	for k, v := range a.vals {
 		if b.vals[k] != v {
 			return false
-		}
-	}
-	for k, v := range a.lens {
-		if b.lens[k] != v {
-			return false
-		}
-	}
-	for k, v := range a.symLen {
-		if b.symLen[k] != v {
-			return false
-		}
-	}
-	for k, set := range a.lt {
-		bset := b.lt[k]
-		if len(bset) != len(set) {
-			return false
-		}
-		for t := range set {
-			if !bset[t] {
-				return false
-			}
 		}
 	}
 	return true
@@ -388,88 +204,26 @@ func widenEnv(a, b *vrEnv) *vrEnv {
 		}
 		j.vals[k] = jv.normalize()
 	}
-	for k, jv := range j.lens {
-		av, ok := a.lens[k]
-		if !ok {
-			continue
-		}
-		if jv.Wide || av.Wide || jv.Bot {
-			continue
-		}
-		if jv.Lo < av.Lo {
-			jv.Lo = 0
-		}
-		if jv.Hi > av.Hi {
-			jv.Hi = math.MaxInt64
-		}
-		j.lens[k] = jv.normalize()
-	}
 	return j
 }
 
 // killPath removes every fact about path and any extension of it
-// (assigning to p kills p.injHead too), including relations that name
-// it as a length target.
+// (assigning to p kills p.injHead too).
 func (e *vrEnv) killPath(path string) {
-	drop := func(k string) bool {
-		return k == path || strings.HasPrefix(k, path+".")
-	}
 	for k := range e.vals {
-		if drop(k) {
+		if k == path || strings.HasPrefix(k, path+".") {
 			delete(e.vals, k)
 		}
 	}
-	for k := range e.lens {
-		if drop(k) {
-			delete(e.lens, k)
-		}
-	}
-	for k, t := range e.symLen {
-		if drop(k) || drop(t) {
-			delete(e.symLen, k)
-		}
-	}
-	for k, set := range e.lt {
-		if drop(k) {
-			delete(e.lt, k)
-			continue
-		}
-		for t := range set {
-			if drop(t) {
-				delete(set, t)
-			}
-		}
-		if len(set) == 0 {
-			delete(e.lt, k)
-		}
-	}
-}
-
-// killOrder removes the ordering facts of path (i++ invalidates
-// i < len(s)) without touching its interval or length facts.
-func (e *vrEnv) killOrder(path string) {
-	delete(e.symLen, path)
-	delete(e.lt, path)
 }
 
 // killFields drops value facts on field paths (those containing a dot)
 // and on address-taken locals: a call can mutate anything reachable
-// through a pointer. Length facts survive (documented concession).
+// through a pointer.
 func (e *vrEnv) killFields(addrTaken map[string]bool) {
 	for k := range e.vals {
 		if strings.Contains(k, ".") || addrTaken[k] {
 			delete(e.vals, k)
-		}
-	}
-	for k, t := range e.symLen {
-		if strings.Contains(k, ".") || addrTaken[k] {
-			delete(e.symLen, k)
-			_ = t
-		}
-	}
-	for k := range e.lt {
-		if strings.Contains(k, ".") || addrTaken[k] {
-			delete(e.lt, k)
 		}
 	}
 }
@@ -485,27 +239,16 @@ type flowOut struct {
 
 func fall(env *vrEnv) flowOut { return flowOut{env: env} }
 
-// vrEval evaluates one function body against the current summaries.
+// vrEval evaluates one function body, recording check outcomes into vr.
 type vrEval struct {
-	prog      *Program
-	summaries map[*FuncNode]*vrSummary
-	node      *FuncNode
-	sum       *vrSummary
-	// root labels finding messages; empty outside the recording pass.
+	vr   *valueRange
+	node *FuncNode
+	// root labels finding messages.
 	root string
-	// record, when set, receives check outcomes (rule, valve kind, pos,
-	// message). nil during the fixpoint passes.
-	record func(rule, kind string, pos token.Pos, msg string)
 	// mute suppresses recording during loop-fixpoint iterations.
 	mute int
-	// changed reports whether this evaluation grew any summary.
-	changed bool
 	// addrTaken marks local paths whose address escapes in this body.
 	addrTaken map[string]bool
-	// degraded marks goto/labeled-branch bodies: flow-insensitive walk.
-	degraded bool
-	// resultPaths maps named result paths for bare returns.
-	resultNames []string
 }
 
 func (ev *vrEval) pkg() *Package { return ev.node.Pkg }
@@ -517,6 +260,7 @@ func (ev *vrEval) run() {
 		return
 	}
 	ev.addrTaken = map[string]bool{}
+	degraded := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.UnaryExpr:
@@ -527,54 +271,16 @@ func (ev *vrEval) run() {
 			}
 		case *ast.BranchStmt:
 			if e.Tok == token.GOTO || e.Label != nil {
-				ev.degraded = true
+				degraded = true
 			}
 		}
 		return true
 	})
 
-	env := newEnv()
-	if fd.Type.Params != nil {
-		idx := 0
-		for _, field := range fd.Type.Params.List {
-			names := field.Names
-			if len(names) == 0 {
-				idx++
-				continue
-			}
-			for _, name := range names {
-				if name.Name != "_" {
-					if it, ok := typeShape(ev.pkg().TypeOf(name)); ok {
-						v := rangeOf(it)
-						if !ev.sum.paramsTop && idx < len(ev.sum.params) {
-							pv := ev.sum.params[idx]
-							if !pv.Bot {
-								v = pv.Meet(v)
-							}
-						}
-						env.vals[name.Name] = v
-					}
-				}
-				idx++
-			}
-		}
-	}
-	if fd.Type.Results != nil {
-		ev.resultNames = nil
-		for _, field := range fd.Type.Results.List {
-			for _, name := range field.Names {
-				ev.resultNames = append(ev.resultNames, name.Name)
-				if _, ok := typeShape(ev.pkg().TypeOf(name)); ok {
-					env.vals[name.Name] = absConst(0)
-				}
-			}
-		}
-	}
-
-	if ev.degraded {
+	if degraded {
 		// goto or labeled branches: no reliable flow order. Walk every
 		// expression with an empty environment so constant-provable
-		// checks still record and call sites still feed summaries.
+		// checks still record.
 		top := newEnv()
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if expr, ok := n.(ast.Expr); ok {
@@ -586,44 +292,20 @@ func (ev *vrEval) run() {
 		return
 	}
 
+	// Parameters are untracked, so they read as their type range (callers
+	// are not consulted). Named results start at zero, as the language
+	// defines.
+	env := newEnv()
+	if fd.Type.Results != nil {
+		for _, field := range fd.Type.Results.List {
+			for _, name := range field.Names {
+				if _, ok := typeShape(ev.pkg().TypeOf(name)); ok {
+					env.vals[name.Name] = absConst(0)
+				}
+			}
+		}
+	}
 	ev.execBlock(fd.Body, env)
-}
-
-// joinResult feeds one return value into the summary, tracking growth.
-func (ev *vrEval) joinResult(i int, v AbsVal) {
-	for len(ev.sum.results) <= i {
-		ev.sum.results = append(ev.sum.results, absBottom())
-	}
-	next := ev.sum.results[i].Join(v)
-	if next != ev.sum.results[i] {
-		ev.sum.results[i] = next
-		ev.changed = true
-	}
-}
-
-// joinParamFact feeds one observed argument into a callee summary.
-func (ev *vrEval) joinParamFact(callee *FuncNode, i int, v AbsVal) {
-	s := ev.summaries[callee]
-	if s == nil || s.paramsTop {
-		return
-	}
-	for len(s.params) <= i {
-		s.params = append(s.params, absBottom())
-	}
-	next := s.params[i].Join(v)
-	if next != s.params[i] {
-		s.params[i] = next
-		ev.changed = true
-	}
-}
-
-// markParamsTop degrades a callee to unknown parameters.
-func (ev *vrEval) markParamsTop(callee *FuncNode) {
-	s := ev.summaries[callee]
-	if s != nil && !s.paramsTop {
-		s.paramsTop = true
-		ev.changed = true
-	}
 }
 
 // execBlock runs a statement list.
@@ -748,7 +430,7 @@ func (ev *vrEval) execAssign(st *ast.AssignStmt, env *vrEnv) *vrEnv {
 				ev.callEffects(r, env)
 			}
 			for i := range st.Lhs {
-				ev.bind(env, st.Lhs[i], st.Rhs[i], vals[i])
+				ev.bind(env, st.Lhs[i], vals[i])
 			}
 			return env
 		}
@@ -757,30 +439,8 @@ func (ev *vrEval) execAssign(st *ast.AssignStmt, env *vrEnv) *vrEnv {
 			ev.eval(r, env)
 			ev.callEffects(r, env)
 		}
-		var callee *FuncNode
-		if len(st.Rhs) == 1 {
-			if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok {
-				callee = ev.staticCallee(call)
-			}
-		}
-		for i, l := range st.Lhs {
-			path := canonPath(l)
-			if path == "" {
-				ev.eval(l, env)
-				if _, isIndex := ast.Unparen(l).(*ast.IndexExpr); !isIndex {
-					env.killFields(ev.addrTaken)
-				}
-				continue
-			}
-			env.killPath(path)
-			ev.invalidateDependents(env, path)
-			if callee != nil {
-				if v, ok := ev.calleeResult(callee, i); ok {
-					if it, okt := typeShape(ev.pkg().TypeOf(l)); okt {
-						env.vals[path] = v.Meet(rangeOf(it))
-					}
-				}
-			}
+		for _, l := range st.Lhs {
+			ev.bind(env, l, ev.topOf(l))
 		}
 		return env
 	default:
@@ -797,7 +457,7 @@ func (ev *vrEval) execAssign(st *ast.AssignStmt, env *vrEnv) *vrEnv {
 			return env
 		}
 		if op == token.SHL || op == token.SHR {
-			ev.checkShift(st.TokPos, l, r, rv, env)
+			ev.checkShift(st.TokPos, l, rv)
 		}
 		v := applyBinary(op, lv, rv)
 		if it, okt := typeShape(ev.pkg().TypeOf(l)); okt {
@@ -806,185 +466,34 @@ func (ev *vrEval) execAssign(st *ast.AssignStmt, env *vrEnv) *vrEnv {
 			v = absAny()
 		}
 		if path := canonPath(l); path != "" {
-			env.killOrder(path)
-			ev.invalidateDependents(env, path)
 			env.vals[path] = v
 		}
 		return env
 	}
 }
 
-// bind assigns rhs (already evaluated to val) to the lhs expression,
-// maintaining value, length, and symbolic facts.
-func (ev *vrEval) bind(env *vrEnv, lhs, rhs ast.Expr, val AbsVal) {
+// bind assigns val to the lhs expression, replacing its value facts.
+func (ev *vrEval) bind(env *vrEnv, lhs ast.Expr, val AbsVal) {
 	path := canonPath(lhs)
 	if path == "" {
 		// Assignment through an index, dereference, or other opaque
-		// lvalue. Evaluate the target expression itself — a write to
-		// s[i] is a bounds-check site like a read — then drop the facts
-		// it can alias: element writes touch no canonical path, but a
-		// write through a pointer can change any field.
+		// lvalue. Evaluate the target expression itself for the check
+		// sites inside it, then drop the facts it can alias: element
+		// writes touch no canonical path, but a write through a pointer
+		// can change any field.
 		ev.eval(lhs, env)
 		if _, isIndex := ast.Unparen(lhs).(*ast.IndexExpr); !isIndex {
 			env.killFields(ev.addrTaken)
 		}
 		return
 	}
-	// Derive length and alias facts from the RHS against the
-	// pre-assignment environment — Go evaluates the RHS first, so
-	// s = append(s, x) must read len(s) before the binding clobbers it —
-	// then kill the old facts and apply the new ones.
-	var newLen *AbsVal
-	var newSymLen string
-	var newLt map[string]bool
-	var newArgSym string // int path that now equals len(path)
-	setLen := func(v AbsVal) { v = lenBound(v); newLen = &v }
-
-	r := ast.Unparen(rhs)
-	switch e := r.(type) {
-	case *ast.CallExpr:
-		switch calleeBuiltin(ev.pkg(), e) {
-		case "make":
-			// make([]T, n) / make([]T, n, c): the new length is n. When
-			// n is len(src) (directly or via a symLen variable), also
-			// record the slice-length alias len(path) == len(src), so an
-			// index proven below len(src) proves indexing path too.
-			if len(e.Args) >= 2 {
-				setLen(ev.evalQuiet(e.Args[1], env))
-				if t := ev.lenTarget(e.Args[1], env); t != "" && t != path {
-					newSymLen = t
-				}
-				// The size variable itself now equals len(path):
-				// p := make([]byte, n) establishes n == len(p), so
-				// p[n-1] and i < n-1 loops become provable.
-				if t := canonPath(e.Args[1]); t != "" && t != path && t != "_" {
-					if _, isInt := typeShape(ev.pkg().TypeOf(e.Args[1])); isInt {
-						newArgSym = t
-					}
-				}
-			}
-		case "len":
-			if len(e.Args) == 1 {
-				if target := canonPath(e.Args[0]); target != "" && target != path {
-					newSymLen = target
-				}
-			}
-		case "append":
-			// s = append(s, x...) grows the source length.
-			if len(e.Args) >= 1 {
-				src := canonPath(e.Args[0])
-				base := AbsVal{Lo: 0, Hi: math.MaxInt64}
-				if src != "" {
-					if lv, ok := env.lens[src]; ok {
-						base = lv
-					}
-				}
-				if e.Ellipsis.IsValid() {
-					setLen(AbsVal{Lo: base.Lo, Hi: math.MaxInt64})
-				} else {
-					setLen(absAdd(base, absConst(int64(len(e.Args)-1))))
-				}
-			}
-		}
-	case *ast.SliceExpr:
-		// s2 = s[a:b]: len(s2) = b - a (with the defaults filled in).
-		if e.Slice3 {
-			break
-		}
-		src := canonPath(e.X)
-		var lo AbsVal = absConst(0)
-		if e.Low != nil {
-			lo = ev.evalQuiet(e.Low, env)
-		}
-		var hi AbsVal
-		switch {
-		case e.High != nil:
-			hi = ev.evalQuiet(e.High, env)
-		case src != "":
-			if lv, ok := env.lens[src]; ok {
-				hi = lv
-			} else if n, ok := arrayLenOf(ev.pkg().TypeOf(e.X)); ok {
-				hi = absConst(n)
-			} else {
-				hi = AbsVal{Lo: 0, Hi: math.MaxInt64}
-			}
-		default:
-			hi = AbsVal{Lo: 0, Hi: math.MaxInt64}
-		}
-		setLen(absSub(hi, lo))
-	case *ast.CompositeLit:
-		// s = []T{...}: exact length (no spread elements in Go).
-		if _, ok := ev.pkg().TypeOf(e).Underlying().(*types.Slice); ok {
-			setLen(absConst(int64(len(e.Elts))))
-		}
-	case *ast.Ident, *ast.SelectorExpr:
-		// Alias: copy length and relation facts from the source path.
-		if src := canonPath(r); src != "" {
-			if lv, ok := env.lens[src]; ok {
-				setLen(lv)
-			}
-			if t, ok := env.symLen[src]; ok && t != path {
-				newSymLen = t
-			}
-			if set, ok := env.lt[src]; ok {
-				ns := map[string]bool{}
-				for t := range set {
-					if t != path {
-						ns[t] = true
-					}
-				}
-				if len(ns) > 0 {
-					newLt = ns
-				}
-			}
-		}
-	}
-
 	env.killPath(path)
-	ev.invalidateDependents(env, path)
 	if path == "_" {
 		return
 	}
 	if it, isInt := typeShape(ev.pkg().TypeOf(lhs)); isInt {
 		env.vals[path] = val.Meet(rangeOf(it))
 	}
-	if newLen != nil {
-		env.lens[path] = *newLen
-	}
-	if newSymLen != "" {
-		env.symLen[path] = newSymLen
-	}
-	if newLt != nil {
-		env.lt[path] = newLt
-	}
-	if newArgSym != "" {
-		env.symLen[newArgSym] = path
-	}
-}
-
-// invalidateDependents drops relations that mention path as their length
-// target: after s changes, i < len(s) no longer holds.
-func (ev *vrEval) invalidateDependents(env *vrEnv, path string) {
-	for k, t := range env.symLen {
-		if t == path || strings.HasPrefix(t, path+".") {
-			delete(env.symLen, k)
-		}
-	}
-	for k, set := range env.lt {
-		for t := range set {
-			if t == path || strings.HasPrefix(t, path+".") {
-				delete(set, t)
-			}
-		}
-		if len(set) == 0 {
-			delete(env.lt, k)
-		}
-	}
-}
-
-// lenBound clamps a computed length into the valid [0, +inf] range.
-func lenBound(v AbsVal) AbsVal {
-	return v.Meet(AbsVal{Lo: 0, Hi: math.MaxInt64})
 }
 
 // execIncDec handles x++ / x--.
@@ -1001,8 +510,6 @@ func (ev *vrEval) execIncDec(st *ast.IncDecStmt, env *vrEnv) *vrEnv {
 		next = next.clamp(it)
 	}
 	if path := canonPath(st.X); path != "" {
-		env.killOrder(path)
-		ev.invalidateDependents(env, path)
 		env.vals[path] = next
 	}
 	return env
@@ -1024,7 +531,7 @@ func (ev *vrEval) execDecl(st *ast.DeclStmt, env *vrEnv) *vrEnv {
 			for i, name := range vs.Names {
 				v := ev.eval(vs.Values[i], env)
 				ev.callEffects(vs.Values[i], env)
-				ev.bind(env, name, vs.Values[i], v)
+				ev.bind(env, name, v)
 			}
 			continue
 		}
@@ -1123,43 +630,25 @@ func (ev *vrEval) execFor(st *ast.ForStmt, env *vrEnv) *vrEnv {
 	return ev.loopFixpoint(env, body)
 }
 
-// execRange runs a range loop. Only slice/array/string/int ranges
-// establish facts about the key variable; map and channel ranges run
-// the body with no extra facts.
+// execRange runs a range loop. Array and integer ranges bound the key
+// variable, slice and string ranges make it nonnegative, and map and
+// channel ranges leave it at its type range.
 func (ev *vrEval) execRange(st *ast.RangeStmt, env *vrEnv) *vrEnv {
-	ev.eval(st.X, env)
+	n := ev.eval(st.X, env)
 	ev.callEffects(st.X, env)
 	xt := ev.pkg().TypeOf(st.X)
-	srcPath := canonPath(st.X)
 
-	// The key bound: [0, len-1] where the length is whatever is known.
-	var keyBound AbsVal
-	var ltTarget string
-	switch {
-	case xt != nil && isSliceOrString(xt):
-		hi := int64(math.MaxInt64)
-		if srcPath != "" {
-			if lv, ok := env.lens[srcPath]; ok && !lv.Wide && lv.Hi < math.MaxInt64 {
-				hi = lv.Hi - 1
-			}
-			ltTarget = srcPath
+	// The key bound: [0, len-1] where the length is statically known.
+	keyBound, indexed := AbsVal{Lo: 0, Hi: math.MaxInt64}, true
+	if alen, ok := arrayLenOf(xt); ok {
+		keyBound.Hi = max64(alen-1, 0)
+	} else if _, ok := typeShape(xt); ok {
+		// range over an integer n: keys are [0, n-1].
+		if !n.Wide && n.Hi > math.MinInt64 {
+			keyBound.Hi = max64(n.Hi-1, 0)
 		}
-		keyBound = AbsVal{Lo: 0, Hi: max64(hi, 0)}
-	default:
-		if n, ok := arrayLenOf(xt); ok {
-			keyBound = AbsVal{Lo: 0, Hi: max64(n-1, 0)}
-		} else if it, ok := typeShape(xt); ok {
-			// range over an integer n: keys are [0, n-1].
-			_ = it
-			n := ev.eval(st.X, env)
-			if !n.Wide && n.Hi > math.MinInt64 {
-				keyBound = AbsVal{Lo: 0, Hi: max64(n.Hi-1, 0)}
-			} else {
-				keyBound = AbsVal{Lo: 0, Hi: math.MaxInt64}
-			}
-		} else {
-			keyBound = AbsVal{Lo: 0, Hi: math.MaxInt64}
-		}
+	} else {
+		indexed = xt != nil && isSliceOrString(xt)
 	}
 
 	keyPath := ""
@@ -1175,18 +664,12 @@ func (ev *vrEval) execRange(st *ast.RangeStmt, env *vrEnv) *vrEnv {
 		iter := head.clone()
 		if keyPath != "" && keyPath != "_" {
 			iter.killPath(keyPath)
-			if _, ok := typeShape(ev.pkg().TypeOf(st.Key)); ok {
+			if _, ok := typeShape(ev.pkg().TypeOf(st.Key)); ok && indexed {
 				iter.vals[keyPath] = keyBound
 			}
-			if ltTarget != "" {
-				iter.lt[keyPath] = map[string]bool{ltTarget: true}
-			}
 		}
-		if valPath != "" && valPath != "_" {
+		if valPath != "" {
 			iter.killPath(valPath)
-			if it, ok := typeShape(ev.pkg().TypeOf(st.Value)); ok {
-				iter.vals[valPath] = rangeOf(it)
-			}
 		}
 		out := ev.execBlock(st.Body, iter)
 		exit = head // the loop may execute zero times
@@ -1369,115 +852,9 @@ func (ev *vrEval) execSelect(st *ast.SelectStmt, env *vrEnv) flowOut {
 	return flowOut{env: merged, cont: conts}
 }
 
-// execReturn evaluates return values into the result summary.
+// execReturn walks the return values for the check sites inside them.
 func (ev *vrEval) execReturn(st *ast.ReturnStmt, env *vrEnv) {
-	if len(st.Results) == 0 {
-		// Bare return: named results carry their current values.
-		for i, name := range ev.resultNames {
-			if v, ok := env.vals[name]; ok {
-				ev.joinResult(i, v)
-			} else if it, okt := typeShapeByIndex(ev.node, i); okt {
-				ev.joinResult(i, rangeOf(it))
-			}
-		}
-		return
+	for _, r := range st.Results {
+		ev.eval(r, env)
 	}
-	if len(st.Results) == 1 && ev.resultCount() > 1 {
-		// return f() forwarding a tuple.
-		ev.eval(st.Results[0], env)
-		ev.callEffects(st.Results[0], env)
-		if call, ok := ast.Unparen(st.Results[0]).(*ast.CallExpr); ok {
-			if callee := ev.staticCallee(call); callee != nil {
-				for i := 0; i < ev.resultCount(); i++ {
-					if v, ok := ev.calleeResult(callee, i); ok {
-						ev.joinResult(i, v)
-						continue
-					}
-					if it, okt := typeShapeByIndex(ev.node, i); okt {
-						ev.joinResult(i, rangeOf(it))
-					}
-				}
-				return
-			}
-		}
-		for i := 0; i < ev.resultCount(); i++ {
-			if it, okt := typeShapeByIndex(ev.node, i); okt {
-				ev.joinResult(i, rangeOf(it))
-			}
-		}
-		return
-	}
-	for i, r := range st.Results {
-		v := ev.eval(r, env)
-		ev.callEffects(r, env)
-		if it, ok := typeShapeByIndex(ev.node, i); ok {
-			ev.joinResult(i, v.Meet(rangeOf(it)))
-		}
-	}
-}
-
-// resultCount returns the declared result arity.
-func (ev *vrEval) resultCount() int {
-	res := ev.node.Decl.Type.Results
-	if res == nil {
-		return 0
-	}
-	n := 0
-	for _, f := range res.List {
-		if len(f.Names) == 0 {
-			n++
-		} else {
-			n += len(f.Names)
-		}
-	}
-	return n
-}
-
-// typeShapeByIndex resolves the shape of result i of a declaration.
-func typeShapeByIndex(node *FuncNode, i int) (intType, bool) {
-	res := node.Decl.Type.Results
-	if res == nil {
-		return intType{}, false
-	}
-	idx := 0
-	for _, f := range res.List {
-		n := len(f.Names)
-		if n == 0 {
-			n = 1
-		}
-		if i < idx+n {
-			return typeShape(node.Pkg.TypeOf(f.Type))
-		}
-		idx += n
-	}
-	return intType{}, false
-}
-
-// calleeResult reads result i of a callee's summary; Bot (never
-// evaluated or never returns) reads as unknown.
-func (ev *vrEval) calleeResult(callee *FuncNode, i int) (AbsVal, bool) {
-	s := ev.summaries[callee]
-	if s == nil || i >= len(s.results) || s.results[i].Bot {
-		return AbsVal{}, false
-	}
-	return s.results[i], true
-}
-
-// staticCallee resolves a call to its in-program declaration when the
-// call is a plain static (non-interface) dispatch.
-func (ev *vrEval) staticCallee(call *ast.CallExpr) *FuncNode {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := ev.pkg().ObjectOf(fun).(*types.Func); ok {
-			return ev.prog.nodeFor(fn)
-		}
-	case *ast.SelectorExpr:
-		if recv := ev.pkg().TypeOf(fun.X); recv != nil && types.IsInterface(recv) {
-			return nil
-		}
-		if fn, ok := ev.pkg().ObjectOf(fun.Sel).(*types.Func); ok {
-			return ev.prog.nodeFor(fn)
-		}
-	}
-	return nil
 }

@@ -1,7 +1,7 @@
 package analysis
 
-// Expression evaluation, branch refinement, and the MV010/MV011/MV012
-// check sites for the value-range analysis (see valuerange.go).
+// Expression evaluation, branch refinement, and the MV010/MV012 check
+// sites for the value-range analysis (see valuerange.go).
 
 import (
 	"fmt"
@@ -64,7 +64,7 @@ func (ev *vrEval) topOf(expr ast.Expr) AbsVal {
 }
 
 // eval abstracts one expression's value in env, recording rule checks
-// along the way (when the evaluator is in recording mode and not muted).
+// along the way (unless the evaluator is muted).
 // Every syntactic subexpression is visited exactly once per execution.
 func (ev *vrEval) eval(expr ast.Expr, env *vrEnv) AbsVal {
 	switch e := expr.(type) {
@@ -142,20 +142,10 @@ func (ev *vrEval) eval(expr ast.Expr, env *vrEnv) AbsVal {
 	return ev.topOf(expr)
 }
 
-// pathValue looks up a canonical path's abstraction.
+// pathValue looks up a canonical path's abstraction; an untracked path
+// (or an expression that is no path: "" is never a key) is top.
 func (ev *vrEval) pathValue(expr ast.Expr, env *vrEnv) AbsVal {
-	path := canonPath(expr)
-	if path == "" {
-		return ev.topOf(expr)
-	}
-	if target, ok := env.symLen[path]; ok {
-		// The variable holds exactly len(target): use the length bound.
-		if lv, ok := env.lens[target]; ok {
-			return lv
-		}
-		return AbsVal{Lo: 0, Hi: math.MaxInt64}
-	}
-	if v, ok := env.vals[path]; ok {
+	if v, ok := env.vals[canonPath(expr)]; ok {
 		return v
 	}
 	return ev.topOf(expr)
@@ -188,7 +178,7 @@ func (ev *vrEval) evalBinary(e *ast.BinaryExpr, env *vrEnv) AbsVal {
 	y := ev.eval(e.Y, env)
 	switch e.Op {
 	case token.SHL, token.SHR:
-		ev.checkShift(e.OpPos, e.X, e.Y, y, env)
+		ev.checkShift(e.OpPos, e.X, y)
 	}
 	v := applyBinary(e.Op, x, y)
 	if it, ok := typeShape(ev.pkg().TypeOf(e)); ok {
@@ -289,8 +279,9 @@ func calleeBuiltin(p *Package, call *ast.CallExpr) string {
 	return id.Name
 }
 
-// evalCall abstracts a call: builtins, conversions (the MV010 site),
-// width-contract call sites (MV012), and summarized static calls.
+// evalCall abstracts a call: builtins, conversions (the MV010 site) and
+// width-contract call sites (MV012). Any other call's result reads as
+// the full range of its type.
 func (ev *vrEval) evalCall(e *ast.CallExpr, env *vrEnv) AbsVal {
 	if v, ok := ev.constVal(e); ok {
 		// Constant conversions are checked by the type checker itself.
@@ -298,32 +289,12 @@ func (ev *vrEval) evalCall(e *ast.CallExpr, env *vrEnv) AbsVal {
 	}
 	// Builtins.
 	switch calleeBuiltin(ev.pkg(), e) {
-	case "len":
+	case "len", "cap":
 		if len(e.Args) == 1 {
 			arg := e.Args[0]
 			ev.eval(arg, env)
 			if n, ok := arrayLenOf(ev.pkg().TypeOf(arg)); ok {
 				return absConst(n)
-			}
-			if path := canonPath(arg); path != "" {
-				if lv, ok := env.lens[path]; ok {
-					return lv
-				}
-			}
-			return AbsVal{Lo: 0, Hi: math.MaxInt64}
-		}
-	case "cap":
-		if len(e.Args) == 1 {
-			arg := e.Args[0]
-			ev.eval(arg, env)
-			if n, ok := arrayLenOf(ev.pkg().TypeOf(arg)); ok {
-				return absConst(n)
-			}
-			// cap >= len.
-			if path := canonPath(arg); path != "" {
-				if lv, ok := env.lens[path]; ok && !lv.Bot && !lv.Wide {
-					return AbsVal{Lo: lv.Lo, Hi: math.MaxInt64}
-				}
 			}
 			return AbsVal{Lo: 0, Hi: math.MaxInt64}
 		}
@@ -376,22 +347,7 @@ func (ev *vrEval) evalCall(e *ast.CallExpr, env *vrEnv) AbsVal {
 		args[i] = ev.eval(a, env)
 	}
 
-	// Width-contract call sites.
-	ev.checkWidthArg(e, args, env)
-
-	// Feed argument facts into summarized callees over the call graph
-	// (static and CHA-resolved interface edges both constrain the same
-	// declared parameters).
-	ev.feedCallees(e, args)
-
-	// The result, from the callee's summary when there is exactly one.
-	if callee := ev.staticCallee(e); callee != nil {
-		if v, ok := ev.calleeResult(callee, 0); ok {
-			if it, okt := typeShape(ev.pkg().TypeOf(e)); okt {
-				return v.Meet(rangeOf(it))
-			}
-		}
-	}
+	ev.checkWidthArg(e, args)
 	return ev.topOf(e)
 }
 
@@ -434,55 +390,11 @@ func (ev *vrEval) conversionTarget(call *ast.CallExpr) (intType, bool) {
 	return it, true
 }
 
-// feedCallees joins call-site argument values into callee parameter
-// summaries along the resolved call-graph edges at this position.
-func (ev *vrEval) feedCallees(call *ast.CallExpr, args []AbsVal) {
-	var callees []*FuncNode
-	if c := ev.staticCallee(call); c != nil {
-		callees = append(callees, c)
-	} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if recv := ev.pkg().TypeOf(sel.X); recv != nil && types.IsInterface(recv) {
-			for _, edge := range ev.prog.CallGraph().Edges[ev.node] {
-				if edge.Kind == EdgeIface && edge.Pos == sel.Pos() {
-					callees = append(callees, edge.Callee)
-				}
-			}
-		}
-	}
-	for _, callee := range callees {
-		if ev.summaries[callee] == nil {
-			continue
-		}
-		sig, ok := typeOfFuncNode(callee)
-		if !ok || sig.Variadic() || sig.Params().Len() != len(args) || call.Ellipsis.IsValid() {
-			ev.markParamsTop(callee)
-			continue
-		}
-		for i, v := range args {
-			if it, okt := typeShape(sig.Params().At(i).Type()); okt {
-				ev.joinParamFact(callee, i, v.Meet(rangeOf(it)))
-			} else {
-				ev.joinParamFact(callee, i, absAny())
-			}
-		}
-	}
-}
-
-// typeOfFuncNode resolves a declaration's signature.
-func typeOfFuncNode(n *FuncNode) (*types.Signature, bool) {
-	if n.Pkg == nil {
-		return nil, false
-	}
-	t := n.Pkg.TypeOf(n.Decl.Name)
-	sig, ok := t.(*types.Signature)
-	return sig, ok
-}
-
-// evalIndex abstracts s[i], recording the MV011 bounds check.
+// evalIndex abstracts s[i]. (Whether i is in bounds is the -bce gate's
+// question, not this analysis's.)
 func (ev *vrEval) evalIndex(e *ast.IndexExpr, env *vrEnv) AbsVal {
 	ev.eval(e.X, env)
-	idx := ev.eval(e.Index, env)
-	ev.checkIndex(e, idx, env)
+	ev.eval(e.Index, env)
 	if v, ok := ev.constVal(e); ok {
 		return v
 	}
@@ -491,15 +403,23 @@ func (ev *vrEval) evalIndex(e *ast.IndexExpr, env *vrEnv) AbsVal {
 
 // --- check sites --------------------------------------------------------
 
-// emit records one finding (respecting mute and function-level valves).
+// emit records one finding, once, unless muted or covered by a
+// function-level or line valve.
 func (ev *vrEval) emit(rule, kind string, pos token.Pos, msg string) {
-	if ev.record == nil || ev.mute > 0 {
+	if ev.mute > 0 || docDirective(ev.node.Decl.Doc, kind) {
 		return
 	}
-	if docDirective(ev.node.Decl.Doc, kind) {
+	p := ev.pkg()
+	position := p.Fset.Position(pos)
+	dedup := fmt.Sprintf("%s|%s:%d:%d|%s", rule, position.Filename, position.Line, position.Column, msg)
+	if ev.vr.seen[dedup] {
 		return
 	}
-	ev.record(rule, kind, pos, msg)
+	ev.vr.seen[dedup] = true
+	if p.suppressed(rule, kind, position) {
+		return
+	}
+	ev.vr.findings[rule] = append(ev.vr.findings[rule], Finding{Pos: position, Rule: rule, Msg: msg})
 }
 
 // checkConversion is the MV010 site: a conversion between integer
@@ -538,116 +458,6 @@ func shapeName(it intType) string {
 	return fmt.Sprintf("uint%d", it.bits)
 }
 
-// checkIndex is the MV011 site: prove 0 <= idx < len for slice and
-// array indexing (maps, strings and generic instantiations are out of
-// scope).
-func (ev *vrEval) checkIndex(e *ast.IndexExpr, idx AbsVal, env *vrEnv) {
-	if ev.record == nil || ev.mute > 0 {
-		return // proofs are only attempted when they can be reported
-	}
-	xt := ev.pkg().TypeOf(e.X)
-	if xt == nil {
-		return
-	}
-	var kind string
-	var arrLen int64 = -1
-	switch u := xt.Underlying().(type) {
-	case *types.Slice:
-		kind = "slice"
-	case *types.Array:
-		kind = "array"
-		arrLen = u.Len()
-	case *types.Pointer:
-		if arr, ok := u.Elem().Underlying().(*types.Array); ok {
-			kind = "array"
-			arrLen = arr.Len()
-		} else {
-			return
-		}
-	default:
-		return
-	}
-
-	// Both sides must be proven: the interval supplies the lower bound
-	// (>= 0), the interval against a known length or a symbolic
-	// i < len(s) fact supplies the upper.
-	lower := idx.NonNegative()
-	upper := false
-	if arrLen >= 0 && idx.In(math.MinInt64, arrLen-1) {
-		upper = true
-	}
-	if !upper && kind == "slice" {
-		if path := canonPath(e.X); path != "" && !idx.Bot && !idx.Wide {
-			if lv, ok := env.lens[path]; ok && !lv.Bot && !lv.Wide && idx.Hi < lv.Lo {
-				upper = true
-			}
-		}
-		if !upper {
-			upper = ev.provedLess(e, idx, env)
-		}
-	}
-	if idx.Bot || (lower && upper) {
-		return
-	}
-
-	lenDesc := "unknown"
-	if arrLen >= 0 {
-		lenDesc = fmt.Sprintf("%d", arrLen)
-	} else if path := canonPath(e.X); path != "" {
-		if lv, ok := env.lens[path]; ok {
-			lenDesc = lv.String()
-		}
-	}
-	target := "index expression"
-	if path := canonPath(e.X); path != "" {
-		target = path
-	}
-	ev.emit("provable-bounds", "bounds", e.Lbrack,
-		fmt.Sprintf("index into %s %s not proven in bounds (index %s, len %s) in per-cycle path (reachable from %s); guard with a len check or annotate //metrovet:bounds <reason>",
-			kind, target, idx, lenDesc, ev.root))
-}
-
-// provedLess checks the symbolic i < len(s) routes: a recorded lt fact
-// on the index path, or the ring-buffer idiom i % n with n == len(s).
-func (ev *vrEval) provedLess(e *ast.IndexExpr, idx AbsVal, env *vrEnv) bool {
-	target := canonPath(e.X)
-	if target == "" {
-		return false
-	}
-	// An unsigned-narrowing conversion around the index cannot increase
-	// a nonnegative value, so the facts below transfer through it.
-	// alias: a slice built as make(T, len(src)) has len == len(src), so
-	// an index proven below len(src) is in bounds for the alias too.
-	alias := env.symLen[target]
-	index := ev.stripIntConv(e.Index, env, false)
-	if path := canonPath(index); path != "" {
-		if env.lt[path][target] || (alias != "" && env.lt[path][alias]) {
-			return true
-		}
-	}
-	// i % n where n == len(s), directly or behind a value-preserving
-	// conversion (cycle % uint64(len(ring))), or via a symLen variable.
-	if bin, ok := ast.Unparen(index).(*ast.BinaryExpr); ok && bin.Op == token.REM {
-		a := ev.evalQuiet(bin.X, env)
-		b := ev.evalQuiet(bin.Y, env)
-		if a.NonNegative() && !b.Wide && b.Lo >= 1 {
-			if t := ev.lenTarget(bin.Y, env); t == target || (alias != "" && t == alias) {
-				return true
-			}
-		}
-	}
-	// n - k where n == len(s) and k >= 1: the last-element idiom
-	// (p[n-1] after p := make([]byte, n)).
-	if bin, ok := ast.Unparen(index).(*ast.BinaryExpr); ok && bin.Op == token.SUB {
-		if k, isConst := ev.evalQuiet(bin.Y, env).IsConst(); isConst && k >= 1 {
-			if t := ev.lenTarget(bin.X, env); t != "" && (t == target || (alias != "" && t == alias)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // evalQuiet evaluates without recording checks (re-examining a
 // subexpression already walked by the caller).
 func (ev *vrEval) evalQuiet(expr ast.Expr, env *vrEnv) AbsVal {
@@ -660,8 +470,8 @@ func (ev *vrEval) evalQuiet(expr ast.Expr, env *vrEnv) AbsVal {
 // checkShift is the MV012 shift site: the amount must be provably below
 // the shifted operand's bit width (shifting a uint32 by 32 zeroes it
 // silently; Go only panics on negative amounts).
-func (ev *vrEval) checkShift(pos token.Pos, x, k ast.Expr, amount AbsVal, env *vrEnv) {
-	if ev.record == nil || ev.mute > 0 {
+func (ev *vrEval) checkShift(pos token.Pos, x ast.Expr, amount AbsVal) {
+	if ev.mute > 0 {
 		return
 	}
 	it, ok := typeShape(ev.pkg().TypeOf(x))
@@ -678,8 +488,8 @@ func (ev *vrEval) checkShift(pos token.Pos, x, k ast.Expr, amount AbsVal, env *v
 
 // checkWidthArg is the MV012 width-argument site: internal/word width
 // parameters proven within [1, 32].
-func (ev *vrEval) checkWidthArg(call *ast.CallExpr, args []AbsVal, env *vrEnv) {
-	if ev.record == nil || ev.mute > 0 {
+func (ev *vrEval) checkWidthArg(call *ast.CallExpr, args []AbsVal) {
+	if ev.mute > 0 {
 		return
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -770,7 +580,6 @@ func (ev *vrEval) refineCompare(e *ast.BinaryExpr, env *vrEnv) (*vrEnv, *vrEnv) 
 	case token.LSS: // x < y  |  else: x >= y
 		ev.applyUpper(tEnv, x, yv, true)
 		ev.applyLower(tEnv, y, xv, true)
-		ev.applyLtLen(tEnv, x, y)
 		ev.applyLower(fEnv, x, yv, false)
 		ev.applyUpper(fEnv, y, xv, false)
 	case token.LEQ: // x <= y  |  else: x > y
@@ -778,11 +587,9 @@ func (ev *vrEval) refineCompare(e *ast.BinaryExpr, env *vrEnv) (*vrEnv, *vrEnv) 
 		ev.applyLower(tEnv, y, xv, false)
 		ev.applyLower(fEnv, x, yv, true)
 		ev.applyUpper(fEnv, y, xv, true)
-		ev.applyLtLen(fEnv, y, x)
 	case token.EQL: // x == y  |  else: x != y
 		ev.applyEq(tEnv, x, yv)
 		ev.applyEq(tEnv, y, xv)
-		ev.applySymEq(tEnv, x, y)
 		ev.applyNeq(fEnv, x, yv)
 		ev.applyNeq(fEnv, y, xv)
 	case token.NEQ:
@@ -790,7 +597,6 @@ func (ev *vrEval) refineCompare(e *ast.BinaryExpr, env *vrEnv) (*vrEnv, *vrEnv) 
 		ev.applyNeq(tEnv, y, xv)
 		ev.applyEq(fEnv, x, yv)
 		ev.applyEq(fEnv, y, xv)
-		ev.applySymEq(fEnv, x, y)
 	}
 	if bottomed(tEnv) {
 		tEnv = nil
@@ -811,57 +617,7 @@ func bottomed(env *vrEnv) bool {
 			return true
 		}
 	}
-	for _, v := range env.lens {
-		if v.Bot {
-			return true
-		}
-	}
 	return false
-}
-
-// refineSlot resolves the environment slot a comparison on x constrains:
-// the value of a canonical path, or the length of a slice when x is
-// len(s) or a variable recorded as holding len(s). ok is false when x
-// constrains nothing the environment tracks.
-func (ev *vrEval) refineSlot(env *vrEnv, x ast.Expr) (get func() AbsVal, set func(AbsVal), ok bool) {
-	if path := canonPath(x); path != "" {
-		if t, isLen := env.symLen[path]; isLen {
-			// Only integer paths denote a length value; a slice-typed
-			// symLen entry is a length alias (len(path) == len(t)) and
-			// comparisons on the slice itself constrain neither length.
-			if _, isInt := typeShape(ev.pkg().TypeOf(x)); isInt {
-				get, set = lenSlot(env, t)
-				return get, set, true
-			}
-		}
-		return func() AbsVal {
-				if cur, have := env.vals[path]; have {
-					return cur
-				}
-				return ev.topOf(x)
-			}, func(v AbsVal) { env.vals[path] = v }, true
-	}
-	if call, isCall := ast.Unparen(x).(*ast.CallExpr); isCall &&
-		calleeBuiltin(ev.pkg(), call) == "len" && len(call.Args) == 1 {
-		if t := canonPath(call.Args[0]); t != "" {
-			get, set = lenSlot(env, t)
-			return get, set, true
-		}
-	}
-	return nil, nil, false
-}
-
-// lenSlot is refineSlot's length half: lengths live in env.lens and are
-// always within [0, MaxInt64].
-func lenSlot(env *vrEnv, target string) (func() AbsVal, func(AbsVal)) {
-	return func() AbsVal {
-			if cur, have := env.lens[target]; have {
-				return cur
-			}
-			return AbsVal{Lo: 0, Hi: math.MaxInt64}
-		}, func(v AbsVal) {
-			env.lens[target] = v.Meet(AbsVal{Lo: 0, Hi: math.MaxInt64})
-		}
 }
 
 // applyUpper meets "x <= bound.Hi" (strict subtracts one) into env.
@@ -869,9 +625,9 @@ func (ev *vrEval) applyUpper(env *vrEnv, x ast.Expr, bound AbsVal, strict bool) 
 	if bound.Bot || bound.Wide {
 		return // a wide bound may exceed every int64; nothing to refine
 	}
-	get, set, ok := ev.refineSlot(env, x)
-	if !ok {
-		return
+	path := canonPath(x)
+	if path == "" {
+		return // x constrains nothing the environment tracks
 	}
 	hi := bound.Hi
 	if strict {
@@ -880,7 +636,7 @@ func (ev *vrEval) applyUpper(env *vrEnv, x ast.Expr, bound AbsVal, strict bool) 
 		}
 		hi--
 	}
-	set(get().Meet(AbsVal{Lo: math.MinInt64, Hi: hi}))
+	env.vals[path] = ev.pathValue(x, env).Meet(AbsVal{Lo: math.MinInt64, Hi: hi})
 }
 
 // applyLower meets "x >= bound.Lo" (strict adds one) into env.
@@ -888,9 +644,9 @@ func (ev *vrEval) applyLower(env *vrEnv, x ast.Expr, bound AbsVal, strict bool) 
 	if bound.Bot {
 		return
 	}
-	get, set, ok := ev.refineSlot(env, x)
-	if !ok {
-		return
+	path := canonPath(x)
+	if path == "" {
+		return // x constrains nothing the environment tracks
 	}
 	lo := bound.Lo
 	if bound.Wide {
@@ -902,118 +658,19 @@ func (ev *vrEval) applyLower(env *vrEnv, x ast.Expr, bound AbsVal, strict bool) 
 		}
 		lo++
 	}
-	set(get().Meet(AbsVal{Lo: lo, Hi: math.MaxInt64}))
+	env.vals[path] = ev.pathValue(x, env).Meet(AbsVal{Lo: lo, Hi: math.MaxInt64})
 }
 
-// applyLtLen records the symbolic "x < len(target)" fact when the upper
-// expression is len(s), a variable known to equal len(s), or either of
-// those minus a nonnegative constant (i < n-1 with n == len(s)).
-func (ev *vrEval) applyLtLen(env *vrEnv, x, upper ast.Expr) {
-	path := canonPath(x)
-	if path == "" {
-		return
-	}
-	target := ev.lenTargetUpper(upper, env)
-	if target == "" {
-		return
-	}
-	if env.lt[path] == nil {
-		env.lt[path] = map[string]bool{}
-	}
-	env.lt[path][target] = true
-}
-
-// lenTargetUpper resolves an expression bounded above by a length:
-// len(s) itself (or a symLen variable), or either minus a nonnegative
-// constant, so x < expr implies x < len(target).
-func (ev *vrEval) lenTargetUpper(expr ast.Expr, env *vrEnv) string {
-	if t := ev.lenTarget(expr, env); t != "" {
-		return t
-	}
-	if bin, ok := ast.Unparen(expr).(*ast.BinaryExpr); ok && bin.Op == token.SUB {
-		if k, isConst := ev.evalQuiet(bin.Y, env).IsConst(); isConst && k >= 0 {
-			return ev.lenTarget(bin.X, env)
-		}
-	}
-	return ""
-}
-
-// lenTarget resolves an expression that denotes a length: len(s)
-// itself (possibly behind a value-preserving integer conversion such as
-// uint64(len(s))), or a variable recorded as symLen.
-func (ev *vrEval) lenTarget(expr ast.Expr, env *vrEnv) string {
-	expr = ev.stripIntConv(expr, env, true)
-	if call, ok := ast.Unparen(expr).(*ast.CallExpr); ok {
-		if calleeBuiltin(ev.pkg(), call) == "len" && len(call.Args) == 1 {
-			return canonPath(call.Args[0])
-		}
-		return ""
-	}
-	if path := canonPath(expr); path != "" {
-		// Only integer paths hold a length value; a slice-typed symLen
-		// entry is a length alias, not a length-valued expression.
-		if _, isInt := typeShape(ev.pkg().TypeOf(expr)); isInt {
-			return env.symLen[path]
-		}
-	}
-	return ""
-}
-
-// stripIntConv unwraps integer conversions around expr. With exact set,
-// only value-preserving layers are removed (the abstract value of the
-// operand fits the target shape), so the stripped expression denotes
-// the same value. Without exact, unsigned narrowing of a nonnegative
-// operand is also removed: uint8(v) keeps the low bits, so it can only
-// decrease a nonnegative v — sound when the caller needs an upper
-// bound, as checkIndex does (the lower bound is proven separately on
-// the converted value).
-func (ev *vrEval) stripIntConv(expr ast.Expr, env *vrEnv, exact bool) ast.Expr {
-	for {
-		expr = ast.Unparen(expr)
-		call, ok := expr.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return expr
-		}
-		to, isConv := ev.conversionTarget(call)
-		if !isConv {
-			return expr
-		}
-		inner := ev.evalQuiet(call.Args[0], env)
-		if !inner.NonNegative() {
-			return expr
-		}
-		if (exact || to.signed) && !inner.fits(to) {
-			return expr
-		}
-		expr = call.Args[0]
-	}
-}
-
-// applyEq meets equality with a value, and copies symbolic facts.
+// applyEq meets equality with a value.
 func (ev *vrEval) applyEq(env *vrEnv, x ast.Expr, val AbsVal) {
 	if val.Bot {
 		return
 	}
-	get, set, ok := ev.refineSlot(env, x)
-	if !ok {
-		return
+	path := canonPath(x)
+	if path == "" {
+		return // x constrains nothing the environment tracks
 	}
-	set(get().Meet(val))
-}
-
-// applySymEq propagates len-relations through x == y.
-func (ev *vrEval) applySymEq(env *vrEnv, x, y ast.Expr) {
-	// x == len(s): x now equals the length.
-	if t := ev.lenTarget(y, env); t != "" {
-		if path := canonPath(x); path != "" {
-			env.symLen[path] = t
-		}
-	}
-	if t := ev.lenTarget(x, env); t != "" {
-		if path := canonPath(y); path != "" {
-			env.symLen[path] = t
-		}
-	}
+	env.vals[path] = ev.pathValue(x, env).Meet(val)
 }
 
 // applyNeq trims a constant endpoint off the interval on x != c.
@@ -1022,23 +679,23 @@ func (ev *vrEval) applyNeq(env *vrEnv, x ast.Expr, val AbsVal) {
 	if !isConst {
 		return
 	}
-	get, set, ok := ev.refineSlot(env, x)
-	if !ok {
-		return
+	path := canonPath(x)
+	if path == "" {
+		return // x constrains nothing the environment tracks
 	}
-	cur := get()
+	cur := ev.pathValue(x, env)
 	if cur.Bot || cur.Wide {
 		return
 	}
 	switch {
 	case cur.Lo == c && cur.Hi == c:
-		set(absBottom())
+		env.vals[path] = absBottom()
 	case cur.Lo == c:
 		cur.Lo++
-		set(cur.normalize())
+		env.vals[path] = cur.normalize()
 	case cur.Hi == c:
 		cur.Hi--
-		set(cur.normalize())
+		env.vals[path] = cur.normalize()
 	}
 }
 

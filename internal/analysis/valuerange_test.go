@@ -94,185 +94,54 @@ func (c *comp) Commit(cycle uint64) { c.tag = c.hash(cycle) }
 	wantFindings(t, got, "truncating-conversion")
 }
 
-func TestTruncatingConversionInterprocedural(t *testing.T) {
-	// The helper's parameter fact is joined over hot-path call sites:
-	// both calls pass provably small values, so the conversion inside
-	// the helper is proven.
+func TestTruncatingConversionRangeKeys(t *testing.T) {
+	// A slice index is nonnegative; a map key is whatever was stored.
 	got := runRule(t, TruncatingConversion(), "metro/internal/core", map[string]string{
 		"a.go": `package core
 
-type comp struct{ tag uint8 }
-
-func (c *comp) Eval(cycle uint64) {
-	c.tag = fold(cycle & 0x3f)
-}
-
-func (c *comp) Commit(cycle uint64) {
-	c.tag = fold(200)
-}
-
-func fold(v uint64) uint8 { return uint8(v) }
-`,
-	})
-	wantFindings(t, got, "truncating-conversion")
-}
-
-// --- MV011 provable-bounds ---------------------------------------------
-
-func TestProvableBoundsFlagsUnguardedIndex(t *testing.T) {
-	got := runRule(t, ProvableBounds(), "metro/internal/core", map[string]string{
-		"a.go": `package core
-
 type comp struct {
-	buf  []int
-	head int
+	m   map[int]int
+	s   []int
+	acc uint64
 }
 
 func (c *comp) Eval(cycle uint64) {
-	_ = c.buf[c.head] // line 9: head unconstrained
+	for i := range c.s {
+		c.acc += uint64(i) // slice index: proven nonnegative
+	}
+	for k := range c.m {
+		c.acc += uint64(k) // line 14: a map key can be negative
+	}
 }
 
 func (c *comp) Commit(cycle uint64) {}
 `,
 	})
-	wantFindings(t, got, "provable-bounds", [2]any{"a.go", 9})
+	wantFindings(t, got, "truncating-conversion", [2]any{"a.go", 14})
 }
 
-func TestProvableBoundsLoopIdioms(t *testing.T) {
-	got := runRule(t, ProvableBounds(), "metro/internal/core", map[string]string{
+func TestTruncatingConversionCallResultsAreUnknown(t *testing.T) {
+	// Nothing flows across a call: a result reads as its type's full
+	// range, through a tuple assignment too (where a uint64 must stay
+	// wide, not collapse to [0, MaxInt64]).
+	got := runRule(t, TruncatingConversion(), "metro/internal/core", map[string]string{
 		"a.go": `package core
 
-type comp struct {
-	buf  []int
-	regs [8]int
-}
+type comp struct{ acc int64 }
 
 func (c *comp) Eval(cycle uint64) {
-	for i := 0; i < len(c.buf); i++ {
-		c.buf[i]++ // classic counted loop: proven
-	}
-	for i := range c.buf {
-		_ = c.buf[i] // range loop: proven
-	}
-	for i := range c.regs {
-		c.regs[i] = 0 // array range: proven by the array length
-	}
-	_ = c.regs[5] // constant index into [8]int: proven
+	hi, _ := split(cycle & 0xff)
+	c.acc = int64(hi)           // line 7
+	c.acc = int64(low(cycle))   // line 8
 }
 
-func (c *comp) Commit(cycle uint64) {
-	n := len(c.buf)
-	for i := 0; i < n; i++ {
-		c.buf[i] = 0 // symbolic n == len(c.buf): proven
-	}
-}
+func (c *comp) Commit(cycle uint64) {}
+
+func split(v uint64) (uint64, uint64) { return v, v }
+func low(v uint64) uint64             { return v & 1 }
 `,
 	})
-	wantFindings(t, got, "provable-bounds")
-}
-
-func TestProvableBoundsGuardAndModulo(t *testing.T) {
-	got := runRule(t, ProvableBounds(), "metro/internal/core", map[string]string{
-		"a.go": `package core
-
-type comp struct {
-	ring []int
-	head int
-}
-
-func (c *comp) Eval(cycle uint64) {
-	if c.head >= 0 && c.head < len(c.ring) {
-		_ = c.ring[c.head] // guarded: proven
-	}
-	if len(c.ring) > 0 {
-		_ = c.ring[int(cycle%uint64(len(c.ring)))] // ring-buffer modulo: proven
-	}
-}
-
-func (c *comp) Commit(cycle uint64) {
-	if len(c.ring) > 0 {
-		// line 21: int(cycle) goes negative past MaxInt64 and Go's %
-		// takes the dividend's sign — a real hazard, not provable.
-		_ = c.ring[int(cycle)%len(c.ring)]
-	}
-}
-`,
-	})
-	wantFindings(t, got, "provable-bounds", [2]any{"a.go", 21})
-}
-
-func TestProvableBoundsCatchesOffByOne(t *testing.T) {
-	got := runRule(t, ProvableBounds(), "metro/internal/core", map[string]string{
-		"a.go": `package core
-
-type comp struct {
-	buf  []int
-	regs [8]int
-}
-
-func (c *comp) Eval(cycle uint64) {
-	for i := 0; i <= len(c.buf); i++ {
-		c.buf[i] = 0 // line 10: i == len(c.buf) is out of bounds
-	}
-	j := 8
-	_ = c.regs[j] // line 13: one past the end of [8]int
-}
-
-func (c *comp) Commit(cycle uint64) {
-	if c.regs[0] > 0 { // constant 0 into [8]int: proven, no finding
-		return
-	}
-}
-`,
-	})
-	wantFindings(t, got, "provable-bounds", [2]any{"a.go", 10}, [2]any{"a.go", 13})
-}
-
-func TestProvableBoundsValve(t *testing.T) {
-	got := runRule(t, ProvableBounds(), "metro/internal/core", map[string]string{
-		"a.go": `package core
-
-type comp struct {
-	fwd  []int
-	port int
-}
-
-func (c *comp) Eval(cycle uint64) {
-	_ = c.fwd[c.port] //metrovet:bounds port validated against the radix at wiring time
-}
-
-// drain is covered whole by the doc valve.
-//
-//metrovet:bounds indices come from the wiring table, validated by CheckInvariants
-func (c *comp) drain() int { return c.fwd[c.port+1] }
-
-func (c *comp) Commit(cycle uint64) { _ = c.drain() }
-`,
-	})
-	wantFindings(t, got, "provable-bounds")
-}
-
-func TestProvableBoundsAppendAndMakeTrackLength(t *testing.T) {
-	got := runRule(t, ProvableBounds(), "metro/internal/core", map[string]string{
-		"a.go": `package core
-
-type comp struct{ buf []int }
-
-func (c *comp) Eval(cycle uint64) {
-	s := make([]int, 4)
-	s[3] = 1 // proven: len(s) == 4
-	s = append(s, 9)
-	s[4] = 2 // proven: append grew it to 5
-}
-
-func (c *comp) Commit(cycle uint64) {
-	s := []int{1, 2, 3}
-	_ = s[2] // proven: literal length 3
-	_ = s[3] // line 15: out of bounds
-}
-`,
-	})
-	wantFindings(t, got, "provable-bounds", [2]any{"a.go", 15})
+	wantFindings(t, got, "truncating-conversion", [2]any{"a.go", 7}, [2]any{"a.go", 8})
 }
 
 // --- MV012 width-contract ----------------------------------------------
@@ -411,7 +280,7 @@ func (c *comp) Commit(cycle uint64) {}
 
 func TestValueRangeOnlyHotPathIsChecked(t *testing.T) {
 	// The same hazards outside the Eval/Commit-reachable region are out
-	// of scope for all three rules.
+	// of scope for both rules.
 	files := map[string]string{
 		"a.go": `package core
 
@@ -426,7 +295,7 @@ func coldTool(c *comp, i int, v uint64) uint8 {
 }
 `,
 	}
-	for _, a := range []*Analyzer{TruncatingConversion(), ProvableBounds(), WidthContract()} {
+	for _, a := range []*Analyzer{TruncatingConversion(), WidthContract()} {
 		got := runRule(t, a, "metro/internal/core", files)
 		wantFindings(t, got, a.Name)
 	}

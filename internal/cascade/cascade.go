@@ -58,8 +58,6 @@ func NewGroup(name string, cfg core.Config, set core.Settings, c int, shared *pr
 func (g *Group) Width() int { return len(g.members) }
 
 // Member returns the k-th member router.
-//
-//metrovet:bounds caller contract: k < Width(), the group's construction-time cascade factor
 func (g *Group) Member(k int) *core.Router { return g.members[k] }
 
 // Kills returns how many connections the consistency check has shut down.
@@ -69,7 +67,6 @@ func (g *Group) Kills() int { return g.kills }
 // consistency check.
 //
 //metrovet:shared members are the group's own state: the Group is a single kernel unit (or a single component), so one goroutine evaluates all of them
-//metrovet:bounds NewGroup panics on c < 1, so members[0] always exists
 func (g *Group) Eval(cycle uint64) {
 	for _, r := range g.members {
 		r.Eval(cycle)
@@ -88,7 +85,6 @@ func (g *Group) Commit(cycle uint64) {
 // connection the members disagree about, on every member.
 //
 //metrovet:shared the wired-AND check reads every member within the cycle; that is why a Group is one unit and never split across workers
-//metrovet:bounds NewGroup panics on c < 1 and sizes victims to cfg.Inputs, the kill loop's bound
 func (g *Group) check(cycle uint64) {
 	base := g.members[0].BackwardInUse()
 	agree := true

@@ -46,8 +46,6 @@ func (w *WideChannel) Send(x word.Word) {
 // violation (differing kinds) merges to Empty, which the endpoint
 // protocol treats as a failed connection — the consistency kill will have
 // asserted BCB in the same breath.
-//
-//metrovet:bounds scratch is sized to len(ends) by NewWideChannel and k ranges over ends
 func (w *WideChannel) Recv() word.Word {
 	for k, end := range w.ends {
 		w.scratch[k] = end.Recv()

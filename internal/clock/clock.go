@@ -297,8 +297,6 @@ func (p *pool) worker(i int) {
 
 // run executes one phase of one partition: its unit range and, on
 // commit, its share of the batched link shuttle.
-//
-//metrovet:bounds part < len(bounds)-1 by both callers (the worker's stride loop and the inline part 0), and shardNs is length-checked
 func (p *pool) run(part int, cmd poolCmd) {
 	timed := cmd.timed && part < len(p.shardNs)
 	var t0 time.Time

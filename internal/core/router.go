@@ -303,8 +303,6 @@ func (r *Router) AttachBackward(bp int, e *link.End) { r.bLinks[bp] = e }
 func (r *Router) ForwardLink(fp int) *link.End { return r.fLinks[fp] }
 
 // BackwardLink returns the link end attached to backward port bp.
-//
-//metrovet:bounds bp is a caller contract; bLinks has len Outputs and callers index within the wiring
 func (r *Router) BackwardLink(bp int) *link.End { return r.bLinks[bp] }
 
 // ApplySettings replaces the run-time settings, as a scan UPDATE-DR of the
@@ -326,20 +324,16 @@ func (r *Router) ForwardEnabled(fp int) bool { return r.set.ForwardEnabled[fp] }
 
 // BackwardEnabled reports whether backward port bp is enabled: the cheap
 // per-port read for per-cycle paths that must not deep-copy Settings.
-//
-//metrovet:bounds bp is a caller contract; Settings slices are sized to the config by NewSettings
 func (r *Router) BackwardEnabled(bp int) bool { return r.set.BackwardEnabled[bp] }
 
 // SetForwardEnabled enables or disables forward port fp during operation.
 //
 //metrovet:mutator models scan-driven port masking (static fault isolation)
-//metrovet:bounds fp is a caller contract; Settings slices are sized to the config by NewSettings
 func (r *Router) SetForwardEnabled(fp int, on bool) { r.set.ForwardEnabled[fp] = on }
 
 // SetBackwardEnabled enables or disables backward port bp during operation.
 //
 //metrovet:mutator models scan-driven port masking (static fault isolation)
-//metrovet:bounds bp is a caller contract; Settings slices are sized to the config by NewSettings
 func (r *Router) SetBackwardEnabled(bp int, on bool) { r.set.BackwardEnabled[bp] = on }
 
 // SetFastReclaim selects the path reclamation mode of forward port fp
@@ -398,8 +392,6 @@ func (r *Router) BackwardInUse() uint64 {
 }
 
 // OwnerOf returns the forward port owning backward port bp, or -1.
-//
-//metrovet:bounds bp is a caller contract; busyBy has len Outputs and callers index within the wiring
 func (r *Router) OwnerOf(bp int) int { return r.busyBy[bp] }
 
 // KillConnection forcibly shuts down the connection on forward port fp, as
@@ -408,7 +400,6 @@ func (r *Router) OwnerOf(bp int) int { return r.busyBy[bp] }
 // port drains with BCB asserted so the source learns of the failure.
 //
 //metrovet:mutator invoked by cascade.Group's consistency check inside its own Eval
-//metrovet:bounds fp comes from the cascade group's port scan, bounded by the shared config's Inputs
 func (r *Router) KillConnection(cycle uint64, fp int) {
 	p := &r.fwd[fp]
 	if p.state == fpIdle {
@@ -443,7 +434,6 @@ func (r *Router) Commit(cycle uint64) {}
 // inputPass reads every forward port's inputs, advances connection state
 // machines, and collects new connection requests.
 //
-//metrovet:bounds fp ranges over fwd; fLinks and the Settings slices share its len Inputs, and p.bp is guarded >= 0 against bLinks of len Outputs (CheckInvariants)
 //metrovet:width cfg.Width is bounded to [1, 32] by Config.Validate at construction
 func (r *Router) inputPass(cycle uint64) []request {
 	reqs := r.reqScratch[:0]
@@ -592,7 +582,6 @@ func (r *Router) inputPass(cycle uint64) []request {
 //
 //metrovet:width DirBits is log2(Radix) with Radix in [1, Outputs], so need is in [0, 31] and below in.Bits at the shifts
 //metrovet:truncate need is nonnegative (DirBits of a validated config), so uint(need) is lossless
-//metrovet:bounds fp is inputPass's range index over fwd; Swallow shares its len Inputs
 func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
 	need := r.DirBits()
 	if int(in.Bits) < need {
@@ -620,8 +609,6 @@ func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
 // are served in forward-port order, which together with the shared random
 // stream makes allocation a deterministic function of (requests, random
 // bits) — the property width cascading depends on.
-//
-//metrovet:bounds q.fp and q.dir come from inputPass (fp in [0, Inputs), dir masked below Radix), and PortsFor keeps bp within Outputs for a validated dilation
 func (r *Router) allocate(cycle uint64, reqs []request) {
 	for _, q := range reqs {
 		p := &r.fwd[q.fp]
@@ -673,8 +660,6 @@ func (r *Router) pick(n int) int {
 
 // block handles an unservable request according to the forward port's
 // reclamation mode.
-//
-//metrovet:bounds q.fp originated as a range index over fwd; FastReclaim shares its len Inputs
 func (r *Router) block(cycle uint64, q request) {
 	p := &r.fwd[q.fp]
 	fast := r.set.FastReclaim[q.fp]
@@ -690,8 +675,6 @@ func (r *Router) block(cycle uint64, q request) {
 
 // outputPass shifts connection pipelines and stages this cycle's link
 // outputs for every active forward port.
-//
-//metrovet:bounds fp ranges over fwd (fLinks shares its len Inputs); p.bp is only read in states that hold an allocated backward port in [0, Outputs), and injHead < len(inject) is the injPending contract
 func (r *Router) outputPass(cycle uint64) {
 	for fp := range r.fwd {
 		p := &r.fwd[fp]
@@ -784,8 +767,6 @@ func (p *fwdPort) turnInPipe() bool {
 
 // shiftPipe advances the port's dp-stage pipeline by one cycle, inserting
 // the staged input and returning the word leaving the pipe.
-//
-//metrovet:bounds pipe has len DataPipe, which Config.Validate requires >= 1
 func (p *fwdPort) shiftPipe() word.Word {
 	n := len(p.pipe)
 	out := p.pipe[n-1]
@@ -803,8 +784,6 @@ func (p *fwdPort) shiftPipe() word.Word {
 // words (STATUS/CHECKSUM) first, then buffered stream words, then the pipe
 // output. A displaced pipe word is buffered; an absent word becomes idle
 // fill so the connection stays open.
-//
-//metrovet:bounds injHead < len(inject) is the injPending contract, and outHead < len(outQ) is checked inline
 func (p *fwdPort) selectOutput(pipeOut, idle word.Word) word.Word {
 	if p.injPending() {
 		w := p.inject[p.injHead]
@@ -846,7 +825,6 @@ func (p *fwdPort) buffer(w word.Word) {
 // receive segment's status and checksum are queued for injection into the
 // new stream, and a fresh pipeline is started for the new direction.
 //
-//metrovet:bounds fp originated as a range index over fwd in outputPass
 //metrovet:width cfg.Width is bounded to [1, 32] by Config.Validate at construction
 func (r *Router) flip(cycle uint64, fp int, to fpState) {
 	p := &r.fwd[fp]
@@ -875,8 +853,6 @@ func (r *Router) flip(cycle uint64, fp int, to fpState) {
 // detach moves forward port fp's connection tail to a detached closer and
 // frees the port for new requests. The backward port stays busy (marked
 // -2) until the closer's DROP has been transmitted downstream.
-//
-//metrovet:bounds fp ranges over fwd; c.bp is guarded >= 0 and below Outputs like every allocated backward port, and the spare-pool read is guarded by n > 0
 func (r *Router) detach(cycle uint64, fp int) {
 	p := &r.fwd[fp]
 	c := closer{fp: fp, bp: p.bp, port: *p,
@@ -908,8 +884,6 @@ func (r *Router) detach(cycle uint64, fp int) {
 
 // runClosers advances every detached connection flush, freeing backward
 // ports as their DROPs go out.
-//
-//metrovet:bounds c.bp was an allocated backward port in [0, Outputs) when the closer detached
 func (r *Router) runClosers(cycle uint64) {
 	kept := r.closers[:0]
 	for i := range r.closers {
@@ -940,8 +914,6 @@ func (r *Router) runClosers(cycle uint64) {
 
 // release closes the connection on forward port fp after its DROP has been
 // transmitted.
-//
-//metrovet:bounds fp originated as a range index over fwd in outputPass
 func (r *Router) release(cycle uint64, fp int) {
 	p := &r.fwd[fp]
 	bp := p.bp
@@ -950,7 +922,6 @@ func (r *Router) release(cycle uint64, fp int) {
 	r.tracer.Released(cycle, r.id, fp, bp)
 }
 
-//metrovet:bounds fp is a valid forward port wherever a connection exists, and p.bp is guarded >= 0 against busyBy of len Outputs
 func (r *Router) freeBackward(fp int) {
 	p := &r.fwd[fp]
 	if p.bp >= 0 {

@@ -97,8 +97,6 @@ func NewInjector(n *netsim.Network, plan Plan) *Injector {
 }
 
 // Eval fires any events scheduled at or before the current cycle.
-//
-//metrovet:bounds the loop rechecks next < len(plan) every iteration; apply and record never touch next or plan
 func (i *Injector) Eval(cycle uint64) {
 	for i.next < len(i.plan) && i.plan[i.next].At <= cycle {
 		e := i.plan[i.next]

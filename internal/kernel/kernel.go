@@ -161,8 +161,6 @@ func (c *Compiled) Units() int { return len(c.kinds) }
 
 // EvalUnits implements clock.Kernel: evaluate units [lo, hi) in index
 // order with direct calls per concrete type.
-//
-//metrovet:bounds the engine partitions [0, Units()) so lo/hi are in range, and idxs parallels kinds by construction
 func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
 	// Reslicing to the partition lets the compiler hoist the range's
 	// bounds check out of the loop: kinds and idxs share a length, so
@@ -187,8 +185,6 @@ func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
 // pipelines, which CommitBatch shuttles), so the calls below compile to
 // nothing — the loop exists so a future unit kind with real commit work
 // slots in without touching the engine.
-//
-//metrovet:bounds the engine partitions [0, Units()) so lo/hi are in range, and idxs parallels kinds by construction
 func (c *Compiled) CommitUnits(lo, hi int, cycle uint64) {
 	kinds := c.kinds[lo:hi]
 	idxs := c.idxs[lo:hi:hi]

@@ -50,14 +50,10 @@ type pipe struct {
 func newPipe(delay int) pipe { return pipe{regs: make([]slot, delay+1)} }
 
 // out reads the register at the far end of the pipeline.
-//
-//metrovet:bounds New panics on delay < 1, so regs has at least two slots
 func (p *pipe) out() slot { return p.regs[len(p.regs)-1] }
 
 // shift advances the pipeline by one cycle: every slot moves one place
 // toward the output and the staged slot clears to Empty.
-//
-//metrovet:bounds New panics on delay < 1, so regs has at least two slots
 func (p *pipe) shift() {
 	copy(p.regs[1:], p.regs[:len(p.regs)-1])
 	p.regs[0] = slot{}
@@ -134,8 +130,6 @@ func (l *Link) B() *End { return &l.endB }
 // storage is fixed for the life of a link (shifts move values, never the
 // backing array), so ends cache these addresses at wiring time and the
 // per-cycle read path is a single load.
-//
-//metrovet:bounds New panics on delay < 1, so regs has at least two slots
 func (p *pipe) outReg() *slot { return &p.regs[len(p.regs)-1] }
 
 // End is one side's interface to a link. All methods follow the two-phase
@@ -253,8 +247,6 @@ func (a *Arena) At(i int) *Link { return &a.links[i] }
 // suppresses delivery at the reading end, not propagation), so the sweep is
 // branch-free. Disjoint ranges touch disjoint slot regions, which is what
 // makes the commit phase safe to partition across workers.
-//
-//metrovet:bounds the delay-1 sweep walks s two slots at a time with i+1 < i+2 <= len(s), and the slice bounds 4*lo:4*hi cover exactly links [lo,hi) at stride 2
 func (a *Arena) Shuttle(lo, hi int) {
 	stride := a.stride
 	if stride == 2 {

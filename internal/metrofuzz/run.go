@@ -435,7 +435,6 @@ func (i *injector) done(cycle uint64) bool {
 //
 //metrovet:shared driver registers via Engine.Add, so it runs in the serialized epilogue after every endpoint has evaluated
 //metrovet:truncate InjectCycles is validated into [1,20000] by Scenario.Validate
-//metrovet:bounds think and outstanding are both sized to the endpoint count by bind, and e ranges over outstanding
 func (i *injector) Eval(cycle uint64) {
 	if i.remaining == 0 {
 		return

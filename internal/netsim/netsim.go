@@ -513,7 +513,6 @@ func (n *Network) Close() { n.Engine.StopWorkers() }
 //
 //metrovet:mutator traffic injection entry point; called between cycles or from drivers in the serialized epilogue
 //metrovet:shared traffic drivers run in the serialized epilogue, so injection cannot race unit Evals
-//metrovet:bounds caller contract: src is an endpoint id below Spec.Endpoints, the size of Endpoints
 func (n *Network) Send(src, dest int, payload []byte) uint64 {
 	n.nextID++
 	id := n.nextID
@@ -561,19 +560,13 @@ func (n *Network) TakeResults() []nic.Result {
 func (n *Network) ResetResults() { n.results = n.results[:0] }
 
 // RouterAt returns the router at (stage, index).
-//
-//metrovet:bounds caller contract: (stage, index) addresses a router of the built topology
 func (n *Network) RouterAt(stage, index int) *core.Router { return n.Routers[stage][index] }
 
 // InjectLink returns endpoint e's k-th injection link.
-//
-//metrovet:bounds caller contract: e is an endpoint id and k one of its injection links
 func (n *Network) InjectLink(e, k int) *link.Link { return n.injLanes[e][k][0] }
 
 // OutLink returns the link attached to backward port bp of router (stage,
 // index).
-//
-//metrovet:bounds caller contract: (stage, index, bp) addresses a built output port
 func (n *Network) OutLink(stage, index, bp int) *link.Link { return n.outLanes[stage][index][bp][0] }
 
 // EachLink visits every physical link in the network — every cascade
@@ -591,7 +584,6 @@ func (n *Network) EachLink(f func(*link.Link)) {
 //
 //metrovet:shared fault application runs in the serialized epilogue; reconfiguring the victim routers is its purpose
 //metrovet:alloc per-fault-event scratch bounded by the cascade width; faults are rare control events, not per-cycle work
-//metrovet:bounds caller contract: (stage, index) addresses a router of the built topology; Routers, Cascades and outLanes share its shape
 func (n *Network) KillRouter(stage, index int) {
 	routers := []*core.Router{n.Routers[stage][index]}
 	if g := n.Cascades[stage][index]; g != nil {

@@ -51,7 +51,6 @@ type gaugeSampler struct {
 // Eval samples every gauge when the cycle lands on the sampling period.
 //
 //metrovet:shared read-only sampler in the serialized epilogue: every unit Eval has completed at the barrier, and nothing is mutated
-//metrovet:bounds j ranges over Routers[s] itself
 //metrovet:truncate gauge counts are bounded by port, router and endpoint counts, far below 2^31
 func (g *gaugeSampler) Eval(cycle uint64) {
 	if cycle%g.period != 0 {

@@ -180,7 +180,6 @@ func (e *Endpoint) Offer(msg Message) {
 // time a queue depth is reached.
 //
 //metrovet:alloc grows the record pool to the peak in-flight count, then recycles
-//metrovet:bounds n >= 1 inside the branch, so n-1 indexes the freelist tail
 func (e *Endpoint) newPending() *pending {
 	if n := len(e.free); n > 0 {
 		p := e.free[n-1]
@@ -216,8 +215,6 @@ func (e *Endpoint) Receiving() bool {
 }
 
 // Eval implements clock.Component.
-//
-//metrovet:bounds qHead stays within [0, len(queue)]: the pop loop rechecks qHead < len(queue) every iteration and idleSender touches only nextSend
 func (e *Endpoint) Eval(cycle uint64) {
 	for _, r := range e.receivers {
 		r.eval(cycle)
@@ -259,8 +256,6 @@ func (e *Endpoint) Eval(cycle uint64) {
 func (e *Endpoint) Commit(cycle uint64) {}
 
 // idleSender returns the next idle sender in rotation, or nil.
-//
-//metrovet:bounds n >= 1 inside the loop and nextSend is only ever stored reduced mod n, so (nextSend+i)%n lands in [0, n-1]
 func (e *Endpoint) idleSender() *sender {
 	n := len(e.senders)
 	for i := 0; i < n; i++ {
@@ -276,8 +271,6 @@ func (e *Endpoint) idleSender() *sender {
 // retry requeues a message at the head of the queue. A retried message was
 // popped earlier, so the freed slot before qHead is normally available and
 // the requeue is allocation-free.
-//
-//metrovet:bounds qHead <= len(queue) is the pop-cursor invariant, so qHead-1 indexes the freed slot
 func (e *Endpoint) retry(p *pending) {
 	if e.qHead > 0 {
 		e.qHead--
@@ -402,7 +395,6 @@ func (s *sender) begin(cycle uint64, p *pending) {
 //
 //metrovet:alloc scratch buffers grow to the message size once, then recycle across messages
 //metrovet:width logicalWidth = Width*Lanes is validated into [1,32] by New
-//metrovet:bounds headerLen = len(words) at the split, so words[headerLen:] is the appended payload suffix
 func (s *sender) build(p *pending) {
 	cfg := s.e.cfg
 	lw := cfg.logicalWidth()
@@ -474,8 +466,6 @@ func appendLaneSlice(dst []word.Word, stream []word.Word, lane, width int) []wor
 }
 
 // eval advances the sender's per-cycle state machine.
-//
-//metrovet:bounds idx < len(words) is the streaming invariant: idx resets to 0 per attempt and sSending exits the moment idx reaches len(words)
 func (s *sender) eval(cycle uint64) {
 	switch s.state {
 	case sIdle:
@@ -570,8 +560,6 @@ func (s *sender) abortNow(cycle uint64) {
 
 // complete finishes a successful parse: verify checksums, close the
 // connection, and report.
-//
-//metrovet:bounds the localization condition checks lane < len(expected) and stage < len(expected[lane]) before indexing expected; stage*lanes+lane < stages*lanes = len(routerCks) by stageCount's definition
 func (s *sender) complete(cycle uint64) {
 	p := s.p
 	s.p = nil
@@ -692,7 +680,6 @@ func (r *receiver) reset() {
 // eval advances the receiver's per-cycle state machine.
 //
 //metrovet:width Width and logicalWidth are validated into [1,32] by New
-//metrovet:bounds replyIdx < len(reply) is the rReply invariant: replyIdx resets with the buffer and the state leaves rReply when it reaches len(reply)
 func (r *receiver) eval(cycle uint64) {
 	w := r.link.Recv()
 	// End-to-end checksum groups are sized to the logical width; the

@@ -77,7 +77,6 @@ func (h HeaderSpec) Build(digits []int) []word.Word {
 // buffer constructs headers without touching the heap.
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
-//metrovet:bounds len(digits) == len(Stages) is enforced by the panic guard, and s ranges over Stages
 //metrovet:truncate digits are per-stage direction numbers in [0, radix), far below 32 bits
 //metrovet:width bits accumulates DirBits groups and is flushed before exceeding Width <= 32 (Validate)
 func (h HeaderSpec) AppendBuild(dst []word.Word, digits []int) []word.Word {
@@ -118,7 +117,6 @@ func (h HeaderSpec) AppendBuild(dst []word.Word, digits []int) []word.Word {
 // per-stage checksums for fault localization.
 //
 //metrovet:alloc per-attempt checksum precomputation, not a per-cycle path
-//metrovet:bounds s is the caller's index over Stages (ExpectedStageChecksums ranges over them)
 //metrovet:truncate DirBits >= 0 by Validate
 //metrovet:width DirBits <= Width <= 32 by Validate, and the shift only executes when w.Bits > DirBits, which forces DirBits < 32
 func (h HeaderSpec) StripStage(stream []word.Word, s int) []word.Word {
@@ -190,7 +188,6 @@ func (h HeaderSpec) AppendExpectedStageChecksums(dst []uint8, sent []word.Word, 
 // only drops or narrows words), so the compaction is aliasing-safe.
 //
 //metrovet:alloc appends compact into stream[:0]; the write cursor never passes the read cursor, so the backing array never grows
-//metrovet:bounds s is the caller's index over Stages (AppendExpectedStageChecksums ranges over them)
 //metrovet:truncate DirBits >= 0 by Validate
 //metrovet:width DirBits <= Width <= 32 by Validate, and the shift only executes when w.Bits > DirBits, which forces DirBits < 32
 func (h HeaderSpec) stripStageInPlace(stream []word.Word, s int) []word.Word {

@@ -107,12 +107,10 @@ func (s *Shared) Fork() Source {
 }
 
 // bitAt returns stream bit idx, generating and buffering as needed.
-//
-//metrovet:bounds the fill loop exits only once base+len(buf) > idx, and cursors never rewind below base, so idx-base indexes inside buf
 func (s *Shared) bitAt(idx uint64) uint32 {
 	for s.base+uint64(len(s.buf)) <= idx {
 		//metrovet:alloc amortized growth of the shared bit buffer; trim recycles the backing array
-		s.buf = append(s.buf, uint8(s.gen.NextBit()))
+		s.buf = append(s.buf, uint8(s.gen.NextBit()&1))
 	}
 	return uint32(s.buf[idx-s.base])
 }

@@ -92,7 +92,6 @@ func (b *Boundary) Driving() bool { return b.drive }
 // output cells onto every disabled backward port's link.
 //
 //metrovet:shared reads only its own router's settings and drives its links; a Boundary registers via Engine.Add, so it never runs concurrently with its router's Eval
-//metrovet:bounds out is sized to Outputs by NewBoundary, the loop's bound
 //metrovet:width width copies Config.Width, which Config.Validate bounds to [1,32]
 func (b *Boundary) Eval(cycle uint64) {
 	if !b.drive {

@@ -92,8 +92,6 @@ func (r *Recorder) SetSink(fn func([]Event)) { r.sink = fn }
 
 // Flush drains every registered Buf, in registration order, into the
 // ring. A Flusher component calls it once per cycle at the barrier.
-//
-//metrovet:bounds head wraps to 0 the moment it reaches len(ring), so it always indexes inside the ring
 func (r *Recorder) Flush() {
 	for _, b := range r.bufs {
 		if r.sink != nil && len(b.events) > 0 {

@@ -138,10 +138,3 @@ func JoinChecksum(words []Word, width int) uint8 {
 	}
 	return uint8(v & 0xff)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
