@@ -68,7 +68,7 @@ type Component interface {
 // index ranges across workers.
 //
 // Units must obey the isolation contract: a unit's EvalUnit touches only
-// unit-local state plus the staged slots of its attached links, and
+// unit-local state plus the staged registers of its attached links, and
 // CommitUnit latches only unit-local registers, so any index partition
 // yields bit-for-bit the same schedule. State owned by no single unit —
 // batched link shuttling through a link.Arena — is advanced by

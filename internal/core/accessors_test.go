@@ -149,6 +149,49 @@ func TestSelectionPolicySetter(t *testing.T) {
 	}
 }
 
+// TestConfigValidatePortBound: the port masks and the cascade IN-USE signal
+// hold one bit per port in a uint64, so 64 ports is the most a router may
+// have, on either side. 128 used to be accepted and then compared half its
+// ports in BackwardInUse.
+func TestConfigValidatePortBound(t *testing.T) {
+	cases := []struct {
+		inputs, outputs int
+		ok              bool
+	}{
+		{64, 4, true},
+		{4, 64, true},
+		{64, 64, true},
+		{128, 4, false},
+		{4, 128, false},
+		{128, 128, false},
+	}
+	for _, tc := range cases {
+		cfg := core.Config{
+			Inputs: tc.inputs, Outputs: tc.outputs, Width: 8, MaxDilation: 2,
+			DataPipe: 1, RandomInputs: 1, ScanPaths: 1,
+		}
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%dx%d: Validate() = %v, want accepted = %v", tc.inputs, tc.outputs, err, tc.ok)
+		}
+	}
+	// At the bound every port has its own IN-USE bit: a connection on
+	// backward port 63 shows in the mask.
+	cfg := core.Config{
+		Inputs: 64, Outputs: 64, Width: 8, MaxDilation: 1,
+		DataPipe: 1, RandomInputs: 1, ScanPaths: 1,
+	}
+	h := newHarness(cfg, core.DefaultSettings(cfg), 3)
+	h.src[63].Send(word.MakeRoute(63, 6))
+	h.run()
+	h.run()
+	if got := h.r.BackwardInUse(); got != 1<<63 {
+		t.Fatalf("BackwardInUse() = %#x with backward port 63 allocated, want bit 63 alone", got)
+	}
+	if h.r.OwnerOf(63) != 63 {
+		t.Fatalf("backward port 63 owner = %d, want forward port 63", h.r.OwnerOf(63))
+	}
+}
+
 func TestConfigValidateRemainingBranches(t *testing.T) {
 	bad := []core.Config{
 		{Inputs: 4, Outputs: 4, Width: 40, MaxDilation: 2, DataPipe: 1, RandomInputs: 1, ScanPaths: 1},

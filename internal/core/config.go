@@ -58,13 +58,23 @@ type Config struct {
 	ScanPaths int
 }
 
-// Validate checks the Table 1 parameter constraints.
+// MaxPorts bounds Inputs and Outputs: the router's port masks and the
+// cascade IN-USE signal (Router.BackwardInUse) hold one bit per port in a
+// uint64. The paper's components are 4x4 and 8x8.
+const MaxPorts = 64
+
+// Validate checks the Table 1 parameter constraints and the model's own
+// limits (MaxPorts, the 32-bit payload).
 func (c Config) Validate() error {
 	switch {
 	case c.Inputs < 1 || !isPow2(c.Inputs):
 		return fmt.Errorf("core: Inputs (i) must be a power of two, got %d", c.Inputs)
 	case c.Outputs < 1 || !isPow2(c.Outputs):
 		return fmt.Errorf("core: Outputs (o) must be a power of two, got %d", c.Outputs)
+	case c.Inputs > MaxPorts:
+		return fmt.Errorf("core: Inputs (i) %d exceeds the model's %d-port limit", c.Inputs, MaxPorts)
+	case c.Outputs > MaxPorts:
+		return fmt.Errorf("core: Outputs (o) %d exceeds the model's %d-port limit", c.Outputs, MaxPorts)
 	case c.MaxDilation < 1 || !isPow2(c.MaxDilation):
 		return fmt.Errorf("core: MaxDilation (max_d) must be a power of two, got %d", c.MaxDilation)
 	case c.MaxDilation > c.Outputs:

@@ -12,7 +12,11 @@ import "fmt"
 //  3. connected states carry a pipeline of the configured depth;
 //  4. an allocated backward port lies within the configured dilation's
 //     direction structure;
-//  5. detached closers hold only ports marked as flushing (-2).
+//  5. detached closers hold only ports marked as flushing (-2);
+//  6. the hot header's masks agree with the state they summarize: live
+//     names exactly the non-idle forward ports, enabled exactly the
+//     enabled-and-attached ones (valid between cycles, which is when
+//     harnesses call this).
 func (r *Router) CheckInvariants() error {
 	seen := make(map[int]int) // bp -> fp
 	for fp := range r.fwd {
@@ -73,6 +77,20 @@ func (r *Router) CheckInvariants() error {
 		case owner != -1:
 			return fmt.Errorf("%s: busyBy[%d] has invalid marker %d", r.name, bp, owner)
 		}
+	}
+	var live uint64
+	bit := uint64(1)
+	for fp := range r.fwd {
+		if r.fwd[fp].state != fpIdle {
+			live |= bit
+		}
+		bit <<= 1
+	}
+	if r.live != live {
+		return fmt.Errorf("%s: live mask %#x but the non-idle forward ports are %#x", r.name, r.live, live)
+	}
+	if watched := r.watchedPorts(); r.enabled != watched {
+		return fmt.Errorf("%s: enabled mask %#x but the enabled, attached forward ports are %#x", r.name, r.enabled, watched)
 	}
 	return nil
 }

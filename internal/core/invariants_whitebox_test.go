@@ -36,6 +36,7 @@ func connect(r *Router, fp, bp int) {
 	r.fwd[fp].bp = bp
 	r.fwd[fp].pipe = make([]word.Word, r.cfg.DataPipe)
 	r.busyBy[bp] = fp
+	r.live |= 1 << uint(fp)
 }
 
 func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
@@ -117,6 +118,21 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 				r.busyBy[0] = -7
 			},
 			want: "invalid marker",
+		},
+		{
+			name: "live mask missing a non-idle port",
+			corrupt: func(r *Router) {
+				r.fwd[2].state = fpDrain // outputPass would never visit it
+			},
+			want: "live mask",
+		},
+		{
+			name: "enabled mask stale after a settings write",
+			corrupt: func(r *Router) {
+				r.set.ForwardEnabled[1] = false // bypassing SetForwardEnabled
+				r.enabled = 1 << 1
+			},
+			want: "enabled mask",
 		},
 	}
 	for _, tc := range cases {

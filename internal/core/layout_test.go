@@ -1,0 +1,27 @@
+package core
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestLayoutPinHotHeader pins the router's hot header: first in the struct
+// and exactly one 64-byte cache line, so an idle router's Eval touches one
+// line of Router state (plus the input registers its views point at). A
+// field added to the header, or ahead of it, fails here loudly; move it
+// below the header unless every idle cycle really reads it.
+func TestLayoutPinHotHeader(t *testing.T) {
+	var r Router
+	if off := unsafe.Offsetof(r.hotHeader); off != 0 {
+		t.Errorf("hotHeader sits at offset %d of Router, want 0", off)
+	}
+	if size := unsafe.Sizeof(r.hotHeader); size != 64 {
+		t.Errorf("hotHeader is %d bytes, want 64 (one cache line)", size)
+	}
+	// The allocator's size classes keep 64-byte alignment only for objects
+	// whose size is a multiple of 64; at any other size half the routers'
+	// headers would straddle two lines.
+	if size := unsafe.Sizeof(r); size%64 != 0 {
+		t.Errorf("Router is %d bytes, want a multiple of 64 so heap-allocated routers stay line-aligned", size)
+	}
+}

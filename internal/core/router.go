@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"metro/internal/link"
 	"metro/internal/prng"
@@ -150,6 +151,29 @@ type closer struct {
 	deadline int
 }
 
+// hotHeader is everything an idle router's Eval reads, packed into the
+// struct's first cache line: the paper's idle port is a handful of gates
+// watching one wire for a ROUTE word, and the model's should cost this
+// line plus the input registers the views point at. The port masks index
+// forward ports by bit, which Config.Validate's 64-port bound makes exact.
+// layout_test.go pins the offset and size.
+type hotHeader struct {
+	// live marks the forward ports that were not fpIdle when the last Eval
+	// finished. Nothing changes a port's idleness between Evals
+	// (KillConnection moves a live port to fpDrain), so during inputPass a
+	// clear bit means fpIdle without loading the fwdPort.
+	live uint64
+	// enabled marks the forward ports that are both enabled in the
+	// settings and attached to a link: the ports inputPass watches.
+	// AttachForward, ApplySettings and SetForwardEnabled recompute it.
+	enabled uint64
+	// fin holds the forward ports' input views by value (the router is the
+	// B, downstream, end); the zero view is an unattached port.
+	fin []link.In
+	// closers are the detached connection flushes in progress.
+	closers []closer
+}
+
 // Router is one METRO routing component: a dilated i x o crossbar with
 // pipelined, circuit-switched, reversible connections. See the package
 // comment for the mechanism inventory.
@@ -158,6 +182,8 @@ type closer struct {
 // link ends attached to its ports, so any Eval order among routers is
 // valid.
 type Router struct {
+	hotHeader
+
 	name   string
 	id     RouterID
 	cfg    Config
@@ -165,20 +191,19 @@ type Router struct {
 	rng    prng.Source
 	tracer Tracer
 
-	fLinks []*link.End // forward ports: router is the B (downstream) end
 	bLinks []*link.End // backward ports: router is the A (upstream) end
 
-	fwd     []fwdPort
-	busyBy  []int // per backward port: owner fp, -1 free, -2 flushing close
-	closers []closer
-	policy  SelectionPolicy
+	fwd    []fwdPort
+	busyBy []int // per backward port: owner fp, -1 free, -2 flushing close
+	policy SelectionPolicy
 
 	// Per-cycle scratch, preallocated in NewRouter so the Eval path never
 	// allocates: request and candidate collection, plus a pool of spare
 	// port buffers handed to forward ports when detach moves their live
 	// buffers into a closer (at most Outputs closers can be in flight, one
-	// per backward port).
-	reqScratch  []request
+	// per backward port). reqs is empty between Evals: inputPass appends
+	// and allocate drains, so a cycle without requests never touches it.
+	reqs        []request
 	candScratch []int
 	spareBufs   []portBufs
 }
@@ -205,18 +230,20 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 	// Worst-case injection sequence: STATUS + checksum words + DROP.
 	injCap := 2 + word.ChecksumWords(cfg.Width)
 	r := &Router{
+		hotHeader: hotHeader{
+			fin:     make([]link.In, cfg.Inputs),
+			closers: make([]closer, 0, cfg.Outputs),
+		},
 		name:        name,
 		id:          FreeID(),
 		cfg:         cfg,
 		set:         set.Clone(),
 		rng:         rng,
 		tracer:      NopTracer{},
-		fLinks:      make([]*link.End, cfg.Inputs),
 		bLinks:      make([]*link.End, cfg.Outputs),
 		fwd:         make([]fwdPort, cfg.Inputs),
 		busyBy:      make([]int, cfg.Outputs),
-		closers:     make([]closer, 0, cfg.Outputs),
-		reqScratch:  make([]request, 0, cfg.Inputs),
+		reqs:        make([]request, 0, cfg.Inputs),
 		candScratch: make([]int, 0, cfg.Outputs),
 		spareBufs:   make([]portBufs, cfg.Outputs),
 	}
@@ -292,7 +319,10 @@ func (r *Router) SetTracer(t Tracer) {
 // AttachForward connects link end e to forward port fp.
 //
 //metrovet:mutator network construction wiring, before the clock starts
-func (r *Router) AttachForward(fp int, e *link.End) { r.fLinks[fp] = e }
+func (r *Router) AttachForward(fp int, e *link.End) {
+	r.fin[fp] = e.In()
+	r.syncEnabled()
+}
 
 // AttachBackward connects link end e to backward port bp.
 //
@@ -300,7 +330,7 @@ func (r *Router) AttachForward(fp int, e *link.End) { r.fLinks[fp] = e }
 func (r *Router) AttachBackward(bp int, e *link.End) { r.bLinks[bp] = e }
 
 // ForwardLink returns the link end attached to forward port fp.
-func (r *Router) ForwardLink(fp int) *link.End { return r.fLinks[fp] }
+func (r *Router) ForwardLink(fp int) *link.End { return r.fin[fp].End() }
 
 // BackwardLink returns the link end attached to backward port bp.
 func (r *Router) BackwardLink(bp int) *link.End { return r.bLinks[bp] }
@@ -315,7 +345,25 @@ func (r *Router) ApplySettings(set Settings) error {
 		return err
 	}
 	r.set = set.Clone()
+	r.syncEnabled()
 	return nil
+}
+
+// syncEnabled recomputes the mask of forward ports inputPass watches.
+func (r *Router) syncEnabled() { r.enabled = r.watchedPorts() }
+
+// watchedPorts returns the mask of forward ports that are enabled in the
+// settings and attached to a link.
+func (r *Router) watchedPorts() uint64 {
+	var m uint64
+	bit := uint64(1)
+	for fp, on := range r.set.ForwardEnabled {
+		if on && r.fin[fp].End() != nil {
+			m |= bit
+		}
+		bit <<= 1
+	}
+	return m
 }
 
 // ForwardEnabled reports whether forward port fp is enabled: the cheap
@@ -329,7 +377,10 @@ func (r *Router) BackwardEnabled(bp int) bool { return r.set.BackwardEnabled[bp]
 // SetForwardEnabled enables or disables forward port fp during operation.
 //
 //metrovet:mutator models scan-driven port masking (static fault isolation)
-func (r *Router) SetForwardEnabled(fp int, on bool) { r.set.ForwardEnabled[fp] = on }
+func (r *Router) SetForwardEnabled(fp int, on bool) {
+	r.set.ForwardEnabled[fp] = on
+	r.syncEnabled()
+}
 
 // SetBackwardEnabled enables or disables backward port bp during operation.
 //
@@ -362,15 +413,7 @@ func (r *Router) PortsFor(dir int) (lo, hi int) {
 
 // ConnectionCount returns the number of forward ports holding open or
 // in-progress connections (including blocked/draining ones).
-func (r *Router) ConnectionCount() int {
-	n := 0
-	for i := range r.fwd {
-		if r.fwd[i].state != fpIdle {
-			n++
-		}
-	}
-	return n
-}
+func (r *Router) ConnectionCount() int { return bits.OnesCount64(r.live) }
 
 // ClosingCount returns the number of detached connection flushes in
 // progress.
@@ -380,13 +423,12 @@ func (r *Router) ClosingCount() int { return len(r.closers) }
 // of the IN-USE consistency signal used by width cascading (Section 5.1).
 func (r *Router) BackwardInUse() uint64 {
 	var m uint64
-	for bp, fp := range r.busyBy {
-		if bp >= 64 {
-			break // the IN-USE signal models at most 64 backward ports
-		}
+	bit := uint64(1) // Config.Validate bounds Outputs to the mask's 64 bits
+	for _, fp := range r.busyBy {
 		if fp >= 0 {
-			m |= 1 << uint(bp)
+			m |= bit
 		}
+		bit <<= 1
 	}
 	return m
 }
@@ -422,27 +464,43 @@ type request struct {
 // Eval implements clock.Component. See DESIGN.md for the three-pass
 // structure: input handling, allocation, output staging.
 func (r *Router) Eval(cycle uint64) {
-	reqs := r.inputPass(cycle)
-	r.allocate(cycle, reqs)
-	r.outputPass(cycle)
+	requested := r.inputPass(cycle)
+	if r.live|requested == 0 && len(r.closers) == 0 {
+		// Quiescent: no connection to advance, no request to serve, no
+		// close to flush. The passes below would all be empty walks.
+		return
+	}
+	r.allocate(cycle)
+	r.outputPass(cycle, requested)
 	r.runClosers(cycle)
 }
 
 // Commit implements clock.Component; routers latch all state during Eval.
 func (r *Router) Commit(cycle uint64) {}
 
-// inputPass reads every forward port's inputs, advances connection state
-// machines, and collects new connection requests.
+// inputPass reads the input of every enabled, attached forward port in
+// ascending port order, advances connection state machines, and collects
+// new connection requests into r.reqs. It returns the mask of requesting
+// ports.
+//
+// An idle port whose word is not a ROUTE is done at the register read: the
+// state switch below would find fpIdle, no backward port and nothing to
+// parse, so the fwdPort is never loaded.
 //
 //metrovet:width cfg.Width is bounded to [1, 32] by Config.Validate at construction
-func (r *Router) inputPass(cycle uint64) []request {
-	reqs := r.reqScratch[:0]
-	for fp := range r.fwd {
-		p := &r.fwd[fp]
-		if !r.set.ForwardEnabled[fp] || r.fLinks[fp] == nil {
+func (r *Router) inputPass(cycle uint64) (requested uint64) {
+	fin, live := r.fin, r.live
+	for m := r.enabled; m != 0; m &= m - 1 {
+		fp := bits.TrailingZeros64(m)
+		if fp >= len(fin) {
+			break // unreachable: the mask names attached ports only
+		}
+		in := fin[fp].Recv()
+		bit := m & -m
+		if live&bit == 0 && in.Kind != word.Route {
 			continue
 		}
-		in := r.fLinks[fp].Recv()
+		p := &r.fwd[fp]
 
 		// BCB arriving from downstream on the allocated backward port
 		// tears the connection down regardless of state (fast path
@@ -460,7 +518,8 @@ func (r *Router) inputPass(cycle uint64) []request {
 			if in.Kind == word.Route {
 				if req, ok := r.parseRoute(fp, in); ok {
 					//metrovet:alloc capacity Inputs preallocated in NewRouter; at most one request per forward port
-					reqs = append(reqs, req)
+					r.reqs = append(r.reqs, req)
+					requested |= bit
 				}
 			}
 			// HeaderPad and any stray words at an idle port are ignored.
@@ -571,8 +630,7 @@ func (r *Router) inputPass(cycle uint64) []request {
 			}
 		}
 	}
-	r.reqScratch = reqs
-	return reqs
+	return requested
 }
 
 // parseRoute interprets a ROUTE word arriving at an idle forward port and
@@ -609,8 +667,8 @@ func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
 // are served in forward-port order, which together with the shared random
 // stream makes allocation a deterministic function of (requests, random
 // bits) — the property width cascading depends on.
-func (r *Router) allocate(cycle uint64, reqs []request) {
-	for _, q := range reqs {
+func (r *Router) allocate(cycle uint64) {
+	for _, q := range r.reqs {
 		p := &r.fwd[q.fp]
 		lo, hi := r.PortsFor(q.dir)
 		candidates := r.candScratch[:0]
@@ -646,6 +704,7 @@ func (r *Router) allocate(cycle uint64, reqs []request) {
 		}
 		r.tracer.Allocated(cycle, r.id, q.fp, bp)
 	}
+	r.reqs = r.reqs[:0]
 }
 
 // pick selects an index in [0, n) using ceil(log2(n)) random input bits
@@ -674,10 +733,21 @@ func (r *Router) block(cycle uint64, q request) {
 }
 
 // outputPass shifts connection pipelines and stages this cycle's link
-// outputs for every active forward port.
-func (r *Router) outputPass(cycle uint64) {
-	for fp := range r.fwd {
-		p := &r.fwd[fp]
+// outputs for every active forward port, in ascending port order. A port
+// can only be active if it was live when the cycle began or made a request
+// during it, so those are the ports walked — whether or not they are still
+// enabled: a connection open on a port that is then masked keeps draining.
+// The walk leaves r.live naming exactly the ports that end the cycle
+// non-idle.
+func (r *Router) outputPass(cycle uint64, requested uint64) {
+	fwd := r.fwd
+	var live uint64
+	for m := r.live | requested; m != 0; m &= m - 1 {
+		fp := bits.TrailingZeros64(m)
+		if fp >= len(fwd) {
+			break // unreachable: live and requested name existing ports only
+		}
+		p := &fwd[fp]
 		switch p.state {
 		case fpIdle, fpBlockedWait:
 			// No connection output: an idle port transmits nothing, and a
@@ -710,8 +780,8 @@ func (r *Router) outputPass(cycle uint64) {
 		case fpReversed:
 			out := p.shiftPipe()
 			sent := p.selectOutput(out, word.Word{Kind: word.DataIdle})
-			if r.fLinks[fp] != nil {
-				r.fLinks[fp].Send(sent)
+			if e := r.fin[fp].End(); e != nil {
+				e.Send(sent)
 			}
 			// Hold the downstream half of the connection open.
 			if p.state == fpReversed && r.bLinks[p.bp] != nil {
@@ -729,8 +799,8 @@ func (r *Router) outputPass(cycle uint64) {
 			if p.injPending() {
 				w := p.inject[p.injHead]
 				p.injHead++
-				if r.fLinks[fp] != nil {
-					r.fLinks[fp].Send(w)
+				if e := r.fin[fp].End(); e != nil {
+					e.Send(w)
 				}
 				if w.Kind == word.Drop {
 					r.tracer.Released(cycle, r.id, fp, -1)
@@ -739,11 +809,15 @@ func (r *Router) outputPass(cycle uint64) {
 			}
 
 		case fpDrain:
-			if p.bcbOut && r.fLinks[fp] != nil {
-				r.fLinks[fp].SendBCB(true)
+			if e := r.fin[fp].End(); p.bcbOut && e != nil {
+				e.SendBCB(true)
 			}
 		}
+		if p.state != fpIdle {
+			live |= m & -m
+		}
 	}
+	r.live = live
 }
 
 // turnInPipe reports whether a TURN is still flowing through the port's

@@ -427,6 +427,124 @@ func TestDisabledForwardPortIgnoresTraffic(t *testing.T) {
 	}
 }
 
+// TestForwardPortMaskedMidRun: masking a forward port during operation, by
+// the per-port setter or by a whole settings load, makes it ignore a ROUTE;
+// unmasking it makes it accept one. Both writers must keep the router's
+// watched-port mask current.
+func TestForwardPortMaskedMidRun(t *testing.T) {
+	cfg := cfg4x4()
+	writers := []struct {
+		name  string
+		write func(r *core.Router, fp int, on bool)
+	}{
+		{"SetForwardEnabled", func(r *core.Router, fp int, on bool) { r.SetForwardEnabled(fp, on) }},
+		{"ApplySettings", func(r *core.Router, fp int, on bool) {
+			set := r.Settings()
+			set.ForwardEnabled[fp] = on
+			if err := r.ApplySettings(set); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, w := range writers {
+		write := w.write
+		t.Run(w.name, func(t *testing.T) {
+			h := newHarness(cfg, dil1Settings(cfg), 9)
+			h.run() // mid-run: the mask is rewritten after cycles have passed
+			write(h.r, 2, false)
+			if h.r.ForwardEnabled(2) {
+				t.Fatal("port 2 still reads enabled")
+			}
+			h.src[2].Send(word.MakeRoute(1, 2))
+			h.run()
+			h.run()
+			if h.r.ConnectionCount() != 0 || h.r.OwnerOf(1) != -1 {
+				t.Fatal("masked forward port accepted a connection")
+			}
+			// The other ports are unaffected.
+			h.src[0].Send(word.MakeRoute(3, 2))
+			h.run()
+			h.run()
+			if h.r.OwnerOf(3) != 0 {
+				t.Fatal("an unmasked port stopped accepting connections")
+			}
+			write(h.r, 2, true)
+			h.src[2].Send(word.MakeRoute(1, 2))
+			h.run()
+			h.run()
+			if h.r.OwnerOf(1) != 2 {
+				t.Fatalf("re-enabled port was not served: backward port 1 owner = %d, want 2", h.r.OwnerOf(1))
+			}
+			if err := h.r.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDisabledPortStillDrainsOpenConnection: masking a forward port stops it
+// reading its input, not the connection already open on it. The words in
+// the router's pipeline keep flowing out the backward port (the output pass
+// walks the live ports, not the enabled ones), the connection stays
+// allocated while masked, and it resumes when the port is re-enabled.
+func TestDisabledPortStillDrainsOpenConnection(t *testing.T) {
+	cfg := cfg4x4()
+	cfg.DataPipe = 3
+	h := newHarness(cfg, dil1Settings(cfg), 5)
+	var got []uint32
+	observe := func() {
+		if w := h.dst[2].Recv(); w.Kind == word.Data {
+			got = append(got, w.Payload)
+		}
+	}
+	seq := []word.Word{word.MakeRoute(2, 2), word.MakeData(1, 4), word.MakeData(2, 4), word.MakeData(3, 4)}
+	for _, w := range seq {
+		h.src[0].Send(w)
+		observe()
+		h.run()
+	}
+	h.src[0].Send(word.Word{Kind: word.DataIdle})
+	observe()
+	h.run()
+	// The router has taken in all three data words; dp = 3 keeps them
+	// inside it. Mask the port now.
+	if len(got) != 0 {
+		t.Fatalf("data left the router before the pipeline depth elapsed: %v", got)
+	}
+	h.r.SetForwardEnabled(0, false)
+	for i := 0; i < 8; i++ {
+		// Ignored while masked. The last two cycles hold the channel with
+		// DATA-IDLE so nothing stray is on the wire at re-enable.
+		if i < 6 {
+			h.src[0].Send(word.MakeData(0xF, 4))
+		} else {
+			h.src[0].Send(word.Word{Kind: word.DataIdle})
+		}
+		observe()
+		h.run()
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("in-flight words after masking: %v, want [1 2 3]", got)
+	}
+	if h.r.ConnectionCount() != 1 || h.r.OwnerOf(2) != 0 {
+		t.Fatalf("masked port lost its connection: count %d, owner of bp2 %d", h.r.ConnectionCount(), h.r.OwnerOf(2))
+	}
+	if err := h.r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h.r.SetForwardEnabled(0, true)
+	h.src[0].Send(word.MakeData(7, 4))
+	h.run()
+	for i := 0; i < 6; i++ {
+		h.src[0].Send(word.Word{Kind: word.DataIdle})
+		observe()
+		h.run()
+	}
+	if len(got) != 4 || got[3] != 7 {
+		t.Fatalf("connection did not resume after re-enabling: %v, want [1 2 3 7]", got)
+	}
+}
+
 func TestContentionServedInPortOrder(t *testing.T) {
 	cfg := cfg4x4()
 	set := core.DefaultSettings(cfg) // dilation 2: 2 ports per direction

@@ -4,18 +4,21 @@
 // Driving each component through a virtual Eval and Commit, with link
 // pipelines scattered across hundreds of small allocations, pays a
 // pointer-chasing tax on every cycle. A compiled kernel removes it. Link
-// pipeline registers live in flat per-delay-class arenas (link.Arena), so
-// the whole commit phase of the interconnect is a strided sweep over a few
-// contiguous slices. Evaluation units — router columns and endpoints — are
-// stored as parallel arrays (kind, index) walked by plain loops with
+// pipeline registers live in per-delay-class arenas (link.Arena), one
+// register per link direction in delay+1 parallel planes, placed
+// reader-major: every unit's inputs are one contiguous run of registers, in
+// unit order, so a unit's per-cycle reads are adjacent cache lines and the
+// whole commit phase of the interconnect is a copy and a clear per plane
+// over a register range. Evaluation units — router columns and endpoints —
+// are stored as parallel arrays (kind, index) walked by plain loops with
 // direct, devirtualized calls per concrete type. Adjacency between units
-// and arena-resident links is precomputed at compile time in CSR form, so
-// structural queries (and the compile-time wiring audit) never touch the
-// component graph again.
+// and arena-resident link ends is precomputed at compile time in CSR form,
+// so structural queries (and the compile-time wiring and placement audit)
+// never touch the component graph again.
 //
 // The component structs are not replaced: a core.Router or nic.Endpoint
 // referenced by a unit is the same object tests, telemetry, and scan
-// already observe, and a link.Link carved from an arena is a view over
+// already observe, and a link.Link placed in an arena is a view over
 // arena memory. That is the view-struct contract documented in
 // docs/KERNEL.md — the kernel changes where state lives and how it is
 // driven, never what it is.
@@ -47,29 +50,30 @@ const (
 	unitEndpoint                 // a network endpoint
 )
 
-// LinkRef names one arena-resident link: the arena's index in the compiled
-// plan plus the link's index within that arena.
+// LinkRef names one end of an arena-resident link: the arena's index in the
+// compiled plan, the link's index within that arena, and which end the unit
+// holds. The A (upstream) end reads the link's B→A register, the B end its
+// A→B register; that register is the unit's input.
 type LinkRef struct {
 	Arena int32
 	Index int32
+	AtA   bool
 }
 
 // Builder accumulates the flattened layout while netsim elaborates a
 // network. Feed it units in index order, then Compile.
 type Builder struct {
-	c        Compiled
-	refCount map[LinkRef]int
+	c Compiled
 }
 
 // NewBuilder returns an empty builder.
-func NewBuilder() *Builder {
-	return &Builder{refCount: make(map[LinkRef]int)}
-}
+func NewBuilder() *Builder { return &Builder{} }
 
 // Arena creates a link arena for one delay class, registers it with the
 // plan and returns it with its plan index, for building LinkRefs.
 // Capacity must be exact: the arena panics past it, and Compile audits
-// that every carved link is referenced by exactly two units.
+// that every link end is attached to exactly one unit and every register
+// is placed exactly once.
 func (b *Builder) Arena(delay, capacity int) (*link.Arena, int32) {
 	a := link.NewArena(delay, capacity)
 	b.c.arenas = append(b.c.arenas, a)
@@ -101,37 +105,94 @@ func (b *Builder) addUnit(kind unitKind, idx int32, attached []LinkRef) {
 	b.c.idxs = append(b.c.idxs, idx)
 	b.c.adjStart = append(b.c.adjStart, int32(len(b.c.adj)))
 	b.c.adj = append(b.c.adj, attached...)
-	for _, ref := range attached {
-		b.refCount[ref]++
-	}
 }
 
-// Compile seals the plan. It audits the adjacency tables against the
-// arenas: every carved link must be referenced by exactly two units (its
-// upstream and downstream attachment points), which catches both wiring
-// drift and arena capacity mismatches at assembly time rather than as
-// silent data corruption mid-run.
+// Compile seals the plan. It audits the adjacency tables and the register
+// placement against the arenas, which catches wiring drift, capacity
+// mismatches and a bad placement at assembly time rather than as silent
+// data corruption (or a silently slow sweep) mid-run:
+//
+//   - every arena is placed full;
+//   - every register of every arena is claimed by exactly one link
+//     direction (a full arena has as many link directions as registers,
+//     so "none claimed twice" is also "none left unclaimed");
+//   - every link end is attached to exactly one unit, so every register
+//     has exactly one reader;
+//   - reading the registers of an arena in index order, the reading unit
+//     never decreases: each unit's inputs are one contiguous run, and the
+//     runs lie in unit order. That is the reader-major layout the per-cycle
+//     byte budget in docs/KERNEL.md rests on.
 func (b *Builder) Compile() (*Compiled, error) {
 	c := &b.c
 	c.adjStart = append(c.adjStart, int32(len(c.adj)))
+	// reader[ai][r] is the unit reading register r of arena ai: noReader
+	// until claimed by a link direction, unread until a unit attaches.
+	const noReader, unread = -2, -1
+	reader := make([][]int32, len(c.arenas))
 	for ai, a := range c.arenas {
 		if a.Len() != a.Cap() {
-			return nil, fmt.Errorf("kernel: arena %d (delay %d) carved %d of %d links", ai, a.Delay(), a.Len(), a.Cap())
+			return nil, fmt.Errorf("kernel: arena %d (delay %d) placed %d of %d links", ai, a.Delay(), a.Len(), a.Cap())
+		}
+		rd := make([]int32, a.Registers())
+		for r := range rd {
+			rd[r] = noReader
 		}
 		for li := 0; li < a.Len(); li++ {
-			ref := LinkRef{Arena: int32(ai), Index: int32(li)}
-			if n := b.refCount[ref]; n != 2 {
-				return nil, fmt.Errorf("kernel: link %s referenced by %d units, want 2", a.At(li).Name(), n)
+			ab, ba := a.At(li).Registers()
+			for _, r := range [2]int{ab, ba} {
+				if rd[r] != noReader {
+					return nil, fmt.Errorf("kernel: arena %d (delay %d): register %d is claimed by two link directions (the second is %s)", ai, a.Delay(), r, a.At(li).Name())
+				}
+				rd[r] = unread
+			}
+		}
+		reader[ai] = rd
+	}
+	for u := 0; u < c.Units(); u++ {
+		for _, ref := range c.UnitLinks(u) {
+			if int(ref.Arena) >= len(c.arenas) || int(ref.Index) >= c.arenas[ref.Arena].Len() {
+				return nil, fmt.Errorf("kernel: adjacency ref %+v of unit %d names no placed link", ref, u)
+			}
+			l := c.LinkAt(ref)
+			r := inputRegister(l, ref.AtA)
+			if prev := reader[ref.Arena][r]; prev != unread {
+				return nil, fmt.Errorf("kernel: link %s end %s is attached to units %d and %d, want one", l.Name(), endName(ref.AtA), prev, u)
+			}
+			reader[ref.Arena][r] = int32(u)
+		}
+	}
+	for ai, rd := range reader {
+		a := c.arenas[ai]
+		for li := 0; li < a.Len(); li++ {
+			ab, ba := a.At(li).Registers()
+			if rd[ab] == unread || rd[ba] == unread {
+				return nil, fmt.Errorf("kernel: link %s end %s is attached to no unit", a.At(li).Name(), endName(rd[ba] == unread))
+			}
+		}
+		for r := 1; r < len(rd); r++ {
+			if rd[r] < rd[r-1] {
+				return nil, fmt.Errorf("kernel: arena %d (delay %d): register %d is read by unit %d but register %d by unit %d; every unit's inputs must be one contiguous run, in unit order",
+					ai, a.Delay(), r-1, rd[r-1], r, rd[r])
 			}
 		}
 	}
-	for ref := range b.refCount {
-		if int(ref.Arena) >= len(c.arenas) || int(ref.Index) >= c.arenas[ref.Arena].Len() {
-			return nil, fmt.Errorf("kernel: adjacency ref %+v names no carved link", ref)
-		}
-	}
-	b.refCount = nil
 	return c, nil
+}
+
+// inputRegister returns the register a link's A or B end reads.
+func inputRegister(l *link.Link, atA bool) int {
+	ab, ba := l.Registers()
+	if atA {
+		return ba
+	}
+	return ab
+}
+
+func endName(atA bool) string {
+	if atA {
+		return "A"
+	}
+	return "B"
 }
 
 // Compiled is the flattened execution plan. It implements clock.Kernel:
@@ -148,10 +209,10 @@ type Compiled struct {
 	eps     []*nic.Endpoint
 
 	// arenas holds every link pipeline register in the plan, grouped by
-	// delay class.
+	// delay class and placed reader-major (see Compile).
 	arenas []*link.Arena
 
-	// CSR adjacency: unit u's attached links are adj[adjStart[u]:adjStart[u+1]].
+	// CSR adjacency: unit u's attached link ends are adj[adjStart[u]:adjStart[u+1]].
 	adjStart []int32
 	adj      []LinkRef
 }
@@ -202,11 +263,11 @@ func (c *Compiled) CommitUnits(lo, hi int, cycle uint64) {
 }
 
 // CommitBatch implements clock.Kernel: shuttle partition part of every
-// arena's links. Partitions touch disjoint slot regions, so the engine may
-// run them concurrently.
+// arena's registers. Partitions are disjoint register ranges, so the engine
+// may run them concurrently.
 func (c *Compiled) CommitBatch(part, parts int, cycle uint64) {
 	for _, a := range c.arenas {
-		n := a.Len()
+		n := a.Registers()
 		a.Shuttle(part*n/parts, (part+1)*n/parts)
 	}
 }
@@ -214,7 +275,7 @@ func (c *Compiled) CommitBatch(part, parts int, cycle uint64) {
 // Arenas returns the plan's link arenas, for introspection and tests.
 func (c *Compiled) Arenas() []*link.Arena { return c.arenas }
 
-// UnitLinks returns unit u's attached links from the CSR adjacency table.
+// UnitLinks returns unit u's attached link ends from the CSR adjacency table.
 func (c *Compiled) UnitLinks(u int) []LinkRef {
 	return c.adj[c.adjStart[u]:c.adjStart[u+1]]
 }

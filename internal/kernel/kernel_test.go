@@ -6,26 +6,29 @@ import (
 )
 
 // The audit tests feed Compile hand-built plans. Units carry nil
-// component pointers: Compile audits wiring only and never steps them.
+// component pointers: Compile audits wiring and placement only and never
+// steps them.
 
-// pairBuilder returns a builder with one delay-1 arena of capacity links
-// and its first `carved` links carved, each correctly referenced by the
-// two units u and u+1.
-func pairBuilder(capacity, carved int) (*Builder, [][]LinkRef) {
+// chainBuilder returns a builder with one delay-1 arena of capacity links
+// and its first `placed` links placed as a chain: link i joins unit i (its
+// A end) to unit i+1 (its B end). The placement is reader-major — unit 0
+// reads register 0, unit i registers 2i-1 and 2i, so link i sits at
+// ba = 2i, ab = 2i+1 — and refs[u] lists unit u's ends.
+func chainBuilder(capacity, placed int) (*Builder, [][]LinkRef) {
 	b := NewBuilder()
 	a, ai := b.Arena(1, capacity)
-	refs := make([][]LinkRef, carved+1)
-	for i := 0; i < carved; i++ {
-		ref := LinkRef{Arena: ai, Index: int32(a.Len())}
-		a.New("wire" + string(rune('0'+i)))
-		refs[i] = append(refs[i], ref)
-		refs[i+1] = append(refs[i+1], ref)
+	refs := make([][]LinkRef, placed+1)
+	for i := 0; i < placed; i++ {
+		idx := int32(a.Len())
+		a.Place("wire"+string(rune('0'+i)), 2*i+1, 2*i)
+		refs[i] = append(refs[i], LinkRef{Arena: ai, Index: idx, AtA: true})
+		refs[i+1] = append(refs[i+1], LinkRef{Arena: ai, Index: idx})
 	}
 	return b, refs
 }
 
 func TestCompileAcceptsExactWiring(t *testing.T) {
-	b, refs := pairBuilder(3, 3)
+	b, refs := chainBuilder(3, 3)
 	b.AddRouter(nil, refs[0]...)
 	b.AddCascade(nil, refs[1]...)
 	b.AddEndpoint(nil, refs[2]...)
@@ -39,7 +42,7 @@ func TestCompileAcceptsExactWiring(t *testing.T) {
 	}
 	for u, want := range []int{1, 2, 2, 1} {
 		if got := len(c.UnitLinks(u)); got != want {
-			t.Errorf("unit %d has %d attached links, want %d", u, got, want)
+			t.Errorf("unit %d has %d attached link ends, want %d", u, got, want)
 		}
 	}
 	if l := c.LinkAt(c.UnitLinks(3)[0]); l.Name() != "wire2" {
@@ -48,38 +51,75 @@ func TestCompileAcceptsExactWiring(t *testing.T) {
 }
 
 func TestCompileAuditErrors(t *testing.T) {
+	// twoUnits attaches a one-link arena's ends to units 0 (A) and 1 (B).
+	twoUnits := func(b *Builder) {
+		b.AddEndpoint(nil, LinkRef{Index: 0, AtA: true})
+		b.AddEndpoint(nil, LinkRef{Index: 0})
+	}
 	cases := []struct {
 		name  string
 		build func() *Builder
 		want  string
 	}{
-		{"arena carved short", func() *Builder {
-			b, refs := pairBuilder(3, 2)
+		{"arena placed short", func() *Builder {
+			b, refs := chainBuilder(3, 2)
 			for _, r := range refs {
 				b.AddEndpoint(nil, r...)
 			}
 			return b
-		}, "arena 0 (delay 1) carved 2 of 3 links"},
-		{"link referenced by one unit", func() *Builder {
-			b, refs := pairBuilder(1, 1)
+		}, "arena 0 (delay 1) placed 2 of 3 links"},
+		{"link end attached to no unit", func() *Builder {
+			b, refs := chainBuilder(1, 1)
 			b.AddEndpoint(nil, refs[0]...)
-			b.AddEndpoint(nil) // the far end was never attached
+			b.AddEndpoint(nil) // the B end was never attached
 			return b
-		}, "link wire0 referenced by 1 units, want 2"},
-		{"link referenced by three units", func() *Builder {
-			b, refs := pairBuilder(1, 1)
+		}, "link wire0 end B is attached to no unit"},
+		{"link end attached to two units", func() *Builder {
+			b, refs := chainBuilder(1, 1)
 			b.AddEndpoint(nil, refs[0]...)
 			b.AddEndpoint(nil, refs[1]...)
 			b.AddRouter(nil, refs[0]...)
 			return b
-		}, "link wire0 referenced by 3 units, want 2"},
-		{"adjacency names an uncarved link", func() *Builder {
-			b, refs := pairBuilder(1, 1)
+		}, "link wire0 end A is attached to units 0 and 2, want one"},
+		{"adjacency names an unplaced link", func() *Builder {
+			b, refs := chainBuilder(1, 1)
 			b.AddEndpoint(nil, refs[0]...)
 			b.AddEndpoint(nil, refs[1]...)
 			b.AddEndpoint(nil, LinkRef{Arena: 0, Index: 5})
 			return b
-		}, "names no carved link"},
+		}, "names no placed link"},
+		{"overlapping placement", func() *Builder {
+			// Both links put their A→B direction in register 1, which
+			// leaves register 3 unclaimed: one wire would deliver the
+			// other's words.
+			b := NewBuilder()
+			a, _ := b.Arena(1, 2)
+			a.Place("wire0", 1, 0)
+			a.Place("wire1", 1, 2)
+			twoUnits(b)
+			return b
+		}, "register 1 is claimed by two link directions (the second is wire1)"},
+		{"holed placement", func() *Builder {
+			// Unit 1 reads both links' A→B registers, but they sit at 1
+			// and 3 with unit 0's second input between them: unit 1's run
+			// has a hole, so its inputs are not adjacent in memory.
+			b := NewBuilder()
+			a, _ := b.Arena(1, 2)
+			a.Place("wire0", 1, 0)
+			a.Place("wire1", 3, 2)
+			b.AddEndpoint(nil, LinkRef{Index: 0, AtA: true}, LinkRef{Index: 1, AtA: true})
+			b.AddEndpoint(nil, LinkRef{Index: 0}, LinkRef{Index: 1})
+			return b
+		}, "register 1 is read by unit 1 but register 2 by unit 0; every unit's inputs must be one contiguous run, in unit order"},
+		{"runs out of unit order", func() *Builder {
+			// Each unit's run is contiguous (one register), but unit 1's
+			// comes first.
+			b := NewBuilder()
+			a, _ := b.Arena(1, 1)
+			a.Place("wire0", 0, 1)
+			twoUnits(b)
+			return b
+		}, "register 0 is read by unit 1 but register 1 by unit 0"},
 	}
 	for _, tc := range cases {
 		c, err := tc.build().Compile()

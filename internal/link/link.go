@@ -20,6 +20,23 @@
 //
 // Fault injection hooks (Corruptor functions and Kill) model broken or
 // noisy wires for the fault-tolerance experiments.
+//
+// # Memory layout
+//
+// Every link lives in an Arena (New is an arena of one link). An arena
+// keeps one 8-byte register per link direction in delay+1 parallel planes
+// — plane 0 is what the sender staged this cycle, plane delay is what the
+// reader sees — plus, per register, one fault byte and the End that reads
+// it. Registers are placed by the reader, not by the link: whoever
+// assembles a network (netsim.Build) gives each unit a contiguous run of
+// registers for everything it reads, so a unit's per-cycle reads are a few
+// adjacent cache lines and the commit phase is a copy and a clear per
+// plane over a register range. A Link is a small view (two register
+// indices, the fault hooks, the dead flag) that the per-cycle receive path
+// never loads: Recv tests the register and its fault byte, and only a dead
+// link or a corrupted direction reaches the Link through the slow path.
+// docs/KERNEL.md ("Memory layout and the per-cycle byte budget") has the
+// picture and the numbers.
 package link
 
 import (
@@ -32,115 +49,122 @@ import (
 // A nil Corruptor leaves the link healthy.
 type Corruptor func(word.Word) word.Word
 
-// slot is the content of one pipeline register: a word plus the BCB.
-type slot struct {
-	w   word.Word
-	bcb bool
+// reg is one pipeline register: a word plus the BCB, packed into 8 bytes so
+// eight of a reader's inputs share a cache line.
+type reg struct {
+	payload uint32
+	kind    word.Kind
+	bits    uint8
+	bcb     bool
 }
 
-// pipe is one direction of a link: the input slot staged during the current
-// cycle followed by delay pipeline registers, stored contiguously. regs[0]
-// is the staged slot and regs[len-1] is the output register, so a commit is
-// a single forward copy — the same operation whether the backing array is a
-// private allocation (New) or a region of a shared Arena (Arena.New).
-type pipe struct {
-	regs []slot
+func (r reg) word() word.Word {
+	return word.Word{Payload: r.payload, Kind: r.kind, Bits: r.bits}
 }
 
-func newPipe(delay int) pipe { return pipe{regs: make([]slot, delay+1)} }
-
-// out reads the register at the far end of the pipeline.
-func (p *pipe) out() slot { return p.regs[len(p.regs)-1] }
-
-// shift advances the pipeline by one cycle: every slot moves one place
-// toward the output and the staged slot clears to Empty.
-func (p *pipe) shift() {
-	copy(p.regs[1:], p.regs[:len(p.regs)-1])
-	p.regs[0] = slot{}
+func (r *reg) setWord(w word.Word) {
+	r.payload, r.kind, r.bits = w.Payload, w.Kind, w.Bits
 }
 
-// Link is a bidirectional, pipelined chip-to-chip connection.
+// Link is a bidirectional, pipelined chip-to-chip connection: a view over
+// two registers of an arena (one per direction, in every plane) plus the
+// fault state of the wire.
 type Link struct {
 	name      string
-	ab        pipe // words and BCB traveling A→B
-	ba        pipe // words and BCB traveling B→A
-	endA      End  // embedded so an arena of links keeps ends contiguous
-	endB      End
+	a         *Arena
+	ab, ba    int // register carrying A→B (read at B) and B→A (read at A)
 	corruptAB Corruptor
 	corruptBA Corruptor
 	dead      bool
 }
 
-// initEnds wires the embedded ends' cached register addresses; it must run
-// after the pipes are in place and before A or B is called.
-func (l *Link) initEnds() {
-	l.endA = End{l: l, atA: true, in: l.ba.outReg(), stage: &l.ab.regs[0], corrupt: &l.corruptBA}
-	l.endB = End{l: l, atA: false, in: l.ab.outReg(), stage: &l.ba.regs[0], corrupt: &l.corruptAB}
-}
-
 // New returns a link whose wires contribute delay pipeline stages in each
-// direction (the paper's vtd; delay must be >= 1).
+// direction (the paper's vtd; delay must be >= 1). It is an arena of one
+// link: hand-wired links and netsim's arena-resident ones are the same code.
 func New(name string, delay int) *Link {
 	if delay < 1 {
 		panic(fmt.Sprintf("link %s: delay must be >= 1, got %d", name, delay))
 	}
-	l := &Link{name: name, ab: newPipe(delay), ba: newPipe(delay)}
-	l.initEnds()
-	return l
+	return NewArena(delay, 1).New(name)
 }
 
 // Name returns the link's identifier (used in traces and fault plans).
 func (l *Link) Name() string { return l.name }
 
 // Delay returns the pipeline depth per direction.
-func (l *Link) Delay() int { return len(l.ab.regs) - 1 }
+func (l *Link) Delay() int { return l.a.delay }
+
+// Registers returns the link's two register indices within its arena: ab
+// carries A→B traffic and is read by the B end, ba carries B→A traffic and
+// is read by the A end.
+func (l *Link) Registers() (ab, ba int) { return l.ab, l.ba }
 
 // Eval implements clock.Component; links have no evaluation work.
 func (l *Link) Eval(cycle uint64) {}
 
-// Commit shifts both pipelines, latching the values staged during Eval.
+// Commit latches the values staged during Eval: the link's two registers
+// move one plane toward their readers and the staged plane clears.
 func (l *Link) Commit(cycle uint64) {
-	l.ab.shift()
-	l.ba.shift()
+	l.a.shift(l.ab)
+	l.a.shift(l.ba)
 }
 
 // SetCorruptor installs fault hooks applied to words exiting the link in
 // each direction. Either may be nil.
 func (l *Link) SetCorruptor(ab, ba Corruptor) {
 	l.corruptAB, l.corruptBA = ab, ba
+	l.syncFault()
 }
 
 // Kill marks the link dead: both directions deliver only Empty words and a
 // deasserted BCB, as a severed wire would.
-func (l *Link) Kill() { l.dead = true }
+func (l *Link) Kill() {
+	l.dead = true
+	l.syncFault()
+}
 
 // Revive clears a previous Kill. In-flight contents were lost.
-func (l *Link) Revive() { l.dead = false }
+func (l *Link) Revive() {
+	l.dead = false
+	l.syncFault()
+}
 
 // Dead reports whether the link has been killed.
 func (l *Link) Dead() bool { return l.dead }
 
+// syncFault recomputes the two registers' fault bytes: a reader takes the
+// slow path while the link is dead or its arriving direction is corrupted.
+func (l *Link) syncFault() {
+	l.a.fault[l.ab] = faultByte(l.dead || l.corruptAB != nil)
+	l.a.fault[l.ba] = faultByte(l.dead || l.corruptBA != nil)
+}
+
+func faultByte(faulty bool) uint8 {
+	if faulty {
+		return 1
+	}
+	return 0
+}
+
 // A returns the upstream end of the link.
-func (l *Link) A() *End { return &l.endA }
+func (l *Link) A() *End { return &l.a.ends[l.ba] }
 
 // B returns the downstream end of the link.
-func (l *Link) B() *End { return &l.endB }
-
-// outReg returns the address of the pipeline's output register. Register
-// storage is fixed for the life of a link (shifts move values, never the
-// backing array), so ends cache these addresses at wiring time and the
-// per-cycle read path is a single load.
-func (p *pipe) outReg() *slot { return &p.regs[len(p.regs)-1] }
+func (l *Link) B() *End { return &l.a.ends[l.ab] }
 
 // End is one side's interface to a link. All methods follow the two-phase
 // clock discipline: Send/SendBCB stage values for the current cycle, while
 // Recv/RecvBCB observe values committed at the end of the previous cycle.
+//
+// Register storage is fixed for the life of an arena (commits move values,
+// never the backing arrays), so an end caches the addresses it touches and
+// the healthy per-cycle paths never load the Link.
 type End struct {
-	l       *Link
-	atA     bool
-	in      *slot      // far pipe's output register (fixed address)
-	stage   *slot      // near pipe's staged slot (fixed address)
-	corrupt *Corruptor // the arriving direction's fault hook (fixed field address)
+	in    *reg   // the arriving direction's output-plane register
+	fault *uint8 // its fault byte: nonzero while reads must go through incoming
+	stage *reg   // the departing direction's staged register
+	l     *Link
+	atA   bool
 }
 
 // Link returns the underlying link.
@@ -148,50 +172,108 @@ func (e *End) Link() *Link { return e.l }
 
 // Send stages the word this end drives onto the link this cycle. If Send is
 // not called during a cycle the end drives Empty.
-func (e *End) Send(w word.Word) { e.stage.w = w }
+func (e *End) Send(w word.Word) { e.stage.setWord(w) }
 
 // SendBCB stages the backward control bit this end drives this cycle.
 // The BCB is only meaningful traveling B→A (toward the source), but both
 // directions carry it for symmetry.
 func (e *End) SendBCB(b bool) { e.stage.bcb = b }
 
-// Recv returns the word arriving at this end this cycle.
+// Recv returns the word arriving at this end this cycle. An Empty register
+// reads as the zero Word with no fault check: a dead link delivers Empty
+// and a corruptor is never invoked on Empty, so only a word actually
+// arriving consults the fault byte.
 func (e *End) Recv() word.Word {
-	if e.l.dead || *e.corrupt != nil {
-		return e.recvSlow().w
+	if e.in.kind == word.Empty {
+		return word.Word{}
 	}
-	return e.in.w
+	return e.arriving()
+}
+
+// arriving is Recv for a non-Empty register, out of line so that Recv and
+// In.Recv inline into their callers' port loops.
+func (e *End) arriving() word.Word {
+	r := *e.in
+	if *e.fault != 0 {
+		r = e.incoming()
+	}
+	return r.word()
 }
 
 // RecvBCB returns the backward control bit arriving at this end this cycle.
 func (e *End) RecvBCB() bool {
-	if e.l.dead || *e.corrupt != nil {
+	if *e.fault != 0 {
 		// The fault hook still observes the word (stateful corruptors count
 		// on seeing every exiting word exactly as incoming delivers it).
-		return e.recvSlow().bcb
+		return e.incoming().bcb
 	}
 	return e.in.bcb
 }
 
-// recvSlow is the dead-link / fault-hook receive path, kept out of the
-// per-cycle fast path so Recv and RecvBCB inline.
-func (e *End) recvSlow() slot { return e.incoming() }
+// incoming is the dead-link / fault-hook receive path, kept out of line so
+// Recv and RecvBCB inline.
+func (e *End) incoming() reg {
+	l := e.l
+	if l.dead {
+		return reg{}
+	}
+	r := *e.in
+	c := l.corruptAB
+	if e.atA {
+		c = l.corruptBA
+	}
+	if c != nil && r.kind != word.Empty {
+		r.setWord(c(r.word()))
+	}
+	return r
+}
 
-// Arena is a flat struct-of-arrays backing store for the pipeline registers
-// of many same-delay links. Each link occupies 2*(delay+1) contiguous slots
-// — the A→B pipe (staged slot then delay registers) followed by the B→A
-// pipe — so committing every link in the arena is a strided sweep over one
-// slice instead of a virtual Commit call per Link.
+// In is a reader's by-value view of one end's arriving register. A unit
+// that watches many mostly idle inputs every cycle (a router's forward
+// ports) holds these in one array: an idle input then costs the view and
+// the register, both dense, and never the End.
+type In struct {
+	reg *reg
+	e   *End
+}
+
+// In returns the end's input view; a nil end yields the zero (unattached)
+// view.
+func (e *End) In() In {
+	if e == nil {
+		return In{}
+	}
+	return In{reg: e.in, e: e}
+}
+
+// End returns the viewed end, nil for the zero view.
+func (in In) End() *End { return in.e }
+
+// Recv returns the word arriving this cycle, exactly as End.Recv does, but
+// loads the End only when a word is actually arriving.
+func (in In) Recv() word.Word {
+	if in.reg.kind == word.Empty {
+		return word.Word{}
+	}
+	return in.e.arriving()
+}
+
+// Arena is the backing store of many same-delay links: one register per
+// link direction, held in delay+1 parallel planes (plane 0 staged by the
+// sender, plane delay seen by the reader), with a fault byte and the
+// reading End beside each register. Which register a link direction
+// occupies is the caller's choice (Place), so a network builder can lay
+// every unit's inputs out contiguously; New is the default placement.
 //
-// Links carved from an arena behave exactly like ones from New: the Link
-// struct is a view whose pipes alias arena memory, so Kill, corruptors, and
-// telemetry keep working. The one discipline change is that the owner calls
+// Links placed in an arena behave exactly like ones from New, which is
+// itself an arena of one. The one discipline change is that the owner calls
 // Arena.Shuttle for the commit phase and must not also register the links
 // with the clock engine (double-shifting would advance a wire two cycles).
 type Arena struct {
 	delay  int
-	stride int // slots per pipe: staged + delay registers
-	slots  []slot
+	planes [][]reg
+	fault  []uint8
+	ends   []End
 	links  []Link // backing array; Len() of these are initialized
 	used   int
 }
@@ -202,91 +284,80 @@ func NewArena(delay, capacity int) *Arena {
 	if delay < 1 {
 		panic(fmt.Sprintf("link arena: delay must be >= 1, got %d", delay))
 	}
-	stride := delay + 1
-	return &Arena{
+	n := 2 * capacity
+	a := &Arena{
 		delay:  delay,
-		stride: stride,
-		slots:  make([]slot, 2*stride*capacity),
+		planes: make([][]reg, delay+1),
+		fault:  make([]uint8, n),
+		ends:   make([]End, n),
 		links:  make([]Link, capacity),
 	}
+	regs := make([]reg, (delay+1)*n)
+	for p := range a.planes {
+		a.planes[p] = regs[p*n : (p+1)*n : (p+1)*n]
+	}
+	return a
 }
 
 // Delay returns the pipeline depth shared by every link in the arena.
 func (a *Arena) Delay() int { return a.delay }
 
-// Len returns the number of links carved so far.
+// Len returns the number of links placed so far.
 func (a *Arena) Len() int { return a.used }
 
 // Cap returns the arena's fixed capacity in links.
 func (a *Arena) Cap() int { return len(a.links) }
 
-// New carves the next link out of the arena. It panics when the arena is
-// full: capacities are computed exactly at assembly time, so running out
-// is a compiler bug, not an operational condition.
-func (a *Arena) New(name string) *Link {
+// Registers returns the arena's register count: two per link of capacity.
+func (a *Arena) Registers() int { return len(a.fault) }
+
+// New places the next link at the default position, registers 2i and 2i+1
+// for the i'th link.
+func (a *Arena) New(name string) *Link { return a.Place(name, 2*a.used, 2*a.used+1) }
+
+// Place creates the next link with its A→B direction in register ab and
+// its B→A direction in register ba. It panics when the arena is full or a
+// register is out of range: capacities and placements are computed exactly
+// at assembly time, so either is a compiler bug, not an operational
+// condition. Whether the placement as a whole claims every register exactly
+// once is the assembler's audit (kernel.Builder.Compile), not checked here.
+func (a *Arena) Place(name string, ab, ba int) *Link {
 	if a.used == len(a.links) {
 		panic(fmt.Sprintf("link arena: capacity %d exhausted at %s", len(a.links), name))
 	}
-	base := 2 * a.stride * a.used
+	if n := len(a.fault); ab < 0 || ab >= n || ba < 0 || ba >= n || ab == ba {
+		panic(fmt.Sprintf("link arena: %s placed at registers %d, %d of %d", name, ab, ba, n))
+	}
 	l := &a.links[a.used]
 	a.used++
-	*l = Link{
-		name: name,
-		ab:   pipe{regs: a.slots[base : base+a.stride : base+a.stride]},
-		ba:   pipe{regs: a.slots[base+a.stride : base+2*a.stride : base+2*a.stride]},
-	}
-	l.initEnds()
+	*l = Link{name: name, a: a, ab: ab, ba: ba}
+	staged, out := a.planes[0], a.planes[a.delay]
+	a.ends[ba] = End{l: l, atA: true, in: &out[ba], fault: &a.fault[ba], stage: &staged[ab]}
+	a.ends[ab] = End{l: l, atA: false, in: &out[ab], fault: &a.fault[ab], stage: &staged[ba]}
 	return l
 }
 
-// At returns the i'th carved link (creation order).
+// At returns the i'th placed link (creation order).
 func (a *Arena) At(i int) *Link { return &a.links[i] }
 
-// Shuttle advances the pipelines of links [lo, hi) by one cycle, exactly as
-// if each link's Commit had run. Dead links shuttle like live ones (Kill
-// suppresses delivery at the reading end, not propagation), so the sweep is
-// branch-free. Disjoint ranges touch disjoint slot regions, which is what
-// makes the commit phase safe to partition across workers.
+// Shuttle advances registers [lo, hi) by one cycle, exactly as if Commit
+// had run on every link direction placed there: each plane takes the one
+// before it, output plane first, and the staged plane clears. Dead links
+// shuttle like live ones (Kill suppresses delivery at the reading end, not
+// propagation), so the sweep is branch-free. Disjoint ranges touch disjoint
+// registers, which is what makes the commit phase safe to partition across
+// workers.
 func (a *Arena) Shuttle(lo, hi int) {
-	stride := a.stride
-	if stride == 2 {
-		// Delay-1 links (the overwhelmingly common configuration): each
-		// pipe is just staged slot then output register, so the shuttle is
-		// a pairwise move without the copy-call overhead. One iteration
-		// handles a whole link — both pipes — to halve the loop overhead.
-		s := a.slots[4*lo : 4*hi]
-		for len(s) >= 4 {
-			s[1] = s[0]
-			s[0] = slot{}
-			s[3] = s[2]
-			s[2] = slot{}
-			s = s[4:]
-		}
-		return
+	for p := a.delay; p > 0; p-- {
+		copy(a.planes[p][lo:hi], a.planes[p-1][lo:hi])
 	}
-	for p := 2 * lo; p < 2*hi; p++ {
-		base := p * stride
-		regs := a.slots[base : base+stride]
-		copy(regs[1:], regs[:stride-1])
-		regs[0] = slot{}
-	}
+	clear(a.planes[0][lo:hi])
 }
 
-func (e *End) incoming() slot {
-	if e.l.dead {
-		return slot{}
+// shift advances one register by one cycle (the per-link Commit path).
+func (a *Arena) shift(r int) {
+	for p := a.delay; p > 0; p-- {
+		a.planes[p][r] = a.planes[p-1][r]
 	}
-	var s slot
-	var c Corruptor
-	if e.atA {
-		s = e.l.ba.out()
-		c = e.l.corruptBA
-	} else {
-		s = e.l.ab.out()
-		c = e.l.corruptAB
-	}
-	if c != nil && !s.w.IsEmpty() {
-		s.w = c(s.w)
-	}
-	return s
+	a.planes[0][r] = reg{}
 }

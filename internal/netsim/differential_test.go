@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"metro/internal/core"
 	"metro/internal/link"
 	"metro/internal/nic"
 	"metro/internal/telemetry"
@@ -57,9 +58,9 @@ var (
 		injectSeed: 23, perCycle: 1, cycles: 1200, short: 500,
 	}
 	// Mixed injection and inter-stage link delays force several
-	// delay-class arenas — the delay-1 fast path and the generic strided
-	// shuttle side by side — which must stay cycle-exact against
-	// per-link commits.
+	// delay-class arenas — two, three and four register planes side by
+	// side, a router's forward and backward inputs in different arenas —
+	// which must stay cycle-exact against per-link commits.
 	variableDelayResults = congested{
 		p: Params{
 			Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
@@ -227,12 +228,44 @@ func firstDivergence(got, want []nic.Result) string {
 // TestKernelWiringAudit pins the compile-time adjacency audit on a built
 // network: every arena-resident link is referenced by exactly two units,
 // the arenas hold one link per cascade lane of every topology wire, and
-// there is one unit per router column and per endpoint.
+// there is one unit per router column and per endpoint. It also reads the
+// reader-major placement back off the routers: port p of a router reads the
+// register p places after port 0's, forward and backward alike, in one
+// delay class and in several.
 func TestKernelWiringAudit(t *testing.T) {
-	for _, c := range []int{1, 2} {
-		n, err := Build(Params{Spec: topo.Figure3(), Width: 8, CascadeWidth: c})
+	for _, tc := range []struct {
+		cascade int
+		delays  []int // per link tier; nil = one delay class
+	}{{1, nil}, {2, []int{2, 1, 3, 1}}} {
+		c := tc.cascade
+		n, err := Build(Params{Spec: topo.Figure3(), Width: 8, CascadeWidth: c, StageLinkDelays: tc.delays})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for s := range n.Routers {
+			for j := range n.Routers[s] {
+				lanes := []*core.Router{n.Routers[s][j]}
+				if g := n.Cascades[s][j]; g != nil {
+					lanes = lanes[:0]
+					for k := 0; k < g.Width(); k++ {
+						lanes = append(lanes, g.Member(k))
+					}
+				}
+				for _, r := range lanes {
+					f0, _ := r.ForwardLink(0).Link().Registers()
+					for fp := 0; fp < r.Config().Inputs; fp++ {
+						if ab, _ := r.ForwardLink(fp).Link().Registers(); ab != f0+fp {
+							t.Fatalf("cascade %d: %s forward port %d reads register %d, want %d", c, r.Name(), fp, ab, f0+fp)
+						}
+					}
+					_, b0 := r.BackwardLink(0).Link().Registers()
+					for bp := 0; bp < r.Config().Outputs; bp++ {
+						if _, ba := r.BackwardLink(bp).Link().Registers(); ba != b0+bp {
+							t.Fatalf("cascade %d: %s backward port %d reads register %d, want %d", c, r.Name(), bp, ba, b0+bp)
+						}
+					}
+				}
+			}
 		}
 		links := n.Compiled.Links()
 		if want := c * n.Topo.LinkCount(); links != want {

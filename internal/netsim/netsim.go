@@ -244,8 +244,10 @@ func Build(p Params) (*Network, error) {
 	// lane), and endpoints after; the order is a pure function of the
 	// topology, which is what keeps every worker partition deterministic.
 	// Link capacity per delay class is counted exactly up front so the
-	// arenas are carved full.
+	// arenas are placed full.
 	c := p.CascadeWidth
+	S := len(p.Spec.Stages)
+	ne := p.Spec.EndpointLinks
 	nCols := 0
 	colBase := make([]int, len(p.Spec.Stages))
 	for s, rs := range top.RoutersPerStage {
@@ -257,7 +259,8 @@ func Build(p Params) (*Network, error) {
 	kb := kernel.NewBuilder()
 	unitRefs := make([][]kernel.LinkRef, nCols+p.Spec.Endpoints)
 	type delayClass struct {
-		links int         // exact population, tallied before carving
+		links int         // exact population, tallied before placing
+		regs  int         // registers handed out so far (the placement prefix sum)
 		arena *link.Arena // created once the tally is complete
 		index int32       // of the arena in the plan
 	}
@@ -283,14 +286,47 @@ func Build(p Params) (*Network, error) {
 		dc := classes[d]
 		dc.arena, dc.index = kb.Arena(d, dc.links)
 	}
-	// makeLink carves one physical link from its tier's delay-class arena
-	// and records it in the adjacency table of both attached units.
-	makeLink := func(tier int, name string, ua, ub int) *link.Link {
+	// Register placement, reader-major: every unit gets one contiguous run
+	// of registers per arena for what it reads each cycle, runs in unit
+	// order — per cascade lane a router's forward inputs then its backward
+	// inputs, an endpoint's delivery then injection inputs. The topology
+	// conserves wires (every port of every router is wired exactly once,
+	// stage s is fed by tier s and feeds tier s+1), so run lengths are the
+	// port counts and placement is a prefix sum ahead of the wiring walk;
+	// kernel.Compile audits the result, so a topology that broke the
+	// assumption would fail the build, not the simulation.
+	place := func(tier, n int) int {
 		dc := classes[delayOf(tier)]
-		ref := kernel.LinkRef{Arena: dc.index, Index: int32(dc.arena.Len())}
-		l := dc.arena.New(name)
-		unitRefs[ua] = append(unitRefs[ua], ref)
-		unitRefs[ub] = append(unitRefs[ub], ref)
+		base := dc.regs
+		dc.regs += n
+		return base
+	}
+	fwdBase := make([]int, nCols*c) // [column unit * c + lane]
+	bwdBase := make([]int, nCols*c)
+	for s, st := range p.Spec.Stages {
+		for j := 0; j < top.RoutersPerStage[s]; j++ {
+			for lane := 0; lane < c; lane++ {
+				fwdBase[colUnit(s, j)*c+lane] = place(s, st.Inputs)
+				bwdBase[colUnit(s, j)*c+lane] = place(s+1, st.Outputs())
+			}
+		}
+	}
+	delBase := make([]int, p.Spec.Endpoints) // link k, lane l at base + k*c + l
+	injBase := make([]int, p.Spec.Endpoints)
+	for e := range delBase {
+		delBase[e] = place(S, ne*c)
+		injBase[e] = place(0, ne*c)
+	}
+	// makeLink places one physical link in its tier's delay-class arena —
+	// the A→B direction in register ab, among the downstream unit ub's
+	// inputs, the B→A direction in register ba, among the upstream unit
+	// ua's — and records each end in its unit's adjacency table.
+	makeLink := func(tier int, name string, ua, ub, ab, ba int) *link.Link {
+		dc := classes[delayOf(tier)]
+		idx := int32(dc.arena.Len())
+		l := dc.arena.Place(name, ab, ba)
+		unitRefs[ua] = append(unitRefs[ua], kernel.LinkRef{Arena: dc.index, Index: idx, AtA: true})
+		unitRefs[ub] = append(unitRefs[ub], kernel.LinkRef{Arena: dc.index, Index: idx})
 		return l
 	}
 
@@ -415,8 +451,9 @@ func Build(p Params) (*Network, error) {
 			ends := make([]*link.End, c)
 			n.injLanes[e][k] = make([]*link.Link, c)
 			for lane := 0; lane < c; lane++ {
+				down := colUnit(ref.Stage, ref.Index)
 				l := makeLink(0, fmt.Sprintf("ep%d.%d.l%d->%s", e, k, lane, ref),
-					epUnit(e), colUnit(ref.Stage, ref.Index))
+					epUnit(e), down, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
 				n.injLanes[e][k][lane] = l
 				ends[lane] = l.A()
 				r := lanes[ref.Stage][ref.Index][lane]
@@ -439,8 +476,14 @@ func Build(p Params) (*Network, error) {
 					downUnit = colUnit(ref.Stage, ref.Index)
 				}
 				for lane := 0; lane < c; lane++ {
+					var ab int
+					if ref.Kind == topo.KindEndpoint {
+						ab = delBase[ref.Index] + ref.Port*c + lane
+					} else {
+						ab = fwdBase[downUnit*c+lane] + ref.Port
+					}
 					l := makeLink(s+1, fmt.Sprintf("s%dr%d.b%d.l%d->%s", s, j, bp, lane, ref),
-						colUnit(s, j), downUnit)
+						colUnit(s, j), downUnit, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
 					n.outLanes[s][j][bp][lane] = l
 					up := lanes[s][j][lane]
 					up.AttachBackward(bp, l.A())

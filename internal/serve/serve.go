@@ -271,9 +271,17 @@ func (s *Server) runJob(j *job) {
 		// it were the deterministic result.
 		s.cache.Put(j.id, body)
 	}
-	j.complete(res, body)
-
+	// The ledger comes before completion: complete wakes the wait=1
+	// clients, and a client with its reply in hand must find the job
+	// already counted in /v1/stats and /v1/metrics.
 	elapsed := time.Since(start) //metrovet:ignore no-wallclock job-duration histogram; never reaches simulation state
+	s.mu.Lock()
+	s.counters.Executed++
+	if res.Status == StatusDeadline {
+		s.counters.Deadline++
+	}
+	s.retain(j.id)
+	s.mu.Unlock()
 	s.met.executed.Inc()
 	switch res.Status {
 	case StatusFailed:
@@ -284,19 +292,13 @@ func (s *Server) runJob(j *job) {
 		s.met.durPassed.Observe(elapsed.Seconds())
 	}
 	s.met.publishJobSim(j.engine, res.Cycles, bridge.Stats())
+
+	j.complete(res, body)
 	s.log.LogAttrs(s.runCtx, slog.LevelInfo, "job",
 		slog.String("job", j.id), slog.String("state", res.Status),
 		slog.Uint64("cycles", res.Cycles),
 		slog.Int("offered", res.Offered), slog.Int("delivered", res.Delivered),
 		slog.Int64("dur_us", elapsed.Microseconds()))
-
-	s.mu.Lock()
-	s.counters.Executed++
-	if res.Status == StatusDeadline {
-		s.counters.Deadline++
-	}
-	s.retain(j.id)
-	s.mu.Unlock()
 }
 
 // retain records a completed job for polling and expires the oldest

@@ -94,9 +94,14 @@ const (
 // Payload is masked to the channel width w by the sending node; Bits is
 // metadata used only for Route words (the number of routing bits in Payload
 // that have not yet been consumed by a router).
+//
+// Payload leads so the struct packs into 8 bytes (4 + 1 + 1, padded to the
+// payload's alignment): every per-port pipeline, injection and elastic
+// buffer in the model is an array of these, so the field order is the
+// difference between 8 and 12 bytes a word. word_test.go pins the size.
 type Word struct {
-	Kind    Kind
 	Payload uint32
+	Kind    Kind
 	Bits    uint8
 }
 

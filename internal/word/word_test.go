@@ -3,7 +3,18 @@ package word
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestLayoutPinWordIsEightBytes pins the field order: Payload first packs a
+// Word into 8 bytes, and every port buffer and link register in the model is
+// sized by it. A field added or moved so the struct grows fails here, not in
+// a heap profile three PRs later.
+func TestLayoutPinWordIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Word{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(word.Word{}) = %d, want 8", got)
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
