@@ -381,9 +381,9 @@ func BenchmarkBlockingProfile(b *testing.B) {
 	run := func() {
 		rows = rows[:0]
 		for _, load := range loads {
-			// Only the streaming sink is read, so the ring stays minimal.
+			// Only the streaming sink is read, so the recorder has no ring.
 			counters := metro.NewStageCounters()
-			rec := telemetry.New(telemetry.Options{Capacity: 1})
+			rec := telemetry.NewStream()
 			rec.SetSink(counters.Sink)
 			driver := &traffic.ClosedLoop{
 				Load:        load,

@@ -245,18 +245,22 @@ type poolCmd struct {
 // pool drives a kernel's units. The unit population is split into parts
 // contiguous index ranges — the configured worker count, or one range
 // when that is 0 — so the partition is a pure function of the kernel,
-// not of GOMAXPROCS. With workers the pool owns min(workers, GOMAXPROCS)
-// persistent goroutines, each executing partitions i, i+g, i+2g, … in
-// order; with none, phase runs the single partition inline on the
-// caller. The barrier WaitGroup plus the command channels provide the
-// happens-before edges: every write a worker makes during a phase is
-// visible to the coordinator after phase() returns, and to every worker
-// on the next phase broadcast.
+// not of GOMAXPROCS. The partitions are dealt round-robin onto
+// g = min(workers, GOMAXPROCS) lanes, lane i executing partitions i, i+g,
+// i+2g, … in order. The coordinator (the stepping goroutine) runs lane 0
+// itself and the pool owns one persistent goroutine for each of the other
+// g-1 lanes: the coordinator would only sleep while they ran, and on
+// networks whose phase is a few microseconds the extra handoff and wake
+// cost more than the lane. With workers <= 1, or a single processor,
+// there is no goroutine at all. The barrier WaitGroup plus the command
+// channels provide the happens-before edges: every write a worker makes
+// during a phase is visible to the coordinator after phase() returns,
+// and to every worker on the next phase broadcast.
 type pool struct {
 	k       Kernel
 	bounds  []int            // partition p covers units [bounds[p], bounds[p+1])
 	shardNs []*metrics.Gauge // partition p -> step-time gauge (may be short or nil)
-	cmd     []chan poolCmd   // one per goroutine; empty when workers == 0
+	cmd     []chan poolCmd   // lane i+1's command channel: g-1 of them, none when g == 1
 	barrier sync.WaitGroup
 	done    sync.WaitGroup
 }
@@ -271,27 +275,32 @@ func newPool(workers int, k Kernel, shardNs []*metrics.Gauge) *pool {
 	for i := range p.bounds {
 		p.bounds[i] = i * n / parts
 	}
-	g := workers
-	if max := runtime.GOMAXPROCS(0); g > max {
-		g = max
+	lanes := parts
+	if max := runtime.GOMAXPROCS(0); lanes > max {
+		lanes = max
 	}
-	p.cmd = make([]chan poolCmd, g)
-	p.done.Add(g)
+	p.cmd = make([]chan poolCmd, lanes-1)
+	p.done.Add(len(p.cmd))
 	for i := range p.cmd {
 		p.cmd[i] = make(chan poolCmd)
-		go p.worker(i)
+		go p.worker(i + 1)
 	}
 	return p
 }
 
-func (p *pool) worker(i int) {
+// worker is the goroutine behind lane i >= 1.
+func (p *pool) worker(lane int) {
 	defer p.done.Done()
-	parts, stride := len(p.bounds)-1, len(p.cmd)
-	for cmd := range p.cmd[i] {
-		for part := i; part < parts; part += stride {
-			p.run(part, cmd)
-		}
+	for cmd := range p.cmd[lane-1] {
+		p.runLane(lane, cmd)
 		p.barrier.Done()
+	}
+}
+
+// runLane executes one phase of every partition dealt to a lane.
+func (p *pool) runLane(lane int, cmd poolCmd) {
+	for part, lanes := lane, len(p.cmd)+1; part < len(p.bounds)-1; part += lanes {
+		p.run(part, cmd)
 	}
 }
 
@@ -325,17 +334,22 @@ func (p *pool) run(part int, cmd poolCmd) {
 }
 
 // phase runs one half-cycle over every partition and waits for all of
-// them to finish it. Inline execution is never timed per partition: the
-// engine's StepNs gauge already covers the one goroutine there is.
+// them to finish it: broadcast to the worker lanes, run lane 0 here, then
+// wait at the barrier; with no worker lanes it is a plain call. timed
+// (see Engine.metTimed) follows the configured worker count, not the
+// goroutine count, so the coordinator's lane publishes its partitions'
+// gauges like any other.
 func (p *pool) phase(kind phaseKind, cycle uint64, timed bool) {
+	cmd := poolCmd{kind: kind, cycle: cycle, timed: timed}
 	if len(p.cmd) == 0 {
-		p.run(0, poolCmd{kind: kind, cycle: cycle})
+		p.runLane(0, cmd)
 		return
 	}
 	p.barrier.Add(len(p.cmd))
 	for _, ch := range p.cmd {
-		ch <- poolCmd{kind: kind, cycle: cycle, timed: timed}
+		ch <- cmd
 	}
+	p.runLane(0, cmd)
 	p.barrier.Wait()
 }
 

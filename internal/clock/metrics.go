@@ -82,9 +82,11 @@ func (e *Engine) metShardNs() []*metrics.Gauge {
 
 // metTimed reports whether the cycle about to execute lands on the
 // sampling grid and per-partition timing is wired, so the phase broadcast
-// should carry the timed flag.
+// should carry the timed flag. Inline execution (workers == 0) is never
+// timed per partition: the StepNs gauge already covers the one range
+// there is.
 func (e *Engine) metTimed() bool {
-	return e.met != nil && len(e.met.ShardNs) > 0 && (e.metN+1)%e.met.every() == 0
+	return e.met != nil && e.workers > 0 && len(e.met.ShardNs) > 0 && (e.metN+1)%e.met.every() == 0
 }
 
 // metTick advances the sampling window after a completed cycle; on

@@ -79,6 +79,26 @@ func TestEngineMetricsParallelShards(t *testing.T) {
 	}
 }
 
+// TestEngineMetricsCoordinatorLane: at workers=1 the stepping goroutine
+// is the only lane, and its partition's gauge is still published; inline
+// execution (workers=0) is never timed per partition.
+func TestEngineMetricsCoordinatorLane(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		timed   bool
+	}{{0, false}, {1, true}} {
+		e := New()
+		e.SetKernel(newFakeKernel(&spinComp{}, &spinComp{}))
+		e.SetWorkers(tc.workers)
+		_, m := newEngineMetrics(4, 1)
+		e.SetMetrics(m)
+		e.Run(64)
+		if got := m.ShardNs[0].Value() > 0; got != tc.timed {
+			t.Errorf("workers=%d: shard 0 step ns = %v, timed = %v, want %v", tc.workers, m.ShardNs[0].Value(), got, tc.timed)
+		}
+	}
+}
+
 // TestEngineMetricsDetach verifies SetMetrics(nil) stops all updates
 // and the engine keeps stepping.
 func TestEngineMetricsDetach(t *testing.T) {

@@ -335,17 +335,25 @@ func TestAddAfterParallelStepRebuildsPool(t *testing.T) {
 
 // TestStopWorkersIdempotent: StopWorkers is safe with no pool, twice in
 // a row, and between steps, and it really ends the worker goroutines.
+// The coordinator runs lane 0 itself, so workers lanes cost workers-1
+// goroutines and a single worker costs none.
 func TestStopWorkersIdempotent(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := New()
 	e.SetKernel(newFakeKernel(&counter{}, &counter{}, &counter{}))
 	e.StopWorkers() // no pool yet
+	e.SetWorkers(1)
+	e.Run(2)
+	if got := runtime.NumGoroutine(); got > baseline {
+		t.Errorf("%d goroutines at workers=1, want the baseline of %d: the coordinator is the only lane", got, baseline)
+	}
 	e.SetWorkers(3)
 	e.Run(2)
-	running := 3 // goroutines are capped at GOMAXPROCS
+	running := 3 // lanes are capped at GOMAXPROCS
 	if max := runtime.GOMAXPROCS(0); running > max {
 		running = max
 	}
+	running-- // lane 0 is the stepping goroutine
 	if got := runtime.NumGoroutine(); got < baseline+running {
 		t.Errorf("%d goroutines between parallel steps, want at least %d over the baseline of %d", got, running, baseline)
 	}

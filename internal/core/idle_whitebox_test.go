@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"metro/internal/link"
@@ -92,5 +93,57 @@ func TestIdleRouterIsUntouchedAndAllocatesAsFresh(t *testing.T) {
 		if err := g.r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSetTurnDelay: the in-place turn-delay write lands in the Table 2
+// register and nowhere else, and a rejected write (port or delay out of
+// range) changes nothing: not the register file, not the enabled and live
+// masks the idle path reads.
+func TestSetTurnDelay(t *testing.T) {
+	g := newRig(0xACE1)
+	cfg := g.r.Config()
+	ports := cfg.Inputs + cfg.Outputs
+	// One open connection, so live is not trivially zero.
+	g.src[2].Send(word.MakeRoute(1, 1))
+	g.step(0)
+	g.step(1)
+	if g.r.ConnectionCount() != 1 {
+		t.Fatalf("ConnectionCount = %d, want 1", g.r.ConnectionCount())
+	}
+	g.r.SetForwardEnabled(3, false)
+	enabled, live := g.r.enabled, g.r.live
+
+	for _, w := range []struct{ port, delay int }{{0, cfg.MaxVTD}, {cfg.Inputs, 2}, {ports - 1, 0}, {2, 1}} {
+		if err := g.r.SetTurnDelay(w.port, w.delay); err != nil {
+			t.Fatalf("SetTurnDelay(%d, %d): %v", w.port, w.delay, err)
+		}
+		if got := g.r.Settings().TurnDelay[w.port]; got != w.delay {
+			t.Errorf("TurnDelay[%d] = %d after SetTurnDelay(%d, %d)", w.port, got, w.port, w.delay)
+		}
+	}
+	before := g.r.Settings()
+	for _, w := range []struct {
+		port, delay int
+		want        string
+	}{
+		{-1, 1, "port -1"},
+		{ports, 1, "port 8"},
+		{0, -1, "TurnDelay[0] = -1"},
+		{ports - 1, cfg.MaxVTD + 1, "max_vtd=4"},
+	} {
+		err := g.r.SetTurnDelay(w.port, w.delay)
+		if err == nil || !strings.Contains(err.Error(), w.want) {
+			t.Errorf("SetTurnDelay(%d, %d) = %v, want an error mentioning %q", w.port, w.delay, err, w.want)
+		}
+	}
+	if after := g.r.Settings(); !reflect.DeepEqual(before, after) {
+		t.Errorf("rejected writes changed the settings:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if g.r.enabled != enabled || g.r.live != live {
+		t.Errorf("masks moved: enabled %#x -> %#x, live %#x -> %#x", enabled, g.r.enabled, live, g.r.live)
+	}
+	if err := g.r.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,7 +18,9 @@ import "fmt"
 //     enabled-and-attached ones (valid between cycles, which is when
 //     harnesses call this).
 func (r *Router) CheckInvariants() error {
-	seen := make(map[int]int) // bp -> fp
+	// claimed[bp] is the claiming forward port plus one, 0 while unclaimed:
+	// on the stack, because harnesses call this for every router every cycle.
+	var claimed [MaxPorts]int8
 	for fp := range r.fwd {
 		p := &r.fwd[fp]
 		switch p.state {
@@ -30,10 +32,10 @@ func (r *Router) CheckInvariants() error {
 			if p.bp < 0 || p.bp >= r.cfg.Outputs {
 				return fmt.Errorf("%s: fp%d connected with invalid bp %d", r.name, fp, p.bp)
 			}
-			if prev, dup := seen[p.bp]; dup {
-				return fmt.Errorf("%s: bp %d claimed by fp%d and fp%d", r.name, p.bp, prev, fp)
+			if prev := claimed[p.bp]; prev != 0 {
+				return fmt.Errorf("%s: bp %d claimed by fp%d and fp%d", r.name, p.bp, prev-1, fp)
 			}
-			seen[p.bp] = fp
+			claimed[p.bp] = int8(fp + 1)
 			if r.busyBy[p.bp] != fp {
 				return fmt.Errorf("%s: fp%d holds bp %d but busyBy says %d",
 					r.name, fp, p.bp, r.busyBy[p.bp])
@@ -60,7 +62,7 @@ func (r *Router) CheckInvariants() error {
 	for bp, owner := range r.busyBy {
 		switch {
 		case owner >= 0:
-			if fp, ok := seen[bp]; !ok || fp != owner {
+			if int(claimed[bp])-1 != owner {
 				return fmt.Errorf("%s: busyBy[%d] = fp%d but no connected port claims it",
 					r.name, bp, owner)
 			}

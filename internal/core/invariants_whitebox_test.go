@@ -65,7 +65,7 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 				r.fwd[1].state = fpReversed
 				r.fwd[1].bp = 2
 			},
-			want: "claimed by",
+			want: "bp 2 claimed by fp0 and fp1",
 		},
 		{
 			name: "busyBy disagreeing with the owning port",

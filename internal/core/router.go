@@ -66,18 +66,25 @@ const (
 	SelectFirstFree
 )
 
-// maxOutQ bounds the elastic output buffer; exceeding it indicates a
-// protocol bug, not a congestion condition (see DESIGN.md).
-const maxOutQ = 64
+// injWords is the worst-case injection sequence of a port at channel
+// width w: STATUS + checksum words + DROP. It is also the bound of the
+// elastic output buffer: a stream word is displaced into outQ only by a
+// word leaving ahead of it, occupancy grows only while an injected word
+// takes the slot (a buffered word leaving makes room for the one
+// arriving), and flip, the only place a sequence is staged on a port
+// that forwards, empties outQ first. Exceeding it indicates a protocol
+// bug, not a congestion condition (see DESIGN.md).
+func injWords(w int) int { return 2 + word.ChecksumWords(w) }
 
 // fwdPort holds the per-forward-port connection state machine.
 //
 // The pipe, inject and outQ buffers are allocated once (NewRouter sizes
-// them to DataPipe, the worst-case injection sequence, and maxOutQ) and
-// reused for the life of the port: the per-cycle path must not touch the
-// heap. inject and outQ are consumed through head cursors instead of
-// re-slicing so the backing arrays survive; see buffer() for the outQ
-// compaction that keeps appends within the preallocated capacity.
+// them to DataPipe and, for both inject and outQ, the worst-case
+// injection sequence injWords) and reused for the life of the port: the
+// per-cycle path must not touch the heap. inject and outQ are consumed
+// through head cursors instead of re-slicing so the backing arrays
+// survive; see buffer() for the outQ compaction that keeps appends
+// within the preallocated capacity.
 type fwdPort struct {
 	state     fpState
 	bp        int // allocated backward port, -1 when none
@@ -227,8 +234,7 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 	if err := set.Validate(cfg); err != nil {
 		panic(fmt.Sprintf("core: %s: %v", name, err))
 	}
-	// Worst-case injection sequence: STATUS + checksum words + DROP.
-	injCap := 2 + word.ChecksumWords(cfg.Width)
+	injCap := injWords(cfg.Width)
 	r := &Router{
 		hotHeader: hotHeader{
 			fin:     make([]link.In, cfg.Inputs),
@@ -253,8 +259,8 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 	// three-index carves make overflow past a region's capacity a panic
 	// rather than silent aliasing; inject and outQ append only up to the
 	// capacities reserved here (stageInject's worst case and buffer()'s
-	// maxOutQ guard).
-	perSet := cfg.DataPipe + injCap + maxOutQ
+	// overflow guard, both injWords).
+	perSet := cfg.DataPipe + 2*injCap
 	backing := make([]word.Word, (cfg.Inputs+cfg.Outputs)*perSet)
 	carve := func(length, capacity int) []word.Word {
 		s := backing[:length:capacity]
@@ -265,7 +271,7 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 		r.fwd[i].bp = -1
 		r.fwd[i].pipe = carve(cfg.DataPipe, cfg.DataPipe)
 		r.fwd[i].inject = carve(0, injCap)
-		r.fwd[i].outQ = carve(0, maxOutQ)
+		r.fwd[i].outQ = carve(0, injCap)
 	}
 	for i := range r.busyBy {
 		r.busyBy[i] = -1
@@ -274,7 +280,7 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 		r.spareBufs[i] = portBufs{
 			pipe:   carve(cfg.DataPipe, cfg.DataPipe),
 			inject: carve(0, injCap),
-			outQ:   carve(0, maxOutQ),
+			outQ:   carve(0, injCap),
 		}
 	}
 	return r
@@ -386,6 +392,25 @@ func (r *Router) SetForwardEnabled(fp int, on bool) {
 //
 //metrovet:mutator models scan-driven port masking (static fault isolation)
 func (r *Router) SetBackwardEnabled(bp int, on bool) { r.set.BackwardEnabled[bp] = on }
+
+// SetTurnDelay writes one port's variable turn delay register in place, as
+// a scan CONFIG load of that field would: port indexes the Table 2
+// register file (forward ports first, then backward ports) and delay must
+// lie in [0, MaxVTD]. A rejected write changes nothing. Unlike
+// Settings + ApplySettings it copies no settings, so network construction
+// can record every wire's depth without cloning per port.
+//
+//metrovet:mutator network construction wiring (models a scan CONFIG load), before the clock starts
+func (r *Router) SetTurnDelay(port, delay int) error {
+	if port < 0 || port >= len(r.set.TurnDelay) {
+		return fmt.Errorf("core: TurnDelay port %d outside [0, Inputs+Outputs=%d)", port, len(r.set.TurnDelay))
+	}
+	if delay < 0 || delay > r.cfg.MaxVTD {
+		return fmt.Errorf("core: TurnDelay[%d] = %d outside [0, max_vtd=%d]", port, delay, r.cfg.MaxVTD)
+	}
+	r.set.TurnDelay[port] = delay
+	return nil
+}
 
 // SetFastReclaim selects the path reclamation mode of forward port fp
 // during operation (Section 5.1: the tradeoff may be handled dynamically).
@@ -881,17 +906,18 @@ func (p *fwdPort) buffer(w word.Word) {
 	if w.IsEmpty() {
 		return
 	}
-	if len(p.outQ)-p.outHead >= maxOutQ {
-		panic("core: output elastic buffer overflow — protocol bug")
-	}
-	if len(p.outQ) == cap(p.outQ) && p.outHead > 0 {
+	if len(p.outQ) == cap(p.outQ) {
+		if p.outHead == 0 {
+			// Full of pending words: the capacity is the injWords bound.
+			panic("core: output elastic buffer overflow — protocol bug")
+		}
 		// Slide the pending words to the front so the append below stays
 		// within the preallocated backing array.
 		n := copy(p.outQ, p.outQ[p.outHead:])
 		p.outQ = p.outQ[:n]
 		p.outHead = 0
 	}
-	//metrovet:alloc bounded by the maxOutQ capacity preallocated in NewRouter
+	//metrovet:alloc bounded by the injWords capacity preallocated in NewRouter
 	p.outQ = append(p.outQ, w)
 }
 
@@ -945,10 +971,10 @@ func (r *Router) detach(cycle uint64, fp int) {
 			// Unreachable: at most one closer per backward port can be in
 			// flight and the pool holds Outputs sets. Kept as a safe
 			// fallback rather than a panic.
+			dp, inj := r.cfg.DataPipe, cap(c.port.inject)
 			//metrovet:alloc unreachable fallback; the spare pool is sized to the closer bound
-			p.pipe = make([]word.Word, r.cfg.DataPipe)
-			p.inject = nil
-			p.outQ = nil
+			b := make([]word.Word, dp+2*inj)
+			p.pipe, p.inject, p.outQ = b[:dp:dp], b[dp:dp:dp+inj], b[dp+inj:dp+inj]
 		}
 		//metrovet:alloc capacity Outputs preallocated in NewRouter; at most one closer per backward port
 		r.closers = append(r.closers, c)

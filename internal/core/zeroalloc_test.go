@@ -47,3 +47,29 @@ func TestZeroAllocRouterSteadyCycle(t *testing.T) {
 		t.Fatalf("router steady cycle: %d allocs/op, want 0", a)
 	}
 }
+
+// TestZeroAllocCheckInvariants: harnesses audit every router every cycle
+// (metrofuzz's primary leg, so every metroserve job), so a passing audit
+// must stay off the heap: the backward-port claim table lives on the
+// stack.
+func TestZeroAllocCheckInvariants(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	cfg := cfg4x4()
+	h := newHarness(cfg, dil1Settings(cfg), 1)
+	h.src[0].Send(word.MakeRoute(0, 2))
+	h.src[2].Send(word.MakeRoute(1, 2))
+	h.run()
+	h.run()
+	if h.r.ConnectionCount() != 2 {
+		t.Fatalf("ConnectionCount = %d, want 2", h.r.ConnectionCount())
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := h.r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("CheckInvariants: %v allocs per call, want 0", a)
+	}
+}

@@ -458,7 +458,9 @@ func Build(p Params) (*Network, error) {
 				ends[lane] = l.A()
 				r := lanes[ref.Stage][ref.Index][lane]
 				r.AttachForward(ref.Port, l.B())
-				setTurnDelay(r, ref.Port, delayOf(0))
+				if err := r.SetTurnDelay(ref.Port, delayOf(0)); err != nil {
+					return nil, err
+				}
 			}
 			n.Endpoints[e].AttachInject(channel(ends))
 		}
@@ -487,12 +489,16 @@ func Build(p Params) (*Network, error) {
 					n.outLanes[s][j][bp][lane] = l
 					up := lanes[s][j][lane]
 					up.AttachBackward(bp, l.A())
-					setTurnDelay(up, up.Config().Inputs+bp, delayOf(s+1))
+					if err := up.SetTurnDelay(p.Spec.Stages[s].Inputs+bp, delayOf(s+1)); err != nil {
+						return nil, err
+					}
 					ends[lane] = l.B()
 					if ref.Kind != topo.KindEndpoint {
 						down := lanes[ref.Stage][ref.Index][lane]
 						down.AttachForward(ref.Port, l.B())
-						setTurnDelay(down, ref.Port, delayOf(s+1))
+						if err := down.SetTurnDelay(ref.Port, delayOf(s+1)); err != nil {
+							return nil, err
+						}
 					}
 				}
 				if ref.Kind == topo.KindEndpoint {
@@ -671,18 +677,6 @@ func (n *Network) MessageWords(payloadBytes int) int {
 	logical := n.Params.Width * n.Params.CascadeWidth
 	payloadWords := len(nic.PackBytes(make([]byte, payloadBytes), logical))
 	return len(h) + payloadWords + word.ChecksumWords(logical) + 1
-}
-
-// setTurnDelay records a port's attached wire depth in the router's
-// Table 2 turn-delay register, as a scan CONFIG load would.
-func setTurnDelay(r *core.Router, port, delay int) {
-	set := r.Settings()
-	if port >= 0 && port < len(set.TurnDelay) {
-		set.TurnDelay[port] = delay
-		// Settings were validated at construction; the delay fits MaxVTD
-		// by construction (MaxVTD = max link delay).
-		_ = r.ApplySettings(set)
-	}
 }
 
 func log2(v int) int {

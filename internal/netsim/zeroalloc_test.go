@@ -125,3 +125,44 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 		t.Fatalf("observed congested kernel step: %d allocs/op (%d B/op), want 0", a, res.AllocedBytesPerOp())
 	}
 }
+
+// TestZeroAllocBuildPerPortClones pins netsim.Build's allocation count on
+// the Figure 3 network. Build is not allocation-free, but what it
+// allocates per router port must be wiring (a link's name, its adjacency
+// entries), never a copy of the router's settings: writing each port's
+// turn delay through Settings + ApplySettings cost two deep clones,
+// twelve allocations, per port (9,216 of this network's 15,278). The
+// budget leaves a few percent of headroom over the 6,062 measured at
+// introduction and sits far below one extra allocation per port per
+// clone.
+func TestZeroAllocBuildPerPortClones(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const budget = 6400
+	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
+	ports := 0
+	n, err := Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range n.Routers {
+		for _, r := range n.Routers[s] {
+			ports += r.Config().Inputs + r.Config().Outputs
+			for port, d := range r.Settings().TurnDelay {
+				if d != p.LinkDelay {
+					t.Fatalf("%s: TurnDelay[%d] = %d, want the link delay %d", r.Name(), port, d, p.LinkDelay)
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Build(Figure 3): %.0f allocations, %.1f per router port (%d ports)", allocs, allocs/float64(ports), ports)
+	if allocs > budget {
+		t.Fatalf("Build(Figure 3): %.0f allocations (%.1f per router port), budget %d: is something cloning per port again?", allocs, allocs/float64(ports), budget)
+	}
+}

@@ -50,8 +50,11 @@ type Config struct {
 	// ProgressPeriod is the cycle period of progress frames (and
 	// cancellation polls); 0 selects metrofuzz.DefaultProgressPeriod.
 	ProgressPeriod uint64
-	// TraceCapacity bounds each job's flight-recorder ring in events;
-	// defaults to 1<<14 (≈400 KiB per running job).
+	// TraceCapacity bounds a trace=1 job's flight-recorder ring in
+	// events; defaults to 1<<14 (640 KiB at the 40-byte telemetry.Event,
+	// held while the job runs). A job submitted without trace=1 streams
+	// its events to the metrics bridge and SSE forwarder only and has no
+	// ring at all.
 	TraceCapacity int
 	// GaugeEvery forwards only gauge samples whose cycle is a multiple
 	// of this period to SSE subscribers; 0 forwards every sample.
@@ -237,7 +240,7 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 		defer cancel()
 	}
-	rec := telemetry.New(telemetry.Options{Capacity: s.cfg.TraceCapacity})
+	rec := s.jobRecorder(j.trace)
 	// Compose the two streaming taps on the flight recorder: the SSE
 	// gauge forwarder and the telemetry→metrics bridge both observe the
 	// flusher's drain without blocking it.
@@ -299,6 +302,17 @@ func (s *Server) runJob(j *job) {
 		slog.Uint64("cycles", res.Cycles),
 		slog.Int("offered", res.Offered), slog.Int("delivered", res.Delivered),
 		slog.Int64("dur_us", elapsed.Microseconds()))
+}
+
+// jobRecorder returns the flight recorder for one job. Only a trace=1
+// result reads the ring back, so every other job gets a stream-only
+// recorder: its sinks see the same events in the same order, and the
+// job does not allocate and zero a ring nobody will snapshot.
+func (s *Server) jobRecorder(trace bool) *telemetry.Recorder {
+	if trace {
+		return telemetry.New(telemetry.Options{Capacity: s.cfg.TraceCapacity})
+	}
+	return telemetry.NewStream()
 }
 
 // retain records a completed job for polling and expires the oldest

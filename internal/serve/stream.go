@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"metro/internal/metrics"
 	"metro/internal/telemetry"
@@ -58,6 +60,10 @@ type hub struct {
 	history []streamEvent
 	closed  bool
 	dropped uint64 // total frames dropped across all subscribers
+	// watchers mirrors len(subs) for lock-free reads: the gauge forwarder
+	// asks it on the stepping goroutine before encoding a live-only frame
+	// nobody would receive. Written under mu.
+	watchers atomic.Int32
 }
 
 // subscriber is one attached SSE connection.
@@ -122,7 +128,13 @@ func (h *hub) close() {
 		h.obs.subscribers.Add(-1)
 	}
 	h.subs = nil
+	h.watchers.Store(0)
 }
+
+// watched reports whether any subscriber is attached right now. A frame
+// that is not kept in the replay history (a gauge) and is published while
+// this is false reaches no one, so its producer may skip it.
+func (h *hub) watched() bool { return h.watchers.Load() > 0 }
 
 // subscribe returns the replay history and a live channel (nil if the
 // stream already closed — the history then ends with the terminal
@@ -136,6 +148,7 @@ func (h *hub) subscribe() (replay []streamEvent, ch chan streamEvent, cancel fun
 	}
 	sub := &subscriber{ch: make(chan streamEvent, subBuffer)}
 	h.subs = append(h.subs, sub)
+	h.watchers.Add(1)
 	h.obs.subscribers.Add(1)
 	return replay, sub.ch, func() {
 		h.mu.Lock()
@@ -146,6 +159,7 @@ func (h *hub) subscribe() (replay []streamEvent, ch chan streamEvent, cancel fun
 				h.subs[len(h.subs)-1] = nil
 				h.subs = h.subs[:len(h.subs)-1]
 				close(sub.ch)
+				h.watchers.Add(-1)
 				h.obs.subscribers.Add(-1)
 				break
 			}
@@ -176,25 +190,47 @@ type gaugePayload struct {
 	Value int32  `json:"value"`
 }
 
+// appendGaugeFrame appends the gauge frame for e to dst: byte for byte
+// what json.Marshal(gaugePayload{...}) renders, without the reflection
+// walk. The gauge kind mnemonics are plain ASCII, so quoting them needs
+// no escaping; TestGaugeFrameMatchesJSON holds the two encodings equal.
+func appendGaugeFrame(dst []byte, e *telemetry.Event) []byte {
+	dst = append(dst, `{"cycle":`...)
+	dst = strconv.AppendUint(dst, e.Cycle, 10)
+	dst = append(dst, `,"kind":"`...)
+	dst = append(dst, e.Kind.String()...)
+	dst = append(dst, `","stage":`...)
+	dst = strconv.AppendInt(dst, int64(e.Src.Stage), 10)
+	dst = append(dst, `,"value":`...)
+	dst = strconv.AppendInt(dst, int64(e.A), 10)
+	return append(dst, '}')
+}
+
+// gaugeFrameCap covers the longest gauge frame (a 20-digit cycle, the
+// longest kind mnemonic, a 6-character stage, an 11-character value), so
+// a frame is one allocation.
+const gaugeFrameCap = 96
+
 // gaugeSink adapts the telemetry recorder's streaming sink to the job's
 // SSE hub: gauge events whose cycle lands on the every-cycle grid are
-// forwarded live. It runs on the engine's flushing goroutine, so it
+// forwarded live. Gauge frames are never kept for replay, so while no
+// subscriber is attached there is no one to encode them for and the sink
+// returns at once. It runs on the engine's flushing goroutine, so it
 // must not block — hub.publish drops on slow subscribers by design.
 func (j *job) gaugeSink(every uint64) func([]telemetry.Event) {
 	if every == 0 {
 		every = 1
 	}
 	return func(events []telemetry.Event) {
-		for _, e := range events {
+		if !j.hub.watched() {
+			return
+		}
+		for i := range events {
+			e := &events[i]
 			if e.Kind.Family() != "gauge" || e.Cycle%every != 0 {
 				continue
 			}
-			data, _ := json.Marshal(gaugePayload{
-				Cycle: e.Cycle,
-				Kind:  e.Kind.String(),
-				Stage: int(e.Src.Stage),
-				Value: e.A,
-			})
+			data := appendGaugeFrame(make([]byte, 0, gaugeFrameCap), e)
 			j.hub.publish(streamEvent{name: "gauge", data: data}, false)
 		}
 	}

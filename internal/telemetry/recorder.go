@@ -34,7 +34,7 @@ type Options struct {
 
 // DefaultCapacity is the flight-recorder ring size when Options.Capacity
 // is 0: large enough to hold the full event stream of the repo's
-// standard experiment runs, small enough to stay cheap (24 B/event).
+// standard experiment runs, small enough to stay cheap (40 B/event).
 const DefaultCapacity = 1 << 18
 
 // Recorder is the flight recorder: a bounded ring of the most recent
@@ -42,14 +42,14 @@ const DefaultCapacity = 1 << 18
 // construction time; Flush (driven by a Flusher component in the
 // engine's serialized epilogue) drains them in registration order.
 //
-// The ring and every Buf are preallocated or grow only to the workload's
+// The ring is preallocated and every Buf grows only to the workload's
 // high-water mark, so steady-state recording is allocation-free — the
 // zero-alloc gate in this package proves it.
 type Recorder struct {
-	ring  []Event
-	head  int    // next write position
-	count int    // live events in the ring
-	total uint64 // events ever recorded, including overwritten ones
+	ring  []Event // nil for a stream-only recorder (NewStream)
+	head  int     // next write position
+	count int     // live events in the ring
+	total uint64  // events ever recorded, including overwritten ones
 	bufs  []*Buf
 	sink  func([]Event)
 }
@@ -63,6 +63,15 @@ func New(opts Options) *Recorder {
 	return &Recorder{ring: make([]Event, c)}
 }
 
+// NewStream constructs a stream-only Recorder: one with no ring. The
+// sink still sees every drained event in the same registration-order
+// merge and Total still counts them, but nothing is retained: Capacity
+// and Len are 0, Snapshot is empty and Dropped equals Total. It is the
+// recorder for a run whose events are only ever watched live (metrics
+// bridges, SSE forwarders), which then does not pay for a ring it never
+// reads.
+func NewStream() *Recorder { return &Recorder{} }
+
 // NewBuf registers and returns a new unit-local buffer. Registration
 // order defines the within-cycle merge order of the recorded stream, so
 // callers must register in a deterministic order (netsim registers
@@ -70,7 +79,7 @@ func New(opts Options) *Recorder {
 //
 //metrovet:mutator network construction wiring, before the clock starts
 func (r *Recorder) NewBuf() *Buf {
-	b := &Buf{events: make([]Event, 0, 64)}
+	b := &Buf{}
 	r.bufs = append(r.bufs, b)
 	return b
 }
@@ -90,32 +99,43 @@ func (r *Recorder) NewBuf() *Buf {
 //metrovet:mutator recorder wiring, before the clock starts
 func (r *Recorder) SetSink(fn func([]Event)) { r.sink = fn }
 
-// Flush drains every registered Buf, in registration order, into the
-// ring. A Flusher component calls it once per cycle at the barrier.
+// Flush drains every registered Buf, in registration order, to the sink
+// and into the ring (when there is one). A Flusher component calls it
+// once per cycle at the barrier.
 func (r *Recorder) Flush() {
 	for _, b := range r.bufs {
-		if r.sink != nil && len(b.events) > 0 {
+		if len(b.events) == 0 {
+			continue
+		}
+		if r.sink != nil {
 			r.sink(b.events)
 		}
-		for i := range b.events {
-			r.ring[r.head] = b.events[i]
-			r.head++
-			if r.head == len(r.ring) {
-				r.head = 0
-			}
-			if r.count < len(r.ring) {
-				r.count++
-			}
+		if r.ring != nil {
+			r.record(b.events)
 		}
 		r.total += uint64(len(b.events))
 		b.events = b.events[:0]
 	}
 }
 
+// record copies events into the ring, overwriting the oldest.
+func (r *Recorder) record(events []Event) {
+	for i := range events {
+		r.ring[r.head] = events[i]
+		r.head++
+		if r.head == len(r.ring) {
+			r.head = 0
+		}
+		if r.count < len(r.ring) {
+			r.count++
+		}
+	}
+}
+
 // Len reports live events in the ring.
 func (r *Recorder) Len() int { return r.count }
 
-// Capacity reports the ring size.
+// Capacity reports the ring size; 0 for a stream-only recorder.
 func (r *Recorder) Capacity() int { return len(r.ring) }
 
 // Total reports events ever recorded, including those the ring has since

@@ -154,3 +154,44 @@ func TestRecorderSinkObservesFlushedBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamRecorderFeedsSinkOnly: a stream-only recorder hands its sink
+// exactly the batches a ringed recorder would, in the same order, and
+// retains nothing.
+func TestStreamRecorderFeedsSinkOnly(t *testing.T) {
+	var seen [2][]Event
+	recs := [2]*Recorder{New(Options{Capacity: 4}), NewStream()}
+	for i, r := range recs {
+		i := i
+		b1, b2 := r.NewBuf(), r.NewBuf()
+		r.SetSink(func(events []Event) { seen[i] = append(seen[i], events...) })
+		for c := uint64(1); c <= 6; c++ {
+			b2.Emit(ev(c, EvGaugeInFlight, NetworkSource(-1), 0, int32(c), 0))
+			if c%2 == 0 {
+				b1.Emit(ev(c, EvConnSetup, RouterSource(0, 0, 0), 0, 1, 2))
+			}
+			r.Flush()
+		}
+		if b1.Len() != 0 || b2.Len() != 0 {
+			t.Errorf("recorder %d: flush left events in its buffers", i)
+		}
+	}
+	if len(seen[0]) != 9 || len(seen[1]) != len(seen[0]) {
+		t.Fatalf("sinks saw %d and %d events, want 9 each", len(seen[0]), len(seen[1]))
+	}
+	for i := range seen[0] {
+		if seen[0][i] != seen[1][i] {
+			t.Errorf("event %d: ringed sink saw %v, stream-only sink saw %v", i, seen[0][i], seen[1][i])
+		}
+	}
+	s := recs[1]
+	if s.Capacity() != 0 || s.Len() != 0 {
+		t.Errorf("stream-only recorder: Capacity %d, Len %d, want 0 and 0", s.Capacity(), s.Len())
+	}
+	if s.Total() != 9 || s.Dropped() != 9 {
+		t.Errorf("stream-only recorder: Total %d, Dropped %d, want 9 and 9 (nothing is retained)", s.Total(), s.Dropped())
+	}
+	if tr := s.Snapshot(); len(tr.Events) != 0 || tr.Total != 9 {
+		t.Errorf("stream-only snapshot: %d events, Total %d, want 0 and 9", len(tr.Events), tr.Total)
+	}
+}
