@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"metro/internal/prng"
-	"metro/internal/word"
 )
 
 func freshRouter() *Router {
@@ -31,12 +30,19 @@ func freshRouter() *Router {
 
 // connect puts fp into a fully consistent fpForward connection on bp so a
 // later corruption isolates exactly one clause.
-func connect(r *Router, fp, bp int) {
+func connect(r *Router, fp, bp int8) {
 	r.fwd[fp].state = fpForward
 	r.fwd[fp].bp = bp
-	r.fwd[fp].pipe = make([]word.Word, r.cfg.DataPipe)
 	r.busyBy[bp] = fp
 	r.live |= 1 << uint(fp)
+}
+
+// closeOut detaches a consistent connection fp -> bp the way detach does,
+// so a later corruption of the closer isolates exactly one clause.
+func closeOut(r *Router, fp, bp int8) {
+	connect(r, fp, bp)
+	r.detach(0, int(fp))
+	r.live &^= 1 << uint(fp)
 }
 
 func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
@@ -54,7 +60,7 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 			name: "connected port with out-of-range bp",
 			corrupt: func(r *Router) {
 				r.fwd[1].state = fpForward
-				r.fwd[1].bp = r.cfg.Outputs + 3
+				r.fwd[1].bp = int8(r.cfg.Outputs) + 3
 			},
 			want: "invalid bp",
 		},
@@ -76,12 +82,61 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 			want: "busyBy says",
 		},
 		{
-			name: "pipeline depth drifting from DataPipe",
+			name:    "buffer set claimed by two forward ports",
+			corrupt: func(r *Router) { r.fwd[3].set = r.fwd[1].set },
+			want:    "buffer set 1 claimed twice, the second time by fp3",
+		},
+		{
+			name: "buffer set claimed by a port and a closer",
+			corrupt: func(r *Router) {
+				closeOut(r, 0, 2)
+				r.closers[0].set = r.fwd[1].set
+			},
+			want: "buffer set 1 claimed twice, the second time by the closer on bp2",
+		},
+		{
+			name: "buffer set both parked and held",
+			corrupt: func(r *Router) {
+				// What compacting the closers by copy instead of swap does:
+				// the retired slot keeps a set that a live closer also holds.
+				closeOut(r, 0, 2)
+				closeOut(r, 1, 3)
+				r.closers[0] = r.closers[1]
+				r.closers = r.closers[:1]
+				r.busyBy[2] = -1
+			},
+			want: "buffer set 1 claimed twice, the second time by the free closer slot 1",
+		},
+		{
+			name:    "buffer set leaked with the slot that parked it",
+			corrupt: func(r *Router) { r.closers = r.closers[: 0 : r.cfg.Outputs-1] },
+			want:    "buffer set 7 leaked",
+		},
+		{
+			name:    "buffer set index outside the backing array",
+			corrupt: func(r *Router) { r.fwd[0].set = uint8(r.cfg.Inputs + r.cfg.Outputs) },
+			want:    "fp0 holds buffer set 8 outside [0, 8)",
+		},
+		{
+			name:    "free closer slot parking a set that does not exist",
+			corrupt: func(r *Router) { r.closers[:2][1].set = 100 },
+			want:    "the free closer slot 1 holds buffer set 100 outside [0, 8)",
+		},
+		{
+			name: "outQ longer than the injWords region",
 			corrupt: func(r *Router) {
 				connect(r, 0, 2)
-				r.fwd[0].pipe = r.fwd[0].pipe[:1]
+				r.fwd[0].outLen = uint8(r.injCap) + 1
 			},
-			want: "pipe depth",
+			want: "fp0 outQ cursors [0:4] outside the 3-word region",
+		},
+		{
+			name: "inject head past its length in a closer",
+			corrupt: func(r *Router) {
+				closeOut(r, 0, 2)
+				r.closers[0].injHead = 2
+			},
+			want: "the closer on bp2 inject cursors [2:0]",
 		},
 		{
 			name: "closer flushing an out-of-range bp",

@@ -25,3 +25,20 @@ func TestLayoutPinHotHeader(t *testing.T) {
 		t.Errorf("Router is %d bytes, want a multiple of 64 so heap-allocated routers stay line-aligned", size)
 	}
 }
+
+// TestLayoutPinPortState pins the per-port state: a forward port is half a
+// cache line and a closer no bigger, so the arrays NewRouter makes of them
+// stay a few lines per router (docs/KERNEL.md has the byte table). A field
+// that grows either fails here; byte-sized port numbers and cursors are
+// what Config.Validate's MaxPorts bound and injWords allow.
+func TestLayoutPinPortState(t *testing.T) {
+	if size := unsafe.Sizeof(fwdPort{}); size > 32 {
+		t.Errorf("fwdPort is %d bytes, want at most 32 (half a cache line)", size)
+	}
+	if size := unsafe.Sizeof(closer{}); size > 48 {
+		t.Errorf("closer is %d bytes, want at most 48", size)
+	}
+	if size := unsafe.Sizeof(request{}); size > 20 {
+		t.Errorf("request is %d bytes, want at most 20", size)
+	}
+}

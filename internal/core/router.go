@@ -76,86 +76,65 @@ const (
 // bug, not a congestion condition (see DESIGN.md).
 func injWords(w int) int { return 2 + word.ChecksumWords(w) }
 
-// fwdPort holds the per-forward-port connection state machine.
+// flow is the part of a connection's state that moves words through a
+// buffer set: the staged pipeline input, the set's index and the cursors
+// into its inject and outQ regions. A live forward port and a detached
+// closer each hold one, and the router advances both through the same
+// methods (shiftPipe, selectOutput, buffer, stageInject, turnInPipe).
 //
-// The pipe, inject and outQ buffers are allocated once (NewRouter sizes
-// them to DataPipe and, for both inject and outQ, the worst-case
-// injection sequence injWords) and reused for the life of the port: the
-// per-cycle path must not touch the heap. inject and outQ are consumed
-// through head cursors instead of re-slicing so the backing arrays
-// survive; see buffer() for the outQ compaction that keeps appends
-// within the preallocated capacity.
+// The buffers themselves live in Router.bufs; set names which of the
+// router's Inputs+Outputs sets (at most 2*MaxPorts, a byte) this flow
+// owns, and the cursors are bounded by injWords (at most 10 at width 1).
+// Staged injection words are inject[injHead:injLen], pending stream words
+// outQ[outHead:outLen]: both are consumed through the head cursor so the
+// region is reused in place; see buffer() for the outQ compaction.
+type flow struct {
+	pipeIn  word.Word // word staged into the pipe this cycle
+	set     uint8     // buffer-set index into Router.bufs
+	injHead uint8     // next inject element to transmit
+	injLen  uint8     // staged inject elements
+	outHead uint8     // next outQ element to transmit
+	outLen  uint8     // buffered outQ elements
+}
+
+// fwdPort holds the per-forward-port connection state machine: half a
+// cache line (layout_test.go pins 32 bytes), with its pipe, inject and
+// outQ buffers one index away in the router's backing array. Port numbers
+// are bytes because Config.Validate bounds them by MaxPorts; hdrLeft stays
+// an int because HeaderWords has no upper bound.
 type fwdPort struct {
-	state     fpState
-	bp        int // allocated backward port, -1 when none
+	flow
 	hdrLeft   int // header words still to consume (fpHeader)
-	pipe      []word.Word
-	pipeIn    word.Word // word staged into the pipe this cycle
-	inject    []word.Word
-	injHead   int // next inject element to transmit
-	outQ      []word.Word
-	outHead   int // next outQ element to transmit
+	state     fpState
+	bp        int8 // allocated backward port, -1 when none
 	ck        word.Checksum
 	revActive bool // reversed: downstream has begun transmitting
 	closing   bool // a synthesized DROP is flushing through the pipe
 	bcbOut    bool // asserting BCB toward the source
 }
 
-// reset returns the port to state s with no connection, preserving the
-// preallocated buffers (the allocation-free replacement for the old
-// whole-struct `*p = fwdPort{...}` resets).
+// reset returns the port to state s with no connection. Only the buffer
+// set survives: the port keeps owning it, and its contents are dead until
+// the next allocate or stageInject rewrites them.
 func (p *fwdPort) reset(s fpState) {
-	p.state = s
-	p.bp = -1
-	p.hdrLeft = 0
-	p.pipeIn = word.Word{}
-	p.inject = p.inject[:0]
-	p.injHead = 0
-	p.outQ = p.outQ[:0]
-	p.outHead = 0
-	p.ck.Reset()
-	p.revActive = false
-	p.closing = false
-	p.bcbOut = false
+	*p = fwdPort{flow: flow{set: p.set}, state: s, bp: -1}
 }
 
 // injPending reports whether staged injection words remain.
-func (p *fwdPort) injPending() bool { return p.injHead < len(p.inject) }
-
-// clearPipe zeroes the pipeline in place for a fresh connection.
-func (p *fwdPort) clearPipe() {
-	for i := range p.pipe {
-		p.pipe[i] = word.Word{}
-	}
-}
-
-// stageInject stages a STATUS word, the segment checksum, and optionally a
-// closing DROP into the port's preallocated injection buffer.
-//
-//metrovet:width width is always r.cfg.Width, bounded to [1, 32] by Config.Validate
-func (p *fwdPort) stageInject(status word.Word, sum uint8, width int, drop bool) {
-	p.inject = p.inject[:0]
-	p.injHead = 0
-	//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
-	p.inject = append(p.inject, status)
-	p.inject = word.AppendChecksum(p.inject, sum, width)
-	if drop {
-		//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
-		p.inject = append(p.inject, word.Word{Kind: word.Drop})
-	}
-}
+func (f *flow) injPending() bool { return f.injHead < f.injLen }
 
 // closer is the detached tail of a closing forward connection: when the
 // input side of a connection sees its DROP (or the channel go idle), the
 // forward port is released immediately so a new connection request can be
 // accepted, while the crosspoint keeps flushing the in-flight pipeline
 // words — ending with a DROP — out the backward port. The backward port
-// stays busy until the flush completes.
+// stays busy until the flush completes. The closer takes over the port's
+// flow, and with it the buffer set the in-flight words sit in.
 type closer struct {
-	fp       int // original owner, for tracing
-	bp       int
-	port     fwdPort
+	flow
 	deadline int
+	fp       int8 // original owner, for tracing
+	bp       int8
 }
 
 // hotHeader is everything an idle router's Eval reads, packed into the
@@ -177,7 +156,10 @@ type hotHeader struct {
 	// fin holds the forward ports' input views by value (the router is the
 	// B, downstream, end); the zero view is an unattached port.
 	fin []link.In
-	// closers are the detached connection flushes in progress.
+	// closers are the detached connection flushes in progress, at most one
+	// per backward port (capacity Outputs). The unused slots,
+	// closers[len:cap], park the free buffer sets in their set field: see
+	// detach and runClosers.
 	closers []closer
 }
 
@@ -191,37 +173,66 @@ type hotHeader struct {
 type Router struct {
 	hotHeader
 
-	name   string
-	id     RouterID
-	cfg    Config
-	set    Settings
-	rng    prng.Source
-	tracer Tracer
+	// The second and third cache lines hold what a router with a live port
+	// reads on top of the header: the ports, the geometry that finds their
+	// buffers, the backward side and the tracer.
+	fwd []fwdPort
+	// bufs backs every port buffer: Inputs+Outputs buffer sets of
+	// dp + 2*injCap words each (see pipe, inject and outQ), where dp is
+	// cfg.DataPipe and injCap is injWords(cfg.Width). A flow names its set
+	// by index. Every set has one holder at a time: a forward port, a
+	// closer, or an unused closer slot (there are Outputs sets beyond the
+	// forward ports', and Outputs slots). CheckInvariants audits it.
+	bufs   []word.Word
+	dp     int
+	injCap int
 
 	bLinks []*link.End // backward ports: router is the A (upstream) end
+	busyBy []int8      // per backward port: owner fp, -1 free, -2 flushing close
+	tracer Tracer
 
-	fwd    []fwdPort
-	busyBy []int // per backward port: owner fp, -1 free, -2 flushing close
+	id RouterID
+	// reqs is the per-cycle request list, preallocated in NewRouter so the
+	// Eval path never allocates. It is empty between Evals: inputPass
+	// appends and allocate drains, so a cycle without requests never
+	// touches it.
+	reqs   []request
+	rng    prng.Source
 	policy SelectionPolicy
 
-	// Per-cycle scratch, preallocated in NewRouter so the Eval path never
-	// allocates: request and candidate collection, plus a pool of spare
-	// port buffers handed to forward ports when detach moves their live
-	// buffers into a closer (at most Outputs closers can be in flight, one
-	// per backward port). reqs is empty between Evals: inputPass appends
-	// and allocate drains, so a cycle without requests never touches it.
-	reqs        []request
-	candScratch []int
-	spareBufs   []portBufs
+	name string
+	cfg  Config
+	set  Settings
+
+	// Rounds the struct up to a multiple of the 64-byte line, so the size
+	// class it is allocated from keeps the hot header line-aligned
+	// (layout_test.go).
+	_ [8]byte
 }
 
-// portBufs is one set of forward-port buffers circulating between ports,
-// detached closers, and the router's spare pool.
-type portBufs struct {
-	pipe   []word.Word
-	inject []word.Word
-	outQ   []word.Word
+// pipe, inject and outQ are the three regions of f's buffer set, in that
+// order in the backing array: the dp pipeline stages, then injCap words of
+// which inject[injHead:injLen] are staged, then injCap words of which
+// outQ[outHead:outLen] are pending. Each operation slices the one region it
+// works on. The three-index slices stop a region at its capacity, so an
+// append or index past it cannot alias the neighbouring region or set.
+func (r *Router) pipe(f *flow) []word.Word {
+	lo := r.setBase(f)
+	return r.bufs[lo : lo+r.dp : lo+r.dp]
 }
+
+func (r *Router) inject(f *flow) []word.Word {
+	lo := r.setBase(f) + r.dp
+	return r.bufs[lo : lo+r.injCap : lo+r.injCap]
+}
+
+func (r *Router) outQ(f *flow) []word.Word {
+	lo := r.setBase(f) + r.dp + r.injCap
+	return r.bufs[lo : lo+r.injCap : lo+r.injCap]
+}
+
+// setBase is where f's buffer set starts in bufs.
+func (r *Router) setBase(f *flow) int { return int(f.set) * (r.dp + 2*r.injCap) }
 
 // NewRouter constructs a router with the given architectural parameters,
 // run-time settings, and random bit source. It panics on invalid
@@ -234,54 +245,39 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 	if err := set.Validate(cfg); err != nil {
 		panic(fmt.Sprintf("core: %s: %v", name, err))
 	}
+	// inject and outQ hold up to injWords words each: stageInject's worst
+	// case and buffer()'s overflow guard.
 	injCap := injWords(cfg.Width)
 	r := &Router{
 		hotHeader: hotHeader{
 			fin:     make([]link.In, cfg.Inputs),
 			closers: make([]closer, 0, cfg.Outputs),
 		},
-		name:        name,
-		id:          FreeID(),
-		cfg:         cfg,
-		set:         set.Clone(),
-		rng:         rng,
-		tracer:      NopTracer{},
-		bLinks:      make([]*link.End, cfg.Outputs),
-		fwd:         make([]fwdPort, cfg.Inputs),
-		busyBy:      make([]int, cfg.Outputs),
-		reqs:        make([]request, 0, cfg.Inputs),
-		candScratch: make([]int, 0, cfg.Outputs),
-		spareBufs:   make([]portBufs, cfg.Outputs),
+		name:   name,
+		id:     FreeID(),
+		cfg:    cfg,
+		set:    set.Clone(),
+		rng:    rng,
+		tracer: NopTracer{},
+		bLinks: make([]*link.End, cfg.Outputs),
+		fwd:    make([]fwdPort, cfg.Inputs),
+		busyBy: make([]int8, cfg.Outputs),
+		dp:     cfg.DataPipe,
+		injCap: injCap,
+		bufs:   make([]word.Word, (cfg.Inputs+cfg.Outputs)*(cfg.DataPipe+2*injCap)),
+		reqs:   make([]request, 0, cfg.Inputs),
 	}
-	// All port buffers — live ports and the spare pool — carve out of one
-	// backing array, so a router's per-cycle state lands on a handful of
-	// cache lines instead of 3*(Inputs+Outputs) scattered allocations. The
-	// three-index carves make overflow past a region's capacity a panic
-	// rather than silent aliasing; inject and outQ append only up to the
-	// capacities reserved here (stageInject's worst case and buffer()'s
-	// overflow guard, both injWords).
-	perSet := cfg.DataPipe + 2*injCap
-	backing := make([]word.Word, (cfg.Inputs+cfg.Outputs)*perSet)
-	carve := func(length, capacity int) []word.Word {
-		s := backing[:length:capacity]
-		backing = backing[capacity:]
-		return s
-	}
+	// Forward port i starts on set i; closer slot j parks set Inputs+j.
 	for i := range r.fwd {
 		r.fwd[i].bp = -1
-		r.fwd[i].pipe = carve(cfg.DataPipe, cfg.DataPipe)
-		r.fwd[i].inject = carve(0, injCap)
-		r.fwd[i].outQ = carve(0, injCap)
+		r.fwd[i].set = uint8(i)
+	}
+	slots := r.closers[:cfg.Outputs]
+	for j := range slots {
+		slots[j].set = uint8(cfg.Inputs + j)
 	}
 	for i := range r.busyBy {
 		r.busyBy[i] = -1
-	}
-	for i := range r.spareBufs {
-		r.spareBufs[i] = portBufs{
-			pipe:   carve(cfg.DataPipe, cfg.DataPipe),
-			inject: carve(0, injCap),
-			outQ:   carve(0, injCap),
-		}
 	}
 	return r
 }
@@ -459,7 +455,7 @@ func (r *Router) BackwardInUse() uint64 {
 }
 
 // OwnerOf returns the forward port owning backward port bp, or -1.
-func (r *Router) OwnerOf(bp int) int { return r.busyBy[bp] }
+func (r *Router) OwnerOf(bp int) int { return int(r.busyBy[bp]) }
 
 // KillConnection forcibly shuts down the connection on forward port fp, as
 // the cascade consistency check does when the wired-AND IN-USE signal
@@ -479,11 +475,12 @@ func (r *Router) KillConnection(cycle uint64, fp int) {
 }
 
 // request records a connection request observed during the input pass.
+// The port and direction numbers are bytes: both are below MaxPorts.
 type request struct {
-	fp      int
-	dir     int
 	recv    word.Word // the route word as received (checksummed pre-strip)
 	fwdWord word.Word // the word to forward downstream (Empty if consumed)
+	fp      int8
+	dir     int8
 }
 
 // Eval implements clock.Component. See DESIGN.md for the three-pass
@@ -553,7 +550,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 			if in.Kind == word.Drop || in.IsEmpty() {
 				// Upstream closed during setup: nothing has been
 				// forwarded yet, so release everything at once.
-				bp := p.bp
+				bp := int(p.bp)
 				r.freeBackward(fp)
 				p.reset(fpIdle)
 				r.tracer.Released(cycle, r.id, fp, bp)
@@ -575,7 +572,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 				// detachedly, terminated by a DROP.
 				r.detach(cycle, fp)
 			case in.IsEmpty():
-				if p.turnInPipe() {
+				if r.turnInPipe(&p.flow) {
 					// Post-TURN quiet: the reversal is in flight, not a
 					// dead source.
 					p.pipeIn = word.Word{}
@@ -598,7 +595,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 				if r.bLinks[p.bp] != nil {
 					r.bLinks[p.bp].Send(word.Word{Kind: word.Drop})
 				}
-				bp := p.bp
+				bp := int(p.bp)
 				r.freeBackward(fp)
 				p.reset(fpIdle)
 				r.tracer.Released(cycle, r.id, fp, bp)
@@ -629,7 +626,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 			case word.Turn:
 				flags := word.StatusBlocked
 				status := word.Word{Kind: word.Status, Payload: flags & word.Mask(r.cfg.Width)}
-				p.stageInject(status, p.ck.Sum(), r.cfg.Width, true)
+				r.stageInject(&p.flow, status, p.ck.Sum(), true)
 				p.state = fpBlockedReply
 				r.tracer.Reversed(cycle, r.id, fp, true)
 			case word.Drop, word.Empty:
@@ -664,7 +661,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 // the source-responsible protocol will time out and retry.
 //
 //metrovet:width DirBits is log2(Radix) with Radix in [1, Outputs], so need is in [0, 31] and below in.Bits at the shifts
-//metrovet:truncate need is nonnegative (DirBits of a validated config), so uint(need) is lossless
+//metrovet:truncate need is nonnegative (DirBits of a validated config), so uint(need) is lossless; fp and dir are port numbers, below MaxPorts = 64 by Config.Validate
 func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
 	need := r.DirBits()
 	if int(in.Bits) < need {
@@ -683,7 +680,7 @@ func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
 	}
 	// With HeaderWords >= 1 the entire first word is consumed here and
 	// hw-1 further words are consumed in fpHeader.
-	return request{fp: fp, dir: dir, recv: in, fwdWord: fwdWord}, true
+	return request{fp: int8(fp), dir: int8(dir), recv: in, fwdWord: fwdWord}, true
 }
 
 // allocate serves the cycle's connection requests: for each request, a
@@ -695,29 +692,34 @@ func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
 func (r *Router) allocate(cycle uint64) {
 	for _, q := range r.reqs {
 		p := &r.fwd[q.fp]
-		lo, hi := r.PortsFor(q.dir)
-		candidates := r.candScratch[:0]
+		lo, hi := r.PortsFor(int(q.dir))
+		// cand marks the direction's available backward ports, a bit each.
+		var cand uint64
 		for bp := lo; bp < hi; bp++ {
 			if r.busyBy[bp] == -1 && r.set.BackwardEnabled[bp] && r.bLinks[bp] != nil && !r.bLinks[bp].Link().Dead() {
-				//metrovet:alloc capacity Outputs preallocated in NewRouter; a direction's port range never exceeds it
-				candidates = append(candidates, bp)
+				// bp < Outputs <= MaxPorts, so the mask is the identity: it
+				// proves the shift width where it is used.
+				cand |= 1 << (bp & (MaxPorts - 1))
 			}
 		}
-		r.candScratch = candidates
-		if len(candidates) == 0 {
+		avail := bits.OnesCount64(cand)
+		if avail == 0 {
 			r.block(cycle, q)
 			continue
 		}
-		bp := candidates[r.pick(len(candidates))]
+		// The pick indexes the candidates in ascending port order.
+		for k := r.pick(avail); k > 0; k-- {
+			cand &= cand - 1
+		}
+		bp := bits.TrailingZeros64(cand)
 		r.busyBy[bp] = q.fp
-		p.bp = bp
+		//metrovet:truncate bp is a bit index of a nonzero uint64, below 64
+		p.bp = int8(bp)
 		p.ck.Reset()
 		p.ck.Add(q.recv)
-		p.clearPipe()
-		p.inject = p.inject[:0]
-		p.injHead = 0
-		p.outQ = p.outQ[:0]
-		p.outHead = 0
+		clear(r.pipe(&p.flow))
+		p.injHead, p.injLen = 0, 0
+		p.outHead, p.outLen = 0, 0
 		p.revActive = false
 		p.closing = false
 		p.pipeIn = q.fwdWord
@@ -727,7 +729,7 @@ func (r *Router) allocate(cycle uint64) {
 		} else {
 			p.state = fpForward
 		}
-		r.tracer.Allocated(cycle, r.id, q.fp, bp)
+		r.tracer.Allocated(cycle, r.id, int(q.fp), bp)
 	}
 	r.reqs = r.reqs[:0]
 }
@@ -747,7 +749,7 @@ func (r *Router) pick(n int) int {
 func (r *Router) block(cycle uint64, q request) {
 	p := &r.fwd[q.fp]
 	fast := r.set.FastReclaim[q.fp]
-	r.tracer.Blocked(cycle, r.id, q.fp, q.dir, fast)
+	r.tracer.Blocked(cycle, r.id, int(q.fp), int(q.dir), fast)
 	if fast {
 		p.reset(fpDrain)
 		p.bcbOut = true
@@ -781,16 +783,16 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 		case fpHeader:
 			// Nothing flows downstream during setup consumption; keep the
 			// pipe shifting so residency stays dp cycles.
-			p.shiftPipe()
+			r.shiftPipe(&p.flow)
 
 		case fpForward:
-			out := p.shiftPipe()
+			out := r.shiftPipe(&p.flow)
 			// Idle fill is Empty here: during initial pipe priming the
 			// downstream port may be draining an aborted predecessor
 			// connection and needs to observe the channel go idle before
 			// the new stream begins. Established hops never see Empty
 			// because a post-reversal pipe is primed with DATA-IDLE.
-			sent := p.selectOutput(out, word.Word{})
+			sent := r.selectOutput(&p.flow, out, word.Word{})
 			if !sent.IsEmpty() && r.bLinks[p.bp] != nil {
 				r.bLinks[p.bp].Send(sent)
 			}
@@ -803,8 +805,8 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 			}
 
 		case fpReversed:
-			out := p.shiftPipe()
-			sent := p.selectOutput(out, word.Word{Kind: word.DataIdle})
+			out := r.shiftPipe(&p.flow)
+			sent := r.selectOutput(&p.flow, out, word.Word{Kind: word.DataIdle})
 			if e := r.fin[fp].End(); e != nil {
 				e.Send(sent)
 			}
@@ -822,7 +824,7 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 
 		case fpBlockedReply:
 			if p.injPending() {
-				w := p.inject[p.injHead]
+				w := r.inject(&p.flow)[p.injHead]
 				p.injHead++
 				if e := r.fin[fp].End(); e != nil {
 					e.Send(w)
@@ -845,18 +847,40 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 	r.live = live
 }
 
-// turnInPipe reports whether a TURN is still flowing through the port's
-// pipeline (a reversal is in flight).
-func (p *fwdPort) turnInPipe() bool {
-	if p.pipeIn.Kind == word.Turn {
+// stageInject stages a STATUS word, the segment checksum, and optionally a
+// closing DROP into f's injection region.
+//
+//metrovet:width cfg.Width is bounded to [1, 32] by Config.Validate at construction
+func (r *Router) stageInject(f *flow, status word.Word, sum uint8, drop bool) {
+	inject := r.inject(f)
+	//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
+	seq := append(inject[:0], status)
+	seq = word.AppendChecksum(seq, sum, r.cfg.Width)
+	if drop {
+		//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
+		seq = append(seq, word.Word{Kind: word.Drop})
+	}
+	if len(seq) > len(inject) {
+		// append spilled to the heap: the region is the injWords bound.
+		panic("core: injection sequence overflow — protocol bug")
+	}
+	f.injHead = 0
+	//metrovet:truncate the sequence fits the region: injWords = 2 + ChecksumWords(width) <= 10 words
+	f.injLen = uint8(len(seq))
+}
+
+// turnInPipe reports whether a TURN is still flowing through f's pipeline
+// (a reversal is in flight).
+func (r *Router) turnInPipe(f *flow) bool {
+	if f.pipeIn.Kind == word.Turn {
 		return true
 	}
-	for _, w := range p.pipe {
+	for _, w := range r.pipe(f) {
 		if w.Kind == word.Turn {
 			return true
 		}
 	}
-	for _, w := range p.outQ[p.outHead:] {
+	for _, w := range r.outQ(f)[f.outHead:f.outLen] {
 		if w.Kind == word.Turn {
 			return true
 		}
@@ -864,36 +888,37 @@ func (p *fwdPort) turnInPipe() bool {
 	return false
 }
 
-// shiftPipe advances the port's dp-stage pipeline by one cycle, inserting
-// the staged input and returning the word leaving the pipe.
-func (p *fwdPort) shiftPipe() word.Word {
-	n := len(p.pipe)
-	out := p.pipe[n-1]
+// shiftPipe advances f's dp-stage pipeline by one cycle, inserting the
+// staged input and returning the word leaving the pipe.
+func (r *Router) shiftPipe(f *flow) word.Word {
+	pipe := r.pipe(f)
+	n := len(pipe)
+	out := pipe[n-1]
 	// dp is small (typically 1-2), so an explicit backward walk beats the
 	// copy-call overhead in this per-port per-cycle path.
 	for i := n - 1; i > 0; i-- {
-		p.pipe[i] = p.pipe[i-1]
+		pipe[i] = pipe[i-1]
 	}
-	p.pipe[0] = p.pipeIn
-	p.pipeIn = word.Word{}
+	pipe[0] = f.pipeIn
+	f.pipeIn = word.Word{}
 	return out
 }
 
-// selectOutput picks the word to transmit this cycle: pending injected
+// selectOutput picks the word f transmits this cycle: pending injected
 // words (STATUS/CHECKSUM) first, then buffered stream words, then the pipe
 // output. A displaced pipe word is buffered; an absent word becomes idle
 // fill so the connection stays open.
-func (p *fwdPort) selectOutput(pipeOut, idle word.Word) word.Word {
-	if p.injPending() {
-		w := p.inject[p.injHead]
-		p.injHead++
-		p.buffer(pipeOut)
+func (r *Router) selectOutput(f *flow, pipeOut, idle word.Word) word.Word {
+	if f.injPending() {
+		w := r.inject(f)[f.injHead]
+		f.injHead++
+		r.buffer(f, pipeOut)
 		return w
 	}
-	if p.outHead < len(p.outQ) {
-		w := p.outQ[p.outHead]
-		p.outHead++
-		p.buffer(pipeOut)
+	if f.outHead < f.outLen {
+		w := r.outQ(f)[f.outHead]
+		f.outHead++
+		r.buffer(f, pipeOut)
 		return w
 	}
 	if pipeOut.IsEmpty() {
@@ -902,23 +927,24 @@ func (p *fwdPort) selectOutput(pipeOut, idle word.Word) word.Word {
 	return pipeOut
 }
 
-func (p *fwdPort) buffer(w word.Word) {
+func (r *Router) buffer(f *flow, w word.Word) {
 	if w.IsEmpty() {
 		return
 	}
-	if len(p.outQ) == cap(p.outQ) {
-		if p.outHead == 0 {
-			// Full of pending words: the capacity is the injWords bound.
+	outQ := r.outQ(f)
+	if int(f.outLen) == len(outQ) {
+		if f.outHead == 0 {
+			// Full of pending words: the region is the injWords bound.
 			panic("core: output elastic buffer overflow — protocol bug")
 		}
-		// Slide the pending words to the front so the append below stays
-		// within the preallocated backing array.
-		n := copy(p.outQ, p.outQ[p.outHead:])
-		p.outQ = p.outQ[:n]
-		p.outHead = 0
+		// Slide the pending words to the front so the store below stays
+		// within the region.
+		copy(outQ, outQ[f.outHead:f.outLen])
+		f.outLen -= f.outHead
+		f.outHead = 0
 	}
-	//metrovet:alloc bounded by the injWords capacity preallocated in NewRouter
-	p.outQ = append(p.outQ, w)
+	outQ[f.outLen] = w
+	f.outLen++
 }
 
 // flip completes a connection reversal at this router: the just-ended
@@ -930,18 +956,18 @@ func (r *Router) flip(cycle uint64, fp int, to fpState) {
 	p := &r.fwd[fp]
 	sum := p.ck.Sum()
 	p.ck.Reset()
-	p.stageInject(word.Word{Kind: word.Status, Payload: 0}, sum, r.cfg.Width, false)
-	p.outQ = p.outQ[:0]
-	p.outHead = 0
+	r.stageInject(&p.flow, word.Word{Kind: word.Status, Payload: 0}, sum, false)
+	p.outHead, p.outLen = 0, 0
 	if to == fpForward {
 		// The downstream hop is an established connection: filling the
 		// pipe with DATA-IDLE keeps the stream contiguous so the hop
 		// never mistakes the reversal transient for a closed channel.
-		for i := range p.pipe {
-			p.pipe[i] = word.Word{Kind: word.DataIdle}
+		pipe := r.pipe(&p.flow)
+		for i := range pipe {
+			pipe[i] = word.Word{Kind: word.DataIdle}
 		}
 	} else {
-		p.clearPipe()
+		clear(r.pipe(&p.flow))
 	}
 	p.pipeIn = word.Word{}
 	p.revActive = false
@@ -952,71 +978,64 @@ func (r *Router) flip(cycle uint64, fp int, to fpState) {
 
 // detach moves forward port fp's connection tail to a detached closer and
 // frees the port for new requests. The backward port stays busy (marked
-// -2) until the closer's DROP has been transmitted downstream.
+// -2) until the closer's DROP has been transmitted downstream. The closer
+// takes the port's flow by value, so the buffer set holding the in-flight
+// words now belongs to the closer, and the port continues on the free set
+// that was parked in the closer's slot: a set has one holder at a time and
+// nothing is shared.
+//
+// A slot is always there to take. A closer exists only while its backward
+// port is marked -2 and this port still owns its own, so at most Outputs-1
+// closers are in flight; were that ever wrong, the reslice past the
+// capacity panics.
+//
+//metrovet:truncate fp is a forward port number, below MaxPorts = 64 by Config.Validate
 func (r *Router) detach(cycle uint64, fp int) {
 	p := &r.fwd[fp]
-	c := closer{fp: fp, bp: p.bp, port: *p,
-		deadline: r.cfg.DataPipe + (len(p.inject) - p.injHead) + (len(p.outQ) - p.outHead) + 4}
-	c.port.pipeIn = word.Word{Kind: word.Drop}
-	if c.bp >= 0 {
-		r.busyBy[c.bp] = -2
-		// The closer took the port's live buffers (the struct copy shares
-		// the backing arrays), so hand the port a spare set from the pool
-		// instead of letting the two alias.
-		if n := len(r.spareBufs); n > 0 {
-			b := r.spareBufs[n-1]
-			r.spareBufs = r.spareBufs[:n-1]
-			p.pipe, p.inject, p.outQ = b.pipe, b.inject, b.outQ
-		} else {
-			// Unreachable: at most one closer per backward port can be in
-			// flight and the pool holds Outputs sets. Kept as a safe
-			// fallback rather than a panic.
-			dp, inj := r.cfg.DataPipe, cap(c.port.inject)
-			//metrovet:alloc unreachable fallback; the spare pool is sized to the closer bound
-			b := make([]word.Word, dp+2*inj)
-			p.pipe, p.inject, p.outQ = b[:dp:dp], b[dp:dp:dp+inj], b[dp+inj:dp+inj]
-		}
-		//metrovet:alloc capacity Outputs preallocated in NewRouter; at most one closer per backward port
-		r.closers = append(r.closers, c)
+	if p.bp >= 0 {
+		r.busyBy[p.bp] = -2
+		n := len(r.closers)
+		r.closers = r.closers[:n+1]
+		c := &r.closers[n]
+		free := c.set
+		*c = closer{flow: p.flow, fp: int8(fp), bp: p.bp,
+			deadline: r.dp + int(p.injLen-p.injHead) + int(p.outLen-p.outHead) + 4}
+		c.pipeIn = word.Word{Kind: word.Drop}
+		p.set = free
 	}
 	p.reset(fpIdle)
 }
 
 // runClosers advances every detached connection flush, freeing backward
-// ports as their DROPs go out.
+// ports as their DROPs go out. The compaction is a stable partition by
+// swapping, not copying: a retired closer's slot ends up past the kept
+// ones with its set field intact, which is how the set becomes free again.
 func (r *Router) runClosers(cycle uint64) {
-	kept := r.closers[:0]
+	kept := 0
 	for i := range r.closers {
 		c := &r.closers[i]
-		out := c.port.shiftPipe()
-		sent := c.port.selectOutput(out, word.Word{})
+		out := r.shiftPipe(&c.flow)
+		sent := r.selectOutput(&c.flow, out, word.Word{})
 		if !sent.IsEmpty() && r.bLinks[c.bp] != nil {
 			r.bLinks[c.bp].Send(sent)
 		}
 		c.deadline--
 		if sent.Kind == word.Drop || c.deadline <= 0 {
 			r.busyBy[c.bp] = -1
-			r.tracer.Released(cycle, r.id, c.fp, c.bp)
-			// Return the retired closer's buffers to the spare pool.
-			//metrovet:alloc the pool never exceeds the Outputs capacity preallocated in NewRouter
-			r.spareBufs = append(r.spareBufs, portBufs{
-				pipe:   c.port.pipe,
-				inject: c.port.inject[:0],
-				outQ:   c.port.outQ[:0],
-			})
+			r.tracer.Released(cycle, r.id, int(c.fp), int(c.bp))
 			continue
 		}
-		//metrovet:alloc in-place compaction re-slicing the closers backing array
-		kept = append(kept, *c)
+		r.closers[kept], r.closers[i] = r.closers[i], r.closers[kept]
+		kept++
 	}
-	r.closers = kept
+	r.closers = r.closers[:kept]
 }
 
 // release closes the connection on forward port fp after its DROP has been
 // transmitted.
 func (r *Router) release(cycle uint64, fp int) {
 	p := &r.fwd[fp]
-	bp := p.bp
+	bp := int(p.bp)
 	r.freeBackward(fp)
 	p.reset(fpIdle)
 	r.tracer.Released(cycle, r.id, fp, bp)

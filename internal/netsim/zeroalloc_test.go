@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"metro/internal/nic"
@@ -165,4 +166,38 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("Build(Figure 3): %.0f allocations (%.1f per router port), budget %d: is something cloning per port again?", allocs, allocs/float64(ports), budget)
 	}
+}
+
+// TestScaleFootprintBytesPerEndpoint pins the live heap a built network
+// costs per endpoint, measured the way `metrobench -scale` and the
+// benchmark's `netsim.bytes_per_endpoint` measure it (HeapAlloc across
+// Build, collected on both sides), on the 1Ki-endpoint radix-4 network:
+// 1,536 routers and 12,288 links. It was 11,850 B before the routers'
+// port state was packed (docs/KERNEL.md, "Memory layout and the per-cycle
+// byte budget") and is about 8,400 B now; the ceiling leaves 4% for allocator
+// jitter and fails long before a per-port structure regrows.
+func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures are inflated under the race detector")
+	}
+	const endpoints, ceiling = 1024, 8800
+	spec, err := topo.Scale(endpoints, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n, err := Build(Params{Spec: spec, Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71, RetryLimit: 600, ListenTimeout: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := int64(after.HeapAlloc-before.HeapAlloc) / endpoints
+	t.Logf("Build(Scale(%d, 4)): %d B per endpoint", endpoints, per)
+	if per > ceiling {
+		t.Fatalf("Build(Scale(%d, 4)) keeps %d B per endpoint live, ceiling %d", endpoints, per, ceiling)
+	}
+	runtime.KeepAlive(n)
 }

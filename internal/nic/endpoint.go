@@ -98,6 +98,12 @@ type Endpoint struct {
 	qHead     int        // next queued message; the backing array is reused
 	free      []*pending // recycled bookkeeping records for future Offers
 	nextSend  int
+	// Checksum group sizes, fixed by the widths New validated: an
+	// end-to-end checksum is ckLogical words (sized to the logical
+	// channel), a router-injected status checksum ckPhysical (sized to the
+	// component width). Receivers need them every cycle.
+	ckLogical  int
+	ckPhysical int
 }
 
 // pending is a message queued for (re)transmission together with its
@@ -133,7 +139,11 @@ func New(cfg Config) (*Endpoint, error) {
 	if cfg.RouteDigits == nil {
 		return nil, fmt.Errorf("nic: RouteDigits is required")
 	}
-	return &Endpoint{cfg: cfg}, nil
+	return &Endpoint{
+		cfg:        cfg,
+		ckLogical:  word.ChecksumWords(cfg.logicalWidth()),
+		ckPhysical: word.ChecksumWords(cfg.Width),
+	}, nil
 }
 
 // logicalWidth returns the payload word width of the (possibly cascaded)
@@ -371,7 +381,7 @@ type sender struct {
 //
 //metrovet:width logicalWidth = Width*Lanes is validated into [1,32] by New
 func (s *sender) begin(cycle uint64, p *pending) {
-	cfg := s.e.cfg
+	cfg := &s.e.cfg
 	s.p = p
 	if !p.built {
 		s.build(p)
@@ -396,7 +406,7 @@ func (s *sender) begin(cycle uint64, p *pending) {
 //metrovet:alloc scratch buffers grow to the message size once, then recycle across messages
 //metrovet:width logicalWidth = Width*Lanes is validated into [1,32] by New
 func (s *sender) build(p *pending) {
-	cfg := s.e.cfg
+	cfg := &s.e.cfg
 	lw := cfg.logicalWidth()
 	var digits []int
 	if cfg.AppendRouteDigits != nil {
@@ -678,14 +688,12 @@ func (r *receiver) reset() {
 }
 
 // eval advances the receiver's per-cycle state machine.
-//
-//metrovet:width Width and logicalWidth are validated into [1,32] by New
 func (r *receiver) eval(cycle uint64) {
 	w := r.link.Recv()
 	// End-to-end checksum groups are sized to the logical width; the
 	// router-injected status checksums skipped in rClosing are sized to
 	// the physical component width.
-	cw := word.ChecksumWords(r.e.cfg.logicalWidth())
+	cw := r.e.ckLogical
 
 	switch r.state {
 	case rIdle:
@@ -725,7 +733,7 @@ func (r *receiver) eval(cycle uint64) {
 		switch w.Kind {
 		case word.Status:
 			// Router-injected status toward us; skip its checksum words.
-			r.skipCk = word.ChecksumWords(r.e.cfg.Width)
+			r.skipCk = r.e.ckPhysical
 		case word.ChecksumWord:
 			if r.skipCk > 0 {
 				r.skipCk--

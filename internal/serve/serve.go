@@ -355,6 +355,16 @@ func writeResult(w http.ResponseWriter, status string, body []byte) {
 	w.Write(body)
 }
 
+// writeCached serves a body out of the result cache, the stored bytes
+// as they are. It is always a 200 and never decodes the body to find
+// out: the one status that is not a 200 is a deadline outcome, and
+// runJob never caches one.
+func writeCached(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Cache", "hit")
+	w.Write(body)
+}
+
 // handleSubmit admits one spec: cache hit → stored bytes; duplicate of
 // an in-flight job → coalesce; otherwise validate, enqueue (429 when
 // full, 503 when draining) and either return 202 with the job ID or,
@@ -402,13 +412,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.counters.CacheServed++
 		s.mu.Unlock()
 		s.met.admCacheHit.Inc()
-		w.Header().Set("X-Cache", "hit")
-		var res Result
-		status := StatusPassed
-		if json.Unmarshal(body, &res) == nil {
-			status = res.Status
-		}
-		writeResult(w, status, body)
+		writeCached(w, body)
 		return
 	}
 	w.Header().Set("X-Cache", "miss")
@@ -494,13 +498,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if body, ok := s.cache.Get(id); ok {
-		w.Header().Set("X-Cache", "hit")
-		var res Result
-		status := StatusPassed
-		if json.Unmarshal(body, &res) == nil {
-			status = res.Status
-		}
-		writeResult(w, status, body)
+		writeCached(w, body)
 		return
 	}
 	writeError(w, http.StatusNotFound, "unknown job %s", id)

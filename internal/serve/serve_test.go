@@ -293,6 +293,76 @@ func TestCacheHitByteIdentity(t *testing.T) {
 	}
 }
 
+// TestCacheHitServesStoredBytes pins the hit path's contract now that it
+// no longer decodes the body: whatever bytes the cache holds for a key
+// are served as they are, 200 and `X-Cache: hit`, on both the POST and
+// the GET-by-id path, for a passed and for a failed result alike (the
+// failed body is seeded straight into the cache; not even valid JSON is
+// required of it). The one outcome that is not a 200, a deadline, never
+// reaches the cache, so it is still a 504 on the wait=1 and
+// retained-job paths and a resubmission is still a miss.
+func TestCacheHitServesStoredBytes(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1})
+	for i, body := range []string{
+		`{"id":"x","status":"passed","summary":"ok"}` + "\n",
+		`{"id":"x","status":"failed","summary":"oracle tripped"}` + "\n",
+		"not json at all: the hit path must not care\n",
+	} {
+		spec := quickSpec(t, int64(100+i))
+		id := Key(spec, EngineReference, false)
+		s.cache.Put(id, []byte(body))
+		for _, get := range []func() (*http.Response, error){
+			func() (*http.Response, error) {
+				return http.Post(hs.URL+"/v1/jobs?wait=1", "text/plain", strings.NewReader(spec))
+			},
+			func() (*http.Response, error) { return http.Get(hs.URL + "/v1/jobs/" + id) },
+		} {
+			resp, err := get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := readBody(t, resp)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+				t.Fatalf("body %d via %s: status %d, X-Cache %q; want 200, hit", i, resp.Request.Method, resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("body %d via %s: Content-Type %q", i, resp.Request.Method, ct)
+			}
+			if string(got) != body {
+				t.Fatalf("body %d via %s: served %q, cache holds %q", i, resp.Request.Method, got, body)
+			}
+		}
+	}
+	s.mu.Lock()
+	executed := s.counters.Executed
+	s.mu.Unlock()
+	if executed != 0 {
+		t.Fatalf("%d job(s) executed: a seeded hit must not simulate", executed)
+	}
+
+	d, dhs := newTestServer(t, Config{Workers: 1, JobTimeout: time.Nanosecond, ProgressPeriod: 1})
+	spec := quickSpec(t, 1)
+	for attempt, wantCoalesced := range []string{"", "true"} {
+		resp := submit(t, dhs.URL, spec, "?wait=1")
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusGatewayTimeout || resp.Header.Get("X-Cache") != "miss" || resp.Header.Get("X-Coalesced") != wantCoalesced {
+			t.Fatalf("deadline submission %d: status %d, X-Cache %q, X-Coalesced %q; want 504, miss, %q",
+				attempt, resp.StatusCode, resp.Header.Get("X-Cache"), resp.Header.Get("X-Coalesced"), wantCoalesced)
+		}
+	}
+	poll, err := http.Get(dhs.URL + "/v1/jobs/" + Key(spec, EngineReference, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBody(t, poll)
+	if poll.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("retained deadline job polls as %d, want 504", poll.StatusCode)
+	}
+	if st := d.cache.Stats(); st.Entries != 0 {
+		t.Fatalf("deadline result was cached (%d entries)", st.Entries)
+	}
+}
+
 // TestEngineAndTraceAddressing asserts the execution options are part
 // of the content address: kernel and trace submissions of the same spec
 // are distinct entries with the extra body content they promise.
