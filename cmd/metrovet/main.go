@@ -10,13 +10,15 @@
 // and exits nonzero if any finding is not inline-suppressed. CI runs it
 // alongside go vet.
 //
+// Module packages are parsed and type-checked from source; the standard
+// library is imported from the compiler's export data, which `go list
+// -export` locates, so a go toolchain must be on PATH for every run and
+// a cold GOCACHE pays one standard-library build (the one `go build
+// ./...` pays) before the first.
+//
 // Flags:
 //
 //	-json                 emit findings as the metrovet JSON report
-//	-cache dir            keep the last result in dir, keyed by file
-//	                      content hashes; an unchanged tree skips
-//	                      type-checking entirely, any edit re-runs
-//	                      everything
 //	-rules                print the rule set and exit
 //	-machines             print the extracted protocol state machines
 //	-write-machines dir   write the extracted machine tables to dir
@@ -30,9 +32,8 @@
 //	                      (default docs/bce_allowlist.txt)
 //	-bce-write            regenerate the allowlist from the current
 //	                      compiler output instead of diffing
-//	-v                    also print type-checker diagnostics and cache
-//	                      status (normally silent: a tree that builds
-//	                      has none)
+//	-v                    also print type-checker diagnostics (normally
+//	                      silent: a tree that builds has none)
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or internal error. The -json
 // document is byte-stable for a given tree and is pinned by a golden
@@ -50,7 +51,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as the metrovet JSON report")
-	cacheDir := flag.String("cache", "", "keep the last result in `dir`; an unchanged tree is served from it")
 	listRules := flag.Bool("rules", false, "print the rule set and exit")
 	printMachines := flag.Bool("machines", false, "print the extracted protocol state machines")
 	writeMachines := flag.String("write-machines", "", "write extracted machine tables to `dir`")
@@ -58,7 +58,7 @@ func main() {
 	bce := flag.Bool("bce", false, "diff surviving hot-path bounds checks against the allowlist")
 	bceAllowlist := flag.String("bce-allowlist", "docs/bce_allowlist.txt", "allowlist `file` for -bce")
 	bceWrite := flag.Bool("bce-write", false, "regenerate the -bce allowlist from current compiler output")
-	verbose := flag.Bool("v", false, "print type-checker diagnostics and cache status")
+	verbose := flag.Bool("v", false, "print type-checker diagnostics")
 	flag.Parse()
 
 	if *listRules {
@@ -87,23 +87,13 @@ func main() {
 		return
 	}
 
-	res, err := analysis.RunTree(root, analysis.TreeOptions{
-		Patterns: flag.Args(),
-		CacheDir: *cacheDir,
-	})
+	res, err := analysis.RunTree(root, analysis.TreeOptions{Patterns: flag.Args()})
 	if err != nil {
 		fatal(err)
 	}
 	if *verbose {
 		for _, terr := range res.TypeErrs {
 			fmt.Fprintf(os.Stderr, "metrovet: typecheck: %s\n", terr)
-		}
-		if *cacheDir != "" {
-			if res.FullHit {
-				fmt.Fprintln(os.Stderr, "metrovet: cache: full hit")
-			} else {
-				fmt.Fprintln(os.Stderr, "metrovet: cache: miss")
-			}
 		}
 	}
 	findings := res.Findings

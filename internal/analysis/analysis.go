@@ -304,7 +304,7 @@ func docDirective(doc *ast.CommentGroup, kind string) bool {
 
 // SortFindings orders findings by (file, line, column, rule, message)
 // for stable output: every emitter sorts through this one comparator, so
-// text, JSON and cache encodings all agree on order.
+// text and JSON encodings agree on order.
 func SortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

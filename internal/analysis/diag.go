@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the machine-readable diagnostics backbone: stable finding
-// IDs, content fingerprints, and the byte-stable -json encoding (also
-// the cache's on-disk form). Two invariants matter here:
+// IDs, content fingerprints, and the byte-stable -json encoding. Two
+// invariants matter here:
 //
 //   - Rule IDs are append-only. MVnnn numbers are wire format — editors,
 //     CI annotations and dashboards key on them — so a renamed or deleted
@@ -80,15 +80,6 @@ func findingToJSON(f Finding) FindingJSON {
 		Fingerprint: Fingerprint(f),
 		Message:     f.Msg,
 	}
-}
-
-// findingFromJSON inverts findingToJSON (used by the analysis cache).
-func findingFromJSON(fj FindingJSON) Finding {
-	f := Finding{Rule: fj.Rule, Msg: fj.Message}
-	f.Pos.Filename = fj.File
-	f.Pos.Line = fj.Line
-	f.Pos.Column = fj.Col
-	return f
 }
 
 // jsonReport is the -json document shape.

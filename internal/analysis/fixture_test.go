@@ -2,23 +2,33 @@ package analysis
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// All fixtures share one FileSet and one source importer: the importer
-// re-type-checks imported stdlib packages from GOROOT source and caches
-// them per instance, so sharing it keeps the suite fast (notably under
-// -race, where each stdlib check costs several seconds). Analyzer tests
-// must therefore not call t.Parallel().
+// All fixtures share one FileSet and the loader's own standard-library
+// importer (stdImporter over this module, so a fixture may import any
+// std package the module itself reaches). The importer keeps its package
+// map unlocked, so analyzer tests must not call t.Parallel().
 var (
-	fixtureFset     = token.NewFileSet()
-	fixtureImporter = importer.ForCompiler(fixtureFset, "source", nil)
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = sync.OnceValues(func() (types.Importer, error) {
+		return stdImporter(fixtureFset, "../..")
+	})
 )
+
+func fixtureImporter(t *testing.T) types.Importer {
+	t.Helper()
+	imp, err := fixtureStd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imp
+}
 
 // loadFixture type-checks an in-memory package for analyzer tests. Keys
 // of files are filenames ("a.go", "a_test.go"); the import path controls
@@ -42,7 +52,7 @@ func loadFixture(t *testing.T, importPath string, files map[string]string) *Pack
 			p.Files = append(p.Files, f)
 		}
 	}
-	imp := fixtureImporter
+	imp := fixtureImporter(t)
 	collect := func(err error) { p.TypeErrs = append(p.TypeErrs, err) }
 	p.Info = newInfo()
 	unit := append(append([]*ast.File{}, p.Files...), p.TestFiles...)
@@ -73,7 +83,7 @@ type fixturePkg struct {
 func loadFixtureProgram(t *testing.T, pkgs ...fixturePkg) *Program {
 	t.Helper()
 	local := map[string]*types.Package{}
-	imp := &fixtureProgImporter{local: local}
+	imp := &fixtureProgImporter{local: local, std: fixtureImporter(t)}
 	var out []*Package
 	for _, fp := range pkgs {
 		p := &Package{ImportPath: fp.path, Fset: fixtureFset}
@@ -102,14 +112,17 @@ func loadFixtureProgram(t *testing.T, pkgs ...fixturePkg) *Program {
 }
 
 // fixtureProgImporter resolves fixture-local packages first and defers
-// the rest to the shared GOROOT source importer.
-type fixtureProgImporter struct{ local map[string]*types.Package }
+// the rest to the shared standard-library importer.
+type fixtureProgImporter struct {
+	local map[string]*types.Package
+	std   types.Importer
+}
 
 func (i *fixtureProgImporter) Import(path string) (*types.Package, error) {
 	if p := i.local[path]; p != nil {
 		return p, nil
 	}
-	return fixtureImporter.Import(path)
+	return i.std.Import(path)
 }
 
 // runRule loads the fixture and runs one analyzer over it.

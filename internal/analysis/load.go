@@ -1,13 +1,16 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,16 +18,18 @@ import (
 
 // Loader parses and type-checks the repository's packages using only the
 // standard library: module-local imports ("metro/...") are resolved
-// recursively from source, and standard-library imports are compiled from
-// GOROOT source via go/importer's source importer. Type errors do not
-// abort loading — they are recorded on the Package and the analyzers
-// tolerate the resulting holes in type information.
+// recursively from source, so every AST and position the analyzers see is
+// the module's own, and standard-library imports are read from the
+// compiler's export data (see stdImporter). A go toolchain must therefore
+// be on PATH for every run. Type errors do not abort loading — they are
+// recorded on the Package and the analyzers tolerate the resulting holes
+// in type information.
 type Loader struct {
 	Fset       *token.FileSet
 	RootDir    string
 	ModulePath string
 
-	std     types.ImporterFrom
+	std     types.Importer
 	pkgs    map[string]*Package // keyed by import path
 	loading map[string]bool     // import-cycle guard
 }
@@ -37,9 +42,9 @@ func NewLoader(rootDir string) (*Loader, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("analysis: source importer unavailable")
+	std, err := stdImporter(fset, rootDir)
+	if err != nil {
+		return nil, err
 	}
 	return &Loader{
 		Fset:       fset,
@@ -49,6 +54,56 @@ func NewLoader(rootDir string) (*Loader, error) {
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
 	}, nil
+}
+
+// stdImporter returns an importer for the standard-library closure of
+// the module in dir, test imports included. It asks the go command twice:
+// `go list -deps -test ./...` names the closure, `go list -export` names
+// each package's export file in GOCACHE, and the gc importer reads those
+// files on demand. On a cold GOCACHE the second call compiles the closure
+// once, the same build `go build ./...` and `go test ./...` pay.
+func stdImporter(fset *token.FileSet, dir string) (types.Importer, error) {
+	// -e: a module package with a broken import is a type error on that
+	// package, not a reason to analyze nothing.
+	std, err := goList(dir, "-e", "-deps", "-test", "-f", "{{if .Standard}}{{.ImportPath}}{{end}}", "./...")
+	if err != nil {
+		return nil, err
+	}
+	exports := map[string]string{}
+	// With no paths `go list` lists ".", which need not be a package.
+	if len(std) > 0 {
+		lines, err := goList(dir, append([]string{"-export", "-f", "{{.ImportPath}}={{.Export}}"}, std...)...)
+		if err != nil {
+			return nil, err
+		}
+		for _, line := range lines {
+			if path, file, _ := strings.Cut(line, "="); file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("analysis: no export data for %q: not in the standard-library closure of %s", path, dir)
+		}
+		return os.Open(file)
+	}
+	return importer.ForCompiler(fset, "gc", lookup), nil
+}
+
+// goList runs `go list args...` in dir and returns its non-empty output
+// lines.
+func goList(dir string, args ...string) ([]string, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list: %w\n%s", err, bytes.TrimSpace(stderr.Bytes()))
+	}
+	return strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' }), nil
 }
 
 // modulePath extracts the module declaration from a go.mod file.
@@ -86,8 +141,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 }
 
 // Dirs resolves patterns to the sorted package directories they match,
-// without parsing or type-checking anything (the analysis cache hashes
-// sources from this listing before deciding whether to load at all).
+// without parsing or type-checking anything.
 func (l *Loader) Dirs(patterns ...string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -263,7 +317,7 @@ func newInfo() *types.Info {
 }
 
 // Import implements types.Importer: module-local paths load from source,
-// everything else falls back to the GOROOT source importer.
+// everything else is read from export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
 		p, err := l.LoadDir(l.dirFor(path))
@@ -276,9 +330,4 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	return l.std.Import(path)
-}
-
-// ImportFrom implements types.ImporterFrom.
-func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return l.Import(path)
 }

@@ -1,9 +1,9 @@
 package analysis
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -45,94 +45,30 @@ func Add(a, b int) int { return a + b }
 	return root
 }
 
-func TestRunTreeCacheWarmEqualsCold(t *testing.T) {
+// TestRunTreeDeterministic: two runs over the same tree, each with its
+// own loader and importer, encode to the same -json bytes, and the paths
+// in them are module-relative.
+func TestRunTreeDeterministic(t *testing.T) {
 	root := scaffoldModule(t)
-	cacheDir := filepath.Join(root, ".cache")
-
-	cold, err := RunTree(root, TreeOptions{CacheDir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.FullHit {
-		t.Fatal("first run cannot be a cache hit")
-	}
-	if len(cold.Findings) == 0 {
-		t.Fatal("fixture module should produce findings")
-	}
-	for _, f := range cold.Findings {
-		if filepath.IsAbs(f.Pos.Filename) {
-			t.Fatalf("finding path not module-relative: %s", f.Pos.Filename)
+	var docs [2]bytes.Buffer
+	for i := range docs {
+		res, err := RunTree(root, TreeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Findings) == 0 {
+			t.Fatal("fixture module should produce findings")
+		}
+		for _, f := range res.Findings {
+			if filepath.IsAbs(f.Pos.Filename) {
+				t.Fatalf("finding path not module-relative: %s", f.Pos.Filename)
+			}
+		}
+		if err := EncodeJSON(&docs[i], res.Findings); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	warm, err := RunTree(root, TreeOptions{CacheDir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.FullHit {
-		t.Fatal("unchanged tree should be a full cache hit")
-	}
-	if !reflect.DeepEqual(cold.Findings, warm.Findings) {
-		t.Fatalf("warm findings differ from cold:\ncold: %v\nwarm: %v", cold.Findings, warm.Findings)
-	}
-	if warm.Key != cold.Key {
-		t.Errorf("program key changed without edits: %s vs %s", cold.Key, warm.Key)
-	}
-}
-
-func TestRunTreeCacheInvalidation(t *testing.T) {
-	root := scaffoldModule(t)
-	cacheDir := filepath.Join(root, ".cache")
-	if _, err := RunTree(root, TreeOptions{CacheDir: cacheDir}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Touch one package: the run must not be a hit.
-	compPath := filepath.Join(root, "internal", "comp", "comp.go")
-	src, err := os.ReadFile(compPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(compPath, append(src, []byte("\n// edited\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	edited, err := RunTree(root, TreeOptions{CacheDir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edited.FullHit {
-		t.Fatal("edited tree must not be a cache hit")
-	}
-
-	// And the result after the edit equals an uncached run (the cache can
-	// never change what the analyzers report).
-	bare, err := RunTree(root, TreeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(edited.Findings, bare.Findings) {
-		t.Fatalf("cached run differs from uncached:\ncached: %v\nbare: %v", edited.Findings, bare.Findings)
-	}
-}
-
-func TestRunTreeCorruptCacheIsIgnored(t *testing.T) {
-	root := scaffoldModule(t)
-	cacheDir := filepath.Join(root, ".cache")
-	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(cacheDir, cacheFileName), []byte("{corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunTree(root, TreeOptions{CacheDir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FullHit {
-		t.Fatal("corrupt cache must not produce a hit")
-	}
-	if len(res.Findings) == 0 {
-		t.Fatal("analysis should still run with a corrupt cache")
+	if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
+		t.Fatalf("-json differs between runs:\n%s\n%s", &docs[0], &docs[1])
 	}
 }

@@ -225,6 +225,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 		return nil, err
 	}
 	leg := &legOut{}
+	delivered := 0 // running count of leg.results with Delivered set
 	inj := &injector{s: s, leg: leg, rng: rand.New(rand.NewSource(s.TrafficSeed))}
 	p := netsim.Params{
 		Spec:               spec,
@@ -247,6 +248,9 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 				return
 			}
 			leg.results = append(leg.results, res)
+			if res.Delivered {
+				delivered++
+			}
 		},
 		OnDeliver: func(dest int, payload []byte, intact bool) {
 			buf := append([]byte(nil), payload...)
@@ -287,12 +291,6 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	observe := func(cycle uint64) bool {
 		if h.Progress == nil {
 			return true
-		}
-		delivered := 0
-		for _, res := range leg.results {
-			if res.Delivered {
-				delivered++
-			}
 		}
 		return h.Progress(cycle, len(leg.offers), len(leg.results), delivered)
 	}

@@ -3,6 +3,8 @@ package metrofuzz
 import (
 	"strings"
 	"testing"
+
+	"metro/internal/nic"
 )
 
 // TestDecodeSpecStrict pins the service-facing contract: exactly one
@@ -80,8 +82,9 @@ func TestRunCanceled(t *testing.T) {
 	}
 }
 
-// TestRunProgressObserved proves the hook streams monotone cycle stamps
-// and final counts matching the report, without perturbing the run.
+// TestRunProgressObserved proves the hook streams monotone cycle stamps,
+// running counts that match a recount and final counts matching the
+// report, without perturbing the run.
 func TestRunProgressObserved(t *testing.T) {
 	// Serial-only: each leg restarts its cycle counter, so monotonicity
 	// is a per-leg property.
@@ -117,5 +120,38 @@ func TestRunProgressObserved(t *testing.T) {
 	if lastCompleted != rep.Offered || lastDelivered != rep.Delivered {
 		t.Fatalf("final progress counts %d/%d, report %d/%d",
 			lastCompleted, lastDelivered, rep.Offered, rep.Delivered)
+	}
+
+	// At period 1 (what the serve tests run) every frame's counts equal
+	// a recount over the results seen so far: DropResult sees each
+	// completion before the harness records it, and drops none.
+	var seen []nic.Result
+	frames := 0
+	rep = Run(scn, Hooks{
+		ProgressPeriod: 1,
+		DropResult: func(res nic.Result) bool {
+			seen = append(seen, res)
+			return false
+		},
+		Progress: func(cycle uint64, offered, completed, delivered int) bool {
+			frames++
+			recount := 0
+			for _, res := range seen {
+				if res.Delivered {
+					recount++
+				}
+			}
+			if completed != len(seen) || delivered != recount {
+				t.Fatalf("cycle %d: frame says %d completed / %d delivered, recount %d / %d",
+					cycle, completed, delivered, len(seen), recount)
+			}
+			return true
+		},
+	})
+	if rep.Failed() {
+		t.Fatalf("period-1 run failed: %v", rep.Failures)
+	}
+	if uint64(frames) < rep.Cycles {
+		t.Fatalf("period 1 over %d cycles produced %d frames", rep.Cycles, frames)
 	}
 }

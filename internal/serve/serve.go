@@ -50,19 +50,9 @@ type Config struct {
 	// ProgressPeriod is the cycle period of progress frames (and
 	// cancellation polls); 0 selects metrofuzz.DefaultProgressPeriod.
 	ProgressPeriod uint64
-	// TraceCapacity bounds a trace=1 job's flight-recorder ring in
-	// events; defaults to 1<<14 (640 KiB at the 40-byte telemetry.Event,
-	// held while the job runs). A job submitted without trace=1 streams
-	// its events to the metrics bridge and SSE forwarder only and has no
-	// ring at all.
-	TraceCapacity int
 	// GaugeEvery forwards only gauge samples whose cycle is a multiple
 	// of this period to SSE subscribers; 0 forwards every sample.
 	GaugeEvery uint64
-	// Retention bounds completed-job records kept for polling beyond
-	// the result cache (deadline results are never cached, so their
-	// records are the only place to poll them). Defaults to 4096.
-	Retention int
 	// Logger receives structured request and job-state-transition logs
 	// (one line each, carrying the job ID that names the SSE stream and
 	// cache key). Nil discards logs — the library is silent unless the
@@ -71,18 +61,24 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+const (
+	// traceCapacity bounds a trace=1 job's flight-recorder ring in
+	// events (640 KiB at the 40-byte telemetry.Event, held while the job
+	// runs). A job submitted without trace=1 streams its events to the
+	// metrics bridge and SSE forwarder only and has no ring at all.
+	traceCapacity = 1 << 14
+	// retention bounds completed-job records kept for polling beyond
+	// the result cache (deadline results are never cached, so their
+	// records are the only place to poll them).
+	retention = 4096
+)
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.TraceCapacity == 0 {
-		c.TraceCapacity = 1 << 14
-	}
-	if c.Retention == 0 {
-		c.Retention = 4096
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -310,7 +306,7 @@ func (s *Server) runJob(j *job) {
 // job does not allocate and zero a ring nobody will snapshot.
 func (s *Server) jobRecorder(trace bool) *telemetry.Recorder {
 	if trace {
-		return telemetry.New(telemetry.Options{Capacity: s.cfg.TraceCapacity})
+		return telemetry.New(telemetry.Options{Capacity: traceCapacity})
 	}
 	return telemetry.NewStream()
 }
@@ -319,7 +315,7 @@ func (s *Server) jobRecorder(trace bool) *telemetry.Recorder {
 // records beyond the retention bound. Callers hold s.mu.
 func (s *Server) retain(id string) {
 	s.retained = append(s.retained, id)
-	for len(s.retained) > s.cfg.Retention {
+	for len(s.retained) > retention {
 		old := s.retained[0]
 		s.retained = s.retained[1:]
 		delete(s.jobs, old)

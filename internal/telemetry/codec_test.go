@@ -78,7 +78,6 @@ func TestDecodeErrors(t *testing.T) {
 		"short line":     "mtr1 1 1\n1 MSG-QUEUED ep:-1:3:0 1\n",
 		"bad cycle":      "mtr1 1 1\nx MSG-QUEUED ep:-1:3:0 1 9 0\n",
 	}
-	//metrovet:ordered independent assertions per table entry
 	for name, input := range cases {
 		if _, err := Decode(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: Decode accepted %q", name, input)

@@ -136,7 +136,6 @@ func TestCSVHistogramExport(t *testing.T) {
 		sums[r[0]] += n
 		counts[r[0]], _ = strconv.Atoi(r[1])
 	}
-	//metrovet:ordered independent assertions per phase
 	for phase, sum := range sums {
 		if sum != counts[phase] {
 			t.Errorf("phase %s: bucket counts sum to %d, want %d", phase, sum, counts[phase])

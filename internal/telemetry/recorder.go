@@ -76,8 +76,6 @@ func NewStream() *Recorder { return &Recorder{} }
 // order defines the within-cycle merge order of the recorded stream, so
 // callers must register in a deterministic order (netsim registers
 // router columns stage-major, then endpoints, then the network buf).
-//
-//metrovet:mutator network construction wiring, before the clock starts
 func (r *Recorder) NewBuf() *Buf {
 	b := &Buf{}
 	r.bufs = append(r.bufs, b)
@@ -95,8 +93,6 @@ func (r *Recorder) NewBuf() *Buf {
 // channel and drops on overflow. Set it before the clock starts and
 // leave it in place: with no sink the recording path stays
 // allocation-free exactly as before.
-//
-//metrovet:mutator recorder wiring, before the clock starts
 func (r *Recorder) SetSink(fn func([]Event)) { r.sink = fn }
 
 // Flush drains every registered Buf, in registration order, to the sink
