@@ -70,6 +70,12 @@ func debugMux() *http.ServeMux {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a connection may take to deliver a
+// request's headers, so a client that stalls mid-header cannot pin a
+// connection forever. It stops at the headers: SSE responses stream for
+// as long as their job runs, so the servers set no write deadline.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7905", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker fleet size")
@@ -117,11 +123,11 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("metroserve debug listening on %s\n", dln.Addr())
-		debugSrv = &http.Server{Handler: debugMux()}
+		debugSrv = &http.Server{Handler: debugMux(), ReadHeaderTimeout: readHeaderTimeout}
 		go debugSrv.Serve(dln)
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

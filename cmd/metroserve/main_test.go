@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -240,21 +241,7 @@ func TestMetroserveObservability(t *testing.T) {
 	}
 	// ...and present on the debug listener, whose address the daemon
 	// reports right after the main listen line.
-	var debugAddr string
-	deadline := time.Now().Add(10 * time.Second)
-	for debugAddr == "" {
-		for _, line := range strings.Split(srv.Output(), "\n") {
-			if a, ok := strings.CutPrefix(line, "metroserve debug listening on "); ok {
-				debugAddr = a
-			}
-		}
-		if debugAddr == "" {
-			if time.Now().After(deadline) {
-				t.Fatalf("daemon never reported the debug address; output:\n%s", srv.Output())
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
+	debugAddr := debugAddress(t, srv)
 	dresp, err := http.Get("http://" + debugAddr + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +255,7 @@ func TestMetroserveObservability(t *testing.T) {
 	// Structured logs: the stderr stream carries a JSON job record for
 	// this run's terminal state. The line lands just after ?wait=1
 	// returns, so poll briefly.
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		found := false
 		for _, line := range strings.Split(srv.Output(), "\n") {
@@ -294,6 +281,65 @@ func TestMetroserveObservability(t *testing.T) {
 			t.Fatalf("no JSON job log for %s; output:\n%s", id, srv.Output())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// debugAddress waits for the daemon's `metroserve debug listening on
+// <addr>` line, which follows the main listen line.
+func debugAddress(t *testing.T, srv *clitest.Server) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, line := range strings.Split(srv.Output(), "\n") {
+			if a, ok := strings.CutPrefix(line, "metroserve debug listening on "); ok {
+				return a
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never reported the debug address; output:\n%s", srv.Output())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestMetroserveStalledHeaderClosed: a client that never finishes its
+// request headers is disconnected, on the serving port and on the debug
+// port, while a wait=1 job and an SSE stream on the same server complete
+// around it.
+func TestMetroserveStalledHeaderClosed(t *testing.T) {
+	srv := clitest.StartServer(t, "-workers", "1", "-progress", "64", "-debug-addr", "127.0.0.1:0")
+	var stalled []net.Conn
+	for _, addr := range []string{strings.TrimPrefix(srv.URL, "http://"), debugAddress(t, srv)} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := io.WriteString(c, "GET /v1/healthz HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		stalled = append(stalled, c)
+	}
+
+	resp, body := postSpec(t, srv.URL, metrofuzz.EncodeSpec(metrofuzz.Generate(1)), "?wait=1")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("wait=1 job beside a stalled connection: status %d; body: %s", resp.StatusCode, body)
+	}
+	events, err := http.Get(srv.URL + "/v1/jobs/" + resp.Header.Get("X-Job") + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(events.Body)
+	events.Body.Close()
+	if err != nil || !bytes.Contains(stream, []byte("event: done\n")) {
+		t.Fatalf("SSE stream beside a stalled connection: err %v, body %q", err, stream)
+	}
+
+	for _, c := range stalled {
+		c.SetReadDeadline(time.Now().Add(15 * time.Second))
+		if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("stalled connection to %s: read %d bytes, err %v; want the server to close it", c.RemoteAddr(), n, err)
+		}
 	}
 }
 

@@ -93,16 +93,13 @@ func runEvalIsolation(prog *Program) []Finding {
 }
 
 // isolationRoots collects the Eval methods of component-shaped types
-// plus the callback methods of telemetry sinks, from every internal
-// non-link package. (Commit latches a component's own registers; the
-// isolation contract is about Eval. Tracer implementations run inside a
-// router's or endpoint's Eval on a worker shard, so their call trees are
-// held to the same contract — a sink observes the simulation, it must
-// not mutate it. Sink types are detected structurally: the router
-// tracer's four-callback vocabulary or the endpoint tracer's Message,
-// each with the cycle as its leading uint64 parameter; and Sink
-// methods with the Recorder streaming-tap shape, one slice parameter
-// and no results.)
+// plus the Sink methods of streaming taps, from every internal non-link
+// package. (Commit latches a component's own registers; the isolation
+// contract is about Eval. A Sink with the Recorder streaming-tap shape,
+// one slice parameter and no results, consumes drained event batches on
+// the engine's flushing goroutine: it observes a run in flight, so its
+// call tree is held to the same observe-only contract.
+// telemetry.MetricsSink is the canonical instance.)
 func isolationRoots(prog *Program) []RootedNode {
 	keep := func(p *Package) bool {
 		return isInternal(p.ImportPath) && internalName(p.ImportPath) != "link"
@@ -112,35 +109,24 @@ func isolationRoots(prog *Program) []RootedNode {
 		if p.Types == nil || !keep(p) {
 			continue
 		}
-		byRecv := map[string]map[string]*ast.FuncDecl{}
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) != 1 {
+				if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) != 1 ||
+					fd.Name.Name != "Sink" || !sinkShape(fd) {
 					continue
 				}
-				if tname := recvTypeName(fd); tname != "" {
-					if byRecv[tname] == nil {
-						byRecv[tname] = map[string]*ast.FuncDecl{}
-					}
-					byRecv[tname][fd.Name.Name] = fd
+				tname := recvTypeName(fd)
+				if tname == "" {
+					continue
 				}
-			}
-		}
-		tnames := make([]string, 0, len(byRecv))
-		for tname := range byRecv {
-			tnames = append(tnames, tname)
-		}
-		sort.Strings(tnames)
-		for _, tname := range tnames {
-			for _, name := range tracerRoots(byRecv[tname]) {
-				node := prog.FuncByKey(p.ImportPath + "." + tname + "." + name)
+				node := prog.FuncByKey(p.ImportPath + "." + tname + ".Sink")
 				if node == nil {
 					continue
 				}
 				roots = append(roots, RootedNode{
 					Node: node,
-					Root: fmt.Sprintf("(%s.%s).%s", pkgLabel(p), tname, name),
+					Root: fmt.Sprintf("(%s.%s).Sink", pkgLabel(p), tname),
 					Type: tname,
 					Kind: "sink",
 				})
@@ -148,41 +134,6 @@ func isolationRoots(prog *Program) []RootedNode {
 		}
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].Root < roots[j].Root })
-	return roots
-}
-
-// routerTracerMethods is the core.Tracer callback vocabulary; a type
-// declaring all four with tracer shape is a router-event sink.
-var routerTracerMethods = [...]string{"Allocated", "Blocked", "Released", "Reversed"}
-
-// tracerRoots returns the method names of methods that make the
-// receiver type a telemetry sink: the full router-tracer vocabulary,
-// and/or an endpoint-tracer Message.
-func tracerRoots(methods map[string]*ast.FuncDecl) []string {
-	var roots []string
-	all := true
-	for _, name := range routerTracerMethods {
-		if fd := methods[name]; fd == nil || !tracerShape(fd) {
-			all = false
-			break
-		}
-	}
-	if all {
-		roots = append(roots, routerTracerMethods[:]...)
-	}
-	// Message alone is a generic name; demand the endpoint tracer's
-	// wide parameter list too (cycle, endpoint, kind, id, payloads).
-	if fd := methods["Message"]; fd != nil && tracerShape(fd) && fd.Type.Params.NumFields() >= 4 {
-		roots = append(roots, "Message")
-	}
-	// A Sink with the Recorder streaming-tap shape consumes drained
-	// event batches on the engine's flushing goroutine; like the tracer
-	// callbacks it observes a run in flight and is held to the same
-	// observe-only contract (telemetry.MetricsSink is the canonical
-	// instance).
-	if fd := methods["Sink"]; fd != nil && sinkShape(fd) {
-		roots = append(roots, "Sink")
-	}
 	return roots
 }
 
@@ -198,22 +149,6 @@ func sinkShape(fd *ast.FuncDecl) bool {
 	}
 	arr, ok := ft.Params.List[0].Type.(*ast.ArrayType)
 	return ok && arr.Len == nil
-}
-
-// tracerShape reports whether fd has the tracer-callback shape: a
-// leading uint64 cycle parameter and no results. The check is
-// syntactic (the literal token "uint64"), so it works identically on
-// compiled and fixture packages.
-func tracerShape(fd *ast.FuncDecl) bool {
-	ft := fd.Type
-	if ft.Results != nil && len(ft.Results.List) > 0 {
-		return false
-	}
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return false
-	}
-	first, ok := ft.Params.List[0].Type.(*ast.Ident)
-	return ok && first.Name == "uint64"
 }
 
 // checkIsolation walks one function body for isolation violations.

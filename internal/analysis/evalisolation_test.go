@@ -159,79 +159,6 @@ func (c *Comp) Commit(cycle uint64) {}
 	wantFindings(t, got, "eval-isolation", [2]any{"global.go", 7})
 }
 
-// TestEvalIsolationTracerSinkFlagsMutation pins the telemetry-sink
-// extension: a tracer implementation (the router-tracer callback
-// vocabulary) runs inside component Eval on a worker shard, so writes
-// to component state or calls onto components from its call tree are
-// isolation violations even though the sink itself is not a component.
-func TestEvalIsolationTracerSinkFlagsMutation(t *testing.T) {
-	got := runRule(t, EvalIsolation(), "metro/internal/netsim", map[string]string{
-		"sink.go": `package netsim
-
-type RouterID struct{ Stage, Index, Lane int }
-
-type Comp struct{ n int }
-
-func (c *Comp) Eval(cycle uint64)   {}
-func (c *Comp) Commit(cycle uint64) {}
-
-type sink struct {
-	counts map[int]int
-	victim *Comp
-}
-
-func (s *sink) Allocated(cycle uint64, id RouterID, fp, bp int) {
-	s.counts[id.Stage]++ // own state: fine
-	s.victim.n++         // mutates a component: flagged
-}
-func (s *sink) Blocked(cycle uint64, id RouterID, fp, dir int, fast bool) {
-	s.victim.poke() // calls a component: flagged
-}
-func (s *sink) Released(cycle uint64, id RouterID, fp, bp int) {}
-func (s *sink) Reversed(cycle uint64, id RouterID, fp int, towardSource bool) {}
-
-func (c *Comp) poke() { c.n++ }
-`,
-	})
-	wantFindings(t, got, "eval-isolation",
-		[2]any{"sink.go", 17}, // s.victim.n++
-		[2]any{"sink.go", 20}, // s.victim.poke()
-	)
-}
-
-// TestEvalIsolationEndpointSinkAndCleanSink: the Message-shaped
-// endpoint sink is rooted too, and a sink that only records into its
-// own buffers raises nothing.
-func TestEvalIsolationEndpointSinkAndCleanSink(t *testing.T) {
-	got := runRule(t, EvalIsolation(), "metro/internal/nic", map[string]string{
-		"sink.go": `package nic
-
-type Comp struct{ n int }
-
-func (c *Comp) Eval(cycle uint64)   {}
-func (c *Comp) Commit(cycle uint64) {}
-
-var total int
-
-type epSink struct{ events []uint64 }
-
-func (s *epSink) Message(cycle uint64, ep int, kind int, id uint64, a, b int) {
-	s.events = append(s.events, id) // own buffer: fine
-	total++                         // package-level state: flagged
-}
-
-type cleanSink struct{ events []uint64 }
-
-func (s *cleanSink) Message(cycle uint64, ep int, kind int, id uint64, a, b int) {
-	s.events = append(s.events, id)
-}
-`,
-	})
-	wantFindings(t, got, "eval-isolation",
-		[2]any{"sink.go", 14}, // total++
-	)
-}
-
 // TestEvalIsolationStreamingSinkFlagsMutation pins the Recorder-tap
 // extension: a method named Sink taking one event-batch slice and
 // returning nothing runs on the engine's flushing goroutine, so its
@@ -276,35 +203,4 @@ func (n *alsoNotTap) Sink(events []Event) int { n.victim.n++; return 0 }
 	wantFindings(t, got, "eval-isolation",
 		[2]any{"tap.go", 17}, // b.victim.n++
 	)
-}
-
-// TestEvalIsolationTracerShapeGuards: lookalike methods — results, a
-// non-cycle first parameter, a partial router vocabulary, or a narrow
-// Message — are not sinks and root nothing.
-func TestEvalIsolationTracerShapeGuards(t *testing.T) {
-	got := runRule(t, EvalIsolation(), "metro/internal/core", map[string]string{
-		"shapes.go": `package core
-
-type Comp struct{ n int }
-
-func (c *Comp) Eval(cycle uint64)   {}
-func (c *Comp) Commit(cycle uint64) {}
-
-type notSink struct{ victim *Comp }
-
-// Partial router vocabulary: three of four callbacks.
-func (s *notSink) Allocated(cycle uint64, a, b int) { s.victim.n++ }
-func (s *notSink) Blocked(cycle uint64, a int)      { s.victim.n++ }
-func (s *notSink) Released(cycle uint64, a int)     { s.victim.n++ }
-
-// Message without the cycle-first shape.
-func (s *notSink) Message(text string, a, b, c, d int) { s.victim.n++ }
-
-// Narrow Message (a logger, not the endpoint tracer).
-type logger struct{ victim *Comp }
-
-func (l *logger) Message(cycle uint64, level int) { l.victim.n++ }
-`,
-	})
-	wantFindings(t, got, "eval-isolation")
 }

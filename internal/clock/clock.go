@@ -46,8 +46,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"metro/internal/metrics"
 )
 
 // Component is a clocked element of the simulated system.
@@ -153,8 +151,8 @@ func (e *Engine) Workers() int { return e.workers }
 // many networks do not accumulate idle goroutines.
 func (e *Engine) StopWorkers() { e.invalidate() }
 
-// invalidate tears down the worker pool; kernel, worker-count and
-// metrics changes rebuild it lazily on the next Step.
+// invalidate tears down the worker pool; kernel and worker-count
+// changes rebuild it lazily on the next Step.
 func (e *Engine) invalidate() {
 	if e.pool != nil {
 		e.pool.stop()
@@ -192,9 +190,9 @@ func (e *Engine) units(kind phaseKind, cycle uint64) {
 		return
 	}
 	if e.pool == nil {
-		e.pool = newPool(e.workers, e.kernel, e.metShardNs())
+		e.pool = newPool(e.workers, e.kernel)
 	}
-	e.pool.phase(kind, cycle, e.metTimed())
+	e.pool.phase(kind, cycle)
 }
 
 // Run advances the system by n clock cycles.
@@ -233,13 +231,10 @@ const (
 	phaseCommit
 )
 
-// poolCmd is one phase broadcast to a worker. timed marks a
-// metrics-sampled cycle: the worker brackets each partition's phase with
-// wall-clock reads and publishes the duration to that partition's gauge.
+// poolCmd is one phase broadcast to a worker.
 type poolCmd struct {
 	kind  phaseKind
 	cycle uint64
-	timed bool
 }
 
 // pool drives a kernel's units. The unit population is split into parts
@@ -258,19 +253,18 @@ type poolCmd struct {
 // and to every worker on the next phase broadcast.
 type pool struct {
 	k       Kernel
-	bounds  []int            // partition p covers units [bounds[p], bounds[p+1])
-	shardNs []*metrics.Gauge // partition p -> step-time gauge (may be short or nil)
-	cmd     []chan poolCmd   // lane i+1's command channel: g-1 of them, none when g == 1
+	bounds  []int          // partition p covers units [bounds[p], bounds[p+1])
+	cmd     []chan poolCmd // lane i+1's command channel: g-1 of them, none when g == 1
 	barrier sync.WaitGroup
 	done    sync.WaitGroup
 }
 
-func newPool(workers int, k Kernel, shardNs []*metrics.Gauge) *pool {
+func newPool(workers int, k Kernel) *pool {
 	parts := workers
 	if parts == 0 {
 		parts = 1
 	}
-	p := &pool{k: k, bounds: make([]int, parts+1), shardNs: shardNs}
+	p := &pool{k: k, bounds: make([]int, parts+1)}
 	n := k.Units()
 	for i := range p.bounds {
 		p.bounds[i] = i * n / parts
@@ -307,11 +301,6 @@ func (p *pool) runLane(lane int, cmd poolCmd) {
 // run executes one phase of one partition: its unit range and, on
 // commit, its share of the batched link shuttle.
 func (p *pool) run(part int, cmd poolCmd) {
-	timed := cmd.timed && part < len(p.shardNs)
-	var t0 time.Time
-	if timed {
-		t0 = time.Now() //metrovet:ignore no-wallclock per-partition step-time gauge on sampled cycles; never observable by the model
-	}
 	lo, hi := p.bounds[part], p.bounds[part+1]
 	switch cmd.kind {
 	case phaseEval:
@@ -320,27 +309,13 @@ func (p *pool) run(part int, cmd poolCmd) {
 		p.k.CommitUnits(lo, hi, cmd.cycle)
 		p.k.CommitBatch(part, len(p.bounds)-1, cmd.cycle)
 	}
-	if timed {
-		ns := float64(time.Since(t0).Nanoseconds()) //metrovet:ignore no-wallclock per-partition step-time gauge on sampled cycles; never observable by the model
-		// Eval starts the cycle's total (Set), commit completes it
-		// (Add), so after a sampled cycle the gauge holds the
-		// partition's whole step time.
-		if cmd.kind == phaseEval {
-			p.shardNs[part].Set(ns)
-		} else {
-			p.shardNs[part].Add(ns)
-		}
-	}
 }
 
 // phase runs one half-cycle over every partition and waits for all of
 // them to finish it: broadcast to the worker lanes, run lane 0 here, then
-// wait at the barrier; with no worker lanes it is a plain call. timed
-// (see Engine.metTimed) follows the configured worker count, not the
-// goroutine count, so the coordinator's lane publishes its partitions'
-// gauges like any other.
-func (p *pool) phase(kind phaseKind, cycle uint64, timed bool) {
-	cmd := poolCmd{kind: kind, cycle: cycle, timed: timed}
+// wait at the barrier; with no worker lanes it is a plain call.
+func (p *pool) phase(kind phaseKind, cycle uint64) {
+	cmd := poolCmd{kind: kind, cycle: cycle}
 	if len(p.cmd) == 0 {
 		p.runLane(0, cmd)
 		return

@@ -20,7 +20,7 @@ const defaultMetricsEvery = 1024
 //
 // The wall clock is read only on the Every-cycle sampling grid, and only
 // to compute throughput gauges; cycle-stamped simulation semantics never
-// observe it (the metrovet no-wallclock valves below each carry that
+// observe it (the metrovet no-wallclock valve below carries that
 // argument).
 type EngineMetrics struct {
 	// Every is the sampling period in cycles; 0 means 1024.
@@ -33,14 +33,6 @@ type EngineMetrics struct {
 	// StepNs is the mean wall time per cycle, in nanoseconds, over the
 	// last sampling window.
 	StepNs *metrics.Gauge
-
-	// ShardNs receives per-partition phase wall times in nanoseconds,
-	// measured on sampled cycles only: partition p's gauge is Set during
-	// eval and Add-ed during commit, so after a sampled cycle it holds
-	// that partition's total step time. Partitions beyond len(ShardNs)
-	// are not timed. Workers >= 1 only; inline execution reports StepNs
-	// alone.
-	ShardNs []*metrics.Gauge
 
 	// KernelUnits, KernelLinks, and KernelArenas are static-shape gauges
 	// for a compiled kernel plane, filled by kernel.(*Compiled).PublishShape
@@ -59,11 +51,9 @@ func (m *EngineMetrics) every() uint64 {
 }
 
 // SetMetrics attaches (or, with nil, detaches) operational gauges.
-// The worker pool is rebuilt lazily so the per-partition gauge wiring
-// takes effect on the next Step. Sampling state resets: the first window
-// completes Every cycles after attachment.
+// Sampling state resets: the first window completes Every cycles after
+// attachment.
 func (e *Engine) SetMetrics(m *EngineMetrics) {
-	e.invalidate()
 	e.met = m
 	e.metN = 0
 	e.metLast = time.Time{}
@@ -71,23 +61,6 @@ func (e *Engine) SetMetrics(m *EngineMetrics) {
 
 // Metrics returns the attached gauge set, or nil.
 func (e *Engine) Metrics() *EngineMetrics { return e.met }
-
-// metShardNs returns the per-partition gauge list for pool construction.
-func (e *Engine) metShardNs() []*metrics.Gauge {
-	if e.met == nil {
-		return nil
-	}
-	return e.met.ShardNs
-}
-
-// metTimed reports whether the cycle about to execute lands on the
-// sampling grid and per-partition timing is wired, so the phase broadcast
-// should carry the timed flag. Inline execution (workers == 0) is never
-// timed per partition: the StepNs gauge already covers the one range
-// there is.
-func (e *Engine) metTimed() bool {
-	return e.met != nil && e.workers > 0 && len(e.met.ShardNs) > 0 && (e.metN+1)%e.met.every() == 0
-}
 
 // metTick advances the sampling window after a completed cycle; on
 // window boundaries it reads the wall clock and publishes the

@@ -23,20 +23,14 @@ func (s *spinComp) Eval(cycle uint64) {
 
 func (s *spinComp) Commit(cycle uint64) { s.acc = s.stage }
 
-// newEngineMetrics builds a gauge set backed by a registry, with shard
-// gauges for n shards.
-func newEngineMetrics(every uint64, shards int) (*metrics.Registry, *EngineMetrics) {
+// newEngineMetrics builds a gauge set backed by a registry.
+func newEngineMetrics(every uint64) *EngineMetrics {
 	r := metrics.NewRegistry()
-	m := &EngineMetrics{
+	return &EngineMetrics{
 		Every:        every,
 		CyclesPerSec: r.Gauge("sim_cycles_per_second", ""),
 		StepNs:       r.Gauge("sim_step_ns", ""),
 	}
-	v := r.GaugeVec("sim_shard_step_ns", "", "shard")
-	for s := 0; s < shards; s++ {
-		m.ShardNs = append(m.ShardNs, v.With(string(rune('0'+s))))
-	}
-	return r, m
 }
 
 // TestEngineMetricsSerial verifies the serial engine publishes
@@ -44,7 +38,7 @@ func newEngineMetrics(every uint64, shards int) (*metrics.Registry, *EngineMetri
 func TestEngineMetricsSerial(t *testing.T) {
 	e := New()
 	e.Add(&spinComp{})
-	_, m := newEngineMetrics(8, 0)
+	m := newEngineMetrics(8)
 	e.SetMetrics(m)
 
 	e.Run(7)
@@ -61,42 +55,32 @@ func TestEngineMetricsSerial(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsParallelShards verifies per-partition step-time
-// gauges are written on sampled cycles when workers are running.
-func TestEngineMetricsParallelShards(t *testing.T) {
+// stepKernelWithMetrics runs a two-unit kernel for 64 cycles at the given
+// worker count and demands the throughput gauges were published.
+func stepKernelWithMetrics(t *testing.T, workers int) {
+	t.Helper()
 	e := New()
 	e.SetKernel(newFakeKernel(&spinComp{}, &spinComp{}))
-	e.SetWorkers(2)
+	e.SetWorkers(workers)
 	defer e.StopWorkers()
-	_, m := newEngineMetrics(4, 2)
+	m := newEngineMetrics(4)
 	e.SetMetrics(m)
-
 	e.Run(64)
-	for s, g := range m.ShardNs {
-		if g.Value() <= 0 {
-			t.Errorf("shard %d step ns = %v, want > 0", s, g.Value())
-		}
+	if m.CyclesPerSec.Value() <= 0 || m.StepNs.Value() <= 0 {
+		t.Errorf("workers=%d: cycles/sec = %v, step ns = %v, want both > 0", workers, m.CyclesPerSec.Value(), m.StepNs.Value())
 	}
 }
 
-// TestEngineMetricsCoordinatorLane: at workers=1 the stepping goroutine
-// is the only lane, and its partition's gauge is still published; inline
-// execution (workers=0) is never timed per partition.
+// TestEngineMetricsParallelShards verifies the throughput gauges are
+// published when the kernel's units run partitioned across workers.
+func TestEngineMetricsParallelShards(t *testing.T) { stepKernelWithMetrics(t, 2) }
+
+// TestEngineMetricsCoordinatorLane: inline (workers=0) and at workers=1
+// the stepping goroutine runs the only lane, with no worker goroutine,
+// and the gauges are published all the same.
 func TestEngineMetricsCoordinatorLane(t *testing.T) {
-	for _, tc := range []struct {
-		workers int
-		timed   bool
-	}{{0, false}, {1, true}} {
-		e := New()
-		e.SetKernel(newFakeKernel(&spinComp{}, &spinComp{}))
-		e.SetWorkers(tc.workers)
-		_, m := newEngineMetrics(4, 1)
-		e.SetMetrics(m)
-		e.Run(64)
-		if got := m.ShardNs[0].Value() > 0; got != tc.timed {
-			t.Errorf("workers=%d: shard 0 step ns = %v, timed = %v, want %v", tc.workers, m.ShardNs[0].Value(), got, tc.timed)
-		}
-	}
+	stepKernelWithMetrics(t, 0)
+	stepKernelWithMetrics(t, 1)
 }
 
 // TestEngineMetricsDetach verifies SetMetrics(nil) stops all updates
@@ -104,7 +88,7 @@ func TestEngineMetricsCoordinatorLane(t *testing.T) {
 func TestEngineMetricsDetach(t *testing.T) {
 	e := New()
 	e.Add(&spinComp{})
-	_, m := newEngineMetrics(2, 0)
+	m := newEngineMetrics(2)
 	e.SetMetrics(m)
 	e.Run(8)
 	e.SetMetrics(nil)
@@ -127,8 +111,7 @@ func TestEngineMetricsDeterminism(t *testing.T) {
 		c := &spinComp{}
 		e.Add(c)
 		if withMetrics {
-			_, m := newEngineMetrics(4, 0)
-			e.SetMetrics(m)
+			e.SetMetrics(newEngineMetrics(4))
 		}
 		e.Run(100)
 		return c.acc

@@ -29,11 +29,6 @@ func TestRouterAccessors(t *testing.T) {
 	if r.ClosingCount() != 0 {
 		t.Errorf("fresh router ClosingCount = %d", r.ClosingCount())
 	}
-	// SetTracer(nil) restores the no-op tracer without panicking.
-	r.SetTracer(nil)
-	h.src[0].Send(word.MakeRoute(0, 2))
-	h.run()
-	h.run()
 }
 
 func TestApplySettingsLive(t *testing.T) {
@@ -95,15 +90,6 @@ func TestClosingCountDuringFlush(t *testing.T) {
 	if h.r.ClosingCount() != 0 || h.r.OwnerOf(0) != -1 {
 		t.Fatal("closer did not complete")
 	}
-}
-
-func TestNopTracerMethods(t *testing.T) {
-	var tr core.NopTracer
-	id := core.FreeID()
-	tr.Allocated(0, id, 0, 0)
-	tr.Blocked(0, id, 0, 0, true)
-	tr.Released(0, id, 0, 0)
-	tr.Reversed(0, id, 0, true)
 }
 
 func TestRouterIDRoundTrip(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"metro/internal/link"
 	"metro/internal/prng"
+	"metro/internal/telemetry"
 	"metro/internal/word"
 )
 
@@ -175,7 +176,7 @@ type Router struct {
 
 	// The second and third cache lines hold what a router with a live port
 	// reads on top of the header: the ports, the geometry that finds their
-	// buffers, the backward side and the tracer.
+	// buffers, the backward side and the telemetry buffer.
 	fwd []fwdPort
 	// bufs backs every port buffer: Inputs+Outputs buffer sets of
 	// dp + 2*injCap words each (see pipe, inject and outQ), where dp is
@@ -189,7 +190,11 @@ type Router struct {
 
 	bLinks []*link.End // backward ports: router is the A (upstream) end
 	busyBy []int8      // per backward port: owner fp, -1 free, -2 flushing close
-	tracer Tracer
+	// tel is the unit-local telemetry buffer connection-lifecycle events
+	// go to (nil: none recorded); src is id as an event source, computed
+	// once in SetID.
+	tel *telemetry.Buf
+	src telemetry.Source
 
 	id RouterID
 	// reqs is the per-cycle request list, preallocated in NewRouter so the
@@ -254,11 +259,9 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 			closers: make([]closer, 0, cfg.Outputs),
 		},
 		name:   name,
-		id:     FreeID(),
 		cfg:    cfg,
 		set:    set.Clone(),
 		rng:    rng,
-		tracer: NopTracer{},
 		bLinks: make([]*link.End, cfg.Outputs),
 		fwd:    make([]fwdPort, cfg.Inputs),
 		busyBy: make([]int8, cfg.Outputs),
@@ -267,6 +270,7 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 		bufs:   make([]word.Word, (cfg.Inputs+cfg.Outputs)*(cfg.DataPipe+2*injCap)),
 		reqs:   make([]request, 0, cfg.Inputs),
 	}
+	r.SetID(FreeID())
 	// Forward port i starts on set i; closer slot j parks set Inputs+j.
 	for i := range r.fwd {
 		r.fwd[i].bp = -1
@@ -289,12 +293,15 @@ func (r *Router) Name() string { return r.name }
 // network that placed the router calls SetID).
 func (r *Router) ID() RouterID { return r.id }
 
-// SetID records the router's structured position in its network. Tracer
-// events carry this identity, so observers aggregate by stage/index/lane
-// instead of parsing names.
+// SetID records the router's structured position in its network.
+// Telemetry events carry this identity as their source, so observers
+// aggregate by stage/index/lane instead of parsing names.
 //
 //metrovet:mutator network construction wiring, before the clock starts
-func (r *Router) SetID(id RouterID) { r.id = id }
+func (r *Router) SetID(id RouterID) {
+	r.id = id
+	r.src = telemetry.RouterSource(id.Stage, id.Index, id.Lane)
+}
 
 // Config returns the architectural parameters.
 func (r *Router) Config() Config { return r.cfg }
@@ -308,14 +315,21 @@ func (r *Router) Settings() Settings { return r.set.Clone() }
 //metrovet:mutator experiment configuration, applied before the clock starts
 func (r *Router) SetSelectionPolicy(p SelectionPolicy) { r.policy = p }
 
-// SetTracer installs an event tracer (nil restores the no-op tracer).
+// SetTelemetry attaches the unit-local buffer the router's
+// connection-lifecycle events (EvConn*) go to; nil records none. Cascade
+// lanes of one logical router form one kernel unit and may share a buffer.
 //
 //metrovet:mutator observer wiring at network construction time
-func (r *Router) SetTracer(t Tracer) {
-	if t == nil {
-		t = NopTracer{}
+func (r *Router) SetTelemetry(b *telemetry.Buf) { r.tel = b }
+
+// emit records one connection-lifecycle event on forward port fp. It runs
+// during Eval and costs one branch when no buffer is attached.
+//
+//metrovet:truncate fp and b are port numbers below MaxPorts, a direction below the radix, -1 or a 0/1 flag
+func (r *Router) emit(cycle uint64, kind telemetry.Kind, fp, b int) {
+	if r.tel != nil {
+		r.tel.Emit(telemetry.Event{Cycle: cycle, Src: r.src, Kind: kind, A: int32(fp), B: int32(b)})
 	}
-	r.tracer = t
 }
 
 // AttachForward connects link end e to forward port fp.
@@ -469,7 +483,7 @@ func (r *Router) KillConnection(cycle uint64, fp int) {
 		return
 	}
 	r.freeBackward(fp)
-	r.tracer.Released(cycle, r.id, fp, -1)
+	r.emit(cycle, telemetry.EvConnReleased, fp, -1)
 	p.reset(fpDrain)
 	p.bcbOut = true
 }
@@ -529,7 +543,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 		// reclamation propagating toward the source).
 		if p.bp >= 0 && r.bLinks[p.bp] != nil && r.bLinks[p.bp].RecvBCB() {
 			r.freeBackward(fp)
-			r.tracer.Released(cycle, r.id, fp, -1)
+			r.emit(cycle, telemetry.EvConnReleased, fp, -1)
 			p.reset(fpDrain)
 			p.bcbOut = true
 			// Fall through to fpDrain handling with this cycle's input.
@@ -553,7 +567,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 				bp := int(p.bp)
 				r.freeBackward(fp)
 				p.reset(fpIdle)
-				r.tracer.Released(cycle, r.id, fp, bp)
+				r.emit(cycle, telemetry.EvConnReleased, fp, bp)
 				continue
 			}
 			p.ck.Add(in)
@@ -598,7 +612,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 				bp := int(p.bp)
 				r.freeBackward(fp)
 				p.reset(fpIdle)
-				r.tracer.Released(cycle, r.id, fp, bp)
+				r.emit(cycle, telemetry.EvConnReleased, fp, bp)
 				continue
 			}
 			rin := word.Word{}
@@ -628,9 +642,9 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 				status := word.Word{Kind: word.Status, Payload: flags & word.Mask(r.cfg.Width)}
 				r.stageInject(&p.flow, status, p.ck.Sum(), true)
 				p.state = fpBlockedReply
-				r.tracer.Reversed(cycle, r.id, fp, true)
+				r.emit(cycle, telemetry.EvConnTurned, fp, 1)
 			case word.Drop, word.Empty:
-				r.tracer.Released(cycle, r.id, fp, -1)
+				r.emit(cycle, telemetry.EvConnReleased, fp, -1)
 				p.reset(fpIdle)
 			case word.Route, word.HeaderPad, word.Data, word.DataIdle,
 				word.Status, word.ChecksumWord:
@@ -729,7 +743,7 @@ func (r *Router) allocate(cycle uint64) {
 		} else {
 			p.state = fpForward
 		}
-		r.tracer.Allocated(cycle, r.id, int(q.fp), bp)
+		r.emit(cycle, telemetry.EvConnSetup, int(q.fp), bp)
 	}
 	r.reqs = r.reqs[:0]
 }
@@ -749,12 +763,13 @@ func (r *Router) pick(n int) int {
 func (r *Router) block(cycle uint64, q request) {
 	p := &r.fwd[q.fp]
 	fast := r.set.FastReclaim[q.fp]
-	r.tracer.Blocked(cycle, r.id, int(q.fp), int(q.dir), fast)
 	if fast {
+		r.emit(cycle, telemetry.EvConnBlockedFast, int(q.fp), int(q.dir))
 		p.reset(fpDrain)
 		p.bcbOut = true
 		return
 	}
+	r.emit(cycle, telemetry.EvConnBlockedDetailed, int(q.fp), int(q.dir))
 	p.reset(fpBlockedWait)
 	p.ck.Add(q.recv)
 }
@@ -830,7 +845,7 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 					e.Send(w)
 				}
 				if w.Kind == word.Drop {
-					r.tracer.Released(cycle, r.id, fp, -1)
+					r.emit(cycle, telemetry.EvConnReleased, fp, -1)
 					p.reset(fpIdle)
 				}
 			}
@@ -973,7 +988,11 @@ func (r *Router) flip(cycle uint64, fp int, to fpState) {
 	p.revActive = false
 	p.closing = false
 	p.state = to
-	r.tracer.Reversed(cycle, r.id, fp, to == fpReversed)
+	towardSource := 0
+	if to == fpReversed {
+		towardSource = 1
+	}
+	r.emit(cycle, telemetry.EvConnTurned, fp, towardSource)
 }
 
 // detach moves forward port fp's connection tail to a detached closer and
@@ -1022,7 +1041,7 @@ func (r *Router) runClosers(cycle uint64) {
 		c.deadline--
 		if sent.Kind == word.Drop || c.deadline <= 0 {
 			r.busyBy[c.bp] = -1
-			r.tracer.Released(cycle, r.id, int(c.fp), int(c.bp))
+			r.emit(cycle, telemetry.EvConnReleased, int(c.fp), int(c.bp))
 			continue
 		}
 		r.closers[kept], r.closers[i] = r.closers[i], r.closers[kept]
@@ -1038,7 +1057,7 @@ func (r *Router) release(cycle uint64, fp int) {
 	bp := int(p.bp)
 	r.freeBackward(fp)
 	p.reset(fpIdle)
-	r.tracer.Released(cycle, r.id, fp, bp)
+	r.emit(cycle, telemetry.EvConnReleased, fp, bp)
 }
 
 func (r *Router) freeBackward(fp int) {

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"metro/internal/clock"
 	"metro/internal/core"
 	"metro/internal/link"
 	"metro/internal/prng"
+	"metro/internal/telemetry"
 	"metro/internal/word"
 )
 
@@ -747,34 +749,72 @@ func TestRadixDilationHelpers(t *testing.T) {
 	}
 }
 
-type captureTracer struct {
-	allocated, blocked, released, reversed int
-}
-
-func (c *captureTracer) Allocated(uint64, core.RouterID, int, int)     { c.allocated++ }
-func (c *captureTracer) Blocked(uint64, core.RouterID, int, int, bool) { c.blocked++ }
-func (c *captureTracer) Released(uint64, core.RouterID, int, int)      { c.released++ }
-func (c *captureTracer) Reversed(uint64, core.RouterID, int, bool)     { c.reversed++ }
-
-func TestTracerEvents(t *testing.T) {
-	cfg := cfg4x4()
-	h := newHarness(cfg, dil1Settings(cfg), 17)
-	tr := &captureTracer{}
-	h.r.SetTracer(tr)
-	seq := []word.Word{word.MakeRoute(0, 2), word.MakeData(1, 4), {Kind: word.Drop}}
-	h.collect(0, 0, 10, seq)
-	if tr.allocated != 1 || tr.released != 1 {
-		t.Fatalf("tracer: %+v, want 1 allocation and 1 release", tr)
+// connCycle opens a connection on forward port 0, closes it with a DROP,
+// then blocks a request from port 1 against a fresh connection on port 0
+// and lets both go: every connection-lifecycle emit site except the turn.
+func (h *harness) connCycle() {
+	for _, w := range []word.Word{word.MakeRoute(0, 2), word.MakeData(1, 4), {Kind: word.Drop}} {
+		h.src[0].Send(w)
+		h.run()
 	}
-	// Blocked event: occupy dir 0 then request again.
+	for i := 0; i < 7; i++ {
+		h.run()
+	}
 	h.src[0].Send(word.MakeRoute(0, 2))
 	h.run()
 	h.src[0].Send(word.Word{Kind: word.DataIdle})
 	h.src[1].Send(word.MakeRoute(0, 2))
 	h.run()
-	h.src[0].Send(word.Word{Kind: word.DataIdle})
-	h.run()
-	if tr.blocked != 1 {
-		t.Fatalf("tracer blocked = %d, want 1", tr.blocked)
+	for i := 0; i < 8; i++ {
+		h.run()
+	}
+}
+
+// TestRouterEmitsConnEvents reads the router's events back from a flushed
+// recorder: the kinds, their count and the source SetID stored.
+func TestRouterEmitsConnEvents(t *testing.T) {
+	cfg := cfg4x4()
+	h := newHarness(cfg, dil1Settings(cfg), 17)
+	rec := telemetry.New(telemetry.Options{Capacity: 64})
+	h.r.SetTelemetry(rec.NewBuf())
+	id := core.RouterID{Stage: 1, Index: 3, Lane: 0}
+	h.r.SetID(id)
+	h.connCycle()
+	rec.Flush()
+	counts := map[telemetry.Kind]int{}
+	for _, e := range rec.Snapshot().Events {
+		counts[e.Kind]++
+		if want := telemetry.RouterSource(id.Stage, id.Index, id.Lane); e.Src != want {
+			t.Fatalf("%v: source %v, want %v", e, e.Src, want)
+		}
+	}
+	want := map[telemetry.Kind]int{
+		telemetry.EvConnSetup:       2,
+		telemetry.EvConnBlockedFast: 1,
+		telemetry.EvConnReleased:    2,
+	}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("events by kind = %v, want %v", counts, want)
+	}
+}
+
+// TestZeroAllocRouterWithoutTelemetry: a router with no buffer walks the
+// same emit sites off the heap, and detaching a buffer stops emission.
+func TestZeroAllocRouterWithoutTelemetry(t *testing.T) {
+	cfg := cfg4x4()
+	h := newHarness(cfg, dil1Settings(cfg), 17)
+	h.connCycle() // warm the harness
+	if !raceEnabled {
+		if a := testing.AllocsPerRun(10, h.connCycle); a != 0 {
+			t.Fatalf("router without a buffer: %v allocs per connection cycle, want 0", a)
+		}
+	}
+	rec := telemetry.New(telemetry.Options{Capacity: 64})
+	h.r.SetTelemetry(rec.NewBuf())
+	h.r.SetTelemetry(nil)
+	h.connCycle()
+	rec.Flush()
+	if rec.Total() != 0 {
+		t.Fatalf("detached router emitted %d events", rec.Total())
 	}
 }

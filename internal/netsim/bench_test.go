@@ -19,7 +19,6 @@ func benchEngineMetrics() *clock.EngineMetrics {
 		Every:        64,
 		CyclesPerSec: r.Gauge("cps", ""),
 		StepNs:       r.Gauge("step_ns", ""),
-		ShardNs:      []*metrics.Gauge{r.Gauge("s0", ""), r.Gauge("s1", "")},
 		KernelUnits:  r.Gauge("units", ""),
 		KernelLinks:  r.Gauge("links", ""),
 		KernelArenas: r.Gauge("arenas", ""),

@@ -13,16 +13,17 @@ import (
 // stage, and unplaced routers (FreeID, stage -1) are ignored instead of
 // leaking into a real stage.
 func TestCountersStructuredIdentity(t *testing.T) {
-	// Feed the sink through the same adapter netsim wires into routers.
-	rec := telemetry.New(telemetry.Options{Capacity: 8})
 	c := NewCounters()
-	rec.SetSink(c.Sink)
-	tr := telemetry.RouterTracer(rec.NewBuf())
-	tr.Allocated(1, core.RouterID{Stage: 2, Index: 11, Lane: 0}, 0, 0)
-	tr.Allocated(2, core.RouterID{Stage: 2, Index: 4, Lane: 1}, 0, 0) // cascade lane, same stage
-	tr.Blocked(3, core.RouterID{Stage: 0, Index: 0, Lane: 0}, 0, 0, true)
-	tr.Allocated(4, core.FreeID(), 0, 0) // unplaced router
-	rec.Flush()
+	setup := func(cycle uint64, stage, index, lane int) telemetry.Event {
+		return telemetry.Event{Cycle: cycle, Src: telemetry.RouterSource(stage, index, lane), Kind: telemetry.EvConnSetup}
+	}
+	free := core.FreeID()
+	c.Sink([]telemetry.Event{
+		setup(1, 2, 11, 0),
+		setup(2, 2, 4, 1), // cascade lane, same stage
+		{Cycle: 3, Src: telemetry.RouterSource(0, 0, 0), Kind: telemetry.EvConnBlockedFast},
+		setup(4, free.Stage, free.Index, free.Lane), // unplaced router
+	})
 	stats := c.PerStage(3)
 	if stats[2].Allocated != 2 {
 		t.Errorf("stage 2 allocated = %d, want 2 (lane events must fold in)", stats[2].Allocated)

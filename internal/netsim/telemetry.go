@@ -20,14 +20,14 @@ func wireTelemetry(n *Network, lanes [][][]*core.Router) {
 	rec := n.Params.Recorder
 	for s := range lanes {
 		for j := range lanes[s] {
-			t := telemetry.RouterTracer(rec.NewBuf())
+			buf := rec.NewBuf()
 			for _, r := range lanes[s][j] {
-				r.SetTracer(t)
+				r.SetTelemetry(buf)
 			}
 		}
 	}
 	for _, ep := range n.Endpoints {
-		ep.SetTracer(telemetry.EndpointTracer(rec.NewBuf()))
+		ep.SetTelemetry(rec.NewBuf())
 	}
 	n.netBuf = rec.NewBuf()
 }

@@ -1,10 +1,12 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"metro/internal/telemetry"
 	"metro/internal/topo"
+	"metro/internal/word"
 )
 
 // TestTraceCapturesEndToEndLifecycle sends one message through a quiet
@@ -79,5 +81,68 @@ func TestGaugePeriodThinsSampling(t *testing.T) {
 	}
 	if eighth != 8 {
 		t.Errorf("period-8 sampling recorded %d in-flight gauges over 64 cycles, want 8", eighth)
+	}
+}
+
+// TestTraceCoversEveryMsgAndConnKind takes the union of four short
+// Figure 3 traces and demands every kind of the msg and conn families at
+// least once, so an emit site dropped from a router or an endpoint fails
+// here instead of vanishing from every trace.
+func TestTraceCoversEveryMsgAndConnKind(t *testing.T) {
+	base := Params{
+		Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
+		FastReclaim: true, Seed: 71, RetryLimit: 600, ListenTimeout: 200,
+	}
+	mixed, starved := base, base
+	mixed.DetailedStages = []int{1}
+	starved.RetryLimit = 1
+	scenarios := []struct {
+		name  string
+		p     Params
+		fault func(*Network)
+	}{
+		{"congested, detailed replies at stage 1", mixed, nil},
+		{"retry budget of one", starved, nil},
+		{"corrupted injection link", base, func(n *Network) {
+			flip := func(w word.Word) word.Word {
+				if w.Kind == word.Data {
+					w.Payload ^= 1
+				}
+				return w
+			}
+			n.InjectLink(0, 0).SetCorruptor(flip, flip)
+		}},
+		{"killed router", base, func(n *Network) { n.KillRouter(1, 0) }},
+	}
+	seen := map[telemetry.Kind]int{}
+	for _, sc := range scenarios {
+		rec := telemetry.New(telemetry.Options{})
+		p := sc.p
+		p.Recorder = rec
+		n, err := Build(p)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		rng := rand.New(rand.NewSource(17))
+		eps := p.Spec.Endpoints
+		for cycle := 0; cycle < 400; cycle++ {
+			if cycle == 100 && sc.fault != nil {
+				sc.fault(n)
+			}
+			for k := 0; k < 2; k++ {
+				src := rng.Intn(eps)
+				n.Send(src, (src+1+rng.Intn(eps-1))%eps, []byte{byte(cycle), byte(src)})
+			}
+			n.Engine.Step()
+		}
+		n.Close()
+		for _, e := range rec.Snapshot().Events {
+			seen[e.Kind]++
+		}
+	}
+	for k := telemetry.EvMsgQueued; k <= telemetry.EvConnReleased; k++ {
+		if seen[k] == 0 {
+			t.Errorf("no %v event in any of the %d traces", k, len(scenarios))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package nic
 import (
 	"fmt"
 
+	"metro/internal/telemetry"
 	"metro/internal/word"
 )
 
@@ -60,10 +61,10 @@ type Config struct {
 	// DATA-IDLE words for that long — the paper's first DATA-IDLE use
 	// case (Section 5.1).
 	ResponderDelay func(payload []byte) int
-	// Tracer, when set, observes the message lifecycle (queued, attempt,
-	// blocked, retried, delivered...). See TraceKind for the event
-	// alphabet.
-	Tracer Tracer
+	// Telemetry, when set, is the unit-local buffer the message lifecycle
+	// (queued, attempt, blocked, retried, delivered...) is recorded into
+	// as telemetry.EvMsg* events.
+	Telemetry *telemetry.Buf
 	// OnResult receives the final fate of each message this endpoint
 	// sourced.
 	OnResult func(Result)
@@ -168,11 +169,26 @@ func (e *Endpoint) AttachDeliver(ch Channel) {
 // ID returns the endpoint number.
 func (e *Endpoint) ID() int { return e.cfg.ID }
 
-// SetTracer installs (or, with nil, removes) the message-lifecycle
-// observer. Equivalent to setting Config.Tracer before New.
+// SetTelemetry attaches (or, with nil, removes) the message-lifecycle
+// event buffer. Equivalent to setting Config.Telemetry before New.
 //
 //metrovet:mutator network construction wiring, before the clock starts
-func (e *Endpoint) SetTracer(t Tracer) { e.cfg.Tracer = t }
+func (e *Endpoint) SetTelemetry(b *telemetry.Buf) { e.cfg.Telemetry = b }
+
+// emit records one message-lifecycle event; a and b are kind-specific (see
+// the telemetry.EvMsg* constants). It runs during Eval (and from Offer for
+// EvMsgQueued), must not allocate in steady state, and costs one branch
+// when no buffer is attached.
+//
+//metrovet:truncate a and b are attempt and retry counts, a stage (-1 when unknown), an endpoint index or a 0/1 flag, all far below 2^31
+func (e *Endpoint) emit(cycle uint64, kind telemetry.Kind, id uint64, a, b int) {
+	if e.cfg.Telemetry != nil {
+		e.cfg.Telemetry.Emit(telemetry.Event{
+			Cycle: cycle, Msg: id, Src: telemetry.EndpointSource(e.cfg.ID),
+			Kind: kind, A: int32(a), B: int32(b),
+		})
+	}
+}
 
 // Offer enqueues a message for delivery.
 //
@@ -183,7 +199,7 @@ func (e *Endpoint) Offer(msg Message) {
 	p.msg = msg
 	p.res = Result{Msg: msg, LastBlockedStage: -1, SuspectStage: -1}
 	e.queue = append(e.queue, p)
-	e.trace(msg.Created, TraceQueued, msg.ID, msg.Dest, 0)
+	e.emit(msg.Created, telemetry.EvMsgQueued, msg.ID, msg.Dest, 0)
 }
 
 // newPending pops a recycled bookkeeping record, or allocates the first
@@ -298,11 +314,11 @@ func (e *Endpoint) finish(p *pending, delivered bool, cycle uint64) {
 	if p.res.Done == 0 {
 		p.res.Done = cycle
 	}
-	kind := TraceFailed
+	kind := telemetry.EvMsgFailed
 	if delivered {
-		kind = TraceDelivered
+		kind = telemetry.EvMsgDelivered
 	}
-	e.trace(p.res.Done, kind, p.msg.ID, p.res.Retries, p.msg.Dest)
+	e.emit(p.res.Done, kind, p.msg.ID, p.res.Retries, p.msg.Dest)
 	if e.cfg.OnResult != nil {
 		e.cfg.OnResult(p.res)
 	}
@@ -393,7 +409,7 @@ func (s *sender) begin(cycle uint64, p *pending) {
 	if p.res.Injected == 0 && p.res.Retries == 0 {
 		p.res.Injected = cycle
 	}
-	s.e.trace(cycle, TraceAttempt, p.msg.ID, p.res.Retries+1, 0)
+	s.e.emit(cycle, telemetry.EvMsgAttempt, p.msg.ID, p.res.Retries+1, 0)
 }
 
 // build constructs the message's attempt stream into the pending record.
@@ -508,7 +524,7 @@ func (s *sender) eval(cycle uint64) {
 	case sSending:
 		if s.link.RecvBCB() {
 			s.p.res.BlockedFast++
-			s.e.trace(cycle, TraceBlockedFast, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
 			s.retryOrFail(cycle)
 			s.link.Send(word.Word{Kind: word.Drop})
 			s.state = sCooldown
@@ -520,7 +536,7 @@ func (s *sender) eval(cycle uint64) {
 		if s.idx == len(s.p.words) {
 			s.state = sListening
 			s.listenStart = cycle
-			s.e.trace(cycle, TraceTurnSent, s.p.msg.ID, s.p.res.Retries+1, 0)
+			s.e.emit(cycle, telemetry.EvMsgTurnSent, s.p.msg.ID, s.p.res.Retries+1, 0)
 		}
 		return
 
@@ -529,7 +545,7 @@ func (s *sender) eval(cycle uint64) {
 		s.link.Send(word.Word{Kind: word.DataIdle})
 		if s.link.RecvBCB() {
 			s.p.res.BlockedFast++
-			s.e.trace(cycle, TraceBlockedFast, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
 			s.abortNow(cycle)
 			return
 		}
@@ -542,7 +558,7 @@ func (s *sender) eval(cycle uint64) {
 			// Detailed blocked reply (or far-end close): retry.
 			s.p.res.BlockedDetailed++
 			s.p.res.LastBlockedStage = s.parse.blockedStage
-			s.e.trace(cycle, TraceBlockedDetailed, s.p.msg.ID, s.parse.blockedStage, 0)
+			s.e.emit(cycle, telemetry.EvMsgBlockedDetailed, s.p.msg.ID, s.parse.blockedStage, 0)
 			p := s.p
 			s.p = nil
 			s.retryOrFailPending(p, cycle)
@@ -550,11 +566,11 @@ func (s *sender) eval(cycle uint64) {
 			s.cooldown = s.e.cfg.CloseGap
 		case s.parse.failed:
 			s.p.res.ChecksumFailures++
-			s.e.trace(cycle, TraceChecksumFail, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgChecksumFail, s.p.msg.ID, 0, 0)
 			s.abortNow(cycle)
 		case cycle-s.listenStart > s.e.cfg.ListenTimeout:
 			s.p.res.Timeouts++
-			s.e.trace(cycle, TraceTimeout, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgTimeout, s.p.msg.ID, 0, 0)
 			s.abortNow(cycle)
 		}
 	}
@@ -608,7 +624,7 @@ localize:
 		s.afterDrop = dropFinish
 	} else {
 		p.res.ChecksumFailures++
-		s.e.trace(cycle, TraceChecksumFail, p.msg.ID, 0, 0)
+		s.e.emit(cycle, telemetry.EvMsgChecksumFail, p.msg.ID, 0, 0)
 		s.afterDrop = dropRetry
 	}
 }
@@ -625,7 +641,7 @@ func (s *sender) retryOrFailPending(p *pending, cycle uint64) {
 		s.e.finish(p, false, cycle)
 		return
 	}
-	s.e.trace(cycle, TraceRetried, p.msg.ID, p.res.Retries, 0)
+	s.e.emit(cycle, telemetry.EvMsgRetried, p.msg.ID, p.res.Retries, 0)
 	s.e.retry(p)
 }
 
@@ -793,7 +809,7 @@ func (r *receiver) turn(cycle uint64) {
 	if intact {
 		arrived = 1
 	}
-	r.e.trace(cycle, TraceArrived, 0, arrived, 0)
+	r.e.emit(cycle, telemetry.EvMsgArrived, 0, arrived, 0)
 	flags := word.StatusDest
 	if !intact {
 		flags |= word.StatusNack

@@ -2,10 +2,12 @@ package nic
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"metro/internal/clock"
 	"metro/internal/link"
+	"metro/internal/telemetry"
 	"metro/internal/word"
 )
 
@@ -301,5 +303,51 @@ func TestLaneSliceProjection(t *testing.T) {
 		if same[i] != stream[i] {
 			t.Fatal("single-lane slice should be identity")
 		}
+	}
+}
+
+// TestEndpointEmitsMsgEvents reads one delivery's lifecycle back from a
+// flushed recorder, source side and destination side, then detaches both
+// buffers and checks a second delivery records nothing.
+func TestEndpointEmitsMsgEvents(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{Capacity: 64})
+	lb := newLoopback(t,
+		func(c *Config) { c.Telemetry = rec.NewBuf() },
+		func(c *Config) { c.Telemetry = rec.NewBuf() })
+	lb.eng.Add(telemetry.Flusher{R: rec})
+	lb.src.Offer(Message{ID: 7, Dest: 1, Payload: []byte("direct")})
+	lb.run(60)
+	type key struct {
+		src  telemetry.Source
+		kind telemetry.Kind
+	}
+	counts := map[key]int{}
+	for _, e := range rec.Snapshot().Events {
+		counts[key{e.Src, e.Kind}]++
+		if e.Kind != telemetry.EvMsgArrived && e.Msg != 7 {
+			t.Errorf("%v: message id %d, want 7", e, e.Msg)
+		}
+	}
+	src, dst := telemetry.EndpointSource(0), telemetry.EndpointSource(1)
+	want := map[key]int{
+		{src, telemetry.EvMsgQueued}:    1,
+		{src, telemetry.EvMsgAttempt}:   1,
+		{src, telemetry.EvMsgTurnSent}:  1,
+		{src, telemetry.EvMsgDelivered}: 1,
+		{dst, telemetry.EvMsgArrived}:   1,
+	}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("events by source and kind = %v, want %v", counts, want)
+	}
+
+	lb.src.SetTelemetry(nil)
+	lb.dst.SetTelemetry(nil)
+	lb.src.Offer(Message{ID: 8, Dest: 1, Payload: []byte("unobserved")})
+	lb.run(60)
+	if len(lb.results) != 2 || !lb.results[1].Delivered {
+		t.Fatalf("results = %+v", lb.results)
+	}
+	if got := rec.Total(); got != 5 {
+		t.Fatalf("detached endpoints emitted: recorder total %d, want 5", got)
 	}
 }

@@ -86,7 +86,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Counters is the queue/worker side of /v1/stats.
+// Counters is the queue/worker side of /v1/stats: a view of the
+// registry cells /v1/metrics exposes, which are the one ledger.
 type Counters struct {
 	Submitted        uint64 `json:"submitted"`        // accepted submissions, including coalesced and cache hits
 	CacheServed      uint64 `json:"cacheServed"`      // submissions answered from the cache
@@ -116,7 +117,6 @@ type Server struct {
 	retained  []string // completed job IDs, oldest first
 	queue     chan *job
 	draining  bool
-	counters  Counters
 	queuedNow int
 }
 
@@ -275,10 +275,6 @@ func (s *Server) runJob(j *job) {
 	// already counted in /v1/stats and /v1/metrics.
 	elapsed := time.Since(start) //metrovet:ignore no-wallclock job-duration histogram; never reaches simulation state
 	s.mu.Lock()
-	s.counters.Executed++
-	if res.Status == StatusDeadline {
-		s.counters.Deadline++
-	}
 	s.retain(j.id)
 	s.mu.Unlock()
 	s.met.executed.Inc()
@@ -399,14 +395,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id := Key(spec, engine, trace)
 	w.Header().Set("X-Job", id)
 
-	s.mu.Lock()
-	s.counters.Submitted++
-	s.mu.Unlock()
-
 	if body, ok := s.cache.Get(id); ok {
-		s.mu.Lock()
-		s.counters.CacheServed++
-		s.mu.Unlock()
 		s.met.admCacheHit.Inc()
 		writeCached(w, body)
 		return
@@ -419,13 +408,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.mu.Lock()
 		j.coalesced++
 		j.mu.Unlock()
-		s.counters.Coalesced++
 		s.mu.Unlock()
 		s.met.admCoalesced.Inc()
 		w.Header().Set("X-Coalesced", "true")
 	} else {
 		if s.draining {
-			s.counters.RejectedDraining++
 			s.mu.Unlock()
 			s.met.admRejectedDraining.Inc()
 			writeError(w, http.StatusServiceUnavailable, "server is draining; resubmit elsewhere")
@@ -437,14 +424,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case s.queue <- j:
 			s.jobs[id] = j
 			s.queuedNow++
-			s.counters.Enqueued++
-			s.mu.Unlock()
+			// Counted under the lock runJob takes before it completes the
+			// job, so no reader sees the job executed but not yet enqueued.
 			s.met.admEnqueued.Inc()
+			s.mu.Unlock()
 			s.log.LogAttrs(r.Context(), slog.LevelInfo, "job",
 				slog.String("job", id), slog.String("state", StatusQueued),
 				slog.String("engine", string(engine)), slog.Bool("trace", trace))
 		default:
-			s.counters.RejectedFull++
 			s.mu.Unlock()
 			s.met.admRejectedFull.Inc()
 			w.Header().Set("Retry-After", "1")
@@ -566,13 +553,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueDepth: s.cfg.QueueDepth,
 		Queued:     s.queuedNow,
 		Draining:   s.draining,
-		Counters:   s.counters,
 	}
 	s.mu.Unlock()
+	p.Counters = s.counters()
 	p.Cache = s.cache.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	data, _ := json.Marshal(p)
 	w.Write(append(data, '\n'))
+}
+
+// counters reads the Counters view off the registry cells.
+func (s *Server) counters() Counters {
+	m := s.met
+	c := Counters{
+		CacheServed:      m.admCacheHit.Value(),
+		Coalesced:        m.admCoalesced.Value(),
+		Enqueued:         m.admEnqueued.Value(),
+		Executed:         m.executed.Value(),
+		Deadline:         m.durDeadline.Count(),
+		RejectedFull:     m.admRejectedFull.Value(),
+		RejectedDraining: m.admRejectedDraining.Value(),
+	}
+	c.Submitted = c.CacheServed + c.Coalesced + c.Enqueued + c.RejectedFull + c.RejectedDraining
+	return c
 }
 
 // handleHealthz is the pure liveness probe: 200 whenever the process

@@ -249,9 +249,7 @@ func TestCacheHitByteIdentity(t *testing.T) {
 		t.Fatalf("first run X-Cache %q, want miss", got)
 	}
 
-	s.mu.Lock()
-	executedAfterFirst := s.counters.Executed
-	s.mu.Unlock()
+	executedAfterFirst := s.counters().Executed
 
 	hit := submit(t, hs.URL, spec, "?wait=1")
 	hitBody := readBody(t, hit)
@@ -265,10 +263,8 @@ func TestCacheHitByteIdentity(t *testing.T) {
 		t.Fatalf("cache hit body differs from first response:\nfirst: %s\nhit:   %s", missBody, hitBody)
 	}
 
-	s.mu.Lock()
-	executedAfterHit := s.counters.Executed
-	served := s.counters.CacheServed
-	s.mu.Unlock()
+	executedAfterHit := s.counters().Executed
+	served := s.counters().CacheServed
 	if executedAfterHit != executedAfterFirst {
 		t.Fatalf("resubmission re-simulated: executed %d -> %d", executedAfterFirst, executedAfterHit)
 	}
@@ -333,9 +329,7 @@ func TestCacheHitServesStoredBytes(t *testing.T) {
 			}
 		}
 	}
-	s.mu.Lock()
-	executed := s.counters.Executed
-	s.mu.Unlock()
+	executed := s.counters().Executed
 	if executed != 0 {
 		t.Fatalf("%d job(s) executed: a seeded hit must not simulate", executed)
 	}
@@ -571,9 +565,7 @@ func TestConcurrentDuplicates(t *testing.T) {
 			t.Fatalf("client %d served different bytes", i)
 		}
 	}
-	s.mu.Lock()
-	executed := s.counters.Executed
-	s.mu.Unlock()
+	executed := s.counters().Executed
 	if executed != 1 {
 		t.Fatalf("%d executions for %d identical submissions, want 1", executed, clients)
 	}

@@ -94,78 +94,5 @@ func (o *OpenLoop) Measured() []nic.Result { return o.measured }
 
 // Point summarizes the measured interval.
 func (o *OpenLoop) Point() stats.LoadPoint {
-	var lat, qlat stats.Sample
-	delivered, retries := 0, 0
-	var firstDone, lastDone uint64
-	for _, r := range o.measured {
-		lat.Add(float64(r.Done - r.Injected))
-		qlat.Add(float64(r.Done - r.Msg.Created))
-		if r.Delivered {
-			delivered++
-		}
-		retries += r.Retries
-		if firstDone == 0 || r.Done < firstDone {
-			firstDone = r.Done
-		}
-		if r.Done > lastDone {
-			lastDone = r.Done
-		}
-	}
-	p := stats.LoadPoint{
-		OfferedLoad:  o.Load,
-		Latency:      lat.Summarize(),
-		QueueLatency: qlat.Summarize(),
-		Messages:     len(o.measured),
-		Delivered:    delivered,
-	}
-	if len(o.measured) > 0 {
-		p.RetriesPerMessage = float64(retries) / float64(len(o.measured))
-		if lastDone > firstDone {
-			msgWords := float64(o.net.MessageWords(o.MsgBytes))
-			perEndpoint := float64(len(o.measured)) / float64(len(o.net.Endpoints))
-			p.AcceptedLoad = perEndpoint * msgWords / float64(lastDone-firstDone)
-		}
-	}
-	return p
-}
-
-// RunOpenLoop executes one open-loop measurement.
-func RunOpenLoop(spec RunSpec) (stats.LoadPoint, error) {
-	driver := &OpenLoop{
-		Load:     spec.Load,
-		MsgBytes: spec.MsgBytes,
-		Pattern:  spec.Pattern,
-		Seed:     spec.Seed,
-		Warmup:   spec.WarmupCycles,
-	}
-	prev := spec.Net.OnResult
-	spec.Net.OnResult = func(r nic.Result) {
-		driver.OnResult(r)
-		if prev != nil {
-			prev(r)
-		}
-	}
-	n, err := netsim.Build(spec.Net)
-	if err != nil {
-		return stats.LoadPoint{}, err
-	}
-	defer n.Close() // release parallel-engine workers between sweep points
-	driver.Bind(n)
-	n.Run(spec.WarmupCycles + spec.MeasureCycles)
-	return driver.Point(), nil
-}
-
-// SweepOpenLoop measures an open-loop curve across offered loads; past
-// saturation the accepted load plateaus while queueing latency diverges.
-func SweepOpenLoop(spec RunSpec, loads []float64) ([]stats.LoadPoint, error) {
-	points := make([]stats.LoadPoint, 0, len(loads))
-	for _, l := range loads {
-		spec.Load = l
-		p, err := RunOpenLoop(spec)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, p)
-	}
-	return points, nil
+	return summarise(o.net, o.Load, o.MsgBytes, o.measured)
 }

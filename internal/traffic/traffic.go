@@ -226,42 +226,7 @@ func (c *ClosedLoop) Commit(cycle uint64) {}
 
 // Point summarizes the measured interval as a load-latency point.
 func (c *ClosedLoop) Point() stats.LoadPoint {
-	var lat, qlat stats.Sample
-	delivered := 0
-	retries := 0
-	words := 0
-	var firstDone, lastDone uint64
-	for _, r := range c.measured {
-		lat.Add(float64(r.Done - r.Injected))
-		qlat.Add(float64(r.Done - r.Msg.Created))
-		if r.Delivered {
-			delivered++
-		}
-		retries += r.Retries
-		words += len(r.Msg.Payload)
-		if firstDone == 0 || r.Done < firstDone {
-			firstDone = r.Done
-		}
-		if r.Done > lastDone {
-			lastDone = r.Done
-		}
-	}
-	p := stats.LoadPoint{
-		OfferedLoad:  c.Load,
-		Latency:      lat.Summarize(),
-		QueueLatency: qlat.Summarize(),
-		Messages:     len(c.measured),
-		Delivered:    delivered,
-	}
-	if len(c.measured) > 0 {
-		p.RetriesPerMessage = float64(retries) / float64(len(c.measured))
-		if lastDone > firstDone {
-			msgWords := float64(c.net.MessageWords(c.MsgBytes))
-			perEndpoint := float64(len(c.measured)) / float64(len(c.state))
-			p.AcceptedLoad = perEndpoint * msgWords / float64(lastDone-firstDone)
-		}
-	}
-	return p
+	return summarise(c.net, c.Load, c.MsgBytes, c.measured)
 }
 
 // Measured returns the raw results gathered after warmup.
