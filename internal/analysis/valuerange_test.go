@@ -1,6 +1,90 @@
 package analysis
 
-import "testing"
+import (
+	"go/ast"
+	"math"
+	"testing"
+)
+
+// --- what an expression shows ------------------------------------------
+
+// upperFixture declares one operand of every kind upper tells apart;
+// each table row below is an expression over them.
+const upperFixture = `package core
+
+const c12 = 12
+
+func f(i, w int, i32 int32, u8 uint8, u32 uint32, u64 uint64, n uint, s []int, a [12]int) {
+	m := i & 7
+	_ = m
+`
+
+func TestUpperShapesAndRefusals(t *testing.T) {
+	rows := []struct {
+		expr  string
+		hi    uint64
+		shows bool // false: the expression shows no bound
+	}{
+		// A constant shows its value.
+		{"7", 7, true},
+		{"c12", 12, true},
+		{"len(a)", 12, true},
+		{"c12 >> 1 & 0xf", 6, true},
+		// x & y shows the smaller bound either operand shows.
+		{"i & 0xff", 0xff, true},
+		{"0x1f & i", 0x1f, true},
+		{"(u64 & 0xff)", 0xff, true},
+		{"u32 & uint32(u8)", math.MaxUint32, true}, // a conversion shows only its type
+		{"u64 & (1<<40 - 1) & 0xffff", 0xffff, true},
+		// x >> c shows x's bound, shifted.
+		{"u64 >> 48", 0xffff, true},
+		{"u32 >> 28", 0xf, true},
+		{"(i & 0xff) >> 4", 0xf, true},
+		{"u64 >> 64", 0, true},
+		// len, cap and unsigned types show their maximum.
+		{"len(s)", math.MaxInt64, true},
+		{"cap(s)", math.MaxInt64, true},
+		{"u8", math.MaxUint8, true},
+		{"u32", math.MaxUint32, true},
+		{"u64", math.MaxUint64, true},
+		{"n", math.MaxUint64, true},
+		{"uint16(i)", math.MaxUint16, true},
+		{"u32 >> n", math.MaxUint32, true}, // a non-constant count shows no more than the type
+		{"u8 | 0xf", math.MaxUint8, true},  // so does an OR
+		{"u32 % 8", math.MaxUint32, true},  // and a remainder
+		// Refusals: nothing in the expression bounds it from both sides.
+		{"i", 0, false},
+		{"-1", 0, false},
+		{"i >> 2", 0, false},
+		{"i32 >> n", 0, false},
+		{"i | 0xff", 0, false},
+		{"i &^ 0xff", 0, false},
+		{"i % 8", 0, false},
+		{"i + 1", 0, false},
+		{"min(w, 8)", 0, false},
+		{"int(u8)", 0, false},
+		{"m", 0, false}, // assigned "i & 7" two lines earlier: nothing flows between statements
+	}
+	src := upperFixture
+	for _, r := range rows {
+		src += "\t_ = " + r.expr + "\n"
+	}
+	src += "}\n"
+	p := loadFixture(t, "metro/internal/core", map[string]string{"a.go": src})
+	if len(p.TypeErrs) > 0 {
+		t.Fatalf("fixture does not type-check: %v", p.TypeErrs)
+	}
+	body := p.Files[0].Decls[1].(*ast.FuncDecl).Body.List[2:] // past "m := ..." and "_ = m"
+	if len(body) != len(rows) {
+		t.Fatalf("fixture has %d statements for %d rows", len(body), len(rows))
+	}
+	for k, r := range rows {
+		hi, ok := p.upper(body[k].(*ast.AssignStmt).Rhs[0])
+		if ok != r.shows || (ok && hi != r.hi) {
+			t.Errorf("upper(%s) = %d, %v; want %d, %v", r.expr, hi, ok, r.hi, r.shows)
+		}
+	}
+}
 
 // --- MV010 truncating-conversion ---------------------------------------
 
@@ -30,28 +114,33 @@ func (c *comp) Commit(cycle uint64) {
 	)
 }
 
-func TestTruncatingConversionProvenByMaskAndGuard(t *testing.T) {
+func TestTruncatingConversionProvenByMaskNotByGuard(t *testing.T) {
+	// The mask is in the operand; the remainder was taken a statement
+	// earlier and the guard encloses the site, so neither is read.
 	got := runRule(t, TruncatingConversion(), "metro/internal/core", map[string]string{
 		"a.go": `package core
 
 type comp struct {
 	tag uint8
 	cnt uint16
+	buf []int
 }
 
 func (c *comp) Eval(cycle uint64) {
-	c.tag = uint8(cycle & 0xff)  // masked: proven [0, 255]
+	c.tag = uint8(cycle & 0xff)  // masked: shown [0, 255]
+	c.cnt = uint16(len(c.buf) & 0x3ff) // len under a mask: shown [0, 1023]
+	_ = uint64(len(c.buf))       // len is nonnegative: fits uint64
 	v := cycle % 1000
-	c.cnt = uint16(v)            // mod: proven [0, 999]
+	c.cnt = uint16(v)            // line 14: the remainder is a statement away
 	if cycle < 200 {
-		c.tag = uint8(cycle) // guarded: proven [0, 199]
+		c.tag = uint8(cycle) // line 16: the guard is not in the operand
 	}
 }
 
 func (c *comp) Commit(cycle uint64) {}
 `,
 	})
-	wantFindings(t, got, "truncating-conversion")
+	wantFindings(t, got, "truncating-conversion", [2]any{"a.go", 14}, [2]any{"a.go", 16})
 }
 
 func TestTruncatingConversionWideningIsSilent(t *testing.T) {
@@ -65,6 +154,7 @@ func (c *comp) Eval(cycle uint64) {
 	c.acc += uint64(b)   // widening, never lossy
 	w := uint32(b)       // widening
 	_ = int64(w)         // uint32 -> int64 always fits
+	_ = uint8(300 >> 2)  // a constant conversion is the type checker's to reject
 }
 
 func (c *comp) Commit(cycle uint64) {}
@@ -95,7 +185,8 @@ func (c *comp) Commit(cycle uint64) { c.tag = c.hash(cycle) }
 }
 
 func TestTruncatingConversionRangeKeys(t *testing.T) {
-	// A slice index is nonnegative; a map key is whatever was stored.
+	// A range key is a variable like any other: that a slice index is
+	// nonnegative is a fact about the loop, not the operand.
 	got := runRule(t, TruncatingConversion(), "metro/internal/core", map[string]string{
 		"a.go": `package core
 
@@ -107,7 +198,7 @@ type comp struct {
 
 func (c *comp) Eval(cycle uint64) {
 	for i := range c.s {
-		c.acc += uint64(i) // slice index: proven nonnegative
+		c.acc += uint64(i) // line 11: nonnegative only by the loop's say-so
 	}
 	for k := range c.m {
 		c.acc += uint64(k) // line 14: a map key can be negative
@@ -117,13 +208,11 @@ func (c *comp) Eval(cycle uint64) {
 func (c *comp) Commit(cycle uint64) {}
 `,
 	})
-	wantFindings(t, got, "truncating-conversion", [2]any{"a.go", 14})
+	wantFindings(t, got, "truncating-conversion", [2]any{"a.go", 11}, [2]any{"a.go", 14})
 }
 
 func TestTruncatingConversionCallResultsAreUnknown(t *testing.T) {
-	// Nothing flows across a call: a result reads as its type's full
-	// range, through a tuple assignment too (where a uint64 must stay
-	// wide, not collapse to [0, MaxInt64]).
+	// Nothing flows across a call: a result shows only its type.
 	got := runRule(t, TruncatingConversion(), "metro/internal/core", map[string]string{
 		"a.go": `package core
 
@@ -157,18 +246,20 @@ type comp struct {
 
 func (c *comp) Eval(cycle uint64) {
 	c.acc <<= uint(c.w)          // line 9: w unconstrained, uint(w) may be >= 32
-	c.acc = c.acc >> 1           // constant: proven
+	c.acc = c.acc >> 1           // constant: shown
 	if c.w >= 0 && c.w < 32 {
-		c.acc >>= uint(c.w)      // guarded: proven
+		c.acc >>= uint(c.w)      // line 12: the guard is not in the amount
 	}
-	var v uint64 = cycle << 40   // 40 < 64: proven for a uint64 operand
-	_ = v
+	c.acc >>= c.w & 31           // masked signed count: shown
+	c.acc <<= c.w & 63           // line 15: [0, 63] is too wide for 32 bits
+	var v uint64 = cycle << 40   // 40 < 64: shown for a uint64 operand
+	_ = v << (c.acc >> 27)       // a uint32 shifted down to 5 bits: shown
 }
 
 func (c *comp) Commit(cycle uint64) {}
 `,
 	})
-	wantFindings(t, got, "width-contract", [2]any{"a.go", 9})
+	wantFindings(t, got, "width-contract", [2]any{"a.go", 9}, [2]any{"a.go", 12}, [2]any{"a.go", 15})
 }
 
 func TestWidthContractWordCallSites(t *testing.T) {
@@ -184,7 +275,7 @@ func Mask(width int) uint32 {
 	if width < 0 {
 		return 0
 	}
-	return (1 << uint(width)) - 1
+	return 1<<(width&31) - 1
 }
 
 // ChecksumWords returns the word count for a width-bit channel.
@@ -212,14 +303,15 @@ type comp struct {
 
 func (c *comp) Eval(cycle uint64) {
 	c.mask = word.Mask(c.w) // line 11: width unconstrained
-	c.mask = word.Mask(16)  // constant in [1, 32]: proven
+	c.mask = word.Mask(16)  // constant in [1, 32]: shown
 	if c.w >= 1 && c.w <= 32 {
-		c.mask = word.Mask(c.w) // guarded: proven
+		c.mask = word.Mask(c.w) // line 14: the guard is not in the argument
 	}
+	c.mask = word.Mask(c.w & 31) // line 16: a mask shows [0, 31], and 0 is outside [1, 32]
 }
 
 func (c *comp) Commit(cycle uint64) {
-	_ = word.ChecksumWords(0) // line 19: 0 outside [1, 32]
+	_ = word.ChecksumWords(0) // line 20: 0 outside [1, 32]
 }
 `,
 		}},
@@ -227,7 +319,9 @@ func (c *comp) Commit(cycle uint64) {
 	got := valueRangeFindings(prog, "width-contract")
 	wantFindings(t, got, "width-contract",
 		[2]any{"metro/internal/core/a.go", 11},
-		[2]any{"metro/internal/core/a.go", 19},
+		[2]any{"metro/internal/core/a.go", 14},
+		[2]any{"metro/internal/core/a.go", 16},
+		[2]any{"metro/internal/core/a.go", 20},
 	)
 }
 
@@ -250,12 +344,10 @@ func (c *comp) Commit(cycle uint64) {}
 	wantFindings(t, got, "width-contract")
 }
 
-// --- shared machinery ---------------------------------------------------
-
-func TestValueRangeLoopConvergence(t *testing.T) {
+func TestWidthContractLoopBoundIsNotRead(t *testing.T) {
 	// The JoinChecksum shape: shift starts at 0, grows by a bounded
-	// width, and the loop breaks before it reaches 8 — the fixpoint must
-	// prove shift stays within [0, 7].
+	// width, and the loop breaks before it reaches 8. That is a fact
+	// about the loop; the amount has to say it itself.
 	got := runRule(t, WidthContract(), "metro/internal/core", map[string]string{
 		"a.go": `package core
 
@@ -264,7 +356,8 @@ type comp struct{ acc uint32 }
 func (c *comp) Eval(cycle uint64) {
 	shift := 0
 	for i := 0; i < 64; i++ {
-		c.acc |= 1 << uint(shift) // proven: shift in [0, 7]
+		c.acc |= 1 << uint(shift) // line 8: the loop keeps shift in [0, 7], the amount does not say so
+		c.acc |= 1 << (shift & 7) // the same value, shown
 		shift += 3
 		if shift >= 8 {
 			break
@@ -275,28 +368,33 @@ func (c *comp) Eval(cycle uint64) {
 func (c *comp) Commit(cycle uint64) {}
 `,
 	})
-	wantFindings(t, got, "width-contract")
+	wantFindings(t, got, "width-contract", [2]any{"a.go", 8})
 }
+
+// --- shared machinery ---------------------------------------------------
 
 func TestValueRangeOnlyHotPathIsChecked(t *testing.T) {
 	// The same hazards outside the Eval/Commit-reachable region are out
-	// of scope for both rules.
+	// of scope for both rules; a closure inside it is not.
 	files := map[string]string{
 		"a.go": `package core
 
 type comp struct{ buf []int }
 
-func (c *comp) Eval(cycle uint64)   {}
+func (c *comp) Eval(cycle uint64) {
+	f := func(v uint64, w uint) uint8 { return uint8(v) << w } // line 6: both rules
+	_ = f
+}
 func (c *comp) Commit(cycle uint64) {}
 
 func coldTool(c *comp, i int, v uint64) uint8 {
 	_ = c.buf[i]
-	return uint8(v)
+	return uint8(v) << uint(i)
 }
 `,
 	}
 	for _, a := range []*Analyzer{TruncatingConversion(), WidthContract()} {
 		got := runRule(t, a, "metro/internal/core", files)
-		wantFindings(t, got, a.Name)
+		wantFindings(t, got, a.Name, [2]any{"a.go", 6})
 	}
 }

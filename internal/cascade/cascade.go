@@ -144,8 +144,7 @@ func (g *Group) check(cycle uint64) {
 }
 
 // MemberWord computes member k of a logical word bit-sliced across lanes
-// of width w: the allocation-free form of SplitWord for per-cycle paths.
-// Control words are replicated; data-bearing payloads are bit-sliced with
+// of width w. Control words are replicated; data-bearing payloads are bit-sliced with
 // member 0 carrying the least significant w bits.
 //
 //metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
@@ -165,15 +164,6 @@ func MemberWord(logical word.Word, k, w int) word.Word {
 	default:
 		panic("cascade: MemberWord: out-of-band word kind")
 	}
-}
-
-// SplitWord slices a logical word of width w*c into the c member words.
-func SplitWord(logical word.Word, c, w int) []word.Word {
-	out := make([]word.Word, c)
-	for k := range out {
-		out[k] = MemberWord(logical, k, w)
-	}
-	return out
 }
 
 // MergeWords reassembles a logical word from the member words. The kinds

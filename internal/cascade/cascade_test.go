@@ -83,7 +83,7 @@ func TestWideDataTransfer(t *testing.T) {
 	var got []word.Word
 	for i := 0; i < 12; i++ {
 		if i < len(logical) {
-			parts := SplitWord(logical[i], 2, 4)
+			parts := splitWord(logical[i], 2, 4)
 			for k := 0; k < 2; k++ {
 				src[k][0].Send(parts[k])
 			}
@@ -157,12 +157,21 @@ func TestPartialAllocationContained(t *testing.T) {
 	}
 }
 
+// splitWord slices a logical word of width w*c into its c member words.
+func splitWord(logical word.Word, c, w int) []word.Word {
+	out := make([]word.Word, c)
+	for k := range out {
+		out[k] = MemberWord(logical, k, w)
+	}
+	return out
+}
+
 func TestSplitMergeRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		c, w int
 	}{{2, 4}, {4, 4}, {2, 8}} {
 		logical := word.Word{Kind: word.Data, Payload: 0xDEAD & word.Mask(tc.c*tc.w)}
-		parts := SplitWord(logical, tc.c, tc.w)
+		parts := splitWord(logical, tc.c, tc.w)
 		if len(parts) != tc.c {
 			t.Fatalf("c=%d: %d parts", tc.c, len(parts))
 		}
@@ -175,13 +184,13 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 
 func TestSplitReplicatesControl(t *testing.T) {
 	turn := word.Word{Kind: word.Turn}
-	for _, p := range SplitWord(turn, 3, 4) {
+	for _, p := range splitWord(turn, 3, 4) {
 		if p.Kind != word.Turn {
 			t.Fatalf("control word not replicated: %v", p)
 		}
 	}
 	route := word.MakeRoute(3, 2)
-	for _, p := range SplitWord(route, 2, 4) {
+	for _, p := range splitWord(route, 2, 4) {
 		if p != route {
 			t.Fatalf("route word must replicate identically: %v", p)
 		}
@@ -209,9 +218,9 @@ func TestTurnThroughCascade(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		var parts []word.Word
 		if i < len(logical) {
-			parts = SplitWord(logical[i], 2, 4)
+			parts = splitWord(logical[i], 2, 4)
 		} else {
-			parts = SplitWord(word.Word{Kind: word.DataIdle}, 2, 4)
+			parts = splitWord(word.Word{Kind: word.DataIdle}, 2, 4)
 		}
 		for k := 0; k < 2; k++ {
 			src[k][0].Send(parts[k])

@@ -204,9 +204,11 @@ func (s Settings) Clone() Settings {
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
+// log2 returns ceil(log2(n)), and 0 for n <= 1.
 func log2(n int) int {
 	if n <= 1 {
 		return 0
 	}
+	//metrovet:truncate n >= 2 past the guard above, so n-1 is positive; TestLog2Table holds it
 	return bits.Len(uint(n - 1))
 }

@@ -84,7 +84,7 @@ func Generate(seed int64) Scenario {
 		perEp = 1 + rng.Intn(4)
 		msgCap = 150
 	}
-	s.Messages = minInt(n*perEp, msgCap)
+	s.Messages = min(n*perEp, msgCap)
 	s.TrafficSeed = 1 + rng.Int63n(1<<31)
 	s.PayloadBytes = MinPayloadBytes + rng.Intn(33)
 	s.Traffic = []TrafficKind{Burst, Burst, Bernoulli, Stall}[rng.Intn(4)]
@@ -96,7 +96,7 @@ func Generate(seed int64) Scenario {
 		// Enough cycles for the expected offer count to exhaust the
 		// message budget with slack.
 		ic := 2 * s.Messages * 1000 / (n * s.RatePerMille)
-		s.InjectCycles = clampInt(ic, 100, 5000)
+		s.InjectCycles = min(max(ic, 100), 5000)
 	case Stall:
 		s.Outstanding = 1 + rng.Intn(2)
 		s.ThinkMax = rng.Intn(61)
@@ -131,7 +131,7 @@ func genTopology(rng *rand.Rand) topo.Spec {
 	// Split nLog into per-stage radix logs of 1..3 (radix 2..8).
 	var radixLogs []int
 	for rem := nLog; rem > 0; {
-		r := 1 + rng.Intn(minInt(3, rem))
+		r := 1 + rng.Intn(min(3, rem))
 		radixLogs = append(radixLogs, r)
 		rem -= r
 	}
@@ -204,21 +204,4 @@ func genFaults(rng *rand.Rand, t *topo.Topology, injectCycles uint64) fault.Plan
 		}
 	}
 	return plan
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

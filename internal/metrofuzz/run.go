@@ -331,7 +331,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 		if cycle%period == 0 && !observe(cycle) {
 			return nil, fmt.Errorf("cycle %d: %w", cycle, ErrCanceled)
 		}
-		if inj.done(cycle) && quiet(n) {
+		if inj.done(cycle) && n.Quiet() {
 			leg.quiet = true
 			break
 		}
@@ -361,15 +361,6 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	leg.cycles = n.Engine.Cycle()
 	leg.fired = finj.Fired()
 	return leg, nil
-}
-
-func quiet(n *netsim.Network) bool {
-	for _, ep := range n.Endpoints {
-		if ep.QueueLen() > 0 || ep.Busy() || ep.Receiving() {
-			return false
-		}
-	}
-	return true
 }
 
 // checkAllInvariants audits every router lane, returning the first

@@ -99,7 +99,7 @@ func shrinkCandidates(s Scenario) []Scenario {
 	}
 	if s.InjectCycles > 1 {
 		c := s
-		c.InjectCycles = maxIntOf(1, s.InjectCycles/2)
+		c.InjectCycles = max(1, s.InjectCycles/2)
 		add(c)
 	}
 	// Simpler traffic model and payload.
@@ -167,11 +167,4 @@ func smallerTopologies(s Scenario) []string {
 	out = append(out, ladder[pos+1:]...)
 	out = append(out, "") // tinySpec
 	return out
-}
-
-func maxIntOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -152,6 +152,8 @@ type Network struct {
 	// engine's kernel; its arenas hold every link of the network.
 	Compiled *kernel.Compiled
 
+	header nic.HeaderSpec // the routing header every endpoint builds with
+
 	injLanes [][][]*link.Link   // [endpoint][k][lane]
 	outLanes [][][][]*link.Link // [stage][router][bp][lane]
 
@@ -347,7 +349,7 @@ func Build(p Params) (*Network, error) {
 				MaxDilation:  st.Dilation,
 				HeaderWords:  hwOf(s),
 				DataPipe:     p.DataPipe,
-				MaxVTD:       maxInt(maxDelay, 1),
+				MaxVTD:       max(maxDelay, 1),
 				RandomInputs: 2,
 				ScanPaths:    2,
 			}
@@ -385,9 +387,9 @@ func Build(p Params) (*Network, error) {
 	}
 
 	// Endpoints.
-	header := nic.HeaderSpec{Width: p.Width}
+	n.header = nic.HeaderSpec{Width: p.Width}
 	for s, st := range p.Spec.Stages {
-		header.Stages = append(header.Stages, nic.StageHeader{
+		n.header.Stages = append(n.header.Stages, nic.StageHeader{
 			DirBits:     log2(st.Radix),
 			HeaderWords: hwOf(s),
 		})
@@ -400,8 +402,7 @@ func Build(p Params) (*Network, error) {
 			ID:                e,
 			Width:             p.Width,
 			Lanes:             c,
-			Header:            header,
-			RouteDigits:       top.RouteDigits,
+			Header:            n.header,
 			AppendRouteDigits: top.AppendRouteDigits,
 			MaxActiveSenders:  p.MaxActiveSenders,
 			RetryLimit:        p.RetryLimit,
@@ -578,14 +579,17 @@ func (n *Network) Run(cycles uint64) { n.Engine.Run(cycles) }
 // RunUntilQuiet steps until no endpoint has queued or in-flight messages,
 // up to max cycles. It returns true if the network went quiet.
 func (n *Network) RunUntilQuiet(max uint64) bool {
-	return n.Engine.RunUntil(func() bool {
-		for _, ep := range n.Endpoints {
-			if ep.QueueLen() > 0 || ep.Busy() || ep.Receiving() {
-				return false
-			}
+	return n.Engine.RunUntil(n.Quiet, max)
+}
+
+// Quiet reports whether no endpoint has a queued or in-flight message.
+func (n *Network) Quiet() bool {
+	for _, ep := range n.Endpoints {
+		if ep.QueueLen() > 0 || ep.Busy() || ep.Receiving() {
+			return false
 		}
-		return true
-	}, max)
+	}
+	return true
 }
 
 // Results returns the completed-message reports accumulated so far.
@@ -661,19 +665,7 @@ func (n *Network) KillRouter(stage, index int) {
 // byte length occupies, including header, end-to-end checksum and TURN —
 // useful for sizing workloads against channel bandwidth.
 func (n *Network) MessageWords(payloadBytes int) int {
-	digits := n.Topo.RouteDigits(0)
-	header := nic.HeaderSpec{Width: n.Params.Width}
-	for s, st := range n.Params.Spec.Stages {
-		hw := n.Params.HeaderWords
-		if s < len(n.Params.StageHeaderWords) && n.Params.StageHeaderWords[s] >= 0 {
-			hw = n.Params.StageHeaderWords[s]
-		}
-		header.Stages = append(header.Stages, nic.StageHeader{
-			DirBits:     log2(st.Radix),
-			HeaderWords: hw,
-		})
-	}
-	h := header.Build(digits)
+	h := n.header.Build(n.Topo.RouteDigits(0))
 	logical := n.Params.Width * n.Params.CascadeWidth
 	payloadWords := len(nic.PackBytes(make([]byte, payloadBytes), logical))
 	return len(h) + payloadWords + word.ChecksumWords(logical) + 1
@@ -685,11 +677,4 @@ func log2(v int) int {
 		n++
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -31,13 +31,9 @@ type Config struct {
 	Lanes int
 	// Header describes the per-stage routing header consumption.
 	Header HeaderSpec
-	// RouteDigits maps a destination endpoint to per-stage directions.
-	RouteDigits func(dest int) []int
-	// AppendRouteDigits, when set, is the allocation-free variant of
-	// RouteDigits: it appends the per-stage directions to dst and returns
-	// it. RouteDigits remains required (validation and tooling use it);
-	// senders prefer this one so the steady-state retry loop stays off the
-	// heap.
+	// AppendRouteDigits maps a destination endpoint to per-stage
+	// directions, appending them to dst and returning it (append-shaped
+	// so the sender's steady-state build stays off the heap). Required.
 	AppendRouteDigits func(dst []int, dest int) []int
 	// MaxActiveSenders bounds concurrently transmitting injection links
 	// (Figure 3 restricts each endpoint to one; 0 means no limit).
@@ -137,8 +133,8 @@ func New(cfg Config) (*Endpoint, error) {
 	if err := cfg.Header.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.RouteDigits == nil {
-		return nil, fmt.Errorf("nic: RouteDigits is required")
+	if cfg.AppendRouteDigits == nil {
+		return nil, fmt.Errorf("nic: AppendRouteDigits is required")
 	}
 	return &Endpoint{
 		cfg:        cfg,
@@ -382,7 +378,7 @@ type sender struct {
 	parse parser
 
 	// Per-build scratch, reused so steady-state builds never allocate.
-	digits    []int       // route digits (AppendRouteDigits path)
+	digits    []int       // route digits
 	laneBuf   []word.Word // one lane's projection of the stream (Lanes > 1)
 	ckScratch []word.Word // working copy for expected-checksum stripping
 
@@ -424,15 +420,9 @@ func (s *sender) begin(cycle uint64, p *pending) {
 func (s *sender) build(p *pending) {
 	cfg := &s.e.cfg
 	lw := cfg.logicalWidth()
-	var digits []int
-	if cfg.AppendRouteDigits != nil {
-		s.digits = cfg.AppendRouteDigits(s.digits[:0], p.msg.Dest)
-		digits = s.digits
-	} else {
-		digits = cfg.RouteDigits(p.msg.Dest)
-	}
-	p.stages = len(digits)
-	words := cfg.Header.AppendBuild(p.words[:0], digits)
+	s.digits = cfg.AppendRouteDigits(s.digits[:0], p.msg.Dest)
+	p.stages = len(s.digits)
+	words := cfg.Header.AppendBuild(p.words[:0], s.digits)
 	headerLen := len(words)
 	words = AppendPackBytes(words, p.msg.Payload, lw)
 	var ck word.Checksum
@@ -458,20 +448,10 @@ func (s *sender) build(p *pending) {
 	}
 }
 
-// laneSlice projects a logical word stream onto one cascade lane: payload
-// bits are sliced, control words replicated — exactly what the lane's
-// routing component receives.
-//
-//metrovet:alloc per-attempt lane projection, not a per-cycle path
-func laneSlice(stream []word.Word, lane, lanes, width int) []word.Word {
-	if lanes == 1 {
-		return stream
-	}
-	return appendLaneSlice(make([]word.Word, 0, len(stream)), stream, lane, width)
-}
-
-// appendLaneSlice is the allocation-free core of laneSlice: the lane's
-// projection appends to dst, which is returned.
+// appendLaneSlice projects a logical word stream onto one cascade lane:
+// payload bits are sliced, control words replicated — exactly what the
+// lane's routing component receives. The projection appends to dst,
+// which is returned.
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
 //metrovet:width lane < Lanes and width = cfg.Width, so lane*width < Width*Lanes <= 32 (validated by New)

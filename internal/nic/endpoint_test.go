@@ -33,11 +33,11 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 		Header: HeaderSpec{
 			Width: 8, Stages: nil, // zero routing stages
 		},
-		RouteDigits:   func(dest int) []int { return nil },
-		RetryLimit:    5,
-		ListenTimeout: 100,
-		CloseGap:      3,
-		OnResult:      func(r Result) { lb.results = append(lb.results, r) },
+		AppendRouteDigits: func(dst []int, dest int) []int { return dst },
+		RetryLimit:        5,
+		ListenTimeout:     100,
+		CloseGap:          3,
+		OnResult:          func(r Result) { lb.results = append(lb.results, r) },
 	}
 	dstCfg := srcCfg
 	dstCfg.ID = 1
@@ -231,12 +231,12 @@ func TestReceivingReflectsActivity(t *testing.T) {
 func TestConfigValidationErrors(t *testing.T) {
 	_, err := New(Config{Width: 8, Header: HeaderSpec{Width: 8}})
 	if err == nil {
-		t.Fatal("missing RouteDigits accepted")
+		t.Fatal("missing AppendRouteDigits accepted")
 	}
 	_, err = New(Config{
-		Width:       8,
-		Header:      HeaderSpec{Width: 99},
-		RouteDigits: func(int) []int { return nil },
+		Width:             8,
+		Header:            HeaderSpec{Width: 99},
+		AppendRouteDigits: func(dst []int, _ int) []int { return dst },
 	})
 	if err == nil {
 		t.Fatal("invalid header accepted")
@@ -283,8 +283,8 @@ func TestLaneSliceProjection(t *testing.T) {
 		{Kind: word.ChecksumWord, Payload: 0xCD},
 		{Kind: word.Turn},
 	}
-	lane0 := laneSlice(stream, 0, 2, 4)
-	lane1 := laneSlice(stream, 1, 2, 4)
+	lane0 := appendLaneSlice(nil, stream, 0, 4)
+	lane1 := appendLaneSlice(nil, stream, 1, 4)
 	if lane0[0] != stream[0] || lane1[0] != stream[0] {
 		t.Fatal("route word not replicated")
 	}
@@ -297,11 +297,11 @@ func TestLaneSliceProjection(t *testing.T) {
 	if lane0[3].Kind != word.Turn {
 		t.Fatal("turn not replicated")
 	}
-	// lanes == 1 returns the stream unchanged.
-	same := laneSlice(stream, 0, 1, 8)
+	// Lane 0 at the full width is the stream itself.
+	same := appendLaneSlice(nil, stream, 0, 8)
 	for i := range stream {
 		if same[i] != stream[i] {
-			t.Fatal("single-lane slice should be identity")
+			t.Fatal("full-width lane 0 should be identity")
 		}
 	}
 }

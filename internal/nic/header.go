@@ -151,22 +151,13 @@ func (h HeaderSpec) StripStage(stream []word.Word, s int) []word.Word {
 	return out
 }
 
-// ExpectedStageChecksums returns, for each stage, the CRC-8 a healthy
-// stage-s router reports after the first TURN: the checksum of the
-// forward-segment words as received at that stage. The source compares
-// these with the reported values to localize a corrupting link to the
-// first disagreeing stage.
-//
-//metrovet:alloc per-attempt checksum precomputation, not a per-cycle path
-func (h HeaderSpec) ExpectedStageChecksums(sent []word.Word) []uint8 {
-	sums, _ := h.AppendExpectedStageChecksums(nil, sent, nil)
-	return sums
-}
-
-// AppendExpectedStageChecksums is the allocation-free variant of
-// ExpectedStageChecksums: sums append to dst, and the working copy of the
-// stream lives in scratch (grown as needed and returned for reuse), with
-// each stage's strip performed in place.
+// AppendExpectedStageChecksums appends to dst, for each stage, the CRC-8
+// a healthy stage-s router reports after the first TURN: the checksum of
+// the forward-segment words as received at that stage. The source
+// compares these with the reported values to localize a corrupting link
+// to the first disagreeing stage. The working copy of the stream lives
+// in scratch (grown as needed and returned for reuse), with each stage's
+// strip performed in place.
 //
 //metrovet:alloc appends into caller-owned buffers; steady state reuses capacity
 func (h HeaderSpec) AppendExpectedStageChecksums(dst []uint8, sent []word.Word, scratch []word.Word) ([]uint8, []word.Word) {

@@ -148,7 +148,7 @@ func firstContent(ws []word.Word) word.Word {
 func TestExpectedStageChecksumsMatchManual(t *testing.T) {
 	h := HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 1}, {DirBits: 2}}}
 	stream := append(h.Build([]int{1, 2}), word.MakeData(0x42, 8))
-	sums := h.ExpectedStageChecksums(stream)
+	sums, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
 	if len(sums) != 2 {
 		t.Fatalf("sums = %v", sums)
 	}
@@ -296,10 +296,10 @@ func TestExpectedChecksumsChangeWithCorruption(t *testing.T) {
 	h := HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}}
 	stream := append(h.Build([]int{1, 0, 2}),
 		word.MakeData(0x10, 8), word.MakeData(0x20, 8))
-	clean := h.ExpectedStageChecksums(stream)
+	clean, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
 	corrupt := append([]word.Word(nil), stream...)
 	corrupt[len(corrupt)-1].Payload ^= 0x1
-	dirty := h.ExpectedStageChecksums(corrupt)
+	dirty, _ := h.AppendExpectedStageChecksums(nil, corrupt, nil)
 	for s := range clean {
 		if clean[s] == dirty[s] {
 			t.Fatalf("stage %d checksum insensitive to payload corruption", s)

@@ -21,12 +21,12 @@ func TestParserHappyPath(t *testing.T) {
 	feedAll(&p,
 		word.Word{Kind: word.DataIdle}, // idle fill is transparent
 		statusWord(0),                  // router 0
-		word.SplitChecksum(0xAA, 8)[0],
+		word.AppendChecksum(nil, 0xAA, 8)[0],
 		word.Word{Kind: word.DataIdle},
 		statusWord(0), // router 1
-		word.SplitChecksum(0xBB, 8)[0],
+		word.AppendChecksum(nil, 0xBB, 8)[0],
 		statusWord(word.StatusDest), // destination ack
-		word.SplitChecksum(0xCC, 8)[0],
+		word.AppendChecksum(nil, 0xCC, 8)[0],
 		word.Word{Kind: word.Turn},
 	)
 	if !p.done || p.failed || p.closed {
@@ -47,12 +47,12 @@ func TestParserWithReply(t *testing.T) {
 	p := newParser(8, 8, 1, 1)
 	feedAll(&p,
 		statusWord(0),
-		word.SplitChecksum(0x01, 8)[0],
+		word.AppendChecksum(nil, 0x01, 8)[0],
 		statusWord(word.StatusDest),
-		word.SplitChecksum(0x02, 8)[0],
+		word.AppendChecksum(nil, 0x02, 8)[0],
 		word.MakeData(0x10, 8),
 		word.MakeData(0x20, 8),
-		word.SplitChecksum(0x7F, 8)[0],
+		word.AppendChecksum(nil, 0x7F, 8)[0],
 		word.Word{Kind: word.Turn},
 	)
 	if !p.done {
@@ -70,9 +70,9 @@ func TestParserBlockedAtStage(t *testing.T) {
 	p := newParser(8, 8, 1, 3)
 	feedAll(&p,
 		statusWord(0), // stage 0 fine
-		word.SplitChecksum(0x11, 8)[0],
+		word.AppendChecksum(nil, 0x11, 8)[0],
 		statusWord(word.StatusBlocked), // stage 1 blocked
-		word.SplitChecksum(0x22, 8)[0],
+		word.AppendChecksum(nil, 0x22, 8)[0],
 		word.Word{Kind: word.Drop},
 	)
 	if !p.closed {
@@ -90,9 +90,9 @@ func TestParserNackRecorded(t *testing.T) {
 	p := newParser(8, 8, 1, 1)
 	feedAll(&p,
 		statusWord(0),
-		word.SplitChecksum(0, 8)[0],
+		word.AppendChecksum(nil, 0, 8)[0],
 		statusWord(word.StatusDest|word.StatusNack),
-		word.SplitChecksum(0, 8)[0],
+		word.AppendChecksum(nil, 0, 8)[0],
 		word.Word{Kind: word.Turn},
 	)
 	if !p.done {
@@ -105,7 +105,7 @@ func TestParserNackRecorded(t *testing.T) {
 
 func TestParserSplitChecksumWidth4(t *testing.T) {
 	p := newParser(4, 4, 1, 1)
-	cks := word.SplitChecksum(0x5A, 4)
+	cks := word.AppendChecksum(nil, 0x5A, 4)
 	feedAll(&p, statusWord(0))
 	feedAll(&p, cks...)
 	if len(p.routerCks) != 1 || p.routerCks[0] != 0x5A {
@@ -133,7 +133,7 @@ func TestParserNoiseAfterBlockedIgnored(t *testing.T) {
 	p := newParser(8, 8, 1, 2)
 	feedAll(&p,
 		statusWord(word.StatusBlocked),
-		word.SplitChecksum(0x10, 8)[0],
+		word.AppendChecksum(nil, 0x10, 8)[0],
 		word.MakeData(0xFF, 8), // garbage on a dying connection
 		word.Word{Kind: word.Drop},
 	)

@@ -17,8 +17,8 @@ func BenchmarkEndpointSteadyCycle(b *testing.B) {
 		Header: HeaderSpec{Width: 8, Stages: []StageHeader{
 			{DirBits: 2}, {DirBits: 2},
 		}},
-		RouteDigits:   func(dest int) []int { return []int{dest & 3, (dest >> 2) & 3} },
-		ListenTimeout: 1 << 62, // the quiet listening tail must stay allocation-free
+		AppendRouteDigits: func(dst []int, dest int) []int { return append(dst, dest&3, (dest>>2)&3) },
+		ListenTimeout:     1 << 62, // the quiet listening tail must stay allocation-free
 	}
 	e, err := New(cfg)
 	if err != nil {

@@ -51,7 +51,9 @@ func (l *LFSR) NextBit() uint32 {
 }
 
 // NextBits returns the next n bits, first bit in the least-significant
-// position. n is clamped to [0, 32].
+// position. n is clamped to [0, 32] (a runtime contract, held by
+// TestNextBitsWidthAndClamp), so i stays in [0, 31], where & 31 is the
+// identity; the & 31 is what shows the shift its bound.
 func (l *LFSR) NextBits(n int) uint32 {
 	if n < 0 {
 		n = 0
@@ -61,7 +63,7 @@ func (l *LFSR) NextBits(n int) uint32 {
 	}
 	var v uint32
 	for i := 0; i < n; i++ {
-		v |= l.NextBit() << uint(i)
+		v |= l.NextBit() << (i & 31)
 	}
 	return v
 }
@@ -134,7 +136,8 @@ func (s *Shared) trim() {
 	}
 }
 
-// NextBits implements Source for a fork of the shared stream.
+// NextBits implements Source for a fork of the shared stream, with
+// LFSR.NextBits's clamp and shift.
 func (c *forkCursor) NextBits(n int) uint32 {
 	if n < 0 {
 		n = 0
@@ -144,7 +147,7 @@ func (c *forkCursor) NextBits(n int) uint32 {
 	}
 	var v uint32
 	for i := 0; i < n; i++ {
-		v |= c.s.bitAt(c.pos) << uint(i)
+		v |= c.s.bitAt(c.pos) << (i & 31)
 		c.pos++
 	}
 	c.s.trim()

@@ -45,19 +45,31 @@ func TestLFSRBitBalance(t *testing.T) {
 	}
 }
 
+// TestNextBitsWidthAndClamp is the runtime proof of NextBits's clamp
+// (metrovet reads nothing from its guards): at and around both ends of
+// [0, 32] the LFSR and a fork of the shared stream return exactly the
+// first min(max(n, 0), 32) bits, first bit in the LSB, and consume
+// exactly that many.
 func TestNextBitsWidthAndClamp(t *testing.T) {
-	l := NewLFSR(7)
-	for n := 0; n <= 32; n++ {
-		v := l.NextBits(n)
-		if n < 32 && v >= 1<<uint(n) {
-			t.Errorf("NextBits(%d) = %#x exceeds width", n, v)
+	for _, n := range []int{-1, 0, 1, 31, 32, 33, 40} {
+		taken := min(max(n, 0), 32)
+		ref := NewLFSR(7)
+		var want, rest uint32
+		for i := 0; i < taken; i++ {
+			want |= ref.NextBit() << i
+		}
+		for i := 0; i < 16; i++ { // what NextBits(n) must leave unread
+			rest |= ref.NextBit() << i
+		}
+		for name, src := range map[string]Source{"LFSR": NewLFSR(7), "fork": NewShared(7).Fork()} {
+			if got := src.NextBits(n); got != want {
+				t.Errorf("%s NextBits(%d) = %#x, want %#x", name, n, got, want)
+			}
+			if got := src.NextBits(16); got != rest {
+				t.Errorf("%s NextBits(%d) did not consume exactly %d bits", name, n, taken)
+			}
 		}
 	}
-	if NewLFSR(7).NextBits(-5) != 0 {
-		t.Error("negative n should yield 0 bits")
-	}
-	// Clamped at 32: should not panic and should use the full register.
-	_ = NewLFSR(7).NextBits(40)
 }
 
 func TestNextBitsOrdering(t *testing.T) {

@@ -68,39 +68,14 @@ func ChecksumWords(width int) int {
 	return n
 }
 
-// SplitChecksum splits a CRC-8 value into ChecksumWords(width) channel words,
-// least-significant chunk first.
-func SplitChecksum(sum uint8, width int) []Word {
-	// Clamp the width into the [1, 32] channel contract up front: a
-	// nonpositive width carries no words (as ChecksumWords agrees), and
-	// widths past 32 behave exactly like 32. The clamps don't change
-	// behavior; they make the bounds locally provable.
-	if width < 1 {
-		return make([]Word, 0)
-	}
-	if width > 32 {
-		width = 32
-	}
-	n := ChecksumWords(width)
-	out := make([]Word, n)
-	v := uint32(sum)
-	for i := 0; i < n; i++ {
-		out[i] = Word{Kind: ChecksumWord, Payload: v & Mask(width)}
-		// v holds a CRC-8, so shifting by 8 already clears it; capping
-		// the step at 8 keeps the shift below the 32-bit operand width.
-		v >>= uint(min(width, 8))
-	}
-	return out
-}
-
 // AppendChecksum appends the ChecksumWords(width) channel words carrying a
-// CRC-8 value to dst, least-significant chunk first: the allocation-free
-// form of SplitChecksum for per-cycle paths that reuse a scratch buffer.
+// CRC-8 value to dst, least-significant chunk first. A nonpositive width
+// carries no words (as ChecksumWords agrees) and widths past 32 behave
+// exactly like 32.
 //
 //metrovet:alloc appends into caller-owned scratch sized for the stream; steady state reuses capacity
+//metrovet:width the two guards clamp width into [1, 32] before any use, so the step min(width, 8) is in [1, 8]; a runtime contract, held by TestSplitJoinChecksumRoundTrip
 func AppendChecksum(dst []Word, sum uint8, width int) []Word {
-	// Same width clamps as SplitChecksum: behavior-identical, locally
-	// provable.
 	if width < 1 {
 		return dst
 	}
@@ -111,16 +86,18 @@ func AppendChecksum(dst []Word, sum uint8, width int) []Word {
 	v := uint32(sum)
 	for i := 0; i < n; i++ {
 		dst = append(dst, Word{Kind: ChecksumWord, Payload: v & Mask(width)})
-		v >>= uint(min(width, 8))
+		// v holds a CRC-8, so shifting by 8 already clears it.
+		v >>= min(width, 8)
 	}
 	return dst
 }
 
 // JoinChecksum reassembles a CRC-8 value from channel words produced by
-// SplitChecksum. Words beyond the CRC-8 width are ignored.
+// AppendChecksum. Words beyond the CRC-8 width are ignored; a
+// nonpositive width masks every payload to zero, so the sum is zero.
+//
+//metrovet:width the two guards clamp width into [1, 32] before Mask sees it; a runtime contract, held by TestSplitJoinChecksumRoundTrip
 func JoinChecksum(words []Word, width int) uint8 {
-	// Width clamps as in SplitChecksum. A nonpositive width masks every
-	// payload to zero today, so returning zero directly is identical.
 	if width < 1 {
 		return 0
 	}
@@ -130,7 +107,9 @@ func JoinChecksum(words []Word, width int) uint8 {
 	var v uint32
 	shift := 0
 	for _, w := range words {
-		v |= (w.Payload & Mask(width)) << uint(shift)
+		// The break below keeps shift in [0, 7], where & 7 is the
+		// identity; the & 7 is what shows the shift its bound.
+		v |= (w.Payload & Mask(width)) << (shift & 7)
 		shift += width
 		if shift >= 8 {
 			break

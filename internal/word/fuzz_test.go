@@ -56,8 +56,7 @@ func FuzzChecksum(f *testing.F) {
 }
 
 // FuzzChecksumSplitJoin checks that a CRC-8 value survives being split
-// into channel words at any width in [1,32], that the allocation-free
-// append form agrees with SplitChecksum, and that the word count
+// into channel words at any width in [1,32], and that the word count
 // matches ChecksumWords.
 func FuzzChecksumSplitJoin(f *testing.F) {
 	f.Add(uint8(0), 1)
@@ -70,7 +69,7 @@ func FuzzChecksumSplitJoin(f *testing.F) {
 			w = -w
 		}
 		w++ // [1,32]
-		words := SplitChecksum(sum, w)
+		words := AppendChecksum(nil, sum, w)
 		if len(words) != ChecksumWords(w) {
 			t.Fatalf("width %d: %d words, ChecksumWords says %d", w, len(words), ChecksumWords(w))
 		}
@@ -84,15 +83,6 @@ func FuzzChecksumSplitJoin(f *testing.F) {
 		}
 		if got := JoinChecksum(words, w); got != sum {
 			t.Fatalf("width %d: join(split(%#x)) = %#x", w, sum, got)
-		}
-		appended := AppendChecksum(nil, sum, w)
-		if len(appended) != len(words) {
-			t.Fatalf("width %d: AppendChecksum produced %d words, SplitChecksum %d", w, len(appended), len(words))
-		}
-		for i := range words {
-			if appended[i] != words[i] {
-				t.Fatalf("width %d: append/split disagree at word %d: %v vs %v", w, i, appended[i], words[i])
-			}
 		}
 	})
 }

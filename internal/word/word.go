@@ -139,8 +139,10 @@ func MakeRoute(payload uint32, bits int) Word {
 }
 
 // Mask returns a bit mask covering a width-bit payload. Widths outside
-// [1, 32] clamp to an empty or full mask, so the shift below stays
-// within the 32-bit operand.
+// [1, 32] clamp to an empty or full mask: a runtime contract, held by
+// TestMask and not by metrovet, which reads nothing from the
+// two guards. They leave width in [1, 31], where & 31 is the identity,
+// and the & 31 is what shows the shift its bound.
 func Mask(width int) uint32 {
 	if width >= 32 {
 		return ^uint32(0)
@@ -148,5 +150,5 @@ func Mask(width int) uint32 {
 	if width < 1 {
 		return 0
 	}
-	return (1 << uint(width)) - 1
+	return 1<<(width&31) - 1
 }

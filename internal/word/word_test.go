@@ -2,7 +2,6 @@ package word
 
 import (
 	"testing"
-	"testing/quick"
 	"unsafe"
 )
 
@@ -63,18 +62,18 @@ func TestMakeDataMasks(t *testing.T) {
 	}
 }
 
+// TestMask is the runtime proof of Mask's width contract (metrovet reads
+// nothing from its guards): every width from below the range to above
+// it, against a mask built one bit at a time.
 func TestMask(t *testing.T) {
-	if Mask(4) != 0xf {
-		t.Errorf("Mask(4) = %#x", Mask(4))
-	}
-	if Mask(8) != 0xff {
-		t.Errorf("Mask(8) = %#x", Mask(8))
-	}
-	if Mask(32) != 0xffffffff {
-		t.Errorf("Mask(32) = %#x", Mask(32))
-	}
-	if Mask(33) != 0xffffffff {
-		t.Errorf("Mask(33) = %#x", Mask(33))
+	for width := -2; width <= 34; width++ {
+		var want uint32
+		for bit := 0; bit < width && bit < 32; bit++ {
+			want |= 1 << bit
+		}
+		if got := Mask(width); got != want {
+			t.Errorf("Mask(%d) = %#x, want %#x", width, got, want)
+		}
 	}
 }
 
@@ -141,31 +140,62 @@ func TestChecksumWords(t *testing.T) {
 	}
 }
 
+// TestSplitJoinChecksumRoundTrip is the runtime proof of the checksum
+// helpers' width contract (metrovet reads nothing from their guards):
+// every sum at every channel width, each word against an independent
+// chunking of the sum, then the widths outside [1, 32].
 func TestSplitJoinChecksumRoundTrip(t *testing.T) {
-	f := func(sum uint8, widthSeed uint8) bool {
-		widths := []int{1, 2, 4, 8, 16}
-		width := widths[int(widthSeed)%len(widths)]
-		words := SplitChecksum(sum, width)
-		if len(words) != ChecksumWords(width) {
-			return false
-		}
-		for _, w := range words {
-			if w.Kind != ChecksumWord {
-				return false
+	prefix := Word{Kind: Data, Payload: 0x1234}
+	for width := 1; width <= 32; width++ {
+		for s := 0; s < 256; s++ {
+			sum := uint8(s)
+			words := AppendChecksum([]Word{prefix}, sum, width)
+			if words[0] != prefix {
+				t.Fatalf("width %d: AppendChecksum overwrote dst: %v", width, words[0])
 			}
-			if w.Payload&^Mask(width) != 0 {
-				return false
+			words = words[1:]
+			if len(words) != ChecksumWords(width) || len(words) != (8+width-1)/width {
+				t.Fatalf("width %d: %d words, ChecksumWords says %d", width, len(words), ChecksumWords(width))
+			}
+			for i, w := range words {
+				// Chunk i is bits [i*width, (i+1)*width) of the sum, in
+				// 64-bit arithmetic that no width here can overflow.
+				want := uint32((uint64(sum) >> (i * width)) & (1<<width - 1))
+				if w.Kind != ChecksumWord || w.Payload != want {
+					t.Fatalf("width %d sum %#x: word %d = %v, want payload %#x", width, sum, i, w, want)
+				}
+			}
+			if got := JoinChecksum(words, width); got != sum {
+				t.Fatalf("width %d: join(append(%#x)) = %#x", width, sum, got)
+			}
+			// Trailing words past the CRC-8 width are ignored.
+			extra := append(words, Word{Kind: ChecksumWord, Payload: Mask(width)})
+			if got := JoinChecksum(extra, width); got != sum {
+				t.Fatalf("width %d: join with a trailing word = %#x, want %#x", width, got, sum)
 			}
 		}
-		return JoinChecksum(words, width) == sum
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for _, width := range []int{-2, -1, 0} {
+		if words := AppendChecksum(nil, 0xa5, width); len(words) != 0 {
+			t.Errorf("AppendChecksum at width %d carried %d words", width, len(words))
+		}
+		if got := JoinChecksum([]Word{{Kind: ChecksumWord, Payload: 0xa5}}, width); got != 0 {
+			t.Errorf("JoinChecksum at width %d = %#x, want 0", width, got)
+		}
+	}
+	for _, width := range []int{33, 40, 64} {
+		words := AppendChecksum(nil, 0xa5, width)
+		if len(words) != 1 || words[0].Payload != 0xa5 {
+			t.Errorf("AppendChecksum at width %d = %v, want the one word width 32 carries", width, words)
+		}
+		if got := JoinChecksum(words, width); got != 0xa5 {
+			t.Errorf("JoinChecksum at width %d = %#x, want 0xa5", width, got)
+		}
 	}
 }
 
 func TestJoinChecksumIgnoresExtraWords(t *testing.T) {
-	words := SplitChecksum(0x5a, 4)
+	words := AppendChecksum(nil, 0x5a, 4)
 	words = append(words, Word{Kind: ChecksumWord, Payload: 0xf})
 	if got := JoinChecksum(words, 4); got != 0x5a {
 		t.Errorf("JoinChecksum with extra words = %#x, want 0x5a", got)
