@@ -76,6 +76,12 @@ func debugMux() *http.ServeMux {
 // as long as their job runs, so the servers set no write deadline.
 const readHeaderTimeout = 5 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may wait between
+// requests before the servers close it, so idle clients cannot pin
+// connections either. A request in progress — a wait=1 submission, an SSE
+// stream — is not idle, and the timeout never cuts it.
+const idleTimeout = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7905", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker fleet size")
@@ -123,11 +129,11 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("metroserve debug listening on %s\n", dln.Addr())
-		debugSrv = &http.Server{Handler: debugMux(), ReadHeaderTimeout: readHeaderTimeout}
+		debugSrv = &http.Server{Handler: debugMux(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go debugSrv.Serve(dln)
 	}
 
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -341,6 +342,97 @@ func TestMetroserveStalledHeaderClosed(t *testing.T) {
 			t.Errorf("stalled connection to %s: read %d bytes, err %v; want the server to close it", c.RemoteAddr(), n, err)
 		}
 	}
+}
+
+// TestMetroserveIdleConnectionClosed: a keep-alive connection left idle
+// after its request is closed by the server, on the serving port and on
+// the debug port, while a wait=1 job and an SSE stream, in flight over the
+// same idle period behind a queue of long jobs, complete.
+func TestMetroserveIdleConnectionClosed(t *testing.T) {
+	srv := clitest.StartServer(t, "-workers", "1", "-progress", "64", "-debug-addr", "127.0.0.1:0")
+	var idle []net.Conn
+	for _, target := range []string{srv.URL + "/v1/healthz", "http://" + debugAddress(t, srv) + "/debug/pprof/cmdline"} {
+		req, err := http.NewRequest(http.MethodGet, target, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.Dial("tcp", req.URL.Host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := req.Write(c); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(c), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("%s: status %d, close %v; want a kept-alive 200", target, resp.StatusCode, resp.Close)
+		}
+		idle = append(idle, c)
+	}
+	idleSince := time.Now()
+
+	// Long jobs ahead of the watched ones keep the single worker busy past
+	// the idle timeout (about 0.7 s each on a 2-vCPU box).
+	for i := 0; i < 10; i++ {
+		spec := fmt.Sprintf("mf1;topo=fig3;w=8;hw=0;dp=4;vtd=4;cas=2;fast=1;ff=0;wk=8;ns=%d;mas=0;retry=1000;lt=2000;tr=stall;ts=63205845;msgs=2000;rate=0;out=1;think=1000;pb=64;ic=20000", 1000+i)
+		if resp, body := postSpec(t, srv.URL, spec, ""); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("queueing a long job: status %d; body: %s", resp.StatusCode, body)
+		}
+	}
+	resp, body := postSpec(t, srv.URL, metrofuzz.EncodeSpec(metrofuzz.Generate(1)), "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queueing the streamed job: status %d; body: %s", resp.StatusCode, body)
+	}
+	streamed := resp.Header.Get("X-Job")
+	var wg sync.WaitGroup
+	var streamErr, waitErr error
+	var streamDone, waitDone time.Time
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		events, err := http.Get(srv.URL + "/v1/jobs/" + streamed + "/events")
+		if err == nil {
+			var stream []byte
+			stream, err = io.ReadAll(events.Body)
+			events.Body.Close()
+			if err == nil && !bytes.Contains(stream, []byte("event: done\n")) {
+				err = fmt.Errorf("stream ended without a done frame: %q", stream)
+			}
+		}
+		streamErr, streamDone = err, time.Now()
+	}()
+	go func() {
+		defer wg.Done()
+		resp, err := http.Post(srv.URL+"/v1/jobs?wait=1", "text/plain", strings.NewReader(metrofuzz.EncodeSpec(metrofuzz.Generate(7))))
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d; body: %s", resp.StatusCode, body)
+			}
+		}
+		waitErr, waitDone = err, time.Now()
+	}()
+
+	for _, c := range idle {
+		c.SetReadDeadline(idleSince.Add(15 * time.Second))
+		if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("idle connection to %s: read %d bytes, err %v; want the server to close it", c.RemoteAddr(), n, err)
+		}
+	}
+	closed := time.Since(idleSince)
+	wg.Wait()
+	if streamErr != nil || waitErr != nil {
+		t.Fatalf("requests beside the idle connections: SSE stream %v, wait=1 job %v", streamErr, waitErr)
+	}
+	t.Logf("idle connections closed after %v; the SSE stream ended %v and the wait=1 job %v after they went idle",
+		closed.Round(time.Millisecond), streamDone.Sub(idleSince).Round(time.Millisecond), waitDone.Sub(idleSince).Round(time.Millisecond))
 }
 
 // TestMetroserveBadLogFormat pins the flag-validation exit code.

@@ -19,7 +19,7 @@
 package cascade
 
 import (
-	"fmt"
+	"strconv"
 
 	"metro/internal/core"
 	"metro/internal/prng"
@@ -48,7 +48,7 @@ func NewGroup(name string, cfg core.Config, set core.Settings, c int, shared *pr
 	}
 	g := &Group{name: name, victims: make([]bool, cfg.Inputs)}
 	for k := 0; k < c; k++ {
-		r := core.NewRouter(fmt.Sprintf("%s.m%d", name, k), cfg, set, shared.Fork())
+		r := core.NewRouter(name+".m"+strconv.Itoa(k), cfg, set, shared.Fork())
 		g.members = append(g.members, r)
 	}
 	return g

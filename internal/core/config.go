@@ -26,6 +26,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config holds the architectural parameters of a METRO router
@@ -190,16 +191,31 @@ func (s Settings) Validate(c Config) error {
 	return nil
 }
 
-// Clone returns a deep copy of the settings.
+// Clone returns a deep copy of the settings. The five per-port flag slices
+// are copied into one backing array, each capped at its own length, so an
+// append to one reallocates it rather than overwrite the next.
 func (s Settings) Clone() Settings {
 	c := s
-	c.ForwardEnabled = append([]bool(nil), s.ForwardEnabled...)
-	c.BackwardEnabled = append([]bool(nil), s.BackwardEnabled...)
-	c.FastReclaim = append([]bool(nil), s.FastReclaim...)
-	c.Swallow = append([]bool(nil), s.Swallow...)
+	flags := make([]bool, 0, len(s.ForwardEnabled)+len(s.BackwardEnabled)+
+		len(s.FastReclaim)+len(s.Swallow)+len(s.OffPortDrive))
+	c.ForwardEnabled, flags = cloneFlags(flags, s.ForwardEnabled)
+	c.BackwardEnabled, flags = cloneFlags(flags, s.BackwardEnabled)
+	c.FastReclaim, flags = cloneFlags(flags, s.FastReclaim)
+	c.Swallow, flags = cloneFlags(flags, s.Swallow)
+	c.OffPortDrive, _ = cloneFlags(flags, s.OffPortDrive)
 	c.TurnDelay = append([]int(nil), s.TurnDelay...)
-	c.OffPortDrive = append([]bool(nil), s.OffPortDrive...)
 	return c
+}
+
+// cloneFlags copies src into the free capacity of buf. It returns the copy,
+// capped at its own length (nil for an empty src, as append([]bool(nil),
+// src...) would give), and the capacity of buf that is left.
+func cloneFlags(buf, src []bool) (clone, rest []bool) {
+	if len(src) == 0 {
+		return nil, buf
+	}
+	clone = append(buf[:0], src...)
+	return slices.Clip(clone), clone[len(clone):]
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

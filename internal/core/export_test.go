@@ -1,0 +1,90 @@
+package core
+
+import "metro/internal/link"
+
+// Test-only access for the external test package, which audits routers
+// taken from whole networks built by netsim (an import this package's own
+// tests cannot make).
+
+// InvariantVerdicts returns CheckInvariants' one-pass verdict and its
+// clause-by-clause walk's error for r.
+func InvariantVerdicts(r *Router) (bool, error) { return r.consistent(), r.explain() }
+
+// CloneRouter returns a copy of r whose audited state (ports, closers and
+// their parked slots, busyBy, masks, settings and input views) can be
+// corrupted without touching r.
+func CloneRouter(r *Router) *Router {
+	c := *r
+	c.fwd = append([]fwdPort(nil), r.fwd...)
+	c.busyBy = append([]int8(nil), r.busyBy...)
+	c.closers = append(make([]closer, 0, cap(r.closers)), r.closers[:cap(r.closers)]...)[:len(r.closers)]
+	c.fin = append([]link.In(nil), r.fin...)
+	c.set = r.set.Clone()
+	return &c
+}
+
+// InvariantCorruption writes one field CheckInvariants reads: i picks the
+// port, closer or slot (modulo their count), v is the value written.
+type InvariantCorruption struct {
+	Name  string
+	Apply func(r *Router, i, v int)
+}
+
+// InvariantCorruptions covers every kind of field the six clauses read.
+var InvariantCorruptions = []InvariantCorruption{
+	{"fwd set", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].set = uint8(v) }},
+	{"fwd injHead", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].injHead = uint8(v) }},
+	{"fwd injLen", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].injLen = uint8(v) }},
+	{"fwd outHead", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].outHead = uint8(v) }},
+	{"fwd outLen", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].outLen = uint8(v) }},
+	{"fwd bp", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].bp = int8(v) }},
+	{"fwd state", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].state = fpState(v) }},
+	{"busyBy marker", func(r *Router, i, v int) { r.busyBy[i%len(r.busyBy)] = int8(v) }},
+	{"closer bp", func(r *Router, i, v int) {
+		// With no closer in flight, a parked slot is taken, as detach does.
+		if len(r.closers) == 0 {
+			r.closers = r.closers[:1]
+		}
+		r.closers[i%len(r.closers)].bp = int8(v)
+	}},
+	{"closer set", func(r *Router, i, v int) {
+		if len(r.closers) > 0 {
+			r.closers[i%len(r.closers)].set = uint8(v)
+		}
+	}},
+	{"closer injLen", func(r *Router, i, v int) {
+		if len(r.closers) > 0 {
+			r.closers[i%len(r.closers)].injLen = uint8(v)
+		}
+	}},
+	{"closer outHead", func(r *Router, i, v int) {
+		if len(r.closers) > 0 {
+			r.closers[i%len(r.closers)].outHead = uint8(v)
+		}
+	}},
+	{"parked set", func(r *Router, i, v int) {
+		if parked := r.closers[len(r.closers):cap(r.closers)]; len(parked) > 0 {
+			parked[i%len(parked)].set = uint8(v)
+		}
+	}},
+	{"closers capacity", func(r *Router, i, v int) {
+		c := cap(r.closers) - 1 - i%cap(r.closers)
+		r.closers = r.closers[:min(len(r.closers), c):c]
+	}},
+	{"extra parked slot", func(r *Router, i, v int) {
+		r.closers = append(r.closers[:cap(r.closers)], closer{flow: flow{set: uint8(v)}})[:len(r.closers)]
+	}},
+	{"dilation", func(r *Router, i, v int) {
+		// The radix*dilation window only narrows past validation; 0 would
+		// divide by zero in both walks.
+		if v != 0 {
+			r.set.Dilation = v
+		}
+	}},
+	{"live bit", func(r *Router, i, v int) { r.live ^= 1 << (v & 63) }},
+	{"enabled bit", func(r *Router, i, v int) { r.enabled ^= 1 << (v & 63) }},
+	{"forward enabled", func(r *Router, i, v int) {
+		fp := i % len(r.set.ForwardEnabled)
+		r.set.ForwardEnabled[fp] = !r.set.ForwardEnabled[fp]
+	}},
+}

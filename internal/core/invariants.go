@@ -23,9 +23,124 @@ import (
 //     names exactly the non-idle forward ports, enabled exactly the
 //     enabled-and-attached ones (valid between cycles, which is when
 //     harnesses call this).
+//
+// Harnesses call this for every router every cycle, and nearly every call
+// passes, so the verdict is decided in one walk (consistent); only a router
+// that fails it is walked again clause by clause (explain), which words the
+// first violation.
 func (r *Router) CheckInvariants() error {
-	// claimed[bp] is the claiming forward port plus one, 0 while unclaimed:
-	// on the stack, because harnesses call this for every router every cycle.
+	if r.consistent() {
+		return nil
+	}
+	return r.explain()
+}
+
+// holding classes every fpState value by what clause 1 asks of its bp: an
+// unconnected port holds none (-1), a connected one holds one (1), and a
+// value that names no state is asked nothing (0).
+var holding = [256]int8{
+	fpIdle: -1, fpBlockedWait: -1, fpBlockedReply: -1, fpDrain: -1,
+	fpHeader: 1, fpForward: 1, fpReversed: 1,
+}
+
+// consistent reports whether every clause of CheckInvariants holds. It
+// walks the forward ports, the closers, the parked slots and busyBy once
+// each, claiming buffer sets and collecting the backward ports connected
+// ports hold, the ones closers flush and the non-idle forward ports as
+// masks, and stops at the first failed check. It only decides; explain
+// says which clause failed, and the two agree on every router
+// (FuzzInvariantVerdict).
+func (r *Router) consistent() bool {
+	// NewRouter sizes fwd by Inputs and busyBy by Outputs, and nothing
+	// resizes them, so the router's own lengths stand in for its Config.
+	fwd, busyBy, closers := r.fwd, r.busyBy, r.closers
+	sets := uint(len(fwd) + len(busyBy))
+	if sets > 64 {
+		// The walk below keeps one bit per set in a word; the rare router
+		// with more sets is decided by the clause walk.
+		return r.explain() == nil
+	}
+	if r.watchedPorts() != r.enabled {
+		return false
+	}
+	injCap := uint(r.injCap)
+	// held has a bit per buffer set claimed and over the bits of every set
+	// claimed, so a claim of set 64 or above, which would alias a bit of
+	// held, shows in over.
+	var held, over, conn, live uint64
+	for fp := range fwd {
+		p := &fwd[fp]
+		if !p.within(injCap) {
+			return false
+		}
+		held |= 1 << (p.set & 63)
+		over |= uint64(p.set)
+		if p.state == fpIdle { // most ports, most cycles: no bp, not live
+			if p.bp != -1 {
+				return false
+			}
+			continue
+		}
+		live |= 1 << (fp & 63)
+		switch holding[p.state] {
+		case 1:
+			bp := uint(int(p.bp)) // a negative bp wraps past every bound
+			if bp >= uint(len(busyBy)) || bp >= uint(r.window(len(busyBy))) || int(busyBy[bp]) != fp {
+				return false
+			}
+			conn |= 1 << bp
+		case -1:
+			if p.bp != -1 {
+				return false
+			}
+		}
+	}
+	if live != r.live {
+		return false
+	}
+	var flush uint64
+	for i := range closers {
+		c := &closers[i]
+		bp := uint(int(c.bp))
+		if bp >= uint(len(busyBy)) || busyBy[bp] != -2 || !c.within(injCap) {
+			return false
+		}
+		held |= 1 << (c.set & 63)
+		over |= uint64(c.set)
+		flush |= 1 << bp
+	}
+	parked := closers[len(closers):cap(closers)]
+	for i := range parked {
+		held |= 1 << (parked[i].set & 63)
+		over |= uint64(parked[i].set)
+	}
+	// busyBy marks a backward port free, owned or flushing. Each connected
+	// port's bp named that port as owner (checked above), so an owned port
+	// outside conn is the one clause 1 rejects; a flushing one needs a
+	// closer.
+	var busy, flushing uint64
+	for bp, owner := range busyBy {
+		switch bit := uint64(1) << (bp & 63); {
+		case owner == -1:
+		case owner >= 0:
+			busy |= bit
+		case owner == -2:
+			flushing |= bit
+		default:
+			return false
+		}
+	}
+	// Every claim was below 64 and set one bit, so Inputs+Outputs claims
+	// hold every set exactly when each took a distinct one in range
+	// (clause 3).
+	return busy&^conn == 0 && flushing&^flush == 0 && over < 64 &&
+		uint(len(fwd)+cap(closers)) == sets && held == 1<<sets-1
+}
+
+// explain is CheckInvariants' clause-by-clause walk: it returns the first
+// violation, worded for the clause it breaks, or nil.
+func (r *Router) explain() error {
+	// claimed[bp] is the claiming forward port plus one, 0 while unclaimed.
 	var claimed [MaxPorts]int8
 	// held has a bit per buffer set, set once a holder has claimed it.
 	var held setMask
@@ -122,6 +237,27 @@ func (r *Router) CheckInvariants() error {
 		return fmt.Errorf("%s: enabled mask %#x but the enabled, attached forward ports are %#x", r.name, r.enabled, watched)
 	}
 	return nil
+}
+
+// window is Radix()*Dilation, the backward ports the configured
+// dilation's directions span, for a router with the given Outputs.
+// Settings.Validate admits only power-of-two dilations, for which it needs
+// no division.
+func (r *Router) window(outputs int) int {
+	d := r.set.Dilation
+	if d > 0 && d&(d-1) == 0 {
+		return outputs &^ (d - 1)
+	}
+	return outputs / d * d
+}
+
+// within reports whether both of f's cursor pairs lie within their
+// injCap-word regions: head <= len <= injCap for each. Each difference is
+// below 256 exactly when it does not wrap, so one comparison decides all
+// four (injCap, an injWords count, is below 256 too).
+func (f *flow) within(injCap uint) bool {
+	return (uint(f.injLen)-uint(f.injHead))|(injCap-uint(f.injLen))|
+		(uint(f.outLen)-uint(f.outHead))|(injCap-uint(f.outLen)) < 256
 }
 
 // setMask has a bit per buffer set: Inputs+Outputs <= 2*MaxPorts of them.

@@ -197,6 +197,9 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 				t.Fatalf("fresh router must be consistent: %v", err)
 			}
 			tc.corrupt(r)
+			if r.consistent() {
+				t.Fatalf("the one-pass verdict passed a corrupted router")
+			}
 			err := r.CheckInvariants()
 			if err == nil {
 				t.Fatalf("corruption went undetected")

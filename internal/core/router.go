@@ -369,12 +369,14 @@ func (r *Router) ApplySettings(set Settings) error {
 func (r *Router) syncEnabled() { r.enabled = r.watchedPorts() }
 
 // watchedPorts returns the mask of forward ports that are enabled in the
-// settings and attached to a link.
+// settings and attached to a link. Both slices have an entry per forward
+// port; the length test only spares the index check.
 func (r *Router) watchedPorts() uint64 {
 	var m uint64
 	bit := uint64(1)
+	fin := r.fin
 	for fp, on := range r.set.ForwardEnabled {
-		if on && r.fin[fp].End() != nil {
+		if on && fp < len(fin) && fin[fp].End() != nil {
 			m |= bit
 		}
 		bit <<= 1

@@ -8,6 +8,7 @@ import (
 	"reflect"
 
 	"metro/internal/clock"
+	"metro/internal/core"
 	"metro/internal/fault"
 	"metro/internal/netsim"
 	"metro/internal/nic"
@@ -195,6 +196,7 @@ type offer struct {
 
 // legOut is everything one engine leg produced.
 type legOut struct {
+	topo         *topo.Topology // the leg network's, for the reachability oracle
 	offers       []offer
 	results      []nic.Result
 	deliveries   []delivery
@@ -224,7 +226,13 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	leg := &legOut{}
+	// Every offer yields one result and, fault-free, one delivery: the
+	// message budget sizes all three up front.
+	leg := &legOut{
+		offers:     make([]offer, 0, s.Messages),
+		results:    make([]nic.Result, 0, s.Messages),
+		deliveries: make([]delivery, 0, s.Messages),
+	}
 	delivered := 0 // running count of leg.results with Delivered set
 	inj := &injector{s: s, leg: leg, rng: rand.New(rand.NewSource(s.TrafficSeed))}
 	p := netsim.Params{
@@ -252,12 +260,13 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 				delivered++
 			}
 		},
+		// The payload is the leg's to keep: netsim unpacks each delivery
+		// afresh.
 		OnDeliver: func(dest int, payload []byte, intact bool) {
-			buf := append([]byte(nil), payload...)
 			if h.TamperDeliver != nil {
-				buf, intact = h.TamperDeliver(dest, buf, intact)
+				payload, intact = h.TamperDeliver(dest, payload, intact)
 			}
-			leg.deliveries = append(leg.deliveries, delivery{Dest: dest, Payload: buf, Intact: intact})
+			leg.deliveries = append(leg.deliveries, delivery{Dest: dest, Payload: payload, Intact: intact})
 		},
 	}
 	// The recorder observes the primary leg only (checkInv marks it): a
@@ -271,6 +280,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 		return nil, err
 	}
 	defer n.Close()
+	leg.topo = n.Topo
 	if lc.reference {
 		n.Engine.SetKernel(netsim.NewReference(n))
 	}
@@ -326,6 +336,10 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	}
 	lastEvent := uint64(0)
 	lastCount := 0
+	var audited []auditedLane
+	if lc.checkInv {
+		audited = auditedLanes(n)
+	}
 	for {
 		cycle := n.Engine.Cycle()
 		if cycle%period == 0 && !observe(cycle) {
@@ -351,7 +365,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 			lastEvent = n.Engine.Cycle()
 		}
 		if lc.checkInv {
-			if msg := checkAllInvariants(n); msg != "" && leg.invariantErr == "" {
+			if msg := checkAllInvariants(audited); msg != "" && leg.invariantErr == "" {
 				leg.invariantErr = fmt.Sprintf("cycle %d: %s", n.Engine.Cycle(), msg)
 				break
 			}
@@ -363,20 +377,40 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	return leg, nil
 }
 
-// checkAllInvariants audits every router lane, returning the first
-// violation.
-func checkAllInvariants(n *netsim.Network) string {
+// auditedLane is one router lane the invariants oracle audits, with its
+// index in its cascade group (-1 outside one) for the failure text.
+type auditedLane struct {
+	r    *core.Router
+	lane int
+}
+
+// auditedLanes lists every router lane of n once, so the per-cycle audit
+// walks one flat slice.
+func auditedLanes(n *netsim.Network) []auditedLane {
+	var out []auditedLane
 	for s := range n.Routers {
-		for j := range n.Routers[s] {
+		for j, r := range n.Routers[s] {
 			if g := n.Cascades[s][j]; g != nil {
 				for k := 0; k < g.Width(); k++ {
-					if err := g.Member(k).CheckInvariants(); err != nil {
-						return fmt.Sprintf("lane %d: %v", k, err)
-					}
+					out = append(out, auditedLane{g.Member(k), k})
 				}
-			} else if err := n.Routers[s][j].CheckInvariants(); err != nil {
+			} else {
+				out = append(out, auditedLane{r, -1})
+			}
+		}
+	}
+	return out
+}
+
+// checkAllInvariants audits every router lane, returning the first
+// violation.
+func checkAllInvariants(lanes []auditedLane) string {
+	for _, l := range lanes {
+		if err := l.r.CheckInvariants(); err != nil {
+			if l.lane < 0 {
 				return err.Error()
 			}
+			return fmt.Sprintf("lane %d: %v", l.lane, err)
 		}
 	}
 	return ""
@@ -556,7 +590,7 @@ func (r *Report) checkDelivery(s Scenario, leg *legOut) {
 			intact[id]++
 		}
 	}
-	view := newFaultView(leg, s)
+	view := newFaultView(leg)
 	faulty := len(s.Faults) > 0
 	// Structural reachability promises delivery only under stochastic
 	// path selection: the paper's fault-avoidance argument (Section 4)
@@ -690,14 +724,9 @@ type faultView struct {
 	deadInject map[[2]int]bool
 }
 
-func newFaultView(leg *legOut, s Scenario) *faultView {
-	spec, _ := s.Spec()
-	t, err := topo.Build(spec)
-	if err != nil {
-		panic(err) // the scenario validated before the run
-	}
+func newFaultView(leg *legOut) *faultView {
 	v := &faultView{
-		t:          t,
+		t:          leg.topo,
 		deadRouter: map[[2]int]bool{},
 		deadOut:    map[[3]int]bool{},
 		deadInject: map[[2]int]bool{},

@@ -8,6 +8,7 @@ import (
 	"metro/internal/netsim"
 	"metro/internal/nic"
 	"metro/internal/telemetry"
+	"metro/internal/topo"
 	"metro/internal/word"
 )
 
@@ -199,9 +200,16 @@ func TestDroppedResultCaught(t *testing.T) {
 // delivery oracle leans on: dead injection links, dead routers and
 // disabled final-stage ports must excuse exactly the pairs they cut off.
 func TestFaultViewReachability(t *testing.T) {
-	s := Scenario{Preset: "fig1"} // 16 endpoints, 2 links each, dilated stages
+	spec, err := Scenario{Preset: "fig1"}.Spec() // 16 endpoints, 2 links each, dilated stages
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := topo.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	view := func(plan fault.Plan) *faultView {
-		return newFaultView(&legOut{fired: plan}, s)
+		return newFaultView(&legOut{topo: top, fired: plan})
 	}
 
 	if v := view(nil); !v.reachable(0, 5) || !v.reachable(7, 0) {

@@ -10,7 +10,8 @@
 package netsim
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"metro/internal/cascade"
 	"metro/internal/clock"
@@ -115,10 +116,14 @@ type Params struct {
 	// OnDeliver are unaffected (they are replayed in deterministic
 	// order on the stepping goroutine at every worker count).
 	Workers int
-	// OnResult, when set, observes every completed message in addition to
-	// the Results accumulator.
+	// OnResult, when set, receives every completed message, and is then the
+	// only place completions go: a network built with OnResult keeps no
+	// Results accumulator (Results, TakeResults and ResetResults see
+	// nothing), so a completion is stored once, by whoever wants it.
 	OnResult func(nic.Result)
-	// OnDeliver, when set, observes every destination-side delivery.
+	// OnDeliver, when set, observes every destination-side delivery. The
+	// payload slice is freshly unpacked for each delivery and belongs to
+	// the callee, which may keep or modify it.
 	OnDeliver func(dest int, payload []byte, intact bool)
 }
 
@@ -191,10 +196,11 @@ func (col *collector) Eval(cycle uint64) {
 		for i := range buf {
 			ev := buf[i]
 			if ev.isResult {
-				//metrovet:alloc per-completed-message accounting, amortized by slice growth
-				n.results = append(n.results, ev.result)
-				if n.Params.OnResult != nil {
-					n.Params.OnResult(ev.result)
+				if hook := n.Params.OnResult; hook != nil {
+					hook(ev.result)
+				} else {
+					//metrovet:alloc per-completed-message accounting, amortized by slice growth
+					n.results = append(n.results, ev.result)
 				}
 			} else {
 				n.Params.OnDeliver(e, ev.payload, ev.intact)
@@ -259,7 +265,22 @@ func Build(p Params) (*Network, error) {
 	colUnit := func(s, j int) int { return colBase[s] + j }
 	epUnit := func(e int) int { return nCols + e }
 	kb := kernel.NewBuilder()
+	// Every link has one end at each of two units, and the topology wires
+	// every port exactly once: a column unit's c lanes have Inputs+Outputs
+	// ends each, an endpoint unit has ne*c injection and ne*c delivery
+	// ends. The adjacency tables are carved to those counts from one array
+	// (kernel.Compile audits the wiring, and an append past a carve would
+	// only reallocate).
 	unitRefs := make([][]kernel.LinkRef, nCols+p.Spec.Endpoints)
+	refs := make([]kernel.LinkRef, 2*top.LinkCount()*c)
+	for s, st := range p.Spec.Stages {
+		for j := 0; j < top.RoutersPerStage[s]; j++ {
+			unitRefs[colUnit(s, j)] = take(&refs, c*(st.Inputs+st.Outputs()))[:0]
+		}
+	}
+	for e := 0; e < p.Spec.Endpoints; e++ {
+		unitRefs[epUnit(e)] = take(&refs, 2*ne*c)[:0]
+	}
 	type delayClass struct {
 		links int         // exact population, tallied before placing
 		regs  int         // registers handed out so far (the placement prefix sum)
@@ -333,45 +354,43 @@ func Build(p Params) (*Network, error) {
 	}
 
 	// Routers: one per lane; with cascading the lanes form a consistency
-	// group sharing a random stream.
+	// group sharing a random stream. Every router of a stage has the same
+	// configuration and settings, which NewRouter copies.
 	lanes := make([][][]*core.Router, len(p.Spec.Stages)) // [stage][router][lane]
+	laneBuf := make([]*core.Router, top.RouterCount()*c)
 	n.Routers = make([][]*core.Router, len(p.Spec.Stages))
 	n.Cascades = make([][]*cascade.Group, len(p.Spec.Stages))
+	var name []byte // scratch for router and link names
 	for s, st := range p.Spec.Stages {
 		lanes[s] = make([][]*core.Router, top.RoutersPerStage[s])
 		n.Routers[s] = make([]*core.Router, top.RoutersPerStage[s])
 		n.Cascades[s] = make([]*cascade.Group, top.RoutersPerStage[s])
+		cfg := core.Config{
+			Inputs:       st.Inputs,
+			Outputs:      st.Outputs(),
+			Width:        p.Width,
+			MaxDilation:  st.Dilation,
+			HeaderWords:  hwOf(s),
+			DataPipe:     p.DataPipe,
+			MaxVTD:       max(maxDelay, 1),
+			RandomInputs: 2,
+			ScanPaths:    2,
+		}
+		set := core.DefaultSettings(cfg)
+		set.Dilation = st.Dilation
+		fast := p.FastReclaim && !slices.Contains(p.DetailedStages, s)
+		for fp := range set.FastReclaim {
+			set.FastReclaim[fp] = fast
+		}
 		for j := range n.Routers[s] {
-			cfg := core.Config{
-				Inputs:       st.Inputs,
-				Outputs:      st.Outputs(),
-				Width:        p.Width,
-				MaxDilation:  st.Dilation,
-				HeaderWords:  hwOf(s),
-				DataPipe:     p.DataPipe,
-				MaxVTD:       max(maxDelay, 1),
-				RandomInputs: 2,
-				ScanPaths:    2,
-			}
-			set := core.DefaultSettings(cfg)
-			set.Dilation = st.Dilation
-			fast := p.FastReclaim
-			for _, ds := range p.DetailedStages {
-				if ds == s {
-					fast = false
-				}
-			}
-			for fp := range set.FastReclaim {
-				set.FastReclaim[fp] = fast
-			}
+			lanes[s][j] = take(&laneBuf, c)
+			name = topo.AppendRouterName(name[:0], s, j)
 			seed := uint32(p.Seed)*2654435761 + uint32(s)*40503 + uint32(j)*9973 + 1
 			if c == 1 {
-				r := core.NewRouter(fmt.Sprintf("s%dr%d", s, j), cfg, set, prng.NewLFSR(seed))
-				lanes[s][j] = []*core.Router{r}
+				lanes[s][j][0] = core.NewRouter(string(name), cfg, set, prng.NewLFSR(seed))
 			} else {
-				g := cascade.NewGroup(fmt.Sprintf("s%dr%d", s, j), cfg, set, c, prng.NewShared(seed))
+				g := cascade.NewGroup(string(name), cfg, set, c, prng.NewShared(seed))
 				n.Cascades[s][j] = g
-				lanes[s][j] = make([]*core.Router, c)
 				for k := 0; k < c; k++ {
 					lanes[s][j][k] = g.Member(k)
 				}
@@ -439,21 +458,28 @@ func Build(p Params) (*Network, error) {
 
 	// Links: injection, inter-stage, delivery — one physical link per
 	// cascade lane.
-	channel := func(ends []*link.End) nic.Channel {
+	// ends is scratch: a single lane's channel is its end, and
+	// NewWideChannel copies the lanes' ends.
+	ends := make([]*link.End, c)
+	channel := func() nic.Channel {
 		if c == 1 {
 			return ends[0]
 		}
 		return cascade.NewWideChannel(ends, p.Width)
 	}
+	wireBuf := make([]*link.Link, top.LinkCount()*c) // every wire's lanes
 	n.injLanes = make([][][]*link.Link, p.Spec.Endpoints)
 	for e, refs := range top.Inject {
 		n.injLanes[e] = make([][]*link.Link, len(refs))
 		for k, ref := range refs {
-			ends := make([]*link.End, c)
-			n.injLanes[e][k] = make([]*link.Link, c)
+			n.injLanes[e][k] = take(&wireBuf, c)
 			for lane := 0; lane < c; lane++ {
 				down := colUnit(ref.Stage, ref.Index)
-				l := makeLink(0, fmt.Sprintf("ep%d.%d.l%d->%s", e, k, lane, ref),
+				name = strconv.AppendInt(append(name[:0], "ep"...), int64(e), 10)
+				name = strconv.AppendInt(append(name, '.'), int64(k), 10)
+				name = strconv.AppendInt(append(name, ".l"...), int64(lane), 10)
+				name = ref.AppendTo(append(name, "->"...))
+				l := makeLink(0, string(name),
 					epUnit(e), down, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
 				n.injLanes[e][k][lane] = l
 				ends[lane] = l.A()
@@ -463,7 +489,7 @@ func Build(p Params) (*Network, error) {
 					return nil, err
 				}
 			}
-			n.Endpoints[e].AttachInject(channel(ends))
+			n.Endpoints[e].AttachInject(channel())
 		}
 	}
 	n.outLanes = make([][][][]*link.Link, len(p.Spec.Stages))
@@ -472,8 +498,7 @@ func Build(p Params) (*Network, error) {
 		for j := range top.Out[s] {
 			n.outLanes[s][j] = make([][]*link.Link, len(top.Out[s][j]))
 			for bp, ref := range top.Out[s][j] {
-				ends := make([]*link.End, c)
-				n.outLanes[s][j][bp] = make([]*link.Link, c)
+				n.outLanes[s][j][bp] = take(&wireBuf, c)
 				downUnit := epUnit(ref.Index)
 				if ref.Kind != topo.KindEndpoint {
 					downUnit = colUnit(ref.Stage, ref.Index)
@@ -485,7 +510,10 @@ func Build(p Params) (*Network, error) {
 					} else {
 						ab = fwdBase[downUnit*c+lane] + ref.Port
 					}
-					l := makeLink(s+1, fmt.Sprintf("s%dr%d.b%d.l%d->%s", s, j, bp, lane, ref),
+					name = strconv.AppendInt(append(topo.AppendRouterName(name[:0], s, j), ".b"...), int64(bp), 10)
+					name = strconv.AppendInt(append(name, ".l"...), int64(lane), 10)
+					name = ref.AppendTo(append(name, "->"...))
+					l := makeLink(s+1, string(name),
 						colUnit(s, j), downUnit, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
 					n.outLanes[s][j][bp][lane] = l
 					up := lanes[s][j][lane]
@@ -503,7 +531,7 @@ func Build(p Params) (*Network, error) {
 					}
 				}
 				if ref.Kind == topo.KindEndpoint {
-					n.Endpoints[ref.Index].AttachDeliver(channel(ends))
+					n.Endpoints[ref.Index].AttachDeliver(channel())
 				}
 			}
 		}
@@ -592,10 +620,13 @@ func (n *Network) Quiet() bool {
 	return true
 }
 
-// Results returns the completed-message reports accumulated so far.
+// Results returns the completed-message reports accumulated so far. Only a
+// network built without Params.OnResult accumulates them; with one, every
+// report went to the hook and Results is empty.
 func (n *Network) Results() []nic.Result { return n.results }
 
-// TakeResults returns and clears the accumulated reports.
+// TakeResults returns and clears the accumulated reports (empty for a
+// network built with Params.OnResult, like Results).
 //
 //metrovet:mutator measurement harvesting between runs; does not touch model state
 func (n *Network) TakeResults() []nic.Result {
@@ -608,6 +639,7 @@ func (n *Network) TakeResults() []nic.Result {
 // array, so long-running drivers that harvest via Results can hold the
 // steady-state cycle at zero allocations. It invalidates slices previously
 // returned by Results (TakeResults is the transfer-of-ownership variant).
+// A network built with Params.OnResult accumulates nothing to clear.
 //
 //metrovet:mutator measurement harvesting between runs; does not touch model state
 func (n *Network) ResetResults() { n.results = n.results[:0] }
@@ -665,10 +697,16 @@ func (n *Network) KillRouter(stage, index int) {
 // byte length occupies, including header, end-to-end checksum and TURN —
 // useful for sizing workloads against channel bandwidth.
 func (n *Network) MessageWords(payloadBytes int) int {
-	h := n.header.Build(n.Topo.RouteDigits(0))
 	logical := n.Params.Width * n.Params.CascadeWidth
-	payloadWords := len(nic.PackBytes(make([]byte, payloadBytes), logical))
-	return len(h) + payloadWords + word.ChecksumWords(logical) + 1
+	return n.header.Words() + nic.PackedWords(payloadBytes, logical) + word.ChecksumWords(logical) + 1
+}
+
+// take returns the next n elements of *buf, capped at n, and advances
+// *buf past them: Build carves many small slices from one allocation.
+func take[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
 func log2(v int) int {

@@ -422,6 +422,11 @@ func (s *sender) build(p *pending) {
 	lw := cfg.logicalWidth()
 	s.digits = cfg.AppendRouteDigits(s.digits[:0], p.msg.Dest)
 	p.stages = len(s.digits)
+	// The stream is header, packed payload, checksum and TURN: sized once
+	// when the record's buffer is short, never grown word by word.
+	if n := cfg.Header.Words() + PackedWords(len(p.msg.Payload), lw) + word.ChecksumWords(lw) + 1; cap(p.words) < n {
+		p.words = make([]word.Word, 0, n)
+	}
 	words := cfg.Header.AppendBuild(p.words[:0], s.digits)
 	headerLen := len(words)
 	words = AppendPackBytes(words, p.msg.Payload, lw)

@@ -268,6 +268,40 @@ func TestLargeMessage(t *testing.T) {
 	}
 }
 
+// TestAttemptStreamSizedOnce: a record's attempt stream (header, packed
+// payload, checksum, TURN) is allocated at exactly its length the first
+// time, reused by a message that fits, and re-sized exactly, once, for one
+// that does not.
+func TestAttemptStreamSizedOnce(t *testing.T) {
+	header := HeaderSpec{Width: 8, Stages: []StageHeader{
+		{DirBits: 2, HeaderWords: 0}, {DirBits: 3, HeaderWords: 0}, {DirBits: 2, HeaderWords: 2},
+		{DirBits: 4, HeaderWords: 0}, {DirBits: 4, HeaderWords: 0},
+	}}
+	for _, lanes := range []int{1, 3} {
+		e, err := New(Config{Width: 8, Lanes: lanes, Header: header,
+			AppendRouteDigits: func(dst []int, dest int) []int { return append(dst, 1, 5, 2, 9, 3) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, p := &sender{e: e}, &pending{}
+		build := func(size int) (length, capacity int) {
+			p.msg = Message{Dest: 1, Payload: make([]byte, size)}
+			s.build(p)
+			return len(p.words), cap(p.words)
+		}
+		if n, c := build(37); n != c {
+			t.Errorf("lanes %d: first stream of %d words allocated with capacity %d", lanes, n, c)
+		}
+		first := cap(p.words)
+		if _, c := build(12); c != first {
+			t.Errorf("lanes %d: a shorter stream re-sized the buffer from %d to %d", lanes, first, c)
+		}
+		if n, c := build(90); n != c || c <= first {
+			t.Errorf("lanes %d: a longer stream of %d words got capacity %d (was %d)", lanes, n, c, first)
+		}
+	}
+}
+
 func TestEndpointID(t *testing.T) {
 	lb := newLoopback(t, nil, nil)
 	if lb.src.ID() != 0 || lb.dst.ID() != 1 {

@@ -100,6 +100,9 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 
 		data := PackBytes(payload, w)
 		stream := append(h.Build(digits), data...)
+		if got, want := h.Words(), len(stream)-len(data); got != want {
+			t.Fatalf("Words() = %d, Build made %d", got, want)
+		}
 		if sums, _ := h.AppendExpectedStageChecksums(nil, stream, nil); len(sums) != len(stages) {
 			t.Fatalf("%d stage checksums for %d stages", len(sums), len(stages))
 		}

@@ -112,6 +112,29 @@ func (h HeaderSpec) AppendBuild(dst []word.Word, digits []int) []word.Word {
 	return dst
 }
 
+// Words returns the number of words Build produces. It depends on the
+// stages' consumption and the width only, never on the digits.
+func (h HeaderSpec) Words() int {
+	n, bits := 0, 0
+	for _, st := range h.Stages {
+		if st.HeaderWords >= 1 {
+			if bits > 0 {
+				n, bits = n+1, 0
+			}
+			n += st.HeaderWords
+			continue
+		}
+		if bits+st.DirBits > h.Width && bits > 0 {
+			n, bits = n+1, 0
+		}
+		bits += st.DirBits
+	}
+	if bits > 0 {
+		n++
+	}
+	return n
+}
+
 // StripStage transforms a word stream the way stage s consumes it: the
 // words a stage-(s+1) router would receive. Used to compute the expected
 // per-stage checksums for fault localization.
@@ -220,8 +243,12 @@ func PackBytes(payload []byte, width int) []word.Word {
 	if width < 1 || width > 32 {
 		panic(fmt.Sprintf("nic: width %d outside [1,32]", width))
 	}
-	return AppendPackBytes(make([]word.Word, 0, (len(payload)*8+width-1)/width), payload, width)
+	return AppendPackBytes(make([]word.Word, 0, PackedWords(len(payload), width)), payload, width)
 }
+
+// PackedWords returns the number of width-bit data words PackBytes packs
+// n bytes into.
+func PackedWords(n, width int) int { return (n*8 + width - 1) / width }
 
 // AppendPackBytes is the allocation-free variant of PackBytes: packed data
 // words append to dst, which is returned.

@@ -54,6 +54,7 @@ type serveMetrics struct {
 	durPassed   *metrics.Histogram
 	durFailed   *metrics.Histogram
 	durDeadline *metrics.Histogram
+	jobPanics   *metrics.Counter
 
 	// SSE plane.
 	sseSubscribers *metrics.Gauge
@@ -116,6 +117,8 @@ func newServeMetrics(s *Server) *serveMetrics {
 	m.durPassed = dur.With(StatusPassed)
 	m.durFailed = dur.With(StatusFailed)
 	m.durDeadline = dur.With(StatusDeadline)
+	m.jobPanics = r.Counter("serve_job_panics_total",
+		"Jobs whose simulation panicked; each completes as an uncached failed result.")
 
 	r.CounterFunc("serve_cache_hits_total", "Result-cache hits.", func() float64 {
 		return float64(s.cache.Stats().Hits)

@@ -81,6 +81,9 @@ serve_job_duration_seconds_bucket{outcome="passed",le="120"} 0
 serve_job_duration_seconds_bucket{outcome="passed",le="+Inf"} 0
 serve_job_duration_seconds_sum{outcome="passed"} 0
 serve_job_duration_seconds_count{outcome="passed"} 0
+# HELP serve_job_panics_total Jobs whose simulation panicked; each completes as an uncached failed result.
+# TYPE serve_job_panics_total counter
+serve_job_panics_total 0
 # HELP serve_jobs_executed_total Jobs a worker actually simulated (cache hits and coalesced submissions excluded).
 # TYPE serve_jobs_executed_total counter
 serve_jobs_executed_total 0

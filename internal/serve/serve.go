@@ -260,14 +260,18 @@ func (s *Server) runJob(j *job) {
 			return ctx.Err() == nil
 		},
 	}
-	rep := metrofuzz.Run(j.scn, hooks)
+	rep, panicked := s.simulate(j, hooks)
+	if panicked {
+		rec = nil // whatever the recorder holds stops mid-cycle
+	}
 
 	res := buildResult(j, rep, rec)
 	body := marshalResult(res)
-	if res.Status != StatusDeadline {
+	if res.Status != StatusDeadline && !panicked {
 		// Deadline outcomes are a property of this server's load, not
 		// of the spec — caching one would serve a timing accident as if
-		// it were the deterministic result.
+		// it were the deterministic result. A panic is a simulator bug,
+		// which a fixed engine must be free to run again.
 		s.cache.Put(j.id, body)
 	}
 	// The ledger comes before completion: complete wakes the wait=1
@@ -294,6 +298,30 @@ func (s *Server) runJob(j *job) {
 		slog.Uint64("cycles", res.Cycles),
 		slog.Int("offered", res.Offered), slog.Int("delivered", res.Delivered),
 		slog.Int64("dur_us", elapsed.Microseconds()))
+}
+
+// runScenario executes a job's scenario under the oracle battery; tests
+// replace it to make a run panic.
+var runScenario = metrofuzz.Run
+
+// simulate runs j's scenario. A panic on the job's goroutine (Build, the
+// cycle loop, the oracles) is recovered into a report whose one "panic"
+// failure carries the panic text, counted and logged, so the job
+// completes as failed and the worker goes on serving. A panic on an
+// engine worker goroutine (a Workers > 0 differential leg) still ends the
+// process: it cannot be recovered here.
+func (s *Server) simulate(j *job, hooks metrofuzz.Hooks) (rep *metrofuzz.Report, panicked bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.met.jobPanics.Inc()
+			s.log.LogAttrs(s.runCtx, slog.LevelError, "job panicked",
+				slog.String("job", j.id), slog.String("panic", fmt.Sprint(v)))
+			rep = &metrofuzz.Report{Scenario: j.scn, Spec: j.spec,
+				Failures: []metrofuzz.Failure{{Oracle: "panic", Detail: fmt.Sprint(v)}}}
+			panicked = true
+		}
+	}()
+	return runScenario(j.scn, hooks), false
 }
 
 // jobRecorder returns the flight recorder for one job. Only a trace=1

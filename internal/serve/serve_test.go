@@ -232,6 +232,48 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
+// TestJobPanicIsolated: a scenario whose run panics completes as a failed
+// result carrying the panic text, is counted in serve_job_panics_total and
+// kept out of the result cache, and the worker that ran it goes on to
+// serve the next job.
+func TestJobPanicIsolated(t *testing.T) {
+	bad := quickSpec(t, 3)
+	orig := runScenario
+	runScenario = func(scn metrofuzz.Scenario, h metrofuzz.Hooks) *metrofuzz.Report {
+		if metrofuzz.EncodeSpec(scn) == bad {
+			panic("injected: router state torn")
+		}
+		return orig(scn, h)
+	}
+	t.Cleanup(func() { runScenario = orig })
+	s, hs := newTestServer(t, Config{Workers: 1})
+
+	resp := submit(t, hs.URL, bad, "?wait=1")
+	body := readBody(t, resp)
+	var res Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatalf("status %d, body %s: %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusOK || res.Status != StatusFailed ||
+		len(res.Failures) != 1 || res.Failures[0] != "panic: injected: router state torn" {
+		t.Fatalf("panicking job: status %d, result %+v", resp.StatusCode, res)
+	}
+	if _, ok := s.cache.Get(res.ID); ok {
+		t.Fatal("a panicked job's result was cached")
+	}
+
+	good := submit(t, hs.URL, quickSpec(t, 2), "?wait=1")
+	if body := readBody(t, good); good.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"status":"passed"`)) {
+		t.Fatalf("the job after the panic: status %d, body %s", good.StatusCode, body)
+	}
+	if n := s.met.jobPanics.Value(); n != 1 {
+		t.Fatalf("serve_job_panics_total = %d, want 1", n)
+	}
+	if c := s.counters(); c.Executed != 2 {
+		t.Fatalf("executed %d jobs, want 2", c.Executed)
+	}
+}
+
 // TestCacheHitByteIdentity is the core tentpole assertion, in-process:
 // a repeat submission is served from the cache, byte-identical to the
 // first response, without executing again. The witness is the executed

@@ -19,6 +19,7 @@ package topo
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Wiring selects how the logically equivalent wires between consecutive
@@ -97,11 +98,25 @@ type PortRef struct {
 }
 
 // String formats the reference for traces.
-func (p PortRef) String() string {
+func (p PortRef) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the String form of the reference to dst and returns
+// it: "ep<index>.<port>" for an endpoint link, "s<stage>r<index>.f<port>"
+// for a router forward port.
+func (p PortRef) AppendTo(dst []byte) []byte {
 	if p.Kind == KindEndpoint {
-		return fmt.Sprintf("ep%d.%d", p.Index, p.Port)
+		dst = append(strconv.AppendInt(append(dst, "ep"...), int64(p.Index), 10), '.')
+	} else {
+		dst = append(AppendRouterName(dst, p.Stage, p.Index), ".f"...)
 	}
-	return fmt.Sprintf("s%dr%d.f%d", p.Stage, p.Index, p.Port)
+	return strconv.AppendInt(dst, int64(p.Port), 10)
+}
+
+// AppendRouterName appends the name of the router at (stage, index),
+// "s<stage>r<index>", to dst and returns it.
+func AppendRouterName(dst []byte, stage, index int) []byte {
+	dst = strconv.AppendInt(append(dst, 's'), int64(stage), 10)
+	return strconv.AppendInt(append(dst, 'r'), int64(index), 10)
 }
 
 // Topology is a fully elaborated network: router counts per stage plus the
@@ -145,7 +160,12 @@ func Build(spec Spec) (*Topology, error) {
 		wires = t.RoutersPerStage[s] * st.Outputs()
 	}
 
-	rng := rand.New(rand.NewSource(spec.Seed))
+	// Only random wiring draws from the seed; its source is 5 KB, so the
+	// interleaved networks go without.
+	var rng *rand.Rand
+	if spec.Wiring == WiringRandom {
+		rng = rand.New(rand.NewSource(spec.Seed))
+	}
 
 	// Injection wiring: wire w = e*ne + k attaches to router (w mod R0),
 	// input (w div R0), spreading each endpoint's links over distinct
@@ -175,7 +195,7 @@ func Build(spec Spec) (*Topology, error) {
 			for q := 0; q < st.Radix; q++ {
 				// Wires leaving block b in direction q, router-major.
 				type wireSrc struct{ j, bp int }
-				var srcs []wireSrc
+				srcs := make([]wireSrc, 0, perBlock*st.Dilation)
 				for p := 0; p < perBlock; p++ {
 					j := b*perBlock + p
 					for dd := 0; dd < st.Dilation; dd++ {

@@ -145,9 +145,26 @@ func BuildNetwork(p NetworkParams) (*Network, error) { return netsim.Build(p) }
 
 // SendOne builds no workload machinery: it offers a single message and
 // runs the network until it completes (or maxCycles elapse), returning the
-// message's Result. Useful for request-reply examples and smoke tests.
+// message's Result. Useful for request-reply examples and smoke tests. It
+// works whichever way the network was built: a network with
+// NetworkParams.OnResult reports completions only to that hook, so SendOne
+// watches the hook for its message while it runs, passing every
+// completion on.
 func SendOne(n *Network, src, dest int, payload []byte, maxCycles uint64) (Result, bool) {
-	n.Send(src, dest, payload)
+	id := n.Send(src, dest, payload)
+	if hook := n.Params.OnResult; hook != nil {
+		var res Result
+		found := false
+		n.Params.OnResult = func(r Result) {
+			if r.Msg.ID == id {
+				res, found = r, true
+			}
+			hook(r)
+		}
+		defer func() { n.Params.OnResult = hook }()
+		n.RunUntilQuiet(maxCycles)
+		return res, found
+	}
 	n.RunUntilQuiet(maxCycles)
 	rs := n.TakeResults()
 	if len(rs) == 0 {

@@ -45,6 +45,47 @@ func TestPublicSendOne(t *testing.T) {
 	}
 }
 
+// TestSendOneEitherResultsMode: a network built with OnResult delivers
+// completions only to the hook and accumulates none, and SendOne still
+// returns its own message's Result there, while the hook sees every
+// completion exactly once.
+func TestSendOneEitherResultsMode(t *testing.T) {
+	build := func(onResult func(metro.Result)) *metro.Network {
+		n, err := metro.BuildNetwork(metro.NetworkParams{
+			Spec: metro.Figure1Topology(), Width: 8, FastReclaim: true, Seed: 1, OnResult: onResult,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	plain := build(nil)
+	want, ok := metro.SendOne(plain, 1, 9, []byte("api"), 5000)
+	if !ok || !want.Delivered {
+		t.Fatalf("hookless SendOne failed: %+v", want)
+	}
+
+	var seen []metro.Result
+	hooked := build(func(r metro.Result) { seen = append(seen, r) })
+	hooked.Send(2, 5, []byte("other")) // a completion that is not SendOne's
+	got, ok := metro.SendOne(hooked, 1, 9, []byte("api"), 5000)
+	if !ok || got.Msg.ID != 2 || !got.Delivered || string(got.Msg.Payload) != "api" {
+		t.Fatalf("SendOne on a hooked network: ok=%v %+v", ok, got)
+	}
+	if len(seen) != 2 || seen[0].Msg.ID+seen[1].Msg.ID != 3 {
+		t.Fatalf("the hook saw %d completions, want messages 1 and 2 once each: %+v", len(seen), seen)
+	}
+	if n := len(hooked.Results()); n != 0 {
+		t.Fatalf("a network built with OnResult accumulated %d results, want none", n)
+	}
+	// The hook is the network's own again once SendOne returns.
+	hooked.Send(3, 7, []byte("after"))
+	hooked.RunUntilQuiet(5000)
+	if len(seen) != 3 {
+		t.Fatalf("after SendOne the hook saw %d completions, want 3", len(seen))
+	}
+}
+
 func TestPublicClosedLoop(t *testing.T) {
 	p, err := metro.RunClosedLoop(metro.RunSpec{
 		Net: metro.NetworkParams{
