@@ -435,6 +435,81 @@ func TestMetroserveIdleConnectionClosed(t *testing.T) {
 		closed.Round(time.Millisecond), streamDone.Sub(idleSince).Round(time.Millisecond), waitDone.Sub(idleSince).Round(time.Millisecond))
 }
 
+// TestMetroserveStalledBodyCutOff: a submission whose headers arrive but
+// whose body stalls is answered 400 and disconnected once the body-read
+// deadline passes, while a wait=1 job and an SSE stream on other
+// connections, held behind a queue of long jobs past that deadline,
+// complete: the deadline covers the body and nothing after it.
+func TestMetroserveStalledBodyCutOff(t *testing.T) {
+	srv := clitest.StartServer(t, "-workers", "1", "-progress", "64")
+	for i := 0; i < 10; i++ {
+		spec := fmt.Sprintf("mf1;topo=fig3;w=8;hw=0;dp=4;vtd=4;cas=2;fast=1;ff=0;wk=8;ns=%d;mas=0;retry=1000;lt=2000;tr=stall;ts=63205845;msgs=2000;rate=0;out=1;think=1000;pb=64;ic=20000", 2000+i)
+		if resp, body := postSpec(t, srv.URL, spec, ""); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("queueing a long job: status %d; body: %s", resp.StatusCode, body)
+		}
+	}
+	stalled, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "POST /v1/jobs HTTP/1.1\r\nHost: stalled\r\nContent-Type: text/plain\r\nContent-Length: 200\r\n\r\nmf1;topo="); err != nil {
+		t.Fatal(err)
+	}
+	stalledSince := time.Now()
+
+	resp, body := postSpec(t, srv.URL, metrofuzz.EncodeSpec(metrofuzz.Generate(1)), "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queueing the streamed job: status %d; body: %s", resp.StatusCode, body)
+	}
+	streamed := resp.Header.Get("X-Job")
+	var wg sync.WaitGroup
+	var streamErr, waitErr error
+	var waitDone time.Time
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		events, err := http.Get(srv.URL + "/v1/jobs/" + streamed + "/events")
+		if err == nil {
+			var stream []byte
+			stream, err = io.ReadAll(events.Body)
+			events.Body.Close()
+			if err == nil && !bytes.Contains(stream, []byte("event: done\n")) {
+				err = fmt.Errorf("stream ended without a done frame: %q", stream)
+			}
+		}
+		streamErr = err
+	}()
+	go func() {
+		defer wg.Done()
+		resp, err := http.Post(srv.URL+"/v1/jobs?wait=1", "text/plain", strings.NewReader(metrofuzz.EncodeSpec(metrofuzz.Generate(7))))
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d; body: %s", resp.StatusCode, body)
+			}
+		}
+		waitErr, waitDone = err, time.Now()
+	}()
+
+	stalled.SetReadDeadline(stalledSince.Add(15 * time.Second))
+	reply, err := io.ReadAll(stalled)
+	cut := time.Since(stalledSince)
+	if err != nil {
+		t.Fatalf("stalled body: %v after %v (read %q); want the server to answer and close", err, cut.Round(time.Millisecond), reply)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400 ")) || !bytes.Contains(reply, []byte("reading body")) {
+		t.Fatalf("stalled body answered %q, want a 400 naming the body read", reply)
+	}
+	wg.Wait()
+	if streamErr != nil || waitErr != nil {
+		t.Fatalf("requests beside the stalled body: SSE stream %v, wait=1 job %v", streamErr, waitErr)
+	}
+	t.Logf("stalled body cut off after %v; the wait=1 job completed %v after the stall began",
+		cut.Round(time.Millisecond), waitDone.Sub(stalledSince).Round(time.Millisecond))
+}
+
 // TestMetroserveBadLogFormat pins the flag-validation exit code.
 func TestMetroserveBadLogFormat(t *testing.T) {
 	if testing.Short() {

@@ -40,18 +40,18 @@ type Group struct {
 	victims []bool // per forward port; scratch reused by check each cycle
 }
 
-// NewGroup builds a cascade of c members with identical configuration,
-// each drawing random bits from a fork of the same shared stream.
-func NewGroup(name string, cfg core.Config, set core.Settings, c int, shared *prng.Shared) *Group {
+// NewGroup builds a cascade of c members of shape sh, each drawing random
+// bits from a fork of the same shared stream. The members read the shape
+// in place, as the routers of a stage do (core.Shape).
+func NewGroup(name string, sh *core.Shape, c int, shared *prng.Shared) *Group {
 	if c < 1 {
 		panic("cascade: need at least one member")
 	}
-	g := &Group{name: name, victims: make([]bool, cfg.Inputs)}
-	for k := 0; k < c; k++ {
-		r := core.NewRouter(name+".m"+strconv.Itoa(k), cfg, set, shared.Fork())
-		g.members = append(g.members, r)
+	members := make([]*core.Router, c)
+	for k := range members {
+		members[k] = sh.NewRouter(name+".m"+strconv.Itoa(k), shared.Fork())
 	}
-	return g
+	return &Group{name: name, members: members, victims: make([]bool, members[0].Config().Inputs)}
 }
 
 // Width returns the cascade width c.

@@ -17,7 +17,11 @@ func groupHarness(t *testing.T, c int) (*clock.Engine, *Group, [][]*link.End, []
 		HeaderWords: 0, DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
 	set := core.DefaultSettings(cfg)
 	set.Dilation = 1
-	g := NewGroup("g", cfg, set, c, prng.NewShared(77))
+	sh, err := core.NewShape(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroup("g", sh, c, prng.NewShared(77))
 	eng := clock.New()
 	// src[k][fp], dst[k][bp]: per-member link ends.
 	src := make([][]*link.End, c)

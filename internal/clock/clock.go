@@ -251,10 +251,18 @@ type poolCmd struct {
 // channels provide the happens-before edges: every write a worker makes
 // during a phase is visible to the coordinator after phase() returns,
 // and to every worker on the next phase broadcast.
+//
+// A unit that panics must not take the process down from a goroutine no
+// caller can recover on, nor leave the barrier one Done short. While worker
+// lanes run, every lane (the coordinator's too) recovers a panic into its
+// slot of failed and still reaches the barrier; the coordinator then
+// re-panics on the stepping goroutine with the value of the lowest lane
+// that failed, and the workers stay ready for the next phase or stop.
 type pool struct {
 	k       Kernel
 	bounds  []int          // partition p covers units [bounds[p], bounds[p+1])
 	cmd     []chan poolCmd // lane i+1's command channel: g-1 of them, none when g == 1
+	failed  []any          // per lane, the panic recovered this phase; nil when g == 1
 	barrier sync.WaitGroup
 	done    sync.WaitGroup
 }
@@ -274,6 +282,9 @@ func newPool(workers int, k Kernel) *pool {
 		lanes = max
 	}
 	p.cmd = make([]chan poolCmd, lanes-1)
+	if lanes > 1 {
+		p.failed = make([]any, lanes)
+	}
 	p.done.Add(len(p.cmd))
 	for i := range p.cmd {
 		p.cmd[i] = make(chan poolCmd)
@@ -286,9 +297,20 @@ func newPool(workers int, k Kernel) *pool {
 func (p *pool) worker(lane int) {
 	defer p.done.Done()
 	for cmd := range p.cmd[lane-1] {
-		p.runLane(lane, cmd)
+		p.runLaneRecovering(lane, cmd)
 		p.barrier.Done()
 	}
+}
+
+// runLaneRecovering is runLane with a panic kept in the lane's failed slot
+// for the coordinator to re-raise.
+func (p *pool) runLaneRecovering(lane int, cmd poolCmd) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.failed[lane] = v
+		}
+	}()
+	p.runLane(lane, cmd)
 }
 
 // runLane executes one phase of every partition dealt to a lane.
@@ -313,7 +335,8 @@ func (p *pool) run(part int, cmd poolCmd) {
 
 // phase runs one half-cycle over every partition and waits for all of
 // them to finish it: broadcast to the worker lanes, run lane 0 here, then
-// wait at the barrier; with no worker lanes it is a plain call.
+// wait at the barrier and re-raise the first failed lane's panic, if any;
+// with no worker lanes it is a plain call.
 func (p *pool) phase(kind phaseKind, cycle uint64) {
 	cmd := poolCmd{kind: kind, cycle: cycle}
 	if len(p.cmd) == 0 {
@@ -324,8 +347,14 @@ func (p *pool) phase(kind phaseKind, cycle uint64) {
 	for _, ch := range p.cmd {
 		ch <- cmd
 	}
-	p.runLane(0, cmd)
+	p.runLaneRecovering(0, cmd)
 	p.barrier.Wait()
+	for lane, v := range p.failed {
+		if v != nil {
+			clear(p.failed[lane:])
+			panic(v)
+		}
+	}
 }
 
 // stop shuts the workers down and waits for them to exit.

@@ -386,3 +386,53 @@ func TestWorkersAccessor(t *testing.T) {
 		t.Fatalf("negative worker count should clamp to 0, got %d", e.Workers())
 	}
 }
+
+// panicKernel is a fakeKernel whose eval panics in every partition but the
+// first once armed: the unit work of a worker lane failing.
+type panicKernel struct {
+	*fakeKernel
+	armed atomic.Bool
+}
+
+func (k *panicKernel) EvalUnits(lo, hi int, cycle uint64) {
+	if lo > 0 && k.armed.Load() {
+		panic(fmt.Sprintf("unit %d failed at cycle %d", lo, cycle))
+	}
+	k.fakeKernel.EvalUnits(lo, hi, cycle)
+}
+
+// TestWorkerPanicReachesStep: a panic in partition 1, which a worker
+// goroutine runs at SetWorkers(2) on two processors, surfaces on the
+// goroutine that called Step, with the unit's value, rather than ending
+// the process. The barrier still completes, so the engine keeps stepping
+// afterwards and StopWorkers leaves no goroutine behind.
+func TestWorkerPanicReachesStep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	baseline := runtime.NumGoroutine()
+	k := &panicKernel{fakeKernel: newFakeKernel(&counter{}, &counter{}, &counter{}, &counter{})}
+	e := New()
+	e.SetKernel(k)
+	e.SetWorkers(2)
+	e.Run(3)
+	if got := runtime.NumGoroutine(); got != baseline+1 {
+		t.Fatalf("%d goroutines while stepping, want the baseline %d plus one worker", got, baseline)
+	}
+	k.armed.Store(true)
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.Step()
+		return nil
+	}()
+	if want := "unit 2 failed at cycle 3"; got != want {
+		t.Fatalf("Step panicked with %v, want %q", got, want)
+	}
+	k.armed.Store(false)
+	e.Run(2) // the pool survived the panic
+	e.StopWorkers()
+	for yields := 0; runtime.NumGoroutine() > baseline; yields++ {
+		if yields == 1_000_000 {
+			t.Fatalf("%d goroutines after StopWorkers, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
+	}
+}

@@ -191,9 +191,36 @@ func (s Settings) Validate(c Config) error {
 	return nil
 }
 
+// Shape is what the routers of a network stage have in common: the
+// architectural parameters and the run-time settings the stage is
+// configured with, turn delays included. Every router built from a Shape
+// points at it rather than holding a copy. The configuration register of a
+// METRO component only diverges from its siblings' when a scan UPDATE-DR
+// writes it, so a router takes a private copy the first time one of its
+// scan-style mutators writes its settings (copy-on-write), and a Shape is
+// never written once made.
+type Shape struct {
+	cfg Config
+	set Settings
+}
+
+// NewShape validates cfg and set, once for every router built from the
+// shape, and keeps a deep copy of set.
+func NewShape(cfg Config, set Settings) (*Shape, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := set.Validate(cfg); err != nil {
+		return nil, err
+	}
+	return &Shape{cfg: cfg, set: set.Clone()}, nil
+}
+
 // Clone returns a deep copy of the settings. The five per-port flag slices
 // are copied into one backing array, each capped at its own length, so an
 // append to one reallocates it rather than overwrite the next.
+//
+//metrovet:alloc reached per cycle only through a router's copy-on-write, once per router a scan-style mutator writes
 func (s Settings) Clone() Settings {
 	c := s
 	flags := make([]bool, 0, len(s.ForwardEnabled)+len(s.BackwardEnabled)+
@@ -210,6 +237,8 @@ func (s Settings) Clone() Settings {
 // cloneFlags copies src into the free capacity of buf. It returns the copy,
 // capped at its own length (nil for an empty src, as append([]bool(nil),
 // src...) would give), and the capacity of buf that is left.
+//
+//metrovet:alloc Clone's copy into a buffer it sized; reached per cycle only through copy-on-write, as Clone is
 func cloneFlags(buf, src []bool) (clone, rest []bool) {
 	if len(src) == 0 {
 		return nil, buf

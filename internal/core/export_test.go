@@ -19,7 +19,8 @@ func CloneRouter(r *Router) *Router {
 	c.busyBy = append([]int8(nil), r.busyBy...)
 	c.closers = append(make([]closer, 0, cap(r.closers)), r.closers[:cap(r.closers)]...)[:len(r.closers)]
 	c.fin = append([]link.In(nil), r.fin...)
-	c.set = r.set.Clone()
+	set := r.set.Clone()
+	c.set, c.own = &set, true
 	return &c
 }
 
@@ -88,3 +89,7 @@ var InvariantCorruptions = []InvariantCorruption{
 		r.set.ForwardEnabled[fp] = !r.set.ForwardEnabled[fp]
 	}},
 }
+
+// WatchedPorts returns r's enabled mask: the forward ports inputPass
+// watches.
+func WatchedPorts(r *Router) uint64 { return r.enabled }

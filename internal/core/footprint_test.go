@@ -8,56 +8,78 @@ import (
 	"metro/internal/prng"
 )
 
-// TestRouterFootprint pins what NewRouter puts on the heap: bytes (as the
-// allocator rounds them to its size classes) and allocation count, for
-// the 8x8 routers of `topo.Scale` and the two Figure 3 stages at dp = 1.
-// docs/KERNEL.md has the per-field table the 8x8 figure sums. The
-// ceilings are the measured values: growth of any per-port structure
-// fails here before it shows as megabytes on a 4Ki-endpoint network.
+// TestRouterFootprint pins what a router puts on the heap: bytes (as the
+// allocator rounds them to its size classes) and allocation count, for the
+// 8x8 routers of `topo.Scale` and the two Figure 3 stages at dp = 1. Two
+// forms are measured: a router of a built network, made from its stage's
+// shared Shape (Shape.NewRouter), and a hand-wired one, a stage of one that
+// also makes its Shape and the Settings copy in it (NewRouter). docs/KERNEL.md
+// has the per-field table the 8x8 figures sum. The ceilings are the
+// measured values: growth of any per-port structure fails here before it
+// shows as megabytes on a 4Ki-endpoint network.
 //
-// The 8x8 figure is not the 2,304 B ISSUE 22 named: the buffer backing
-// (1,024), the Router struct (512), the cloned Settings (176), fin (128)
-// and bLinks (64) sum to 1,904 B before the first port is counted.
+// The 8x8 network router is the buffer backing (1,024), the Router struct
+// (320), fin (128), bLinks (64) and the port arrays; NewRouter adds the
+// Shape (224) and its Settings copy (48 + 128).
 func TestRouterFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
+	type ceiling struct{ bytes, allocs uint64 }
 	for _, tc := range []struct {
 		name          string
 		cfg           core.Config
-		bytes, allocs uint64
+		shared, alone ceiling
 	}{
-		{"8x8 width 8 dp 2", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 2, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, 2584, 10},
-		{"Figure 3 stages 0-1: 8x8 dp 1", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, 2456, 10},
-		{"Figure 3 stage 2: 4x4 dp 1", core.Config{Inputs: 4, Outputs: 4, Width: 8, MaxDilation: 1, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, 1484, 10},
+		{"8x8 width 8 dp 2", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 2, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{2056, 7}, ceiling{2456, 10}},
+		{"Figure 3 stages 0-1: 8x8 dp 1", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1928, 7}, ceiling{2328, 10}},
+		{"Figure 3 stage 2: 4x4 dp 1", core.Config{Inputs: 4, Outputs: 4, Width: 8, MaxDilation: 1, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1124, 7}, ceiling{1436, 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set := core.DefaultSettings(tc.cfg)
+			sh, err := core.NewShape(tc.cfg, set)
+			if err != nil {
+				t.Fatal(err)
+			}
 			rng := prng.NewLFSR(1)
-			// The runtime's own stray allocations only ever add to a
-			// trial, so the smallest of a few is NewRouter's.
-			const n = 256
-			keep := make([]*core.Router, 0, n)
-			bytes, allocs := ^uint64(0), ^uint64(0)
-			for trial := 0; trial < 5; trial++ {
-				keep = keep[:0]
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for i := 0; i < n; i++ {
-					keep = append(keep, core.NewRouter("r", tc.cfg, set, rng))
+			for _, form := range []struct {
+				name  string
+				build func() *core.Router
+				max   ceiling
+			}{
+				{"Shape.NewRouter", func() *core.Router { return sh.NewRouter("r", rng) }, tc.shared},
+				{"NewRouter", func() *core.Router { return core.NewRouter("r", tc.cfg, set, rng) }, tc.alone},
+			} {
+				bytes, allocs := footprint(form.build)
+				t.Logf("%s: %d B in %d allocations", form.name, bytes, allocs)
+				if bytes > form.max.bytes {
+					t.Errorf("%s allocates %d B, ceiling %d", form.name, bytes, form.max.bytes)
 				}
-				runtime.ReadMemStats(&after)
-				bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/n)
-				allocs = min(allocs, (after.Mallocs-before.Mallocs)/n)
+				if allocs > form.max.allocs {
+					t.Errorf("%s makes %d allocations, ceiling %d", form.name, allocs, form.max.allocs)
+				}
 			}
-			t.Logf("NewRouter: %d B in %d allocations", bytes, allocs)
-			if bytes > tc.bytes {
-				t.Errorf("NewRouter allocates %d B, ceiling %d", bytes, tc.bytes)
-			}
-			if allocs > tc.allocs {
-				t.Errorf("NewRouter makes %d allocations, ceiling %d", allocs, tc.allocs)
-			}
-			runtime.KeepAlive(keep)
 		})
 	}
+}
+
+// footprint returns the heap bytes and allocations one call of build costs.
+// The runtime's own stray allocations only ever add to a trial, so the
+// smallest of a few is build's.
+func footprint(build func() *core.Router) (bytes, allocs uint64) {
+	const n = 256
+	keep := [n]*core.Router{}
+	bytes, allocs = ^uint64(0), ^uint64(0)
+	for trial := 0; trial < 5; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = build()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/n)
+		allocs = min(allocs, (after.Mallocs-before.Mallocs)/n)
+	}
+	runtime.KeepAlive(keep)
+	return bytes, allocs
 }

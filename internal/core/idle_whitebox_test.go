@@ -25,14 +25,16 @@ func newRig(seed uint32) *rig {
 		HeaderWords: 0, DataPipe: 2, MaxVTD: 4, RandomInputs: 2, ScanPaths: 2,
 	}
 	g := &rig{r: NewRouter("r", cfg, DefaultSettings(cfg), prng.NewLFSR(seed))}
+	// The links are unnamed arenas of one: a namer is a func, which
+	// reflect.DeepEqual never finds equal.
 	for fp := 0; fp < cfg.Inputs; fp++ {
-		l := link.New("f", 1)
+		l := link.NewArena(1, 1).New()
 		g.r.AttachForward(fp, l.B())
 		g.src = append(g.src, l.A())
 		g.links = append(g.links, l)
 	}
 	for bp := 0; bp < cfg.Outputs; bp++ {
-		l := link.New("b", 1)
+		l := link.NewArena(1, 1).New()
 		g.r.AttachBackward(bp, l.A())
 		g.dst = append(g.dst, l.B())
 		g.links = append(g.links, l)

@@ -105,7 +105,7 @@ type flow struct {
 // an int because HeaderWords has no upper bound.
 type fwdPort struct {
 	flow
-	hdrLeft   int // header words still to consume (fpHeader)
+	hdrLeft   int // header words still to consume (fpHeader); a parked request's direction (fpIdle, see parseRoute)
 	state     fpState
 	bp        int8 // allocated backward port, -1 when none
 	ck        word.Checksum
@@ -196,23 +196,24 @@ type Router struct {
 	tel *telemetry.Buf
 	src telemetry.Source
 
-	id RouterID
-	// reqs is the per-cycle request list, preallocated in NewRouter so the
-	// Eval path never allocates. It is empty between Evals: inputPass
-	// appends and allocate drains, so a cycle without requests never
-	// touches it.
-	reqs   []request
+	id     RouterID
 	rng    prng.Source
 	policy SelectionPolicy
+	// cfg and set point into the Shape the router's stage shares. The
+	// Config is never written; the Settings are the stage's until a
+	// scan-style mutator writes them, which first gives the router a
+	// private copy and sets own (see ownSettings). Nothing writes settings
+	// the router does not own.
+	cfg *Config
+	set *Settings
+	own bool
 
 	name string
-	cfg  Config
-	set  Settings
 
 	// Rounds the struct up to a multiple of the 64-byte line, so the size
 	// class it is allocated from keeps the hot header line-aligned
 	// (layout_test.go).
-	_ [8]byte
+	_ [40]byte
 }
 
 // pipe, inject and outQ are the three regions of f's buffer set, in that
@@ -240,16 +241,25 @@ func (r *Router) outQ(f *flow) []word.Word {
 func (r *Router) setBase(f *flow) int { return int(f.set) * (r.dp + 2*r.injCap) }
 
 // NewRouter constructs a router with the given architectural parameters,
-// run-time settings, and random bit source. It panics on invalid
-// parameters: router construction is network construction time, where
-// configuration errors are programming errors.
+// run-time settings, and random bit source: a stage of one router, whose
+// Shape nobody else reads. It panics on invalid parameters: router
+// construction is network construction time, where configuration errors
+// are programming errors.
 func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
-	if err := cfg.Validate(); err != nil {
+	sh, err := NewShape(cfg, set)
+	if err != nil {
 		panic(fmt.Sprintf("core: %s: %v", name, err))
 	}
-	if err := set.Validate(cfg); err != nil {
-		panic(fmt.Sprintf("core: %s: %v", name, err))
-	}
+	r := sh.NewRouter(name, rng)
+	r.own = true
+	return r
+}
+
+// NewRouter constructs a router of the shape's stage with the given random
+// bit source. The router reads the shape's Config and Settings in place
+// until a mutator writes its settings.
+func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
+	cfg := &sh.cfg
 	// inject and outQ hold up to injWords words each: stageInject's worst
 	// case and buffer()'s overflow guard.
 	injCap := injWords(cfg.Width)
@@ -260,7 +270,7 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 		},
 		name:   name,
 		cfg:    cfg,
-		set:    set.Clone(),
+		set:    &sh.set,
 		rng:    rng,
 		bLinks: make([]*link.End, cfg.Outputs),
 		fwd:    make([]fwdPort, cfg.Inputs),
@@ -268,7 +278,6 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 		dp:     cfg.DataPipe,
 		injCap: injCap,
 		bufs:   make([]word.Word, (cfg.Inputs+cfg.Outputs)*(cfg.DataPipe+2*injCap)),
-		reqs:   make([]request, 0, cfg.Inputs),
 	}
 	r.SetID(FreeID())
 	// Forward port i starts on set i; closer slot j parks set Inputs+j.
@@ -304,7 +313,7 @@ func (r *Router) SetID(id RouterID) {
 }
 
 // Config returns the architectural parameters.
-func (r *Router) Config() Config { return r.cfg }
+func (r *Router) Config() Config { return *r.cfg }
 
 // Settings returns a copy of the current run-time settings.
 func (r *Router) Settings() Settings { return r.set.Clone() }
@@ -357,12 +366,25 @@ func (r *Router) BackwardLink(bp int) *link.End { return r.bLinks[bp] }
 //
 //metrovet:mutator models a scan-chain UPDATE-DR, an asynchronous hardware path
 func (r *Router) ApplySettings(set Settings) error {
-	if err := set.Validate(r.cfg); err != nil {
+	if err := set.Validate(*r.cfg); err != nil {
 		return err
 	}
-	r.set = set.Clone()
+	*r.ownSettings() = set.Clone()
 	r.syncEnabled()
 	return nil
+}
+
+// ownSettings returns the router's settings for writing. A router still
+// reading its stage's shared Shape first takes a private copy, so the write
+// reaches no sibling.
+//
+//metrovet:alloc the copy is made once per router a scan-style mutator writes (a fault injector's is a control event), never per cycle
+func (r *Router) ownSettings() *Settings {
+	if !r.own {
+		set := r.set.Clone()
+		r.set, r.own = &set, true
+	}
+	return r.set
 }
 
 // syncEnabled recomputes the mask of forward ports inputPass watches.
@@ -396,23 +418,22 @@ func (r *Router) BackwardEnabled(bp int) bool { return r.set.BackwardEnabled[bp]
 //
 //metrovet:mutator models scan-driven port masking (static fault isolation)
 func (r *Router) SetForwardEnabled(fp int, on bool) {
-	r.set.ForwardEnabled[fp] = on
+	r.ownSettings().ForwardEnabled[fp] = on
 	r.syncEnabled()
 }
 
 // SetBackwardEnabled enables or disables backward port bp during operation.
 //
 //metrovet:mutator models scan-driven port masking (static fault isolation)
-func (r *Router) SetBackwardEnabled(bp int, on bool) { r.set.BackwardEnabled[bp] = on }
+func (r *Router) SetBackwardEnabled(bp int, on bool) { r.ownSettings().BackwardEnabled[bp] = on }
 
-// SetTurnDelay writes one port's variable turn delay register in place, as
-// a scan CONFIG load of that field would: port indexes the Table 2
-// register file (forward ports first, then backward ports) and delay must
-// lie in [0, MaxVTD]. A rejected write changes nothing. Unlike
-// Settings + ApplySettings it copies no settings, so network construction
-// can record every wire's depth without cloning per port.
+// SetTurnDelay writes one port's variable turn delay register, as a scan
+// CONFIG load of that field would: port indexes the Table 2 register file
+// (forward ports first, then backward ports) and delay must lie in
+// [0, MaxVTD]. A rejected write changes nothing. Network construction
+// writes no turn delay here: a stage's delays are in its Shape.
 //
-//metrovet:mutator network construction wiring (models a scan CONFIG load), before the clock starts
+//metrovet:mutator models a scan CONFIG load of one turn delay field
 func (r *Router) SetTurnDelay(port, delay int) error {
 	if port < 0 || port >= len(r.set.TurnDelay) {
 		return fmt.Errorf("core: TurnDelay port %d outside [0, Inputs+Outputs=%d)", port, len(r.set.TurnDelay))
@@ -420,7 +441,7 @@ func (r *Router) SetTurnDelay(port, delay int) error {
 	if delay < 0 || delay > r.cfg.MaxVTD {
 		return fmt.Errorf("core: TurnDelay[%d] = %d outside [0, max_vtd=%d]", port, delay, r.cfg.MaxVTD)
 	}
-	r.set.TurnDelay[port] = delay
+	r.ownSettings().TurnDelay[port] = delay
 	return nil
 }
 
@@ -428,7 +449,7 @@ func (r *Router) SetTurnDelay(port, delay int) error {
 // during operation (Section 5.1: the tradeoff may be handled dynamically).
 //
 //metrovet:mutator models scan-driven reconfiguration of the reclamation mode
-func (r *Router) SetFastReclaim(fp int, on bool) { r.set.FastReclaim[fp] = on }
+func (r *Router) SetFastReclaim(fp int, on bool) { r.ownSettings().FastReclaim[fp] = on }
 
 // Dilation returns the configured effective dilation.
 func (r *Router) Dilation() int { return r.set.Dilation }
@@ -490,15 +511,6 @@ func (r *Router) KillConnection(cycle uint64, fp int) {
 	p.bcbOut = true
 }
 
-// request records a connection request observed during the input pass.
-// The port and direction numbers are bytes: both are below MaxPorts.
-type request struct {
-	recv    word.Word // the route word as received (checksummed pre-strip)
-	fwdWord word.Word // the word to forward downstream (Empty if consumed)
-	fp      int8
-	dir     int8
-}
-
 // Eval implements clock.Component. See DESIGN.md for the three-pass
 // structure: input handling, allocation, output staging.
 func (r *Router) Eval(cycle uint64) {
@@ -508,7 +520,7 @@ func (r *Router) Eval(cycle uint64) {
 		// close to flush. The passes below would all be empty walks.
 		return
 	}
-	r.allocate(cycle)
+	r.allocate(cycle, requested)
 	r.outputPass(cycle, requested)
 	r.runClosers(cycle)
 }
@@ -517,9 +529,9 @@ func (r *Router) Eval(cycle uint64) {
 func (r *Router) Commit(cycle uint64) {}
 
 // inputPass reads the input of every enabled, attached forward port in
-// ascending port order, advances connection state machines, and collects
-// new connection requests into r.reqs. It returns the mask of requesting
-// ports.
+// ascending port order, advances connection state machines, and parks new
+// connection requests in their idle ports (parseRoute). It returns the mask
+// of requesting ports.
 //
 // An idle port whose word is not a ROUTE is done at the register read: the
 // state switch below would find fpIdle, no backward port and nothing to
@@ -553,12 +565,8 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 
 		switch p.state {
 		case fpIdle:
-			if in.Kind == word.Route {
-				if req, ok := r.parseRoute(fp, in); ok {
-					//metrovet:alloc capacity Inputs preallocated in NewRouter; at most one request per forward port
-					r.reqs = append(r.reqs, req)
-					requested |= bit
-				}
+			if in.Kind == word.Route && r.parseRoute(p, fp, in) {
+				requested |= bit
 			}
 			// HeaderPad and any stray words at an idle port are ignored.
 
@@ -671,17 +679,21 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 	return requested
 }
 
-// parseRoute interprets a ROUTE word arriving at an idle forward port and
-// produces a connection request. It returns false for malformed words
-// (fewer routing bits than this router consumes), which are discarded —
-// the source-responsible protocol will time out and retry.
+// parseRoute interprets a ROUTE word arriving at idle forward port p (port
+// number fp) and parks the connection request in fields an idle port leaves
+// dead: the checksum seeded with the word as received, the word to forward
+// downstream (Empty if consumed) in pipeIn and the requested direction in
+// hdrLeft. allocate takes every parked request up in the same Eval. It
+// returns false, parking nothing, for malformed words (fewer routing bits
+// than this router consumes), which are discarded — the
+// source-responsible protocol will time out and retry.
 //
 //metrovet:width DirBits is log2(Radix) with Radix in [1, Outputs], so need is in [0, 31] and below in.Bits at the shifts
-//metrovet:truncate need is nonnegative (DirBits of a validated config), so uint(need) is lossless; fp and dir are port numbers, below MaxPorts = 64 by Config.Validate
-func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
+//metrovet:truncate need is nonnegative (DirBits of a validated config), so uint(need) is lossless
+func (r *Router) parseRoute(p *fwdPort, fp int, in word.Word) bool {
 	need := r.DirBits()
 	if int(in.Bits) < need {
-		return request{}, false
+		return false
 	}
 	dir := int(in.Payload) & (r.Radix() - 1)
 	rem := int(in.Bits) - need
@@ -696,19 +708,31 @@ func (r *Router) parseRoute(fp int, in word.Word) (request, bool) {
 	}
 	// With HeaderWords >= 1 the entire first word is consumed here and
 	// hw-1 further words are consumed in fpHeader.
-	return request{fp: int8(fp), dir: int8(dir), recv: in, fwdWord: fwdWord}, true
+	p.ck.Reset()
+	p.ck.Add(in)
+	p.pipeIn = fwdWord
+	p.hdrLeft = dir
+	return true
 }
 
-// allocate serves the cycle's connection requests: for each request, a
-// backward port in the requested direction is chosen uniformly at random
-// among the available ones using the router's random input bits. Requests
-// are served in forward-port order, which together with the shared random
-// stream makes allocation a deterministic function of (requests, random
-// bits) — the property width cascading depends on.
-func (r *Router) allocate(cycle uint64) {
-	for _, q := range r.reqs {
-		p := &r.fwd[q.fp]
-		lo, hi := r.PortsFor(int(q.dir))
+// allocate serves the cycle's connection requests, the ports in requested:
+// for each, a backward port in the requested direction is chosen uniformly
+// at random among the available ones using the router's random input bits.
+// Requests are served in ascending forward-port order, which together with
+// the shared random stream makes allocation a deterministic function of
+// (requests, random bits) — the property width cascading depends on.
+//
+//metrovet:truncate fp is a forward port number and bp a bit index of a nonzero uint64, both below MaxPorts = 64
+func (r *Router) allocate(cycle uint64, requested uint64) {
+	fwd := r.fwd
+	for m := requested; m != 0; m &= m - 1 {
+		fp := bits.TrailingZeros64(m)
+		if fp >= len(fwd) {
+			break // unreachable: requested names existing ports only
+		}
+		p := &fwd[fp]
+		dir := p.hdrLeft
+		lo, hi := r.PortsFor(dir)
 		// cand marks the direction's available backward ports, a bit each.
 		var cand uint64
 		for bp := lo; bp < hi; bp++ {
@@ -720,7 +744,7 @@ func (r *Router) allocate(cycle uint64) {
 		}
 		avail := bits.OnesCount64(cand)
 		if avail == 0 {
-			r.block(cycle, q)
+			r.block(cycle, p, fp, dir)
 			continue
 		}
 		// The pick indexes the candidates in ascending port order.
@@ -728,26 +752,23 @@ func (r *Router) allocate(cycle uint64) {
 			cand &= cand - 1
 		}
 		bp := bits.TrailingZeros64(cand)
-		r.busyBy[bp] = q.fp
-		//metrovet:truncate bp is a bit index of a nonzero uint64, below 64
+		r.busyBy[bp] = int8(fp)
 		p.bp = int8(bp)
-		p.ck.Reset()
-		p.ck.Add(q.recv)
+		// The checksum and pipeIn already hold what parseRoute parked.
 		clear(r.pipe(&p.flow))
 		p.injHead, p.injLen = 0, 0
 		p.outHead, p.outLen = 0, 0
 		p.revActive = false
 		p.closing = false
-		p.pipeIn = q.fwdWord
 		if r.cfg.HeaderWords > 1 {
 			p.state = fpHeader
 			p.hdrLeft = r.cfg.HeaderWords - 1
 		} else {
 			p.state = fpForward
+			p.hdrLeft = 0
 		}
-		r.emit(cycle, telemetry.EvConnSetup, int(q.fp), bp)
+		r.emit(cycle, telemetry.EvConnSetup, fp, bp)
 	}
-	r.reqs = r.reqs[:0]
 }
 
 // pick selects an index in [0, n) using ceil(log2(n)) random input bits
@@ -760,20 +781,21 @@ func (r *Router) pick(n int) int {
 	return int(r.rng.NextBits(bits)) % n
 }
 
-// block handles an unservable request according to the forward port's
-// reclamation mode.
-func (r *Router) block(cycle uint64, q request) {
-	p := &r.fwd[q.fp]
-	fast := r.set.FastReclaim[q.fp]
+// block handles the unservable request parked on forward port p (number fp)
+// for direction dir according to the port's reclamation mode. A detailed
+// block keeps the checksum parseRoute seeded: the status reply reports it.
+func (r *Router) block(cycle uint64, p *fwdPort, fp, dir int) {
+	fast := r.set.FastReclaim[fp]
 	if fast {
-		r.emit(cycle, telemetry.EvConnBlockedFast, int(q.fp), int(q.dir))
+		r.emit(cycle, telemetry.EvConnBlockedFast, fp, dir)
 		p.reset(fpDrain)
 		p.bcbOut = true
 		return
 	}
-	r.emit(cycle, telemetry.EvConnBlockedDetailed, int(q.fp), int(q.dir))
+	r.emit(cycle, telemetry.EvConnBlockedDetailed, fp, dir)
+	ck := p.ck
 	p.reset(fpBlockedWait)
-	p.ck.Add(q.recv)
+	p.ck = ck
 }
 
 // outputPass shifts connection pipelines and stages this cycle's link

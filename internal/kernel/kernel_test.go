@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -8,6 +9,10 @@ import (
 // The audit tests feed Compile hand-built plans. Units carry nil
 // component pointers: Compile audits wiring and placement only and never
 // steps them.
+
+// wireName names link i of a test arena "wire<i>"; the audit's errors print
+// it.
+func wireName(i int) string { return "wire" + strconv.Itoa(i) }
 
 // chainBuilder returns a builder with one delay-1 arena of capacity links
 // and its first `placed` links placed as a chain: link i joins unit i (its
@@ -17,10 +22,11 @@ import (
 func chainBuilder(capacity, placed int) (*Builder, [][]LinkRef) {
 	b := NewBuilder()
 	a, ai := b.Arena(1, capacity)
+	a.SetNamer(wireName)
 	refs := make([][]LinkRef, placed+1)
 	for i := 0; i < placed; i++ {
 		idx := int32(a.Len())
-		a.Place("wire"+string(rune('0'+i)), 2*i+1, 2*i)
+		a.Place(2*i+1, 2*i)
 		refs[i] = append(refs[i], LinkRef{Arena: ai, Index: idx, AtA: true})
 		refs[i+1] = append(refs[i+1], LinkRef{Arena: ai, Index: idx})
 	}
@@ -94,8 +100,9 @@ func TestCompileAuditErrors(t *testing.T) {
 			// other's words.
 			b := NewBuilder()
 			a, _ := b.Arena(1, 2)
-			a.Place("wire0", 1, 0)
-			a.Place("wire1", 1, 2)
+			a.SetNamer(wireName)
+			a.Place(1, 0)
+			a.Place(1, 2)
 			twoUnits(b)
 			return b
 		}, "register 1 is claimed by two link directions (the second is wire1)"},
@@ -105,8 +112,9 @@ func TestCompileAuditErrors(t *testing.T) {
 			// has a hole, so its inputs are not adjacent in memory.
 			b := NewBuilder()
 			a, _ := b.Arena(1, 2)
-			a.Place("wire0", 1, 0)
-			a.Place("wire1", 3, 2)
+			a.SetNamer(wireName)
+			a.Place(1, 0)
+			a.Place(3, 2)
 			b.AddEndpoint(nil, LinkRef{Index: 0, AtA: true}, LinkRef{Index: 1, AtA: true})
 			b.AddEndpoint(nil, LinkRef{Index: 0}, LinkRef{Index: 1})
 			return b
@@ -116,7 +124,8 @@ func TestCompileAuditErrors(t *testing.T) {
 			// comes first.
 			b := NewBuilder()
 			a, _ := b.Arena(1, 1)
-			a.Place("wire0", 0, 1)
+			a.SetNamer(wireName)
+			a.Place(0, 1)
 			twoUnits(b)
 			return b
 		}, "register 0 is read by unit 1 but register 1 by unit 0"},

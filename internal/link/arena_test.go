@@ -55,15 +55,16 @@ func TestArenaShuttleMatchesCommit(t *testing.T) {
 						perm = rng.Perm(regs)
 					}
 					arena := NewArena(delay, n)
+					arena.SetNamer(func(i int) string { return fmt.Sprintf("l%d", i) })
 					private := make([]*Link, n)
 					for i := range private {
 						name := fmt.Sprintf("l%d", i)
 						private[i] = New(name, delay)
 						var v *Link
 						if perm == nil {
-							v = arena.New(name)
+							v = arena.New()
 						} else {
-							v = arena.Place(name, perm[2*i], perm[2*i+1])
+							v = arena.Place(perm[2*i], perm[2*i+1])
 							if ab, ba := v.Registers(); ab != perm[2*i] || ba != perm[2*i+1] {
 								t.Fatalf("link %d placed at %d, %d; asked for %d, %d", i, ab, ba, perm[2*i], perm[2*i+1])
 							}
@@ -141,14 +142,17 @@ func TestArenaShuttleMatchesCommit(t *testing.T) {
 // TestFaultByteTracksKillAndCorruptors pins the fault byte's definition: set
 // on a register exactly while its link is dead or its arriving direction has
 // a corruptor, so a healthy direction of a half-corrupted link stays on the
-// fast path.
+// fast path. A link keeps fault state exactly while one byte is set.
 func TestFaultByteTracksKillAndCorruptors(t *testing.T) {
 	l := New("t", 2)
 	id := func(w word.Word) word.Word { return w }
 	check := func(when string, atA, atB uint8) {
 		t.Helper()
-		if a, b := *l.A().fault, *l.B().fault; a != atA || b != atB {
+		if a, b := l.A().fault, l.B().fault; a != atA || b != atB {
 			t.Fatalf("%s: fault bytes A=%d B=%d, want A=%d B=%d", when, a, b, atA, atB)
+		}
+		if healthy := atA|atB == 0; healthy != (l.f == nil) {
+			t.Fatalf("%s: fault state %v on a link whose fault bytes are A=%d B=%d", when, l.f, atA, atB)
 		}
 	}
 	check("fresh", 0, 0)
@@ -175,7 +179,7 @@ func TestPlaceRejectsBadRegisters(t *testing.T) {
 					t.Errorf("Place(%d, %d) in a 4-register arena did not panic", regs[0], regs[1])
 				}
 			}()
-			NewArena(1, 2).Place("bad", regs[0], regs[1])
+			NewArena(1, 2).Place(regs[0], regs[1])
 		}()
 	}
 }

@@ -26,21 +26,24 @@
 // Every link lives in an Arena (New is an arena of one link). An arena
 // keeps one 8-byte register per link direction in delay+1 parallel planes
 // — plane 0 is what the sender staged this cycle, plane delay is what the
-// reader sees — plus, per register, one fault byte and the End that reads
-// it. Registers are placed by the reader, not by the link: whoever
-// assembles a network (netsim.Build) gives each unit a contiguous run of
-// registers for everything it reads, so a unit's per-cycle reads are a few
-// adjacent cache lines and the commit phase is a copy and a clear per
-// plane over a register range. A Link is a small view (two register
-// indices, the fault hooks, the dead flag) that the per-cycle receive path
-// never loads: Recv tests the register and its fault byte, and only a dead
-// link or a corrupted direction reaches the Link through the slow path.
+// reader sees — plus, per register, the End that reads it, which carries
+// the register's fault byte. Registers are placed by the reader, not by the
+// link: whoever assembles a network (netsim.Build) gives each unit a
+// contiguous run of registers for everything it reads, so a unit's
+// per-cycle reads are a few adjacent cache lines and the commit phase is a
+// copy and a clear per plane over a register range. A Link is a small view
+// (two register indices and its fault state, absent while the wire is
+// healthy) that the per-cycle receive path never loads: Recv tests the
+// register and the End's fault byte, and only a dead link or a corrupted
+// direction reaches the Link through the slow path. Nor does an arena store
+// its links' names: they are derived on demand (Arena.SetNamer).
 // docs/KERNEL.md ("Memory layout and the per-cycle byte budget") has the
 // picture and the numbers.
 package link
 
 import (
 	"fmt"
+	"math"
 
 	"metro/internal/word"
 )
@@ -68,11 +71,18 @@ func (r *reg) setWord(w word.Word) {
 
 // Link is a bidirectional, pipelined chip-to-chip connection: a view over
 // two registers of an arena (one per direction, in every plane) plus the
-// fault state of the wire.
+// fault state of the wire. Register indices are int32: NewArena bounds an
+// arena's registers to that range.
 type Link struct {
-	name      string
-	a         *Arena
-	ab, ba    int // register carrying A→B (read at B) and B→A (read at A)
+	a      *Arena
+	ab, ba int32   // register carrying A→B (read at B) and B→A (read at A)
+	i      int32   // placement index in the arena, what its namer is asked
+	f      *faults // nil while the wire is healthy
+}
+
+// faults is the fault state of a killed or corrupted wire, kept off the
+// Link so that the healthy many pay one nil pointer for it.
+type faults struct {
 	corruptAB Corruptor
 	corruptBA Corruptor
 	dead      bool
@@ -85,11 +95,20 @@ func New(name string, delay int) *Link {
 	if delay < 1 {
 		panic(fmt.Sprintf("link %s: delay must be >= 1, got %d", name, delay))
 	}
-	return NewArena(delay, 1).New(name)
+	a := NewArena(delay, 1)
+	a.SetNamer(func(int) string { return name })
+	return a.New()
 }
 
-// Name returns the link's identifier (used in traces and fault plans).
-func (l *Link) Name() string { return l.name }
+// Name returns the link's identifier (used in traces, fault plans and
+// wiring errors), as its arena's namer derives it; "" in an arena without
+// one.
+func (l *Link) Name() string {
+	if l.a.namer == nil {
+		return ""
+	}
+	return l.a.namer(int(l.i))
+}
 
 // Delay returns the pipeline depth per direction.
 func (l *Link) Delay() int { return l.a.delay }
@@ -97,7 +116,7 @@ func (l *Link) Delay() int { return l.a.delay }
 // Registers returns the link's two register indices within its arena: ab
 // carries A→B traffic and is read by the B end, ba carries B→A traffic and
 // is read by the A end.
-func (l *Link) Registers() (ab, ba int) { return l.ab, l.ba }
+func (l *Link) Registers() (ab, ba int) { return int(l.ab), int(l.ba) }
 
 // Eval implements clock.Component; links have no evaluation work.
 func (l *Link) Eval(cycle uint64) {}
@@ -105,38 +124,58 @@ func (l *Link) Eval(cycle uint64) {}
 // Commit latches the values staged during Eval: the link's two registers
 // move one plane toward their readers and the staged plane clears.
 func (l *Link) Commit(cycle uint64) {
-	l.a.shift(l.ab)
-	l.a.shift(l.ba)
+	l.a.shift(int(l.ab))
+	l.a.shift(int(l.ba))
 }
 
 // SetCorruptor installs fault hooks applied to words exiting the link in
 // each direction. Either may be nil.
 func (l *Link) SetCorruptor(ab, ba Corruptor) {
-	l.corruptAB, l.corruptBA = ab, ba
+	f := l.faultState()
+	f.corruptAB, f.corruptBA = ab, ba
 	l.syncFault()
 }
 
 // Kill marks the link dead: both directions deliver only Empty words and a
 // deasserted BCB, as a severed wire would.
 func (l *Link) Kill() {
-	l.dead = true
+	l.faultState().dead = true
 	l.syncFault()
 }
 
 // Revive clears a previous Kill. In-flight contents were lost.
 func (l *Link) Revive() {
-	l.dead = false
+	l.faultState().dead = false
 	l.syncFault()
 }
 
 // Dead reports whether the link has been killed.
-func (l *Link) Dead() bool { return l.dead }
+func (l *Link) Dead() bool { return l.f != nil && l.f.dead }
 
-// syncFault recomputes the two registers' fault bytes: a reader takes the
+// faultState returns the link's fault state for writing, making it if the wire
+// was healthy.
+//
+//metrovet:alloc once per fault event on a healthy wire (a fault injector's Kill or SetCorruptor), never per cycle
+func (l *Link) faultState() *faults {
+	if l.f == nil {
+		l.f = &faults{}
+	}
+	return l.f
+}
+
+// syncFault recomputes the fault bytes of the two ends: a reader takes the
 // slow path while the link is dead or its arriving direction is corrupted.
+// A wire that is healthy again drops its fault state.
 func (l *Link) syncFault() {
-	l.a.fault[l.ab] = faultByte(l.dead || l.corruptAB != nil)
-	l.a.fault[l.ba] = faultByte(l.dead || l.corruptBA != nil)
+	var ab, ba bool
+	if f := l.f; f != nil {
+		ab, ba = f.dead || f.corruptAB != nil, f.dead || f.corruptBA != nil
+		if !ab && !ba {
+			l.f = nil
+		}
+	}
+	l.a.ends[l.ab].fault = faultByte(ab)
+	l.a.ends[l.ba].fault = faultByte(ba)
 }
 
 func faultByte(faulty bool) uint8 {
@@ -160,10 +199,10 @@ func (l *Link) B() *End { return &l.a.ends[l.ab] }
 // never the backing arrays), so an end caches the addresses it touches and
 // the healthy per-cycle paths never load the Link.
 type End struct {
-	in    *reg   // the arriving direction's output-plane register
-	fault *uint8 // its fault byte: nonzero while reads must go through incoming
-	stage *reg   // the departing direction's staged register
+	in    *reg // the arriving direction's output-plane register
+	stage *reg // the departing direction's staged register
 	l     *Link
+	fault uint8 // nonzero while reads of in must go through incoming
 	atA   bool
 }
 
@@ -194,7 +233,7 @@ func (e *End) Recv() word.Word {
 // In.Recv inline into their callers' port loops.
 func (e *End) arriving() word.Word {
 	r := *e.in
-	if *e.fault != 0 {
+	if e.fault != 0 {
 		r = e.incoming()
 	}
 	return r.word()
@@ -202,7 +241,7 @@ func (e *End) arriving() word.Word {
 
 // RecvBCB returns the backward control bit arriving at this end this cycle.
 func (e *End) RecvBCB() bool {
-	if *e.fault != 0 {
+	if e.fault != 0 {
 		// The fault hook still observes the word (stateful corruptors count
 		// on seeing every exiting word exactly as incoming delivers it).
 		return e.incoming().bcb
@@ -211,16 +250,17 @@ func (e *End) RecvBCB() bool {
 }
 
 // incoming is the dead-link / fault-hook receive path, kept out of line so
-// Recv and RecvBCB inline.
+// Recv and RecvBCB inline. A nonzero fault byte means the link has fault
+// state (syncFault).
 func (e *End) incoming() reg {
-	l := e.l
-	if l.dead {
+	f := e.l.f
+	if f.dead {
 		return reg{}
 	}
 	r := *e.in
-	c := l.corruptAB
+	c := f.corruptAB
 	if e.atA {
-		c = l.corruptBA
+		c = f.corruptBA
 	}
 	if c != nil && r.kind != word.Empty {
 		r.setWord(c(r.word()))
@@ -260,10 +300,10 @@ func (in In) Recv() word.Word {
 
 // Arena is the backing store of many same-delay links: one register per
 // link direction, held in delay+1 parallel planes (plane 0 staged by the
-// sender, plane delay seen by the reader), with a fault byte and the
-// reading End beside each register. Which register a link direction
-// occupies is the caller's choice (Place), so a network builder can lay
-// every unit's inputs out contiguously; New is the default placement.
+// sender, plane delay seen by the reader), with the reading End beside each
+// register. Which register a link direction occupies is the caller's
+// choice (Place), so a network builder can lay every unit's inputs out
+// contiguously; New is the default placement.
 //
 // Links placed in an arena behave exactly like ones from New, which is
 // itself an arena of one. The one discipline change is that the owner calls
@@ -272,23 +312,26 @@ func (in In) Recv() word.Word {
 type Arena struct {
 	delay  int
 	planes [][]reg
-	fault  []uint8
-	ends   []End
+	ends   []End  // one per register: the End reading it
 	links  []Link // backing array; Len() of these are initialized
 	used   int
+	namer  func(i int) string
 }
 
 // NewArena returns an arena with room for capacity links of the given
-// pipeline delay (delay must be >= 1, matching New).
+// pipeline delay (delay must be >= 1, matching New). Its registers, two
+// per link, must number at most math.MaxInt32.
 func NewArena(delay, capacity int) *Arena {
 	if delay < 1 {
 		panic(fmt.Sprintf("link arena: delay must be >= 1, got %d", delay))
+	}
+	if capacity < 0 || capacity > math.MaxInt32/2 {
+		panic(fmt.Sprintf("link arena: capacity %d outside [0, %d]", capacity, math.MaxInt32/2))
 	}
 	n := 2 * capacity
 	a := &Arena{
 		delay:  delay,
 		planes: make([][]reg, delay+1),
-		fault:  make([]uint8, n),
 		ends:   make([]End, n),
 		links:  make([]Link, capacity),
 	}
@@ -309,11 +352,17 @@ func (a *Arena) Len() int { return a.used }
 func (a *Arena) Cap() int { return len(a.links) }
 
 // Registers returns the arena's register count: two per link of capacity.
-func (a *Arena) Registers() int { return len(a.fault) }
+func (a *Arena) Registers() int { return len(a.ends) }
+
+// SetNamer installs the function that names the arena's links: namer(i) is
+// the name of the i'th placed link. The arena stores no names; whoever
+// places many links derives theirs from what it keeps anyway (netsim from
+// its topology), and the text is built only when Name asks.
+func (a *Arena) SetNamer(namer func(i int) string) { a.namer = namer }
 
 // New places the next link at the default position, registers 2i and 2i+1
 // for the i'th link.
-func (a *Arena) New(name string) *Link { return a.Place(name, 2*a.used, 2*a.used+1) }
+func (a *Arena) New() *Link { return a.Place(2*a.used, 2*a.used+1) }
 
 // Place creates the next link with its A→B direction in register ab and
 // its B→A direction in register ba. It panics when the arena is full or a
@@ -321,19 +370,21 @@ func (a *Arena) New(name string) *Link { return a.Place(name, 2*a.used, 2*a.used
 // at assembly time, so either is a compiler bug, not an operational
 // condition. Whether the placement as a whole claims every register exactly
 // once is the assembler's audit (kernel.Builder.Compile), not checked here.
-func (a *Arena) Place(name string, ab, ba int) *Link {
+//
+//metrovet:truncate ab, ba and the placement index are below the register count, which NewArena bounds by math.MaxInt32
+func (a *Arena) Place(ab, ba int) *Link {
 	if a.used == len(a.links) {
-		panic(fmt.Sprintf("link arena: capacity %d exhausted at %s", len(a.links), name))
+		panic(fmt.Sprintf("link arena: capacity %d exhausted", len(a.links)))
 	}
-	if n := len(a.fault); ab < 0 || ab >= n || ba < 0 || ba >= n || ab == ba {
-		panic(fmt.Sprintf("link arena: %s placed at registers %d, %d of %d", name, ab, ba, n))
+	if n := len(a.ends); ab < 0 || ab >= n || ba < 0 || ba >= n || ab == ba {
+		panic(fmt.Sprintf("link arena: link %d placed at registers %d, %d of %d", a.used, ab, ba, n))
 	}
 	l := &a.links[a.used]
+	*l = Link{a: a, ab: int32(ab), ba: int32(ba), i: int32(a.used)}
 	a.used++
-	*l = Link{name: name, a: a, ab: ab, ba: ba}
 	staged, out := a.planes[0], a.planes[a.delay]
-	a.ends[ba] = End{l: l, atA: true, in: &out[ba], fault: &a.fault[ba], stage: &staged[ab]}
-	a.ends[ab] = End{l: l, atA: false, in: &out[ab], fault: &a.fault[ab], stage: &staged[ba]}
+	a.ends[ba] = End{l: l, atA: true, in: &out[ba], stage: &staged[ab]}
+	a.ends[ab] = End{l: l, atA: false, in: &out[ab], stage: &staged[ba]}
 	return l
 }
 

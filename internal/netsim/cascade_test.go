@@ -115,7 +115,7 @@ func TestCascadedLaneFaultContained(t *testing.T) {
 	// Stuck bit on lane 1 of every output of stage-0 router 1.
 	r0 := n.Routers[0][1]
 	for bp := 0; bp < r0.Config().Outputs; bp++ {
-		n.outLanes[0][1][bp][1].SetCorruptor(func(w word.Word) word.Word {
+		n.tierLink(1, r0.Config().Outputs+bp, 1).SetCorruptor(func(w word.Word) word.Word {
 			if w.Kind == word.Data {
 				w.Payload |= 0x1
 			}
@@ -153,7 +153,7 @@ func TestCascadedLaneFaultContained(t *testing.T) {
 // around it.
 func TestCascadedLaneDeadLinkRecovered(t *testing.T) {
 	n := buildCascaded(t, 2, func(p *Params) { p.ListenTimeout = 150 })
-	n.outLanes[0][0][0][1].Kill()
+	n.tierLink(1, 0, 1).Kill() // lane 1 of stage-0 router 0's backward port 0
 	sent := 0
 	for src := 0; src < 16; src++ {
 		n.Send(src, (src+9)%16, []byte("lane loss"))

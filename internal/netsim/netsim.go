@@ -159,8 +159,10 @@ type Network struct {
 
 	header nic.HeaderSpec // the routing header every endpoint builds with
 
-	injLanes [][][]*link.Link   // [endpoint][k][lane]
-	outLanes [][][][]*link.Link // [stage][router][bp][lane]
+	// tiers locates every link: tier 0 holds the injection links, tier s+1
+	// the output links of stage s, and Build places each tier's links as
+	// one run of its delay class's arena, in wiring order (see tierSpan).
+	tiers []tierSpan
 
 	results []nic.Result
 	nextID  uint64
@@ -212,6 +214,16 @@ func (col *collector) Eval(cycle uint64) {
 }
 
 func (col *collector) Commit(cycle uint64) {}
+
+// tierSpan is where one tier's links sit: arena.At(base + i) for the i'th
+// link of the tier in wiring order, lane minor. Injection links run
+// endpoint-major, then link k; output links router-major, then backward
+// port. The position is all a link needs to be found (InjectLink, OutLink)
+// and named (linkNamer), so the network keeps no table of links.
+type tierSpan struct {
+	arena *link.Arena
+	base  int
+}
 
 // Build elaborates and wires the network.
 func Build(p Params) (*Network, error) {
@@ -289,25 +301,30 @@ func Build(p Params) (*Network, error) {
 	}
 	classes := make(map[int]*delayClass)
 	var delayOrder []int
-	tally := func(tier, links int) {
+	// Every endpoint has ne injection links and every router of stage s
+	// Outputs output links, each c lanes; a tier's links follow those of
+	// the lower tiers of its class.
+	n.tiers = make([]tierSpan, S+1)
+	for tier := range n.tiers {
+		links := p.Spec.Endpoints * ne * c
+		if tier > 0 {
+			links = top.RoutersPerStage[tier-1] * p.Spec.Stages[tier-1].Outputs() * c
+		}
 		d := delayOf(tier)
 		if classes[d] == nil {
 			classes[d] = &delayClass{}
 			delayOrder = append(delayOrder, d)
 		}
+		n.tiers[tier].base = classes[d].links
 		classes[d].links += links
-	}
-	for _, refs := range top.Inject {
-		tally(0, len(refs)*c)
-	}
-	for s := range top.Out {
-		for j := range top.Out[s] {
-			tally(s+1, len(top.Out[s][j])*c)
-		}
 	}
 	for _, d := range delayOrder {
 		dc := classes[d]
 		dc.arena, dc.index = kb.Arena(d, dc.links)
+		dc.arena.SetNamer(n.linkNamer(dc.arena))
+	}
+	for tier := range n.tiers {
+		n.tiers[tier].arena = classes[delayOf(tier)].arena
 	}
 	// Register placement, reader-major: every unit gets one contiguous run
 	// of registers per arena for what it reads each cycle, runs in unit
@@ -344,10 +361,10 @@ func Build(p Params) (*Network, error) {
 	// the A→B direction in register ab, among the downstream unit ub's
 	// inputs, the B→A direction in register ba, among the upstream unit
 	// ua's — and records each end in its unit's adjacency table.
-	makeLink := func(tier int, name string, ua, ub, ab, ba int) *link.Link {
+	makeLink := func(tier int, ua, ub, ab, ba int) *link.Link {
 		dc := classes[delayOf(tier)]
 		idx := int32(dc.arena.Len())
-		l := dc.arena.Place(name, ab, ba)
+		l := dc.arena.Place(ab, ba)
 		unitRefs[ua] = append(unitRefs[ua], kernel.LinkRef{Arena: dc.index, Index: idx, AtA: true})
 		unitRefs[ub] = append(unitRefs[ub], kernel.LinkRef{Arena: dc.index, Index: idx})
 		return l
@@ -355,12 +372,15 @@ func Build(p Params) (*Network, error) {
 
 	// Routers: one per lane; with cascading the lanes form a consistency
 	// group sharing a random stream. Every router of a stage has the same
-	// configuration and settings, which NewRouter copies.
+	// configuration and settings, turn delays included: wire conservation
+	// feeds every forward port from tier s and every backward port into
+	// tier s+1 (see the placement above). The routers read them from one
+	// shared core.Shape.
 	lanes := make([][][]*core.Router, len(p.Spec.Stages)) // [stage][router][lane]
 	laneBuf := make([]*core.Router, top.RouterCount()*c)
 	n.Routers = make([][]*core.Router, len(p.Spec.Stages))
 	n.Cascades = make([][]*cascade.Group, len(p.Spec.Stages))
-	var name []byte // scratch for router and link names
+	var name []byte // scratch for router names
 	for s, st := range p.Spec.Stages {
 		lanes[s] = make([][]*core.Router, top.RoutersPerStage[s])
 		n.Routers[s] = make([]*core.Router, top.RoutersPerStage[s])
@@ -382,14 +402,24 @@ func Build(p Params) (*Network, error) {
 		for fp := range set.FastReclaim {
 			set.FastReclaim[fp] = fast
 		}
+		for port := range set.TurnDelay {
+			set.TurnDelay[port] = delayOf(s)
+			if port >= st.Inputs {
+				set.TurnDelay[port] = delayOf(s + 1)
+			}
+		}
+		sh, err := core.NewShape(cfg, set)
+		if err != nil {
+			return nil, err
+		}
 		for j := range n.Routers[s] {
 			lanes[s][j] = take(&laneBuf, c)
 			name = topo.AppendRouterName(name[:0], s, j)
 			seed := uint32(p.Seed)*2654435761 + uint32(s)*40503 + uint32(j)*9973 + 1
 			if c == 1 {
-				lanes[s][j][0] = core.NewRouter(string(name), cfg, set, prng.NewLFSR(seed))
+				lanes[s][j][0] = sh.NewRouter(string(name), prng.NewLFSR(seed))
 			} else {
-				g := cascade.NewGroup(string(name), cfg, set, c, prng.NewShared(seed))
+				g := cascade.NewGroup(string(name), sh, c, prng.NewShared(seed))
 				n.Cascades[s][j] = g
 				for k := 0; k < c; k++ {
 					lanes[s][j][k] = g.Member(k)
@@ -467,38 +497,20 @@ func Build(p Params) (*Network, error) {
 		}
 		return cascade.NewWideChannel(ends, p.Width)
 	}
-	wireBuf := make([]*link.Link, top.LinkCount()*c) // every wire's lanes
-	n.injLanes = make([][][]*link.Link, p.Spec.Endpoints)
 	for e, refs := range top.Inject {
-		n.injLanes[e] = make([][]*link.Link, len(refs))
 		for k, ref := range refs {
-			n.injLanes[e][k] = take(&wireBuf, c)
 			for lane := 0; lane < c; lane++ {
 				down := colUnit(ref.Stage, ref.Index)
-				name = strconv.AppendInt(append(name[:0], "ep"...), int64(e), 10)
-				name = strconv.AppendInt(append(name, '.'), int64(k), 10)
-				name = strconv.AppendInt(append(name, ".l"...), int64(lane), 10)
-				name = ref.AppendTo(append(name, "->"...))
-				l := makeLink(0, string(name),
-					epUnit(e), down, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
-				n.injLanes[e][k][lane] = l
+				l := makeLink(0, epUnit(e), down, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
 				ends[lane] = l.A()
-				r := lanes[ref.Stage][ref.Index][lane]
-				r.AttachForward(ref.Port, l.B())
-				if err := r.SetTurnDelay(ref.Port, delayOf(0)); err != nil {
-					return nil, err
-				}
+				lanes[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 			}
 			n.Endpoints[e].AttachInject(channel())
 		}
 	}
-	n.outLanes = make([][][][]*link.Link, len(p.Spec.Stages))
 	for s := range top.Out {
-		n.outLanes[s] = make([][][]*link.Link, len(top.Out[s]))
 		for j := range top.Out[s] {
-			n.outLanes[s][j] = make([][]*link.Link, len(top.Out[s][j]))
 			for bp, ref := range top.Out[s][j] {
-				n.outLanes[s][j][bp] = take(&wireBuf, c)
 				downUnit := epUnit(ref.Index)
 				if ref.Kind != topo.KindEndpoint {
 					downUnit = colUnit(ref.Stage, ref.Index)
@@ -510,24 +522,11 @@ func Build(p Params) (*Network, error) {
 					} else {
 						ab = fwdBase[downUnit*c+lane] + ref.Port
 					}
-					name = strconv.AppendInt(append(topo.AppendRouterName(name[:0], s, j), ".b"...), int64(bp), 10)
-					name = strconv.AppendInt(append(name, ".l"...), int64(lane), 10)
-					name = ref.AppendTo(append(name, "->"...))
-					l := makeLink(s+1, string(name),
-						colUnit(s, j), downUnit, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
-					n.outLanes[s][j][bp][lane] = l
-					up := lanes[s][j][lane]
-					up.AttachBackward(bp, l.A())
-					if err := up.SetTurnDelay(p.Spec.Stages[s].Inputs+bp, delayOf(s+1)); err != nil {
-						return nil, err
-					}
+					l := makeLink(s+1, colUnit(s, j), downUnit, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
+					lanes[s][j][lane].AttachBackward(bp, l.A())
 					ends[lane] = l.B()
 					if ref.Kind != topo.KindEndpoint {
-						down := lanes[ref.Stage][ref.Index][lane]
-						down.AttachForward(ref.Port, l.B())
-						if err := down.SetTurnDelay(ref.Port, delayOf(s+1)); err != nil {
-							return nil, err
-						}
+						lanes[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 					}
 				}
 				if ref.Kind == topo.KindEndpoint {
@@ -647,12 +646,63 @@ func (n *Network) ResetResults() { n.results = n.results[:0] }
 // RouterAt returns the router at (stage, index).
 func (n *Network) RouterAt(stage, index int) *core.Router { return n.Routers[stage][index] }
 
-// InjectLink returns endpoint e's k-th injection link.
-func (n *Network) InjectLink(e, k int) *link.Link { return n.injLanes[e][k][0] }
+// InjectLink returns endpoint e's k-th injection link (lane 0).
+func (n *Network) InjectLink(e, k int) *link.Link {
+	return n.tierLink(0, e*n.Params.Spec.EndpointLinks+k, 0)
+}
 
 // OutLink returns the link attached to backward port bp of router (stage,
-// index).
-func (n *Network) OutLink(stage, index, bp int) *link.Link { return n.outLanes[stage][index][bp][0] }
+// index) (lane 0).
+func (n *Network) OutLink(stage, index, bp int) *link.Link {
+	return n.tierLink(stage+1, index*n.Params.Spec.Stages[stage].Outputs()+bp, 0)
+}
+
+// tierLink returns lane lane of wire w of a tier, w counting the tier's
+// wires in wiring order (see tierSpan).
+func (n *Network) tierLink(tier, w, lane int) *link.Link {
+	sp := n.tiers[tier]
+	return sp.arena.At(sp.base + w*n.Params.CascadeWidth + lane)
+}
+
+// linkNamer returns the namer of arena a: a link's name is derived from
+// where it sits, the tier whose run holds it and its position in that run.
+// The tiers of a class lie in the arena in tier order, so the run holding
+// link i is the last one of a's that starts at or before it.
+func (n *Network) linkNamer(a *link.Arena) func(i int) string {
+	return func(i int) string {
+		for tier := len(n.tiers) - 1; tier >= 0; tier-- {
+			if sp := n.tiers[tier]; sp.arena == a && sp.base <= i {
+				return string(n.appendLinkName(nil, tier, i-sp.base))
+			}
+		}
+		return ""
+	}
+}
+
+// appendLinkName appends the name of the i'th link of a tier to dst:
+// "ep<e>.<k>.l<lane>-><port>" for an injection link and
+// "s<s>r<j>.b<bp>.l<lane>-><port>" for an output link of stage s, where
+// port is the attachment it leads to (topo.PortRef.AppendTo).
+func (n *Network) appendLinkName(dst []byte, tier, i int) []byte {
+	c := n.Params.CascadeWidth
+	lane, w := i%c, i/c
+	var to topo.PortRef
+	if tier == 0 {
+		ne := n.Params.Spec.EndpointLinks
+		e, k := w/ne, w%ne
+		dst = strconv.AppendInt(append(dst, "ep"...), int64(e), 10)
+		dst = strconv.AppendInt(append(dst, '.'), int64(k), 10)
+		to = n.Topo.Inject[e][k]
+	} else {
+		s := tier - 1
+		outs := n.Params.Spec.Stages[s].Outputs()
+		j, bp := w/outs, w%outs
+		dst = strconv.AppendInt(append(topo.AppendRouterName(dst, s, j), ".b"...), int64(bp), 10)
+		to = n.Topo.Out[s][j][bp]
+	}
+	dst = strconv.AppendInt(append(dst, ".l"...), int64(lane), 10)
+	return to.AppendTo(append(dst, "->"...))
+}
 
 // EachLink visits every physical link in the network — every cascade
 // lane of every wire — in arena order.
@@ -686,9 +736,10 @@ func (n *Network) KillRouter(stage, index int) {
 		}
 	}
 	// Sever its attached wires so circuits in flight die too.
-	for bp := range n.outLanes[stage][index] {
-		for _, l := range n.outLanes[stage][index][bp] {
-			l.Kill()
+	outs := n.Params.Spec.Stages[stage].Outputs()
+	for w := index * outs; w < (index+1)*outs; w++ {
+		for lane := 0; lane < n.Params.CascadeWidth; lane++ {
+			n.tierLink(stage+1, w, lane).Kill()
 		}
 	}
 }

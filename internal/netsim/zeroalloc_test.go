@@ -128,21 +128,21 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 }
 
 // TestZeroAllocBuildPerPortClones pins netsim.Build's allocation count on
-// the Figure 3 network. Build is not allocation-free, but what it
-// allocates per router port must be wiring (a link's name), never a copy
-// of the router's settings: writing each port's turn delay through
-// Settings + ApplySettings cost two deep clones, twelve allocations, per
-// port (9,216 of this network's 15,278). It was 6,062 once that was gone
-// and is 2,528 since names are appended with strconv rather than
-// formatted, a stage's routers share one DefaultSettings, and the
-// adjacency tables and lane slices are carved from shared arrays; the
-// budget is that plus 10%, so a name formatted through fmt again (two or
-// more allocations a link) fails here.
+// the Figure 3 network. Build is not allocation-free, but nothing it
+// allocates may be per router port or per link: writing each port's turn
+// delay through Settings + ApplySettings cost two deep clones, twelve
+// allocations, per port (9,216 of this network's 15,278). It was 6,062
+// once that was gone, 2,528 once names were appended with strconv and the
+// adjacency tables carved from shared arrays, and is 1,698 since the
+// routers of a stage share one Shape (turn delays included), links store
+// no names and the network keeps no lane tables; the budget is that plus
+// 10%, so a per-router settings copy (two allocations a router) or a
+// stored link name (one a link) fails here.
 func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const budget = 2780
+	const budget = 1870
 	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
 	ports := 0
 	n, err := Build(p)
@@ -176,13 +176,15 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // Build, collected on both sides), on the 1Ki-endpoint radix-4 network:
 // 1,536 routers and 12,288 links. It was 11,850 B before the routers'
 // port state was packed (docs/KERNEL.md, "Memory layout and the per-cycle
-// byte budget") and is about 8,400 B now; the ceiling leaves 4% for allocator
-// jitter and fails long before a per-port structure regrows.
+// byte budget"), about 8,400 B before routers shared their stage's Shape
+// and links shed names and padding, and is about 6,320 B now; the ceiling
+// leaves 3% for allocator jitter and fails long before a per-router copy
+// or a per-link field regrows.
 func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 8800
+	const endpoints, ceiling = 1024, 6510
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -227,6 +227,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController, which
+// handlers use for connection deadlines.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // handleMetrics serves the Prometheus text exposition of a registry
 // snapshot. The body carries no timestamps: byte differences between
 // scrapes are value changes, nothing else.

@@ -304,12 +304,11 @@ func (s *Server) runJob(j *job) {
 // replace it to make a run panic.
 var runScenario = metrofuzz.Run
 
-// simulate runs j's scenario. A panic on the job's goroutine (Build, the
-// cycle loop, the oracles) is recovered into a report whose one "panic"
-// failure carries the panic text, counted and logged, so the job
-// completes as failed and the worker goes on serving. A panic on an
-// engine worker goroutine (a Workers > 0 differential leg) still ends the
-// process: it cannot be recovered here.
+// simulate runs j's scenario. A panic in it (Build, the cycle loop, the
+// oracles, or a unit on an engine worker goroutine of a Workers > 0 leg,
+// which the engine re-raises on the job's goroutine) is recovered into a
+// report whose one "panic" failure carries the panic text, counted and
+// logged, so the job completes as failed and the worker goes on serving.
 func (s *Server) simulate(j *job, hooks metrofuzz.Hooks) (rep *metrofuzz.Report, panicked bool) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -352,6 +351,15 @@ func (s *Server) retain(id string) {
 // (custom topology plus a full fault plan) is far below this.
 const maxSpecBytes = 1 << 16
 
+// bodyReadTimeout bounds how long a submission may take to deliver its
+// body once its headers are in, so a client that stalls mid-body cannot
+// pin a connection and a handler forever (the servers' header and idle
+// timeouts stop short of the body). It covers the body alone: net/http
+// clears the connection's read deadline once the body has been read to
+// its end (it then starts the read that watches for the client leaving),
+// so a wait=1 reply is awaited with none.
+const bodyReadTimeout = 5 * time.Second
+
 // errorPayload is the JSON error body.
 type errorPayload struct {
 	Error string `json:"error"`
@@ -391,6 +399,10 @@ func writeCached(w http.ResponseWriter, body []byte) {
 // with ?wait=1, block until the result (504 on request-context
 // deadline).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// A writer without deadline support (a test recorder) reads unbounded.
+	// On the error paths the deadline also bounds the discard of the
+	// unread rest of the body that net/http does before it replies.
+	http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout)) //metrovet:ignore no-wallclock connection deadline for the body read; never reaches simulation state
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)

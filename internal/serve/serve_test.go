@@ -9,12 +9,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"metro/internal/clock"
 	"metro/internal/metrofuzz"
+	"metro/internal/netsim"
 )
 
 // quickSpec is the canonical encoding of a small generated scenario —
@@ -271,6 +274,58 @@ func TestJobPanicIsolated(t *testing.T) {
 	}
 	if c := s.counters(); c.Executed != 2 {
 		t.Fatalf("executed %d jobs, want 2", c.Executed)
+	}
+}
+
+// workerPanicKernel wraps a network's compiled kernel so that from cycle
+// 32 on the eval phase of every partition but the first panics: a unit
+// failing on an engine worker goroutine.
+type workerPanicKernel struct{ clock.Kernel }
+
+func (k workerPanicKernel) EvalUnits(lo, hi int, cycle uint64) {
+	if lo > 0 && cycle >= 32 {
+		panic("injected: unit failed on an engine worker")
+	}
+	k.Kernel.EvalUnits(lo, hi, cycle)
+}
+
+// TestEngineWorkerPanicIsolated: a unit that panics on an engine worker
+// goroutine, in the differential leg a Workers > 0 scenario runs, no longer
+// ends the process. The engine re-raises the panic on the job's goroutine
+// after the phase barrier, the job completes as a failed result carrying
+// the panic text, and the daemon goes on serving.
+func TestEngineWorkerPanicIsolated(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // partition 1 runs on a goroutine of its own
+	bad := quickSpec(t, 3)
+	orig := runScenario
+	runScenario = func(scn metrofuzz.Scenario, h metrofuzz.Hooks) *metrofuzz.Report {
+		if metrofuzz.EncodeSpec(scn) == bad {
+			// The primary leg steps inline, one partition; the parallel
+			// leg steps two, the second on a worker.
+			scn.Workers = 2
+			h.Mutate = func(n *netsim.Network) { n.Engine.SetKernel(workerPanicKernel{n.Engine.Kernel()}) }
+		}
+		return orig(scn, h)
+	}
+	t.Cleanup(func() { runScenario = orig })
+	s, hs := newTestServer(t, Config{Workers: 1})
+
+	resp := submit(t, hs.URL, bad, "?wait=1")
+	body := readBody(t, resp)
+	var res Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatalf("status %d, body %s: %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusOK || res.Status != StatusFailed ||
+		len(res.Failures) != 1 || res.Failures[0] != "panic: injected: unit failed on an engine worker" {
+		t.Fatalf("job with a panicking engine worker: status %d, result %+v", resp.StatusCode, res)
+	}
+	good := submit(t, hs.URL, quickSpec(t, 2), "?wait=1")
+	if body := readBody(t, good); good.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"status":"passed"`)) {
+		t.Fatalf("the job after the panic: status %d, body %s", good.StatusCode, body)
+	}
+	if n := s.met.jobPanics.Value(); n != 1 {
+		t.Fatalf("serve_job_panics_total = %d, want 1", n)
 	}
 }
 

@@ -294,9 +294,14 @@ func LoopbackTest(l *Link, width int, extra []uint32) LoopbackResult {
 type CascadeGroup = cascade.Group
 
 // NewCascadeGroup builds a cascade of c identical members with shared
-// randomness; add the group (not the members) to the engine.
+// randomness; add the group (not the members) to the engine. Like
+// NewRouter, it panics on an invalid configuration.
 func NewCascadeGroup(name string, cfg RouterConfig, set RouterSettings, c int, seed uint32) *CascadeGroup {
-	return cascade.NewGroup(name, cfg, set, c, prng.NewShared(seed))
+	sh, err := core.NewShape(cfg, set)
+	if err != nil {
+		panic("metro: cascade " + name + ": " + err.Error())
+	}
+	return cascade.NewGroup(name, sh, c, prng.NewShared(seed))
 }
 
 // --- Analytical model ---------------------------------------------------
