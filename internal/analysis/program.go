@@ -173,7 +173,7 @@ func (prog *Program) nodeFor(fn *types.Func) *FuncNode {
 // of the program whose pointer method set satisfies iface, sorted by
 // (package path, type name) for deterministic edge order. CHA
 // deliberately stops at the model boundary: an example program's type
-// may satisfy clock.Component or nic.Channel too, but it is not part of
+// may satisfy clock.Component or clock.Kernel too, but it is not part of
 // the sharded simulation the purity rules protect (and the zero-alloc
 // benchmarks gate the real configurations at runtime).
 func (prog *Program) implementersOf(iface *types.Interface) []*types.Named {

@@ -15,7 +15,9 @@
 // A logical word on a c-cascade of width-w routers is w*c bits: control
 // words (ROUTE, TURN, DROP, DATA-IDLE) are replicated to every member so
 // their connection state machines stay in lockstep, while DATA and
-// CHECKSUM payloads are bit-sliced across the members.
+// CHECKSUM payloads are bit-sliced across the members (word.MemberWord
+// splits a logical word, word.MergeWords joins one; an endpoint's lanes
+// run both).
 package cascade
 
 import (
@@ -23,7 +25,6 @@ import (
 
 	"metro/internal/core"
 	"metro/internal/prng"
-	"metro/internal/word"
 )
 
 // Group is a width-cascaded logical router: c member routers evaluated in
@@ -140,60 +141,5 @@ func (g *Group) check(cycle uint64) {
 			r.KillConnection(cycle, fp)
 		}
 		g.kills++
-	}
-}
-
-// MemberWord computes member k of a logical word bit-sliced across lanes
-// of width w. Control words are replicated; data-bearing payloads are bit-sliced with
-// member 0 carrying the least significant w bits.
-//
-//metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
-//metrovet:truncate k and w are nonnegative (lane index and member width)
-func MemberWord(logical word.Word, k, w int) word.Word {
-	switch logical.Kind {
-	case word.Data, word.ChecksumWord:
-		return word.Word{
-			Kind:    logical.Kind,
-			Payload: (logical.Payload >> uint(k*w)) & word.Mask(w),
-		}
-	case word.Empty, word.Route, word.HeaderPad, word.DataIdle, word.Turn,
-		word.Status, word.Drop:
-		// Control words are replicated so member state machines stay in
-		// lockstep.
-		return logical
-	default:
-		panic("cascade: MemberWord: out-of-band word kind")
-	}
-}
-
-// MergeWords reassembles a logical word from the member words. The kinds
-// must agree (members in lockstep); on disagreement the Empty word is
-// returned, which upper layers treat as a protocol error.
-//
-//metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
-//metrovet:truncate k and w are nonnegative (lane index and member width)
-func MergeWords(members []word.Word, w int) word.Word {
-	if len(members) == 0 {
-		return word.Word{}
-	}
-	kind := members[0].Kind
-	for _, m := range members[1:] {
-		if m.Kind != kind {
-			return word.Word{}
-		}
-	}
-	switch kind {
-	case word.Data, word.ChecksumWord:
-		out := word.Word{Kind: kind}
-		for k, m := range members {
-			out.Payload |= (m.Payload & word.Mask(w)) << uint(k*w)
-		}
-		return out
-	case word.Empty, word.Route, word.HeaderPad, word.DataIdle, word.Turn,
-		word.Status, word.Drop:
-		// Replicated control word: all members carry the same value.
-		return members[0]
-	default:
-		panic("cascade: MergeWords: out-of-band word kind")
 	}
 }

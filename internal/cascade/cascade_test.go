@@ -93,7 +93,7 @@ func TestWideDataTransfer(t *testing.T) {
 			}
 		}
 		members := []word.Word{dst[0][2].Recv(), dst[1][2].Recv()}
-		m := MergeWords(members, 4)
+		m := word.MergeWords(members, 4)
 		if m.Kind == word.Data {
 			got = append(got, m)
 		}
@@ -165,7 +165,7 @@ func TestPartialAllocationContained(t *testing.T) {
 func splitWord(logical word.Word, c, w int) []word.Word {
 	out := make([]word.Word, c)
 	for k := range out {
-		out[k] = MemberWord(logical, k, w)
+		out[k] = word.MemberWord(logical, k, w)
 	}
 	return out
 }
@@ -179,7 +179,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 		if len(parts) != tc.c {
 			t.Fatalf("c=%d: %d parts", tc.c, len(parts))
 		}
-		back := MergeWords(parts, tc.w)
+		back := word.MergeWords(parts, tc.w)
 		if back != logical {
 			t.Fatalf("c=%d w=%d: %v -> %v", tc.c, tc.w, logical, back)
 		}
@@ -203,7 +203,7 @@ func TestSplitReplicatesControl(t *testing.T) {
 
 func TestMergeDetectsLockstepViolation(t *testing.T) {
 	members := []word.Word{{Kind: word.Data, Payload: 1}, {Kind: word.DataIdle}}
-	if m := MergeWords(members, 4); !m.IsEmpty() {
+	if m := word.MergeWords(members, 4); !m.IsEmpty() {
 		t.Fatalf("kind mismatch should merge to Empty, got %v", m)
 	}
 }
@@ -231,7 +231,7 @@ func TestTurnThroughCascade(t *testing.T) {
 			// Hold the destination side open.
 			dst[k][0].Send(word.Word{Kind: word.DataIdle})
 		}
-		m := MergeWords([]word.Word{src[0][0].Recv(), src[1][0].Recv()}, 4)
+		m := word.MergeWords([]word.Word{src[0][0].Recv(), src[1][0].Recv()}, 4)
 		if !m.IsEmpty() && m.Kind != word.DataIdle {
 			upstream = append(upstream, m)
 		}

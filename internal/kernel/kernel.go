@@ -11,10 +11,10 @@
 // whole commit phase of the interconnect is a copy and a clear per plane
 // over a register range. Evaluation units — router columns and endpoints —
 // are stored as parallel arrays (kind, index) walked by plain loops with
-// direct, devirtualized calls per concrete type. Adjacency between units
-// and arena-resident link ends is precomputed at compile time in CSR form,
-// so structural queries (and the compile-time wiring and placement audit)
-// never touch the component graph again.
+// direct, devirtualized calls per concrete type. Which link ends attach to
+// which unit is known only to the Builder: Compile audits the wiring and
+// the register placement against it once, and the plan keeps none of it,
+// since no cycle reads it.
 //
 // The component structs are not replaced: a core.Router or nic.Endpoint
 // referenced by a unit is the same object tests, telemetry, and scan
@@ -64,6 +64,11 @@ type LinkRef struct {
 // network. Feed it units in index order, then Compile.
 type Builder struct {
 	c Compiled
+
+	// CSR adjacency, for Compile's audit: unit u's attached link ends are
+	// adj[adjStart[u]:adjStart[u+1]].
+	adjStart []int32
+	adj      []LinkRef
 }
 
 // NewBuilder returns an empty builder.
@@ -103,8 +108,8 @@ func (b *Builder) AddEndpoint(ep *nic.Endpoint, attached ...LinkRef) {
 func (b *Builder) addUnit(kind unitKind, idx int32, attached []LinkRef) {
 	b.c.kinds = append(b.c.kinds, kind)
 	b.c.idxs = append(b.c.idxs, idx)
-	b.c.adjStart = append(b.c.adjStart, int32(len(b.c.adj)))
-	b.c.adj = append(b.c.adj, attached...)
+	b.adjStart = append(b.adjStart, int32(len(b.adj)))
+	b.adj = append(b.adj, attached...)
 }
 
 // Compile seals the plan. It audits the adjacency tables and the register
@@ -122,9 +127,11 @@ func (b *Builder) addUnit(kind unitKind, idx int32, attached []LinkRef) {
 //     never decreases: each unit's inputs are one contiguous run, and the
 //     runs lie in unit order. That is the reader-major layout the per-cycle
 //     byte budget in docs/KERNEL.md rests on.
+//
+// The plan it returns keeps no adjacency: the audit is its one reader.
 func (b *Builder) Compile() (*Compiled, error) {
 	c := &b.c
-	c.adjStart = append(c.adjStart, int32(len(c.adj)))
+	b.adjStart = append(b.adjStart, int32(len(b.adj)))
 	// reader[ai][r] is the unit reading register r of arena ai: noReader
 	// until claimed by a link direction, unread until a unit attaches.
 	const noReader, unread = -2, -1
@@ -149,11 +156,11 @@ func (b *Builder) Compile() (*Compiled, error) {
 		reader[ai] = rd
 	}
 	for u := 0; u < c.Units(); u++ {
-		for _, ref := range c.UnitLinks(u) {
+		for _, ref := range b.adj[b.adjStart[u]:b.adjStart[u+1]] {
 			if int(ref.Arena) >= len(c.arenas) || int(ref.Index) >= c.arenas[ref.Arena].Len() {
 				return nil, fmt.Errorf("kernel: adjacency ref %+v of unit %d names no placed link", ref, u)
 			}
-			l := c.LinkAt(ref)
+			l := c.arenas[ref.Arena].At(int(ref.Index))
 			r := inputRegister(l, ref.AtA)
 			if prev := reader[ref.Arena][r]; prev != unread {
 				return nil, fmt.Errorf("kernel: link %s end %s is attached to units %d and %d, want one", l.Name(), endName(ref.AtA), prev, u)
@@ -176,7 +183,8 @@ func (b *Builder) Compile() (*Compiled, error) {
 			}
 		}
 	}
-	return c, nil
+	plan := *c
+	return &plan, nil
 }
 
 // inputRegister returns the register a link's A or B end reads.
@@ -195,9 +203,10 @@ func endName(atA bool) string {
 	return "B"
 }
 
-// Compiled is the flattened execution plan. It implements clock.Kernel:
-// the engine drives units by contiguous index range and the batched link
-// shuttle by partition, serially or across workers.
+// Compiled is the flattened execution plan: what a cycle reads, and
+// nothing else. It implements clock.Kernel: the engine drives units by
+// contiguous index range and the batched link shuttle by partition,
+// serially or across workers.
 type Compiled struct {
 	// Parallel unit arrays: unit u has kind kinds[u] and indexes the
 	// kind's typed slice at idxs[u].
@@ -211,10 +220,6 @@ type Compiled struct {
 	// arenas holds every link pipeline register in the plan, grouped by
 	// delay class and placed reader-major (see Compile).
 	arenas []*link.Arena
-
-	// CSR adjacency: unit u's attached link ends are adj[adjStart[u]:adjStart[u+1]].
-	adjStart []int32
-	adj      []LinkRef
 }
 
 // Units implements clock.Kernel.
@@ -274,16 +279,6 @@ func (c *Compiled) CommitBatch(part, parts int, cycle uint64) {
 
 // Arenas returns the plan's link arenas, for introspection and tests.
 func (c *Compiled) Arenas() []*link.Arena { return c.arenas }
-
-// UnitLinks returns unit u's attached link ends from the CSR adjacency table.
-func (c *Compiled) UnitLinks(u int) []LinkRef {
-	return c.adj[c.adjStart[u]:c.adjStart[u+1]]
-}
-
-// LinkAt resolves a LinkRef to its view struct.
-func (c *Compiled) LinkAt(ref LinkRef) *link.Link {
-	return c.arenas[ref.Arena].At(int(ref.Index))
-}
 
 // Links returns the total number of arena-resident links.
 func (c *Compiled) Links() int {

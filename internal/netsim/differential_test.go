@@ -225,10 +225,10 @@ func firstDivergence(got, want []nic.Result) string {
 	return fmt.Sprintf("lengths differ: got %d, want %d", len(got), len(want))
 }
 
-// TestKernelWiringAudit pins the compile-time adjacency audit on a built
-// network: every arena-resident link is referenced by exactly two units,
-// the arenas hold one link per cascade lane of every topology wire, and
-// there is one unit per router column and per endpoint. It also reads the
+// TestKernelWiringAudit pins the shape of a built network's compiled plan
+// (Compile's own audit has already held every link end to exactly one
+// unit): the arenas hold one link per cascade lane of every topology wire,
+// and there is one unit per router column and per endpoint. It also reads the
 // reader-major placement back off the routers: port p of a router reads the
 // register p places after port 0's, forward and backward alike, in one
 // delay class and in several.
@@ -279,14 +279,6 @@ func TestKernelWiringAudit(t *testing.T) {
 		units := n.Compiled.Units()
 		if want := n.Topo.RouterCount() + len(n.Endpoints); units != want {
 			t.Fatalf("cascade %d: compiled plan has %d units, want %d (columns + endpoints)", c, units, want)
-		}
-		// Adjacency degree check: summed unit degrees = 2 * links.
-		degree := 0
-		for u := 0; u < units; u++ {
-			degree += len(n.Compiled.UnitLinks(u))
-		}
-		if degree != 2*links {
-			t.Fatalf("cascade %d: adjacency degree sum %d, want %d", c, degree, 2*links)
 		}
 	}
 }

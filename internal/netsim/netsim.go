@@ -435,7 +435,10 @@ func Build(p Params) (*Network, error) {
 		}
 	}
 
-	// Endpoints.
+	// Endpoints: one shape for all of them. Completions and deliveries are
+	// buffered per endpoint and replayed by the collector in endpoint-index
+	// order, so parallel endpoint evaluation cannot perturb the observable
+	// result stream.
 	n.header = nic.HeaderSpec{Width: p.Width}
 	for s, st := range p.Spec.Stages {
 		n.header.Stages = append(n.header.Stages, nic.StageHeader{
@@ -443,43 +446,34 @@ func Build(p Params) (*Network, error) {
 			HeaderWords: hwOf(s),
 		})
 	}
-	n.Endpoints = make([]*nic.Endpoint, p.Spec.Endpoints)
 	n.events = make([][]event, p.Spec.Endpoints)
-	for e := 0; e < p.Spec.Endpoints; e++ {
-		e := e
-		cfg := nic.Config{
-			ID:                e,
-			Width:             p.Width,
-			Lanes:             c,
-			Header:            n.header,
-			AppendRouteDigits: top.AppendRouteDigits,
-			MaxActiveSenders:  p.MaxActiveSenders,
-			RetryLimit:        p.RetryLimit,
-			ListenTimeout:     p.ListenTimeout,
-			CloseGap:          p.DataPipe + 2,
-			// Completions are buffered per endpoint and replayed by the
-			// collector in endpoint-index order, so parallel endpoint
-			// evaluation cannot perturb the observable result stream.
-			OnResult: func(r nic.Result) {
-				n.events[e] = append(n.events[e], event{isResult: true, result: r})
-			},
+	cfg := nic.Config{
+		Width:             p.Width,
+		Lanes:             c,
+		Header:            n.header,
+		AppendRouteDigits: top.AppendRouteDigits,
+		MaxActiveSenders:  p.MaxActiveSenders,
+		RetryLimit:        p.RetryLimit,
+		ListenTimeout:     p.ListenTimeout,
+		CloseGap:          p.DataPipe + 2,
+		Responder:         p.Responder,
+		ResponderDelay:    p.ResponderDelay,
+		OnResult: func(e int, r nic.Result) {
+			n.events[e] = append(n.events[e], event{isResult: true, result: r})
+		},
+	}
+	if p.OnDeliver != nil {
+		cfg.OnDeliver = func(e int, payload []byte, intact bool) {
+			n.events[e] = append(n.events[e], event{payload: payload, intact: intact})
 		}
-		if p.Responder != nil {
-			cfg.Responder = func(payload []byte) []byte { return p.Responder(e, payload) }
-		}
-		if p.ResponderDelay != nil {
-			cfg.ResponderDelay = func(payload []byte) int { return p.ResponderDelay(e, payload) }
-		}
-		if p.OnDeliver != nil {
-			cfg.OnDeliver = func(payload []byte, intact bool) {
-				n.events[e] = append(n.events[e], event{payload: payload, intact: intact})
-			}
-		}
-		ep, err := nic.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		n.Endpoints[e] = ep
+	}
+	epShape, err := nic.NewShape(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.Endpoints = make([]*nic.Endpoint, p.Spec.Endpoints)
+	for e := range n.Endpoints {
+		n.Endpoints[e] = epShape.NewEndpoint(e)
 	}
 
 	if p.Recorder != nil {
@@ -487,32 +481,29 @@ func Build(p Params) (*Network, error) {
 	}
 
 	// Links: injection, inter-stage, delivery — one physical link per
-	// cascade lane.
-	// ends is scratch: a single lane's channel is its end, and
-	// NewWideChannel copies the lanes' ends.
-	ends := make([]*link.End, c)
-	channel := func() nic.Channel {
-		if c == 1 {
-			return ends[0]
-		}
-		return cascade.NewWideChannel(ends, p.Width)
-	}
+	// cascade lane. An endpoint keeps each channel's lane ends, carved
+	// from one array: c per injection and per delivery link.
+	epEnds := make([]*link.End, 2*ne*c*p.Spec.Endpoints)
 	for e, refs := range top.Inject {
 		for k, ref := range refs {
-			for lane := 0; lane < c; lane++ {
+			ends := take(&epEnds, c)
+			for lane := range ends {
 				down := colUnit(ref.Stage, ref.Index)
 				l := makeLink(0, epUnit(e), down, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
 				ends[lane] = l.A()
 				lanes[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 			}
-			n.Endpoints[e].AttachInject(channel())
+			n.Endpoints[e].AttachInject(ends...)
 		}
 	}
 	for s := range top.Out {
 		for j := range top.Out[s] {
 			for bp, ref := range top.Out[s][j] {
 				downUnit := epUnit(ref.Index)
-				if ref.Kind != topo.KindEndpoint {
+				var ends []*link.End
+				if ref.Kind == topo.KindEndpoint {
+					ends = take(&epEnds, c)
+				} else {
 					downUnit = colUnit(ref.Stage, ref.Index)
 				}
 				for lane := 0; lane < c; lane++ {
@@ -524,13 +515,14 @@ func Build(p Params) (*Network, error) {
 					}
 					l := makeLink(s+1, colUnit(s, j), downUnit, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
 					lanes[s][j][lane].AttachBackward(bp, l.A())
-					ends[lane] = l.B()
-					if ref.Kind != topo.KindEndpoint {
+					if ref.Kind == topo.KindEndpoint {
+						ends[lane] = l.B()
+					} else {
 						lanes[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 					}
 				}
 				if ref.Kind == topo.KindEndpoint {
-					n.Endpoints[ref.Index].AttachDeliver(channel())
+					n.Endpoints[ref.Index].AttachDeliver(ends...)
 				}
 			}
 		}

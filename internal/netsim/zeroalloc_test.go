@@ -133,16 +133,18 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 // delay through Settings + ApplySettings cost two deep clones, twelve
 // allocations, per port (9,216 of this network's 15,278). It was 6,062
 // once that was gone, 2,528 once names were appended with strconv and the
-// adjacency tables carved from shared arrays, and is 1,698 since the
-// routers of a stage share one Shape (turn delays included), links store
-// no names and the network keeps no lane tables; the budget is that plus
-// 10%, so a per-router settings copy (two allocations a router) or a
-// stored link name (one a link) fails here.
+// adjacency tables carved from shared arrays, 1,698 once the routers of a
+// stage shared one Shape (turn delays included), links stored no names and
+// the network kept no lane tables, and is 1,316 since the endpoints share
+// one nic.Shape, hold their senders and receivers by value and take lane
+// ends carved from one array; the budget is that plus 10%, so a per-router
+// settings copy (two allocations a router), a stored link name (one a
+// link) or a per-endpoint closure fails here.
 func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const budget = 1870
+	const budget = 1448
 	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
 	ports := 0
 	n, err := Build(p)
@@ -177,14 +179,16 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // 1,536 routers and 12,288 links. It was 11,850 B before the routers'
 // port state was packed (docs/KERNEL.md, "Memory layout and the per-cycle
 // byte budget"), about 8,400 B before routers shared their stage's Shape
-// and links shed names and padding, and is about 6,320 B now; the ceiling
-// leaves 3% for allocator jitter and fails long before a per-router copy
-// or a per-link field regrows.
+// and links shed names and padding, about 6,320 B before endpoints shared
+// their network's nic.Shape and the kernel dropped its adjacency after the
+// audit, and is about 5,500 B now; the ceiling leaves 3% for allocator
+// jitter and fails long before a per-router copy, a per-link field or a
+// per-endpoint Config copy regrows.
 func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 6510
+	const endpoints, ceiling = 1024, 5665
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

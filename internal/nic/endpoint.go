@@ -3,25 +3,14 @@ package nic
 import (
 	"fmt"
 
+	"metro/internal/link"
 	"metro/internal/telemetry"
 	"metro/internal/word"
 )
 
-// Channel is the endpoint's view of a network attachment point: one
-// word-wide, bidirectional, BCB-carrying connection per clock cycle. A
-// plain link end satisfies it directly; a width-cascaded group of links is
-// presented as a single logical Channel by cascade.WideChannel.
-type Channel interface {
-	Send(word.Word)
-	Recv() word.Word
-	SendBCB(bool)
-	RecvBCB() bool
-}
-
-// Config parameterizes an endpoint's network interface.
+// Config parameterizes the network interfaces of a network's endpoints.
+// They share one, through a Shape.
 type Config struct {
-	// ID is the endpoint number.
-	ID int
 	// Width is the physical channel width w of one routing component.
 	Width int
 	// Lanes is the width-cascade factor c: the number of parallel
@@ -47,25 +36,22 @@ type Config struct {
 	// DROP before carrying a new ROUTE, so the request never chases the
 	// DROP into a router that has not yet released (>= max dp + 2).
 	CloseGap int
-	// Responder, when set, produces a reply payload for each received
-	// message (destination side), enabling request-reply transactions
-	// over a single reversed connection.
-	Responder func(payload []byte) []byte
-	// ResponderDelay, when set, returns how many cycles the destination
+	// Responder, when set, produces a reply payload for each message
+	// endpoint ep receives (destination side), enabling request-reply
+	// transactions over a single reversed connection.
+	Responder func(ep int, payload []byte) []byte
+	// ResponderDelay, when set, returns how many cycles destination ep
 	// needs before its reply data is ready (e.g. a memory access vs a
 	// cache hit). The endpoint holds the reversed connection open with
 	// DATA-IDLE words for that long — the paper's first DATA-IDLE use
 	// case (Section 5.1).
-	ResponderDelay func(payload []byte) int
-	// Telemetry, when set, is the unit-local buffer the message lifecycle
-	// (queued, attempt, blocked, retried, delivered...) is recorded into
-	// as telemetry.EvMsg* events.
-	Telemetry *telemetry.Buf
-	// OnResult receives the final fate of each message this endpoint
+	ResponderDelay func(ep int, payload []byte) int
+	// OnResult receives the final fate of each message endpoint ep
 	// sourced.
-	OnResult func(Result)
-	// OnDeliver is invoked when a message is received (destination side).
-	OnDeliver func(payload []byte, intact bool)
+	OnResult func(ep int, r Result)
+	// OnDeliver is invoked when endpoint ep receives a message
+	// (destination side).
+	OnDeliver func(ep int, payload []byte, intact bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -84,23 +70,82 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// logicalWidth returns the payload word width of the (possibly cascaded)
+// logical channel.
+func (c *Config) logicalWidth() int { return c.Width * c.Lanes }
+
+// Shape is what the endpoints of a network have in common: their Config,
+// validated and with its defaults applied, and the checksum group sizes it
+// fixes. Every endpoint built from a Shape points at it rather than holding
+// a copy, as the routers of a stage share a core.Shape; a Shape is never
+// written once made.
+type Shape struct {
+	Config
+	// An end-to-end checksum is ckLogical words (sized to the logical
+	// channel), a router-injected status checksum ckPhysical (sized to the
+	// component width). Receivers and reply parsers need them per word.
+	ckLogical  int
+	ckPhysical int
+}
+
+// NewShape validates cfg, once for every endpoint built from the shape.
+func NewShape(cfg Config) (*Shape, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Width < 1 || cfg.Width > 32 {
+		return nil, fmt.Errorf("nic: width %d outside [1,32]", cfg.Width)
+	}
+	if lw := cfg.logicalWidth(); lw > 32 {
+		return nil, fmt.Errorf("nic: cascaded width %d x %d lanes exceeds 32 bits", cfg.Width, cfg.Lanes)
+	}
+	if err := cfg.Header.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.AppendRouteDigits == nil {
+		return nil, fmt.Errorf("nic: AppendRouteDigits is required")
+	}
+	return &Shape{
+		Config:     cfg,
+		ckLogical:  word.ChecksumWords(cfg.logicalWidth()),
+		ckPhysical: word.ChecksumWords(cfg.Width),
+	}, nil
+}
+
+// NewEndpoint constructs endpoint id of the shape's network. Links are
+// attached afterward.
+func (sh *Shape) NewEndpoint(id int) *Endpoint {
+	return &Endpoint{cfg: sh, id: id}
+}
+
+// New constructs a hand-wired endpoint: a network of one that makes its
+// own Shape.
+func New(id int, cfg Config) (*Endpoint, error) {
+	sh, err := NewShape(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sh.NewEndpoint(id), nil
+}
+
 // Endpoint is a network endpoint: a message source driving one or more
 // injection links and a destination served by one or more delivery links.
 // It implements clock.Component.
 type Endpoint struct {
-	cfg       Config
-	senders   []*sender
-	receivers []*receiver
+	cfg       *Shape
+	id        int
+	tel       *telemetry.Buf // message-lifecycle events; nil while unobserved
+	senders   []sender
+	receivers []receiver
 	queue     []*pending
 	qHead     int        // next queued message; the backing array is reused
 	free      []*pending // recycled bookkeeping records for future Offers
 	nextSend  int
-	// Checksum group sizes, fixed by the widths New validated: an
-	// end-to-end checksum is ckLogical words (sized to the logical
-	// channel), a router-injected status checksum ckPhysical (sized to the
-	// component width). Receivers need them every cycle.
-	ckLogical  int
-	ckPhysical int
+
+	// Per-build scratch, reused so steady-state builds never allocate. A
+	// sender builds a message's stream when it begins its first attempt,
+	// one sender at a time within Eval, so the senders share it.
+	digits    []int       // route digits
+	laneBuf   []word.Word // one lane's projection of the stream (Lanes > 1)
+	ckScratch []word.Word // working copy for expected-checksum stripping
 }
 
 // pending is a message queued for (re)transmission together with its
@@ -116,60 +161,44 @@ type pending struct {
 	// attempt. The buffers recycle with the record through the freelist.
 	built    bool
 	words    []word.Word
-	expected [][]uint8 // per lane, per stage
+	expected []uint8 // lane-major: lane l, stage s at l*stages+s
 	sentCRC  uint8
 	stages   int
 }
 
-// New constructs an endpoint. Links are attached afterward.
-func New(cfg Config) (*Endpoint, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Width < 1 || cfg.Width > 32 {
-		return nil, fmt.Errorf("nic: width %d outside [1,32]", cfg.Width)
-	}
-	if lw := cfg.logicalWidth(); lw > 32 {
-		return nil, fmt.Errorf("nic: cascaded width %d x %d lanes exceeds 32 bits", cfg.Width, cfg.Lanes)
-	}
-	if err := cfg.Header.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.AppendRouteDigits == nil {
-		return nil, fmt.Errorf("nic: AppendRouteDigits is required")
-	}
-	return &Endpoint{
-		cfg:        cfg,
-		ckLogical:  word.ChecksumWords(cfg.logicalWidth()),
-		ckPhysical: word.ChecksumWords(cfg.Width),
-	}, nil
-}
-
-// logicalWidth returns the payload word width of the (possibly cascaded)
-// logical channel.
-func (c Config) logicalWidth() int { return c.Width * c.Lanes }
-
-// AttachInject adds an injection channel (the upstream end of a link, or
-// a cascaded wide channel).
+// AttachInject adds an injection link: the upstream ends of its Lanes
+// parallel lanes, lane 0 carrying the least significant bits. The endpoint
+// keeps the slice.
 //
 //metrovet:mutator network construction wiring, before the clock starts
-func (e *Endpoint) AttachInject(ch Channel) {
-	e.senders = append(e.senders, &sender{e: e, link: ch})
+func (e *Endpoint) AttachInject(ends ...*link.End) {
+	e.senders = append(e.senders, sender{e: e, link: e.channel(ends)})
 }
 
-// AttachDeliver adds a delivery channel.
+// AttachDeliver adds a delivery link: the downstream ends of its lanes, as
+// AttachInject takes them.
 //
 //metrovet:mutator network construction wiring, before the clock starts
-func (e *Endpoint) AttachDeliver(ch Channel) {
-	e.receivers = append(e.receivers, &receiver{e: e, link: ch})
+func (e *Endpoint) AttachDeliver(ends ...*link.End) {
+	e.receivers = append(e.receivers, receiver{e: e, link: e.channel(ends)})
+}
+
+// channel checks that ends is one logical channel of the endpoint's shape.
+func (e *Endpoint) channel(ends []*link.End) lanes {
+	if len(ends) != e.cfg.Lanes {
+		panic(fmt.Sprintf("nic: endpoint %d attached a channel of %d lanes, want %d", e.id, len(ends), e.cfg.Lanes))
+	}
+	return ends
 }
 
 // ID returns the endpoint number.
-func (e *Endpoint) ID() int { return e.cfg.ID }
+func (e *Endpoint) ID() int { return e.id }
 
 // SetTelemetry attaches (or, with nil, removes) the message-lifecycle
-// event buffer. Equivalent to setting Config.Telemetry before New.
+// event buffer.
 //
 //metrovet:mutator network construction wiring, before the clock starts
-func (e *Endpoint) SetTelemetry(b *telemetry.Buf) { e.cfg.Telemetry = b }
+func (e *Endpoint) SetTelemetry(b *telemetry.Buf) { e.tel = b }
 
 // emit records one message-lifecycle event; a and b are kind-specific (see
 // the telemetry.EvMsg* constants). It runs during Eval (and from Offer for
@@ -178,9 +207,9 @@ func (e *Endpoint) SetTelemetry(b *telemetry.Buf) { e.cfg.Telemetry = b }
 //
 //metrovet:truncate a and b are attempt and retry counts, a stage (-1 when unknown), an endpoint index or a 0/1 flag, all far below 2^31
 func (e *Endpoint) emit(cycle uint64, kind telemetry.Kind, id uint64, a, b int) {
-	if e.cfg.Telemetry != nil {
-		e.cfg.Telemetry.Emit(telemetry.Event{
-			Cycle: cycle, Msg: id, Src: telemetry.EndpointSource(e.cfg.ID),
+	if e.tel != nil {
+		e.tel.Emit(telemetry.Event{
+			Cycle: cycle, Msg: id, Src: telemetry.EndpointSource(e.id),
 			Kind: kind, A: int32(a), B: int32(b),
 		})
 	}
@@ -217,8 +246,8 @@ func (e *Endpoint) QueueLen() int { return len(e.queue) - e.qHead }
 
 // Busy reports whether any sender is mid-message.
 func (e *Endpoint) Busy() bool {
-	for _, s := range e.senders {
-		if s.state != sIdle && s.state != sCooldown {
+	for i := range e.senders {
+		if s := &e.senders[i]; s.state != sIdle && s.state != sCooldown {
 			return true
 		}
 	}
@@ -228,8 +257,8 @@ func (e *Endpoint) Busy() bool {
 // Receiving reports whether any delivery link has a connection in
 // progress.
 func (e *Endpoint) Receiving() bool {
-	for _, r := range e.receivers {
-		if r.state != rIdle {
+	for i := range e.receivers {
+		if e.receivers[i].state != rIdle {
 			return true
 		}
 	}
@@ -238,12 +267,13 @@ func (e *Endpoint) Receiving() bool {
 
 // Eval implements clock.Component.
 func (e *Endpoint) Eval(cycle uint64) {
-	for _, r := range e.receivers {
-		r.eval(cycle)
+	rs := e.receivers
+	for i := range rs {
+		rs[i].eval(cycle)
 	}
 	active := 0
-	for _, s := range e.senders {
-		if s.state != sIdle && s.state != sCooldown {
+	for i := range e.senders {
+		if s := &e.senders[i]; s.state != sIdle && s.state != sCooldown {
 			active++
 		}
 	}
@@ -269,8 +299,9 @@ func (e *Endpoint) Eval(cycle uint64) {
 		e.queue = e.queue[:0]
 		e.qHead = 0
 	}
-	for _, s := range e.senders {
-		s.eval(cycle)
+	ss := e.senders
+	for i := range ss {
+		ss[i].eval(cycle)
 	}
 }
 
@@ -281,7 +312,7 @@ func (e *Endpoint) Commit(cycle uint64) {}
 func (e *Endpoint) idleSender() *sender {
 	n := len(e.senders)
 	for i := 0; i < n; i++ {
-		s := e.senders[(e.nextSend+i)%n]
+		s := &e.senders[(e.nextSend+i)%n]
 		if s.state == sIdle {
 			e.nextSend = (e.nextSend + i + 1) % n
 			return s
@@ -316,7 +347,7 @@ func (e *Endpoint) finish(p *pending, delivered bool, cycle uint64) {
 	}
 	e.emit(p.res.Done, kind, p.msg.ID, p.res.Retries, p.msg.Dest)
 	if e.cfg.OnResult != nil {
-		e.cfg.OnResult(p.res)
+		e.cfg.OnResult(e.id, p.res)
 	}
 	// Recycle the record: Result was handed out by value, so dropping the
 	// payload and reply references here cannot disturb the receiver. The
@@ -324,7 +355,7 @@ func (e *Endpoint) finish(p *pending, delivered bool, cycle uint64) {
 	words, expected := p.words, p.expected
 	*p = pending{}
 	p.words = words[:0]
-	p.expected = expected
+	p.expected = expected[:0]
 	//metrovet:alloc freelist push; bounded by the peak in-flight count
 	e.free = append(e.free, p)
 }
@@ -368,39 +399,80 @@ const (
 	dropRetry
 )
 
-type sender struct {
-	e     *Endpoint
-	link  Channel
-	state sState
+// lanes is one logical channel: its lanes' link ends, lane 0 carrying the
+// least significant bits (paper, Section 5.1, Router Width Cascading). A
+// single lane is the channel itself, its words passed through unchanged. A
+// cascade splits each word it sends with word.MemberWord and merges what it
+// receives with word.MergeWords; its BCB is the OR of the lanes', so any
+// member tearing a connection down (a consistency kill included) aborts the
+// logical connection. The lanes are called in lane order, and RecvBCB stops
+// at the first asserted one, so a stateful corruptor sees a fixed sequence
+// of calls.
+type lanes []*link.End
 
+// Send stages w on every lane; width is the physical width of one lane.
+func (l lanes) Send(w word.Word, width int) {
+	if len(l) == 1 {
+		l[0].Send(w)
+		return
+	}
+	for k, end := range l {
+		end.Send(word.MemberWord(w, k, width))
+	}
+}
+
+// Recv returns the logical word arriving this cycle. A lockstep violation
+// (lanes of differing kinds) merges to Empty, which the endpoint protocol
+// treats as a failed connection; the consistency kill will have asserted
+// BCB in the same breath.
+func (l lanes) Recv(width int) word.Word {
+	if len(l) == 1 {
+		return l[0].Recv()
+	}
+	var buf [32]word.Word // NewShape bounds Width*Lanes, so Lanes, by 32
+	members := buf[:len(l)]
+	for k, end := range l {
+		members[k] = end.Recv()
+	}
+	return word.MergeWords(members, width)
+}
+
+// RecvBCB reports whether any lane's BCB is asserted.
+func (l lanes) RecvBCB() bool {
+	for _, end := range l {
+		if end.RecvBCB() {
+			return true
+		}
+	}
+	return false
+}
+
+type sender struct {
+	e         *Endpoint
+	link      lanes
+	state     sState
+	afterDrop dropAction // disposition applied to p once the DROP is out
+
+	// p is the message in flight; while dropping, the one afterDrop
+	// applies to (nil for dropNone).
 	p     *pending
 	idx   int
 	parse parser
 
-	// Per-build scratch, reused so steady-state builds never allocate.
-	digits    []int       // route digits
-	laneBuf   []word.Word // one lane's projection of the stream (Lanes > 1)
-	ckScratch []word.Word // working copy for expected-checksum stripping
-
 	listenStart uint64
 	cooldown    int
-	afterDrop   dropAction // disposition applied once the DROP is out
-	dropped     *pending   // the message that disposition applies to
 }
 
 // begin starts a transmission attempt for p, building the attempt stream
 // on the first attempt and replaying the cached one on retries.
-//
-//metrovet:width logicalWidth = Width*Lanes is validated into [1,32] by New
 func (s *sender) begin(cycle uint64, p *pending) {
-	cfg := &s.e.cfg
 	s.p = p
 	if !p.built {
 		s.build(p)
 		p.built = true
 	}
 	s.idx = 0
-	s.parse.reset(cfg.Width, cfg.logicalWidth(), cfg.Lanes, p.stages)
+	s.parse.reset()
 	s.state = sSending
 	if p.res.Injected == 0 && p.res.Retries == 0 {
 		p.res.Injected = cycle
@@ -411,23 +483,23 @@ func (s *sender) begin(cycle uint64, p *pending) {
 // build constructs the message's attempt stream into the pending record.
 // Payload words are packed at the logical channel width; routing words
 // were already sized to the physical component width by the HeaderSpec and
-// are replicated across lanes by the channel. Every buffer involved is
-// record- or sender-owned scratch, so a warmed endpoint builds messages
+// are replicated across lanes as they are sent. Every buffer involved is
+// record- or endpoint-owned scratch, so a warmed endpoint builds messages
 // without touching the heap.
 //
 //metrovet:alloc scratch buffers grow to the message size once, then recycle across messages
-//metrovet:width logicalWidth = Width*Lanes is validated into [1,32] by New
+//metrovet:width logicalWidth = Width*Lanes is validated into [1,32] by NewShape
 func (s *sender) build(p *pending) {
-	cfg := &s.e.cfg
+	e, cfg := s.e, s.e.cfg
 	lw := cfg.logicalWidth()
-	s.digits = cfg.AppendRouteDigits(s.digits[:0], p.msg.Dest)
-	p.stages = len(s.digits)
+	e.digits = cfg.AppendRouteDigits(e.digits[:0], p.msg.Dest)
+	p.stages = len(e.digits)
 	// The stream is header, packed payload, checksum and TURN: sized once
 	// when the record's buffer is short, never grown word by word.
 	if n := cfg.Header.Words() + PackedWords(len(p.msg.Payload), lw) + word.ChecksumWords(lw) + 1; cap(p.words) < n {
 		p.words = make([]word.Word, 0, n)
 	}
-	words := cfg.Header.AppendBuild(p.words[:0], s.digits)
+	words := cfg.Header.AppendBuild(p.words[:0], e.digits)
 	headerLen := len(words)
 	words = AppendPackBytes(words, p.msg.Payload, lw)
 	var ck word.Checksum
@@ -437,41 +509,27 @@ func (s *sender) build(p *pending) {
 	p.sentCRC = ck.Sum()
 	words = word.AppendChecksum(words, p.sentCRC, lw)
 	p.words = append(words, word.Word{Kind: word.Turn})
-	// Expected per-stage checksums, one set per lane: each routing
-	// component checksums the slice of the stream its lane carries.
-	if len(p.expected) != cfg.Lanes {
-		p.expected = make([][]uint8, cfg.Lanes)
-	}
+	// Expected per-stage checksums, one run of stages per lane: each
+	// routing component checksums the slice of the stream its lane carries.
+	p.expected = p.expected[:0]
 	for lane := 0; lane < cfg.Lanes; lane++ {
 		laneStream := p.words
 		if cfg.Lanes > 1 {
-			s.laneBuf = appendLaneSlice(s.laneBuf[:0], p.words, lane, cfg.Width)
-			laneStream = s.laneBuf
+			e.laneBuf = appendLaneSlice(e.laneBuf[:0], p.words, lane, cfg.Width)
+			laneStream = e.laneBuf
 		}
-		p.expected[lane], s.ckScratch =
-			cfg.Header.AppendExpectedStageChecksums(p.expected[lane][:0], laneStream, s.ckScratch)
+		p.expected, e.ckScratch = cfg.Header.AppendExpectedStageChecksums(p.expected, laneStream, e.ckScratch)
 	}
 }
 
-// appendLaneSlice projects a logical word stream onto one cascade lane:
-// payload bits are sliced, control words replicated — exactly what the
-// lane's routing component receives. The projection appends to dst,
-// which is returned.
+// appendLaneSlice projects a logical word stream onto one cascade lane
+// (word.MemberWord, word by word): exactly what the lane's routing
+// component receives. The projection appends to dst, which is returned.
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
-//metrovet:width lane < Lanes and width = cfg.Width, so lane*width < Width*Lanes <= 32 (validated by New)
-//metrovet:truncate lane and width are nonnegative (lane is a loop index, width a validated channel width)
 func appendLaneSlice(dst []word.Word, stream []word.Word, lane, width int) []word.Word {
 	for _, w := range stream {
-		switch w.Kind {
-		case word.Data, word.ChecksumWord:
-			dst = append(dst, word.Word{Kind: w.Kind,
-				Payload: (w.Payload >> uint(lane*width)) & word.Mask(width)})
-		case word.Empty, word.Route, word.HeaderPad, word.DataIdle,
-			word.Turn, word.Status, word.Drop:
-			// Control words are replicated across lanes.
-			dst = append(dst, w)
-		}
+		dst = append(dst, word.MemberWord(w, lane, width))
 	}
 	return dst
 }
@@ -490,11 +548,11 @@ func (s *sender) eval(cycle uint64) {
 		return
 
 	case sDropping:
-		s.link.Send(word.Word{Kind: word.Drop})
+		s.link.Send(word.Word{Kind: word.Drop}, s.e.cfg.Width)
 		s.state = sCooldown
 		s.cooldown = s.e.cfg.CloseGap
-		p := s.dropped
-		s.dropped = nil
+		p := s.p
+		s.p = nil
 		switch s.afterDrop {
 		case dropFinish:
 			s.e.finish(p, true, cycle)
@@ -511,12 +569,12 @@ func (s *sender) eval(cycle uint64) {
 			s.p.res.BlockedFast++
 			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
 			s.retryOrFail(cycle)
-			s.link.Send(word.Word{Kind: word.Drop})
+			s.link.Send(word.Word{Kind: word.Drop}, s.e.cfg.Width)
 			s.state = sCooldown
 			s.cooldown = s.e.cfg.CloseGap
 			return
 		}
-		s.link.Send(s.p.words[s.idx])
+		s.link.Send(s.p.words[s.idx], s.e.cfg.Width)
 		s.idx++
 		if s.idx == len(s.p.words) {
 			s.state = sListening
@@ -527,23 +585,24 @@ func (s *sender) eval(cycle uint64) {
 
 	case sListening:
 		// Hold the connection open while receiving.
-		s.link.Send(word.Word{Kind: word.DataIdle})
+		s.link.Send(word.Word{Kind: word.DataIdle}, s.e.cfg.Width)
 		if s.link.RecvBCB() {
 			s.p.res.BlockedFast++
 			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
 			s.abortNow(cycle)
 			return
 		}
-		w := s.link.Recv()
-		s.parse.feed(w)
+		w := s.link.Recv(s.e.cfg.Width)
+		s.parse.feed(s.e.cfg, w)
 		switch {
 		case s.parse.done:
 			s.complete(cycle)
 		case s.parse.closed:
 			// Detailed blocked reply (or far-end close): retry.
+			stage := s.parse.blockedStage(s.e.cfg)
 			s.p.res.BlockedDetailed++
-			s.p.res.LastBlockedStage = s.parse.blockedStage
-			s.e.emit(cycle, telemetry.EvMsgBlockedDetailed, s.p.msg.ID, s.parse.blockedStage, 0)
+			s.p.res.LastBlockedStage = stage
+			s.e.emit(cycle, telemetry.EvMsgBlockedDetailed, s.p.msg.ID, stage, 0)
 			p := s.p
 			s.p = nil
 			s.retryOrFailPending(p, cycle)
@@ -565,7 +624,6 @@ func (s *sender) eval(cycle uint64) {
 func (s *sender) abortNow(cycle uint64) {
 	s.state = sDropping
 	s.afterDrop = dropNone
-	s.dropped = nil
 	s.retryOrFail(cycle)
 }
 
@@ -573,17 +631,14 @@ func (s *sender) abortNow(cycle uint64) {
 // connection, and report.
 func (s *sender) complete(cycle uint64) {
 	p := s.p
-	s.p = nil
 	// Fault localization: first stage whose reported checksum (any lane)
 	// disagrees with the expected value for that lane's slice.
-	lanes := s.parse.lanes
-	stages := s.parse.stageCount()
+	c := s.e.cfg.Lanes
+	stages := min(s.parse.stageCount(s.e.cfg), p.stages)
 localize:
 	for stage := 0; stage < stages; stage++ {
-		for lane := 0; lane < lanes; lane++ {
-			got := s.parse.routerCks[stage*lanes+lane]
-			if lane < len(p.expected) && stage < len(p.expected[lane]) &&
-				got != p.expected[lane][stage] {
+		for lane := 0; lane < c; lane++ {
+			if s.parse.routerCks[stage*c+lane] != p.expected[lane*p.stages+stage] {
 				p.res.SuspectStage = stage
 				break localize
 			}
@@ -601,9 +656,8 @@ localize:
 	}
 	delivered := !nack && e2eOK && replyOK
 	p.res.Done = cycle
-	// Close the connection.
+	// Close the connection; p stays in flight until the DROP is out.
 	s.state = sDropping
-	s.dropped = p
 	if delivered {
 		p.res.Reply = UnpackBytes(s.parse.reply, s.e.cfg.logicalWidth())
 		s.afterDrop = dropFinish
@@ -658,19 +712,20 @@ func (s rState) String() string {
 
 type receiver struct {
 	e     *Endpoint
-	link  Channel
+	link  lanes
 	state rState
 
-	payload []word.Word
-	ckbuf   []word.Word
-	gotCk   bool
+	// The message's end-to-end checksum is its first ckLogical checksum
+	// words; e2e joins them as they arrive, ckWords counting them.
+	ckWords uint8
 	e2e     uint8
+	intact  bool
+
+	payload []word.Word
 
 	reply      []word.Word
 	replyIdx   int
 	replyDelay int
-	skipCk     int
-	intact     bool
 }
 
 // reset returns the receiver to rIdle while preserving the assembled-word
@@ -678,30 +733,23 @@ type receiver struct {
 func (r *receiver) reset() {
 	r.state = rIdle
 	r.payload = r.payload[:0]
-	r.ckbuf = r.ckbuf[:0]
-	r.gotCk = false
+	r.ckWords = 0
 	r.e2e = 0
 	r.reply = r.reply[:0]
 	r.replyIdx = 0
 	r.replyDelay = 0
-	r.skipCk = 0
 	r.intact = false
 }
 
 // eval advances the receiver's per-cycle state machine.
 func (r *receiver) eval(cycle uint64) {
-	w := r.link.Recv()
-	// End-to-end checksum groups are sized to the logical width; the
-	// router-injected status checksums skipped in rClosing are sized to
-	// the physical component width.
-	cw := r.e.ckLogical
-
+	w := r.link.Recv(r.e.cfg.Width)
 	switch r.state {
 	case rIdle:
 		switch w.Kind {
 		case word.Data, word.ChecksumWord, word.Turn:
 			r.state = rAssemble
-			r.assemble(w, cw, cycle)
+			r.assemble(w, cycle)
 		case word.Empty, word.Route, word.HeaderPad, word.DataIdle,
 			word.Status, word.Drop:
 			// Idle channel, idle fill, and stray control words are ignored;
@@ -709,7 +757,7 @@ func (r *receiver) eval(cycle uint64) {
 		}
 
 	case rAssemble:
-		r.assemble(w, cw, cycle)
+		r.assemble(w, cycle)
 
 	case rReply:
 		if w.Kind == word.Drop {
@@ -720,51 +768,46 @@ func (r *receiver) eval(cycle uint64) {
 			// Reply data not ready yet (memory access in flight): hold
 			// the connection open with idle fill.
 			r.replyDelay--
-			r.link.Send(word.Word{Kind: word.DataIdle})
+			r.link.Send(word.Word{Kind: word.DataIdle}, r.e.cfg.Width)
 			return
 		}
-		r.link.Send(r.reply[r.replyIdx])
+		r.link.Send(r.reply[r.replyIdx], r.e.cfg.Width)
 		r.replyIdx++
 		if r.replyIdx == len(r.reply) {
 			r.state = rClosing
 		}
 
 	case rClosing:
-		r.link.Send(word.Word{Kind: word.DataIdle})
+		r.link.Send(word.Word{Kind: word.DataIdle}, r.e.cfg.Width)
 		switch w.Kind {
-		case word.Status:
-			// Router-injected status toward us; skip its checksum words.
-			r.skipCk = r.e.ckPhysical
-		case word.ChecksumWord:
-			if r.skipCk > 0 {
-				r.skipCk--
-			}
 		case word.Drop, word.Empty:
 			// Either an explicit close or the upstream going silent ends
 			// the connection; the message was verified at the TURN, so
 			// deliver it.
 			r.deliver()
 			r.reset()
-		case word.Route, word.HeaderPad, word.Data, word.DataIdle, word.Turn:
-			// Residual stream words while the close propagates are ignored.
+		case word.Route, word.HeaderPad, word.Data, word.DataIdle, word.Turn,
+			word.Status, word.ChecksumWord:
+			// Residual stream words while the close propagates, and the
+			// status and checksum a router injects toward us, are ignored.
 		}
 	}
 }
 
 // assemble accumulates the forward stream of one message.
 //
-//metrovet:width logicalWidth is validated into [1,32] by New
-func (r *receiver) assemble(w word.Word, cw int, cycle uint64) {
+//metrovet:width logicalWidth is validated into [1,32] by NewShape, and ckWords < ckLogical = ChecksumWords(logicalWidth) keeps the shift below 8, where word.JoinChecksum places the same chunk
+//metrovet:truncate e2e keeps the low byte of the joined value, as word.JoinChecksum does
+func (r *receiver) assemble(w word.Word, cycle uint64) {
 	switch w.Kind {
 	case word.Data:
 		//metrovet:alloc buffer reused across messages; grows only until the largest message size
 		r.payload = append(r.payload, w)
 	case word.ChecksumWord:
-		//metrovet:alloc buffer reused across messages; bounded by the checksum word count
-		r.ckbuf = append(r.ckbuf, w)
-		if len(r.ckbuf) == cw {
-			r.e2e = word.JoinChecksum(r.ckbuf, r.e.cfg.logicalWidth())
-			r.gotCk = true
+		if int(r.ckWords) < r.e.cfg.ckLogical {
+			lw := r.e.cfg.logicalWidth()
+			r.e2e |= uint8((w.Payload & word.Mask(lw)) << (int(r.ckWords) * lw))
+			r.ckWords++
 		}
 	case word.Turn:
 		r.turn(cycle)
@@ -782,14 +825,14 @@ func (r *receiver) assemble(w word.Word, cw int, cycle uint64) {
 // and a TURN handing the channel back).
 //
 //metrovet:alloc per-message reply construction, not a per-cycle path
-//metrovet:width logicalWidth is validated into [1,32] by New
+//metrovet:width logicalWidth is validated into [1,32] by NewShape
 func (r *receiver) turn(cycle uint64) {
 	var ck word.Checksum
 	for _, w := range r.payload {
 		ck.Add(w)
 	}
 	computed := ck.Sum()
-	intact := r.gotCk && computed == r.e2e
+	intact := int(r.ckWords) == r.e.cfg.ckLogical && computed == r.e2e
 	arrived := 0
 	if intact {
 		arrived = 1
@@ -804,7 +847,7 @@ func (r *receiver) turn(cycle uint64) {
 	reply := append(r.reply[:0], word.Word{Kind: word.Status, Payload: flags & word.Mask(width)})
 	reply = word.AppendChecksum(reply, computed, width)
 	if intact && r.e.cfg.Responder != nil {
-		data := r.e.cfg.Responder(UnpackBytes(r.payload, width))
+		data := r.e.cfg.Responder(r.e.id, UnpackBytes(r.payload, width))
 		if len(data) > 0 {
 			dw := PackBytes(data, width)
 			var rck word.Checksum
@@ -820,7 +863,7 @@ func (r *receiver) turn(cycle uint64) {
 	r.replyIdx = 0
 	r.replyDelay = 0
 	if intact && r.e.cfg.ResponderDelay != nil {
-		r.replyDelay = r.e.cfg.ResponderDelay(UnpackBytes(r.payload, width))
+		r.replyDelay = r.e.cfg.ResponderDelay(r.e.id, UnpackBytes(r.payload, width))
 	}
 	r.state = rReply
 	r.intact = intact
@@ -828,6 +871,6 @@ func (r *receiver) turn(cycle uint64) {
 
 func (r *receiver) deliver() {
 	if r.e.cfg.OnDeliver != nil {
-		r.e.cfg.OnDeliver(UnpackBytes(r.payload, r.e.cfg.logicalWidth()), r.intact)
+		r.e.cfg.OnDeliver(r.e.id, UnpackBytes(r.payload, r.e.cfg.logicalWidth()), r.intact)
 	}
 }

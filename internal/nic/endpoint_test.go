@@ -18,7 +18,8 @@ import (
 type loopback struct {
 	eng      *clock.Engine
 	src, dst *Endpoint
-	wire     *link.Link
+	wire     *link.Link   // lane 0
+	lanes    []*link.Link // one per cascade lane
 	results  []Result
 	delivers [][]byte
 	intact   []bool
@@ -28,7 +29,6 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 	t.Helper()
 	lb := &loopback{eng: clock.New()}
 	srcCfg := Config{
-		ID:    0,
 		Width: 8,
 		Header: HeaderSpec{
 			Width: 8, Stages: nil, // zero routing stages
@@ -37,12 +37,11 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 		RetryLimit:        5,
 		ListenTimeout:     100,
 		CloseGap:          3,
-		OnResult:          func(r Result) { lb.results = append(lb.results, r) },
+		OnResult:          func(_ int, r Result) { lb.results = append(lb.results, r) },
 	}
 	dstCfg := srcCfg
-	dstCfg.ID = 1
 	dstCfg.OnResult = nil
-	dstCfg.OnDeliver = func(p []byte, ok bool) {
+	dstCfg.OnDeliver = func(_ int, p []byte, ok bool) {
 		lb.delivers = append(lb.delivers, append([]byte(nil), p...))
 		lb.intact = append(lb.intact, ok)
 	}
@@ -53,18 +52,25 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 		mutateDst(&dstCfg)
 	}
 	var err error
-	lb.src, err = New(srcCfg)
+	lb.src, err = New(0, srcCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb.dst, err = New(dstCfg)
+	lb.dst, err = New(1, dstCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb.wire = link.New("loop", 1)
-	lb.src.AttachInject(lb.wire.A())
-	lb.dst.AttachDeliver(lb.wire.B())
-	lb.eng.Add(lb.wire, lb.src, lb.dst)
+	var inject, deliver []*link.End
+	for lane := 0; lane < max(srcCfg.Lanes, 1); lane++ {
+		l := link.New("loop", 1)
+		lb.lanes = append(lb.lanes, l)
+		inject, deliver = append(inject, l.A()), append(deliver, l.B())
+		lb.eng.Add(l)
+	}
+	lb.wire = lb.lanes[0]
+	lb.src.AttachInject(inject...)
+	lb.dst.AttachDeliver(deliver...)
+	lb.eng.Add(lb.src, lb.dst)
 	return lb
 }
 
@@ -91,7 +97,7 @@ func TestLoopbackDelivery(t *testing.T) {
 
 func TestLoopbackRequestReply(t *testing.T) {
 	lb := newLoopback(t, nil, func(c *Config) {
-		c.Responder = func(p []byte) []byte { return append([]byte("re:"), p...) }
+		c.Responder = func(_ int, p []byte) []byte { return append([]byte("re:"), p...) }
 	})
 	lb.src.Offer(Message{ID: 1, Dest: 1, Payload: []byte("q")})
 	lb.run(80)
@@ -185,7 +191,7 @@ func TestWatchdogTimeoutOnDeadWire(t *testing.T) {
 func TestQueueDrainsInOrder(t *testing.T) {
 	var order []uint64
 	lb := newLoopback(t, func(c *Config) {
-		c.OnResult = func(r Result) { order = append(order, r.Msg.ID) }
+		c.OnResult = func(_ int, r Result) { order = append(order, r.Msg.ID) }
 	}, nil)
 	for i := 1; i <= 4; i++ {
 		lb.src.Offer(Message{ID: uint64(i), Dest: 1, Payload: []byte{byte(i)}})
@@ -229,11 +235,11 @@ func TestReceivingReflectsActivity(t *testing.T) {
 }
 
 func TestConfigValidationErrors(t *testing.T) {
-	_, err := New(Config{Width: 8, Header: HeaderSpec{Width: 8}})
+	_, err := New(0, Config{Width: 8, Header: HeaderSpec{Width: 8}})
 	if err == nil {
 		t.Fatal("missing AppendRouteDigits accepted")
 	}
-	_, err = New(Config{
+	_, err = New(0, Config{
 		Width:             8,
 		Header:            HeaderSpec{Width: 99},
 		AppendRouteDigits: func(dst []int, _ int) []int { return dst },
@@ -278,7 +284,7 @@ func TestAttemptStreamSizedOnce(t *testing.T) {
 		{DirBits: 4, HeaderWords: 0}, {DirBits: 4, HeaderWords: 0},
 	}}
 	for _, lanes := range []int{1, 3} {
-		e, err := New(Config{Width: 8, Lanes: lanes, Header: header,
+		e, err := New(0, Config{Width: 8, Lanes: lanes, Header: header,
 			AppendRouteDigits: func(dst []int, dest int) []int { return append(dst, 1, 5, 2, 9, 3) }})
 		if err != nil {
 			t.Fatal(err)
@@ -345,9 +351,9 @@ func TestLaneSliceProjection(t *testing.T) {
 // buffers and checks a second delivery records nothing.
 func TestEndpointEmitsMsgEvents(t *testing.T) {
 	rec := telemetry.New(telemetry.Options{Capacity: 64})
-	lb := newLoopback(t,
-		func(c *Config) { c.Telemetry = rec.NewBuf() },
-		func(c *Config) { c.Telemetry = rec.NewBuf() })
+	lb := newLoopback(t, nil, nil)
+	lb.src.SetTelemetry(rec.NewBuf())
+	lb.dst.SetTelemetry(rec.NewBuf())
 	lb.eng.Add(telemetry.Flusher{R: rec})
 	lb.src.Offer(Message{ID: 7, Dest: 1, Payload: []byte("direct")})
 	lb.run(60)

@@ -156,12 +156,14 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 // FuzzParserFeed hardens the reversed-stream parser against arbitrary
 // word sequences: it must never panic, terminal states must absorb,
 // and it must never report more router statuses than STATUS words fed.
+// The third argument, a stage count the parser no longer takes, stays in
+// the signature so the checked-in corpus still decodes.
 func FuzzParserFeed(f *testing.F) {
 	f.Add(8, 1, 2, []byte{byte(word.Status), 0, byte(word.ChecksumWord), 0x5a, byte(word.Turn), 0})
 	f.Add(4, 2, 3, []byte{byte(word.Status), byte(word.StatusBlocked), byte(word.Drop), 0})
 	f.Add(8, 1, 0, []byte{byte(word.Status), byte(word.StatusDest), byte(word.ChecksumWord), 1, byte(word.Data), 9})
 	f.Add(1, 1, 1, []byte{byte(word.Route), 3, byte(word.HeaderPad), 0})
-	f.Fuzz(func(t *testing.T, width, lanes, stages int, data []byte) {
+	f.Fuzz(func(t *testing.T, width, lanes, _ int, data []byte) {
 		w := width % 16
 		if w < 0 {
 			w = -w
@@ -175,11 +177,7 @@ func FuzzParserFeed(f *testing.F) {
 		if w*l > 32 {
 			l = 32 / w
 		}
-		st := stages % 6
-		if st < 0 {
-			st = -st
-		}
-		p := newParser(w, w*l, l, st)
+		p := parserFor(w, l)
 
 		statuses := 0
 		for i := 0; i+1 < len(data); i += 2 {
@@ -188,13 +186,13 @@ func FuzzParserFeed(f *testing.F) {
 				statuses++
 			}
 			wasTerminal := p.done || p.closed || p.failed
-			p.feed(word.Word{Kind: kind, Payload: uint32(data[i+1])})
-			if wasTerminal && (p.stageCount() > statuses || !(p.done || p.closed || p.failed)) {
+			p.feed(p.sh, word.Word{Kind: kind, Payload: uint32(data[i+1])})
+			if wasTerminal && (p.stageCount(p.sh) > statuses || !(p.done || p.closed || p.failed)) {
 				t.Fatal("terminal parser state mutated by further input")
 			}
 		}
-		if p.stageCount() > statuses {
-			t.Fatalf("parser reported %d router statuses from %d STATUS words", p.stageCount(), statuses)
+		if p.stageCount(p.sh) > statuses {
+			t.Fatalf("parser reported %d router statuses from %d STATUS words", p.stageCount(p.sh), statuses)
 		}
 	})
 }

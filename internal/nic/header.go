@@ -286,7 +286,7 @@ func AppendPackBytes(dst []word.Word, payload []byte, width int) []word.Word {
 //
 //metrovet:alloc per-message payload unpacking, not a per-cycle path
 //metrovet:truncate byte(acc) deliberately extracts the low byte of the accumulator
-//metrovet:width every caller passes a [1,32] width (nic.New validates channel widths), so accBits stays in [0, 39]
+//metrovet:width every caller passes a [1,32] width (NewShape validates channel widths), so accBits stays in [0, 39]
 func UnpackBytes(words []word.Word, width int) []byte {
 	var out []byte
 	var acc uint64

@@ -8,28 +8,25 @@ import "metro/internal/word"
 // checksum, and the TURN handing the channel back. A blocked connection
 // ends instead with the blocking router's STATUS(blocked), its checksum,
 // and a DROP.
+//
+// The parser keeps no widths: the sender feeds it its endpoint's Shape,
+// whose Width sizes the router checksum chunks (one per lane) and whose
+// logical width the destination and reply checksums.
 type parser struct {
-	width   int // physical component width (router checksum chunks)
-	logical int // logical channel width (destination/reply checksums)
-	lanes   int // cascade factor
-	stages  int
+	ckbuf []word.Word // the checksum group being collected
 
-	phase  pPhase
-	ckbuf  []word.Word
-	ckNeed int
-
-	// routerCks[stage*lanes+lane] is the CRC-8 each lane's routing
-	// component reported for that stage — flat with stride lanes, so the
+	// routerCks[stage*Lanes+lane] is the CRC-8 each lane's routing
+	// component reported for that stage — flat with stride Lanes, so the
 	// buffer recycles across attempts without per-stage allocations. On
-	// an uncascaded channel lanes == 1.
-	routerCks    []uint8
-	curBlocked   bool
-	blockedStage int
+	// an uncascaded channel Lanes == 1.
+	routerCks []uint8
+
+	reply []word.Word
 
 	destStatus uint32
+	phase      pPhase
+	curBlocked bool
 	destCk     uint8
-
-	reply      []word.Word
 	replyCk    uint8
 	gotReplyCk bool
 
@@ -50,29 +47,14 @@ const (
 	pAwaitDrop               // blocked status seen; expecting DROP
 )
 
-func newParser(width, logical, lanes, stages int) parser {
-	var p parser
-	p.reset(width, logical, lanes, stages)
-	return p
-}
-
 // reset rearms the parser for a new attempt while keeping the checksum,
 // router-report and reply buffers, so a sender's steady-state retry loop
 // never allocates.
-func (p *parser) reset(width, logical, lanes, stages int) {
-	if lanes < 1 {
-		lanes = 1
-	}
-	if logical <= 0 {
-		logical = width * lanes
-	}
-	p.width, p.logical, p.lanes, p.stages = width, logical, lanes, stages
+func (p *parser) reset() {
 	p.phase = pStatus
 	p.ckbuf = p.ckbuf[:0]
-	p.ckNeed = 0
 	p.routerCks = p.routerCks[:0]
 	p.curBlocked = false
-	p.blockedStage = -1
 	p.destStatus, p.destCk = 0, 0
 	p.reply = p.reply[:0]
 	p.replyCk, p.gotReplyCk = 0, false
@@ -80,13 +62,24 @@ func (p *parser) reset(width, logical, lanes, stages int) {
 }
 
 // stageCount returns how many router status groups have been parsed.
-func (p *parser) stageCount() int { return len(p.routerCks) / p.lanes }
+func (p *parser) stageCount(sh *Shape) int { return len(p.routerCks) / sh.Lanes }
 
-// feed consumes one received word. Empty and DataIdle are transparent
-// everywhere (idle fill is inserted freely by routers).
+// blockedStage returns the stage whose router reported the connection
+// blocked, or -1. A blocked status' group is the last one parsed: the
+// parser then only waits for the DROP.
+func (p *parser) blockedStage(sh *Shape) int {
+	if p.phase != pAwaitDrop {
+		return -1
+	}
+	return p.stageCount(sh) - 1
+}
+
+// feed consumes one received word on a channel of shape sh. Empty and
+// DataIdle are transparent everywhere (idle fill is inserted freely by
+// routers).
 //
-//metrovet:width parser widths come from newParser(cfg.Width, logicalWidth, ...), both validated into [1,32] by nic.New
-func (p *parser) feed(w word.Word) {
+//metrovet:width parser widths come from the endpoint's Shape, validated into [1,32] by NewShape
+func (p *parser) feed(sh *Shape, w word.Word) {
 	if p.done || p.closed || p.failed {
 		return
 	}
@@ -122,7 +115,14 @@ func (p *parser) feed(w word.Word) {
 		}
 		//metrovet:alloc buffer reused across groups; bounded by the checksum word count
 		p.ckbuf = append(p.ckbuf, w)
-		if len(p.ckbuf) < p.ckNeed {
+		// Router checksums are produced at the physical component width
+		// (one group per lane, transmitted in lockstep), the others at the
+		// logical width.
+		need := sh.ckLogical
+		if p.phase == pRouterCk {
+			need = sh.ckPhysical
+		}
+		if len(p.ckbuf) < need {
 			return
 		}
 		//metrovet:nonexhaustive only the three checksum-collection phases reach this switch
@@ -131,18 +131,17 @@ func (p *parser) feed(w word.Word) {
 			// Each lane's component reported its own CRC; the merged
 			// stream interleaves the chunks lane-wise within each word.
 			//metrovet:alloc grows to stages*lanes once, then recycles across attempts
-			p.routerCks = appendLaneChecksums(p.routerCks, p.ckbuf, p.width, p.lanes)
+			p.routerCks = appendLaneChecksums(p.routerCks, p.ckbuf, sh.Width, sh.Lanes)
 			if p.curBlocked {
-				p.blockedStage = p.stageCount() - 1
 				p.phase = pAwaitDrop
 			} else {
 				p.phase = pStatus
 			}
 		case pDestCk:
-			p.destCk = word.JoinChecksum(p.ckbuf, p.logical)
+			p.destCk = word.JoinChecksum(p.ckbuf, sh.logicalWidth())
 			p.phase = pReply
 		case pReplyCk:
-			p.replyCk = word.JoinChecksum(p.ckbuf, p.logical)
+			p.replyCk = word.JoinChecksum(p.ckbuf, sh.logicalWidth())
 			p.gotReplyCk = true
 			p.phase = pAwaitTurn
 		}
@@ -154,7 +153,7 @@ func (p *parser) feed(w word.Word) {
 			p.reply = append(p.reply, w)
 		case word.ChecksumWord:
 			p.startCk(pReplyCk)
-			p.feed(w)
+			p.feed(sh, w)
 		case word.Turn:
 			p.done = true
 		case word.Empty, word.Route, word.HeaderPad, word.DataIdle,
@@ -178,18 +177,9 @@ func (p *parser) feed(w word.Word) {
 }
 
 // startCk arms collection of the next checksum-word group.
-//
-//metrovet:width parser widths come from newParser(cfg.Width, logicalWidth, ...), both validated into [1,32] by nic.New
 func (p *parser) startCk(next pPhase) {
 	p.phase = next
 	p.ckbuf = p.ckbuf[:0]
-	if next == pRouterCk {
-		// Router checksums are produced at the physical component width
-		// (one group per lane, transmitted in lockstep).
-		p.ckNeed = word.ChecksumWords(p.width)
-	} else {
-		p.ckNeed = word.ChecksumWords(p.logical)
-	}
 }
 
 // appendLaneChecksums reconstructs each lane's CRC-8 from the merged
@@ -199,7 +189,7 @@ func (p *parser) startCk(next pPhase) {
 // materializing it.
 //
 //metrovet:alloc appends into the recycled routerCks buffer; steady state reuses capacity
-//metrovet:width lane < lanes and width = cfg.Width, so lane*width < Width*Lanes <= 32 (validated by nic.New)
+//metrovet:width lane < lanes and width = cfg.Width, so lane*width < Width*Lanes <= 32 (validated by NewShape)
 //metrovet:truncate lane and width are nonnegative (loop index and validated channel width)
 func appendLaneChecksums(dst []uint8, merged []word.Word, width, lanes int) []uint8 {
 	if width < 1 {

@@ -6,19 +6,38 @@ import (
 	"metro/internal/word"
 )
 
-func feedAll(p *parser, ws ...word.Word) {
+// testParser is a parser with the shape its sender would feed it.
+type testParser struct {
+	parser
+	sh *Shape
+}
+
+// parserFor returns a parser armed for a channel of the given component
+// width and cascade factor.
+func parserFor(width, lanes int) *testParser {
+	sh, err := NewShape(Config{Width: width, Lanes: lanes, Header: HeaderSpec{Width: width},
+		AppendRouteDigits: func(dst []int, _ int) []int { return dst }})
+	if err != nil {
+		panic(err)
+	}
+	p := &testParser{sh: sh}
+	p.reset()
+	return p
+}
+
+func (p *testParser) feedAll(ws ...word.Word) {
 	for _, w := range ws {
-		p.feed(w)
+		p.feed(p.sh, w)
 	}
 }
 
 func statusWord(flags uint32) word.Word { return word.Word{Kind: word.Status, Payload: flags} }
 
 func TestParserHappyPath(t *testing.T) {
-	p := newParser(8, 8, 1, 2)
+	p := parserFor(8, 1)
 	var ck word.Checksum
 	ck.AddByte(0x11)
-	feedAll(&p,
+	p.feedAll(
 		word.Word{Kind: word.DataIdle}, // idle fill is transparent
 		statusWord(0),                  // router 0
 		word.AppendChecksum(nil, 0xAA, 8)[0],
@@ -44,8 +63,8 @@ func TestParserHappyPath(t *testing.T) {
 }
 
 func TestParserWithReply(t *testing.T) {
-	p := newParser(8, 8, 1, 1)
-	feedAll(&p,
+	p := parserFor(8, 1)
+	p.feedAll(
 		statusWord(0),
 		word.AppendChecksum(nil, 0x01, 8)[0],
 		statusWord(word.StatusDest),
@@ -67,8 +86,8 @@ func TestParserWithReply(t *testing.T) {
 }
 
 func TestParserBlockedAtStage(t *testing.T) {
-	p := newParser(8, 8, 1, 3)
-	feedAll(&p,
+	p := parserFor(8, 1)
+	p.feedAll(
 		statusWord(0), // stage 0 fine
 		word.AppendChecksum(nil, 0x11, 8)[0],
 		statusWord(word.StatusBlocked), // stage 1 blocked
@@ -78,8 +97,8 @@ func TestParserBlockedAtStage(t *testing.T) {
 	if !p.closed {
 		t.Fatalf("parser should be closed: %+v", p)
 	}
-	if p.blockedStage != 1 {
-		t.Fatalf("blockedStage = %d, want 1", p.blockedStage)
+	if p.blockedStage(p.sh) != 1 {
+		t.Fatalf("blockedStage = %d, want 1", p.blockedStage(p.sh))
 	}
 	if p.done {
 		t.Fatal("blocked parse must not be done")
@@ -87,8 +106,8 @@ func TestParserBlockedAtStage(t *testing.T) {
 }
 
 func TestParserNackRecorded(t *testing.T) {
-	p := newParser(8, 8, 1, 1)
-	feedAll(&p,
+	p := parserFor(8, 1)
+	p.feedAll(
 		statusWord(0),
 		word.AppendChecksum(nil, 0, 8)[0],
 		statusWord(word.StatusDest|word.StatusNack),
@@ -104,34 +123,34 @@ func TestParserNackRecorded(t *testing.T) {
 }
 
 func TestParserSplitChecksumWidth4(t *testing.T) {
-	p := newParser(4, 4, 1, 1)
+	p := parserFor(4, 1)
 	cks := word.AppendChecksum(nil, 0x5A, 4)
-	feedAll(&p, statusWord(0))
-	feedAll(&p, cks...)
+	p.feedAll(statusWord(0))
+	p.feedAll(cks...)
 	if len(p.routerCks) != 1 || p.routerCks[0] != 0x5A {
 		t.Fatalf("router cks = %#x", p.routerCks)
 	}
 }
 
 func TestParserProtocolViolation(t *testing.T) {
-	p := newParser(8, 8, 1, 1)
-	feedAll(&p, word.MakeData(1, 8)) // data before any status
+	p := parserFor(8, 1)
+	p.feedAll(word.MakeData(1, 8)) // data before any status
 	if !p.failed {
 		t.Fatal("data before status should fail the parse")
 	}
 }
 
 func TestParserDropAnywhereCloses(t *testing.T) {
-	p := newParser(8, 8, 1, 2)
-	feedAll(&p, statusWord(0), word.Word{Kind: word.Drop})
+	p := parserFor(8, 1)
+	p.feedAll(statusWord(0), word.Word{Kind: word.Drop})
 	if !p.closed {
 		t.Fatal("drop should close the parse")
 	}
 }
 
 func TestParserNoiseAfterBlockedIgnored(t *testing.T) {
-	p := newParser(8, 8, 1, 2)
-	feedAll(&p,
+	p := parserFor(8, 1)
+	p.feedAll(
 		statusWord(word.StatusBlocked),
 		word.AppendChecksum(nil, 0x10, 8)[0],
 		word.MakeData(0xFF, 8), // garbage on a dying connection

@@ -20,7 +20,7 @@ func BenchmarkEndpointSteadyCycle(b *testing.B) {
 		AppendRouteDigits: func(dst []int, dest int) []int { return append(dst, dest&3, (dest>>2)&3) },
 		ListenTimeout:     1 << 62, // the quiet listening tail must stay allocation-free
 	}
-	e, err := New(cfg)
+	e, err := New(0, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -152,3 +152,57 @@ func Mask(width int) uint32 {
 	}
 	return 1<<(width&31) - 1
 }
+
+// MemberWord computes member k of a logical word bit-sliced across lanes
+// of width w, as width cascading carries it (paper, Section 5.1). Control
+// words are replicated; data-bearing payloads are bit-sliced with member 0
+// carrying the least significant w bits.
+//
+//metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
+//metrovet:truncate k and w are nonnegative (lane index and member width)
+func MemberWord(logical Word, k, w int) Word {
+	switch logical.Kind {
+	case Data, ChecksumWord:
+		return Word{
+			Kind:    logical.Kind,
+			Payload: (logical.Payload >> uint(k*w)) & Mask(w),
+		}
+	case Empty, Route, HeaderPad, DataIdle, Turn, Status, Drop:
+		// Control words are replicated so member state machines stay in
+		// lockstep.
+		return logical
+	default:
+		panic("word: MemberWord: out-of-band word kind")
+	}
+}
+
+// MergeWords reassembles a logical word from the member words. The kinds
+// must agree (members in lockstep); on disagreement the Empty word is
+// returned, which upper layers treat as a protocol error.
+//
+//metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
+//metrovet:truncate k and w are nonnegative (lane index and member width)
+func MergeWords(members []Word, w int) Word {
+	if len(members) == 0 {
+		return Word{}
+	}
+	kind := members[0].Kind
+	for _, m := range members[1:] {
+		if m.Kind != kind {
+			return Word{}
+		}
+	}
+	switch kind {
+	case Data, ChecksumWord:
+		out := Word{Kind: kind}
+		for k, m := range members {
+			out.Payload |= (m.Payload & Mask(w)) << uint(k*w)
+		}
+		return out
+	case Empty, Route, HeaderPad, DataIdle, Turn, Status, Drop:
+		// Replicated control word: all members carry the same value.
+		return members[0]
+	default:
+		panic("word: MergeWords: out-of-band word kind")
+	}
+}
