@@ -60,15 +60,15 @@ func main() {
 	taps := make([][]*scan.MultiTAP, len(n.Routers))
 	for s := range n.Routers {
 		taps[s] = make([]*scan.MultiTAP, len(n.Routers[s]))
-		for j, r := range n.Routers[s] {
-			taps[s][j] = scan.NewMultiTAP(r, uint32(s)<<8|uint32(j))
+		for j := range n.Routers[s] {
+			taps[s][j] = scan.NewMultiTAP(n.RouterAt(s, j), uint32(s)<<8|uint32(j))
 			n.Engine.Add(taps[s][j].Boundary())
 		}
 	}
 
 	// The fault: every output link of the chosen router has one payload
 	// bit stuck high.
-	outputs := n.Routers[*stage][*router].Config().Outputs
+	outputs := n.RouterAt(*stage, *router).Config().Outputs
 	var plan metro.FaultPlan
 	for bp := 0; bp < outputs; bp++ {
 		plan = append(plan, metro.FaultEvent{
@@ -113,7 +113,7 @@ func main() {
 	}
 	var faulty []verdict
 	for j := range n.Routers[upStage] {
-		for bp := 0; bp < n.Routers[upStage][j].Config().Outputs; bp++ {
+		for bp := 0; bp < n.RouterAt(upStage, j).Config().Outputs; bp++ {
 			ref := n.Topo.Out[upStage][j][bp]
 			if ref.Kind != topo.KindRouter {
 				continue
@@ -134,7 +134,7 @@ func main() {
 	// Phase 4 — mask the faulty ports and verify.
 	fmt.Println("\nphase 4: mask faulty ports over scan and verify")
 	for _, f := range faulty {
-		scan.SetPortEnabled(taps[upStage][f.j], n.Routers[upStage][f.j], true, f.bp, false)
+		scan.SetPortEnabled(taps[upStage][f.j], n.RouterAt(upStage, f.j), true, f.bp, false)
 	}
 	after := runTraffic(n)
 	total := 0
@@ -174,8 +174,8 @@ func runTraffic(n *netsim.Network) map[int]int {
 // downstream router's TAP, and returns the stuck-high mask (0 = healthy).
 // Ports are re-enabled afterward.
 func boundaryTest(n *netsim.Network, taps [][]*scan.MultiTAP, upStage, j, bp int, ref topo.PortRef) uint32 {
-	up := n.Routers[upStage][j]
-	down := n.Routers[ref.Stage][ref.Index]
+	up := n.RouterAt(upStage, j)
+	down := n.RouterAt(ref.Stage, ref.Index)
 	upTAP := taps[upStage][j]
 	downTAP := taps[ref.Stage][ref.Index]
 

@@ -58,10 +58,12 @@ func main() {
 	net.Run(15)
 	open := 0
 	for s := range net.Routers {
-		for _, r := range net.Routers[s] {
-			open += r.ConnectionCount()
-			for fp := 0; fp < r.Config().Inputs; fp++ {
-				r.KillConnection(net.Engine.Cycle(), fp)
+		for _, lanes := range net.Routers[s] {
+			for _, r := range lanes {
+				open += r.ConnectionCount()
+				for fp := 0; fp < r.Config().Inputs; fp++ {
+					r.KillConnection(net.Engine.Cycle(), fp)
+				}
 			}
 		}
 	}

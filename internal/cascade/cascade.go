@@ -21,24 +21,94 @@
 package cascade
 
 import (
+	"math/bits"
 	"strconv"
 
 	"metro/internal/core"
 	"metro/internal/prng"
 )
 
-// Group is a width-cascaded logical router: c member routers evaluated in
-// lockstep as one clocked element, with the consistency check run
-// combinationally after each evaluation. The members draw from one
-// shared LFSR stream and the wired-AND IN-USE check reads every member
-// within a cycle, so a Group is always driven whole — one kernel unit
-// (kernel.Builder.AddCascade) or one clock.Component — and its members
-// must never be registered individually.
+// Eval steps one router column: it evaluates the lanes in order and, when
+// there are several, applies the wired-AND IN-USE consistency check,
+// killing every connection the lanes disagree about on every lane. It
+// returns the number of connections it killed. The lanes draw from one
+// shared random stream and the check reads every lane within the cycle,
+// so a column is always evaluated whole — one kernel unit
+// (kernel.Builder.AddColumn) or one Group — and never split across
+// workers.
+//
+//metrovet:shared the lanes are one column: one kernel unit (or one Group), so one goroutine evaluates and checks all of them
+func Eval(lanes []*core.Router, cycle uint64) int {
+	for _, r := range lanes {
+		r.Eval(cycle)
+	}
+	if len(lanes) < 2 {
+		return 0
+	}
+	base := lanes[0].BackwardInUse()
+	for _, r := range lanes[1:] {
+		if r.BackwardInUse() != base {
+			return kill(lanes, cycle)
+		}
+	}
+	return 0
+}
+
+// kill finds the offending forward ports (owners of any backward port
+// whose state differs across the lanes), shuts them down on every lane
+// and returns how many there were.
+//
+//metrovet:shared the wired-AND check reads every lane within the cycle; that is why a column is one unit and never split across workers
+func kill(lanes []*core.Router, cycle uint64) int {
+	// victims has bit fp set for every forward port to kill: a router has
+	// at most core.MaxPorts = 64 inputs.
+	var victims uint64
+	for bp := 0; bp < lanes[0].Config().Outputs; bp++ {
+		firstOwner := -1
+		anyOwned, anyFree, mixed := false, false, false
+		for _, r := range lanes {
+			fp := r.OwnerOf(bp)
+			if fp < 0 {
+				anyFree = true
+				continue
+			}
+			if anyOwned && fp != firstOwner {
+				mixed = true
+			}
+			anyOwned = true
+			firstOwner = fp
+		}
+		if (anyOwned && anyFree) || mixed {
+			for _, r := range lanes {
+				if fp := r.OwnerOf(bp); fp >= 0 {
+					victims |= 1 << (fp & (core.MaxPorts - 1))
+				}
+			}
+		}
+	}
+	// Kill in ascending forward-port order: KillConnection emits telemetry
+	// events, and the hardware's wired-AND check resolves all ports in one
+	// combinational pass, so the model must not leak iteration order into
+	// the trace stream.
+	kills := 0
+	for ; victims != 0; victims &= victims - 1 {
+		fp := bits.TrailingZeros64(victims)
+		for _, r := range lanes {
+			r.KillConnection(cycle, fp)
+		}
+		kills++
+	}
+	return kills
+}
+
+// Group is a hand-wired width-cascaded logical router: c member routers
+// evaluated in lockstep as one clock.Component, with the consistency
+// check run after each evaluation (Eval). A built network's router
+// columns are the same lanes driven by the kernel instead; a Group's
+// members must never be registered individually.
 type Group struct {
-	name    string
 	members []*core.Router
 	kills   int
-	victims []bool // per forward port; scratch reused by check each cycle
 }
 
 // NewGroup builds a cascade of c members of shape sh, each drawing random
@@ -52,7 +122,7 @@ func NewGroup(name string, sh *core.Shape, c int, shared *prng.Shared) *Group {
 	for k := range members {
 		members[k] = sh.NewRouter(name+".m"+strconv.Itoa(k), shared.Fork())
 	}
-	return &Group{name: name, members: members, victims: make([]bool, members[0].Config().Inputs)}
+	return &Group{members: members}
 }
 
 // Width returns the cascade width c.
@@ -64,82 +134,12 @@ func (g *Group) Member(k int) *core.Router { return g.members[k] }
 // Kills returns how many connections the consistency check has shut down.
 func (g *Group) Kills() int { return g.kills }
 
-// Eval evaluates every member and then applies the wired-AND IN-USE
-// consistency check.
-//
-//metrovet:shared members are the group's own state: the Group is a single kernel unit (or a single component), so one goroutine evaluates all of them
-func (g *Group) Eval(cycle uint64) {
-	for _, r := range g.members {
-		r.Eval(cycle)
-	}
-	g.check(cycle)
-}
+// Eval implements clock.Component: it steps the members as one column.
+func (g *Group) Eval(cycle uint64) { g.kills += Eval(g.members, cycle) }
 
 // Commit implements clock.Component.
 func (g *Group) Commit(cycle uint64) {
 	for _, r := range g.members {
 		r.Commit(cycle)
-	}
-}
-
-// check compares the members' backward-port allocation masks and kills any
-// connection the members disagree about, on every member.
-//
-//metrovet:shared the wired-AND check reads every member within the cycle; that is why a Group is one unit and never split across workers
-func (g *Group) check(cycle uint64) {
-	base := g.members[0].BackwardInUse()
-	agree := true
-	for _, r := range g.members[1:] {
-		if r.BackwardInUse() != base {
-			agree = false
-			break
-		}
-	}
-	if agree {
-		return
-	}
-	// Disagreement: find the offending forward ports (owners of any port
-	// whose state differs across members) and shut them down everywhere.
-	// The per-port victim flags live on the Group so the per-cycle check
-	// stays allocation-free.
-	outputs := g.members[0].Config().Outputs
-	for fp := range g.victims {
-		g.victims[fp] = false
-	}
-	for bp := 0; bp < outputs; bp++ {
-		firstOwner := -1
-		anyOwned, anyFree, mixed := false, false, false
-		for _, r := range g.members {
-			fp := r.OwnerOf(bp)
-			if fp < 0 {
-				anyFree = true
-				continue
-			}
-			if anyOwned && fp != firstOwner {
-				mixed = true
-			}
-			anyOwned = true
-			firstOwner = fp
-		}
-		if (anyOwned && anyFree) || mixed {
-			for _, r := range g.members {
-				if fp := r.OwnerOf(bp); fp >= 0 && fp < len(g.victims) {
-					g.victims[fp] = true
-				}
-			}
-		}
-	}
-	// Kill in ascending forward-port order: KillConnection emits tracer
-	// events, and the hardware's wired-AND check resolves all ports in one
-	// combinational pass, so the model must not leak iteration order into
-	// the trace stream.
-	for fp := 0; fp < g.members[0].Config().Inputs; fp++ {
-		if !g.victims[fp] {
-			continue
-		}
-		for _, r := range g.members {
-			r.KillConnection(cycle, fp)
-		}
-		g.kills++
 	}
 }

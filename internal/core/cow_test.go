@@ -58,10 +58,8 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer n.Close()
-				victim := n.Routers[0][1]
-				if g := n.Cascades[0][1]; g != nil {
-					victim = g.Member(1)
-				}
+				col := n.Routers[0][1]
+				victim := col[len(col)-1]
 				all := lanes(n)
 				before := make([]core.Settings, len(all))
 				watched := make([]uint64, len(all))

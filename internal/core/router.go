@@ -499,7 +499,7 @@ func (r *Router) OwnerOf(bp int) int { return int(r.busyBy[bp]) }
 // detects an allocation disagreement. The backward port is freed and the
 // port drains with BCB asserted so the source learns of the failure.
 //
-//metrovet:mutator invoked by cascade.Group's consistency check inside its own Eval
+//metrovet:mutator invoked by the cascade consistency check (cascade.Eval) inside its column's Eval
 func (r *Router) KillConnection(cycle uint64, fp int) {
 	p := &r.fwd[fp]
 	if p.state == fpIdle {

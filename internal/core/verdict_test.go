@@ -61,14 +61,8 @@ func runCongested(tb testing.TB, p netsim.Params, cycles int, visit func(n *nets
 func lanes(n *netsim.Network) []*core.Router {
 	var out []*core.Router
 	for s := range n.Routers {
-		for j, r := range n.Routers[s] {
-			if g := n.Cascades[s][j]; g != nil {
-				for k := 0; k < g.Width(); k++ {
-					out = append(out, g.Member(k))
-				}
-			} else {
-				out = append(out, r)
-			}
+		for _, lanes := range n.Routers[s] {
+			out = append(out, lanes...)
 		}
 	}
 	return out

@@ -32,8 +32,9 @@ const (
 	// RouterKill disables every port of a router and severs its output
 	// links, modeling complete component loss.
 	RouterKill
-	// PortDisable turns off a single backward port, as a scan-driven
-	// reconfiguration masking a localized fault would.
+	// PortDisable turns off a single backward port on every cascade lane
+	// of a router, as a scan-driven reconfiguration masking a localized
+	// fault would.
 	PortDisable
 )
 
@@ -154,7 +155,9 @@ func (i *Injector) apply(e Event) {
 	case RouterKill:
 		i.net.KillRouter(e.Stage, e.Index)
 	case PortDisable:
-		i.net.RouterAt(e.Stage, e.Index).SetBackwardEnabled(e.Port, false)
+		for _, r := range i.net.Routers[e.Stage][e.Index] {
+			r.SetBackwardEnabled(e.Port, false)
+		}
 	}
 }
 
@@ -200,8 +203,8 @@ func RandomLinkKills(n *netsim.Network, count int, seed int64, start, end uint64
 	type lid struct{ s, j, bp int }
 	var all []lid
 	for s := range n.Routers {
-		for j, r := range n.Routers[s] {
-			for bp := 0; bp < r.Config().Outputs; bp++ {
+		for j := range n.Routers[s] {
+			for bp := 0; bp < n.RouterAt(s, j).Config().Outputs; bp++ {
 				all = append(all, lid{s, j, bp})
 			}
 		}

@@ -131,26 +131,34 @@ func TestStuckBitDetectedAndLocalized(t *testing.T) {
 func TestPortDisableMasksFault(t *testing.T) {
 	// Disabling the backward ports attached to a faulty link keeps the
 	// fault from ever corrupting traffic: messages route around it with
-	// no retries caused by corruption.
-	n := build(t, nil)
-	NewInjector(n, Plan{
-		{At: 0, Kind: LinkStuckBit, Stage: 0, Index: 1, Port: 2, Bit: 0},
-		{At: 0, Kind: PortDisable, Stage: 0, Index: 1, Port: 2},
-	})
-	want := sendAllPairs(n, nil)
-	if !n.RunUntilQuiet(500000) {
-		t.Fatal("network did not go quiet")
-	}
-	res := n.Results()
-	if len(res) != want {
-		t.Fatalf("completed %d of %d", len(res), want)
-	}
-	for _, r := range res {
-		if !r.Delivered {
-			t.Fatalf("undelivered with masked fault: %+v", r)
+	// no retries caused by corruption. On a cascaded network the port goes
+	// off on every lane, so the lanes keep choosing alike.
+	for _, c := range []int{1, 2} {
+		n := build(t, func(p *netsim.Params) { p.CascadeWidth = c })
+		NewInjector(n, Plan{
+			{At: 0, Kind: LinkStuckBit, Stage: 0, Index: 1, Port: 2, Bit: 0},
+			{At: 0, Kind: PortDisable, Stage: 0, Index: 1, Port: 2},
+		})
+		want := sendAllPairs(n, nil)
+		if !n.RunUntilQuiet(500000) {
+			t.Fatalf("c=%d: network did not go quiet", c)
 		}
-		if r.ChecksumFailures > 0 {
-			t.Fatalf("masked fault still corrupted traffic: %+v", r)
+		for lane, r := range n.Routers[0][1] {
+			if r.BackwardEnabled(2) {
+				t.Fatalf("c=%d: lane %d still has the disabled port enabled", c, lane)
+			}
+		}
+		res := n.Results()
+		if len(res) != want {
+			t.Fatalf("c=%d: completed %d of %d", c, len(res), want)
+		}
+		for _, r := range res {
+			if !r.Delivered {
+				t.Fatalf("c=%d: undelivered with masked fault: %+v", c, r)
+			}
+			if r.ChecksumFailures > 0 {
+				t.Fatalf("c=%d: masked fault still corrupted traffic: %+v", c, r)
+			}
 		}
 	}
 }

@@ -26,7 +26,7 @@
 // Unit order is part of the determinism contract: the builder is fed
 // router columns stage-major and endpoints after, a pure function of the
 // topology, so every worker partition of the index space is too. A
-// cascade group is a single unit because its members share an LFSR
+// router column is a single unit because its cascade lanes share an LFSR
 // stream and the wired-AND IN-USE check within a cycle. netsim.Reference
 // steps the same units in the same order through the virtual interface;
 // the differential tests hold the two bit-identical.
@@ -45,8 +45,7 @@ import (
 type unitKind uint8
 
 const (
-	unitRouter   unitKind = iota // a single-router column
-	unitCascade                  // a cascaded column: one Group, one unit
+	unitColumn   unitKind = iota // a router column: all its lanes, one unit
 	unitEndpoint                 // a network endpoint
 )
 
@@ -85,18 +84,21 @@ func (b *Builder) Arena(delay, capacity int) (*link.Arena, int32) {
 	return a, int32(len(b.c.arenas) - 1)
 }
 
-// AddRouter appends a single-router column unit. attached lists the
-// arena-resident links wired to the router's forward and backward ports.
-func (b *Builder) AddRouter(r *core.Router, attached ...LinkRef) {
-	b.addUnit(unitRouter, int32(len(b.c.routers)), attached)
-	b.c.routers = append(b.c.routers, r)
-}
-
-// AddCascade appends a cascaded-column unit: the whole group evaluates as
-// one unit so its members never split across workers.
-func (b *Builder) AddCascade(g *cascade.Group, attached ...LinkRef) {
-	b.addUnit(unitCascade, int32(len(b.c.groups)), attached)
-	b.c.groups = append(b.c.groups, g)
+// AddColumn appends a router-column unit: the lanes of one logical
+// router (a single lane without cascading), evaluated together by
+// cascade.Eval so they never split across workers. Every column of a plan
+// has as many lanes as the first; AddColumn panics on one that differs.
+// attached lists the arena-resident links wired to the lanes' forward and
+// backward ports.
+func (b *Builder) AddColumn(lanes []*core.Router, attached ...LinkRef) {
+	if b.c.colLanes == 0 {
+		b.c.colLanes = int32(len(lanes))
+	}
+	if len(lanes) == 0 || len(lanes) != int(b.c.colLanes) {
+		panic(fmt.Sprintf("kernel: a column of %d lanes in a plan of %d-lane columns", len(lanes), b.c.colLanes))
+	}
+	b.addUnit(unitColumn, int32(len(b.c.lanes)), attached)
+	b.c.lanes = append(b.c.lanes, lanes...)
 }
 
 // AddEndpoint appends an endpoint unit.
@@ -209,13 +211,13 @@ func endName(atA bool) string {
 // serially or across workers.
 type Compiled struct {
 	// Parallel unit arrays: unit u has kind kinds[u] and indexes the
-	// kind's typed slice at idxs[u].
+	// kind's typed slice at idxs[u] (a column at its first lane).
 	kinds []unitKind
 	idxs  []int32
 
-	routers []*core.Router
-	groups  []*cascade.Group
-	eps     []*nic.Endpoint
+	lanes    []*core.Router // every column's lanes, colLanes per column
+	colLanes int32
+	eps      []*nic.Endpoint
 
 	// arenas holds every link pipeline register in the plan, grouped by
 	// delay class and placed reader-major (see Compile).
@@ -233,39 +235,22 @@ func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
 	// the per-unit loads below compile check-free.
 	kinds := c.kinds[lo:hi]
 	idxs := c.idxs[lo:hi:hi]
+	w := c.colLanes
 	for u := range kinds {
 		i := idxs[u]
 		switch kinds[u] {
-		case unitRouter:
-			c.routers[i].Eval(cycle)
-		case unitCascade:
-			c.groups[i].Eval(cycle)
+		case unitColumn:
+			cascade.Eval(c.lanes[i:i+w], cycle)
 		case unitEndpoint:
 			c.eps[i].Eval(cycle)
 		}
 	}
 }
 
-// CommitUnits implements clock.Kernel. Routers, cascade groups, and
-// endpoints all have empty Commit methods (their state latches via link
-// pipelines, which CommitBatch shuttles), so the calls below compile to
-// nothing — the loop exists so a future unit kind with real commit work
-// slots in without touching the engine.
-func (c *Compiled) CommitUnits(lo, hi int, cycle uint64) {
-	kinds := c.kinds[lo:hi]
-	idxs := c.idxs[lo:hi:hi]
-	for u := range kinds {
-		i := idxs[u]
-		switch kinds[u] {
-		case unitRouter:
-			c.routers[i].Commit(cycle)
-		case unitCascade:
-			c.groups[i].Commit(cycle)
-		case unitEndpoint:
-			c.eps[i].Commit(cycle)
-		}
-	}
-}
+// CommitUnits implements clock.Kernel. It has nothing to do: routers and
+// endpoints latch their state through link pipelines, which CommitBatch
+// shuttles.
+func (c *Compiled) CommitUnits(lo, hi int, cycle uint64) {}
 
 // CommitBatch implements clock.Kernel: shuttle partition part of every
 // arena's registers. Partitions are disjoint register ranges, so the engine

@@ -4,6 +4,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"metro/internal/core"
+	"metro/internal/link"
+	"metro/internal/prng"
+	"metro/internal/word"
 )
 
 // The audit tests feed Compile hand-built plans. Units carry nil
@@ -35,8 +40,8 @@ func chainBuilder(capacity, placed int) (*Builder, [][]LinkRef) {
 
 func TestCompileAcceptsExactWiring(t *testing.T) {
 	b, refs := chainBuilder(3, 3)
-	b.AddRouter(nil, refs[0]...)
-	b.AddCascade(nil, refs[1]...)
+	b.AddColumn(make([]*core.Router, 1), refs[0]...)
+	b.AddColumn(make([]*core.Router, 1), refs[1]...)
 	b.AddEndpoint(nil, refs[2]...)
 	b.AddEndpoint(nil, refs[3]...)
 	c, err := b.Compile()
@@ -76,7 +81,7 @@ func TestCompileAuditErrors(t *testing.T) {
 			b, refs := chainBuilder(1, 1)
 			b.AddEndpoint(nil, refs[0]...)
 			b.AddEndpoint(nil, refs[1]...)
-			b.AddRouter(nil, refs[0]...)
+			b.AddColumn(make([]*core.Router, 1), refs[0]...)
 			return b
 		}, "link wire0 end A is attached to units 0 and 2, want one"},
 		{"adjacency names an unplaced link", func() *Builder {
@@ -132,4 +137,90 @@ func TestCompileAuditErrors(t *testing.T) {
 			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// columnRun drives a compiled plan holding one 2-lane column of 4x4
+// routers sharing a random stream: forward port 0 of lane k receives the
+// route word routes[k] and then idle fill, for ten cycles. It reports
+// whether either lane asserted BCB back to its source, and each lane's
+// final backward in-use mask.
+func columnRun(t *testing.T, routes [2]word.Word) (bcb bool, inUse [2]uint64) {
+	t.Helper()
+	cfg := core.Config{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 2,
+		DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
+	set := core.DefaultSettings(cfg)
+	set.Dilation = 1
+	sh, err := core.NewShape(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := prng.NewShared(77)
+	lanes := make([]*core.Router, 2)
+	var src [2]*link.End // forward port 0 of each lane, source side
+	var links []*link.Link
+	for k := range lanes {
+		lanes[k] = sh.NewRouter("col.m"+strconv.Itoa(k), shared.Fork())
+		for fp := 0; fp < cfg.Inputs; fp++ {
+			l := link.New("f", 1)
+			lanes[k].AttachForward(fp, l.B())
+			links = append(links, l)
+			if fp == 0 {
+				src[k] = l.A()
+			}
+		}
+		for bp := 0; bp < cfg.Outputs; bp++ {
+			l := link.New("b", 1)
+			lanes[k].AttachBackward(bp, l.A())
+			links = append(links, l)
+		}
+	}
+	b := NewBuilder()
+	b.AddColumn(lanes)
+	c, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := uint64(0); cycle < 10; cycle++ {
+		for k, e := range src {
+			w := word.Word{Kind: word.DataIdle}
+			if cycle == 0 {
+				w = routes[k]
+			}
+			e.Send(w)
+			bcb = bcb || e.RecvBCB()
+		}
+		c.EvalUnits(0, c.Units(), cycle)
+		c.CommitUnits(0, c.Units(), cycle)
+		for _, l := range links {
+			l.Commit(cycle)
+		}
+	}
+	return bcb, [2]uint64{lanes[0].BackwardInUse(), lanes[1].BackwardInUse()}
+}
+
+// TestColumnUnitRunsTheWiredAND drives a column through the kernel's
+// own dispatch: lanes that agree hold their connection, and lanes whose
+// route words disagree (lane 1's header corrupted) allocate different
+// backward ports, which the wired-AND check must kill on both lanes with
+// BCB asserted to the source.
+func TestColumnUnitRunsTheWiredAND(t *testing.T) {
+	route := word.MakeRoute(1, 2)
+	if bcb, inUse := columnRun(t, [2]word.Word{route, route}); bcb || inUse[0] == 0 || inUse[0] != inUse[1] {
+		t.Fatalf("agreeing lanes: bcb %v, in use %#x; want the connection held on both", bcb, inUse)
+	}
+	bcb, inUse := columnRun(t, [2]word.Word{route, word.MakeRoute(2, 2)})
+	if !bcb || inUse != [2]uint64{} {
+		t.Fatalf("disagreeing lanes: bcb %v, in use %#x; want the connection killed on both", bcb, inUse)
+	}
+}
+
+func TestAddColumnPanicsOnLaneCountMismatch(t *testing.T) {
+	b := NewBuilder()
+	b.AddColumn(make([]*core.Router, 2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddColumn accepted a 1-lane column in a plan of 2-lane columns")
+		}
+	}()
+	b.AddColumn(make([]*core.Router, 1))
 }

@@ -8,7 +8,6 @@ import (
 	"reflect"
 
 	"metro/internal/clock"
-	"metro/internal/core"
 	"metro/internal/fault"
 	"metro/internal/netsim"
 	"metro/internal/nic"
@@ -336,10 +335,6 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	}
 	lastEvent := uint64(0)
 	lastCount := 0
-	var audited []auditedLane
-	if lc.checkInv {
-		audited = auditedLanes(n)
-	}
 	for {
 		cycle := n.Engine.Cycle()
 		if cycle%period == 0 && !observe(cycle) {
@@ -365,7 +360,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 			lastEvent = n.Engine.Cycle()
 		}
 		if lc.checkInv {
-			if msg := checkAllInvariants(audited); msg != "" && leg.invariantErr == "" {
+			if msg := checkAllInvariants(n); msg != "" && leg.invariantErr == "" {
 				leg.invariantErr = fmt.Sprintf("cycle %d: %s", n.Engine.Cycle(), msg)
 				break
 			}
@@ -377,40 +372,19 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	return leg, nil
 }
 
-// auditedLane is one router lane the invariants oracle audits, with its
-// index in its cascade group (-1 outside one) for the failure text.
-type auditedLane struct {
-	r    *core.Router
-	lane int
-}
-
-// auditedLanes lists every router lane of n once, so the per-cycle audit
-// walks one flat slice.
-func auditedLanes(n *netsim.Network) []auditedLane {
-	var out []auditedLane
-	for s := range n.Routers {
-		for j, r := range n.Routers[s] {
-			if g := n.Cascades[s][j]; g != nil {
-				for k := 0; k < g.Width(); k++ {
-					out = append(out, auditedLane{g.Member(k), k})
-				}
-			} else {
-				out = append(out, auditedLane{r, -1})
-			}
-		}
-	}
-	return out
-}
-
 // checkAllInvariants audits every router lane, returning the first
-// violation.
-func checkAllInvariants(lanes []auditedLane) string {
-	for _, l := range lanes {
-		if err := l.r.CheckInvariants(); err != nil {
-			if l.lane < 0 {
-				return err.Error()
+// violation; a cascaded network's names the lane.
+func checkAllInvariants(n *netsim.Network) string {
+	for s := range n.Routers {
+		for _, lanes := range n.Routers[s] {
+			for k, r := range lanes {
+				if err := r.CheckInvariants(); err != nil {
+					if len(lanes) == 1 {
+						return err.Error()
+					}
+					return fmt.Sprintf("lane %d: %v", k, err)
+				}
 			}
-			return fmt.Sprintf("lane %d: %v", l.lane, err)
 		}
 	}
 	return ""

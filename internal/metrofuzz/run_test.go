@@ -329,3 +329,37 @@ func TestKernelOracleCatchesDivergence(t *testing.T) {
 		t.Fatalf("replaying the shrunk spec %q lost the kernel divergence: %v", minRep.Spec, again.Failures)
 	}
 }
+
+// TestDifferentialOracleCatchesDivergence: the mutation gate for the
+// serial/parallel differential. A defect planted only in the partitioned
+// leg (the hook checks the engine's worker count) of a cascaded network
+// must trip the differential, and the shrinker must hold on to it down to
+// a replayable spec that still fails.
+func TestDifferentialOracleCatchesDivergence(t *testing.T) {
+	s := tinyScenario()
+	s.CascadeWidth = 2
+	bug := Hooks{Mutate: func(n *netsim.Network) {
+		if n.Engine.Workers() == 0 {
+			return // leave the inline primary leg clean
+		}
+		n.InjectLink(0, 0).SetCorruptor(func(w word.Word) word.Word {
+			w.Payload ^= 2
+			return w
+		}, nil)
+	}}
+	rep := Run(s, bug)
+	if !rep.Failed() || !hasOracle(rep, "differential") {
+		t.Fatalf("parallel-leg divergence not flagged by the differential oracle: %v", rep.Failures)
+	}
+	min, minRep := Shrink(s, bug, 60)
+	if !hasOracle(minRep, "differential") {
+		t.Fatalf("shrink lost the parallel-leg divergence: %v", minRep.Failures)
+	}
+	replayed, err := DecodeSpec(EncodeSpec(min))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := Run(replayed, bug); !hasOracle(again, "differential") {
+		t.Fatalf("replaying the shrunk spec %q lost the parallel-leg divergence: %v", minRep.Spec, again.Failures)
+	}
+}

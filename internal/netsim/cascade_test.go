@@ -113,7 +113,7 @@ func TestCascadeHalvesTransferTime(t *testing.T) {
 func TestCascadedLaneFaultContained(t *testing.T) {
 	n := buildCascaded(t, 2, func(p *Params) { p.ListenTimeout = 200 })
 	// Stuck bit on lane 1 of every output of stage-0 router 1.
-	r0 := n.Routers[0][1]
+	r0 := n.RouterAt(0, 1)
 	for bp := 0; bp < r0.Config().Outputs; bp++ {
 		n.tierLink(1, r0.Config().Outputs+bp, 1).SetCorruptor(func(w word.Word) word.Word {
 			if w.Kind == word.Data {
@@ -191,15 +191,15 @@ func TestCascadedInvariants(t *testing.T) {
 	}
 	for cycle := 0; cycle < 600; cycle++ {
 		n.Engine.Step()
-		for s := range n.Cascades {
-			for _, g := range n.Cascades[s] {
-				for k := 0; k < g.Width(); k++ {
-					if err := g.Member(k).CheckInvariants(); err != nil {
+		for s := range n.Routers {
+			for _, lanes := range n.Routers[s] {
+				for _, r := range lanes {
+					if err := r.CheckInvariants(); err != nil {
 						t.Fatalf("cycle %d: %v", cycle, err)
 					}
 				}
-				if g.Member(0).BackwardInUse() != g.Member(1).BackwardInUse() {
-					t.Fatalf("cycle %d: %s lanes out of lockstep", cycle, g.Member(0).Name())
+				if lanes[0].BackwardInUse() != lanes[1].BackwardInUse() {
+					t.Fatalf("cycle %d: %s lanes out of lockstep", cycle, lanes[0].Name())
 				}
 			}
 		}

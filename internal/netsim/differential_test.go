@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"metro/internal/core"
 	"metro/internal/link"
 	"metro/internal/nic"
 	"metro/internal/telemetry"
@@ -133,15 +132,11 @@ func (c congested) run(t *testing.T, reference bool, workers int, rec *telemetry
 		}
 		n.Engine.Step()
 		for s := range n.Routers {
-			for j := range n.Routers[s] {
-				if g := n.Cascades[s][j]; g != nil {
-					for k := 0; k < g.Width(); k++ {
-						if err := g.Member(k).CheckInvariants(); err != nil {
-							t.Fatalf("reference=%v workers=%d cycle %d lane %d: %v", reference, workers, cycle, k, err)
-						}
+			for _, lanes := range n.Routers[s] {
+				for k, r := range lanes {
+					if err := r.CheckInvariants(); err != nil {
+						t.Fatalf("reference=%v workers=%d cycle %d lane %d: %v", reference, workers, cycle, k, err)
 					}
-				} else if err := n.Routers[s][j].CheckInvariants(); err != nil {
-					t.Fatalf("reference=%v workers=%d cycle %d: %v", reference, workers, cycle, err)
 				}
 			}
 		}
@@ -243,14 +238,7 @@ func TestKernelWiringAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := range n.Routers {
-			for j := range n.Routers[s] {
-				lanes := []*core.Router{n.Routers[s][j]}
-				if g := n.Cascades[s][j]; g != nil {
-					lanes = lanes[:0]
-					for k := 0; k < g.Width(); k++ {
-						lanes = append(lanes, g.Member(k))
-					}
-				}
+			for _, lanes := range n.Routers[s] {
 				for _, r := range lanes {
 					f0, _ := r.ForwardLink(0).Link().Registers()
 					for fp := 0; fp < r.Config().Inputs; fp++ {

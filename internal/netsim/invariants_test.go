@@ -30,9 +30,11 @@ func TestInvariantsUnderHeavyLoad(t *testing.T) {
 		}
 		n.Engine.Step()
 		for s := range n.Routers {
-			for _, r := range n.Routers[s] {
-				if err := r.CheckInvariants(); err != nil {
-					t.Fatalf("cycle %d: %v", cycle, err)
+			for _, lanes := range n.Routers[s] {
+				for _, r := range lanes {
+					if err := r.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", cycle, err)
+					}
 				}
 			}
 		}
@@ -73,9 +75,11 @@ func TestInvariantsEveryCycleCongestedFigure3(t *testing.T) {
 		}
 		n.Engine.Step()
 		for s := range n.Routers {
-			for _, r := range n.Routers[s] {
-				if err := r.CheckInvariants(); err != nil {
-					t.Fatalf("cycle %d: %v", cycle, err)
+			for _, lanes := range n.Routers[s] {
+				for _, r := range lanes {
+					if err := r.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", cycle, err)
+					}
 				}
 			}
 		}
@@ -110,9 +114,11 @@ func TestInvariantsUnderFaultsAndDetailedMode(t *testing.T) {
 		}
 		n.Engine.Step()
 		for s := range n.Routers {
-			for _, r := range n.Routers[s] {
-				if err := r.CheckInvariants(); err != nil {
-					t.Fatalf("cycle %d: %v", cycle, err)
+			for _, lanes := range n.Routers[s] {
+				for _, r := range lanes {
+					if err := r.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", cycle, err)
+					}
 				}
 			}
 		}

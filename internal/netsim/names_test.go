@@ -54,14 +54,10 @@ func TestNamesPin(t *testing.T) {
 				names++
 			}
 			for s := range n.Routers {
-				for j, r := range n.Routers[s] {
-					if g := n.Cascades[s][j]; g != nil {
-						for k := 0; k < g.Width(); k++ {
-							add(g.Member(k).Name())
-						}
-						continue
+				for _, lanes := range n.Routers[s] {
+					for _, r := range lanes {
+						add(r.Name())
 					}
-					add(r.Name())
 				}
 			}
 			n.EachLink(func(l *link.Link) { add(l.Name()) })

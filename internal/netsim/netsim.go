@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strconv"
 
-	"metro/internal/cascade"
 	"metro/internal/clock"
 	"metro/internal/core"
 	"metro/internal/kernel"
@@ -148,10 +147,9 @@ type Network struct {
 	Params Params
 	Topo   *topo.Topology
 	Engine *clock.Engine
-	// Routers holds lane 0 of every logical router; with CascadeWidth > 1
-	// the full groups live in Cascades.
-	Routers   [][]*core.Router
-	Cascades  [][]*cascade.Group // nil entries when CascadeWidth == 1
+	// Routers holds every router column's lanes, [stage][router][lane]:
+	// CascadeWidth lanes per logical router (one without cascading).
+	Routers   [][][]*core.Router
 	Endpoints []*nic.Endpoint
 	// Compiled is the flattened execution plan Build installs as the
 	// engine's kernel; its arenas hold every link of the network.
@@ -370,21 +368,17 @@ func Build(p Params) (*Network, error) {
 		return l
 	}
 
-	// Routers: one per lane; with cascading the lanes form a consistency
-	// group sharing a random stream. Every router of a stage has the same
-	// configuration and settings, turn delays included: wire conservation
-	// feeds every forward port from tier s and every backward port into
-	// tier s+1 (see the placement above). The routers read them from one
-	// shared core.Shape.
-	lanes := make([][][]*core.Router, len(p.Spec.Stages)) // [stage][router][lane]
+	// Routers: one per lane; with cascading a column's lanes draw from one
+	// shared random stream and are checked by the wired-AND (cascade.Eval).
+	// Every router of a stage has the same configuration and settings, turn
+	// delays included: wire conservation feeds every forward port from tier
+	// s and every backward port into tier s+1 (see the placement above).
+	// The routers read them from one shared core.Shape.
 	laneBuf := make([]*core.Router, top.RouterCount()*c)
-	n.Routers = make([][]*core.Router, len(p.Spec.Stages))
-	n.Cascades = make([][]*cascade.Group, len(p.Spec.Stages))
+	n.Routers = make([][][]*core.Router, len(p.Spec.Stages))
 	var name []byte // scratch for router names
 	for s, st := range p.Spec.Stages {
-		lanes[s] = make([][]*core.Router, top.RoutersPerStage[s])
-		n.Routers[s] = make([]*core.Router, top.RoutersPerStage[s])
-		n.Cascades[s] = make([]*cascade.Group, top.RoutersPerStage[s])
+		n.Routers[s] = make([][]*core.Router, top.RoutersPerStage[s])
 		cfg := core.Config{
 			Inputs:       st.Inputs,
 			Outputs:      st.Outputs(),
@@ -413,25 +407,26 @@ func Build(p Params) (*Network, error) {
 			return nil, err
 		}
 		for j := range n.Routers[s] {
-			lanes[s][j] = take(&laneBuf, c)
+			lanes := take(&laneBuf, c)
+			n.Routers[s][j] = lanes
 			name = topo.AppendRouterName(name[:0], s, j)
 			seed := uint32(p.Seed)*2654435761 + uint32(s)*40503 + uint32(j)*9973 + 1
+			// One lane draws from its own LFSR; several fork one shared
+			// stream and are named "<router>.m<lane>".
 			if c == 1 {
-				lanes[s][j][0] = sh.NewRouter(string(name), prng.NewLFSR(seed))
+				lanes[0] = sh.NewRouter(string(name), prng.NewLFSR(seed))
 			} else {
-				g := cascade.NewGroup(string(name), sh, c, prng.NewShared(seed))
-				n.Cascades[s][j] = g
-				for k := 0; k < c; k++ {
-					lanes[s][j][k] = g.Member(k)
+				shared := prng.NewShared(seed)
+				for lane := range lanes {
+					lanes[lane] = sh.NewRouter(string(strconv.AppendInt(append(name, ".m"...), int64(lane), 10)), shared.Fork())
 				}
 			}
-			for lane, r := range lanes[s][j] {
+			for lane, r := range lanes {
 				r.SetID(core.RouterID{Stage: s, Index: j, Lane: lane})
 				if p.FirstFreeSelection {
 					r.SetSelectionPolicy(core.SelectFirstFree)
 				}
 			}
-			n.Routers[s][j] = lanes[s][j][0]
 		}
 	}
 
@@ -477,7 +472,7 @@ func Build(p Params) (*Network, error) {
 	}
 
 	if p.Recorder != nil {
-		wireTelemetry(n, lanes)
+		wireTelemetry(n)
 	}
 
 	// Links: injection, inter-stage, delivery — one physical link per
@@ -491,7 +486,7 @@ func Build(p Params) (*Network, error) {
 				down := colUnit(ref.Stage, ref.Index)
 				l := makeLink(0, epUnit(e), down, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
 				ends[lane] = l.A()
-				lanes[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
+				n.Routers[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 			}
 			n.Endpoints[e].AttachInject(ends...)
 		}
@@ -514,11 +509,11 @@ func Build(p Params) (*Network, error) {
 						ab = fwdBase[downUnit*c+lane] + ref.Port
 					}
 					l := makeLink(s+1, colUnit(s, j), downUnit, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
-					lanes[s][j][lane].AttachBackward(bp, l.A())
+					n.Routers[s][j][lane].AttachBackward(bp, l.A())
 					if ref.Kind == topo.KindEndpoint {
 						ends[lane] = l.B()
 					} else {
-						lanes[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
+						n.Routers[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 					}
 				}
 				if ref.Kind == topo.KindEndpoint {
@@ -528,16 +523,12 @@ func Build(p Params) (*Network, error) {
 		}
 	}
 
-	// A cascaded column is one unit: its lanes share a random stream and
-	// the wired-AND IN-USE check within a cycle, so they must never split
+	// A column is one unit: its lanes share a random stream and the
+	// wired-AND IN-USE check within a cycle, so they must never split
 	// across workers.
 	for s := range n.Routers {
-		for j := range n.Routers[s] {
-			if c == 1 {
-				kb.AddRouter(n.Routers[s][j], unitRefs[colUnit(s, j)]...)
-			} else {
-				kb.AddCascade(n.Cascades[s][j], unitRefs[colUnit(s, j)]...)
-			}
+		for j, lanes := range n.Routers[s] {
+			kb.AddColumn(lanes, unitRefs[colUnit(s, j)]...)
 		}
 	}
 	for e, ep := range n.Endpoints {
@@ -635,8 +626,8 @@ func (n *Network) TakeResults() []nic.Result {
 //metrovet:mutator measurement harvesting between runs; does not touch model state
 func (n *Network) ResetResults() { n.results = n.results[:0] }
 
-// RouterAt returns the router at (stage, index).
-func (n *Network) RouterAt(stage, index int) *core.Router { return n.Routers[stage][index] }
+// RouterAt returns the router at (stage, index) (lane 0).
+func (n *Network) RouterAt(stage, index int) *core.Router { return n.Routers[stage][index][0] }
 
 // InjectLink returns endpoint e's k-th injection link (lane 0).
 func (n *Network) InjectLink(e, k int) *link.Link {
@@ -710,16 +701,8 @@ func (n *Network) EachLink(f func(*link.Link)) {
 // modeling its complete loss.
 //
 //metrovet:shared fault application runs in the serialized epilogue; reconfiguring the victim routers is its purpose
-//metrovet:alloc per-fault-event scratch bounded by the cascade width; faults are rare control events, not per-cycle work
 func (n *Network) KillRouter(stage, index int) {
-	routers := []*core.Router{n.Routers[stage][index]}
-	if g := n.Cascades[stage][index]; g != nil {
-		routers = routers[:0]
-		for k := 0; k < g.Width(); k++ {
-			routers = append(routers, g.Member(k))
-		}
-	}
-	for _, r := range routers {
+	for _, r := range n.Routers[stage][index] {
 		for fp := 0; fp < r.Config().Inputs; fp++ {
 			r.SetForwardEnabled(fp, false)
 		}

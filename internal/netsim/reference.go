@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"metro/internal/cascade"
 	"metro/internal/clock"
+	"metro/internal/core"
 	"metro/internal/link"
 )
 
@@ -20,12 +22,8 @@ type Reference struct {
 func NewReference(n *Network) *Reference {
 	r := &Reference{}
 	for s := range n.Routers {
-		for j, router := range n.Routers[s] {
-			if g := n.Cascades[s][j]; g != nil {
-				r.units = append(r.units, g)
-			} else {
-				r.units = append(r.units, router)
-			}
+		for _, lanes := range n.Routers[s] {
+			r.units = append(r.units, column(lanes))
 		}
 	}
 	for _, ep := range n.Endpoints {
@@ -33,6 +31,17 @@ func NewReference(n *Network) *Reference {
 	}
 	n.EachLink(func(l *link.Link) { r.links = append(r.links, l) })
 	return r
+}
+
+// column is a router column as a clock.Component.
+type column []*core.Router
+
+func (c column) Eval(cycle uint64) { cascade.Eval(c, cycle) }
+
+func (c column) Commit(cycle uint64) {
+	for _, r := range c {
+		r.Commit(cycle)
+	}
 }
 
 // Units, EvalUnits, CommitUnits and CommitBatch implement clock.Kernel.

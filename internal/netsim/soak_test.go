@@ -49,9 +49,11 @@ func TestSoakRandomTrafficAndFaults(t *testing.T) {
 	lastCompleted := 0
 	audit := func(cycle int) {
 		for s := range n.Routers {
-			for _, r := range n.Routers[s] {
-				if err := r.CheckInvariants(); err != nil {
-					t.Fatalf("cycle %d: %v", cycle, err)
+			for _, lanes := range n.Routers[s] {
+				for _, r := range lanes {
+					if err := r.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", cycle, err)
+					}
 				}
 			}
 		}

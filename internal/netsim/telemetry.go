@@ -3,7 +3,6 @@ package netsim
 import (
 	"math/bits"
 
-	"metro/internal/core"
 	"metro/internal/telemetry"
 )
 
@@ -16,12 +15,12 @@ import (
 // the network buffer — is a pure function of the topology, so the
 // recorder's within-cycle merge order is identical at every worker
 // count.
-func wireTelemetry(n *Network, lanes [][][]*core.Router) {
+func wireTelemetry(n *Network) {
 	rec := n.Params.Recorder
-	for s := range lanes {
-		for j := range lanes[s] {
+	for s := range n.Routers {
+		for _, lanes := range n.Routers[s] {
 			buf := rec.NewBuf()
-			for _, r := range lanes[s][j] {
+			for _, r := range lanes {
 				r.SetTelemetry(buf)
 			}
 		}
@@ -58,8 +57,8 @@ func (g *gaugeSampler) Eval(cycle uint64) {
 	}
 	for s := range g.n.Routers {
 		conns, busy := 0, 0
-		for j := range g.n.Routers[s] {
-			r := g.n.Routers[s][j]
+		for _, lanes := range g.n.Routers[s] {
+			r := lanes[0] // the lanes of a column run in lockstep
 			conns += r.ConnectionCount()
 			busy += bits.OnesCount64(r.BackwardInUse())
 		}

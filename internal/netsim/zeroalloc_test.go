@@ -135,9 +135,10 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 // once that was gone, 2,528 once names were appended with strconv and the
 // adjacency tables carved from shared arrays, 1,698 once the routers of a
 // stage shared one Shape (turn delays included), links stored no names and
-// the network kept no lane tables, and is 1,316 since the endpoints share
-// one nic.Shape, hold their senders and receivers by value and take lane
-// ends carved from one array; the budget is that plus 10%, so a per-router
+// the network kept no lane tables, 1,316 once the endpoints shared one
+// nic.Shape, held their senders and receivers by value and took lane ends
+// carved from one array, and is 1,308 since a network holds its router
+// columns' lanes and no cascade groups; the budget is 1,316 plus 10%, so a per-router
 // settings copy (two allocations a router), a stored link name (one a
 // link) or a per-endpoint closure fails here.
 func TestZeroAllocBuildPerPortClones(t *testing.T) {
@@ -152,7 +153,8 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range n.Routers {
-		for _, r := range n.Routers[s] {
+		for j := range n.Routers[s] {
+			r := n.RouterAt(s, j)
 			ports += r.Config().Inputs + r.Config().Outputs
 			for port, d := range r.Settings().TurnDelay {
 				if d != p.LinkDelay {
@@ -181,7 +183,8 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // byte budget"), about 8,400 B before routers shared their stage's Shape
 // and links shed names and padding, about 6,320 B before endpoints shared
 // their network's nic.Shape and the kernel dropped its adjacency after the
-// audit, and is about 5,500 B now; the ceiling leaves 3% for allocator
+// audit, about 5,500 B before a network held each router column as a
+// slice of lanes, and is about 5,520 B now; the ceiling leaves 3% over 5,500 for allocator
 // jitter and fails long before a per-router copy, a per-link field or a
 // per-endpoint Config copy regrows.
 func TestScaleFootprintBytesPerEndpoint(t *testing.T) {

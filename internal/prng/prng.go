@@ -79,10 +79,10 @@ var _ Source = (*LFSR)(nil)
 // Shared is not safe for concurrent use: every consumer of one Shared
 // stream must evaluate on the same goroutine. With engine workers this
 // is a co-location requirement — all routers drawing from one Shared
-// stream must belong to a single kernel unit. cascade.Group satisfies it
-// by construction (the group is one unit, so its members and their
-// forks always evaluate together); any other fan-out must be packaged
-// the same way.
+// stream must belong to a single kernel unit. A router column satisfies
+// it by construction (its lanes are one unit, so they and their forks
+// always evaluate together, as are a cascade.Group's members); any other
+// fan-out must be packaged the same way.
 type Shared struct {
 	gen     *LFSR
 	buf     []uint8 // one bit per element
