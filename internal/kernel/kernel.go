@@ -9,12 +9,12 @@
 // reader-major: every unit's inputs are one contiguous run of registers, in
 // unit order, so a unit's per-cycle reads are adjacent cache lines and the
 // whole commit phase of the interconnect is a copy and a clear per plane
-// over a register range. Evaluation units — router columns and endpoints —
-// are stored as parallel arrays (kind, index) walked by plain loops with
-// direct, devirtualized calls per concrete type. Which link ends attach to
-// which unit is known only to the Builder: Compile audits the wiring and
-// the register placement against it once, and the plan keeps none of it,
-// since no cycle reads it.
+// over a register range. Evaluation units are one array of router-column
+// lanes and one of endpoints, columns numbered first, walked by plain loops
+// with direct, devirtualized calls per concrete type. Which link ends a unit
+// reads is known to the unit itself: Compile asks each router and endpoint
+// for the ends it holds and audits the register placement against them
+// once. The plan keeps no copy of the wiring, since no cycle reads one.
 //
 // The component structs are not replaced: a core.Router or nic.Endpoint
 // referenced by a unit is the same object tests, telemetry, and scan
@@ -34,6 +34,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"metro/internal/cascade"
 	"metro/internal/core"
@@ -41,101 +42,64 @@ import (
 	"metro/internal/nic"
 )
 
-// unitKind discriminates the parallel unit arrays.
-type unitKind uint8
-
-const (
-	unitColumn   unitKind = iota // a router column: all its lanes, one unit
-	unitEndpoint                 // a network endpoint
-)
-
-// LinkRef names one end of an arena-resident link: the arena's index in the
-// compiled plan, the link's index within that arena, and which end the unit
-// holds. The A (upstream) end reads the link's B→A register, the B end its
-// A→B register; that register is the unit's input.
-type LinkRef struct {
-	Arena int32
-	Index int32
-	AtA   bool
-}
-
 // Builder accumulates the flattened layout while netsim elaborates a
-// network. Feed it units in index order, then Compile.
-type Builder struct {
-	c Compiled
-
-	// CSR adjacency, for Compile's audit: unit u's attached link ends are
-	// adj[adjStart[u]:adjStart[u+1]].
-	adjStart []int32
-	adj      []LinkRef
-}
+// network. Feed it arenas and units, then Compile.
+type Builder struct{ c Compiled }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Arena creates a link arena for one delay class, registers it with the
-// plan and returns it with its plan index, for building LinkRefs.
-// Capacity must be exact: the arena panics past it, and Compile audits
-// that every link end is attached to exactly one unit and every register
-// is placed exactly once.
-func (b *Builder) Arena(delay, capacity int) (*link.Arena, int32) {
+// Arena creates a link arena for one delay class and registers it with the
+// plan. Capacity must be exact: the arena panics past it, and Compile audits
+// that every link end is held by exactly one unit and every register is
+// placed exactly once.
+func (b *Builder) Arena(delay, capacity int) *link.Arena {
 	a := link.NewArena(delay, capacity)
 	b.c.arenas = append(b.c.arenas, a)
-	return a, int32(len(b.c.arenas) - 1)
+	return a
 }
 
 // AddColumn appends a router-column unit: the lanes of one logical
 // router (a single lane without cascading), evaluated together by
 // cascade.Eval so they never split across workers. Every column of a plan
 // has as many lanes as the first; AddColumn panics on one that differs.
-// attached lists the arena-resident links wired to the lanes' forward and
-// backward ports.
-func (b *Builder) AddColumn(lanes []*core.Router, attached ...LinkRef) {
+// Units [0, columns) are the columns, in the order added.
+func (b *Builder) AddColumn(lanes []*core.Router) {
 	if b.c.colLanes == 0 {
-		b.c.colLanes = int32(len(lanes))
+		b.c.colLanes = len(lanes)
 	}
-	if len(lanes) == 0 || len(lanes) != int(b.c.colLanes) {
+	if len(lanes) == 0 || len(lanes) != b.c.colLanes {
 		panic(fmt.Sprintf("kernel: a column of %d lanes in a plan of %d-lane columns", len(lanes), b.c.colLanes))
 	}
-	b.addUnit(unitColumn, int32(len(b.c.lanes)), attached)
 	b.c.lanes = append(b.c.lanes, lanes...)
+	b.c.cols++
 }
 
-// AddEndpoint appends an endpoint unit.
-func (b *Builder) AddEndpoint(ep *nic.Endpoint, attached ...LinkRef) {
-	b.addUnit(unitEndpoint, int32(len(b.c.eps)), attached)
-	b.c.eps = append(b.c.eps, ep)
-}
+// AddEndpoint appends an endpoint unit. The endpoints follow the columns,
+// in the order added.
+func (b *Builder) AddEndpoint(ep *nic.Endpoint) { b.c.eps = append(b.c.eps, ep) }
 
-func (b *Builder) addUnit(kind unitKind, idx int32, attached []LinkRef) {
-	b.c.kinds = append(b.c.kinds, kind)
-	b.c.idxs = append(b.c.idxs, idx)
-	b.adjStart = append(b.adjStart, int32(len(b.adj)))
-	b.adj = append(b.adj, attached...)
-}
-
-// Compile seals the plan. It audits the adjacency tables and the register
-// placement against the arenas, which catches wiring drift, capacity
-// mismatches and a bad placement at assembly time rather than as silent
-// data corruption (or a silently slow sweep) mid-run:
+// Compile seals the plan. It audits the register placement against the
+// link ends the units actually hold (a router column's forward and
+// backward ports, an endpoint's channel lanes), which catches wiring
+// drift, capacity mismatches and a bad placement at assembly time rather
+// than as silent data corruption (or a silently slow sweep) mid-run:
 //
 //   - every arena is placed full;
 //   - every register of every arena is claimed by exactly one link
 //     direction (a full arena has as many link directions as registers,
 //     so "none claimed twice" is also "none left unclaimed");
-//   - every link end is attached to exactly one unit, so every register
-//     has exactly one reader;
+//   - every held end lies in one of the plan's arenas;
+//   - every link end is held by exactly one unit, so every register has
+//     exactly one reader;
 //   - reading the registers of an arena in index order, the reading unit
 //     never decreases: each unit's inputs are one contiguous run, and the
 //     runs lie in unit order. That is the reader-major layout the per-cycle
 //     byte budget in docs/KERNEL.md rests on.
-//
-// The plan it returns keeps no adjacency: the audit is its one reader.
 func (b *Builder) Compile() (*Compiled, error) {
 	c := &b.c
-	b.adjStart = append(b.adjStart, int32(len(b.adj)))
 	// reader[ai][r] is the unit reading register r of arena ai: noReader
-	// until claimed by a link direction, unread until a unit attaches.
+	// until claimed by a link direction, unread until a unit holds its end.
 	const noReader, unread = -2, -1
 	reader := make([][]int32, len(c.arenas))
 	for ai, a := range c.arenas {
@@ -157,25 +121,50 @@ func (b *Builder) Compile() (*Compiled, error) {
 		}
 		reader[ai] = rd
 	}
-	for u := 0; u < c.Units(); u++ {
-		for _, ref := range b.adj[b.adjStart[u]:b.adjStart[u+1]] {
-			if int(ref.Arena) >= len(c.arenas) || int(ref.Index) >= c.arenas[ref.Arena].Len() {
-				return nil, fmt.Errorf("kernel: adjacency ref %+v of unit %d names no placed link", ref, u)
-			}
-			l := c.arenas[ref.Arena].At(int(ref.Index))
-			r := inputRegister(l, ref.AtA)
-			if prev := reader[ref.Arena][r]; prev != unread {
-				return nil, fmt.Errorf("kernel: link %s end %s is attached to units %d and %d, want one", l.Name(), endName(ref.AtA), prev, u)
-			}
-			reader[ref.Arena][r] = int32(u)
+	// hold records unit u as the reader of end's input register. An
+	// unattached port (a nil end) holds nothing.
+	hold := func(u int, end *link.End) error {
+		if end == nil {
+			return nil
 		}
+		a, r := end.Input()
+		ai := slices.Index(c.arenas, a)
+		if ai >= 0 && reader[ai][r] == unread {
+			reader[ai][r] = int32(u)
+			return nil
+		}
+		l := end.Link()
+		_, ba := l.Registers()
+		if ai < 0 {
+			return fmt.Errorf("kernel: link %s end %s, held by unit %d, lies in an arena outside the plan", l.Name(), endName(r == ba), u)
+		}
+		return fmt.Errorf("kernel: link %s end %s is held by units %d and %d, want one", l.Name(), endName(r == ba), reader[ai][r], u)
+	}
+	var err error
+	for i, r := range c.lanes {
+		for fp := 0; fp < r.Config().Inputs && err == nil; fp++ {
+			err = hold(i/c.colLanes, r.ForwardLink(fp))
+		}
+		for bp := 0; bp < r.Config().Outputs && err == nil; bp++ {
+			err = hold(i/c.colLanes, r.BackwardLink(bp))
+		}
+	}
+	for i, ep := range c.eps {
+		ep.Ends(func(end *link.End) {
+			if err == nil {
+				err = hold(c.cols+i, end)
+			}
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	for ai, rd := range reader {
 		a := c.arenas[ai]
 		for li := 0; li < a.Len(); li++ {
 			ab, ba := a.At(li).Registers()
 			if rd[ab] == unread || rd[ba] == unread {
-				return nil, fmt.Errorf("kernel: link %s end %s is attached to no unit", a.At(li).Name(), endName(rd[ba] == unread))
+				return nil, fmt.Errorf("kernel: link %s end %s is held by no unit", a.At(li).Name(), endName(rd[ba] == unread))
 			}
 		}
 		for r := 1; r < len(rd); r++ {
@@ -187,15 +176,6 @@ func (b *Builder) Compile() (*Compiled, error) {
 	}
 	plan := *c
 	return &plan, nil
-}
-
-// inputRegister returns the register a link's A or B end reads.
-func inputRegister(l *link.Link, atA bool) int {
-	ab, ba := l.Registers()
-	if atA {
-		return ba
-	}
-	return ab
 }
 
 func endName(atA bool) string {
@@ -210,13 +190,9 @@ func endName(atA bool) string {
 // contiguous index range and the batched link shuttle by partition,
 // serially or across workers.
 type Compiled struct {
-	// Parallel unit arrays: unit u has kind kinds[u] and indexes the
-	// kind's typed slice at idxs[u] (a column at its first lane).
-	kinds []unitKind
-	idxs  []int32
-
 	lanes    []*core.Router // every column's lanes, colLanes per column
-	colLanes int32
+	cols     int            // units [0, cols) are columns, the rest endpoints
+	colLanes int
 	eps      []*nic.Endpoint
 
 	// arenas holds every link pipeline register in the plan, grouped by
@@ -225,25 +201,18 @@ type Compiled struct {
 }
 
 // Units implements clock.Kernel.
-func (c *Compiled) Units() int { return len(c.kinds) }
+func (c *Compiled) Units() int { return c.cols + len(c.eps) }
 
 // EvalUnits implements clock.Kernel: evaluate units [lo, hi) in index
-// order with direct calls per concrete type.
+// order, the columns in the range and then its endpoints, with direct
+// calls per concrete type.
 func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
-	// Reslicing to the partition lets the compiler hoist the range's
-	// bounds check out of the loop: kinds and idxs share a length, so
-	// the per-unit loads below compile check-free.
-	kinds := c.kinds[lo:hi]
-	idxs := c.idxs[lo:hi:hi]
 	w := c.colLanes
-	for u := range kinds {
-		i := idxs[u]
-		switch kinds[u] {
-		case unitColumn:
-			cascade.Eval(c.lanes[i:i+w], cycle)
-		case unitEndpoint:
-			c.eps[i].Eval(cycle)
-		}
+	for u := lo; u < min(hi, c.cols); u++ {
+		cascade.Eval(c.lanes[u*w:(u+1)*w], cycle)
+	}
+	for _, ep := range c.eps[max(lo, c.cols)-c.cols : max(hi, c.cols)-c.cols] {
+		ep.Eval(cycle)
 	}
 }
 

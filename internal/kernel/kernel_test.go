@@ -7,128 +7,196 @@ import (
 
 	"metro/internal/core"
 	"metro/internal/link"
+	"metro/internal/nic"
 	"metro/internal/prng"
 	"metro/internal/word"
 )
 
-// The audit tests feed Compile hand-built plans. Units carry nil
-// component pointers: Compile audits wiring and placement only and never
-// steps them.
+// The audit tests wire real endpoints, and a real router where a column is
+// wanted, to the links of a test arena: Compile reads each unit's inputs
+// from the link ends the unit holds.
 
 // wireName names link i of a test arena "wire<i>"; the audit's errors print
 // it.
 func wireName(i int) string { return "wire" + strconv.Itoa(i) }
 
-// chainBuilder returns a builder with one delay-1 arena of capacity links
-// and its first `placed` links placed as a chain: link i joins unit i (its
-// A end) to unit i+1 (its B end). The placement is reader-major — unit 0
-// reads register 0, unit i registers 2i-1 and 2i, so link i sits at
-// ba = 2i, ab = 2i+1 — and refs[u] lists unit u's ends.
-func chainBuilder(capacity, placed int) (*Builder, [][]LinkRef) {
-	b := NewBuilder()
-	a, ai := b.Arena(1, capacity)
-	a.SetNamer(wireName)
-	refs := make([][]LinkRef, placed+1)
-	for i := 0; i < placed; i++ {
-		idx := int32(a.Len())
-		a.Place(2*i+1, 2*i)
-		refs[i] = append(refs[i], LinkRef{Arena: ai, Index: idx, AtA: true})
-		refs[i+1] = append(refs[i+1], LinkRef{Arena: ai, Index: idx})
+// newEndpoints returns n endpoints of a one-lane shape, with no links.
+func newEndpoints(t *testing.T, n int) []*nic.Endpoint {
+	t.Helper()
+	sh, err := nic.NewShape(nic.Config{Width: 8, Header: nic.HeaderSpec{Width: 8},
+		AppendRouteDigits: func(dst []int, dest int) []int { return dst }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b, refs
+	eps := make([]*nic.Endpoint, n)
+	for e := range eps {
+		eps[e] = sh.NewEndpoint(e)
+	}
+	return eps
 }
 
+// newArena returns a builder with one delay-1 arena of capacity links,
+// named by wireName.
+func newArena(capacity int) (*Builder, *link.Arena) {
+	b := NewBuilder()
+	a := b.Arena(1, capacity)
+	a.SetNamer(wireName)
+	return b, a
+}
+
+// chain returns a builder whose one delay-1 arena has room for capacity
+// links and its first `placed` placed as a chain through placed+1
+// endpoints: link i leaves endpoint i (its A end, an injection lane) and
+// enters endpoint i+1 (its B end, a delivery lane). The placement is
+// reader-major: endpoint i reads registers 2i-1 (link i-1's A→B) and 2i
+// (link i's B→A), so link i sits at ab = 2i+1, ba = 2i. The endpoints are
+// not yet added to the builder.
+func chain(t *testing.T, capacity, placed int) (*Builder, []*nic.Endpoint) {
+	t.Helper()
+	b, a := newArena(capacity)
+	eps := newEndpoints(t, placed+1)
+	for i := 0; i < placed; i++ {
+		l := a.Place(2*i+1, 2*i)
+		eps[i].AttachInject(l.A())
+		eps[i+1].AttachDeliver(l.B())
+	}
+	return b, eps
+}
+
+// pair wires endpoint 0 to endpoint 1 over every link of an arena the
+// caller has placed: 0 holds the A ends, 1 the B ends. It adds both.
+func pair(t *testing.T, b *Builder, a *link.Arena) {
+	t.Helper()
+	eps := newEndpoints(t, 2)
+	for i := 0; i < a.Len(); i++ {
+		eps[0].AttachInject(a.At(i).A())
+		eps[1].AttachDeliver(a.At(i).B())
+	}
+	b.AddEndpoint(eps[0])
+	b.AddEndpoint(eps[1])
+}
+
+// newRouter returns a 4x4 router with no links.
+func newRouter(t *testing.T, name string, rng prng.Source) *core.Router {
+	t.Helper()
+	cfg := core.Config{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 2,
+		DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
+	set := core.DefaultSettings(cfg)
+	set.Dilation = 1
+	sh, err := core.NewShape(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh.NewRouter(name, rng)
+}
+
+// TestCompileAcceptsExactWiring compiles a router column between two
+// endpoints: endpoint 0 feeds the router's forward port 0 over wire0, and
+// its backward port 0 delivers to endpoint 1 over wire1. The column is
+// unit 0 and reads registers 0 (wire0's A→B) and 1 (wire1's B→A); the
+// endpoints are units 1 and 2, reading wire0's B→A at 2 and wire1's A→B
+// at 3. The router's other ports are unattached and hold nothing.
 func TestCompileAcceptsExactWiring(t *testing.T) {
-	b, refs := chainBuilder(3, 3)
-	b.AddColumn(make([]*core.Router, 1), refs[0]...)
-	b.AddColumn(make([]*core.Router, 1), refs[1]...)
-	b.AddEndpoint(nil, refs[2]...)
-	b.AddEndpoint(nil, refs[3]...)
+	b, a := newArena(2)
+	eps := newEndpoints(t, 2)
+	r := newRouter(t, "r", prng.NewLFSR(1))
+	in, out := a.Place(0, 2), a.Place(3, 1)
+	eps[0].AttachInject(in.A())
+	r.AttachForward(0, in.B())
+	r.AttachBackward(0, out.A())
+	eps[1].AttachDeliver(out.B())
+	b.AddEndpoint(eps[0])
+	b.AddColumn([]*core.Router{r}) // columns are units [0, columns) whenever added
+	b.AddEndpoint(eps[1])
 	c, err := b.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Units() != 4 || c.Links() != 3 || len(c.Arenas()) != 1 {
-		t.Fatalf("plan has %d units, %d links, %d arenas; want 4, 3, 1", c.Units(), c.Links(), len(c.Arenas()))
+	if c.Units() != 3 || c.Links() != 2 || len(c.Arenas()) != 1 {
+		t.Fatalf("plan has %d units, %d links, %d arenas; want 3, 2, 1", c.Units(), c.Links(), len(c.Arenas()))
 	}
 }
 
 func TestCompileAuditErrors(t *testing.T) {
-	// twoUnits attaches a one-link arena's ends to units 0 (A) and 1 (B).
-	twoUnits := func(b *Builder) {
-		b.AddEndpoint(nil, LinkRef{Index: 0, AtA: true})
-		b.AddEndpoint(nil, LinkRef{Index: 0})
-	}
 	cases := []struct {
 		name  string
-		build func() *Builder
+		build func(t *testing.T) *Builder
 		want  string
 	}{
-		{"arena placed short", func() *Builder {
-			b, refs := chainBuilder(3, 2)
-			for _, r := range refs {
-				b.AddEndpoint(nil, r...)
+		{"arena placed short", func(t *testing.T) *Builder {
+			b, eps := chain(t, 3, 2)
+			for _, ep := range eps {
+				b.AddEndpoint(ep)
 			}
 			return b
 		}, "arena 0 (delay 1) placed 2 of 3 links"},
-		{"link end attached to no unit", func() *Builder {
-			b, refs := chainBuilder(1, 1)
-			b.AddEndpoint(nil, refs[0]...)
-			b.AddEndpoint(nil) // the B end was never attached
+		{"link end held by no unit", func(t *testing.T) *Builder {
+			b, eps := chain(t, 1, 1)
+			b.AddEndpoint(eps[0]) // endpoint 1, holding the B end, is left out
 			return b
-		}, "link wire0 end B is attached to no unit"},
-		{"link end attached to two units", func() *Builder {
-			b, refs := chainBuilder(1, 1)
-			b.AddEndpoint(nil, refs[0]...)
-			b.AddEndpoint(nil, refs[1]...)
-			b.AddColumn(make([]*core.Router, 1), refs[0]...)
+		}, "link wire0 end B is held by no unit"},
+		{"link end held by two units", func(t *testing.T) *Builder {
+			b, eps := chain(t, 1, 1)
+			b.AddEndpoint(eps[0])
+			b.AddEndpoint(eps[1])
+			extra := newEndpoints(t, 1)[0]
+			extra.AttachInject(b.c.arenas[0].At(0).A()) // endpoint 0 holds it too
+			b.AddEndpoint(extra)
 			return b
-		}, "link wire0 end A is attached to units 0 and 2, want one"},
-		{"adjacency names an unplaced link", func() *Builder {
-			b, refs := chainBuilder(1, 1)
-			b.AddEndpoint(nil, refs[0]...)
-			b.AddEndpoint(nil, refs[1]...)
-			b.AddEndpoint(nil, LinkRef{Arena: 0, Index: 5})
+		}, "link wire0 end A is held by units 0 and 2, want one"},
+		{"held end outside the plan", func(t *testing.T) *Builder {
+			// Endpoint 0 also injects into a wire made by link.New, not
+			// placed in the plan's arena: nothing would shuttle it.
+			b, eps := chain(t, 1, 1)
+			eps[0].AttachInject(link.New("stray", 1).A())
+			b.AddEndpoint(eps[0])
+			b.AddEndpoint(eps[1])
 			return b
-		}, "names no placed link"},
-		{"overlapping placement", func() *Builder {
+		}, "link stray end A, held by unit 0, lies in an arena outside the plan"},
+		{"overlapping placement", func(t *testing.T) *Builder {
 			// Both links put their A→B direction in register 1, which
 			// leaves register 3 unclaimed: one wire would deliver the
 			// other's words.
-			b := NewBuilder()
-			a, _ := b.Arena(1, 2)
-			a.SetNamer(wireName)
+			b, a := newArena(2)
 			a.Place(1, 0)
 			a.Place(1, 2)
-			twoUnits(b)
+			pair(t, b, a)
 			return b
 		}, "register 1 is claimed by two link directions (the second is wire1)"},
-		{"holed placement", func() *Builder {
+		{"holed placement", func(t *testing.T) *Builder {
 			// Unit 1 reads both links' A→B registers, but they sit at 1
 			// and 3 with unit 0's second input between them: unit 1's run
 			// has a hole, so its inputs are not adjacent in memory.
-			b := NewBuilder()
-			a, _ := b.Arena(1, 2)
-			a.SetNamer(wireName)
+			b, a := newArena(2)
 			a.Place(1, 0)
 			a.Place(3, 2)
-			b.AddEndpoint(nil, LinkRef{Index: 0, AtA: true}, LinkRef{Index: 1, AtA: true})
-			b.AddEndpoint(nil, LinkRef{Index: 0}, LinkRef{Index: 1})
+			pair(t, b, a)
 			return b
 		}, "register 1 is read by unit 1 but register 2 by unit 0; every unit's inputs must be one contiguous run, in unit order"},
-		{"runs out of unit order", func() *Builder {
+		{"runs out of unit order", func(t *testing.T) *Builder {
 			// Each unit's run is contiguous (one register), but unit 1's
 			// comes first.
-			b := NewBuilder()
-			a, _ := b.Arena(1, 1)
-			a.SetNamer(wireName)
+			b, a := newArena(1)
 			a.Place(0, 1)
-			twoUnits(b)
+			pair(t, b, a)
+			return b
+		}, "register 0 is read by unit 1 but register 1 by unit 0"},
+		{"units hold each other's ends", func(t *testing.T) *Builder {
+			// The placement is right for endpoint 0 holding the A end and
+			// endpoint 1 the B end, but the wiring is swapped, so each
+			// reads the register placed for the other.
+			b, a := newArena(1)
+			l := a.Place(1, 0)
+			eps := newEndpoints(t, 2)
+			eps[0].AttachDeliver(l.B())
+			eps[1].AttachInject(l.A())
+			b.AddEndpoint(eps[0])
+			b.AddEndpoint(eps[1])
 			return b
 		}, "register 0 is read by unit 1 but register 1 by unit 0"},
 	}
 	for _, tc := range cases {
-		c, err := tc.build().Compile()
+		c, err := tc.build(t).Compile()
 		if err == nil {
 			t.Errorf("%s: Compile accepted the plan (%d units)", tc.name, c.Units())
 			continue
@@ -146,21 +214,13 @@ func TestCompileAuditErrors(t *testing.T) {
 // final backward in-use mask.
 func columnRun(t *testing.T, routes [2]word.Word) (bcb bool, inUse [2]uint64) {
 	t.Helper()
-	cfg := core.Config{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 2,
-		DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
-	set := core.DefaultSettings(cfg)
-	set.Dilation = 1
-	sh, err := core.NewShape(cfg, set)
-	if err != nil {
-		t.Fatal(err)
-	}
 	shared := prng.NewShared(77)
 	lanes := make([]*core.Router, 2)
 	var src [2]*link.End // forward port 0 of each lane, source side
 	var links []*link.Link
 	for k := range lanes {
-		lanes[k] = sh.NewRouter("col.m"+strconv.Itoa(k), shared.Fork())
-		for fp := 0; fp < cfg.Inputs; fp++ {
+		lanes[k] = newRouter(t, "col.m"+strconv.Itoa(k), shared.Fork())
+		for fp := 0; fp < lanes[k].Config().Inputs; fp++ {
 			l := link.New("f", 1)
 			lanes[k].AttachForward(fp, l.B())
 			links = append(links, l)
@@ -168,18 +228,15 @@ func columnRun(t *testing.T, routes [2]word.Word) (bcb bool, inUse [2]uint64) {
 				src[k] = l.A()
 			}
 		}
-		for bp := 0; bp < cfg.Outputs; bp++ {
+		for bp := 0; bp < lanes[k].Config().Outputs; bp++ {
 			l := link.New("b", 1)
 			lanes[k].AttachBackward(bp, l.A())
 			links = append(links, l)
 		}
 	}
-	b := NewBuilder()
-	b.AddColumn(lanes)
-	c, err := b.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The links are the test's own, committed here, so the plan is built
+	// directly: Compile rejects ends outside its arenas.
+	c := &Compiled{lanes: lanes, cols: 1, colLanes: 2}
 	for cycle := uint64(0); cycle < 10; cycle++ {
 		for k, e := range src {
 			w := word.Word{Kind: word.DataIdle}
@@ -199,7 +256,7 @@ func columnRun(t *testing.T, routes [2]word.Word) (bcb bool, inUse [2]uint64) {
 }
 
 // TestColumnUnitRunsTheWiredAND drives a column through the kernel's
-// own dispatch: lanes that agree hold their connection, and lanes whose
+// own dispatch (EvalUnits): lanes that agree hold their connection, and lanes whose
 // route words disagree (lane 1's header corrupted) allocate different
 // backward ports, which the wired-AND check must kill on both lanes with
 // BCB asserted to the source.

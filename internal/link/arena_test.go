@@ -72,6 +72,13 @@ func TestArenaShuttleMatchesCommit(t *testing.T) {
 						if v != arena.At(i) || v.Name() != name || v.Delay() != delay {
 							t.Fatalf("arena view %d: name %q delay %d", i, v.Name(), v.Delay())
 						}
+						ab, ba := v.Registers()
+						if a, r := v.A().Input(); a != arena || r != ba {
+							t.Fatalf("link %d: A end reads register %d, want %d (B→A)", i, r, ba)
+						}
+						if a, r := v.B().Input(); a != arena || r != ab {
+							t.Fatalf("link %d: B end reads register %d, want %d (A→B)", i, r, ab)
+						}
 					}
 					if arena.Len() != n || arena.Cap() != n || arena.Delay() != delay || arena.Registers() != regs {
 						t.Fatalf("arena Len %d Cap %d Delay %d Registers %d", arena.Len(), arena.Cap(), arena.Delay(), arena.Registers())

@@ -209,6 +209,16 @@ type End struct {
 // Link returns the underlying link.
 func (e *End) Link() *Link { return e.l }
 
+// Input returns the arena holding the register this end reads and the
+// register's index in it: the link's B→A register at the A end, its A→B
+// register at the B end.
+func (e *End) Input() (*Arena, int) {
+	if e.atA {
+		return e.l.a, int(e.l.ba)
+	}
+	return e.l.a, int(e.l.ab)
+}
+
 // Send stages the word this end drives onto the link this cycle. If Send is
 // not called during a cycle the end drives Empty.
 func (e *End) Send(w word.Word) { e.stage.setWord(w) }

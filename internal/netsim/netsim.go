@@ -87,10 +87,10 @@ type Params struct {
 	// cycle-stamped events into per-unit buffers that are merged in
 	// deterministic order at the cycle barrier. Works at every worker
 	// count — recorded traces are byte-identical across them. Streaming
-	// consumers (Counters, the metrics bridge, metroserve's SSE tap)
-	// subscribe with Recorder.SetSink. A Recorder instance must be wired
-	// into at most one Build (buffer registration defines the merge
-	// order).
+	// consumers (telemetry.StageConns, the metrics bridge, metroserve's
+	// SSE tap) subscribe with Recorder.SetSink. A Recorder instance must
+	// be wired into at most one Build (buffer registration defines the
+	// merge order).
 	Recorder *telemetry.Recorder
 	// GaugePeriod is the cycle period of the per-cycle gauges (port
 	// occupancy, open connections, queue depths) when Recorder is set;
@@ -273,29 +273,11 @@ func Build(p Params) (*Network, error) {
 		nCols += rs
 	}
 	colUnit := func(s, j int) int { return colBase[s] + j }
-	epUnit := func(e int) int { return nCols + e }
 	kb := kernel.NewBuilder()
-	// Every link has one end at each of two units, and the topology wires
-	// every port exactly once: a column unit's c lanes have Inputs+Outputs
-	// ends each, an endpoint unit has ne*c injection and ne*c delivery
-	// ends. The adjacency tables are carved to those counts from one array
-	// (kernel.Compile audits the wiring, and an append past a carve would
-	// only reallocate).
-	unitRefs := make([][]kernel.LinkRef, nCols+p.Spec.Endpoints)
-	refs := make([]kernel.LinkRef, 2*top.LinkCount()*c)
-	for s, st := range p.Spec.Stages {
-		for j := 0; j < top.RoutersPerStage[s]; j++ {
-			unitRefs[colUnit(s, j)] = take(&refs, c*(st.Inputs+st.Outputs()))[:0]
-		}
-	}
-	for e := 0; e < p.Spec.Endpoints; e++ {
-		unitRefs[epUnit(e)] = take(&refs, 2*ne*c)[:0]
-	}
 	type delayClass struct {
 		links int         // exact population, tallied before placing
 		regs  int         // registers handed out so far (the placement prefix sum)
 		arena *link.Arena // created once the tally is complete
-		index int32       // of the arena in the plan
 	}
 	classes := make(map[int]*delayClass)
 	var delayOrder []int
@@ -318,7 +300,7 @@ func Build(p Params) (*Network, error) {
 	}
 	for _, d := range delayOrder {
 		dc := classes[d]
-		dc.arena, dc.index = kb.Arena(d, dc.links)
+		dc.arena = kb.Arena(d, dc.links)
 		dc.arena.SetNamer(n.linkNamer(dc.arena))
 	}
 	for tier := range n.tiers {
@@ -331,8 +313,9 @@ func Build(p Params) (*Network, error) {
 	// conserves wires (every port of every router is wired exactly once,
 	// stage s is fed by tier s and feeds tier s+1), so run lengths are the
 	// port counts and placement is a prefix sum ahead of the wiring walk;
-	// kernel.Compile audits the result, so a topology that broke the
-	// assumption would fail the build, not the simulation.
+	// kernel.Compile audits the result against the ends the routers and
+	// endpoints hold, so a topology that broke the assumption would fail
+	// the build, not the simulation.
 	place := func(tier, n int) int {
 		dc := classes[delayOf(tier)]
 		base := dc.regs
@@ -355,19 +338,6 @@ func Build(p Params) (*Network, error) {
 		delBase[e] = place(S, ne*c)
 		injBase[e] = place(0, ne*c)
 	}
-	// makeLink places one physical link in its tier's delay-class arena —
-	// the A→B direction in register ab, among the downstream unit ub's
-	// inputs, the B→A direction in register ba, among the upstream unit
-	// ua's — and records each end in its unit's adjacency table.
-	makeLink := func(tier int, ua, ub, ab, ba int) *link.Link {
-		dc := classes[delayOf(tier)]
-		idx := int32(dc.arena.Len())
-		l := dc.arena.Place(ab, ba)
-		unitRefs[ua] = append(unitRefs[ua], kernel.LinkRef{Arena: dc.index, Index: idx, AtA: true})
-		unitRefs[ub] = append(unitRefs[ub], kernel.LinkRef{Arena: dc.index, Index: idx})
-		return l
-	}
-
 	// Routers: one per lane; with cascading a column's lanes draw from one
 	// shared random stream and are checked by the wired-AND (cascade.Eval).
 	// Every router of a stage has the same configuration and settings, turn
@@ -484,7 +454,7 @@ func Build(p Params) (*Network, error) {
 			ends := take(&epEnds, c)
 			for lane := range ends {
 				down := colUnit(ref.Stage, ref.Index)
-				l := makeLink(0, epUnit(e), down, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
+				l := n.tiers[0].arena.Place(fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
 				ends[lane] = l.A()
 				n.Routers[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 			}
@@ -494,21 +464,18 @@ func Build(p Params) (*Network, error) {
 	for s := range top.Out {
 		for j := range top.Out[s] {
 			for bp, ref := range top.Out[s][j] {
-				downUnit := epUnit(ref.Index)
 				var ends []*link.End
 				if ref.Kind == topo.KindEndpoint {
 					ends = take(&epEnds, c)
-				} else {
-					downUnit = colUnit(ref.Stage, ref.Index)
 				}
 				for lane := 0; lane < c; lane++ {
 					var ab int
 					if ref.Kind == topo.KindEndpoint {
 						ab = delBase[ref.Index] + ref.Port*c + lane
 					} else {
-						ab = fwdBase[downUnit*c+lane] + ref.Port
+						ab = fwdBase[colUnit(ref.Stage, ref.Index)*c+lane] + ref.Port
 					}
-					l := makeLink(s+1, colUnit(s, j), downUnit, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
+					l := n.tiers[s+1].arena.Place(ab, bwdBase[colUnit(s, j)*c+lane]+bp)
 					n.Routers[s][j][lane].AttachBackward(bp, l.A())
 					if ref.Kind == topo.KindEndpoint {
 						ends[lane] = l.B()
@@ -527,12 +494,12 @@ func Build(p Params) (*Network, error) {
 	// wired-AND IN-USE check within a cycle, so they must never split
 	// across workers.
 	for s := range n.Routers {
-		for j, lanes := range n.Routers[s] {
-			kb.AddColumn(lanes, unitRefs[colUnit(s, j)]...)
+		for _, lanes := range n.Routers[s] {
+			kb.AddColumn(lanes)
 		}
 	}
-	for e, ep := range n.Endpoints {
-		kb.AddEndpoint(ep, unitRefs[epUnit(e)]...)
+	for _, ep := range n.Endpoints {
+		kb.AddEndpoint(ep)
 	}
 	n.Compiled, err = kb.Compile()
 	if err != nil {

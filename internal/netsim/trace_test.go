@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metro/internal/telemetry"
@@ -144,5 +145,54 @@ func TestTraceCoversEveryMsgAndConnKind(t *testing.T) {
 		if seen[k] == 0 {
 			t.Errorf("no %v event in any of the %d traces", k, len(scenarios))
 		}
+	}
+}
+
+// TestStageConnsAggregatePerStage runs at two workers: the streaming tally
+// consumes the merged stream on the stepping goroutine, so it needs no
+// lock (the race detector checks) and no serial-engine restriction. It
+// must also agree with what Summarize tallies from the recorded ring.
+func TestStageConnsAggregatePerStage(t *testing.T) {
+	conns := new(telemetry.StageConns)
+	rec := telemetry.New(telemetry.Options{})
+	rec.SetSink(conns.Sink)
+	n, err := Build(Params{
+		Spec: topo.Figure1(), Width: 8, DataPipe: 1, LinkDelay: 1,
+		FastReclaim: true, Seed: 3, RetryLimit: 500, Recorder: rec, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for src := 0; src < 16; src++ {
+		for d := 1; d <= 4; d++ {
+			n.Send(src, (src+d*3)%16, []byte{byte(src)})
+		}
+	}
+	if !n.RunUntilQuiet(500000) {
+		t.Fatal("network did not go quiet")
+	}
+	stats := conns.PerStage(3)
+	for _, s := range stats {
+		if s.Setup == 0 {
+			t.Errorf("stage %d saw no allocations", s.Stage)
+		}
+		if s.Setup < s.Turned/2 {
+			t.Errorf("stage %d reversal count inconsistent: %+v", s.Stage, s)
+		}
+		if r := s.BlockRate(); r < 0 || r >= 1 {
+			t.Errorf("stage %d block rate %f out of range", s.Stage, r)
+		}
+	}
+	// Every successful message allocates once per stage; blocked attempts
+	// allocate in their prefix stages. So stage 0 must see at least as
+	// many allocations as any later stage.
+	if stats[0].Setup < stats[2].Setup {
+		t.Errorf("allocation counts should not grow downstream: %+v", stats)
+	}
+	if s := telemetry.Summarize(rec.Snapshot()); s.Dropped != 0 {
+		t.Fatalf("the ring dropped %d events; the comparison needs them all", s.Dropped)
+	} else if !slices.Equal(s.Conn, stats) {
+		t.Errorf("Summarize tallies %+v, the streaming sink %+v", s.Conn, stats)
 	}
 }

@@ -127,25 +127,28 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 	}
 }
 
-// TestZeroAllocBuildPerPortClones pins netsim.Build's allocation count on
-// the Figure 3 network. Build is not allocation-free, but nothing it
-// allocates may be per router port or per link: writing each port's turn
-// delay through Settings + ApplySettings cost two deep clones, twelve
+// TestZeroAllocBuildPerPortClones pins netsim.Build's allocation count and
+// bytes on the Figure 3 network. Build is not allocation-free, but nothing
+// it allocates may be per router port or per link: writing each port's
+// turn delay through Settings + ApplySettings cost two deep clones, twelve
 // allocations, per port (9,216 of this network's 15,278). It was 6,062
 // once that was gone, 2,528 once names were appended with strconv and the
 // adjacency tables carved from shared arrays, 1,698 once the routers of a
 // stage shared one Shape (turn delays included), links stored no names and
 // the network kept no lane tables, 1,316 once the endpoints shared one
 // nic.Shape, held their senders and receivers by value and took lane ends
-// carved from one array, and is 1,308 since a network holds its router
-// columns' lanes and no cascade groups; the budget is 1,316 plus 10%, so a per-router
-// settings copy (two allocations a router), a stored link name (one a
-// link) or a per-endpoint closure fails here.
+// carved from one array, 1,308 once a network held its router columns'
+// lanes and no cascade groups, and is 1,278 (about 293 KB) since the
+// kernel audits the link ends its units hold instead of adjacency tables
+// Build kept beside them (about 351 KB). The budgets are 1,316 allocations
+// and 293 KB plus 10%, so a per-router settings copy (two allocations a
+// router), a stored link name (one a link), a per-endpoint closure or a
+// transient per-link table fails here.
 func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const budget = 1448
+	const budget, bytesBudget = 1448, 322_000
 	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
 	ports := 0
 	n, err := Build(p)
@@ -163,14 +166,25 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 			}
 		}
 	}
-	allocs := testing.AllocsPerRun(3, func() {
+	// As testing.AllocsPerRun, on one P, and reading the bytes as well.
+	const runs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
 		if _, err := Build(p); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("Build(Figure 3): %.0f allocations, %.1f per router port (%d ports)", allocs, allocs/float64(ports), ports)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Build(Figure 3): %.0f allocations, %.1f per router port (%d ports), %d B", allocs, allocs/float64(ports), ports, bytes)
 	if allocs > budget {
 		t.Fatalf("Build(Figure 3): %.0f allocations (%.1f per router port), budget %d: is something cloning per port again?", allocs, allocs/float64(ports), budget)
+	}
+	if bytes > bytesBudget {
+		t.Fatalf("Build(Figure 3): %d B allocated, budget %d: has a per-link table grown back?", bytes, bytesBudget)
 	}
 }
 

@@ -191,6 +191,22 @@ func (e *Endpoint) channel(ends []*link.End) lanes {
 	return ends
 }
 
+// Ends visits every link end the endpoint holds: its injection lanes, then
+// its delivery lanes, each channel's in lane order.
+func (e *Endpoint) Ends(f func(*link.End)) {
+	ss, rs := e.senders, e.receivers
+	for i := range ss {
+		for _, end := range ss[i].link {
+			f(end)
+		}
+	}
+	for i := range rs {
+		for _, end := range rs[i].link {
+			f(end)
+		}
+	}
+}
+
 // ID returns the endpoint number.
 func (e *Endpoint) ID() int { return e.id }
 

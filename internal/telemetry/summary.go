@@ -57,14 +57,68 @@ func (m *MessageStats) Transmit() uint64 { return m.LastTurn - m.LastAttempt }
 // reversal plus the reply stream.
 func (m *MessageStats) Turnaround() uint64 { return m.Done - m.LastTurn }
 
-// ConnStageStats aggregates the router connection events of one stage —
-// the structured replacement for the name-parsing Counters aggregation.
+// ConnStageStats aggregates the router connection events of one stage.
 // With CascadeWidth > 1 every lane contributes its own events.
 type ConnStageStats struct {
 	Stage                        int
 	Setup                        uint64
 	BlockedFast, BlockedDetailed uint64
 	Turned, Released             uint64
+}
+
+// StageConns tallies router connection events per network stage: where
+// connections are won, where they block, how often paths reverse. It
+// quantifies the congestion structure of a multistage network —
+// classically, contention concentrates in the early dilated stages where
+// paths have not yet separated.
+//
+// It consumes the flight-recorder stream: hand its Sink to
+// Recorder.SetSink, as Summarize feeds it a recorded trace. Events carry
+// the emitting router's structured identity, so cascade lanes fold into
+// their logical router's stage and routers never placed in a network
+// (stage -1) are ignored. A recorder runs its sink on the stepping
+// goroutine at every worker count; read the tally between steps.
+type StageConns struct {
+	stages []ConnStageStats // indexed by stage, grown on a stage's first event
+}
+
+// Sink tallies the connection events of one drained recorder buffer; it
+// has the signature Recorder.SetSink expects.
+//
+//metrovet:alloc grows once per network stage, on that stage's first event
+func (c *StageConns) Sink(events []Event) {
+	for i := range events {
+		ev := &events[i]
+		k, stage := ev.Kind, int(ev.Src.Stage)
+		if k < EvConnSetup || k > EvConnReleased || ev.Src.Kind != SrcRouter || stage < 0 {
+			continue
+		}
+		for stage >= len(c.stages) {
+			c.stages = append(c.stages, ConnStageStats{Stage: len(c.stages)})
+		}
+		st := &c.stages[stage]
+		if k == EvConnSetup {
+			st.Setup++
+		} else if k == EvConnBlockedFast {
+			st.BlockedFast++
+		} else if k == EvConnBlockedDetailed {
+			st.BlockedDetailed++
+		} else if k == EvConnTurned {
+			st.Turned++
+		} else {
+			st.Released++
+		}
+	}
+}
+
+// PerStage returns the tallies for stages [0, n).
+func (c *StageConns) PerStage(n int) []ConnStageStats {
+	out := make([]ConnStageStats, n)
+	for s := range out {
+		out[s].Stage = s
+	}
+	copy(out, c.stages)
+	return out
 }
 
 // BlockRate returns blocked / (blocked + setup) for the stage.
@@ -97,7 +151,7 @@ type Summary struct {
 
 	Counts [len(kindNames)]int
 
-	Conn []ConnStageStats
+	Conn []ConnStageStats // stages [0, the last with a connection event]
 
 	Msgs                          []*MessageStats
 	Delivered, Failed, Incomplete int
@@ -124,7 +178,9 @@ func Summarize(t Trace) *Summary {
 	}
 
 	msgs := map[uint64]*MessageStats{}
-	connByStage := map[int]*ConnStageStats{}
+	var conns StageConns
+	conns.Sink(events)
+	s.Conn = conns.stages
 	type gaugeKey struct {
 		kind  Kind
 		stage int
@@ -138,14 +194,6 @@ func Summarize(t Trace) *Summary {
 			msgs[e.Msg] = m
 		}
 		return m
-	}
-	connOf := func(stage int) *ConnStageStats {
-		c := connByStage[stage]
-		if c == nil {
-			c = &ConnStageStats{Stage: stage}
-			connByStage[stage] = c
-		}
-		return c
 	}
 
 	for _, e := range events {
@@ -190,16 +238,8 @@ func Summarize(t Trace) *Summary {
 			if e.A == 1 {
 				s.ArrivedIntact++
 			}
-		case EvConnSetup:
-			connOf(int(e.Src.Stage)).Setup++
-		case EvConnBlockedFast:
-			connOf(int(e.Src.Stage)).BlockedFast++
-		case EvConnBlockedDetailed:
-			connOf(int(e.Src.Stage)).BlockedDetailed++
-		case EvConnTurned:
-			connOf(int(e.Src.Stage)).Turned++
-		case EvConnReleased:
-			connOf(int(e.Src.Stage)).Released++
+		case EvConnSetup, EvConnBlockedFast, EvConnBlockedDetailed, EvConnTurned, EvConnReleased:
+			// Tallied per stage by conns.
 		case EvFault:
 			// Counted in Counts; faults carry no aggregate beyond that.
 		case EvGaugeConns, EvGaugeBusyPorts, EvGaugeQueueDepth, EvGaugeInFlight:
@@ -238,16 +278,6 @@ func Summarize(t Trace) *Summary {
 		s.RetryWait.Add(float64(m.RetryWait()))
 		s.Transmit.Add(float64(m.Transmit()))
 		s.Turnaround.Add(float64(m.Turnaround()))
-	}
-
-	// Connection stages, dense and stage-sorted.
-	stages := make([]int, 0, len(connByStage))
-	for st := range connByStage {
-		stages = append(stages, st)
-	}
-	sort.Ints(stages)
-	for _, st := range stages {
-		s.Conn = append(s.Conn, *connByStage[st])
 	}
 
 	// Gauge series, (kind, stage)-sorted.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,39 @@ func TestSummarizeConnStages(t *testing.T) {
 	}
 	if got := s1.BlockRate(); got != 0.5 {
 		t.Errorf("stage 1 block rate = %f, want 0.5", got)
+	}
+}
+
+// TestStageConnsFoldsLanes checks that the tally keys on the event source's
+// stage directly: cascade lanes fold into their logical stage, and an
+// unplaced router (core.FreeID: stage -1) is ignored instead of leaking
+// into a real stage. Summarize tallies the same way.
+func TestStageConnsFoldsLanes(t *testing.T) {
+	setup := func(cycle uint64, stage, index, lane int) Event {
+		return ev(cycle, EvConnSetup, RouterSource(stage, index, lane), 0, 0, 0)
+	}
+	events := []Event{
+		setup(1, 2, 11, 0),
+		setup(2, 2, 4, 1), // cascade lane, same stage
+		ev(3, EvConnBlockedFast, RouterSource(0, 0, 0), 0, 0, 0),
+		setup(4, -1, -1, 0), // unplaced router
+	}
+	var c StageConns
+	c.Sink(events)
+	stats := c.PerStage(3)
+	if stats[2].Setup != 2 {
+		t.Errorf("stage 2 setup = %d, want 2 (lane events must fold in)", stats[2].Setup)
+	}
+	if stats[0].BlockedFast != 1 {
+		t.Errorf("stage 0 blocked = %d, want 1", stats[0].BlockedFast)
+	}
+	for _, s := range stats {
+		if s.Stage != 2 && s.Setup != 0 {
+			t.Errorf("stage %d setup = %d, want 0 (FreeID must not leak into real stages)", s.Stage, s.Setup)
+		}
+	}
+	if got := Summarize(Trace{Events: events, Total: uint64(len(events))}).Conn; !slices.Equal(got, stats) {
+		t.Errorf("Summarize tallies %+v, the sink %+v", got, stats)
 	}
 }
 

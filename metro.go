@@ -48,6 +48,7 @@ import (
 	"metro/internal/prng"
 	"metro/internal/scan"
 	"metro/internal/stats"
+	"metro/internal/telemetry"
 	"metro/internal/topo"
 	"metro/internal/traffic"
 )
@@ -200,13 +201,13 @@ type (
 // per network stage, quantifying where congestion concentrates. It
 // consumes the flight-recorder stream: pass its Sink to SetSink on the
 // telemetry.Recorder given as NetworkParams.Recorder.
-type StageCounters = netsim.Counters
+type StageCounters = telemetry.StageConns
 
 // StageStats is one stage's aggregate from StageCounters.
-type StageStats = netsim.StageStats
+type StageStats = telemetry.ConnStageStats
 
 // NewStageCounters returns an empty per-stage event aggregator.
-func NewStageCounters() *StageCounters { return netsim.NewCounters() }
+func NewStageCounters() *StageCounters { return new(telemetry.StageConns) }
 
 // RunClosedLoop executes one measurement run.
 func RunClosedLoop(spec RunSpec) (LoadPoint, error) { return traffic.Run(spec) }
