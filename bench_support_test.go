@@ -113,12 +113,12 @@ func cascadeCyclesPerKB(b *testing.B, c int) float64 {
 			if fp == 0 {
 				src[k] = l.A()
 			}
-			eng.Add(l)
+			eng.AddLatch(l)
 		}
 		for bp := 0; bp < cfg.Outputs; bp++ {
 			l := metro.NewLink("b", 1)
 			g.Member(k).AttachBackward(bp, l.A())
-			eng.Add(l)
+			eng.AddLatch(l)
 		}
 	}
 	eng.Add(g)

@@ -35,7 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 9, "seed")
 	traceOut := flag.String("trace", "", "record the highest-count sweep point's telemetry to this mtr1 file")
 	metrics := flag.Bool("metrics", false, "print the telemetry summary of the highest-count sweep point")
-	workers := flag.Int("workers", 0, "parallel Eval/Commit workers; 0 steps the engine on one goroutine (results are bit-identical either way)")
+	workers := flag.Int("workers", 0, "workers that run the unit eval and the link shuttle; 0 steps the engine on one goroutine (results are bit-identical either way)")
 	flag.Parse()
 
 	var counts []int

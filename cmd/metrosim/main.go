@@ -43,7 +43,7 @@ func main() {
 	hist := flag.Bool("hist", false, "print the latency histogram of the highest-load point")
 	traceOut := flag.String("trace", "", "rerun the highest-load point with the flight recorder and write its mtr1 trace to this file")
 	metrics := flag.Bool("metrics", false, "rerun the highest-load point with the flight recorder and print its telemetry summary")
-	workers := flag.Int("workers", 0, "parallel Eval/Commit workers; 0 steps the engine on one goroutine (results are bit-identical either way)")
+	workers := flag.Int("workers", 0, "workers that run the unit eval and the link shuttle; 0 steps the engine on one goroutine (results are bit-identical either way)")
 	flag.Parse()
 
 	var spec metro.TopologySpec

@@ -7,8 +7,8 @@ import (
 )
 
 // clockRootNames are the methods that constitute the clocked cycle path:
-// a clock.Component's Eval/Commit pair plus the engine-wrapper entry
-// points that drive them.
+// a clock.Component's Eval, a clock.Latch's Commit, and the
+// engine-wrapper entry points that drive them.
 var clockRootNames = map[string]bool{
 	"Eval":          true,
 	"Commit":        true,

@@ -269,7 +269,7 @@ func namedTypeOf(t types.Type) *types.Named {
 }
 
 // componentTypeName returns the named type of e when it is
-// component-shaped (declares the Eval/Commit pair), else "".
+// component-shaped (declares Eval or Commit), else "".
 func componentTypeName(p *Package, e ast.Expr) string {
 	named := namedTypeOf(p.TypeOf(e))
 	if named == nil || !isComponentShaped(named) {
@@ -278,11 +278,10 @@ func componentTypeName(p *Package, e ast.Expr) string {
 	return named.Obj().Name()
 }
 
-// isComponentShaped reports whether *T declares the clock.Component
-// method pair: Eval(uint64) and Commit(uint64).
+// isComponentShaped reports whether *T is clocked: it declares
+// clock.Component's Eval(uint64) or clock.Latch's Commit(uint64).
 func isComponentShaped(named *types.Named) bool {
 	ms := types.NewMethodSet(types.NewPointer(named))
-	found := 0
 	for _, name := range []string{"Eval", "Commit"} {
 		sel := ms.Lookup(named.Obj().Pkg(), name)
 		if sel == nil {
@@ -297,8 +296,8 @@ func isComponentShaped(named *types.Named) bool {
 			continue
 		}
 		if b, ok := sig.Params().At(0).Type().(*types.Basic); ok && b.Kind() == types.Uint64 {
-			found++
+			return true
 		}
 	}
-	return found == 2
+	return false
 }

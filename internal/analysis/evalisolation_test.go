@@ -42,6 +42,25 @@ func TestEvalIsolationFlagsForeignComponentState(t *testing.T) {
 	)
 }
 
+// TestEvalIsolationEvalOnlyComponents: components declare Eval alone
+// (only wires latch), and writing another one's field from Eval is still
+// a foreign write.
+func TestEvalIsolationEvalOnlyComponents(t *testing.T) {
+	got := runRule(t, EvalIsolation(), "metro/internal/core", map[string]string{
+		"evalonly.go": `package core
+
+type Other struct{ x int }
+
+func (o *Other) Eval(cycle uint64) {}
+
+type Comp struct{ other *Other }
+
+func (c *Comp) Eval(cycle uint64) { c.other.x = 1 }
+`,
+	})
+	wantFindings(t, got, "eval-isolation", [2]any{"evalonly.go", 9})
+}
+
 func TestEvalIsolationLinkPackageExempt(t *testing.T) {
 	// The identical shapes inside internal/link are the sanctioned
 	// inter-component interface and raise nothing.

@@ -14,11 +14,12 @@ import (
 // hidden heap allocations there. Hardware has no allocator; the model's
 // cycle path shouldn't either.
 //
-// The rule: in the bodies of Eval/Commit methods of clock.Component
-// implementers — any type declaring both — and every function reachable
-// from them over the whole-program call graph (static calls, method
-// values, CHA-resolved interface dispatch; see callgraph.go), the
-// analyzer flags the allocation idioms Go hides in plain sight:
+// The rule: in the bodies of Eval/Commit methods of clocked types — any
+// type declaring either (clock.Component, clock.Latch) — and every
+// function reachable from them over the whole-program call graph
+// (static calls, method values, CHA-resolved interface dispatch; see
+// callgraph.go), the analyzer flags the allocation idioms Go hides in
+// plain sight:
 // make/new, growing append, slice and map composite literals, &composite
 // literals, fmt calls, string concatenation, and interface boxing of
 // non-pointer values. Justified sites (per-message work that is not

@@ -112,14 +112,28 @@ func (c *comp) helper() []int { return make([]int, 8) }
 }
 
 func TestHotPathAllocIgnoresNonComponents(t *testing.T) {
-	// A type with only Eval (no Commit) is not a clock.Component.
+	// An Eval that takes no cycle number is no clock.Component's.
 	got := runRule(t, HotPathAlloc(), "metro/internal/core", map[string]string{
 		"a.go": `package core
 
-type half struct{ buf []int }
+type expr struct{ buf []int }
 
-func (h *half) Eval(cycle uint64) { h.buf = make([]int, 8) }
+func (x *expr) Eval(n int) { x.buf = make([]int, n) }
 `,
 	})
 	wantFindings(t, got, "hot-path-alloc")
+}
+
+func TestHotPathAllocRootsEvalOnlyComponents(t *testing.T) {
+	// Eval alone makes a clock.Component: components keep no clock-edge
+	// state, so most declare no Commit.
+	got := runRule(t, HotPathAlloc(), "metro/internal/core", map[string]string{
+		"a.go": `package core
+
+type comp struct{ buf []int }
+
+func (c *comp) Eval(cycle uint64) { c.buf = make([]int, 8) }
+`,
+	})
+	wantFindings(t, got, "hot-path-alloc", [2]any{"a.go", 5})
 }

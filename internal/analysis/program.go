@@ -274,7 +274,7 @@ func pkgLabel(p *Package) string {
 }
 
 // componentNamed reports whether t (after unwrapping pointers) is a
-// named type declaring the clock.Component Eval/Commit pair.
+// component-shaped named type: one declaring Eval or Commit.
 func componentNamed(t types.Type) *types.Named {
 	named := namedTypeOf(t)
 	if named == nil || !isComponentShaped(named) {

@@ -12,7 +12,7 @@ package analysis
 // prover behind the -bce gate covers them (docs/ANALYZERS.md).
 //
 // One ast.Inspect walks the body of every function reachable from the
-// clock.Component Eval/Commit roots on the call graph and visits the
+// clocked Eval/Commit roots on the call graph and visits the
 // three site kinds. A site is discharged only from what its operand
 // expression shows by itself (upper, below): nothing is carried between
 // statements, so no assignment, guard, loop or call anywhere else in

@@ -136,10 +136,3 @@ func (g *Group) Kills() int { return g.kills }
 
 // Eval implements clock.Component: it steps the members as one column.
 func (g *Group) Eval(cycle uint64) { g.kills += Eval(g.members, cycle) }
-
-// Commit implements clock.Component.
-func (g *Group) Commit(cycle uint64) {
-	for _, r := range g.members {
-		r.Commit(cycle)
-	}
-}

@@ -31,13 +31,13 @@ func groupHarness(t *testing.T, c int) (*clock.Engine, *Group, [][]*link.End, []
 			l := link.New("f", 1)
 			g.Member(k).AttachForward(fp, l.B())
 			src[k] = append(src[k], l.A())
-			eng.Add(l)
+			eng.AddLatch(l)
 		}
 		for bp := 0; bp < cfg.Outputs; bp++ {
 			l := link.New("b", 1)
 			g.Member(k).AttachBackward(bp, l.A())
 			dst[k] = append(dst[k], l.B())
-			eng.Add(l)
+			eng.AddLatch(l)
 		}
 	}
 	eng.Add(g)

@@ -4,42 +4,48 @@
 // METRO networks are pipelined circuit-switched systems: every routing
 // component runs synchronously from a central clock, and data takes a small,
 // constant number of clock cycles to pass through each component (paper,
-// Section 3). The kernel models this directly as a two-phase clocked
-// engine. On every cycle each component is first asked to Eval — read the
-// values its inputs held at the end of the previous cycle, update private
-// state, and stage new output values — and then every component is asked to
-// Commit — latch the staged outputs so they become visible next cycle.
+// Section 3). The only state that changes on the clock edge is on the wires:
+// the paper models each wire as a number of pipeline registers (Section 5.1),
+// while a router's own pipeline advances inside its cycle. The kernel models
+// this directly. On every cycle each component is first asked to Eval — read
+// the values its input wires held at the end of the previous cycle, update
+// private state, and stage new values on its output wires — and then every
+// wire latches, moving the staged values one register toward the reader, so
+// they become visible on a later cycle.
 //
 // Because components communicate only through link pipelines (package link),
-// whose outputs change only in Commit, the order in which components Eval
-// within a cycle is irrelevant: the model is a faithful register-transfer
-// abstraction of a synchronous circuit.
+// whose outputs change only when the wires latch, the order in which
+// components Eval within a cycle is irrelevant: the model is a faithful
+// register-transfer abstraction of a synchronous circuit.
 //
 // # Execution
 //
-// An engine drives two populations. The kernel (SetKernel) is the
+// An engine drives three populations. The kernel (SetKernel) is the
 // network plane: a fixed set of evaluation units addressed by dense
-// index, plus batched commit work for the link pipelines. Components
+// index, plus batched latch work for the link pipelines. Components
 // registered with Add are the serialized epilogue: traffic drivers,
 // fault injectors, collectors — anything whose Eval reaches into other
-// components' state. Every cycle runs one schedule:
+// components' state. Latches registered with AddLatch are wires outside
+// any kernel, such as the hand-wired links of unit tests. Every cycle
+// runs one schedule:
 //
-//	unit eval -> epilogue eval -> unit commit + CommitBatch -> epilogue commit
+//	unit eval -> epilogue eval -> CommitUnits + CommitBatch -> latch commit
 //
 // The register-transfer abstraction is also a license to evaluate units
 // concurrently. SetWorkers(n) with n >= 1 splits the unit index space
 // into n contiguous ranges and fans each unit phase over a pool of
-// worker goroutines, with a barrier before the epilogue of that phase.
+// worker goroutines, with a barrier before whatever follows that phase.
 // Because a well-behaved unit's Eval touches only its own state plus
 // the staged slots of its attached link ends — distinct memory per
-// writer — and its Commit latches only its own registers, the phase
-// barrier is the only synchronization needed, and the partitioned
+// writer — and CommitBatch's partitions shift disjoint registers, the
+// phase barrier is the only synchronization needed, and the partitioned
 // schedule is bit-for-bit equivalent to the inline one (workers = 0).
-// The epilogue always runs one component at a time, in registration
-// order, on the stepping goroutine.
+// The epilogue and the latches always run one at a time, in
+// registration order, on the stepping goroutine.
 //
-// An engine with no kernel simply steps its Add-ed components: that is
-// how unit tests and the examples drive a handful of hand-wired routers.
+// An engine with no kernel simply evaluates its Add-ed components and
+// latches its AddLatch-ed wires: that is how unit tests drive a handful
+// of hand-wired routers.
 package clock
 
 import (
@@ -51,11 +57,15 @@ import (
 // Component is a clocked element of the simulated system.
 type Component interface {
 	// Eval reads inputs as of the end of the previous cycle, updates
-	// internal state, and stages outputs. It must not expose new output
-	// values to other components before Commit.
+	// internal state, and stages outputs on its wires. The wires expose
+	// them to other components only when they latch.
 	Eval(cycle uint64)
-	// Commit latches staged outputs, making them visible on the next
-	// cycle's Eval.
+}
+
+// Latch is clock-edge state: a wire whose staged values become visible
+// to their readers when it commits.
+type Latch interface {
+	// Commit latches the values staged this cycle, after every Eval.
 	Commit(cycle uint64)
 }
 
@@ -72,10 +82,12 @@ type Component interface {
 // batched link shuttling through a link.Arena — is advanced by
 // CommitBatch(part, parts), which the engine calls exactly once per
 // partition during the commit phase; implementations must touch
-// disjoint memory for disjoint parts.
+// disjoint memory for disjoint parts. The kernels of this module keep
+// all clock-edge state on their wires, so their CommitUnits are empty.
 //
-// Components registered with Add run as the epilogue of each phase,
-// after every unit, in registration order.
+// Components registered with Add run after every unit's Eval, and
+// latches registered with AddLatch after CommitBatch, each in
+// registration order.
 type Kernel interface {
 	// Units returns the number of evaluation units. Fixed for the
 	// lifetime of the kernel.
@@ -95,6 +107,7 @@ type Kernel interface {
 // single central clock; see the package comment for the schedule.
 type Engine struct {
 	comps   []Component // the serialized epilogue, registration order
+	latches []Latch     // wires outside the kernel, registration order
 	cycle   uint64
 	workers int
 	kernel  Kernel
@@ -111,11 +124,16 @@ type Engine struct {
 func New() *Engine { return &Engine{} }
 
 // Add registers components with the engine's clock. They form the
-// serialized epilogue: each phase runs them one at a time, in
+// serialized epilogue: each cycle evaluates them one at a time, in
 // registration order, after every kernel unit — the safe home for
 // components whose Eval touches other components' state, such as
 // traffic drivers and fault injectors.
 func (e *Engine) Add(cs ...Component) { e.comps = append(e.comps, cs...) }
+
+// AddLatch registers wires that no kernel shuttles, such as links from
+// link.New. They commit at the end of every cycle, one at a time, in
+// registration order, after the kernel's CommitBatch.
+func (e *Engine) AddLatch(ls ...Latch) { e.latches = append(e.latches, ls...) }
 
 // SetKernel installs k as the engine's network plane, replacing any
 // previous kernel (a decorator can wrap and later restore the original).
@@ -163,9 +181,6 @@ func (e *Engine) invalidate() {
 // Cycle returns the number of completed clock cycles.
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
-// Components returns the number of components registered with Add.
-func (e *Engine) Components() int { return len(e.comps) }
-
 // Step advances the system by one clock cycle.
 func (e *Engine) Step() {
 	c := e.cycle
@@ -174,8 +189,8 @@ func (e *Engine) Step() {
 		comp.Eval(c)
 	}
 	e.units(phaseCommit, c)
-	for _, comp := range e.comps {
-		comp.Commit(c)
+	for _, l := range e.latches {
+		l.Commit(c)
 	}
 	e.cycle++
 	if e.met != nil {

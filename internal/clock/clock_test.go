@@ -2,7 +2,7 @@ package clock
 
 import "testing"
 
-// probe records the order and cycle numbers of its Eval/Commit calls.
+// probe records the order of its Eval/Commit calls.
 type probe struct {
 	log  *[]string
 	name string
@@ -14,7 +14,9 @@ func (p *probe) Commit(cycle uint64) { *p.log = append(*p.log, p.name+"C") }
 func TestTwoPhaseOrdering(t *testing.T) {
 	var log []string
 	e := New()
-	e.Add(&probe{&log, "a"}, &probe{&log, "b"})
+	a, b := &probe{&log, "a"}, &probe{&log, "b"}
+	e.Add(a, b)
+	e.AddLatch(a, b)
 	e.Step()
 	want := []string{"aE", "bE", "aC", "bC"}
 	if len(log) != len(want) {
@@ -42,6 +44,8 @@ func TestCycleCount(t *testing.T) {
 	}
 }
 
+// counter counts its evaluations. Its empty Commit lets it serve as a
+// fakeKernel unit too.
 type counter struct{ evals int }
 
 func (c *counter) Eval(uint64)   { c.evals++ }
@@ -112,17 +116,6 @@ func TestRunUntilImmediatelyDone(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	e := New()
-	if e.Components() != 0 {
-		t.Fatal("fresh engine should have 0 components")
-	}
-	e.Add(&counter{}, &counter{}, &counter{})
-	if e.Components() != 3 {
-		t.Fatalf("Components() = %d, want 3", e.Components())
-	}
-}
-
 // cycleChecker verifies the cycle argument passed to hooks.
 type cycleChecker struct {
 	t    *testing.T
@@ -143,6 +136,11 @@ func (c *cycleChecker) Commit(cycle uint64) {
 
 func TestCycleArgument(t *testing.T) {
 	e := New()
-	e.Add(&cycleChecker{t: t})
+	c := &cycleChecker{t: t}
+	e.Add(c)
+	e.AddLatch(c)
 	e.Run(25)
+	if c.next != 25 {
+		t.Fatalf("Commit ran %d times in 25 cycles", c.next)
+	}
 }

@@ -6,11 +6,12 @@ import (
 	"metro/internal/clock"
 )
 
-// shifter is a two-stage shift register: Eval stages the upstream value
-// read as of the end of the previous cycle, Commit latches it. Two
-// shifters chained through their q outputs form a pipeline, and because
-// Eval everywhere reads only committed state, registration order cannot
-// change the result — the property the engine's parallel mode exploits.
+// shifter is a pipeline register: Eval stages the upstream value read as
+// of the end of the previous cycle, Commit latches it, so a shifter is
+// registered both as a component and as a latch. Two shifters chained
+// through their q outputs form a pipeline, and because Eval everywhere
+// reads only committed state, registration order cannot change the
+// result — the property the engine's parallel mode exploits.
 type shifter struct {
 	in func() int // reads the upstream committed output
 	q  int        // committed output
@@ -29,6 +30,7 @@ func ExampleEngine() {
 	first := &shifter{in: func() int { return source }}
 	second := &shifter{in: func() int { return first.q }}
 	e.Add(first, second)
+	e.AddLatch(first, second)
 	for i := 0; i < 4; i++ {
 		source = i + 1 // present a new input for this cycle
 		e.Step()

@@ -59,9 +59,6 @@ func (e *Engine) SetMetrics(m *EngineMetrics) {
 	e.metLast = time.Time{}
 }
 
-// Metrics returns the attached gauge set, or nil.
-func (e *Engine) Metrics() *EngineMetrics { return e.met }
-
 // metTick advances the sampling window after a completed cycle; on
 // window boundaries it reads the wall clock and publishes the
 // throughput gauges. Called only when metrics are attached.

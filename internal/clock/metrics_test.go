@@ -110,6 +110,7 @@ func TestEngineMetricsDeterminism(t *testing.T) {
 		e := New()
 		c := &spinComp{}
 		e.Add(c)
+		e.AddLatch(c)
 		if withMetrics {
 			e.SetMetrics(newEngineMetrics(4))
 		}

@@ -3,16 +3,24 @@ package clock
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// fakeKernel adapts a slice of Components to the Kernel interface and
+// unit is what a fakeKernel drives: an Eval for EvalUnits and a Commit
+// for CommitUnits.
+type unit interface {
+	Component
+	Latch
+}
+
+// fakeKernel adapts a slice of units to the Kernel interface and
 // audits how the engine drives it: which unit ranges each phase was
 // handed and which CommitBatch partitions ran. All tallies are atomic —
 // the engine calls in from several workers at once.
 type fakeKernel struct {
-	units   []Component
+	units   []unit
 	evals   []atomic.Int32 // per unit, EvalUnits visits since reset
 	commits []atomic.Int32 // per unit, CommitUnits visits since reset
 	batches []atomic.Int32 // per part, CommitBatch calls since reset
@@ -23,7 +31,7 @@ type fakeKernel struct {
 // maxParts bounds the CommitBatch tally; tests stay at or below it.
 const maxParts = 16
 
-func newFakeKernel(units ...Component) *fakeKernel {
+func newFakeKernel(units ...unit) *fakeKernel {
 	return &fakeKernel{
 		units:   units,
 		evals:   make([]atomic.Int32, len(units)),
@@ -88,7 +96,7 @@ func (k *fakeKernel) audit(t *testing.T, label string, steps int32, wantParts in
 // Eval of cycle c must complete before any Commit of cycle c starts, and
 // every Commit of cycle c before any Eval of cycle c+1. All probes share
 // the counters; violations are recorded atomically and asserted after
-// the run.
+// the run. Epilogue probes are registered with both Add and AddLatch.
 type barrierProbe struct {
 	n          int64 // total probes registered
 	evals      *atomic.Int64
@@ -111,21 +119,25 @@ func (b *barrierProbe) Commit(cycle uint64) {
 }
 
 // TestParallelPhaseBarrier: no CommitUnits starts before every EvalUnits
-// (and the epilogue's Evals) of the cycle has returned, at any worker
-// count, with units and epilogue components sharing one set of counters.
+// (and the epilogue's Evals) of the cycle has returned, and no latch
+// commits before that either, at any worker count, with units, epilogue
+// components and latches sharing one set of counters.
 func TestParallelPhaseBarrier(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 8} {
 		e := New()
 		var evals, commits, violations atomic.Int64
 		const units, epilogue = 13, 3
-		probes := make([]Component, 0, units+epilogue)
+		probes := make([]unit, 0, units+epilogue)
 		for i := 0; i < units+epilogue; i++ {
 			probes = append(probes, &barrierProbe{
 				n: units + epilogue, evals: &evals, commits: &commits, violations: &violations,
 			})
 		}
 		e.SetKernel(newFakeKernel(probes[:units]...))
-		e.Add(probes[units:]...)
+		for _, p := range probes[units:] {
+			e.Add(p)
+			e.AddLatch(p)
+		}
 		e.SetWorkers(workers)
 		e.Run(50)
 		e.StopWorkers()
@@ -145,7 +157,7 @@ func TestParallelPhaseBarrier(t *testing.T) {
 func TestPartitionsCoverUnitsOnce(t *testing.T) {
 	for _, units := range []int{0, 1, 3, 13} {
 		for _, workers := range []int{0, 1, 2, 3, 8} {
-			comps := make([]Component, units)
+			comps := make([]unit, units)
 			for i := range comps {
 				comps[i] = &counter{}
 			}
@@ -165,8 +177,9 @@ func TestPartitionsCoverUnitsOnce(t *testing.T) {
 }
 
 // orderProbe appends to an unsynchronized log. Safe only because every
-// probe sharing a log runs in the serialized epilogue — which is exactly
-// what the test asserts, with the race detector watching.
+// probe sharing a log runs in the serialized epilogue or among the
+// latches — which is exactly what the test asserts, with the race
+// detector watching.
 type orderProbe struct {
 	log  *[]string
 	name string
@@ -175,27 +188,55 @@ type orderProbe struct {
 func (p *orderProbe) Eval(cycle uint64)   { *p.log = append(*p.log, p.name+"E") }
 func (p *orderProbe) Commit(cycle uint64) { *p.log = append(*p.log, p.name+"C") }
 
+// batchLogKernel is a fakeKernel whose CommitBatch also logs "B", under a
+// lock, since the partitions run on several workers at once.
+type batchLogKernel struct {
+	*fakeKernel
+	mu  sync.Mutex
+	log *[]string
+}
+
+func (k *batchLogKernel) CommitBatch(part, parts int, cycle uint64) {
+	k.mu.Lock()
+	*k.log = append(*k.log, "B")
+	k.mu.Unlock()
+	k.fakeKernel.CommitBatch(part, parts, cycle)
+}
+
+// TestSerializedEpilogueOrder: Add-ed components evaluate one at a time in
+// registration order, and AddLatch-ed latches commit after every epilogue
+// Eval and after every CommitBatch partition, in their own registration
+// order, inline and with workers.
 func TestSerializedEpilogueOrder(t *testing.T) {
-	e := New()
-	var log []string
-	units := make([]Component, 6)
-	for i := range units {
-		units[i] = &counter{}
-	}
-	e.SetKernel(newFakeKernel(units...))
-	// Plain Add components share a log with no locking: the epilogue
-	// must serialize them in registration order.
-	e.Add(&orderProbe{&log, "x"}, &orderProbe{&log, "y"})
-	e.SetWorkers(4)
-	e.Run(10)
-	e.StopWorkers()
-	want := []string{"xE", "yE", "xC", "yC"}
-	if len(log) != 10*len(want) {
-		t.Fatalf("log length = %d, want %d", len(log), 10*len(want))
-	}
-	for i, entry := range log {
-		if entry != want[i%len(want)] {
-			t.Fatalf("log[%d] = %q, want %q", i, entry, want[i%len(want)])
+	for _, workers := range []int{0, 4} {
+		e := New()
+		var log []string
+		units := make([]unit, 6)
+		for i := range units {
+			units[i] = &counter{}
+		}
+		e.SetKernel(&batchLogKernel{fakeKernel: newFakeKernel(units...), log: &log})
+		// The probes share a log with no locking: the epilogue and the
+		// latches must serialize them. Latches are registered in the
+		// opposite order, so their order is AddLatch's, not Add's.
+		x, y := &orderProbe{&log, "x"}, &orderProbe{&log, "y"}
+		e.Add(x, y)
+		e.AddLatch(y, x)
+		e.SetWorkers(workers)
+		e.Run(10)
+		e.StopWorkers()
+		want := []string{"xE", "yE"}
+		for p := 0; p < max(workers, 1); p++ {
+			want = append(want, "B")
+		}
+		want = append(want, "yC", "xC")
+		if len(log) != 10*len(want) {
+			t.Fatalf("workers=%d: log length = %d, want %d", workers, len(log), 10*len(want))
+		}
+		for i, entry := range log {
+			if entry != want[i%len(want)] {
+				t.Fatalf("workers=%d: log[%d] = %q, want %q", workers, i, entry, want[i%len(want)])
+			}
 		}
 	}
 }
@@ -232,7 +273,7 @@ func buildLatchRing(n int) []*latch {
 
 // latchKernel wraps a latch ring as kernel units.
 func latchKernel(ls []*latch) *fakeKernel {
-	units := make([]Component, len(ls))
+	units := make([]unit, len(ls))
 	for i, l := range ls {
 		units[i] = l
 	}
@@ -240,9 +281,9 @@ func latchKernel(ls []*latch) *fakeKernel {
 }
 
 // TestParallelMatchesSerial is the engine-level differential test: the
-// same register network stepped as plain Add-ed components (no kernel)
-// and as kernel units at several worker counts must produce
-// bit-identical state.
+// same register network stepped as plain Add-ed components and
+// AddLatch-ed latches (no kernel) and as kernel units at several worker
+// counts must produce bit-identical state.
 func TestParallelMatchesSerial(t *testing.T) {
 	const n, cycles = 24, 200
 	state := func(ls []*latch) []uint64 {
@@ -256,6 +297,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	rls := buildLatchRing(n)
 	for _, l := range rls {
 		ref.Add(l)
+		ref.AddLatch(l)
 	}
 	ref.Run(cycles)
 	want := state(rls)
@@ -283,6 +325,7 @@ func TestSetWorkersMidRun(t *testing.T) {
 	sls := buildLatchRing(n)
 	for _, l := range sls {
 		serial.Add(l)
+		serial.AddLatch(l)
 	}
 	serial.Run(90)
 

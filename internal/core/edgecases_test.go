@@ -30,20 +30,20 @@ func TestNoSwallowForwardsHeaderPad(t *testing.T) {
 		l := link.New("f", 1)
 		ra.AttachForward(fp, l.B())
 		srcs = append(srcs, l.A())
-		eng.Add(l)
+		eng.AddLatch(l)
 	}
 	for p := 0; p < cfg.Outputs; p++ {
 		l := link.New("ab", 1)
 		ra.AttachBackward(p, l.A())
 		rb.AttachForward(p, l.B())
-		eng.Add(l)
+		eng.AddLatch(l)
 	}
 	var dsts []*link.End
 	for bp := 0; bp < cfg.Outputs; bp++ {
 		l := link.New("bd", 1)
 		rb.AttachBackward(bp, l.A())
 		dsts = append(dsts, l.B())
-		eng.Add(l)
+		eng.AddLatch(l)
 	}
 	eng.Add(ra, rb)
 

@@ -525,9 +525,6 @@ func (r *Router) Eval(cycle uint64) {
 	r.runClosers(cycle)
 }
 
-// Commit implements clock.Component; routers latch all state during Eval.
-func (r *Router) Commit(cycle uint64) {}
-
 // inputPass reads the input of every enabled, attached forward port in
 // ascending port order, advances connection state machines, and parks new
 // connection requests in their idle ports (parseRoute). It returns the mask

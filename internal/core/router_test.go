@@ -33,13 +33,13 @@ func buildHarness(cfg core.Config, set core.Settings, rng prng.Source) *harness 
 		l := link.New("f", 1)
 		h.r.AttachForward(fp, l.B())
 		h.src = append(h.src, l.A())
-		h.eng.Add(l)
+		h.eng.AddLatch(l)
 	}
 	for bp := 0; bp < cfg.Outputs; bp++ {
 		l := link.New("b", 1)
 		h.r.AttachBackward(bp, l.A())
 		h.dst = append(h.dst, l.B())
-		h.eng.Add(l)
+		h.eng.AddLatch(l)
 	}
 	h.eng.Add(h.r)
 	return h
@@ -587,21 +587,21 @@ func TestBCBPropagatesUpstreamAndFreesPort(t *testing.T) {
 		l := link.New("fa", 1)
 		ra.AttachForward(fp, l.B())
 		srcs = append(srcs, l.A())
-		eng.Add(l)
+		eng.AddLatch(l)
 	}
 	// A's backward ports all feed B's forward ports.
 	for p := 0; p < cfg.Outputs; p++ {
 		l := link.New("ab", 1)
 		ra.AttachBackward(p, l.A())
 		rb.AttachForward(p, l.B())
-		eng.Add(l)
+		eng.AddLatch(l)
 	}
 	var dsts []*link.End
 	for bp := 0; bp < cfg.Outputs; bp++ {
 		l := link.New("bd", 1)
 		rb.AttachBackward(bp, l.A())
 		dsts = append(dsts, l.B())
-		eng.Add(l)
+		eng.AddLatch(l)
 	}
 	eng.Add(ra, rb)
 

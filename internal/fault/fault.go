@@ -130,9 +130,6 @@ func (i *Injector) record(cycle uint64, e Event) {
 	})
 }
 
-// Commit implements clock.Component.
-func (i *Injector) Commit(cycle uint64) {}
-
 // Fired returns the events applied so far.
 func (i *Injector) Fired() []Event { return i.fired }
 

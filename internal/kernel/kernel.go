@@ -1,9 +1,11 @@
 // Package kernel compiles an assembled METRO network into a flattened
 // struct-of-arrays execution plan — the clock engine's one cycle path.
 //
-// Driving each component through a virtual Eval and Commit, with link
-// pipelines scattered across hundreds of small allocations, pays a
-// pointer-chasing tax on every cycle. A compiled kernel removes it. Link
+// Driving each component through a virtual Eval and latching each link
+// through its own Commit, with link pipelines scattered across hundreds
+// of small allocations, pays a pointer-chasing tax on every cycle. A
+// compiled kernel removes it. Components keep no clock-edge state (only
+// the wires latch), so the plan's CommitUnits is empty, and its link
 // pipeline registers live in per-delay-class arenas (link.Arena), one
 // register per link direction in delay+1 parallel planes, placed
 // reader-major: every unit's inputs are one contiguous run of registers, in

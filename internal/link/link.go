@@ -14,9 +14,11 @@
 // an endpoint's delivery port). Forward traffic (source toward destination)
 // flows A→B; reversed-connection traffic and the BCB flow B→A.
 //
-// Links implement clock.Component: ends stage values during Eval via Send /
-// SendBCB, and the pipelines shift at Commit, so values become visible to
-// the far end after the configured delay.
+// Links are the model's clock-edge state and implement clock.Latch: ends
+// stage values during the components' Eval via Send / SendBCB, and the
+// pipelines shift at Commit, so values become visible to the far end after
+// the configured delay. A hand-wired link is registered with
+// Engine.AddLatch; a built network's links are shuttled by their arena.
 //
 // Fault injection hooks (Corruptor functions and Kill) model broken or
 // noisy wires for the fault-tolerance experiments.
@@ -118,11 +120,9 @@ func (l *Link) Delay() int { return l.a.delay }
 // is read by the A end.
 func (l *Link) Registers() (ab, ba int) { return int(l.ab), int(l.ba) }
 
-// Eval implements clock.Component; links have no evaluation work.
-func (l *Link) Eval(cycle uint64) {}
-
-// Commit latches the values staged during Eval: the link's two registers
-// move one plane toward their readers and the staged plane clears.
+// Commit implements clock.Latch, latching the values staged during Eval:
+// the link's two registers move one plane toward their readers and the
+// staged plane clears.
 func (l *Link) Commit(cycle uint64) {
 	l.a.shift(int(l.ab))
 	l.a.shift(int(l.ba))
@@ -318,7 +318,7 @@ func (in In) Recv() word.Word {
 // Links placed in an arena behave exactly like ones from New, which is
 // itself an arena of one. The one discipline change is that the owner calls
 // Arena.Shuttle for the commit phase and must not also register the links
-// with the clock engine (double-shifting would advance a wire two cycles).
+// with Engine.AddLatch (double-shifting would advance a wire two cycles).
 type Arena struct {
 	delay  int
 	planes [][]reg

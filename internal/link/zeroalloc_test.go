@@ -18,7 +18,6 @@ func BenchmarkLinkSteadyCycle(b *testing.B) {
 		l.A().Send(word.MakeData(uint32(i), 8))
 		l.B().Send(word.Word{Kind: word.DataIdle})
 		l.B().SendBCB(i%2 == 0)
-		l.Eval(cycle)
 		l.Commit(cycle)
 		_ = l.B().Recv()
 		_ = l.A().Recv()

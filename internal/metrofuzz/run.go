@@ -471,9 +471,6 @@ func (i *injector) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements clock.Component.
-func (i *injector) Commit(cycle uint64) {}
-
 // onResult feeds completions back into the closed-loop schedule. It is
 // called from the collector's deterministic replay, before the
 // injector's own Eval in the same epilogue.

@@ -211,8 +211,6 @@ func (col *collector) Eval(cycle uint64) {
 	}
 }
 
-func (col *collector) Commit(cycle uint64) {}
-
 // tierSpan is where one tier's links sit: arena.At(base + i) for the i'th
 // link of the tier in wiring order, lane minor. Injection links run
 // endpoint-major, then link k; output links router-major, then backward

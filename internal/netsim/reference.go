@@ -38,13 +38,8 @@ type column []*core.Router
 
 func (c column) Eval(cycle uint64) { cascade.Eval(c, cycle) }
 
-func (c column) Commit(cycle uint64) {
-	for _, r := range c {
-		r.Commit(cycle)
-	}
-}
-
 // Units, EvalUnits, CommitUnits and CommitBatch implement clock.Kernel.
+// CommitUnits is empty: units keep no clock-edge state.
 func (r *Reference) Units() int { return len(r.units) }
 
 func (r *Reference) EvalUnits(lo, hi int, cycle uint64) {
@@ -53,11 +48,7 @@ func (r *Reference) EvalUnits(lo, hi int, cycle uint64) {
 	}
 }
 
-func (r *Reference) CommitUnits(lo, hi int, cycle uint64) {
-	for _, u := range r.units[lo:hi] {
-		u.Commit(cycle)
-	}
-}
+func (r *Reference) CommitUnits(lo, hi int, cycle uint64) {}
 
 func (r *Reference) CommitBatch(part, parts int, cycle uint64) {
 	if parts != 1 {

@@ -91,6 +91,3 @@ func (g *gaugeSampler) Eval(cycle uint64) {
 		Kind: telemetry.EvGaugeInFlight, A: int32(inflight),
 	})
 }
-
-// Commit implements clock.Component.
-func (g *gaugeSampler) Commit(cycle uint64) {}

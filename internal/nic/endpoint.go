@@ -321,9 +321,6 @@ func (e *Endpoint) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements clock.Component.
-func (e *Endpoint) Commit(cycle uint64) {}
-
 // idleSender returns the next idle sender in rotation, or nil.
 func (e *Endpoint) idleSender() *sender {
 	n := len(e.senders)

@@ -65,7 +65,7 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 		l := link.New("loop", 1)
 		lb.lanes = append(lb.lanes, l)
 		inject, deliver = append(inject, l.A()), append(deliver, l.B())
-		lb.eng.Add(l)
+		lb.eng.AddLatch(l)
 	}
 	lb.wire = lb.lanes[0]
 	lb.src.AttachInject(inject...)
@@ -313,7 +313,6 @@ func TestEndpointID(t *testing.T) {
 	if lb.src.ID() != 0 || lb.dst.ID() != 1 {
 		t.Fatalf("IDs = %d/%d", lb.src.ID(), lb.dst.ID())
 	}
-	lb.src.Commit(0) // no-op, for interface completeness
 }
 
 func TestLaneSliceProjection(t *testing.T) {

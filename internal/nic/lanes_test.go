@@ -21,7 +21,6 @@ func laneFixture(n int) (a, b lanes, links []*link.Link) {
 
 func stepLinks(links []*link.Link) {
 	for _, l := range links {
-		l.Eval(0)
 		l.Commit(0)
 	}
 }

@@ -30,8 +30,6 @@ func BenchmarkEndpointSteadyCycle(b *testing.B) {
 	var cycle uint64
 	step := func() {
 		e.Eval(cycle)
-		l.Eval(cycle)
-		e.Commit(cycle)
 		l.Commit(cycle)
 		cycle++
 	}

@@ -107,9 +107,6 @@ func (b *Boundary) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements clock.Component.
-func (b *Boundary) Commit(cycle uint64) {}
-
 // InputCell extracts forward port fp's sampled value from a Capture image.
 func (b *Boundary) InputCell(bits []bool, fp int) uint32 {
 	start := fp * b.width

@@ -20,7 +20,8 @@ func boundaryPair(t *testing.T) (eng *clock.Engine, mtA, mtB *MultiTAP, wire *li
 	mtA = NewMultiTAP(a, 0xA)
 	mtB = NewMultiTAP(b, 0xB)
 	eng = clock.New()
-	eng.Add(wire, mtA.Boundary(), mtB.Boundary())
+	eng.Add(mtA.Boundary(), mtB.Boundary())
+	eng.AddLatch(wire)
 	// Isolate the port pair, as the diagnosis flow requires.
 	a.SetBackwardEnabled(2, false)
 	b.SetForwardEnabled(1, false)

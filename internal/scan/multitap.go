@@ -108,7 +108,6 @@ func LoopbackTest(l *link.Link, width int, extra []uint32) LoopbackResult {
 	for _, p := range patterns {
 		l.A().Send(word.MakeData(p, width))
 		for i := 0; i < l.Delay(); i++ {
-			l.Eval(0)
 			l.Commit(0)
 		}
 		got := l.B().Recv()

@@ -173,6 +173,3 @@ type Flusher struct {
 
 // Eval implements clock.Component.
 func (f Flusher) Eval(cycle uint64) { f.R.Flush() }
-
-// Commit implements clock.Component.
-func (f Flusher) Commit(cycle uint64) {}

@@ -68,7 +68,6 @@ func TestFlusherDrivesRecorder(t *testing.T) {
 	f := Flusher{R: r}
 	b.Emit(ev(3, EvFault, RouterSource(1, 2, 0), 0, 0, 1))
 	f.Eval(3)
-	f.Commit(3)
 	if r.Len() != 1 {
 		t.Fatalf("flusher did not drain: Len = %d", r.Len())
 	}

@@ -83,9 +83,6 @@ func (o *OpenLoop) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements clock.Component.
-func (o *OpenLoop) Commit(cycle uint64) {}
-
 // Injected returns the number of messages generated.
 func (o *OpenLoop) Injected() int { return o.injected }
 

@@ -221,9 +221,6 @@ func (c *ClosedLoop) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements clock.Component.
-func (c *ClosedLoop) Commit(cycle uint64) {}
-
 // Point summarizes the measured interval as a load-latency point.
 func (c *ClosedLoop) Point() stats.LoadPoint {
 	return summarise(c.net, c.Load, c.MsgBytes, c.measured)

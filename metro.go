@@ -135,6 +135,8 @@ type Link = link.Link
 type LinkEnd = link.End
 
 // NewLink constructs a link with the given pipeline delay per direction.
+// Register it with Engine.AddLatch: a link is clock-edge state, which
+// commits after every component's Eval.
 func NewLink(name string, delay int) *Link { return link.New(name, delay) }
 
 // NewEngine constructs an empty synchronous simulation engine.
