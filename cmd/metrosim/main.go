@@ -22,6 +22,7 @@ import (
 	"metro"
 	"metro/internal/stats"
 	"metro/internal/telemetry"
+	"metro/internal/topo"
 )
 
 func main() {
@@ -46,17 +47,8 @@ func main() {
 	workers := flag.Int("workers", 0, "workers that run the unit eval and the link shuttle; 0 steps the engine on one goroutine (results are bit-identical either way)")
 	flag.Parse()
 
-	var spec metro.TopologySpec
-	switch *network {
-	case "fig1":
-		spec = metro.Figure1Topology()
-	case "fig3":
-		spec = metro.Figure3Topology()
-	case "net32":
-		spec = metro.Topology32()
-	case "net32r8":
-		spec = metro.Topology32Radix8()
-	default:
+	spec, ok := topo.Preset(*network)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "metrosim: unknown network %q\n", *network)
 		os.Exit(2)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"metro"
 	"metro/internal/stats"
+	"metro/internal/topo"
 )
 
 func main() {
@@ -28,17 +29,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for random wiring")
 	flag.Parse()
 
-	var spec metro.TopologySpec
-	switch *network {
-	case "fig1":
-		spec = metro.Figure1Topology()
-	case "fig3":
-		spec = metro.Figure3Topology()
-	case "net32":
-		spec = metro.Topology32()
-	case "net32r8":
-		spec = metro.Topology32Radix8()
-	default:
+	spec, ok := topo.Preset(*network)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "metrotopo: unknown network %q\n", *network)
 		os.Exit(2)
 	}

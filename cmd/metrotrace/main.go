@@ -20,9 +20,9 @@ import (
 	"os"
 	"strings"
 
-	"metro"
 	"metro/internal/netsim"
 	"metro/internal/telemetry"
+	"metro/internal/topo"
 	"metro/internal/traffic"
 )
 
@@ -117,17 +117,8 @@ func record(args []string) {
 		os.Exit(2)
 	}
 
-	var spec metro.TopologySpec
-	switch *network {
-	case "fig1":
-		spec = metro.Figure1Topology()
-	case "fig3":
-		spec = metro.Figure3Topology()
-	case "net32":
-		spec = metro.Topology32()
-	case "net32r8":
-		spec = metro.Topology32Radix8()
-	default:
+	spec, ok := topo.Preset(*network)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "metrotrace record: unknown network %q\n", *network)
 		os.Exit(2)
 	}

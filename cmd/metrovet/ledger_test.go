@@ -22,7 +22,12 @@ var directiveRE = regexp.MustCompile(`//metrovet:([a-z]+)(?: ([a-z-]+))?`)
 // findings by rule. Each rule's ledger row must open its Valves cell with
 // the number of directives that can silence the rule (the kinds the
 // page's suppression table maps to it, plus ignores naming it), and its
-// silenced cell with the number of findings the stripped copy reports.
+// silenced cell with the number of findings the stripped copy reports,
+// and the page's valve total must be the number of directives in the
+// tree. A retirement has to reach the page too: a ledger row naming a
+// rule metrovet no longer has must be struck through, as MV011's is, and
+// a directive kind that silences no live rule must leave the
+// suppression table.
 func TestLedgerMatchesValveStrippedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyzes a copy of the whole module; skipped in -short mode")
@@ -35,9 +40,10 @@ func TestLedgerMatchesValveStrippedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kindRules, rows := parseLedgerPage(t, string(page))
+	kindRules, rows, total := parseLedgerPage(t, string(page))
 
 	copyRoot := t.TempDir()
+	valves := 0
 	directives := map[string]int{} // by kind, and by "ignore <rule>"
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -63,6 +69,7 @@ func TestLedgerMatchesValveStrippedRun(t *testing.T) {
 		}
 		if strings.HasSuffix(rel, ".go") && !strings.HasPrefix(rel, "internal/analysis/") && !strings.HasPrefix(rel, "cmd/metrovet/") {
 			for _, m := range directiveRE.FindAllStringSubmatch(string(data), -1) {
+				valves++
 				directives[m[1]]++
 				if m[1] == "ignore" {
 					directives["ignore "+m[2]]++
@@ -82,6 +89,28 @@ func TestLedgerMatchesValveStrippedRun(t *testing.T) {
 	silenced := map[string]int{}
 	for _, f := range res.Findings {
 		silenced[f.Rule]++
+	}
+	if total != valves {
+		t.Errorf("the ledger says %d valves in total, the tree has %d", total, valves)
+	}
+
+	live := map[string]bool{}
+	for _, a := range analysis.Analyzers() {
+		live[a.Name] = true
+	}
+	for name := range rows {
+		if !live[name] {
+			t.Errorf("the ledger row of `%s` names a rule metrovet no longer has; strike a retired rule through, as MV011's row is", name)
+		}
+	}
+	for kind, rules := range kindRules {
+		silences := false
+		for name := range rules {
+			silences = silences || live[name]
+		}
+		if !silences && kind != "ignore" {
+			t.Errorf("the suppression table's `//metrovet:%s` silences no live rule", kind)
+		}
 	}
 
 	for _, a := range analysis.Analyzers() {
@@ -119,12 +148,13 @@ var (
 	leadingIntRE    = regexp.MustCompile(`^[0-9]+`)
 	directiveCellRE = regexp.MustCompile("^`//metrovet:([a-z]+) ")
 	ruleNameRE      = regexp.MustCompile("`([a-z-]+)`")
+	valveTotalRE    = regexp.MustCompile(`\(([0-9]+) in total`)
 )
 
 // parseLedgerPage reads the suppression-directives table (which rules
-// each directive kind silences) and the ledger rows of the live rules,
-// keyed by rule name.
-func parseLedgerPage(t *testing.T, page string) (kindRules map[string]map[string]bool, rows map[string]ledgerRow) {
+// each directive kind silences), the ledger rows not struck through,
+// keyed by rule name, and the valve total the ledger's preamble states.
+func parseLedgerPage(t *testing.T, page string) (kindRules map[string]map[string]bool, rows map[string]ledgerRow, total int) {
 	t.Helper()
 	kindRules = map[string]map[string]bool{}
 	rows = map[string]ledgerRow{}
@@ -158,8 +188,10 @@ func parseLedgerPage(t *testing.T, page string) (kindRules map[string]map[string
 		row.silenced, _ = strconv.Atoi(n)
 		rows[m[1]] = row
 	}
-	if len(kindRules) == 0 || len(rows) == 0 {
-		t.Fatalf("docs/ANALYZERS.md: found %d directive rows and %d ledger rows; the tables moved", len(kindRules), len(rows))
+	m := valveTotalRE.FindStringSubmatch(page)
+	if len(kindRules) == 0 || len(rows) == 0 || m == nil {
+		t.Fatalf("docs/ANALYZERS.md: found %d directive rows, %d ledger rows and valve total %q; the tables moved", len(kindRules), len(rows), m)
 	}
-	return kindRules, rows
+	total, _ = strconv.Atoi(m[1])
+	return kindRules, rows, total
 }

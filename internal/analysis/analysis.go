@@ -6,8 +6,7 @@
 // shared random bits yield identical allocations (paper, Section 5.1), and
 // every experiment in this repository is expected to be reproducible bit
 // for bit from its seeds. Hidden nondeterminism in the Go model — map
-// iteration order, wall-clock reads, global math/rand state, mutation of
-// simulator state outside the clocked Eval/Commit path — silently
+// iteration order, wall-clock reads, global math/rand state — silently
 // invalidates cycle-accurate results without failing any test.
 //
 // The pass is built from named, individually testable analyzers (see
@@ -16,8 +15,6 @@
 // comment; there is no baseline file. The recognized directives are:
 //
 //	//metrovet:ordered <reason>   — this map iteration is order-independent
-//	//metrovet:mutator <reason>   — this exported method is a deliberate
-//	                                out-of-cycle mutation entry point
 //	//metrovet:nonexhaustive <reason> — this enum switch deliberately
 //	                                handles a subset of the states
 //	//metrovet:alloc <reason>     — this hot-path allocation is justified
@@ -78,7 +75,6 @@ func Analyzers() []*Analyzer {
 		WallClock(),
 		GlobalRand(),
 		MapRange(),
-		ClockedMutation(),
 		InvariantCoverage(),
 		EnumSwitch(),
 		HotPathAlloc(),
@@ -190,9 +186,9 @@ func internalName(importPath string) string {
 }
 
 // cycleStatePackages names the packages that mutate simulation state per
-// clock cycle; the ordered-map-iteration and clocked-mutation rules apply
-// only to these (ISSUE 1; topo is included because its structures feed
-// netsim wiring deterministically).
+// clock cycle; the ordered-map-iteration rule applies only to these (topo
+// is included because its structures feed netsim wiring
+// deterministically).
 var cycleStatePackages = map[string]bool{
 	"core":    true,
 	"netsim":  true,
@@ -208,7 +204,7 @@ func isCycleStatePackage(importPath string) bool {
 
 // directive is one parsed //metrovet: comment.
 type directive struct {
-	kind   string // "ordered", "mutator", "ignore"
+	kind   string // "ordered", "shared", ..., "ignore"
 	rule   string // ignore only: the rule id being suppressed
 	reason string
 }
@@ -229,7 +225,7 @@ func parseDirective(text string) (directive, bool) {
 	kind, rest, _ := strings.Cut(body, " ")
 	rest = strings.TrimSpace(rest)
 	switch kind {
-	case "ordered", "mutator", "nonexhaustive", "alloc", "shared", "truncate", "width":
+	case "ordered", "nonexhaustive", "alloc", "shared", "truncate", "width":
 		if rest == "" {
 			return directive{}, false
 		}

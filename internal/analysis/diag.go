@@ -19,14 +19,16 @@ import (
 //     inputs. The golden CLI tests pin the exact bytes.
 
 // ruleIDs maps each analyzer name to its stable diagnostic ID, in the
-// order the rules were introduced. Append-only: never renumber. MV011
-// was provable-bounds, retired when the -bce gate was found to cover
-// every line it flagged; the number is never reused.
+// order the rules were introduced. Append-only: never renumber. Retired
+// numbers are never reused: MV004 was clocked-mutation, retired when the
+// catch matrix showed eval-isolation and shard-purity flag every call of
+// an exported mutator from another component's Eval, leaving it only
+// declarations the schedule allows; MV011 was provable-bounds, retired
+// when the -bce gate was found to cover every line it flagged.
 var ruleIDs = map[string]string{
 	"no-wallclock":           "MV001",
 	"no-global-rand":         "MV002",
 	"ordered-map-iteration":  "MV003",
-	"clocked-mutation":       "MV004",
 	"invariant-coverage":     "MV005",
 	"exhaustive-enum-switch": "MV006",
 	"hot-path-alloc":         "MV007",

@@ -109,6 +109,24 @@ func (prog *Program) PackageOf(path string) *Package { return prog.byPath[path] 
 // FuncByKey returns the indexed declaration for key, or nil.
 func (prog *Program) FuncByKey(key string) *FuncNode { return prog.funcs[key] }
 
+// recvTypeName extracts the receiver's named type ("Router" from
+// (r *Router)); generic receivers resolve through their index expression.
+func recvTypeName(fd *ast.FuncDecl) string {
+	t := fd.Recv.List[0].Type
+	for {
+		switch tt := ast.Unparen(t).(type) {
+		case *ast.StarExpr:
+			t = tt.X
+		case *ast.IndexExpr:
+			t = tt.X
+		case *ast.Ident:
+			return tt.Name
+		default:
+			return ""
+		}
+	}
+}
+
 // recvNameOf is recvTypeName tolerant of plain functions.
 func recvNameOf(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) != 1 {
@@ -271,6 +289,17 @@ func pkgLabel(p *Package) string {
 		return p.Types.Name()
 	}
 	return p.ImportPath
+}
+
+// isBuiltin reports whether id resolves to a universe-scope builtin (or
+// is unresolvable, in which case the name is trusted).
+func isBuiltin(p *Package, id *ast.Ident) bool {
+	obj := p.ObjectOf(id)
+	if obj == nil {
+		return true
+	}
+	_, ok := obj.(*types.Builtin)
+	return ok
 }
 
 // componentNamed reports whether t (after unwrapping pointers) is a

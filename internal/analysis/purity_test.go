@@ -231,64 +231,3 @@ func (c *C) grow() { c.buf = append(c.buf, 1) }
 		t.Fatalf("clean component flagged: %v", got)
 	}
 }
-
-// readFixture is the other half of the unique-catch matrix: a component
-// that only *looks* at its neighbour, by field and by a read-only
-// method. Nothing is written, so there is nothing for shard-purity to
-// prove wrong; eval-isolation flags the touch itself.
-const readFixture = `package core
-
-type Other struct{ x int }
-
-func (o *Other) Eval(cycle uint64)   {}
-func (o *Other) Commit(cycle uint64) {}
-func (o *Other) Peek() int           { return o.x }
-
-type Comp struct {
-	n     int
-	other *Other
-}
-
-func (c *Comp) Eval(cycle uint64) {
-	c.n = c.other.Peek()
-}
-
-func (c *Comp) Commit(cycle uint64) {}
-`
-
-// TestIsolationPurityCatchMatrix pins which of MV008 eval-isolation and
-// MV009 shard-purity catches what, fixture by fixture. Neither dominates:
-// a read-only touch of a foreign component is MV008's alone (purity
-// proves writes, and there is none); a mutation hidden behind a helper
-// and an interface is MV009's alone (the syntactic rule cannot see
-// through the dispatch); direct foreign writes and mutating calls are
-// caught by both.
-func TestIsolationPurityCatchMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		name, pkg, file, src string
-		mv008, mv009         [][2]any
-	}{
-		{
-			name: "direct foreign write, mutating call, write in a helper",
-			pkg:  "metro/internal/core", file: "iso.go", src: isoFixture,
-			mv008: [][2]any{{"iso.go", 16}, {"iso.go", 17}, {"iso.go", 24}},
-			mv009: [][2]any{{"iso.go", 16}, {"iso.go", 17}, {"iso.go", 24}},
-		},
-		{
-			name: "mutation two frames down behind an interface",
-			pkg:  "metro/internal/rival", file: "rival.go", src: acceptanceFixture,
-			mv009: [][2]any{{"rival.go", 30}},
-		},
-		{
-			name: "read-only call on a foreign component",
-			pkg:  "metro/internal/core", file: "read.go", src: readFixture,
-			mv008: [][2]any{{"read.go", 15}},
-		},
-	} {
-		files := map[string]string{tc.file: tc.src}
-		t.Run(tc.name, func(t *testing.T) {
-			wantFindings(t, runRule(t, EvalIsolation(), tc.pkg, files), "eval-isolation", tc.mv008...)
-			wantFindings(t, runRule(t, ShardPurity(), tc.pkg, files), "shard-purity", tc.mv009...)
-		})
-	}
-}

@@ -51,17 +51,7 @@ func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 		}
 	}
 
-	var all []Finding
-	prog := NewProgram(pkgs)
-	for _, a := range rules {
-		if a.RunProgram != nil {
-			all = append(all, a.RunProgram(prog)...)
-			continue
-		}
-		for _, p := range pkgs {
-			all = append(all, a.Run(p)...)
-		}
-	}
+	all := runRules(rules, NewProgram(pkgs))
 	// Module-relative filenames, so a report does not depend on where
 	// the tree is checked out.
 	for i := range all {
@@ -72,4 +62,20 @@ func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 	SortFindings(all)
 	res.Findings = all
 	return res, nil
+}
+
+// runRules runs each rule over prog: a whole-program rule once, a
+// per-package rule on every package.
+func runRules(rules []*Analyzer, prog *Program) []Finding {
+	var all []Finding
+	for _, a := range rules {
+		if a.RunProgram != nil {
+			all = append(all, a.RunProgram(prog)...)
+			continue
+		}
+		for _, p := range prog.Packages {
+			all = append(all, a.Run(p)...)
+		}
+	}
+	return all
 }

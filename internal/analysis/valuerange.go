@@ -40,7 +40,7 @@ import (
 func TruncatingConversion() *Analyzer {
 	return &Analyzer{
 		Name: "truncating-conversion",
-		Doc:  "narrowing integer conversions reachable from Eval/Commit must be proven lossless by value-range analysis; annotate //metrovet:truncate <reason> when intended",
+		Doc:  "narrowing integer conversions reachable from Eval/Commit must be shown lossless by their operand expression; annotate //metrovet:truncate <reason> when intended",
 		Run: func(p *Package) []Finding {
 			return valueRangeFindings(NewProgram([]*Package{p}), "truncating-conversion")
 		},

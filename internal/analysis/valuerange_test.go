@@ -262,10 +262,10 @@ func (c *comp) Commit(cycle uint64) {}
 	wantFindings(t, got, "width-contract", [2]any{"a.go", 9}, [2]any{"a.go", 12}, [2]any{"a.go", 15})
 }
 
-func TestWidthContractWordCallSites(t *testing.T) {
-	prog := loadFixtureProgram(t,
-		fixturePkg{path: "metro/internal/word", files: map[string]string{
-			"word.go": `package word
+// wordFixture stands in for internal/word: the width-contract rule keys
+// its call sites on the package path.
+var wordFixture = fixturePkg{path: "metro/internal/word", files: map[string]string{
+	"word.go": `package word
 
 // Mask returns a bit mask covering a width-bit payload.
 func Mask(width int) uint32 {
@@ -290,7 +290,11 @@ func ChecksumWords(width int) int {
 	return n
 }
 `,
-		}},
+}}
+
+func TestWidthContractWordCallSites(t *testing.T) {
+	prog := loadFixtureProgram(t,
+		wordFixture,
 		fixturePkg{path: "metro/internal/core", files: map[string]string{
 			"a.go": `package core
 

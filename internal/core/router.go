@@ -305,8 +305,6 @@ func (r *Router) ID() RouterID { return r.id }
 // SetID records the router's structured position in its network.
 // Telemetry events carry this identity as their source, so observers
 // aggregate by stage/index/lane instead of parsing names.
-//
-//metrovet:mutator network construction wiring, before the clock starts
 func (r *Router) SetID(id RouterID) {
 	r.id = id
 	r.src = telemetry.RouterSource(id.Stage, id.Index, id.Lane)
@@ -320,15 +318,11 @@ func (r *Router) Settings() Settings { return r.set.Clone() }
 
 // SetSelectionPolicy overrides the output-selection policy (experiments
 // only; the architecture specifies SelectRandom).
-//
-//metrovet:mutator experiment configuration, applied before the clock starts
 func (r *Router) SetSelectionPolicy(p SelectionPolicy) { r.policy = p }
 
 // SetTelemetry attaches the unit-local buffer the router's
 // connection-lifecycle events (EvConn*) go to; nil records none. Cascade
 // lanes of one logical router form one kernel unit and may share a buffer.
-//
-//metrovet:mutator observer wiring at network construction time
 func (r *Router) SetTelemetry(b *telemetry.Buf) { r.tel = b }
 
 // emit records one connection-lifecycle event on forward port fp. It runs
@@ -342,16 +336,12 @@ func (r *Router) emit(cycle uint64, kind telemetry.Kind, fp, b int) {
 }
 
 // AttachForward connects link end e to forward port fp.
-//
-//metrovet:mutator network construction wiring, before the clock starts
 func (r *Router) AttachForward(fp int, e *link.End) {
 	r.fin[fp] = e.In()
 	r.syncEnabled()
 }
 
 // AttachBackward connects link end e to backward port bp.
-//
-//metrovet:mutator network construction wiring, before the clock starts
 func (r *Router) AttachBackward(bp int, e *link.End) { r.bLinks[bp] = e }
 
 // ForwardLink returns the link end attached to forward port fp.
@@ -363,8 +353,6 @@ func (r *Router) BackwardLink(bp int) *link.End { return r.bLinks[bp] }
 // ApplySettings replaces the run-time settings, as a scan UPDATE-DR of the
 // configuration register would. Connections already open are unaffected
 // except that newly disabled ports stop accepting new connections.
-//
-//metrovet:mutator models a scan-chain UPDATE-DR, an asynchronous hardware path
 func (r *Router) ApplySettings(set Settings) error {
 	if err := set.Validate(*r.cfg); err != nil {
 		return err
@@ -415,16 +403,12 @@ func (r *Router) ForwardEnabled(fp int) bool { return r.set.ForwardEnabled[fp] }
 func (r *Router) BackwardEnabled(bp int) bool { return r.set.BackwardEnabled[bp] }
 
 // SetForwardEnabled enables or disables forward port fp during operation.
-//
-//metrovet:mutator models scan-driven port masking (static fault isolation)
 func (r *Router) SetForwardEnabled(fp int, on bool) {
 	r.ownSettings().ForwardEnabled[fp] = on
 	r.syncEnabled()
 }
 
 // SetBackwardEnabled enables or disables backward port bp during operation.
-//
-//metrovet:mutator models scan-driven port masking (static fault isolation)
 func (r *Router) SetBackwardEnabled(bp int, on bool) { r.ownSettings().BackwardEnabled[bp] = on }
 
 // SetTurnDelay writes one port's variable turn delay register, as a scan
@@ -432,8 +416,6 @@ func (r *Router) SetBackwardEnabled(bp int, on bool) { r.ownSettings().BackwardE
 // (forward ports first, then backward ports) and delay must lie in
 // [0, MaxVTD]. A rejected write changes nothing. Network construction
 // writes no turn delay here: a stage's delays are in its Shape.
-//
-//metrovet:mutator models a scan CONFIG load of one turn delay field
 func (r *Router) SetTurnDelay(port, delay int) error {
 	if port < 0 || port >= len(r.set.TurnDelay) {
 		return fmt.Errorf("core: TurnDelay port %d outside [0, Inputs+Outputs=%d)", port, len(r.set.TurnDelay))
@@ -447,8 +429,6 @@ func (r *Router) SetTurnDelay(port, delay int) error {
 
 // SetFastReclaim selects the path reclamation mode of forward port fp
 // during operation (Section 5.1: the tradeoff may be handled dynamically).
-//
-//metrovet:mutator models scan-driven reconfiguration of the reclamation mode
 func (r *Router) SetFastReclaim(fp int, on bool) { r.ownSettings().FastReclaim[fp] = on }
 
 // Dilation returns the configured effective dilation.
@@ -498,8 +478,7 @@ func (r *Router) OwnerOf(bp int) int { return int(r.busyBy[bp]) }
 // the cascade consistency check does when the wired-AND IN-USE signal
 // detects an allocation disagreement. The backward port is freed and the
 // port drains with BCB asserted so the source learns of the failure.
-//
-//metrovet:mutator invoked by the cascade consistency check (cascade.Eval) inside its column's Eval
+// cascade.Eval calls it inside its column's Eval.
 func (r *Router) KillConnection(cycle uint64, fp int) {
 	p := &r.fwd[fp]
 	if p.state == fpIdle {

@@ -196,6 +196,40 @@ func TestDroppedResultCaught(t *testing.T) {
 	}
 }
 
+// TestPhantomMessageCaught: the mutation gate for the progress oracle. A
+// phantom message keeps an endpoint busy forever: endpoint 3's injection
+// links are dead, so the message can never get through, and each time
+// the endpoint gives up on it the completion is hidden and the message
+// offered again. Injection ends, the network never goes quiet, and the
+// watchdog must fire.
+func TestPhantomMessageCaught(t *testing.T) {
+	s := tinyScenario()
+	s.Workers = 0
+	const phantom = 1 << 40
+	msg := nic.Message{ID: phantom, Src: 3, Dest: 0, Payload: make([]byte, s.PayloadBytes)}
+	var net *netsim.Network
+	bug := Hooks{
+		Mutate: func(n *netsim.Network) {
+			net = n
+			for k := range n.Topo.Inject[3] {
+				n.InjectLink(3, k).Kill()
+			}
+			n.Endpoints[3].Offer(msg)
+		},
+		DropResult: func(r nic.Result) bool {
+			if r.Msg.ID != phantom {
+				return false
+			}
+			net.Endpoints[3].Offer(msg)
+			return true
+		},
+	}
+	rep := Run(s, bug)
+	if !hasOracle(rep, "progress") {
+		t.Fatalf("a phantom message that never completes not flagged by the progress oracle: %v", rep.Failures)
+	}
+}
+
 // TestFaultViewReachability pins the structural-reachability model the
 // delivery oracle leans on: dead injection links, dead routers and
 // disabled final-stage ports must excuse exactly the pairs they cut off.

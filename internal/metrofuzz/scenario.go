@@ -122,20 +122,14 @@ const MinPayloadBytes = 8
 
 // Spec returns the scenario's topology, resolving presets.
 func (s Scenario) Spec() (topo.Spec, error) {
-	switch s.Preset {
-	case "":
+	if s.Preset == "" {
 		return s.Custom, nil
-	case "fig1":
-		return topo.Figure1(), nil
-	case "fig3":
-		return topo.Figure3(), nil
-	case "net32":
-		return topo.Table3Network32(), nil
-	case "net32r8":
-		return topo.Table3Network32Radix8(), nil
-	default:
+	}
+	spec, ok := topo.Preset(s.Preset)
+	if !ok {
 		return topo.Spec{}, fmt.Errorf("metrofuzz: unknown topology preset %q", s.Preset)
 	}
+	return spec, nil
 }
 
 // Validate checks that the scenario is executable: the topology builds

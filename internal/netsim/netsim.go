@@ -534,9 +534,9 @@ func Build(p Params) (*Network, error) {
 // call it to avoid accumulating idle goroutines.
 func (n *Network) Close() { n.Engine.StopWorkers() }
 
-// Send offers a message from src to dest and returns its ID.
+// Send offers a message from src to dest and returns its ID. Call it
+// between steps or from a driver in the serialized epilogue.
 //
-//metrovet:mutator traffic injection entry point; called between cycles or from drivers in the serialized epilogue
 //metrovet:shared traffic drivers run in the serialized epilogue, so injection cannot race unit Evals
 func (n *Network) Send(src, dest int, payload []byte) uint64 {
 	n.nextID++
@@ -573,9 +573,8 @@ func (n *Network) Quiet() bool {
 func (n *Network) Results() []nic.Result { return n.results }
 
 // TakeResults returns and clears the accumulated reports (empty for a
-// network built with Params.OnResult, like Results).
-//
-//metrovet:mutator measurement harvesting between runs; does not touch model state
+// network built with Params.OnResult, like Results). Call it between
+// runs; it touches no model state.
 func (n *Network) TakeResults() []nic.Result {
 	r := n.results
 	n.results = nil
@@ -587,8 +586,7 @@ func (n *Network) TakeResults() []nic.Result {
 // steady-state cycle at zero allocations. It invalidates slices previously
 // returned by Results (TakeResults is the transfer-of-ownership variant).
 // A network built with Params.OnResult accumulates nothing to clear.
-//
-//metrovet:mutator measurement harvesting between runs; does not touch model state
+// Call it between runs; it touches no model state.
 func (n *Network) ResetResults() { n.results = n.results[:0] }
 
 // RouterAt returns the router at (stage, index) (lane 0).

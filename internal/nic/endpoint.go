@@ -169,16 +169,12 @@ type pending struct {
 // AttachInject adds an injection link: the upstream ends of its Lanes
 // parallel lanes, lane 0 carrying the least significant bits. The endpoint
 // keeps the slice.
-//
-//metrovet:mutator network construction wiring, before the clock starts
 func (e *Endpoint) AttachInject(ends ...*link.End) {
 	e.senders = append(e.senders, sender{e: e, link: e.channel(ends)})
 }
 
 // AttachDeliver adds a delivery link: the downstream ends of its lanes, as
 // AttachInject takes them.
-//
-//metrovet:mutator network construction wiring, before the clock starts
 func (e *Endpoint) AttachDeliver(ends ...*link.End) {
 	e.receivers = append(e.receivers, receiver{e: e, link: e.channel(ends)})
 }
@@ -212,8 +208,6 @@ func (e *Endpoint) ID() int { return e.id }
 
 // SetTelemetry attaches (or, with nil, removes) the message-lifecycle
 // event buffer.
-//
-//metrovet:mutator network construction wiring, before the clock starts
 func (e *Endpoint) SetTelemetry(b *telemetry.Buf) { e.tel = b }
 
 // emit records one message-lifecycle event; a and b are kind-specific (see
@@ -233,7 +227,6 @@ func (e *Endpoint) emit(cycle uint64, kind telemetry.Kind, id uint64, a, b int) 
 
 // Offer enqueues a message for delivery.
 //
-//metrovet:mutator traffic injection between cycles; drivers call this before Step
 //metrovet:alloc per-message queue bookkeeping at injection, amortized by the message rather than the cycle
 func (e *Endpoint) Offer(msg Message) {
 	p := e.newPending()

@@ -40,6 +40,23 @@ func Scale(endpoints, radix int) (Spec, error) {
 	return spec, nil
 }
 
+// Preset returns the canonical topology a command-line name stands for:
+// "fig1" (Figure1), "fig3" (Figure3), "net32" (Table3Network32) or
+// "net32r8" (Table3Network32Radix8). ok is false for any other name.
+func Preset(name string) (spec Spec, ok bool) {
+	switch name {
+	case "fig1":
+		return Figure1(), true
+	case "fig3":
+		return Figure3(), true
+	case "net32":
+		return Table3Network32(), true
+	case "net32r8":
+		return Table3Network32Radix8(), true
+	}
+	return Spec{}, false
+}
+
 // Figure1 returns the 16x16 multipath network of the paper's Figure 1:
 // two stages of 4x2 (inputs x radix) dilation-2 routers followed by a
 // stage of 4x4 dilation-1 routers, with two network connections per

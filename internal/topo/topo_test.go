@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,25 @@ func build(t *testing.T, spec Spec) *Topology {
 		t.Fatalf("Build: %v", err)
 	}
 	return top
+}
+
+func TestPreset(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Spec
+	}{
+		{"fig1", Figure1()},
+		{"fig3", Figure3()},
+		{"net32", Table3Network32()},
+		{"net32r8", Table3Network32Radix8()},
+	} {
+		if got, ok := Preset(c.name); !ok || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Preset(%q) = %+v, %v", c.name, got, ok)
+		}
+	}
+	if _, ok := Preset("fig2"); ok {
+		t.Error("Preset accepted an unknown name")
+	}
 }
 
 func TestFigure1Structure(t *testing.T) {
