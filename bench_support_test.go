@@ -147,7 +147,7 @@ func cascadeCyclesPerKB(b *testing.B, c int) float64 {
 func splitFor(w word.Word, k, width int) word.Word {
 	switch w.Kind {
 	case word.Data, word.ChecksumWord:
-		return word.Word{Kind: w.Kind, Payload: (w.Payload >> uint(k*width)) & word.Mask(width)}
+		return word.Word{Kind: w.Kind, Payload: (w.Payload >> uint(k*width)) & word.Mask(mustWidth(width))}
 	default:
 		return w
 	}
@@ -636,4 +636,14 @@ func BenchmarkMessageSizeCrossover(b *testing.B) {
 			"short messages favor fewer stages; long messages favor wide (cascaded) channels\n\n",
 			t.String())
 	})
+}
+
+// mustWidth returns the word.Width of n bits; the tests only ask for
+// widths in [1, 32].
+func mustWidth(n int) word.Width {
+	w, err := word.NewWidth(n)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

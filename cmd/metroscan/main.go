@@ -191,10 +191,10 @@ func boundaryTest(n *netsim.Network, taps [][]*scan.MultiTAP, upStage, j, bp int
 	dDown := scan.NewDriver(downTAP.TAPs()[0])
 	dDown.Reset()
 
-	width := up.Config().Width
+	width := up.Width()
 	stuckHigh := word.Mask(width)
 	patterns := []uint32{0, word.Mask(width)}
-	for b := 0; b < width; b++ {
+	for b := 0; b < width.Bits(); b++ {
 		patterns = append(patterns, 1<<uint(b))
 	}
 	for _, p := range patterns {

@@ -24,8 +24,8 @@
 //	                                one shard, or serialized epilogue)
 //	//metrovet:truncate <reason>  — this narrowing conversion is an
 //	                                intended truncation
-//	//metrovet:width <reason>     — this width/shift amount is validated
-//	                                outside the analyzed region
+//	//metrovet:width <reason>     — this shift amount is bounded by
+//	                                something the expression does not show
 //	//metrovet:ignore <rule> <reason> — suppress any rule on this line
 //
 // A directive with no reason does not suppress anything: the justification

@@ -50,7 +50,6 @@ type catchRow struct {
 	gate, name string
 	pkg, file  string
 	src        string
-	word       bool             // load the internal/word stand-in beside it
 	want       []string         // rule IDs that fire, sorted
 	lines      map[string][]int // lines a rule flags, where a row pins them
 }
@@ -162,17 +161,6 @@ type C struct {
 
 func (c *C) Eval(cycle uint64) { c.acc <<= uint(c.w) }
 `, want: []string{"MV010", "MV012"}},
-	{gate: "MV012", name: "word.Mask of an unvalidated width", pkg: "metro/internal/core", file: "mask.go", word: true, src: `package core
-
-import "metro/internal/word"
-
-type C struct {
-	mask uint32
-	w    int
-}
-
-func (c *C) Eval(cycle uint64) { c.mask = word.Mask(c.w) }
-`, want: []string{"MV012"}},
 }
 
 // TestCatchMatrix runs every analyzer on every seeded violation and pins
@@ -190,11 +178,7 @@ func TestCatchMatrix(t *testing.T) {
 	}
 	fired := map[string]map[string]bool{} // by gate
 	for _, row := range catchRows {
-		pkgs := []fixturePkg{{path: row.pkg, files: map[string]string{row.file: row.src}}}
-		if row.word {
-			pkgs = append([]fixturePkg{wordFixture}, pkgs...)
-		}
-		findings := runRules(Analyzers(), loadFixtureProgram(t, pkgs...))
+		findings := runRules(Analyzers(), loadFixtureProgram(t, fixturePkg{path: row.pkg, files: map[string]string{row.file: row.src}}))
 		got := map[string][]int{}
 		for _, f := range findings {
 			got[RuleID(f.Rule)] = append(got[RuleID(f.Rule)], f.Pos.Line)

@@ -32,9 +32,9 @@ type Program struct {
 	// cg caches the call graph so the whole-program analyzers share one
 	// build per tree.
 	cg *CallGraph
-	// vr caches the findings of the pass the truncating-conversion and
-	// width-contract rules share, by rule.
-	vr map[string][]Finding
+	// vr caches the pass the truncating-conversion and width-contract
+	// rules share.
+	vr *valueRange
 }
 
 // CallGraph returns the program's call graph, building it on first use.

@@ -25,6 +25,9 @@ type TreeResult struct {
 	// TypeErrs holds type-checker diagnostics ("path: err"), empty on a
 	// tree that builds.
 	TypeErrs []string
+	// Sites counts the value-range rules' check sites, by rule, when
+	// either rule ran.
+	Sites map[string]SiteCount
 }
 
 // RunTree is the one entry point the CLI, the tests and the benchmark
@@ -51,7 +54,11 @@ func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 		}
 	}
 
-	all := runRules(rules, NewProgram(pkgs))
+	prog := NewProgram(pkgs)
+	all := runRules(rules, prog)
+	if prog.vr != nil {
+		res.Sites = prog.vr.sites
+	}
 	// Module-relative filenames, so a report does not depend on where
 	// the tree is checked out.
 	for i := range all {

@@ -4,16 +4,17 @@ package analysis
 //
 //	truncating-conversion (MV010) — a narrowing integer conversion in
 //	    Eval/Commit-reachable code must be proven lossless.
-//	width-contract (MV012) — width arguments at internal/word call
-//	    sites proven within [1, 32], and every shift amount proven
-//	    below the shifted operand's bit width.
+//	width-contract (MV012) — every shift amount proven below the
+//	    shifted operand's bit width. A channel width itself needs no
+//	    proof: internal/word takes a word.Width, which cannot hold one
+//	    outside [1, 32].
 //
 // Index bounds are not this analysis's business: the compiler's own
 // prover behind the -bce gate covers them (docs/ANALYZERS.md).
 //
 // One ast.Inspect walks the body of every function reachable from the
 // clocked Eval/Commit roots on the call graph and visits the
-// three site kinds. A site is discharged only from what its operand
+// two site kinds. A site is discharged only from what its operand
 // expression shows by itself (upper, below): nothing is carried between
 // statements, so no assignment, guard, loop or call anywhere else in
 // the function can make a proof hold or fail. A bound that lives in an
@@ -29,7 +30,6 @@ import (
 	"go/types"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // TruncatingConversion returns the truncating-conversion analyzer: METRO's
@@ -50,16 +50,14 @@ func TruncatingConversion() *Analyzer {
 	}
 }
 
-// WidthContract returns the width-contract analyzer: channel widths in
-// METRO are 1..32 bits, and internal/word's Mask/checksum helpers
-// silently saturate or zero outside that range. Width arguments at word
-// call sites must be constants within [1, 32], and shift amounts must be
-// shown below the shifted operand's bit width (an over-wide shift
-// zeroes the value without any runtime signal).
+// WidthContract returns the width-contract analyzer: shift amounts must
+// be shown below the shifted operand's bit width (an over-wide shift
+// zeroes the value without any runtime signal). Channel widths are
+// word.Width values, which the type keeps within [1, 32].
 func WidthContract() *Analyzer {
 	return &Analyzer{
 		Name: "width-contract",
-		Doc:  "word.Mask/checksum width arguments proven within [1,32] and shift amounts proven below the operand width on Eval/Commit paths; annotate //metrovet:width <reason> when validated elsewhere",
+		Doc:  "shift amounts proven below the operand width on Eval/Commit paths; annotate //metrovet:width <reason> when bounded elsewhere",
 		Run: func(p *Package) []Finding {
 			return valueRangeFindings(NewProgram([]*Package{p}), "width-contract")
 		},
@@ -69,21 +67,15 @@ func WidthContract() *Analyzer {
 	}
 }
 
-// wordWidthArgs maps internal/word functions to the position of their
-// width parameter (the [1, 32] contract of MV012).
-var wordWidthArgs = map[string]int{
-	"Mask":           0,
-	"MakeData":       1,
-	"ChecksumWords":  0,
-	"AppendChecksum": 2,
-	"JoinChecksum":   1,
-}
+// SiteCount is how many check sites of one rule the value-range pass
+// visited, and how many of them it discharged from the operand alone.
+type SiteCount struct{ Proven, Checked int }
 
-// isWordPackage reports whether an import path is the packed-word
-// package carrying the width contract (suffix match so in-memory
-// fixtures can model it).
-func isWordPackage(path string) bool {
-	return path == "metro/internal/word" || strings.HasSuffix(path, "/internal/word")
+// valueRange is the pass both rules share: findings and site counts,
+// by rule.
+type valueRange struct {
+	findings map[string][]Finding
+	sites    map[string]SiteCount
 }
 
 // valueRangeFindings returns one rule's findings, running the shared
@@ -92,29 +84,30 @@ func valueRangeFindings(prog *Program, rule string) []Finding {
 	if prog.vr == nil {
 		prog.vr = computeValueRange(prog)
 	}
-	return append([]Finding(nil), prog.vr[rule]...)
+	return append([]Finding(nil), prog.vr.findings[rule]...)
 }
 
 // computeValueRange walks the body of every function reachable from the
-// Eval/Commit roots and returns the findings of both rules, by rule.
-func computeValueRange(prog *Program) map[string][]Finding {
-	findings := map[string][]Finding{}
+// Eval/Commit roots and returns the findings and site counts of both
+// rules.
+func computeValueRange(prog *Program) *valueRange {
+	vr := &valueRange{findings: map[string][]Finding{}, sites: map[string]SiteCount{}}
 	roots := componentRoots(prog, nil, "Eval", "Commit")
 	if len(roots) == 0 {
-		return findings
+		return vr
 	}
 	reached := prog.CallGraph().Reachable(roots, nil)
 	for _, n := range reachedNodes(reached) {
 		if n.Decl.Body == nil || n.Pkg.Types == nil || n.Pkg.Info == nil {
 			continue
 		}
-		w := &widthWalk{p: n.Pkg, doc: n.Decl.Doc, root: reached[n].Root, findings: findings}
+		w := &widthWalk{p: n.Pkg, doc: n.Decl.Doc, root: reached[n].Root, vr: vr}
 		ast.Inspect(n.Decl.Body, w.visit)
 	}
-	for rule := range findings {
-		SortFindings(findings[rule])
+	for rule := range vr.findings {
+		SortFindings(vr.findings[rule])
 	}
-	return findings
+	return vr
 }
 
 // widthWalk visits the check sites of one function body (closures
@@ -123,11 +116,11 @@ type widthWalk struct {
 	p   *Package
 	doc *ast.CommentGroup
 	// root labels finding messages.
-	root     string
-	findings map[string][]Finding
+	root string
+	vr   *valueRange
 }
 
-// visit is the ast.Inspect callback: the three site kinds, and nothing
+// visit is the ast.Inspect callback: the two site kinds, and nothing
 // below a constant expression (the type checker already rejected any
 // constant conversion or shift that loses bits, and a constant len(a[i])
 // never evaluates its operand).
@@ -148,11 +141,8 @@ func (w *widthWalk) visit(n ast.Node) bool {
 		if _, isConst := w.p.constInt(e); isConst {
 			return false
 		}
-		switch callee := w.p.calleeObject(e).(type) {
-		case *types.TypeName:
-			w.checkConversion(e, callee.Type())
-		case *types.Func:
-			w.checkWidthArg(e, callee)
+		if tn, isConv := w.p.calleeObject(e).(*types.TypeName); isConv {
+			w.checkConversion(e, tn.Type())
 		}
 	}
 	return true
@@ -165,7 +155,18 @@ func (w *widthWalk) emit(rule, kind string, pos token.Pos, msg string) {
 	if docDirective(w.doc, kind) || w.p.suppressed(rule, kind, position) {
 		return
 	}
-	w.findings[rule] = append(w.findings[rule], Finding{Pos: position, Rule: rule, Msg: msg})
+	w.vr.findings[rule] = append(w.vr.findings[rule], Finding{Pos: position, Rule: rule, Msg: msg})
+}
+
+// proven counts one check site of rule and returns whether it is proven.
+func (w *widthWalk) proven(rule string, ok bool) bool {
+	c := w.vr.sites[rule]
+	c.Checked++
+	if ok {
+		c.Proven++
+	}
+	w.vr.sites[rule] = c
+	return ok
 }
 
 // checkConversion is the MV010 site: a conversion between integer
@@ -181,7 +182,7 @@ func (w *widthWalk) checkConversion(call *ast.CallExpr, target types.Type) {
 	if !fromInt || shapeFits(from, to) {
 		return // not from an integer, or widening / same shape: never lossy
 	}
-	if hi, bounded := w.p.upper(arg); bounded && hi <= to.max() {
+	if hi, bounded := w.p.upper(arg); w.proven("truncating-conversion", bounded && hi <= to.max()) {
 		return
 	}
 	w.emit("truncating-conversion", "truncate", call.Pos(),
@@ -197,34 +198,12 @@ func (w *widthWalk) checkShift(pos token.Pos, x, amount ast.Expr) {
 	if !ok {
 		return
 	}
-	if hi, bounded := w.p.upper(amount); bounded && hi < uint64(it.bits) {
+	if hi, bounded := w.p.upper(amount); w.proven("width-contract", bounded && hi < uint64(it.bits)) {
 		return
 	}
 	w.emit("width-contract", "width", pos,
 		fmt.Sprintf("shift amount not proven within [0, %d] for a %d-bit operand (amount %s) in per-cycle path (reachable from %s); bound the amount or annotate //metrovet:width <reason>",
 			it.bits-1, it.bits, w.p.shownRange(amount), w.root))
-}
-
-// checkWidthArg is the MV012 width-argument site: an internal/word width
-// parameter must be a constant within [1, 32] (no other shape shows a
-// lower bound of 1).
-func (w *widthWalk) checkWidthArg(call *ast.CallExpr, fn *types.Func) {
-	if fn.Pkg() == nil || !isWordPackage(fn.Pkg().Path()) {
-		return
-	}
-	argPos, tracked := wordWidthArgs[fn.Name()]
-	if !tracked || argPos >= len(call.Args) {
-		return
-	}
-	arg := call.Args[argPos]
-	if v, isConst := w.p.constInt(arg); isConst {
-		if c, exact := constant.Uint64Val(v); exact && c >= 1 && c <= 32 {
-			return
-		}
-	}
-	w.emit("width-contract", "width", arg.Pos(),
-		fmt.Sprintf("width argument to word.%s not proven within [1, 32] (value %s) in per-cycle path (reachable from %s); validate the width or annotate //metrovet:width <reason>",
-			fn.Name(), w.p.shownRange(arg), w.root))
 }
 
 // --- what an expression shows -------------------------------------------

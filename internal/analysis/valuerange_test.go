@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"maps"
 	"math"
 	"testing"
 )
@@ -262,71 +263,39 @@ func (c *comp) Commit(cycle uint64) {}
 	wantFindings(t, got, "width-contract", [2]any{"a.go", 9}, [2]any{"a.go", 12}, [2]any{"a.go", 15})
 }
 
-// wordFixture stands in for internal/word: the width-contract rule keys
-// its call sites on the package path.
-var wordFixture = fixturePkg{path: "metro/internal/word", files: map[string]string{
-	"word.go": `package word
-
-// Mask returns a bit mask covering a width-bit payload.
-func Mask(width int) uint32 {
-	if width >= 32 {
-		return ^uint32(0)
-	}
-	if width < 0 {
-		return 0
-	}
-	return 1<<(width&31) - 1
-}
-
-// ChecksumWords returns the word count for a width-bit channel.
-func ChecksumWords(width int) int {
-	if width <= 0 {
-		return 0
-	}
-	n := 8 / width
-	if 8%width != 0 {
-		n++
-	}
-	return n
-}
-`,
-}}
-
-func TestWidthContractWordCallSites(t *testing.T) {
-	prog := loadFixtureProgram(t,
-		wordFixture,
-		fixturePkg{path: "metro/internal/core", files: map[string]string{
-			"a.go": `package core
-
-import "metro/internal/word"
+// TestValueRangeCountsSites pins the site counts the ledger's proven
+// cells are checked against: every narrowing conversion and shift
+// amount the pass visits is checked, and those its operand bounds are
+// proven.
+func TestValueRangeCountsSites(t *testing.T) {
+	prog := loadFixtureProgram(t, fixturePkg{path: "metro/internal/core", files: map[string]string{
+		"a.go": `package core
 
 type comp struct {
-	w    int
-	mask uint32
+	acc uint32
+	w   int
+	b   uint8
 }
 
 func (c *comp) Eval(cycle uint64) {
-	c.mask = word.Mask(c.w) // line 11: width unconstrained
-	c.mask = word.Mask(16)  // constant in [1, 32]: shown
-	if c.w >= 1 && c.w <= 32 {
-		c.mask = word.Mask(c.w) // line 14: the guard is not in the argument
-	}
-	c.mask = word.Mask(c.w & 31) // line 16: a mask shows [0, 31], and 0 is outside [1, 32]
+	c.acc <<= uint(c.w)  // a shift not proven, a conversion not proven
+	c.acc >>= c.w & 31   // a shift proven
+	c.b = uint8(c.acc)   // a conversion not proven
+	c.b = uint8(c.w & 7) // a conversion proven
+	c.acc = uint32(c.b)  // widening: no site
 }
 
-func (c *comp) Commit(cycle uint64) {
-	_ = word.ChecksumWords(0) // line 20: 0 outside [1, 32]
-}
+func (c *comp) Commit(cycle uint64) {}
 `,
-		}},
-	)
-	got := valueRangeFindings(prog, "width-contract")
-	wantFindings(t, got, "width-contract",
-		[2]any{"metro/internal/core/a.go", 11},
-		[2]any{"metro/internal/core/a.go", 14},
-		[2]any{"metro/internal/core/a.go", 16},
-		[2]any{"metro/internal/core/a.go", 20},
-	)
+	}})
+	valueRangeFindings(prog, "width-contract")
+	want := map[string]SiteCount{
+		"truncating-conversion": {Proven: 1, Checked: 3},
+		"width-contract":        {Proven: 1, Checked: 2},
+	}
+	if !maps.Equal(prog.vr.sites, want) {
+		t.Errorf("sites = %v, want %v", prog.vr.sites, want)
+	}
 }
 
 func TestWidthContractValve(t *testing.T) {

@@ -93,7 +93,7 @@ func TestWideDataTransfer(t *testing.T) {
 			}
 		}
 		members := []word.Word{dst[0][2].Recv(), dst[1][2].Recv()}
-		m := word.MergeWords(members, 4)
+		m := word.MergeWords(members, mustWidth(4))
 		if m.Kind == word.Data {
 			got = append(got, m)
 		}
@@ -165,7 +165,7 @@ func TestPartialAllocationContained(t *testing.T) {
 func splitWord(logical word.Word, c, w int) []word.Word {
 	out := make([]word.Word, c)
 	for k := range out {
-		out[k] = word.MemberWord(logical, k, w)
+		out[k] = word.MemberWord(logical, k, mustWidth(w))
 	}
 	return out
 }
@@ -174,12 +174,12 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		c, w int
 	}{{2, 4}, {4, 4}, {2, 8}} {
-		logical := word.Word{Kind: word.Data, Payload: 0xDEAD & word.Mask(tc.c*tc.w)}
+		logical := word.Word{Kind: word.Data, Payload: 0xDEAD & word.Mask(mustWidth(tc.c*tc.w))}
 		parts := splitWord(logical, tc.c, tc.w)
 		if len(parts) != tc.c {
 			t.Fatalf("c=%d: %d parts", tc.c, len(parts))
 		}
-		back := word.MergeWords(parts, tc.w)
+		back := word.MergeWords(parts, mustWidth(tc.w))
 		if back != logical {
 			t.Fatalf("c=%d w=%d: %v -> %v", tc.c, tc.w, logical, back)
 		}
@@ -203,7 +203,7 @@ func TestSplitReplicatesControl(t *testing.T) {
 
 func TestMergeDetectsLockstepViolation(t *testing.T) {
 	members := []word.Word{{Kind: word.Data, Payload: 1}, {Kind: word.DataIdle}}
-	if m := word.MergeWords(members, 4); !m.IsEmpty() {
+	if m := word.MergeWords(members, mustWidth(4)); !m.IsEmpty() {
 		t.Fatalf("kind mismatch should merge to Empty, got %v", m)
 	}
 }
@@ -231,7 +231,7 @@ func TestTurnThroughCascade(t *testing.T) {
 			// Hold the destination side open.
 			dst[k][0].Send(word.Word{Kind: word.DataIdle})
 		}
-		m := word.MergeWords([]word.Word{src[0][0].Recv(), src[1][0].Recv()}, 4)
+		m := word.MergeWords([]word.Word{src[0][0].Recv(), src[1][0].Recv()}, mustWidth(4))
 		if !m.IsEmpty() && m.Kind != word.DataIdle {
 			upstream = append(upstream, m)
 		}
@@ -246,4 +246,14 @@ func TestTurnThroughCascade(t *testing.T) {
 	if upstream[1].Kind != word.ChecksumWord || upstream[2].Kind != word.ChecksumWord {
 		t.Fatalf("merged reply = %v, want checksum words", upstream)
 	}
+}
+
+// mustWidth returns the word.Width of n bits; the tests only ask for
+// widths in [1, 32].
+func mustWidth(n int) word.Width {
+	w, err := word.NewWidth(n)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

@@ -64,8 +64,8 @@ func TestClosingCountDuringFlush(t *testing.T) {
 	h := newHarness(cfg, dil1Settings(cfg), 3)
 	seq := []word.Word{
 		word.MakeRoute(0, 2),
-		word.MakeData(1, 4),
-		word.MakeData(2, 4),
+		word.MakeData(1, mustWidth(4)),
+		word.MakeData(2, mustWidth(4)),
 		{Kind: word.Drop},
 	}
 	sawClosing := false

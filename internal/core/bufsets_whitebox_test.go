@@ -64,8 +64,8 @@ func TestBufferSetsRoundTrip(t *testing.T) {
 			for round := 0; round < 3*cfg.Outputs; round++ {
 				for _, phase := range []func(fp int) word.Word{
 					func(fp int) word.Word { return word.MakeRoute(uint32((fp+round)%r.Radix()), dirBits) },
-					func(fp int) word.Word { return word.MakeData(uint32(fp), cfg.Width) },
-					func(fp int) word.Word { return word.MakeData(uint32(round), cfg.Width) },
+					func(fp int) word.Word { return word.MakeData(uint32(fp), mustWidth(cfg.Width)) },
+					func(fp int) word.Word { return word.MakeData(uint32(round), mustWidth(cfg.Width)) },
 					func(fp int) word.Word { return word.Word{Kind: word.Drop} },
 				} {
 					for fp := range src {
@@ -91,4 +91,14 @@ func TestBufferSetsRoundTrip(t *testing.T) {
 			t.Logf("up to %d closers in flight; all %d sets accounted for", maxClosers, cfg.Inputs+cfg.Outputs)
 		})
 	}
+}
+
+// mustWidth returns the word.Width of n bits; the tests only ask for
+// widths in [1, 32].
+func mustWidth(n int) word.Width {
+	w, err := word.NewWidth(n)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"metro/internal/word"
 )
 
 // Config holds the architectural parameters of a METRO router
@@ -94,6 +96,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: RandomInputs (ri) must be >= 1, got %d", c.RandomInputs)
 	case c.ScanPaths < 1:
 		return fmt.Errorf("core: ScanPaths (sp) must be >= 1, got %d", c.ScanPaths)
+	}
+	// What log2(Outputs) leaves for NewWidth: width 0 at a single output.
+	if _, err := word.NewWidth(c.Width); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -200,8 +206,9 @@ func (s Settings) Validate(c Config) error {
 // scan-style mutators writes its settings (copy-on-write), and a Shape is
 // never written once made.
 type Shape struct {
-	cfg Config
-	set Settings
+	Config
+	set   Settings
+	width word.Width // Config.Width
 }
 
 // NewShape validates cfg and set, once for every router built from the
@@ -213,7 +220,8 @@ func NewShape(cfg Config, set Settings) (*Shape, error) {
 	if err := set.Validate(cfg); err != nil {
 		return nil, err
 	}
-	return &Shape{cfg: cfg, set: set.Clone()}, nil
+	w, _ := word.NewWidth(cfg.Width) // Validate admitted the width
+	return &Shape{Config: cfg, set: set.Clone(), width: w}, nil
 }
 
 // Clone returns a deep copy of the settings. The five per-port flag slices

@@ -52,7 +52,7 @@ func TestNoSwallowForwardsHeaderPad(t *testing.T) {
 	seq := []word.Word{
 		word.MakeRoute(1, 2), // A direction 1; exhausted, becomes pad
 		word.MakeRoute(2, 2), // B direction 2
-		word.MakeData(0x6, 4),
+		word.MakeData(0x6, mustWidth(4)),
 	}
 	var got []word.Word
 	for i := 0; i < 14; i++ {
@@ -137,7 +137,7 @@ func TestIdleOnlyConnection(t *testing.T) {
 	// Checksum covers only the route word: idles are excluded.
 	var ck word.Checksum
 	ck.Add(word.MakeRoute(0, 2))
-	if sum := word.JoinChecksum(got[1:3], 4); sum != ck.Sum() {
+	if sum := word.JoinChecksum(got[1:3], mustWidth(4)); sum != ck.Sum() {
 		t.Fatalf("idle-only checksum = %#x, want %#x", sum, ck.Sum())
 	}
 }
@@ -188,7 +188,7 @@ func TestBackToBackMessagesOnePort(t *testing.T) {
 		case 0:
 			h.src[0].Send(word.MakeRoute(2, 2))
 		case 1:
-			h.src[0].Send(word.MakeData(uint32(i), 4))
+			h.src[0].Send(word.MakeData(uint32(i), mustWidth(4)))
 		case 2:
 			h.src[0].Send(word.Word{Kind: word.Drop})
 		}

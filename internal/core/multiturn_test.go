@@ -19,10 +19,10 @@ func TestMultipleReversals(t *testing.T) {
 	turn := word.Word{Kind: word.Turn}
 	srcScript := map[int]word.Word{
 		0: word.MakeRoute(1, 2),
-		1: word.MakeData(0x1, 4),
+		1: word.MakeData(0x1, mustWidth(4)),
 		2: turn, // reversal 1: listen for reply A
 		// reply A takes ~6 cycles to come back; then round 2:
-		14: word.MakeData(0x2, 4),
+		14: word.MakeData(0x2, mustWidth(4)),
 		15: turn, // reversal 3: listen for reply B
 		30: {Kind: word.Drop},
 	}
@@ -48,7 +48,7 @@ func TestMultipleReversals(t *testing.T) {
 		}
 		if dw.Kind == word.Turn {
 			replied++
-			pendingReply = []word.Word{word.MakeData(uint32(0xA+replied), 4), turn}
+			pendingReply = []word.Word{word.MakeData(uint32(0xA+replied), mustWidth(4)), turn}
 		}
 		if len(pendingReply) > 0 {
 			h.dst[1].Send(pendingReply[0])
@@ -123,7 +123,7 @@ func TestReversalStatusEveryTime(t *testing.T) {
 		case i == 0:
 			h.src[0].Send(word.MakeRoute(0, 2))
 		case i == 1:
-			h.src[0].Send(word.MakeData(9, 4))
+			h.src[0].Send(word.MakeData(9, mustWidth(4)))
 		case srcTurns[i]:
 			h.src[0].Send(turn)
 		case i == 42:
@@ -139,7 +139,7 @@ func TestReversalStatusEveryTime(t *testing.T) {
 			statusToDst++
 		}
 		if dw.Kind == word.Turn {
-			pendingReply = []word.Word{word.MakeData(5, 4), turn}
+			pendingReply = []word.Word{word.MakeData(5, mustWidth(4)), turn}
 		}
 		if len(pendingReply) > 0 {
 			h.dst[0].Send(pendingReply[0])

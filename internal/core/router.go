@@ -75,7 +75,7 @@ const (
 // arriving), and flip, the only place a sequence is staged on a port
 // that forwards, empties outQ first. Exceeding it indicates a protocol
 // bug, not a congestion condition (see DESIGN.md).
-func injWords(w int) int { return 2 + word.ChecksumWords(w) }
+func injWords(w word.Width) int { return 2 + word.ChecksumWords(w) }
 
 // flow is the part of a connection's state that moves words through a
 // buffer set: the staged pipeline input, the set's index and the cursors
@@ -180,7 +180,7 @@ type Router struct {
 	fwd []fwdPort
 	// bufs backs every port buffer: Inputs+Outputs buffer sets of
 	// dp + 2*injCap words each (see pipe, inject and outQ), where dp is
-	// cfg.DataPipe and injCap is injWords(cfg.Width). A flow names its set
+	// cfg.DataPipe and injCap is injWords(cfg.width). A flow names its set
 	// by index. Every set has one holder at a time: a forward port, a
 	// closer, or an unused closer slot (there are Outputs sets beyond the
 	// forward ports', and Outputs slots). CheckInvariants audits it.
@@ -199,12 +199,12 @@ type Router struct {
 	id     RouterID
 	rng    prng.Source
 	policy SelectionPolicy
-	// cfg and set point into the Shape the router's stage shares. The
-	// Config is never written; the Settings are the stage's until a
-	// scan-style mutator writes them, which first gives the router a
-	// private copy and sets own (see ownSettings). Nothing writes settings
-	// the router does not own.
-	cfg *Config
+	// cfg is the Shape the router's stage shares, and set points into
+	// it. The Config and width are never written; the Settings are the
+	// stage's until a scan-style mutator writes them, which first gives
+	// the router a private copy and sets own (see ownSettings). Nothing
+	// writes settings the router does not own.
+	cfg *Shape
 	set *Settings
 	own bool
 
@@ -259,17 +259,17 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 // bit source. The router reads the shape's Config and Settings in place
 // until a mutator writes its settings.
 func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
-	cfg := &sh.cfg
+	cfg := &sh.Config
 	// inject and outQ hold up to injWords words each: stageInject's worst
 	// case and buffer()'s overflow guard.
-	injCap := injWords(cfg.Width)
+	injCap := injWords(sh.width)
 	r := &Router{
 		hotHeader: hotHeader{
 			fin:     make([]link.In, cfg.Inputs),
 			closers: make([]closer, 0, cfg.Outputs),
 		},
 		name:   name,
-		cfg:    cfg,
+		cfg:    sh,
 		set:    &sh.set,
 		rng:    rng,
 		bLinks: make([]*link.End, cfg.Outputs),
@@ -311,7 +311,10 @@ func (r *Router) SetID(id RouterID) {
 }
 
 // Config returns the architectural parameters.
-func (r *Router) Config() Config { return *r.cfg }
+func (r *Router) Config() Config { return r.cfg.Config }
+
+// Width returns the channel width, Config().Width as a word.Width.
+func (r *Router) Width() word.Width { return r.cfg.width }
 
 // Settings returns a copy of the current run-time settings.
 func (r *Router) Settings() Settings { return r.set.Clone() }
@@ -354,7 +357,7 @@ func (r *Router) BackwardLink(bp int) *link.End { return r.bLinks[bp] }
 // configuration register would. Connections already open are unaffected
 // except that newly disabled ports stop accepting new connections.
 func (r *Router) ApplySettings(set Settings) error {
-	if err := set.Validate(*r.cfg); err != nil {
+	if err := set.Validate(r.cfg.Config); err != nil {
 		return err
 	}
 	*r.ownSettings() = set.Clone()
@@ -365,8 +368,6 @@ func (r *Router) ApplySettings(set Settings) error {
 // ownSettings returns the router's settings for writing. A router still
 // reading its stage's shared Shape first takes a private copy, so the write
 // reaches no sibling.
-//
-//metrovet:alloc the copy is made once per router a scan-style mutator writes (a fault injector's is a control event), never per cycle
 func (r *Router) ownSettings() *Settings {
 	if !r.own {
 		set := r.set.Clone()
@@ -512,8 +513,6 @@ func (r *Router) Eval(cycle uint64) {
 // An idle port whose word is not a ROUTE is done at the register read: the
 // state switch below would find fpIdle, no backward port and nothing to
 // parse, so the fwdPort is never loaded.
-//
-//metrovet:width cfg.Width is bounded to [1, 32] by Config.Validate at construction
 func (r *Router) inputPass(cycle uint64) (requested uint64) {
 	fin, live := r.fin, r.live
 	for m := r.enabled; m != 0; m &= m - 1 {
@@ -625,7 +624,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 			switch in.Kind {
 			case word.Turn:
 				flags := word.StatusBlocked
-				status := word.Word{Kind: word.Status, Payload: flags & word.Mask(r.cfg.Width)}
+				status := word.Word{Kind: word.Status, Payload: flags & word.Mask(r.cfg.width)}
 				r.stageInject(&p.flow, status, p.ck.Sum(), true)
 				p.state = fpBlockedReply
 				r.emit(cycle, telemetry.EvConnTurned, fp, 1)
@@ -864,13 +863,11 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 
 // stageInject stages a STATUS word, the segment checksum, and optionally a
 // closing DROP into f's injection region.
-//
-//metrovet:width cfg.Width is bounded to [1, 32] by Config.Validate at construction
 func (r *Router) stageInject(f *flow, status word.Word, sum uint8, drop bool) {
 	inject := r.inject(f)
 	//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
 	seq := append(inject[:0], status)
-	seq = word.AppendChecksum(seq, sum, r.cfg.Width)
+	seq = word.AppendChecksum(seq, sum, r.cfg.width)
 	if drop {
 		//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
 		seq = append(seq, word.Word{Kind: word.Drop})
@@ -965,8 +962,6 @@ func (r *Router) buffer(f *flow, w word.Word) {
 // flip completes a connection reversal at this router: the just-ended
 // receive segment's status and checksum are queued for injection into the
 // new stream, and a fresh pipeline is started for the new direction.
-//
-//metrovet:width cfg.Width is bounded to [1, 32] by Config.Validate at construction
 func (r *Router) flip(cycle uint64, fp int, to fpState) {
 	p := &r.fwd[fp]
 	sum := p.ck.Sum()

@@ -93,8 +93,8 @@ func TestRouteAndForwardData(t *testing.T) {
 	// dilation 1, radix 4: direction 2 is backward port 2; 2 route bits.
 	seq := idlePad([]word.Word{
 		word.MakeRoute(2, 2),
-		word.MakeData(0xA, 4),
-		word.MakeData(0xB, 4),
+		word.MakeData(0xA, mustWidth(4)),
+		word.MakeData(0xB, mustWidth(4)),
 	}, 12)
 	got := h.collect(0, 2, 12, seq)
 	// The route word is exhausted (2 bits consumed) and swallowed, so the
@@ -171,7 +171,7 @@ func TestBlockedDetailedReply(t *testing.T) {
 	// the reply comes after the TURN.
 	seq := []word.Word{
 		word.MakeRoute(0, 2),
-		word.MakeData(1, 4),
+		word.MakeData(1, mustWidth(4)),
 		{Kind: word.Turn},
 	}
 	var got []word.Word
@@ -202,7 +202,7 @@ func TestBlockedDetailedReply(t *testing.T) {
 	var ck word.Checksum
 	ck.Add(seq[0])
 	ck.Add(seq[1])
-	if sum := word.JoinChecksum(got[1:3], 4); sum != ck.Sum() {
+	if sum := word.JoinChecksum(got[1:3], mustWidth(4)); sum != ck.Sum() {
 		t.Fatalf("blocked reply checksum = %#x, want %#x", sum, ck.Sum())
 	}
 	if h.r.ConnectionCount() != 1 {
@@ -222,7 +222,7 @@ func TestBlockedFastReclaimBCB(t *testing.T) {
 
 	// Port 1 requests the occupied direction: BCB should come back.
 	sawBCB := -1
-	seq := []word.Word{word.MakeRoute(0, 2), word.MakeData(1, 4), word.MakeData(2, 4)}
+	seq := []word.Word{word.MakeRoute(0, 2), word.MakeData(1, mustWidth(4)), word.MakeData(2, mustWidth(4))}
 	for i := 0; i < 10; i++ {
 		h.src[0].Send(word.Word{Kind: word.DataIdle}) // hold first connection
 		if i < len(seq) {
@@ -258,7 +258,7 @@ func TestTurnReversalStatusAndData(t *testing.T) {
 	h := newHarness(cfg, dil1Settings(cfg), 5)
 	seq := []word.Word{
 		word.MakeRoute(3, 2),
-		word.MakeData(0x7, 4),
+		word.MakeData(0x7, mustWidth(4)),
 		{Kind: word.Turn},
 	}
 	// Destination replies with two data words once it sees the TURN.
@@ -271,7 +271,7 @@ func TestTurnReversalStatusAndData(t *testing.T) {
 		}
 		if w := h.dst[3].Recv(); w.Kind == word.Turn {
 			replied = true
-			reply = []word.Word{word.MakeData(0xC, 4), word.MakeData(0xD, 4)}
+			reply = []word.Word{word.MakeData(0xC, mustWidth(4)), word.MakeData(0xD, mustWidth(4))}
 		}
 		if replied && len(reply) > 0 {
 			h.dst[3].Send(reply[0])
@@ -295,7 +295,7 @@ func TestTurnReversalStatusAndData(t *testing.T) {
 	var ck word.Checksum
 	ck.Add(seq[0])
 	ck.Add(seq[1])
-	if sum := word.JoinChecksum(up[1:3], 4); sum != ck.Sum() {
+	if sum := word.JoinChecksum(up[1:3], mustWidth(4)); sum != ck.Sum() {
 		t.Fatalf("status checksum = %#x, want %#x", sum, ck.Sum())
 	}
 	if up[3].Payload != 0xC || up[4].Payload != 0xD {
@@ -308,7 +308,7 @@ func TestDropReleasesConnection(t *testing.T) {
 	h := newHarness(cfg, dil1Settings(cfg), 5)
 	seq := []word.Word{
 		word.MakeRoute(0, 2),
-		word.MakeData(1, 4),
+		word.MakeData(1, mustWidth(4)),
 		{Kind: word.Drop},
 	}
 	var down []word.Word
@@ -336,7 +336,7 @@ func TestDropReleasesConnection(t *testing.T) {
 func TestEmptyStreamImplicitClose(t *testing.T) {
 	cfg := cfg4x4()
 	h := newHarness(cfg, dil1Settings(cfg), 5)
-	seq := []word.Word{word.MakeRoute(0, 2), word.MakeData(1, 4)}
+	seq := []word.Word{word.MakeRoute(0, 2), word.MakeData(1, mustWidth(4))}
 	var down []word.Word
 	for i := 0; i < 12; i++ {
 		if i < len(seq) {
@@ -363,7 +363,7 @@ func TestHeaderWordsConsumed(t *testing.T) {
 	seq := idlePad([]word.Word{
 		word.MakeRoute(1, 2),
 		{Kind: word.HeaderPad, Payload: 0xF},
-		word.MakeData(0x9, 4),
+		word.MakeData(0x9, mustWidth(4)),
 	}, 12)
 	got := h.collect(0, 1, 12, seq)
 	// Both header words are consumed by this router; only data flows on.
@@ -377,7 +377,7 @@ func TestDataPipeDepthDelaysData(t *testing.T) {
 		cfg := cfg4x4()
 		cfg.DataPipe = dp
 		h := newHarness(cfg, dil1Settings(cfg), 5)
-		seq := []word.Word{word.MakeRoute(0, 2), word.MakeData(1, 4)}
+		seq := []word.Word{word.MakeRoute(0, 2), word.MakeData(1, mustWidth(4))}
 		for i := 0; i < 20; i++ {
 			if i < len(seq) {
 				h.src[0].Send(seq[i])
@@ -499,7 +499,7 @@ func TestDisabledPortStillDrainsOpenConnection(t *testing.T) {
 			got = append(got, w.Payload)
 		}
 	}
-	seq := []word.Word{word.MakeRoute(2, 2), word.MakeData(1, 4), word.MakeData(2, 4), word.MakeData(3, 4)}
+	seq := []word.Word{word.MakeRoute(2, 2), word.MakeData(1, mustWidth(4)), word.MakeData(2, mustWidth(4)), word.MakeData(3, mustWidth(4))}
 	for _, w := range seq {
 		h.src[0].Send(w)
 		observe()
@@ -518,7 +518,7 @@ func TestDisabledPortStillDrainsOpenConnection(t *testing.T) {
 		// Ignored while masked. The last two cycles hold the channel with
 		// DATA-IDLE so nothing stray is on the wire at re-enable.
 		if i < 6 {
-			h.src[0].Send(word.MakeData(0xF, 4))
+			h.src[0].Send(word.MakeData(0xF, mustWidth(4)))
 		} else {
 			h.src[0].Send(word.Word{Kind: word.DataIdle})
 		}
@@ -535,7 +535,7 @@ func TestDisabledPortStillDrainsOpenConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.r.SetForwardEnabled(0, true)
-	h.src[0].Send(word.MakeData(7, 4))
+	h.src[0].Send(word.MakeData(7, mustWidth(4)))
 	h.run()
 	for i := 0; i < 6; i++ {
 		h.src[0].Send(word.Word{Kind: word.DataIdle})
@@ -624,7 +624,7 @@ func TestBCBPropagatesUpstreamAndFreesPort(t *testing.T) {
 		case i == 0:
 			srcs[1].Send(word.MakeRoute(0b0001, 4))
 		case i < 6:
-			srcs[1].Send(word.MakeData(uint32(i), 4))
+			srcs[1].Send(word.MakeData(uint32(i), mustWidth(4)))
 		}
 		if srcs[1].RecvBCB() {
 			sawBCB = true
@@ -698,6 +698,8 @@ func TestConfigValidation(t *testing.T) {
 		{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 1, DataPipe: 0, RandomInputs: 1, ScanPaths: 1},
 		{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 1, DataPipe: 1, RandomInputs: 0, ScanPaths: 1},
 		{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 3, DataPipe: 1, RandomInputs: 1, ScanPaths: 1},
+		// log2(1) = 0 admits width 0; a router would inject no checksum.
+		{Inputs: 1, Outputs: 1, Width: 0, MaxDilation: 1, DataPipe: 1, RandomInputs: 1, ScanPaths: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -753,7 +755,7 @@ func TestRadixDilationHelpers(t *testing.T) {
 // then blocks a request from port 1 against a fresh connection on port 0
 // and lets both go: every connection-lifecycle emit site except the turn.
 func (h *harness) connCycle() {
-	for _, w := range []word.Word{word.MakeRoute(0, 2), word.MakeData(1, 4), {Kind: word.Drop}} {
+	for _, w := range []word.Word{word.MakeRoute(0, 2), word.MakeData(1, mustWidth(4)), {Kind: word.Drop}} {
 		h.src[0].Send(w)
 		h.run()
 	}
@@ -817,4 +819,14 @@ func TestZeroAllocRouterWithoutTelemetry(t *testing.T) {
 	if rec.Total() != 0 {
 		t.Fatalf("detached router emitted %d events", rec.Total())
 	}
+}
+
+// mustWidth returns the word.Width of n bits; the tests only ask for
+// widths in [1, 32].
+func mustWidth(n int) word.Width {
+	w, err := word.NewWidth(n)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

@@ -18,7 +18,7 @@ func BenchmarkRouterSteadyCycle(b *testing.B) {
 	h.src[0].Send(word.MakeRoute(0, 2))
 	h.run()
 	for i := 0; i < 8; i++ {
-		h.src[0].Send(word.MakeData(uint32(i), cfg.Width))
+		h.src[0].Send(word.MakeData(uint32(i), mustWidth(cfg.Width)))
 		h.run()
 	}
 	if h.r.ConnectionCount() != 1 {
@@ -27,7 +27,7 @@ func BenchmarkRouterSteadyCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.src[0].Send(word.MakeData(uint32(i), cfg.Width))
+		h.src[0].Send(word.MakeData(uint32(i), mustWidth(cfg.Width)))
 		h.run()
 	}
 }

@@ -117,12 +117,12 @@ func TestArenaShuttleMatchesCommit(t *testing.T) {
 							}
 							// Drive most cycles; an undriven end must shuttle Empty.
 							if rng.Intn(4) > 0 {
-								w := word.MakeData(rng.Uint32(), 8)
+								w := word.MakeData(rng.Uint32(), mustWidth(8))
 								p.A().Send(w)
 								v.A().Send(w)
 							}
 							if rng.Intn(4) > 0 {
-								w := word.MakeData(rng.Uint32(), 8)
+								w := word.MakeData(rng.Uint32(), mustWidth(8))
 								bcb := rng.Intn(2) == 0
 								p.B().Send(w)
 								p.B().SendBCB(bcb)

@@ -380,8 +380,6 @@ func (a *Arena) New() *Link { return a.Place(2*a.used, 2*a.used+1) }
 // at assembly time, so either is a compiler bug, not an operational
 // condition. Whether the placement as a whole claims every register exactly
 // once is the assembler's audit (kernel.Builder.Compile), not checked here.
-//
-//metrovet:truncate ab, ba and the placement index are below the register count, which NewArena bounds by math.MaxInt32
 func (a *Arena) Place(ab, ba int) *Link {
 	if a.used == len(a.links) {
 		panic(fmt.Sprintf("link arena: capacity %d exhausted", len(a.links)))

@@ -11,7 +11,7 @@ func step(l *Link) { l.Commit(0) }
 func TestDelayOne(t *testing.T) {
 	l := New("t", 1)
 	a, b := l.A(), l.B()
-	a.Send(word.MakeData(0x5, 4))
+	a.Send(word.MakeData(0x5, mustWidth(4)))
 	if !b.Recv().IsEmpty() {
 		t.Fatal("word visible before commit")
 	}
@@ -30,7 +30,7 @@ func TestDelayN(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 5} {
 		l := New("t", d)
 		a, b := l.A(), l.B()
-		a.Send(word.MakeData(1, 4))
+		a.Send(word.MakeData(1, mustWidth(4)))
 		for i := 0; i < d-1; i++ {
 			step(l)
 			if !b.Recv().IsEmpty() {
@@ -47,8 +47,8 @@ func TestDelayN(t *testing.T) {
 func TestBidirectional(t *testing.T) {
 	l := New("t", 2)
 	a, b := l.A(), l.B()
-	a.Send(word.MakeData(0xA, 4))
-	b.Send(word.MakeData(0xB, 4))
+	a.Send(word.MakeData(0xA, mustWidth(4)))
+	b.Send(word.MakeData(0xB, mustWidth(4)))
 	step(l)
 	step(l)
 	if got := b.Recv(); got.Payload != 0xA {
@@ -87,7 +87,7 @@ func TestPipelinedStream(t *testing.T) {
 	a, b := l.A(), l.B()
 	var got []uint32
 	for i := 0; i < 10; i++ {
-		a.Send(word.MakeData(uint32(i), 8))
+		a.Send(word.MakeData(uint32(i), mustWidth(8)))
 		step(l)
 		if w := b.Recv(); !w.IsEmpty() {
 			got = append(got, w.Payload)
@@ -113,7 +113,7 @@ func TestPipelinedStream(t *testing.T) {
 func TestKillRevive(t *testing.T) {
 	l := New("t", 1)
 	a, b := l.A(), l.B()
-	a.Send(word.MakeData(1, 4))
+	a.Send(word.MakeData(1, mustWidth(4)))
 	b.SendBCB(true)
 	step(l)
 	l.Kill()
@@ -130,7 +130,7 @@ func TestKillRevive(t *testing.T) {
 	if l.Dead() {
 		t.Fatal("Revive did not clear Dead")
 	}
-	a.Send(word.MakeData(2, 4))
+	a.Send(word.MakeData(2, mustWidth(4)))
 	step(l)
 	if b.Recv().Payload != 2 {
 		t.Fatal("revived link did not carry traffic")
@@ -144,8 +144,8 @@ func TestCorruptor(t *testing.T) {
 		w.Payload ^= 0x1
 		return w
 	}, nil)
-	a.Send(word.MakeData(0x4, 4))
-	b.Send(word.MakeData(0x4, 4))
+	a.Send(word.MakeData(0x4, mustWidth(4)))
+	b.Send(word.MakeData(0x4, mustWidth(4)))
 	step(l)
 	if got := b.Recv(); got.Payload != 0x5 {
 		t.Fatalf("A->B corruptor not applied: %v", got)
@@ -189,4 +189,14 @@ func TestZeroDelayPanics(t *testing.T) {
 		}
 	}()
 	New("bad", 0)
+}
+
+// mustWidth returns the word.Width of n bits; the tests only ask for
+// widths in [1, 32].
+func mustWidth(n int) word.Width {
+	w, err := word.NewWidth(n)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

@@ -15,7 +15,7 @@ func BenchmarkLinkSteadyCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.A().Send(word.MakeData(uint32(i), 8))
+		l.A().Send(word.MakeData(uint32(i), mustWidth(8)))
 		l.B().Send(word.Word{Kind: word.DataIdle})
 		l.B().SendBCB(i%2 == 0)
 		l.Commit(cycle)

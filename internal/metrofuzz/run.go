@@ -430,7 +430,6 @@ func (i *injector) done(cycle uint64) bool {
 
 // Eval implements clock.Component: advance the traffic schedule.
 //
-//metrovet:shared driver registers via Engine.Add, so it runs in the serialized epilogue after every endpoint has evaluated
 //metrovet:truncate InjectCycles is validated into [1,20000] by Scenario.Validate
 func (i *injector) Eval(cycle uint64) {
 	if i.remaining == 0 {
@@ -489,7 +488,7 @@ func (i *injector) onResult(r nic.Result) {
 
 // offerFrom creates, tags and offers one message from src.
 //
-//metrovet:shared see Eval
+//metrovet:shared the injector registers via Engine.Add, so it runs in the serialized epilogue after every endpoint has evaluated
 func (i *injector) offerFrom(src int, cycle uint64) {
 	n := len(i.outstanding)
 	dest := i.rng.Intn(n - 1)
@@ -497,7 +496,6 @@ func (i *injector) offerFrom(src int, cycle uint64) {
 		dest++
 	}
 	i.nextID++
-	//metrovet:alloc per-injected-message tagged payload; ownership transfers to the endpoint queue
 	payload := EncodePayload(i.nextID, src, dest, i.s.PayloadBytes)
 	i.net.Send(src, dest, payload)
 	//metrovet:alloc harness ledger entry, bounded by the message budget

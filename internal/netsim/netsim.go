@@ -21,7 +21,6 @@ import (
 	"metro/internal/prng"
 	"metro/internal/telemetry"
 	"metro/internal/topo"
-	"metro/internal/word"
 )
 
 // Params configures a network build.
@@ -155,7 +154,7 @@ type Network struct {
 	// engine's kernel; its arenas hold every link of the network.
 	Compiled *kernel.Compiled
 
-	header nic.HeaderSpec // the routing header every endpoint builds with
+	endpoints *nic.Shape // what every endpoint is built from
 
 	// tiers locates every link: tier 0 holds the injection links, tier s+1
 	// the output links of stage s, and Build places each tier's links as
@@ -402,9 +401,9 @@ func Build(p Params) (*Network, error) {
 	// buffered per endpoint and replayed by the collector in endpoint-index
 	// order, so parallel endpoint evaluation cannot perturb the observable
 	// result stream.
-	n.header = nic.HeaderSpec{Width: p.Width}
+	header := nic.HeaderSpec{Width: p.Width}
 	for s, st := range p.Spec.Stages {
-		n.header.Stages = append(n.header.Stages, nic.StageHeader{
+		header.Stages = append(header.Stages, nic.StageHeader{
 			DirBits:     log2(st.Radix),
 			HeaderWords: hwOf(s),
 		})
@@ -413,7 +412,7 @@ func Build(p Params) (*Network, error) {
 	cfg := nic.Config{
 		Width:             p.Width,
 		Lanes:             c,
-		Header:            n.header,
+		Header:            header,
 		AppendRouteDigits: top.AppendRouteDigits,
 		MaxActiveSenders:  p.MaxActiveSenders,
 		RetryLimit:        p.RetryLimit,
@@ -430,13 +429,12 @@ func Build(p Params) (*Network, error) {
 			n.events[e] = append(n.events[e], event{payload: payload, intact: intact})
 		}
 	}
-	epShape, err := nic.NewShape(cfg)
-	if err != nil {
+	if n.endpoints, err = nic.NewShape(cfg); err != nil {
 		return nil, err
 	}
 	n.Endpoints = make([]*nic.Endpoint, p.Spec.Endpoints)
 	for e := range n.Endpoints {
-		n.Endpoints[e] = epShape.NewEndpoint(e)
+		n.Endpoints[e] = n.endpoints.NewEndpoint(e)
 	}
 
 	if p.Recorder != nil {
@@ -685,10 +683,7 @@ func (n *Network) KillRouter(stage, index int) {
 // MessageWords returns the number of channel words a payload of the given
 // byte length occupies, including header, end-to-end checksum and TURN —
 // useful for sizing workloads against channel bandwidth.
-func (n *Network) MessageWords(payloadBytes int) int {
-	logical := n.Params.Width * n.Params.CascadeWidth
-	return n.header.Words() + nic.PackedWords(payloadBytes, logical) + word.ChecksumWords(logical) + 1
-}
+func (n *Network) MessageWords(payloadBytes int) int { return n.endpoints.MessageWords(payloadBytes) }
 
 // take returns the next n elements of *buf, capped at n, and advances
 // *buf past them: Build carves many small slices from one allocation.

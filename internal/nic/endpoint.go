@@ -70,10 +70,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// logicalWidth returns the payload word width of the (possibly cascaded)
-// logical channel.
-func (c *Config) logicalWidth() int { return c.Width * c.Lanes }
-
 // Shape is what the endpoints of a network have in common: their Config,
 // validated and with its defaults applied, and the checksum group sizes it
 // fixes. Every endpoint built from a Shape points at it rather than holding
@@ -81,6 +77,10 @@ func (c *Config) logicalWidth() int { return c.Width * c.Lanes }
 // written once made.
 type Shape struct {
 	Config
+	// width is the physical channel width of one lane, Config.Width;
+	// logical is the payload word width of the (possibly cascaded) logical
+	// channel, Width*Lanes.
+	width, logical word.Width
 	// An end-to-end checksum is ckLogical words (sized to the logical
 	// channel), a router-injected status checksum ckPhysical (sized to the
 	// component width). Receivers and reply parsers need them per word.
@@ -91,10 +91,12 @@ type Shape struct {
 // NewShape validates cfg, once for every endpoint built from the shape.
 func NewShape(cfg Config) (*Shape, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Width < 1 || cfg.Width > 32 {
-		return nil, fmt.Errorf("nic: width %d outside [1,32]", cfg.Width)
+	width, err := word.NewWidth(cfg.Width)
+	if err != nil {
+		return nil, fmt.Errorf("nic: %w", err)
 	}
-	if lw := cfg.logicalWidth(); lw > 32 {
+	logical, err := word.NewWidth(cfg.Width * cfg.Lanes)
+	if err != nil {
 		return nil, fmt.Errorf("nic: cascaded width %d x %d lanes exceeds 32 bits", cfg.Width, cfg.Lanes)
 	}
 	if err := cfg.Header.Validate(); err != nil {
@@ -105,9 +107,18 @@ func NewShape(cfg Config) (*Shape, error) {
 	}
 	return &Shape{
 		Config:     cfg,
-		ckLogical:  word.ChecksumWords(cfg.logicalWidth()),
-		ckPhysical: word.ChecksumWords(cfg.Width),
+		width:      width,
+		logical:    logical,
+		ckLogical:  word.ChecksumWords(logical),
+		ckPhysical: word.ChecksumWords(width),
 	}, nil
+}
+
+// MessageWords returns the number of channel words a message of
+// payloadBytes occupies: routing header, packed payload, end-to-end
+// checksum and TURN.
+func (sh *Shape) MessageWords(payloadBytes int) int {
+	return sh.Header.Words() + PackedWords(payloadBytes, sh.logical) + sh.ckLogical + 1
 }
 
 // NewEndpoint constructs endpoint id of the shape's network. Links are
@@ -417,7 +428,7 @@ const (
 type lanes []*link.End
 
 // Send stages w on every lane; width is the physical width of one lane.
-func (l lanes) Send(w word.Word, width int) {
+func (l lanes) Send(w word.Word, width word.Width) {
 	if len(l) == 1 {
 		l[0].Send(w)
 		return
@@ -431,7 +442,7 @@ func (l lanes) Send(w word.Word, width int) {
 // (lanes of differing kinds) merges to Empty, which the endpoint protocol
 // treats as a failed connection; the consistency kill will have asserted
 // BCB in the same breath.
-func (l lanes) Recv(width int) word.Word {
+func (l lanes) Recv(width word.Width) word.Word {
 	if len(l) == 1 {
 		return l[0].Recv()
 	}
@@ -494,15 +505,14 @@ func (s *sender) begin(cycle uint64, p *pending) {
 // without touching the heap.
 //
 //metrovet:alloc scratch buffers grow to the message size once, then recycle across messages
-//metrovet:width logicalWidth = Width*Lanes is validated into [1,32] by NewShape
 func (s *sender) build(p *pending) {
 	e, cfg := s.e, s.e.cfg
-	lw := cfg.logicalWidth()
+	lw := cfg.logical
 	e.digits = cfg.AppendRouteDigits(e.digits[:0], p.msg.Dest)
 	p.stages = len(e.digits)
-	// The stream is header, packed payload, checksum and TURN: sized once
-	// when the record's buffer is short, never grown word by word.
-	if n := cfg.Header.Words() + PackedWords(len(p.msg.Payload), lw) + word.ChecksumWords(lw) + 1; cap(p.words) < n {
+	// The stream is sized once when the record's buffer is short, never
+	// grown word by word.
+	if n := cfg.MessageWords(len(p.msg.Payload)); cap(p.words) < n {
 		p.words = make([]word.Word, 0, n)
 	}
 	words := cfg.Header.AppendBuild(p.words[:0], e.digits)
@@ -521,7 +531,7 @@ func (s *sender) build(p *pending) {
 	for lane := 0; lane < cfg.Lanes; lane++ {
 		laneStream := p.words
 		if cfg.Lanes > 1 {
-			e.laneBuf = appendLaneSlice(e.laneBuf[:0], p.words, lane, cfg.Width)
+			e.laneBuf = appendLaneSlice(e.laneBuf[:0], p.words, lane, cfg.width)
 			laneStream = e.laneBuf
 		}
 		p.expected, e.ckScratch = cfg.Header.AppendExpectedStageChecksums(p.expected, laneStream, e.ckScratch)
@@ -533,7 +543,7 @@ func (s *sender) build(p *pending) {
 // component receives. The projection appends to dst, which is returned.
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
-func appendLaneSlice(dst []word.Word, stream []word.Word, lane, width int) []word.Word {
+func appendLaneSlice(dst []word.Word, stream []word.Word, lane int, width word.Width) []word.Word {
 	for _, w := range stream {
 		dst = append(dst, word.MemberWord(w, lane, width))
 	}
@@ -554,7 +564,7 @@ func (s *sender) eval(cycle uint64) {
 		return
 
 	case sDropping:
-		s.link.Send(word.Word{Kind: word.Drop}, s.e.cfg.Width)
+		s.link.Send(word.Word{Kind: word.Drop}, s.e.cfg.width)
 		s.state = sCooldown
 		s.cooldown = s.e.cfg.CloseGap
 		p := s.p
@@ -575,12 +585,12 @@ func (s *sender) eval(cycle uint64) {
 			s.p.res.BlockedFast++
 			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
 			s.retryOrFail(cycle)
-			s.link.Send(word.Word{Kind: word.Drop}, s.e.cfg.Width)
+			s.link.Send(word.Word{Kind: word.Drop}, s.e.cfg.width)
 			s.state = sCooldown
 			s.cooldown = s.e.cfg.CloseGap
 			return
 		}
-		s.link.Send(s.p.words[s.idx], s.e.cfg.Width)
+		s.link.Send(s.p.words[s.idx], s.e.cfg.width)
 		s.idx++
 		if s.idx == len(s.p.words) {
 			s.state = sListening
@@ -591,14 +601,14 @@ func (s *sender) eval(cycle uint64) {
 
 	case sListening:
 		// Hold the connection open while receiving.
-		s.link.Send(word.Word{Kind: word.DataIdle}, s.e.cfg.Width)
+		s.link.Send(word.Word{Kind: word.DataIdle}, s.e.cfg.width)
 		if s.link.RecvBCB() {
 			s.p.res.BlockedFast++
 			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
 			s.abortNow(cycle)
 			return
 		}
-		w := s.link.Recv(s.e.cfg.Width)
+		w := s.link.Recv(s.e.cfg.width)
 		s.parse.feed(s.e.cfg, w)
 		switch {
 		case s.parse.done:
@@ -665,7 +675,7 @@ localize:
 	// Close the connection; p stays in flight until the DROP is out.
 	s.state = sDropping
 	if delivered {
-		p.res.Reply = UnpackBytes(s.parse.reply, s.e.cfg.logicalWidth())
+		p.res.Reply = UnpackBytes(s.parse.reply, s.e.cfg.logical)
 		s.afterDrop = dropFinish
 	} else {
 		p.res.ChecksumFailures++
@@ -749,7 +759,7 @@ func (r *receiver) reset() {
 
 // eval advances the receiver's per-cycle state machine.
 func (r *receiver) eval(cycle uint64) {
-	w := r.link.Recv(r.e.cfg.Width)
+	w := r.link.Recv(r.e.cfg.width)
 	switch r.state {
 	case rIdle:
 		switch w.Kind {
@@ -774,17 +784,17 @@ func (r *receiver) eval(cycle uint64) {
 			// Reply data not ready yet (memory access in flight): hold
 			// the connection open with idle fill.
 			r.replyDelay--
-			r.link.Send(word.Word{Kind: word.DataIdle}, r.e.cfg.Width)
+			r.link.Send(word.Word{Kind: word.DataIdle}, r.e.cfg.width)
 			return
 		}
-		r.link.Send(r.reply[r.replyIdx], r.e.cfg.Width)
+		r.link.Send(r.reply[r.replyIdx], r.e.cfg.width)
 		r.replyIdx++
 		if r.replyIdx == len(r.reply) {
 			r.state = rClosing
 		}
 
 	case rClosing:
-		r.link.Send(word.Word{Kind: word.DataIdle}, r.e.cfg.Width)
+		r.link.Send(word.Word{Kind: word.DataIdle}, r.e.cfg.width)
 		switch w.Kind {
 		case word.Drop, word.Empty:
 			// Either an explicit close or the upstream going silent ends
@@ -802,7 +812,7 @@ func (r *receiver) eval(cycle uint64) {
 
 // assemble accumulates the forward stream of one message.
 //
-//metrovet:width logicalWidth is validated into [1,32] by NewShape, and ckWords < ckLogical = ChecksumWords(logicalWidth) keeps the shift below 8, where word.JoinChecksum places the same chunk
+//metrovet:width ckWords < ckLogical = ChecksumWords(logical) keeps the shift ckWords*logical.Bits() below 8, where word.JoinChecksum places the same chunk
 //metrovet:truncate e2e keeps the low byte of the joined value, as word.JoinChecksum does
 func (r *receiver) assemble(w word.Word, cycle uint64) {
 	switch w.Kind {
@@ -811,8 +821,8 @@ func (r *receiver) assemble(w word.Word, cycle uint64) {
 		r.payload = append(r.payload, w)
 	case word.ChecksumWord:
 		if int(r.ckWords) < r.e.cfg.ckLogical {
-			lw := r.e.cfg.logicalWidth()
-			r.e2e |= uint8((w.Payload & word.Mask(lw)) << (int(r.ckWords) * lw))
+			lw := r.e.cfg.logical
+			r.e2e |= uint8((w.Payload & word.Mask(lw)) << (int(r.ckWords) * lw.Bits()))
 			r.ckWords++
 		}
 	case word.Turn:
@@ -831,7 +841,6 @@ func (r *receiver) assemble(w word.Word, cycle uint64) {
 // and a TURN handing the channel back).
 //
 //metrovet:alloc per-message reply construction, not a per-cycle path
-//metrovet:width logicalWidth is validated into [1,32] by NewShape
 func (r *receiver) turn(cycle uint64) {
 	var ck word.Checksum
 	for _, w := range r.payload {
@@ -848,7 +857,7 @@ func (r *receiver) turn(cycle uint64) {
 	if !intact {
 		flags |= word.StatusNack
 	}
-	width := r.e.cfg.logicalWidth()
+	width := r.e.cfg.logical
 	// The reply buffer is reused across messages (reset re-slices it).
 	reply := append(r.reply[:0], word.Word{Kind: word.Status, Payload: flags & word.Mask(width)})
 	reply = word.AppendChecksum(reply, computed, width)
@@ -877,6 +886,6 @@ func (r *receiver) turn(cycle uint64) {
 
 func (r *receiver) deliver() {
 	if r.e.cfg.OnDeliver != nil {
-		r.e.cfg.OnDeliver(r.e.id, UnpackBytes(r.payload, r.e.cfg.logicalWidth()), r.intact)
+		r.e.cfg.OnDeliver(r.e.id, UnpackBytes(r.payload, r.e.cfg.logical), r.intact)
 	}
 }

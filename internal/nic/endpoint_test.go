@@ -322,8 +322,8 @@ func TestLaneSliceProjection(t *testing.T) {
 		{Kind: word.ChecksumWord, Payload: 0xCD},
 		{Kind: word.Turn},
 	}
-	lane0 := appendLaneSlice(nil, stream, 0, 4)
-	lane1 := appendLaneSlice(nil, stream, 1, 4)
+	lane0 := appendLaneSlice(nil, stream, 0, mustWidth(4))
+	lane1 := appendLaneSlice(nil, stream, 1, mustWidth(4))
 	if lane0[0] != stream[0] || lane1[0] != stream[0] {
 		t.Fatal("route word not replicated")
 	}
@@ -337,7 +337,7 @@ func TestLaneSliceProjection(t *testing.T) {
 		t.Fatal("turn not replicated")
 	}
 	// Lane 0 at the full width is the stream itself.
-	same := appendLaneSlice(nil, stream, 0, 8)
+	same := appendLaneSlice(nil, stream, 0, mustWidth(8))
 	for i := range stream {
 		if same[i] != stream[i] {
 			t.Fatal("full-width lane 0 should be identity")

@@ -8,47 +8,43 @@ import (
 )
 
 // FuzzPackUnpackBytes checks the bit-stream payload codec at every
-// channel width in [1,32]: unpacking a packed payload must return the
-// original bytes followed only by the zero padding that word-granular
-// channels introduce, and the word count must match the documented
-// ceiling.
+// channel width, drawn from the fuzzed byte: unpacking a packed payload
+// must return the original bytes followed only by the zero padding that
+// word-granular channels introduce, and the word count must match the
+// documented ceiling.
 func FuzzPackUnpackBytes(f *testing.F) {
-	f.Add([]byte(nil), 8)
-	f.Add([]byte{0x01}, 1)
-	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, 3)
-	f.Add([]byte("source responsibility"), 16)
-	f.Add(bytes.Repeat([]byte{0xff}, 9), 32)
-	f.Fuzz(func(t *testing.T, payload []byte, width int) {
-		w := width % 32
-		if w < 0 {
-			w = -w
-		}
-		w++ // [1,32]
+	f.Add([]byte(nil), uint8(7))
+	f.Add([]byte{0x01}, uint8(0))
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, uint8(2))
+	f.Add([]byte("source responsibility"), uint8(15))
+	f.Add(bytes.Repeat([]byte{0xff}, 9), uint8(31))
+	f.Fuzz(func(t *testing.T, payload []byte, wb uint8) {
+		w := mustWidth(int(wb)%32 + 1)
 		if len(payload) > 1<<12 {
 			payload = payload[:1<<12]
 		}
 		words := PackBytes(payload, w)
-		if want := (len(payload)*8 + w - 1) / w; len(words) != want {
-			t.Fatalf("width %d: packed %d bytes into %d words, want %d", w, len(payload), len(words), want)
+		if want := (len(payload)*8 + w.Bits() - 1) / w.Bits(); len(words) != want {
+			t.Fatalf("width %d: packed %d bytes into %d words, want %d", w.Bits(), len(payload), len(words), want)
 		}
 		for i, pw := range words {
 			if pw.Kind != word.Data {
-				t.Fatalf("width %d: word %d has kind %v", w, i, pw.Kind)
+				t.Fatalf("width %d: word %d has kind %v", w.Bits(), i, pw.Kind)
 			}
 			if pw.Payload&^word.Mask(w) != 0 {
-				t.Fatalf("width %d: word %d payload %#x exceeds channel mask", w, i, pw.Payload)
+				t.Fatalf("width %d: word %d payload %#x exceeds channel mask", w.Bits(), i, pw.Payload)
 			}
 		}
 		got := UnpackBytes(words, w)
 		if len(got) < len(payload) {
-			t.Fatalf("width %d: unpacked %d bytes from a %d-byte payload", w, len(got), len(payload))
+			t.Fatalf("width %d: unpacked %d bytes from a %d-byte payload", w.Bits(), len(got), len(payload))
 		}
 		if !bytes.Equal(got[:len(payload)], payload) {
-			t.Fatalf("width %d: payload corrupted through pack/unpack", w)
+			t.Fatalf("width %d: payload corrupted through pack/unpack", w.Bits())
 		}
 		for i := len(payload); i < len(got); i++ {
 			if got[i] != 0 {
-				t.Fatalf("width %d: nonzero padding byte %#x at %d", w, got[i], i)
+				t.Fatalf("width %d: nonzero padding byte %#x at %d", w.Bits(), got[i], i)
 			}
 		}
 	})
@@ -98,7 +94,7 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 			t.Fatalf("constructed spec invalid: %v", err)
 		}
 
-		data := PackBytes(payload, w)
+		data := PackBytes(payload, mustWidth(w))
 		stream := append(h.Build(digits), data...)
 		if got, want := h.Words(), len(stream)-len(data); got != want {
 			t.Fatalf("Words() = %d, Build made %d", got, want)
@@ -147,7 +143,7 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 				t.Fatalf("payload word %d changed during header stripping: %v -> %v", i, data[i], stream[i])
 			}
 		}
-		if got := UnpackBytes(stream, w); !bytes.Equal(got[:len(payload)], payload) {
+		if got := UnpackBytes(stream, mustWidth(w)); !bytes.Equal(got[:len(payload)], payload) {
 			t.Fatalf("payload corrupted after full strip")
 		}
 	})

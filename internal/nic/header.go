@@ -66,8 +66,6 @@ func (h HeaderSpec) Validate() error {
 //
 // An hw>=1 stage always gets its own ROUTE word carrying just its digit,
 // followed by hw-1 HEADER-PAD words, all of which that stage consumes.
-//
-//metrovet:alloc per-attempt header construction, not a per-cycle path
 func (h HeaderSpec) Build(digits []int) []word.Word {
 	return h.AppendBuild(nil, digits)
 }
@@ -138,10 +136,6 @@ func (h HeaderSpec) Words() int {
 // StripStage transforms a word stream the way stage s consumes it: the
 // words a stage-(s+1) router would receive. Used to compute the expected
 // per-stage checksums for fault localization.
-//
-//metrovet:alloc per-attempt checksum precomputation, not a per-cycle path
-//metrovet:truncate DirBits >= 0 by Validate
-//metrovet:width DirBits <= Width <= 32 by Validate, and the shift only executes when w.Bits > DirBits, which forces DirBits < 32
 func (h HeaderSpec) StripStage(stream []word.Word, s int) []word.Word {
 	st := h.Stages[s]
 	out := make([]word.Word, 0, len(stream))
@@ -233,52 +227,46 @@ func (h HeaderSpec) stripStageInPlace(stream []word.Word, s int) []word.Word {
 	return out
 }
 
-// PackBytes packs a byte payload into width-bit data words as an LSB-first
-// bit stream: the first byte's low bit travels first. Works for any width
-// in [1, 32], including wide cascaded channels that carry several bytes
-// per word.
+// PackBytes packs a byte payload into w-bit data words as an LSB-first
+// bit stream: the first byte's low bit travels first. Wide cascaded
+// channels carry several bytes per word.
 //
 //metrovet:alloc per-message payload packing, not a per-cycle path
-func PackBytes(payload []byte, width int) []word.Word {
-	if width < 1 || width > 32 {
-		panic(fmt.Sprintf("nic: width %d outside [1,32]", width))
-	}
-	return AppendPackBytes(make([]word.Word, 0, PackedWords(len(payload), width)), payload, width)
+func PackBytes(payload []byte, w word.Width) []word.Word {
+	return AppendPackBytes(make([]word.Word, 0, PackedWords(len(payload), w)), payload, w)
 }
 
-// PackedWords returns the number of width-bit data words PackBytes packs
-// n bytes into.
-func PackedWords(n, width int) int { return (n*8 + width - 1) / width }
+// PackedWords returns the number of w-bit data words PackBytes packs n
+// bytes into.
+func PackedWords(n int, w word.Width) int { return (n*8 + w.Bits() - 1) / w.Bits() }
 
 // AppendPackBytes is the allocation-free variant of PackBytes: packed data
 // words append to dst, which is returned.
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
-//metrovet:truncate uint32(acc) deliberately extracts the low word; it feeds a Mask(width) bit slice
-//metrovet:width accBits stays in [0, width+7] with width <= 32 (panic guard): each 8-bit refill drains down below width
-func AppendPackBytes(dst []word.Word, payload []byte, width int) []word.Word {
-	if width < 1 || width > 32 {
-		panic(fmt.Sprintf("nic: width %d outside [1,32]", width))
-	}
+//metrovet:truncate uint32(acc) deliberately extracts the low word; MakeData masks it to w
+//metrovet:width accBits stays in [0, w.Bits()+7], below 40: each 8-bit refill drains down below w.Bits() <= 32
+func AppendPackBytes(dst []word.Word, payload []byte, w word.Width) []word.Word {
+	width := w.Bits()
 	var acc uint64
 	accBits := 0
 	for _, b := range payload {
 		acc |= uint64(b) << uint(accBits)
 		accBits += 8
 		for accBits >= width {
-			dst = append(dst, word.MakeData(uint32(acc)&word.Mask(width), width))
+			dst = append(dst, word.MakeData(uint32(acc), w))
 			acc >>= uint(width)
 			accBits -= width
 		}
 	}
 	if accBits > 0 {
-		dst = append(dst, word.MakeData(uint32(acc)&word.Mask(width), width))
+		dst = append(dst, word.MakeData(uint32(acc), w))
 	}
 	return dst
 }
 
 // UnpackBytes inverts PackBytes. Partial trailing bytes are discarded, but
-// note that when width > 8 and the original payload did not fill a whole
+// note that when w > 8 and the original payload did not fill a whole
 // number of words, PackBytes added zero padding bits that decode as extra
 // trailing zero bytes: wide channels deliver payloads at channel-word
 // granularity, exactly as aligned hardware transfers do. Applications
@@ -286,14 +274,14 @@ func AppendPackBytes(dst []word.Word, payload []byte, width int) []word.Word {
 //
 //metrovet:alloc per-message payload unpacking, not a per-cycle path
 //metrovet:truncate byte(acc) deliberately extracts the low byte of the accumulator
-//metrovet:width every caller passes a [1,32] width (NewShape validates channel widths), so accBits stays in [0, 39]
-func UnpackBytes(words []word.Word, width int) []byte {
+//metrovet:width accBits stays in [0, w.Bits()+7], below 40: each word adds w.Bits() <= 32 and the inner loop drains it below 8
+func UnpackBytes(words []word.Word, w word.Width) []byte {
 	var out []byte
 	var acc uint64
 	accBits := 0
-	for _, w := range words {
-		acc |= uint64(w.Payload&word.Mask(width)) << uint(accBits)
-		accBits += width
+	for _, x := range words {
+		acc |= uint64(x.Payload&word.Mask(w)) << uint(accBits)
+		accBits += w.Bits()
 		for accBits >= 8 {
 			out = append(out, byte(acc))
 			acc >>= 8

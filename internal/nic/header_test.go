@@ -102,7 +102,7 @@ func TestStripChainConsumesEverything(t *testing.T) {
 		for i, st := range h.Stages {
 			digits[i] = (1 << uint(st.DirBits)) - 1 // max digit
 		}
-		payload := []word.Word{word.MakeData(0xA, h.Width), word.MakeData(0x5, h.Width)}
+		payload := []word.Word{word.MakeData(0xA, mustWidth(h.Width)), word.MakeData(0x5, mustWidth(h.Width))}
 		stream := append(h.Build(digits), payload...)
 		for s := range h.Stages {
 			// The first word each stage sees must be a usable ROUTE word.
@@ -147,7 +147,7 @@ func firstContent(ws []word.Word) word.Word {
 
 func TestExpectedStageChecksumsMatchManual(t *testing.T) {
 	h := HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 1}, {DirBits: 2}}}
-	stream := append(h.Build([]int{1, 2}), word.MakeData(0x42, 8))
+	stream := append(h.Build([]int{1, 2}), word.MakeData(0x42, mustWidth(8)))
 	sums, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
 	if len(sums) != 2 {
 		t.Fatalf("sums = %v", sums)
@@ -172,8 +172,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	f := func(data []byte, widthSeed uint8) bool {
 		widths := []int{1, 2, 4, 8, 12, 16, 24, 32}
 		w := widths[int(widthSeed)%len(widths)]
-		words := PackBytes(data, w)
-		back := UnpackBytes(words, w)
+		words := PackBytes(data, mustWidth(w))
+		back := UnpackBytes(words, mustWidth(w))
 		// The payload must round-trip exactly; wide channels may append
 		// zero padding up to one channel word's worth of bytes.
 		if len(back) < len(data) || !bytes.Equal(back[:len(data)], data) {
@@ -197,17 +197,17 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 
 func TestPackBytesWidths(t *testing.T) {
 	// w=4: each byte becomes two nibbles, low first.
-	words := PackBytes([]byte{0xAB}, 4)
+	words := PackBytes([]byte{0xAB}, mustWidth(4))
 	if len(words) != 2 || words[0].Payload != 0xB || words[1].Payload != 0xA {
 		t.Fatalf("nibble packing = %v", words)
 	}
 	// w=8: identity.
-	words = PackBytes([]byte{0x12, 0x34}, 8)
+	words = PackBytes([]byte{0x12, 0x34}, mustWidth(8))
 	if len(words) != 2 || words[0].Payload != 0x12 {
 		t.Fatalf("byte packing = %v", words)
 	}
 	// w=1: bits, LSB first.
-	words = PackBytes([]byte{0b10000001}, 1)
+	words = PackBytes([]byte{0b10000001}, mustWidth(1))
 	if len(words) != 8 || words[0].Payload != 1 || words[7].Payload != 1 || words[3].Payload != 0 {
 		t.Fatalf("bit packing = %v", words)
 	}
@@ -261,7 +261,7 @@ func TestHeaderStripChainProperty(t *testing.T) {
 		if h.Validate() != nil {
 			return true
 		}
-		stream := append(h.Build(digits), word.MakeData(0x3, width))
+		stream := append(h.Build(digits), word.MakeData(0x3, mustWidth(width)))
 		for s, st := range h.Stages {
 			var got int
 			if st.HeaderWords == 0 {
@@ -295,7 +295,7 @@ func TestHeaderStripChainProperty(t *testing.T) {
 func TestExpectedChecksumsChangeWithCorruption(t *testing.T) {
 	h := HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}}
 	stream := append(h.Build([]int{1, 0, 2}),
-		word.MakeData(0x10, 8), word.MakeData(0x20, 8))
+		word.MakeData(0x10, mustWidth(8)), word.MakeData(0x20, mustWidth(8)))
 	clean, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
 	corrupt := append([]word.Word(nil), stream...)
 	corrupt[len(corrupt)-1].Payload ^= 0x1

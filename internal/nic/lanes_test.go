@@ -10,6 +10,9 @@ import (
 
 // laneFixture joins n delay-1 links into a source-side and a
 // destination-side channel of 4-bit lanes.
+// w4 is the lane width the fixtures below send at.
+var w4 = mustWidth(4)
+
 func laneFixture(n int) (a, b lanes, links []*link.Link) {
 	for k := 0; k < n; k++ {
 		l := link.New("lane", 1)
@@ -27,18 +30,18 @@ func stepLinks(links []*link.Link) {
 
 func TestLanesDataRoundTrip(t *testing.T) {
 	a, b, links := laneFixture(2)
-	a.Send(word.Word{Kind: word.Data, Payload: 0xC5}, 4)
+	a.Send(word.Word{Kind: word.Data, Payload: 0xC5}, w4)
 	stepLinks(links)
 	if got := links[0].B().Recv(); got.Payload != 0x5 {
 		t.Fatalf("lane 0 carries %v, want the low nibble 0x5", got)
 	}
-	if got := b.Recv(4); got.Kind != word.Data || got.Payload != 0xC5 {
+	if got := b.Recv(w4); got.Kind != word.Data || got.Payload != 0xC5 {
 		t.Fatalf("cascaded recv = %v", got)
 	}
 	// Reverse direction.
-	b.Send(word.Word{Kind: word.ChecksumWord, Payload: 0x3A}, 4)
+	b.Send(word.Word{Kind: word.ChecksumWord, Payload: 0x3A}, w4)
 	stepLinks(links)
-	if back := a.Recv(4); back.Kind != word.ChecksumWord || back.Payload != 0x3A {
+	if back := a.Recv(w4); back.Kind != word.ChecksumWord || back.Payload != 0x3A {
 		t.Fatalf("reverse cascaded recv = %v", back)
 	}
 }
@@ -46,14 +49,14 @@ func TestLanesDataRoundTrip(t *testing.T) {
 func TestLanesControlReplication(t *testing.T) {
 	a, b, links := laneFixture(3)
 	route := word.MakeRoute(0b101, 3)
-	a.Send(route, 4)
+	a.Send(route, w4)
 	stepLinks(links)
 	for k, l := range links {
 		if got := l.B().Recv(); got != route {
 			t.Fatalf("lane %d carries %v, want the route word replicated", k, got)
 		}
 	}
-	if got := b.Recv(4); got != route {
+	if got := b.Recv(w4); got != route {
 		t.Fatalf("route through the cascade = %v, want %v with its Bits kept", got, route)
 	}
 }
@@ -80,7 +83,7 @@ func TestLanesLockstepViolation(t *testing.T) {
 	links[0].A().Send(word.Word{Kind: word.Data, Payload: 1})
 	links[1].A().Send(word.Word{Kind: word.DataIdle})
 	stepLinks(links)
-	if got := b.Recv(4); !got.IsEmpty() {
+	if got := b.Recv(w4); !got.IsEmpty() {
 		t.Fatalf("lockstep violation merged to %v, want Empty", got)
 	}
 }
@@ -94,9 +97,9 @@ func TestSingleLanePassesWordsUnchanged(t *testing.T) {
 		w.Payload |= 0x100
 		return w
 	}, nil)
-	a.Send(word.Word{Kind: word.Data, Payload: 0x3A}, 4)
+	a.Send(word.Word{Kind: word.Data, Payload: 0x3A}, w4)
 	stepLinks(links)
-	if got := b.Recv(4); got != (word.Word{Kind: word.Data, Payload: 0x13A}) {
+	if got := b.Recv(w4); got != (word.Word{Kind: word.Data, Payload: 0x13A}) {
 		t.Fatalf("single lane delivered %v, want DATA(0x13a) unmasked", got)
 	}
 }
@@ -141,7 +144,7 @@ func TestLanesCorruptorCallOrder(t *testing.T) {
 		if calls != tc.bcbCalls {
 			t.Fatalf("lane 0 BCB %v: RecvBCB made %d lane 1 corruptor calls, want %d", tc.bcb0, calls, tc.bcbCalls)
 		}
-		a.Recv(4)
+		a.Recv(w4)
 		if calls != tc.all {
 			t.Fatalf("lane 0 BCB %v: RecvBCB and Recv made %d lane 1 corruptor calls, want %d", tc.bcb0, calls, tc.all)
 		}

@@ -77,8 +77,6 @@ func (p *parser) blockedStage(sh *Shape) int {
 // feed consumes one received word on a channel of shape sh. Empty and
 // DataIdle are transparent everywhere (idle fill is inserted freely by
 // routers).
-//
-//metrovet:width parser widths come from the endpoint's Shape, validated into [1,32] by NewShape
 func (p *parser) feed(sh *Shape, w word.Word) {
 	if p.done || p.closed || p.failed {
 		return
@@ -130,18 +128,17 @@ func (p *parser) feed(sh *Shape, w word.Word) {
 		case pRouterCk:
 			// Each lane's component reported its own CRC; the merged
 			// stream interleaves the chunks lane-wise within each word.
-			//metrovet:alloc grows to stages*lanes once, then recycles across attempts
-			p.routerCks = appendLaneChecksums(p.routerCks, p.ckbuf, sh.Width, sh.Lanes)
+			p.routerCks = appendLaneChecksums(p.routerCks, p.ckbuf, sh.width, sh.Lanes)
 			if p.curBlocked {
 				p.phase = pAwaitDrop
 			} else {
 				p.phase = pStatus
 			}
 		case pDestCk:
-			p.destCk = word.JoinChecksum(p.ckbuf, sh.logicalWidth())
+			p.destCk = word.JoinChecksum(p.ckbuf, sh.logical)
 			p.phase = pReply
 		case pReplyCk:
-			p.replyCk = word.JoinChecksum(p.ckbuf, sh.logicalWidth())
+			p.replyCk = word.JoinChecksum(p.ckbuf, sh.logical)
 			p.gotReplyCk = true
 			p.phase = pAwaitTurn
 		}
@@ -189,22 +186,15 @@ func (p *parser) startCk(next pPhase) {
 // materializing it.
 //
 //metrovet:alloc appends into the recycled routerCks buffer; steady state reuses capacity
-//metrovet:width lane < lanes and width = cfg.Width, so lane*width < Width*Lanes <= 32 (validated by NewShape)
-//metrovet:truncate lane and width are nonnegative (loop index and validated channel width)
-func appendLaneChecksums(dst []uint8, merged []word.Word, width, lanes int) []uint8 {
-	if width < 1 {
-		// Matches JoinChecksum's clamp: a nonpositive width joins to zero.
-		for lane := 0; lane < lanes; lane++ {
-			dst = append(dst, 0)
-		}
-		return dst
-	}
+//metrovet:width lane < lanes, so lane*width.Bits() < Width*Lanes <= 32 (NewShape), and the break keeps shift below 8
+//metrovet:truncate lane is a loop index and width.Bits() positive, so lane*width.Bits() and shift are nonnegative
+func appendLaneChecksums(dst []uint8, merged []word.Word, width word.Width, lanes int) []uint8 {
 	for lane := 0; lane < lanes; lane++ {
 		var v uint32
 		shift := 0
 		for _, w := range merged {
-			v |= ((w.Payload >> uint(lane*width)) & word.Mask(width)) << uint(shift)
-			shift += width
+			v |= ((w.Payload >> uint(lane*width.Bits())) & word.Mask(width)) << uint(shift)
+			shift += width.Bits()
 			if shift >= 8 {
 				break
 			}

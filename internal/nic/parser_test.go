@@ -40,12 +40,12 @@ func TestParserHappyPath(t *testing.T) {
 	p.feedAll(
 		word.Word{Kind: word.DataIdle}, // idle fill is transparent
 		statusWord(0),                  // router 0
-		word.AppendChecksum(nil, 0xAA, 8)[0],
+		word.AppendChecksum(nil, 0xAA, mustWidth(8))[0],
 		word.Word{Kind: word.DataIdle},
 		statusWord(0), // router 1
-		word.AppendChecksum(nil, 0xBB, 8)[0],
+		word.AppendChecksum(nil, 0xBB, mustWidth(8))[0],
 		statusWord(word.StatusDest), // destination ack
-		word.AppendChecksum(nil, 0xCC, 8)[0],
+		word.AppendChecksum(nil, 0xCC, mustWidth(8))[0],
 		word.Word{Kind: word.Turn},
 	)
 	if !p.done || p.failed || p.closed {
@@ -66,12 +66,12 @@ func TestParserWithReply(t *testing.T) {
 	p := parserFor(8, 1)
 	p.feedAll(
 		statusWord(0),
-		word.AppendChecksum(nil, 0x01, 8)[0],
+		word.AppendChecksum(nil, 0x01, mustWidth(8))[0],
 		statusWord(word.StatusDest),
-		word.AppendChecksum(nil, 0x02, 8)[0],
-		word.MakeData(0x10, 8),
-		word.MakeData(0x20, 8),
-		word.AppendChecksum(nil, 0x7F, 8)[0],
+		word.AppendChecksum(nil, 0x02, mustWidth(8))[0],
+		word.MakeData(0x10, mustWidth(8)),
+		word.MakeData(0x20, mustWidth(8)),
+		word.AppendChecksum(nil, 0x7F, mustWidth(8))[0],
 		word.Word{Kind: word.Turn},
 	)
 	if !p.done {
@@ -89,9 +89,9 @@ func TestParserBlockedAtStage(t *testing.T) {
 	p := parserFor(8, 1)
 	p.feedAll(
 		statusWord(0), // stage 0 fine
-		word.AppendChecksum(nil, 0x11, 8)[0],
+		word.AppendChecksum(nil, 0x11, mustWidth(8))[0],
 		statusWord(word.StatusBlocked), // stage 1 blocked
-		word.AppendChecksum(nil, 0x22, 8)[0],
+		word.AppendChecksum(nil, 0x22, mustWidth(8))[0],
 		word.Word{Kind: word.Drop},
 	)
 	if !p.closed {
@@ -109,9 +109,9 @@ func TestParserNackRecorded(t *testing.T) {
 	p := parserFor(8, 1)
 	p.feedAll(
 		statusWord(0),
-		word.AppendChecksum(nil, 0, 8)[0],
+		word.AppendChecksum(nil, 0, mustWidth(8))[0],
 		statusWord(word.StatusDest|word.StatusNack),
-		word.AppendChecksum(nil, 0, 8)[0],
+		word.AppendChecksum(nil, 0, mustWidth(8))[0],
 		word.Word{Kind: word.Turn},
 	)
 	if !p.done {
@@ -124,7 +124,7 @@ func TestParserNackRecorded(t *testing.T) {
 
 func TestParserSplitChecksumWidth4(t *testing.T) {
 	p := parserFor(4, 1)
-	cks := word.AppendChecksum(nil, 0x5A, 4)
+	cks := word.AppendChecksum(nil, 0x5A, mustWidth(4))
 	p.feedAll(statusWord(0))
 	p.feedAll(cks...)
 	if len(p.routerCks) != 1 || p.routerCks[0] != 0x5A {
@@ -134,7 +134,7 @@ func TestParserSplitChecksumWidth4(t *testing.T) {
 
 func TestParserProtocolViolation(t *testing.T) {
 	p := parserFor(8, 1)
-	p.feedAll(word.MakeData(1, 8)) // data before any status
+	p.feedAll(word.MakeData(1, mustWidth(8))) // data before any status
 	if !p.failed {
 		t.Fatal("data before status should fail the parse")
 	}
@@ -152,8 +152,8 @@ func TestParserNoiseAfterBlockedIgnored(t *testing.T) {
 	p := parserFor(8, 1)
 	p.feedAll(
 		statusWord(word.StatusBlocked),
-		word.AppendChecksum(nil, 0x10, 8)[0],
-		word.MakeData(0xFF, 8), // garbage on a dying connection
+		word.AppendChecksum(nil, 0x10, mustWidth(8))[0],
+		word.MakeData(0xFF, mustWidth(8)), // garbage on a dying connection
 		word.Word{Kind: word.Drop},
 	)
 	if p.failed {
@@ -162,4 +162,14 @@ func TestParserNoiseAfterBlockedIgnored(t *testing.T) {
 	if !p.closed {
 		t.Fatal("drop should still close")
 	}
+}
+
+// mustWidth returns the word.Width of n bits; the tests only ask for
+// widths in [1, 32].
+func mustWidth(n int) word.Width {
+	w, err := word.NewWidth(n)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

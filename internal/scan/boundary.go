@@ -24,7 +24,7 @@ import (
 // the clocked links.
 type Boundary struct {
 	router *core.Router
-	width  int
+	width  word.Width
 	out    []uint32 // backward-port output cells
 	drive  bool
 }
@@ -33,7 +33,7 @@ type Boundary struct {
 func NewBoundary(r *core.Router) *Boundary {
 	return &Boundary{
 		router: r,
-		width:  r.Config().Width,
+		width:  r.Width(),
 		out:    make([]uint32, r.Config().Outputs),
 	}
 }
@@ -41,7 +41,7 @@ func NewBoundary(r *core.Router) *Boundary {
 // Len implements Register.
 func (b *Boundary) Len() int {
 	cfg := b.router.Config()
-	return (cfg.Inputs + cfg.Outputs) * b.width
+	return (cfg.Inputs + cfg.Outputs) * b.width.Bits()
 }
 
 // Capture implements Register: SAMPLE of the live port pins.
@@ -49,7 +49,7 @@ func (b *Boundary) Capture() []bool {
 	cfg := b.router.Config()
 	bits := make([]bool, 0, b.Len())
 	appendCell := func(v uint32) {
-		bits = append(bits, UintToBits(uint64(v&word.Mask(b.width)), b.width)...)
+		bits = append(bits, UintToBits(uint64(v&word.Mask(b.width)), b.width.Bits())...)
 	}
 	for fp := 0; fp < cfg.Inputs; fp++ {
 		v := uint32(0)
@@ -68,16 +68,17 @@ func (b *Boundary) Capture() []bool {
 // begins on the next simulation cycle and persists until Release.
 func (b *Boundary) Update(bits []bool) {
 	cfg := b.router.Config()
-	pos := cfg.Inputs * b.width // skip the input cells
+	width := b.width.Bits()
+	pos := cfg.Inputs * width // skip the input cells
 	for bp := 0; bp < cfg.Outputs; bp++ {
 		var v uint64
-		for i := 0; i < b.width && pos+i < len(bits); i++ {
+		for i := 0; i < width && pos+i < len(bits); i++ {
 			if bits[pos+i] {
 				v |= 1 << uint(i)
 			}
 		}
 		b.out[bp] = uint32(v)
-		pos += b.width
+		pos += width
 	}
 	b.drive = true
 }
@@ -92,7 +93,6 @@ func (b *Boundary) Driving() bool { return b.drive }
 // output cells onto every disabled backward port's link.
 //
 //metrovet:shared reads only its own router's settings and drives its links; a Boundary registers via Engine.Add, so it never runs concurrently with its router's Eval
-//metrovet:width width copies Config.Width, which Config.Validate bounds to [1,32]
 func (b *Boundary) Eval(cycle uint64) {
 	if !b.drive {
 		return
@@ -109,9 +109,10 @@ func (b *Boundary) Eval(cycle uint64) {
 
 // InputCell extracts forward port fp's sampled value from a Capture image.
 func (b *Boundary) InputCell(bits []bool, fp int) uint32 {
-	start := fp * b.width
+	width := b.width.Bits()
+	start := fp * width
 	var v uint64
-	for i := 0; i < b.width && start+i < len(bits); i++ {
+	for i := 0; i < width && start+i < len(bits); i++ {
 		if bits[start+i] {
 			v |= 1 << uint(i)
 		}
@@ -124,9 +125,10 @@ func (b *Boundary) InputCell(bits []bool, fp int) uint32 {
 func (b *Boundary) OutputCellBits(values map[int]uint32) []bool {
 	cfg := b.router.Config()
 	bits := make([]bool, b.Len())
+	width := b.width.Bits()
 	for bp, v := range values {
-		start := (cfg.Inputs + bp) * b.width
-		copy(bits[start:start+b.width], UintToBits(uint64(v&word.Mask(b.width)), b.width))
+		start := (cfg.Inputs + bp) * width
+		copy(bits[start:start+width], UintToBits(uint64(v&word.Mask(b.width)), width))
 	}
 	return bits
 }

@@ -59,7 +59,7 @@ func TestExtestLocalizesStuckBitAcrossChips(t *testing.T) {
 	dB := NewDriver(mtB.TAPs()[0])
 	dB.Reset()
 
-	var stuckHigh uint32 = word.Mask(4)
+	var stuckHigh uint32 = word.Mask(mustWidth(4))
 	for _, p := range []uint32{0x0, 0xF, 0x1, 0x2, 0x4, 0x8} {
 		dA.WriteRegister(EXTEST, mtA.Boundary().OutputCellBits(map[int]uint32{2: p}))
 		eng.Run(3)

@@ -94,10 +94,10 @@ type LoopbackResult struct {
 // first, so the patterns cannot disturb live traffic — this is the
 // paper's on-line diagnosis flow. The walking-ones and walking-zeros
 // patterns over the given width are always included.
-func LoopbackTest(l *link.Link, width int, extra []uint32) LoopbackResult {
+func LoopbackTest(l *link.Link, width word.Width, extra []uint32) LoopbackResult {
 	res := LoopbackResult{Passed: true}
 	patterns := []uint32{0, word.Mask(width)}
-	for b := 0; b < width; b++ {
+	for b := 0; b < width.Bits(); b++ {
 		patterns = append(patterns, 1<<uint(b))
 		patterns = append(patterns, word.Mask(width)&^(1<<uint(b)))
 	}

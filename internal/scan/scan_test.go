@@ -199,7 +199,7 @@ func TestInvalidScanConfigRejected(t *testing.T) {
 
 func TestLoopbackTestHealthyLink(t *testing.T) {
 	l := link.New("t", 1)
-	res := LoopbackTest(l, 4, []uint32{0x5, 0xA})
+	res := LoopbackTest(l, mustWidth(4), []uint32{0x5, 0xA})
 	if !res.Passed {
 		t.Fatalf("healthy link failed: %+v", res)
 	}
@@ -214,7 +214,7 @@ func TestLoopbackTestLocalizesStuckBit(t *testing.T) {
 		w.Payload |= 0x4 // bit 2 stuck high
 		return w
 	}, nil)
-	res := LoopbackTest(l, 4, nil)
+	res := LoopbackTest(l, mustWidth(4), nil)
 	if res.Passed {
 		t.Fatal("stuck bit not detected")
 	}
@@ -232,7 +232,7 @@ func TestLoopbackTestStuckLow(t *testing.T) {
 		w.Payload &^= 0x1
 		return w
 	}, nil)
-	res := LoopbackTest(l, 4, nil)
+	res := LoopbackTest(l, mustWidth(4), nil)
 	if res.Passed || res.StuckLow != 0x1 || res.StuckHigh != 0 {
 		t.Fatalf("stuck-low localization wrong: %+v", res)
 	}
@@ -241,7 +241,7 @@ func TestLoopbackTestStuckLow(t *testing.T) {
 func TestLoopbackTestDeadLink(t *testing.T) {
 	l := link.New("t", 1)
 	l.Kill()
-	res := LoopbackTest(l, 4, nil)
+	res := LoopbackTest(l, mustWidth(4), nil)
 	if res.Passed {
 		t.Fatal("dead link passed loopback")
 	}
@@ -275,7 +275,7 @@ func TestIsolatePortTestAndMask(t *testing.T) {
 	_ = bits
 
 	// Boundary test the isolated link.
-	res := LoopbackTest(faulty, 4, nil)
+	res := LoopbackTest(faulty, mustWidth(4), nil)
 	if res.Passed || res.StuckHigh != 0x8 {
 		t.Fatalf("fault not localized: %+v", res)
 	}
@@ -334,4 +334,14 @@ func TestSetPortEnabledOverScan(t *testing.T) {
 	if SetPortEnabled(mt, r, true, 0, false) {
 		t.Fatal("operation succeeded with no working scan path")
 	}
+}
+
+// mustWidth returns the word.Width of n bits; the tests only ask for
+// widths in [1, 32].
+func mustWidth(n int) word.Width {
+	w, err := word.NewWidth(n)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

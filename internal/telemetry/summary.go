@@ -84,8 +84,6 @@ type StageConns struct {
 
 // Sink tallies the connection events of one drained recorder buffer; it
 // has the signature Recorder.SetSink expects.
-//
-//metrovet:alloc grows once per network stage, on that stage's first event
 func (c *StageConns) Sink(events []Event) {
 	for i := range events {
 		ev := &events[i]

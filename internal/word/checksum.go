@@ -53,64 +53,35 @@ func (c *Checksum) Add(w Word) {
 func (c *Checksum) Sum() uint8 { return c.crc }
 
 // ChecksumWords returns the number of w-bit words needed to carry a CRC-8
-// value on a channel of the given width.
-func ChecksumWords(width int) int {
-	if width <= 0 {
-		return 0
-	}
-	n := 8 / width
-	if 8%width != 0 {
-		n++
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// value.
+func ChecksumWords(w Width) int { return (w.Bits() + 7) / w.Bits() }
 
-// AppendChecksum appends the ChecksumWords(width) channel words carrying a
-// CRC-8 value to dst, least-significant chunk first. A nonpositive width
-// carries no words (as ChecksumWords agrees) and widths past 32 behave
-// exactly like 32.
+// AppendChecksum appends the ChecksumWords(w) channel words carrying a
+// CRC-8 value to dst, least-significant chunk first.
 //
 //metrovet:alloc appends into caller-owned scratch sized for the stream; steady state reuses capacity
-//metrovet:width the two guards clamp width into [1, 32] before any use, so the step min(width, 8) is in [1, 8]; a runtime contract, held by TestSplitJoinChecksumRoundTrip
-func AppendChecksum(dst []Word, sum uint8, width int) []Word {
-	if width < 1 {
-		return dst
-	}
-	if width > 32 {
-		width = 32
-	}
-	n := ChecksumWords(width)
+//metrovet:width the step min(w.Bits(), 8) is in [1, 8], as Width bounds Bits to [1, 32]
+func AppendChecksum(dst []Word, sum uint8, w Width) []Word {
+	n := ChecksumWords(w)
 	v := uint32(sum)
 	for i := 0; i < n; i++ {
-		dst = append(dst, Word{Kind: ChecksumWord, Payload: v & Mask(width)})
+		dst = append(dst, Word{Kind: ChecksumWord, Payload: v & Mask(w)})
 		// v holds a CRC-8, so shifting by 8 already clears it.
-		v >>= min(width, 8)
+		v >>= min(w.Bits(), 8)
 	}
 	return dst
 }
 
 // JoinChecksum reassembles a CRC-8 value from channel words produced by
-// AppendChecksum. Words beyond the CRC-8 width are ignored; a
-// nonpositive width masks every payload to zero, so the sum is zero.
-//
-//metrovet:width the two guards clamp width into [1, 32] before Mask sees it; a runtime contract, held by TestSplitJoinChecksumRoundTrip
-func JoinChecksum(words []Word, width int) uint8 {
-	if width < 1 {
-		return 0
-	}
-	if width > 32 {
-		width = 32
-	}
+// AppendChecksum. Words beyond the CRC-8 width are ignored.
+func JoinChecksum(words []Word, w Width) uint8 {
 	var v uint32
 	shift := 0
-	for _, w := range words {
+	for _, x := range words {
 		// The break below keeps shift in [0, 7], where & 7 is the
 		// identity; the & 7 is what shows the shift its bound.
-		v |= (w.Payload & Mask(width)) << (shift & 7)
-		shift += width
+		v |= (x.Payload & Mask(w)) << (shift & 7)
+		shift += w.Bits()
 		if shift >= 8 {
 			break
 		}

@@ -56,33 +56,32 @@ func FuzzChecksum(f *testing.F) {
 }
 
 // FuzzChecksumSplitJoin checks that a CRC-8 value survives being split
-// into channel words at any width in [1,32], and that the word count
-// matches ChecksumWords.
+// into channel words at any width, drawn from the fuzzed byte, and that
+// the word count matches ChecksumWords.
 func FuzzChecksumSplitJoin(f *testing.F) {
-	f.Add(uint8(0), 1)
-	f.Add(uint8(0xff), 3)
-	f.Add(uint8(0x5a), 8)
-	f.Add(uint8(0xc3), 16)
-	f.Fuzz(func(t *testing.T, sum uint8, width int) {
-		w := width % 32
-		if w < 0 {
-			w = -w
+	f.Add(uint8(0), uint8(0))
+	f.Add(uint8(0xff), uint8(2))
+	f.Add(uint8(0x5a), uint8(7))
+	f.Add(uint8(0xc3), uint8(15))
+	f.Fuzz(func(t *testing.T, sum, wb uint8) {
+		w, err := NewWidth(int(wb)%32 + 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		w++ // [1,32]
 		words := AppendChecksum(nil, sum, w)
 		if len(words) != ChecksumWords(w) {
-			t.Fatalf("width %d: %d words, ChecksumWords says %d", w, len(words), ChecksumWords(w))
+			t.Fatalf("width %d: %d words, ChecksumWords says %d", w.Bits(), len(words), ChecksumWords(w))
 		}
 		for i, cw := range words {
 			if cw.Kind != ChecksumWord {
-				t.Fatalf("width %d: word %d has kind %v", w, i, cw.Kind)
+				t.Fatalf("width %d: word %d has kind %v", w.Bits(), i, cw.Kind)
 			}
 			if cw.Payload&^Mask(w) != 0 {
-				t.Fatalf("width %d: word %d payload %#x exceeds channel mask", w, i, cw.Payload)
+				t.Fatalf("width %d: word %d payload %#x exceeds channel mask", w.Bits(), i, cw.Payload)
 			}
 		}
 		if got := JoinChecksum(words, w); got != sum {
-			t.Fatalf("width %d: join(split(%#x)) = %#x", w, sum, got)
+			t.Fatalf("width %d: join(split(%#x)) = %#x", w.Bits(), sum, got)
 		}
 	})
 }

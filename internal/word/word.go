@@ -124,11 +124,31 @@ func (w Word) String() string {
 	}
 }
 
-// MakeData returns a Data word carrying payload masked to width bits.
-//
-//metrovet:width channel widths reach here from validated configs; Config.Validate and the scan/NIC constructors bound them to 1..32
-func MakeData(payload uint32, width int) Word {
-	return Word{Kind: Data, Payload: payload & Mask(width)}
+// Width is a channel width w: a whole number of bits in [1, 32], the
+// model's payload word. It stores w-1, so the zero value is width 1 and
+// no value of the type is out of range; NewWidth is the only way to make
+// another.
+type Width struct{ m uint8 }
+
+// NewWidth returns the width of n bits, or an error when n is outside
+// [1, 32].
+func NewWidth(n int) (Width, error) {
+	if n < 1 || n > 32 {
+		return Width{}, fmt.Errorf("width %d outside [1,32]", n)
+	}
+	return Width{m: uint8(n - 1)}, nil
+}
+
+// Bits returns the width in bits, in [1, 32].
+func (w Width) Bits() int { return int(w.m) + 1 }
+
+// Mask returns a bit mask covering a w-bit payload. At width 32 the
+// shift wraps 2 to 0, and the decrement to all ones.
+func Mask(w Width) uint32 { return uint32(2)<<(w.m&31) - 1 }
+
+// MakeData returns a Data word carrying payload masked to width w.
+func MakeData(payload uint32, w Width) Word {
+	return Word{Kind: Data, Payload: payload & Mask(w)}
 }
 
 // MakeRoute returns a Route word carrying bits routing bits.
@@ -138,34 +158,19 @@ func MakeRoute(payload uint32, bits int) Word {
 	return Word{Kind: Route, Payload: payload, Bits: uint8(bits)}
 }
 
-// Mask returns a bit mask covering a width-bit payload. Widths outside
-// [1, 32] clamp to an empty or full mask: a runtime contract, held by
-// TestMask and not by metrovet, which reads nothing from the
-// two guards. They leave width in [1, 31], where & 31 is the identity,
-// and the & 31 is what shows the shift its bound.
-func Mask(width int) uint32 {
-	if width >= 32 {
-		return ^uint32(0)
-	}
-	if width < 1 {
-		return 0
-	}
-	return 1<<(width&31) - 1
-}
-
 // MemberWord computes member k of a logical word bit-sliced across lanes
 // of width w, as width cascading carries it (paper, Section 5.1). Control
 // words are replicated; data-bearing payloads are bit-sliced with member 0
 // carrying the least significant w bits.
 //
 //metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
-//metrovet:truncate k and w are nonnegative (lane index and member width)
-func MemberWord(logical Word, k, w int) Word {
+//metrovet:truncate k is a nonnegative lane index and w.Bits() is positive
+func MemberWord(logical Word, k int, w Width) Word {
 	switch logical.Kind {
 	case Data, ChecksumWord:
 		return Word{
 			Kind:    logical.Kind,
-			Payload: (logical.Payload >> uint(k*w)) & Mask(w),
+			Payload: (logical.Payload >> uint(k*w.Bits())) & Mask(w),
 		}
 	case Empty, Route, HeaderPad, DataIdle, Turn, Status, Drop:
 		// Control words are replicated so member state machines stay in
@@ -181,8 +186,8 @@ func MemberWord(logical Word, k, w int) Word {
 // returned, which upper layers treat as a protocol error.
 //
 //metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
-//metrovet:truncate k and w are nonnegative (lane index and member width)
-func MergeWords(members []Word, w int) Word {
+//metrovet:truncate k is a nonnegative lane index and w.Bits() is positive
+func MergeWords(members []Word, w Width) Word {
 	if len(members) == 0 {
 		return Word{}
 	}
@@ -196,7 +201,7 @@ func MergeWords(members []Word, w int) Word {
 	case Data, ChecksumWord:
 		out := Word{Kind: kind}
 		for k, m := range members {
-			out.Payload |= (m.Payload & Mask(w)) << uint(k*w)
+			out.Payload |= (m.Payload & Mask(w)) << uint(k*w.Bits())
 		}
 		return out
 	case Empty, Route, HeaderPad, DataIdle, Turn, Status, Drop:

@@ -42,7 +42,7 @@ func TestWordString(t *testing.T) {
 	if got := w.String(); got != "ROUTE(0xb/4b)" {
 		t.Errorf("route word String() = %q", got)
 	}
-	d := MakeData(0x5, 4)
+	d := MakeData(0x5, width(t, 4))
 	if got := d.String(); got != "DATA(0x5)" {
 		t.Errorf("data word String() = %q", got)
 	}
@@ -52,27 +52,66 @@ func TestWordString(t *testing.T) {
 }
 
 func TestMakeDataMasks(t *testing.T) {
-	w := MakeData(0xabcd, 8)
+	w := MakeData(0xabcd, width(t, 8))
 	if w.Payload != 0xcd {
 		t.Errorf("MakeData did not mask to width: %#x", w.Payload)
 	}
-	w = MakeData(0xffffffff, 32)
+	w = MakeData(0xffffffff, width(t, 32))
 	if w.Payload != 0xffffffff {
 		t.Errorf("MakeData(width 32) clipped payload: %#x", w.Payload)
 	}
 }
 
-// TestMask is the runtime proof of Mask's width contract (metrovet reads
-// nothing from its guards): every width from below the range to above
-// it, against a mask built one bit at a time.
+// width returns the Width of n bits, failing the test outside [1, 32].
+func width(t testing.TB, n int) Width {
+	t.Helper()
+	w, err := NewWidth(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestNewWidth pins the one constructor: [1, 32] in, everything else out,
+// with the rejected width in the error.
+func TestNewWidth(t *testing.T) {
+	for _, tc := range []struct {
+		n   int
+		err string
+	}{
+		{-1, "width -1 outside [1,32]"},
+		{0, "width 0 outside [1,32]"},
+		{1, ""},
+		{32, ""},
+		{33, "width 33 outside [1,32]"},
+		{64, "width 64 outside [1,32]"},
+	} {
+		w, err := NewWidth(tc.n)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("NewWidth(%d): %v", tc.n, err)
+		case tc.err == "" && w.Bits() != tc.n:
+			t.Errorf("NewWidth(%d).Bits() = %d", tc.n, w.Bits())
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("NewWidth(%d) error = %v, want %q", tc.n, err, tc.err)
+		}
+	}
+	if got := (Width{}).Bits(); got != 1 {
+		t.Errorf("the zero Width is %d bits, want 1", got)
+	}
+}
+
+// TestMask checks Mask and Bits at every width against a mask built one
+// bit at a time.
 func TestMask(t *testing.T) {
-	for width := -2; width <= 34; width++ {
+	for n := 1; n <= 32; n++ {
+		w := width(t, n)
 		var want uint32
-		for bit := 0; bit < width && bit < 32; bit++ {
+		for bit := 0; bit < n; bit++ {
 			want |= 1 << bit
 		}
-		if got := Mask(width); got != want {
-			t.Errorf("Mask(%d) = %#x, want %#x", width, got, want)
+		if got := Mask(w); got != want || w.Bits() != n {
+			t.Errorf("width %d: Mask = %#x, Bits = %d; want %#x, %d", n, got, w.Bits(), want, n)
 		}
 	}
 }
@@ -131,73 +170,53 @@ func TestChecksumWords(t *testing.T) {
 		{1, 8}, {2, 4}, {3, 3}, {4, 2}, {8, 1}, {16, 1}, {32, 1},
 	}
 	for _, tc := range cases {
-		if got := ChecksumWords(tc.width); got != tc.want {
+		if got := ChecksumWords(width(t, tc.width)); got != tc.want {
 			t.Errorf("ChecksumWords(%d) = %d, want %d", tc.width, got, tc.want)
 		}
 	}
-	if ChecksumWords(0) != 0 {
-		t.Error("ChecksumWords(0) should be 0")
-	}
 }
 
-// TestSplitJoinChecksumRoundTrip is the runtime proof of the checksum
-// helpers' width contract (metrovet reads nothing from their guards):
-// every sum at every channel width, each word against an independent
-// chunking of the sum, then the widths outside [1, 32].
+// TestSplitJoinChecksumRoundTrip checks every sum at every channel width,
+// each word against an independent chunking of the sum.
 func TestSplitJoinChecksumRoundTrip(t *testing.T) {
 	prefix := Word{Kind: Data, Payload: 0x1234}
-	for width := 1; width <= 32; width++ {
+	for n := 1; n <= 32; n++ {
+		w := width(t, n)
 		for s := 0; s < 256; s++ {
 			sum := uint8(s)
-			words := AppendChecksum([]Word{prefix}, sum, width)
+			words := AppendChecksum([]Word{prefix}, sum, w)
 			if words[0] != prefix {
-				t.Fatalf("width %d: AppendChecksum overwrote dst: %v", width, words[0])
+				t.Fatalf("width %d: AppendChecksum overwrote dst: %v", n, words[0])
 			}
 			words = words[1:]
-			if len(words) != ChecksumWords(width) || len(words) != (8+width-1)/width {
-				t.Fatalf("width %d: %d words, ChecksumWords says %d", width, len(words), ChecksumWords(width))
+			if len(words) != ChecksumWords(w) || len(words) != (8+n-1)/n {
+				t.Fatalf("width %d: %d words, ChecksumWords says %d", n, len(words), ChecksumWords(w))
 			}
-			for i, w := range words {
-				// Chunk i is bits [i*width, (i+1)*width) of the sum, in
-				// 64-bit arithmetic that no width here can overflow.
-				want := uint32((uint64(sum) >> (i * width)) & (1<<width - 1))
-				if w.Kind != ChecksumWord || w.Payload != want {
-					t.Fatalf("width %d sum %#x: word %d = %v, want payload %#x", width, sum, i, w, want)
+			for i, cw := range words {
+				// Chunk i is bits [i*n, (i+1)*n) of the sum, in 64-bit
+				// arithmetic that no width here can overflow.
+				want := uint32((uint64(sum) >> (i * n)) & (1<<n - 1))
+				if cw.Kind != ChecksumWord || cw.Payload != want {
+					t.Fatalf("width %d sum %#x: word %d = %v, want payload %#x", n, sum, i, cw, want)
 				}
 			}
-			if got := JoinChecksum(words, width); got != sum {
-				t.Fatalf("width %d: join(append(%#x)) = %#x", width, sum, got)
+			if got := JoinChecksum(words, w); got != sum {
+				t.Fatalf("width %d: join(append(%#x)) = %#x", n, sum, got)
 			}
 			// Trailing words past the CRC-8 width are ignored.
-			extra := append(words, Word{Kind: ChecksumWord, Payload: Mask(width)})
-			if got := JoinChecksum(extra, width); got != sum {
-				t.Fatalf("width %d: join with a trailing word = %#x, want %#x", width, got, sum)
+			extra := append(words, Word{Kind: ChecksumWord, Payload: Mask(w)})
+			if got := JoinChecksum(extra, w); got != sum {
+				t.Fatalf("width %d: join with a trailing word = %#x, want %#x", n, got, sum)
 			}
-		}
-	}
-	for _, width := range []int{-2, -1, 0} {
-		if words := AppendChecksum(nil, 0xa5, width); len(words) != 0 {
-			t.Errorf("AppendChecksum at width %d carried %d words", width, len(words))
-		}
-		if got := JoinChecksum([]Word{{Kind: ChecksumWord, Payload: 0xa5}}, width); got != 0 {
-			t.Errorf("JoinChecksum at width %d = %#x, want 0", width, got)
-		}
-	}
-	for _, width := range []int{33, 40, 64} {
-		words := AppendChecksum(nil, 0xa5, width)
-		if len(words) != 1 || words[0].Payload != 0xa5 {
-			t.Errorf("AppendChecksum at width %d = %v, want the one word width 32 carries", width, words)
-		}
-		if got := JoinChecksum(words, width); got != 0xa5 {
-			t.Errorf("JoinChecksum at width %d = %#x, want 0xa5", width, got)
 		}
 	}
 }
 
 func TestJoinChecksumIgnoresExtraWords(t *testing.T) {
-	words := AppendChecksum(nil, 0x5a, 4)
+	w4 := width(t, 4)
+	words := AppendChecksum(nil, 0x5a, w4)
 	words = append(words, Word{Kind: ChecksumWord, Payload: 0xf})
-	if got := JoinChecksum(words, 4); got != 0x5a {
+	if got := JoinChecksum(words, w4); got != 0x5a {
 		t.Errorf("JoinChecksum with extra words = %#x, want 0x5a", got)
 	}
 }

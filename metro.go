@@ -51,6 +51,7 @@ import (
 	"metro/internal/telemetry"
 	"metro/internal/topo"
 	"metro/internal/traffic"
+	"metro/internal/word"
 )
 
 // --- Topology -----------------------------------------------------------
@@ -286,9 +287,14 @@ func NewMultiTAP(r *Router, id uint32) *MultiTAP { return scan.NewMultiTAP(r, id
 func NewSettingsRegister(r *Router) scan.Register { return scan.NewSettingsRegister(r) }
 
 // LoopbackTest drives EXTEST-style patterns over an isolated link,
-// localizing stuck bits (both attached ports must be disabled first).
+// localizing stuck bits (both attached ports must be disabled first). Like
+// NewRouter, it panics on a width outside [1, 32].
 func LoopbackTest(l *Link, width int, extra []uint32) LoopbackResult {
-	return scan.LoopbackTest(l, width, extra)
+	w, err := word.NewWidth(width)
+	if err != nil {
+		panic("metro: LoopbackTest: " + err.Error())
+	}
+	return scan.LoopbackTest(l, w, extra)
 }
 
 // --- Width cascading ----------------------------------------------------
