@@ -213,16 +213,17 @@ func (v valve) silences(rule string, kindRules map[string]map[string]bool) bool 
 // checkDeadValves fails for every valve that silences nothing: disabled
 // alone, it lets no finding through. A finding of the valve-stripped run
 // that only one valve covers shows that valve live, since the rules find
-// a site the same way whatever other valves say; shard-purity's findings
-// show nothing, because a shared doc valve also cuts a function's writes
-// out of its callers' summaries, so its reach is not its own lines. Each
+// a site the same way whatever other valves say; eval-isolation's findings
+// show nothing, because a shared doc valve also cuts a function out of
+// its callers' write summaries and out of the walk's reach, so its reach
+// is not its own lines. Each
 // valve left unshown is disabled alone in the loaded tree and the rules
 // it silences are run again.
 func checkDeadValves(t *testing.T, root string, vs []valve, stripped []analysis.Finding, kindRules map[string]map[string]bool) {
 	t.Helper()
 	shown := make([]bool, len(vs))
 	for _, f := range stripped {
-		if f.Rule == "shard-purity" {
+		if f.Rule == "eval-isolation" {
 			continue
 		}
 		only := -1

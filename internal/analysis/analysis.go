@@ -79,7 +79,6 @@ func Analyzers() []*Analyzer {
 		EnumSwitch(),
 		HotPathAlloc(),
 		EvalIsolation(),
-		ShardPurity(),
 		TruncatingConversion(),
 		WidthContract(),
 	}

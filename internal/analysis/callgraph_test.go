@@ -107,9 +107,9 @@ func TestCallGraphReachable(t *testing.T) {
 	}
 }
 
-// TestTransitiveAnalyzers proves the rewired hot-path-alloc and
-// eval-isolation rules follow the call graph across packages: a helper
-// two packages away from Eval is on the hook.
+// TestTransitiveAnalyzers proves hot-path-alloc and eval-isolation
+// follow the call graph across packages: a helper two packages away from
+// Eval is on the hook.
 func TestTransitiveAnalyzers(t *testing.T) {
 	prog := loadFixtureProgram(t,
 		fixturePkg{path: "metro/internal/util", files: map[string]string{

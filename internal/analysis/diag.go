@@ -23,8 +23,10 @@ import (
 // numbers are never reused: MV004 was clocked-mutation, retired when the
 // catch matrix showed eval-isolation and shard-purity flag every call of
 // an exported mutator from another component's Eval, leaving it only
-// declarations the schedule allows; MV011 was provable-bounds, retired
-// when the -bce gate was found to cover every line it flagged.
+// declarations the schedule allows; MV009 was shard-purity, retired when
+// eval-isolation was rebuilt on its prover, whose every finding the old
+// eval-isolation also reported; MV011 was provable-bounds, retired when
+// the -bce gate was found to cover every line it flagged.
 var ruleIDs = map[string]string{
 	"no-wallclock":           "MV001",
 	"no-global-rand":         "MV002",
@@ -33,7 +35,6 @@ var ruleIDs = map[string]string{
 	"exhaustive-enum-switch": "MV006",
 	"hot-path-alloc":         "MV007",
 	"eval-isolation":         "MV008",
-	"shard-purity":           "MV009",
 	"truncating-conversion":  "MV010",
 	"width-contract":         "MV012",
 }

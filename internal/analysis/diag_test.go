@@ -17,7 +17,7 @@ func diagFixtureFindings() []Finding {
 		}
 	}
 	return []Finding{
-		mk("internal/core/router.go", 42, 7, "shard-purity", "write to package-level state total"),
+		mk("internal/core/router.go", 42, 7, "eval-isolation", "write to package-level state total"),
 		mk("internal/core/router.go", 42, 3, "hot-path-alloc", "make allocates"),
 		mk("internal/nic/endpoint.go", 9, 1, "no-wallclock", "time.Now in simulator code"),
 	}
@@ -35,8 +35,11 @@ func TestEveryAnalyzerHasStableID(t *testing.T) {
 		}
 		seen[id] = a.Name
 	}
-	if got := RuleID("shard-purity"); got != "MV009" {
-		t.Errorf("shard-purity ID = %s, want MV009", got)
+	// Retired numbers are never reused.
+	for _, retired := range []string{"MV004", "MV009", "MV011"} {
+		if name, ok := seen[retired]; ok {
+			t.Errorf("retired ID %s reused by %q", retired, name)
+		}
 	}
 }
 

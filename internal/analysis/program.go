@@ -11,9 +11,9 @@ import (
 // Program is the whole-program view the interprocedural analyzers work
 // on: every loaded package plus an index of all compiled function
 // declarations. Per-package analyzers see one Package at a time;
-// whole-program analyzers (hot-path-alloc, eval-isolation,
-// shard-purity) see the Program, so an Eval that calls an allocating or
-// impure helper three packages away is still on the hook.
+// whole-program analyzers (hot-path-alloc, eval-isolation and the value
+// rules) see the Program, so an Eval that calls an allocating or impure
+// helper three packages away is still on the hook.
 //
 // Functions are indexed by a path-based key, not by types.Object
 // identity: the loader type-checks a package's compiled files once as

@@ -9,34 +9,54 @@ import (
 	"strings"
 )
 
-// ShardPurity returns the shard-purity analyzer, the whole-program
-// counterpart of eval-isolation. Where eval-isolation pattern-matches
-// suspicious shapes inside one package, shard-purity *proves* — over
-// the interprocedural call graph, including interface dispatch — that
-// every function reachable from any component's Eval writes only
-// receiver-local (shard-local) state. It tracks writes through pointer
-// parameters (a helper that scribbles on a *Router it was handed is
-// charged to whoever handed it the pointer), captured closures,
-// package-level variables, slice/map aliasing of all of the above, and
-// CHA-resolved interface calls that land on another component's
-// mutating method.
+// componentStatePackages names the internal packages whose concrete
+// types carry per-component simulation state. A method call on one of
+// their types from another package's Eval tree reaches into foreign
+// component state, whatever the callee writes. Package link is
+// deliberately absent: link ends are the sanctioned inter-component
+// interface — each writer stages into its own field and values move
+// only at Commit, so Eval-phase link calls are race-free by design.
+var componentStatePackages = map[string]bool{
+	"core":    true,
+	"nic":     true,
+	"cascade": true,
+	"netsim":  true,
+	"fault":   true,
+	"scan":    true,
+	"traffic": true,
+}
+
+// EvalIsolation returns the eval-isolation analyzer. The parallel clock
+// engine evaluates components concurrently; its bit-for-bit equivalence
+// with the serial engine holds only if no component's Eval touches
+// state owned by another registered component (link endpoints exempt —
+// their staged/registered split is the inter-component interface).
 //
-// The rule exists because the parallel engine's bit-for-bit equivalence
-// claim rests on Eval-phase isolation, and the next refactors (the
-// flattened struct-of-arrays kernel, cross-process sharding) widen the
-// surface where one stray cross-shard write silently breaks it.
-// `//metrovet:shared <reason>` remains the single audited escape hatch:
-// on a line it clears that site; in a function's doc comment it declares
-// the whole function audited (the analyzer treats it as pure and stops
+// The rule *proves* — over the interprocedural call graph, including
+// interface dispatch — that every function reachable from any
+// component's Eval, or from a telemetry streaming tap's Sink, writes
+// only receiver-local (shard-local) state. It tracks writes through
+// pointer parameters (a helper that scribbles on a *Router it was
+// handed is charged to whoever handed it the pointer), captured
+// closures, package-level variables, slice/map aliasing of all of the
+// above, and CHA-resolved interface calls that land on another
+// component's mutating method. A static method call on another
+// component, or on a concrete type from another component-state
+// package, is flagged whatever the callee writes: reading a neighbour
+// mid-cycle races its Eval as surely as writing it.
+//
+// `//metrovet:shared <reason>` is the single audited escape hatch: on a
+// line it clears that site; in a function's doc comment it declares the
+// whole function audited (the analyzer treats it as pure and stops
 // descending — the annotation is the proof obligation's boundary).
-func ShardPurity() *Analyzer {
+func EvalIsolation() *Analyzer {
 	return &Analyzer{
-		Name: "shard-purity",
-		Doc:  "prove, interprocedurally, that Eval-reachable code writes only shard-local state; annotate //metrovet:shared <reason> for audited sharing",
+		Name: "eval-isolation",
+		Doc:  "prove, interprocedurally, that Eval-phase call trees (components and telemetry sinks) touch only their own state and link ends; annotate //metrovet:shared <reason> for co-located or serialized components",
 		Run: func(p *Package) []Finding {
-			return runShardPurity(NewProgram([]*Package{p}))
+			return runEvalIsolation(NewProgram([]*Package{p}))
 		},
-		RunProgram: runShardPurity,
+		RunProgram: runEvalIsolation,
 	}
 }
 
@@ -112,9 +132,12 @@ type siteEffect struct {
 
 // callSite is one call expression with its resolved targets.
 type callSite struct {
-	call    *ast.CallExpr
-	recvX   ast.Expr // method selector receiver, nil for plain calls
-	recv    base     // where recvX's callee-side receiver lives (classifyRecv)
+	call  *ast.CallExpr
+	recvX ast.Expr // method selector receiver, nil for plain calls
+	recv  base     // where recvX's callee-side receiver lives (classifyRecv)
+	// static is the concrete type a method call binds to, nil for plain
+	// calls, func-valued fields and interface dispatch.
+	static  *types.Named
 	selName string
 	targets []CallEdge
 }
@@ -142,7 +165,7 @@ type purityAnalysis struct {
 	order []*funcCtx
 }
 
-func runShardPurity(prog *Program) []Finding {
+func runEvalIsolation(prog *Program) []Finding {
 	an := &purityAnalysis{prog: prog, cg: prog.CallGraph(), ctx: map[*FuncNode]*funcCtx{}}
 	an.prepare()
 	an.fixpoint()
@@ -216,7 +239,8 @@ func (an *purityAnalysis) prepare() {
 
 // buildAliases runs the flow-insensitive alias pass to a fixpoint:
 // every local picks up the worst base it is ever bound to, so writes
-// through it are charged to that base.
+// through it are charged to that base. An assignment to a package-level
+// variable binds nothing: the variable stays shared state.
 func (fc *funcCtx) buildAliases() {
 	body := fc.node.Decl.Body
 	for range [8]struct{}{} {
@@ -227,6 +251,9 @@ func (fc *funcCtx) buildAliases() {
 				if obj := fc.p.ObjectOf(id); obj != nil {
 					if _, isParam := fc.params[obj]; isParam || obj == fc.recvObj {
 						return // params/receiver classify directly
+					}
+					if _, pkgVar := packageVar(fc.p, obj); pkgVar {
+						return
 					}
 					next := joinBase(fc.aliases[obj], rhs)
 					if next != fc.aliases[obj] {
@@ -278,8 +305,10 @@ func (fc *funcCtx) collectEffects(cg *CallGraph) {
 				return true // new bindings handled by the alias pass
 			}
 			for _, lhs := range s.Lhs {
-				if _, bare := ast.Unparen(lhs).(*ast.Ident); bare {
-					continue // rebinding a variable is not a shared write
+				if id, bare := ast.Unparen(lhs).(*ast.Ident); bare {
+					if _, pkgVar := packageVar(fc.p, fc.p.ObjectOf(id)); !pkgVar {
+						continue // rebinding a local is not a shared write
+					}
 				}
 				write(lhs.Pos(), lhs, "write to")
 			}
@@ -306,12 +335,11 @@ func (fc *funcCtx) collectEffects(cg *CallGraph) {
 			}
 			cs := callSite{call: s, targets: cg.callEdges(fc.p, s)}
 			if sel, ok := fun.(*ast.SelectorExpr); ok {
+				cs.selName = sel.Sel.Name
 				if _, isPkg := pkgQualifier(fc.p, sel); !isPkg {
 					cs.recvX = sel.X
 					cs.recv = fc.classifyRecv(sel.X)
-					cs.selName = sel.Sel.Name
-				} else {
-					cs.selName = sel.Sel.Name
+					cs.static = concreteRecv(fc.p, sel)
 				}
 			}
 			fc.calls = append(fc.calls, cs)
@@ -374,13 +402,29 @@ func (fc *funcCtx) classify(e ast.Expr) base {
 // judges the storage an expression names by the values its selector
 // chain passes through, which is right for a write (c.other = nil
 // writes c's own field); a call on c.other instead lands on whatever
-// c.other is, so the expression's own static type counts too.
+// c.other is, so the expression's own static type counts too, unless
+// it is a link, the sanctioned interface.
 func (fc *funcCtx) classifyRecv(x ast.Expr) base {
 	b := fc.classify(x)
-	if named := componentNamed(fc.p.TypeOf(x)); named != nil && named.Obj().Name() != fc.ownRecv {
+	if named := componentNamed(fc.p.TypeOf(x)); named != nil && named.Obj().Name() != fc.ownRecv && !linkTyped(named) {
 		b = joinBase(b, base{region: regionForeign, name: named.Obj().Name()})
 	}
 	return b
+}
+
+// concreteRecv returns the named type a method selection binds to
+// statically, or nil for a func-valued field, an interface method or an
+// unresolved selector.
+func concreteRecv(p *Package, sel *ast.SelectorExpr) *types.Named {
+	s := selectionOf(p, sel)
+	if s == nil || s.Kind() == types.FieldVal || types.IsInterface(s.Recv()) {
+		return nil
+	}
+	named := namedTypeOf(s.Recv())
+	if named == nil || named.Obj().Pkg() == nil {
+		return nil
+	}
+	return named
 }
 
 // classifyObj classifies a chain's root object.
@@ -400,28 +444,35 @@ func (fc *funcCtx) classifyObj(obj types.Object) base {
 	if b, ok := fc.aliases[obj]; ok {
 		return b
 	}
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return base{region: regionUnknown}
+	if b, ok := packageVar(fc.p, obj); ok {
+		return b
 	}
-	if v.Parent() != nil && v.Parent().Parent() == types.Universe {
-		// Package-level variable. Only module packages are shared
-		// simulation state; stdlib vars (os.Stdout, ...) are out of
-		// scope, and link-package state is the sanctioned interface.
-		pkg := v.Pkg()
-		if pkg == nil {
-			return base{region: regionUnknown}
-		}
-		path := strings.TrimSuffix(pkg.Path(), "_test")
-		if internalName(path) == "link" {
-			return base{region: regionLink}
-		}
-		if fc.p.ImportPath == path || strings.HasPrefix(path, modulePrefix(fc.p.ImportPath)) {
-			return base{region: regionGlobal, name: obj.Name()}
-		}
+	if _, ok := obj.(*types.Var); !ok {
 		return base{region: regionUnknown}
 	}
 	return base{region: regionLocal}
+}
+
+// packageVar classifies a package-level variable as seen from package
+// p; ok is false for every other object. Only module packages are shared
+// simulation state: stdlib vars (os.Stdout, ...) are out of scope, and
+// link-package state is the sanctioned interface.
+func packageVar(p *Package, obj types.Object) (b base, ok bool) {
+	v, isVar := obj.(*types.Var)
+	if !isVar || v.Parent() == nil || v.Parent().Parent() != types.Universe {
+		return base{}, false
+	}
+	if v.Pkg() == nil {
+		return base{region: regionUnknown}, true
+	}
+	path := strings.TrimSuffix(v.Pkg().Path(), "_test")
+	switch {
+	case internalName(path) == "link":
+		return base{region: regionLink}, true
+	case p.ImportPath == path || strings.HasPrefix(path, modulePrefix(p.ImportPath)):
+		return base{region: regionGlobal, name: obj.Name()}, true
+	}
+	return base{region: regionUnknown}, true
 }
 
 // modulePrefix derives the module root prefix from an import path
@@ -540,19 +591,52 @@ func argForParam(call *ast.CallExpr, callee *funcCtx, i int) ast.Expr {
 	return nil
 }
 
-// purityRoots collects every Eval method of a component-shaped type in
-// an internal package (link excluded: link state is the sanctioned
-// interface), sorted for deterministic first-root attribution.
-func (an *purityAnalysis) purityRoots() []RootedNode {
-	return componentRoots(an.prog, func(p *Package) bool {
+// isolationRoots collects the Eval methods of component-shaped types
+// plus the Sink methods of streaming taps, from every internal non-link
+// package, sorted for deterministic first-root attribution. (Commit
+// latches a component's own registers; the isolation contract is about
+// Eval. A Sink with the Recorder streaming-tap shape consumes drained
+// event batches on the engine's flushing goroutine: it observes a run in
+// flight, so its call tree is held to the same observe-only contract.
+// telemetry.MetricsSink is the canonical instance.)
+func isolationRoots(prog *Program) []RootedNode {
+	keep := func(p *Package) bool {
 		return isInternal(p.ImportPath) && internalName(p.ImportPath) != "link"
-	}, "Eval")
+	}
+	roots := componentRoots(prog, keep, "Eval")
+	for _, node := range prog.funcs {
+		if node.RecvName == "" || node.Decl.Name.Name != "Sink" || !keep(node.Pkg) || !sinkShape(node.Decl) {
+			continue
+		}
+		roots = append(roots, RootedNode{
+			Node: node,
+			Root: fmt.Sprintf("(%s.%s).Sink", pkgLabel(node.Pkg), node.RecvName),
+			Type: node.RecvName,
+			Kind: "sink",
+		})
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i].Root < roots[j].Root })
+	return roots
 }
 
-// report walks every function reachable from an Eval root and emits the
+// sinkShape reports whether fd has the Recorder streaming-tap shape: a
+// single slice parameter (the drained event batch) and no results.
+func sinkShape(fd *ast.FuncDecl) bool {
+	ft := fd.Type
+	if ft.Results != nil && len(ft.Results.List) > 0 {
+		return false
+	}
+	if ft.Params == nil || len(ft.Params.List) != 1 || len(ft.Params.List[0].Names) > 1 {
+		return false
+	}
+	arr, ok := ft.Params.List[0].Type.(*ast.ArrayType)
+	return ok && arr.Len == nil
+}
+
+// report walks every function reachable from a root and emits the
 // surviving findings.
 func (an *purityAnalysis) report() []Finding {
-	reached := an.cg.Reachable(an.purityRoots(), func(e CallEdge) bool {
+	reached := an.cg.Reachable(isolationRoots(an.prog), func(e CallEdge) bool {
 		callee := an.ctx[e.Callee]
 		return callee == nil || !callee.sum.shared
 	})
@@ -562,21 +646,25 @@ func (an *purityAnalysis) report() []Finding {
 	emitted := map[string]bool{}
 	emit := func(fc *funcCtx, pos token.Pos, ri RootInfo, what string) {
 		position := fc.p.Fset.Position(pos)
-		if fc.p.suppressed("shard-purity", "shared", position) {
+		if fc.p.suppressed("eval-isolation", "shared", position) {
 			return
 		}
 		via := ""
 		if ri.Via != "" {
 			via = fmt.Sprintf(" via %s", ri.Via)
 		}
-		msg := fmt.Sprintf("%s (reachable from %s%s); shard purity requires Eval trees to write only shard-local state — annotate //metrovet:shared <reason> if co-located or serialized",
-			what, ri.Root, via)
+		contract := "a sharded component may touch only its own state and link ends"
+		if ri.Kind == "sink" {
+			contract = "a telemetry sink observes the simulation and may write only its own buffers"
+		}
+		msg := fmt.Sprintf("%s (reachable from %s%s); %s — annotate //metrovet:shared <reason> if co-located or serialized",
+			what, ri.Root, via, contract)
 		key := fmt.Sprintf("%s:%d:%s", position.Filename, position.Line, msg)
 		if emitted[key] {
 			return
 		}
 		emitted[key] = true
-		out = append(out, Finding{Pos: position, Rule: "shard-purity", Msg: msg})
+		out = append(out, Finding{Pos: position, Rule: "eval-isolation", Msg: msg})
 	}
 
 	for _, node := range nodes {
@@ -605,24 +693,28 @@ func (an *purityAnalysis) report() []Finding {
 	return out
 }
 
-// reportCall emits findings for one call site: mutating calls onto
-// foreign components (static or interface-dispatched) and shared state
+// reportCall emits findings for one call site: a static method call on
+// another component, read-only or not; an interface call that may
+// dispatch to another component's mutating method; and shared state
 // handed to parameter-writing callees.
 func (an *purityAnalysis) reportCall(fc *funcCtx, cs callSite, ri RootInfo, emit func(*funcCtx, token.Pos, RootInfo, string)) {
+	if cs.static != nil {
+		if cs.recv.region == regionForeign && cs.recv.name != ri.Type {
+			emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call to (%s).%s, another component", cs.recv.name, cs.selName))
+		} else if path := cs.static.Obj().Pkg().Path(); path != fc.p.ImportPath && componentStatePackages[internalName(path)] {
+			emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call to (%s.%s).%s, component state in another package",
+				internalName(path), cs.static.Obj().Name(), cs.selName))
+		}
+	}
 	for _, e := range cs.targets {
 		callee := an.ctx[e.Callee]
 		if callee == nil || callee.sum.shared {
 			continue
 		}
-		if callee.sum.writesRecv && cs.recvX != nil {
-			if e.Kind == EdgeIface {
-				if e.IfaceRecv != nil && isComponentShaped(e.IfaceRecv) && e.IfaceRecv.Obj().Name() != ri.Type {
-					emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call through %s may dispatch to (%s).%s, which mutates that component's state",
-						e.IfaceName, e.IfaceRecv.Obj().Name(), cs.selName))
-				}
-			} else if cs.recv.region == regionForeign && cs.recv.name != ri.Type {
-				emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call to (%s).%s mutates that component's state", cs.recv.name, cs.selName))
-			}
+		if e.Kind == EdgeIface && callee.sum.writesRecv && e.IfaceRecv != nil &&
+			isComponentShaped(e.IfaceRecv) && e.IfaceRecv.Obj().Name() != ri.Type {
+			emit(fc, cs.call.Pos(), ri, fmt.Sprintf("call through %s may dispatch to (%s).%s, which mutates that component's state",
+				e.IfaceName, e.IfaceRecv.Obj().Name(), cs.selName))
 		}
 		for i := range callee.sum.writesParams {
 			arg := argForParam(cs.call, callee, i)
@@ -642,4 +734,37 @@ func (an *purityAnalysis) reportCall(fc *funcCtx, cs callSite, ri RootInfo, emit
 			}
 		}
 	}
+}
+
+// namedTypeOf unwraps pointers to the named type, or nil.
+func namedTypeOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// isComponentShaped reports whether *T is clocked: it declares
+// clock.Component's Eval(uint64) or clock.Latch's Commit(uint64).
+func isComponentShaped(named *types.Named) bool {
+	ptr := types.NewPointer(named)
+	for _, name := range []string{"Eval", "Commit"} {
+		m, _, _ := types.LookupFieldOrMethod(ptr, false, named.Obj().Pkg(), name)
+		fn, ok := m.(*types.Func)
+		if !ok {
+			continue
+		}
+		sig := fn.Type().(*types.Signature)
+		if sig.Params().Len() != 1 || sig.Results().Len() != 0 {
+			continue
+		}
+		if b, ok := sig.Params().At(0).Type().(*types.Basic); ok && b.Kind() == types.Uint64 {
+			return true
+		}
+	}
+	return false
 }

@@ -56,9 +56,9 @@ func Eval(lanes []*core.Router, cycle uint64) int {
 
 // kill finds the offending forward ports (owners of any backward port
 // whose state differs across the lanes), shuts them down on every lane
-// and returns how many there were.
-//
-//metrovet:shared the wired-AND check reads every lane within the cycle; that is why a column is one unit and never split across workers
+// and returns how many there were. The wired-AND check reads every lane
+// within the cycle; that is why a column is one unit and never split
+// across workers.
 func kill(lanes []*core.Router, cycle uint64) int {
 	// victims has bit fp set for every forward port to kill: a router has
 	// at most core.MaxPorts = 64 inputs.

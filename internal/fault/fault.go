@@ -158,7 +158,7 @@ func (i *Injector) apply(e Event) {
 	}
 }
 
-//metrovet:shared injector registers via Engine.Add, so it runs in the serialized epilogue after the worker barrier
+// linkOf returns the link an event names, for apply to mutate.
 func (i *Injector) linkOf(e Event) *link.Link {
 	if e.Stage < 0 {
 		return i.net.InjectLink(e.Index, e.Port)

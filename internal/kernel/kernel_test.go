@@ -23,7 +23,7 @@ func wireName(i int) string { return "wire" + strconv.Itoa(i) }
 // newEndpoints returns n endpoints of a one-lane shape, with no links.
 func newEndpoints(t *testing.T, n int) []*nic.Endpoint {
 	t.Helper()
-	sh, err := nic.NewShape(nic.Config{Width: 8, Header: nic.HeaderSpec{Width: 8},
+	sh, err := nic.NewShape(nic.Config{Width: 8,
 		AppendRouteDigits: func(dst []int, dest int) []int { return dst }})
 	if err != nil {
 		t.Fatal(err)

@@ -305,17 +305,13 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	}
 
 	if lc.fixedCycles > 0 {
-		if h.Progress == nil {
-			n.Run(lc.fixedCycles)
-		} else {
-			for n.Engine.Cycle() < lc.fixedCycles {
-				if n.Engine.Cycle()%period == 0 && !observe(n.Engine.Cycle()) {
-					return nil, fmt.Errorf("cycle %d: %w", n.Engine.Cycle(), ErrCanceled)
-				}
-				n.Engine.Step()
+		for n.Engine.Cycle() < lc.fixedCycles {
+			if n.Engine.Cycle()%period == 0 && !observe(n.Engine.Cycle()) {
+				return nil, fmt.Errorf("cycle %d: %w", n.Engine.Cycle(), ErrCanceled)
 			}
-			observe(n.Engine.Cycle())
+			n.Engine.Step()
 		}
+		observe(n.Engine.Cycle())
 		leg.cycles = n.Engine.Cycle()
 		leg.fired = finj.Fired()
 		return leg, nil

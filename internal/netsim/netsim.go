@@ -401,7 +401,7 @@ func Build(p Params) (*Network, error) {
 	// buffered per endpoint and replayed by the collector in endpoint-index
 	// order, so parallel endpoint evaluation cannot perturb the observable
 	// result stream.
-	header := nic.HeaderSpec{Width: p.Width}
+	var header nic.HeaderSpec
 	for s, st := range p.Spec.Stages {
 		header.Stages = append(header.Stages, nic.StageHeader{
 			DirBits:     log2(st.Radix),
@@ -659,9 +659,8 @@ func (n *Network) EachLink(f func(*link.Link)) {
 }
 
 // KillRouter disables every port of a logical router (all cascade lanes),
-// modeling its complete loss.
-//
-//metrovet:shared fault application runs in the serialized epilogue; reconfiguring the victim routers is its purpose
+// modeling its complete loss. Fault application runs in the serialized
+// epilogue; reconfiguring the victim routers is its purpose.
 func (n *Network) KillRouter(stage, index int) {
 	for _, r := range n.Routers[stage][index] {
 		for fp := 0; fp < r.Config().Inputs; fp++ {

@@ -99,7 +99,7 @@ func NewShape(cfg Config) (*Shape, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nic: cascaded width %d x %d lanes exceeds 32 bits", cfg.Width, cfg.Lanes)
 	}
-	if err := cfg.Header.Validate(); err != nil {
+	if err := cfg.Header.Validate(width); err != nil {
 		return nil, err
 	}
 	if cfg.AppendRouteDigits == nil {
@@ -118,7 +118,7 @@ func NewShape(cfg Config) (*Shape, error) {
 // payloadBytes occupies: routing header, packed payload, end-to-end
 // checksum and TURN.
 func (sh *Shape) MessageWords(payloadBytes int) int {
-	return sh.Header.Words() + PackedWords(payloadBytes, sh.logical) + sh.ckLogical + 1
+	return sh.Header.Words(sh.width) + PackedWords(payloadBytes, sh.logical) + sh.ckLogical + 1
 }
 
 // NewEndpoint constructs endpoint id of the shape's network. Links are
@@ -515,7 +515,7 @@ func (s *sender) build(p *pending) {
 	if n := cfg.MessageWords(len(p.msg.Payload)); cap(p.words) < n {
 		p.words = make([]word.Word, 0, n)
 	}
-	words := cfg.Header.AppendBuild(p.words[:0], e.digits)
+	words := cfg.Header.AppendBuild(p.words[:0], cfg.width, e.digits)
 	headerLen := len(words)
 	words = AppendPackBytes(words, p.msg.Payload, lw)
 	var ck word.Checksum

@@ -30,9 +30,7 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 	lb := &loopback{eng: clock.New()}
 	srcCfg := Config{
 		Width: 8,
-		Header: HeaderSpec{
-			Width: 8, Stages: nil, // zero routing stages
-		},
+		// No Header: zero routing stages.
 		AppendRouteDigits: func(dst []int, dest int) []int { return dst },
 		RetryLimit:        5,
 		ListenTimeout:     100,
@@ -235,13 +233,13 @@ func TestReceivingReflectsActivity(t *testing.T) {
 }
 
 func TestConfigValidationErrors(t *testing.T) {
-	_, err := New(0, Config{Width: 8, Header: HeaderSpec{Width: 8}})
+	_, err := New(0, Config{Width: 8})
 	if err == nil {
 		t.Fatal("missing AppendRouteDigits accepted")
 	}
 	_, err = New(0, Config{
 		Width:             8,
-		Header:            HeaderSpec{Width: 99},
+		Header:            HeaderSpec{Stages: []StageHeader{{DirBits: 9}}}, // 9 routing bits on an 8-bit channel
 		AppendRouteDigits: func(dst []int, _ int) []int { return dst },
 	})
 	if err == nil {
@@ -279,7 +277,7 @@ func TestLargeMessage(t *testing.T) {
 // time, reused by a message that fits, and re-sized exactly, once, for one
 // that does not.
 func TestAttemptStreamSizedOnce(t *testing.T) {
-	header := HeaderSpec{Width: 8, Stages: []StageHeader{
+	header := HeaderSpec{Stages: []StageHeader{
 		{DirBits: 2, HeaderWords: 0}, {DirBits: 3, HeaderWords: 0}, {DirBits: 2, HeaderWords: 2},
 		{DirBits: 4, HeaderWords: 0}, {DirBits: 4, HeaderWords: 0},
 	}}

@@ -26,7 +26,7 @@ func TestEndpointFootprint(t *testing.T) {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	type ceiling struct{ bytes, allocs uint64 }
-	cfg := Config{Width: 8, Header: HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 2}, {DirBits: 2}}},
+	cfg := Config{Width: 8, Header: HeaderSpec{Stages: []StageHeader{{DirBits: 2}, {DirBits: 2}}},
 		AppendRouteDigits: func(dst []int, dest int) []int { return append(dst, dest&3, dest>>2&3) }}
 	sh, err := NewShape(cfg)
 	if err != nil {

@@ -89,14 +89,15 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 			stages = append(stages, StageHeader{DirBits: dir, HeaderWords: hw})
 			digits = append(digits, digit)
 		}
-		h := HeaderSpec{Width: w, Stages: stages}
-		if err := h.Validate(); err != nil {
+		h := HeaderSpec{Stages: stages}
+		cw := mustWidth(w)
+		if err := h.Validate(cw); err != nil {
 			t.Fatalf("constructed spec invalid: %v", err)
 		}
 
-		data := PackBytes(payload, mustWidth(w))
-		stream := append(h.Build(digits), data...)
-		if got, want := h.Words(), len(stream)-len(data); got != want {
+		data := PackBytes(payload, cw)
+		stream := append(h.Build(cw, digits), data...)
+		if got, want := h.Words(cw), len(stream)-len(data); got != want {
 			t.Fatalf("Words() = %d, Build made %d", got, want)
 		}
 		if sums, _ := h.AppendExpectedStageChecksums(nil, stream, nil); len(sums) != len(stages) {

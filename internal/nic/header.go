@@ -31,22 +31,20 @@ type StageHeader struct {
 }
 
 // HeaderSpec captures everything a source needs to construct routing
-// headers for a particular network.
+// headers for a particular network. The channel width the headers are
+// packed for is the endpoint's (Config.Width), passed to the methods
+// that need it.
 type HeaderSpec struct {
-	// Width is the channel width w in bits.
-	Width int
 	// Stages lists the per-stage consumption, source side first.
 	Stages []StageHeader
 }
 
-// Validate checks that headers can actually be constructed.
-func (h HeaderSpec) Validate() error {
-	if h.Width < 1 || h.Width > 32 {
-		return fmt.Errorf("nic: width %d outside [1,32]", h.Width)
-	}
+// Validate checks that headers can actually be constructed for a
+// width-bit channel.
+func (h HeaderSpec) Validate(width word.Width) error {
 	for s, st := range h.Stages {
-		if st.DirBits < 0 || st.DirBits > h.Width {
-			return fmt.Errorf("nic: stage %d needs %d routing bits, width is %d", s, st.DirBits, h.Width)
+		if st.DirBits < 0 || st.DirBits > width.Bits() {
+			return fmt.Errorf("nic: stage %d needs %d routing bits, width is %d", s, st.DirBits, width.Bits())
 		}
 		if st.HeaderWords < 0 {
 			return fmt.Errorf("nic: stage %d has negative header words", s)
@@ -55,8 +53,8 @@ func (h HeaderSpec) Validate() error {
 	return nil
 }
 
-// Build constructs the routing header words for the given per-stage
-// direction digits.
+// Build constructs the routing header words of a width-bit channel for
+// the given per-stage direction digits.
 //
 // For hw=0 stages, consecutive stages' digit bit-groups are packed into
 // shared ROUTE words low bits first; a group that would straddle a word
@@ -66,8 +64,8 @@ func (h HeaderSpec) Validate() error {
 //
 // An hw>=1 stage always gets its own ROUTE word carrying just its digit,
 // followed by hw-1 HEADER-PAD words, all of which that stage consumes.
-func (h HeaderSpec) Build(digits []int) []word.Word {
-	return h.AppendBuild(nil, digits)
+func (h HeaderSpec) Build(width word.Width, digits []int) []word.Word {
+	return h.AppendBuild(nil, width, digits)
 }
 
 // AppendBuild is the allocation-free variant of Build: it appends the
@@ -76,8 +74,8 @@ func (h HeaderSpec) Build(digits []int) []word.Word {
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
 //metrovet:truncate digits are per-stage direction numbers in [0, radix), far below 32 bits
-//metrovet:width bits accumulates DirBits groups and is flushed before exceeding Width <= 32 (Validate)
-func (h HeaderSpec) AppendBuild(dst []word.Word, digits []int) []word.Word {
+//metrovet:width bits accumulates DirBits groups and is flushed before exceeding width, at most 32
+func (h HeaderSpec) AppendBuild(dst []word.Word, width word.Width, digits []int) []word.Word {
 	if len(digits) != len(h.Stages) {
 		panic(fmt.Sprintf("nic: %d digits for %d stages", len(digits), len(h.Stages)))
 	}
@@ -95,7 +93,7 @@ func (h HeaderSpec) AppendBuild(dst []word.Word, digits []int) []word.Word {
 			}
 			continue
 		}
-		if bits+st.DirBits > h.Width {
+		if bits+st.DirBits > width.Bits() {
 			if bits > 0 {
 				dst = append(dst, word.MakeRoute(cur, bits))
 				cur, bits = 0, 0
@@ -112,7 +110,7 @@ func (h HeaderSpec) AppendBuild(dst []word.Word, digits []int) []word.Word {
 
 // Words returns the number of words Build produces. It depends on the
 // stages' consumption and the width only, never on the digits.
-func (h HeaderSpec) Words() int {
+func (h HeaderSpec) Words(width word.Width) int {
 	n, bits := 0, 0
 	for _, st := range h.Stages {
 		if st.HeaderWords >= 1 {
@@ -122,7 +120,7 @@ func (h HeaderSpec) Words() int {
 			n += st.HeaderWords
 			continue
 		}
-		if bits+st.DirBits > h.Width && bits > 0 {
+		if bits+st.DirBits > width.Bits() && bits > 0 {
 			n, bits = n+1, 0
 		}
 		bits += st.DirBits
@@ -197,7 +195,7 @@ func (h HeaderSpec) AppendExpectedStageChecksums(dst []uint8, sent []word.Word, 
 //
 //metrovet:alloc appends compact into stream[:0]; the write cursor never passes the read cursor, so the backing array never grows
 //metrovet:truncate DirBits >= 0 by Validate
-//metrovet:width DirBits <= Width <= 32 by Validate, and the shift only executes when w.Bits > DirBits, which forces DirBits < 32
+//metrovet:width DirBits <= width <= 32 by Validate, and the shift only executes when w.Bits > DirBits, which forces DirBits < 32
 func (h HeaderSpec) stripStageInPlace(stream []word.Word, s int) []word.Word {
 	st := h.Stages[s]
 	out := stream[:0]

@@ -10,10 +10,10 @@ import (
 
 func TestBuildHeaderHW0Packing(t *testing.T) {
 	// Figure-1 style: 1+1+2 bits pack into a single 8-bit route word.
-	h := HeaderSpec{Width: 8, Stages: []StageHeader{
+	h := HeaderSpec{Stages: []StageHeader{
 		{DirBits: 1}, {DirBits: 1}, {DirBits: 2},
 	}}
-	words := h.Build([]int{1, 0, 3})
+	words := h.Build(mustWidth(8), []int{1, 0, 3})
 	if len(words) != 1 {
 		t.Fatalf("header = %v, want one word", words)
 	}
@@ -30,10 +30,10 @@ func TestBuildHeaderHW0Packing(t *testing.T) {
 func TestBuildHeaderSplitsAtWordBoundary(t *testing.T) {
 	// 3 stages of 3 bits on a 4-bit channel: each word fits only one
 	// stage's digits (3+3 > 4), so three words result.
-	h := HeaderSpec{Width: 4, Stages: []StageHeader{
+	h := HeaderSpec{Stages: []StageHeader{
 		{DirBits: 3}, {DirBits: 3}, {DirBits: 3},
 	}}
-	words := h.Build([]int{5, 2, 7})
+	words := h.Build(mustWidth(4), []int{5, 2, 7})
 	if len(words) != 3 {
 		t.Fatalf("header = %v, want three words", words)
 	}
@@ -45,11 +45,11 @@ func TestBuildHeaderSplitsAtWordBoundary(t *testing.T) {
 }
 
 func TestBuildHeaderHW2(t *testing.T) {
-	h := HeaderSpec{Width: 8, Stages: []StageHeader{
+	h := HeaderSpec{Stages: []StageHeader{
 		{DirBits: 2, HeaderWords: 2},
 		{DirBits: 2, HeaderWords: 2},
 	}}
-	words := h.Build([]int{3, 1})
+	words := h.Build(mustWidth(8), []int{3, 1})
 	if len(words) != 4 {
 		t.Fatalf("header = %v, want 4 words (2 per stage)", words)
 	}
@@ -65,12 +65,12 @@ func TestBuildHeaderHW2(t *testing.T) {
 }
 
 func TestBuildHeaderMixedModes(t *testing.T) {
-	h := HeaderSpec{Width: 8, Stages: []StageHeader{
+	h := HeaderSpec{Stages: []StageHeader{
 		{DirBits: 2},                 // hw=0
 		{DirBits: 3, HeaderWords: 1}, // hw=1
 		{DirBits: 1},                 // hw=0
 	}}
-	words := h.Build([]int{2, 5, 1})
+	words := h.Build(mustWidth(8), []int{2, 5, 1})
 	// Stage 0 bits flush before the hw>=1 stage; stage 2 starts fresh.
 	if len(words) != 3 {
 		t.Fatalf("header = %v, want 3 words", words)
@@ -89,21 +89,25 @@ func TestBuildHeaderMixedModes(t *testing.T) {
 // TestStripChainConsumesEverything verifies that stripping stage by stage
 // consumes exactly the header, leaving the payload for the destination.
 func TestStripChainConsumesEverything(t *testing.T) {
-	specs := []HeaderSpec{
-		{Width: 8, Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}},
-		{Width: 4, Stages: []StageHeader{{DirBits: 2}, {DirBits: 2}, {DirBits: 2}}},
-		{Width: 8, Stages: []StageHeader{
-			{DirBits: 2, HeaderWords: 1}, {DirBits: 2, HeaderWords: 1}}},
-		{Width: 8, Stages: []StageHeader{
-			{DirBits: 2, HeaderWords: 3}, {DirBits: 3, HeaderWords: 3}}},
+	specs := []struct {
+		width int
+		h     HeaderSpec
+	}{
+		{8, HeaderSpec{Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}}},
+		{4, HeaderSpec{Stages: []StageHeader{{DirBits: 2}, {DirBits: 2}, {DirBits: 2}}}},
+		{8, HeaderSpec{Stages: []StageHeader{
+			{DirBits: 2, HeaderWords: 1}, {DirBits: 2, HeaderWords: 1}}}},
+		{8, HeaderSpec{Stages: []StageHeader{
+			{DirBits: 2, HeaderWords: 3}, {DirBits: 3, HeaderWords: 3}}}},
 	}
-	for si, h := range specs {
+	for si, spec := range specs {
+		h, w := spec.h, mustWidth(spec.width)
 		digits := make([]int, len(h.Stages))
 		for i, st := range h.Stages {
 			digits[i] = (1 << uint(st.DirBits)) - 1 // max digit
 		}
-		payload := []word.Word{word.MakeData(0xA, mustWidth(h.Width)), word.MakeData(0x5, mustWidth(h.Width))}
-		stream := append(h.Build(digits), payload...)
+		payload := []word.Word{word.MakeData(0xA, w), word.MakeData(0x5, w)}
+		stream := append(h.Build(w, digits), payload...)
 		for s := range h.Stages {
 			// The first word each stage sees must be a usable ROUTE word.
 			if h.Stages[s].HeaderWords == 0 {
@@ -146,8 +150,8 @@ func firstContent(ws []word.Word) word.Word {
 }
 
 func TestExpectedStageChecksumsMatchManual(t *testing.T) {
-	h := HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 1}, {DirBits: 2}}}
-	stream := append(h.Build([]int{1, 2}), word.MakeData(0x42, mustWidth(8)))
+	h := HeaderSpec{Stages: []StageHeader{{DirBits: 1}, {DirBits: 2}}}
+	stream := append(h.Build(mustWidth(8), []int{1, 2}), word.MakeData(0x42, mustWidth(8)))
 	sums, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
 	if len(sums) != 2 {
 		t.Fatalf("sums = %v", sums)
@@ -214,19 +218,20 @@ func TestPackBytesWidths(t *testing.T) {
 }
 
 func TestHeaderValidate(t *testing.T) {
-	good := HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 2}}}
-	if err := good.Validate(); err != nil {
+	good := HeaderSpec{Stages: []StageHeader{{DirBits: 2}}}
+	if err := good.Validate(mustWidth(8)); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	bad := []HeaderSpec{
-		{Width: 0},
-		{Width: 40},
-		{Width: 4, Stages: []StageHeader{{DirBits: 6}}},
-		{Width: 4, Stages: []StageHeader{{DirBits: 2, HeaderWords: -1}}},
+	bad := []struct {
+		h    HeaderSpec
+		want string
+	}{
+		{HeaderSpec{Stages: []StageHeader{{DirBits: 6}}}, "nic: stage 0 needs 6 routing bits, width is 4"},
+		{HeaderSpec{Stages: []StageHeader{{DirBits: 2, HeaderWords: -1}}}, "nic: stage 0 has negative header words"},
 	}
-	for i, h := range bad {
-		if err := h.Validate(); err == nil {
-			t.Errorf("bad spec %d accepted", i)
+	for i, c := range bad {
+		if err := c.h.Validate(mustWidth(4)); err == nil || err.Error() != c.want {
+			t.Errorf("bad spec %d: error %v, want %q", i, err, c.want)
 		}
 	}
 }
@@ -239,7 +244,8 @@ func TestHeaderStripChainProperty(t *testing.T) {
 		widths := []int{4, 6, 8, 12, 16}
 		width := widths[int(widthSeed)%len(widths)]
 		nStages := int(stageSeed)%5 + 1
-		h := HeaderSpec{Width: width}
+		var h HeaderSpec
+		w := mustWidth(width)
 		digits := make([]int, nStages)
 		seed := digitSeed
 		next := func(n int) int {
@@ -258,10 +264,10 @@ func TestHeaderStripChainProperty(t *testing.T) {
 			h.Stages = append(h.Stages, StageHeader{DirBits: bits, HeaderWords: hw})
 			digits[s] = next(1 << uint(bits))
 		}
-		if h.Validate() != nil {
+		if h.Validate(w) != nil {
 			return true
 		}
-		stream := append(h.Build(digits), word.MakeData(0x3, mustWidth(width)))
+		stream := append(h.Build(w, digits), word.MakeData(0x3, w))
 		for s, st := range h.Stages {
 			var got int
 			if st.HeaderWords == 0 {
@@ -293,8 +299,8 @@ func TestHeaderStripChainProperty(t *testing.T) {
 // the sent stream must change the expected checksum of every stage that
 // sees the word (the property fault localization relies on).
 func TestExpectedChecksumsChangeWithCorruption(t *testing.T) {
-	h := HeaderSpec{Width: 8, Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}}
-	stream := append(h.Build([]int{1, 0, 2}),
+	h := HeaderSpec{Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}}
+	stream := append(h.Build(mustWidth(8), []int{1, 0, 2}),
 		word.MakeData(0x10, mustWidth(8)), word.MakeData(0x20, mustWidth(8)))
 	clean, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
 	corrupt := append([]word.Word(nil), stream...)

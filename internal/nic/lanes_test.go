@@ -105,7 +105,7 @@ func TestSingleLanePassesWordsUnchanged(t *testing.T) {
 }
 
 func TestAttachNeedsLanes(t *testing.T) {
-	e, err := New(0, Config{Width: 4, Lanes: 2, Header: HeaderSpec{Width: 4},
+	e, err := New(0, Config{Width: 4, Lanes: 2,
 		AppendRouteDigits: func(dst []int, _ int) []int { return dst }})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestLanesCorruptorCallOrder(t *testing.T) {
 // TestCascadedLoopbackRequestReply runs a message and its reply over a
 // two-lane channel of 4-bit lanes, hand-wired with no routers.
 func TestCascadedLoopbackRequestReply(t *testing.T) {
-	cascade := func(c *Config) { c.Width, c.Lanes, c.Header.Width = 4, 2, 4 }
+	cascade := func(c *Config) { c.Width, c.Lanes = 4, 2 }
 	lb := newLoopback(t, cascade, func(c *Config) {
 		cascade(c)
 		c.Responder = func(_ int, p []byte) []byte { return append([]byte("re:"), p...) }
@@ -178,7 +178,7 @@ func TestCascadedLoopbackRequestReply(t *testing.T) {
 // behind the channel object this code replaced, so they pin the endpoint
 // consulting its lanes in the same order and number.
 func TestCascadedCorruptorCallCount(t *testing.T) {
-	cascade := func(c *Config) { c.Width, c.Lanes, c.Header.Width = 4, 2, 4 }
+	cascade := func(c *Config) { c.Width, c.Lanes = 4, 2 }
 	lb := newLoopback(t, cascade, func(c *Config) {
 		cascade(c)
 		c.Responder = func(_ int, p []byte) []byte { return append([]byte("re:"), p...) }

@@ -15,7 +15,7 @@ type testParser struct {
 // parserFor returns a parser armed for a channel of the given component
 // width and cascade factor.
 func parserFor(width, lanes int) *testParser {
-	sh, err := NewShape(Config{Width: width, Lanes: lanes, Header: HeaderSpec{Width: width},
+	sh, err := NewShape(Config{Width: width, Lanes: lanes,
 		AppendRouteDigits: func(dst []int, _ int) []int { return dst }})
 	if err != nil {
 		panic(err)

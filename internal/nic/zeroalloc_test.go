@@ -14,7 +14,7 @@ import (
 func BenchmarkEndpointSteadyCycle(b *testing.B) {
 	cfg := Config{
 		Width: 8,
-		Header: HeaderSpec{Width: 8, Stages: []StageHeader{
+		Header: HeaderSpec{Stages: []StageHeader{
 			{DirBits: 2}, {DirBits: 2},
 		}},
 		AppendRouteDigits: func(dst []int, dest int) []int { return append(dst, dest&3, (dest>>2)&3) },
