@@ -37,12 +37,15 @@ type ScalePoint struct {
 
 var scalePayload = [4]byte{0xa5, 0x3c, 0x96, 0x0f}
 
-// runScale measures the kernel scaling curve: for each endpoint count it
-// builds one network, charges the build's heap growth to
-// the size (bytes/endpoint), then sweeps the worker counts over the same
-// warm network. Load is closed-loop — endpoints/8 messages stay in
-// flight, every completion immediately replaced — so each measured cycle
-// sees the same steady congestion regardless of size.
+// runScale measures the kernel scaling curve: for each endpoint count and
+// each worker count it builds a fresh network, charges the build's heap
+// growth to the size (bytes/endpoint), warms it up and times one window of
+// cycles. Load is closed-loop — endpoints/8 messages stay in flight, every
+// completion immediately replaced — so each measured cycle sees the same
+// steady congestion regardless of size. Every worker count runs the same
+// seeds from the same fresh state, and the schedule is bit-identical at
+// every worker count, so each times the same cycle window: the counts must
+// deliver the same number of messages, and runScale fails if they do not.
 func runScale(sizes []int, radix, cycles int, workers []int) ([]ScalePoint, error) {
 	points := make([]ScalePoint, 0, len(sizes)*len(workers))
 	for _, endpoints := range sizes {
@@ -50,80 +53,96 @@ func runScale(sizes []int, radix, cycles int, workers []int) ([]ScalePoint, erro
 		if err != nil {
 			return nil, err
 		}
-		completed := 0
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		buildStart := time.Now()
-		n, err := netsim.Build(netsim.Params{
-			Spec: spec, Width: 8, DataPipe: 2, LinkDelay: 1,
-			Seed: 71, RetryLimit: 600, ListenTimeout: 200,
-			OnResult: func(nic.Result) { completed++ },
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scale %d: %v", endpoints, err)
-		}
-		buildMs := float64(time.Since(buildStart).Nanoseconds()) / 1e6
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		bytesPerEndpoint := int64(after.HeapAlloc-before.HeapAlloc) / int64(endpoints)
-
-		rng := rand.New(rand.NewSource(17))
-		send := func() {
-			src, dest := rng.Intn(endpoints), rng.Intn(endpoints)
-			if dest == src {
-				dest = (dest + 1) % endpoints
+		for i, w := range workers {
+			p, err := scalePoint(spec, radix, cycles, w)
+			if err != nil {
+				return nil, fmt.Errorf("scale %d: %v", endpoints, err)
 			}
-			n.Send(src, dest, scalePayload[:])
-		}
-		inflight := endpoints / 8
-		if inflight < 64 {
-			inflight = 64
-		}
-		for i := 0; i < inflight; i++ {
-			send()
-		}
-		warmup := cycles / 4
-		if warmup < 64 {
-			warmup = 64
-		}
-		step := func(count int) (delivered int) {
-			for i := 0; i < count; i++ {
-				n.Engine.Step()
-				for ; completed > 0; completed-- {
-					delivered++
-					send()
-				}
-				n.ResetResults()
+			// points[len(points)-i] is this size's first worker count.
+			if ref := points[len(points)-i:]; i > 0 && ref[0].Delivered != p.Delivered {
+				return nil, fmt.Errorf("scale %d: %d workers delivered %d messages, %d workers %d; every worker count must time the same cycle window",
+					endpoints, w, p.Delivered, ref[0].Workers, ref[0].Delivered)
 			}
-			return delivered
+			points = append(points, p)
 		}
-		for _, w := range workers {
-			n.Engine.SetWorkers(w)
-			step(warmup)
-			start := time.Now()
-			delivered := step(cycles)
-			elapsed := time.Since(start)
-			nsPerCycle := float64(elapsed.Nanoseconds()) / float64(cycles)
-			points = append(points, ScalePoint{
-				Endpoints:          endpoints,
-				Radix:              radix,
-				Stages:             len(spec.Stages),
-				Routers:            n.Topo.RouterCount(),
-				Links:              n.Topo.LinkCount(),
-				Workers:            w,
-				Cycles:             cycles,
-				Delivered:          delivered,
-				BuildMs:            buildMs,
-				BytesPerEndpoint:   bytesPerEndpoint,
-				NsPerCycle:         nsPerCycle,
-				CyclesPerSec:       1e9 / nsPerCycle,
-				NsPerEndpointCycle: nsPerCycle / float64(endpoints),
-			})
-		}
-		n.Close()
 	}
 	return points, nil
+}
+
+// scalePoint builds spec's network afresh at the given worker count, warms
+// it up and times cycles steps of it. The traffic stream is seeded afresh
+// too, so every call with the same spec and cycles runs the same cycles.
+func scalePoint(spec topo.Spec, radix, cycles, workers int) (ScalePoint, error) {
+	endpoints := spec.Endpoints
+	completed := 0
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buildStart := time.Now()
+	n, err := netsim.Build(netsim.Params{
+		Spec: spec, Width: 8, DataPipe: 2, LinkDelay: 1,
+		Seed: 71, RetryLimit: 600, ListenTimeout: 200, Workers: workers,
+		OnResult: func(nic.Result) { completed++ },
+	})
+	if err != nil {
+		return ScalePoint{}, err
+	}
+	defer n.Close()
+	buildMs := float64(time.Since(buildStart).Nanoseconds()) / 1e6
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytesPerEndpoint := int64(after.HeapAlloc-before.HeapAlloc) / int64(endpoints)
+
+	rng := rand.New(rand.NewSource(17))
+	send := func() {
+		src, dest := rng.Intn(endpoints), rng.Intn(endpoints)
+		if dest == src {
+			dest = (dest + 1) % endpoints
+		}
+		n.Send(src, dest, scalePayload[:])
+	}
+	inflight := endpoints / 8
+	if inflight < 64 {
+		inflight = 64
+	}
+	for i := 0; i < inflight; i++ {
+		send()
+	}
+	warmup := cycles / 4
+	if warmup < 64 {
+		warmup = 64
+	}
+	step := func(count int) (delivered int) {
+		for i := 0; i < count; i++ {
+			n.Engine.Step()
+			for ; completed > 0; completed-- {
+				delivered++
+				send()
+			}
+			n.ResetResults()
+		}
+		return delivered
+	}
+	step(warmup)
+	start := time.Now()
+	delivered := step(cycles)
+	elapsed := time.Since(start)
+	nsPerCycle := float64(elapsed.Nanoseconds()) / float64(cycles)
+	return ScalePoint{
+		Endpoints:          endpoints,
+		Radix:              radix,
+		Stages:             len(spec.Stages),
+		Routers:            n.Topo.RouterCount(),
+		Links:              n.Topo.LinkCount(),
+		Workers:            workers,
+		Cycles:             cycles,
+		Delivered:          delivered,
+		BuildMs:            buildMs,
+		BytesPerEndpoint:   bytesPerEndpoint,
+		NsPerCycle:         nsPerCycle,
+		CyclesPerSec:       1e9 / nsPerCycle,
+		NsPerEndpointCycle: nsPerCycle / float64(endpoints),
+	}, nil
 }
 
 // parseIntList parses a comma-separated list of non-negative integers.

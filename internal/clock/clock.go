@@ -10,8 +10,8 @@
 // this directly. On every cycle each component is first asked to Eval — read
 // the values its input wires held at the end of the previous cycle, update
 // private state, and stage new values on its output wires — and then every
-// wire latches, moving the staged values one register toward the reader, so
-// they become visible on a later cycle.
+// wire latches: each staged value becomes one cycle older, and a reader sees
+// it once it is as many cycles old as the wire is long.
 //
 // Because components communicate only through link pipelines (package link),
 // whose outputs change only when the wires latch, the order in which
@@ -79,7 +79,7 @@ type Latch interface {
 // unit-local state plus the staged registers of its attached links, and
 // CommitUnit latches only unit-local registers, so any index partition
 // yields bit-for-bit the same schedule. State owned by no single unit —
-// batched link shuttling through a link.Arena — is advanced by
+// the batched clear of a link.Arena's read plane — is handled by
 // CommitBatch(part, parts), which the engine calls exactly once per
 // partition during the commit phase; implementations must touch
 // disjoint memory for disjoint parts. The kernels of this module keep
@@ -98,7 +98,7 @@ type Kernel interface {
 	EvalUnits(lo, hi int, cycle uint64)
 	// CommitUnits runs the commit phase of units [lo, hi) in index order.
 	CommitUnits(lo, hi int, cycle uint64)
-	// CommitBatch advances shared bulk state (link pipelines) for one
+	// CommitBatch commits shared bulk state (link pipelines) for one
 	// partition of parts total. Inline execution calls CommitBatch(0, 1).
 	CommitBatch(part, parts int, cycle uint64)
 }
@@ -130,9 +130,10 @@ func New() *Engine { return &Engine{} }
 // traffic drivers and fault injectors.
 func (e *Engine) Add(cs ...Component) { e.comps = append(e.comps, cs...) }
 
-// AddLatch registers wires that no kernel shuttles, such as links from
-// link.New. They commit at the end of every cycle, one at a time, in
-// registration order, after the kernel's CommitBatch.
+// AddLatch registers clock-edge state outside the kernel's units: links
+// from link.New, or the link arenas whose read planes a kernel's
+// CommitBatch clears. They commit at the end of every cycle, one at a
+// time, in registration order, after the kernel's CommitBatch.
 func (e *Engine) AddLatch(ls ...Latch) { e.latches = append(e.latches, ls...) }
 
 // SetKernel installs k as the engine's network plane, replacing any
@@ -336,7 +337,7 @@ func (p *pool) runLane(lane int, cmd poolCmd) {
 }
 
 // run executes one phase of one partition: its unit range and, on
-// commit, its share of the batched link shuttle.
+// commit, its share of the batched link clear.
 func (p *pool) run(part int, cmd poolCmd) {
 	lo, hi := p.bounds[part], p.bounds[part+1]
 	switch cmd.kind {

@@ -711,7 +711,7 @@ func (r *Router) allocate(cycle uint64, requested uint64) {
 		// cand marks the direction's available backward ports, a bit each.
 		var cand uint64
 		for bp := lo; bp < hi; bp++ {
-			if r.busyBy[bp] == -1 && r.set.BackwardEnabled[bp] && r.bLinks[bp] != nil && !r.bLinks[bp].Link().Dead() {
+			if r.busyBy[bp] == -1 && r.set.BackwardEnabled[bp] && r.bLinks[bp] != nil && !r.bLinks[bp].Dead() {
 				// bp < Outputs <= MaxPorts, so the mask is the identity: it
 				// proves the shift width where it is used.
 				cand |= 1 << (bp & (MaxPorts - 1))

@@ -7,11 +7,12 @@
 // compiled kernel removes it. Components keep no clock-edge state (only
 // the wires latch), so the plan's CommitUnits is empty, and its link
 // pipeline registers live in per-delay-class arenas (link.Arena), one
-// register per link direction in delay+1 parallel planes, placed
+// register per link direction in a ring of delay+1 parallel planes, placed
 // reader-major: every unit's inputs are one contiguous run of registers, in
 // unit order, so a unit's per-cycle reads are adjacent cache lines and the
-// whole commit phase of the interconnect is a copy and a clear per plane
-// over a register range. Evaluation units are one array of router-column
+// whole commit phase of the interconnect is one clear of the plane just
+// read over a register range (CommitBatch), then each arena's head
+// advances one plane (its latch). Evaluation units are one array of router-column
 // lanes and one of endpoints, columns numbered first, walked by plain loops
 // with direct, devirtualized calls per concrete type. Which link ends a unit
 // reads is known to the unit itself: Compile asks each router and endpoint
@@ -189,8 +190,9 @@ func endName(atA bool) string {
 
 // Compiled is the flattened execution plan: what a cycle reads, and
 // nothing else. It implements clock.Kernel: the engine drives units by
-// contiguous index range and the batched link shuttle by partition,
-// serially or across workers.
+// contiguous index range and the batched link clear by partition,
+// serially or across workers. Its arenas advance as latches of their own
+// (Arenas; netsim.Build registers them with Engine.AddLatch).
 type Compiled struct {
 	lanes    []*core.Router // every column's lanes, colLanes per column
 	cols     int            // units [0, cols) are columns, the rest endpoints
@@ -220,16 +222,18 @@ func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
 
 // CommitUnits implements clock.Kernel. It has nothing to do: routers and
 // endpoints latch their state through link pipelines, which CommitBatch
-// shuttles.
+// clears and the arenas' latches advance.
 func (c *Compiled) CommitUnits(lo, hi int, cycle uint64) {}
 
-// CommitBatch implements clock.Kernel: shuttle partition part of every
-// arena's registers. Partitions are disjoint register ranges, so the engine
-// may run them concurrently.
+// CommitBatch implements clock.Kernel: clear partition part of every
+// arena's read plane, once every read of the cycle is done. Partitions are
+// disjoint register ranges, so the engine may run them concurrently. The
+// arenas' latches (Arena.Commit, registered by whoever installs the plan)
+// then advance each ring by one plane.
 func (c *Compiled) CommitBatch(part, parts int, cycle uint64) {
 	for _, a := range c.arenas {
 		n := a.Registers()
-		a.Shuttle(part*n/parts, (part+1)*n/parts)
+		a.Clear(part*n/parts, (part+1)*n/parts)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestCompileAuditErrors(t *testing.T) {
 		}, "link wire0 end A is held by units 0 and 2, want one"},
 		{"held end outside the plan", func(t *testing.T) *Builder {
 			// Endpoint 0 also injects into a wire made by link.New, not
-			// placed in the plan's arena: nothing would shuttle it.
+			// placed in the plan's arena: nothing would latch it.
 			b, eps := chain(t, 1, 1)
 			eps[0].AttachInject(link.New("stray", 1).A())
 			b.AddEndpoint(eps[0])

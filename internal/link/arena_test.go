@@ -10,29 +10,84 @@ import (
 )
 
 // TestLayoutPinRegisterIsEightBytes pins the register at 8 bytes, eight to
-// a cache line: an 8x8 router's forward inputs are then exactly one line,
-// and the commit phase copies 8 bytes per register per plane.
+// a cache line, with its fault byte inside: an 8x8 router's forward inputs
+// are then exactly one line, and a read needs no other line to know whether
+// it may take the fast path.
 func TestLayoutPinRegisterIsEightBytes(t *testing.T) {
 	if got := unsafe.Sizeof(reg{}); got != 8 {
 		t.Fatalf("unsafe.Sizeof(reg{}) = %d, want 8", got)
 	}
+	if off := unsafe.Offsetof(reg{}.fault); off >= 8 {
+		t.Fatalf("reg's fault byte at offset %d, want inside the register", off)
+	}
 }
 
-// TestArenaShuttleMatchesCommit holds the per-plane batched shuttle to
-// per-link Commit: a population of arena-resident links, shuttled each
-// cycle over some set of disjoint register ranges covering [0, 2n), must
-// deliver exactly what the same population of private links (New + Commit,
-// each an arena of one) delivers under the same stimulus — words and BCBs,
-// for delays 1 to 4, under the default placement (link i in registers 2i,
-// 2i+1) and under a scattered one (a seeded permutation, so no link's two
-// registers are adjacent and no range boundary falls between links), with
-// Kill/Revive applied through the arena's views mid-run. The corruptor
-// counts its calls: the fault byte must send exactly the reads to the slow
-// path that a private link sends, so both populations' hooks are invoked
-// the same number of times.
+// wire is the plain shift-register model of one link direction: words[0]
+// and bcbs[0] are what the sender drove this cycle, index delay what the
+// reader sees, and every latch moves each value one register toward the
+// reader. Its reads apply the link's fault semantics: a dead wire delivers
+// Empty and a deasserted BCB, and a corruptor sees every non-Empty word a
+// read observes, Recv's and RecvBCB's alike.
+type wire struct {
+	words   []word.Word
+	bcbs    []bool
+	dead    *bool
+	corrupt Corruptor
+}
+
+func newWire(delay int, dead *bool) *wire {
+	return &wire{words: make([]word.Word, delay+1), bcbs: make([]bool, delay+1), dead: dead}
+}
+
+func (w *wire) latch() {
+	copy(w.words[1:], w.words)
+	copy(w.bcbs[1:], w.bcbs)
+	w.words[0], w.bcbs[0] = word.Word{}, false
+}
+
+func (w *wire) recv() word.Word {
+	x := w.words[len(w.words)-1]
+	if *w.dead || x.Kind == word.Empty {
+		return word.Word{}
+	}
+	if w.corrupt != nil {
+		x = w.corrupt(x)
+	}
+	return x
+}
+
+func (w *wire) recvBCB() bool {
+	if *w.dead {
+		return false
+	}
+	if x := w.words[len(w.words)-1]; w.corrupt != nil && x.Kind != word.Empty {
+		w.corrupt(x)
+	}
+	return w.bcbs[len(w.bcbs)-1]
+}
+
+// TestArenaShuttleMatchesCommit holds the arena's batched latch (its clear
+// and head advance) to per-link Commit and to a plain shift-register model. Three populations of links run under the
+// same stimulus as the model: arena-resident links latched as a built
+// network latches them (Arena.Clear over some set of disjoint register
+// ranges covering [0, 2n), then Arena.Commit), arena-resident links latched
+// as netsim.Reference latches them (Link.Clear per link, then
+// Arena.Commit), and private links (New + per-link Commit, each an arena of
+// one whose head never moves). All must deliver exactly what the model
+// delivers — words and BCBs, for delays 1 to 4, under the default placement
+// (link i in registers 2i, 2i+1) and under a scattered one (a seeded
+// permutation, so no link's two registers are adjacent and no range
+// boundary falls between links), with Kill/Revive applied mid-run. The
+// corruptor counts its calls: the fault byte must send exactly the reads to
+// the slow path that the model's fault semantics name, so every
+// population's hook is invoked as often as the model's. Mid-run, one link
+// of each population is also latched on its own between cycles, as
+// scan.LoopbackTest latches a built network's link: it must move as the
+// model does, and no other link's reads may change.
 func TestArenaShuttleMatchesCommit(t *testing.T) {
 	const n, cycles = 7, 40
 	const regs = 2 * n
+	const loopback = 5 // the link latched on its own at cycle 30
 	partitions := [][][2]int{
 		{{0, regs}},                         // one sweep, as workers = 0 runs it
 		{{0, 6}, {6, regs}},                 // two workers
@@ -40,6 +95,12 @@ func TestArenaShuttleMatchesCommit(t *testing.T) {
 		{{0, 0}, {0, 1}, {1, 1}, {1, regs}}, // empty parts, and a part that splits a link
 		{{0, 2}, {2, 4}, {4, 6}, {6, 8}, {8, 10}, {10, 12}, {12, regs}},
 		{{0, 5}, {5, 9}, {9, regs}}, // odd boundaries
+	}
+	type population struct {
+		name  string
+		links []*Link
+		latch func(cycle uint64)
+		calls int // the counting corruptor's
 	}
 	for _, placement := range []string{"default", "scattered"} {
 		for delay := 1; delay <= 4; delay++ {
@@ -54,91 +115,173 @@ func TestArenaShuttleMatchesCommit(t *testing.T) {
 					if placement == "scattered" {
 						perm = rng.Perm(regs)
 					}
-					arena := NewArena(delay, n)
-					arena.SetNamer(func(i int) string { return fmt.Sprintf("l%d", i) })
-					private := make([]*Link, n)
-					for i := range private {
-						name := fmt.Sprintf("l%d", i)
-						private[i] = New(name, delay)
-						var v *Link
-						if perm == nil {
-							v = arena.New()
-						} else {
-							v = arena.Place(perm[2*i], perm[2*i+1])
-							if ab, ba := v.Registers(); ab != perm[2*i] || ba != perm[2*i+1] {
+					// place fills an arena with the test's placement,
+					// checking what each view reports.
+					place := func() (*Arena, []*Link) {
+						arena := NewArena(delay, n)
+						arena.SetNamer(func(i int) string { return fmt.Sprintf("l%d", i) })
+						links := make([]*Link, n)
+						for i := range links {
+							var v *Link
+							if perm == nil {
+								v = arena.New()
+							} else {
+								v = arena.Place(perm[2*i], perm[2*i+1])
+							}
+							ab, ba := v.Registers()
+							if perm != nil && (ab != perm[2*i] || ba != perm[2*i+1]) {
 								t.Fatalf("link %d placed at %d, %d; asked for %d, %d", i, ab, ba, perm[2*i], perm[2*i+1])
 							}
+							if v != arena.At(i) || v.Name() != fmt.Sprintf("l%d", i) || v.Delay() != delay {
+								t.Fatalf("arena view %d: name %q delay %d", i, v.Name(), v.Delay())
+							}
+							if v.A().Link() != v || v.B().Link() != v {
+								t.Fatalf("link %d: its ends name another link", i)
+							}
+							if a, r := v.A().Input(); a != arena || r != ba {
+								t.Fatalf("link %d: A end reads register %d, want %d (B→A)", i, r, ba)
+							}
+							if a, r := v.B().Input(); a != arena || r != ab {
+								t.Fatalf("link %d: B end reads register %d, want %d (A→B)", i, r, ab)
+							}
+							links[i] = v
 						}
-						if v != arena.At(i) || v.Name() != name || v.Delay() != delay {
-							t.Fatalf("arena view %d: name %q delay %d", i, v.Name(), v.Delay())
+						if arena.Len() != n || arena.Cap() != n || arena.Delay() != delay || arena.Registers() != regs {
+							t.Fatalf("arena Len %d Cap %d Delay %d Registers %d", arena.Len(), arena.Cap(), arena.Delay(), arena.Registers())
 						}
-						ab, ba := v.Registers()
-						if a, r := v.A().Input(); a != arena || r != ba {
-							t.Fatalf("link %d: A end reads register %d, want %d (B→A)", i, r, ba)
-						}
-						if a, r := v.B().Input(); a != arena || r != ab {
-							t.Fatalf("link %d: B end reads register %d, want %d (A→B)", i, r, ab)
-						}
+						return arena, links
 					}
-					if arena.Len() != n || arena.Cap() != n || arena.Delay() != delay || arena.Registers() != regs {
-						t.Fatalf("arena Len %d Cap %d Delay %d Registers %d", arena.Len(), arena.Cap(), arena.Delay(), arena.Registers())
+					batched, batchedLinks := place()
+					byLink, byLinkLinks := place()
+					private := make([]*Link, n)
+					for i := range private {
+						private[i] = New(fmt.Sprintf("l%d", i), delay)
 					}
-					var privateCalls, arenaCalls int
+					pops := []*population{
+						{name: "arena (partitioned Clear)", links: batchedLinks, latch: func(cycle uint64) {
+							for _, part := range parts {
+								batched.Clear(part[0], part[1])
+							}
+							batched.Commit(cycle)
+						}},
+						{name: "arena (per-link Clear)", links: byLinkLinks, latch: func(cycle uint64) {
+							for _, l := range byLinkLinks {
+								l.Clear()
+							}
+							byLink.Commit(cycle)
+						}},
+						{name: "private links", links: private, latch: func(cycle uint64) {
+							for _, l := range private {
+								l.Commit(cycle)
+							}
+						}},
+					}
+					dead := make([]bool, n)
+					wab, wba := make([]*wire, n), make([]*wire, n) // the model, A→B and B→A
+					for i := range wab {
+						wab[i], wba[i] = newWire(delay, &dead[i]), newWire(delay, &dead[i])
+					}
+					modelCalls := 0
 					counting := func(calls *int) Corruptor {
 						return func(w word.Word) word.Word { *calls++; w.Payload ^= 1; return w }
+					}
+					// reads returns what link i's ends deliver, failing on
+					// any population that disagrees with the model.
+					reads := func(cycle, i int) [5]any {
+						t.Helper()
+						want := [5]any{wab[i].recv(), wab[i].recv(), wba[i].recv(), wba[i].recvBCB(), wab[i].recvBCB()}
+						for _, pop := range pops {
+							l := pop.links[i]
+							in := l.B().In()
+							got := [5]any{l.B().Recv(), in.Recv(), l.A().Recv(), l.A().RecvBCB(), l.B().RecvBCB()}
+							if got != want {
+								t.Fatalf("cycle %d link %d: the %s deliver (B, B's view, A, A's BCB, B's BCB) = %v, the model %v", cycle, i, pop.name, got, want)
+							}
+						}
+						return want
+					}
+					// send drives link i's end at A or B in every population
+					// and the model.
+					send := func(i int, atA bool, w word.Word, bcb bool) {
+						for _, pop := range pops {
+							if atA {
+								pop.links[i].A().Send(w)
+							} else {
+								pop.links[i].B().Send(w)
+								pop.links[i].B().SendBCB(bcb)
+							}
+						}
+						if atA {
+							wab[i].words[0] = w
+						} else {
+							wba[i].words[0], wba[i].bcbs[0] = w, bcb
+						}
 					}
 					for cycle := 0; cycle < cycles; cycle++ {
 						switch cycle {
 						case 10:
-							private[2].Kill()
-							arena.At(2).Kill()
-							private[4].SetCorruptor(counting(&privateCalls), nil)
-							arena.At(4).SetCorruptor(counting(&arenaCalls), nil)
+							dead[2] = true
+							wab[4].corrupt = counting(&modelCalls)
+							for _, pop := range pops {
+								pop.links[2].Kill()
+								pop.links[4].SetCorruptor(counting(&pop.calls), nil)
+							}
 						case 25:
-							private[2].Revive()
-							arena.At(2).Revive()
+							dead[2] = false
+							for _, pop := range pops {
+								pop.links[2].Revive()
+							}
+						case 30:
+							// Between cycles, as LoopbackTest does on a built
+							// network: drive one link's A end and latch that
+							// link alone until the word arrives.
+							var before [n][5]any
+							for i := 0; i < n; i++ {
+								if i != loopback {
+									before[i] = reads(cycle, i)
+								}
+							}
+							w := word.MakeData(rng.Uint32(), mustWidth(8))
+							send(loopback, true, w, false)
+							for k := 0; k < delay; k++ {
+								for _, pop := range pops {
+									pop.links[loopback].Commit(uint64(cycle))
+								}
+								wab[loopback].latch()
+								wba[loopback].latch()
+							}
+							if got := reads(cycle, loopback)[0]; got != w {
+								t.Fatalf("link %d latched on its own: B receives %v, want %v", loopback, got, w)
+							}
+							for i := 0; i < n; i++ {
+								if i != loopback && reads(cycle, i) != before[i] {
+									t.Fatalf("cycle %d: latching link %d on its own changed link %d's reads", cycle, loopback, i)
+								}
+							}
 						}
 						for i := 0; i < n; i++ {
-							p, v := private[i], arena.At(i)
-							if got, want := v.B().Recv(), p.B().Recv(); got != want {
-								t.Fatalf("cycle %d link %d: B receives %v from the arena, %v from Commit", cycle, i, got, want)
-							}
-							if got, want := v.B().In().Recv(), p.B().In().Recv(); got != want {
-								t.Fatalf("cycle %d link %d: B's input view receives %v from the arena, %v from Commit", cycle, i, got, want)
-							}
-							if got, want := v.A().Recv(), p.A().Recv(); got != want {
-								t.Fatalf("cycle %d link %d: A receives %v from the arena, %v from Commit", cycle, i, got, want)
-							}
-							if got, want := v.A().RecvBCB(), p.A().RecvBCB(); got != want {
-								t.Fatalf("cycle %d link %d: A sees BCB %v from the arena, %v from Commit", cycle, i, got, want)
-							}
-							if got, want := v.B().RecvBCB(), p.B().RecvBCB(); got != want {
-								t.Fatalf("cycle %d link %d: B sees BCB %v from the arena, %v from Commit", cycle, i, got, want)
-							}
-							// Drive most cycles; an undriven end must shuttle Empty.
+							reads(cycle, i)
+							// Drive most cycles; an undriven end must latch Empty.
 							if rng.Intn(4) > 0 {
-								w := word.MakeData(rng.Uint32(), mustWidth(8))
-								p.A().Send(w)
-								v.A().Send(w)
+								send(i, true, word.MakeData(rng.Uint32(), mustWidth(8)), false)
 							}
 							if rng.Intn(4) > 0 {
 								w := word.MakeData(rng.Uint32(), mustWidth(8))
-								bcb := rng.Intn(2) == 0
-								p.B().Send(w)
-								p.B().SendBCB(bcb)
-								v.B().Send(w)
-								v.B().SendBCB(bcb)
+								send(i, false, w, rng.Intn(2) == 0)
 							}
 						}
-						for _, l := range private {
-							l.Commit(uint64(cycle))
+						for _, pop := range pops {
+							pop.latch(uint64(cycle))
 						}
-						for _, part := range parts {
-							arena.Shuttle(part[0], part[1])
+						for i := range wab {
+							wab[i].latch()
+							wba[i].latch()
 						}
 					}
-					if arenaCalls != privateCalls || privateCalls == 0 {
-						t.Fatalf("corruptor invoked %d times through the arena, %d times through Commit (want equal, nonzero)", arenaCalls, privateCalls)
+					for _, pop := range pops {
+						if pop.calls != modelCalls || modelCalls == 0 {
+							t.Fatalf("corruptor invoked %d times through the %s, %d by the model (want equal, nonzero)", pop.calls, pop.name, modelCalls)
+						}
 					}
 				})
 			}
@@ -147,16 +290,25 @@ func TestArenaShuttleMatchesCommit(t *testing.T) {
 }
 
 // TestFaultByteTracksKillAndCorruptors pins the fault byte's definition: set
-// on a register exactly while its link is dead or its arriving direction has
-// a corruptor, so a healthy direction of a half-corrupted link stays on the
-// fast path. A link keeps fault state exactly while one byte is set.
+// on a register, in every plane, exactly while its link is dead or its
+// arriving direction has a corruptor, so a healthy direction of a
+// half-corrupted link stays on the fast path. A link keeps fault state
+// exactly while one byte is set.
 func TestFaultByteTracksKillAndCorruptors(t *testing.T) {
 	l := New("t", 2)
 	id := func(w word.Word) word.Word { return w }
 	check := func(when string, atA, atB uint8) {
 		t.Helper()
-		if a, b := l.A().fault, l.B().fault; a != atA || b != atB {
-			t.Fatalf("%s: fault bytes A=%d B=%d, want A=%d B=%d", when, a, b, atA, atB)
+		for p, plane := range l.a.planes {
+			if a, b := plane[l.ba].fault, plane[l.ab].fault; a != atA || b != atB {
+				t.Fatalf("%s: plane %d's fault bytes A=%d B=%d, want A=%d B=%d", when, p, a, b, atA, atB)
+			}
+		}
+		if got, want := l.a.faulty, int(atA)+int(atB); got != want {
+			t.Fatalf("%s: the arena counts %d faulty registers, want %d", when, got, want)
+		}
+		if l.A().Dead() != l.Dead() || l.B().Dead() != l.Dead() {
+			t.Fatalf("%s: ends report dead A=%v B=%v on a link that reports %v", when, l.A().Dead(), l.B().Dead(), l.Dead())
 		}
 		if healthy := atA|atB == 0; healthy != (l.f == nil) {
 			t.Fatalf("%s: fault state %v on a link whose fault bytes are A=%d B=%d", when, l.f, atA, atB)

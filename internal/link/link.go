@@ -14,11 +14,12 @@
 // an endpoint's delivery port). Forward traffic (source toward destination)
 // flows A→B; reversed-connection traffic and the BCB flow B→A.
 //
-// Links are the model's clock-edge state and implement clock.Latch: ends
-// stage values during the components' Eval via Send / SendBCB, and the
-// pipelines shift at Commit, so values become visible to the far end after
-// the configured delay. A hand-wired link is registered with
-// Engine.AddLatch; a built network's links are shuttled by their arena.
+// Links are the model's clock-edge state: ends stage values during the
+// components' Eval via Send / SendBCB, and the wires latch after every
+// Eval, so values become visible to the far end after the configured
+// delay. A built network's arenas latch as a whole (Arena.Clear, then
+// Arena.Commit); a hand-wired link latches on its own (Link.Commit,
+// registered with Engine.AddLatch).
 //
 // Fault injection hooks (Corruptor functions and Kill) model broken or
 // noisy wires for the fault-tolerance experiments.
@@ -27,20 +28,22 @@
 //
 // Every link lives in an Arena (New is an arena of one link). An arena
 // keeps one 8-byte register per link direction in delay+1 parallel planes
-// — plane 0 is what the sender staged this cycle, plane delay is what the
-// reader sees — plus, per register, the End that reads it, which carries
-// the register's fault byte. Registers are placed by the reader, not by the
-// link: whoever assembles a network (netsim.Build) gives each unit a
-// contiguous run of registers for everything it reads, so a unit's
-// per-cycle reads are a few adjacent cache lines and the commit phase is a
-// copy and a clear per plane over a register range. A Link is a small view
-// (two register indices and its fault state, absent while the wire is
-// healthy) that the per-cycle receive path never loads: Recv tests the
-// register and the End's fault byte, and only a dead link or a corrupted
-// direction reaches the Link through the slow path. Nor does an arena store
-// its links' names: they are derived on demand (Arena.SetNamer).
-// docs/KERNEL.md ("Memory layout and the per-cycle byte budget") has the
-// picture and the numbers.
+// used as a ring: senders stage into the head plane and readers read the
+// plane after it, the one staged delay cycles ago, so no value moves once
+// written. The commit phase clears the plane just read and advances the
+// head; the cleared plane is next cycle's staging plane. Each register
+// carries its own fault byte, stamped into every plane. Registers are
+// placed by the reader, not by the link: whoever assembles a network
+// (netsim.Build) gives each unit a contiguous run of registers for
+// everything it reads, so a unit's per-cycle reads are a few adjacent
+// cache lines and the commit phase is one clear over a register range. An
+// End is the arena and two register indices; a Link is a small view (two
+// register indices and its fault state, absent while the wire is healthy)
+// that the per-cycle receive path never loads: Recv tests the register
+// alone, and only a dead link or a corrupted direction reaches the Link
+// through the slow path. Nor does an arena store its links' names: they
+// are derived on demand (Arena.SetNamer). docs/KERNEL.md ("Memory layout
+// and the per-cycle byte budget") has the picture and the numbers.
 package link
 
 import (
@@ -54,13 +57,16 @@ import (
 // A nil Corruptor leaves the link healthy.
 type Corruptor func(word.Word) word.Word
 
-// reg is one pipeline register: a word plus the BCB, packed into 8 bytes so
-// eight of a reader's inputs share a cache line.
+// reg is one pipeline register: a word, the BCB and the register's fault
+// byte, packed into 8 bytes so eight of a reader's inputs share a cache
+// line. The fault byte is nonzero while reads of the register must go
+// through the slow path (End.incoming); it is the same in every plane.
 type reg struct {
 	payload uint32
 	kind    word.Kind
 	bits    uint8
 	bcb     bool
+	fault   uint8
 }
 
 func (r reg) word() word.Word {
@@ -120,12 +126,26 @@ func (l *Link) Delay() int { return l.a.delay }
 // is read by the A end.
 func (l *Link) Registers() (ab, ba int) { return int(l.ab), int(l.ba) }
 
-// Commit implements clock.Latch, latching the values staged during Eval:
-// the link's two registers move one plane toward their readers and the
-// staged plane clears.
+// Commit implements clock.Latch for a link latched on its own, latching
+// the values staged during Eval: the link's two registers move one step
+// along the ring toward their readers and the staged one clears. The
+// arena's head stays where it is, so the arena's other links are
+// untouched; a link whose arena latches as a whole (Arena.Commit) must not
+// also be registered on its own.
 func (l *Link) Commit(cycle uint64) {
-	l.a.shift(int(l.ab))
-	l.a.shift(int(l.ba))
+	l.a.shift(l.ab)
+	l.a.shift(l.ba)
+}
+
+// Clear empties the link's two registers in the plane its ends read this
+// cycle, as Arena.Clear does for a register range, keeping their fault
+// bytes. It is that clear written link by link, for a stepper that commits
+// each link itself (netsim.Reference) and then lets the arena latch
+// advance.
+func (l *Link) Clear() {
+	ab, ba := l.faultBytes()
+	l.a.read[l.ab] = reg{fault: ab}
+	l.a.read[l.ba] = reg{fault: ba}
 }
 
 // SetCorruptor installs fault hooks applied to words exiting the link in
@@ -163,19 +183,26 @@ func (l *Link) faultState() *faults {
 	return l.f
 }
 
-// syncFault recomputes the fault bytes of the two ends: a reader takes the
-// slow path while the link is dead or its arriving direction is corrupted.
-// A wire that is healthy again drops its fault state.
+// syncFault stamps the fault bytes of the link's two registers into every
+// plane: a reader takes the slow path while the link is dead or its
+// arriving direction is corrupted. A wire that is healthy again drops its
+// fault state.
 func (l *Link) syncFault() {
-	var ab, ba bool
-	if f := l.f; f != nil {
-		ab, ba = f.dead || f.corruptAB != nil, f.dead || f.corruptBA != nil
-		if !ab && !ba {
-			l.f = nil
-		}
+	ab, ba := l.faultBytes()
+	if ab|ba == 0 {
+		l.f = nil
 	}
-	l.a.ends[l.ab].fault = faultByte(ab)
-	l.a.ends[l.ba].fault = faultByte(ba)
+	l.a.stamp(l.ab, ab)
+	l.a.stamp(l.ba, ba)
+}
+
+// faultBytes returns the fault bytes the link's A→B and B→A registers
+// should carry.
+func (l *Link) faultBytes() (ab, ba uint8) {
+	if f := l.f; f != nil {
+		ab, ba = faultByte(f.dead || f.corruptAB != nil), faultByte(f.dead || f.corruptBA != nil)
+	}
+	return ab, ba
 }
 
 func faultByte(faulty bool) uint8 {
@@ -195,96 +222,64 @@ func (l *Link) B() *End { return &l.a.ends[l.ab] }
 // clock discipline: Send/SendBCB stage values for the current cycle, while
 // Recv/RecvBCB observe values committed at the end of the previous cycle.
 //
-// Register storage is fixed for the life of an arena (commits move values,
-// never the backing arrays), so an end caches the addresses it touches and
-// the healthy per-cycle paths never load the Link.
+// An end is its arena and two register indices. The arena's header holds
+// the current staging and read planes, so a healthy per-cycle path loads
+// the end, the arena's header and the register, and never the Link.
 type End struct {
-	in    *reg // the arriving direction's output-plane register
-	stage *reg // the departing direction's staged register
-	l     *Link
-	fault uint8 // nonzero while reads of in must go through incoming
-	atA   bool
+	a    *Arena
+	r, s int32 // the register this end reads, the one it stages into
 }
 
 // Link returns the underlying link.
-func (e *End) Link() *Link { return e.l }
+func (e *End) Link() *Link { return e.a.link(e.r) }
+
+// Dead reports whether the end's link has been killed, as Link().Dead()
+// does, but loads the Link only when the register's fault byte is set.
+func (e *End) Dead() bool { return e.a.read[e.r].fault != 0 && e.Link().Dead() }
 
 // Input returns the arena holding the register this end reads and the
 // register's index in it: the link's B→A register at the A end, its A→B
 // register at the B end.
-func (e *End) Input() (*Arena, int) {
-	if e.atA {
-		return e.l.a, int(e.l.ba)
-	}
-	return e.l.a, int(e.l.ab)
-}
+func (e *End) Input() (*Arena, int) { return e.a, int(e.r) }
 
 // Send stages the word this end drives onto the link this cycle. If Send is
 // not called during a cycle the end drives Empty.
-func (e *End) Send(w word.Word) { e.stage.setWord(w) }
+func (e *End) Send(w word.Word) { e.a.stage[e.s].setWord(w) }
 
 // SendBCB stages the backward control bit this end drives this cycle.
 // The BCB is only meaningful traveling B→A (toward the source), but both
 // directions carry it for symmetry.
-func (e *End) SendBCB(b bool) { e.stage.bcb = b }
+func (e *End) SendBCB(b bool) { e.a.stage[e.s].bcb = b }
 
 // Recv returns the word arriving at this end this cycle. An Empty register
 // reads as the zero Word with no fault check: a dead link delivers Empty
 // and a corruptor is never invoked on Empty, so only a word actually
 // arriving consults the fault byte.
 func (e *End) Recv() word.Word {
-	if e.in.kind == word.Empty {
+	if e.a.read[e.r].kind == word.Empty {
 		return word.Word{}
 	}
-	return e.arriving()
-}
-
-// arriving is Recv for a non-Empty register, out of line so that Recv and
-// In.Recv inline into their callers' port loops.
-func (e *End) arriving() word.Word {
-	r := *e.in
-	if e.fault != 0 {
-		r = e.incoming()
-	}
-	return r.word()
+	return e.a.arriving(e.r)
 }
 
 // RecvBCB returns the backward control bit arriving at this end this cycle.
 func (e *End) RecvBCB() bool {
-	if e.fault != 0 {
+	r := e.a.read[e.r]
+	if r.fault != 0 {
 		// The fault hook still observes the word (stateful corruptors count
 		// on seeing every exiting word exactly as incoming delivers it).
-		return e.incoming().bcb
+		r = e.incoming()
 	}
-	return e.in.bcb
-}
-
-// incoming is the dead-link / fault-hook receive path, kept out of line so
-// Recv and RecvBCB inline. A nonzero fault byte means the link has fault
-// state (syncFault).
-func (e *End) incoming() reg {
-	f := e.l.f
-	if f.dead {
-		return reg{}
-	}
-	r := *e.in
-	c := f.corruptAB
-	if e.atA {
-		c = f.corruptBA
-	}
-	if c != nil && r.kind != word.Empty {
-		r.setWord(c(r.word()))
-	}
-	return r
+	return r.bcb
 }
 
 // In is a reader's by-value view of one end's arriving register. A unit
 // that watches many mostly idle inputs every cycle (a router's forward
-// ports) holds these in one array: an idle input then costs the view and
-// the register, both dense, and never the End.
+// ports) holds these in one array: an idle input then costs the view, the
+// arena's header and the register, and never the End.
 type In struct {
-	reg *reg
-	e   *End
+	a *Arena
+	r int32
 }
 
 // In returns the end's input view; a nil end yields the zero (unattached)
@@ -293,39 +288,54 @@ func (e *End) In() In {
 	if e == nil {
 		return In{}
 	}
-	return In{reg: e.in, e: e}
+	return In{a: e.a, r: e.r}
 }
 
-// End returns the viewed end, nil for the zero view.
-func (in In) End() *End { return in.e }
+// End returns the viewed end, nil for the zero view. In's methods take a
+// pointer, as a slice element is addressed in place, so that the compiler
+// generates no pointer wrapper repeating each register index check.
+func (in *In) End() *End {
+	if in.a == nil {
+		return nil
+	}
+	return &in.a.ends[in.r]
+}
 
-// Recv returns the word arriving this cycle, exactly as End.Recv does, but
-// loads the End only when a word is actually arriving.
-func (in In) Recv() word.Word {
-	if in.reg.kind == word.Empty {
+// Recv returns the word arriving this cycle, exactly as End.Recv does.
+func (in *In) Recv() word.Word {
+	if in.a.read[in.r].kind == word.Empty {
 		return word.Word{}
 	}
-	return in.e.arriving()
+	return in.a.arriving(in.r)
 }
 
 // Arena is the backing store of many same-delay links: one register per
-// link direction, held in delay+1 parallel planes (plane 0 staged by the
-// sender, plane delay seen by the reader), with the reading End beside each
-// register. Which register a link direction occupies is the caller's
-// choice (Place), so a network builder can lay every unit's inputs out
-// contiguously; New is the default placement.
+// link direction, held in delay+1 parallel planes used as a ring, with the
+// reading End beside each register. Senders stage into plane head; readers
+// read plane head+1 (mod delay+1), which was the head delay cycles ago.
+// Which register a link direction occupies is the caller's choice (Place),
+// so a network builder can lay every unit's inputs out contiguously; New
+// is the default placement.
 //
 // Links placed in an arena behave exactly like ones from New, which is
-// itself an arena of one. The one discipline change is that the owner calls
-// Arena.Shuttle for the commit phase and must not also register the links
-// with Engine.AddLatch (double-shifting would advance a wire two cycles).
+// itself an arena of one whose head never moves. An owner that latches the
+// arena as a whole clears the plane just read (Arena.Clear, over any
+// partition of the registers) and then advances the head (Arena.Commit,
+// a clock.Latch), and must not also latch its links one by one with
+// Link.Commit: that would advance a wire two cycles.
 type Arena struct {
-	delay  int
-	planes [][]reg
-	ends   []End  // one per register: the End reading it
-	links  []Link // backing array; Len() of these are initialized
-	used   int
-	namer  func(i int) string
+	// stage and read are the current head plane and the plane after it:
+	// the header every Send and Recv loads.
+	stage, read []reg
+	planes      [][]reg
+	head        int
+	delay       int
+	faulty      int     // registers whose fault byte is set
+	ends        []End   // one per register: the End reading it
+	owner       []int32 // per register: the placement index of its link
+	links       []Link  // backing array; Len() of these are initialized
+	used        int
+	namer       func(i int) string
 }
 
 // NewArena returns an arena with room for capacity links of the given
@@ -343,12 +353,14 @@ func NewArena(delay, capacity int) *Arena {
 		delay:  delay,
 		planes: make([][]reg, delay+1),
 		ends:   make([]End, n),
+		owner:  make([]int32, n),
 		links:  make([]Link, capacity),
 	}
 	regs := make([]reg, (delay+1)*n)
 	for p := range a.planes {
 		a.planes[p] = regs[p*n : (p+1)*n : (p+1)*n]
 	}
+	a.stage, a.read = a.planes[0], a.planes[1]
 	return a
 }
 
@@ -387,36 +399,96 @@ func (a *Arena) Place(ab, ba int) *Link {
 	if n := len(a.ends); ab < 0 || ab >= n || ba < 0 || ba >= n || ab == ba {
 		panic(fmt.Sprintf("link arena: link %d placed at registers %d, %d of %d", a.used, ab, ba, n))
 	}
-	l := &a.links[a.used]
-	*l = Link{a: a, ab: int32(ab), ba: int32(ba), i: int32(a.used)}
+	i, rab, rba := int32(a.used), int32(ab), int32(ba)
+	l := &a.links[i]
+	*l = Link{a: a, ab: rab, ba: rba, i: i}
 	a.used++
-	staged, out := a.planes[0], a.planes[a.delay]
-	a.ends[ba] = End{l: l, atA: true, in: &out[ba], stage: &staged[ab]}
-	a.ends[ab] = End{l: l, atA: false, in: &out[ab], stage: &staged[ba]}
+	a.owner[ab], a.owner[ba] = i, i
+	a.ends[ba] = End{a: a, r: rba, s: rab}
+	a.ends[ab] = End{a: a, r: rab, s: rba}
 	return l
 }
 
 // At returns the i'th placed link (creation order).
 func (a *Arena) At(i int) *Link { return &a.links[i] }
 
-// Shuttle advances registers [lo, hi) by one cycle, exactly as if Commit
-// had run on every link direction placed there: each plane takes the one
-// before it, output plane first, and the staged plane clears. Dead links
-// shuttle like live ones (Kill suppresses delivery at the reading end, not
-// propagation), so the sweep is branch-free. Disjoint ranges touch disjoint
-// registers, which is what makes the commit phase safe to partition across
-// workers.
-func (a *Arena) Shuttle(lo, hi int) {
-	for p := a.delay; p > 0; p-- {
-		copy(a.planes[p][lo:hi], a.planes[p-1][lo:hi])
+// Clear empties registers [lo, hi) of the plane read this cycle, keeping
+// their fault bytes, so that Commit can make it the next staging plane.
+// It runs after every read of the cycle. Dead links clear like live ones
+// (Kill suppresses delivery at the reading end, not propagation). On a
+// healthy arena the clear is a plain memclr. Disjoint ranges touch
+// disjoint registers, which is what makes the commit phase safe to
+// partition across workers.
+func (a *Arena) Clear(lo, hi int) {
+	rs := a.read[lo:hi]
+	if a.faulty == 0 {
+		clear(rs)
+		return
 	}
-	clear(a.planes[0][lo:hi])
+	for i := range rs {
+		rs[i] = reg{fault: rs[i].fault}
+	}
 }
 
-// shift advances one register by one cycle (the per-link Commit path).
-func (a *Arena) shift(r int) {
-	for p := a.delay; p > 0; p-- {
-		a.planes[p][r] = a.planes[p-1][r]
+// Commit implements clock.Latch: after Clear has run over every register,
+// it advances the ring by one plane, so every link in the arena moves one
+// cycle along its pipeline without a value being copied.
+func (a *Arena) Commit(cycle uint64) {
+	n := len(a.planes)
+	a.head = (a.head + 1) % n
+	a.stage, a.read = a.planes[a.head], a.planes[(a.head+1)%n]
+}
+
+// shift advances one register by one cycle without moving the head (the
+// per-link Commit path): the value of age k, in plane head-k, moves to
+// plane head-k-1 for k = delay-1 down to 0, and the staged plane clears.
+func (a *Arena) shift(r int32) {
+	n := len(a.planes)
+	for age := a.delay; age > 0; age-- {
+		a.planes[(a.head-age+n)%n][r] = a.planes[(a.head-age+1+n)%n][r]
 	}
-	a.planes[0][r] = reg{}
+	a.stage[r] = reg{fault: a.stage[r].fault}
+}
+
+// stamp sets register r's fault byte to b in every plane.
+func (a *Arena) stamp(r int32, b uint8) {
+	if was := a.stage[r].fault; was != b {
+		a.faulty += int(b) - int(was)
+	}
+	for _, p := range a.planes {
+		p[r].fault = b
+	}
+}
+
+// link returns the link owning register r.
+func (a *Arena) link(r int32) *Link { return &a.links[a.owner[r]] }
+
+// arriving is Recv for a non-Empty register r, out of line so that Recv
+// and In.Recv inline into their callers' port loops.
+func (a *Arena) arriving(r int32) word.Word {
+	x := a.read[r]
+	if x.fault != 0 {
+		x = a.ends[r].incoming()
+	}
+	return x.word()
+}
+
+// incoming is the dead-link / fault-hook receive path, kept out of line so
+// Recv and RecvBCB inline. A nonzero fault byte means the link has fault
+// state (syncFault).
+func (e *End) incoming() reg {
+	l := e.Link()
+	f := l.f
+	if f.dead {
+		return reg{}
+	}
+	x := e.a.read[e.r]
+	c := f.corruptAB
+	if e.r == l.ba {
+		c = f.corruptBA
+	}
+	if c != nil && x.kind != word.Empty {
+		x.setWord(c(x.word()))
+	}
+	return x
 }

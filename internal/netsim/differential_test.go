@@ -15,11 +15,11 @@ import (
 
 // The differential family: every scenario below runs once on the
 // reference stepper (reference.go — virtual per-component dispatch,
-// per-link Commit) and once per worker count on the compiled kernel, and
+// per-link Clear) and once per worker count on the compiled kernel, and
 // the two must agree bit for bit on the completed-message stream or on
 // the recorded trace bytes. TestKernel* members run the kernel inline
 // (workers = 0), isolating the compiled dispatch and the batched arena
-// shuttle; TestParallel* members run it at 1, 2, 4 and 8 workers, adding
+// clear; TestParallel* members run it at 1, 2, 4 and 8 workers, adding
 // the index-range partition and the phase barrier. A failure in only the
 // second group is a partitioning bug; -race watches both.
 var (

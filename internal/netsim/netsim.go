@@ -502,6 +502,11 @@ func Build(p Params) (*Network, error) {
 		return nil, err
 	}
 	n.Engine.SetKernel(n.Compiled)
+	// The plan's CommitBatch clears each arena's read plane; its latch
+	// then advances the ring, serially after the commit barrier.
+	for _, a := range n.Compiled.Arenas() {
+		n.Engine.AddLatch(a)
+	}
 	if m := p.EngineMetrics; m != nil {
 		n.Compiled.PublishShape(m.KernelUnits, m.KernelLinks, m.KernelArenas)
 	}

@@ -9,8 +9,9 @@ import (
 
 // Reference is the per-component reference stepper: a clock.Kernel over an
 // already-built Network that evaluates each unit through the virtual
-// clock.Component interface and latches each link through its own Link.Commit,
-// sharing no dispatch or shuttle code with kernel.Compiled, so the tests and
+// clock.Component interface and clears each link's read registers through its
+// own Link.Clear, sharing no dispatch or partitioned clear with
+// kernel.Compiled, so the tests and
 // metrofuzz's "kernel" oracle can compare the two. Serial only; nothing selects
 // it but n.Engine.SetKernel(netsim.NewReference(n)) after a Workers = 0 Build.
 type Reference struct {
@@ -39,7 +40,9 @@ type column []*core.Router
 func (c column) Eval(cycle uint64) { cascade.Eval(c, cycle) }
 
 // Units, EvalUnits, CommitUnits and CommitBatch implement clock.Kernel.
-// CommitUnits is empty: units keep no clock-edge state.
+// CommitUnits is empty: units keep no clock-edge state. CommitBatch clears
+// link by link; the arenas' latches, which Build registered, then advance
+// their rings as they do under the compiled plan.
 func (r *Reference) Units() int { return len(r.units) }
 
 func (r *Reference) EvalUnits(lo, hi int, cycle uint64) {
@@ -55,6 +58,6 @@ func (r *Reference) CommitBatch(part, parts int, cycle uint64) {
 		panic("netsim: the reference stepper is serial; build the network with Workers = 0")
 	}
 	for _, l := range r.links {
-		l.Commit(cycle)
+		l.Clear()
 	}
 }

@@ -198,14 +198,16 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // and links shed names and padding, about 6,320 B before endpoints shared
 // their network's nic.Shape and the kernel dropped its adjacency after the
 // audit, about 5,500 B before a network held each router column as a
-// slice of lanes, and is about 5,520 B now; the ceiling leaves 3% over 5,500 for allocator
-// jitter and fails long before a per-router copy, a per-link field or a
-// per-endpoint Config copy regrows.
+// slice of lanes, about 5,510 B before link ends shed their register
+// pointers and fault byte (12 B less per register, 24 registers per
+// endpoint), and is about 5,220 B now; the ceiling leaves 3% over 5,220
+// for allocator jitter and fails long before a per-router copy, a per-link
+// field or a per-endpoint Config copy regrows.
 func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 5665
+	const endpoints, ceiling = 1024, 5380
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -135,9 +135,11 @@ type Link = link.Link
 // LinkEnd is one side's interface to a link.
 type LinkEnd = link.End
 
-// NewLink constructs a link with the given pipeline delay per direction.
-// Register it with Engine.AddLatch: a link is clock-edge state, which
-// commits after every component's Eval.
+// NewLink constructs a link with the given pipeline delay per direction: a
+// register per direction in a ring of delay+1 planes, an arena of its own.
+// Register it with Engine.AddLatch: a link is clock-edge state, and its
+// Commit, after every component's Eval, ages what its ends staged by one
+// cycle.
 func NewLink(name string, delay int) *Link { return link.New(name, delay) }
 
 // NewEngine constructs an empty synchronous simulation engine.
