@@ -1,14 +1,16 @@
 // Benchmark for the partitioned parallel two-phase engine: steady-state
 // cycle throughput of the congested Figure 3 workload across worker
-// counts, with workers=0 as the serial reference. Every configuration
+// counts, with workers=1 as the inline reference (workers=0, the engine's
+// own choice, is inline too on this 64-endpoint network). Every configuration
 // computes bit-for-bit identical results (see the differential tests in
 // internal/netsim and internal/traffic); this benchmark measures only
 // how fast the cycles go by.
 //
 //	go test -bench EngineWorkers -benchtime 2s .
 //
-// ns/op is the cost of one full simulation cycle (Eval barrier + Commit
-// barrier + serialized epilogue) for the whole 64-endpoint network.
+// ns/op is the cost of one full simulation cycle (partitioned unit eval
+// and its barrier, then the serialized epilogue and commit) for the whole
+// 64-endpoint network.
 package metro_test
 
 import (

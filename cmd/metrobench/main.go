@@ -81,7 +81,7 @@ func main() {
 	scale := flag.String("scale", "", "comma-separated endpoint counts for the kernel scaling curve (empty = off)")
 	scaleRadix := flag.Int("scale-radix", 4, "router radix for the scaling curve (topo.Scale)")
 	scaleCycles := flag.Int("scale-cycles", 256, "measured cycles per scaling point")
-	scaleWorkers := flag.String("scale-workers", "0,1,2,4,8", "comma-separated worker counts swept per scaling size (0 = inline, no worker goroutines)")
+	scaleWorkers := flag.String("scale-workers", "1,0,2,4,8", "comma-separated worker counts swept per scaling size (1 = inline, the baseline; 0 = the engine chooses, recorded as partitions)")
 	index := flag.Int("index", 0, "snapshot index to write (0 = next free BENCH_<n>.json)")
 	force := flag.Bool("force", false, "allow overwriting an existing BENCH_<n>.json")
 	flag.Parse()
@@ -197,8 +197,8 @@ func report(snap Snapshot) {
 			snap.Metrics.OverheadPct)
 	}
 	for _, p := range snap.Scale {
-		fmt.Printf("  scale %6d eps (radix %d, %d routers) w=%d: %10.0f ns/cycle %8.1f cycles/s %6.2f ns/ep/cycle %6d B/ep\n",
-			p.Endpoints, p.Radix, p.Routers, p.Workers,
+		fmt.Printf("  scale %6d eps (radix %d, %d routers) w=%d p=%d: %10.0f ns/cycle %8.1f cycles/s %6.2f ns/ep/cycle %6d B/ep\n",
+			p.Endpoints, p.Radix, p.Routers, p.Workers, p.Partitions,
 			p.NsPerCycle, p.CyclesPerSec, p.NsPerEndpointCycle, p.BytesPerEndpoint)
 	}
 }

@@ -18,7 +18,9 @@ import (
 // stepped under closed-loop load with a given worker count. The curve
 // answers the METRO scaling question directly: how much wall clock does
 // one network cycle cost as the machine grows, and how much of it the
-// engine's worker pool claws back per worker.
+// engine's worker pool claws back per worker. Partitions is the count the
+// engine stepped in: the worker count, or for workers 0 the count the
+// engine chose on this machine.
 type ScalePoint struct {
 	Endpoints          int     `json:"endpoints"`
 	Radix              int     `json:"radix"`
@@ -26,6 +28,7 @@ type ScalePoint struct {
 	Routers            int     `json:"routers"`
 	Links              int     `json:"links"`
 	Workers            int     `json:"workers"`
+	Partitions         int     `json:"partitions"`
 	Cycles             int     `json:"cycles"`
 	Delivered          int     `json:"delivered"`
 	BuildMs            float64 `json:"build_ms"`
@@ -135,6 +138,7 @@ func scalePoint(spec topo.Spec, radix, cycles, workers int) (ScalePoint, error) 
 		Routers:            n.Topo.RouterCount(),
 		Links:              n.Topo.LinkCount(),
 		Workers:            workers,
+		Partitions:         n.Engine.Partitions(),
 		Cycles:             cycles,
 		Delivered:          delivered,
 		BuildMs:            buildMs,

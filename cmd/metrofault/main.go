@@ -35,7 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 9, "seed")
 	traceOut := flag.String("trace", "", "record the highest-count sweep point's telemetry to this mtr1 file")
 	metrics := flag.Bool("metrics", false, "print the telemetry summary of the highest-count sweep point")
-	workers := flag.Int("workers", 0, "workers that run the unit eval and the link clear; 0 steps the engine on one goroutine (results are bit-identical either way)")
+	workers := flag.Int("workers", 0, "partitions of the unit eval, one goroutine each; 1 is inline, 0 lets the engine choose from the network's size (inline on the Figure 3 network; results are bit-identical either way)")
 	flag.Parse()
 
 	var counts []int

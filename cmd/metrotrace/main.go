@@ -107,7 +107,7 @@ func record(args []string) {
 	cascadeW := fs.Int("cascade", 1, "router width-cascade factor c")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	detailed := fs.Bool("detailed", false, "detailed blocked replies instead of fast reclamation")
-	workers := fs.Int("workers", 0, "workers that run the unit eval and the link clear; 0 steps the engine on one goroutine (results are bit-identical either way)")
+	workers := fs.Int("workers", 0, "partitions of the unit eval, one goroutine each; 1 is inline, 0 lets the engine choose from the network's size (inline for every preset here; results are bit-identical either way)")
 	gaugePeriod := fs.Uint64("gauge-period", 1, "cycles between gauge samples")
 	capacity := fs.Int("capacity", 0, "flight-recorder ring capacity in events (0 = default)")
 	out := fs.String("o", "", "output file (default stdout)")

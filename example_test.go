@@ -17,6 +17,7 @@ func ExampleBuildNetwork() {
 	if err != nil {
 		panic(err)
 	}
+	defer net.Close()
 	res, _ := metro.SendOne(net, 6, 15, []byte("hello"), 5000)
 	fmt.Println("delivered:", res.Delivered, "retries:", res.Retries)
 	// Output: delivered: true retries: 0
@@ -86,6 +87,7 @@ func ExampleInjectFaults() {
 	if err != nil {
 		panic(err)
 	}
+	defer net.Close()
 	metro.InjectFaults(net, metro.FaultPlan{
 		{At: 0, Kind: metro.FaultRouterKill, Stage: 0, Index: 1},
 		{At: 0, Kind: metro.FaultRouterKill, Stage: 1, Index: 2},

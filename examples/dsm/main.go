@@ -73,6 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer net.Close()
 
 	read := func(node, owner, line int) (data []byte, cycles uint64) {
 		res, ok := metro.SendOne(net, node, owner, []byte{requestMagic, byte(line)}, 10000)

@@ -26,6 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer net.Close()
 
 	// Phase 1 — dynamic router losses under traffic. Kill two dilated-
 	// stage routers while all-pairs traffic flows; every message must
@@ -67,6 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer net2.Close()
 	// Every output of stage-0 router 1 drives through a faulty connector:
 	// bit 0 of each link is stuck high.
 	var stuck metro.FaultPlan

@@ -40,6 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer net.Close()
 
 	// A burst of 48 sequenced messages.
 	seq := byte(0)

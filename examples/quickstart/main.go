@@ -34,6 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer net.Close()
 
 	// Send 20 bytes from endpoint 6 to endpoint 15. The source interface
 	// builds the routing header, streams the payload with an end-to-end

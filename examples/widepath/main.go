@@ -30,6 +30,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, ok := metro.SendOne(net, 1, 14, make([]byte, 40), 5000)
+		net.Close()
 		if !ok || !res.Delivered {
 			log.Fatalf("c=%d delivery failed", c)
 		}
@@ -57,6 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer net.Close()
 	// Fault plans target lane 0; reach lane 1 through the network's lane
 	// accessors is internal, so corrupt lane 0 of each output link here.
 	var plan metro.FaultPlan

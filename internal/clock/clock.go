@@ -32,16 +32,19 @@
 //	unit eval -> epilogue eval -> CommitUnits + CommitBatch -> latch commit
 //
 // The register-transfer abstraction is also a license to evaluate units
-// concurrently. SetWorkers(n) with n >= 1 splits the unit index space
-// into n contiguous ranges and fans each unit phase over a pool of
-// worker goroutines, with a barrier before whatever follows that phase.
-// Because a well-behaved unit's Eval touches only its own state plus
-// the staged slots of its attached link ends — distinct memory per
-// writer — and CommitBatch's partitions shift disjoint registers, the
-// phase barrier is the only synchronization needed, and the partitioned
-// schedule is bit-for-bit equivalent to the inline one (workers = 0).
-// The epilogue and the latches always run one at a time, in
-// registration order, on the stepping goroutine.
+// concurrently. The engine splits the unit index space into contiguous
+// ranges and fans unit eval over a pool of worker goroutines, with a
+// barrier before the epilogue. Because a well-behaved unit's Eval
+// touches only its own state plus the staged slots of its attached link
+// ends — distinct memory per writer — that barrier is the only
+// synchronization needed, and the partitioned schedule is bit-for-bit
+// equivalent to the inline one (one partition). SetWorkers(n) with
+// n >= 1 asks for exactly n partitions; the default, 0, lets the engine
+// choose from the kernel's size (see minLaneUnits): a kernel too small
+// to repay a hand-off runs inline, a large one is spread over one lane
+// per processor. The epilogue, CommitUnits + CommitBatch and the latches
+// always run on the stepping goroutine, the epilogue and the latches
+// one at a time in registration order.
 //
 // An engine with no kernel simply evaluates its Add-ed components and
 // latches its AddLatch-ed wires: that is how unit tests drive a handful
@@ -76,14 +79,14 @@ type Latch interface {
 // index ranges across workers.
 //
 // Units must obey the isolation contract: a unit's EvalUnit touches only
-// unit-local state plus the staged registers of its attached links, and
-// CommitUnit latches only unit-local registers, so any index partition
-// yields bit-for-bit the same schedule. State owned by no single unit —
-// the batched clear of a link.Arena's read plane — is handled by
-// CommitBatch(part, parts), which the engine calls exactly once per
-// partition during the commit phase; implementations must touch
-// disjoint memory for disjoint parts. The kernels of this module keep
-// all clock-edge state on their wires, so their CommitUnits are empty.
+// unit-local state plus the staged registers of its attached links, so
+// any index partition yields bit-for-bit the same schedule. The commit
+// phase is not partitioned: the engine calls CommitUnits(0, Units()) and
+// then CommitBatch(0, 1) once per cycle on the stepping goroutine, after
+// the epilogue. CommitBatch commits state owned by no single unit, such
+// as the clear of a link.Arena's read plane. The kernels of this module
+// keep all clock-edge state on their wires, so their CommitUnits are
+// empty.
 //
 // Components registered with Add run after every unit's Eval, and
 // latches registered with AddLatch after CommitBatch, each in
@@ -99,7 +102,7 @@ type Kernel interface {
 	// CommitUnits runs the commit phase of units [lo, hi) in index order.
 	CommitUnits(lo, hi int, cycle uint64)
 	// CommitBatch commits shared bulk state (link pipelines) for one
-	// partition of parts total. Inline execution calls CommitBatch(0, 1).
+	// partition of parts total. The engine calls CommitBatch(0, 1).
 	CommitBatch(part, parts int, cycle uint64)
 }
 
@@ -109,7 +112,7 @@ type Engine struct {
 	comps   []Component // the serialized epilogue, registration order
 	latches []Latch     // wires outside the kernel, registration order
 	cycle   uint64
-	workers int
+	workers int // as set by SetWorkers; 0 = the engine chooses
 	kernel  Kernel
 	pool    *pool // built lazily on the first Step after a change
 
@@ -147,12 +150,33 @@ func (e *Engine) SetKernel(k Kernel) {
 // Kernel returns the installed kernel, or nil.
 func (e *Engine) Kernel() Kernel { return e.kernel }
 
-// SetWorkers selects how the kernel's units execute: 0 (or negative)
-// runs them inline on the stepping goroutine; n >= 1 splits them into n
-// contiguous index ranges executed by min(n, GOMAXPROCS) persistent
-// worker goroutines. The schedule is bit-for-bit equivalent for every
-// n, so n is purely a throughput knob. Changing the worker count
-// mid-run is allowed; the pool is rebuilt lazily on the next Step.
+// minLaneUnits is the fewest kernel units per lane that SetWorkers(0)
+// hands a worker goroutine: a kernel of u units is evaluated on
+// u/minLaneUnits lanes, at most GOMAXPROCS, and inline when that is one.
+// A lane's hand-off and barrier cost a few microseconds a cycle whatever
+// its share, so small kernels run inline. docs/KERNEL.md ("Auto
+// partitions") has the crossover curve the value was read from: a
+// 1Ki-endpoint radix-4 network (2,560 units) and a 512-endpoint radix-2
+// one (3,072) step no faster on two lanes than on one, a 1Ki radix-2 one
+// (6,656 units) about 1.5x faster and a 4Ki radix-4 one (11,264) about 2x.
+const minLaneUnits = 2048
+
+// laneRanges is how many contiguous ranges SetWorkers(0) deals onto each
+// lane of a partitioned kernel, round-robin. Router columns come first in
+// the unit order and cost about twice what an endpoint does, so one range
+// per lane leaves the endpoint-heavy lane idle for much of the eval;
+// eight interleave the two kinds on every lane.
+const laneRanges = 8
+
+// SetWorkers selects how the kernel's units execute. n >= 1 splits them
+// into n contiguous index ranges executed by min(n, GOMAXPROCS) lanes, the
+// stepping goroutine running the first and a persistent worker goroutine
+// each of the others; 1 is the inline run, with no goroutine. 0 (or
+// negative), the default, lets the engine choose from the kernel's size
+// and the platform (see minLaneUnits). The schedule is bit-for-bit
+// equivalent for every n, so n is purely a throughput knob. Changing the
+// worker count mid-run is allowed; the pool is rebuilt lazily on the next
+// Step.
 func (e *Engine) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -161,13 +185,41 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers returns the configured worker count (0 = inline).
+// Workers returns the configured worker count (0 = the engine chooses).
 func (e *Engine) Workers() int { return e.workers }
+
+// Partitions returns the number of unit ranges the engine steps its kernel
+// in: the SetWorkers count, or the count it chose for 0 (laneRanges per
+// lane when it partitions, else 1). A result above 1 means the ranges are
+// dealt onto min(Partitions, GOMAXPROCS) lanes, all but the first of them
+// worker goroutines.
+func (e *Engine) Partitions() int {
+	if e.pool != nil {
+		return len(e.pool.bounds) - 1
+	}
+	parts, _ := layout(e.workers, e.kernel)
+	return parts
+}
+
+// layout resolves a worker count against a kernel into a partition count
+// and the number of lanes the partitions are dealt onto; see minLaneUnits.
+func layout(workers int, k Kernel) (parts, lanes int) {
+	procs := runtime.GOMAXPROCS(0)
+	if workers > 0 || k == nil {
+		parts = max(workers, 1)
+		return parts, min(parts, procs)
+	}
+	if lanes = min(k.Units()/minLaneUnits, procs); lanes <= 1 {
+		return 1, 1
+	}
+	return lanes * laneRanges, lanes
+}
 
 // StopWorkers releases the worker goroutines, if any are running. The
 // engine remains usable: the pool restarts lazily on the next Step.
-// Call it when discarding an engine with workers > 0, so sweeps over
-// many networks do not accumulate idle goroutines.
+// Call it when discarding an engine whose Partitions exceed 1, so sweeps
+// over many networks do not accumulate idle goroutines; it is a no-op
+// otherwise, so it is safe to call unconditionally.
 func (e *Engine) StopWorkers() { e.invalidate() }
 
 // invalidate tears down the worker pool; kernel and worker-count
@@ -185,11 +237,19 @@ func (e *Engine) Cycle() uint64 { return e.cycle }
 // Step advances the system by one clock cycle.
 func (e *Engine) Step() {
 	c := e.cycle
-	e.units(phaseEval, c)
+	if e.kernel != nil {
+		if e.pool == nil {
+			e.pool = newPool(e.kernel, e.workers)
+		}
+		e.pool.eval(c)
+	}
 	for _, comp := range e.comps {
 		comp.Eval(c)
 	}
-	e.units(phaseCommit, c)
+	if k := e.kernel; k != nil {
+		k.CommitUnits(0, k.Units(), c)
+		k.CommitBatch(0, 1, c)
+	}
 	for _, l := range e.latches {
 		l.Commit(c)
 	}
@@ -197,18 +257,6 @@ func (e *Engine) Step() {
 	if e.met != nil {
 		e.metTick()
 	}
-}
-
-// units runs one phase of every kernel unit and returns once all of
-// them have finished it. A kernel-less engine has no units.
-func (e *Engine) units(kind phaseKind, cycle uint64) {
-	if e.kernel == nil {
-		return
-	}
-	if e.pool == nil {
-		e.pool = newPool(e.workers, e.kernel)
-	}
-	e.pool.phase(kind, cycle)
 }
 
 // Run advances the system by n clock cycles.
@@ -239,71 +287,48 @@ func (e *Engine) RunUntil(done func() bool, max uint64) bool {
 	return done()
 }
 
-// phaseKind selects which half of the two-phase cycle a partition executes.
-type phaseKind uint8
-
-const (
-	phaseEval phaseKind = iota
-	phaseCommit
-)
-
-// poolCmd is one phase broadcast to a worker.
-type poolCmd struct {
-	kind  phaseKind
-	cycle uint64
-}
-
-// pool drives a kernel's units. The unit population is split into parts
-// contiguous index ranges — the configured worker count, or one range
-// when that is 0 — so the partition is a pure function of the kernel,
-// not of GOMAXPROCS. The partitions are dealt round-robin onto
-// g = min(workers, GOMAXPROCS) lanes, lane i executing partitions i, i+g,
-// i+2g, … in order. The coordinator (the stepping goroutine) runs lane 0
+// pool drives a kernel's unit eval. The unit population is split into
+// parts contiguous index ranges. The partitions are dealt round-robin onto
+// g lanes (see layout), lane i executing partitions i, i+g, i+2g, … in
+// order. The coordinator (the stepping goroutine) runs lane 0
 // itself and the pool owns one persistent goroutine for each of the other
 // g-1 lanes: the coordinator would only sleep while they ran, and on
-// networks whose phase is a few microseconds the extra handoff and wake
-// cost more than the lane. With workers <= 1, or a single processor,
+// networks whose eval is a few microseconds the extra handoff and wake
+// cost more than the lane. With one partition, or a single processor,
 // there is no goroutine at all. The barrier WaitGroup plus the command
 // channels provide the happens-before edges: every write a worker makes
-// during a phase is visible to the coordinator after phase() returns,
-// and to every worker on the next phase broadcast.
+// during an eval is visible to the coordinator after eval returns, and to
+// every worker on the next broadcast.
 //
 // A unit that panics must not take the process down from a goroutine no
 // caller can recover on, nor leave the barrier one Done short. While worker
 // lanes run, every lane (the coordinator's too) recovers a panic into its
 // slot of failed and still reaches the barrier; the coordinator then
 // re-panics on the stepping goroutine with the value of the lowest lane
-// that failed, and the workers stay ready for the next phase or stop.
+// that failed, and the workers stay ready for the next eval or stop.
 type pool struct {
 	k       Kernel
-	bounds  []int          // partition p covers units [bounds[p], bounds[p+1])
-	cmd     []chan poolCmd // lane i+1's command channel: g-1 of them, none when g == 1
-	failed  []any          // per lane, the panic recovered this phase; nil when g == 1
+	bounds  []int         // partition p covers units [bounds[p], bounds[p+1])
+	cmd     []chan uint64 // lane i+1's cycle channel: g-1 of them, none when g == 1
+	failed  []any         // per lane, the panic recovered this eval; nil when g == 1
 	barrier sync.WaitGroup
 	done    sync.WaitGroup
 }
 
-func newPool(workers int, k Kernel) *pool {
-	parts := workers
-	if parts == 0 {
-		parts = 1
-	}
+func newPool(k Kernel, workers int) *pool {
+	parts, lanes := layout(workers, k)
 	p := &pool{k: k, bounds: make([]int, parts+1)}
 	n := k.Units()
 	for i := range p.bounds {
 		p.bounds[i] = i * n / parts
 	}
-	lanes := parts
-	if max := runtime.GOMAXPROCS(0); lanes > max {
-		lanes = max
-	}
-	p.cmd = make([]chan poolCmd, lanes-1)
+	p.cmd = make([]chan uint64, lanes-1)
 	if lanes > 1 {
 		p.failed = make([]any, lanes)
 	}
 	p.done.Add(len(p.cmd))
 	for i := range p.cmd {
-		p.cmd[i] = make(chan poolCmd)
+		p.cmd[i] = make(chan uint64)
 		go p.worker(i + 1)
 	}
 	return p
@@ -312,58 +337,44 @@ func newPool(workers int, k Kernel) *pool {
 // worker is the goroutine behind lane i >= 1.
 func (p *pool) worker(lane int) {
 	defer p.done.Done()
-	for cmd := range p.cmd[lane-1] {
-		p.runLaneRecovering(lane, cmd)
+	for cycle := range p.cmd[lane-1] {
+		p.runLaneRecovering(lane, cycle)
 		p.barrier.Done()
 	}
 }
 
 // runLaneRecovering is runLane with a panic kept in the lane's failed slot
 // for the coordinator to re-raise.
-func (p *pool) runLaneRecovering(lane int, cmd poolCmd) {
+func (p *pool) runLaneRecovering(lane int, cycle uint64) {
 	defer func() {
 		if v := recover(); v != nil {
 			p.failed[lane] = v
 		}
 	}()
-	p.runLane(lane, cmd)
+	p.runLane(lane, cycle)
 }
 
-// runLane executes one phase of every partition dealt to a lane.
-func (p *pool) runLane(lane int, cmd poolCmd) {
+// runLane evaluates the unit range of every partition dealt to a lane.
+func (p *pool) runLane(lane int, cycle uint64) {
 	for part, lanes := lane, len(p.cmd)+1; part < len(p.bounds)-1; part += lanes {
-		p.run(part, cmd)
+		p.k.EvalUnits(p.bounds[part], p.bounds[part+1], cycle)
 	}
 }
 
-// run executes one phase of one partition: its unit range and, on
-// commit, its share of the batched link clear.
-func (p *pool) run(part int, cmd poolCmd) {
-	lo, hi := p.bounds[part], p.bounds[part+1]
-	switch cmd.kind {
-	case phaseEval:
-		p.k.EvalUnits(lo, hi, cmd.cycle)
-	case phaseCommit:
-		p.k.CommitUnits(lo, hi, cmd.cycle)
-		p.k.CommitBatch(part, len(p.bounds)-1, cmd.cycle)
-	}
-}
-
-// phase runs one half-cycle over every partition and waits for all of
-// them to finish it: broadcast to the worker lanes, run lane 0 here, then
-// wait at the barrier and re-raise the first failed lane's panic, if any;
-// with no worker lanes it is a plain call.
-func (p *pool) phase(kind phaseKind, cycle uint64) {
-	cmd := poolCmd{kind: kind, cycle: cycle}
+// eval runs unit eval over every partition and waits for all of them to
+// finish it: broadcast to the worker lanes, run lane 0 here, then wait at
+// the barrier and re-raise the first failed lane's panic, if any; with no
+// worker lanes it is a plain call.
+func (p *pool) eval(cycle uint64) {
 	if len(p.cmd) == 0 {
-		p.runLane(0, cmd)
+		p.runLane(0, cycle)
 		return
 	}
 	p.barrier.Add(len(p.cmd))
 	for _, ch := range p.cmd {
-		ch <- cmd
+		ch <- cycle
 	}
-	p.runLaneRecovering(0, cmd)
+	p.runLaneRecovering(0, cycle)
 	p.barrier.Wait()
 	for lane, v := range p.failed {
 		if v != nil {

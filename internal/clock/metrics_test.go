@@ -75,9 +75,10 @@ func stepKernelWithMetrics(t *testing.T, workers int) {
 // published when the kernel's units run partitioned across workers.
 func TestEngineMetricsParallelShards(t *testing.T) { stepKernelWithMetrics(t, 2) }
 
-// TestEngineMetricsCoordinatorLane: inline (workers=0) and at workers=1
-// the stepping goroutine runs the only lane, with no worker goroutine,
-// and the gauges are published all the same.
+// TestEngineMetricsCoordinatorLane: at workers=0, which a two-unit
+// kernel resolves to inline, and at workers=1 the stepping goroutine runs
+// the only lane, with no worker goroutine, and the gauges are published
+// all the same.
 func TestEngineMetricsCoordinatorLane(t *testing.T) {
 	stepKernelWithMetrics(t, 0)
 	stepKernelWithMetrics(t, 1)

@@ -3,7 +3,6 @@ package clock
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -16,33 +15,30 @@ type unit interface {
 }
 
 // fakeKernel adapts a slice of units to the Kernel interface and
-// audits how the engine drives it: which unit ranges each phase was
-// handed and which CommitBatch partitions ran. All tallies are atomic —
-// the engine calls in from several workers at once.
+// audits how the engine drives it: which unit ranges eval was handed in
+// how many calls, and how CommitBatch ran. All tallies are atomic — the
+// engine calls EvalUnits from several workers at once.
 type fakeKernel struct {
 	units   []unit
 	evals   []atomic.Int32 // per unit, EvalUnits visits since reset
 	commits []atomic.Int32 // per unit, CommitUnits visits since reset
-	batches []atomic.Int32 // per part, CommitBatch calls since reset
-	parts   atomic.Int32   // parts argument of the last CommitBatch
-	bad     atomic.Int32   // CommitBatch calls with part outside [0, parts) or cap
+	ranges  atomic.Int32   // EvalUnits calls since reset: one per partition per cycle
+	batches atomic.Int32   // CommitBatch(0, 1) calls since reset
+	bad     atomic.Int32   // CommitBatch calls with any other arguments
 }
-
-// maxParts bounds the CommitBatch tally; tests stay at or below it.
-const maxParts = 16
 
 func newFakeKernel(units ...unit) *fakeKernel {
 	return &fakeKernel{
 		units:   units,
 		evals:   make([]atomic.Int32, len(units)),
 		commits: make([]atomic.Int32, len(units)),
-		batches: make([]atomic.Int32, maxParts),
 	}
 }
 
 func (k *fakeKernel) Units() int { return len(k.units) }
 
 func (k *fakeKernel) EvalUnits(lo, hi int, cycle uint64) {
+	k.ranges.Add(1)
 	for u := lo; u < hi; u++ {
 		k.evals[u].Add(1)
 		k.units[u].Eval(cycle)
@@ -57,17 +53,16 @@ func (k *fakeKernel) CommitUnits(lo, hi int, cycle uint64) {
 }
 
 func (k *fakeKernel) CommitBatch(part, parts int, cycle uint64) {
-	if part < 0 || part >= parts || parts > maxParts {
+	if part != 0 || parts != 1 {
 		k.bad.Add(1)
 		return
 	}
-	k.parts.Store(int32(parts))
-	k.batches[part].Add(1)
+	k.batches.Add(1)
 }
 
 // audit asserts that since the last reset every unit was evaluated and
-// committed exactly steps times and CommitBatch ran exactly steps times
-// for each of wantParts partitions, then resets the tallies.
+// committed exactly steps times, eval ran as wantParts ranges a cycle and
+// CommitBatch(0, 1) exactly once a cycle, then resets the tallies.
 func (k *fakeKernel) audit(t *testing.T, label string, steps int32, wantParts int) {
 	t.Helper()
 	for u := range k.units {
@@ -75,20 +70,14 @@ func (k *fakeKernel) audit(t *testing.T, label string, steps int32, wantParts in
 			t.Errorf("%s: unit %d evaluated %d and committed %d times in %d steps", label, u, e, c, steps)
 		}
 	}
+	if got, want := k.ranges.Swap(0), steps*int32(wantParts); got != want {
+		t.Errorf("%s: %d EvalUnits calls in %d steps, want %d (%d partitions)", label, got, steps, want, wantParts)
+	}
 	if k.bad.Swap(0) != 0 {
-		t.Errorf("%s: CommitBatch called with part outside [0, parts)", label)
+		t.Errorf("%s: CommitBatch called with arguments other than (0, 1)", label)
 	}
-	if got := int(k.parts.Load()); got != wantParts {
-		t.Errorf("%s: CommitBatch parts = %d, want %d", label, got, wantParts)
-	}
-	for p := range k.batches {
-		want := int32(0)
-		if p < wantParts {
-			want = steps
-		}
-		if got := k.batches[p].Swap(0); got != want {
-			t.Errorf("%s: CommitBatch part %d ran %d times, want %d", label, p, got, want)
-		}
+	if got := k.batches.Swap(0); got != steps {
+		t.Errorf("%s: CommitBatch(0, 1) ran %d times in %d steps", label, got, steps)
 	}
 }
 
@@ -152,8 +141,9 @@ func TestParallelPhaseBarrier(t *testing.T) {
 
 // TestPartitionsCoverUnitsOnce: whatever the worker count — including
 // more workers than units, and a kernel with no units at all — every
-// unit is evaluated and committed exactly once per cycle and CommitBatch
-// runs exactly once per partition.
+// unit is evaluated and committed exactly once per cycle, eval runs as
+// one range per partition, and CommitBatch(0, 1) runs exactly once per
+// cycle. These kernels are far below minLaneUnits, so 0 runs inline.
 func TestPartitionsCoverUnitsOnce(t *testing.T) {
 	for _, units := range []int{0, 1, 3, 13} {
 		for _, workers := range []int{0, 1, 2, 3, 8} {
@@ -167,11 +157,7 @@ func TestPartitionsCoverUnitsOnce(t *testing.T) {
 			e.SetWorkers(workers)
 			e.Run(5)
 			e.StopWorkers()
-			parts := workers
-			if parts == 0 {
-				parts = 1
-			}
-			k.audit(t, fmt.Sprintf("units=%d workers=%d", units, workers), 5, parts)
+			k.audit(t, fmt.Sprintf("units=%d workers=%d", units, workers), 5, max(workers, 1))
 		}
 	}
 }
@@ -188,25 +174,23 @@ type orderProbe struct {
 func (p *orderProbe) Eval(cycle uint64)   { *p.log = append(*p.log, p.name+"E") }
 func (p *orderProbe) Commit(cycle uint64) { *p.log = append(*p.log, p.name+"C") }
 
-// batchLogKernel is a fakeKernel whose CommitBatch also logs "B", under a
-// lock, since the partitions run on several workers at once.
+// batchLogKernel is a fakeKernel whose CommitBatch also logs "B". The log
+// is unsynchronized: CommitBatch runs on the stepping goroutine, with the
+// epilogue and the latches, at every worker count.
 type batchLogKernel struct {
 	*fakeKernel
-	mu  sync.Mutex
 	log *[]string
 }
 
 func (k *batchLogKernel) CommitBatch(part, parts int, cycle uint64) {
-	k.mu.Lock()
 	*k.log = append(*k.log, "B")
-	k.mu.Unlock()
 	k.fakeKernel.CommitBatch(part, parts, cycle)
 }
 
 // TestSerializedEpilogueOrder: Add-ed components evaluate one at a time in
-// registration order, and AddLatch-ed latches commit after every epilogue
-// Eval and after every CommitBatch partition, in their own registration
-// order, inline and with workers.
+// registration order, CommitBatch runs once after every epilogue Eval, and
+// AddLatch-ed latches commit after it in their own registration order,
+// inline and with workers.
 func TestSerializedEpilogueOrder(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		e := New()
@@ -225,11 +209,7 @@ func TestSerializedEpilogueOrder(t *testing.T) {
 		e.SetWorkers(workers)
 		e.Run(10)
 		e.StopWorkers()
-		want := []string{"xE", "yE"}
-		for p := 0; p < max(workers, 1); p++ {
-			want = append(want, "B")
-		}
-		want = append(want, "yC", "xC")
+		want := []string{"xE", "yE", "B", "yC", "xC"}
 		if len(log) != 10*len(want) {
 			t.Fatalf("workers=%d: log length = %d, want %d", workers, len(log), 10*len(want))
 		}
@@ -336,14 +316,10 @@ func TestSetWorkersMidRun(t *testing.T) {
 	for _, seg := range []struct {
 		workers int
 		cycles  uint64
-	}{{0, 30}, {4, 30}, {0, 15}, {2, 15}} {
+	}{{0, 30}, {4, 30}, {1, 15}, {2, 15}} {
 		e.SetWorkers(seg.workers)
 		e.Run(seg.cycles)
-		parts := seg.workers
-		if parts == 0 {
-			parts = 1
-		}
-		k.audit(t, "mid-run", int32(seg.cycles), parts)
+		k.audit(t, "mid-run", int32(seg.cycles), max(seg.workers, 1))
 	}
 	e.StopWorkers()
 
@@ -417,8 +393,8 @@ func TestStopWorkersIdempotent(t *testing.T) {
 
 func TestWorkersAccessor(t *testing.T) {
 	e := New()
-	if e.Workers() != 0 {
-		t.Fatalf("fresh engine workers = %d", e.Workers())
+	if e.Workers() != 0 || e.Partitions() != 1 {
+		t.Fatalf("fresh engine workers = %d, partitions = %d; want 0 and 1", e.Workers(), e.Partitions())
 	}
 	e.SetWorkers(6)
 	if e.Workers() != 6 {
@@ -427,6 +403,74 @@ func TestWorkersAccessor(t *testing.T) {
 	e.SetWorkers(-3)
 	if e.Workers() != 0 {
 		t.Fatalf("negative worker count should clamp to 0, got %d", e.Workers())
+	}
+}
+
+// sizedKernel is a kernel of n units that do nothing but count the ranges
+// they are evaluated in: enough to see how the engine partitions a large
+// plan without building one.
+type sizedKernel struct {
+	n      int
+	ranges atomic.Int32
+}
+
+func (k *sizedKernel) Units() int                                { return k.n }
+func (k *sizedKernel) EvalUnits(lo, hi int, cycle uint64)        { k.ranges.Add(1) }
+func (k *sizedKernel) CommitUnits(lo, hi int, cycle uint64)      {}
+func (k *sizedKernel) CommitBatch(part, parts int, cycle uint64) {}
+
+// TestAutoPartitions: SetWorkers(0) evaluates a kernel on one lane per
+// minLaneUnits units, at least one and at most GOMAXPROCS, as laneRanges
+// ranges a lane when that is more than one, and inline otherwise;
+// SetWorkers(n >= 1) is exactly n ranges on min(n, GOMAXPROCS) lanes
+// whatever the kernel's size. Partitions reports the count before the
+// first Step and after it, and a pool once built keeps its layout when
+// GOMAXPROCS changes.
+func TestAutoPartitions(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, units, workers, parts, lanes int }{
+		{4, 0, 0, 1, 1},
+		{4, 2*minLaneUnits - 1, 0, 1, 1},
+		{4, 2 * minLaneUnits, 0, 2 * laneRanges, 2},
+		{4, 3*minLaneUnits + 1, 0, 3 * laneRanges, 3},
+		{4, 100 * minLaneUnits, 0, 4 * laneRanges, 4},
+		{1, 100 * minLaneUnits, 0, 1, 1}, // one processor: auto is inline
+		{4, 100 * minLaneUnits, 1, 1, 1}, // 1 is the explicit inline run
+		{1, 3, 2, 2, 1},
+		{4, 3, 6, 6, 4},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		label := fmt.Sprintf("GOMAXPROCS=%d units=%d workers=%d", tc.procs, tc.units, tc.workers)
+		baseline := runtime.NumGoroutine()
+		k := &sizedKernel{n: tc.units}
+		e := New()
+		e.SetKernel(k)
+		e.SetWorkers(tc.workers)
+		if got := e.Partitions(); got != tc.parts {
+			t.Errorf("%s: Partitions() = %d before stepping, want %d", label, got, tc.parts)
+		}
+		e.Run(2)
+		runtime.GOMAXPROCS(tc.procs + 1)
+		e.Run(1)
+		if got := e.Partitions(); got != tc.parts {
+			t.Errorf("%s: Partitions() = %d after stepping, want %d", label, got, tc.parts)
+		}
+		if got := k.ranges.Load(); got != int32(3*tc.parts) {
+			t.Errorf("%s: %d EvalUnits calls in 3 steps, want %d", label, got, 3*tc.parts)
+		}
+		if got := runtime.NumGoroutine() - baseline; got != tc.lanes-1 {
+			t.Errorf("%s: %d worker goroutines, want %d lanes besides the stepping goroutine", label, got, tc.lanes-1)
+		}
+		e.StopWorkers()
+		for yields := 0; runtime.NumGoroutine() > baseline; yields++ {
+			if yields == 1_000_000 {
+				t.Fatalf("%s: %d goroutines after StopWorkers, baseline %d", label, runtime.NumGoroutine(), baseline)
+			}
+			runtime.Gosched()
+		}
+	}
+	if got := New().Partitions(); got != 1 {
+		t.Errorf("kernel-less engine: Partitions() = %d, want 1", got)
 	}
 }
 

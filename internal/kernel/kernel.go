@@ -226,8 +226,8 @@ func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
 func (c *Compiled) CommitUnits(lo, hi int, cycle uint64) {}
 
 // CommitBatch implements clock.Kernel: clear partition part of every
-// arena's read plane, once every read of the cycle is done. Partitions are
-// disjoint register ranges, so the engine may run them concurrently. The
+// arena's read plane, once every read of the cycle is done. The engine
+// calls CommitBatch(0, 1); any split clears each register once. The
 // arenas' latches (Arena.Commit, registered by whoever installs the plan)
 // then advance each ring by one plane.
 func (c *Compiled) CommitBatch(part, parts int, cycle uint64) {

@@ -417,8 +417,8 @@ func (a *Arena) At(i int) *Link { return &a.links[i] }
 // It runs after every read of the cycle. Dead links clear like live ones
 // (Kill suppresses delivery at the reading end, not propagation). On a
 // healthy arena the clear is a plain memclr. Disjoint ranges touch
-// disjoint registers, which is what makes the commit phase safe to
-// partition across workers.
+// disjoint registers, so a clear split into ranges, in any order or
+// concurrently, clears each register once.
 func (a *Arena) Clear(lo, hi int) {
 	rs := a.read[lo:hi]
 	if a.faulty == 0 {

@@ -117,18 +117,20 @@ func (r *Report) fail(oracle, format string, args ...any) {
 }
 
 // Run executes a scenario under the oracle battery: the primary leg
-// first — the compiled kernel stepped inline, with per-cycle invariant
-// checks and the behavioural oracles — then, when the scenario requests
-// workers, the same kernel partitioned across them, and, when
-// h.KernelOracle is set, the reference stepper. Each extra leg's result
-// and delivery streams must match the primary leg bit for bit.
+// first — the compiled kernel stepped inline (Workers 1, so the engine
+// never partitions it whatever the network's size), with per-cycle
+// invariant checks and the behavioural oracles — then, when the scenario
+// requests workers, the same kernel partitioned across them, and, when
+// h.KernelOracle is set, the reference stepper, inline too. Each extra
+// leg's result and delivery streams must match the primary leg bit for
+// bit.
 func Run(s Scenario, h Hooks) *Report {
 	r := &Report{Scenario: s, Spec: EncodeSpec(s)}
 	if err := s.Validate(); err != nil {
 		r.fail("spec", "%v", err)
 		return r
 	}
-	primary, err := runLeg(s, h, legConfig{checkInv: true})
+	primary, err := runLeg(s, h, legConfig{workers: 1, checkInv: true})
 	if err != nil {
 		r.legFailed("", err)
 		return r
@@ -155,7 +157,7 @@ func Run(s Scenario, h Hooks) *Report {
 		r.diffLegs("differential", "parallel", primary, par)
 	}
 	if h.KernelOracle {
-		ref, err := runLeg(s, h, legConfig{reference: true, fixedCycles: primary.cycles})
+		ref, err := runLeg(s, h, legConfig{workers: 1, reference: true, fixedCycles: primary.cycles})
 		if err != nil {
 			r.legFailed("reference leg: ", err)
 			return r

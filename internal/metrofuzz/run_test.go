@@ -366,14 +366,14 @@ func TestKernelOracleCatchesDivergence(t *testing.T) {
 
 // TestDifferentialOracleCatchesDivergence: the mutation gate for the
 // serial/parallel differential. A defect planted only in the partitioned
-// leg (the hook checks the engine's worker count) of a cascaded network
+// leg (the hook checks the engine's partition count) of a cascaded network
 // must trip the differential, and the shrinker must hold on to it down to
 // a replayable spec that still fails.
 func TestDifferentialOracleCatchesDivergence(t *testing.T) {
 	s := tinyScenario()
 	s.CascadeWidth = 2
 	bug := Hooks{Mutate: func(n *netsim.Network) {
-		if n.Engine.Workers() == 0 {
+		if n.Engine.Partitions() == 1 {
 			return // leave the inline primary leg clean
 		}
 		n.InjectLink(0, 0).SetCorruptor(func(w word.Word) word.Word {

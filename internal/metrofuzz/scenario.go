@@ -98,7 +98,7 @@ type Scenario struct {
 
 	// Workers is the worker count for the parallel leg of the
 	// differential oracle; 0 runs the inline primary leg only (no
-	// differential).
+	// differential). The primary leg always runs at Workers 1.
 	Workers int
 
 	// Traffic schedule.

@@ -17,11 +17,13 @@ import (
 // reference stepper (reference.go — virtual per-component dispatch,
 // per-link Clear) and once per worker count on the compiled kernel, and
 // the two must agree bit for bit on the completed-message stream or on
-// the recorded trace bytes. TestKernel* members run the kernel inline
-// (workers = 0), isolating the compiled dispatch and the batched arena
-// clear; TestParallel* members run it at 1, 2, 4 and 8 workers, adding
-// the index-range partition and the phase barrier. A failure in only the
-// second group is a partitioning bug; -race watches both.
+// the recorded trace bytes. TestKernel* members run the kernel at the
+// default workers = 0, which the engine resolves to inline on these
+// paper-sized networks, isolating the compiled dispatch and the batched
+// arena clear; TestParallel* members run it at 1, 2, 4 and 8 workers,
+// adding the index-range partition and the eval barrier. A failure in
+// only the second group is a partitioning bug; -race watches both. The
+// reference stepper always runs at workers = 1.
 var (
 	inline      = []int{0}
 	partitioned = []int{1, 2, 4, 8}
@@ -148,7 +150,7 @@ func (c congested) run(t *testing.T, reference bool, workers int, rec *telemetry
 // count reproduces the reference stepper's result stream bit for bit —
 // same per-message latencies, same retry counts, same order.
 func (c congested) diffResults(t *testing.T, workers []int) {
-	want := c.run(t, true, 0, nil)
+	want := c.run(t, true, 1, nil)
 	if len(want) == 0 {
 		t.Fatal("congested run completed no messages; the differential compares nothing")
 	}
@@ -183,7 +185,7 @@ func (c congested) trace(t *testing.T, reference bool, workers int) []byte {
 // the flattened layout, the index-range partition nor any goroutine
 // interleaving may show through.
 func (c congested) diffTraces(t *testing.T, workers []int) {
-	want := c.trace(t, true, 0)
+	want := c.trace(t, true, 1)
 	ref, err := telemetry.Decode(bytes.NewReader(want))
 	if err != nil {
 		t.Fatalf("reference trace does not decode: %v", err)

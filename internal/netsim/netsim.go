@@ -97,22 +97,25 @@ type Params struct {
 	GaugePeriod uint64
 	// EngineMetrics, when set, attaches operational gauges to the cycle
 	// engine: cycles-per-second and step-time sampled on a cycle grid,
-	// per-partition phase times when Workers > 0, and the compiled
-	// plane's static shape. Purely observational: gauge
+	// and the compiled plane's static shape. Purely observational: gauge
 	// writes are atomic stores that never feed back into the model, so
 	// results are bit-identical with metrics on or off (see
 	// clock.EngineMetrics).
 	EngineMetrics *clock.EngineMetrics
-	// Workers selects how the compiled kernel's units execute: 0 (the
-	// default) steps them inline on the calling goroutine; n >= 1
+	// Workers selects how the compiled kernel's units evaluate: n >= 1
 	// splits the unit index space — router columns stage-major, then
 	// endpoints — into n contiguous ranges run by worker goroutines
-	// (see internal/clock). Results are bit-for-bit identical for every
-	// value, so Workers is purely a throughput knob. Responder and
-	// ResponderDelay run on worker goroutines when Workers > 0 and must
-	// therefore be pure functions of their arguments; OnResult and
-	// OnDeliver are unaffected (they are replayed in deterministic
-	// order on the stepping goroutine at every worker count).
+	// (see internal/clock), and 1 steps them inline on the calling
+	// goroutine. 0, the default, lets the engine choose from the
+	// network's size and the processor count: paper-sized networks run
+	// inline, and one of thousands of endpoints is spread over a
+	// goroutine per processor (Engine.Partitions reports the choice).
+	// Results are bit-for-bit identical for every value, so Workers is
+	// purely a throughput knob. Responder and ResponderDelay run on
+	// worker goroutines whenever the engine partitions, so they must be
+	// pure functions of their arguments; OnResult and OnDeliver are
+	// unaffected (they are replayed in deterministic order on the
+	// stepping goroutine at every worker count).
 	Workers int
 	// OnResult, when set, receives every completed message, and is then the
 	// only place completions go: a network built with OnResult keeps no
@@ -503,7 +506,7 @@ func Build(p Params) (*Network, error) {
 	}
 	n.Engine.SetKernel(n.Compiled)
 	// The plan's CommitBatch clears each arena's read plane; its latch
-	// then advances the ring, serially after the commit barrier.
+	// then advances the ring. Both run on the stepping goroutine.
 	for _, a := range n.Compiled.Arenas() {
 		n.Engine.AddLatch(a)
 	}
@@ -530,11 +533,13 @@ func Build(p Params) (*Network, error) {
 	return n, nil
 }
 
-// Close releases the engine's worker goroutines when the network runs
-// with Workers > 0; it is a no-op otherwise. The network remains usable
-// afterwards — the pool restarts lazily on the next Step — so Close is
-// safe to defer unconditionally. Sweeps that build many networks should
-// call it to avoid accumulating idle goroutines.
+// Close releases the engine's worker goroutines, which a network has
+// whenever the engine partitions its units (Engine.Partitions > 1: an
+// explicit Workers >= 2, or Workers = 0 on a large network); it is a
+// no-op otherwise. The network remains usable afterwards — the pool
+// restarts lazily on the next Step — so Close is safe to defer
+// unconditionally. Anything that builds networks should call it, so
+// sweeps do not accumulate idle goroutines.
 func (n *Network) Close() { n.Engine.StopWorkers() }
 
 // Send offers a message from src to dest and returns its ID. Call it

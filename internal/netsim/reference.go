@@ -13,7 +13,7 @@ import (
 // own Link.Clear, sharing no dispatch or partitioned clear with
 // kernel.Compiled, so the tests and
 // metrofuzz's "kernel" oracle can compare the two. Serial only; nothing selects
-// it but n.Engine.SetKernel(netsim.NewReference(n)) after a Workers = 0 Build.
+// it but n.Engine.SetKernel(netsim.NewReference(n)) after a Workers = 1 Build.
 type Reference struct {
 	units []clock.Component
 	links []*link.Link
@@ -40,8 +40,9 @@ type column []*core.Router
 func (c column) Eval(cycle uint64) { cascade.Eval(c, cycle) }
 
 // Units, EvalUnits, CommitUnits and CommitBatch implement clock.Kernel.
-// CommitUnits is empty: units keep no clock-edge state. CommitBatch clears
-// link by link; the arenas' latches, which Build registered, then advance
+// CommitUnits is empty: units keep no clock-edge state. CommitBatch, which
+// the engine calls as (0, 1) on the stepping goroutine, clears every link
+// one by one; the arenas' latches, which Build registered, then advance
 // their rings as they do under the compiled plan.
 func (r *Reference) Units() int { return len(r.units) }
 
@@ -54,9 +55,6 @@ func (r *Reference) EvalUnits(lo, hi int, cycle uint64) {
 func (r *Reference) CommitUnits(lo, hi int, cycle uint64) {}
 
 func (r *Reference) CommitBatch(part, parts int, cycle uint64) {
-	if parts != 1 {
-		panic("netsim: the reference stepper is serial; build the network with Workers = 0")
-	}
 	for _, l := range r.links {
 		l.Clear()
 	}

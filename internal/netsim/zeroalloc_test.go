@@ -226,5 +226,5 @@ func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if per > ceiling {
 		t.Fatalf("Build(Scale(%d, 4)) keeps %d B per endpoint live, ceiling %d", endpoints, per, ceiling)
 	}
-	runtime.KeepAlive(n)
+	n.Close() // also keeps n live until the heap is read
 }

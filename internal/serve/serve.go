@@ -305,7 +305,7 @@ func (s *Server) runJob(j *job) {
 var runScenario = metrofuzz.Run
 
 // simulate runs j's scenario. A panic in it (Build, the cycle loop, the
-// oracles, or a unit on an engine worker goroutine of a Workers > 0 leg,
+// oracles, or a unit on an engine worker goroutine of a partitioned leg,
 // which the engine re-raises on the job's goroutine) is recovered into a
 // report whose one "panic" failure carries the panic text, counted and
 // logged, so the job completes as failed and the worker goes on serving.

@@ -42,7 +42,7 @@ func diffDriver(t *testing.T, cycles uint64, p netsim.Params, fresh func() drive
 		n.Run(cycles)
 		return d
 	}
-	want := run(true, 0)
+	want := run(true, 1)
 	if len(want.Measured()) == 0 {
 		t.Fatal("run measured no completions; the differential compares nothing")
 	}
