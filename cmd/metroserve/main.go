@@ -114,6 +114,10 @@ func main() {
 		Logger:         logger,
 	})
 
+	// The listening line tells a supervisor it may signal the daemon, so the
+	// drain handler is in place before it prints.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "metroserve: %v\n", err)
@@ -137,8 +141,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Printf("metroserve: %v, draining\n", sig)

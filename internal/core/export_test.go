@@ -34,10 +34,8 @@ type InvariantCorruption struct {
 // InvariantCorruptions covers every kind of field the six clauses read.
 var InvariantCorruptions = []InvariantCorruption{
 	{"fwd set", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].set = uint8(v) }},
-	{"fwd injHead", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].injHead = uint8(v) }},
-	{"fwd injLen", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].injLen = uint8(v) }},
-	{"fwd outHead", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].outHead = uint8(v) }},
-	{"fwd outLen", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].outLen = uint8(v) }},
+	{"fwd qHead", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].qHead = uint8(v) }},
+	{"fwd qLen", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].qLen = uint8(v) }},
 	{"fwd bp", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].bp = int8(v) }},
 	{"fwd state", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].state = fpState(v) }},
 	{"busyBy marker", func(r *Router, i, v int) { r.busyBy[i%len(r.busyBy)] = int8(v) }},
@@ -53,14 +51,14 @@ var InvariantCorruptions = []InvariantCorruption{
 			r.closers[i%len(r.closers)].set = uint8(v)
 		}
 	}},
-	{"closer injLen", func(r *Router, i, v int) {
+	{"closer qHead", func(r *Router, i, v int) {
 		if len(r.closers) > 0 {
-			r.closers[i%len(r.closers)].injLen = uint8(v)
+			r.closers[i%len(r.closers)].qHead = uint8(v)
 		}
 	}},
-	{"closer outHead", func(r *Router, i, v int) {
+	{"closer qLen", func(r *Router, i, v int) {
 		if len(r.closers) > 0 {
-			r.closers[i%len(r.closers)].outHead = uint8(v)
+			r.closers[i%len(r.closers)].qLen = uint8(v)
 		}
 	}},
 	{"parked set", func(r *Router, i, v int) {

@@ -14,8 +14,8 @@ import (
 //  2. no two forward ports claim the same backward port;
 //  3. every buffer set in [0, Inputs+Outputs) has exactly one holder (a
 //     forward port, a closer or the free pool), so a connected port has
-//     its own pipeline of the configured depth, and every inject and outQ
-//     cursor lies within the injWords region it indexes;
+//     its own pipeline of the configured depth, and every queue cursor
+//     lies within the injWords region it indexes;
 //  4. an allocated backward port lies within the configured dilation's
 //     direction structure;
 //  5. detached closers hold only ports marked as flushing (-2);
@@ -251,13 +251,12 @@ func (r *Router) window(outputs int) int {
 	return outputs / d * d
 }
 
-// within reports whether both of f's cursor pairs lie within their
-// injCap-word regions: head <= len <= injCap for each. Each difference is
-// below 256 exactly when it does not wrap, so one comparison decides all
-// four (injCap, an injWords count, is below 256 too).
+// within reports whether f's queue cursors lie within its injCap-word
+// region: qHead <= qLen <= injCap. Each difference is below 256 exactly
+// when it does not wrap, so one comparison decides both (injCap, an
+// injWords count, is below 256 too).
 func (f *flow) within(injCap uint) bool {
-	return (uint(f.injLen)-uint(f.injHead))|(injCap-uint(f.injLen))|
-		(uint(f.outLen)-uint(f.outHead))|(injCap-uint(f.outLen)) < 256
+	return (uint(f.qLen)-uint(f.qHead))|(injCap-uint(f.qLen)) < 256
 }
 
 // setMask has a bit per buffer set: Inputs+Outputs <= 2*MaxPorts of them.
@@ -267,11 +266,11 @@ func (m *setMask) has(s int) bool { return m[s>>6&1]>>(s&63)&1 != 0 }
 
 // claimSet records f's claim on its buffer set in held. It reports false,
 // claiming nothing, if the set index is out of range or already claimed or
-// a cursor pair is not within its injWords region; flowError says which.
+// its queue cursors are not within the injWords region; flowError says
+// which.
 func (r *Router) claimSet(held *setMask, f *flow) bool {
 	if int(f.set) >= r.cfg.Inputs+r.cfg.Outputs || held.has(int(f.set)) ||
-		f.injHead > f.injLen || int(f.injLen) > r.injCap ||
-		f.outHead > f.outLen || int(f.outLen) > r.injCap {
+		f.qHead > f.qLen || int(f.qLen) > r.injCap {
 		return false
 	}
 	held[f.set>>6&1] |= 1 << (f.set & 63)
@@ -286,9 +285,7 @@ func (r *Router) flowError(held *setMask, f *flow, who string, n int) error {
 		return fmt.Errorf("%s: %s%d holds buffer set %d outside [0, %d)", r.name, who, n, f.set, sets)
 	case held.has(int(f.set)):
 		return fmt.Errorf("%s: buffer set %d claimed twice, the second time by %s%d", r.name, f.set, who, n)
-	case f.injHead > f.injLen || int(f.injLen) > r.injCap:
-		return fmt.Errorf("%s: %s%d inject cursors [%d:%d] outside the %d-word region", r.name, who, n, f.injHead, f.injLen, r.injCap)
 	default:
-		return fmt.Errorf("%s: %s%d outQ cursors [%d:%d] outside the %d-word region", r.name, who, n, f.outHead, f.outLen, r.injCap)
+		return fmt.Errorf("%s: %s%d queue cursors [%d:%d] outside the %d-word region", r.name, who, n, f.qHead, f.qLen, r.injCap)
 	}
 }

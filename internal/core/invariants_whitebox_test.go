@@ -123,20 +123,20 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 			want:    "the free closer slot 1 holds buffer set 100 outside [0, 8)",
 		},
 		{
-			name: "outQ longer than the injWords region",
+			name: "queue longer than the injWords region",
 			corrupt: func(r *Router) {
 				connect(r, 0, 2)
-				r.fwd[0].outLen = uint8(r.injCap) + 1
+				r.fwd[0].qLen = uint8(r.injCap) + 1
 			},
-			want: "fp0 outQ cursors [0:4] outside the 3-word region",
+			want: "fp0 queue cursors [0:4] outside the 3-word region",
 		},
 		{
-			name: "inject head past its length in a closer",
+			name: "queue head past its length in a closer",
 			corrupt: func(r *Router) {
 				closeOut(r, 0, 2)
-				r.closers[0].injHead = 2
+				r.closers[0].qHead = 2
 			},
-			want: "the closer on bp2 inject cursors [2:0]",
+			want: "the closer on bp2 queue cursors [2:0]",
 		},
 		{
 			name: "closer flushing an out-of-range bp",

@@ -68,39 +68,38 @@ const (
 )
 
 // injWords is the worst-case injection sequence of a port at channel
-// width w: STATUS + checksum words + DROP. It is also the bound of the
-// elastic output buffer: a stream word is displaced into outQ only by a
-// word leaving ahead of it, occupancy grows only while an injected word
-// takes the slot (a buffered word leaving makes room for the one
-// arriving), and flip, the only place a sequence is staged on a port
-// that forwards, empties outQ first. Exceeding it indicates a protocol
+// width w: STATUS + checksum words + DROP. It is also the bound of a
+// flow's queue, which holds the staged sequence and the stream words it
+// displaces: a sequence is staged only into an empty queue (flip discards
+// what was pending; a blocked port was just reset), and from then on each
+// cycle takes one word out and displaces at most one in, so occupancy
+// never exceeds the sequence staged. Exceeding it indicates a protocol
 // bug, not a congestion condition (see DESIGN.md).
 func injWords(w word.Width) int { return 2 + word.ChecksumWords(w) }
 
 // flow is the part of a connection's state that moves words through a
 // buffer set: the staged pipeline input, the set's index and the cursors
-// into its inject and outQ regions. A live forward port and a detached
-// closer each hold one, and the router advances both through the same
-// methods (shiftPipe, selectOutput, buffer, stageInject, turnInPipe).
+// into its queue. A live forward port and a detached closer each hold one,
+// and the router advances both through the same methods (shiftPipe,
+// selectOutput, buffer, stageInject, turnInPipe).
 //
 // The buffers themselves live in Router.bufs; set names which of the
 // router's Inputs+Outputs sets (at most 2*MaxPorts, a byte) this flow
 // owns, and the cursors are bounded by injWords (at most 10 at width 1).
-// Staged injection words are inject[injHead:injLen], pending stream words
-// outQ[outHead:outLen]: both are consumed through the head cursor so the
-// region is reused in place; see buffer() for the outQ compaction.
+// The words waiting to leave ahead of the pipe are queue[qHead:qLen]:
+// a staged injection sequence first, then the stream words it displaced,
+// the order they leave in. They are consumed through the head cursor so
+// the region is reused in place; see buffer() for the compaction.
 type flow struct {
-	pipeIn  word.Word // word staged into the pipe this cycle
-	set     uint8     // buffer-set index into Router.bufs
-	injHead uint8     // next inject element to transmit
-	injLen  uint8     // staged inject elements
-	outHead uint8     // next outQ element to transmit
-	outLen  uint8     // buffered outQ elements
+	pipeIn word.Word // word staged into the pipe this cycle
+	set    uint8     // buffer-set index into Router.bufs
+	qHead  uint8     // next queue element to transmit
+	qLen   uint8     // queue elements staged or buffered
 }
 
 // fwdPort holds the per-forward-port connection state machine: half a
-// cache line (layout_test.go pins 32 bytes), with its pipe, inject and
-// outQ buffers one index away in the router's backing array. Port numbers
+// cache line (layout_test.go pins 32 bytes), with its pipe and queue
+// buffers one index away in the router's backing array. Port numbers
 // are bytes because Config.Validate bounds them by MaxPorts; hdrLeft stays
 // an int because HeaderWords has no upper bound.
 type fwdPort struct {
@@ -121,21 +120,20 @@ func (p *fwdPort) reset(s fpState) {
 	*p = fwdPort{flow: flow{set: p.set}, state: s, bp: -1}
 }
 
-// injPending reports whether staged injection words remain.
-func (f *flow) injPending() bool { return f.injHead < f.injLen }
-
 // closer is the detached tail of a closing forward connection: when the
 // input side of a connection sees its DROP (or the channel go idle), the
 // forward port is released immediately so a new connection request can be
 // accepted, while the crosspoint keeps flushing the in-flight pipeline
 // words — ending with a DROP — out the backward port. The backward port
 // stays busy until the flush completes. The closer takes over the port's
-// flow, and with it the buffer set the in-flight words sit in.
+// flow, and with it the buffer set the in-flight words sit in. The
+// deadline leads so that the flow's 12 bytes and the two port bytes pack
+// behind it (layout_test.go pins the size).
 type closer struct {
-	flow
 	deadline int
-	fp       int8 // original owner, for tracing
-	bp       int8
+	flow
+	fp int8 // original owner, for tracing
+	bp int8
 }
 
 // hotHeader is everything an idle router's Eval reads, packed into the
@@ -179,7 +177,7 @@ type Router struct {
 	// buffers, the backward side and the telemetry buffer.
 	fwd []fwdPort
 	// bufs backs every port buffer: Inputs+Outputs buffer sets of
-	// dp + 2*injCap words each (see pipe, inject and outQ), where dp is
+	// dp + injCap words each (see pipe and queue), where dp is
 	// cfg.DataPipe and injCap is injWords(cfg.width). A flow names its set
 	// by index. Every set has one holder at a time: a forward port, a
 	// closer, or an unused closer slot (there are Outputs sets beyond the
@@ -216,10 +214,9 @@ type Router struct {
 	_ [40]byte
 }
 
-// pipe, inject and outQ are the three regions of f's buffer set, in that
-// order in the backing array: the dp pipeline stages, then injCap words of
-// which inject[injHead:injLen] are staged, then injCap words of which
-// outQ[outHead:outLen] are pending. Each operation slices the one region it
+// pipe and queue are the two regions of f's buffer set, in that order in
+// the backing array: the dp pipeline stages, then injCap words of which
+// queue[qHead:qLen] are pending. Each operation slices the one region it
 // works on. The three-index slices stop a region at its capacity, so an
 // append or index past it cannot alias the neighbouring region or set.
 func (r *Router) pipe(f *flow) []word.Word {
@@ -227,18 +224,13 @@ func (r *Router) pipe(f *flow) []word.Word {
 	return r.bufs[lo : lo+r.dp : lo+r.dp]
 }
 
-func (r *Router) inject(f *flow) []word.Word {
+func (r *Router) queue(f *flow) []word.Word {
 	lo := r.setBase(f) + r.dp
 	return r.bufs[lo : lo+r.injCap : lo+r.injCap]
 }
 
-func (r *Router) outQ(f *flow) []word.Word {
-	lo := r.setBase(f) + r.dp + r.injCap
-	return r.bufs[lo : lo+r.injCap : lo+r.injCap]
-}
-
 // setBase is where f's buffer set starts in bufs.
-func (r *Router) setBase(f *flow) int { return int(f.set) * (r.dp + 2*r.injCap) }
+func (r *Router) setBase(f *flow) int { return int(f.set) * (r.dp + r.injCap) }
 
 // NewRouter constructs a router with the given architectural parameters,
 // run-time settings, and random bit source: a stage of one router, whose
@@ -260,8 +252,8 @@ func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
 // until a mutator writes its settings.
 func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
 	cfg := &sh.Config
-	// inject and outQ hold up to injWords words each: stageInject's worst
-	// case and buffer()'s overflow guard.
+	// A queue holds up to injWords words: stageInject's worst case and
+	// buffer()'s overflow guard.
 	injCap := injWords(sh.width)
 	r := &Router{
 		hotHeader: hotHeader{
@@ -277,7 +269,7 @@ func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
 		busyBy: make([]int8, cfg.Outputs),
 		dp:     cfg.DataPipe,
 		injCap: injCap,
-		bufs:   make([]word.Word, (cfg.Inputs+cfg.Outputs)*(cfg.DataPipe+2*injCap)),
+		bufs:   make([]word.Word, (cfg.Inputs+cfg.Outputs)*(cfg.DataPipe+injCap)),
 	}
 	r.SetID(FreeID())
 	// Forward port i starts on set i; closer slot j parks set Inputs+j.
@@ -731,8 +723,7 @@ func (r *Router) allocate(cycle uint64, requested uint64) {
 		p.bp = int8(bp)
 		// The checksum and pipeIn already hold what parseRoute parked.
 		clear(r.pipe(&p.flow))
-		p.injHead, p.injLen = 0, 0
-		p.outHead, p.outLen = 0, 0
+		p.qHead, p.qLen = 0, 0
 		p.revActive = false
 		p.closing = false
 		if r.cfg.HeaderWords > 1 {
@@ -837,9 +828,9 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 			}
 
 		case fpBlockedReply:
-			if p.injPending() {
-				w := r.inject(&p.flow)[p.injHead]
-				p.injHead++
+			if p.qHead < p.qLen {
+				w := r.queue(&p.flow)[p.qHead]
+				p.qHead++
 				if e := r.fin[fp].End(); e != nil {
 					e.Send(w)
 				}
@@ -862,27 +853,28 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 }
 
 // stageInject stages a STATUS word, the segment checksum, and optionally a
-// closing DROP into f's injection region.
+// closing DROP as f's whole queue, discarding anything pending there.
 func (r *Router) stageInject(f *flow, status word.Word, sum uint8, drop bool) {
-	inject := r.inject(f)
+	queue := r.queue(f)
 	//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
-	seq := append(inject[:0], status)
+	seq := append(queue[:0], status)
 	seq = word.AppendChecksum(seq, sum, r.cfg.width)
 	if drop {
 		//metrovet:alloc capacity sized to the worst-case injection sequence in NewRouter
 		seq = append(seq, word.Word{Kind: word.Drop})
 	}
-	if len(seq) > len(inject) {
+	if len(seq) > len(queue) {
 		// append spilled to the heap: the region is the injWords bound.
 		panic("core: injection sequence overflow — protocol bug")
 	}
-	f.injHead = 0
+	f.qHead = 0
 	//metrovet:truncate the sequence fits the region: injWords = 2 + ChecksumWords(width) <= 10 words
-	f.injLen = uint8(len(seq))
+	f.qLen = uint8(len(seq))
 }
 
 // turnInPipe reports whether a TURN is still flowing through f's pipeline
-// (a reversal is in flight).
+// or queue (a reversal is in flight). Injected words are never TURN, so
+// scanning them with the displaced ones changes nothing.
 func (r *Router) turnInPipe(f *flow) bool {
 	if f.pipeIn.Kind == word.Turn {
 		return true
@@ -892,7 +884,7 @@ func (r *Router) turnInPipe(f *flow) bool {
 			return true
 		}
 	}
-	for _, w := range r.outQ(f)[f.outHead:f.outLen] {
+	for _, w := range r.queue(f)[f.qHead:f.qLen] {
 		if w.Kind == word.Turn {
 			return true
 		}
@@ -916,20 +908,14 @@ func (r *Router) shiftPipe(f *flow) word.Word {
 	return out
 }
 
-// selectOutput picks the word f transmits this cycle: pending injected
-// words (STATUS/CHECKSUM) first, then buffered stream words, then the pipe
-// output. A displaced pipe word is buffered; an absent word becomes idle
-// fill so the connection stays open.
+// selectOutput picks the word f transmits this cycle: the queue's head
+// (injected STATUS/CHECKSUM words, then the stream words they displaced)
+// first, then the pipe output. A displaced pipe word joins the queue's
+// tail; an absent word becomes idle fill so the connection stays open.
 func (r *Router) selectOutput(f *flow, pipeOut, idle word.Word) word.Word {
-	if f.injPending() {
-		w := r.inject(f)[f.injHead]
-		f.injHead++
-		r.buffer(f, pipeOut)
-		return w
-	}
-	if f.outHead < f.outLen {
-		w := r.outQ(f)[f.outHead]
-		f.outHead++
+	if f.qHead < f.qLen {
+		w := r.queue(f)[f.qHead]
+		f.qHead++
 		r.buffer(f, pipeOut)
 		return w
 	}
@@ -943,31 +929,31 @@ func (r *Router) buffer(f *flow, w word.Word) {
 	if w.IsEmpty() {
 		return
 	}
-	outQ := r.outQ(f)
-	if int(f.outLen) == len(outQ) {
-		if f.outHead == 0 {
+	queue := r.queue(f)
+	if int(f.qLen) == len(queue) {
+		if f.qHead == 0 {
 			// Full of pending words: the region is the injWords bound.
 			panic("core: output elastic buffer overflow — protocol bug")
 		}
 		// Slide the pending words to the front so the store below stays
 		// within the region.
-		copy(outQ, outQ[f.outHead:f.outLen])
-		f.outLen -= f.outHead
-		f.outHead = 0
+		copy(queue, queue[f.qHead:f.qLen])
+		f.qLen -= f.qHead
+		f.qHead = 0
 	}
-	outQ[f.outLen] = w
-	f.outLen++
+	queue[f.qLen] = w
+	f.qLen++
 }
 
 // flip completes a connection reversal at this router: the just-ended
-// receive segment's status and checksum are queued for injection into the
-// new stream, and a fresh pipeline is started for the new direction.
+// receive segment's status and checksum replace the queue, for injection
+// into the new stream, and a fresh pipeline is started for the new
+// direction.
 func (r *Router) flip(cycle uint64, fp int, to fpState) {
 	p := &r.fwd[fp]
 	sum := p.ck.Sum()
 	p.ck.Reset()
 	r.stageInject(&p.flow, word.Word{Kind: word.Status, Payload: 0}, sum, false)
-	p.outHead, p.outLen = 0, 0
 	if to == fpForward {
 		// The downstream hop is an established connection: filling the
 		// pipe with DATA-IDLE keeps the stream contiguous so the hop
@@ -1013,7 +999,7 @@ func (r *Router) detach(cycle uint64, fp int) {
 		c := &r.closers[n]
 		free := c.set
 		*c = closer{flow: p.flow, fp: int8(fp), bp: p.bp,
-			deadline: r.dp + int(p.injLen-p.injHead) + int(p.outLen-p.outHead) + 4}
+			deadline: r.dp + int(p.qLen-p.qHead) + 4}
 		c.pipeIn = word.Word{Kind: word.Drop}
 		p.set = free
 	}

@@ -84,7 +84,6 @@ func (r *reg) setWord(w word.Word) {
 type Link struct {
 	a      *Arena
 	ab, ba int32   // register carrying A→B (read at B) and B→A (read at A)
-	i      int32   // placement index in the arena, what its namer is asked
 	f      *faults // nil while the wire is healthy
 }
 
@@ -112,10 +111,13 @@ func New(name string, delay int) *Link {
 // wiring errors), as its arena's namer derives it; "" in an arena without
 // one.
 func (l *Link) Name() string {
-	if l.a.namer == nil {
-		return ""
+	// The link's placement index is the owner of its A→B register. Place
+	// accepts only registers below len(owner); the test spares the index
+	// check.
+	if a, r := l.a, uint(int(l.ab)); a.namer != nil && r < uint(len(a.owner)) {
+		return a.namer(int(a.owner[r]))
 	}
-	return l.a.namer(int(l.i))
+	return ""
 }
 
 // Delay returns the pipeline depth per direction.
@@ -401,7 +403,7 @@ func (a *Arena) Place(ab, ba int) *Link {
 	}
 	i, rab, rba := int32(a.used), int32(ab), int32(ba)
 	l := &a.links[i]
-	*l = Link{a: a, ab: rab, ba: rba, i: i}
+	*l = Link{a: a, ab: rab, ba: rba}
 	a.used++
 	a.owner[ab], a.owner[ba] = i, i
 	a.ends[ba] = End{a: a, r: rba, s: rab}

@@ -200,14 +200,16 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // audit, about 5,500 B before a network held each router column as a
 // slice of lanes, about 5,510 B before link ends shed their register
 // pointers and fault byte (12 B less per register, 24 registers per
-// endpoint), and is about 5,220 B now; the ceiling leaves 3% over 5,220
-// for allocator jitter and fails long before a per-router copy, a per-link
-// field or a per-endpoint Config copy regrows.
+// endpoint), about 5,220 B before a connection's injected and displaced
+// words shared one queue and closers and links shed their padding and
+// placement index, and is about 4,565 B now; the ceiling leaves 3% over
+// 4,565 for allocator jitter and fails long before a per-router copy, a
+// per-link field or a per-endpoint Config copy regrows.
 func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 5380
+	const endpoints, ceiling = 1024, 4700
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

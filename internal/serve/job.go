@@ -56,6 +56,12 @@ type job struct {
 
 	hub  *hub
 	done chan struct{}
+	// logged is a latch, locked from newJob until the submit handler has
+	// logged the job queued. The worker takes it before logging the job
+	// running, so a job's lines keep their transition order without s.mu
+	// held across the caller-supplied logger, and a retained job carries
+	// no extra allocation for it.
+	logged sync.Mutex
 
 	// enqueuedAt is the wallclock instant the job entered the admission
 	// queue; workers subtract it to observe queue wait. Observability
@@ -70,7 +76,7 @@ type job struct {
 }
 
 func newJob(id, spec string, scn metrofuzz.Scenario, engine Engine, trace bool, obs jobObs) *job {
-	return &job{
+	j := &job{
 		id:     id,
 		spec:   spec,
 		scn:    scn,
@@ -80,6 +86,8 @@ func newJob(id, spec string, scn metrofuzz.Scenario, engine Engine, trace bool, 
 		hub:    newHub(id, obs),
 		done:   make(chan struct{}),
 	}
+	j.logged.Lock()
+	return j
 }
 
 // status returns the job's current externally visible status.

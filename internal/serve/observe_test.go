@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,6 +285,75 @@ func TestSSEDropAccounting(t *testing.T) {
 	h.close()
 	if obs.subscribers.Value() != 0 {
 		t.Fatalf("after close: subs=%v", obs.subscribers.Value())
+	}
+}
+
+// stallQueued is a slog.Handler that keeps the job states it is given, in
+// the order it writes them, and holds each "queued" record until the job
+// has left the admission queue: a worker that logs "running" without
+// waiting for that line then writes it first. The stall holds no lock
+// the worker's record needs; it polls s.mu only to read the queue length.
+type stallQueued struct {
+	s      *Server
+	mu     sync.Mutex
+	states []string
+}
+
+func (h *stallQueued) Enabled(context.Context, slog.Level) bool { return true }
+func (h *stallQueued) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *stallQueued) WithGroup(string) slog.Handler            { return h }
+
+func (h *stallQueued) Handle(_ context.Context, rec slog.Record) error {
+	if rec.Message != "job" {
+		return nil
+	}
+	var state string
+	rec.Attrs(func(a slog.Attr) bool {
+		if a.Key == "state" {
+			state = a.Value.String()
+		}
+		return true
+	})
+	// The worker takes the job off the queue whether or not it then waits
+	// for this line, so the poll ends either way.
+	for state == StatusQueued && h.queued() > 0 {
+		runtime.Gosched()
+	}
+	h.mu.Lock()
+	h.states = append(h.states, state)
+	h.mu.Unlock()
+	return nil
+}
+
+func (h *stallQueued) queued() int {
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	return h.s.queuedNow
+}
+
+// TestJobLogOrder holds a job's "queued" line back until a worker has
+// taken the job, and requires the "running" line to come after it all
+// the same: a job's lines follow its transitions however the handler's
+// and the worker's logging interleave.
+func TestJobLogOrder(t *testing.T) {
+	h := &stallQueued{}
+	s := New(Config{Workers: 1, Logger: slog.New(h)})
+	h.s = s
+	hs := httptestServer(t, s)
+	resp := submit(t, hs, quickSpec(t, 4), "?wait=1")
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.states) != 3 || h.states[0] != StatusQueued || h.states[1] != StatusRunning {
+		t.Fatalf("job state lines %v, want [queued running <terminal>]", h.states)
 	}
 }
 

@@ -218,6 +218,7 @@ func (s *Server) worker() {
 		wait := time.Since(j.enqueuedAt) //metrovet:ignore no-wallclock queue-wait histogram; never reaches simulation state
 		s.met.queueWait.Observe(wait.Seconds())
 		s.met.inflight.Add(1)
+		j.logged.Lock()
 		s.log.LogAttrs(s.runCtx, slog.LevelInfo, "job",
 			slog.String("job", j.id), slog.String("state", StatusRunning),
 			slog.Int64("wait_us", wait.Microseconds()))
@@ -471,6 +472,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.log.LogAttrs(r.Context(), slog.LevelInfo, "job",
 				slog.String("job", id), slog.String("state", StatusQueued),
 				slog.String("engine", string(engine)), slog.Bool("trace", trace))
+			j.logged.Unlock()
 		default:
 			s.mu.Unlock()
 			s.met.admRejectedFull.Inc()
