@@ -23,6 +23,7 @@ import (
 	"metro/internal/stats"
 	"metro/internal/telemetry"
 	"metro/internal/topo"
+	"metro/internal/traffic"
 )
 
 func main() {
@@ -53,17 +54,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var pat metro.TrafficPattern
-	switch *pattern {
-	case "uniform":
-		pat = metro.UniformTraffic{}
-	case "hotspot":
-		pat = metro.HotspotTraffic{Target: 0, Fraction: 0.3}
-	case "bitrev":
-		pat = metro.BitReverseTraffic{}
-	case "transpose":
-		pat = metro.TransposeTraffic{}
-	default:
+	pat, ok := traffic.PatternByName(*pattern)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "metrosim: unknown pattern %q\n", *pattern)
 		os.Exit(2)
 	}

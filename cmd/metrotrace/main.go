@@ -122,17 +122,8 @@ func record(args []string) {
 		fmt.Fprintf(os.Stderr, "metrotrace record: unknown network %q\n", *network)
 		os.Exit(2)
 	}
-	var pat traffic.Pattern
-	switch *pattern {
-	case "uniform":
-		pat = traffic.Uniform{}
-	case "hotspot":
-		pat = traffic.Hotspot{Target: 0, Fraction: 0.3}
-	case "bitrev":
-		pat = traffic.BitReverse{}
-	case "transpose":
-		pat = traffic.Transpose{}
-	default:
+	pat, ok := traffic.PatternByName(*pattern)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "metrotrace record: unknown pattern %q\n", *pattern)
 		os.Exit(2)
 	}

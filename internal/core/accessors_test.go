@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"metro/internal/core"
+	"metro/internal/prng"
 	"metro/internal/word"
 )
 
@@ -36,7 +37,7 @@ func TestApplySettingsLive(t *testing.T) {
 	h := newHarness(cfg, dil1Settings(cfg), 2)
 	set := h.r.Settings()
 	set.Dilation = 2
-	set.FastReclaim[0] = false
+	set.FastReclaim &^= 1 << 0
 	if err := h.r.ApplySettings(set); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestApplySettingsLive(t *testing.T) {
 	h.r.SetBackwardEnabled(2, false)
 	h.r.SetFastReclaim(3, true)
 	got := h.r.Settings()
-	if got.ForwardEnabled[1] || got.BackwardEnabled[2] || !got.FastReclaim[3] {
+	if got.ForwardEnabled != 0b1101 || got.BackwardEnabled != 0b1011 || got.FastReclaim != 0b1110 {
 		t.Fatalf("port setters not applied: %+v", got)
 	}
 }
@@ -193,16 +194,48 @@ func TestConfigValidateRemainingBranches(t *testing.T) {
 	set := core.DefaultSettings(cfg4x4())
 	mutations := []func(*core.Settings){
 		func(s *core.Settings) { s.Dilation = 3 },
-		func(s *core.Settings) { s.BackwardEnabled = s.BackwardEnabled[:1] },
-		func(s *core.Settings) { s.FastReclaim = s.FastReclaim[:1] },
-		func(s *core.Settings) { s.Swallow = s.Swallow[:1] },
-		func(s *core.Settings) { s.OffPortDrive = s.OffPortDrive[:1] },
+		func(s *core.Settings) { s.BackwardEnabled |= 1 << 4 },
+		func(s *core.Settings) { s.FastReclaim |= 1 << 4 },
+		func(s *core.Settings) { s.Swallow |= 1 << 63 },
+		func(s *core.Settings) { s.OffPortDrive[0] |= 1 << 4 },
+		func(s *core.Settings) { s.OffPortDrive[1] |= 1 << 4 },
+		func(s *core.Settings) { s.TurnDelay = s.TurnDelay[:1] },
 	}
 	for i, mutate := range mutations {
 		bad := set.Clone()
 		mutate(&bad)
 		if err := bad.Validate(cfg4x4()); err == nil {
 			t.Errorf("bad settings %d accepted", i)
+		}
+	}
+}
+
+// TestPortSettersPanicOutOfRange: a per-port setter given a port its bank
+// does not have panics, as an index past a per-port slice would, rather
+// than set a bit Validate would reject.
+func TestPortSettersPanicOutOfRange(t *testing.T) {
+	cfg := core.Config{Inputs: 4, Outputs: 8, Width: 4, MaxDilation: 2,
+		DataPipe: 1, RandomInputs: 1, ScanPaths: 1}
+	setters := []struct {
+		name  string
+		ports int
+		set   func(r *core.Router, p int)
+	}{
+		{"SetForwardEnabled", cfg.Inputs, func(r *core.Router, p int) { r.SetForwardEnabled(p, true) }},
+		{"SetBackwardEnabled", cfg.Outputs, func(r *core.Router, p int) { r.SetBackwardEnabled(p, true) }},
+		{"SetFastReclaim", cfg.Inputs, func(r *core.Router, p int) { r.SetFastReclaim(p, true) }},
+	}
+	for _, s := range setters {
+		for _, p := range []int{-1, s.ports, core.MaxPorts} {
+			r := core.NewRouter("r", cfg, core.DefaultSettings(cfg), prng.NewLFSR(1))
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) on %d ports did not panic", s.name, p, s.ports)
+					}
+				}()
+				s.set(r, p)
+			}()
 		}
 	}
 }

@@ -26,7 +26,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"metro/internal/word"
 )
@@ -115,79 +114,70 @@ func (c Config) DirBits(d int) int { return log2(c.Radix(d)) }
 // Settings holds the run-time configurable options of a router, following
 // Table 2 of the paper. All options are loadable over the scan interface
 // (package scan); port enables and fast reclamation may also be changed
-// while the router is in operation.
+// while the router is in operation. A per-port option is a mask: bit p
+// is port p, and no bit is set at or above the bank's port count
+// (Config.Validate caps both banks at MaxPorts).
 type Settings struct {
 	// Dilation is the configured effective dilation d (a power of two,
 	// 1 <= d <= MaxDilation).
 	Dilation int
-	// ForwardEnabled enables each forward port (len Inputs). A disabled
+	// ForwardEnabled enables each forward port (Inputs bits). A disabled
 	// port ignores all traffic and can be isolated for scan testing.
-	ForwardEnabled []bool
-	// BackwardEnabled enables each backward port (len Outputs). Disabled
+	ForwardEnabled uint64
+	// BackwardEnabled enables each backward port (Outputs bits). Disabled
 	// ports are never allocated.
-	BackwardEnabled []bool
-	// FastReclaim selects fast path reclamation per forward port
-	// (len Inputs). When false the port holds blocked connections for a
-	// detailed status reply.
-	FastReclaim []bool
-	// Swallow selects, per forward port (len Inputs), whether a routing
+	BackwardEnabled uint64
+	// FastReclaim selects fast path reclamation per forward port (Inputs
+	// bits). A clear bit holds blocked connections for a detailed status
+	// reply.
+	FastReclaim uint64
+	// Swallow selects, per forward port (Inputs bits), whether a routing
 	// word whose bits are exhausted is removed from the stream. Only
 	// relevant when HeaderWords == 0.
-	Swallow []bool
+	Swallow uint64
 	// TurnDelay records the variable turn delay configured for each port
 	// (len Inputs+Outputs), each <= MaxVTD. The delay itself is realized
 	// by the attached link pipelines; the register exists so the scan
 	// interface can read and write the same configuration state the
 	// silicon holds.
 	TurnDelay []int
-	// OffPortDrive selects, per port (len Inputs+Outputs), whether a
-	// disabled port actively drives its output pins (used during boundary
-	// test of isolated ports).
-	OffPortDrive []bool
+	// OffPortDrive selects, per port, whether a disabled port actively
+	// drives its output pins (used during boundary test of isolated
+	// ports): [0] the forward ports (Inputs bits), [1] the backward ones
+	// (Outputs bits).
+	OffPortDrive [2]uint64
 }
+
+// ports returns the mask of the first n ports, n <= MaxPorts.
+func ports(n int) uint64 { return 1<<n - 1 }
 
 // DefaultSettings returns settings with every port enabled, fast
 // reclamation and swallow on, and dilation equal to MaxDilation.
 func DefaultSettings(c Config) Settings {
-	s := Settings{
+	in := ports(c.Inputs)
+	return Settings{
 		Dilation:        c.MaxDilation,
-		ForwardEnabled:  make([]bool, c.Inputs),
-		BackwardEnabled: make([]bool, c.Outputs),
-		FastReclaim:     make([]bool, c.Inputs),
-		Swallow:         make([]bool, c.Inputs),
+		ForwardEnabled:  in,
+		BackwardEnabled: ports(c.Outputs),
+		FastReclaim:     in,
+		Swallow:         in,
 		TurnDelay:       make([]int, c.Inputs+c.Outputs),
-		OffPortDrive:    make([]bool, c.Inputs+c.Outputs),
 	}
-	for i := range s.ForwardEnabled {
-		s.ForwardEnabled[i] = true
-		s.FastReclaim[i] = true
-		s.Swallow[i] = true
-	}
-	for i := range s.BackwardEnabled {
-		s.BackwardEnabled[i] = true
-	}
-	return s
 }
 
 // Validate checks the settings against the architectural parameters.
 func (s Settings) Validate(c Config) error {
+	in, out := ports(c.Inputs), ports(c.Outputs)
 	switch {
 	case s.Dilation < 1 || !isPow2(s.Dilation):
 		return fmt.Errorf("core: Dilation must be a power of two, got %d", s.Dilation)
 	case s.Dilation > c.MaxDilation:
 		return fmt.Errorf("core: Dilation %d exceeds MaxDilation %d", s.Dilation, c.MaxDilation)
-	case len(s.ForwardEnabled) != c.Inputs:
-		return fmt.Errorf("core: ForwardEnabled length %d != Inputs %d", len(s.ForwardEnabled), c.Inputs)
-	case len(s.BackwardEnabled) != c.Outputs:
-		return fmt.Errorf("core: BackwardEnabled length %d != Outputs %d", len(s.BackwardEnabled), c.Outputs)
-	case len(s.FastReclaim) != c.Inputs:
-		return fmt.Errorf("core: FastReclaim length %d != Inputs %d", len(s.FastReclaim), c.Inputs)
-	case len(s.Swallow) != c.Inputs:
-		return fmt.Errorf("core: Swallow length %d != Inputs %d", len(s.Swallow), c.Inputs)
+	case (s.ForwardEnabled|s.FastReclaim|s.Swallow|s.OffPortDrive[0])&^in != 0 ||
+		(s.BackwardEnabled|s.OffPortDrive[1])&^out != 0:
+		return fmt.Errorf("core: a per-port option sets a bit past the router's %d forward and %d backward ports", c.Inputs, c.Outputs)
 	case len(s.TurnDelay) != c.Inputs+c.Outputs:
 		return fmt.Errorf("core: TurnDelay length %d != Inputs+Outputs %d", len(s.TurnDelay), c.Inputs+c.Outputs)
-	case len(s.OffPortDrive) != c.Inputs+c.Outputs:
-		return fmt.Errorf("core: OffPortDrive length %d != Inputs+Outputs %d", len(s.OffPortDrive), c.Inputs+c.Outputs)
 	}
 	for p, td := range s.TurnDelay {
 		if td < 0 || td > c.MaxVTD {
@@ -224,35 +214,13 @@ func NewShape(cfg Config, set Settings) (*Shape, error) {
 	return &Shape{Config: cfg, set: set.Clone(), width: w}, nil
 }
 
-// Clone returns a deep copy of the settings. The five per-port flag slices
-// are copied into one backing array, each capped at its own length, so an
-// append to one reallocates it rather than overwrite the next.
+// Clone returns a deep copy of the settings: the masks copy with the
+// struct, so only the turn delays are copied apart.
 //
 //metrovet:alloc reached per cycle only through a router's copy-on-write, once per router a scan-style mutator writes
 func (s Settings) Clone() Settings {
-	c := s
-	flags := make([]bool, 0, len(s.ForwardEnabled)+len(s.BackwardEnabled)+
-		len(s.FastReclaim)+len(s.Swallow)+len(s.OffPortDrive))
-	c.ForwardEnabled, flags = cloneFlags(flags, s.ForwardEnabled)
-	c.BackwardEnabled, flags = cloneFlags(flags, s.BackwardEnabled)
-	c.FastReclaim, flags = cloneFlags(flags, s.FastReclaim)
-	c.Swallow, flags = cloneFlags(flags, s.Swallow)
-	c.OffPortDrive, _ = cloneFlags(flags, s.OffPortDrive)
-	c.TurnDelay = append([]int(nil), s.TurnDelay...)
-	return c
-}
-
-// cloneFlags copies src into the free capacity of buf. It returns the copy,
-// capped at its own length (nil for an empty src, as append([]bool(nil),
-// src...) would give), and the capacity of buf that is left.
-//
-//metrovet:alloc Clone's copy into a buffer it sized; reached per cycle only through copy-on-write, as Clone is
-func cloneFlags(buf, src []bool) (clone, rest []bool) {
-	if len(src) == 0 {
-		return nil, buf
-	}
-	clone = append(buf[:0], src...)
-	return slices.Clip(clone), clone[len(clone):]
+	s.TurnDelay = append([]int(nil), s.TurnDelay...)
+	return s
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

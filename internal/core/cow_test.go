@@ -18,23 +18,23 @@ var settingsMutators = []struct {
 }{
 	{"ApplySettings", func(t *testing.T, r *core.Router) {
 		s := r.Settings()
-		s.Swallow[1] = false
-		s.OffPortDrive[2] = true
+		s.Swallow &^= 1 << 1
+		s.OffPortDrive[1] |= 1 << 2
 		if err := r.ApplySettings(s); err != nil {
 			t.Fatal(err)
 		}
-	}, func(s core.Settings) bool { return !s.Swallow[1] && s.OffPortDrive[2] }},
+	}, func(s core.Settings) bool { return s.Swallow&(1<<1) == 0 && s.OffPortDrive[1]&(1<<2) != 0 }},
 	{"SetForwardEnabled", func(t *testing.T, r *core.Router) { r.SetForwardEnabled(1, false) },
-		func(s core.Settings) bool { return !s.ForwardEnabled[1] }},
+		func(s core.Settings) bool { return s.ForwardEnabled&(1<<1) == 0 }},
 	{"SetBackwardEnabled", func(t *testing.T, r *core.Router) { r.SetBackwardEnabled(2, false) },
-		func(s core.Settings) bool { return !s.BackwardEnabled[2] }},
+		func(s core.Settings) bool { return s.BackwardEnabled&(1<<2) == 0 }},
 	{"SetTurnDelay", func(t *testing.T, r *core.Router) {
 		if err := r.SetTurnDelay(3, 0); err != nil {
 			t.Fatal(err)
 		}
 	}, func(s core.Settings) bool { return s.TurnDelay[3] == 0 }},
 	{"SetFastReclaim", func(t *testing.T, r *core.Router) { r.SetFastReclaim(0, true) },
-		func(s core.Settings) bool { return s.FastReclaim[0] }},
+		func(s core.Settings) bool { return s.FastReclaim&(1<<0) != 0 }},
 }
 
 // TestCopyOnWriteIsolation: the routers of a stage share one Shape, so a
@@ -86,11 +86,6 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 				for _, r := range []*core.Router{victim, all[0]} {
 					want := r.Settings()
 					got := r.Settings()
-					for _, flags := range [][]bool{got.ForwardEnabled, got.BackwardEnabled, got.FastReclaim, got.Swallow, got.OffPortDrive} {
-						for i := range flags {
-							flags[i] = !flags[i]
-						}
-					}
 					for i := range got.TurnDelay {
 						got.TurnDelay[i]++
 					}

@@ -17,9 +17,7 @@ import (
 func TestNoSwallowForwardsHeaderPad(t *testing.T) {
 	cfg := cfg4x4()
 	setA := dil1Settings(cfg)
-	for fp := range setA.Swallow {
-		setA.Swallow[fp] = false
-	}
+	setA.Swallow = 0
 	setB := dil1Settings(cfg)
 
 	eng := clock.New()

@@ -83,8 +83,7 @@ var InvariantCorruptions = []InvariantCorruption{
 	{"live bit", func(r *Router, i, v int) { r.live ^= 1 << (v & 63) }},
 	{"enabled bit", func(r *Router, i, v int) { r.enabled ^= 1 << (v & 63) }},
 	{"forward enabled", func(r *Router, i, v int) {
-		fp := i % len(r.set.ForwardEnabled)
-		r.set.ForwardEnabled[fp] = !r.set.ForwardEnabled[fp]
+		r.set.ForwardEnabled ^= 1 << (i % r.cfg.Inputs)
 	}},
 }
 

@@ -184,7 +184,7 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 		{
 			name: "enabled mask stale after a settings write",
 			corrupt: func(r *Router) {
-				r.set.ForwardEnabled[1] = false // bypassing SetForwardEnabled
+				r.set.ForwardEnabled &^= 1 << 1 // bypassing SetForwardEnabled
 				r.enabled = 1 << 1
 			},
 			want: "enabled mask",

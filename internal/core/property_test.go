@@ -25,7 +25,7 @@ func TestAllocatorInvariantsUnderRandomTraffic(t *testing.T) {
 	for _, dilation := range []int{1, 2, 4} {
 		set := core.DefaultSettings(cfg)
 		set.Dilation = dilation
-		set.BackwardEnabled[3] = false // one port disabled throughout
+		set.BackwardEnabled &^= 1 << 3 // one port disabled throughout
 
 		h := newHarness(cfg, set, uint32(dilation)*7+1)
 		rng := rand.New(rand.NewSource(int64(dilation)))

@@ -372,37 +372,54 @@ func (r *Router) ownSettings() *Settings {
 func (r *Router) syncEnabled() { r.enabled = r.watchedPorts() }
 
 // watchedPorts returns the mask of forward ports that are enabled in the
-// settings and attached to a link. Both slices have an entry per forward
-// port; the length test only spares the index check.
+// settings and attached to a link.
 func (r *Router) watchedPorts() uint64 {
-	var m uint64
-	bit := uint64(1)
-	fin := r.fin
-	for fp, on := range r.set.ForwardEnabled {
-		if on && fp < len(fin) && fin[fp].End() != nil {
-			m |= bit
+	var attached uint64
+	for fp, in := range r.fin {
+		if in != (link.In{}) { // the zero view is an unattached port
+			attached |= bit(fp)
 		}
-		bit <<= 1
 	}
-	return m
+	return r.set.ForwardEnabled & attached
+}
+
+// bit is port p's bit in a per-port mask. Every port is below MaxPorts,
+// so the mask is the identity: it proves the shift width where it is used.
+func bit(p int) uint64 { return 1 << (p & (MaxPorts - 1)) }
+
+// withPort returns mask m with port p's bit set to on. A port outside
+// [0, n), the bank's port count, panics, as an index past a per-port slice
+// would.
+func withPort(m uint64, p, n int, on bool) uint64 {
+	if p < 0 || p >= n {
+		panic("core: port number outside the router")
+	}
+	if on {
+		return m | bit(p)
+	}
+	return m &^ bit(p)
 }
 
 // ForwardEnabled reports whether forward port fp is enabled: the cheap
 // per-port read for per-cycle paths that must not deep-copy Settings.
-func (r *Router) ForwardEnabled(fp int) bool { return r.set.ForwardEnabled[fp] }
+func (r *Router) ForwardEnabled(fp int) bool { return r.set.ForwardEnabled&bit(fp) != 0 }
 
 // BackwardEnabled reports whether backward port bp is enabled: the cheap
 // per-port read for per-cycle paths that must not deep-copy Settings.
-func (r *Router) BackwardEnabled(bp int) bool { return r.set.BackwardEnabled[bp] }
+func (r *Router) BackwardEnabled(bp int) bool { return r.set.BackwardEnabled&bit(bp) != 0 }
 
 // SetForwardEnabled enables or disables forward port fp during operation.
 func (r *Router) SetForwardEnabled(fp int, on bool) {
-	r.ownSettings().ForwardEnabled[fp] = on
+	s := r.ownSettings()
+	s.ForwardEnabled = withPort(s.ForwardEnabled, fp, r.cfg.Inputs, on)
 	r.syncEnabled()
 }
 
 // SetBackwardEnabled enables or disables backward port bp during operation.
-func (r *Router) SetBackwardEnabled(bp int, on bool) { r.ownSettings().BackwardEnabled[bp] = on }
+func (r *Router) SetBackwardEnabled(bp int, on bool) {
+	s := r.ownSettings()
+	s.BackwardEnabled = withPort(s.BackwardEnabled, bp, r.cfg.Outputs, on)
+}
 
 // SetTurnDelay writes one port's variable turn delay register, as a scan
 // CONFIG load of that field would: port indexes the Table 2 register file
@@ -422,7 +439,10 @@ func (r *Router) SetTurnDelay(port, delay int) error {
 
 // SetFastReclaim selects the path reclamation mode of forward port fp
 // during operation (Section 5.1: the tradeoff may be handled dynamically).
-func (r *Router) SetFastReclaim(fp int, on bool) { r.ownSettings().FastReclaim[fp] = on }
+func (r *Router) SetFastReclaim(fp int, on bool) {
+	s := r.ownSettings()
+	s.FastReclaim = withPort(s.FastReclaim, fp, r.cfg.Inputs, on)
+}
 
 // Dilation returns the configured effective dilation.
 func (r *Router) Dilation() int { return r.set.Dilation }
@@ -668,7 +688,7 @@ func (r *Router) parseRoute(p *fwdPort, fp int, in word.Word) bool {
 	if r.cfg.HeaderWords == 0 {
 		if rem > 0 {
 			fwdWord = word.MakeRoute(in.Payload>>uint(need), rem)
-		} else if !r.set.Swallow[fp] {
+		} else if r.set.Swallow&bit(fp) == 0 {
 			// Exhausted routing word forwarded as setup padding.
 			fwdWord = word.Word{Kind: word.HeaderPad, Payload: in.Payload >> uint(need)}
 		}
@@ -703,12 +723,11 @@ func (r *Router) allocate(cycle uint64, requested uint64) {
 		// cand marks the direction's available backward ports, a bit each.
 		var cand uint64
 		for bp := lo; bp < hi; bp++ {
-			if r.busyBy[bp] == -1 && r.set.BackwardEnabled[bp] && r.bLinks[bp] != nil && !r.bLinks[bp].Dead() {
-				// bp < Outputs <= MaxPorts, so the mask is the identity: it
-				// proves the shift width where it is used.
-				cand |= 1 << (bp & (MaxPorts - 1))
+			if r.busyBy[bp] == -1 && r.bLinks[bp] != nil && !r.bLinks[bp].Dead() {
+				cand |= bit(bp)
 			}
 		}
+		cand &= r.set.BackwardEnabled
 		avail := bits.OnesCount64(cand)
 		if avail == 0 {
 			r.block(cycle, p, fp, dir)
@@ -751,7 +770,7 @@ func (r *Router) pick(n int) int {
 // for direction dir according to the port's reclamation mode. A detailed
 // block keeps the checksum parseRoute seeded: the status reply reports it.
 func (r *Router) block(cycle uint64, p *fwdPort, fp, dir int) {
-	fast := r.set.FastReclaim[fp]
+	fast := r.set.FastReclaim&bit(fp) != 0
 	if fast {
 		r.emit(cycle, telemetry.EvConnBlockedFast, fp, dir)
 		p.reset(fpDrain)

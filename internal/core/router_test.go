@@ -155,7 +155,7 @@ func TestDilatedRandomSelection(t *testing.T) {
 func TestBlockedDetailedReply(t *testing.T) {
 	cfg := cfg4x4()
 	set := dil1Settings(cfg)
-	set.FastReclaim[1] = false
+	set.FastReclaim &^= 1 << 1
 	h := newHarness(cfg, set, 3)
 
 	// First connection takes direction 0 (the only port in dir 0).
@@ -401,7 +401,7 @@ func TestDataPipeDepthDelaysData(t *testing.T) {
 func TestDisabledBackwardPortNotAllocated(t *testing.T) {
 	cfg := cfg4x4()
 	set := core.DefaultSettings(cfg) // dilation 2: dir 1 = ports 2,3
-	set.BackwardEnabled[2] = false
+	set.BackwardEnabled &^= 1 << 2
 	for trial := 0; trial < 20; trial++ {
 		h := newHarness(cfg, set, uint32(trial+1))
 		h.src[0].Send(word.MakeRoute(1, 1))
@@ -419,7 +419,7 @@ func TestDisabledBackwardPortNotAllocated(t *testing.T) {
 func TestDisabledForwardPortIgnoresTraffic(t *testing.T) {
 	cfg := cfg4x4()
 	set := dil1Settings(cfg)
-	set.ForwardEnabled[2] = false
+	set.ForwardEnabled &^= 1 << 2
 	h := newHarness(cfg, set, 9)
 	h.src[2].Send(word.MakeRoute(0, 2))
 	h.run()
@@ -442,7 +442,10 @@ func TestForwardPortMaskedMidRun(t *testing.T) {
 		{"SetForwardEnabled", func(r *core.Router, fp int, on bool) { r.SetForwardEnabled(fp, on) }},
 		{"ApplySettings", func(r *core.Router, fp int, on bool) {
 			set := r.Settings()
-			set.ForwardEnabled[fp] = on
+			set.ForwardEnabled &^= 1 << fp
+			if on {
+				set.ForwardEnabled |= 1 << fp
+			}
 			if err := r.ApplySettings(set); err != nil {
 				t.Fatal(err)
 			}
@@ -725,9 +728,9 @@ func TestSettingsValidation(t *testing.T) {
 		t.Error("oversized turn delay accepted")
 	}
 	s4 := s.Clone()
-	s4.ForwardEnabled = s4.ForwardEnabled[:1]
+	s4.ForwardEnabled |= 1 << cfg.Inputs
 	if err := s4.Validate(cfg); err == nil {
-		t.Error("wrong-length ForwardEnabled accepted")
+		t.Error("ForwardEnabled bit past the forward ports accepted")
 	}
 }
 

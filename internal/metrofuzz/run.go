@@ -685,64 +685,29 @@ func (r *Report) diffLegs(oracle, legName string, serial, other *legOut) {
 // treated as dead too: they may still deliver, so excusing them only
 // relaxes the oracle.
 type faultView struct {
-	t          *topo.Topology
-	deadRouter map[[2]int]bool
-	deadOut    map[[3]int]bool
-	deadInject map[[2]int]bool
+	t *topo.Topology
+	// dead holds the cut elements as topo.Topology.Paths names them:
+	// (stage, index, port), stage -1 for an injection link and port -1
+	// for a whole router.
+	dead map[[3]int]bool
 }
 
 func newFaultView(leg *legOut) *faultView {
-	v := &faultView{
-		t:          leg.topo,
-		deadRouter: map[[2]int]bool{},
-		deadOut:    map[[3]int]bool{},
-		deadInject: map[[2]int]bool{},
-	}
+	v := &faultView{t: leg.topo, dead: map[[3]int]bool{}}
 	for _, e := range leg.fired {
 		switch e.Kind {
 		case fault.RouterKill:
-			v.deadRouter[[2]int{e.Stage, e.Index}] = true
+			v.dead[[3]int{e.Stage, e.Index, -1}] = true
 		case fault.LinkKill, fault.LinkStuckBit, fault.PortDisable:
-			if e.Stage < 0 {
-				v.deadInject[[2]int{e.Index, e.Port}] = true
-			} else {
-				v.deadOut[[3]int{e.Stage, e.Index, e.Port}] = true
-			}
+			// Stage -1 is endpoint Index's injection link Port.
+			v.dead[[3]int{e.Stage, e.Index, e.Port}] = true
 		}
 	}
 	return v
 }
 
 func (v *faultView) reachable(src, dest int) bool {
-	digits := v.t.RouteDigits(dest)
-	for k, inj := range v.t.Inject[src] {
-		if v.deadInject[[2]int{src, k}] {
-			continue
-		}
-		if v.walk(inj, digits, dest) {
-			return true
-		}
-	}
-	return false
-}
-
-func (v *faultView) walk(at topo.PortRef, digits []int, dest int) bool {
-	if at.Kind == topo.KindEndpoint {
-		return at.Index == dest
-	}
-	if v.deadRouter[[2]int{at.Stage, at.Index}] {
-		return false
-	}
-	st := v.t.Spec.Stages[at.Stage]
-	q := digits[at.Stage]
-	for dd := 0; dd < st.Dilation; dd++ {
-		bp := q*st.Dilation + dd
-		if v.deadOut[[3]int{at.Stage, at.Index, bp}] {
-			continue
-		}
-		if v.walk(v.t.Out[at.Stage][at.Index][bp], digits, dest) {
-			return true
-		}
-	}
-	return false
+	return v.t.Paths(src, dest, func(stage, index, port int) bool {
+		return v.dead[[3]int{stage, index, port}]
+	}) > 0
 }

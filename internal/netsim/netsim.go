@@ -362,9 +362,8 @@ func Build(p Params) (*Network, error) {
 		}
 		set := core.DefaultSettings(cfg)
 		set.Dilation = st.Dilation
-		fast := p.FastReclaim && !slices.Contains(p.DetailedStages, s)
-		for fp := range set.FastReclaim {
-			set.FastReclaim[fp] = fast
+		if !p.FastReclaim || slices.Contains(p.DetailedStages, s) {
+			set.FastReclaim = 0 // every forward port holds for a detailed reply
 		}
 		for port := range set.TurnDelay {
 			set.TurnDelay[port] = delayOf(s)

@@ -52,7 +52,7 @@ func FuzzPackUnpackBytes(f *testing.F) {
 
 // FuzzHeaderBuildStrip derives a random header spec and digit vector
 // from the input, builds the routing header, and checks that each
-// stage sees its own digit at the stream head before StripStage
+// stage sees its own digit at the stream head before stripStageInPlace
 // consumes it — the consumption model core.Router implements — and
 // that after every stage has stripped its share, exactly the payload
 // words remain.
@@ -131,7 +131,7 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 					t.Fatalf("stage %d: low bits %d, want digit %d", s, got, digits[s])
 				}
 			}
-			stream = h.StripStage(stream, s)
+			stream = h.stripStageInPlace(stream, s)
 		}
 
 		// All routing material consumed; the payload words pass through

@@ -131,41 +131,6 @@ func (h HeaderSpec) Words(width word.Width) int {
 	return n
 }
 
-// StripStage transforms a word stream the way stage s consumes it: the
-// words a stage-(s+1) router would receive. Used to compute the expected
-// per-stage checksums for fault localization.
-func (h HeaderSpec) StripStage(stream []word.Word, s int) []word.Word {
-	st := h.Stages[s]
-	out := make([]word.Word, 0, len(stream))
-	if st.HeaderWords >= 1 {
-		// The stage consumes the first hw words outright.
-		skip := st.HeaderWords
-		for _, w := range stream {
-			if skip > 0 {
-				skip--
-				continue
-			}
-			out = append(out, w)
-		}
-		return out
-	}
-	// hw == 0: strip DirBits from the first ROUTE word; swallow if
-	// exhausted (the default router configuration).
-	stripped := false
-	for _, w := range stream {
-		if !stripped && w.Kind == word.Route {
-			stripped = true
-			rem := int(w.Bits) - st.DirBits
-			if rem > 0 {
-				out = append(out, word.MakeRoute(w.Payload>>uint(st.DirBits), rem))
-			}
-			continue
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
 // AppendExpectedStageChecksums appends to dst, for each stage, the CRC-8
 // a healthy stage-s router reports after the first TURN: the checksum of
 // the forward-segment words as received at that stage. The source
@@ -189,9 +154,13 @@ func (h HeaderSpec) AppendExpectedStageChecksums(dst []uint8, sent []word.Word, 
 	return dst, scratch
 }
 
-// stripStageInPlace rewrites stream as StripStage(stream, s) would, reusing
-// the backing array: the write cursor never passes the read cursor (a strip
-// only drops or narrows words), so the compaction is aliasing-safe.
+// stripStageInPlace transforms a word stream the way stage s consumes it:
+// the words a stage-(s+1) router would receive. A stage with hw >= 1
+// consumes the first hw words outright; with hw == 0 it strips DirBits
+// from the first ROUTE word and swallows the word if that exhausts it (the
+// default router configuration). It reuses stream's backing array: the
+// write cursor never passes the read cursor (a strip only drops or narrows
+// words), so the compaction is aliasing-safe.
 //
 //metrovet:alloc appends compact into stream[:0]; the write cursor never passes the read cursor, so the backing array never grows
 //metrovet:truncate DirBits >= 0 by Validate

@@ -127,7 +127,7 @@ func TestStripChainConsumesEverything(t *testing.T) {
 					t.Fatalf("spec %d stage %d decodes %d, want %d", si, s, stream[0].Payload, digits[s])
 				}
 			}
-			stream = h.StripStage(stream, s)
+			stream = h.stripStageInPlace(stream, s)
 		}
 		if len(stream) != len(payload) {
 			t.Fatalf("spec %d: %d words after strip chain, want %d: %v", si, len(stream), len(payload), stream)
@@ -164,7 +164,7 @@ func TestExpectedStageChecksumsMatchManual(t *testing.T) {
 		t.Fatalf("stage 0 sum %#x != %#x", sums[0], ck0.Sum())
 	}
 	var ck1 word.Checksum
-	for _, w := range h.StripStage(stream, 0) {
+	for _, w := range h.stripStageInPlace(stream, 0) {
 		ck1.Add(w)
 	}
 	if sums[1] != ck1.Sum() {
@@ -236,7 +236,7 @@ func TestHeaderValidate(t *testing.T) {
 	}
 }
 
-// TestHeaderStripChainProperty drives Build/StripStage over randomized
+// TestHeaderStripChainProperty drives Build/stripStageInPlace over randomized
 // stage configurations: the strip chain must decode every digit correctly
 // at its own stage and consume exactly the header.
 func TestHeaderStripChainProperty(t *testing.T) {
@@ -285,7 +285,7 @@ func TestHeaderStripChainProperty(t *testing.T) {
 			if got != digits[s] {
 				return false
 			}
-			stream = h.StripStage(stream, s)
+			stream = h.stripStageInPlace(stream, s)
 		}
 		// Only the payload word remains.
 		return len(stream) == 1 && stream[0].Kind == word.Data

@@ -7,12 +7,13 @@ import (
 )
 
 // SettingsRegister adapts a router's run-time settings (Table 2) to a scan
-// data register. The bit layout, LSB (first-shifted) first:
+// data register. The bit layout, LSB (first-shifted) first, each per-port
+// field port 0 first:
 //
 //	dilation select      log2(max_d)+1 bits (encodes log2(d))
 //	forward port enable  i bits
 //	backward port enable o bits
-//	off-port drive       i+o bits
+//	off-port drive       i+o bits: the forward ports', then the backward ports'
 //	fast reclaim         i bits
 //	swallow              i bits
 //	turn delay           bitsFor(max_vtd) bits per port, i+o ports
@@ -20,7 +21,8 @@ import (
 // Capture serializes the router's live settings; Update validates and
 // applies the shifted-in value, as the silicon's Update-DR would. An
 // invalid value (for example a dilation above max_d) is rejected and the
-// old settings stay in force.
+// old settings stay in force. A shift-in shorter than Len writes the bits
+// it reaches and keeps the rest.
 type SettingsRegister struct {
 	router *core.Router
 }
@@ -37,69 +39,69 @@ func bitsFor(maxValue int) int {
 	return bits.Len(uint(maxValue))
 }
 
+// field is one field of the CONFIG register: its width in bits (at most
+// 64) and how its value reads from and writes to the settings.
+type field struct {
+	bits int
+	get  func(*core.Settings) uint64
+	set  func(*core.Settings, uint64)
+}
+
+// mask is the field of a per-port mask m of n ports.
+func mask(n int, m func(*core.Settings) *uint64) field {
+	return field{n,
+		func(s *core.Settings) uint64 { return *m(s) },
+		func(s *core.Settings, v uint64) { *m(s) = v }}
+}
+
+// fields lists the register's fields in shift order (see SettingsRegister).
+func fields(cfg core.Config) []field {
+	fs := []field{
+		{bitsFor(log2i(cfg.MaxDilation)),
+			func(s *core.Settings) uint64 { return uint64(log2i(s.Dilation)) },
+			func(s *core.Settings, v uint64) { s.Dilation = 1 << v }},
+		mask(cfg.Inputs, func(s *core.Settings) *uint64 { return &s.ForwardEnabled }),
+		mask(cfg.Outputs, func(s *core.Settings) *uint64 { return &s.BackwardEnabled }),
+		mask(cfg.Inputs, func(s *core.Settings) *uint64 { return &s.OffPortDrive[0] }),
+		mask(cfg.Outputs, func(s *core.Settings) *uint64 { return &s.OffPortDrive[1] }),
+		mask(cfg.Inputs, func(s *core.Settings) *uint64 { return &s.FastReclaim }),
+		mask(cfg.Inputs, func(s *core.Settings) *uint64 { return &s.Swallow }),
+	}
+	for p := range cfg.Inputs + cfg.Outputs {
+		fs = append(fs, field{bitsFor(cfg.MaxVTD),
+			func(s *core.Settings) uint64 { return uint64(s.TurnDelay[p]) },
+			func(s *core.Settings, v uint64) { s.TurnDelay[p] = int(v) }})
+	}
+	return fs
+}
+
 // Len implements Register.
 func (s *SettingsRegister) Len() int {
-	cfg := s.router.Config()
-	n := bitsFor(log2i(cfg.MaxDilation)) // dilation select field
-	n += cfg.Inputs                      // forward enables
-	n += cfg.Outputs                     // backward enables
-	n += cfg.Inputs + cfg.Outputs        // off-port drive
-	n += cfg.Inputs                      // fast reclaim
-	n += cfg.Inputs                      // swallow
-	n += (cfg.Inputs + cfg.Outputs) * bitsFor(cfg.MaxVTD)
+	n := 0
+	for _, f := range fields(s.router.Config()) {
+		n += f.bits
+	}
 	return n
 }
 
 // Capture implements Register.
 func (s *SettingsRegister) Capture() []bool {
-	cfg := s.router.Config()
 	set := s.router.Settings()
 	var out []bool
-	appendUint := func(v uint64, n int) {
-		out = append(out, UintToBits(v, n)...)
-	}
-	appendBools := func(bs []bool) { out = append(out, bs...) }
-
-	appendUint(uint64(log2i(set.Dilation)), bitsFor(log2i(cfg.MaxDilation)))
-	appendBools(set.ForwardEnabled)
-	appendBools(set.BackwardEnabled)
-	appendBools(set.OffPortDrive)
-	appendBools(set.FastReclaim)
-	appendBools(set.Swallow)
-	for _, td := range set.TurnDelay {
-		appendUint(uint64(td), bitsFor(cfg.MaxVTD))
+	for _, f := range fields(s.router.Config()) {
+		out = append(out, UintToBits(f.get(&set), f.bits)...)
 	}
 	return out
 }
 
 // Update implements Register.
 func (s *SettingsRegister) Update(in []bool) {
-	cfg := s.router.Config()
 	set := s.router.Settings()
-	pos := 0
-	take := func(n int) []bool {
-		if pos+n > len(in) {
-			n = len(in) - pos
-		}
-		if n <= 0 {
-			return nil
-		}
-		v := in[pos : pos+n]
-		pos += n
-		return v
-	}
-	takeUint := func(n int) uint64 { return BitsToUint(take(n)) }
-	takeBools := func(dst []bool) { copy(dst, take(len(dst))) }
-
-	set.Dilation = 1 << uint(takeUint(bitsFor(log2i(cfg.MaxDilation))))
-	takeBools(set.ForwardEnabled)
-	takeBools(set.BackwardEnabled)
-	takeBools(set.OffPortDrive)
-	takeBools(set.FastReclaim)
-	takeBools(set.Swallow)
-	tdBits := bitsFor(cfg.MaxVTD)
-	for i := range set.TurnDelay {
-		set.TurnDelay[i] = int(takeUint(tdBits))
+	for _, f := range fields(s.router.Config()) {
+		n := min(f.bits, len(in))
+		kept := f.get(&set) &^ (1<<n - 1)
+		f.set(&set, kept|BitsToUint(in[:n]))
+		in = in[n:]
 	}
 	// Apply only if valid; the silicon ignores illegal updates.
 	_ = s.router.ApplySettings(set)

@@ -103,9 +103,9 @@ func TestSettingsRegisterRoundTrip(t *testing.T) {
 	// Mutate: disable forward port 1 and backward port 2, set dilation 1.
 	set := r.Settings()
 	set.Dilation = 1
-	set.ForwardEnabled[1] = false
-	set.BackwardEnabled[2] = false
-	set.FastReclaim[0] = false
+	set.ForwardEnabled &^= 1 << 1
+	set.BackwardEnabled &^= 1 << 2
+	set.FastReclaim &^= 1 << 0
 	set.TurnDelay[3] = 3
 	r2 := testRouter()
 	reg2 := NewSettingsRegister(r2)
@@ -115,8 +115,8 @@ func TestSettingsRegisterRoundTrip(t *testing.T) {
 	// Serialize r's settings and load them into r2 over scan.
 	reg2.Update(reg.Capture())
 	got := r2.Settings()
-	if got.Dilation != 1 || got.ForwardEnabled[1] || got.BackwardEnabled[2] ||
-		got.FastReclaim[0] || got.TurnDelay[3] != 3 {
+	if got.Dilation != 1 || got.ForwardEnabled != 0b1101 || got.BackwardEnabled != 0b1011 ||
+		got.FastReclaim != 0b1110 || got.TurnDelay[3] != 3 {
 		t.Fatalf("settings did not survive scan round trip: %+v", got)
 	}
 }
@@ -265,11 +265,11 @@ func TestIsolatePortTestAndMask(t *testing.T) {
 	// Disable backward port 2 via scan.
 	bits, _ := mt.ReadSettings(reg.Len())
 	set := r.Settings()
-	set.BackwardEnabled[2] = false
+	set.BackwardEnabled &^= 1 << 2
 	r2 := core.NewRouter("shadow", r.Config(), set, prng.NewLFSR(2))
 	shadow := NewSettingsRegister(r2)
 	mt.LoadSettings(shadow.Capture())
-	if r.Settings().BackwardEnabled[2] {
+	if r.BackwardEnabled(2) {
 		t.Fatal("port not disabled over scan")
 	}
 	_ = bits
@@ -280,14 +280,8 @@ func TestIsolatePortTestAndMask(t *testing.T) {
 		t.Fatalf("fault not localized: %+v", res)
 	}
 	// The masked port stays disabled; other ports remain enabled.
-	got := r.Settings()
-	if got.BackwardEnabled[2] {
-		t.Fatal("fault not masked")
-	}
-	for bp, on := range got.BackwardEnabled {
-		if bp != 2 && !on {
-			t.Fatalf("healthy port %d disabled", bp)
-		}
+	if got := r.Settings().BackwardEnabled; got != 0b1011 {
+		t.Fatalf("backward enables %04b, want only port 2 masked", got)
 	}
 }
 
@@ -298,18 +292,11 @@ func TestSetPortEnabledOverScan(t *testing.T) {
 		t.Fatal("scan disable failed")
 	}
 	got := r.Settings()
-	if got.BackwardEnabled[2] {
-		t.Fatal("backward port 2 still enabled")
+	if got.BackwardEnabled != 0b1011 {
+		t.Fatalf("backward enables %04b, want only port 2 disabled", got.BackwardEnabled)
 	}
-	for bp, on := range got.BackwardEnabled {
-		if bp != 2 && !on {
-			t.Fatalf("unrelated backward port %d disturbed", bp)
-		}
-	}
-	for fp, on := range got.ForwardEnabled {
-		if !on {
-			t.Fatalf("forward port %d disturbed", fp)
-		}
+	if got.ForwardEnabled != 0b1111 {
+		t.Fatalf("forward enables %04b disturbed", got.ForwardEnabled)
 	}
 	if got.Dilation != 2 {
 		t.Fatalf("dilation disturbed: %d", got.Dilation)
@@ -318,13 +305,13 @@ func TestSetPortEnabledOverScan(t *testing.T) {
 	if !SetPortEnabled(mt, r, false, 1, false) {
 		t.Fatal("forward disable failed")
 	}
-	if r.Settings().ForwardEnabled[1] {
+	if r.ForwardEnabled(1) {
 		t.Fatal("forward port 1 still enabled")
 	}
 	if !SetPortEnabled(mt, r, true, 2, true) {
 		t.Fatal("re-enable failed")
 	}
-	if !r.Settings().BackwardEnabled[2] {
+	if !r.BackwardEnabled(2) {
 		t.Fatal("backward port 2 not restored")
 	}
 	// All TAPs broken: the operation reports failure.

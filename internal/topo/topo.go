@@ -350,63 +350,54 @@ func (t *Topology) StageOf(flat int) (stage, index int) {
 }
 
 // PathCount counts the distinct source-to-destination paths from endpoint
-// src to endpoint dest, excluding none of the network elements. It follows
-// every injection link and, at each stage, every equivalent backward port
-// in the required direction.
+// src to endpoint dest, excluding none of the network elements.
 func (t *Topology) PathCount(src, dest int) int {
-	digits := t.RouteDigits(dest)
-	total := 0
-	for _, inj := range t.Inject[src] {
-		total += t.countFrom(inj, digits, dest)
-	}
-	return total
+	return t.Paths(src, dest, func(stage, index, port int) bool { return false })
 }
 
-func (t *Topology) countFrom(at PortRef, digits []int, dest int) int {
+// Reachable reports whether dest can be reached from src when the routers
+// in deadRouters (keyed by stage/index) are removed from the network.
+func (t *Topology) Reachable(src, dest int, deadRouters map[[2]int]bool) bool {
+	return t.Paths(src, dest, func(stage, index, port int) bool {
+		return port < 0 && deadRouters[[2]int{stage, index}]
+	}) > 0
+}
+
+// Paths counts the distinct paths from endpoint src to endpoint dest that
+// avoid every element cut reports. It follows every injection link and, at
+// each stage, every equivalent backward port in the required direction.
+// cut names an element by (stage, index, port): injection link port of
+// endpoint index at stage -1, the router index of a stage with port -1, or
+// one of that router's backward ports.
+func (t *Topology) Paths(src, dest int, cut func(stage, index, port int) bool) int {
+	digits := t.RouteDigits(dest)
+	n := 0
+	for k, inj := range t.Inject[src] {
+		if !cut(-1, src, k) {
+			n += t.paths(inj, digits, dest, cut)
+		}
+	}
+	return n
+}
+
+func (t *Topology) paths(at PortRef, digits []int, dest int, cut func(stage, index, port int) bool) int {
 	if at.Kind == KindEndpoint {
 		if at.Index == dest {
 			return 1
 		}
 		return 0
 	}
-	st := t.Spec.Stages[at.Stage]
-	q := digits[at.Stage]
+	if cut(at.Stage, at.Index, -1) {
+		return 0
+	}
+	d := t.Spec.Stages[at.Stage].Dilation
 	n := 0
-	for dd := 0; dd < st.Dilation; dd++ {
-		bp := q*st.Dilation + dd
-		n += t.countFrom(t.Out[at.Stage][at.Index][bp], digits, dest)
+	for bp := digits[at.Stage] * d; bp < (digits[at.Stage]+1)*d; bp++ {
+		if !cut(at.Stage, at.Index, bp) {
+			n += t.paths(t.Out[at.Stage][at.Index][bp], digits, dest, cut)
+		}
 	}
 	return n
-}
-
-// Reachable reports whether dest can be reached from src when the routers
-// in deadRouters (keyed by stage/index) are removed from the network.
-func (t *Topology) Reachable(src, dest int, deadRouters map[[2]int]bool) bool {
-	digits := t.RouteDigits(dest)
-	for _, inj := range t.Inject[src] {
-		if t.reachFrom(inj, digits, dest, deadRouters) {
-			return true
-		}
-	}
-	return false
-}
-
-func (t *Topology) reachFrom(at PortRef, digits []int, dest int, dead map[[2]int]bool) bool {
-	if at.Kind == KindEndpoint {
-		return at.Index == dest
-	}
-	if dead[[2]int{at.Stage, at.Index}] {
-		return false
-	}
-	st := t.Spec.Stages[at.Stage]
-	q := digits[at.Stage]
-	for dd := 0; dd < st.Dilation; dd++ {
-		bp := q*st.Dilation + dd
-		if t.reachFrom(t.Out[at.Stage][at.Index][bp], digits, dest, dead) {
-			return true
-		}
-	}
-	return false
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

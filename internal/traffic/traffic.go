@@ -108,6 +108,23 @@ func (Transpose) Dest(src, n int, rng *rand.Rand) int {
 // Name implements Pattern.
 func (Transpose) Name() string { return "transpose" }
 
+// PatternByName returns the pattern a command-line name stands for:
+// "uniform", "hotspot" (30% of messages to endpoint 0), "bitrev" or
+// "transpose". ok is false for any other name.
+func PatternByName(name string) (p Pattern, ok bool) {
+	switch name {
+	case "uniform":
+		return Uniform{}, true
+	case "hotspot":
+		return Hotspot{Target: 0, Fraction: 0.3}, true
+	case "bitrev":
+		return BitReverse{}, true
+	case "transpose":
+		return Transpose{}, true
+	}
+	return nil, false
+}
+
 // ClosedLoop is the Figure-3 workload driver. Create it, reference its
 // OnResult from the netsim.Params, Bind it to the built network, and add
 // it to the engine via Drive.

@@ -26,6 +26,26 @@ func TestPatternsNeverSelfSend(t *testing.T) {
 	}
 }
 
+// TestPatternByName: each command-line name stands for its pattern, and
+// any other name is refused.
+func TestPatternByName(t *testing.T) {
+	for name, want := range map[string]Pattern{
+		"uniform":   Uniform{},
+		"hotspot":   Hotspot{Target: 0, Fraction: 0.3},
+		"bitrev":    BitReverse{},
+		"transpose": Transpose{},
+	} {
+		if got, ok := PatternByName(name); !ok || got != want {
+			t.Errorf("PatternByName(%q) = %v, %v; want %v", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"", "bit-reverse", "Uniform"} {
+		if got, ok := PatternByName(name); ok {
+			t.Errorf("PatternByName(%q) = %v, want no pattern", name, got)
+		}
+	}
+}
+
 func TestUniformCoversDestinations(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	seen := map[int]bool{}

@@ -97,7 +97,10 @@ func BuildTopology(spec TopologySpec) (*Topology, error) { return topo.Build(spe
 // RouterConfig holds a router's architectural parameters (Table 1).
 type RouterConfig = core.Config
 
-// RouterSettings holds the run-time configurable options (Table 2).
+// RouterSettings holds the run-time configurable options (Table 2). A
+// per-port option is a mask, bit p for port p, as the scan CONFIG
+// register holds it; TurnDelay has an entry per port, forward ports
+// first.
 type RouterSettings = core.Settings
 
 // Router is one METRO routing component.
