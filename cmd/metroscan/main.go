@@ -114,7 +114,7 @@ func main() {
 	var faulty []verdict
 	for j := range n.Routers[upStage] {
 		for bp := 0; bp < n.RouterAt(upStage, j).Config().Outputs; bp++ {
-			ref := n.Topo.Out[upStage][j][bp]
+			ref := n.Topo.Out(upStage, j, bp)
 			if ref.Kind != topo.KindRouter {
 				continue
 			}

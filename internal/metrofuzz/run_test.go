@@ -43,7 +43,7 @@ func tinyScenario() Scenario {
 // oracle must flag each of its messages.
 func deliveryBug() Hooks {
 	return Hooks{Mutate: func(n *netsim.Network) {
-		for k := range n.Topo.Inject[0] {
+		for k := range n.Topo.Spec.EndpointLinks {
 			n.InjectLink(0, k).SetCorruptor(func(w word.Word) word.Word {
 				w.Payload ^= 2
 				return w
@@ -211,7 +211,7 @@ func TestPhantomMessageCaught(t *testing.T) {
 	bug := Hooks{
 		Mutate: func(n *netsim.Network) {
 			net = n
-			for k := range n.Topo.Inject[3] {
+			for k := range n.Topo.Spec.EndpointLinks {
 				n.InjectLink(3, k).Kill()
 			}
 			n.Endpoints[3].Offer(msg)
@@ -340,7 +340,7 @@ func TestKernelOracleCatchesDivergence(t *testing.T) {
 		if _, ok := n.Engine.Kernel().(*netsim.Reference); ok {
 			return // leave the reference stepper leg clean
 		}
-		for k := range n.Topo.Inject[0] {
+		for k := range n.Topo.Spec.EndpointLinks {
 			n.InjectLink(0, k).SetCorruptor(func(w word.Word) word.Word {
 				w.Payload ^= 2
 				return w

@@ -60,10 +60,10 @@ func TestSimulatorMatchesLatencyModel(t *testing.T) {
 		// Step manually, watching for the TURN at any delivery link of
 		// the destination endpoint.
 		var deliveryEnds []func() word.Word
-		for s := range n.Topo.Out {
-			for j := range n.Topo.Out[s] {
-				for bp, ref := range n.Topo.Out[s][j] {
-					if ref.Kind == topo.KindEndpoint && ref.Index == dest {
+		for s, st := range n.Topo.Spec.Stages {
+			for j := range n.Routers[s] {
+				for bp := 0; bp < st.Outputs(); bp++ {
+					if ref := n.Topo.Out(s, j, bp); ref.Kind == topo.KindEndpoint && ref.Index == dest {
 						l := n.OutLink(s, j, bp)
 						deliveryEnds = append(deliveryEnds, l.B().Recv)
 					}
@@ -183,10 +183,10 @@ func TestVariableTurnDelayPerStage(t *testing.T) {
 	}
 	dest := 63
 	var deliveryRecv []func() word.Word
-	for s := range n.Topo.Out {
-		for j := range n.Topo.Out[s] {
-			for bp, ref := range n.Topo.Out[s][j] {
-				if ref.Kind == topo.KindEndpoint && ref.Index == dest {
+	for s, st := range n.Topo.Spec.Stages {
+		for j := range n.Routers[s] {
+			for bp := 0; bp < st.Outputs(); bp++ {
+				if ref := n.Topo.Out(s, j, bp); ref.Kind == topo.KindEndpoint && ref.Index == dest {
 					deliveryRecv = append(deliveryRecv, n.OutLink(s, j, bp).B().Recv)
 				}
 			}

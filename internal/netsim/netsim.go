@@ -447,8 +447,9 @@ func Build(p Params) (*Network, error) {
 	// cascade lane. An endpoint keeps each channel's lane ends, carved
 	// from one array: c per injection and per delivery link.
 	epEnds := make([]*link.End, 2*ne*c*p.Spec.Endpoints)
-	for e, refs := range top.Inject {
-		for k, ref := range refs {
+	for e := 0; e < p.Spec.Endpoints; e++ {
+		for k := 0; k < ne; k++ {
+			ref := top.Inject(e, k)
 			ends := take(&epEnds, c)
 			for lane := range ends {
 				down := colUnit(ref.Stage, ref.Index)
@@ -459,9 +460,10 @@ func Build(p Params) (*Network, error) {
 			n.Endpoints[e].AttachInject(ends...)
 		}
 	}
-	for s := range top.Out {
-		for j := range top.Out[s] {
-			for bp, ref := range top.Out[s][j] {
+	for s, st := range p.Spec.Stages {
+		for j := range n.Routers[s] {
+			for bp := 0; bp < st.Outputs(); bp++ {
+				ref := top.Out(s, j, bp)
 				var ends []*link.End
 				if ref.Kind == topo.KindEndpoint {
 					ends = take(&epEnds, c)
@@ -645,13 +647,13 @@ func (n *Network) appendLinkName(dst []byte, tier, i int) []byte {
 		e, k := w/ne, w%ne
 		dst = strconv.AppendInt(append(dst, "ep"...), int64(e), 10)
 		dst = strconv.AppendInt(append(dst, '.'), int64(k), 10)
-		to = n.Topo.Inject[e][k]
+		to = n.Topo.Inject(e, k)
 	} else {
 		s := tier - 1
 		outs := n.Params.Spec.Stages[s].Outputs()
 		j, bp := w/outs, w%outs
 		dst = strconv.AppendInt(append(topo.AppendRouterName(dst, s, j), ".b"...), int64(bp), 10)
-		to = n.Topo.Out[s][j][bp]
+		to = n.Topo.Out(s, j, bp)
 	}
 	dst = strconv.AppendInt(append(dst, ".l"...), int64(lane), 10)
 	return to.AppendTo(append(dst, "->"...))

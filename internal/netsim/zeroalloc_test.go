@@ -138,17 +138,20 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 // the network kept no lane tables, 1,316 once the endpoints shared one
 // nic.Shape, held their senders and receivers by value and took lane ends
 // carved from one array, 1,308 once a network held its router columns'
-// lanes and no cascade groups, and is 1,278 (about 293 KB) since the
-// kernel audits the link ends its units hold instead of adjacency tables
-// Build kept beside them (about 351 KB). The budgets are 1,316 allocations
-// and 293 KB plus 10%, so a per-router settings copy (two allocations a
-// router), a stored link name (one a link), a per-endpoint closure or a
-// transient per-link table fails here.
+// lanes and no cascade groups, 1,278 (about 293 KB) once the kernel
+// audited the link ends its units hold instead of adjacency tables Build
+// kept beside them (about 351 KB), and 1,262 (about 256 KB) before the
+// topology stored one int32 per inter-stage wire instead of a PortRef
+// slice per router and per endpoint. It is 966 (about 220 KB) now. The
+// budgets are 966 allocations and 220 KB plus 10%, so a per-router
+// settings copy (two allocations a router), a stored link name (one a
+// link), a per-endpoint closure, a per-router wiring slice or a transient
+// per-link table fails here.
 func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const budget, bytesBudget = 1448, 322_000
+	const budget, bytesBudget = 1063, 241_500
 	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
 	ports := 0
 	n, err := Build(p)
@@ -202,14 +205,17 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // pointers and fault byte (12 B less per register, 24 registers per
 // endpoint), about 5,220 B before a connection's injected and displaced
 // words shared one queue and closers and links shed their padding and
-// placement index, and is about 4,565 B now; the ceiling leaves 3% over
-// 4,565 for allocator jitter and fails long before a per-router copy, a
-// per-link field or a per-endpoint Config copy regrows.
+// placement index, about 4,565 B before the topology stored one int32 per
+// inter-stage wire in place of a 32-byte PortRef in a slice per router
+// and per endpoint, and is about 4,120 B now; the ceiling leaves 3% over
+// 4,120 for allocator jitter and fails long before a per-router copy, a
+// per-link field, a per-wire PortRef or a per-endpoint Config copy
+// regrows.
 func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 4700
+	const endpoints, ceiling = 1024, 4250
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -162,8 +162,7 @@ type Endpoint struct {
 // pending is a message queued for (re)transmission together with its
 // accumulated attempt telemetry.
 type pending struct {
-	msg Message
-	res Result
+	res Result // res.Msg is the message
 
 	// Cached attempt stream: a retry retransmits the identical words (the
 	// routers' stochastic output selection is what varies the path, not the
@@ -171,9 +170,9 @@ type pending struct {
 	// per-stage checksums happen once per message rather than once per
 	// attempt. The buffers recycle with the record through the freelist.
 	built    bool
+	sentCRC  uint8
 	words    []word.Word
 	expected []uint8 // lane-major: lane l, stage s at l*stages+s
-	sentCRC  uint8
 	stages   int
 }
 
@@ -241,7 +240,6 @@ func (e *Endpoint) emit(cycle uint64, kind telemetry.Kind, id uint64, a, b int) 
 //metrovet:alloc per-message queue bookkeeping at injection, amortized by the message rather than the cycle
 func (e *Endpoint) Offer(msg Message) {
 	p := e.newPending()
-	p.msg = msg
 	p.res = Result{Msg: msg, LastBlockedStage: -1, SuspectStage: -1}
 	e.queue = append(e.queue, p)
 	e.emit(msg.Created, telemetry.EvMsgQueued, msg.ID, msg.Dest, 0)
@@ -362,7 +360,7 @@ func (e *Endpoint) finish(p *pending, delivered bool, cycle uint64) {
 	if delivered {
 		kind = telemetry.EvMsgDelivered
 	}
-	e.emit(p.res.Done, kind, p.msg.ID, p.res.Retries, p.msg.Dest)
+	e.emit(p.res.Done, kind, p.res.Msg.ID, p.res.Retries, p.res.Msg.Dest)
 	if e.cfg.OnResult != nil {
 		e.cfg.OnResult(e.id, p.res)
 	}
@@ -494,7 +492,7 @@ func (s *sender) begin(cycle uint64, p *pending) {
 	if p.res.Injected == 0 && p.res.Retries == 0 {
 		p.res.Injected = cycle
 	}
-	s.e.emit(cycle, telemetry.EvMsgAttempt, p.msg.ID, p.res.Retries+1, 0)
+	s.e.emit(cycle, telemetry.EvMsgAttempt, p.res.Msg.ID, p.res.Retries+1, 0)
 }
 
 // build constructs the message's attempt stream into the pending record.
@@ -508,16 +506,16 @@ func (s *sender) begin(cycle uint64, p *pending) {
 func (s *sender) build(p *pending) {
 	e, cfg := s.e, s.e.cfg
 	lw := cfg.logical
-	e.digits = cfg.AppendRouteDigits(e.digits[:0], p.msg.Dest)
+	e.digits = cfg.AppendRouteDigits(e.digits[:0], p.res.Msg.Dest)
 	p.stages = len(e.digits)
 	// The stream is sized once when the record's buffer is short, never
 	// grown word by word.
-	if n := cfg.MessageWords(len(p.msg.Payload)); cap(p.words) < n {
+	if n := cfg.MessageWords(len(p.res.Msg.Payload)); cap(p.words) < n {
 		p.words = make([]word.Word, 0, n)
 	}
 	words := cfg.Header.AppendBuild(p.words[:0], cfg.width, e.digits)
 	headerLen := len(words)
-	words = AppendPackBytes(words, p.msg.Payload, lw)
+	words = AppendPackBytes(words, p.res.Msg.Payload, lw)
 	var ck word.Checksum
 	for _, w := range words[headerLen:] {
 		ck.Add(w)
@@ -583,7 +581,7 @@ func (s *sender) eval(cycle uint64) {
 	case sSending:
 		if s.link.RecvBCB() {
 			s.p.res.BlockedFast++
-			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.res.Msg.ID, 0, 0)
 			s.retryOrFail(cycle)
 			s.link.Send(word.Word{Kind: word.Drop}, s.e.cfg.width)
 			s.state = sCooldown
@@ -595,7 +593,7 @@ func (s *sender) eval(cycle uint64) {
 		if s.idx == len(s.p.words) {
 			s.state = sListening
 			s.listenStart = cycle
-			s.e.emit(cycle, telemetry.EvMsgTurnSent, s.p.msg.ID, s.p.res.Retries+1, 0)
+			s.e.emit(cycle, telemetry.EvMsgTurnSent, s.p.res.Msg.ID, s.p.res.Retries+1, 0)
 		}
 		return
 
@@ -604,7 +602,7 @@ func (s *sender) eval(cycle uint64) {
 		s.link.Send(word.Word{Kind: word.DataIdle}, s.e.cfg.width)
 		if s.link.RecvBCB() {
 			s.p.res.BlockedFast++
-			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgBlockedFast, s.p.res.Msg.ID, 0, 0)
 			s.abortNow(cycle)
 			return
 		}
@@ -618,7 +616,7 @@ func (s *sender) eval(cycle uint64) {
 			stage := s.parse.blockedStage(s.e.cfg)
 			s.p.res.BlockedDetailed++
 			s.p.res.LastBlockedStage = stage
-			s.e.emit(cycle, telemetry.EvMsgBlockedDetailed, s.p.msg.ID, stage, 0)
+			s.e.emit(cycle, telemetry.EvMsgBlockedDetailed, s.p.res.Msg.ID, stage, 0)
 			p := s.p
 			s.p = nil
 			s.retryOrFailPending(p, cycle)
@@ -626,11 +624,11 @@ func (s *sender) eval(cycle uint64) {
 			s.cooldown = s.e.cfg.CloseGap
 		case s.parse.failed:
 			s.p.res.ChecksumFailures++
-			s.e.emit(cycle, telemetry.EvMsgChecksumFail, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgChecksumFail, s.p.res.Msg.ID, 0, 0)
 			s.abortNow(cycle)
 		case cycle-s.listenStart > s.e.cfg.ListenTimeout:
 			s.p.res.Timeouts++
-			s.e.emit(cycle, telemetry.EvMsgTimeout, s.p.msg.ID, 0, 0)
+			s.e.emit(cycle, telemetry.EvMsgTimeout, s.p.res.Msg.ID, 0, 0)
 			s.abortNow(cycle)
 		}
 	}
@@ -679,7 +677,7 @@ localize:
 		s.afterDrop = dropFinish
 	} else {
 		p.res.ChecksumFailures++
-		s.e.emit(cycle, telemetry.EvMsgChecksumFail, p.msg.ID, 0, 0)
+		s.e.emit(cycle, telemetry.EvMsgChecksumFail, p.res.Msg.ID, 0, 0)
 		s.afterDrop = dropRetry
 	}
 }
@@ -696,7 +694,7 @@ func (s *sender) retryOrFailPending(p *pending, cycle uint64) {
 		s.e.finish(p, false, cycle)
 		return
 	}
-	s.e.emit(cycle, telemetry.EvMsgRetried, p.msg.ID, p.res.Retries, 0)
+	s.e.emit(cycle, telemetry.EvMsgRetried, p.res.Msg.ID, p.res.Retries, 0)
 	s.e.retry(p)
 }
 

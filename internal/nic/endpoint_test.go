@@ -289,7 +289,7 @@ func TestAttemptStreamSizedOnce(t *testing.T) {
 		}
 		s, p := &sender{e: e}, &pending{}
 		build := func(size int) (length, capacity int) {
-			p.msg = Message{Dest: 1, Payload: make([]byte, size)}
+			p.res.Msg = Message{Dest: 1, Payload: make([]byte, size)}
 			s.build(p)
 			return len(p.words), cap(p.words)
 		}

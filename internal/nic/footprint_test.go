@@ -3,6 +3,7 @@ package nic
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"metro/internal/link"
 )
@@ -65,6 +66,19 @@ func TestEndpointFootprint(t *testing.T) {
 		if allocs > form.max.allocs {
 			t.Errorf("%s makes %d allocations, ceiling %d", form.name, allocs, form.max.allocs)
 		}
+	}
+}
+
+// TestPendingRecordSize pins a queued message's record in words: its
+// Result (the Message inside it) is four uint64 fields and sixteen words,
+// the cached stream two slices and a stage count, and the two flags share
+// a word. That is 224 B on a 64-bit target, a size class of its own; the
+// record was 288 B while it kept a second copy of the Message beside
+// res.Msg.
+func TestPendingRecordSize(t *testing.T) {
+	const word = unsafe.Sizeof(uintptr(0))
+	if size := unsafe.Sizeof(pending{}); size != 32+24*word {
+		t.Fatalf("unsafe.Sizeof(pending{}) = %d, want 32 + 24 words = %d", size, 32+24*word)
 	}
 }
 

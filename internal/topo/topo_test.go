@@ -92,11 +92,30 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsWireIndex checks that Validate refuses a stage with
+// more wires than an int32 wire index reaches, and only such a stage: one
+// router whose 2^30-dilated outputs fan into two blocks drives 2^31 wires,
+// and the same shape at half the dilation drives 2^30. Neither is built.
+func TestValidateBoundsWireIndex(t *testing.T) {
+	spec := func(dilation int) Spec {
+		return Spec{Endpoints: 4, EndpointLinks: 1, Stages: []StageSpec{
+			{Inputs: 4, Radix: 2, Dilation: dilation},
+			{Inputs: dilation, Radix: 2, Dilation: 1}}}
+	}
+	if err := Validate(spec(1 << 30)); err == nil {
+		t.Error("a stage of 2^31 wires was accepted")
+	}
+	if err := Validate(spec(1 << 29)); err != nil {
+		t.Errorf("a stage of 2^30 wires was refused: %v", err)
+	}
+}
+
 func TestInjectionSpreadsEndpointLinks(t *testing.T) {
 	top := build(t, Figure1())
-	for e, links := range top.Inject {
+	for e := 0; e < top.Spec.Endpoints; e++ {
 		seen := map[int]bool{}
-		for _, ref := range links {
+		for k := 0; k < top.Spec.EndpointLinks; k++ {
+			ref := top.Inject(e, k)
 			if ref.Kind != KindRouter || ref.Stage != 0 {
 				t.Fatalf("endpoint %d link attached to %v", e, ref)
 			}
@@ -128,15 +147,15 @@ func portConservation(t *testing.T, spec Spec) {
 			inCount[ref.Stage][[2]int{ref.Index, ref.Port}]++
 		}
 	}
-	for _, links := range top.Inject {
-		for _, ref := range links {
-			record(ref)
+	for e := 0; e < spec.Endpoints; e++ {
+		for k := 0; k < spec.EndpointLinks; k++ {
+			record(top.Inject(e, k))
 		}
 	}
-	for s := range top.Out {
-		for j := range top.Out[s] {
-			for _, ref := range top.Out[s][j] {
-				record(ref)
+	for s, st := range spec.Stages {
+		for j := 0; j < top.RoutersPerStage[s]; j++ {
+			for bp := 0; bp < st.Outputs(); bp++ {
+				record(top.Out(s, j, bp))
 			}
 		}
 	}
@@ -266,29 +285,11 @@ func TestRandomWiringDeterministicPerSeed(t *testing.T) {
 	spec.Wiring = WiringRandom
 	spec.Seed = 99
 	a := build(t, spec)
-	b := build(t, spec)
-	for s := range a.Out {
-		for j := range a.Out[s] {
-			for bp := range a.Out[s][j] {
-				if a.Out[s][j][bp] != b.Out[s][j][bp] {
-					t.Fatal("same seed produced different wirings")
-				}
-			}
-		}
+	if b := build(t, spec); !reflect.DeepEqual(a.next, b.next) {
+		t.Fatal("same seed produced different wirings")
 	}
 	spec.Seed = 100
-	c := build(t, spec)
-	same := true
-	for s := range a.Out {
-		for j := range a.Out[s] {
-			for bp := range a.Out[s][j] {
-				if a.Out[s][j][bp] != c.Out[s][j][bp] {
-					same = false
-				}
-			}
-		}
-	}
-	if same {
+	if c := build(t, spec); reflect.DeepEqual(a.next, c.next) {
 		t.Fatal("different seeds produced identical wirings")
 	}
 }
