@@ -188,13 +188,23 @@ type event struct {
 // before any driver — so it opens the serialized epilogue: all endpoint
 // Evals have completed (barrier), and drivers whose OnResult hooks
 // mutate their own state and draw random numbers observe completions in
-// the same order at every worker count.
+// the same order at every worker count. It also settles each endpoint it
+// replays: a finished message's record is parked on its endpoint, and
+// settling returns it to the network's pool before any driver offers
+// again, so the records a network keeps track the messages in flight.
 type collector struct{ n *Network }
 
 func (col *collector) Eval(cycle uint64) {
 	n := col.n
 	for e := range n.events {
 		buf := n.events[e]
+		if len(buf) == 0 {
+			continue
+		}
+		// Every finished message leaves a result event, so an endpoint
+		// without events has parked nothing.
+		//metrovet:shared the collector runs in the serialized epilogue, after every endpoint has evaluated, and Settle touches only the endpoint and its network's pool
+		n.Endpoints[e].Settle()
 		for i := range buf {
 			ev := buf[i]
 			if ev.isResult {

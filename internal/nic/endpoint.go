@@ -71,10 +71,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Shape is what the endpoints of a network have in common: their Config,
-// validated and with its defaults applied, and the checksum group sizes it
-// fixes. Every endpoint built from a Shape points at it rather than holding
-// a copy, as the routers of a stage share a core.Shape; a Shape is never
-// written once made.
+// validated and with its defaults applied, the checksum group sizes it
+// fixes, and the pool of message records their Offers draw from. Every
+// endpoint built from a Shape points at it rather than holding a copy, as
+// the routers of a stage share a core.Shape. Only the pool is written once
+// the Shape is made, and only serially (Offer and Settle).
 type Shape struct {
 	Config
 	// width is the physical channel width of one lane, Config.Width;
@@ -86,6 +87,10 @@ type Shape struct {
 	// component width). Receivers and reply parsers need them per word.
 	ckLogical  int
 	ckPhysical int
+	// free heads the pool of idle message records, linked through
+	// pending.next. It sits in what was the struct's padding, so the pool
+	// costs a network no bytes beyond the records themselves.
+	free *pending
 }
 
 // NewShape validates cfg, once for every endpoint built from the shape.
@@ -147,8 +152,8 @@ type Endpoint struct {
 	senders   []sender
 	receivers []receiver
 	queue     []*pending
-	qHead     int        // next queued message; the backing array is reused
-	free      []*pending // recycled bookkeeping records for future Offers
+	qHead     int      // next queued message; the backing array is reused
+	parked    *pending // finished messages' records, linked through next, until Settle
 	nextSend  int
 
 	// Per-build scratch, reused so steady-state builds never allocate. A
@@ -168,12 +173,13 @@ type pending struct {
 	// routers' stochastic output selection is what varies the path, not the
 	// source's stream), so the header build, payload packing and expected
 	// per-stage checksums happen once per message rather than once per
-	// attempt. The buffers recycle with the record through the freelist.
+	// attempt. The buffers recycle with the record through the pool.
 	built    bool
 	sentCRC  uint8
 	words    []word.Word
-	expected []uint8 // lane-major: lane l, stage s at l*stages+s
-	stages   int
+	expected []uint8 // lane-major: lane l, stage s at l*len(Header.Stages)+s
+
+	next *pending // the next parked or pooled record; nil in flight
 }
 
 // AttachInject adds an injection link: the upstream ends of its Lanes
@@ -235,28 +241,64 @@ func (e *Endpoint) emit(cycle uint64, kind telemetry.Kind, id uint64, a, b int) 
 	}
 }
 
-// Offer enqueues a message for delivery.
+// Offer enqueues a message for delivery. It settles the endpoint first, so
+// a hand-wired endpoint, which no collector settles, recycles its records
+// by the same path as one of a built network. Like Settle, it must not run
+// concurrently with another Offer or Settle on the same Shape.
 //
 //metrovet:alloc per-message queue bookkeeping at injection, amortized by the message rather than the cycle
 func (e *Endpoint) Offer(msg Message) {
-	p := e.newPending()
+	e.Settle()
+	p := e.cfg.newPending()
 	p.res = Result{Msg: msg, LastBlockedStage: -1, SuspectStage: -1}
 	e.queue = append(e.queue, p)
 	e.emit(msg.Created, telemetry.EvMsgQueued, msg.ID, msg.Dest, 0)
 }
 
-// newPending pops a recycled bookkeeping record, or allocates the first
-// time a queue depth is reached.
+// newPending takes a record from the pool, or allocates one when every
+// record the network has made is in flight or parked.
 //
-//metrovet:alloc grows the record pool to the peak in-flight count, then recycles
-func (e *Endpoint) newPending() *pending {
-	if n := len(e.free); n > 0 {
-		p := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return p
+//metrovet:alloc grows the network's records to its peak in-flight count, then recycles
+func (sh *Shape) newPending() *pending {
+	p := sh.free
+	if p == nil {
+		return new(pending)
 	}
-	return new(pending)
+	sh.free = p.next
+	p.next = nil
+	return p
+}
+
+// Settle returns the records of the messages the endpoint has finished to
+// its Shape's pool, where any endpoint's Offer can take them. A message
+// finishes during Eval, possibly on a worker lane, so finish only parks its
+// record on its own endpoint; the pool is shared by every endpoint of the
+// Shape, so Settle must run serially: netsim's collector settles each
+// endpoint whose callbacks it replays, after the barrier, and Offer settles
+// its own endpoint.
+func (e *Endpoint) Settle() {
+	for p := e.parked; p != nil; {
+		next := p.next
+		p.next = e.cfg.free
+		e.cfg.free = p
+		p = next
+	}
+	e.parked = nil
+}
+
+// Parked reports how many finished messages' records the endpoint holds
+// until its next Settle.
+func (e *Endpoint) Parked() int { return chainLen(e.parked) }
+
+// Pooled reports how many idle message records the Shape's pool holds.
+func (sh *Shape) Pooled() int { return chainLen(sh.free) }
+
+func chainLen(p *pending) int {
+	n := 0
+	for ; p != nil; p = p.next {
+		n++
+	}
+	return n
 }
 
 // QueueLen reports messages waiting for an injection link.
@@ -366,13 +408,14 @@ func (e *Endpoint) finish(p *pending, delivered bool, cycle uint64) {
 	}
 	// Recycle the record: Result was handed out by value, so dropping the
 	// payload and reply references here cannot disturb the receiver. The
-	// stream buffers stay with the record for the next message.
+	// stream buffers stay with the record for the next message. The pool is
+	// the network's, out of reach of a worker lane, so the record parks on
+	// its own endpoint until Settle.
 	words, expected := p.words, p.expected
-	*p = pending{}
+	*p = pending{next: e.parked}
 	p.words = words[:0]
 	p.expected = expected[:0]
-	//metrovet:alloc freelist push; bounded by the peak in-flight count
-	e.free = append(e.free, p)
+	e.parked = p
 }
 
 // --- sender -----------------------------------------------------------
@@ -507,7 +550,6 @@ func (s *sender) build(p *pending) {
 	e, cfg := s.e, s.e.cfg
 	lw := cfg.logical
 	e.digits = cfg.AppendRouteDigits(e.digits[:0], p.res.Msg.Dest)
-	p.stages = len(e.digits)
 	// The stream is sized once when the record's buffer is short, never
 	// grown word by word.
 	if n := cfg.MessageWords(len(p.res.Msg.Payload)); cap(p.words) < n {
@@ -647,12 +689,12 @@ func (s *sender) complete(cycle uint64) {
 	p := s.p
 	// Fault localization: first stage whose reported checksum (any lane)
 	// disagrees with the expected value for that lane's slice.
-	c := s.e.cfg.Lanes
-	stages := min(s.parse.stageCount(s.e.cfg), p.stages)
+	c, n := s.e.cfg.Lanes, len(s.e.cfg.Header.Stages)
+	stages := min(s.parse.stageCount(s.e.cfg), n)
 localize:
 	for stage := 0; stage < stages; stage++ {
 		for lane := 0; lane < c; lane++ {
-			if s.parse.routerCks[stage*c+lane] != p.expected[lane*p.stages+stage] {
+			if s.parse.routerCks[stage*c+lane] != p.expected[lane*n+stage] {
 				p.res.SuspectStage = stage
 				break localize
 			}

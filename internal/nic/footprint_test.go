@@ -17,11 +17,13 @@ import (
 // made from the network's shared Shape (Shape.NewEndpoint), and a
 // hand-wired one, a network of one that also makes its Shape (New).
 //
-// The network endpoint is the Endpoint struct (208), the sender arrays of
-// one and then two (160 + 320; a sender is 160 B) and the receiver arrays
-// likewise (112 + 208; a receiver is 104 B). New adds the Shape (144). The
-// ceilings are the measured values: a field added to a sender or receiver
-// fails here before it shows as megabytes on a 4Ki-endpoint network.
+// The network endpoint is the Endpoint struct (192; 208 while it kept its
+// own free list of message records), the sender arrays of one and then two
+// (160 + 320; a sender is 160 B) and the receiver arrays likewise (112 +
+// 208; a receiver is 104 B). New adds the Shape (144, the record pool's head
+// in what was its padding). The ceilings are the measured values: a field
+// added to a sender or receiver fails here before it shows as megabytes on
+// a 4Ki-endpoint network.
 func TestEndpointFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -49,14 +51,14 @@ func TestEndpointFootprint(t *testing.T) {
 		build func() *Endpoint
 		max   ceiling
 	}{
-		{"Shape.NewEndpoint", func() *Endpoint { return attach(sh.NewEndpoint(1)) }, ceiling{1008, 5}},
+		{"Shape.NewEndpoint", func() *Endpoint { return attach(sh.NewEndpoint(1)) }, ceiling{992, 5}},
 		{"New", func() *Endpoint {
 			e, err := New(1, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return attach(e)
-		}, ceiling{1152, 6}},
+		}, ceiling{1136, 6}},
 	} {
 		bytes, allocs := footprint(form.build)
 		t.Logf("%s: %d B in %d allocations", form.name, bytes, allocs)
@@ -71,10 +73,11 @@ func TestEndpointFootprint(t *testing.T) {
 
 // TestPendingRecordSize pins a queued message's record in words: its
 // Result (the Message inside it) is four uint64 fields and sixteen words,
-// the cached stream two slices and a stage count, and the two flags share
-// a word. That is 224 B on a 64-bit target, a size class of its own; the
-// record was 288 B while it kept a second copy of the Message beside
-// res.Msg.
+// the cached stream two slices, the two flags share a word, and the link
+// that chains a parked or pooled record takes the word a stage count held
+// (the stride of expected is the shape's stage count). That is 224 B on a
+// 64-bit target, a size class of its own; the record was 288 B while it
+// kept a second copy of the Message beside res.Msg.
 func TestPendingRecordSize(t *testing.T) {
 	const word = unsafe.Sizeof(uintptr(0))
 	if size := unsafe.Sizeof(pending{}); size != 32+24*word {

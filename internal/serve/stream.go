@@ -53,11 +53,14 @@ type streamEvent struct {
 // on each connection is logged once so a slow client is diagnosable
 // without flooding the log.
 type hub struct {
-	mu      sync.Mutex
-	jobID   string
-	obs     jobObs
-	subs    []*subscriber
+	mu    sync.Mutex
+	jobID string
+	obs   jobObs
+	subs  []*subscriber
+	// history is the replay history, a ring once it holds historyBound
+	// events: oldest is the index of its oldest event (0 until it fills).
 	history []streamEvent
+	oldest  int
 	closed  bool
 	dropped uint64 // total frames dropped across all subscribers
 	// watchers mirrors len(subs) for lock-free reads: the gauge forwarder
@@ -96,11 +99,12 @@ func (h *hub) publish(ev streamEvent, keep bool) {
 		return
 	}
 	if keep {
-		if len(h.history) >= historyBound {
-			copy(h.history, h.history[1:])
-			h.history = h.history[:len(h.history)-1]
+		if len(h.history) < historyBound {
+			h.history = append(h.history, ev)
+		} else {
+			h.history[h.oldest] = ev
+			h.oldest = (h.oldest + 1) % historyBound
 		}
-		h.history = append(h.history, ev)
 	}
 	for _, sub := range h.subs {
 		select {
@@ -142,7 +146,8 @@ func (h *hub) watched() bool { return h.watchers.Load() > 0 }
 func (h *hub) subscribe() (replay []streamEvent, ch chan streamEvent, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	replay = append([]streamEvent(nil), h.history...)
+	replay = make([]streamEvent, 0, len(h.history))
+	replay = append(append(replay, h.history[h.oldest:]...), h.history[:h.oldest]...)
 	if h.closed {
 		return replay, nil, func() {}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,28 @@ func TestHubHistoryBound(t *testing.T) {
 	}
 	if replay[0].data[0] != 10 {
 		t.Fatalf("oldest surviving event %d, want 10 (drop-oldest)", replay[0].data[0])
+	}
+}
+
+// TestHubHistoryRingOrder publishes three times the bound and then some,
+// so the ring has wrapped several times and its oldest event sits mid-way,
+// and checks that the replay is exactly the last historyBound events,
+// oldest first.
+func TestHubHistoryRingOrder(t *testing.T) {
+	h := newHub("test-job", jobObs{})
+	const n = 3*historyBound + 7
+	for i := 0; i < n; i++ {
+		h.publish(streamEvent{name: "progress", data: []byte(strconv.Itoa(i))}, true)
+	}
+	replay, _, cancel := h.subscribe()
+	cancel()
+	if len(replay) != historyBound {
+		t.Fatalf("history %d events, want bound %d", len(replay), historyBound)
+	}
+	for k, ev := range replay {
+		if want := strconv.Itoa(n - historyBound + k); string(ev.data) != want {
+			t.Fatalf("replay[%d] = %q, want %q: the last %d events in publish order", k, ev.data, want, historyBound)
+		}
 	}
 }
 
