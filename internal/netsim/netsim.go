@@ -114,7 +114,7 @@ type Params struct {
 	// purely a throughput knob. Responder and ResponderDelay run on
 	// worker goroutines whenever the engine partitions, so they must be
 	// pure functions of their arguments; OnResult and OnDeliver are
-	// unaffected (they are replayed in deterministic order on the
+	// unaffected (the collector calls them in deterministic order on the
 	// stepping goroutine at every worker count).
 	Workers int
 	// OnResult, when set, receives every completed message, and is then the
@@ -158,6 +158,7 @@ type Network struct {
 	Compiled *kernel.Compiled
 
 	endpoints *nic.Shape // what every endpoint is built from
+	unsettled []bool     // the endpoints' settle flags (nic.Shape.Unsettled)
 
 	// tiers locates every link: tier 0 holds the injection links, tier s+1
 	// the output links of stage s, and Build places each tier's links as
@@ -166,60 +167,27 @@ type Network struct {
 
 	results []nic.Result
 	nextID  uint64
-	events  [][]event // per-endpoint callback buffers, drained by the collector
 	netBuf  *telemetry.Buf
 }
 
-// event is one endpoint callback (completion or delivery) captured
-// during Eval and replayed by the collector in deterministic order:
-// cycle-major, endpoint-index minor, per-endpoint FIFO — exactly the
-// order in-Eval callbacks from an inline, index-ordered unit sweep would
-// produce. Buffering at every worker count makes callback ordering
-// trivially identical between them.
-type event struct {
-	isResult bool
-	result   nic.Result
-	payload  []byte
-	intact   bool
-}
-
-// collector is the unexported component that replays buffered endpoint
-// callbacks. It is the first component registered with Engine.Add —
-// before any driver — so it opens the serialized epilogue: all endpoint
-// Evals have completed (barrier), and drivers whose OnResult hooks
-// mutate their own state and draw random numbers observe completions in
-// the same order at every worker count. It also settles each endpoint it
-// replays: a finished message's record is parked on its endpoint, and
-// settling returns it to the network's pool before any driver offers
-// again, so the records a network keeps track the messages in flight.
+// collector is the unexported component that settles the endpoints. It is
+// the first component registered with Engine.Add — before any driver — so
+// it opens the serialized epilogue, after every endpoint's Eval (barrier).
+// It settles, in endpoint-index order, each endpoint whose flag (one dense
+// scan of nic.Shape.Unsettled) says it finished a message or closed a
+// delivery, so hooks that mutate drivers' state and draw random numbers
+// see deliveries then completions, cycle-major and endpoint-index minor,
+// at every worker count, and each finished message's record is back in
+// the pool before any driver offers again.
 type collector struct{ n *Network }
 
 func (col *collector) Eval(cycle uint64) {
 	n := col.n
-	for e := range n.events {
-		buf := n.events[e]
-		if len(buf) == 0 {
-			continue
+	for e, unsettled := range n.unsettled {
+		if unsettled {
+			//metrovet:shared the collector runs in the serialized epilogue, after every endpoint has evaluated, and Settle touches only the endpoint, its network's pool and the network's hooks
+			n.Endpoints[e].Settle()
 		}
-		// Every finished message leaves a result event, so an endpoint
-		// without events has parked nothing.
-		//metrovet:shared the collector runs in the serialized epilogue, after every endpoint has evaluated, and Settle touches only the endpoint and its network's pool
-		n.Endpoints[e].Settle()
-		for i := range buf {
-			ev := buf[i]
-			if ev.isResult {
-				if hook := n.Params.OnResult; hook != nil {
-					hook(ev.result)
-				} else {
-					//metrovet:alloc per-completed-message accounting, amortized by slice growth
-					n.results = append(n.results, ev.result)
-				}
-			} else {
-				n.Params.OnDeliver(e, ev.payload, ev.intact)
-			}
-			buf[i] = event{} // release payload references
-		}
-		n.events[e] = buf[:0]
 	}
 }
 
@@ -409,8 +377,8 @@ func Build(p Params) (*Network, error) {
 		}
 	}
 
-	// Endpoints: one shape for all of them. Completions and deliveries are
-	// buffered per endpoint and replayed by the collector in endpoint-index
+	// Endpoints: one shape for all of them. Completions and deliveries wait
+	// on their endpoint until the collector settles it, in endpoint-index
 	// order, so parallel endpoint evaluation cannot perturb the observable
 	// result stream.
 	var header nic.HeaderSpec
@@ -420,7 +388,6 @@ func Build(p Params) (*Network, error) {
 			HeaderWords: hwOf(s),
 		})
 	}
-	n.events = make([][]event, p.Spec.Endpoints)
 	cfg := nic.Config{
 		Width:             p.Width,
 		Lanes:             c,
@@ -432,14 +399,16 @@ func Build(p Params) (*Network, error) {
 		CloseGap:          p.DataPipe + 2,
 		Responder:         p.Responder,
 		ResponderDelay:    p.ResponderDelay,
-		OnResult: func(e int, r nic.Result) {
-			n.events[e] = append(n.events[e], event{isResult: true, result: r})
+		OnResult: func(_ int, r nic.Result) {
+			if hook := n.Params.OnResult; hook != nil {
+				hook(r)
+			} else {
+				n.results = append(n.results, r)
+			}
 		},
 	}
 	if p.OnDeliver != nil {
-		cfg.OnDeliver = func(e int, payload []byte, intact bool) {
-			n.events[e] = append(n.events[e], event{payload: payload, intact: intact})
-		}
+		cfg.OnDeliver = func(e int, payload []byte, intact bool) { n.Params.OnDeliver(e, payload, intact) }
 	}
 	if n.endpoints, err = nic.NewShape(cfg); err != nil {
 		return nil, err
@@ -448,6 +417,7 @@ func Build(p Params) (*Network, error) {
 	for e := range n.Endpoints {
 		n.Endpoints[e] = n.endpoints.NewEndpoint(e)
 	}
+	n.unsettled = n.endpoints.Unsettled()
 
 	if p.Recorder != nil {
 		wireTelemetry(n)

@@ -72,9 +72,17 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 	return lb
 }
 
+// step advances one cycle and settles both endpoints, as a harness must
+// after each step: their callbacks fire from Settle.
+func (lb *loopback) step() {
+	lb.eng.Step()
+	lb.src.Settle()
+	lb.dst.Settle()
+}
+
 func (lb *loopback) run(cycles int) {
 	for i := 0; i < cycles; i++ {
-		lb.eng.Step()
+		lb.step()
 	}
 }
 
@@ -219,7 +227,7 @@ func TestReceivingReflectsActivity(t *testing.T) {
 	lb.src.Offer(Message{ID: 1, Dest: 1, Payload: make([]byte, 16)})
 	sawReceiving := false
 	for i := 0; i < 80; i++ {
-		lb.eng.Step()
+		lb.step()
 		if lb.dst.Receiving() {
 			sawReceiving = true
 		}

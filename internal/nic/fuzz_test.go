@@ -100,7 +100,7 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 		if got, want := h.Words(cw), len(stream)-len(data); got != want {
 			t.Fatalf("Words() = %d, Build made %d", got, want)
 		}
-		if sums, _ := h.AppendExpectedStageChecksums(nil, stream, nil); len(sums) != len(stages) {
+		if sums := h.AppendExpectedStageChecksums(nil, stream, 1, cw); len(sums) != len(stages) {
 			t.Fatalf("%d stage checksums for %d stages", len(sums), len(stages))
 		}
 
@@ -183,13 +183,13 @@ func FuzzParserFeed(f *testing.F) {
 				statuses++
 			}
 			wasTerminal := p.done || p.closed || p.failed
-			p.feed(p.sh, word.Word{Kind: kind, Payload: uint32(data[i+1])})
-			if wasTerminal && (p.stageCount(p.sh) > statuses || !(p.done || p.closed || p.failed)) {
+			p.feed(p.sh, nil, word.Word{Kind: kind, Payload: uint32(data[i+1])})
+			if wasTerminal && (p.stages > statuses || !(p.done || p.closed || p.failed)) {
 				t.Fatal("terminal parser state mutated by further input")
 			}
 		}
-		if p.stageCount(p.sh) > statuses {
-			t.Fatalf("parser reported %d router statuses from %d STATUS words", p.stageCount(p.sh), statuses)
+		if p.stages > statuses {
+			t.Fatalf("parser reported %d router statuses from %d STATUS words", p.stages, statuses)
 		}
 	})
 }

@@ -131,74 +131,74 @@ func (h HeaderSpec) Words(width word.Width) int {
 	return n
 }
 
-// AppendExpectedStageChecksums appends to dst, for each stage, the CRC-8
-// a healthy stage-s router reports after the first TURN: the checksum of
-// the forward-segment words as received at that stage. The source
-// compares these with the reported values to localize a corrupting link
-// to the first disagreeing stage. The working copy of the stream lives
-// in scratch (grown as needed and returned for reuse), with each stage's
-// strip performed in place.
+// AppendExpectedStageChecksums appends to dst, lane-major, the CRC-8 a
+// healthy stage-s component of each lane reports after the first TURN: the
+// checksum of the forward-segment words as received at that stage, the
+// lane's slice (word.MemberWord) of each word of sent, a stream Build began.
+// The source compares these with the reported values to localize a
+// corrupting link to the first disagreeing stage. No view is copied.
 //
-//metrovet:alloc appends into caller-owned buffers; steady state reuses capacity
-func (h HeaderSpec) AppendExpectedStageChecksums(dst []uint8, sent []word.Word, scratch []word.Word) ([]uint8, []word.Word) {
-	scratch = append(scratch[:0], sent...)
-	stream := scratch
-	for s := range h.Stages {
-		var ck word.Checksum
-		for _, w := range stream {
-			ck.Add(w)
+//metrovet:alloc appends into the caller's buffer; steady state reuses capacity
+func (h HeaderSpec) AppendExpectedStageChecksums(dst []uint8, sent []word.Word, lanes int, width word.Width) []uint8 {
+	for lane := 0; lane < lanes; lane++ {
+		var v streamView
+		for _, st := range h.Stages {
+			var ck word.Checksum
+			rest := sent[v.from:]
+			if v.narrowed {
+				ck.Add(v.head) // a ROUTE word, the same on every lane
+				rest = rest[1:]
+			}
+			for _, w := range rest {
+				if lanes > 1 {
+					w = word.MemberWord(w, lane, width)
+				}
+				ck.Add(w)
+			}
+			dst = append(dst, ck.Sum())
+			v = st.strip(sent, v)
 		}
-		dst = append(dst, ck.Sum())
-		stream = h.stripStageInPlace(stream, s)
 	}
-	return dst, scratch
+	return dst
 }
 
-// stripStageInPlace transforms a word stream the way stage s consumes it:
-// the words a stage-(s+1) router would receive. A stage with hw >= 1
-// consumes the first hw words outright; with hw == 0 it strips DirBits
-// from the first ROUTE word and swallows the word if that exhausts it (the
-// default router configuration). It reuses stream's backing array: the
-// write cursor never passes the read cursor (a strip only drops or narrows
-// words), so the compaction is aliasing-safe.
+// streamView is the stream a stage receives, in terms of the one sent:
+// sent[from:], its first word replaced by head when narrowed. A stage only
+// drops words from the front of its view or narrows its first ROUTE word,
+// which in a stream Build made leads the view.
+type streamView struct {
+	from     int
+	head     word.Word
+	narrowed bool
+}
+
+// strip returns the view of the next stage, given the view of the stage st
+// describes: a stage with hw >= 1 consumes its first hw words outright;
+// with hw == 0 it strips DirBits from the leading ROUTE word and swallows
+// the word if that exhausts it (the default router configuration).
 //
-//metrovet:alloc appends compact into stream[:0]; the write cursor never passes the read cursor, so the backing array never grows
 //metrovet:truncate DirBits >= 0 by Validate
 //metrovet:width DirBits <= width <= 32 by Validate, and the shift only executes when w.Bits > DirBits, which forces DirBits < 32
-func (h HeaderSpec) stripStageInPlace(stream []word.Word, s int) []word.Word {
-	st := h.Stages[s]
-	out := stream[:0]
+func (st StageHeader) strip(sent []word.Word, v streamView) streamView {
 	if st.HeaderWords >= 1 {
-		skip := st.HeaderWords
-		for _, w := range stream {
-			if skip > 0 {
-				skip--
-				continue
-			}
-			out = append(out, w)
-		}
-		return out
+		return streamView{from: min(v.from+st.HeaderWords, len(sent))}
 	}
-	stripped := false
-	for _, w := range stream {
-		if !stripped && w.Kind == word.Route {
-			stripped = true
-			rem := int(w.Bits) - st.DirBits
-			if rem > 0 {
-				out = append(out, word.MakeRoute(w.Payload>>uint(st.DirBits), rem))
-			}
-			continue
+	w := v.head
+	if !v.narrowed {
+		if v.from == len(sent) || sent[v.from].Kind != word.Route {
+			return v // no ROUTE word left to strip
 		}
-		out = append(out, w)
+		w = sent[v.from]
 	}
-	return out
+	if rem := int(w.Bits) - st.DirBits; rem > 0 {
+		return streamView{from: v.from, head: word.MakeRoute(w.Payload>>uint(st.DirBits), rem), narrowed: true}
+	}
+	return streamView{from: v.from + 1}
 }
 
 // PackBytes packs a byte payload into w-bit data words as an LSB-first
 // bit stream: the first byte's low bit travels first. Wide cascaded
 // channels carry several bytes per word.
-//
-//metrovet:alloc per-message payload packing, not a per-cycle path
 func PackBytes(payload []byte, w word.Width) []word.Word {
 	return AppendPackBytes(make([]word.Word, 0, PackedWords(len(payload), w)), payload, w)
 }

@@ -152,7 +152,7 @@ func firstContent(ws []word.Word) word.Word {
 func TestExpectedStageChecksumsMatchManual(t *testing.T) {
 	h := HeaderSpec{Stages: []StageHeader{{DirBits: 1}, {DirBits: 2}}}
 	stream := append(h.Build(mustWidth(8), []int{1, 2}), word.MakeData(0x42, mustWidth(8)))
-	sums, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
+	sums := h.AppendExpectedStageChecksums(nil, stream, 1, mustWidth(8))
 	if len(sums) != 2 {
 		t.Fatalf("sums = %v", sums)
 	}
@@ -302,10 +302,10 @@ func TestExpectedChecksumsChangeWithCorruption(t *testing.T) {
 	h := HeaderSpec{Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}}
 	stream := append(h.Build(mustWidth(8), []int{1, 0, 2}),
 		word.MakeData(0x10, mustWidth(8)), word.MakeData(0x20, mustWidth(8)))
-	clean, _ := h.AppendExpectedStageChecksums(nil, stream, nil)
+	clean := h.AppendExpectedStageChecksums(nil, stream, 1, mustWidth(8))
 	corrupt := append([]word.Word(nil), stream...)
 	corrupt[len(corrupt)-1].Payload ^= 0x1
-	dirty, _ := h.AppendExpectedStageChecksums(nil, corrupt, nil)
+	dirty := h.AppendExpectedStageChecksums(nil, corrupt, 1, mustWidth(8))
 	for s := range clean {
 		if clean[s] == dirty[s] {
 			t.Fatalf("stage %d checksum insensitive to payload corruption", s)

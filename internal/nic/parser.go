@@ -9,26 +9,27 @@ import "metro/internal/word"
 // ends instead with the blocking router's STATUS(blocked), its checksum,
 // and a DROP.
 //
-// The parser keeps no widths: the sender feeds it its endpoint's Shape,
-// whose Width sizes the router checksum chunks (one per lane) and whose
-// logical width the destination and reply checksums.
+// It streams, joining checksum words and checking routers' reports against
+// the expected checksums as they arrive, and rides the message's record.
+// It keeps no widths: the sender feeds it its endpoint's Shape, whose Width
+// sizes the router checksum chunks (one per lane) and whose logical width
+// the destination and reply checksums.
 type parser struct {
-	ckbuf []word.Word // the checksum group being collected
-
-	// routerCks[stage*Lanes+lane] is the CRC-8 each lane's routing
-	// component reported for that stage — flat with stride Lanes, so the
-	// buffer recycles across attempts without per-stage allocations. On
-	// an uncascaded channel Lanes == 1.
-	routerCks []uint8
-
 	reply []word.Word
 
+	// stages counts the router status groups parsed; suspect is the first
+	// stage whose report disagrees on any lane (-1 while none does), final
+	// once the parse is done, which needs every group whole.
+	stages     int
+	suspect    int
 	destStatus uint32
+	// ck joins a destination or reply checksum; ckWords counts group words.
+	ck         uint32
+	ckWords    uint8
 	phase      pPhase
 	curBlocked bool
 	destCk     uint8
 	replyCk    uint8
-	gotReplyCk bool
 
 	done   bool
 	closed bool
@@ -47,37 +48,33 @@ const (
 	pAwaitDrop               // blocked status seen; expecting DROP
 )
 
-// reset rearms the parser for a new attempt while keeping the checksum,
-// router-report and reply buffers, so a sender's steady-state retry loop
-// never allocates.
+// reset rearms the parser for a new attempt while keeping the reply
+// buffer, so a sender's steady-state retry loop never allocates.
 func (p *parser) reset() {
-	p.phase = pStatus
-	p.ckbuf = p.ckbuf[:0]
-	p.routerCks = p.routerCks[:0]
-	p.curBlocked = false
-	p.destStatus, p.destCk = 0, 0
-	p.reply = p.reply[:0]
-	p.replyCk, p.gotReplyCk = 0, false
-	p.done, p.closed, p.failed = false, false, false
+	*p = parser{reply: p.reply[:0], suspect: -1}
 }
 
-// stageCount returns how many router status groups have been parsed.
-func (p *parser) stageCount(sh *Shape) int { return len(p.routerCks) / sh.Lanes }
+// gotReplyCk reports whether the reply carried a payload and its checksum:
+// a parse that reached its TURN after the reply checksum is done in
+// pAwaitTurn.
+func (p *parser) gotReplyCk() bool { return p.phase == pAwaitTurn }
 
 // blockedStage returns the stage whose router reported the connection
 // blocked, or -1. A blocked status' group is the last one parsed: the
 // parser then only waits for the DROP.
-func (p *parser) blockedStage(sh *Shape) int {
+func (p *parser) blockedStage() int {
 	if p.phase != pAwaitDrop {
 		return -1
 	}
-	return p.stageCount(sh) - 1
+	return p.stages - 1
 }
 
-// feed consumes one received word on a channel of shape sh. Empty and
+// feed consumes one received word on a channel of shape sh, whose message
+// expected the router checksums in expected (lane-major, as
+// HeaderSpec.AppendExpectedStageChecksums lays them out). Empty and
 // DataIdle are transparent everywhere (idle fill is inserted freely by
 // routers).
-func (p *parser) feed(sh *Shape, w word.Word) {
+func (p *parser) feed(sh *Shape, expected []uint8, w word.Word) {
 	if p.done || p.closed || p.failed {
 		return
 	}
@@ -106,51 +103,56 @@ func (p *parser) feed(sh *Shape, w word.Word) {
 		p.curBlocked = w.Payload&word.StatusBlocked != 0
 		p.startCk(pRouterCk)
 
-	case pRouterCk, pDestCk, pReplyCk:
+	case pRouterCk:
 		if w.Kind != word.ChecksumWord {
 			p.failed = true
 			return
 		}
-		//metrovet:alloc buffer reused across groups; bounded by the checksum word count
-		p.ckbuf = append(p.ckbuf, w)
-		// Router checksums are produced at the physical component width
-		// (one group per lane, transmitted in lockstep), the others at the
-		// logical width.
-		need := sh.ckLogical
-		if p.phase == pRouterCk {
-			need = sh.ckPhysical
+		// Router checksums are produced at the physical component width,
+		// one group per lane transmitted in lockstep: the merged word
+		// interleaves the lanes' chunks.
+		if n := len(sh.Header.Stages); p.suspect < 0 && p.stages < n &&
+			laneChunksDiffer(w, int(p.ckWords), expected, p.stages, n, sh) {
+			p.suspect = p.stages
 		}
-		if len(p.ckbuf) < need {
+		if p.ckWords++; int(p.ckWords) < sh.ckPhysical {
 			return
 		}
-		//metrovet:nonexhaustive only the three checksum-collection phases reach this switch
-		switch p.phase {
-		case pRouterCk:
-			// Each lane's component reported its own CRC; the merged
-			// stream interleaves the chunks lane-wise within each word.
-			p.routerCks = appendLaneChecksums(p.routerCks, p.ckbuf, sh.width, sh.Lanes)
-			if p.curBlocked {
-				p.phase = pAwaitDrop
-			} else {
-				p.phase = pStatus
-			}
-		case pDestCk:
-			p.destCk = word.JoinChecksum(p.ckbuf, sh.logical)
+		p.stages++
+		if p.curBlocked {
+			p.phase = pAwaitDrop
+		} else {
+			p.phase = pStatus
+		}
+
+	case pDestCk, pReplyCk:
+		if w.Kind != word.ChecksumWord {
+			p.failed = true
+			return
+		}
+		// The destination and reply checksums are at the logical width,
+		// joined as word.JoinChecksum joins them: ckWords < ckLogical keeps
+		// the shift below 8, where & 7 is the identity.
+		p.ck |= (w.Payload & word.Mask(sh.logical)) << (int(p.ckWords) * sh.logical.Bits() & 7)
+		if p.ckWords++; int(p.ckWords) < sh.ckLogical {
+			return
+		}
+		if p.phase == pDestCk {
+			p.destCk = uint8(p.ck & 0xff)
 			p.phase = pReply
-		case pReplyCk:
-			p.replyCk = word.JoinChecksum(p.ckbuf, sh.logical)
-			p.gotReplyCk = true
+		} else {
+			p.replyCk = uint8(p.ck & 0xff)
 			p.phase = pAwaitTurn
 		}
 
 	case pReply:
 		switch w.Kind {
 		case word.Data:
-			//metrovet:alloc buffer grows to the reply size, once per message
+			//metrovet:alloc buffer grows to the reply size, once per record
 			p.reply = append(p.reply, w)
 		case word.ChecksumWord:
 			p.startCk(pReplyCk)
-			p.feed(sh, w)
+			p.feed(sh, expected, w)
 		case word.Turn:
 			p.done = true
 		case word.Empty, word.Route, word.HeaderPad, word.DataIdle,
@@ -176,30 +178,23 @@ func (p *parser) feed(sh *Shape, w word.Word) {
 // startCk arms collection of the next checksum-word group.
 func (p *parser) startCk(next pPhase) {
 	p.phase = next
-	p.ckbuf = p.ckbuf[:0]
+	p.ck, p.ckWords = 0, 0
 }
 
-// appendLaneChecksums reconstructs each lane's CRC-8 from the merged
-// checksum words and appends them to dst: word k of the group carries lane
-// m's k-th chunk in bit positions [m*width, (m+1)*width). The join mirrors
-// word.JoinChecksum over the virtual per-lane chunk stream, without
-// materializing it.
-//
-//metrovet:alloc appends into the recycled routerCks buffer; steady state reuses capacity
-//metrovet:width lane < lanes, so lane*width.Bits() < Width*Lanes <= 32 (NewShape), and the break keeps shift below 8
-//metrovet:truncate lane is a loop index and width.Bits() positive, so lane*width.Bits() and shift are nonnegative
-func appendLaneChecksums(dst []uint8, merged []word.Word, width word.Width, lanes int) []uint8 {
-	for lane := 0; lane < lanes; lane++ {
-		var v uint32
-		shift := 0
-		for _, w := range merged {
-			v |= ((w.Payload >> uint(lane*width.Bits())) & word.Mask(width)) << uint(shift)
-			shift += width.Bits()
-			if shift >= 8 {
-				break
-			}
+// laneChunksDiffer reports whether word k of stage's router checksum group
+// disagrees on any lane with expected (n stages a lane): lane m's chunk k
+// is in bits [m*width, (m+1)*width) and holds CRC bits [k*width,
+// (k+1)*width), those past bit 7 dropped, as word.JoinChecksum joins them.
+// The & 7 and & 31 are identities (k*width < 8, lane*width < 32) that show
+// the shifts' bounds.
+func laneChunksDiffer(w word.Word, k int, expected []uint8, stage, n int, sh *Shape) bool {
+	bits := sh.width.Bits()
+	at := word.Mask(sh.width) << (k * bits & 7) & 0xff
+	for lane := 0; lane < sh.Lanes; lane++ {
+		chunk := (w.Payload >> (lane * bits & 31)) & word.Mask(sh.width)
+		if (chunk<<(k*bits&7)^uint32(expected[lane*n+stage]))&at != 0 {
+			return true
 		}
-		dst = append(dst, uint8(v&0xff))
 	}
-	return dst
+	return false
 }

@@ -6,59 +6,78 @@ import (
 	"metro/internal/word"
 )
 
-// testParser is a parser with the shape its sender would feed it.
+// testParser is a parser with the shape and expected router checksums its
+// sender would feed it.
 type testParser struct {
 	parser
-	sh *Shape
+	sh       *Shape
+	expected []uint8
 }
 
 // parserFor returns a parser armed for a channel of the given component
-// width and cascade factor.
-func parserFor(width, lanes int) *testParser {
-	sh, err := NewShape(Config{Width: width, Lanes: lanes,
+// width and cascade factor, behind len(expected)/lanes routing stages whose
+// components should report expected (lane-major, as the sender lays it
+// out).
+func parserFor(width, lanes int, expected ...uint8) *testParser {
+	stages := make([]StageHeader, len(expected)/lanes)
+	for s := range stages {
+		stages[s].DirBits = 1
+	}
+	sh, err := NewShape(Config{Width: width, Lanes: lanes, Header: HeaderSpec{Stages: stages},
 		AppendRouteDigits: func(dst []int, _ int) []int { return dst }})
 	if err != nil {
 		panic(err)
 	}
-	p := &testParser{sh: sh}
+	p := &testParser{sh: sh, expected: expected}
 	p.reset()
 	return p
 }
 
 func (p *testParser) feedAll(ws ...word.Word) {
 	for _, w := range ws {
-		p.feed(p.sh, w)
+		p.feed(p.sh, p.expected, w)
 	}
 }
 
 func statusWord(flags uint32) word.Word { return word.Word{Kind: word.Status, Payload: flags} }
 
 func TestParserHappyPath(t *testing.T) {
-	p := parserFor(8, 1)
-	var ck word.Checksum
-	ck.AddByte(0x11)
-	p.feedAll(
-		word.Word{Kind: word.DataIdle}, // idle fill is transparent
-		statusWord(0),                  // router 0
+	reply := []word.Word{
+		{Kind: word.DataIdle}, // idle fill is transparent
+		statusWord(0),         // router 0
 		word.AppendChecksum(nil, 0xAA, mustWidth(8))[0],
-		word.Word{Kind: word.DataIdle},
+		{Kind: word.DataIdle},
 		statusWord(0), // router 1
 		word.AppendChecksum(nil, 0xBB, mustWidth(8))[0],
 		statusWord(word.StatusDest), // destination ack
 		word.AppendChecksum(nil, 0xCC, mustWidth(8))[0],
-		word.Word{Kind: word.Turn},
-	)
+		{Kind: word.Turn},
+	}
+	p := parserFor(8, 1, 0xAA, 0xBB)
+	p.feedAll(reply...)
 	if !p.done || p.failed || p.closed {
 		t.Fatalf("parser state: %+v", p)
 	}
-	if len(p.routerCks) != 2 || p.routerCks[0] != 0xAA || p.routerCks[1] != 0xBB {
-		t.Fatalf("router checksums = %#x", p.routerCks)
+	if p.stages != 2 || p.suspect != -1 {
+		t.Fatalf("%d router checksums, suspect stage %d; want 2 matching the expected 0xaa, 0xbb", p.stages, p.suspect)
 	}
 	if p.destCk != 0xCC {
 		t.Fatalf("dest checksum = %#x", p.destCk)
 	}
 	if len(p.reply) != 0 {
 		t.Fatalf("unexpected reply words: %v", p.reply)
+	}
+	// A router report that disagrees with its expected value is the
+	// suspect; the first such stage wins.
+	for _, tc := range []struct {
+		expected []uint8
+		suspect  int
+	}{{[]uint8{0xAA, 0xBA}, 1}, {[]uint8{0xAB, 0xBA}, 0}} {
+		p := parserFor(8, 1, tc.expected...)
+		p.feedAll(reply...)
+		if !p.done || p.suspect != tc.suspect {
+			t.Errorf("expected %#x: done %v, suspect stage %d, want %d", tc.expected, p.done, p.suspect, tc.suspect)
+		}
 	}
 }
 
@@ -80,8 +99,8 @@ func TestParserWithReply(t *testing.T) {
 	if len(p.reply) != 2 || p.reply[0].Payload != 0x10 {
 		t.Fatalf("reply = %v", p.reply)
 	}
-	if !p.gotReplyCk || p.replyCk != 0x7F {
-		t.Fatalf("reply checksum = %#x (got=%v)", p.replyCk, p.gotReplyCk)
+	if !p.gotReplyCk() || p.replyCk != 0x7F {
+		t.Fatalf("reply checksum = %#x (got=%v)", p.replyCk, p.gotReplyCk())
 	}
 }
 
@@ -97,8 +116,8 @@ func TestParserBlockedAtStage(t *testing.T) {
 	if !p.closed {
 		t.Fatalf("parser should be closed: %+v", p)
 	}
-	if p.blockedStage(p.sh) != 1 {
-		t.Fatalf("blockedStage = %d, want 1", p.blockedStage(p.sh))
+	if p.blockedStage() != 1 {
+		t.Fatalf("blockedStage = %d, want 1", p.blockedStage())
 	}
 	if p.done {
 		t.Fatal("blocked parse must not be done")
@@ -123,12 +142,52 @@ func TestParserNackRecorded(t *testing.T) {
 }
 
 func TestParserSplitChecksumWidth4(t *testing.T) {
-	p := parserFor(4, 1)
 	cks := word.AppendChecksum(nil, 0x5A, mustWidth(4))
-	p.feedAll(statusWord(0))
-	p.feedAll(cks...)
-	if len(p.routerCks) != 1 || p.routerCks[0] != 0x5A {
-		t.Fatalf("router cks = %#x", p.routerCks)
+	// Either chunk of the two-word group can disagree.
+	for _, tc := range []struct {
+		expected uint8
+		suspect  int
+	}{{0x5A, -1}, {0x5B, 0}, {0x4A, 0}} {
+		p := parserFor(4, 1, tc.expected)
+		p.feedAll(statusWord(0))
+		p.feedAll(cks...)
+		if p.stages != 1 || p.suspect != tc.suspect {
+			t.Errorf("0x5a reported, %#x expected: %d router groups, suspect stage %d, want 1 and %d", tc.expected, p.stages, p.suspect, tc.suspect)
+		}
+	}
+}
+
+// TestParserLaneChecksums: on a cascaded channel each merged checksum word
+// carries every lane's chunk, and a disagreement on any lane of a stage
+// makes it the suspect.
+func TestParserLaneChecksums(t *testing.T) {
+	w4 := mustWidth(4)
+	// Two stages, two lanes of 4 bits; lane 0 reports 0x5A then 0x11, lane
+	// 1 reports 0xC3 then 0x22.
+	reported := [2][2]uint8{{0x5A, 0x11}, {0xC3, 0x22}}
+	var words []word.Word
+	for stage := 0; stage < 2; stage++ {
+		words = append(words, statusWord(0))
+		lane0 := word.AppendChecksum(nil, reported[0][stage], w4)
+		lane1 := word.AppendChecksum(nil, reported[1][stage], w4)
+		for k := range lane0 {
+			words = append(words, word.MergeWords([]word.Word{lane0[k], lane1[k]}, w4))
+		}
+	}
+	for _, tc := range []struct {
+		expected []uint8 // lane-major
+		suspect  int
+	}{
+		{[]uint8{0x5A, 0x11, 0xC3, 0x22}, -1},
+		{[]uint8{0x5A, 0x11, 0xC3, 0x62}, 1},
+		{[]uint8{0x5A, 0x11, 0xC2, 0x22}, 0},
+		{[]uint8{0x5A, 0x10, 0xC3, 0x22}, 1},
+	} {
+		p := parserFor(4, 2, tc.expected...)
+		p.feedAll(words...)
+		if p.stages != 2 || p.suspect != tc.suspect {
+			t.Errorf("expected %#x: %d router groups, suspect stage %d, want 2 and %d", tc.expected, p.stages, p.suspect, tc.suspect)
+		}
 	}
 }
 

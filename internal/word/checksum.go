@@ -60,16 +60,19 @@ func ChecksumWords(w Width) int { return (w.Bits() + 7) / w.Bits() }
 // CRC-8 value to dst, least-significant chunk first.
 //
 //metrovet:alloc appends into caller-owned scratch sized for the stream; steady state reuses capacity
-//metrovet:width the step min(w.Bits(), 8) is in [1, 8], as Width bounds Bits to [1, 32]
 func AppendChecksum(dst []Word, sum uint8, w Width) []Word {
-	n := ChecksumWords(w)
-	v := uint32(sum)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Word{Kind: ChecksumWord, Payload: v & Mask(w)})
-		// v holds a CRC-8, so shifting by 8 already clears it.
-		v >>= min(w.Bits(), 8)
+	for i := 0; i < ChecksumWords(w); i++ {
+		dst = append(dst, ChecksumChunk(sum, i, w))
 	}
 	return dst
+}
+
+// ChecksumChunk returns word i, for i < ChecksumWords(w), of the words
+// carrying a CRC-8 value, as AppendChecksum appends them.
+func ChecksumChunk(sum uint8, i int, w Width) Word {
+	// i*w.Bits() is below 8 for every such i (0 at 8 bits and wider), where
+	// & 7 is the identity; the & 7 is what shows the shift its bound.
+	return Word{Kind: ChecksumWord, Payload: uint32(sum) >> (i * w.Bits() & 7) & Mask(w)}
 }
 
 // JoinChecksum reassembles a CRC-8 value from channel words produced by

@@ -184,9 +184,6 @@ func MemberWord(logical Word, k int, w Width) Word {
 // MergeWords reassembles a logical word from the member words. The kinds
 // must agree (members in lockstep); on disagreement the Empty word is
 // returned, which upper layers treat as a protocol error.
-//
-//metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
-//metrovet:truncate k is a nonnegative lane index and w.Bits() is positive
 func MergeWords(members []Word, w Width) Word {
 	if len(members) == 0 {
 		return Word{}
