@@ -122,7 +122,6 @@ func scalePoint(spec topo.Spec, radix, cycles, workers int) (ScalePoint, error) 
 				delivered++
 				send()
 			}
-			n.ResetResults()
 		}
 		return delivered
 	}

@@ -86,16 +86,7 @@ func main() {
 // when the sweep finishes).
 func writeTrace(rec *telemetry.Recorder, traceOut string, metrics bool, count int) {
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrofault: %v\n", err)
-			os.Exit(1)
-		}
-		if err := telemetry.Encode(f, rec.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "metrofault: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "metrofault: %v\n", err)
 			os.Exit(1)
 		}

@@ -79,16 +79,7 @@ func runOne(s metrofuzz.Scenario, shrink bool, shrinkRuns int, verbose bool, tra
 	}
 	if hooks.Recorder != nil {
 		if traceOut != "" {
-			f, err := os.Create(traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrofuzz: %v\n", err)
-				os.Exit(1)
-			}
-			if err := telemetry.Encode(f, hooks.Recorder.Snapshot()); err != nil {
-				fmt.Fprintf(os.Stderr, "metrofuzz: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
+			if err := telemetry.WriteFile(traceOut, hooks.Recorder.Snapshot()); err != nil {
 				fmt.Fprintf(os.Stderr, "metrofuzz: %v\n", err)
 				os.Exit(1)
 			}
@@ -119,13 +110,7 @@ func runEnsemble(start int64, n int, shrink bool, shrinkRuns int, verbose bool, 
 		delivered += rep.Delivered
 		duplicates += rep.Duplicates
 		faults += rep.FaultsFired
-		for _, o := range metrofuzz.OracleNames {
-			if o == "differential" && s.Workers == 0 {
-				continue
-			}
-			if o == "kernel" && !kernel {
-				continue
-			}
+		for _, o := range metrofuzz.ArmedOracles(s, kernel) {
 			checked[o]++
 		}
 		seenOracle := map[string]bool{}

@@ -157,16 +157,7 @@ func recordPoint(run metro.RunSpec, openloop bool, traceOut string, metrics bool
 		os.Exit(1)
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := telemetry.Encode(f, rec.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
 			os.Exit(1)
 		}

@@ -25,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"metro/internal/word"
 )
@@ -81,7 +80,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MaxDilation (max_d) must be a power of two, got %d", c.MaxDilation)
 	case c.MaxDilation > c.Outputs:
 		return fmt.Errorf("core: MaxDilation %d exceeds Outputs %d", c.MaxDilation, c.Outputs)
-	case c.Width < log2(c.Outputs):
+	case c.Width < int(log2(c.Outputs)):
 		return fmt.Errorf("core: Width (w) %d < log2(Outputs) = %d", c.Width, log2(c.Outputs))
 	case c.Width > 32:
 		return fmt.Errorf("core: Width (w) %d exceeds the model's 32-bit payload limit", c.Width)
@@ -108,8 +107,10 @@ func (c Config) Validate() error {
 func (c Config) Radix(d int) int { return c.Outputs / d }
 
 // DirBits returns the number of routing bits a router consumes per
-// connection at dilation d: log2(radix).
-func (c Config) DirBits(d int) int { return log2(c.Radix(d)) }
+// connection at dilation d: log2(radix), at most log2(MaxPorts) = 6 under
+// Validate. It is the one source of a stage's direction-bit count: netsim
+// builds the endpoints' routing headers from it.
+func (c Config) DirBits(d int) uint8 { return log2(c.Radix(d)) }
 
 // Settings holds the run-time configurable options of a router, following
 // Table 2 of the paper. All options are loadable over the scan interface
@@ -225,11 +226,13 @@ func (s Settings) Clone() Settings {
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// log2 returns ceil(log2(n)), and 0 for n <= 1.
-func log2(n int) int {
-	if n <= 1 {
-		return 0
+// log2 returns ceil(log2(n)), and 0 for n <= 1: how many times n halves,
+// rounding up, before it reaches 1. It counts in the uint8 a ROUTE word
+// counts its bits in.
+func log2(n int) uint8 {
+	var b uint8
+	for ; n > 1; n -= n / 2 {
+		b++
 	}
-	//metrovet:truncate n >= 2 past the guard above, so n-1 is positive; TestLog2Table holds it
-	return bits.Len(uint(n - 1))
+	return b
 }

@@ -323,7 +323,7 @@ func (r *Router) SetTelemetry(b *telemetry.Buf) { r.tel = b }
 // emit records one connection-lifecycle event on forward port fp. It runs
 // during Eval and costs one branch when no buffer is attached.
 //
-//metrovet:truncate fp and b are port numbers below MaxPorts, a direction below the radix, -1 or a 0/1 flag
+//metrovet:truncate fp and b are port numbers, below MaxPorts by Config.Validate, a direction below the radix, -1 or a 0/1 flag
 func (r *Router) emit(cycle uint64, kind telemetry.Kind, fp, b int) {
 	if r.tel != nil {
 		r.tel.Emit(telemetry.Event{Cycle: cycle, Src: r.src, Kind: kind, A: int32(fp), B: int32(b)})
@@ -452,7 +452,7 @@ func (r *Router) Dilation() int { return r.set.Dilation }
 func (r *Router) Radix() int { return r.cfg.Radix(r.set.Dilation) }
 
 // DirBits returns the routing bits consumed per connection.
-func (r *Router) DirBits() int { return r.cfg.DirBits(r.set.Dilation) }
+func (r *Router) DirBits() uint8 { return r.cfg.DirBits(r.set.Dilation) }
 
 // Direction returns the logical direction served by backward port bp.
 func (r *Router) Direction(bp int) int { return bp / r.set.Dilation }
@@ -674,23 +674,23 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 // returns false, parking nothing, for malformed words (fewer routing bits
 // than this router consumes), which are discarded — the
 // source-responsible protocol will time out and retry.
-//
-//metrovet:width DirBits is log2(Radix) with Radix in [1, Outputs], so need is in [0, 31] and below in.Bits at the shifts
-//metrovet:truncate need is nonnegative (DirBits of a validated config), so uint(need) is lossless
 func (r *Router) parseRoute(p *fwdPort, fp int, in word.Word) bool {
 	need := r.DirBits()
-	if int(in.Bits) < need {
+	if in.Bits < need {
 		return false
 	}
 	dir := int(in.Payload) & (r.Radix() - 1)
-	rem := int(in.Bits) - need
 	fwdWord := word.Word{}
 	if r.cfg.HeaderWords == 0 {
-		if rem > 0 {
-			fwdWord = word.MakeRoute(in.Payload>>uint(need), rem)
+		// need is at most 6 (Config.Validate caps Outputs at MaxPorts),
+		// where & 31 is the identity; the & 31 is what shows the shift its
+		// bound.
+		rest := in.Payload >> (need & 31)
+		if rem := in.Bits - need; rem > 0 {
+			fwdWord = word.MakeRoute(rest, rem)
 		} else if r.set.Swallow&bit(fp) == 0 {
 			// Exhausted routing word forwarded as setup padding.
-			fwdWord = word.Word{Kind: word.HeaderPad, Payload: in.Payload >> uint(need)}
+			fwdWord = word.Word{Kind: word.HeaderPad, Payload: rest}
 		}
 	}
 	// With HeaderWords >= 1 the entire first word is consumed here and
@@ -709,7 +709,7 @@ func (r *Router) parseRoute(p *fwdPort, fp int, in word.Word) bool {
 // the shared random stream makes allocation a deterministic function of
 // (requests, random bits) — the property width cascading depends on.
 //
-//metrovet:truncate fp is a forward port number and bp a bit index of a nonzero uint64, both below MaxPorts = 64
+//metrovet:truncate fp is a forward port number, below MaxPorts = 64 by Config.Validate, and bp a bit index of a nonzero uint64
 func (r *Router) allocate(cycle uint64, requested uint64) {
 	fwd := r.fwd
 	for m := requested; m != 0; m &= m - 1 {
@@ -762,8 +762,7 @@ func (r *Router) pick(n int) int {
 	if n <= 1 || r.policy == SelectFirstFree {
 		return 0
 	}
-	bits := log2(n)
-	return int(r.rng.NextBits(bits)) % n
+	return int(r.rng.NextBits(int(log2(n)))) % n
 }
 
 // block handles the unservable request parked on forward port p (number fp)
@@ -887,7 +886,7 @@ func (r *Router) stageInject(f *flow, status word.Word, sum uint8, drop bool) {
 		panic("core: injection sequence overflow — protocol bug")
 	}
 	f.qHead = 0
-	//metrovet:truncate the sequence fits the region: injWords = 2 + ChecksumWords(width) <= 10 words
+	//metrovet:truncate the panic above keeps the sequence within the region, injWords = 2 + ChecksumWords(width) <= 10 words at the 32-bit width Config.Validate allows
 	f.qLen = uint8(len(seq))
 }
 

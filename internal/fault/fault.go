@@ -85,16 +85,36 @@ type Plan []Event
 type Injector struct {
 	net   *netsim.Network
 	plan  Plan
+	marks []telemetry.Event // plan[k]'s fault event, cycle unset; nil without a recorder
 	next  int
 	fired []Event
 }
 
 // NewInjector binds a plan to a network and registers it with the engine.
 // Events fire in slice order; their At cycles should be non-decreasing.
+// When the network records telemetry, each event's record is made here,
+// once, where the plan is attached.
 func NewInjector(n *netsim.Network, plan Plan) *Injector {
 	inj := &Injector{net: n, plan: plan}
+	if n.FaultSink() != nil {
+		inj.marks = make([]telemetry.Event, len(plan))
+		for k, e := range plan {
+			inj.marks[k] = mark(e)
+		}
+	}
 	n.Engine.Add(inj)
 	return inj
+}
+
+// mark returns the flight-recorder event of fault e, its cycle unset: Src
+// locates the victim (router, or endpoint for injection-link faults), A is
+// the fault kind code and B the port.
+func mark(e Event) telemetry.Event {
+	src := telemetry.RouterSource(e.Stage, e.Index, 0)
+	if e.Stage < 0 {
+		src = telemetry.EndpointSource(e.Index)
+	}
+	return telemetry.Event{Src: src, Kind: telemetry.EvFault, A: int32(e.Kind), B: int32(e.Port)}
 }
 
 // Eval fires any events scheduled at or before the current cycle.
@@ -102,32 +122,22 @@ func (i *Injector) Eval(cycle uint64) {
 	for i.next < len(i.plan) && i.plan[i.next].At <= cycle {
 		e := i.plan[i.next]
 		i.apply(e)
-		i.record(cycle, e)
+		if i.marks != nil {
+			i.record(cycle, i.marks[i.next])
+		}
 		//metrovet:alloc per-fault-event telemetry, bounded by the plan length
 		i.fired = append(i.fired, e)
 		i.next++
 	}
 }
 
-// record emits the fault into the network's flight recorder, when one is
-// attached: Src locates the victim (router, or endpoint for
-// injection-link faults), A is the fault kind code and B the port.
+// record emits a fault's event, stamped with the cycle it fired on, into
+// the network's flight recorder.
 //
 //metrovet:shared injector runs in the serialized epilogue; the network-scope telemetry buffer is its sanctioned sink
-//metrovet:truncate Kind is a tiny enum and Port a port index, both far below 2^31
-func (i *Injector) record(cycle uint64, e Event) {
-	buf := i.net.FaultSink()
-	if buf == nil {
-		return
-	}
-	src := telemetry.RouterSource(e.Stage, e.Index, 0)
-	if e.Stage < 0 {
-		src = telemetry.EndpointSource(e.Index)
-	}
-	buf.Emit(telemetry.Event{
-		Cycle: cycle, Src: src, Kind: telemetry.EvFault,
-		A: int32(e.Kind), B: int32(e.Port),
-	})
+func (i *Injector) record(cycle uint64, ev telemetry.Event) {
+	ev.Cycle = cycle
+	i.net.FaultSink().Emit(ev)
 }
 
 // Fired returns the events applied so far.

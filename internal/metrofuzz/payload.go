@@ -24,7 +24,7 @@ package metrofuzz
 
 // EncodePayload builds the tagged payload for one offered message.
 //
-//metrovet:truncate LE byte extraction of the ID is the tag format; src, dest and n fit a byte (Scenario.Validate bounds payloads to [8,64] and fuzz topologies keep endpoint counts far below 256)
+//metrovet:truncate by design: the tag is the ID's little-endian bytes; src, dest and n fit a byte because Scenario.Validate bounds payloads to [8,64] and fuzz topologies keep endpoint counts far below 256
 func EncodePayload(id uint32, src, dest, n int) []byte {
 	if n < MinPayloadBytes {
 		n = MinPayloadBytes
@@ -84,7 +84,7 @@ func DecodePayload(buf []byte) (id uint32, src, dest int, ok bool) {
 // fillByte derives deterministic filler from the message ID and byte
 // position — a cheap mix so adjacent messages and positions differ.
 //
-//metrovet:truncate multiplicative hashing wraps by design
+//metrovet:truncate by design: multiplicative hashing wraps
 func fillByte(id uint32, i int) byte {
 	v := id*2654435761 + uint32(i)*0x9e3779b9
 	return byte(v >> 24)

@@ -20,6 +20,20 @@ var OracleNames = []string{
 	"conservation", "delivery", "payload", "progress", "invariants", "differential", "kernel",
 }
 
+// ArmedOracles lists, in OracleNames order, the oracles Run applies to s:
+// the differential when s asks for parallel workers, the kernel oracle
+// when kernel (Hooks.KernelOracle) is set, and every other one always.
+func ArmedOracles(s Scenario, kernel bool) []string {
+	out := make([]string, 0, len(OracleNames))
+	for _, o := range OracleNames {
+		if (o == "differential" && s.Workers <= 0) || (o == "kernel" && !kernel) {
+			continue
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
 // Hooks are the harness's self-test seams: each one injects a
 // simulator-bug-shaped defect without touching simulator source, so
 // tests can prove every oracle actually fires (and the shrinker

@@ -321,10 +321,12 @@ func Build(p Params) (*Network, error) {
 	// Every router of a stage has the same configuration and settings, turn
 	// delays included: wire conservation feeds every forward port from tier
 	// s and every backward port into tier s+1 (see the placement above).
-	// The routers read them from one shared core.Shape.
+	// The routers read them from one shared core.Shape, and the endpoints'
+	// routing header takes each stage's direction bits from it.
 	laneBuf := make([]*core.Router, top.RouterCount()*c)
 	n.Routers = make([][][]*core.Router, len(p.Spec.Stages))
 	var name []byte // scratch for router names
+	var header nic.HeaderSpec
 	for s, st := range p.Spec.Stages {
 		n.Routers[s] = make([][]*core.Router, top.RoutersPerStage[s])
 		cfg := core.Config{
@@ -353,6 +355,10 @@ func Build(p Params) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
+		header.Stages = append(header.Stages, nic.StageHeader{
+			DirBits:     cfg.DirBits(set.Dilation),
+			HeaderWords: hwOf(s),
+		})
 		for j := range n.Routers[s] {
 			lanes := take(&laneBuf, c)
 			n.Routers[s][j] = lanes
@@ -381,13 +387,6 @@ func Build(p Params) (*Network, error) {
 	// on their endpoint until the collector settles it, in endpoint-index
 	// order, so parallel endpoint evaluation cannot perturb the observable
 	// result stream.
-	var header nic.HeaderSpec
-	for s, st := range p.Spec.Stages {
-		header.Stages = append(header.Stages, nic.StageHeader{
-			DirBits:     log2(st.Radix),
-			HeaderWords: hwOf(s),
-		})
-	}
 	cfg := nic.Config{
 		Width:             p.Width,
 		Lanes:             c,
@@ -508,7 +507,7 @@ func Build(p Params) (*Network, error) {
 		// after the flusher, so their events — stamped with the cycle they
 		// occurred on — reach the ring one flush later, identically at
 		// every worker count.
-		n.Engine.Add(&gaugeSampler{n: n, buf: n.netBuf, period: period})
+		n.Engine.Add(newGaugeSampler(n, period))
 		n.Engine.Add(telemetry.Flusher{R: p.Recorder})
 	}
 	return n, nil
@@ -681,12 +680,4 @@ func take[T any](buf *[]T, n int) []T {
 	s := (*buf)[:n:n]
 	*buf = (*buf)[n:]
 	return s
-}
-
-func log2(v int) int {
-	n := 0
-	for 1<<uint(n) < v {
-		n++
-	}
-	return n
 }

@@ -45,17 +45,30 @@ type gaugeSampler struct {
 	n      *Network
 	buf    *telemetry.Buf
 	period uint64
+	stages []telemetry.Source // each stage's gauge source
+	whole  telemetry.Source   // the whole-network gauges' source
+}
+
+// newGaugeSampler returns the sampler of n's network buffer, its sources
+// narrowed once, here, where Build has fixed the stage count.
+func newGaugeSampler(n *Network, period uint64) *gaugeSampler {
+	g := &gaugeSampler{n: n, buf: n.netBuf, period: period,
+		stages: make([]telemetry.Source, len(n.Routers)), whole: telemetry.NetworkSource(-1)}
+	for s := range g.stages {
+		g.stages[s] = telemetry.NetworkSource(s)
+	}
+	return g
 }
 
 // Eval samples every gauge when the cycle lands on the sampling period.
 //
 //metrovet:shared read-only sampler in the serialized epilogue: every unit Eval has completed at the barrier, and nothing is mutated
-//metrovet:truncate gauge counts are bounded by port, router and endpoint counts, far below 2^31
+//metrovet:truncate connection and busy-port counts are bounded by wires, which topo.Validate keeps within int32; queue depths and the in-flight count by the messages offered
 func (g *gaugeSampler) Eval(cycle uint64) {
 	if cycle%g.period != 0 {
 		return
 	}
-	for s := range g.n.Routers {
+	for s, src := range g.stages {
 		conns, busy := 0, 0
 		for _, lanes := range g.n.Routers[s] {
 			r := lanes[0] // the lanes of a column run in lockstep
@@ -63,11 +76,11 @@ func (g *gaugeSampler) Eval(cycle uint64) {
 			busy += bits.OnesCount64(r.BackwardInUse())
 		}
 		g.buf.Emit(telemetry.Event{
-			Cycle: cycle, Src: telemetry.NetworkSource(s),
+			Cycle: cycle, Src: src,
 			Kind: telemetry.EvGaugeConns, A: int32(conns),
 		})
 		g.buf.Emit(telemetry.Event{
-			Cycle: cycle, Src: telemetry.NetworkSource(s),
+			Cycle: cycle, Src: src,
 			Kind: telemetry.EvGaugeBusyPorts, A: int32(busy),
 		})
 	}
@@ -83,11 +96,11 @@ func (g *gaugeSampler) Eval(cycle uint64) {
 		}
 	}
 	g.buf.Emit(telemetry.Event{
-		Cycle: cycle, Src: telemetry.NetworkSource(-1),
+		Cycle: cycle, Src: g.whole,
 		Kind: telemetry.EvGaugeQueueDepth, A: int32(queued), B: int32(deepest),
 	})
 	g.buf.Emit(telemetry.Event{
-		Cycle: cycle, Src: telemetry.NetworkSource(-1),
+		Cycle: cycle, Src: g.whole,
 		Kind: telemetry.EvGaugeInFlight, A: int32(inflight),
 	})
 }

@@ -130,12 +130,13 @@ func (sh *Shape) MessageWords(payloadBytes int) int {
 }
 
 // NewEndpoint constructs endpoint id of the shape's network. Links are
-// attached afterward.
+// attached afterward. The id is narrowed to its event source here, once:
+// topo.Validate keeps a buildable network's endpoint count within int32.
 func (sh *Shape) NewEndpoint(id int) *Endpoint {
 	for len(sh.unsettled) <= id {
 		sh.unsettled = append(sh.unsettled, false)
 	}
-	return &Endpoint{cfg: sh, id: id}
+	return &Endpoint{cfg: sh, src: telemetry.EndpointSource(id)}
 }
 
 // Unsettled reports, indexed by endpoint ID, which endpoints hold work for
@@ -158,8 +159,8 @@ func New(id int, cfg Config) (*Endpoint, error) {
 // It implements clock.Component.
 type Endpoint struct {
 	cfg       *Shape
-	id        int
-	tel       *telemetry.Buf // message-lifecycle events; nil while unobserved
+	src       telemetry.Source // the endpoint's identity; src.Index is its ID
+	tel       *telemetry.Buf   // message-lifecycle events; nil while unobserved
 	senders   []sender
 	receivers []receiver
 	queue     *pending // queued messages' records, head first, linked through next
@@ -209,7 +210,7 @@ func (e *Endpoint) AttachDeliver(ends ...*link.End) {
 // channel checks that ends is one logical channel of the endpoint's shape.
 func (e *Endpoint) channel(ends []*link.End) lanes {
 	if len(ends) != e.cfg.Lanes {
-		panic(fmt.Sprintf("nic: endpoint %d attached a channel of %d lanes, want %d", e.id, len(ends), e.cfg.Lanes))
+		panic(fmt.Sprintf("nic: endpoint %d attached a channel of %d lanes, want %d", e.ID(), len(ends), e.cfg.Lanes))
 	}
 	return ends
 }
@@ -231,7 +232,7 @@ func (e *Endpoint) Ends(f func(*link.End)) {
 }
 
 // ID returns the endpoint number.
-func (e *Endpoint) ID() int { return e.id }
+func (e *Endpoint) ID() int { return int(e.src.Index) }
 
 // SetTelemetry attaches (or, with nil, removes) the message-lifecycle
 // event buffer.
@@ -242,11 +243,11 @@ func (e *Endpoint) SetTelemetry(b *telemetry.Buf) { e.tel = b }
 // EvMsgQueued), must not allocate in steady state, and costs one branch
 // when no buffer is attached.
 //
-//metrovet:truncate a and b are attempt and retry counts, a stage (-1 when unknown), an endpoint index or a 0/1 flag, all far below 2^31
+//metrovet:truncate a and b are a stage (-1 when unknown), a 0/1 flag, an endpoint index, which topo.Validate keeps within int32, or an attempt or retry count, which ends one past RetryLimit
 func (e *Endpoint) emit(cycle uint64, kind telemetry.Kind, id uint64, a, b int) {
 	if e.tel != nil {
 		e.tel.Emit(telemetry.Event{
-			Cycle: cycle, Msg: id, Src: telemetry.EndpointSource(e.id),
+			Cycle: cycle, Msg: id, Src: e.src,
 			Kind: kind, A: int32(a), B: int32(b),
 		})
 	}
@@ -294,22 +295,22 @@ func (sh *Shape) newPending() *pending {
 // offers from another flagged endpoint settles that one early).
 func (e *Endpoint) Settle() {
 	cfg := e.cfg
-	if !cfg.unsettled[e.id] {
+	if !cfg.unsettled[e.ID()] {
 		return
 	}
-	cfg.unsettled[e.id] = false
+	cfg.unsettled[e.ID()] = false
 	rs := e.receivers
 	for i := range rs {
 		if r := &rs[i]; r.delivered {
 			r.delivered = false
-			cfg.OnDeliver(e.id, UnpackBytes(r.words[:r.data], cfg.logical), r.intact)
+			cfg.OnDeliver(e.ID(), UnpackBytes(r.words[:r.data], cfg.logical), r.intact)
 		}
 	}
 	for e.parked != nil {
 		p := e.parked
 		e.parked = p.next
 		if cfg.OnResult != nil {
-			cfg.OnResult(e.id, p.res)
+			cfg.OnResult(e.ID(), p.res)
 		}
 		// Result went out by value; the buffers stay for the next message.
 		*p = pending{
@@ -433,7 +434,7 @@ func (e *Endpoint) finish(p *pending, delivered bool, cycle uint64) {
 		tail = &(*tail).next
 	}
 	*tail = p
-	e.cfg.unsettled[e.id] = true
+	e.cfg.unsettled[e.ID()] = true
 }
 
 // --- sender -----------------------------------------------------------
@@ -861,8 +862,7 @@ func (r *receiver) eval(cycle uint64) {
 
 // assemble accumulates the forward stream of one message.
 //
-//metrovet:width ckWords < ckLogical = ChecksumWords(logical) keeps the shift ckWords*logical.Bits() below 8, where word.JoinChecksum places the same chunk
-//metrovet:truncate e2e keeps the low byte of the joined value, as word.JoinChecksum does
+//metrovet:truncate by design: e2e keeps the low byte of the joined value, as word.JoinChecksum does
 func (r *receiver) assemble(w word.Word, cycle uint64) {
 	switch w.Kind {
 	case word.Data:
@@ -874,7 +874,10 @@ func (r *receiver) assemble(w word.Word, cycle uint64) {
 	case word.ChecksumWord:
 		if int(r.ckWords) < r.e.cfg.ckLogical {
 			lw := r.e.cfg.logical
-			r.e2e |= uint8((w.Payload & word.Mask(lw)) << (int(r.ckWords) * lw.Bits()))
+			// ckWords < ChecksumWords(logical) keeps the shift below 8,
+			// where word.JoinChecksum places the same chunk and & 7 is
+			// the identity; the & 7 is what shows the shift its bound.
+			r.e2e |= uint8((w.Payload & word.Mask(lw)) << (int(r.ckWords) * lw.Bits() & 7))
 			r.ckWords++
 		}
 	case word.Turn:
@@ -901,7 +904,7 @@ func (r *receiver) turn(cycle uint64) {
 	r.e.emit(cycle, telemetry.EvMsgArrived, 0, arrived, 0)
 	r.data = len(r.words)
 	if intact && cfg.Responder != nil {
-		if data := cfg.Responder(r.e.id, UnpackBytes(r.words, cfg.logical)); len(data) > 0 {
+		if data := cfg.Responder(r.e.ID(), UnpackBytes(r.words, cfg.logical)); len(data) > 0 {
 			r.words = AppendPackBytes(r.words, data, cfg.logical)
 			var ck word.Checksum
 			for _, w := range r.words[r.data:] {
@@ -913,7 +916,7 @@ func (r *receiver) turn(cycle uint64) {
 	r.replyIdx = 0
 	r.replyDelay = 0
 	if intact && cfg.ResponderDelay != nil {
-		r.replyDelay = cfg.ResponderDelay(r.e.id, UnpackBytes(r.words[:r.data], cfg.logical))
+		r.replyDelay = cfg.ResponderDelay(r.e.ID(), UnpackBytes(r.words[:r.data], cfg.logical))
 	}
 	r.state = rReply
 	r.intact = intact
@@ -951,6 +954,6 @@ func (r *receiver) replyWord(i int) (w word.Word, last bool) {
 func (r *receiver) deliver() {
 	if r.e.cfg.OnDeliver != nil {
 		r.delivered = true
-		r.e.cfg.unsettled[r.e.id] = true
+		r.e.cfg.unsettled[r.e.ID()] = true
 	}
 }

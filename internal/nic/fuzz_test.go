@@ -23,7 +23,7 @@ func FuzzPackUnpackBytes(f *testing.F) {
 		if len(payload) > 1<<12 {
 			payload = payload[:1<<12]
 		}
-		words := PackBytes(payload, w)
+		words := AppendPackBytes(nil, payload, w)
 		if want := (len(payload)*8 + w.Bits() - 1) / w.Bits(); len(words) != want {
 			t.Fatalf("width %d: packed %d bytes into %d words, want %d", w.Bits(), len(payload), len(words), want)
 		}
@@ -86,7 +86,7 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 			dir := 1 + int(b)%maxDir          // [1, maxDir]
 			hw := int(b>>4) % 3               // {0, 1, 2}
 			digit := int(b>>2) & (1<<dir - 1) // < 2^dir
-			stages = append(stages, StageHeader{DirBits: dir, HeaderWords: hw})
+			stages = append(stages, StageHeader{DirBits: uint8(dir), HeaderWords: hw})
 			digits = append(digits, digit)
 		}
 		h := HeaderSpec{Stages: stages}
@@ -95,8 +95,8 @@ func FuzzHeaderBuildStrip(f *testing.F) {
 			t.Fatalf("constructed spec invalid: %v", err)
 		}
 
-		data := PackBytes(payload, cw)
-		stream := append(h.Build(cw, digits), data...)
+		data := AppendPackBytes(nil, payload, cw)
+		stream := append(h.AppendBuild(nil, cw, digits), data...)
 		if got, want := h.Words(cw), len(stream)-len(data); got != want {
 			t.Fatalf("Words() = %d, Build made %d", got, want)
 		}

@@ -23,8 +23,9 @@ import (
 // data stream.
 type StageHeader struct {
 	// DirBits is the number of routing bits the stage consumes
-	// (log2 radix).
-	DirBits int
+	// (log2 radix, core.Config.DirBits), counted as a ROUTE word's Bits
+	// field counts them.
+	DirBits uint8
 	// HeaderWords is the stage's hw parameter: 0 for in-word bit
 	// stripping, >= 1 for whole-word consumption during pipelined setup.
 	HeaderWords int
@@ -43,7 +44,7 @@ type HeaderSpec struct {
 // width-bit channel.
 func (h HeaderSpec) Validate(width word.Width) error {
 	for s, st := range h.Stages {
-		if st.DirBits < 0 || st.DirBits > width.Bits() {
+		if int(st.DirBits) > width.Bits() {
 			return fmt.Errorf("nic: stage %d needs %d routing bits, width is %d", s, st.DirBits, width.Bits())
 		}
 		if st.HeaderWords < 0 {
@@ -53,8 +54,9 @@ func (h HeaderSpec) Validate(width word.Width) error {
 	return nil
 }
 
-// Build constructs the routing header words of a width-bit channel for
-// the given per-stage direction digits.
+// AppendBuild appends the routing header words of a width-bit channel for
+// the given per-stage direction digits to dst and returns it, so a sender
+// reusing its stream buffer constructs headers without touching the heap.
 //
 // For hw=0 stages, consecutive stages' digit bit-groups are packed into
 // shared ROUTE words low bits first; a group that would straddle a word
@@ -64,23 +66,16 @@ func (h HeaderSpec) Validate(width word.Width) error {
 //
 // An hw>=1 stage always gets its own ROUTE word carrying just its digit,
 // followed by hw-1 HEADER-PAD words, all of which that stage consumes.
-func (h HeaderSpec) Build(width word.Width, digits []int) []word.Word {
-	return h.AppendBuild(nil, width, digits)
-}
-
-// AppendBuild is the allocation-free variant of Build: it appends the
-// header words to dst and returns it, so a sender reusing its stream
-// buffer constructs headers without touching the heap.
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
-//metrovet:truncate digits are per-stage direction numbers in [0, radix), far below 32 bits
-//metrovet:width bits accumulates DirBits groups and is flushed before exceeding width, at most 32
+//metrovet:truncate digits are directions in [0, 2^DirBits), and HeaderSpec.Validate keeps DirBits within the width's 32 bits
+//metrovet:width HeaderSpec.Validate keeps DirBits <= width, and bits is flushed before bits+DirBits exceeds width <= 32
 func (h HeaderSpec) AppendBuild(dst []word.Word, width word.Width, digits []int) []word.Word {
 	if len(digits) != len(h.Stages) {
 		panic(fmt.Sprintf("nic: %d digits for %d stages", len(digits), len(h.Stages)))
 	}
 	var cur uint32
-	bits := 0
+	var bits uint8
 	for s, st := range h.Stages {
 		if st.HeaderWords >= 1 {
 			if bits > 0 {
@@ -93,13 +88,13 @@ func (h HeaderSpec) AppendBuild(dst []word.Word, width word.Width, digits []int)
 			}
 			continue
 		}
-		if bits+st.DirBits > width.Bits() {
+		if int(bits+st.DirBits) > width.Bits() {
 			if bits > 0 {
 				dst = append(dst, word.MakeRoute(cur, bits))
 				cur, bits = 0, 0
 			}
 		}
-		cur |= uint32(digits[s]) << uint(bits)
+		cur |= uint32(digits[s]) << bits
 		bits += st.DirBits
 	}
 	if bits > 0 {
@@ -108,7 +103,7 @@ func (h HeaderSpec) AppendBuild(dst []word.Word, width word.Width, digits []int)
 	return dst
 }
 
-// Words returns the number of words Build produces. It depends on the
+// Words returns the number of words AppendBuild appends. It depends on the
 // stages' consumption and the width only, never on the digits.
 func (h HeaderSpec) Words(width word.Width) int {
 	n, bits := 0, 0
@@ -120,10 +115,10 @@ func (h HeaderSpec) Words(width word.Width) int {
 			n += st.HeaderWords
 			continue
 		}
-		if bits+st.DirBits > width.Bits() && bits > 0 {
+		if bits+int(st.DirBits) > width.Bits() && bits > 0 {
 			n, bits = n+1, 0
 		}
-		bits += st.DirBits
+		bits += int(st.DirBits)
 	}
 	if bits > 0 {
 		n++
@@ -134,7 +129,8 @@ func (h HeaderSpec) Words(width word.Width) int {
 // AppendExpectedStageChecksums appends to dst, lane-major, the CRC-8 a
 // healthy stage-s component of each lane reports after the first TURN: the
 // checksum of the forward-segment words as received at that stage, the
-// lane's slice (word.MemberWord) of each word of sent, a stream Build began.
+// lane's slice (word.MemberWord) of each word of sent, a stream AppendBuild
+// began.
 // The source compares these with the reported values to localize a
 // corrupting link to the first disagreeing stage. No view is copied.
 //
@@ -165,7 +161,7 @@ func (h HeaderSpec) AppendExpectedStageChecksums(dst []uint8, sent []word.Word, 
 // streamView is the stream a stage receives, in terms of the one sent:
 // sent[from:], its first word replaced by head when narrowed. A stage only
 // drops words from the front of its view or narrows its first ROUTE word,
-// which in a stream Build made leads the view.
+// which in a stream AppendBuild made leads the view.
 type streamView struct {
 	from     int
 	head     word.Word
@@ -176,9 +172,6 @@ type streamView struct {
 // describes: a stage with hw >= 1 consumes its first hw words outright;
 // with hw == 0 it strips DirBits from the leading ROUTE word and swallows
 // the word if that exhausts it (the default router configuration).
-//
-//metrovet:truncate DirBits >= 0 by Validate
-//metrovet:width DirBits <= width <= 32 by Validate, and the shift only executes when w.Bits > DirBits, which forces DirBits < 32
 func (st StageHeader) strip(sent []word.Word, v streamView) streamView {
 	if st.HeaderWords >= 1 {
 		return streamView{from: min(v.from+st.HeaderWords, len(sent))}
@@ -190,39 +183,39 @@ func (st StageHeader) strip(sent []word.Word, v streamView) streamView {
 		}
 		w = sent[v.from]
 	}
-	if rem := int(w.Bits) - st.DirBits; rem > 0 {
-		return streamView{from: v.from, head: word.MakeRoute(w.Payload>>uint(st.DirBits), rem), narrowed: true}
+	if w.Bits > st.DirBits {
+		// A ROUTE word AppendBuild made holds at most the width's 32 bits,
+		// so DirBits < 32 here, where & 31 is the identity; the & 31 is
+		// what shows the shift its bound.
+		return streamView{from: v.from, head: word.MakeRoute(w.Payload>>(st.DirBits&31), w.Bits-st.DirBits), narrowed: true}
 	}
 	return streamView{from: v.from + 1}
 }
 
-// PackBytes packs a byte payload into w-bit data words as an LSB-first
-// bit stream: the first byte's low bit travels first. Wide cascaded
-// channels carry several bytes per word.
-func PackBytes(payload []byte, w word.Width) []word.Word {
-	return AppendPackBytes(make([]word.Word, 0, PackedWords(len(payload), w)), payload, w)
-}
-
-// PackedWords returns the number of w-bit data words PackBytes packs n
-// bytes into.
+// PackedWords returns the number of w-bit data words AppendPackBytes
+// packs n bytes into.
 func PackedWords(n int, w word.Width) int { return (n*8 + w.Bits() - 1) / w.Bits() }
 
-// AppendPackBytes is the allocation-free variant of PackBytes: packed data
-// words append to dst, which is returned.
+// AppendPackBytes packs a byte payload into w-bit data words as an
+// LSB-first bit stream, the first byte's low bit first, appends them to
+// dst and returns it. Wide cascaded channels carry several bytes per word.
+//
+// Each refill finds accBits below width, and width is at most 32, so
+// & 31 and & 63 are identities; they are what show the shifts their
+// bounds.
 //
 //metrovet:alloc appends into caller-owned scratch; steady state reuses capacity
-//metrovet:truncate uint32(acc) deliberately extracts the low word; MakeData masks it to w
-//metrovet:width accBits stays in [0, w.Bits()+7], below 40: each 8-bit refill drains down below w.Bits() <= 32
+//metrovet:truncate by design: uint32(acc) extracts the low word, which MakeData masks to w
 func AppendPackBytes(dst []word.Word, payload []byte, w word.Width) []word.Word {
 	width := w.Bits()
 	var acc uint64
 	accBits := 0
 	for _, b := range payload {
-		acc |= uint64(b) << uint(accBits)
+		acc |= uint64(b) << (accBits & 31)
 		accBits += 8
 		for accBits >= width {
 			dst = append(dst, word.MakeData(uint32(acc), w))
-			acc >>= uint(width)
+			acc >>= width & 63
 			accBits -= width
 		}
 	}
@@ -232,22 +225,25 @@ func AppendPackBytes(dst []word.Word, payload []byte, w word.Width) []word.Word 
 	return dst
 }
 
-// UnpackBytes inverts PackBytes. Partial trailing bytes are discarded, but
-// note that when w > 8 and the original payload did not fill a whole
-// number of words, PackBytes added zero padding bits that decode as extra
-// trailing zero bytes: wide channels deliver payloads at channel-word
-// granularity, exactly as aligned hardware transfers do. Applications
-// needing byte-exact framing carry a length field in the payload.
+// UnpackBytes inverts AppendPackBytes. Partial trailing bytes are
+// discarded, but note that when w > 8 and the original payload did not
+// fill a whole number of words, packing added zero padding bits that
+// decode as extra trailing zero bytes: wide channels deliver payloads at
+// channel-word granularity, exactly as aligned hardware transfers do.
+// Applications needing byte-exact framing carry a length field in the
+// payload.
+//
+// Each word finds accBits below 8, where & 7 is the identity; the & 7 is
+// what shows the shift its bound.
 //
 //metrovet:alloc per-message payload unpacking, not a per-cycle path
-//metrovet:truncate byte(acc) deliberately extracts the low byte of the accumulator
-//metrovet:width accBits stays in [0, w.Bits()+7], below 40: each word adds w.Bits() <= 32 and the inner loop drains it below 8
+//metrovet:truncate by design: byte(acc) extracts the low byte of the accumulator
 func UnpackBytes(words []word.Word, w word.Width) []byte {
 	var out []byte
 	var acc uint64
 	accBits := 0
 	for _, x := range words {
-		acc |= uint64(x.Payload&word.Mask(w)) << uint(accBits)
+		acc |= uint64(x.Payload&word.Mask(w)) << (accBits & 7)
 		accBits += w.Bits()
 		for accBits >= 8 {
 			out = append(out, byte(acc))

@@ -13,7 +13,7 @@ func TestBuildHeaderHW0Packing(t *testing.T) {
 	h := HeaderSpec{Stages: []StageHeader{
 		{DirBits: 1}, {DirBits: 1}, {DirBits: 2},
 	}}
-	words := h.Build(mustWidth(8), []int{1, 0, 3})
+	words := h.AppendBuild(nil, mustWidth(8), []int{1, 0, 3})
 	if len(words) != 1 {
 		t.Fatalf("header = %v, want one word", words)
 	}
@@ -33,7 +33,7 @@ func TestBuildHeaderSplitsAtWordBoundary(t *testing.T) {
 	h := HeaderSpec{Stages: []StageHeader{
 		{DirBits: 3}, {DirBits: 3}, {DirBits: 3},
 	}}
-	words := h.Build(mustWidth(4), []int{5, 2, 7})
+	words := h.AppendBuild(nil, mustWidth(4), []int{5, 2, 7})
 	if len(words) != 3 {
 		t.Fatalf("header = %v, want three words", words)
 	}
@@ -49,7 +49,7 @@ func TestBuildHeaderHW2(t *testing.T) {
 		{DirBits: 2, HeaderWords: 2},
 		{DirBits: 2, HeaderWords: 2},
 	}}
-	words := h.Build(mustWidth(8), []int{3, 1})
+	words := h.AppendBuild(nil, mustWidth(8), []int{3, 1})
 	if len(words) != 4 {
 		t.Fatalf("header = %v, want 4 words (2 per stage)", words)
 	}
@@ -70,7 +70,7 @@ func TestBuildHeaderMixedModes(t *testing.T) {
 		{DirBits: 3, HeaderWords: 1}, // hw=1
 		{DirBits: 1},                 // hw=0
 	}}
-	words := h.Build(mustWidth(8), []int{2, 5, 1})
+	words := h.AppendBuild(nil, mustWidth(8), []int{2, 5, 1})
 	// Stage 0 bits flush before the hw>=1 stage; stage 2 starts fresh.
 	if len(words) != 3 {
 		t.Fatalf("header = %v, want 3 words", words)
@@ -107,12 +107,12 @@ func TestStripChainConsumesEverything(t *testing.T) {
 			digits[i] = (1 << uint(st.DirBits)) - 1 // max digit
 		}
 		payload := []word.Word{word.MakeData(0xA, w), word.MakeData(0x5, w)}
-		stream := append(h.Build(w, digits), payload...)
+		stream := append(h.AppendBuild(nil, w, digits), payload...)
 		for s := range h.Stages {
 			// The first word each stage sees must be a usable ROUTE word.
 			if h.Stages[s].HeaderWords == 0 {
 				first := firstContent(stream)
-				if first.Kind != word.Route || int(first.Bits) < h.Stages[s].DirBits {
+				if first.Kind != word.Route || first.Bits < h.Stages[s].DirBits {
 					t.Fatalf("spec %d stage %d sees %v", si, s, first)
 				}
 				dir := int(first.Payload) & ((1 << uint(h.Stages[s].DirBits)) - 1)
@@ -151,7 +151,7 @@ func firstContent(ws []word.Word) word.Word {
 
 func TestExpectedStageChecksumsMatchManual(t *testing.T) {
 	h := HeaderSpec{Stages: []StageHeader{{DirBits: 1}, {DirBits: 2}}}
-	stream := append(h.Build(mustWidth(8), []int{1, 2}), word.MakeData(0x42, mustWidth(8)))
+	stream := append(h.AppendBuild(nil, mustWidth(8), []int{1, 2}), word.MakeData(0x42, mustWidth(8)))
 	sums := h.AppendExpectedStageChecksums(nil, stream, 1, mustWidth(8))
 	if len(sums) != 2 {
 		t.Fatalf("sums = %v", sums)
@@ -176,7 +176,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	f := func(data []byte, widthSeed uint8) bool {
 		widths := []int{1, 2, 4, 8, 12, 16, 24, 32}
 		w := widths[int(widthSeed)%len(widths)]
-		words := PackBytes(data, mustWidth(w))
+		words := AppendPackBytes(nil, data, mustWidth(w))
 		back := UnpackBytes(words, mustWidth(w))
 		// The payload must round-trip exactly; wide channels may append
 		// zero padding up to one channel word's worth of bytes.
@@ -201,17 +201,17 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 
 func TestPackBytesWidths(t *testing.T) {
 	// w=4: each byte becomes two nibbles, low first.
-	words := PackBytes([]byte{0xAB}, mustWidth(4))
+	words := AppendPackBytes(nil, []byte{0xAB}, mustWidth(4))
 	if len(words) != 2 || words[0].Payload != 0xB || words[1].Payload != 0xA {
 		t.Fatalf("nibble packing = %v", words)
 	}
 	// w=8: identity.
-	words = PackBytes([]byte{0x12, 0x34}, mustWidth(8))
+	words = AppendPackBytes(nil, []byte{0x12, 0x34}, mustWidth(8))
 	if len(words) != 2 || words[0].Payload != 0x12 {
 		t.Fatalf("byte packing = %v", words)
 	}
 	// w=1: bits, LSB first.
-	words = PackBytes([]byte{0b10000001}, mustWidth(1))
+	words = AppendPackBytes(nil, []byte{0b10000001}, mustWidth(1))
 	if len(words) != 8 || words[0].Payload != 1 || words[7].Payload != 1 || words[3].Payload != 0 {
 		t.Fatalf("bit packing = %v", words)
 	}
@@ -261,18 +261,18 @@ func TestHeaderStripChainProperty(t *testing.T) {
 			if next(4) == 0 {
 				hw = next(3) + 1 // occasional hw >= 1 stage
 			}
-			h.Stages = append(h.Stages, StageHeader{DirBits: bits, HeaderWords: hw})
+			h.Stages = append(h.Stages, StageHeader{DirBits: uint8(bits), HeaderWords: hw})
 			digits[s] = next(1 << uint(bits))
 		}
 		if h.Validate(w) != nil {
 			return true
 		}
-		stream := append(h.Build(w, digits), word.MakeData(0x3, w))
+		stream := append(h.AppendBuild(nil, w, digits), word.MakeData(0x3, w))
 		for s, st := range h.Stages {
 			var got int
 			if st.HeaderWords == 0 {
 				first := firstContent(stream)
-				if first.Kind != word.Route || int(first.Bits) < st.DirBits {
+				if first.Kind != word.Route || first.Bits < st.DirBits {
 					return false
 				}
 				got = int(first.Payload) & ((1 << uint(st.DirBits)) - 1)
@@ -300,7 +300,7 @@ func TestHeaderStripChainProperty(t *testing.T) {
 // sees the word (the property fault localization relies on).
 func TestExpectedChecksumsChangeWithCorruption(t *testing.T) {
 	h := HeaderSpec{Stages: []StageHeader{{DirBits: 1}, {DirBits: 1}, {DirBits: 2}}}
-	stream := append(h.Build(mustWidth(8), []int{1, 0, 2}),
+	stream := append(h.AppendBuild(nil, mustWidth(8), []int{1, 0, 2}),
 		word.MakeData(0x10, mustWidth(8)), word.MakeData(0x20, mustWidth(8)))
 	clean := h.AppendExpectedStageChecksums(nil, stream, 1, mustWidth(8))
 	corrupt := append([]word.Word(nil), stream...)

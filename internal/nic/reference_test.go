@@ -38,9 +38,8 @@ func (h HeaderSpec) stripStageInPlace(stream []word.Word, s int) []word.Word {
 	for _, w := range stream {
 		if !stripped && w.Kind == word.Route {
 			stripped = true
-			rem := int(w.Bits) - st.DirBits
-			if rem > 0 {
-				out = append(out, word.MakeRoute(w.Payload>>uint(st.DirBits), rem))
+			if w.Bits > st.DirBits {
+				out = append(out, word.MakeRoute(w.Payload>>st.DirBits, w.Bits-st.DirBits))
 			}
 			continue
 		}
@@ -105,10 +104,10 @@ func FuzzExpectedStageChecksums(f *testing.F) {
 		var digits []int
 		for _, b := range stageBytes {
 			dir := int(b) % (min(width.Bits(), 4) + 1) // [0, min(width, 4)]
-			h.Stages = append(h.Stages, StageHeader{DirBits: dir, HeaderWords: int(b>>4) % 3})
+			h.Stages = append(h.Stages, StageHeader{DirBits: uint8(dir), HeaderWords: int(b>>4) % 3})
 			digits = append(digits, int(b>>2)&(1<<dir-1))
 		}
-		stream := h.Build(width, digits)
+		stream := h.AppendBuild(nil, width, digits)
 		stream = AppendPackBytes(stream, payload, logical)
 		var ck word.Checksum
 		for _, w := range stream[h.Words(width):] {

@@ -137,7 +137,7 @@ func buildResult(j *job, rep *metrofuzz.Report, rec *telemetry.Recorder) *Result
 		Delivered:   rep.Delivered,
 		Duplicates:  rep.Duplicates,
 		FaultsFired: rep.FaultsFired,
-		Oracles:     oraclesChecked(j),
+		Oracles:     metrofuzz.ArmedOracles(j.scn, j.engine == EngineKernel),
 		Summary:     rep.Summary(),
 	}
 	switch {
@@ -156,22 +156,6 @@ func buildResult(j *job, rep *metrofuzz.Report, rec *telemetry.Recorder) *Result
 		}
 	}
 	return res
-}
-
-// oraclesChecked lists the oracle battery this job's options armed, in
-// the canonical metrofuzz order.
-func oraclesChecked(j *job) []string {
-	var out []string
-	for _, o := range metrofuzz.OracleNames {
-		if o == "differential" && j.scn.Workers == 0 {
-			continue
-		}
-		if o == "kernel" && j.engine != EngineKernel {
-			continue
-		}
-		out = append(out, o)
-	}
-	return out
 }
 
 // marshalResult renders the canonical response bytes: compact JSON plus

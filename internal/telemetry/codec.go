@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -32,6 +33,20 @@ func Encode(w io.Writer, t Trace) error {
 			e.Msg, e.A, e.B)
 	}
 	return bw.Flush()
+}
+
+// WriteFile writes t in the mtr1 text format to the named file, created or
+// truncated: the trace file every CLI's -trace flag writes.
+func WriteFile(name string, t Trace) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	if err := Encode(f, t); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Decode parses an mtr1 stream back into a Trace.

@@ -196,24 +196,25 @@ type Source struct {
 	Index int32
 }
 
+// The three constructors below narrow an identity into Source's fields.
+// Emitters call them once, where Build or a fault plan fixes the identity
+// (core.Router.SetID, nic.Shape.NewEndpoint, netsim's gauge sampler,
+// fault.NewInjector), and keep the Source: no cycle narrows one.
+// topo.Validate keeps every index of a buildable network within int32;
+// stages and lanes are single digits.
+
 // RouterSource locates a router by its structured identity.
-//
-//metrovet:truncate stage and lane counts are single digits and router indices stay far below 2^31 for any buildable topology
 func RouterSource(stage, index, lane int) Source {
 	return Source{Kind: SrcRouter, Stage: int16(stage), Index: int32(index), Lane: uint8(lane)}
 }
 
 // EndpointSource locates an endpoint.
-//
-//metrovet:truncate endpoint counts stay far below 2^31 for any buildable topology
 func EndpointSource(ep int) Source {
 	return Source{Kind: SrcEndpoint, Stage: -1, Index: int32(ep)}
 }
 
 // NetworkSource locates a network-scope emitter; stage is -1 for
 // whole-network gauges.
-//
-//metrovet:truncate stage counts are single digits (-1 means whole-network)
 func NetworkSource(stage int) Source {
 	return Source{Kind: SrcNetwork, Stage: int16(stage), Index: -1}
 }

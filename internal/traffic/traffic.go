@@ -64,19 +64,15 @@ func (h Hotspot) Name() string { return "hotspot" }
 // classically adversarial permutation for butterflies.
 type BitReverse struct{}
 
-// Dest implements Pattern.
-//
-//metrovet:width n is the endpoint count, a power of two far below 2^31, so bits stays below 31
-//metrovet:truncate bits-1-i is nonnegative inside the i < bits loop
+// Dest implements Pattern. It reverses the low ceil(log2(n)) bits of src:
+// m walks those bits from the least significant, and each is shifted into
+// rev from the bottom, so src's bit 0 ends up highest.
 func (BitReverse) Dest(src, n int, rng *rand.Rand) int {
-	bits := 0
-	for 1<<uint(bits) < n {
-		bits++
-	}
 	rev := 0
-	for i := 0; i < bits; i++ {
-		if src&(1<<uint(i)) != 0 {
-			rev |= 1 << uint(bits-1-i)
+	for m := 1; m < n; m <<= 1 {
+		rev <<= 1
+		if src&m != 0 {
+			rev |= 1
 		}
 	}
 	if rev == src {
@@ -214,7 +210,6 @@ func (c *ClosedLoop) sampleThink() int {
 // free and their think time has elapsed.
 //
 //metrovet:shared driver registers via Engine.Add, so it runs in the serialized epilogue after every endpoint has evaluated
-//metrovet:truncate rng.Intn(256) yields [0,255], which fits a byte exactly
 func (c *ClosedLoop) Eval(cycle uint64) {
 	n := len(c.state)
 	for e := 0; e < n; e++ {
@@ -230,7 +225,9 @@ func (c *ClosedLoop) Eval(cycle uint64) {
 		//metrovet:alloc per-injected-message payload; ownership transfers to the endpoint queue
 		payload := make([]byte, c.MsgBytes)
 		for i := range payload {
-			payload[i] = byte(c.rng.Intn(256))
+			// Intn(256) is in [0, 255], where & 0xff is the identity;
+			// the & 0xff is what shows the byte its bound.
+			payload[i] = byte(c.rng.Intn(256) & 0xff)
 		}
 		c.net.Send(e, dest, payload)
 		s.outstanding++

@@ -151,26 +151,24 @@ func MakeData(payload uint32, w Width) Word {
 	return Word{Kind: Data, Payload: payload & Mask(w)}
 }
 
-// MakeRoute returns a Route word carrying bits routing bits.
-//
-//metrovet:truncate route bit counts are per-hop direction widths, far below 255
-func MakeRoute(payload uint32, bits int) Word {
-	return Word{Kind: Route, Payload: payload, Bits: uint8(bits)}
+// MakeRoute returns a Route word carrying bits routing bits. A route bit
+// count is a uint8 wherever it travels, as Word.Bits carries it.
+func MakeRoute(payload uint32, bits uint8) Word {
+	return Word{Kind: Route, Payload: payload, Bits: bits}
 }
 
 // MemberWord computes member k of a logical word bit-sliced across lanes
 // of width w, as width cascading carries it (paper, Section 5.1). Control
 // words are replicated; data-bearing payloads are bit-sliced with member 0
-// carrying the least significant w bits.
-//
-//metrovet:width k < the cascade factor and w is the member width, so k*w < c*w <= 32, the logical channel bound
-//metrovet:truncate k is a nonnegative lane index and w.Bits() is positive
+// carrying the least significant w bits. k is below the cascade factor c,
+// so k*w < c*w <= 32, the logical channel bound, where & 31 is the
+// identity; the & 31 is what shows the shift its bound.
 func MemberWord(logical Word, k int, w Width) Word {
 	switch logical.Kind {
 	case Data, ChecksumWord:
 		return Word{
 			Kind:    logical.Kind,
-			Payload: (logical.Payload >> uint(k*w.Bits())) & Mask(w),
+			Payload: (logical.Payload >> (k * w.Bits() & 31)) & Mask(w),
 		}
 	case Empty, Route, HeaderPad, DataIdle, Turn, Status, Drop:
 		// Control words are replicated so member state machines stay in
