@@ -105,7 +105,7 @@ func cascadeCyclesPerKB(b *testing.B, c int) float64 {
 	g := metro.NewCascadeGroup("bw", cfg, set, c, 123)
 
 	eng := metro.NewEngine()
-	src := make([]*metro.LinkEnd, c)
+	src := make([]metro.LinkEnd, c)
 	for k := 0; k < c; k++ {
 		for fp := 0; fp < cfg.Inputs; fp++ {
 			l := metro.NewLink("f", 1)

@@ -11,7 +11,7 @@ import (
 	"metro/internal/word"
 )
 
-func groupHarness(t *testing.T, c int) (*clock.Engine, *Group, [][]*link.End, [][]*link.End) {
+func groupHarness(t *testing.T, c int) (*clock.Engine, *Group, [][]link.End, [][]link.End) {
 	t.Helper()
 	cfg := core.Config{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 2,
 		HeaderWords: 0, DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
@@ -24,8 +24,8 @@ func groupHarness(t *testing.T, c int) (*clock.Engine, *Group, [][]*link.End, []
 	g := NewGroup("g", sh, c, prng.NewShared(77))
 	eng := clock.New()
 	// src[k][fp], dst[k][bp]: per-member link ends.
-	src := make([][]*link.End, c)
-	dst := make([][]*link.End, c)
+	src := make([][]link.End, c)
+	dst := make([][]link.End, c)
 	for k := 0; k < c; k++ {
 		for fp := 0; fp < cfg.Inputs; fp++ {
 			l := link.New("f", 1)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"metro/internal/core"
+	"metro/internal/link"
 	"metro/internal/prng"
 	"metro/internal/word"
 )
@@ -24,7 +25,7 @@ func TestRouterAccessors(t *testing.T) {
 	if r.Dilation() != 1 {
 		t.Errorf("Dilation = %d", r.Dilation())
 	}
-	if r.ForwardLink(0) == nil || r.BackwardLink(0) == nil {
+	if r.ForwardLink(0) == (link.End{}) || r.BackwardLink(0) == (link.End{}) {
 		t.Error("attached links not retrievable")
 	}
 	if r.ClosingCount() != 0 {

@@ -32,7 +32,7 @@ func TestBufferSetsRoundTrip(t *testing.T) {
 			cfg := tc.cfg
 			r := NewRouter("rt", cfg, DefaultSettings(cfg), prng.NewLFSR(0xACE1))
 			var links []*link.Link
-			var src []*link.End
+			var src []link.End
 			for fp := 0; fp < cfg.Inputs; fp++ {
 				l := link.New("f", 1)
 				r.AttachForward(fp, l.B())

@@ -23,7 +23,7 @@ func TestNoSwallowForwardsHeaderPad(t *testing.T) {
 	eng := clock.New()
 	ra := core.NewRouter("A", cfg, setA, prng.NewLFSR(3))
 	rb := core.NewRouter("B", cfg, setB, prng.NewLFSR(4))
-	var srcs []*link.End
+	var srcs []link.End
 	for fp := 0; fp < cfg.Inputs; fp++ {
 		l := link.New("f", 1)
 		ra.AttachForward(fp, l.B())
@@ -36,7 +36,7 @@ func TestNoSwallowForwardsHeaderPad(t *testing.T) {
 		rb.AttachForward(p, l.B())
 		eng.AddLatch(l)
 	}
-	var dsts []*link.End
+	var dsts []link.End
 	for bp := 0; bp < cfg.Outputs; bp++ {
 		l := link.New("bd", 1)
 		rb.AttachBackward(bp, l.A())

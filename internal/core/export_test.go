@@ -18,7 +18,7 @@ func CloneRouter(r *Router) *Router {
 	c.fwd = append([]fwdPort(nil), r.fwd...)
 	c.busyBy = append([]int8(nil), r.busyBy...)
 	c.closers = append(make([]closer, 0, cap(r.closers)), r.closers[:cap(r.closers)]...)[:len(r.closers)]
-	c.fin = append([]link.In(nil), r.fin...)
+	c.fin = append([]link.End(nil), r.fin...)
 	set := r.set.Clone()
 	c.set, c.own = &set, true
 	return &c

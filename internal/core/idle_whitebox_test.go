@@ -15,8 +15,8 @@ import (
 type rig struct {
 	r     *Router
 	links []*link.Link
-	src   []*link.End // upstream ends of the forward links
-	dst   []*link.End // downstream ends of the backward links
+	src   []link.End // upstream ends of the forward links
+	dst   []link.End // downstream ends of the backward links
 }
 
 func newRig(seed uint32) *rig {

@@ -139,7 +139,7 @@ type closer struct {
 // hotHeader is everything an idle router's Eval reads, packed into the
 // struct's first cache line: the paper's idle port is a handful of gates
 // watching one wire for a ROUTE word, and the model's should cost this
-// line plus the input registers the views point at. The port masks index
+// line plus the input registers its ends name. The port masks index
 // forward ports by bit, which Config.Validate's 64-port bound makes exact.
 // layout_test.go pins the offset and size.
 type hotHeader struct {
@@ -152,9 +152,11 @@ type hotHeader struct {
 	// settings and attached to a link: the ports inputPass watches.
 	// AttachForward, ApplySettings and SetForwardEnabled recompute it.
 	enabled uint64
-	// fin holds the forward ports' input views by value (the router is the
-	// B, downstream, end); the zero view is an unattached port.
-	fin []link.In
+	// fin holds the forward ports' link ends by value (the router is the
+	// B, downstream, end); the zero End is an unattached port. A port
+	// leaves fpIdle only in inputPass, which reads attached ports alone,
+	// so a port with a connection is attached.
+	fin []link.End
 	// closers are the detached connection flushes in progress, at most one
 	// per backward port (capacity Outputs). The unused slots,
 	// closers[len:cap], park the free buffer sets in their set field: see
@@ -186,8 +188,11 @@ type Router struct {
 	dp     int
 	injCap int
 
-	bLinks []*link.End // backward ports: router is the A (upstream) end
-	busyBy []int8      // per backward port: owner fp, -1 free, -2 flushing close
+	// bLinks holds the backward ports' link ends by value (the router is
+	// the A, upstream, end); the zero End is an unattached port. Only an
+	// attached port is ever allocated, so a port a flow holds is attached.
+	bLinks []link.End
+	busyBy []int8 // per backward port: owner fp, -1 free, -2 flushing close
 	// tel is the unit-local telemetry buffer connection-lifecycle events
 	// go to (nil: none recorded); src is id as an event source, computed
 	// once in SetID.
@@ -257,14 +262,14 @@ func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
 	injCap := injWords(sh.width)
 	r := &Router{
 		hotHeader: hotHeader{
-			fin:     make([]link.In, cfg.Inputs),
+			fin:     make([]link.End, cfg.Inputs),
 			closers: make([]closer, 0, cfg.Outputs),
 		},
 		name:   name,
 		cfg:    sh,
 		set:    &sh.set,
 		rng:    rng,
-		bLinks: make([]*link.End, cfg.Outputs),
+		bLinks: make([]link.End, cfg.Outputs),
 		fwd:    make([]fwdPort, cfg.Inputs),
 		busyBy: make([]int8, cfg.Outputs),
 		dp:     cfg.DataPipe,
@@ -331,19 +336,21 @@ func (r *Router) emit(cycle uint64, kind telemetry.Kind, fp, b int) {
 }
 
 // AttachForward connects link end e to forward port fp.
-func (r *Router) AttachForward(fp int, e *link.End) {
-	r.fin[fp] = e.In()
+func (r *Router) AttachForward(fp int, e link.End) {
+	r.fin[fp] = e
 	r.syncEnabled()
 }
 
 // AttachBackward connects link end e to backward port bp.
-func (r *Router) AttachBackward(bp int, e *link.End) { r.bLinks[bp] = e }
+func (r *Router) AttachBackward(bp int, e link.End) { r.bLinks[bp] = e }
 
-// ForwardLink returns the link end attached to forward port fp.
-func (r *Router) ForwardLink(fp int) *link.End { return r.fin[fp].End() }
+// ForwardLink returns the link end attached to forward port fp, the zero
+// End if none is.
+func (r *Router) ForwardLink(fp int) link.End { return r.fin[fp] }
 
-// BackwardLink returns the link end attached to backward port bp.
-func (r *Router) BackwardLink(bp int) *link.End { return r.bLinks[bp] }
+// BackwardLink returns the link end attached to backward port bp, the zero
+// End if none is.
+func (r *Router) BackwardLink(bp int) link.End { return r.bLinks[bp] }
 
 // ApplySettings replaces the run-time settings, as a scan UPDATE-DR of the
 // configuration register would. Connections already open are unaffected
@@ -376,7 +383,7 @@ func (r *Router) syncEnabled() { r.enabled = r.watchedPorts() }
 func (r *Router) watchedPorts() uint64 {
 	var attached uint64
 	for fp, in := range r.fin {
-		if in != (link.In{}) { // the zero view is an unattached port
+		if in != (link.End{}) { // the zero End is an unattached port
 			attached |= bit(fp)
 		}
 	}
@@ -542,7 +549,7 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 		// BCB arriving from downstream on the allocated backward port
 		// tears the connection down regardless of state (fast path
 		// reclamation propagating toward the source).
-		if p.bp >= 0 && r.bLinks[p.bp] != nil && r.bLinks[p.bp].RecvBCB() {
+		if p.bp >= 0 && r.bLinks[p.bp].RecvBCB() {
 			r.freeBackward(fp)
 			r.emit(cycle, telemetry.EvConnReleased, fp, -1)
 			p.reset(fpDrain)
@@ -603,19 +610,14 @@ func (r *Router) inputPass(cycle uint64) (requested uint64) {
 			// forward channel tears the reversed path down hop by hop
 			// (needed when a source abandons a turned connection).
 			if in.Kind == word.Drop {
-				if r.bLinks[p.bp] != nil {
-					r.bLinks[p.bp].Send(word.Word{Kind: word.Drop})
-				}
+				r.bLinks[p.bp].Send(word.Word{Kind: word.Drop})
 				bp := int(p.bp)
 				r.freeBackward(fp)
 				p.reset(fpIdle)
 				r.emit(cycle, telemetry.EvConnReleased, fp, bp)
 				continue
 			}
-			rin := word.Word{}
-			if r.bLinks[p.bp] != nil {
-				rin = r.bLinks[p.bp].Recv()
-			}
+			rin := r.bLinks[p.bp].Recv()
 			switch {
 			case p.closing:
 				p.pipeIn = word.Word{}
@@ -723,7 +725,7 @@ func (r *Router) allocate(cycle uint64, requested uint64) {
 		// cand marks the direction's available backward ports, a bit each.
 		var cand uint64
 		for bp := lo; bp < hi; bp++ {
-			if r.busyBy[bp] == -1 && r.bLinks[bp] != nil && !r.bLinks[bp].Dead() {
+			if e := r.bLinks[bp]; r.busyBy[bp] == -1 && e != (link.End{}) && !e.Dead() {
 				cand |= bit(bp)
 			}
 		}
@@ -816,7 +818,7 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 			// the new stream begins. Established hops never see Empty
 			// because a post-reversal pipe is primed with DATA-IDLE.
 			sent := r.selectOutput(&p.flow, out, word.Word{})
-			if !sent.IsEmpty() && r.bLinks[p.bp] != nil {
+			if !sent.IsEmpty() {
 				r.bLinks[p.bp].Send(sent)
 			}
 			//metrovet:nonexhaustive only TURN and DROP alter connection state here; data flows through
@@ -830,11 +832,9 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 		case fpReversed:
 			out := r.shiftPipe(&p.flow)
 			sent := r.selectOutput(&p.flow, out, word.Word{Kind: word.DataIdle})
-			if e := r.fin[fp].End(); e != nil {
-				e.Send(sent)
-			}
+			r.fin[fp].Send(sent)
 			// Hold the downstream half of the connection open.
-			if p.state == fpReversed && r.bLinks[p.bp] != nil {
+			if p.state == fpReversed {
 				r.bLinks[p.bp].Send(word.Word{Kind: word.DataIdle})
 			}
 			//metrovet:nonexhaustive only TURN and DROP alter connection state here; data flows through
@@ -849,9 +849,7 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 			if p.qHead < p.qLen {
 				w := r.queue(&p.flow)[p.qHead]
 				p.qHead++
-				if e := r.fin[fp].End(); e != nil {
-					e.Send(w)
-				}
+				r.fin[fp].Send(w)
 				if w.Kind == word.Drop {
 					r.emit(cycle, telemetry.EvConnReleased, fp, -1)
 					p.reset(fpIdle)
@@ -859,8 +857,8 @@ func (r *Router) outputPass(cycle uint64, requested uint64) {
 			}
 
 		case fpDrain:
-			if e := r.fin[fp].End(); p.bcbOut && e != nil {
-				e.SendBCB(true)
+			if p.bcbOut {
+				r.fin[fp].SendBCB(true)
 			}
 		}
 		if p.state != fpIdle {
@@ -1034,7 +1032,7 @@ func (r *Router) runClosers(cycle uint64) {
 		c := &r.closers[i]
 		out := r.shiftPipe(&c.flow)
 		sent := r.selectOutput(&c.flow, out, word.Word{})
-		if !sent.IsEmpty() && r.bLinks[c.bp] != nil {
+		if !sent.IsEmpty() {
 			r.bLinks[c.bp].Send(sent)
 		}
 		c.deadline--

@@ -18,8 +18,8 @@ import (
 type harness struct {
 	eng *clock.Engine
 	r   *core.Router
-	src []*link.End // we drive these (upstream side of forward ports)
-	dst []*link.End // we observe/drive these (downstream side of backward ports)
+	src []link.End // we drive these (upstream side of forward ports)
+	dst []link.End // we observe/drive these (downstream side of backward ports)
 }
 
 func newHarness(cfg core.Config, set core.Settings, seed uint32) *harness {
@@ -585,7 +585,7 @@ func TestBCBPropagatesUpstreamAndFreesPort(t *testing.T) {
 	ra := core.NewRouter("A", cfg, setA, prng.NewLFSR(21))
 	rb := core.NewRouter("B", cfg, setB, prng.NewLFSR(22))
 
-	var srcs []*link.End
+	var srcs []link.End
 	for fp := 0; fp < cfg.Inputs; fp++ {
 		l := link.New("fa", 1)
 		ra.AttachForward(fp, l.B())
@@ -599,7 +599,7 @@ func TestBCBPropagatesUpstreamAndFreesPort(t *testing.T) {
 		rb.AttachForward(p, l.B())
 		eng.AddLatch(l)
 	}
-	var dsts []*link.End
+	var dsts []link.End
 	for bp := 0; bp < cfg.Outputs; bp++ {
 		l := link.New("bd", 1)
 		rb.AttachBackward(bp, l.A())

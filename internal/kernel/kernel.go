@@ -124,24 +124,27 @@ func (b *Builder) Compile() (*Compiled, error) {
 		}
 		reader[ai] = rd
 	}
-	// hold records unit u as the reader of end's input register. An
-	// unattached port (a nil end) holds nothing.
-	hold := func(u int, end *link.End) error {
-		if end == nil {
+	// hold records unit u as the reader of end's input register, once it
+	// is the link's own end: a copy must stage into the link's other
+	// register too. An unattached port (the zero End) holds nothing.
+	hold := func(u int, end link.End) error {
+		if end == (link.End{}) {
 			return nil
 		}
 		a, r := end.Input()
-		ai := slices.Index(c.arenas, a)
-		if ai >= 0 && reader[ai][r] == unread {
+		l := end.Link()
+		_, ba := l.Registers()
+		switch ai := slices.Index(c.arenas, a); {
+		case ai < 0:
+			return fmt.Errorf("kernel: link %s end %s, held by unit %d, lies in an arena outside the plan", l.Name(), endName(r == ba), u)
+		case reader[ai][r] != unread:
+			return fmt.Errorf("kernel: link %s end %s is held by units %d and %d, want one", l.Name(), endName(r == ba), reader[ai][r], u)
+		case end != l.A() && end != l.B():
+			return fmt.Errorf("kernel: link %s end %s, held by unit %d, does not stage into its link's other register", l.Name(), endName(r == ba), u)
+		default:
 			reader[ai][r] = int32(u)
 			return nil
 		}
-		l := end.Link()
-		_, ba := l.Registers()
-		if ai < 0 {
-			return fmt.Errorf("kernel: link %s end %s, held by unit %d, lies in an arena outside the plan", l.Name(), endName(r == ba), u)
-		}
-		return fmt.Errorf("kernel: link %s end %s is held by units %d and %d, want one", l.Name(), endName(r == ba), reader[ai][r], u)
 	}
 	var err error
 	for i, r := range c.lanes {
@@ -153,7 +156,7 @@ func (b *Builder) Compile() (*Compiled, error) {
 		}
 	}
 	for i, ep := range c.eps {
-		ep.Ends(func(end *link.End) {
+		ep.Ends(func(end link.End) {
 			if err == nil {
 				err = hold(c.cols+i, end)
 			}

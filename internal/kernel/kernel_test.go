@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"metro/internal/core"
 	"metro/internal/link"
@@ -76,6 +77,16 @@ func pair(t *testing.T, b *Builder, a *link.Arena) {
 	b.AddEndpoint(eps[1])
 }
 
+// misstaged returns a copy of e that stages into register s, as a corrupted
+// copy of an end would. End's fields are unexported, so the stage register
+// is written where TestLayoutPinEndAndLink pins it: the second int32 after
+// the arena pointer.
+func misstaged(e link.End, s int32) link.End {
+	regs := (*[2]int32)(unsafe.Add(unsafe.Pointer(&e), unsafe.Sizeof(uintptr(0))))
+	regs[1] = s
+	return e
+}
+
 // newRouter returns a 4x4 router with no links.
 func newRouter(t *testing.T, name string, rng prng.Source) *core.Router {
 	t.Helper()
@@ -144,6 +155,23 @@ func TestCompileAuditErrors(t *testing.T) {
 			b.AddEndpoint(extra)
 			return b
 		}, "link wire0 end A is held by units 0 and 2, want one"},
+		{"held end staging into another register", func(t *testing.T) *Builder {
+			// Endpoint 1 holds wire0's B end, reading wire0's A→B register
+			// as it should, but its copy stages into wire1's A→B register
+			// instead of wire0's B→A one: its replies would leave on the
+			// wrong wire.
+			b, a := newArena(2)
+			eps := newEndpoints(t, 3)
+			w0, w1 := a.Place(1, 0), a.Place(3, 2)
+			eps[0].AttachInject(w0.A())
+			eps[1].AttachInject(w1.A())
+			eps[1].AttachDeliver(misstaged(w0.B(), 3))
+			eps[2].AttachDeliver(w1.B())
+			for _, ep := range eps {
+				b.AddEndpoint(ep)
+			}
+			return b
+		}, "link wire0 end B, held by unit 1, does not stage into its link's other register"},
 		{"held end outside the plan", func(t *testing.T) *Builder {
 			// Endpoint 0 also injects into a wire made by link.New, not
 			// placed in the plan's arena: nothing would latch it.
@@ -216,7 +244,7 @@ func columnRun(t *testing.T, routes [2]word.Word) (bcb bool, inUse [2]uint64) {
 	t.Helper()
 	shared := prng.NewShared(77)
 	lanes := make([]*core.Router, 2)
-	var src [2]*link.End // forward port 0 of each lane, source side
+	var src [2]link.End // forward port 0 of each lane, source side
 	var links []*link.Link
 	for k := range lanes {
 		lanes[k] = newRouter(t, "col.m"+strconv.Itoa(k), shared.Fork())

@@ -12,8 +12,9 @@ import (
 // nothing else from the End. A Link is its arena pointer, two int32
 // register indices and one pointer to the fault state a healthy wire does
 // not have; its placement index is the arena's owner entry for its A→B
-// register. On a 4Ki-endpoint network there are 57,344 Links and twice as
-// many Ends, so a word more on either is megabytes (docs/KERNEL.md).
+// register. On a 4Ki-endpoint network there are 57,344 Links, and every
+// router port and endpoint lane holds an End by value, so a word more on
+// either is megabytes (docs/KERNEL.md).
 func TestLayoutPinEndAndLink(t *testing.T) {
 	const word = unsafe.Sizeof(uintptr(0))
 	if size := unsafe.Sizeof(End{}); size != word+8 {

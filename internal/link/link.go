@@ -37,13 +37,15 @@
 // (netsim.Build) gives each unit a contiguous run of registers for
 // everything it reads, so a unit's per-cycle reads are a few adjacent
 // cache lines and the commit phase is one clear over a register range. An
-// End is the arena and two register indices; a Link is a small view (two
-// register indices and its fault state, absent while the wire is healthy)
-// that the per-cycle receive path never loads: Recv tests the register
-// alone, and only a dead link or a corrupted direction reaches the Link
-// through the slow path. Nor does an arena store its links' names: they
-// are derived on demand (Arena.SetNamer). docs/KERNEL.md ("Memory layout
-// and the per-cycle byte budget") has the picture and the numbers.
+// End is a value, the arena and two register indices, that a unit holds
+// in its own port array; a Link is a small view (two register indices and
+// its fault state, absent while the wire is healthy) that the per-cycle
+// receive path never loads: Recv tests the register alone, and only a dead
+// link or a corrupted direction reaches the Link through the slow path.
+// Nor does an arena store its links' ends or names: ends are computed from
+// a link's registers (Link.A, Link.B) and names derived on demand
+// (Arena.SetNamer). docs/KERNEL.md ("Memory layout and the per-cycle byte
+// budget") has the picture and the numbers.
 package link
 
 import (
@@ -215,18 +217,23 @@ func faultByte(faulty bool) uint8 {
 }
 
 // A returns the upstream end of the link.
-func (l *Link) A() *End { return &l.a.ends[l.ba] }
+func (l *Link) A() End { return End{a: l.a, r: l.ba, s: l.ab} }
 
 // B returns the downstream end of the link.
-func (l *Link) B() *End { return &l.a.ends[l.ab] }
+func (l *Link) B() End { return End{a: l.a, r: l.ab, s: l.ba} }
 
 // End is one side's interface to a link. All methods follow the two-phase
 // clock discipline: Send/SendBCB stage values for the current cycle, while
 // Recv/RecvBCB observe values committed at the end of the previous cycle.
 //
-// An end is its arena and two register indices. The arena's header holds
-// the current staging and read planes, so a healthy per-cycle path loads
-// the end, the arena's header and the register, and never the Link.
+// An end is a value, its arena and two register indices, that a unit holds
+// in its own port array: a healthy per-cycle path loads the unit's copy,
+// the arena's header (the current staging and read planes) and the
+// register, and never the Link. The zero End is an unattached port, whose
+// methods must not be called. The methods take a pointer, as a port array
+// element is addressed in place, so that the compiler generates no pointer
+// wrapper repeating each register index check; an End returned by A or B
+// is bound to a variable before its methods are called.
 type End struct {
 	a    *Arena
 	r, s int32 // the register this end reads, the one it stages into
@@ -261,7 +268,7 @@ func (e *End) Recv() word.Word {
 	if e.a.read[e.r].kind == word.Empty {
 		return word.Word{}
 	}
-	return e.a.arriving(e.r)
+	return e.arriving()
 }
 
 // RecvBCB returns the backward control bit arriving at this end this cycle.
@@ -275,49 +282,12 @@ func (e *End) RecvBCB() bool {
 	return r.bcb
 }
 
-// In is a reader's by-value view of one end's arriving register. A unit
-// that watches many mostly idle inputs every cycle (a router's forward
-// ports) holds these in one array: an idle input then costs the view, the
-// arena's header and the register, and never the End.
-type In struct {
-	a *Arena
-	r int32
-}
-
-// In returns the end's input view; a nil end yields the zero (unattached)
-// view.
-func (e *End) In() In {
-	if e == nil {
-		return In{}
-	}
-	return In{a: e.a, r: e.r}
-}
-
-// End returns the viewed end, nil for the zero view. In's methods take a
-// pointer, as a slice element is addressed in place, so that the compiler
-// generates no pointer wrapper repeating each register index check.
-func (in *In) End() *End {
-	if in.a == nil {
-		return nil
-	}
-	return &in.a.ends[in.r]
-}
-
-// Recv returns the word arriving this cycle, exactly as End.Recv does.
-func (in *In) Recv() word.Word {
-	if in.a.read[in.r].kind == word.Empty {
-		return word.Word{}
-	}
-	return in.a.arriving(in.r)
-}
-
 // Arena is the backing store of many same-delay links: one register per
-// link direction, held in delay+1 parallel planes used as a ring, with the
-// reading End beside each register. Senders stage into plane head; readers
-// read plane head+1 (mod delay+1), which was the head delay cycles ago.
-// Which register a link direction occupies is the caller's choice (Place),
-// so a network builder can lay every unit's inputs out contiguously; New
-// is the default placement.
+// link direction, held in delay+1 parallel planes used as a ring. Senders
+// stage into plane head; readers read plane head+1 (mod delay+1), which
+// was the head delay cycles ago. Which register a link direction occupies
+// is the caller's choice (Place), so a network builder can lay every
+// unit's inputs out contiguously; New is the default placement.
 //
 // Links placed in an arena behave exactly like ones from New, which is
 // itself an arena of one whose head never moves. An owner that latches the
@@ -333,7 +303,6 @@ type Arena struct {
 	head        int
 	delay       int
 	faulty      int     // registers whose fault byte is set
-	ends        []End   // one per register: the End reading it
 	owner       []int32 // per register: the placement index of its link
 	links       []Link  // backing array; Len() of these are initialized
 	used        int
@@ -354,7 +323,6 @@ func NewArena(delay, capacity int) *Arena {
 	a := &Arena{
 		delay:  delay,
 		planes: make([][]reg, delay+1),
-		ends:   make([]End, n),
 		owner:  make([]int32, n),
 		links:  make([]Link, capacity),
 	}
@@ -376,7 +344,7 @@ func (a *Arena) Len() int { return a.used }
 func (a *Arena) Cap() int { return len(a.links) }
 
 // Registers returns the arena's register count: two per link of capacity.
-func (a *Arena) Registers() int { return len(a.ends) }
+func (a *Arena) Registers() int { return len(a.owner) }
 
 // SetNamer installs the function that names the arena's links: namer(i) is
 // the name of the i'th placed link. The arena stores no names; whoever
@@ -398,7 +366,7 @@ func (a *Arena) Place(ab, ba int) *Link {
 	if a.used == len(a.links) {
 		panic(fmt.Sprintf("link arena: capacity %d exhausted", len(a.links)))
 	}
-	if n := len(a.ends); ab < 0 || ab >= n || ba < 0 || ba >= n || ab == ba {
+	if n := len(a.owner); ab < 0 || ab >= n || ba < 0 || ba >= n || ab == ba {
 		panic(fmt.Sprintf("link arena: link %d placed at registers %d, %d of %d", a.used, ab, ba, n))
 	}
 	i, rab, rba := int32(a.used), int32(ab), int32(ba)
@@ -406,8 +374,6 @@ func (a *Arena) Place(ab, ba int) *Link {
 	*l = Link{a: a, ab: rab, ba: rba}
 	a.used++
 	a.owner[ab], a.owner[ba] = i, i
-	a.ends[ba] = End{a: a, r: rba, s: rab}
-	a.ends[ab] = End{a: a, r: rab, s: rba}
 	return l
 }
 
@@ -465,19 +431,19 @@ func (a *Arena) stamp(r int32, b uint8) {
 // link returns the link owning register r.
 func (a *Arena) link(r int32) *Link { return &a.links[a.owner[r]] }
 
-// arriving is Recv for a non-Empty register r, out of line so that Recv
-// and In.Recv inline into their callers' port loops.
-func (a *Arena) arriving(r int32) word.Word {
-	x := a.read[r]
+// arriving is Recv for a non-Empty register, out of line so that Recv
+// inlines into its callers' port loops.
+func (e *End) arriving() word.Word {
+	x := e.a.read[e.r]
 	if x.fault != 0 {
-		x = a.ends[r].incoming()
+		x = e.incoming()
 	}
 	return x.word()
 }
 
 // incoming is the dead-link / fault-hook receive path, kept out of line so
-// Recv and RecvBCB inline. A nonzero fault byte means the link has fault
-// state (syncFault).
+// Recv and RecvBCB inline. A nonzero fault byte means the link, found
+// through the arena's owner table, has fault state (syncFault).
 func (e *End) incoming() reg {
 	l := e.Link()
 	f := l.f

@@ -163,7 +163,8 @@ func TestCorruptorSkipsEmpty(t *testing.T) {
 		return w
 	}, nil)
 	step(l)
-	_ = l.B().Recv()
+	b := l.B()
+	_ = b.Recv()
 	if called {
 		t.Fatal("corruptor must not run on Empty slots")
 	}
@@ -177,7 +178,7 @@ func TestNameAndDelayAccessors(t *testing.T) {
 	if l.Delay() != 4 {
 		t.Fatalf("Delay() = %d", l.Delay())
 	}
-	if l.A().Link() != l || l.B().Link() != l {
+	if a, b := l.A(), l.B(); a.Link() != l || b.Link() != l {
 		t.Fatal("End.Link() should return the parent link")
 	}
 }

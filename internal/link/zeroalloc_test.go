@@ -11,17 +11,18 @@ import (
 // allocate; TestZeroAllocLinkSteadyCycle gates that.
 func BenchmarkLinkSteadyCycle(b *testing.B) {
 	l := New("l", 2)
+	ea, eb := l.A(), l.B()
 	var cycle uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.A().Send(word.MakeData(uint32(i), mustWidth(8)))
-		l.B().Send(word.Word{Kind: word.DataIdle})
-		l.B().SendBCB(i%2 == 0)
+		ea.Send(word.MakeData(uint32(i), mustWidth(8)))
+		eb.Send(word.Word{Kind: word.DataIdle})
+		eb.SendBCB(i%2 == 0)
 		l.Commit(cycle)
-		_ = l.B().Recv()
-		_ = l.A().Recv()
-		_ = l.A().RecvBCB()
+		_ = eb.Recv()
+		_ = ea.Recv()
+		_ = ea.RecvBCB()
 		cycle++
 	}
 }

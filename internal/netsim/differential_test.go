@@ -242,15 +242,17 @@ func TestKernelWiringAudit(t *testing.T) {
 		for s := range n.Routers {
 			for _, lanes := range n.Routers[s] {
 				for _, r := range lanes {
-					f0, _ := r.ForwardLink(0).Link().Registers()
+					fwd := func(fp int) int { e := r.ForwardLink(fp); ab, _ := e.Link().Registers(); return ab }
+					bwd := func(bp int) int { e := r.BackwardLink(bp); _, ba := e.Link().Registers(); return ba }
+					f0 := fwd(0)
 					for fp := 0; fp < r.Config().Inputs; fp++ {
-						if ab, _ := r.ForwardLink(fp).Link().Registers(); ab != f0+fp {
+						if ab := fwd(fp); ab != f0+fp {
 							t.Fatalf("cascade %d: %s forward port %d reads register %d, want %d", c, r.Name(), fp, ab, f0+fp)
 						}
 					}
-					_, b0 := r.BackwardLink(0).Link().Registers()
+					b0 := bwd(0)
 					for bp := 0; bp < r.Config().Outputs; bp++ {
-						if _, ba := r.BackwardLink(bp).Link().Registers(); ba != b0+bp {
+						if ba := bwd(bp); ba != b0+bp {
 							t.Fatalf("cascade %d: %s backward port %d reads register %d, want %d", c, r.Name(), bp, ba, b0+bp)
 						}
 					}

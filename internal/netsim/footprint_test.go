@@ -23,19 +23,20 @@ import (
 //     256 and 7,867 at cycle 10,000 on the 4Ki network with 512
 //     outstanding.
 //   - The live heap per endpoint after the run is at most its measured
-//     value plus 10%. It is about 3,890 B (3,884-3,889), 3,826 of them the
+//     value plus 10%. It is about 3,615 B (3,612-3,617), 3,535 of them the
 //     built network's; the rest is the message records, each with its
-//     stream, route digits and reply parse. It was about 4,700 B while
-//     every endpoint kept a callback buffer in netsim, route-digit and
-//     checksum scratch and a queue array, and every sender a reply parser
-//     and every receiver a payload and reply buffer, each at its own peak;
-//     with a free list per endpoint it was about 5,300 B, with 1,930 idle
-//     records at the end.
+//     stream, route digits and reply parse. It was about 3,890 B before
+//     the arenas shed their per-register table of link ends, and about
+//     4,700 B while every endpoint kept a callback buffer in netsim,
+//     route-digit and checksum scratch and a queue array, and every sender
+//     a reply parser and every receiver a payload and reply buffer, each at
+//     its own peak; with a free list per endpoint it was about 5,300 B,
+//     with 1,930 idle records at the end.
 func TestRunningFootprintTracksInFlight(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, cycles, ceiling = 1024, 8000, 4280
+	const endpoints, cycles, ceiling = 1024, 8000, 3980
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -64,8 +64,8 @@ func TestSimulatorMatchesLatencyModel(t *testing.T) {
 			for j := range n.Routers[s] {
 				for bp := 0; bp < st.Outputs(); bp++ {
 					if ref := n.Topo.Out(s, j, bp); ref.Kind == topo.KindEndpoint && ref.Index == dest {
-						l := n.OutLink(s, j, bp)
-						deliveryEnds = append(deliveryEnds, l.B().Recv)
+						b := n.OutLink(s, j, bp).B()
+						deliveryEnds = append(deliveryEnds, b.Recv)
 					}
 				}
 			}
@@ -187,7 +187,8 @@ func TestVariableTurnDelayPerStage(t *testing.T) {
 		for j := range n.Routers[s] {
 			for bp := 0; bp < st.Outputs(); bp++ {
 				if ref := n.Topo.Out(s, j, bp); ref.Kind == topo.KindEndpoint && ref.Index == dest {
-					deliveryRecv = append(deliveryRecv, n.OutLink(s, j, bp).B().Recv)
+					b := n.OutLink(s, j, bp).B()
+					deliveryRecv = append(deliveryRecv, b.Recv)
 				}
 			}
 		}

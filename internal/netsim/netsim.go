@@ -425,7 +425,7 @@ func Build(p Params) (*Network, error) {
 	// Links: injection, inter-stage, delivery — one physical link per
 	// cascade lane. An endpoint keeps each channel's lane ends, carved
 	// from one array: c per injection and per delivery link.
-	epEnds := make([]*link.End, 2*ne*c*p.Spec.Endpoints)
+	epEnds := make([]link.End, 2*ne*c*p.Spec.Endpoints)
 	for e := 0; e < p.Spec.Endpoints; e++ {
 		for k := 0; k < ne; k++ {
 			ref := top.Inject(e, k)
@@ -443,7 +443,7 @@ func Build(p Params) (*Network, error) {
 		for j := range n.Routers[s] {
 			for bp := 0; bp < st.Outputs(); bp++ {
 				ref := top.Out(s, j, bp)
-				var ends []*link.End
+				var ends []link.End
 				if ref.Kind == topo.KindEndpoint {
 					ends = take(&epEnds, c)
 				}

@@ -146,9 +146,10 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 // endpoint shed its private free list of message records, and 966 (about
 // 218.5 KB) before endpoints, senders and receivers shed the scratch of
 // the messages they build, parse and receive, which now rides the message
-// records, and the network its per-endpoint callback buffers. It is 969
-// (about 192.3 KB) now: the three more grow the endpoints' settle flags.
-// The allocation budget stays at 966 plus 10%, the byte budget is 192.3 KB
+// records, and the network its per-endpoint callback buffers, and 969
+// (about 192.3 KB) before the arenas shed their per-register table of link
+// ends, which units now hold by value. It is 968 (about 179.4 KB) now. The
+// allocation budget stays at 966 plus 10%, the byte budget is 179.4 KB
 // plus 10%, so a per-router settings copy (two allocations a router), a stored
 // link name (one a link), a per-endpoint closure, a per-router wiring
 // slice or a transient per-link table fails here.
@@ -156,7 +157,7 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const budget, bytesBudget = 1063, 211_500
+	const budget, bytesBudget = 1063, 197_400
 	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
 	ports := 0
 	n, err := Build(p)
@@ -216,8 +217,11 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // before an endpoint shed its private free list of message records (16 B),
 // about 4,120 B (4,103-4,139) before endpoints, senders and receivers shed
 // the slice headers of the scratch that now rides the message records and
-// netsim its per-endpoint callback buffers, and is about 3,826 B now
-// (3,805-3,842 over runs); the ceiling is 10% over 3,842 and fails long before a
+// netsim its per-endpoint callback buffers, about 3,826 B (3,789-3,842)
+// before the arenas shed their 16 B per register table of link ends for
+// ends held by value (8 B more per backward port and endpoint lane), and
+// is about 3,535 B now (3,517-3,554 over runs); the ceiling is 10% over
+// 3,554 and fails long before a
 // per-router copy, a per-link field, a per-wire PortRef or a per-endpoint
 // Config copy regrows. What a network keeps once it runs is
 // TestRunningFootprintTracksInFlight's.
@@ -225,7 +229,7 @@ func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 4230
+	const endpoints, ceiling = 1024, 3910
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

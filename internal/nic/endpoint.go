@@ -196,19 +196,20 @@ type pending struct {
 
 // AttachInject adds an injection link: the upstream ends of its Lanes
 // parallel lanes, lane 0 carrying the least significant bits. The endpoint
-// keeps the slice.
-func (e *Endpoint) AttachInject(ends ...*link.End) {
+// keeps the slice, so a builder can carve many channels' ends from one
+// array.
+func (e *Endpoint) AttachInject(ends ...link.End) {
 	e.senders = append(e.senders, sender{e: e, link: e.channel(ends)})
 }
 
 // AttachDeliver adds a delivery link: the downstream ends of its lanes, as
 // AttachInject takes them.
-func (e *Endpoint) AttachDeliver(ends ...*link.End) {
+func (e *Endpoint) AttachDeliver(ends ...link.End) {
 	e.receivers = append(e.receivers, receiver{e: e, link: e.channel(ends)})
 }
 
 // channel checks that ends is one logical channel of the endpoint's shape.
-func (e *Endpoint) channel(ends []*link.End) lanes {
+func (e *Endpoint) channel(ends []link.End) lanes {
 	if len(ends) != e.cfg.Lanes {
 		panic(fmt.Sprintf("nic: endpoint %d attached a channel of %d lanes, want %d", e.ID(), len(ends), e.cfg.Lanes))
 	}
@@ -217,7 +218,7 @@ func (e *Endpoint) channel(ends []*link.End) lanes {
 
 // Ends visits every link end the endpoint holds: its injection lanes, then
 // its delivery lanes, each channel's in lane order.
-func (e *Endpoint) Ends(f func(*link.End)) {
+func (e *Endpoint) Ends(f func(link.End)) {
 	ss, rs := e.senders, e.receivers
 	for i := range ss {
 		for _, end := range ss[i].link {
@@ -485,7 +486,7 @@ const (
 // logical connection. The lanes are called in lane order, and RecvBCB stops
 // at the first asserted one, so a stateful corruptor sees a fixed sequence
 // of calls.
-type lanes []*link.End
+type lanes []link.End
 
 // Send stages w on every lane; width is the physical width of one lane.
 func (l lanes) Send(w word.Word, width word.Width) {
@@ -493,8 +494,8 @@ func (l lanes) Send(w word.Word, width word.Width) {
 		l[0].Send(w)
 		return
 	}
-	for k, end := range l {
-		end.Send(word.MemberWord(w, k, width))
+	for k := range l {
+		l[k].Send(word.MemberWord(w, k, width))
 	}
 }
 
@@ -509,8 +510,8 @@ func (l lanes) Recv(width word.Width) word.Word {
 	var w word.Word
 	var payload uint32
 	agree := true
-	for k, end := range l {
-		m := end.Recv()
+	for k := range l {
+		m := l[k].Recv()
 		if k == 0 {
 			w = m
 		}
@@ -533,8 +534,8 @@ func (l lanes) Recv(width word.Width) word.Word {
 
 // RecvBCB reports whether any lane's BCB is asserted.
 func (l lanes) RecvBCB() bool {
-	for _, end := range l {
-		if end.RecvBCB() {
+	for k := range l {
+		if l[k].RecvBCB() {
 			return true
 		}
 	}

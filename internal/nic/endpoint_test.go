@@ -58,7 +58,7 @@ func newLoopback(t *testing.T, mutateSrc, mutateDst func(*Config)) *loopback {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inject, deliver []*link.End
+	var inject, deliver []link.End
 	for lane := 0; lane < max(srcCfg.Lanes, 1); lane++ {
 		l := link.New("loop", 1)
 		lb.lanes = append(lb.lanes, l)

@@ -38,9 +38,9 @@ func TestEndpointFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ends [4][]*link.End
+	var ends [4][]link.End
 	for i := range ends {
-		ends[i] = []*link.End{link.New("l", 1).A()}
+		ends[i] = []link.End{link.New("l", 1).A()}
 	}
 	attach := func(e *Endpoint) *Endpoint {
 		e.AttachInject(ends[0]...)

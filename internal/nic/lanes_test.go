@@ -32,7 +32,8 @@ func TestLanesDataRoundTrip(t *testing.T) {
 	a, b, links := laneFixture(2)
 	a.Send(word.Word{Kind: word.Data, Payload: 0xC5}, w4)
 	stepLinks(links)
-	if got := links[0].B().Recv(); got.Payload != 0x5 {
+	lane0 := links[0].B()
+	if got := lane0.Recv(); got.Payload != 0x5 {
 		t.Fatalf("lane 0 carries %v, want the low nibble 0x5", got)
 	}
 	if got := b.Recv(w4); got.Kind != word.Data || got.Payload != 0xC5 {
@@ -52,7 +53,8 @@ func TestLanesControlReplication(t *testing.T) {
 	a.Send(route, w4)
 	stepLinks(links)
 	for k, l := range links {
-		if got := l.B().Recv(); got != route {
+		lane := l.B()
+		if got := lane.Recv(); got != route {
 			t.Fatalf("lane %d carries %v, want the route word replicated", k, got)
 		}
 	}
@@ -65,7 +67,8 @@ func TestLanesBCBIsAnyLane(t *testing.T) {
 	a, _, links := laneFixture(2)
 	// Assert BCB on one lane only (as a single member's teardown would).
 	for k := range links {
-		links[k].B().SendBCB(true)
+		b := links[k].B()
+		b.SendBCB(true)
 		stepLinks(links)
 		if !a.RecvBCB() {
 			t.Fatalf("lane %d's BCB not visible on the cascaded channel", k)
@@ -80,8 +83,9 @@ func TestLanesBCBIsAnyLane(t *testing.T) {
 func TestLanesLockstepViolation(t *testing.T) {
 	_, b, links := laneFixture(2)
 	// Drive the lanes inconsistently (a fault): the merged word is Empty.
-	links[0].A().Send(word.Word{Kind: word.Data, Payload: 1})
-	links[1].A().Send(word.Word{Kind: word.DataIdle})
+	a0, a1 := links[0].A(), links[1].A()
+	a0.Send(word.Word{Kind: word.Data, Payload: 1})
+	a1.Send(word.Word{Kind: word.DataIdle})
 	stepLinks(links)
 	if got := b.Recv(w4); !got.IsEmpty() {
 		t.Fatalf("lockstep violation merged to %v, want Empty", got)
@@ -127,8 +131,9 @@ func TestLanesCorruptorCallOrder(t *testing.T) {
 	links[1].SetCorruptor(nil, func(w word.Word) word.Word { calls++; return w })
 	stage := func(bcb0 bool) {
 		for k, l := range links {
-			l.B().Send(word.Word{Kind: word.DataIdle})
-			l.B().SendBCB(bcb0 && k == 0)
+			b := l.B()
+			b.Send(word.Word{Kind: word.DataIdle})
+			b.SendBCB(bcb0 && k == 0)
 		}
 		stepLinks(links)
 	}

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"metro/internal/core"
+	"metro/internal/link"
 	"metro/internal/word"
 )
 
@@ -53,7 +54,7 @@ func (b *Boundary) Capture() []bool {
 	}
 	for fp := 0; fp < cfg.Inputs; fp++ {
 		v := uint32(0)
-		if end := b.router.ForwardLink(fp); end != nil {
+		if end := b.router.ForwardLink(fp); end != (link.End{}) {
 			v = end.Recv().Payload
 		}
 		appendCell(v)
@@ -101,7 +102,7 @@ func (b *Boundary) Eval(cycle uint64) {
 		if b.router.BackwardEnabled(bp) {
 			continue // never disturb live ports
 		}
-		if end := b.router.BackwardLink(bp); end != nil {
+		if end := b.router.BackwardLink(bp); end != (link.End{}) {
 			end.Send(word.MakeData(b.out[bp], b.width))
 		}
 	}

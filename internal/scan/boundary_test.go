@@ -80,7 +80,8 @@ func TestExtestNeverDrivesEnabledPorts(t *testing.T) {
 	dA.Reset()
 	dA.WriteRegister(EXTEST, mtA.Boundary().OutputCellBits(map[int]uint32{2: 0xF}))
 	eng.Run(3)
-	if got := wire.B().Recv(); !got.IsEmpty() {
+	b := wire.B()
+	if got := b.Recv(); !got.IsEmpty() {
 		t.Fatalf("EXTEST drove an enabled port: %v", got)
 	}
 }
@@ -90,13 +91,14 @@ func TestBoundaryRelease(t *testing.T) {
 	dA := NewDriver(mtA.TAPs()[0])
 	dA.Reset()
 	dA.WriteRegister(EXTEST, mtA.Boundary().OutputCellBits(map[int]uint32{2: 0x5}))
+	b := wire.B()
 	eng.Run(2)
-	if wire.B().Recv().IsEmpty() {
+	if b.Recv().IsEmpty() {
 		t.Fatal("drive not visible")
 	}
 	mtA.Boundary().Release()
 	eng.Run(2)
-	if !wire.B().Recv().IsEmpty() {
+	if !b.Recv().IsEmpty() {
 		t.Fatal("drive persisted after Release")
 	}
 }

@@ -105,12 +105,13 @@ func LoopbackTest(l *link.Link, width word.Width, extra []uint32) LoopbackResult
 
 	stuckHighCand := word.Mask(width)
 	stuckLowCand := word.Mask(width)
+	a, b := l.A(), l.B()
 	for _, p := range patterns {
-		l.A().Send(word.MakeData(p, width))
+		a.Send(word.MakeData(p, width))
 		for i := 0; i < l.Delay(); i++ {
 			l.Commit(0)
 		}
-		got := l.B().Recv()
+		got := b.Recv()
 		res.Patterns++
 		if got.Kind != word.Data || got.Payload != p&word.Mask(width) {
 			res.Passed = false
