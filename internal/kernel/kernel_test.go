@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -308,4 +310,75 @@ func TestAddColumnPanicsOnLaneCountMismatch(t *testing.T) {
 		}
 	}()
 	b.AddColumn(make([]*core.Router, 1))
+}
+
+// TestRangesClearTheReadPlane steps a compiled chain of endpoints the way a
+// partitioned engine does: it fills every register of the read plane, with
+// one link killed and another corrupted so the arena is faulty, evaluates a
+// shuffled split of the units as ranges, then calls CommitBatch(0, 1). Every
+// register of the read plane must then be empty, and each fault byte must
+// still be set: a dead link still reports Dead, which reads the register's
+// fault byte first.
+func TestRangesClearTheReadPlane(t *testing.T) {
+	const links = 12
+	for _, faulty := range []bool{false, true} {
+		b, eps := chain(t, links, links)
+		for _, ep := range eps {
+			b.AddEndpoint(ep)
+		}
+		c, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := c.Arenas()[0]
+		calls := 0
+		if faulty {
+			a.At(3).Kill()
+			a.At(7).SetCorruptor(func(w word.Word) word.Word { calls++; return w }, nil)
+		}
+		w8, err := word.NewWidth(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < links; i++ {
+			for _, end := range [2]link.End{a.At(i).A(), a.At(i).B()} {
+				end.Send(word.MakeData(uint32(i+1), w8))
+				end.SendBCB(true)
+			}
+		}
+		a.Commit(0) // the plane just staged is the one read at cycle 1
+		for i := 0; i < links; i++ {
+			if end := a.At(i).B(); end.Recv().Kind == word.Empty && !end.Dead() {
+				t.Fatalf("faulty=%v link %d: the read plane was not filled", faulty, i)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(int64(links)))
+		cuts := []int{0, c.Units()}
+		for len(cuts) < 6 {
+			cuts = append(cuts, rng.Intn(c.Units()+1))
+		}
+		slices.Sort(cuts)
+		order := rng.Perm(len(cuts) - 1)
+		for _, k := range order {
+			c.EvalUnits(cuts[k], cuts[k+1], 1)
+		}
+		c.CommitBatch(0, 1, 1)
+
+		calls = 0
+		for i := 0; i < links; i++ {
+			l := a.At(i)
+			for _, end := range [2]link.End{l.A(), l.B()} {
+				if w, bcb := end.Recv(), end.RecvBCB(); w != (word.Word{}) || bcb {
+					t.Errorf("faulty=%v link %d: read plane holds %v, BCB %v after the clear; want empty", faulty, i, w, bcb)
+				}
+				if got, want := end.Dead(), faulty && i == 3; got != want {
+					t.Errorf("faulty=%v link %d: Dead() = %v after the clear, want %v", faulty, i, got, want)
+				}
+			}
+		}
+		if calls != 0 {
+			t.Errorf("faulty=%v: the corruptor saw %d words in the cleared plane", faulty, calls)
+		}
+	}
 }
