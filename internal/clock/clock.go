@@ -32,19 +32,20 @@
 //	unit eval -> epilogue eval -> CommitUnits + CommitBatch -> latch commit
 //
 // The register-transfer abstraction is also a license to evaluate units
-// concurrently. The engine splits the unit index space into contiguous
-// ranges and fans unit eval over a pool of worker goroutines, with a
-// barrier before the epilogue. Because a well-behaved unit's Eval
-// touches only its own state plus the staged slots of its attached link
-// ends — distinct memory per writer — that barrier is the only
-// synchronization needed, and the partitioned schedule is bit-for-bit
-// equivalent to the inline one (one partition). SetWorkers(n) with
-// n >= 1 asks for exactly n partitions; the default, 0, lets the engine
-// choose from the kernel's size (see minLaneUnits): a kernel too small
-// to repay a hand-off runs inline, a large one is spread over one lane
-// per processor. The epilogue, CommitUnits + CommitBatch and the latches
-// always run on the stepping goroutine, the epilogue and the latches
-// one at a time in registration order.
+// concurrently, in any order. The engine splits the unit index space into
+// contiguous ranges, and a pool of lanes (the stepping goroutine and
+// worker goroutines) claims them until none is left, with a barrier before
+// the epilogue. Because a well-behaved unit's Eval touches only its own
+// state plus the registers of its attached link ends — distinct memory per
+// unit — that barrier is the only synchronization needed, and the
+// partitioned schedule is bit-for-bit equivalent to the inline one (one
+// partition) whichever lane claims which range. SetWorkers(n) with n >= 1
+// asks for exactly n partitions; the default, 0, lets the engine choose
+// from the kernel's size (see minLaneUnits): a kernel too small to repay
+// a hand-off runs inline, a large one is spread over one lane per
+// processor. The epilogue, CommitUnits + CommitBatch and the latches
+// always run on the stepping goroutine, the epilogue and the latches one
+// at a time in registration order.
 //
 // An engine with no kernel simply evaluates its Add-ed components and
 // latches its AddLatch-ed wires: that is how unit tests drive a handful
@@ -54,6 +55,7 @@ package clock
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -74,19 +76,21 @@ type Latch interface {
 
 // Kernel is the network plane of an engine: a fixed population of
 // evaluation units plus batched commit work. A kernel exposes its units
-// by dense index so the engine can drive them with plain loops — in
-// index order on the stepping goroutine, or partitioned into contiguous
-// index ranges across workers.
+// by dense index so the engine can drive them with plain loops — all in
+// one range on the stepping goroutine, or partitioned into contiguous
+// index ranges that lanes claim in no fixed order.
 //
 // Units must obey the isolation contract: a unit's EvalUnit touches only
-// unit-local state plus the staged registers of its attached links, so
-// any index partition yields bit-for-bit the same schedule. The commit
-// phase is not partitioned: the engine calls CommitUnits(0, Units()) and
-// then CommitBatch(0, 1) once per cycle on the stepping goroutine, after
-// the epilogue. CommitBatch commits state owned by no single unit, such
-// as the clear of a link.Arena's read plane. The kernels of this module
-// keep all clock-edge state on their wires, so their CommitUnits are
-// empty.
+// unit-local state plus the registers of the link ends it holds, so
+// any index partition, its ranges evaluated in any order or on any lane,
+// yields bit-for-bit the same schedule. The commit phase is not
+// partitioned: the engine calls CommitUnits(0, Units()) and then
+// CommitBatch(0, 1) once per cycle on the stepping goroutine, after the
+// epilogue. CommitBatch commits state owned by no single unit. The kernels
+// of this module keep all clock-edge state on their wires, so their
+// CommitUnits are empty; kernel.Compiled's CommitBatch is empty too, since
+// each of its EvalUnits ranges clears the link registers it read, while
+// netsim.Reference's clears every link one by one.
 //
 // Components registered with Add run after every unit's Eval, and
 // latches registered with AddLatch after CommitBatch, each in
@@ -134,8 +138,8 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Add(cs ...Component) { e.comps = append(e.comps, cs...) }
 
 // AddLatch registers clock-edge state outside the kernel's units: links
-// from link.New, or the link arenas whose read planes a kernel's
-// CommitBatch clears. They commit at the end of every cycle, one at a
+// from link.New, or the link arenas whose read planes a kernel has
+// cleared. They commit at the end of every cycle, one at a
 // time, in registration order, after the kernel's CommitBatch.
 func (e *Engine) AddLatch(ls ...Latch) { e.latches = append(e.latches, ls...) }
 
@@ -161,17 +165,18 @@ func (e *Engine) Kernel() Kernel { return e.kernel }
 // (6,656 units) about 1.5x faster and a 4Ki radix-4 one (11,264) about 2x.
 const minLaneUnits = 2048
 
-// laneRanges is how many contiguous ranges SetWorkers(0) deals onto each
-// lane of a partitioned kernel, round-robin. Router columns come first in
-// the unit order and cost about twice what an endpoint does, so one range
-// per lane leaves the endpoint-heavy lane idle for much of the eval;
-// eight interleave the two kinds on every lane.
+// laneRanges is how many contiguous ranges SetWorkers(0) splits a
+// partitioned kernel into per lane; the lanes claim them until none is
+// left. Router columns come first in the unit order and cost about twice
+// what an endpoint does, so one range per lane leaves the endpoint-heavy
+// lane idle for much of the eval; eight let a lane that finishes early
+// take another range.
 const laneRanges = 8
 
 // SetWorkers selects how the kernel's units execute. n >= 1 splits them
-// into n contiguous index ranges executed by min(n, GOMAXPROCS) lanes, the
-// stepping goroutine running the first and a persistent worker goroutine
-// each of the others; 1 is the inline run, with no goroutine. 0 (or
+// into n contiguous index ranges claimed by min(n, GOMAXPROCS) lanes: the
+// stepping goroutine, and a persistent worker goroutine for each of the
+// others; 1 is the inline run, with no goroutine. 0 (or
 // negative), the default, lets the engine choose from the kernel's size
 // and the platform (see minLaneUnits). The schedule is bit-for-bit
 // equivalent for every n, so n is purely a throughput knob. Changing the
@@ -191,7 +196,7 @@ func (e *Engine) Workers() int { return e.workers }
 // Partitions returns the number of unit ranges the engine steps its kernel
 // in: the SetWorkers count, or the count it chose for 0 (laneRanges per
 // lane when it partitions, else 1). A result above 1 means the ranges are
-// dealt onto min(Partitions, GOMAXPROCS) lanes, all but the first of them
+// claimed by min(Partitions, GOMAXPROCS) lanes, all but the first of them
 // worker goroutines.
 func (e *Engine) Partitions() int {
 	if e.pool != nil {
@@ -202,7 +207,7 @@ func (e *Engine) Partitions() int {
 }
 
 // layout resolves a worker count against a kernel into a partition count
-// and the number of lanes the partitions are dealt onto; see minLaneUnits.
+// and the number of lanes that claim the partitions; see minLaneUnits.
 func layout(workers int, k Kernel) (parts, lanes int) {
 	procs := runtime.GOMAXPROCS(0)
 	if workers > 0 || k == nil {
@@ -288,29 +293,36 @@ func (e *Engine) RunUntil(done func() bool, max uint64) bool {
 }
 
 // pool drives a kernel's unit eval. The unit population is split into
-// parts contiguous index ranges. The partitions are dealt round-robin onto
-// g lanes (see layout), lane i executing partitions i, i+g, i+2g, … in
-// order. The coordinator (the stepping goroutine) runs lane 0
-// itself and the pool owns one persistent goroutine for each of the other
-// g-1 lanes: the coordinator would only sleep while they ran, and on
-// networks whose eval is a few microseconds the extra handoff and wake
-// cost more than the lane. With one partition, or a single processor,
-// there is no goroutine at all. The barrier WaitGroup plus the command
-// channels provide the happens-before edges: every write a worker makes
-// during an eval is visible to the coordinator after eval returns, and to
-// every worker on the next broadcast.
+// parts contiguous index ranges, and each eval the g lanes (see layout)
+// claim them from one atomic span of unclaimed partitions until it is
+// empty: the coordinator (the stepping goroutine), lane 0, from the back,
+// and the workers from the front. A lane that is slow, or that gets no
+// processor at all, thereby hands its share to the others instead of
+// holding up the barrier, and lane 0 still evaluates the units out of
+// index order when no worker runs. The coordinator runs lane 0 itself and
+// the pool owns one persistent goroutine for each of the other g-1 lanes:
+// the coordinator would only sleep while they ran, and on networks whose
+// eval is a few microseconds the extra handoff and wake cost more than the
+// lane. With one partition, or a single processor, there is no goroutine
+// at all. The barrier WaitGroup plus the command channels provide the
+// happens-before edges: every write a worker makes during an eval is
+// visible to the coordinator after eval returns, and to every worker on
+// the next broadcast.
 //
 // A unit that panics must not take the process down from a goroutine no
 // caller can recover on, nor leave the barrier one Done short. While worker
-// lanes run, every lane (the coordinator's too) recovers a panic into its
-// slot of failed and still reaches the barrier; the coordinator then
-// re-panics on the stepping goroutine with the value of the lowest lane
-// that failed, and the workers stay ready for the next eval or stop.
+// lanes run, every lane (the coordinator's too) recovers a panic into the
+// partition's slot of failed and goes on claiming, so every partition is
+// evaluated whichever lanes fail; the coordinator then re-panics on the
+// stepping goroutine with the value of the lowest partition that failed,
+// which does not depend on which lane ran it, and the workers stay ready
+// for the next eval or stop.
 type pool struct {
 	k       Kernel
 	bounds  []int         // partition p covers units [bounds[p], bounds[p+1])
+	span    atomic.Uint64 // unclaimed partitions [lo, hi): lo in the low 32 bits, hi in the high 32
 	cmd     []chan uint64 // lane i+1's cycle channel: g-1 of them, none when g == 1
-	failed  []any         // per lane, the panic recovered this eval; nil when g == 1
+	failed  []any         // per partition, the panic recovered this eval; nil when g == 1
 	barrier sync.WaitGroup
 	done    sync.WaitGroup
 }
@@ -324,61 +336,86 @@ func newPool(k Kernel, workers int) *pool {
 	}
 	p.cmd = make([]chan uint64, lanes-1)
 	if lanes > 1 {
-		p.failed = make([]any, lanes)
+		p.failed = make([]any, parts)
 	}
 	p.done.Add(len(p.cmd))
 	for i := range p.cmd {
 		p.cmd[i] = make(chan uint64)
-		go p.worker(i + 1)
+		go p.worker(i)
 	}
 	return p
 }
 
-// worker is the goroutine behind lane i >= 1.
-func (p *pool) worker(lane int) {
+// worker is the goroutine behind worker lane i+1.
+func (p *pool) worker(i int) {
 	defer p.done.Done()
-	for cycle := range p.cmd[lane-1] {
-		p.runLaneRecovering(lane, cycle)
+	for cycle := range p.cmd[i] {
+		p.runLane(false, cycle)
 		p.barrier.Done()
 	}
 }
 
-// runLaneRecovering is runLane with a panic kept in the lane's failed slot
-// for the coordinator to re-raise.
-func (p *pool) runLaneRecovering(lane int, cycle uint64) {
-	defer func() {
-		if v := recover(); v != nil {
-			p.failed[lane] = v
-		}
-	}()
-	p.runLane(lane, cycle)
-}
-
-// runLane evaluates the unit range of every partition dealt to a lane.
-func (p *pool) runLane(lane int, cycle uint64) {
-	for part, lanes := lane, len(p.cmd)+1; part < len(p.bounds)-1; part += lanes {
-		p.k.EvalUnits(p.bounds[part], p.bounds[part+1], cycle)
+// runLane claims partitions, from the back for lane 0 and from the front
+// for a worker, and evaluates each, until none is left.
+func (p *pool) runLane(back bool, cycle uint64) {
+	for part := p.claim(back); part >= 0; part = p.claim(back) {
+		p.evalPart(part, cycle)
 	}
 }
 
+// claim takes one partition off the unclaimed span, the last one for lane
+// 0 (back) and the first for a worker, and returns -1 once none is left.
+func (p *pool) claim(back bool) int {
+	for {
+		s := p.span.Load()
+		lo, hi := uint32(s), uint32(s>>32)
+		if lo == hi {
+			return -1
+		}
+		next, part := s+1, lo
+		if back {
+			next, part = s-1<<32, hi-1
+		}
+		if p.span.CompareAndSwap(s, next) {
+			return int(part)
+		}
+	}
+}
+
+// evalPart evaluates the units of partition part. While worker lanes run,
+// a panic is kept in the partition's failed slot for the coordinator to
+// re-raise, and the lane goes on claiming.
+func (p *pool) evalPart(part int, cycle uint64) {
+	if p.failed != nil {
+		defer func() {
+			if v := recover(); v != nil {
+				p.failed[part] = v
+			}
+		}()
+	}
+	p.k.EvalUnits(p.bounds[part], p.bounds[part+1], cycle)
+}
+
 // eval runs unit eval over every partition and waits for all of them to
-// finish it: broadcast to the worker lanes, run lane 0 here, then wait at
-// the barrier and re-raise the first failed lane's panic, if any; with no
-// worker lanes it is a plain call.
+// finish it: open the span of partitions, broadcast to the worker lanes,
+// claim from the back here, then wait at the barrier and re-raise the
+// lowest failed partition's panic, if any. With no worker lanes lane 0
+// claims every partition, and a panic leaves Step directly.
 func (p *pool) eval(cycle uint64) {
+	p.span.Store(uint64(len(p.bounds)-1) << 32)
 	if len(p.cmd) == 0 {
-		p.runLane(0, cycle)
+		p.runLane(true, cycle)
 		return
 	}
 	p.barrier.Add(len(p.cmd))
 	for _, ch := range p.cmd {
 		ch <- cycle
 	}
-	p.runLaneRecovering(0, cycle)
+	p.runLane(true, cycle)
 	p.barrier.Wait()
-	for lane, v := range p.failed {
+	for part, v := range p.failed {
 		if v != nil {
-			clear(p.failed[lane:])
+			clear(p.failed[part:])
 			panic(v)
 		}
 	}

@@ -3,6 +3,8 @@ package clock
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -380,12 +382,18 @@ func TestStopWorkersIdempotent(t *testing.T) {
 	e.StopWorkers() // second stop is a no-op
 	e.Run(2)        // pool restarts lazily
 	e.StopWorkers()
-	// stop() waits for every worker's deferred Done, which runs a few
-	// instructions before the goroutine is gone from the count: yield
-	// until it is, with a bound far beyond what that takes.
+	awaitGoroutines(t, "", baseline)
+}
+
+// awaitGoroutines waits for the goroutine count to fall back to baseline.
+// StopWorkers waits for every worker's deferred Done, which runs a few
+// instructions before the goroutine is gone from the count: yield until
+// it is, with a bound far beyond what that takes.
+func awaitGoroutines(t *testing.T, label string, baseline int) {
+	t.Helper()
 	for yields := 0; runtime.NumGoroutine() > baseline; yields++ {
 		if yields == 1_000_000 {
-			t.Fatalf("%d goroutines after StopWorkers, baseline %d", runtime.NumGoroutine(), baseline)
+			t.Fatalf("%s%d goroutines after StopWorkers, baseline %d", label, runtime.NumGoroutine(), baseline)
 		}
 		runtime.Gosched()
 	}
@@ -462,41 +470,64 @@ func TestAutoPartitions(t *testing.T) {
 			t.Errorf("%s: %d worker goroutines, want %d lanes besides the stepping goroutine", label, got, tc.lanes-1)
 		}
 		e.StopWorkers()
-		for yields := 0; runtime.NumGoroutine() > baseline; yields++ {
-			if yields == 1_000_000 {
-				t.Fatalf("%s: %d goroutines after StopWorkers, baseline %d", label, runtime.NumGoroutine(), baseline)
-			}
-			runtime.Gosched()
-		}
+		awaitGoroutines(t, label+": ", baseline)
 	}
 	if got := New().Partitions(); got != 1 {
 		t.Errorf("kernel-less engine: Partitions() = %d, want 1", got)
 	}
 }
 
-// panicKernel is a fakeKernel whose eval panics in every partition but the
-// first once armed: the unit work of a worker lane failing.
+// panicKernel is a fakeKernel whose eval, once armed, panics in the
+// partitions that start at a unit listed in fail. The partition starting
+// at unit wait (none when wait is -1) does not begin until the partition
+// starting at unit 0 has: with two partitions and two lanes, lane 0 claims
+// partition 1 first and holds it, so partition 0 is a worker's.
 type panicKernel struct {
 	*fakeKernel
-	armed atomic.Bool
+	fail    []int
+	wait    int
+	armed   atomic.Bool
+	claimed chan struct{} // closed when partition 0 begins an armed eval
 }
 
 func (k *panicKernel) EvalUnits(lo, hi int, cycle uint64) {
-	if lo > 0 && k.armed.Load() {
-		panic(fmt.Sprintf("unit %d failed at cycle %d", lo, cycle))
+	if k.armed.Load() {
+		switch lo {
+		case 0:
+			close(k.claimed)
+		case k.wait:
+			<-k.claimed
+		}
+		if slices.Contains(k.fail, lo) {
+			panic(fmt.Sprintf("unit %d failed at cycle %d", lo, cycle))
+		}
 	}
 	k.fakeKernel.EvalUnits(lo, hi, cycle)
 }
 
-// TestWorkerPanicReachesStep: a panic in partition 1, which a worker
-// goroutine runs at SetWorkers(2) on two processors, surfaces on the
-// goroutine that called Step, with the unit's value, rather than ending
-// the process. The barrier still completes, so the engine keeps stepping
-// afterwards and StopWorkers leaves no goroutine behind.
+// stepPanic runs one armed Step of an engine over k and returns what it
+// panicked with.
+func stepPanic(e *Engine, k *panicKernel) (v any) {
+	k.claimed = make(chan struct{})
+	k.armed.Store(true)
+	defer func() {
+		k.armed.Store(false)
+		v = recover()
+	}()
+	e.Step()
+	return nil
+}
+
+// TestWorkerPanicReachesStep: a panic in partition 0, which a worker
+// goroutine runs at SetWorkers(2) on two processors while lane 0 holds
+// partition 1, surfaces on the goroutine that called Step, with the unit's
+// value, rather than ending the process. The barrier still completes, so
+// the engine keeps stepping afterwards and StopWorkers leaves no goroutine
+// behind.
 func TestWorkerPanicReachesStep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	baseline := runtime.NumGoroutine()
-	k := &panicKernel{fakeKernel: newFakeKernel(&counter{}, &counter{}, &counter{}, &counter{})}
+	k := &panicKernel{fakeKernel: newFakeKernel(&counter{}, &counter{}, &counter{}, &counter{}), fail: []int{0}, wait: 2}
 	e := New()
 	e.SetKernel(k)
 	e.SetWorkers(2)
@@ -504,22 +535,83 @@ func TestWorkerPanicReachesStep(t *testing.T) {
 	if got := runtime.NumGoroutine(); got != baseline+1 {
 		t.Fatalf("%d goroutines while stepping, want the baseline %d plus one worker", got, baseline)
 	}
-	k.armed.Store(true)
-	got := func() (v any) {
-		defer func() { v = recover() }()
-		e.Step()
-		return nil
-	}()
-	if want := "unit 2 failed at cycle 3"; got != want {
+	if got, want := stepPanic(e, k), "unit 0 failed at cycle 3"; got != want {
 		t.Fatalf("Step panicked with %v, want %q", got, want)
 	}
-	k.armed.Store(false)
 	e.Run(2) // the pool survived the panic
 	e.StopWorkers()
-	for yields := 0; runtime.NumGoroutine() > baseline; yields++ {
-		if yields == 1_000_000 {
-			t.Fatalf("%d goroutines after StopWorkers, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		runtime.Gosched()
+	awaitGoroutines(t, "", baseline)
+}
+
+// TestLowestPartitionPanicWins: when two partitions panic in one cycle,
+// Step reports the lower one's value whichever lanes ran them, and the
+// lanes that recovered kept claiming, so every other partition was still
+// evaluated that cycle.
+func TestLowestPartitionPanicWins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	baseline := runtime.NumGoroutine()
+	units := make([]unit, 6)
+	for i := range units {
+		units[i] = &counter{}
 	}
+	k := &panicKernel{fakeKernel: newFakeKernel(units...), fail: []int{1, 4}, wait: -1}
+	e := New()
+	e.SetKernel(k)
+	e.SetWorkers(len(units)) // one unit a partition
+	for step := 0; step < 20; step++ {
+		// A Step that panics does not complete its cycle.
+		if got, want := stepPanic(e, k), "unit 1 failed at cycle 0"; got != want {
+			t.Fatalf("Step panicked with %v, want %q", got, want)
+		}
+		for u := range units {
+			want := int32(1)
+			if slices.Contains(k.fail, u) {
+				want = 0
+			}
+			if got := k.evals[u].Swap(0); got != want {
+				t.Fatalf("step %d: unit %d evaluated %d times, want %d", step, u, got, want)
+			}
+		}
+	}
+	e.StopWorkers()
+	awaitGoroutines(t, "", baseline)
+}
+
+// TestClaimTakesEachPartitionOnce: however many lanes claim at once, every
+// partition of an eval is claimed exactly once, and lane 0, claiming from
+// the back, takes parts-1, parts-2, … in turn while the workers take from
+// the front.
+func TestClaimTakesEachPartitionOnce(t *testing.T) {
+	const parts, workers, rounds = 64, 7, 200
+	baseline := runtime.NumGoroutine()
+	p := &pool{bounds: make([]int, parts+1)}
+	for round := 0; round < rounds; round++ {
+		p.span.Store(uint64(parts) << 32)
+		var taken [parts]atomic.Int32
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for part := p.claim(false); part >= 0; part = p.claim(false) {
+					taken[part].Add(1)
+				}
+			}()
+		}
+		next := parts - 1
+		for part := p.claim(true); part >= 0; part = p.claim(true) {
+			if part != next {
+				t.Fatalf("round %d: lane 0 claimed partition %d, want %d", round, part, next)
+			}
+			next--
+			taken[part].Add(1)
+		}
+		wg.Wait()
+		for part := range taken {
+			if n := taken[part].Load(); n != 1 {
+				t.Fatalf("round %d: partition %d claimed %d times, want once", round, part, n)
+			}
+		}
+	}
+	awaitGoroutines(t, "", baseline)
 }

@@ -5,14 +5,16 @@
 // through its own Commit, with link pipelines scattered across hundreds
 // of small allocations, pays a pointer-chasing tax on every cycle. A
 // compiled kernel removes it. Components keep no clock-edge state (only
-// the wires latch), so the plan's CommitUnits is empty, and its link
-// pipeline registers live in per-delay-class arenas (link.Arena), one
-// register per link direction in a ring of delay+1 parallel planes, placed
-// reader-major: every unit's inputs are one contiguous run of registers, in
-// unit order, so a unit's per-cycle reads are adjacent cache lines and the
-// whole commit phase of the interconnect is one clear of the plane just
-// read over a register range (CommitBatch), then each arena's head
-// advances one plane (its latch). Evaluation units are one array of router-column
+// the wires latch), so the plan's CommitUnits and CommitBatch are empty,
+// and its link pipeline registers live in per-delay-class arenas
+// (link.Arena), one register per link direction in a ring of delay+1
+// parallel planes, placed reader-major: every unit's inputs are one
+// contiguous run of registers, in unit order, so a unit's per-cycle reads
+// are adjacent cache lines, and a range of units has read everything it
+// will read this cycle once it has evaluated. EvalUnits then clears that
+// range's runs of the plane just read, on the lane that read them, and the
+// only commit work left for the interconnect is each arena's head advancing
+// one plane (its latch). Evaluation units are one array of router-column
 // lanes and one of endpoints, columns numbered first, walked by plain loops
 // with direct, devirtualized calls per concrete type. Which link ends a unit
 // reads is known to the unit itself: Compile asks each router and endpoint
@@ -99,6 +101,9 @@ func (b *Builder) AddEndpoint(ep *nic.Endpoint) { b.c.eps = append(b.c.eps, ep) 
 //     never decreases: each unit's inputs are one contiguous run, and the
 //     runs lie in unit order. That is the reader-major layout the per-cycle
 //     byte budget in docs/KERNEL.md rests on.
+//
+// The plan keeps where each unit's run starts in each arena, which is
+// what EvalUnits clears.
 func (b *Builder) Compile() (*Compiled, error) {
 	c := &b.c
 	// reader[ai][r] is the unit reading register r of arena ai: noReader
@@ -180,6 +185,19 @@ func (b *Builder) Compile() (*Compiled, error) {
 			}
 		}
 	}
+	// Every register now has one reader and the readers never decrease,
+	// so unit u's run starts after the registers of units [0, u).
+	c.runs = make([][]int32, 0, len(reader))
+	for _, rd := range reader {
+		run := make([]int32, c.Units()+1)
+		for _, u := range rd {
+			run[u+1]++
+		}
+		for u := 1; u < len(run); u++ {
+			run[u] += run[u-1]
+		}
+		c.runs = append(c.runs, run)
+	}
 	plan := *c
 	return &plan, nil
 }
@@ -193,8 +211,8 @@ func endName(atA bool) string {
 
 // Compiled is the flattened execution plan: what a cycle reads, and
 // nothing else. It implements clock.Kernel: the engine drives units by
-// contiguous index range and the batched link clear by partition,
-// serially or across workers. Its arenas advance as latches of their own
+// contiguous index range, serially or across workers, and each range
+// clears the registers it read. Its arenas advance as latches of their own
 // (Arenas; netsim.Build registers them with Engine.AddLatch).
 type Compiled struct {
 	lanes    []*core.Router // every column's lanes, colLanes per column
@@ -205,6 +223,10 @@ type Compiled struct {
 	// arenas holds every link pipeline register in the plan, grouped by
 	// delay class and placed reader-major (see Compile).
 	arenas []*link.Arena
+	// runs[ai][u] is the first register of arenas[ai] that unit u reads,
+	// and runs[ai][Units()] the arena's register count: units [lo, hi)
+	// read registers [runs[ai][lo], runs[ai][hi]) of it.
+	runs [][]int32
 }
 
 // Units implements clock.Kernel.
@@ -212,7 +234,14 @@ func (c *Compiled) Units() int { return c.cols + len(c.eps) }
 
 // EvalUnits implements clock.Kernel: evaluate units [lo, hi) in index
 // order, the columns in the range and then its endpoints, with direct
-// calls per concrete type.
+// calls per concrete type, then clear the registers they read in every
+// arena's read plane, keeping the fault bytes. Each register has one
+// reader, so a split of the units into ranges, evaluated in any order or
+// concurrently, clears each register once, after its reader is done with
+// it. Nothing else reads the plane before the arenas' latches
+// (Arena.Commit, registered by whoever installs the plan) make it the
+// next staging plane: no Send writes it this cycle, and no epilogue
+// component reads it (fault injection only stamps fault bytes).
 func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
 	w := c.colLanes
 	for u := lo; u < min(hi, c.cols); u++ {
@@ -221,24 +250,20 @@ func (c *Compiled) EvalUnits(lo, hi int, cycle uint64) {
 	for _, ep := range c.eps[max(lo, c.cols)-c.cols : max(hi, c.cols)-c.cols] {
 		ep.Eval(cycle)
 	}
+	for ai, a := range c.arenas {
+		run := c.runs[ai]
+		a.Clear(int(run[lo]), int(run[hi]))
+	}
 }
 
 // CommitUnits implements clock.Kernel. It has nothing to do: routers and
-// endpoints latch their state through link pipelines, which CommitBatch
+// endpoints latch their state through link pipelines, which EvalUnits
 // clears and the arenas' latches advance.
 func (c *Compiled) CommitUnits(lo, hi int, cycle uint64) {}
 
-// CommitBatch implements clock.Kernel: clear partition part of every
-// arena's read plane, once every read of the cycle is done. The engine
-// calls CommitBatch(0, 1); any split clears each register once. The
-// arenas' latches (Arena.Commit, registered by whoever installs the plan)
-// then advance each ring by one plane.
-func (c *Compiled) CommitBatch(part, parts int, cycle uint64) {
-	for _, a := range c.arenas {
-		n := a.Registers()
-		a.Clear(part*n/parts, (part+1)*n/parts)
-	}
-}
+// CommitBatch implements clock.Kernel. It has nothing to do either: each
+// EvalUnits range clears the registers it read.
+func (c *Compiled) CommitBatch(part, parts int, cycle uint64) {}
 
 // Arenas returns the plan's link arenas, for introspection and tests.
 func (c *Compiled) Arenas() []*link.Arena { return c.arenas }

@@ -17,9 +17,9 @@
 // Links are the model's clock-edge state: ends stage values during the
 // components' Eval via Send / SendBCB, and the wires latch after every
 // Eval, so values become visible to the far end after the configured
-// delay. A built network's arenas latch as a whole (Arena.Clear, then
-// Arena.Commit); a hand-wired link latches on its own (Link.Commit,
-// registered with Engine.AddLatch).
+// delay. A built network's arenas latch as a whole (Arena.Clear, by the
+// units that read the registers, then Arena.Commit); a hand-wired link
+// latches on its own (Link.Commit, registered with Engine.AddLatch).
 //
 // Fault injection hooks (Corruptor functions and Kill) model broken or
 // noisy wires for the fault-tolerance experiments.
@@ -30,18 +30,18 @@
 // keeps one 8-byte register per link direction in delay+1 parallel planes
 // used as a ring: senders stage into the head plane and readers read the
 // plane after it, the one staged delay cycles ago, so no value moves once
-// written. The commit phase clears the plane just read and advances the
-// head; the cleared plane is next cycle's staging plane. Each register
-// carries its own fault byte, stamped into every plane. Registers are
-// placed by the reader, not by the link: whoever assembles a network
-// (netsim.Build) gives each unit a contiguous run of registers for
-// everything it reads, so a unit's per-cycle reads are a few adjacent
-// cache lines and the commit phase is one clear over a register range. An
-// End is a value, the arena and two register indices, that a unit holds
-// in its own port array; a Link is a small view (two register indices and
-// its fault state, absent while the wire is healthy) that the per-cycle
-// receive path never loads: Recv tests the register alone, and only a dead
-// link or a corrupted direction reaches the Link through the slow path.
+// written. Once its readers are done, the plane just read is cleared, and
+// the commit phase advances the head; the cleared plane is next cycle's
+// staging plane. Each register carries its own fault byte, stamped into
+// every plane. Registers are placed by the reader, not by the link:
+// whoever assembles a network (netsim.Build) gives each unit a contiguous
+// run of registers for everything it reads, so a unit's per-cycle reads
+// are a few adjacent cache lines and a range of units clears its reads as
+// one register range. An End is a value, the arena and two register
+// indices, that a unit holds in its own port array; a Link is a small view
+// (two register indices and its fault state, absent while the wire is
+// healthy) that the per-cycle receive path never loads: Recv tests the
+// register alone; only a dead or corrupted wire reaches the Link.
 // Nor does an arena store its links' ends or names: ends are computed from
 // a link's registers (Link.A, Link.B) and names derived on demand
 // (Arena.SetNamer). docs/KERNEL.md ("Memory layout and the per-cycle byte
@@ -382,11 +382,11 @@ func (a *Arena) At(i int) *Link { return &a.links[i] }
 
 // Clear empties registers [lo, hi) of the plane read this cycle, keeping
 // their fault bytes, so that Commit can make it the next staging plane.
-// It runs after every read of the cycle. Dead links clear like live ones
-// (Kill suppresses delivery at the reading end, not propagation). On a
-// healthy arena the clear is a plain memclr. Disjoint ranges touch
-// disjoint registers, so a clear split into ranges, in any order or
-// concurrently, clears each register once.
+// It runs once their readers are done with them. Dead links clear like
+// live ones (Kill suppresses delivery at the reading end, not
+// propagation). On a healthy arena the clear is a plain memclr. Disjoint
+// ranges touch disjoint registers, so a clear split into ranges, in any
+// order or concurrently, clears each register once.
 func (a *Arena) Clear(lo, hi int) {
 	rs := a.read[lo:hi]
 	if a.faulty == 0 {

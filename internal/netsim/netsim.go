@@ -485,8 +485,8 @@ func Build(p Params) (*Network, error) {
 		return nil, err
 	}
 	n.Engine.SetKernel(n.Compiled)
-	// The plan's CommitBatch clears each arena's read plane; its latch
-	// then advances the ring. Both run on the stepping goroutine.
+	// The plan's unit ranges clear each arena's read plane as their eval
+	// ends; its latch then advances the ring, on the stepping goroutine.
 	for _, a := range n.Compiled.Arenas() {
 		n.Engine.AddLatch(a)
 	}
