@@ -10,7 +10,7 @@
 //	metrobench                          # full benchmark sweep into perf/
 //	metrobench -bench SteadyCycle       # subset by benchmark name
 //	metrobench -benchtime 100x -count 3 # quick, or statistically sturdier
-//	metrobench -stdout                  # print the JSON, write nothing
+//	metrobench -stdout                  # the JSON alone on stdout, summary on stderr, write nothing
 //	metrobench -scale 4096,65536        # kernel scaling curve (topo.Scale)
 //	metrobench -bench none -scale 4096  # curve only, skip the bench sweep
 //	metrobench -index 4 -force          # pin the index, overwrite existing
@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -77,7 +78,7 @@ func main() {
 	benchtime := flag.String("benchtime", "1s", "per-benchmark budget (go test -benchtime)")
 	count := flag.Int("count", 1, "repetitions per benchmark (go test -count)")
 	dir := flag.String("dir", "perf", "perf trajectory directory")
-	stdout := flag.Bool("stdout", false, "print the snapshot JSON instead of writing a file")
+	stdout := flag.Bool("stdout", false, "print the snapshot JSON instead of writing a file (the summary goes to stderr)")
 	scale := flag.String("scale", "", "comma-separated endpoint counts for the kernel scaling curve (empty = off)")
 	scaleRadix := flag.Int("scale-radix", 4, "router radix for the scaling curve (topo.Scale)")
 	scaleCycles := flag.Int("scale-cycles", 256, "measured cycles per scaling point")
@@ -144,7 +145,7 @@ func main() {
 	if *stdout {
 		snap.Index = pickIndex(*index, *dir)
 		emit(os.Stdout, snap)
-		report(snap)
+		report(os.Stderr, snap)
 		return
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
@@ -168,7 +169,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(snap.Benchmarks))
-	report(snap)
+	report(os.Stdout, snap)
 }
 
 func emit(f *os.File, snap Snapshot) {
@@ -180,24 +181,24 @@ func emit(f *os.File, snap Snapshot) {
 	}
 }
 
-// report prints the human summary table.
-func report(snap Snapshot) {
+// report prints the human summary table to w.
+func report(w io.Writer, snap Snapshot) {
 	for _, b := range snap.Benchmarks {
-		fmt.Printf("  %-44s %12.1f ns/op %8d B/op %6d allocs/op\n",
+		fmt.Fprintf(w, "  %-44s %12.1f ns/op %8d B/op %6d allocs/op\n",
 			b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsOp)
 	}
 	if snap.Tracing != nil {
-		fmt.Printf("  tracing overhead: %.1f ns/cycle -> %.1f ns/cycle (%+.1f%%)\n",
+		fmt.Fprintf(w, "  tracing overhead: %.1f ns/cycle -> %.1f ns/cycle (%+.1f%%)\n",
 			snap.Tracing.DisabledNsPerCycle, snap.Tracing.EnabledNsPerCycle,
 			snap.Tracing.OverheadPct)
 	}
 	if snap.Metrics != nil {
-		fmt.Printf("  metrics overhead: %.1f ns/cycle -> %.1f ns/cycle (%+.1f%%)\n",
+		fmt.Fprintf(w, "  metrics overhead: %.1f ns/cycle -> %.1f ns/cycle (%+.1f%%)\n",
 			snap.Metrics.DisabledNsPerCycle, snap.Metrics.EnabledNsPerCycle,
 			snap.Metrics.OverheadPct)
 	}
 	for _, p := range snap.Scale {
-		fmt.Printf("  scale %6d eps (radix %d, %d routers) w=%d p=%d: %10.0f ns/cycle %8.1f cycles/s %6.2f ns/ep/cycle %6d B/ep\n",
+		fmt.Fprintf(w, "  scale %6d eps (radix %d, %d routers) w=%d p=%d: %10.0f ns/cycle %8.1f cycles/s %6.2f ns/ep/cycle %6d B/ep\n",
 			p.Endpoints, p.Radix, p.Routers, p.Workers, p.Partitions,
 			p.NsPerCycle, p.CyclesPerSec, p.NsPerEndpointCycle, p.BytesPerEndpoint)
 	}

@@ -1,7 +1,9 @@
 package main_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +102,32 @@ func TestFailureModes(t *testing.T) {
 	clitest.ExitCode(t, 2, "metrobench", "stray-arg")
 	clitest.ExitCode(t, 1, "metrobench", "-bench", "NoSuchBenchmarkAnywhere",
 		"-benchtime", "1x", "-pkgs", "metro/internal/telemetry", "-dir", t.TempDir())
+}
+
+// TestStdoutIsOneJSONDocument: under -stdout the snapshot is all that
+// stdout carries, so `metrobench -stdout | jq` parses it; the human
+// summary goes to stderr.
+func TestStdoutIsOneJSONDocument(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs a subprocess; skipped in -short mode")
+	}
+	out := clitest.Stdout(t, "metrobench", "-bench", "none", "-scale", "64",
+		"-scale-cycles", "64", "-scale-workers", "1", "-stdout")
+	dec := json.NewDecoder(bytes.NewReader(out))
+	var snap struct {
+		Scale []struct {
+			Endpoints int `json:"endpoints"`
+		} `json:"scale"`
+	}
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatalf("stdout is not a JSON document: %v\n%s", err, out)
+	}
+	if len(snap.Scale) != 1 || snap.Scale[0].Endpoints != 64 {
+		t.Fatalf("snapshot incomplete: %+v", snap)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Fatalf("stdout carries more than the snapshot (%v):\n%s", err, out)
+	}
 }
 
 // TestScaleSnapshotAndOverwriteGuard runs a scale-only snapshot (no

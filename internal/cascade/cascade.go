@@ -3,8 +3,9 @@
 // several narrow routing components operating in parallel.
 //
 // Two hooks make the members behave identically: *shared randomness* (all
-// members draw their random input bits from the same off-chip stream, so
-// identical connection requests produce identical stochastic allocations)
+// members draw their random input bits from LFSRs seeded alike, the
+// stream an off-chip source would fan out to them, so identical
+// connection requests produce identical stochastic allocations)
 // and a *wired-AND IN-USE consistency check* (each backward port's in-use
 // state is compared across members every cycle; any disagreement is
 // necessarily an error — a corrupted header reached some member — and the
@@ -25,17 +26,15 @@ import (
 	"strconv"
 
 	"metro/internal/core"
-	"metro/internal/prng"
 )
 
 // Eval steps one router column: it evaluates the lanes in order and, when
 // there are several, applies the wired-AND IN-USE consistency check,
 // killing every connection the lanes disagree about on every lane. It
-// returns the number of connections it killed. The lanes draw from one
-// shared random stream and the check reads every lane within the cycle,
-// so a column is always evaluated whole — one kernel unit
-// (kernel.Builder.AddColumn) or one Group — and never split across
-// workers.
+// returns the number of connections it killed. The check reads every
+// lane within the cycle, so a column is always evaluated whole — one
+// kernel unit (kernel.Builder.AddColumn) or one Group — and never split
+// across workers.
 //
 //metrovet:shared the lanes are one column: one kernel unit (or one Group), so one goroutine evaluates and checks all of them
 func Eval(lanes []*core.Router, cycle uint64) int {
@@ -112,15 +111,15 @@ type Group struct {
 }
 
 // NewGroup builds a cascade of c members of shape sh, each drawing random
-// bits from a fork of the same shared stream. The members read the shape
-// in place, as the routers of a stage do (core.Shape).
-func NewGroup(name string, sh *core.Shape, c int, shared *prng.Shared) *Group {
+// bits from its own LFSR seeded with seed. The members read the shape in
+// place, as the routers of a stage do (core.Shape).
+func NewGroup(name string, sh *core.Shape, c int, seed uint32) *Group {
 	if c < 1 {
 		panic("cascade: need at least one member")
 	}
 	members := make([]*core.Router, c)
 	for k := range members {
-		members[k] = sh.NewRouter(name+".m"+strconv.Itoa(k), shared.Fork())
+		members[k] = sh.NewRouter(name+".m"+strconv.Itoa(k), seed)
 	}
 	return &Group{members: members}
 }

@@ -7,7 +7,6 @@ import (
 	"metro/internal/clock"
 	"metro/internal/core"
 	"metro/internal/link"
-	"metro/internal/prng"
 	"metro/internal/word"
 )
 
@@ -21,7 +20,7 @@ func groupHarness(t *testing.T, c int) (*clock.Engine, *Group, [][]link.End, [][
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGroup("g", sh, c, prng.NewShared(77))
+	g := NewGroup("g", sh, c, 77)
 	eng := clock.New()
 	// src[k][fp], dst[k][bp]: per-member link ends.
 	src := make([][]link.End, c)

@@ -39,6 +39,21 @@ func Run(t *testing.T, tool string, args ...string) []byte {
 	return out
 }
 
+// Stdout executes the tool and returns its standard output alone, for a
+// tool whose stdout is a machine format; standard error is shown only
+// when the tool fails.
+func Stdout(t *testing.T, tool string, args ...string) []byte {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(binary(t, tool), args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("metro/cmd/%s %s: %v\nstderr:\n%s", tool, strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return out
+}
+
 // ExitCode executes the tool and asserts its exit status, returning
 // the combined output. Used to pin the documented failure-mode codes
 // (e.g. metrofuzz exits 2 on a malformed -replay spec).

@@ -5,7 +5,7 @@ import (
 
 	"metro/internal/core"
 	"metro/internal/link"
-	"metro/internal/prng"
+	"metro/internal/telemetry"
 	"metro/internal/word"
 )
 
@@ -94,17 +94,31 @@ func TestClosingCountDuringFlush(t *testing.T) {
 	}
 }
 
+// TestRouterIDRoundTrip: a router no network has placed emits its events
+// as stage -1, index -1, lane 0, and after SetID as the identity SetID
+// was given, lane included.
 func TestRouterIDRoundTrip(t *testing.T) {
 	cfg := cfg4x4()
 	h := newHarness(cfg, dil1Settings(cfg), 9)
-	if got := h.r.ID(); got != core.FreeID() {
-		t.Fatalf("fresh router ID = %+v, want FreeID", got)
+	expect := func(want telemetry.Source) {
+		t.Helper()
+		rec := telemetry.New(telemetry.Options{Capacity: 64})
+		h.r.SetTelemetry(rec.NewBuf())
+		h.connCycle()
+		rec.Flush()
+		events := rec.Snapshot().Events
+		if len(events) == 0 {
+			t.Fatal("no events recorded")
+		}
+		for _, e := range events {
+			if e.Src != want {
+				t.Fatalf("%v: source %v, want %v", e, e.Src, want)
+			}
+		}
 	}
-	id := core.RouterID{Stage: 2, Index: 5, Lane: 1}
-	h.r.SetID(id)
-	if got := h.r.ID(); got != id {
-		t.Fatalf("ID after SetID = %+v, want %+v", got, id)
-	}
+	expect(telemetry.RouterSource(-1, -1, 0))
+	h.r.SetID(2, 5, 1)
+	expect(telemetry.RouterSource(2, 5, 1))
 }
 
 func TestInvariantsOnFreshAndActiveRouter(t *testing.T) {
@@ -228,7 +242,7 @@ func TestPortSettersPanicOutOfRange(t *testing.T) {
 	}
 	for _, s := range setters {
 		for _, p := range []int{-1, s.ports, core.MaxPorts} {
-			r := core.NewRouter("r", cfg, core.DefaultSettings(cfg), prng.NewLFSR(1))
+			r := core.NewRouter("r", cfg, core.DefaultSettings(cfg), 1)
 			func() {
 				defer func() {
 					if recover() == nil {

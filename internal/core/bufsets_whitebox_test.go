@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"metro/internal/link"
-	"metro/internal/prng"
 	"metro/internal/word"
 )
 
@@ -30,7 +29,7 @@ func TestBufferSetsRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			r := NewRouter("rt", cfg, DefaultSettings(cfg), prng.NewLFSR(0xACE1))
+			r := NewRouter("rt", cfg, DefaultSettings(cfg), 0xACE1)
 			var links []*link.Link
 			var src []link.End
 			for fp := 0; fp < cfg.Inputs; fp++ {

@@ -6,7 +6,6 @@ import (
 	"metro/internal/clock"
 	"metro/internal/core"
 	"metro/internal/link"
-	"metro/internal/prng"
 	"metro/internal/word"
 )
 
@@ -21,8 +20,8 @@ func TestNoSwallowForwardsHeaderPad(t *testing.T) {
 	setB := dil1Settings(cfg)
 
 	eng := clock.New()
-	ra := core.NewRouter("A", cfg, setA, prng.NewLFSR(3))
-	rb := core.NewRouter("B", cfg, setB, prng.NewLFSR(4))
+	ra := core.NewRouter("A", cfg, setA, 3)
+	rb := core.NewRouter("B", cfg, setB, 4)
 	var srcs []link.End
 	for fp := 0; fp < cfg.Inputs; fp++ {
 		l := link.New("f", 1)

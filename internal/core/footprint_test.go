@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"metro/internal/core"
-	"metro/internal/prng"
 )
 
 // TestRouterFootprint pins what a router puts on the heap: bytes (as the
@@ -19,7 +18,7 @@ import (
 // shows as megabytes on a 4Ki-endpoint network.
 //
 // The 8x8 network router is the buffer backing (640: 16 sets of dp + 3
-// words), the Router struct (320), fin (128), bLinks (128: an End by value
+// words), the Router struct (256), fin (128), bLinks (128: an End by value
 // per backward port, as fin holds per forward port) and the port
 // arrays (fwd 256, closers 192, busyBy 8); NewRouter adds the
 // Shape (160: 152 of Config and Settings, then the width byte, in the
@@ -34,9 +33,9 @@ func TestRouterFootprint(t *testing.T) {
 		cfg           core.Config
 		shared, alone ceiling
 	}{
-		{"8x8 width 8 dp 2", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 2, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1672, 7}, ceiling{1960, 9}},
-		{"Figure 3 stages 0-1: 8x8 dp 1", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1544, 7}, ceiling{1832, 9}},
-		{"Figure 3 stage 2: 4x4 dp 1", core.Config{Inputs: 4, Outputs: 4, Width: 8, MaxDilation: 1, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{932, 7}, ceiling{1156, 9}},
+		{"8x8 width 8 dp 2", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 2, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1608, 7}, ceiling{1896, 9}},
+		{"Figure 3 stages 0-1: 8x8 dp 1", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1480, 7}, ceiling{1768, 9}},
+		{"Figure 3 stage 2: 4x4 dp 1", core.Config{Inputs: 4, Outputs: 4, Width: 8, MaxDilation: 1, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{868, 7}, ceiling{1092, 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set := core.DefaultSettings(tc.cfg)
@@ -44,14 +43,13 @@ func TestRouterFootprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := prng.NewLFSR(1)
 			for _, form := range []struct {
 				name  string
 				build func() *core.Router
 				max   ceiling
 			}{
-				{"Shape.NewRouter", func() *core.Router { return sh.NewRouter("r", rng) }, tc.shared},
-				{"NewRouter", func() *core.Router { return core.NewRouter("r", tc.cfg, set, rng) }, tc.alone},
+				{"Shape.NewRouter", func() *core.Router { return sh.NewRouter("r", 1) }, tc.shared},
+				{"NewRouter", func() *core.Router { return core.NewRouter("r", tc.cfg, set, 1) }, tc.alone},
 			} {
 				bytes, allocs := footprint(form.build)
 				t.Logf("%s: %d B in %d allocations", form.name, bytes, allocs)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"metro/internal/link"
-	"metro/internal/prng"
 	"metro/internal/word"
 )
 
@@ -24,7 +23,7 @@ func newRig(seed uint32) *rig {
 		Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 2,
 		HeaderWords: 0, DataPipe: 2, MaxVTD: 4, RandomInputs: 2, ScanPaths: 2,
 	}
-	g := &rig{r: NewRouter("r", cfg, DefaultSettings(cfg), prng.NewLFSR(seed))}
+	g := &rig{r: NewRouter("r", cfg, DefaultSettings(cfg), seed)}
 	// The links are unnamed arenas of one: a namer is a func, which
 	// reflect.DeepEqual never finds equal.
 	for fp := 0; fp < cfg.Inputs; fp++ {

@@ -16,8 +16,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"metro/internal/prng"
 )
 
 func freshRouter() *Router {
@@ -25,7 +23,7 @@ func freshRouter() *Router {
 		Inputs: 4, Outputs: 4, Width: 8, MaxDilation: 2,
 		HeaderWords: 1, DataPipe: 2, MaxVTD: 0, RandomInputs: 1, ScanPaths: 1,
 	}
-	return NewRouter("wb", cfg, DefaultSettings(cfg), prng.NewLFSR(5))
+	return NewRouter("wb", cfg, DefaultSettings(cfg), 5)
 }
 
 // connect puts fp into a fully consistent fpForward connection on bp so a

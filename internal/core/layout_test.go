@@ -34,11 +34,11 @@ func TestLayoutPinHotHeader(t *testing.T) {
 	if size := unsafe.Sizeof(r); size%64 != 0 {
 		t.Errorf("Router is %d bytes, want a multiple of 64 so heap-allocated routers stay line-aligned", size)
 	}
-	// Five lines: the Config and Settings a router shares with its stage
+	// Four lines: the Config and Settings a router shares with its stage
 	// are one pointer away, not in the struct (docs/KERNEL.md has the byte
 	// table).
-	if size := unsafe.Sizeof(r); size > 320 {
-		t.Errorf("Router is %d bytes, want at most 320", size)
+	if size := unsafe.Sizeof(r); size > 256 {
+		t.Errorf("Router is %d bytes, want at most 256", size)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"metro/internal/core"
-	"metro/internal/prng"
 	"metro/internal/word"
 )
 
@@ -106,17 +105,16 @@ func TestAllocatorInvariantsUnderRandomTraffic(t *testing.T) {
 }
 
 // TestPickSharedRandomnessDeterminism verifies that two routers with
-// identical configuration fed by forks of the same shared random stream
-// make identical allocation decisions for identical request sequences —
-// the foundation of width cascading.
+// identical configuration and LFSRs seeded alike make identical
+// allocation decisions for identical request sequences — the foundation
+// of width cascading.
 func TestPickSharedRandomnessDeterminism(t *testing.T) {
 	cfg := core.Config{Inputs: 4, Outputs: 8, Width: 4, MaxDilation: 4,
 		HeaderWords: 0, DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
 	set := core.DefaultSettings(cfg) // dilation 4: radix 2
 
-	shared := prng.NewShared(404)
-	a := buildHarness(cfg, set, shared.Fork())
-	b := buildHarness(cfg, set, shared.Fork())
+	a := newHarness(cfg, set, 404)
+	b := newHarness(cfg, set, 404)
 
 	rng := rand.New(rand.NewSource(99))
 	for cycle := 0; cycle < 300; cycle++ {

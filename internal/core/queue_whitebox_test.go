@@ -72,7 +72,7 @@ func TestQueueMatchesTwoRegions(t *testing.T) {
 		for seed := uint32(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("width %d dp %d seed %d", tc.width, tc.dp, seed), func(t *testing.T) {
 				cfg := Config{Inputs: 2, Outputs: 2, Width: tc.width, MaxDilation: 1, DataPipe: tc.dp, MaxVTD: 1, RandomInputs: 1, ScanPaths: 1}
-				r := NewRouter("rt", cfg, DefaultSettings(cfg), prng.NewLFSR(1))
+				r := NewRouter("rt", cfg, DefaultSettings(cfg), 1)
 				flows := []*flow{&r.fwd[0].flow, &r.closers[:1][0].flow}
 				idles := []word.Word{{Kind: word.DataIdle}, {}}
 				refs := make([]twoRegions, len(flows))

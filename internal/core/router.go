@@ -194,13 +194,12 @@ type Router struct {
 	bLinks []link.End
 	busyBy []int8 // per backward port: owner fp, -1 free, -2 flushing close
 	// tel is the unit-local telemetry buffer connection-lifecycle events
-	// go to (nil: none recorded); src is id as an event source, computed
-	// once in SetID.
+	// go to (nil: none recorded); src is the router's identity as an
+	// event source, narrowed once in SetID.
 	tel *telemetry.Buf
 	src telemetry.Source
 
-	id     RouterID
-	rng    prng.Source
+	rng    prng.LFSR
 	policy SelectionPolicy
 	// cfg is the Shape the router's stage shares, and set points into
 	// it. The Config and width are never written; the Settings are the
@@ -216,7 +215,7 @@ type Router struct {
 	// Rounds the struct up to a multiple of the 64-byte line, so the size
 	// class it is allocated from keeps the hot header line-aligned
 	// (layout_test.go).
-	_ [40]byte
+	_ [8]byte
 }
 
 // pipe and queue are the two regions of f's buffer set, in that order in
@@ -238,24 +237,24 @@ func (r *Router) queue(f *flow) []word.Word {
 func (r *Router) setBase(f *flow) int { return int(f.set) * (r.dp + r.injCap) }
 
 // NewRouter constructs a router with the given architectural parameters,
-// run-time settings, and random bit source: a stage of one router, whose
+// run-time settings, and LFSR seed: a stage of one router, whose
 // Shape nobody else reads. It panics on invalid parameters: router
 // construction is network construction time, where configuration errors
 // are programming errors.
-func NewRouter(name string, cfg Config, set Settings, rng prng.Source) *Router {
+func NewRouter(name string, cfg Config, set Settings, seed uint32) *Router {
 	sh, err := NewShape(cfg, set)
 	if err != nil {
 		panic(fmt.Sprintf("core: %s: %v", name, err))
 	}
-	r := sh.NewRouter(name, rng)
+	r := sh.NewRouter(name, seed)
 	r.own = true
 	return r
 }
 
-// NewRouter constructs a router of the shape's stage with the given random
-// bit source. The router reads the shape's Config and Settings in place
+// NewRouter constructs a router of the shape's stage whose LFSR starts
+// from seed. The router reads the shape's Config and Settings in place
 // until a mutator writes its settings.
-func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
+func (sh *Shape) NewRouter(name string, seed uint32) *Router {
 	cfg := &sh.Config
 	// A queue holds up to injWords words: stageInject's worst case and
 	// buffer()'s overflow guard.
@@ -268,7 +267,7 @@ func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
 		name:   name,
 		cfg:    sh,
 		set:    &sh.set,
-		rng:    rng,
+		rng:    prng.NewLFSR(seed),
 		bLinks: make([]link.End, cfg.Outputs),
 		fwd:    make([]fwdPort, cfg.Inputs),
 		busyBy: make([]int8, cfg.Outputs),
@@ -276,7 +275,7 @@ func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
 		injCap: injCap,
 		bufs:   make([]word.Word, (cfg.Inputs+cfg.Outputs)*(cfg.DataPipe+injCap)),
 	}
-	r.SetID(FreeID())
+	r.SetID(-1, -1, 0) // not placed in a network
 	// Forward port i starts on set i; closer slot j parks set Inputs+j.
 	for i := range r.fwd {
 		r.fwd[i].bp = -1
@@ -295,16 +294,14 @@ func (sh *Shape) NewRouter(name string, rng prng.Source) *Router {
 // Name returns the router's identifier.
 func (r *Router) Name() string { return r.name }
 
-// ID returns the router's structured network identity (FreeID until the
-// network that placed the router calls SetID).
-func (r *Router) ID() RouterID { return r.id }
-
-// SetID records the router's structured position in its network.
-// Telemetry events carry this identity as their source, so observers
-// aggregate by stage/index/lane instead of parsing names.
-func (r *Router) SetID(id RouterID) {
-	r.id = id
-	r.src = telemetry.RouterSource(id.Stage, id.Index, id.Lane)
+// SetID records the router's structured position in its network: stage
+// and index locate the logical router, lane the member of a
+// width-cascaded column (0 for plain routers). A router no network has
+// placed is stage -1, index -1, lane 0. Telemetry events carry this
+// identity as their source, so observers aggregate by stage/index/lane
+// instead of parsing names.
+func (r *Router) SetID(stage, index, lane int) {
+	r.src = telemetry.RouterSource(stage, index, lane)
 }
 
 // Config returns the architectural parameters.
@@ -707,9 +704,10 @@ func (r *Router) parseRoute(p *fwdPort, fp int, in word.Word) bool {
 // allocate serves the cycle's connection requests, the ports in requested:
 // for each, a backward port in the requested direction is chosen uniformly
 // at random among the available ones using the router's random input bits.
-// Requests are served in ascending forward-port order, which together with
-// the shared random stream makes allocation a deterministic function of
-// (requests, random bits) — the property width cascading depends on.
+// Requests are served in ascending forward-port order, which makes
+// allocation a deterministic function of (requests, random bits): lanes
+// whose LFSRs are seeded alike allocate alike, the property width
+// cascading depends on.
 //
 //metrovet:truncate fp is a forward port number, below MaxPorts = 64 by Config.Validate, and bp a bit index of a nonzero uint64
 func (r *Router) allocate(cycle uint64, requested uint64) {

@@ -7,7 +7,6 @@ import (
 	"metro/internal/clock"
 	"metro/internal/core"
 	"metro/internal/link"
-	"metro/internal/prng"
 	"metro/internal/telemetry"
 	"metro/internal/word"
 )
@@ -23,12 +22,8 @@ type harness struct {
 }
 
 func newHarness(cfg core.Config, set core.Settings, seed uint32) *harness {
-	return buildHarness(cfg, set, prng.NewLFSR(seed))
-}
-
-func buildHarness(cfg core.Config, set core.Settings, rng prng.Source) *harness {
 	h := &harness{eng: clock.New()}
-	h.r = core.NewRouter("r0", cfg, set, rng)
+	h.r = core.NewRouter("r0", cfg, set, seed)
 	for fp := 0; fp < cfg.Inputs; fp++ {
 		l := link.New("f", 1)
 		h.r.AttachForward(fp, l.B())
@@ -582,8 +577,8 @@ func TestBCBPropagatesUpstreamAndFreesPort(t *testing.T) {
 	setB := dil1Settings(cfg)
 
 	eng := clock.New()
-	ra := core.NewRouter("A", cfg, setA, prng.NewLFSR(21))
-	rb := core.NewRouter("B", cfg, setB, prng.NewLFSR(22))
+	ra := core.NewRouter("A", cfg, setA, 21)
+	rb := core.NewRouter("B", cfg, setB, 22)
 
 	var srcs []link.End
 	for fp := 0; fp < cfg.Inputs; fp++ {
@@ -738,7 +733,7 @@ func TestRadixDilationHelpers(t *testing.T) {
 	cfg := core.Config{Inputs: 8, Outputs: 8, Width: 4, MaxDilation: 2,
 		HeaderWords: 0, DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
 	set := core.DefaultSettings(cfg)
-	r := core.NewRouter("x", cfg, set, prng.NewLFSR(1))
+	r := core.NewRouter("x", cfg, set, 1)
 	if r.Radix() != 4 {
 		t.Fatalf("Radix = %d, want 4", r.Radix())
 	}
@@ -782,14 +777,13 @@ func TestRouterEmitsConnEvents(t *testing.T) {
 	h := newHarness(cfg, dil1Settings(cfg), 17)
 	rec := telemetry.New(telemetry.Options{Capacity: 64})
 	h.r.SetTelemetry(rec.NewBuf())
-	id := core.RouterID{Stage: 1, Index: 3, Lane: 0}
-	h.r.SetID(id)
+	h.r.SetID(1, 3, 0)
 	h.connCycle()
 	rec.Flush()
 	counts := map[telemetry.Kind]int{}
 	for _, e := range rec.Snapshot().Events {
 		counts[e.Kind]++
-		if want := telemetry.RouterSource(id.Stage, id.Index, id.Lane); e.Src != want {
+		if want := telemetry.RouterSource(1, 3, 0); e.Src != want {
 			t.Fatalf("%v: source %v, want %v", e, e.Src, want)
 		}
 	}

@@ -31,10 +31,10 @@
 // Unit order is part of the determinism contract: the builder is fed
 // router columns stage-major and endpoints after, a pure function of the
 // topology, so every worker partition of the index space is too. A
-// router column is a single unit because its cascade lanes share an LFSR
-// stream and the wired-AND IN-USE check within a cycle. netsim.Reference
-// steps the same units in the same order through the virtual interface;
-// the differential tests hold the two bit-identical.
+// router column is a single unit because the wired-AND IN-USE check reads
+// every cascade lane within a cycle. netsim.Reference steps the same
+// units in the same order through the virtual interface; the
+// differential tests hold the two bit-identical.
 package kernel
 
 import (

@@ -11,7 +11,6 @@ import (
 	"metro/internal/core"
 	"metro/internal/link"
 	"metro/internal/nic"
-	"metro/internal/prng"
 	"metro/internal/word"
 )
 
@@ -90,7 +89,7 @@ func misstaged(e link.End, s int32) link.End {
 }
 
 // newRouter returns a 4x4 router with no links.
-func newRouter(t *testing.T, name string, rng prng.Source) *core.Router {
+func newRouter(t *testing.T, name string, seed uint32) *core.Router {
 	t.Helper()
 	cfg := core.Config{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 2,
 		DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 1}
@@ -100,7 +99,7 @@ func newRouter(t *testing.T, name string, rng prng.Source) *core.Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sh.NewRouter(name, rng)
+	return sh.NewRouter(name, seed)
 }
 
 // TestCompileAcceptsExactWiring compiles a router column between two
@@ -112,7 +111,7 @@ func newRouter(t *testing.T, name string, rng prng.Source) *core.Router {
 func TestCompileAcceptsExactWiring(t *testing.T) {
 	b, a := newArena(2)
 	eps := newEndpoints(t, 2)
-	r := newRouter(t, "r", prng.NewLFSR(1))
+	r := newRouter(t, "r", 1)
 	in, out := a.Place(0, 2), a.Place(3, 1)
 	eps[0].AttachInject(in.A())
 	r.AttachForward(0, in.B())
@@ -238,18 +237,17 @@ func TestCompileAuditErrors(t *testing.T) {
 }
 
 // columnRun drives a compiled plan holding one 2-lane column of 4x4
-// routers sharing a random stream: forward port 0 of lane k receives the
-// route word routes[k] and then idle fill, for ten cycles. It reports
+// routers whose LFSRs are seeded alike: forward port 0 of lane k receives
+// the route word routes[k] and then idle fill, for ten cycles. It reports
 // whether either lane asserted BCB back to its source, and each lane's
 // final backward in-use mask.
 func columnRun(t *testing.T, routes [2]word.Word) (bcb bool, inUse [2]uint64) {
 	t.Helper()
-	shared := prng.NewShared(77)
 	lanes := make([]*core.Router, 2)
 	var src [2]link.End // forward port 0 of each lane, source side
 	var links []*link.Link
 	for k := range lanes {
-		lanes[k] = newRouter(t, "col.m"+strconv.Itoa(k), shared.Fork())
+		lanes[k] = newRouter(t, "col.m"+strconv.Itoa(k), 77)
 		for fp := 0; fp < lanes[k].Config().Inputs; fp++ {
 			l := link.New("f", 1)
 			lanes[k].AttachForward(fp, l.B())

@@ -217,7 +217,6 @@ type legOut struct {
 	deliveries   []delivery
 	fired        []fault.Event
 	cycles       uint64
-	quiet        bool
 	progressErr  string
 	invariantErr string
 }
@@ -353,7 +352,6 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 			return nil, fmt.Errorf("cycle %d: %w", cycle, ErrCanceled)
 		}
 		if inj.done(cycle) && n.Quiet() {
-			leg.quiet = true
 			break
 		}
 		if cycle >= hardCap {

@@ -335,6 +335,13 @@ func decodeField(s *Scenario, k, v string) error {
 		}
 		return n, nil
 	}
+	seed := func() (int64, error) {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("metrofuzz: field %s: %w", k, err)
+		}
+		return n, nil
+	}
 	var err error
 	switch k {
 	case "topo":
@@ -365,7 +372,7 @@ func decodeField(s *Scenario, k, v string) error {
 	case "wk":
 		s.Workers, err = atoi()
 	case "ns":
-		s.NetSeed, err = strconv.ParseInt(v, 10, 64)
+		s.NetSeed, err = seed()
 	case "mas":
 		s.MaxActiveSenders, err = atoi()
 	case "retry":
@@ -375,7 +382,7 @@ func decodeField(s *Scenario, k, v string) error {
 	case "tr":
 		s.Traffic, err = trafficKindOf(v)
 	case "ts":
-		s.TrafficSeed, err = strconv.ParseInt(v, 10, 64)
+		s.TrafficSeed, err = seed()
 	case "msgs":
 		s.Messages, err = atoi()
 	case "rate":

@@ -128,6 +128,14 @@ func TestDecodeSpecRejects(t *testing.T) {
 			t.Errorf("%s: DecodeSpec(%q) accepted", c.name, c.spec)
 		}
 	}
+	// A seed that does not parse names its field, as every other field
+	// does: metroserve's 400 body relies on the prefix.
+	for _, c := range []struct{ field, val string }{{"ns", "x"}, {"ts", "x"}, {"ns", "99999999999999999999"}, {"ts", "1.5"}} {
+		_, err := DecodeSpec(replaceField(valid, c.field, c.val))
+		if want := "metrofuzz: field " + c.field + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s=%s: DecodeSpec error %v, want the prefix %q", c.field, c.val, err, want)
+		}
+	}
 }
 
 func replaceField(spec, key, val string) string {

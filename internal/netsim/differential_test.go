@@ -47,9 +47,9 @@ var (
 		},
 		injectSeed: 17, perCycle: 2, cycles: 1500, short: 600,
 	}
-	// Cascade width 2: every column's lanes share a random stream and the
-	// wired-AND check, so a partition (or a unit order) that split or
-	// reordered them would race under -race or drift here.
+	// Cascade width 2: every column's lanes share the wired-AND check, so
+	// a partition (or a unit order) that split or reordered them would
+	// race under -race or drift here.
 	cascadeResults = congested{
 		p: Params{
 			Spec: topo.Figure1(), Width: 4, CascadeWidth: 2, DataPipe: 2,

@@ -18,7 +18,6 @@ import (
 	"metro/internal/kernel"
 	"metro/internal/link"
 	"metro/internal/nic"
-	"metro/internal/prng"
 	"metro/internal/telemetry"
 	"metro/internal/topo"
 )
@@ -316,8 +315,8 @@ func Build(p Params) (*Network, error) {
 		delBase[e] = place(S, ne*c)
 		injBase[e] = place(0, ne*c)
 	}
-	// Routers: one per lane; with cascading a column's lanes draw from one
-	// shared random stream and are checked by the wired-AND (cascade.Eval).
+	// Routers: one per lane; with cascading a column's lanes draw from
+	// LFSRs seeded alike and are checked by the wired-AND (cascade.Eval).
 	// Every router of a stage has the same configuration and settings, turn
 	// delays included: wire conservation feeds every forward port from tier
 	// s and every backward port into tier s+1 (see the placement above).
@@ -364,21 +363,19 @@ func Build(p Params) (*Network, error) {
 			n.Routers[s][j] = lanes
 			name = topo.AppendRouterName(name[:0], s, j)
 			seed := uint32(p.Seed)*2654435761 + uint32(s)*40503 + uint32(j)*9973 + 1
-			// One lane draws from its own LFSR; several fork one shared
-			// stream and are named "<router>.m<lane>".
-			if c == 1 {
-				lanes[0] = sh.NewRouter(string(name), prng.NewLFSR(seed))
-			} else {
-				shared := prng.NewShared(seed)
-				for lane := range lanes {
-					lanes[lane] = sh.NewRouter(string(strconv.AppendInt(append(name, ".m"...), int64(lane), 10)), shared.Fork())
+			// Every lane's LFSR takes the column's seed; the lanes of a
+			// cascade are named "<router>.m<lane>".
+			for lane := range lanes {
+				rname := name
+				if c > 1 {
+					rname = strconv.AppendInt(append(name, ".m"...), int64(lane), 10)
 				}
-			}
-			for lane, r := range lanes {
-				r.SetID(core.RouterID{Stage: s, Index: j, Lane: lane})
+				r := sh.NewRouter(string(rname), seed)
+				r.SetID(s, j, lane)
 				if p.FirstFreeSelection {
 					r.SetSelectionPolicy(core.SelectFirstFree)
 				}
+				lanes[lane] = r
 			}
 		}
 	}
@@ -469,9 +466,8 @@ func Build(p Params) (*Network, error) {
 		}
 	}
 
-	// A column is one unit: its lanes share a random stream and the
-	// wired-AND IN-USE check within a cycle, so they must never split
-	// across workers.
+	// A column is one unit: the wired-AND IN-USE check reads all its
+	// lanes within a cycle, so they must never split across workers.
 	for s := range n.Routers {
 		for _, lanes := range n.Routers[s] {
 			kb.AddColumn(lanes)

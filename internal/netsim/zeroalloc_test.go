@@ -148,16 +148,18 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 // the messages they build, parse and receive, which now rides the message
 // records, and the network its per-endpoint callback buffers, and 969
 // (about 192.3 KB) before the arenas shed their per-register table of link
-// ends, which units now hold by value. It is 968 (about 179.4 KB) now. The
-// allocation budget stays at 966 plus 10%, the byte budget is 179.4 KB
-// plus 10%, so a per-router settings copy (two allocations a router), a stored
+// ends, which units now hold by value, and 970 (about 180.1 KB) before
+// each router held its LFSR by value and a cascade's lanes stopped
+// sharing one buffered stream. It is 906 (about 175.8 KB) now. The
+// allocation budget is 906 plus 10%, the byte budget 175.8 KB plus 10%,
+// so a per-router settings copy (two allocations a router), a stored
 // link name (one a link), a per-endpoint closure, a per-router wiring
 // slice or a transient per-link table fails here.
 func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const budget, bytesBudget = 1063, 197_400
+	const budget, bytesBudget = 997, 193_400
 	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
 	ports := 0
 	n, err := Build(p)
@@ -219,9 +221,11 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // the slice headers of the scratch that now rides the message records and
 // netsim its per-endpoint callback buffers, about 3,826 B (3,789-3,842)
 // before the arenas shed their 16 B per register table of link ends for
-// ends held by value (8 B more per backward port and endpoint lane), and
-// is about 3,535 B now (3,517-3,554 over runs); the ceiling is 10% over
-// 3,554 and fails long before a
+// ends held by value (8 B more per backward port and endpoint lane), about
+// 3,535 B (3,517-3,565) before each router held its LFSR by value in a
+// struct a cache line smaller (about 100 B an endpoint at 1.5 routers an
+// endpoint), and is about 3,440 B now (3,424-3,461 over runs); the
+// ceiling is 10% over 3,461 and fails long before a
 // per-router copy, a per-link field, a per-wire PortRef or a per-endpoint
 // Config copy regrows. What a network keeps once it runs is
 // TestRunningFootprintTracksInFlight's.
@@ -229,7 +233,7 @@ func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 3910
+	const endpoints, ceiling = 1024, 3810
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,8 @@ func TestLFSRBitBalance(t *testing.T) {
 
 // TestNextBitsWidthAndClamp is the runtime proof of NextBits's clamp
 // (metrovet reads nothing from its guards): at and around both ends of
-// [0, 32] the LFSR and a fork of the shared stream return exactly the
-// first min(max(n, 0), 32) bits, first bit in the LSB, and consume
-// exactly that many.
+// [0, 32] the LFSR returns exactly the first min(max(n, 0), 32) bits,
+// first bit in the LSB, and consumes exactly that many.
 func TestNextBitsWidthAndClamp(t *testing.T) {
 	for _, n := range []int{-1, 0, 1, 31, 32, 33, 40} {
 		taken := min(max(n, 0), 32)
@@ -61,13 +60,12 @@ func TestNextBitsWidthAndClamp(t *testing.T) {
 		for i := 0; i < 16; i++ { // what NextBits(n) must leave unread
 			rest |= ref.NextBit() << i
 		}
-		for name, src := range map[string]Source{"LFSR": NewLFSR(7), "fork": NewShared(7).Fork()} {
-			if got := src.NextBits(n); got != want {
-				t.Errorf("%s NextBits(%d) = %#x, want %#x", name, n, got, want)
-			}
-			if got := src.NextBits(16); got != rest {
-				t.Errorf("%s NextBits(%d) did not consume exactly %d bits", name, n, taken)
-			}
+		l := NewLFSR(7)
+		if got := l.NextBits(n); got != want {
+			t.Errorf("NextBits(%d) = %#x, want %#x", n, got, want)
+		}
+		if got := l.NextBits(16); got != rest {
+			t.Errorf("NextBits(%d) did not consume exactly %d bits", n, taken)
 		}
 	}
 }
@@ -88,61 +86,17 @@ func TestNextBitsOrdering(t *testing.T) {
 	}
 }
 
-func TestSharedForksSeeIdenticalStream(t *testing.T) {
-	s := NewShared(1234)
-	f1 := s.Fork()
-	f2 := s.Fork()
-	f3 := s.Fork()
-	// Identical consumption patterns must observe identical bits — the
-	// property width cascading relies on.
-	for i := 0; i < 500; i++ {
-		n := (i % 5) + 1
-		v1 := f1.NextBits(n)
-		v2 := f2.NextBits(n)
-		v3 := f3.NextBits(n)
-		if v1 != v2 || v2 != v3 {
-			t.Fatalf("forks diverged at draw %d: %#x %#x %#x", i, v1, v2, v3)
-		}
-	}
-}
-
+// TestSharedInterleavedConsumption: a member that falls behind (its
+// lane drew nothing for a while) later reads the bits the leader read.
 func TestSharedInterleavedConsumption(t *testing.T) {
-	s := NewShared(77)
-	f1 := s.Fork()
-	f2 := s.Fork()
-	// f1 runs far ahead, then f2 catches up: same values.
+	f1, f2 := NewLFSR(77), NewLFSR(77)
 	ahead := make([]uint32, 100)
 	for i := range ahead {
 		ahead[i] = f1.NextBits(3)
 	}
 	for i := range ahead {
 		if got := f2.NextBits(3); got != ahead[i] {
-			t.Fatalf("lagging fork saw %#x at %d, leader saw %#x", got, i, ahead[i])
-		}
-	}
-}
-
-func TestSharedTrimsBuffer(t *testing.T) {
-	s := NewShared(5)
-	f1 := s.Fork()
-	f2 := s.Fork()
-	for i := 0; i < 1000; i++ {
-		f1.NextBits(8)
-		f2.NextBits(8)
-	}
-	if len(s.buf) > 16 {
-		t.Errorf("shared buffer not trimmed: %d bits retained", len(s.buf))
-	}
-}
-
-func TestSharedMatchesLFSR(t *testing.T) {
-	// A single fork of a Shared stream must reproduce the raw LFSR stream.
-	s := NewShared(31337)
-	f := s.Fork()
-	l := NewLFSR(31337)
-	for i := 0; i < 256; i++ {
-		if f.NextBits(1) != l.NextBit() {
-			t.Fatalf("shared fork diverged from raw LFSR at bit %d", i)
+			t.Fatalf("lagging member saw %#x at %d, leader saw %#x", got, i, ahead[i])
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"metro/internal/core"
-	"metro/internal/prng"
 )
 
 // layoutConfig is not square, so a forward bank and a backward bank of the
@@ -64,7 +63,7 @@ func boolInt(b bool) int {
 // changes the string.
 func TestSettingsRegisterLayout(t *testing.T) {
 	cfg := layoutConfig
-	r := core.NewRouter("r", cfg, core.DefaultSettings(cfg), prng.NewLFSR(1))
+	r := core.NewRouter("r", cfg, core.DefaultSettings(cfg), 1)
 	set := r.Settings()
 	set.Dilation = 1
 	writePort(&set.ForwardEnabled, cfg.Inputs, 1, false)
@@ -133,7 +132,7 @@ func TestSettingsRegisterRandomRoundTrip(t *testing.T) {
 		}
 	}
 	newRouter := func() *core.Router {
-		return core.NewRouter("r", cfg, core.DefaultSettings(cfg), prng.NewLFSR(1))
+		return core.NewRouter("r", cfg, core.DefaultSettings(cfg), 1)
 	}
 	for trial := range 64 {
 		src, dst, plain := newRouter(), newRouter(), newRouter()

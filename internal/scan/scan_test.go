@@ -5,14 +5,13 @@ import (
 
 	"metro/internal/core"
 	"metro/internal/link"
-	"metro/internal/prng"
 	"metro/internal/word"
 )
 
 func testRouter() *core.Router {
 	cfg := core.Config{Inputs: 4, Outputs: 4, Width: 4, MaxDilation: 2,
 		HeaderWords: 0, DataPipe: 1, MaxVTD: 4, RandomInputs: 2, ScanPaths: 3}
-	return core.NewRouter("r", cfg, core.DefaultSettings(cfg), prng.NewLFSR(1))
+	return core.NewRouter("r", cfg, core.DefaultSettings(cfg), 1)
 }
 
 func TestTAPStateDiagram(t *testing.T) {
@@ -266,7 +265,7 @@ func TestIsolatePortTestAndMask(t *testing.T) {
 	bits, _ := mt.ReadSettings(reg.Len())
 	set := r.Settings()
 	set.BackwardEnabled &^= 1 << 2
-	r2 := core.NewRouter("shadow", r.Config(), set, prng.NewLFSR(2))
+	r2 := core.NewRouter("shadow", r.Config(), set, 2)
 	shadow := NewSettingsRegister(r2)
 	mt.LoadSettings(shadow.Capture())
 	if r.BackwardEnabled(2) {

@@ -243,10 +243,12 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 
 // TestColdJobAllocBudget pins what one cold job may allocate: a
 // fault-free generated scenario submitted with ?wait=1 to a fresh
-// in-process server, in bytes and in objects. The job needs 170.4-174.6 KB
-// in 1,461-1,481 objects (two Builds, the cycle loop's warm-up growth, the
+// in-process server, in bytes and in objects. The job needs 166.9-171.1 KB
+// in 1,443-1,463 objects (two Builds, the cycle loop's warm-up growth, the
 // oracle battery, the marshalled result; runs fall in one of two modes); it
-// needed 183.7-187.9 KB in 1,673-1,693 while endpoints, senders and
+// needed 168.1-174.6 KB in 1,461-1,481 while every router's LFSR was a
+// heap object of its own and every cascade shared a buffered stream,
+// 183.7-187.9 KB in 1,673-1,693 while endpoints, senders and
 // receivers grew their own queue, build, parse and reply buffers and netsim
 // a callback buffer per endpoint, and 185-189 KB in 1,733-1,752 while each
 // endpoint kept its own message records. Each ceiling is the upper mode
@@ -258,7 +260,7 @@ func TestColdJobAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const ceiling, objects = 192_100, 1_629 // per job
+	const ceiling, objects = 188_200, 1_610 // per job
 	scn := metrofuzz.Generate(2)
 	scn.Faults = nil
 	spec := metrofuzz.EncodeSpec(scn)

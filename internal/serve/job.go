@@ -68,11 +68,10 @@ type job struct {
 	// only — it never influences the simulation.
 	enqueuedAt time.Time
 
-	mu        sync.Mutex
-	state     string // StatusQueued or StatusRunning until completion
-	result    *Result
-	body      []byte // canonical marshaled result, the served bytes
-	coalesced int    // submissions beyond the first that attached here
+	mu     sync.Mutex
+	state  string // StatusQueued or StatusRunning until completion
+	result *Result
+	body   []byte // canonical marshaled result, the served bytes
 }
 
 func newJob(id, spec string, scn metrofuzz.Scenario, engine Engine, trace bool, obs jobObs) *job {

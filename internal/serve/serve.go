@@ -446,9 +446,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, exists := s.jobs[id]
 	if exists {
-		j.mu.Lock()
-		j.coalesced++
-		j.mu.Unlock()
 		s.mu.Unlock()
 		s.met.admCoalesced.Inc()
 		w.Header().Set("X-Coalesced", "true")

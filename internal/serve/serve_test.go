@@ -77,6 +77,7 @@ func TestSubmitErrors(t *testing.T) {
 		wantErr string
 	}{
 		{"malformed field", "mf1;topo=fig1;w=banana", "", http.StatusBadRequest, "metrofuzz"},
+		{"malformed seed", "mf1;topo=fig1;ns=banana", "", http.StatusBadRequest, "metrofuzz: field ns: "},
 		{"unknown version", "mf9;topo=fig1", "", http.StatusBadRequest, "metrofuzz"},
 		{"empty body", "", "", http.StatusBadRequest, "empty spec"},
 		{"trailing garbage", valid + ";w=8 trailing junk", "", http.StatusBadRequest, "whitespace or control byte"},

@@ -105,8 +105,8 @@ func TestSummarizeConnStages(t *testing.T) {
 }
 
 // TestStageConnsFoldsLanes checks that the tally keys on the event source's
-// stage directly: cascade lanes fold into their logical stage, and an
-// unplaced router (core.FreeID: stage -1) is ignored instead of leaking
+// stage directly: cascade lanes fold into their logical stage, and a
+// router no network has placed (stage -1) is ignored instead of leaking
 // into a real stage. Summarize tallies the same way.
 func TestStageConnsFoldsLanes(t *testing.T) {
 	setup := func(cycle uint64, stage, index, lane int) Event {
@@ -129,7 +129,7 @@ func TestStageConnsFoldsLanes(t *testing.T) {
 	}
 	for _, s := range stats {
 		if s.Stage != 2 && s.Setup != 0 {
-			t.Errorf("stage %d setup = %d, want 0 (FreeID must not leak into real stages)", s.Stage, s.Setup)
+			t.Errorf("stage %d setup = %d, want 0 (an unplaced router must not leak into real stages)", s.Stage, s.Setup)
 		}
 	}
 	if got := Summarize(Trace{Events: events, Total: uint64(len(events))}).Conn; !slices.Equal(got, stats) {

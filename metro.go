@@ -45,7 +45,6 @@ import (
 	"metro/internal/link"
 	"metro/internal/netsim"
 	"metro/internal/nic"
-	"metro/internal/prng"
 	"metro/internal/scan"
 	"metro/internal/stats"
 	"metro/internal/telemetry"
@@ -112,7 +111,7 @@ func DefaultRouterSettings(cfg RouterConfig) RouterSettings { return core.Defaul
 // NewRouter constructs a standalone router (most callers want
 // BuildNetwork instead).
 func NewRouter(name string, cfg RouterConfig, set RouterSettings, seed uint32) *Router {
-	return core.NewRouter(name, cfg, set, prng.NewLFSR(seed))
+	return core.NewRouter(name, cfg, set, seed)
 }
 
 // --- Simulation ---------------------------------------------------------
@@ -319,7 +318,7 @@ func NewCascadeGroup(name string, cfg RouterConfig, set RouterSettings, c int, s
 	if err != nil {
 		panic("metro: cascade " + name + ": " + err.Error())
 	}
-	return cascade.NewGroup(name, sh, c, prng.NewShared(seed))
+	return cascade.NewGroup(name, sh, c, seed)
 }
 
 // --- Analytical model ---------------------------------------------------
