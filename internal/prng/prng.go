@@ -1,5 +1,5 @@
-// Package prng provides the pseudo-random bit sources used by METRO routers
-// for stochastic output-port selection.
+// Package prng provides the pseudo-random bit source, an LFSR, that METRO
+// routers draw on for stochastic output-port selection.
 //
 // The METRO architecture requires each routing component to generate one
 // random output bit stream and to accept one or more random input bits
