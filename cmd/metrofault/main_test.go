@@ -1,6 +1,8 @@
 package main_test
 
 import (
+	"bytes"
+	"path/filepath"
 	"testing"
 
 	"metro/internal/clitest"
@@ -12,4 +14,20 @@ import (
 func TestGoldenDegradation(t *testing.T) {
 	clitest.Golden(t, "degradation", "metrofault",
 		"-counts", "0,1", "-measure", "1500", "-window", "500", "-warmup", "300")
+}
+
+// TestGoldenTraceSummary pins the telemetry summary of the highest-count point of a short router-kill sweep:
+// the tool writes it with -trace and metrotrace summarize renders it.
+// -metrics printed the same summary from the live recorder.
+func TestGoldenTraceSummary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs a subprocess; skipped in -short mode")
+	}
+	path := filepath.Join(t.TempDir(), "faults.mtr1")
+	out := clitest.Run(t, "metrofault", "-counts", "0,1", "-measure", "1500", "-window", "500", "-warmup", "300", "-trace", path, "-metrics")
+	sum := clitest.Run(t, "metrotrace", "summarize", path)
+	if !bytes.Contains(out, sum) {
+		t.Fatalf("-metrics printed a different summary than metrotrace summarize:\n%s\n%s", out, sum)
+	}
+	clitest.GoldenBytes(t, "summary", sum)
 }

@@ -1,6 +1,8 @@
 package main_test
 
 import (
+	"bytes"
+	"path/filepath"
 	"testing"
 
 	"metro/internal/clitest"
@@ -22,4 +24,20 @@ func TestReplayRejectsBadSpec(t *testing.T) {
 		t.Skip("execs a subprocess; skipped in -short mode")
 	}
 	clitest.ExitCode(t, 2, "metrofuzz", "-replay", "mf9;nonsense")
+}
+
+// TestGoldenTraceSummary pins the telemetry summary of seed 1's primary leg:
+// the tool writes it with -trace and metrotrace summarize renders it.
+// -metrics printed the same summary from the live recorder.
+func TestGoldenTraceSummary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs a subprocess; skipped in -short mode")
+	}
+	path := filepath.Join(t.TempDir(), "seed1.mtr1")
+	out := clitest.Run(t, "metrofuzz", "-seed", "1", "-shrink=false", "-trace", path, "-metrics")
+	sum := clitest.Run(t, "metrotrace", "summarize", path)
+	if !bytes.Contains(out, sum) {
+		t.Fatalf("-metrics printed a different summary than metrotrace summarize:\n%s\n%s", out, sum)
+	}
+	clitest.GoldenBytes(t, "summary", sum)
 }
