@@ -34,15 +34,18 @@ func main() {
 	measure := flag.Uint64("measure", 12000, "measured cycles after the fault window")
 	seed := flag.Int64("seed", 9, "seed")
 	traceOut := flag.String("trace", "", "record the highest-count sweep point's telemetry to this mtr1 file")
-	metrics := flag.Bool("metrics", false, "print the telemetry summary of the highest-count sweep point")
 	workers := flag.Int("workers", 0, "partitions of the unit eval, one goroutine each; 1 is inline, 0 lets the engine choose from the network's size (inline on the Figure 3 network; results are bit-identical either way)")
 	flag.Parse()
 
+	if *kind != "router" && *kind != "link" {
+		fmt.Fprintf(os.Stderr, "metrofault: unknown -kind %q (want router or link)\n", *kind)
+		os.Exit(2)
+	}
 	var counts []int
 	for _, s := range strings.Split(*countsArg, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrofault: bad count %q\n", s)
+		if err != nil || v < 0 {
+			fmt.Fprintf(os.Stderr, "metrofault: bad -counts entry %q (want a fault count >= 0)\n", s)
 			os.Exit(2)
 		}
 		counts = append(counts, v)
@@ -59,13 +62,13 @@ func main() {
 	}}
 	for i, count := range counts {
 		var rec *telemetry.Recorder
-		if (*traceOut != "" || *metrics) && i == len(counts)-1 {
+		if *traceOut != "" && i == len(counts)-1 {
 			rec = telemetry.New(telemetry.Options{})
 		}
 		p, failed, timeouts := runWithFaults(*kind, count, *load, *msgBytes,
 			*warmup, *window, *measure, *seed, *workers, rec)
 		if rec != nil {
-			writeTrace(rec, *traceOut, *metrics, count)
+			writeTrace(rec, *traceOut)
 		}
 		t.Add(
 			fmt.Sprintf("%d", count),
@@ -81,22 +84,15 @@ func main() {
 	fmt.Println("\nlatency degrades gracefully: stochastic path selection routes retries around faults")
 }
 
-// writeTrace emits the recorded sweep point: the trace file, and/or its
-// summary on stdout (before the sweep table, which the caller prints
-// when the sweep finishes).
-func writeTrace(rec *telemetry.Recorder, traceOut string, metrics bool, count int) {
-	if traceOut != "" {
-		if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "metrofault: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: %d events written to %s\n", rec.Len(), traceOut)
+// writeTrace writes the recorded sweep point to traceOut and reports it
+// on stdout, before the sweep table, which the caller prints when the
+// sweep finishes.
+func writeTrace(rec *telemetry.Recorder, traceOut string) {
+	if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
+		fmt.Fprintf(os.Stderr, "metrofault: %v\n", err)
+		os.Exit(1)
 	}
-	if metrics {
-		fmt.Printf("telemetry at %d faults:\n", count)
-		fmt.Print(telemetry.Summarize(rec.Snapshot()).Render())
-		fmt.Println()
-	}
+	fmt.Printf("trace: %d events written to %s\n", rec.Len(), traceOut)
 }
 
 func runWithFaults(kind string, count int, load float64, msgBytes int,
@@ -138,9 +134,6 @@ func runWithFaults(kind string, count int, load float64, msgBytes int,
 			plan = metro.RandomRouterKills(n, count, 2, seed+1, warmup, warmup+window)
 		case "link":
 			plan = metro.RandomLinkKills(n, count, seed+1, warmup, warmup+window)
-		default:
-			fmt.Fprintf(os.Stderr, "metrofault: unknown kind %q\n", kind)
-			os.Exit(2)
 		}
 	}
 	metro.InjectFaults(n, plan)

@@ -39,7 +39,6 @@ func main() {
 	shrinkRuns := flag.Int("shrink-runs", 150, "run budget for the shrinker")
 	verbose := flag.Bool("v", false, "print one line per scenario")
 	traceOut := flag.String("trace", "", "single-scenario mode: record the primary (oracle-audited) leg's telemetry to this mtr1 file")
-	metrics := flag.Bool("metrics", false, "single-scenario mode: print the primary (oracle-audited) leg's telemetry summary")
 	kernel := flag.Bool("kernel", false, "also run every scenario on the per-component reference stepper and demand bit-identity with the compiled kernel")
 	flag.Parse()
 
@@ -50,12 +49,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err) // decode errors carry the metrofuzz: prefix
 			os.Exit(2)
 		}
-		os.Exit(runOne(s, *shrink, *shrinkRuns, true, *traceOut, *metrics, *kernel))
+		os.Exit(runOne(s, *shrink, *shrinkRuns, true, *traceOut, *kernel))
 	case *seed >= 0:
-		os.Exit(runOne(metrofuzz.Generate(*seed), *shrink, *shrinkRuns, true, *traceOut, *metrics, *kernel))
+		os.Exit(runOne(metrofuzz.Generate(*seed), *shrink, *shrinkRuns, true, *traceOut, *kernel))
 	default:
-		if *traceOut != "" || *metrics {
-			fmt.Fprintln(os.Stderr, "metrofuzz: -trace/-metrics need a single scenario (-seed or -replay)")
+		if *traceOut != "" {
+			fmt.Fprintln(os.Stderr, "metrofuzz: -trace needs a single scenario (-seed or -replay)")
 			os.Exit(2)
 		}
 		n := *seeds
@@ -67,9 +66,9 @@ func main() {
 }
 
 // runOne executes a single scenario and reports it in full.
-func runOne(s metrofuzz.Scenario, shrink bool, shrinkRuns int, verbose bool, traceOut string, metrics bool, kernel bool) int {
+func runOne(s metrofuzz.Scenario, shrink bool, shrinkRuns int, verbose bool, traceOut string, kernel bool) int {
 	hooks := metrofuzz.Hooks{KernelOracle: kernel}
-	if traceOut != "" || metrics {
+	if traceOut != "" {
 		hooks.Recorder = telemetry.New(telemetry.Options{})
 	}
 	rep := metrofuzz.Run(s, hooks)
@@ -78,16 +77,11 @@ func runOne(s metrofuzz.Scenario, shrink bool, shrinkRuns int, verbose bool, tra
 		fmt.Printf("spec:     %s\n", rep.Spec)
 	}
 	if hooks.Recorder != nil {
-		if traceOut != "" {
-			if err := telemetry.WriteFile(traceOut, hooks.Recorder.Snapshot()); err != nil {
-				fmt.Fprintf(os.Stderr, "metrofuzz: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace: %d events written to %s\n", hooks.Recorder.Len(), traceOut)
+		if err := telemetry.WriteFile(traceOut, hooks.Recorder.Snapshot()); err != nil {
+			fmt.Fprintf(os.Stderr, "metrofuzz: %v\n", err)
+			os.Exit(1)
 		}
-		if metrics {
-			fmt.Print(telemetry.Summarize(hooks.Recorder.Snapshot()).Render())
-		}
+		fmt.Printf("trace: %d events written to %s\n", hooks.Recorder.Len(), traceOut)
 	}
 	if !rep.Failed() {
 		fmt.Printf("ok: all oracles passed (%d messages, %d cycles)\n", rep.Offered, rep.Cycles)

@@ -26,7 +26,15 @@ func main() {
 	scale := flag.Int("scale", 0, "re-evaluate Table 3 for an N-endpoint network (power of two >= 8)")
 	flag.Parse()
 
-	if *scale > 0 {
+	if *bytes < 0 {
+		fmt.Fprintf(os.Stderr, "metrolat: -bytes %d is negative\n", *bytes)
+		os.Exit(2)
+	}
+	if *scale != 0 {
+		if *scale < 8 || *scale&(*scale-1) != 0 {
+			fmt.Fprintf(os.Stderr, "metrolat: -scale %d is not a power of two >= 8\n", *scale)
+			os.Exit(2)
+		}
 		printScaled(*scale, *bytes)
 		return
 	}

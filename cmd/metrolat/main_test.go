@@ -16,3 +16,17 @@ func TestGoldenTables(t *testing.T) {
 		})
 	}
 }
+
+// TestRejectsBadFlags checks the scale and message size before anything
+// runs: a value the tool cannot serve exits 2 with one line naming the
+// flag.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "12"},
+		{"-scale", "4"},
+		{"-scale", "-8"},
+		{"-bytes", "-1"},
+	} {
+		clitest.Rejects(t, "metrolat", args...)
+	}
+}

@@ -52,8 +52,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *stage >= len(params.Spec.Stages) || *router >= len(n.Routers[*stage]) {
-		fatal(fmt.Errorf("no router s%dr%d in this network", *stage, *router))
+	switch {
+	case *stage < 0 || *stage >= len(n.Routers):
+		usage("-stage %d outside [0, %d)", *stage, len(n.Routers))
+	case *router < 0 || *router >= len(n.Routers[*stage]):
+		usage("-router %d outside [0, %d) at stage %d", *router, len(n.Routers[*stage]), *stage)
+	case *bit >= uint(params.Width):
+		usage("-bit %d outside the %d-bit payload", *bit, params.Width)
 	}
 
 	// Attach scan infrastructure to every router.
@@ -212,4 +217,10 @@ func boundaryTest(n *netsim.Network, taps [][]*scan.MultiTAP, upStage, j, bp int
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "metroscan:", err)
 	os.Exit(1)
+}
+
+// usage reports a flag value the network cannot serve and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "metroscan: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -13,3 +13,18 @@ import (
 func TestGoldenLocalization(t *testing.T) {
 	clitest.Golden(t, "localize", "metroscan")
 }
+
+// TestRejectsBadFlags checks the fault location and bit before anything
+// runs: a value the tool cannot serve exits 2 with one line naming the
+// flag.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-stage", "-1"},
+		{"-stage", "3"},
+		{"-router", "-1"},
+		{"-router", "99"},
+		{"-bit", "8"},
+	} {
+		clitest.Rejects(t, "metroscan", args...)
+	}
+}

@@ -44,7 +44,6 @@ func main() {
 	openloop := flag.Bool("openloop", false, "Bernoulli (open-loop) injection instead of processor-stall")
 	hist := flag.Bool("hist", false, "print the latency histogram of the highest-load point")
 	traceOut := flag.String("trace", "", "rerun the highest-load point with the flight recorder and write its mtr1 trace to this file")
-	metrics := flag.Bool("metrics", false, "rerun the highest-load point with the flight recorder and print its telemetry summary")
 	workers := flag.Int("workers", 0, "partitions of the unit eval, one goroutine each; 1 is inline, 0 lets the engine choose from the network's size (inline for every preset here; results are bit-identical either way)")
 	flag.Parse()
 
@@ -133,17 +132,16 @@ func main() {
 		run.Load = last.OfferedLoad
 		printHistogram(run, *openloop)
 	}
-	if (*traceOut != "" || *metrics) && len(points) > 0 {
+	if *traceOut != "" && len(points) > 0 {
 		run.Load = points[len(points)-1].OfferedLoad
-		recordPoint(run, *openloop, *traceOut, *metrics)
+		recordPoint(run, *openloop, *traceOut)
 	}
 }
 
-// recordPoint reruns one load point with the flight recorder attached,
-// writing the recorded trace and/or printing its telemetry summary.
-// Reruns are deterministic, so the recorded point is the same
-// experiment the sweep's last row reported.
-func recordPoint(run metro.RunSpec, openloop bool, traceOut string, metrics bool) {
+// recordPoint reruns one load point with the flight recorder attached
+// and writes the recorded trace. Reruns are deterministic, so the
+// recorded point is the same experiment the sweep's last row reported.
+func recordPoint(run metro.RunSpec, openloop bool, traceOut string) {
 	rec := telemetry.New(telemetry.Options{})
 	run.Net.Recorder = rec
 	var err error
@@ -156,17 +154,11 @@ func recordPoint(run metro.RunSpec, openloop bool, traceOut string, metrics bool
 		fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
 		os.Exit(1)
 	}
-	if traceOut != "" {
-		if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace: %d events written to %s\n", rec.Len(), traceOut)
+	if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
+		fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
+		os.Exit(1)
 	}
-	if metrics {
-		fmt.Printf("\ntelemetry at offered load %.2f:\n", run.Load)
-		fmt.Print(telemetry.Summarize(rec.Snapshot()).Render())
-	}
+	fmt.Printf("\ntrace: %d events written to %s\n", rec.Len(), traceOut)
 }
 
 // printHistogram reruns one load point collecting raw per-message

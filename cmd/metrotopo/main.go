@@ -31,12 +31,29 @@ func main() {
 
 	spec, ok := topo.Preset(*network)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "metrotopo: unknown network %q\n", *network)
-		os.Exit(2)
+		usage("unknown -network %q", *network)
 	}
-	if *wiring == "random" {
+	switch *wiring {
+	case "interleave":
+	case "random":
 		spec.Wiring = metro.WiringRandom
 		spec.Seed = *seed
+	default:
+		usage("unknown -wiring %q (want interleave or random)", *wiring)
+	}
+	var pair [2]int // -paths src,dest
+	if *paths != "" {
+		parts := strings.Split(*paths, ",")
+		if len(parts) != 2 {
+			usage("-paths %q: want src,dest", *paths)
+		}
+		for i, p := range parts {
+			v, err := strconv.Atoi(strings.TrimSpace(p))
+			if err != nil || v < 0 || v >= spec.Endpoints {
+				usage("-paths %q: endpoint %q is not a number in [0, %d)", *paths, p, spec.Endpoints)
+			}
+			pair[i] = v
+		}
 	}
 
 	top, err := metro.BuildTopology(spec)
@@ -62,13 +79,7 @@ func main() {
 		top.RouterCount(), top.LinkCount(), top.PathCount(0, spec.Endpoints-1))
 
 	if *paths != "" {
-		parts := strings.Split(*paths, ",")
-		if len(parts) != 2 {
-			fmt.Fprintln(os.Stderr, "metrotopo: -paths wants src,dest")
-			os.Exit(2)
-		}
-		src, _ := strconv.Atoi(strings.TrimSpace(parts[0]))
-		dest, _ := strconv.Atoi(strings.TrimSpace(parts[1]))
+		src, dest := pair[0], pair[1]
 		fmt.Printf("paths %d -> %d: %d (routing digits %v)\n",
 			src, dest, top.PathCount(src, dest), top.RouteDigits(dest))
 	}
@@ -100,4 +111,10 @@ func main() {
 			fmt.Printf("  all %d single-router losses tolerated: every endpoint pair stays connected\n", total)
 		}
 	}
+}
+
+// usage reports a flag value the tool cannot serve and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "metrotopo: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -20,3 +20,19 @@ func TestGolden(t *testing.T) {
 		clitest.Golden(t, "survive", "metrotopo", "-survive")
 	})
 }
+
+// TestRejectsBadFlags checks the network, wiring and endpoint pair
+// before anything runs: a value the tool cannot serve exits 2 with one
+// line naming the flag.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-paths", "x,y"},
+		{"-paths", "0,999"},
+		{"-paths", "-1,3"},
+		{"-paths", "1"},
+		{"-wiring", "bogus"},
+		{"-network", "bogus"},
+	} {
+		clitest.Rejects(t, "metrotopo", args...)
+	}
+}

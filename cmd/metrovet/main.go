@@ -18,9 +18,7 @@
 //
 // Flags:
 //
-//	-json                 emit findings as the metrovet JSON report
 //	-rules                print the rule set and exit
-//	-machines             print the extracted protocol state machines
 //	-write-machines dir   write the extracted machine tables to dir
 //	-check-machines dir   diff the extracted tables against dir, exit 1
 //	                      on any difference (the CI golden gate)
@@ -35,9 +33,7 @@
 //	-v                    also print type-checker diagnostics (normally
 //	                      silent: a tree that builds has none)
 //
-// Exit codes: 0 clean, 1 findings, 2 usage or internal error. The -json
-// document is byte-stable for a given tree and is pinned by a golden
-// test.
+// Exit codes: 0 clean, 1 findings, 2 usage or internal error.
 package main
 
 import (
@@ -50,9 +46,7 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as the metrovet JSON report")
 	listRules := flag.Bool("rules", false, "print the rule set and exit")
-	printMachines := flag.Bool("machines", false, "print the extracted protocol state machines")
 	writeMachines := flag.String("write-machines", "", "write extracted machine tables to `dir`")
 	checkMachines := flag.String("check-machines", "", "diff extracted tables against `dir`, exit 1 on any difference")
 	bce := flag.Bool("bce", false, "diff surviving hot-path bounds checks against the allowlist")
@@ -78,12 +72,12 @@ func main() {
 		return
 	}
 
-	if *printMachines || *writeMachines != "" || *checkMachines != "" {
+	if *writeMachines != "" || *checkMachines != "" {
 		loader, err := analysis.NewLoader(root)
 		if err != nil {
 			fatal(err)
 		}
-		runMachines(loader, *printMachines, *writeMachines, *checkMachines)
+		runMachines(loader, *writeMachines, *checkMachines)
 		return
 	}
 
@@ -98,14 +92,8 @@ func main() {
 	}
 	findings := res.Findings
 
-	if *jsonOut {
-		if err := analysis.EncodeJSON(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "metrovet: %d finding(s)\n", len(findings))
@@ -114,8 +102,8 @@ func main() {
 }
 
 // runMachines extracts the protocol state machines (analysis.DefaultMachines)
-// and prints, writes, or golden-diffs their transition tables.
-func runMachines(loader *analysis.Loader, print bool, writeDir, checkDir string) {
+// and writes or golden-diffs their transition tables.
+func runMachines(loader *analysis.Loader, writeDir, checkDir string) {
 	bad := false
 	for _, spec := range analysis.DefaultMachines() {
 		pkgs, err := loader.Load(spec.Pattern)
@@ -127,8 +115,7 @@ func runMachines(loader *analysis.Loader, print bool, writeDir, checkDir string)
 			fatal(err)
 		}
 		text := m.Render(spec.Label())
-		switch {
-		case writeDir != "":
+		if writeDir != "" {
 			path := filepath.Join(writeDir, spec.FileName())
 			if err := os.MkdirAll(writeDir, 0o755); err != nil {
 				fatal(err)
@@ -137,22 +124,19 @@ func runMachines(loader *analysis.Loader, print bool, writeDir, checkDir string)
 				fatal(err)
 			}
 			fmt.Printf("metrovet: wrote %s (%d transitions)\n", path, len(m.Transitions))
-		case checkDir != "":
-			path := filepath.Join(checkDir, spec.FileName())
-			want, err := os.ReadFile(path)
-			if err != nil {
-				fatal(err)
+			continue
+		}
+		path := filepath.Join(checkDir, spec.FileName())
+		want, err := os.ReadFile(path)
+		if err != nil {
+			fatal(err)
+		}
+		if diff := analysis.DiffTables(string(want), text); diff != nil {
+			bad = true
+			fmt.Fprintf(os.Stderr, "metrovet: %s: extracted machine differs from %s:\n", spec.Label(), path)
+			for _, l := range diff {
+				fmt.Fprintf(os.Stderr, "  %s\n", l)
 			}
-			if diff := analysis.DiffTables(string(want), text); diff != nil {
-				bad = true
-				fmt.Fprintf(os.Stderr, "metrovet: %s: extracted machine differs from %s:\n", spec.Label(), path)
-				for _, l := range diff {
-					fmt.Fprintf(os.Stderr, "  %s\n", l)
-				}
-			}
-		default:
-			fmt.Print(text)
-			fmt.Println()
 		}
 	}
 	if bad {

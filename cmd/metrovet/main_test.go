@@ -1,7 +1,6 @@
 package main_test
 
 import (
-	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -46,26 +45,14 @@ func TestSelfHost(t *testing.T) {
 	}
 }
 
-// The badpkg goldens pin both emitters on the same fixture run — text
-// and JSON report — including the findings exit code.
+// TestGoldenBadpkgText pins the findings on the fixture package,
+// including the findings exit code.
 func TestGoldenBadpkgText(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs a subprocess; skipped in -short mode")
 	}
 	out := clitest.ExitCode(t, 1, "metrovet", badpkg)
 	clitest.GoldenBytes(t, "badpkg-text", out)
-}
-
-func TestGoldenBadpkgJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs a subprocess; skipped in -short mode")
-	}
-	one := clitest.ExitCode(t, 1, "metrovet", "-json", badpkg)
-	two := clitest.ExitCode(t, 1, "metrovet", "-json", badpkg)
-	if !bytes.Equal(one, two) {
-		t.Fatal("-json output is not byte-stable across runs")
-	}
-	clitest.GoldenBytes(t, "badpkg-json", one)
 }
 
 // BenchmarkMetrovetWholeTree measures the full-repository analysis the

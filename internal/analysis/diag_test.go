@@ -1,10 +1,7 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/token"
-	"strings"
 	"testing"
 )
 
@@ -68,60 +65,5 @@ func TestSortFindingsDeterministic(t *testing.T) {
 		if shuffled[i] != fs[i] {
 			t.Fatalf("sort is input-order dependent at %d", i)
 		}
-	}
-}
-
-func TestFingerprintLineIndependent(t *testing.T) {
-	a := diagFixtureFindings()[0]
-	b := a
-	b.Pos.Line, b.Pos.Column = 999, 1
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Error("fingerprint must not depend on position within the file")
-	}
-	c := a
-	c.Msg = "different"
-	if Fingerprint(a) == Fingerprint(c) {
-		t.Error("fingerprint must depend on the message")
-	}
-}
-
-func TestEncodeJSONByteStable(t *testing.T) {
-	fs := diagFixtureFindings()
-	SortFindings(fs)
-	var one, two bytes.Buffer
-	if err := EncodeJSON(&one, fs); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeJSON(&two, fs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(one.Bytes(), two.Bytes()) {
-		t.Error("EncodeJSON is not byte-stable across calls")
-	}
-	var doc struct {
-		Version  int           `json:"version"`
-		Count    int           `json:"count"`
-		Findings []FindingJSON `json:"findings"`
-	}
-	if err := json.Unmarshal(one.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if doc.Count != 3 || len(doc.Findings) != 3 {
-		t.Fatalf("count = %d, findings = %d, want 3", doc.Count, len(doc.Findings))
-	}
-	if doc.Findings[0].ID != "MV007" || doc.Findings[0].Col != 3 {
-		t.Errorf("first finding = %+v, want MV007 at col 3", doc.Findings[0])
-	}
-	if doc.Findings[0].Fingerprint == "" {
-		t.Error("fingerprint missing from JSON finding")
-	}
-
-	// Empty finding lists render an empty array, not null.
-	one.Reset()
-	if err := EncodeJSON(&one, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(one.String(), "null") {
-		t.Errorf("empty report must not contain null:\n%s", one.String())
 	}
 }

@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,12 +46,12 @@ func Add(a, b int) int { return a + b }
 }
 
 // TestRunTreeDeterministic: two runs over the same tree, each with its
-// own loader and importer, encode to the same -json bytes, and the paths
+// own loader and importer, print the same finding lines, and the paths
 // in them are module-relative.
 func TestRunTreeDeterministic(t *testing.T) {
 	root := scaffoldModule(t)
-	var docs [2]bytes.Buffer
-	for i := range docs {
+	var lines [2]strings.Builder
+	for i := range lines {
 		res, err := RunTree(root, TreeOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -63,12 +63,10 @@ func TestRunTreeDeterministic(t *testing.T) {
 			if filepath.IsAbs(f.Pos.Filename) {
 				t.Fatalf("finding path not module-relative: %s", f.Pos.Filename)
 			}
-		}
-		if err := EncodeJSON(&docs[i], res.Findings); err != nil {
-			t.Fatal(err)
+			lines[i].WriteString(f.String() + "\n")
 		}
 	}
-	if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
-		t.Fatalf("-json differs between runs:\n%s\n%s", &docs[0], &docs[1])
+	if lines[0].String() != lines[1].String() {
+		t.Fatalf("findings differ between runs:\n%s\n%s", lines[0].String(), lines[1].String())
 	}
 }

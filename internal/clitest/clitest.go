@@ -75,6 +75,23 @@ func ExitCode(t *testing.T, want int, tool string, args ...string) []byte {
 	return out
 }
 
+// Rejects executes the tool with a flag value it cannot serve, given
+// first in args, and asserts the usage failure: exit status 2 and one
+// line of output that names that flag, with no goroutine trace. Like the
+// goldens it execs a subprocess, so it is skipped under -short.
+func Rejects(t *testing.T, tool string, args ...string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("execs a subprocess; skipped in -short mode")
+	}
+	out := ExitCode(t, 2, tool, args...)
+	if bytes.Count(out, []byte("\n")) != 1 || !bytes.Contains(out, []byte(args[0])) ||
+		bytes.Contains(out, []byte("goroutine")) {
+		t.Fatalf("metro/cmd/%s %s: want one line naming %s, got:\n%s",
+			tool, strings.Join(args, " "), args[0], out)
+	}
+}
+
 // Golden runs the tool and compares its combined output against
 // testdata/<name>.golden in the calling package, rewriting the file
 // when -update is set. CLI golden tests compile and exec a

@@ -442,7 +442,11 @@ func (r *Router) SetTurnDelay(port, delay int) error {
 }
 
 // SetFastReclaim selects the path reclamation mode of forward port fp
-// during operation (Section 5.1: the tradeoff may be handled dynamically).
+// during operation, as a scan CONFIG load of the Table 2 register would.
+// Section 5.1 says the tradeoff may be handled dynamically: in the mixed
+// mode a portion of the network, such as one stage, is switched to
+// detailed blocked replies (on = false) to gather information about where
+// connections block, while the rest recovers fast.
 func (r *Router) SetFastReclaim(fp int, on bool) {
 	s := r.ownSettings()
 	s.FastReclaim = withPort(s.FastReclaim, fp, r.cfg.Inputs, on)

@@ -10,7 +10,6 @@
 package netsim
 
 import (
-	"slices"
 	"strconv"
 
 	"metro/internal/clock"
@@ -47,13 +46,9 @@ type Params struct {
 	// Table 2 turn-delay registers record the per-port values.
 	StageLinkDelays []int
 	// FastReclaim selects fast path reclamation on every forward port;
-	// false selects detailed blocked replies everywhere.
+	// false selects detailed blocked replies everywhere. Mixed mode is set
+	// per port after Build (core.Router.SetFastReclaim).
 	FastReclaim bool
-	// DetailedStages lists stages whose routers use detailed blocked
-	// replies regardless of FastReclaim — the paper's mixed mode, where a
-	// portion of the network is selected for information gathering while
-	// the rest recovers fast (Section 5.1, Path Reclamation).
-	DetailedStages []int
 	// FirstFreeSelection replaces stochastic output selection with the
 	// deterministic first-free ablation on every router.
 	FirstFreeSelection bool
@@ -341,7 +336,7 @@ func Build(p Params) (*Network, error) {
 		}
 		set := core.DefaultSettings(cfg)
 		set.Dilation = st.Dilation
-		if !p.FastReclaim || slices.Contains(p.DetailedStages, s) {
+		if !p.FastReclaim {
 			set.FastReclaim = 0 // every forward port holds for a detailed reply
 		}
 		for port := range set.TurnDelay {

@@ -306,33 +306,23 @@ func TestResponderDelayHoldsConnection(t *testing.T) {
 }
 
 // TestMixedReclamationMode reproduces the paper's dynamic tradeoff: with
-// detailed replies enabled only on the final stage, blocks there return
-// stage-identifying status replies while blocks at earlier stages recover
-// via the fast BCB.
+// detailed replies enabled only on the final stage's ports, blocks there
+// return stage-identifying status replies while blocks at earlier stages
+// recover via the fast BCB.
 func TestMixedReclamationMode(t *testing.T) {
 	n := buildFig1(t, func(p *Params) {
 		p.FastReclaim = true
-		p.DetailedStages = []int{2}
 		p.MaxActiveSenders = 1
 		p.RetryLimit = 500
 	})
+	setDetailed(n, 2)
 	// Hammer one destination: final-stage delivery contention guarantees
 	// detailed blocks at stage 2, while earlier-stage contention stays
 	// fast.
-	want := 0
-	for src := 0; src < 16; src++ {
-		if src == 9 {
-			continue
-		}
-		n.Send(src, 9, []byte{byte(src)})
-		want++
-	}
-	if !n.RunUntilQuiet(500000) {
-		t.Fatal("network did not go quiet")
-	}
+	hammerDest9(t, n)
 	res := n.Results()
-	if len(res) != want {
-		t.Fatalf("completed %d of %d", len(res), want)
+	if len(res) != 15 {
+		t.Fatalf("completed %d of 15", len(res))
 	}
 	detailed, detailedAtFinal := 0, 0
 	for _, r := range res {

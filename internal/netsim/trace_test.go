@@ -94,17 +94,17 @@ func TestTraceCoversEveryMsgAndConnKind(t *testing.T) {
 		Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
 		FastReclaim: true, Seed: 71, RetryLimit: 600, ListenTimeout: 200,
 	}
-	mixed, starved := base, base
-	mixed.DetailedStages = []int{1}
+	starved := base
 	starved.RetryLimit = 1
 	scenarios := []struct {
 		name  string
 		p     Params
-		fault func(*Network)
+		setup func(*Network) // applied right after Build; nil: none
+		fault func(*Network) // applied at cycle 100; nil: none
 	}{
-		{"congested, detailed replies at stage 1", mixed, nil},
-		{"retry budget of one", starved, nil},
-		{"corrupted injection link", base, func(n *Network) {
+		{"congested, detailed replies at stage 1", base, func(n *Network) { setDetailed(n, 1) }, nil},
+		{"retry budget of one", starved, nil, nil},
+		{"corrupted injection link", base, nil, func(n *Network) {
 			flip := func(w word.Word) word.Word {
 				if w.Kind == word.Data {
 					w.Payload ^= 1
@@ -113,7 +113,7 @@ func TestTraceCoversEveryMsgAndConnKind(t *testing.T) {
 			}
 			n.InjectLink(0, 0).SetCorruptor(flip, flip)
 		}},
-		{"killed router", base, func(n *Network) { n.KillRouter(1, 0) }},
+		{"killed router", base, nil, func(n *Network) { n.KillRouter(1, 0) }},
 	}
 	seen := map[telemetry.Kind]int{}
 	for _, sc := range scenarios {
@@ -123,6 +123,9 @@ func TestTraceCoversEveryMsgAndConnKind(t *testing.T) {
 		n, err := Build(p)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
+		}
+		if sc.setup != nil {
+			sc.setup(n)
 		}
 		rng := rand.New(rand.NewSource(17))
 		eps := p.Spec.Endpoints
