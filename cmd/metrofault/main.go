@@ -41,11 +41,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrofault: unknown -kind %q (want router or link)\n", *kind)
 		os.Exit(2)
 	}
+	pool := killPool(*kind)
 	var counts []int
 	for _, s := range strings.Split(*countsArg, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || v < 0 {
 			fmt.Fprintf(os.Stderr, "metrofault: bad -counts entry %q (want a fault count >= 0)\n", s)
+			os.Exit(2)
+		}
+		if v > pool {
+			fmt.Fprintf(os.Stderr, "metrofault: -counts entry %d exceeds the %d distinct %s kills the network offers\n", v, pool, *kind)
 			os.Exit(2)
 		}
 		counts = append(counts, v)
@@ -83,6 +88,32 @@ func main() {
 	fmt.Print(t.String())
 	fmt.Println("\nlatency degrades gracefully: stochastic path selection routes retries around faults")
 }
+
+// killPool returns how many distinct faults of kind a sweep point can
+// fire on the Figure 3 network: its routers in stages 0-1 for router
+// kills, every router output link for link kills, the pools
+// RandomRouterKills and RandomLinkKills draw from without repeating.
+func killPool(kind string) int {
+	t, err := metro.BuildTopology(metro.Figure3Topology())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "metrofault: %v\n", err)
+		os.Exit(1)
+	}
+	n := 0
+	for s, routers := range t.RoutersPerStage {
+		switch {
+		case kind == "link":
+			n += routers * t.Spec.Stages[s].Outputs()
+		case s < killStages:
+			n += routers
+		}
+	}
+	return n
+}
+
+// killStages is how many stages, from the source side, router kills
+// pick from.
+const killStages = 2
 
 // writeTrace writes the recorded sweep point to traceOut and reports it
 // on stdout, before the sweep table, which the caller prints when the
@@ -131,7 +162,7 @@ func runWithFaults(kind string, count int, load float64, msgBytes int,
 	if count > 0 {
 		switch kind {
 		case "router":
-			plan = metro.RandomRouterKills(n, count, 2, seed+1, warmup, warmup+window)
+			plan = metro.RandomRouterKills(n, count, killStages, seed+1, warmup, warmup+window)
 		case "link":
 			plan = metro.RandomLinkKills(n, count, seed+1, warmup, warmup+window)
 		}

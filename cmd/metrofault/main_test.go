@@ -37,6 +37,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-kind", "bogus"},
 		{"-counts", "x"},
 		{"-counts", "0,-1"},
+		{"-counts", "1000", "-measure", "100", "-window", "100", "-warmup", "100"},
+		{"-counts", "0,1000", "-kind", "link"},
 	} {
 		clitest.Rejects(t, "metrofault", args...)
 	}

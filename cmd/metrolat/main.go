@@ -30,6 +30,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrolat: -bytes %d is negative\n", *bytes)
 		os.Exit(2)
 	}
+	// A flag the chosen output ignores is an error, not a silent no-op.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["table"] && *scale != 0:
+		fmt.Fprintln(os.Stderr, "metrolat: -table does not apply with -scale, which always re-evaluates Table 3")
+		os.Exit(2)
+	case set["bytes"] && *scale == 0 && (*table == 4 || *table == 5):
+		fmt.Fprintf(os.Stderr, "metrolat: -bytes does not apply to -table %d, whose rows are fixed at t20,32\n", *table)
+		os.Exit(2)
+	}
 	if *scale != 0 {
 		if *scale < 8 || *scale&(*scale-1) != 0 {
 			fmt.Fprintf(os.Stderr, "metrolat: -scale %d is not a power of two >= 8\n", *scale)

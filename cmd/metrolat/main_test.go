@@ -26,6 +26,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-scale", "4"},
 		{"-scale", "-8"},
 		{"-bytes", "-1"},
+		{"-bytes", "64", "-table", "4"},
+		{"-bytes", "20", "-table", "5"},
+		{"-table", "3", "-scale", "16"},
 	} {
 		clitest.Rejects(t, "metrolat", args...)
 	}

@@ -1,5 +1,7 @@
 package metrofuzz
 
+import "slices"
+
 // Tagged payloads let the delivery and payload oracles attribute every
 // destination-side delivery to the exact offered message, independent of
 // the network's own end-to-end CRC: each payload carries a harness
@@ -22,15 +24,17 @@ package metrofuzz
 // (nic.UnpackBytes recovers whole words); the declared-length byte lets
 // DecodePayload strip that padding while still rejecting truncation.
 
-// EncodePayload builds the tagged payload for one offered message.
+// AppendPayload appends the tagged payload for one offered message to dst
+// and returns the extended slice.
 //
 //metrovet:truncate by design: the tag is the ID's little-endian bytes; src, dest and n fit a byte because Scenario.Validate bounds payloads to [8,64] and fuzz topologies keep endpoint counts far below 256
-func EncodePayload(id uint32, src, dest, n int) []byte {
+func AppendPayload(dst []byte, id uint32, src, dest, n int) []byte {
 	if n < MinPayloadBytes {
 		n = MinPayloadBytes
 	}
-	//metrovet:alloc one tagged payload per offered message, not a per-cycle path
-	p := make([]byte, n)
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	p := dst[start:]
 	p[0] = byte(id)
 	p[1] = byte(id >> 8)
 	p[2] = byte(id >> 16)
@@ -46,7 +50,7 @@ func EncodePayload(id uint32, src, dest, n int) []byte {
 		x ^= b
 	}
 	p[n-1] = x
-	return p
+	return dst
 }
 
 // DecodePayload validates a delivered payload and recovers its tag.

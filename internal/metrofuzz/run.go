@@ -2,10 +2,12 @@ package metrofuzz
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
+	"sync"
 
 	"metro/internal/clock"
 	"metro/internal/fault"
@@ -47,6 +49,8 @@ type Hooks struct {
 	// harness records them (a delivery-path bug).
 	TamperDeliver func(dest int, payload []byte, intact bool) ([]byte, bool)
 	// DropResult suppresses completion records (a lost-completion bug).
+	// The result's Msg.Payload is valid until Run returns: the payload
+	// buffer is recycled for a later leg.
 	DropResult func(nic.Result) bool
 	// Recorder, when set, attaches the telemetry flight recorder to the
 	// primary leg — the leg the oracles audit — so any
@@ -161,6 +165,7 @@ func Run(s Scenario, h Hooks) *Report {
 	r.checkConservation(primary)
 	r.checkDelivery(s, primary)
 	r.checkPayload(s, h, primary)
+	defer primary.release()
 
 	if s.Workers > 0 {
 		par, err := runLeg(s, h, legConfig{workers: s.Workers, fixedCycles: primary.cycles})
@@ -169,6 +174,7 @@ func Run(s Scenario, h Hooks) *Report {
 			return r
 		}
 		r.diffLegs("differential", "parallel", primary, par)
+		par.release()
 	}
 	if h.KernelOracle {
 		ref, err := runLeg(s, h, legConfig{workers: 1, reference: true, fixedCycles: primary.cycles})
@@ -177,6 +183,7 @@ func Run(s Scenario, h Hooks) *Report {
 			return r
 		}
 		r.diffLegs("kernel", "reference", primary, ref)
+		ref.release()
 	}
 	return r
 }
@@ -209,16 +216,75 @@ type offer struct {
 	At        uint64
 }
 
-// legOut is everything one engine leg produced.
+// legOut is everything one engine leg produced. Legs recycle through
+// legPool: a leg's ledgers and traffic source are what the next leg, in
+// this Run or the next, would otherwise allocate again.
 type legOut struct {
 	topo         *topo.Topology // the leg network's, for the reachability oracle
-	offers       []offer
+	offers       []offer        // in ascending ID order: the injector numbers them as it offers
 	results      []nic.Result
 	deliveries   []delivery
 	fired        []fault.Event
 	cycles       uint64
 	progressErr  string
 	invariantErr string
+
+	rng      *rand.Rand // the injector's traffic source
+	payloads []byte     // backs every offer's Payload, one after another
+	counts   []int32    // the oracles' per-offer tallies (perOffer)
+}
+
+// legPool holds released legs. A sync.Pool rather than a free list: the
+// collector empties it, so an idle process keeps none of it live.
+var legPool sync.Pool
+
+// newLeg returns an empty leg for s whose ledgers and payload buffer hold
+// its message budget without growing, and whose traffic source is seeded
+// with s.TrafficSeed: Seed on a reused source yields exactly the stream of
+// rand.NewSource(seed).
+func newLeg(s Scenario) *legOut {
+	leg, _ := legPool.Get().(*legOut)
+	if leg == nil {
+		leg = &legOut{rng: rand.New(rand.NewSource(s.TrafficSeed))}
+	} else {
+		leg.rng.Seed(s.TrafficSeed)
+	}
+	leg.offers = slices.Grow(leg.offers, s.Messages)
+	leg.results = slices.Grow(leg.results, s.Messages)
+	leg.deliveries = slices.Grow(leg.deliveries, s.Messages)
+	leg.payloads = slices.Grow(leg.payloads, s.Messages*max(s.PayloadBytes, MinPayloadBytes))
+	return leg
+}
+
+// release returns the leg to legPool. Its ledgers are cleared first, so a
+// pooled leg keeps no payload, result or topology alive.
+func (l *legOut) release() {
+	clear(l.offers)
+	clear(l.results)
+	clear(l.deliveries)
+	*l = legOut{
+		offers: l.offers[:0], results: l.results[:0], deliveries: l.deliveries[:0],
+		rng: l.rng, payloads: l.payloads[:0], counts: l.counts,
+	}
+	legPool.Put(l)
+}
+
+// perOffer returns a zeroed tally with one entry per offer. It reuses one
+// buffer, so each oracle is done with its tally before the next asks.
+func (l *legOut) perOffer() []int32 {
+	l.counts = slices.Grow(l.counts[:0], len(l.offers))[:len(l.offers)]
+	clear(l.counts)
+	return l.counts
+}
+
+// offerIndex returns the index in leg.offers of the offer with the given
+// ID, or -1 when no offer carries it.
+func (l *legOut) offerIndex(id uint32) int {
+	i, ok := slices.BinarySearchFunc(l.offers, id, func(o offer, id uint32) int { return cmp.Compare(o.ID, id) })
+	if !ok {
+		return -1
+	}
+	return i
 }
 
 // legConfig selects how one leg executes: the compiled kernel at a
@@ -242,13 +308,9 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	}
 	// Every offer yields one result and, fault-free, one delivery: the
 	// message budget sizes all three up front.
-	leg := &legOut{
-		offers:     make([]offer, 0, s.Messages),
-		results:    make([]nic.Result, 0, s.Messages),
-		deliveries: make([]delivery, 0, s.Messages),
-	}
+	leg := newLeg(s)
 	delivered := 0 // running count of leg.results with Delivered set
-	inj := &injector{s: s, leg: leg, rng: rand.New(rand.NewSource(s.TrafficSeed))}
+	inj := &injector{s: s, leg: leg, rng: leg.rng}
 	p := netsim.Params{
 		Spec:               spec,
 		Width:              s.Width,
@@ -291,6 +353,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	}
 	n, err := netsim.Build(p)
 	if err != nil {
+		leg.release()
 		return nil, err
 	}
 	defer n.Close()
@@ -322,6 +385,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	if lc.fixedCycles > 0 {
 		for n.Engine.Cycle() < lc.fixedCycles {
 			if n.Engine.Cycle()%period == 0 && !observe(n.Engine.Cycle()) {
+				leg.release()
 				return nil, fmt.Errorf("cycle %d: %w", n.Engine.Cycle(), ErrCanceled)
 			}
 			n.Engine.Step()
@@ -349,6 +413,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	for {
 		cycle := n.Engine.Cycle()
 		if cycle%period == 0 && !observe(cycle) {
+			leg.release()
 			return nil, fmt.Errorf("cycle %d: %w", cycle, ErrCanceled)
 		}
 		if inj.done(cycle) && n.Quiet() {
@@ -506,7 +571,9 @@ func (i *injector) offerFrom(src int, cycle uint64) {
 		dest++
 	}
 	i.nextID++
-	payload := EncodePayload(i.nextID, src, dest, i.s.PayloadBytes)
+	at := len(i.leg.payloads)
+	i.leg.payloads = AppendPayload(i.leg.payloads, i.nextID, src, dest, i.s.PayloadBytes)
+	payload := i.leg.payloads[at:len(i.leg.payloads):len(i.leg.payloads)]
 	i.net.Send(src, dest, payload)
 	//metrovet:alloc harness ledger entry, bounded by the message budget
 	i.leg.offers = append(i.leg.offers, offer{
@@ -521,30 +588,27 @@ func (i *injector) offerFrom(src int, cycle uint64) {
 // Result carrying the offered identity — no losses, no duplicates, no
 // fabrications.
 func (r *Report) checkConservation(leg *legOut) {
-	byID := make(map[uint32]offer, len(leg.offers))
-	for _, o := range leg.offers {
-		byID[o.ID] = o
-	}
-	seen := make(map[uint32]int)
+	seen := leg.perOffer() // completions per offer
 	for i, res := range leg.results {
 		id, src, dest, ok := DecodePayload(res.Msg.Payload)
 		if !ok {
 			r.fail("conservation", "result %d carries an unparseable payload (msg %d)", i, res.Msg.ID)
 			continue
 		}
-		o, known := byID[id]
-		if !known {
+		k := leg.offerIndex(id)
+		if k < 0 {
 			r.fail("conservation", "result %d reports message %d that was never offered", i, id)
 			continue
 		}
+		o := leg.offers[k]
 		if res.Msg.Src != o.Src || res.Msg.Dest != o.Dest || src != o.Src || dest != o.Dest {
 			r.fail("conservation", "result for message %d has src/dest %d->%d, offered %d->%d",
 				id, res.Msg.Src, res.Msg.Dest, o.Src, o.Dest)
 		}
-		seen[id]++
+		seen[k]++
 	}
-	for _, o := range leg.offers {
-		switch c := seen[o.ID]; {
+	for k, o := range leg.offers {
+		switch c := seen[k]; {
 		case c == 0:
 			r.fail("conservation", "message %d (%d->%d, offered cycle %d) never completed",
 				o.ID, o.Src, o.Dest, o.At)
@@ -560,13 +624,15 @@ func (r *Report) checkConservation(leg *legOut) {
 // fault-free scenario every message arrives exactly once (duplicates
 // come only from fault-corrupted acknowledgments).
 func (r *Report) checkDelivery(s Scenario, leg *legOut) {
-	intact := make(map[uint32]int)
+	intact := leg.perOffer() // intact arrivals per offer
 	for _, d := range leg.deliveries {
 		if !d.Intact {
 			continue
 		}
 		if id, _, _, ok := DecodePayload(d.Payload); ok {
-			intact[id]++
+			if k := leg.offerIndex(id); k >= 0 {
+				intact[k]++
+			}
 		}
 	}
 	view := newFaultView(leg)
@@ -583,7 +649,12 @@ func (r *Report) checkDelivery(s Scenario, leg *legOut) {
 		if !ok {
 			continue // conservation already flagged it
 		}
-		k := intact[id]
+		var k int
+		if i := leg.offerIndex(id); i >= 0 {
+			k = int(intact[i])
+		} else {
+			k = leg.intactArrivals(id) // conservation flagged it; count as before
+		}
 		if res.Delivered {
 			r.Delivered++
 			if k == 0 {
@@ -619,10 +690,6 @@ func (r *Report) checkDelivery(s Scenario, leg *legOut) {
 // offered; fault-free runs see no corrupt deliveries at all. This is the
 // end-to-end data-integrity oracle, independent of the network's CRC.
 func (r *Report) checkPayload(s Scenario, h Hooks, leg *legOut) {
-	byID := make(map[uint32]offer, len(leg.offers))
-	for _, o := range leg.offers {
-		byID[o.ID] = o
-	}
 	faulty := len(s.Faults) > 0
 	for i, d := range leg.deliveries {
 		if !d.Intact {
@@ -636,11 +703,12 @@ func (r *Report) checkPayload(s Scenario, h Hooks, leg *legOut) {
 			r.fail("payload", "intact delivery %d at endpoint %d does not decode", i, d.Dest)
 			continue
 		}
-		o, known := byID[id]
-		if !known {
+		k := leg.offerIndex(id)
+		if k < 0 {
 			r.fail("payload", "intact delivery %d carries unknown message %d", i, id)
 			continue
 		}
+		o := leg.offers[k]
 		if dest != d.Dest || o.Dest != d.Dest || o.Src != src {
 			r.fail("payload", "message %d (%d->%d) delivered to endpoint %d", id, o.Src, o.Dest, d.Dest)
 			continue
@@ -665,7 +733,7 @@ func (r *Report) diffLegs(oracle, legName string, serial, other *legOut) {
 		if i >= len(other.results) {
 			break
 		}
-		if !reflect.DeepEqual(serial.results[i], other.results[i]) {
+		if !sameResult(&serial.results[i], &other.results[i]) {
 			r.fail(oracle, "result %d diverges: serial %+v, %s %+v",
 				i, serial.results[i], legName, other.results[i])
 			break
@@ -686,6 +754,39 @@ func (r *Report) diffLegs(oracle, legName string, serial, other *legOut) {
 			break
 		}
 	}
+}
+
+// sameResult reports whether a and b are equal as reflect.DeepEqual sees
+// them, field by field and without boxing either: a nil Payload or Reply
+// differs from an empty one. TestSameResultMatchesDeepEqual walks every
+// field of nic.Result, so a field added there fails until it is compared
+// here.
+func sameResult(a, b *nic.Result) bool {
+	return a.Msg.ID == b.Msg.ID && a.Msg.Src == b.Msg.Src && a.Msg.Dest == b.Msg.Dest &&
+		sameBytes(a.Msg.Payload, b.Msg.Payload) && a.Msg.Created == b.Msg.Created &&
+		a.Delivered == b.Delivered && sameBytes(a.Reply, b.Reply) &&
+		a.Retries == b.Retries && a.BlockedFast == b.BlockedFast &&
+		a.BlockedDetailed == b.BlockedDetailed && a.LastBlockedStage == b.LastBlockedStage &&
+		a.ChecksumFailures == b.ChecksumFailures && a.Timeouts == b.Timeouts &&
+		a.SuspectStage == b.SuspectStage && a.Injected == b.Injected && a.Done == b.Done
+}
+
+// sameBytes is reflect.DeepEqual on two byte slices.
+func sameBytes(a, b []byte) bool { return (a == nil) == (b == nil) && bytes.Equal(a, b) }
+
+// intactArrivals counts the intact deliveries that decode to id. The
+// delivery oracle needs it only for a result naming a message nobody
+// offered, so it scans rather than keeping a per-ID table.
+func (l *legOut) intactArrivals(id uint32) int {
+	n := 0
+	for _, d := range l.deliveries {
+		if d.Intact {
+			if got, _, _, ok := DecodePayload(d.Payload); ok && got == id {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // --- structural reachability under faults ------------------------------

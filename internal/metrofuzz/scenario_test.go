@@ -182,9 +182,10 @@ func TestValidateFaultTargets(t *testing.T) {
 // corruption a delivery bug could produce.
 func TestPayloadRoundTrip(t *testing.T) {
 	for _, n := range []int{8, 12, 20, 40, 64} {
-		p := EncodePayload(7001, 3, 12, n)
-		if len(p) != n {
-			t.Fatalf("EncodePayload length %d, want %d", len(p), n)
+		buf := AppendPayload([]byte{0xee}, 7001, 3, 12, n)
+		p := buf[1:]
+		if buf[0] != 0xee || len(p) != n {
+			t.Fatalf("AppendPayload wrote %d bytes after a prefix now %#x, want %d after 0xee", len(p), buf[0], n)
 		}
 		id, src, dest, ok := DecodePayload(p)
 		if !ok || id != 7001 || src != 3 || dest != 12 {

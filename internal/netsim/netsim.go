@@ -506,12 +506,17 @@ func Build(p Params) (*Network, error) {
 
 // Close releases the engine's worker goroutines, which a network has
 // whenever the engine partitions its units (Engine.Partitions > 1: an
-// explicit Workers >= 2, or Workers = 0 on a large network); it is a
-// no-op otherwise. The network remains usable afterwards — the pool
-// restarts lazily on the next Step — so Close is safe to defer
-// unconditionally. Anything that builds networks should call it, so
-// sweeps do not accumulate idle goroutines.
-func (n *Network) Close() { n.Engine.StopWorkers() }
+// explicit Workers >= 2, or Workers = 0 on a large network), and hands
+// the endpoints' idle message records and assembly buffers to the next
+// network built in this process (nic.Shape.Release). The network remains
+// usable afterwards — the pool restarts lazily on the next Step, and the
+// endpoints allocate again — so Close is safe to defer unconditionally.
+// Anything that builds networks should call it, so sweeps do not
+// accumulate idle goroutines or rebuy the storage of the last network.
+func (n *Network) Close() {
+	n.Engine.StopWorkers()
+	n.endpoints.Release(n.Endpoints)
+}
 
 // Send offers a message from src to dest and returns its ID. Call it
 // between steps or from a driver in the serialized epilogue.

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"sync"
 
 	"metro/internal/link"
 	"metro/internal/telemetry"
@@ -271,18 +272,69 @@ func (e *Endpoint) Offer(msg Message) {
 	e.emit(msg.Created, telemetry.EvMsgQueued, msg.ID, msg.Dest, 0)
 }
 
-// newPending takes a record from the pool, or allocates one when every
-// record the network has made is queued, in flight or parked.
+// newPending takes a record from the pool, or, when every record the
+// network has made is queued, in flight or parked, one a released network
+// gave back (spareRecords), or else allocates one.
 //
 //metrovet:alloc grows the network's records to its peak in-flight count, then recycles
 func (sh *Shape) newPending() *pending {
 	p := sh.free
 	if p == nil {
-		return new(pending)
+		if p, _ = spareRecords.Get().(*pending); p == nil {
+			return new(pending)
+		}
+		// A chain: keep its head, give the rest back.
+		if p.next != nil {
+			spareRecords.Put(p.next)
+		}
+	} else {
+		sh.free = p.next
 	}
-	sh.free = p.next
 	p.next = nil
 	return p
+}
+
+// spareRecords and spareWords hold what released networks gave back (see
+// Shape.Release): chains of idle message records, linked through next, and
+// receivers' assembly buffers. They are sync.Pools so the collector empties
+// them, and an idle process keeps none of it live.
+var spareRecords, spareWords sync.Pool
+
+// wordBufs is the unit spareWords holds: empty assembly buffers, for
+// receivers to take one at a time.
+type wordBufs struct{ bufs [][]word.Word }
+
+// Release gives the shape's idle message records, and the assembly buffer
+// of every idle receiver of eps, to the package's spares, where the next
+// network's newPending and receivers find them before they allocate. A
+// record in flight, queued or parked, and a receiver holding a message,
+// keeps what it has. The endpoints remain usable: they allocate again.
+// Like Settle, Release must not run concurrently with a step.
+func (sh *Shape) Release(eps []*Endpoint) {
+	if sh.free != nil {
+		spareRecords.Put(sh.free)
+		sh.free = nil
+	}
+	var b *wordBufs
+	for _, e := range eps {
+		rs := e.receivers
+		for i := range rs {
+			r := &rs[i]
+			if r.state != rIdle || r.delivered || cap(r.words) == 0 {
+				continue
+			}
+			if b == nil {
+				if b, _ = spareWords.Get().(*wordBufs); b == nil {
+					b = new(wordBufs)
+				}
+			}
+			b.bufs = append(b.bufs, r.words[:0])
+			r.words = nil
+		}
+	}
+	if b != nil {
+		spareWords.Put(b)
+	}
 }
 
 // Settle hands what the endpoint finished to the hooks, in the order Eval
@@ -800,10 +852,34 @@ type receiver struct {
 func (r *receiver) reset() { r.state = rIdle }
 
 // start clears the per-message state as a message's first word arrives.
+// A receiver whose hooks read the message and that has no buffer yet takes
+// one a released network gave back.
 func (r *receiver) start() {
 	r.ckWords, r.e2e = 0, 0
 	r.sum.Reset()
+	if r.words == nil && r.e.cfg.readsMessages() {
+		r.words = spareWordBuf()
+	}
 	r.words = r.words[:0]
+}
+
+// spareWordBuf takes one assembly buffer from spareWords, or returns nil.
+// It runs inside Eval, on any engine lane; sync.Pool is safe for that, and
+// two lanes asking at once just leave one of them to allocate. An emptied
+// holder goes back too, for the next Release to fill.
+func spareWordBuf() []word.Word {
+	b, _ := spareWords.Get().(*wordBufs)
+	if b == nil {
+		return nil
+	}
+	var w []word.Word
+	if bufs, n := b.bufs, len(b.bufs)-1; n >= 0 {
+		w = bufs[n]
+		bufs[n] = nil
+		b.bufs = bufs[:n]
+	}
+	spareWords.Put(b)
+	return w
 }
 
 // eval advances the receiver's per-cycle state machine.
@@ -868,7 +944,7 @@ func (r *receiver) assemble(w word.Word, cycle uint64) {
 	switch w.Kind {
 	case word.Data:
 		r.sum.Add(w)
-		if cfg := r.e.cfg; cfg.OnDeliver != nil || cfg.Responder != nil || cfg.ResponderDelay != nil {
+		if r.e.cfg.readsMessages() {
 			//metrovet:alloc buffer reused across messages; grows only until the largest message size
 			r.words = append(r.words, w)
 		}
@@ -949,6 +1025,11 @@ func (r *receiver) replyWord(i int) (w word.Word, last bool) {
 		}
 	}
 	return word.Word{Kind: word.Turn}, true
+}
+
+// readsMessages reports whether a hook reads what receivers assemble.
+func (sh *Shape) readsMessages() bool {
+	return sh.OnDeliver != nil || sh.Responder != nil || sh.ResponderDelay != nil
 }
 
 // deliver flags a closed message for Settle to hand to OnDeliver.

@@ -173,11 +173,11 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 	var live chan streamEvent
 	_, rep := newRun(func(j *job, cycle uint64) {
 		if cycle == attach && live == nil {
-			replay, ch, _ := j.hub.subscribe()
+			replay, sub, _ := j.hub.subscribe()
 			if len(replay) != 0 {
 				t.Errorf("replay holds %d frames; gauge frames must never be kept", len(replay))
 			}
-			live = ch
+			live = sub.ch
 		}
 	})
 	if rep.Cycles <= attach+8 {
@@ -218,9 +218,9 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 	// Nobody attached: nothing is published, and the sink allocates
 	// nothing for the samples it skips.
 	j, _ := newRun(func(*job, uint64) {})
-	replay, ch, cancel := j.hub.subscribe()
-	if len(replay) != 0 || len(ch) != 0 {
-		t.Errorf("unwatched run left %d replayable and %d live frames", len(replay), len(ch))
+	replay, sub, cancel := j.hub.subscribe()
+	if len(replay) != 0 || len(sub.ch) != 0 {
+		t.Errorf("unwatched run left %d replayable and %d live frames", len(replay), len(sub.ch))
 	}
 	cancel()
 	sink := j.gaugeSink(1)
@@ -233,34 +233,41 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 			t.Errorf("gauge sink with no subscriber: %v allocs per batch, want 0", a)
 		}
 	}
-	_, ch, cancel = j.hub.subscribe()
+	_, sub, cancel = j.hub.subscribe()
 	defer cancel()
 	sink(batch)
-	if len(ch) != len(batch) {
-		t.Errorf("%d frames after attaching, want %d", len(ch), len(batch))
+	if len(sub.ch) != len(batch) {
+		t.Errorf("%d frames after attaching, want %d", len(sub.ch), len(batch))
 	}
 }
 
 // TestColdJobAllocBudget pins what one cold job may allocate: a
 // fault-free generated scenario submitted with ?wait=1 to a fresh
-// in-process server, in bytes and in objects. The job needs 166.9-171.1 KB
-// in 1,443-1,463 objects (two Builds, the cycle loop's warm-up growth, the
-// oracle battery, the marshalled result; runs fall in one of two modes); it
-// needed 168.1-174.6 KB in 1,461-1,481 while every router's LFSR was a
-// heap object of its own and every cascade shared a buffered stream,
-// 183.7-187.9 KB in 1,673-1,693 while endpoints, senders and
-// receivers grew their own queue, build, parse and reply buffers and netsim
-// a callback buffer per endpoint, and 185-189 KB in 1,733-1,752 while each
+// in-process server, in bytes and in objects. The job needs 67.0-75.4 KB
+// in 727-749 objects when its two legs, their ledgers and traffic sources,
+// the networks' message records and assembly buffers and the recorder's
+// buffers come back from the pools the run before released, and
+// 114.3-114.7 KB in 1,089-1,095 when one leg and one network's records
+// are found in the other processor's private pool slot, which sync.Pool
+// does not share (runs fall in one of those two modes; a first job in a
+// process, with every pool empty, needs about 140 KB). It needed
+// 166.9-171.1 KB in 1,443-1,463 objects while every leg built its
+// oracles' maps and ledgers afresh and every network its records,
+// 168.1-174.6 KB in 1,461-1,481 while every router's LFSR was a heap
+// object of its own and every cascade shared a buffered stream,
+// 183.7-187.9 KB in 1,673-1,693 while endpoints, senders and receivers
+// grew their own queue, build, parse and reply buffers and netsim a
+// callback buffer per endpoint, and 185-189 KB in 1,733-1,752 while each
 // endpoint kept its own message records. Each ceiling is the upper mode
-// plus 10%, so a recorder ring paid for
-// unwatched (655,360 bytes), a result stored twice or a Build that formats
+// plus 10%, so a recorder ring paid for unwatched (655,360 bytes), a
+// result stored twice, a leg that stops recycling or a Build that formats
 // its names through fmt again fails here before it shows up in the
 // serve_cold benchmark.
 func TestColdJobAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const ceiling, objects = 188_200, 1_610 // per job
+	const ceiling, objects = 126_200, 1_205 // per job
 	scn := metrofuzz.Generate(2)
 	scn.Faults = nil
 	spec := metrofuzz.EncodeSpec(scn)

@@ -267,6 +267,10 @@ func (s *Server) runJob(j *job) {
 	}
 
 	res := buildResult(j, rep, rec)
+	if rec != nil {
+		// The job's networks are closed: its buffers go to the next job.
+		rec.Release()
+	}
 	body := marshalResult(res)
 	if res.Status != StatusDeadline && !panicked {
 		// Deadline outcomes are a property of this server's load, not

@@ -46,12 +46,15 @@ type streamEvent struct {
 // high-rate samples, not a lifecycle), and the terminal "done" event is
 // both appended to history and closes the stream.
 //
-// Subscriber channels are bounded; a subscriber that cannot keep up has
-// events dropped rather than stalling the worker — the simulation's
-// epilogue goroutine must never block on a slow client. Every dropped
-// frame increments serve_sse_dropped_frames_total, and the first drop
-// on each connection is logged once so a slow client is diagnosable
-// without flooding the log.
+// Subscriber channels are bounded; the simulation's epilogue goroutine
+// must never block on a slow client. A subscriber that cannot keep up
+// has gauge frames dropped, and the replayable frames it has no room for
+// wait in the history until it has drained its channel (catchUp), so it
+// loses a progress or "done" frame only once the history has overwritten
+// it, as a late subscriber would. Every dropped frame increments
+// serve_sse_dropped_frames_total, and the first drop on each connection
+// is logged once so a slow client is diagnosable without flooding the
+// log.
 type hub struct {
 	mu    sync.Mutex
 	jobID string
@@ -61,6 +64,7 @@ type hub struct {
 	// events: oldest is the index of its oldest event (0 until it fills).
 	history []streamEvent
 	oldest  int
+	kept    uint64 // replayable events published so far; the newest is kept-1
 	closed  bool
 	dropped uint64 // total frames dropped across all subscribers
 	// watchers mirrors len(subs) for lock-free reads: the gauge forwarder
@@ -72,7 +76,12 @@ type hub struct {
 // subscriber is one attached SSE connection.
 type subscriber struct {
 	ch      chan streamEvent
-	dropped uint64 // frames this connection missed; first one is logged
+	dropped uint64 // frames this connection lost; the first one is logged
+	// behind is set when a replayable event finds ch full: from then on
+	// the connection's replayable events wait in the history, from number
+	// from on, and its gauge frames drop, until catchUp. Both under hub.mu.
+	behind bool
+	from   uint64
 }
 
 // historyBound caps replayed events per job: at the default progress
@@ -105,20 +114,92 @@ func (h *hub) publish(ev streamEvent, keep bool) {
 			h.history[h.oldest] = ev
 			h.oldest = (h.oldest + 1) % historyBound
 		}
+		h.kept++
 	}
 	for _, sub := range h.subs {
-		select {
-		case sub.ch <- ev:
-		default:
-			sub.dropped++
-			h.dropped++
-			h.obs.dropped.Inc()
-			if sub.dropped == 1 {
-				h.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "sse_slow_subscriber",
-					slog.String("job", h.jobID))
+		switch {
+		case sub.behind && keep:
+			// Waits in the history for catchUp.
+		case sub.behind:
+			h.drop(sub)
+		case keep:
+			select {
+			case sub.ch <- ev:
+			default:
+				sub.behind, sub.from = true, h.kept-1
 			}
+		default:
+			h.send(sub, ev)
 		}
 	}
+}
+
+// publishGauge sends the live-only gauge frame for e to every subscriber,
+// encoding it only once one of them has room: a full subscriber drops the
+// frame (and counts it) exactly as publish would, without a frame built
+// for it. Only the hub sends, under mu, so room seen here stays room.
+func (h *hub) publishGauge(e *telemetry.Event) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
+	var ev streamEvent
+	for _, sub := range h.subs {
+		if sub.behind || len(sub.ch) == cap(sub.ch) {
+			h.drop(sub)
+			continue
+		}
+		if ev.data == nil {
+			ev = streamEvent{name: "gauge", data: appendGaugeFrame(make([]byte, 0, gaugeFrameCap), e)}
+		}
+		h.send(sub, ev)
+	}
+}
+
+// send hands ev to sub, or drops it when sub's channel is full. Call it
+// with mu held.
+func (h *hub) send(sub *subscriber, ev streamEvent) {
+	select {
+	case sub.ch <- ev:
+	default:
+		h.drop(sub)
+	}
+}
+
+// drop counts one frame sub missed, and logs its first. Call it with mu
+// held.
+func (h *hub) drop(sub *subscriber) {
+	sub.dropped++
+	h.dropped++
+	h.obs.dropped.Inc()
+	if sub.dropped == 1 {
+		h.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "sse_slow_subscriber",
+			slog.String("job", h.jobID))
+	}
+}
+
+// catchUp returns, in publish order, the replayable events sub had no
+// room for, and resumes live delivery to it. Its reader calls it once the
+// channel is empty, so each event follows everything sub was sent. Events
+// the history has overwritten since are lost, as for a late subscriber,
+// and count as dropped.
+func (h *hub) catchUp(sub *subscriber) []streamEvent {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !sub.behind {
+		return nil
+	}
+	sub.behind = false
+	oldest := h.kept - uint64(len(h.history))
+	for ; sub.from < oldest; sub.from++ {
+		h.drop(sub)
+	}
+	out := make([]streamEvent, 0, h.kept-sub.from)
+	for n := sub.from; n < h.kept; n++ {
+		out = append(out, h.history[(h.oldest+int(n-oldest))%len(h.history)])
+	}
+	return out
 }
 
 // close marks the stream complete; subscribers' channels are closed
@@ -140,10 +221,11 @@ func (h *hub) close() {
 // this is false reaches no one, so its producer may skip it.
 func (h *hub) watched() bool { return h.watchers.Load() > 0 }
 
-// subscribe returns the replay history and a live channel (nil if the
+// subscribe returns the replay history and a live subscriber (nil if the
 // stream already closed — the history then ends with the terminal
-// event). cancel must be called when the subscriber leaves.
-func (h *hub) subscribe() (replay []streamEvent, ch chan streamEvent, cancel func()) {
+// event), whose reader takes sub.ch and, each time it has emptied it,
+// catchUp(sub). cancel must be called when the subscriber leaves.
+func (h *hub) subscribe() (replay []streamEvent, sub *subscriber, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	replay = make([]streamEvent, 0, len(h.history))
@@ -151,11 +233,11 @@ func (h *hub) subscribe() (replay []streamEvent, ch chan streamEvent, cancel fun
 	if h.closed {
 		return replay, nil, func() {}
 	}
-	sub := &subscriber{ch: make(chan streamEvent, subBuffer)}
+	sub = &subscriber{ch: make(chan streamEvent, subBuffer)}
 	h.subs = append(h.subs, sub)
 	h.watchers.Add(1)
 	h.obs.subscribers.Add(1)
-	return replay, sub.ch, func() {
+	return replay, sub, func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		for i, have := range h.subs {
@@ -220,8 +302,10 @@ const gaugeFrameCap = 96
 // SSE hub: gauge events whose cycle lands on the every-cycle grid are
 // forwarded live. Gauge frames are never kept for replay, so while no
 // subscriber is attached there is no one to encode them for and the sink
-// returns at once. It runs on the engine's flushing goroutine, so it
-// must not block — hub.publish drops on slow subscribers by design.
+// returns at once; while every subscriber's channel is full,
+// hub.publishGauge counts the drop without encoding. It runs on the
+// engine's flushing goroutine, so it must not block — the hub drops on
+// slow subscribers by design.
 func (j *job) gaugeSink(every uint64) func([]telemetry.Event) {
 	if every == 0 {
 		every = 1
@@ -235,8 +319,7 @@ func (j *job) gaugeSink(every uint64) func([]telemetry.Event) {
 			if e.Kind.Family() != "gauge" || e.Cycle%every != 0 {
 				continue
 			}
-			data := appendGaugeFrame(make([]byte, 0, gaugeFrameCap), e)
-			j.hub.publish(streamEvent{name: "gauge", data: data}, false)
+			j.hub.publishGauge(e)
 		}
 	}
 }
@@ -264,33 +347,35 @@ func serveEvents(w http.ResponseWriter, r *http.Request, j *job) {
 		return ev.name != "done"
 	}
 
-	replay, live, cancel := j.hub.subscribe()
+	replay, sub, cancel := j.hub.subscribe()
 	defer cancel()
 	for _, ev := range replay {
 		if !write(ev) {
 			return
 		}
 	}
-	if live == nil {
+	if sub == nil {
 		return
 	}
+	// The terminal event arrives on the channel or, when the channel was
+	// full, from catchUp, which the channel's close is followed by.
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-live:
-			if !ok {
-				// Stream closed between our replay and now: the job's
-				// history ends with the terminal event — deliver it if
-				// the replay predated it.
-				res, _, done := j.snapshot()
-				if done {
-					data := marshalResult(res)
-					write(streamEvent{name: "done", data: data[:len(data)-1]})
-				}
+		case ev, ok := <-sub.ch:
+			if ok && !write(ev) {
 				return
 			}
-			if !write(ev) {
+			if len(sub.ch) > 0 {
+				continue
+			}
+			for _, ev := range j.hub.catchUp(sub) {
+				if !write(ev) {
+					return
+				}
+			}
+			if !ok {
 				return
 			}
 		}

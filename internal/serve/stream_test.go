@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"metro/internal/metrofuzz"
+	"metro/internal/telemetry"
 )
 
 // TestHubLiveSubscriber exercises the live fan-out path directly: a
@@ -21,11 +23,12 @@ import (
 // publisher, and close terminates every channel.
 func TestHubLiveSubscriber(t *testing.T) {
 	h := newHub("test-job", jobObs{})
-	replay, live, cancel := h.subscribe()
+	replay, sub, cancel := h.subscribe()
 	defer cancel()
-	if len(replay) != 0 || live == nil {
-		t.Fatalf("fresh hub: %d replayed events, live=%v", len(replay), live)
+	if len(replay) != 0 || sub == nil {
+		t.Fatalf("fresh hub: %d replayed events, live=%v", len(replay), sub)
 	}
+	live := sub.ch
 	h.publish(streamEvent{name: "progress", data: []byte("{}")}, true)
 	h.publish(streamEvent{name: "gauge", data: []byte("{}")}, false)
 	if ev := <-live; ev.name != "progress" {
@@ -98,6 +101,196 @@ func TestHubHistoryRingOrder(t *testing.T) {
 		if want := strconv.Itoa(n - historyBound + k); string(ev.data) != want {
 			t.Fatalf("replay[%d] = %q, want %q: the last %d events in publish order", k, ev.data, want, historyBound)
 		}
+	}
+}
+
+// TestSSEDropContract runs a job to a subscriber that never reads, the
+// slowest client there is, and holds the hub to its drop contract: every
+// progress frame and the done frame reach the replay history; the
+// connection loses only gauge frames, its replayable frames waiting in the
+// history until it drains its channel; the dropped counters equal the
+// gauge frames it did not get; and a gauge published to it while its
+// channel is full costs no allocation (the frame is never encoded).
+func TestSSEDropContract(t *testing.T) {
+	scn := metrofuzz.Generate(2)
+	j := newJob("job", metrofuzz.EncodeSpec(scn), scn, EngineReference, false, jobObs{})
+	_, sub, cancel := j.hub.subscribe()
+	defer cancel()
+
+	gauges, progress := 0, 0
+	sink := j.gaugeSink(1)
+	rec := telemetry.NewStream()
+	rec.SetSink(func(events []telemetry.Event) {
+		for i := range events {
+			if events[i].Kind.Family() == "gauge" {
+				gauges++
+			}
+		}
+		sink(events)
+	})
+	rep := metrofuzz.Run(scn, metrofuzz.Hooks{
+		Recorder:       rec,
+		ProgressPeriod: 8,
+		Progress: func(cycle uint64, offered, completed, delivered int) bool {
+			j.publishProgress(cycle, offered, completed, delivered)
+			progress++
+			return true
+		},
+	})
+	if rep.Failed() {
+		t.Fatalf("scenario failed its oracles: %v", rep.Failures[0])
+	}
+	if progress+1 > historyBound {
+		t.Fatalf("%d progress frames overflow the %d-frame history; pick a shorter run", progress, historyBound)
+	}
+	if len(sub.ch) != cap(sub.ch) || !sub.behind {
+		t.Fatalf("the subscriber's channel holds %d of %d frames (behind %v): the run never filled it", len(sub.ch), cap(sub.ch), sub.behind)
+	}
+	full := []telemetry.Event{{Cycle: 1, Kind: telemetry.EvGaugeConns, Src: telemetry.NetworkSource(0), A: 3}}
+	if !raceEnabled {
+		if a := testing.AllocsPerRun(100, func() { sink(full) }); a != 0 {
+			t.Errorf("a gauge to a full subscriber: %v allocs, want 0", a)
+		}
+		gauges += 101 // AllocsPerRun's warm-up call and its 100 runs, each one gauge
+	}
+	res := buildResult(j, rep, nil)
+	j.complete(res, marshalResult(res))
+
+	// What the connection gets: its channel, then what waited for it.
+	var got []streamEvent
+	for ev := range sub.ch {
+		got = append(got, ev)
+	}
+	waited := j.hub.catchUp(sub)
+	if len(waited) == 0 {
+		t.Fatal("no replayable frame waited in the history: the test did not reach the catch-up path")
+	}
+	got = append(got, waited...)
+
+	history, _, _ := j.hub.subscribe()
+	if len(history) != progress+1 || history[len(history)-1].name != "done" {
+		t.Fatalf("history holds %d frames ending in %q, want the %d progress frames and done", len(history), history[len(history)-1].name, progress)
+	}
+	var replayable []streamEvent
+	delivered := 0
+	for _, ev := range got {
+		if ev.name == "gauge" {
+			delivered++
+		} else {
+			replayable = append(replayable, ev)
+		}
+	}
+	if len(replayable) != len(history) {
+		t.Fatalf("the connection got %d replayable frames, want all %d of the history", len(replayable), len(history))
+	}
+	for i := range history {
+		if replayable[i].name != history[i].name || string(replayable[i].data) != string(history[i].data) {
+			t.Fatalf("replayable frame %d is %s %s, want %s %s", i, replayable[i].name, replayable[i].data, history[i].name, history[i].data)
+		}
+	}
+	j.hub.mu.Lock()
+	dropped, subDropped := j.hub.dropped, sub.dropped
+	j.hub.mu.Unlock()
+	if want := uint64(gauges - delivered); dropped != want || subDropped != want {
+		t.Errorf("dropped %d (connection %d), want the %d gauge frames of %d not delivered", dropped, subDropped, want, gauges)
+	}
+
+	// A full subscriber that no replayable frame waits for costs nothing
+	// either: the gauge is dropped before it is encoded.
+	h := newHub("job", jobObs{})
+	_, idle, cancelIdle := h.subscribe()
+	defer cancelIdle()
+	for len(idle.ch) < cap(idle.ch) {
+		h.publishGauge(&full[0])
+	}
+	if !raceEnabled {
+		if a := testing.AllocsPerRun(100, func() { h.publishGauge(&full[0]) }); a != 0 || idle.behind {
+			t.Errorf("a gauge to a full subscriber owed nothing: %v allocs (behind %v), want 0", a, idle.behind)
+		}
+	}
+}
+
+// gatedWriter is an SSE response writer whose client does not read until
+// the gate opens: every Write blocks until then. The write that carries
+// marker closes reached.
+type gatedWriter struct {
+	gate    chan struct{}
+	marker  string
+	reached chan struct{}
+	hdr     http.Header
+	out     strings.Builder
+}
+
+func (w *gatedWriter) Header() http.Header { return w.hdr }
+func (w *gatedWriter) WriteHeader(int)     {}
+func (w *gatedWriter) Flush()              {}
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	<-w.gate
+	if w.marker != "" && strings.Contains(string(p), w.marker) {
+		w.marker = ""
+		close(w.reached)
+	}
+	return w.out.Write(p)
+}
+
+// TestStalledStreamGetsEveryReplayableFrame drives serveEvents with a
+// client that stops reading while the job publishes far more than the
+// subscriber's channel holds: once it reads again it gets every progress
+// frame, in order, while the job still runs, and then the done frame,
+// with gauges dropped in between.
+func TestStalledStreamGetsEveryReplayableFrame(t *testing.T) {
+	scn := metrofuzz.Generate(2)
+	j := newJob("job", metrofuzz.EncodeSpec(scn), scn, EngineReference, false, jobObs{})
+	const frames = 2 * subBuffer
+	w := &gatedWriter{
+		gate: make(chan struct{}), hdr: http.Header{},
+		marker: `data: {"cycle":` + strconv.Itoa(frames-1) + `,`, reached: make(chan struct{}),
+	}
+	served := make(chan struct{})
+	go func() {
+		serveEvents(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/job/events", nil), j)
+		close(served)
+	}()
+	for !j.hub.watched() {
+		runtime.Gosched()
+	}
+	gauge := telemetry.Event{Kind: telemetry.EvGaugeConns, Src: telemetry.NetworkSource(-1)}
+	for i := range frames {
+		j.publishProgress(uint64(i), i, 0, 0)
+		j.hub.publishGauge(&gauge)
+	}
+	close(w.gate)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	select {
+	case <-w.reached:
+	case <-ctx.Done():
+		t.Fatal("the reader drained its channel but never read the frames waiting in the history while the job ran")
+	}
+	res := &Result{ID: "job", Status: StatusPassed}
+	j.complete(res, marshalResult(res))
+	<-served
+
+	next := 0
+	for _, line := range strings.Split(w.out.String(), "\n") {
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok || !strings.HasPrefix(data, `{"cycle":`) || strings.Contains(data, `"kind"`) {
+			continue
+		}
+		var p progressPayload
+		if err := json.Unmarshal([]byte(data), &p); err != nil {
+			t.Fatal(err)
+		}
+		if int(p.Cycle) != next {
+			t.Fatalf("progress frame for cycle %d after cycle %d: a replayable frame was lost", p.Cycle, next-1)
+		}
+		next++
+	}
+	if next != frames {
+		t.Errorf("the stream carried %d of %d progress frames", next, frames)
+	}
+	if !strings.HasSuffix(w.out.String(), "event: done\ndata: "+string(marshalResult(res)[:len(marshalResult(res))-1])+"\n\n") {
+		t.Errorf("the stream does not end with the done frame:\n%s", w.out.String()[max(0, w.out.Len()-300):])
 	}
 }
 

@@ -1,5 +1,7 @@
 package telemetry
 
+import "sync"
+
 // Buf is a unit-local event buffer. Every emitter group that may run on
 // its own engine worker (a router column, an endpoint, the network-scope
 // epilogue emitters) appends into its own Buf during Eval — no locks, no
@@ -51,8 +53,18 @@ type Recorder struct {
 	count int     // live events in the ring
 	total uint64  // events ever recorded, including overwritten ones
 	bufs  []*Buf
+	spare *bufSet // Bufs a released recorder gave back, for NewBuf
 	sink  func([]Event)
 }
+
+// spareBufs holds the Bufs of released recorders (Release), grown to
+// their last run's high-water marks, for the next recorder's NewBuf to
+// take before it allocates. A sync.Pool, so the collector empties it and
+// an idle process keeps none of it live.
+var spareBufs sync.Pool
+
+// bufSet is the unit spareBufs holds: one released recorder's Bufs.
+type bufSet struct{ bufs []*Buf }
 
 // New constructs a Recorder with a preallocated ring.
 func New(opts Options) *Recorder {
@@ -77,9 +89,38 @@ func NewStream() *Recorder { return &Recorder{} }
 // callers must register in a deterministic order (netsim registers
 // router columns stage-major, then endpoints, then the network buf).
 func (r *Recorder) NewBuf() *Buf {
-	b := &Buf{}
+	if r.spare == nil {
+		if r.spare, _ = spareBufs.Get().(*bufSet); r.spare == nil {
+			r.spare = new(bufSet)
+		}
+	}
+	var b *Buf
+	if n := len(r.spare.bufs) - 1; n >= 0 {
+		b = r.spare.bufs[n]
+		r.spare.bufs = r.spare.bufs[:n]
+	} else {
+		b = &Buf{}
+	}
 	r.bufs = append(r.bufs, b)
 	return b
+}
+
+// Release hands the recorder's Bufs to the next recorder built in this
+// process, emptied. Call it once nothing will emit into them again (the
+// network they were made for is closed and will not step) and after the
+// last Flush: the recorder registers no Bufs afterwards, while its ring,
+// totals and Snapshot stay as they were.
+func (r *Recorder) Release() {
+	set := r.spare
+	if set == nil {
+		set = new(bufSet)
+	}
+	for _, b := range r.bufs {
+		b.events = b.events[:0]
+		set.bufs = append(set.bufs, b)
+	}
+	r.bufs, r.spare = nil, nil
+	spareBufs.Put(set)
 }
 
 // SetSink registers fn as the streaming sink: every Flush hands it each

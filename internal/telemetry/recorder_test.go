@@ -194,3 +194,30 @@ func TestStreamRecorderFeedsSinkOnly(t *testing.T) {
 		t.Errorf("stream-only snapshot: %d events, Total %d, want 0 and 9", len(tr.Events), tr.Total)
 	}
 }
+
+// TestReleaseKeepsTheRecordAndEmptiesTheBufs: Release leaves the ring,
+// the totals and Snapshot as they were, and a later recorder's NewBuf,
+// which may hand out a released Buf, always returns an empty one, even
+// when the released Buf held events that were never flushed.
+func TestReleaseKeepsTheRecordAndEmptiesTheBufs(t *testing.T) {
+	r := New(Options{Capacity: 8})
+	b := r.NewBuf()
+	for c := range uint64(12) {
+		b.Emit(Event{Cycle: c, Kind: EvMsgQueued})
+		r.Flush()
+	}
+	b.Emit(Event{Cycle: 99, Kind: EvMsgQueued}) // never flushed
+	before := r.Snapshot()
+	r.Release()
+	after := r.Snapshot()
+	if after.Total != before.Total || len(after.Events) != len(before.Events) || after.Events[0] != before.Events[0] {
+		t.Fatalf("Release changed the record: %d events of %d before, %d of %d after", len(before.Events), before.Total, len(after.Events), after.Total)
+	}
+	for range 100 {
+		next := NewStream()
+		if got := next.NewBuf(); got.Len() != 0 {
+			t.Fatalf("a later recorder's NewBuf returned a buffer holding %d events", got.Len())
+		}
+		next.Release()
+	}
+}
