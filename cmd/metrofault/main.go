@@ -34,7 +34,6 @@ func main() {
 	measure := flag.Uint64("measure", 12000, "measured cycles after the fault window")
 	seed := flag.Int64("seed", 9, "seed")
 	traceOut := flag.String("trace", "", "record the highest-count sweep point's telemetry to this mtr1 file")
-	workers := flag.Int("workers", 0, "partitions of the unit eval, one goroutine each; 1 is inline, 0 lets the engine choose from the network's size (inline on the Figure 3 network; results are bit-identical either way)")
 	flag.Parse()
 
 	if *kind != "router" && *kind != "link" {
@@ -56,12 +55,8 @@ func main() {
 		counts = append(counts, v)
 	}
 
-	engine := "serial engine"
-	if *workers > 0 {
-		engine = fmt.Sprintf("parallel engine, workers=%d", *workers)
-	}
-	fmt.Printf("fault degradation sweep: %s kills, load %.2f, %d-byte messages, %s\n",
-		*kind, *load, *msgBytes, engine)
+	fmt.Printf("fault degradation sweep: %s kills, load %.2f, %d-byte messages, serial engine\n",
+		*kind, *load, *msgBytes)
 	t := stats.Table{Header: []string{
 		"faults", "delivered", "failed", "mean lat", "p95", "retries/msg", "timeouts",
 	}}
@@ -71,7 +66,7 @@ func main() {
 			rec = telemetry.New(telemetry.Options{})
 		}
 		p, failed, timeouts := runWithFaults(*kind, count, *load, *msgBytes,
-			*warmup, *window, *measure, *seed, *workers, rec)
+			*warmup, *window, *measure, *seed, rec)
 		if rec != nil {
 			writeTrace(rec, *traceOut)
 		}
@@ -127,8 +122,7 @@ func writeTrace(rec *telemetry.Recorder, traceOut string) {
 }
 
 func runWithFaults(kind string, count int, load float64, msgBytes int,
-	warmup, window, measure uint64, seed int64, workers int,
-	rec *telemetry.Recorder) (stats.LoadPoint, int, int) {
+	warmup, window, measure uint64, seed int64, rec *telemetry.Recorder) (stats.LoadPoint, int, int) {
 	driver := &traffic.ClosedLoop{
 		Load:        load,
 		MsgBytes:    msgBytes,
@@ -146,7 +140,6 @@ func runWithFaults(kind string, count int, load float64, msgBytes int,
 		Seed:          seed,
 		RetryLimit:    500,
 		ListenTimeout: 300,
-		Workers:       workers,
 		OnResult:      driver.OnResult,
 		Recorder:      rec,
 	}

@@ -10,6 +10,7 @@
 //	metrosim -pattern hotspot     # adversarial traffic
 //	metrosim -bytes 20 -cycles 20000 -warmup 4000
 //	metrosim -detailed            # detailed blocked replies instead of BCB
+//	metrosim -loads 0.6 -warmup 0 -trace t.mtr  # record the point for metrotrace
 package main
 
 import (
@@ -42,9 +43,8 @@ func main() {
 	detailed := flag.Bool("detailed", false, "detailed blocked replies instead of fast reclamation")
 	outstanding := flag.Int("outstanding", 1, "messages in flight per endpoint")
 	openloop := flag.Bool("openloop", false, "Bernoulli (open-loop) injection instead of processor-stall")
-	hist := flag.Bool("hist", false, "print the latency histogram of the highest-load point")
-	traceOut := flag.String("trace", "", "rerun the highest-load point with the flight recorder and write its mtr1 trace to this file")
-	workers := flag.Int("workers", 0, "partitions of the unit eval, one goroutine each; 1 is inline, 0 lets the engine choose from the network's size (inline for every preset here; results are bit-identical either way)")
+	hist := flag.Bool("hist", false, "print the latency histogram of the last -loads point")
+	traceOut := flag.String("trace", "", "rerun the last -loads point with the flight recorder and write its mtr1 trace to this file (read it with metrotrace)")
 	flag.Parse()
 
 	spec, ok := topo.Preset(*network)
@@ -80,7 +80,6 @@ func main() {
 			CascadeWidth: *cascadeW,
 			Seed:         *seed,
 			RetryLimit:   1000,
-			Workers:      *workers,
 		},
 		MsgBytes:      *msgBytes,
 		Pattern:       pat,
@@ -94,20 +93,15 @@ func main() {
 	if *openloop {
 		model = "open-loop"
 	}
-	engine := "serial engine"
-	if *workers > 0 {
-		engine = fmt.Sprintf("parallel engine, workers=%d", *workers)
-	}
-	fmt.Printf("network %s, %d endpoints, %s %s traffic, %d-byte messages, w=%d dp=%d vtd=%d hw=%d c=%d, %s\n",
-		*network, spec.Endpoints, model, pat.Name(), *msgBytes, *width, *dp, *vtd, *hw, *cascadeW, engine)
+	fmt.Printf("network %s, %d endpoints, %s %s traffic, %d-byte messages, w=%d dp=%d vtd=%d hw=%d c=%d, serial engine\n",
+		*network, spec.Endpoints, model, pat.Name(), *msgBytes, *width, *dp, *vtd, *hw, *cascadeW)
 	sweep := metro.LoadSweep
 	if *openloop {
 		sweep = metro.OpenLoopSweep
 	}
 	points, err := sweep(run, loads)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	t := stats.Table{Header: []string{
 		"offered", "accepted", "messages", "mean lat", "p50", "p95", "max", "retries/msg",
@@ -125,61 +119,53 @@ func main() {
 		)
 	}
 	fmt.Print(t.String())
-	if *hist && len(points) > 0 {
-		last := points[len(points)-1]
-		fmt.Printf("\nlatency distribution at offered load %.2f (mean %.1f, p95 %.0f):\n",
-			last.OfferedLoad, last.Latency.Mean, last.Latency.P95)
-		run.Load = last.OfferedLoad
-		printHistogram(run, *openloop)
-	}
-	if *traceOut != "" && len(points) > 0 {
-		run.Load = points[len(points)-1].OfferedLoad
-		recordPoint(run, *openloop, *traceOut)
+	if (*hist || *traceOut != "") && len(points) > 0 {
+		rerun(run, points[len(points)-1], *openloop, *hist, *traceOut)
 	}
 }
 
-// recordPoint reruns one load point with the flight recorder attached
-// and writes the recorded trace. Reruns are deterministic, so the
-// recorded point is the same experiment the sweep's last row reported.
-func recordPoint(run metro.RunSpec, openloop bool, traceOut string) {
-	rec := telemetry.New(telemetry.Options{})
-	run.Net.Recorder = rec
-	var err error
-	if openloop {
-		_, err = metro.RunOpenLoop(run)
-	} else {
-		_, err = metro.RunClosedLoop(run)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-		os.Exit(1)
-	}
-	if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
-		fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\ntrace: %d events written to %s\n", rec.Len(), traceOut)
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
+	os.Exit(1)
 }
 
-// printHistogram reruns one load point collecting raw per-message
-// latencies and renders their distribution.
-func printHistogram(run metro.RunSpec, openloop bool) {
+// rerun reruns the sweep's last load point once, collecting its raw
+// per-message latencies when hist is set and its flight-recorder trace
+// when traceOut is named, then prints the latency distribution and
+// writes the trace. Reruns are deterministic, so the rerun is the same
+// experiment the sweep's last row reported.
+func rerun(run metro.RunSpec, last metro.LoadPoint, openloop, hist bool, traceOut string) {
+	run.Load = last.OfferedLoad
 	var lat stats.Sample
-	warmup := run.WarmupCycles
-	run.Net.OnResult = func(r metro.Result) {
-		if r.Done >= warmup {
-			lat.Add(float64(r.Done - r.Injected))
+	if hist {
+		warmup := run.WarmupCycles
+		run.Net.OnResult = func(r metro.Result) {
+			if r.Done >= warmup {
+				lat.Add(float64(r.Done - r.Injected))
+			}
 		}
 	}
-	var err error
+	var rec *telemetry.Recorder
+	if traceOut != "" {
+		rec = telemetry.New(telemetry.Options{})
+		run.Net.Recorder = rec
+	}
+	point := metro.RunClosedLoop
 	if openloop {
-		_, err = metro.RunOpenLoop(run)
-	} else {
-		_, err = metro.RunClosedLoop(run)
+		point = metro.RunOpenLoop
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-		return
+	if _, err := point(run); err != nil {
+		fatal(err)
 	}
-	fmt.Print(lat.Histogram(12, 44))
+	if hist {
+		fmt.Printf("\nlatency distribution at offered load %.2f (mean %.1f, p95 %.0f):\n",
+			last.OfferedLoad, last.Latency.Mean, last.Latency.P95)
+		fmt.Print(lat.Histogram(12, 44))
+	}
+	if rec != nil {
+		if err := telemetry.WriteFile(traceOut, rec.Snapshot()); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\ntrace: %d events written to %s\n", rec.Len(), traceOut)
+	}
 }

@@ -1,14 +1,14 @@
-// metrotrace records, filters, summarizes and exports telemetry traces:
-// the offline half of the simulator's flight recorder. A trace is the
-// canonical mtr1 text stream (internal/telemetry's codec) and every
-// subcommand is deterministic, so traces and reports diff cleanly.
+// metrotrace filters, summarizes and exports telemetry traces: the
+// offline half of the simulator's flight recorder, whose traces
+// metrosim -trace and metrofault -trace write. A trace is the canonical
+// mtr1 text stream (internal/telemetry's codec) and every subcommand is
+// deterministic, so traces and reports diff cleanly.
 //
 // Usage:
 //
-//	metrotrace record -o trace.mtr                  # traced Figure 3 run
-//	metrotrace record -network fig1 -load 0.6 -workers 4 -o trace.mtr
+//	metrosim -loads 0.6 -warmup 0 -trace trace.mtr  # record a Figure 3 point
 //	metrotrace summarize trace.mtr                  # lifecycle & latency report
-//	metrotrace filter -kind msg -msg 42 trace.mtr   # select events, emit mtr1
+//	metrotrace filter -family msg -msg 42 trace.mtr # select events, emit mtr1
 //	metrotrace export -format perfetto trace.mtr    # chrome://tracing / Perfetto
 //	metrotrace export -format csv -buckets 12 trace.mtr
 package main
@@ -20,21 +20,18 @@ import (
 	"os"
 	"strings"
 
-	"metro/internal/netsim"
 	"metro/internal/telemetry"
-	"metro/internal/topo"
-	"metro/internal/traffic"
 )
 
 const usage = `usage: metrotrace <command> [flags] [trace-file]
 
 commands:
-  record     run a traced simulation and write the mtr1 event stream
   summarize  aggregate a trace: lifecycles, latency breakdown, gauges
   filter     select events by family, kind, source, message or cycle window
   export     convert a trace to perfetto JSON or CSV latency histograms
 
-run 'metrotrace <command> -h' for the command's flags.
+run 'metrotrace <command> -h' for the command's flags. Record a trace
+with 'metrosim -trace' or 'metrofault -trace'.
 `
 
 func main() {
@@ -43,8 +40,6 @@ func main() {
 		os.Exit(2)
 	}
 	switch os.Args[1] {
-	case "record":
-		record(os.Args[2:])
 	case "summarize":
 		summarize(os.Args[2:])
 	case "filter":
@@ -92,74 +87,6 @@ func output(path string) io.WriteCloser {
 		fatal("%v", err)
 	}
 	return f
-}
-
-// record runs one closed-loop scenario with the flight recorder
-// attached and writes the recorded stream.
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	network := fs.String("network", "fig3", "topology: fig1, fig3, net32, net32r8")
-	load := fs.Float64("load", 0.6, "offered load")
-	pattern := fs.String("pattern", "uniform", "traffic: uniform, hotspot, bitrev, transpose")
-	msgBytes := fs.Int("bytes", 20, "message payload bytes")
-	cycles := fs.Uint64("cycles", 4000, "simulated cycles")
-	width := fs.Int("width", 8, "channel width w")
-	cascadeW := fs.Int("cascade", 1, "router width-cascade factor c")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	detailed := fs.Bool("detailed", false, "detailed blocked replies instead of fast reclamation")
-	workers := fs.Int("workers", 0, "partitions of the unit eval, one goroutine each; 1 is inline, 0 lets the engine choose from the network's size (inline for every preset here; results are bit-identical either way)")
-	gaugePeriod := fs.Uint64("gauge-period", 1, "cycles between gauge samples")
-	capacity := fs.Int("capacity", 0, "flight-recorder ring capacity in events (0 = default)")
-	out := fs.String("o", "", "output file (default stdout)")
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "metrotrace record: unexpected arguments %v\n", fs.Args())
-		os.Exit(2)
-	}
-
-	spec, ok := topo.Preset(*network)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "metrotrace record: unknown network %q\n", *network)
-		os.Exit(2)
-	}
-	pat, ok := traffic.PatternByName(*pattern)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "metrotrace record: unknown pattern %q\n", *pattern)
-		os.Exit(2)
-	}
-
-	rec := telemetry.New(telemetry.Options{Capacity: *capacity})
-	_, err := traffic.Run(traffic.RunSpec{
-		Net: netsim.Params{
-			Spec:          spec,
-			Width:         *width,
-			CascadeWidth:  *cascadeW,
-			LinkDelay:     1,
-			FastReclaim:   !*detailed,
-			Seed:          *seed,
-			RetryLimit:    1000,
-			ListenTimeout: 300,
-			Workers:       *workers,
-			Recorder:      rec,
-			GaugePeriod:   *gaugePeriod,
-		},
-		Load:          *load,
-		MsgBytes:      *msgBytes,
-		Pattern:       pat,
-		Outstanding:   1,
-		MeasureCycles: *cycles,
-		Seed:          *seed + 1000,
-	})
-	if err != nil {
-		fatal("%v", err)
-	}
-	w := output(*out)
-	if err := telemetry.Encode(w, rec.Snapshot()); err != nil {
-		fatal("%v", err)
-	}
-	if err := w.Close(); err != nil {
-		fatal("%v", err)
-	}
 }
 
 func summarize(args []string) {

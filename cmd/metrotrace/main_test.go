@@ -11,15 +11,15 @@ import (
 	"metro/internal/telemetry"
 )
 
-// recordSample records the reference scenario (small Figure 1 run,
-// fixed seed) into dir and returns the trace path. Recording is a pure
-// function of the flags, so every test that starts from this scenario
-// sees the identical byte stream.
+// recordSample records the reference scenario (one Figure 1 load point,
+// no warmup, fixed seed) with metrosim -trace into dir and returns the
+// trace path. Recording is a pure function of the flags, so every test
+// that starts from this scenario sees the identical byte stream.
 func recordSample(t *testing.T, dir string) string {
 	t.Helper()
 	path := filepath.Join(dir, "sample.mtr")
-	clitest.Run(t, "metrotrace", "record",
-		"-network", "fig1", "-load", "0.5", "-cycles", "600", "-seed", "7", "-o", path)
+	clitest.Run(t, "metrosim",
+		"-network", "fig1", "-loads", "0.5", "-cycles", "600", "-warmup", "0", "-seed", "7", "-trace", path)
 	return path
 }
 
@@ -56,21 +56,17 @@ func TestGoldenCSV(t *testing.T) {
 }
 
 // TestRecordDeterministic re-records the reference scenario and
-// demands byte-identical traces: `metrotrace record` is a replay tool,
-// so two runs of the same flags must be the same experiment.
+// demands byte-identical traces: `metrosim -trace` is a replay tool, so
+// two runs of the same flags must be the same experiment.
 func TestRecordDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs a subprocess; skipped in -short mode")
 	}
-	dir := t.TempDir()
-	a, err := os.ReadFile(recordSample(t, dir))
+	a, err := os.ReadFile(recordSample(t, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathB := filepath.Join(dir, "b.mtr")
-	clitest.Run(t, "metrotrace", "record",
-		"-network", "fig1", "-load", "0.5", "-cycles", "600", "-seed", "7", "-o", pathB)
-	b, err := os.ReadFile(pathB)
+	b, err := os.ReadFile(recordSample(t, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +126,7 @@ func TestUsageErrors(t *testing.T) {
 	}
 	clitest.ExitCode(t, 2, "metrotrace")
 	clitest.ExitCode(t, 2, "metrotrace", "frobnicate")
+	clitest.ExitCode(t, 2, "metrotrace", "record")
 	clitest.ExitCode(t, 2, "metrotrace", "summarize")
 	clitest.ExitCode(t, 1, "metrotrace", "summarize", "no-such-file.mtr")
 	clitest.ExitCode(t, 2, "metrotrace", "export", "-format", "bogus", "whatever.mtr")

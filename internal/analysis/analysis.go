@@ -121,11 +121,6 @@ func (p *Package) AllFiles() []*ast.File {
 	return append(out, p.XTestFiles...)
 }
 
-// IsTestFile reports whether f was parsed from a _test.go file.
-func (p *Package) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
-}
-
 // TypeOf returns the type of expr from whichever check unit covers it, or
 // nil when type information is unavailable.
 func (p *Package) TypeOf(expr ast.Expr) types.Type {

@@ -103,9 +103,6 @@ func NewProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// PackageOf returns the loaded package with the given import path.
-func (prog *Program) PackageOf(path string) *Package { return prog.byPath[path] }
-
 // FuncByKey returns the indexed declaration for key, or nil.
 func (prog *Program) FuncByKey(key string) *FuncNode { return prog.funcs[key] }
 

@@ -106,8 +106,8 @@ func Golden(t *testing.T, name, tool string, args ...string) {
 
 // GoldenBytes compares already-captured output against
 // testdata/<name>.golden, for tests that post-process or compose tool
-// invocations (e.g. metrotrace record into a temp file, then summarize
-// it) before pinning the result.
+// invocations (e.g. metrosim -trace into a temp file, then metrotrace
+// summarize it) before pinning the result.
 func GoldenBytes(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name+".golden")

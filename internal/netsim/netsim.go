@@ -85,10 +85,6 @@ type Params struct {
 	// be wired into at most one Build (buffer registration defines the
 	// merge order).
 	Recorder *telemetry.Recorder
-	// GaugePeriod is the cycle period of the per-cycle gauges (port
-	// occupancy, open connections, queue depths) when Recorder is set;
-	// 0 samples every cycle.
-	GaugePeriod uint64
 	// EngineMetrics, when set, attaches operational gauges to the cycle
 	// engine: cycles-per-second and step-time sampled on a cycle grid,
 	// and the compiled plane's static shape. Purely observational: gauge
@@ -488,17 +484,13 @@ func Build(p Params) (*Network, error) {
 	// unit's Eval, before any driver or injector registered post-Build.
 	n.Engine.Add(&collector{n: n})
 	if p.Recorder != nil {
-		period := p.GaugePeriod
-		if period == 0 {
-			period = 1
-		}
 		// The sampler reads the quiescent network at the barrier; the
 		// flusher then drains every unit's buffer in registration order.
 		// Components registered after Build (drivers, fault injectors) run
 		// after the flusher, so their events — stamped with the cycle they
 		// occurred on — reach the ring one flush later, identically at
 		// every worker count.
-		n.Engine.Add(newGaugeSampler(n, period))
+		n.Engine.Add(newGaugeSampler(n))
 		n.Engine.Add(telemetry.Flusher{R: p.Recorder})
 	}
 	return n, nil

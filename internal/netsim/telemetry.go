@@ -44,15 +44,14 @@ func (n *Network) FaultSink() *telemetry.Buf { return n.netBuf }
 type gaugeSampler struct {
 	n      *Network
 	buf    *telemetry.Buf
-	period uint64
 	stages []telemetry.Source // each stage's gauge source
 	whole  telemetry.Source   // the whole-network gauges' source
 }
 
 // newGaugeSampler returns the sampler of n's network buffer, its sources
 // narrowed once, here, where Build has fixed the stage count.
-func newGaugeSampler(n *Network, period uint64) *gaugeSampler {
-	g := &gaugeSampler{n: n, buf: n.netBuf, period: period,
+func newGaugeSampler(n *Network) *gaugeSampler {
+	g := &gaugeSampler{n: n, buf: n.netBuf,
 		stages: make([]telemetry.Source, len(n.Routers)), whole: telemetry.NetworkSource(-1)}
 	for s := range g.stages {
 		g.stages[s] = telemetry.NetworkSource(s)
@@ -60,14 +59,11 @@ func newGaugeSampler(n *Network, period uint64) *gaugeSampler {
 	return g
 }
 
-// Eval samples every gauge when the cycle lands on the sampling period.
+// Eval samples every gauge, every cycle.
 //
 //metrovet:shared read-only sampler in the serialized epilogue: every unit Eval has completed at the barrier, and nothing is mutated
 //metrovet:truncate connection and busy-port counts are bounded by wires, which topo.Validate keeps within int32; queue depths and the in-flight count by the messages offered
 func (g *gaugeSampler) Eval(cycle uint64) {
-	if cycle%g.period != 0 {
-		return
-	}
 	for s, src := range g.stages {
 		conns, busy := 0, 0
 		for _, lanes := range g.n.Routers[s] {

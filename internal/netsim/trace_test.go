@@ -59,32 +59,6 @@ func TestTraceCapturesEndToEndLifecycle(t *testing.T) {
 	}
 }
 
-// TestGaugePeriodThinsSampling checks GaugePeriod: sampling every 8th
-// cycle must record about an eighth of the gauge events.
-func TestGaugePeriodThinsSampling(t *testing.T) {
-	run := func(period uint64) int {
-		rec := telemetry.New(telemetry.Options{})
-		n, err := Build(Params{
-			Spec: topo.Figure1(), Width: 8, Seed: 3, RetryLimit: 50,
-			Recorder: rec, GaugePeriod: period,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		n.Run(64)
-		s := telemetry.Summarize(rec.Snapshot())
-		return s.Counts[telemetry.EvGaugeInFlight]
-	}
-	every, eighth := run(0), run(8)
-	if every != 64 {
-		t.Errorf("default sampling recorded %d in-flight gauges over 64 cycles, want 64", every)
-	}
-	if eighth != 8 {
-		t.Errorf("period-8 sampling recorded %d in-flight gauges over 64 cycles, want 8", eighth)
-	}
-}
-
 // TestTraceCoversEveryMsgAndConnKind takes the union of four short
 // Figure 3 traces and demands every kind of the msg and conn families at
 // least once, so an emit site dropped from a router or an endpoint fails
