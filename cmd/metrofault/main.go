@@ -33,7 +33,7 @@ func main() {
 	window := flag.Uint64("window", 4000, "cycles over which faults appear")
 	measure := flag.Uint64("measure", 12000, "measured cycles after the fault window")
 	seed := flag.Int64("seed", 9, "seed")
-	traceOut := flag.String("trace", "", "record the highest-count sweep point's telemetry to this mtr1 file")
+	traceOut := flag.String("trace", "", "record the last -counts point's telemetry to this mtr1 file")
 	flag.Parse()
 
 	if *kind != "router" && *kind != "link" {
@@ -55,7 +55,7 @@ func main() {
 		counts = append(counts, v)
 	}
 
-	fmt.Printf("fault degradation sweep: %s kills, load %.2f, %d-byte messages, serial engine\n",
+	fmt.Printf("fault degradation sweep: %s kills, load %.2f, %d-byte messages, auto engine\n",
 		*kind, *load, *msgBytes)
 	t := stats.Table{Header: []string{
 		"faults", "delivered", "failed", "mean lat", "p95", "retries/msg", "timeouts",

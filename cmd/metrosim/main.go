@@ -93,7 +93,7 @@ func main() {
 	if *openloop {
 		model = "open-loop"
 	}
-	fmt.Printf("network %s, %d endpoints, %s %s traffic, %d-byte messages, w=%d dp=%d vtd=%d hw=%d c=%d, serial engine\n",
+	fmt.Printf("network %s, %d endpoints, %s %s traffic, %d-byte messages, w=%d dp=%d vtd=%d hw=%d c=%d, auto engine\n",
 		*network, spec.Endpoints, model, pat.Name(), *msgBytes, *width, *dp, *vtd, *hw, *cascadeW)
 	sweep := metro.LoadSweep
 	if *openloop {

@@ -149,8 +149,9 @@ func NewEngine() *Engine { return clock.New() }
 
 // BuildNetwork assembles routers, links and endpoints for the given
 // parameters. With NetworkParams.Workers left at 0 the engine chooses how
-// many goroutines evaluate the network's units: one for paper-sized
-// networks, one per processor for networks of thousands of endpoints.
+// many goroutines evaluate the network's units: one for the smallest
+// networks (Figure 1), two on networks of Figure 3's size and up, one per
+// processor for networks of thousands of endpoints.
 // Every choice steps bit-for-bit the same cycles. Call Network.Close when
 // done with a network, which releases any worker goroutines.
 func BuildNetwork(p NetworkParams) (*Network, error) { return netsim.Build(p) }
