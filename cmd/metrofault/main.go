@@ -40,6 +40,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrofault: unknown -kind %q (want router or link)\n", *kind)
 		os.Exit(2)
 	}
+	// The closed loop's load is a duty cycle.
+	if !(*load > 0 && *load <= 1) {
+		fmt.Fprintf(os.Stderr, "metrofault: -load %g is not a load in (0, 1]\n", *load)
+		os.Exit(2)
+	}
 	pool := killPool(*kind)
 	var counts []int
 	for _, s := range strings.Split(*countsArg, ",") {

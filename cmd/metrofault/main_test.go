@@ -28,9 +28,9 @@ func TestGoldenTraceSummary(t *testing.T) {
 	clitest.GoldenBytes(t, "summary", clitest.Run(t, "metrotrace", "summarize", path))
 }
 
-// TestRejectsBadFlags checks the fault kind and counts before anything
-// runs: a value the tool cannot serve exits 2 with one line naming the
-// flag.
+// TestRejectsBadFlags checks the fault kind, counts and load before
+// anything runs: a value the tool cannot serve exits 2 with one line
+// naming the flag.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kind", "bogus", "-counts", "0"},
@@ -39,6 +39,10 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-counts", "0,-1"},
 		{"-counts", "1000", "-measure", "100", "-window", "100", "-warmup", "100"},
 		{"-counts", "0,1000", "-kind", "link"},
+		{"-load", "-1"},
+		{"-load", "0"},
+		{"-load", "1.5"},
+		{"-load", "NaN"},
 	} {
 		clitest.Rejects(t, "metrofault", args...)
 	}

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -49,22 +50,41 @@ func main() {
 
 	spec, ok := topo.Preset(*network)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "metrosim: unknown network %q\n", *network)
-		os.Exit(2)
+		reject("unknown network %q", *network)
 	}
 
 	pat, ok := traffic.PatternByName(*pattern)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "metrosim: unknown pattern %q\n", *pattern)
-		os.Exit(2)
+		reject("unknown pattern %q", *pattern)
 	}
 
+	// A value the network would replace with its default, or a flag the
+	// traffic model ignores, is an error, not a header that misreports the
+	// run.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"width", *width}, {"dp", *dp}, {"vtd", *vtd}, {"cascade", *cascadeW}} {
+		if f.v < 1 {
+			reject("-%s %d is not a positive count", f.name, f.v)
+		}
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["outstanding"] && *openloop {
+		reject("-outstanding does not apply with -openloop, which injects without a window")
+	}
+	// A closed-loop load is a duty cycle, at most 1; an open-loop load is
+	// an injection rate, which may oversubscribe the network.
+	maxLoad, want := 1.0, "a load in (0, 1]"
+	if *openloop {
+		maxLoad, want = math.MaxFloat64, "a positive load"
+	}
 	var loads []float64
 	for _, s := range strings.Split(*loadsArg, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrosim: bad load %q\n", s)
-			os.Exit(2)
+		if err != nil || !(v > 0 && v <= maxLoad) {
+			reject("bad -loads entry %q (want %s)", s, want)
 		}
 		loads = append(loads, v)
 	}
@@ -122,6 +142,13 @@ func main() {
 	if (*hist || *traceOut != "") && len(points) > 0 {
 		rerun(run, points[len(points)-1], *openloop, *hist, *traceOut)
 	}
+}
+
+// reject reports input the tool cannot serve, naming the flag, and exits
+// 2.
+func reject(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "metrosim: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

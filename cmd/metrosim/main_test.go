@@ -28,3 +28,25 @@ func TestGoldenTraceSummary(t *testing.T) {
 		"-network", "fig1", "-loads", "0.4", "-cycles", "800", "-warmup", "200", "-trace", path)
 	clitest.GoldenBytes(t, "summary", clitest.Run(t, "metrotrace", "summarize", path))
 }
+
+// TestRejectsBadFlags checks the flags before anything runs: a value the
+// tool cannot serve, one the network would replace with its default, or a
+// flag the traffic model ignores exits 2 with one line naming the flag.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-width", "0", "-network", "fig1", "-dp", "0"},
+		{"-dp", "0"},
+		{"-vtd", "0"},
+		{"-cascade", "0"},
+		{"-loads", "-0.5,0"},
+		{"-loads", "0.4,0"},
+		{"-loads", "1.2"},
+		{"-loads", "NaN"},
+		{"-loads", "x"},
+		{"-loads", "0.4,Inf", "-openloop"},
+		{"-outstanding", "2", "-openloop"},
+		{"-outstanding", "1", "-openloop"},
+	} {
+		clitest.Rejects(t, "metrosim", args...)
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
-
-	"metro/internal/metrofuzz"
 )
 
 // EngineRevision names the simulator-semantics generation baked into
@@ -63,12 +61,6 @@ func Key(canonicalSpec string, engine Engine, trace bool) string {
 	h.Write([]byte{0})
 	h.Write([]byte(canonicalSpec))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// KeyOf canonicalizes a decoded scenario and returns its content
-// address.
-func KeyOf(s metrofuzz.Scenario, engine Engine, trace bool) string {
-	return Key(metrofuzz.EncodeSpec(s), engine, trace)
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

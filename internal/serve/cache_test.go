@@ -89,7 +89,7 @@ func TestKeyDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rotation %d: %v\nline: %q", r, err, line)
 		}
-		if k := KeyOf(got, EngineReference, false); k != want {
+		if k := Key(metrofuzz.EncodeSpec(got), EngineReference, false); k != want {
 			t.Fatalf("rotation %d changed the key:\n%s\n%s", r, canonical, metrofuzz.EncodeSpec(got))
 		}
 	}
@@ -142,16 +142,12 @@ func FuzzCanonicalKey(f *testing.F) {
 		}
 		canonical := metrofuzz.EncodeSpec(s)
 		k1 := Key(canonical, EngineReference, false)
-		k2 := KeyOf(s, EngineReference, false)
-		if k1 != k2 {
-			t.Fatalf("KeyOf disagrees with Key over the canonical encoding for %q", line)
-		}
 		// Round-tripping the canonical form must be a fixed point.
 		again, err := metrofuzz.DecodeSpecStrict(canonical)
 		if err != nil {
 			t.Fatalf("canonical encoding rejected: %v (%q)", err, canonical)
 		}
-		if KeyOf(again, EngineReference, false) != k1 {
+		if Key(metrofuzz.EncodeSpec(again), EngineReference, false) != k1 {
 			t.Fatalf("key not stable across canonical round-trip for %q", line)
 		}
 	})

@@ -170,14 +170,13 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 	// Attach at cycle 16 of the primary leg (Progress fires before the
 	// cycle steps, so cycle 16's samples are the first ones due).
 	const attach = 16
-	var live chan streamEvent
-	_, rep := newRun(func(j *job, cycle uint64) {
+	var live *subscriber
+	watched, rep := newRun(func(j *job, cycle uint64) {
 		if cycle == attach && live == nil {
-			replay, sub, _ := j.hub.subscribe()
-			if len(replay) != 0 {
+			live, _ = j.hub.subscribe()
+			if replay, _ := j.hub.read(live, nil); len(replay) != 0 {
 				t.Errorf("replay holds %d frames; gauge frames must never be kept", len(replay))
 			}
-			live = sub.ch
 		}
 	})
 	if rep.Cycles <= attach+8 {
@@ -186,12 +185,12 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 	if live == nil {
 		t.Fatal("never attached")
 	}
-	// The channel holds the first subBuffer frames; later ones were dropped
-	// on the full buffer, which is the slow-subscriber contract.
+	// The subscriber holds the first subBuffer frames; later ones were
+	// dropped on its full gauge slots, which is the slow-subscriber contract.
 	next := uint64(attach)
 	perCycle, frames := 0, 0
-	for len(live) > 0 {
-		ev := <-live
+	got, _ := watched.hub.read(live, nil)
+	for _, ev := range got {
 		if ev.name != "gauge" {
 			t.Fatalf("frame %q on a hub that only saw gauges", ev.name)
 		}
@@ -218,9 +217,9 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 	// Nobody attached: nothing is published, and the sink allocates
 	// nothing for the samples it skips.
 	j, _ := newRun(func(*job, uint64) {})
-	replay, sub, cancel := j.hub.subscribe()
-	if len(replay) != 0 || len(sub.ch) != 0 {
-		t.Errorf("unwatched run left %d replayable and %d live frames", len(replay), len(sub.ch))
+	sub, cancel := j.hub.subscribe()
+	if replay, _ := j.hub.read(sub, nil); len(replay) != 0 {
+		t.Errorf("unwatched run left %d frames", len(replay))
 	}
 	cancel()
 	sink := j.gaugeSink(1)
@@ -233,11 +232,11 @@ func TestGaugeFramesFollowSubscription(t *testing.T) {
 			t.Errorf("gauge sink with no subscriber: %v allocs per batch, want 0", a)
 		}
 	}
-	_, sub, cancel = j.hub.subscribe()
+	sub, cancel = j.hub.subscribe()
 	defer cancel()
 	sink(batch)
-	if len(sub.ch) != len(batch) {
-		t.Errorf("%d frames after attaching, want %d", len(sub.ch), len(batch))
+	if got, _ := j.hub.read(sub, nil); len(got) != len(batch) {
+		t.Errorf("%d frames after attaching, want %d", len(got), len(batch))
 	}
 }
 
@@ -293,5 +292,37 @@ func TestColdJobAllocBudget(t *testing.T) {
 	}
 	if fewest > objects {
 		t.Errorf("one cold job allocated %d objects, over the budget of %d: is a result stored twice, or a name built through fmt?", fewest, objects)
+	}
+}
+
+// TestSubscriberAllocBudget pins what opening and leaving an event
+// stream on a live job allocates: the subscriber, its 1-slot wake channel
+// and the cancel closure, 184 bytes in 3 objects. Its frames stay in the
+// job's history, so nothing grows with the stream, and a per-connection
+// frame channel (256 frames are about 10 KB) or a copy of the history
+// fails here.
+func TestSubscriberAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const ceiling, objects = 1024, 8 // per subscribe and cancel
+	scn := metrofuzz.Generate(2)
+	j := newJob("job", metrofuzz.EncodeSpec(scn), scn, EngineReference, false, jobObs{})
+	for i := range 64 {
+		j.publishProgress(uint64(i), i, 0, 0)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		_, cancel := j.hub.subscribe()
+		cancel()
+	}
+	runtime.ReadMemStats(&after)
+	bytes, objs := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+	t.Logf("a subscribe and cancel allocated %d bytes in %d objects (ceilings %d, %d)", bytes, objs, ceiling, objects)
+	if bytes > ceiling || objs > objects {
+		t.Errorf("a subscribe and cancel allocated %d bytes in %d objects, over the budget of %d bytes in %d", bytes, objs, ceiling, objects)
 	}
 }

@@ -120,7 +120,7 @@ func (j *job) complete(res *Result, body []byte) {
 	close(j.done)
 	// SSE data must be newline-free; the canonical body carries one
 	// trailing newline.
-	j.hub.publish(streamEvent{name: "done", data: body[:len(body)-1]}, true)
+	j.hub.publish(streamEvent{name: "done", data: body[:len(body)-1]})
 	j.hub.close()
 }
 

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 
 	"metro/internal/metrics"
+	"metro/internal/telemetry"
 )
 
 // metricsGolden is the complete /v1/metrics body of a fresh server with
@@ -248,14 +249,15 @@ func TestSSEDropAccounting(t *testing.T) {
 	obs.log = slog.New(slog.NewTextHandler(&logBuf, nil))
 	h := newHub("job-abc", obs)
 
-	_, live, cancel := h.subscribe()
+	live, cancel := h.subscribe()
 	if live == nil || obs.subscribers.Value() != 1 {
 		t.Fatalf("after subscribe: live=%v subs=%v", live, obs.subscribers.Value())
 	}
 
 	const overflow = 50
+	gauge := telemetry.Event{Kind: telemetry.EvGaugeConns, Src: telemetry.NetworkSource(-1)}
 	for i := 0; i < subBuffer+overflow; i++ {
-		h.publish(streamEvent{name: "gauge", data: []byte("{}")}, false)
+		h.publishGauge(&gauge)
 	}
 	if got := obs.dropped.Value(); got != overflow {
 		t.Fatalf("dropped counter %d, want %d", got, overflow)
@@ -278,7 +280,7 @@ func TestSSEDropAccounting(t *testing.T) {
 	}
 
 	// close() releases subscribers that never canceled.
-	_, _, _ = h.subscribe()
+	_, _ = h.subscribe()
 	if obs.subscribers.Value() != 1 {
 		t.Fatalf("resubscribe: subs=%v", obs.subscribers.Value())
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -39,22 +40,22 @@ type streamEvent struct {
 
 // hub fans a job's event stream out to any number of SSE subscribers.
 //
-// Progress events are kept in a bounded history that is replayed to
-// late subscribers, so "submit, then open the event stream" always
+// Progress events are kept in a bounded history, and every subscriber
+// is a cursor into it: a late subscriber starts at the oldest event the
+// history still holds, so "submit, then open the event stream" always
 // observes the run even if the job finished in between — the replay is
 // part of the API, not a race. Gauge events are live-only (they are
-// high-rate samples, not a lifecycle), and the terminal "done" event is
-// both appended to history and closes the stream.
+// high-rate samples, not a lifecycle): each subscriber keeps at most
+// subBuffer unread ones, tagged with where they fall among the kept
+// events. The terminal "done" event is kept too, and ends the stream.
 //
-// Subscriber channels are bounded; the simulation's epilogue goroutine
-// must never block on a slow client. A subscriber that cannot keep up
-// has gauge frames dropped, and the replayable frames it has no room for
-// wait in the history until it has drained its channel (catchUp), so it
-// loses a progress or "done" frame only once the history has overwritten
-// it, as a late subscriber would. Every dropped frame increments
-// serve_sse_dropped_frames_total, and the first drop on each connection
-// is logged once so a slow client is diagnosable without flooding the
-// log.
+// The simulation's epilogue goroutine never blocks on a slow client: it
+// appends and wakes. A subscriber that cannot keep up has gauge frames
+// dropped once its gauge slots are full, and loses a progress or "done"
+// frame only once the history has overwritten it, as a late subscriber
+// would. Every dropped frame increments serve_sse_dropped_frames_total,
+// and the first drop on each connection is logged once so a slow client
+// is diagnosable without flooding the log.
 type hub struct {
 	mu    sync.Mutex
 	jobID string
@@ -73,15 +74,19 @@ type hub struct {
 	watchers atomic.Int32
 }
 
-// subscriber is one attached SSE connection.
+// subscriber is one attached SSE connection. Its fields are under hub.mu.
 type subscriber struct {
-	ch      chan streamEvent
+	next    uint64       // the number of the next kept event it reads
+	gauges  []gaugeFrame // unread gauge frames, at most subBuffer
+	wake    chan struct{}
 	dropped uint64 // frames this connection lost; the first one is logged
-	// behind is set when a replayable event finds ch full: from then on
-	// the connection's replayable events wait in the history, from number
-	// from on, and its gauge frames drop, until catchUp. Both under hub.mu.
-	behind bool
-	from   uint64
+}
+
+// gaugeFrame is an unread gauge frame, published when the hub had kept
+// at events: it goes before kept event number at.
+type gaugeFrame struct {
+	at   uint64
+	data []byte
 }
 
 // historyBound caps replayed events per job: at the default progress
@@ -89,7 +94,7 @@ type subscriber struct {
 // so the bound keeps memory flat while preserving the stream's shape.
 const historyBound = 1024
 
-// subBuffer is each subscriber's channel depth.
+// subBuffer is how many unread gauge frames a subscriber keeps.
 const subBuffer = 256
 
 func newHub(jobID string, obs jobObs) *hub {
@@ -99,71 +104,55 @@ func newHub(jobID string, obs jobObs) *hub {
 	return &hub{jobID: jobID, obs: obs}
 }
 
-// publish sends ev to every subscriber; keep additionally records it in
-// the replay history (drop-oldest beyond historyBound).
-func (h *hub) publish(ev streamEvent, keep bool) {
+// publish records ev in the replay history (drop-oldest beyond
+// historyBound) and wakes every subscriber.
+func (h *hub) publish(ev streamEvent) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
-	if keep {
-		if len(h.history) < historyBound {
-			h.history = append(h.history, ev)
-		} else {
-			h.history[h.oldest] = ev
-			h.oldest = (h.oldest + 1) % historyBound
-		}
-		h.kept++
+	if len(h.history) < historyBound {
+		h.history = append(h.history, ev)
+	} else {
+		h.history[h.oldest] = ev
+		h.oldest = (h.oldest + 1) % historyBound
 	}
+	h.kept++
 	for _, sub := range h.subs {
-		switch {
-		case sub.behind && keep:
-			// Waits in the history for catchUp.
-		case sub.behind:
-			h.drop(sub)
-		case keep:
-			select {
-			case sub.ch <- ev:
-			default:
-				sub.behind, sub.from = true, h.kept-1
-			}
-		default:
-			h.send(sub, ev)
-		}
+		sub.notify()
 	}
 }
 
-// publishGauge sends the live-only gauge frame for e to every subscriber,
-// encoding it only once one of them has room: a full subscriber drops the
-// frame (and counts it) exactly as publish would, without a frame built
-// for it. Only the hub sends, under mu, so room seen here stays room.
+// publishGauge hands the live-only gauge frame for e to every subscriber,
+// encoding it only once one of them has room: a subscriber whose gauge
+// slots are full drops the frame (and counts it) without a frame built
+// for it.
 func (h *hub) publishGauge(e *telemetry.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
-	var ev streamEvent
+	var data []byte
 	for _, sub := range h.subs {
-		if sub.behind || len(sub.ch) == cap(sub.ch) {
+		if len(sub.gauges) == subBuffer {
 			h.drop(sub)
 			continue
 		}
-		if ev.data == nil {
-			ev = streamEvent{name: "gauge", data: appendGaugeFrame(make([]byte, 0, gaugeFrameCap), e)}
+		if data == nil {
+			data = appendGaugeFrame(make([]byte, 0, gaugeFrameCap), e)
 		}
-		h.send(sub, ev)
+		sub.gauges = append(sub.gauges, gaugeFrame{at: h.kept, data: data})
+		sub.notify()
 	}
 }
 
-// send hands ev to sub, or drops it when sub's channel is full. Call it
-// with mu held.
-func (h *hub) send(sub *subscriber, ev streamEvent) {
+// notify wakes sub's reader, unless a wake-up is already pending.
+func (sub *subscriber) notify() {
 	select {
-	case sub.ch <- ev:
+	case sub.wake <- struct{}{}:
 	default:
-		h.drop(sub)
 	}
 }
 
@@ -179,37 +168,41 @@ func (h *hub) drop(sub *subscriber) {
 	}
 }
 
-// catchUp returns, in publish order, the replayable events sub had no
-// room for, and resumes live delivery to it. Its reader calls it once the
-// channel is empty, so each event follows everything sub was sent. Events
-// the history has overwritten since are lost, as for a late subscriber,
-// and count as dropped.
-func (h *hub) catchUp(sub *subscriber) []streamEvent {
+// read appends to dst, in publish order, every frame sub has not read,
+// and reports whether the stream is closed (its history then ends in
+// "done"). Kept events the history has overwritten since sub's last read
+// are lost, as for a late subscriber, and count as dropped.
+func (h *hub) read(sub *subscriber, dst []streamEvent) ([]streamEvent, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !sub.behind {
-		return nil
-	}
-	sub.behind = false
 	oldest := h.kept - uint64(len(h.history))
-	for ; sub.from < oldest; sub.from++ {
+	for ; sub.next < oldest; sub.next++ {
 		h.drop(sub)
 	}
-	out := make([]streamEvent, 0, h.kept-sub.from)
-	for n := sub.from; n < h.kept; n++ {
-		out = append(out, h.history[(h.oldest+int(n-oldest))%len(h.history)])
+	dst = slices.Grow(dst, int(h.kept-sub.next)+len(sub.gauges))
+	g := 0
+	for ; sub.next < h.kept; sub.next++ {
+		for ; g < len(sub.gauges) && sub.gauges[g].at <= sub.next; g++ {
+			dst = append(dst, streamEvent{name: "gauge", data: sub.gauges[g].data})
+		}
+		dst = append(dst, h.history[(h.oldest+int(sub.next-oldest))%len(h.history)])
 	}
-	return out
+	for _, f := range sub.gauges[g:] {
+		dst = append(dst, streamEvent{name: "gauge", data: f.data})
+	}
+	clear(sub.gauges)
+	sub.gauges = sub.gauges[:0]
+	return dst, h.closed
 }
 
-// close marks the stream complete; subscribers' channels are closed
-// after the history (which now ends in "done") has been delivered.
+// close marks the stream complete and wakes every subscriber to read the
+// rest of the history, which now ends in "done".
 func (h *hub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.closed = true
 	for _, sub := range h.subs {
-		close(sub.ch)
+		sub.notify()
 		h.obs.subscribers.Add(-1)
 	}
 	h.subs = nil
@@ -221,23 +214,22 @@ func (h *hub) close() {
 // this is false reaches no one, so its producer may skip it.
 func (h *hub) watched() bool { return h.watchers.Load() > 0 }
 
-// subscribe returns the replay history and a live subscriber (nil if the
-// stream already closed — the history then ends with the terminal
-// event), whose reader takes sub.ch and, each time it has emptied it,
-// catchUp(sub). cancel must be called when the subscriber leaves.
-func (h *hub) subscribe() (replay []streamEvent, sub *subscriber, cancel func()) {
+// subscribe returns a subscriber whose cursor is at the oldest event the
+// history holds. Its reader calls read, and waits on sub.wake until the
+// batch ends in "done" or read reports the stream closed. A subscriber
+// to a closed stream is not attached: it reads the whole history. cancel
+// must be called when the subscriber leaves.
+func (h *hub) subscribe() (*subscriber, func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	replay = make([]streamEvent, 0, len(h.history))
-	replay = append(append(replay, h.history[h.oldest:]...), h.history[:h.oldest]...)
+	sub := &subscriber{next: h.kept - uint64(len(h.history)), wake: make(chan struct{}, 1)}
 	if h.closed {
-		return replay, nil, func() {}
+		return sub, func() {}
 	}
-	sub = &subscriber{ch: make(chan streamEvent, subBuffer)}
 	h.subs = append(h.subs, sub)
 	h.watchers.Add(1)
 	h.obs.subscribers.Add(1)
-	return replay, sub, func() {
+	return sub, func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		for i, have := range h.subs {
@@ -245,7 +237,6 @@ func (h *hub) subscribe() (replay []streamEvent, sub *subscriber, cancel func())
 				h.subs[i] = h.subs[len(h.subs)-1]
 				h.subs[len(h.subs)-1] = nil
 				h.subs = h.subs[:len(h.subs)-1]
-				close(sub.ch)
 				h.watchers.Add(-1)
 				h.obs.subscribers.Add(-1)
 				break
@@ -265,7 +256,7 @@ type progressPayload struct {
 // publishProgress emits one cycle-stamped progress frame (replayable).
 func (j *job) publishProgress(cycle uint64, offered, completed, delivered int) {
 	data, _ := json.Marshal(progressPayload{Cycle: cycle, Offered: offered, Completed: completed, Delivered: delivered})
-	j.hub.publish(streamEvent{name: "progress", data: data}, true)
+	j.hub.publish(streamEvent{name: "progress", data: data})
 }
 
 // gaugePayload is the SSE "gauge" frame body: one telemetry gauge
@@ -302,7 +293,7 @@ const gaugeFrameCap = 96
 // SSE hub: gauge events whose cycle lands on the every-cycle grid are
 // forwarded live. Gauge frames are never kept for replay, so while no
 // subscriber is attached there is no one to encode them for and the sink
-// returns at once; while every subscriber's channel is full,
+// returns at once; while every subscriber's gauge slots are full,
 // hub.publishGauge counts the drop without encoding. It runs on the
 // engine's flushing goroutine, so it must not block — the hub drops on
 // slow subscribers by design.
@@ -339,45 +330,31 @@ func serveEvents(w http.ResponseWriter, r *http.Request, j *job) {
 	// the stream open immediately, not after the first frame.
 	fl.Flush()
 
-	write := func(ev streamEvent) bool {
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return ev.name != "done"
-	}
-
-	replay, sub, cancel := j.hub.subscribe()
+	sub, cancel := j.hub.subscribe()
 	defer cancel()
-	for _, ev := range replay {
-		if !write(ev) {
+	var batch []streamEvent
+	for {
+		var end bool
+		batch, end = j.hub.read(sub, batch[:0])
+		for _, ev := range batch {
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data); err != nil {
+				return
+			}
+			if ev.name == "done" {
+				end = true
+				break
+			}
+		}
+		// One flush a batch: a client that fell behind gets what it
+		// missed in as few writes as the response buffer allows.
+		fl.Flush()
+		if end {
 			return
 		}
-	}
-	if sub == nil {
-		return
-	}
-	// The terminal event arrives on the channel or, when the channel was
-	// full, from catchUp, which the channel's close is followed by.
-	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-sub.ch:
-			if ok && !write(ev) {
-				return
-			}
-			if len(sub.ch) > 0 {
-				continue
-			}
-			for _, ev := range j.hub.catchUp(sub) {
-				if !write(ev) {
-					return
-				}
-			}
-			if !ok {
-				return
-			}
+		case <-sub.wake:
 		}
 	}
 }

@@ -23,12 +23,6 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
-// AddAll records a batch of observations.
-func (s *Sample) AddAll(vs []float64) {
-	s.values = append(s.values, vs...)
-	s.sorted = false
-}
-
 // Count returns the number of observations.
 func (s *Sample) Count() int { return len(s.values) }
 

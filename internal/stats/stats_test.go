@@ -40,14 +40,6 @@ func TestEmptySampleSafe(t *testing.T) {
 	}
 }
 
-func TestAddAll(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{1, 2, 3})
-	if s.Count() != 3 || s.Mean() != 2 {
-		t.Fatalf("AddAll failed: %+v", s.Summarize())
-	}
-}
-
 func TestPercentileBoundsProperty(t *testing.T) {
 	f := func(vals []float64, p float64) bool {
 		if len(vals) == 0 {
@@ -59,7 +51,9 @@ func TestPercentileBoundsProperty(t *testing.T) {
 			}
 		}
 		var s Sample
-		s.AddAll(vals)
+		for _, v := range vals {
+			s.Add(v)
+		}
 		pp := math.Mod(math.Abs(p), 100)
 		got := s.Percentile(pp)
 		return got >= s.Min() && got <= s.Max()
