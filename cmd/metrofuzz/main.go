@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"metro/internal/metrofuzz"
 	"metro/internal/stats"
@@ -31,7 +32,7 @@ import (
 )
 
 func main() {
-	seeds := flag.Int("seeds", 0, "ensemble size: run generated scenarios for seeds [start, start+seeds)")
+	seeds := flag.Int("seeds", 20, "ensemble size: run generated scenarios for seeds [start, start+seeds)")
 	start := flag.Int64("start", 0, "first seed of the ensemble")
 	seed := flag.Int64("seed", -1, "run the single generated scenario for this seed")
 	replay := flag.String("replay", "", "run one scenario from a replay spec line")
@@ -41,6 +42,12 @@ func main() {
 	traceOut := flag.String("trace", "", "single-scenario mode: record the primary (oracle-audited) leg's telemetry to this mtr1 file")
 	kernel := flag.Bool("kernel", false, "also run every scenario on the per-component reference stepper and demand bit-identity with the compiled kernel")
 	flag.Parse()
+	if *seeds < 1 {
+		reject("-seeds %d is not a positive count", *seeds)
+	}
+	if *shrinkRuns < 1 {
+		reject("-shrink-runs %d is not a positive run budget", *shrinkRuns)
+	}
 
 	switch {
 	case *replay != "":
@@ -49,33 +56,35 @@ func main() {
 			fmt.Fprintln(os.Stderr, err) // decode errors carry the metrofuzz: prefix
 			os.Exit(2)
 		}
-		os.Exit(runOne(s, *shrink, *shrinkRuns, true, *traceOut, *kernel))
+		os.Exit(runOne(s, *shrink, *shrinkRuns, *traceOut, *kernel))
 	case *seed >= 0:
-		os.Exit(runOne(metrofuzz.Generate(*seed), *shrink, *shrinkRuns, true, *traceOut, *kernel))
+		os.Exit(runOne(metrofuzz.Generate(*seed), *shrink, *shrinkRuns, *traceOut, *kernel))
 	default:
 		if *traceOut != "" {
-			fmt.Fprintln(os.Stderr, "metrofuzz: -trace needs a single scenario (-seed or -replay)")
-			os.Exit(2)
+			reject("-trace needs a single scenario (-seed or -replay)")
 		}
-		n := *seeds
-		if n <= 0 {
-			n = 20
-		}
-		os.Exit(runEnsemble(*start, n, *shrink, *shrinkRuns, *verbose, *kernel))
+		os.Exit(runEnsemble(*start, *seeds, *shrink, *shrinkRuns, *verbose, *kernel))
 	}
 }
 
-// runOne executes a single scenario and reports it in full.
-func runOne(s metrofuzz.Scenario, shrink bool, shrinkRuns int, verbose bool, traceOut string, kernel bool) int {
+// reject reports a flag value the tool cannot serve, naming the flag,
+// and exits 2.
+func reject(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "metrofuzz: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// runOne executes a single scenario and prints the report's Summary —
+// what metroserve stores for the same spec — with the trace line after
+// its scenario and spec lines.
+func runOne(s metrofuzz.Scenario, shrink bool, shrinkRuns int, traceOut string, kernel bool) int {
 	hooks := metrofuzz.Hooks{KernelOracle: kernel}
 	if traceOut != "" {
 		hooks.Recorder = telemetry.New(telemetry.Options{})
 	}
 	rep := metrofuzz.Run(s, hooks)
-	if verbose {
-		fmt.Printf("scenario: %s\n", metrofuzz.Describe(rep))
-		fmt.Printf("spec:     %s\n", rep.Spec)
-	}
+	head, verdict := splitSummary(rep)
+	fmt.Print(head)
 	if hooks.Recorder != nil {
 		if err := telemetry.WriteFile(traceOut, hooks.Recorder.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "metrofuzz: %v\n", err)
@@ -83,12 +92,22 @@ func runOne(s metrofuzz.Scenario, shrink bool, shrinkRuns int, verbose bool, tra
 		}
 		fmt.Printf("trace: %d events written to %s\n", hooks.Recorder.Len(), traceOut)
 	}
-	if !rep.Failed() {
-		fmt.Printf("ok: all oracles passed (%d messages, %d cycles)\n", rep.Offered, rep.Cycles)
-		return 0
+	if rep.Failed() {
+		reportFailure(rep, shrink, shrinkRuns, kernel)
+		return 1
 	}
-	reportFailure(rep, shrink, shrinkRuns, kernel)
-	return 1
+	fmt.Print(verdict)
+	return 0
+}
+
+// splitSummary cuts rep.Summary() after its scenario and spec lines: the
+// header, then the verdict — the ok line, or the failure block whose last
+// line is the repro.
+func splitSummary(rep *metrofuzz.Report) (head, verdict string) {
+	sum := rep.Summary()
+	i := strings.IndexByte(sum, '\n') + 1
+	i += strings.IndexByte(sum[i:], '\n') + 1
+	return sum[:i], sum[i:]
 }
 
 // runEnsemble sweeps generated scenarios and prints an oracle summary.
@@ -146,24 +165,22 @@ func runEnsemble(start int64, n int, shrink bool, shrinkRuns int, verbose bool, 
 	return 1
 }
 
-// reportFailure prints a failing report and its shrunk repro. The
-// shrinker re-arms the kernel oracle so kernel-divergence failures
+// reportFailure prints a failing report's block from its Summary and,
+// when shrinking, the shrunk scenario in place of the block's repro line.
+// The shrinker re-arms the kernel oracle so kernel-divergence failures
 // still reproduce while shrinking.
 func reportFailure(rep *metrofuzz.Report, shrink bool, shrinkRuns int, kernel bool) {
-	fmt.Printf("FAIL: %s\n", metrofuzz.Describe(rep))
-	fmt.Printf("  spec: %s\n", rep.Spec)
-	for _, f := range rep.Failures {
-		fmt.Printf("  %s\n", f)
+	_, block := splitSummary(rep)
+	if !shrink {
+		fmt.Print(block)
+		return
 	}
-	if shrink {
-		min, minRep := metrofuzz.Shrink(rep.Scenario, metrofuzz.Hooks{KernelOracle: kernel}, shrinkRuns)
-		_ = min
-		fmt.Printf("  shrunk: %s\n", metrofuzz.Describe(minRep))
-		for _, f := range minRep.Failures {
-			fmt.Printf("    %s\n", f)
-		}
-		fmt.Printf("  repro: %s\n", minRep.Repro())
-	} else {
-		fmt.Printf("  repro: %s\n", rep.Repro())
+	// The block ends in the unshrunk repro line; the shrunk one replaces it.
+	fmt.Print(block[:strings.LastIndexByte(block[:len(block)-1], '\n')+1])
+	_, minRep := metrofuzz.Shrink(rep.Scenario, metrofuzz.Hooks{KernelOracle: kernel}, shrinkRuns)
+	fmt.Printf("  shrunk: %s\n", metrofuzz.Describe(minRep))
+	for _, f := range minRep.Failures {
+		fmt.Printf("    %s\n", f)
 	}
+	fmt.Printf("  repro: %s\n", minRep.Repro())
 }

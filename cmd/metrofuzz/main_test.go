@@ -25,6 +25,20 @@ func TestReplayRejectsBadSpec(t *testing.T) {
 	clitest.ExitCode(t, 2, "metrofuzz", "-replay", "mf9;nonsense")
 }
 
+// TestRejectsBadFlags checks the ensemble size and the shrinker's run
+// budget before anything runs: a value below 1 exits 2 with one line
+// naming the flag.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "0"},
+		{"-seeds", "-5"},
+		{"-shrink-runs", "0"},
+		{"-shrink-runs", "-1"},
+	} {
+		clitest.Rejects(t, "metrofuzz", args...)
+	}
+}
+
 // TestGoldenTraceSummary pins the telemetry summary of seed 1's primary
 // leg: the tool writes it with -trace and metrotrace summarize renders
 // it.

@@ -98,6 +98,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metroserve: unexpected arguments %q\n", flag.Args())
 		os.Exit(2)
 	}
+	// Zero workers would admit jobs no one runs, and a negative queue
+	// depth cannot size the admission queue.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"queue", *queue}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "metroserve: -%s %d is not a positive count\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	logger, ok := newLogger(*logFormat)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "metroserve: unknown -log-format %q (want text or json)\n", *logFormat)

@@ -521,6 +521,20 @@ func TestMetroserveBadLogFormat(t *testing.T) {
 	}
 }
 
+// TestMetroserveRejectsBadFlags checks the fleet and queue sizes before
+// the daemon listens: a value below 1 exits 2 with one line naming the
+// flag.
+func TestMetroserveRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-queue", "-1"},
+		{"-queue", "0"},
+		{"-workers", "-2"},
+		{"-workers", "0"},
+	} {
+		clitest.Rejects(t, "metroserve", args...)
+	}
+}
+
 // TestMetroserveSoak hammers a metroserve subprocess with concurrent
 // submissions for 60 seconds and then proves zero dropped-but-acked
 // jobs: every submission the server acknowledged (200 or 202) must be

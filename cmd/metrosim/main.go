@@ -64,10 +64,13 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"width", *width}, {"dp", *dp}, {"vtd", *vtd}, {"cascade", *cascadeW}} {
+	}{{"width", *width}, {"dp", *dp}, {"vtd", *vtd}, {"cascade", *cascadeW}, {"outstanding", *outstanding}} {
 		if f.v < 1 {
 			reject("-%s %d is not a positive count", f.name, f.v)
 		}
+	}
+	if *hw < 0 {
+		reject("-hw %d is not a count of header words", *hw)
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

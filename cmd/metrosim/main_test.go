@@ -46,6 +46,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-loads", "0.4,Inf", "-openloop"},
 		{"-outstanding", "2", "-openloop"},
 		{"-outstanding", "1", "-openloop"},
+		{"-outstanding", "-3"},
+		{"-outstanding", "0"},
+		{"-hw", "-1"},
 	} {
 		clitest.Rejects(t, "metrosim", args...)
 	}

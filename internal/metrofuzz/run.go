@@ -65,17 +65,17 @@ type Hooks struct {
 	// engine, and the gauges are atomic last-writer-wins cells meant as
 	// a live load signal, not a per-run record.
 	EngineMetrics *clock.EngineMetrics
-	// Progress, when set, observes the run between engine steps: every
-	// ProgressPeriod cycles (and once when a leg finishes) it receives
-	// the current cycle and the running offer/completion/delivery
-	// counts of the primary leg. Returning false cancels the
-	// run — runLeg stops stepping, Run records a single "canceled"
-	// failure and sets Report.Canceled. The hook runs on the driving
-	// goroutine, never inside Eval, so it may block or do I/O
-	// (metroserve streams it over SSE and wires cancellation to a
-	// context deadline). Differential legs replay the primary leg's
-	// fixed cycle span; they invoke the hook for cancellation polling
-	// only, with reporting counts from the leg under audit.
+	// Progress, when set, observes the run between engine steps, on the
+	// driving goroutine and never inside Eval, so it may block or do I/O
+	// (metroserve streams it over SSE and wires cancellation to a context
+	// deadline). Its frames follow the primary leg: every ProgressPeriod
+	// cycles and once when the leg ends, the cycle and the running
+	// offer/completion/delivery counts. A replay only polls, on the same
+	// grid and once when its span ends, passing the primary leg's final
+	// cycle and counts, so no frame runs backwards. Returning false from
+	// a grid call cancels the run: stepping stops, Run records a single
+	// "canceled" failure and sets Report.Canceled. A leg's last call only
+	// reports; the next leg's first poll is the next chance to stop.
 	Progress func(cycle uint64, offered, completed, delivered int) bool
 	// ProgressPeriod is the cycle period of Progress callbacks; 0
 	// selects DefaultProgressPeriod.
@@ -134,25 +134,25 @@ func (r *Report) fail(oracle, format string, args ...any) {
 	r.Failures = append(r.Failures, Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
 }
 
-// Run executes a scenario under the oracle battery: the primary leg
-// first — the compiled kernel stepped inline (Workers 1, so the engine
-// never partitions it whatever the network's size), with per-cycle
-// invariant checks and the behavioural oracles — then, when the scenario
-// requests workers, the same kernel partitioned across them, and, when
-// h.KernelOracle is set, the reference stepper, inline too. Each extra
-// leg's result and delivery streams must match the primary leg bit for
-// bit.
+// Run executes a scenario under the oracle battery. The primary leg is
+// the compiled kernel stepped inline (Workers 1, so the engine never
+// partitions it whatever the network's size): the recorder, the per-cycle
+// invariants, the Progress frames and the behavioural oracles watch it.
+// Each armed replay oracle then re-runs the primary leg's cycle span on
+// the leg replayLeg names, whose result and delivery streams must match
+// the primary leg's bit for bit.
 func Run(s Scenario, h Hooks) *Report {
 	r := &Report{Scenario: s, Spec: EncodeSpec(s)}
 	if err := s.Validate(); err != nil {
 		r.fail("spec", "%v", err)
 		return r
 	}
-	primary, err := runLeg(s, h, legConfig{workers: 1, checkInv: true})
+	primary, err := runLeg(s, h, legConfig{workers: 1})
 	if err != nil {
 		r.legFailed("", err)
 		return r
 	}
+	defer primary.release()
 	r.Cycles = primary.cycles
 	r.Offered = len(primary.offers)
 	r.FaultsFired = len(primary.fired)
@@ -165,27 +165,35 @@ func Run(s Scenario, h Hooks) *Report {
 	r.checkConservation(primary)
 	r.checkDelivery(s, primary)
 	r.checkPayload(s, h, primary)
-	defer primary.release()
 
-	if s.Workers > 0 {
-		par, err := runLeg(s, h, legConfig{workers: s.Workers, fixedCycles: primary.cycles})
+	for _, oracle := range ArmedOracles(s, h.KernelOracle) {
+		lc, ok := replayLeg(oracle, s, primary)
+		if !ok {
+			continue
+		}
+		leg, err := runLeg(s, h, lc)
 		if err != nil {
-			r.legFailed("parallel leg: ", err)
+			r.legFailed(lc.name+" leg: ", err)
 			return r
 		}
-		r.diffLegs("differential", "parallel", primary, par)
-		par.release()
-	}
-	if h.KernelOracle {
-		ref, err := runLeg(s, h, legConfig{workers: 1, reference: true, fixedCycles: primary.cycles})
-		if err != nil {
-			r.legFailed("reference leg: ", err)
-			return r
-		}
-		r.diffLegs("kernel", "reference", primary, ref)
-		ref.release()
+		r.diffLegs(oracle, lc.name, primary, leg)
+		leg.release()
 	}
 	return r
+}
+
+// replayLeg is the leg table: the leg that replays primary's span for a
+// replay oracle, or false for an oracle that audits the primary leg
+// itself. ArmedOracles decides which oracles run, so it alone decides
+// which legs run.
+func replayLeg(oracle string, s Scenario, primary *legOut) (legConfig, bool) {
+	switch oracle {
+	case "differential":
+		return legConfig{name: "parallel", workers: s.Workers, primary: primary}, true
+	case "kernel":
+		return legConfig{name: "reference", workers: 1, reference: true, primary: primary}, true
+	}
+	return legConfig{}, false
 }
 
 // legFailed records a leg that did not run to completion: canceled by
@@ -226,6 +234,7 @@ type legOut struct {
 	deliveries   []delivery
 	fired        []fault.Event
 	cycles       uint64
+	delivered    int // results with Delivered set
 	progressErr  string
 	invariantErr string
 
@@ -288,16 +297,14 @@ func (l *legOut) offerIndex(id uint32) int {
 }
 
 // legConfig selects how one leg executes: the compiled kernel at a
-// worker count or the reference stepper, whether the per-cycle invariant
-// oracle runs (primary leg only — the other legs are compared against it
-// instead), and an optional fixed cycle span (differential legs mirror
-// the primary leg's span; 0 means run to quiescence under the progress
-// watchdog).
+// worker count or the reference stepper. A replay carries the finished
+// primary leg, whose cycle span it steps and whose final counts its
+// Progress polls report; the primary leg carries none.
 type legConfig struct {
-	workers     int
-	reference   bool
-	checkInv    bool
-	fixedCycles uint64
+	name      string // the leg in a replay oracle's failure text
+	workers   int
+	reference bool
+	primary   *legOut
 }
 
 // runLeg builds and runs one network under the given leg configuration.
@@ -309,7 +316,6 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	// Every offer yields one result and, fault-free, one delivery: the
 	// message budget sizes all three up front.
 	leg := newLeg(s)
-	delivered := 0 // running count of leg.results with Delivered set
 	inj := &injector{s: s, leg: leg, rng: leg.rng}
 	p := netsim.Params{
 		Spec:               spec,
@@ -333,7 +339,7 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 			}
 			leg.results = append(leg.results, res)
 			if res.Delivered {
-				delivered++
+				leg.delivered++
 			}
 		},
 		// The payload is the leg's to keep: netsim unpacks each delivery
@@ -345,10 +351,10 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 			leg.deliveries = append(leg.deliveries, delivery{Dest: dest, Payload: payload, Intact: intact})
 		},
 	}
-	// The recorder observes the primary leg only (checkInv marks it): a
-	// recorder wires into one build, and the other legs are audited
-	// against the primary one rather than traced themselves.
-	if h.Recorder != nil && lc.checkInv {
+	// A recorder wires into one build: the primary leg's. Replays are
+	// diffed against it rather than traced themselves.
+	replay := lc.primary != nil
+	if !replay {
 		p.Recorder = h.Recorder
 	}
 	n, err := netsim.Build(p)
@@ -367,36 +373,20 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	inj.bind(n)
 	finj := fault.NewInjector(n, s.Faults)
 
-	period := h.ProgressPeriod
-	if period == 0 {
-		period = DefaultProgressPeriod
-	}
-	// observe reports the leg's running counts to the Progress hook and
-	// returns false when the hook asks to cancel. Reporting is
-	// per-leg: the primary leg's stream is what metroserve shows
-	// live; differential legs call it mainly for cancellation polling.
+	period := cmp.Or(h.ProgressPeriod, DefaultProgressPeriod)
+	// shown is the leg the Progress hook reports: the primary one, whose
+	// final cycle and counts a replay passes on every poll.
+	shown := cmp.Or(lc.primary, leg)
 	observe := func(cycle uint64) bool {
-		if h.Progress == nil {
-			return true
+		if replay {
+			cycle = shown.cycles
 		}
-		return h.Progress(cycle, len(leg.offers), len(leg.results), delivered)
+		return h.Progress == nil || h.Progress(cycle, len(shown.offers), len(shown.results), shown.delivered)
 	}
 
-	if lc.fixedCycles > 0 {
-		for n.Engine.Cycle() < lc.fixedCycles {
-			if n.Engine.Cycle()%period == 0 && !observe(n.Engine.Cycle()) {
-				leg.release()
-				return nil, fmt.Errorf("cycle %d: %w", n.Engine.Cycle(), ErrCanceled)
-			}
-			n.Engine.Step()
-		}
-		observe(n.Engine.Cycle())
-		leg.cycles = n.Engine.Cycle()
-		leg.fired = finj.Fired()
-		return leg, nil
-	}
-
-	// Progress budget: an endpoint retires its current message within
+	// A replay steps exactly the primary leg's span. The primary leg runs
+	// until the network is quiet once injection has ended, under a
+	// progress budget: an endpoint retires its current message within
 	// RetryLimit+1 attempts, each bounded by the message span plus the
 	// reply watchdog plus the teardown gap. If the network is done
 	// injecting and no offer/result/delivery/fault lands for a full
@@ -404,41 +394,43 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 	// condition is unreachable — a deadlock); both are oracle failures.
 	attempt := uint64(n.MessageWords(s.PayloadBytes) + s.ListenTimeout + s.DataPipe + 2 + 30)
 	watchdog := uint64(s.RetryLimit+1) * attempt
-	hardCap := uint64(s.InjectCycles) + uint64(s.Messages+10)*watchdog
-	if hardCap > 5_000_000 {
-		hardCap = 5_000_000
-	}
-	lastEvent := uint64(0)
-	lastCount := 0
+	hardCap := min(uint64(s.InjectCycles)+uint64(s.Messages+10)*watchdog, 5_000_000)
+	lastEvent, lastCount := uint64(0), 0
 	for {
 		cycle := n.Engine.Cycle()
+		if replay && cycle >= shown.cycles {
+			break
+		}
 		if cycle%period == 0 && !observe(cycle) {
 			leg.release()
 			return nil, fmt.Errorf("cycle %d: %w", cycle, ErrCanceled)
 		}
-		if inj.done(cycle) && n.Quiet() {
-			break
-		}
-		if cycle >= hardCap {
-			leg.progressErr = fmt.Sprintf("network not quiet after hard cap of %d cycles", hardCap)
-			break
-		}
-		if inj.done(cycle) && cycle-lastEvent > watchdog {
-			leg.progressErr = fmt.Sprintf(
-				"no progress for %d cycles after injection ended (cycle %d, %d results of %d offers)",
-				watchdog, cycle, len(leg.results), len(leg.offers))
-			break
+		if !replay {
+			if inj.done(cycle) && n.Quiet() {
+				break
+			}
+			if cycle >= hardCap {
+				leg.progressErr = fmt.Sprintf("network not quiet after hard cap of %d cycles", hardCap)
+				break
+			}
+			if inj.done(cycle) && cycle-lastEvent > watchdog {
+				leg.progressErr = fmt.Sprintf(
+					"no progress for %d cycles after injection ended (cycle %d, %d results of %d offers)",
+					watchdog, cycle, len(leg.results), len(leg.offers))
+				break
+			}
 		}
 		n.Engine.Step()
+		if replay {
+			continue
+		}
 		if c := len(leg.offers) + len(leg.results) + len(leg.deliveries) + len(finj.Fired()); c != lastCount {
 			lastCount = c
 			lastEvent = n.Engine.Cycle()
 		}
-		if lc.checkInv {
-			if msg := checkAllInvariants(n); msg != "" && leg.invariantErr == "" {
-				leg.invariantErr = fmt.Sprintf("cycle %d: %s", n.Engine.Cycle(), msg)
-				break
-			}
+		if msg := checkAllInvariants(n); msg != "" {
+			leg.invariantErr = fmt.Sprintf("cycle %d: %s", n.Engine.Cycle(), msg)
+			break
 		}
 	}
 	observe(n.Engine.Cycle())

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"metro/internal/netsim"
 	"metro/internal/nic"
 )
 
@@ -63,47 +64,83 @@ func TestDecodeSpecStrict(t *testing.T) {
 }
 
 // TestRunCanceled proves the Progress hook's cancellation path: a hook
-// that immediately asks to stop yields a Canceled report with the
-// bookkeeping failure, not an oracle verdict.
+// that asks to stop yields a Canceled report with the bookkeeping
+// failure, not an oracle verdict — whether it stops the primary leg or,
+// returning false only after the primary leg's last frame, a replay.
 func TestRunCanceled(t *testing.T) {
-	calls := 0
-	rep := Run(tinyScenario(), Hooks{
+	// primaryFrames counts the calls the primary leg makes; Mutate marks
+	// the build of each leg.
+	legs, primaryFrames := 0, 0
+	Run(tinyScenario(), Hooks{
 		ProgressPeriod: 1,
-		Progress: func(cycle uint64, offered, completed, delivered int) bool {
-			calls++
-			return calls < 3
+		Mutate:         func(*netsim.Network) { legs++ },
+		Progress: func(uint64, int, int, int) bool {
+			if legs == 1 {
+				primaryFrames++
+			}
+			return true
 		},
 	})
-	if !rep.Canceled {
-		t.Fatalf("report not marked canceled: %+v", rep)
-	}
-	if len(rep.Failures) != 1 || rep.Failures[0].Oracle != "canceled" {
-		t.Fatalf("want a single canceled failure, got %v", rep.Failures)
+	for _, c := range []struct {
+		name  string
+		calls int // the calls the hook lets through before it asks to stop
+		leg   string
+	}{
+		{"primary leg", 2, "cycle 2:"},
+		{"after the primary leg", primaryFrames, "parallel leg: cycle 0:"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			calls := 0
+			rep := Run(tinyScenario(), Hooks{
+				ProgressPeriod: 1,
+				Progress: func(uint64, int, int, int) bool {
+					calls++
+					return calls <= c.calls
+				},
+			})
+			if !rep.Canceled {
+				t.Fatalf("report not marked canceled: %+v", rep)
+			}
+			if len(rep.Failures) != 1 || rep.Failures[0].Oracle != "canceled" ||
+				!strings.HasPrefix(rep.Failures[0].Detail, c.leg) {
+				t.Fatalf("want a single canceled failure at %q, got %v", c.leg, rep.Failures)
+			}
+		})
 	}
 }
 
-// TestRunProgressObserved proves the hook streams monotone cycle stamps,
-// running counts that match a recount and final counts matching the
-// report, without perturbing the run.
+// progressFrame is one Progress call.
+type progressFrame struct {
+	cycle                         uint64
+	offered, completed, delivered int
+}
+
+// TestRunProgressObserved proves the hook streams cycle stamps and
+// running counts that never decrease across all legs, that each leg's
+// last call carries the report's final cycle and counts, and that the
+// primary leg's counts match a recount — without perturbing the run.
 func TestRunProgressObserved(t *testing.T) {
-	// Serial-only: each leg restarts its cycle counter, so monotonicity
-	// is a per-leg property.
-	scn := tinyScenario()
-	scn.Workers = 0
-	base := Run(scn, Hooks{})
+	scn := Generate(0) // net32, wk=4: a parallel and a reference replay
+	base := Run(scn, Hooks{KernelOracle: true})
 	if base.Failed() {
 		t.Fatalf("baseline failed: %v", base.Failures)
 	}
-	var cycles []uint64
-	var lastCompleted, lastDelivered int
+	var frames []progressFrame
+	var last []progressFrame // each leg's last call; Mutate marks each leg's build
 	rep := Run(scn, Hooks{
+		KernelOracle:   true,
 		ProgressPeriod: 64,
+		Mutate:         func(*netsim.Network) { last = append(last, progressFrame{}) },
 		Progress: func(cycle uint64, offered, completed, delivered int) bool {
-			if n := len(cycles); n > 0 && cycle < cycles[n-1] {
-				t.Fatalf("progress cycle went backwards: %d after %d", cycle, cycles[n-1])
+			f := progressFrame{cycle, offered, completed, delivered}
+			if n := len(frames); n > 0 {
+				if p := frames[n-1]; f.cycle < p.cycle || f.offered < p.offered ||
+					f.completed < p.completed || f.delivered < p.delivered {
+					t.Fatalf("leg %d: progress ran backwards: %+v after %+v", len(last), f, p)
+				}
 			}
-			cycles = append(cycles, cycle)
-			lastCompleted, lastDelivered = completed, delivered
+			frames = append(frames, f)
+			last[len(last)-1] = f
 			return true
 		},
 	})
@@ -114,27 +151,38 @@ func TestRunProgressObserved(t *testing.T) {
 		t.Fatalf("Progress hook perturbed the run: %d/%d/%d vs baseline %d/%d/%d",
 			rep.Cycles, rep.Offered, rep.Delivered, base.Cycles, base.Offered, base.Delivered)
 	}
-	if len(cycles) < 2 {
-		t.Fatalf("want multiple progress callbacks, got %d", len(cycles))
+	if len(frames) < 2*len(last) {
+		t.Fatalf("want multiple progress callbacks per leg, got %d over %d legs", len(frames), len(last))
 	}
-	if lastCompleted != rep.Offered || lastDelivered != rep.Delivered {
-		t.Fatalf("final progress counts %d/%d, report %d/%d",
-			lastCompleted, lastDelivered, rep.Offered, rep.Delivered)
+	want := progressFrame{rep.Cycles, rep.Offered, rep.Offered, rep.Delivered}
+	if len(last) != 3 {
+		t.Fatalf("want a primary leg and two replays, got %d legs", len(last))
+	}
+	for i, f := range last {
+		if f != want {
+			t.Fatalf("leg %d ended on %+v, report %+v", i, f, want)
+		}
 	}
 
-	// At period 1 (what the serve tests run) every frame's counts equal
-	// a recount over the results seen so far: DropResult sees each
+	// At period 1 (what the serve tests run) every primary frame's counts
+	// equal a recount over the results seen so far: DropResult sees each
 	// completion before the harness records it, and drops none.
 	var seen []nic.Result
-	frames := 0
+	legs, primaryFrames := 0, 0
 	rep = Run(scn, Hooks{
 		ProgressPeriod: 1,
+		Mutate:         func(*netsim.Network) { legs++ },
 		DropResult: func(res nic.Result) bool {
-			seen = append(seen, res)
+			if legs == 1 {
+				seen = append(seen, res)
+			}
 			return false
 		},
 		Progress: func(cycle uint64, offered, completed, delivered int) bool {
-			frames++
+			if legs > 1 {
+				return true
+			}
+			primaryFrames++
 			recount := 0
 			for _, res := range seen {
 				if res.Delivered {
@@ -151,7 +199,7 @@ func TestRunProgressObserved(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("period-1 run failed: %v", rep.Failures)
 	}
-	if uint64(frames) < rep.Cycles {
-		t.Fatalf("period 1 over %d cycles produced %d frames", rep.Cycles, frames)
+	if uint64(primaryFrames) < rep.Cycles {
+		t.Fatalf("period 1 over %d cycles produced %d primary frames", rep.Cycles, primaryFrames)
 	}
 }

@@ -534,19 +534,11 @@ func plainJobID(t *testing.T, body []byte) string {
 	return res.ID
 }
 
-// TestEventStream asserts the SSE endpoint replays progress for a
-// completed job and terminates with the done event carrying the result.
-func TestEventStream(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 1, ProgressPeriod: 16})
-	spec := quickSpec(t, 1)
-	first := submit(t, hs.URL, spec, "?wait=1")
-	firstBody := readBody(t, first)
-	if first.StatusCode != http.StatusOK {
-		t.Fatalf("run: status %d", first.StatusCode)
-	}
-	id := first.Header.Get("X-Job")
-
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + id + "/events")
+// readEvents reads a job's SSE stream up to its done frame, returning
+// the progress frames and the done frame's data.
+func readEvents(t *testing.T, base, id string) ([]progressPayload, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,9 +546,7 @@ func TestEventStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type %q", ct)
 	}
-
 	var progress []progressPayload
-	var doneData []byte
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	event := ""
@@ -578,26 +568,74 @@ func TestEventStream(t *testing.T) {
 			}
 			progress = append(progress, p)
 		case "done":
-			doneData = []byte(v)
-		}
-		if event == "done" {
-			break
+			return progress, []byte(v)
 		}
 	}
+	t.Fatalf("event stream ended without a done frame after %d progress frames", len(progress))
+	return nil, nil
+}
+
+// assertProgressForward fails unless no progress frame's cycle or counts
+// fall below the frame before it.
+func assertProgressForward(t *testing.T, progress []progressPayload) {
+	t.Helper()
 	if len(progress) == 0 {
 		t.Fatal("no progress frames replayed for a completed job")
 	}
-	// Cycles are monotone within a leg but the differential leg restarts
-	// the clock, so the stream as a whole may step back exactly at leg
-	// boundaries: every decrease must land back at a fresh clock, never
-	// mid-count.
 	for i := 1; i < len(progress); i++ {
-		if progress[i].Cycle < progress[i-1].Cycle && progress[i].Cycle > uint64(16) {
-			t.Fatalf("progress cycle regressed mid-leg: %d then %d", progress[i-1].Cycle, progress[i].Cycle)
+		p, f := progress[i-1], progress[i]
+		if f.Cycle < p.Cycle || f.Offered < p.Offered || f.Completed < p.Completed || f.Delivered < p.Delivered {
+			t.Fatalf("progress frame %d ran backwards: %+v after %+v", i, f, p)
 		}
 	}
+}
+
+// TestEventStream asserts the SSE endpoint replays progress for a
+// completed job, its frames never running backwards across the primary
+// leg and the parallel replay, and terminates with the done event
+// carrying the result.
+func TestEventStream(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1, ProgressPeriod: 16})
+	first := submit(t, hs.URL, quickSpec(t, 1), "?wait=1")
+	firstBody := readBody(t, first)
+	if first.StatusCode != http.StatusOK {
+		t.Fatalf("run: status %d", first.StatusCode)
+	}
+	progress, doneData := readEvents(t, hs.URL, first.Header.Get("X-Job"))
+	assertProgressForward(t, progress)
 	if !bytes.Equal(append(doneData, '\n'), firstBody) {
 		t.Fatalf("done event differs from served result:\ndone: %s\nbody: %s", doneData, firstBody)
+	}
+}
+
+// TestKernelEventStreamForward runs a job with a parallel replay and a
+// reference replay (wk>0, engine=kernel) and asserts its progress frames
+// never run backwards and that the stream ends, once per leg, on the
+// result's cycle and counts.
+func TestKernelEventStreamForward(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1, ProgressPeriod: 16})
+	if metrofuzz.Generate(0).Workers == 0 {
+		t.Fatal("seed 0 no longer asks for parallel workers")
+	}
+	first := submit(t, hs.URL, quickSpec(t, 0), "?wait=1&engine=kernel")
+	var res Result
+	if err := json.Unmarshal(readBody(t, first), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusPassed {
+		t.Fatalf("run: status %q, failures %v", res.Status, res.Failures)
+	}
+	progress, _ := readEvents(t, hs.URL, res.ID)
+	assertProgressForward(t, progress)
+	final := progressPayload{Cycle: res.Cycles, Offered: res.Offered, Completed: res.Offered, Delivered: res.Delivered}
+	ends := 0
+	for _, p := range progress {
+		if p == final {
+			ends++
+		}
+	}
+	if ends < 3 {
+		t.Fatalf("%d progress frames carry the result's %+v, want one per leg (3)", ends, final)
 	}
 }
 
