@@ -108,7 +108,8 @@ func main() {
 	bits, _ := mt.ReadSettings(reg.Len())
 	_ = bits
 	router.SetBackwardEnabled(2, false) // as a CONFIG scan load would
-	diag := metro.LoopbackTest(net2.OutLink(0, 1, 2), 8, nil)
+	isolated := net2.OutLink(0, 1, 2)
+	diag := metro.LoopbackTest(&isolated, 8, nil)
 	fmt.Printf("phase 3: boundary test of isolated link: passed=%v stuck-high mask=%#x\n",
 		diag.Passed, diag.StuckHigh)
 

@@ -13,7 +13,7 @@ import (
 // Eval, then every link's Commit.
 type rig struct {
 	r     *Router
-	links []*link.Link
+	links []link.Link
 	src   []link.End // upstream ends of the forward links
 	dst   []link.End // downstream ends of the backward links
 }
@@ -27,13 +27,13 @@ func newRig(seed uint32) *rig {
 	// The links are unnamed arenas of one: a namer is a func, which
 	// reflect.DeepEqual never finds equal.
 	for fp := 0; fp < cfg.Inputs; fp++ {
-		l := link.NewArena(1, 1).New()
+		l := link.NewArena(1, 1).Place(0, 1)
 		g.r.AttachForward(fp, l.B())
 		g.src = append(g.src, l.A())
 		g.links = append(g.links, l)
 	}
 	for bp := 0; bp < cfg.Outputs; bp++ {
-		l := link.NewArena(1, 1).New()
+		l := link.NewArena(1, 1).Place(0, 1)
 		g.r.AttachBackward(bp, l.A())
 		g.dst = append(g.dst, l.B())
 		g.links = append(g.links, l)

@@ -169,7 +169,7 @@ func (i *Injector) apply(e Event) {
 }
 
 // linkOf returns the link an event names, for apply to mutate.
-func (i *Injector) linkOf(e Event) *link.Link {
+func (i *Injector) linkOf(e Event) link.Link {
 	if e.Stage < 0 {
 		return i.net.InjectLink(e.Index, e.Port)
 	}

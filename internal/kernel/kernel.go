@@ -23,7 +23,7 @@
 //
 // The component structs are not replaced: a core.Router or nic.Endpoint
 // referenced by a unit is the same object tests, telemetry, and scan
-// already observe, and a link.Link placed in an arena is a view over
+// already observe, and a link.Link placed in an arena is a value naming
 // arena memory. That is the view-struct contract documented in
 // docs/KERNEL.md — the kernel changes where state lives and how it is
 // driven, never what it is.
@@ -39,7 +39,7 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"metro/internal/cascade"
 	"metro/internal/core"
@@ -48,8 +48,30 @@ import (
 )
 
 // Builder accumulates the flattened layout while netsim elaborates a
-// network. Feed it arenas and units, then Compile.
-type Builder struct{ c Compiled }
+// network. Feed it arenas, placements and units, then Compile.
+type Builder struct {
+	c Compiled
+	// placed holds each arena of the plan, in plan order, with its links
+	// in placement order: what Compile audits the held ends against. The
+	// arenas keep no record of their links, and neither does the plan, so
+	// the placements die with the builder.
+	placed []placed
+}
+
+// placed is one arena's links as the builder placed them, and, once
+// Compile has begun its audit, the reader of each of its registers.
+type placed struct {
+	a     *link.Arena
+	links []link.Link
+	// reader[r] is the unit reading register r once a held end claims it.
+	// Until then it is ^li while the direction of links[li] claims it
+	// (negative, so "unread"), and noReader while none does.
+	reader []int32
+}
+
+// noReader marks a register no placed link claims. NewArena bounds an
+// arena's links to MaxInt32/2, so no ^li reaches it.
+const noReader = math.MinInt32
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return &Builder{} }
@@ -61,7 +83,42 @@ func NewBuilder() *Builder { return &Builder{} }
 func (b *Builder) Arena(delay, capacity int) *link.Arena {
 	a := link.NewArena(delay, capacity)
 	b.c.arenas = append(b.c.arenas, a)
+	b.placed = append(b.placed, placed{a: a, links: make([]link.Link, 0, capacity)})
 	return a
+}
+
+// Place places the next link of a, one of the builder's arenas, with its
+// A→B direction in register ab and its B→A direction in register ba
+// (link.Arena.Place), and records it for Compile's audit.
+func (b *Builder) Place(a *link.Arena, ab, ba int) link.Link {
+	p := b.placedIn(a)
+	if p == nil {
+		panic("kernel: Place in an arena the builder did not create")
+	}
+	l := a.Place(ab, ba)
+	p.links = append(p.links, l)
+	return l
+}
+
+// placedIn returns the builder's record of arena a, nil if a is not one of
+// its arenas.
+func (b *Builder) placedIn(a *link.Arena) *placed {
+	for i := range b.placed {
+		if p := &b.placed[i]; p.a == a {
+			return p
+		}
+	}
+	return nil
+}
+
+// owner returns the placed link whose direction register r carries.
+func (p *placed) owner(r int) link.Link {
+	for _, l := range p.links {
+		if ab, ba := l.Registers(); r == ab || r == ba {
+			return l
+		}
+	}
+	panic(fmt.Sprintf("kernel: register %d is claimed by no placed link", r))
 }
 
 // AddColumn appends a router-column unit: the lanes of one logical
@@ -106,28 +163,25 @@ func (b *Builder) AddEndpoint(ep *nic.Endpoint) { b.c.eps = append(b.c.eps, ep) 
 // what EvalUnits clears.
 func (b *Builder) Compile() (*Compiled, error) {
 	c := &b.c
-	// reader[ai][r] is the unit reading register r of arena ai: noReader
-	// until claimed by a link direction, unread until a unit holds its end.
-	const noReader, unread = -2, -1
-	reader := make([][]int32, len(c.arenas))
-	for ai, a := range c.arenas {
-		if a.Len() != a.Cap() {
-			return nil, fmt.Errorf("kernel: arena %d (delay %d) placed %d of %d links", ai, a.Delay(), a.Len(), a.Cap())
+	for ai := range b.placed {
+		p := &b.placed[ai]
+		if len(p.links) != p.a.Cap() {
+			return nil, fmt.Errorf("kernel: arena %d (delay %d) placed %d of %d links", ai, p.a.Delay(), len(p.links), p.a.Cap())
 		}
-		rd := make([]int32, a.Registers())
+		rd := make([]int32, p.a.Registers())
 		for r := range rd {
 			rd[r] = noReader
 		}
-		for li := 0; li < a.Len(); li++ {
-			ab, ba := a.At(li).Registers()
+		for li, l := range p.links {
+			ab, ba := l.Registers()
 			for _, r := range [2]int{ab, ba} {
 				if rd[r] != noReader {
-					return nil, fmt.Errorf("kernel: arena %d (delay %d): register %d is claimed by two link directions (the second is %s)", ai, a.Delay(), r, a.At(li).Name())
+					return nil, fmt.Errorf("kernel: arena %d (delay %d): register %d is claimed by two link directions (the second is %s)", ai, p.a.Delay(), r, l.Name())
 				}
-				rd[r] = unread
+				rd[r] = ^int32(li)
 			}
 		}
-		reader[ai] = rd
+		p.reader = rd
 	}
 	// hold records unit u as the reader of end's input register, once it
 	// is the link's own end: a copy must stage into the link's other
@@ -137,19 +191,22 @@ func (b *Builder) Compile() (*Compiled, error) {
 			return nil
 		}
 		a, r := end.Input()
-		l := end.Link()
-		_, ba := l.Registers()
-		switch ai := slices.Index(c.arenas, a); {
-		case ai < 0:
-			return fmt.Errorf("kernel: link %s end %s, held by unit %d, lies in an arena outside the plan", l.Name(), endName(r == ba), u)
-		case reader[ai][r] != unread:
-			return fmt.Errorf("kernel: link %s end %s is held by units %d and %d, want one", l.Name(), endName(r == ba), reader[ai][r], u)
-		case end != l.A() && end != l.B():
-			return fmt.Errorf("kernel: link %s end %s, held by unit %d, does not stage into its link's other register", l.Name(), endName(r == ba), u)
-		default:
-			reader[ai][r] = int32(u)
-			return nil
+		p := b.placedIn(a)
+		if p == nil {
+			return fmt.Errorf("kernel: an end held by unit %d reads register %d of an arena outside the plan", u, r)
 		}
+		// Every register is claimed (the arena is placed full and none
+		// twice), so v is a unit or a placed link.
+		if v := p.reader[r]; v >= 0 {
+			l := p.owner(r)
+			_, ba := l.Registers()
+			return fmt.Errorf("kernel: link %s end %s is held by units %d and %d, want one", l.Name(), endName(r == ba), v, u)
+		} else if l := p.links[^v]; end != l.A() && end != l.B() {
+			_, ba := l.Registers()
+			return fmt.Errorf("kernel: link %s end %s, held by unit %d, does not stage into its link's other register", l.Name(), endName(r == ba), u)
+		}
+		p.reader[r] = int32(u)
+		return nil
 	}
 	var err error
 	for i, r := range c.lanes {
@@ -170,27 +227,28 @@ func (b *Builder) Compile() (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ai, rd := range reader {
-		a := c.arenas[ai]
-		for li := 0; li < a.Len(); li++ {
-			ab, ba := a.At(li).Registers()
-			if rd[ab] == unread || rd[ba] == unread {
-				return nil, fmt.Errorf("kernel: link %s end %s is held by no unit", a.At(li).Name(), endName(rd[ba] == unread))
+	for ai := range b.placed {
+		p := &b.placed[ai]
+		rd := p.reader
+		for _, l := range p.links {
+			ab, ba := l.Registers()
+			if rd[ab] < 0 || rd[ba] < 0 {
+				return nil, fmt.Errorf("kernel: link %s end %s is held by no unit", l.Name(), endName(rd[ba] < 0))
 			}
 		}
 		for r := 1; r < len(rd); r++ {
 			if rd[r] < rd[r-1] {
 				return nil, fmt.Errorf("kernel: arena %d (delay %d): register %d is read by unit %d but register %d by unit %d; every unit's inputs must be one contiguous run, in unit order",
-					ai, a.Delay(), r-1, rd[r-1], r, rd[r])
+					ai, p.a.Delay(), r-1, rd[r-1], r, rd[r])
 			}
 		}
 	}
 	// Every register now has one reader and the readers never decrease,
 	// so unit u's run starts after the registers of units [0, u).
-	c.runs = make([][]int32, 0, len(reader))
-	for _, rd := range reader {
+	c.runs = make([][]int32, 0, len(b.placed))
+	for _, p := range b.placed {
 		run := make([]int32, c.Units()+1)
-		for _, u := range rd {
+		for _, u := range p.reader {
 			run[u+1]++
 		}
 		for u := 1; u < len(run); u++ {

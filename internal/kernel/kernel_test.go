@@ -58,21 +58,22 @@ func chain(t *testing.T, capacity, placed int) (*Builder, []*nic.Endpoint) {
 	b, a := newArena(capacity)
 	eps := newEndpoints(t, placed+1)
 	for i := 0; i < placed; i++ {
-		l := a.Place(2*i+1, 2*i)
+		l := b.Place(a, 2*i+1, 2*i)
 		eps[i].AttachInject(l.A())
 		eps[i+1].AttachDeliver(l.B())
 	}
 	return b, eps
 }
 
-// pair wires endpoint 0 to endpoint 1 over every link of an arena the
-// caller has placed: 0 holds the A ends, 1 the B ends. It adds both.
-func pair(t *testing.T, b *Builder, a *link.Arena) {
+// pair wires endpoint 0 to endpoint 1 over every link the caller has
+// placed in the builder's one arena: 0 holds the A ends, 1 the B ends. It
+// adds both.
+func pair(t *testing.T, b *Builder) {
 	t.Helper()
 	eps := newEndpoints(t, 2)
-	for i := 0; i < a.Len(); i++ {
-		eps[0].AttachInject(a.At(i).A())
-		eps[1].AttachDeliver(a.At(i).B())
+	for _, l := range b.placed[0].links {
+		eps[0].AttachInject(l.A())
+		eps[1].AttachDeliver(l.B())
 	}
 	b.AddEndpoint(eps[0])
 	b.AddEndpoint(eps[1])
@@ -112,7 +113,7 @@ func TestCompileAcceptsExactWiring(t *testing.T) {
 	b, a := newArena(2)
 	eps := newEndpoints(t, 2)
 	r := newRouter(t, "r", 1)
-	in, out := a.Place(0, 2), a.Place(3, 1)
+	in, out := b.Place(a, 0, 2), b.Place(a, 3, 1)
 	eps[0].AttachInject(in.A())
 	r.AttachForward(0, in.B())
 	r.AttachBackward(0, out.A())
@@ -152,7 +153,7 @@ func TestCompileAuditErrors(t *testing.T) {
 			b.AddEndpoint(eps[0])
 			b.AddEndpoint(eps[1])
 			extra := newEndpoints(t, 1)[0]
-			extra.AttachInject(b.c.arenas[0].At(0).A()) // endpoint 0 holds it too
+			extra.AttachInject(b.placed[0].links[0].A()) // endpoint 0 holds it too
 			b.AddEndpoint(extra)
 			return b
 		}, "link wire0 end A is held by units 0 and 2, want one"},
@@ -163,7 +164,7 @@ func TestCompileAuditErrors(t *testing.T) {
 			// wrong wire.
 			b, a := newArena(2)
 			eps := newEndpoints(t, 3)
-			w0, w1 := a.Place(1, 0), a.Place(3, 2)
+			w0, w1 := b.Place(a, 1, 0), b.Place(a, 3, 2)
 			eps[0].AttachInject(w0.A())
 			eps[1].AttachInject(w1.A())
 			eps[1].AttachDeliver(misstaged(w0.B(), 3))
@@ -181,15 +182,15 @@ func TestCompileAuditErrors(t *testing.T) {
 			b.AddEndpoint(eps[0])
 			b.AddEndpoint(eps[1])
 			return b
-		}, "link stray end A, held by unit 0, lies in an arena outside the plan"},
+		}, "an end held by unit 0 reads register 1 of an arena outside the plan"},
 		{"overlapping placement", func(t *testing.T) *Builder {
 			// Both links put their A→B direction in register 1, which
 			// leaves register 3 unclaimed: one wire would deliver the
 			// other's words.
 			b, a := newArena(2)
-			a.Place(1, 0)
-			a.Place(1, 2)
-			pair(t, b, a)
+			b.Place(a, 1, 0)
+			b.Place(a, 1, 2)
+			pair(t, b)
 			return b
 		}, "register 1 is claimed by two link directions (the second is wire1)"},
 		{"holed placement", func(t *testing.T) *Builder {
@@ -197,17 +198,17 @@ func TestCompileAuditErrors(t *testing.T) {
 			// and 3 with unit 0's second input between them: unit 1's run
 			// has a hole, so its inputs are not adjacent in memory.
 			b, a := newArena(2)
-			a.Place(1, 0)
-			a.Place(3, 2)
-			pair(t, b, a)
+			b.Place(a, 1, 0)
+			b.Place(a, 3, 2)
+			pair(t, b)
 			return b
 		}, "register 1 is read by unit 1 but register 2 by unit 0; every unit's inputs must be one contiguous run, in unit order"},
 		{"runs out of unit order", func(t *testing.T) *Builder {
 			// Each unit's run is contiguous (one register), but unit 1's
 			// comes first.
 			b, a := newArena(1)
-			a.Place(0, 1)
-			pair(t, b, a)
+			b.Place(a, 0, 1)
+			pair(t, b)
 			return b
 		}, "register 0 is read by unit 1 but register 1 by unit 0"},
 		{"units hold each other's ends", func(t *testing.T) *Builder {
@@ -215,7 +216,7 @@ func TestCompileAuditErrors(t *testing.T) {
 			// endpoint 1 the B end, but the wiring is swapped, so each
 			// reads the register placed for the other.
 			b, a := newArena(1)
-			l := a.Place(1, 0)
+			l := b.Place(a, 1, 0)
 			eps := newEndpoints(t, 2)
 			eps[0].AttachDeliver(l.B())
 			eps[1].AttachInject(l.A())
@@ -328,25 +329,25 @@ func TestRangesClearTheReadPlane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := c.Arenas()[0]
+		a, placed := c.Arenas()[0], b.placed[0].links
 		calls := 0
 		if faulty {
-			a.At(3).Kill()
-			a.At(7).SetCorruptor(func(w word.Word) word.Word { calls++; return w }, nil)
+			placed[3].Kill()
+			placed[7].SetCorruptor(func(w word.Word) word.Word { calls++; return w }, nil)
 		}
 		w8, err := word.NewWidth(8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < links; i++ {
-			for _, end := range [2]link.End{a.At(i).A(), a.At(i).B()} {
+			for _, end := range [2]link.End{placed[i].A(), placed[i].B()} {
 				end.Send(word.MakeData(uint32(i+1), w8))
 				end.SendBCB(true)
 			}
 		}
 		a.Commit(0) // the plane just staged is the one read at cycle 1
 		for i := 0; i < links; i++ {
-			if end := a.At(i).B(); end.Recv().Kind == word.Empty && !end.Dead() {
+			if end := placed[i].B(); end.Recv().Kind == word.Empty && !end.Dead() {
 				t.Fatalf("faulty=%v link %d: the read plane was not filled", faulty, i)
 			}
 		}
@@ -365,7 +366,7 @@ func TestRangesClearTheReadPlane(t *testing.T) {
 
 		calls = 0
 		for i := 0; i < links; i++ {
-			l := a.At(i)
+			l := placed[i]
 			for _, end := range [2]link.End{l.A(), l.B()} {
 				if w, bcb := end.Recv(), end.RecvBCB(); w != (word.Word{}) || bcb {
 					t.Errorf("faulty=%v link %d: read plane holds %v, BCB %v after the clear; want empty", faulty, i, w, bcb)

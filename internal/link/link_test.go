@@ -178,8 +178,8 @@ func TestNameAndDelayAccessors(t *testing.T) {
 	if l.Delay() != 4 {
 		t.Fatalf("Delay() = %d", l.Delay())
 	}
-	if a, b := l.A(), l.B(); a.Link() != l || b.Link() != l {
-		t.Fatal("End.Link() should return the parent link")
+	if FromA(l.A(), 0) != *l {
+		t.Fatal("FromA(l.A(), 0) should rebuild the link")
 	}
 }
 

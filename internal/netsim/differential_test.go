@@ -241,8 +241,8 @@ func TestKernelWiringAudit(t *testing.T) {
 		for s := range n.Routers {
 			for _, lanes := range n.Routers[s] {
 				for _, r := range lanes {
-					fwd := func(fp int) int { e := r.ForwardLink(fp); ab, _ := e.Link().Registers(); return ab }
-					bwd := func(bp int) int { e := r.BackwardLink(bp); _, ba := e.Link().Registers(); return ba }
+					fwd := func(fp int) int { e := r.ForwardLink(fp); _, ab := e.Input(); return ab }
+					bwd := func(bp int) int { e := r.BackwardLink(bp); _, ba := e.Input(); return ba }
 					f0 := fwd(0)
 					for fp := 0; fp < r.Config().Inputs; fp++ {
 						if ab := fwd(fp); ab != f0+fp {
@@ -263,7 +263,7 @@ func TestKernelWiringAudit(t *testing.T) {
 			t.Fatalf("cascade %d: compiled plan holds %d links, topology has %d wires of %d lanes", c, links, want/c, c)
 		}
 		visited := 0
-		n.EachLink(func(*link.Link) { visited++ })
+		n.EachLink(func(link.Link) { visited++ })
 		if visited != links {
 			t.Fatalf("cascade %d: EachLink visited %d of %d links", c, visited, links)
 		}

@@ -23,7 +23,7 @@ import (
 // the arena clears its read plane register by register rather than with
 // one memclr.
 type faultScript struct {
-	killed, injected, corrupted *link.Link
+	killed, injected, corrupted link.Link
 	calls                       int // corruptor invocations
 }
 

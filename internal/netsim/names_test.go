@@ -60,7 +60,7 @@ func TestNamesPin(t *testing.T) {
 					}
 				}
 			}
-			n.EachLink(func(l *link.Link) { add(l.Name()) })
+			n.EachLink(func(l link.Link) { add(l.Name()) })
 			got := hex.EncodeToString(h.Sum(nil))
 			t.Logf("%d names, digest %s", names, got)
 			if got != tc.digest {

@@ -155,6 +155,10 @@ type Network struct {
 	// the output links of stage s, and Build places each tier's links as
 	// one run of its delay class's arena, in wiring order (see tierSpan).
 	tiers []tierSpan
+	// injects is every endpoint's injection lane ends, the A ends of tier
+	// 0 in wiring order, lane minor: the prefix of the array the endpoints
+	// carve their channels from, so it holds nothing they do not.
+	injects []link.End
 
 	results []nic.Result
 	nextID  uint64
@@ -182,11 +186,13 @@ func (col *collector) Eval(cycle uint64) {
 	}
 }
 
-// tierSpan is where one tier's links sit: arena.At(base + i) for the i'th
-// link of the tier in wiring order, lane minor. Injection links run
-// endpoint-major, then link k; output links router-major, then backward
-// port. The position is all a link needs to be found (InjectLink, OutLink)
-// and named (linkNamer), so the network keeps no table of links.
+// tierSpan is where one tier's links sit: the i'th link of the tier in
+// wiring order, lane minor, is the arena's link of placement index
+// base + i. Injection links run endpoint-major, then link k; output links
+// router-major, then backward port. The position and the A end its
+// upstream holder keeps are all a link needs to be found (tierLink) and
+// named (linkNamer), so neither the network nor its arenas keep a table of
+// links.
 type tierSpan struct {
 	arena *link.Arena
 	base  int
@@ -255,10 +261,7 @@ func Build(p Params) (*Network, error) {
 	// the lower tiers of its class.
 	n.tiers = make([]tierSpan, S+1)
 	for tier := range n.tiers {
-		links := p.Spec.Endpoints * ne * c
-		if tier > 0 {
-			links = top.RoutersPerStage[tier-1] * p.Spec.Stages[tier-1].Outputs() * c
-		}
+		links := n.tierWires(tier) * c
 		d := delayOf(tier)
 		if classes[d] == nil {
 			classes[d] = &delayClass{}
@@ -415,13 +418,14 @@ func Build(p Params) (*Network, error) {
 	// cascade lane. An endpoint keeps each channel's lane ends, carved
 	// from one array: c per injection and per delivery link.
 	epEnds := make([]link.End, 2*ne*c*p.Spec.Endpoints)
+	n.injects = epEnds[:ne*c*p.Spec.Endpoints]
 	for e := 0; e < p.Spec.Endpoints; e++ {
 		for k := 0; k < ne; k++ {
 			ref := top.Inject(e, k)
 			ends := take(&epEnds, c)
 			for lane := range ends {
 				down := colUnit(ref.Stage, ref.Index)
-				l := n.tiers[0].arena.Place(fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
+				l := kb.Place(n.tiers[0].arena, fwdBase[down*c+lane]+ref.Port, injBase[e]+k*c+lane)
 				ends[lane] = l.A()
 				n.Routers[ref.Stage][ref.Index][lane].AttachForward(ref.Port, l.B())
 			}
@@ -443,7 +447,7 @@ func Build(p Params) (*Network, error) {
 					} else {
 						ab = fwdBase[colUnit(ref.Stage, ref.Index)*c+lane] + ref.Port
 					}
-					l := n.tiers[s+1].arena.Place(ab, bwdBase[colUnit(s, j)*c+lane]+bp)
+					l := kb.Place(n.tiers[s+1].arena, ab, bwdBase[colUnit(s, j)*c+lane]+bp)
 					n.Routers[s][j][lane].AttachBackward(bp, l.A())
 					if ref.Kind == topo.KindEndpoint {
 						ends[lane] = l.B()
@@ -570,21 +574,40 @@ func (n *Network) ResetResults() { n.results = n.results[:0] }
 func (n *Network) RouterAt(stage, index int) *core.Router { return n.Routers[stage][index][0] }
 
 // InjectLink returns endpoint e's k-th injection link (lane 0).
-func (n *Network) InjectLink(e, k int) *link.Link {
+func (n *Network) InjectLink(e, k int) link.Link {
 	return n.tierLink(0, e*n.Params.Spec.EndpointLinks+k, 0)
 }
 
 // OutLink returns the link attached to backward port bp of router (stage,
 // index) (lane 0).
-func (n *Network) OutLink(stage, index, bp int) *link.Link {
+func (n *Network) OutLink(stage, index, bp int) link.Link {
 	return n.tierLink(stage+1, index*n.Params.Spec.Stages[stage].Outputs()+bp, 0)
 }
 
 // tierLink returns lane lane of wire w of a tier, w counting the tier's
-// wires in wiring order (see tierSpan).
-func (n *Network) tierLink(tier, w, lane int) *link.Link {
-	sp := n.tiers[tier]
-	return sp.arena.At(sp.base + w*n.Params.CascadeWidth + lane)
+// wires in wiring order (see tierSpan). It rebuilds the link from the A
+// end its upstream holder keeps, an endpoint's injection lane or a router
+// lane's backward port, and its placement index.
+func (n *Network) tierLink(tier, w, lane int) link.Link {
+	i := w*n.Params.CascadeWidth + lane
+	var a link.End
+	if tier == 0 {
+		a = n.injects[i]
+	} else {
+		outs := n.Params.Spec.Stages[tier-1].Outputs()
+		a = n.Routers[tier-1][w/outs][lane].BackwardLink(w % outs)
+	}
+	return link.FromA(a, n.tiers[tier].base+i)
+}
+
+// tierWires returns the number of wires in a tier, each CascadeWidth
+// links: every endpoint's injection links in tier 0, every output of
+// stage s's routers in tier s+1.
+func (n *Network) tierWires(tier int) int {
+	if tier == 0 {
+		return n.Params.Spec.Endpoints * n.Params.Spec.EndpointLinks
+	}
+	return n.Topo.RoutersPerStage[tier-1] * n.Params.Spec.Stages[tier-1].Outputs()
 }
 
 // linkNamer returns the namer of arena a: a link's name is derived from
@@ -628,11 +651,20 @@ func (n *Network) appendLinkName(dst []byte, tier, i int) []byte {
 }
 
 // EachLink visits every physical link in the network — every cascade
-// lane of every wire — in arena order.
-func (n *Network) EachLink(f func(*link.Link)) {
+// lane of every wire — in arena order: the arenas in plan order, and in
+// each the links in placement order, which is tier, then wiring order,
+// then lane.
+func (n *Network) EachLink(f func(link.Link)) {
 	for _, a := range n.Compiled.Arenas() {
-		for i := 0; i < a.Len(); i++ {
-			f(a.At(i))
+		for tier, sp := range n.tiers {
+			if sp.arena != a {
+				continue
+			}
+			for w := range n.tierWires(tier) {
+				for lane := range n.Params.CascadeWidth {
+					f(n.tierLink(tier, w, lane))
+				}
+			}
 		}
 	}
 }

@@ -352,11 +352,11 @@ func TestNetworkAccessors(t *testing.T) {
 	if n.RouterAt(1, 3) == nil {
 		t.Fatal("RouterAt nil")
 	}
-	if n.InjectLink(5, 1) == nil {
-		t.Fatal("InjectLink nil")
+	if got, want := n.InjectLink(5, 1).Name(), "ep5.1.l0->s0r3.f1"; got != want {
+		t.Fatalf("InjectLink(5, 1) is %q, want %q", got, want)
 	}
 	count := 0
-	n.EachLink(func(l *link.Link) { count++ })
+	n.EachLink(func(l link.Link) { count++ })
 	if count != 128 {
 		t.Fatalf("EachLink visited %d links, want 128", count)
 	}
@@ -367,7 +367,7 @@ func TestNetworkAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	count = 0
-	wide.EachLink(func(l *link.Link) { count++ })
+	wide.EachLink(func(l link.Link) { count++ })
 	if count != 256 {
 		t.Fatalf("EachLink visited %d links of the cascade-2 network, want 256", count)
 	}

@@ -16,7 +16,7 @@ import (
 // it but n.Engine.SetKernel(netsim.NewReference(n)) after a Workers = 1 Build.
 type Reference struct {
 	units []clock.Component
-	links []*link.Link
+	links []link.Link
 }
 
 // NewReference orders units as the compiled plan does: columns, then endpoints.
@@ -30,7 +30,7 @@ func NewReference(n *Network) *Reference {
 	for _, ep := range n.Endpoints {
 		r.units = append(r.units, ep)
 	}
-	n.EachLink(func(l *link.Link) { r.links = append(r.links, l) })
+	n.EachLink(func(l link.Link) { r.links = append(r.links, l) })
 	return r
 }
 

@@ -56,7 +56,7 @@ func TestWiringPin(t *testing.T) {
 			defer n.Close()
 			h := sha256.New()
 			links := 0
-			n.EachLink(func(l *link.Link) {
+			n.EachLink(func(l link.Link) {
 				h.Write([]byte(l.Name()))
 				h.Write([]byte{'\n'})
 				links++
@@ -104,7 +104,7 @@ func TestHeldEndsMatchLinks(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer n.Close()
-			own := func(l *link.Link, atA bool) link.End {
+			own := func(l link.Link, atA bool) link.End {
 				if atA {
 					return l.A()
 				}
@@ -115,12 +115,12 @@ func TestHeldEndsMatchLinks(t *testing.T) {
 				r int
 			}
 			type side struct {
-				l    *link.Link
+				l    link.Link
 				atA  bool
 				held bool
 			}
 			sides := map[register]*side{}
-			n.EachLink(func(l *link.Link) {
+			n.EachLink(func(l link.Link) {
 				end := l.A()
 				a, _ := end.Input()
 				ab, ba := l.Registers()
