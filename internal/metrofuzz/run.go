@@ -342,8 +342,9 @@ func runLeg(s Scenario, h Hooks, lc legConfig) (*legOut, error) {
 				leg.delivered++
 			}
 		},
-		// The payload is the leg's to keep: netsim unpacks each delivery
-		// afresh.
+		// The payload is the leg's to keep: each delivery's bytes are
+		// its own, carved with a capped capacity from a chunk the
+		// endpoints share.
 		OnDeliver: func(dest int, payload []byte, intact bool) {
 			if h.TamperDeliver != nil {
 				payload, intact = h.TamperDeliver(dest, payload, intact)
