@@ -13,12 +13,16 @@ import (
 // in objects: the Figure 1 burst of TestParallelDifferentialWorkers with
 // the inline primary leg and a leg partitioned across two workers (two
 // Builds, both cycle loops, the oracle battery and the differential). The
-// best of three runs is taken. A Run needs 100.3-106.3 KB in 922-1,033
+// best of three runs is taken. A Run needs 98.2-102.0 KB in 729-758
 // objects when the legs' ledgers and traffic sources and the networks'
 // message records and assembly buffers come back from the pools the run
-// before released, and 149.1-155.5 KB in 1,232-1,379 when some are found
+// before released, and 146.4-153.4 KB in 1,036-1,171 when some are found
 // in the other processor's private pool slot, which sync.Pool does not
 // share (with every pool empty it needs about 210 KB in 1,800). It needed
+// 100.3-106.3 KB in 922-1,033 objects, and 149.1-155.5 KB in
+// 1,232-1,379, while every delivered payload was unpacked into a slice
+// of its own rather than carved from a chunk its network's endpoints
+// share. It needed
 // 234.2-234.8 KB in 1,994-1,997 while every leg built its oracles' maps
 // and ledgers afresh and every network its records. Each ceiling is the
 // upper mode plus 10%.
@@ -26,7 +30,7 @@ func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const ceiling, objects = 171_100, 1_517 // per Run
+	const ceiling, objects = 168_700, 1_289 // per Run
 	s := Scenario{
 		Preset: "fig1", Width: 8, DataPipe: 1, LinkDelay: 1, CascadeWidth: 1,
 		FastReclaim: true, NetSeed: 21, RetryLimit: 100, ListenTimeout: 200,
