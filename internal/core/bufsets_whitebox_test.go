@@ -9,14 +9,12 @@ import (
 
 // TestBufferSetsRoundTrip closes connections back to back on every
 // backward port, over and over, and checks after every cycle, and once the
-// flushes have drained, that each of the Inputs+Outputs buffer sets has
-// exactly one holder (CheckInvariants' buffer-set clause: a port, a closer
-// or a free closer slot). This is the case the
-// old spare pool's "unreachable fallback" make() stood behind: with a
-// closer in flight on every backward port but one, a further detach must
-// still find a free set. It does, by counting (detach's comment), so the
-// fallback is deleted and not replaced; reslicing past the closers'
-// capacity would panic here.
+// flushes have drained, that each backward port's buffer set has at most
+// one holder: the connected forward port on it or the closer flushing it
+// (setHolders). CheckInvariants runs alongside. With a closer in flight on
+// every backward port but one, a further detach must still find a closer
+// slot; it does, by counting (detach's comment), and reslicing past the
+// closers' capacity would panic here.
 func TestBufferSetsRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -53,6 +51,11 @@ func TestBufferSetsRoundTrip(t *testing.T) {
 				if err := r.CheckInvariants(); err != nil {
 					t.Fatalf("cycle %d: %v", cycle, err)
 				}
+				for bp, n := range setHolders(r) {
+					if n > 1 {
+						t.Fatalf("cycle %d: bp %d's buffer set has %d holders", cycle, bp, n)
+					}
+				}
 			}
 			dirBits := r.DirBits()
 			maxClosers := 0
@@ -85,11 +88,31 @@ func TestBufferSetsRoundTrip(t *testing.T) {
 			if r.ClosingCount() != 0 || r.ConnectionCount() != 0 {
 				t.Fatalf("router did not drain: %d closers, %d connections", r.ClosingCount(), r.ConnectionCount())
 			}
-			// Drained, and the audit in step() passed: the forward ports
-			// hold Inputs sets, so the closer slots park the other Outputs.
-			t.Logf("up to %d closers in flight; all %d sets accounted for", maxClosers, cfg.Inputs+cfg.Outputs)
+			// Drained, and the audit in step() passed: no set is held.
+			for bp, n := range setHolders(r) {
+				if n != 0 {
+					t.Fatalf("drained router: bp %d's buffer set has %d holders", bp, n)
+				}
+			}
+			t.Logf("up to %d closers in flight on %d buffer sets", maxClosers, cfg.Outputs)
 		})
 	}
+}
+
+// setHolders counts, per backward port, the flows that reach its buffer
+// set: a forward port holding the port, in any state, and every closer
+// flushing it.
+func setHolders(r *Router) []int {
+	n := make([]int, r.cfg.Outputs)
+	for i := range r.fwd {
+		if bp := r.fwd[i].bp; bp >= 0 {
+			n[bp]++
+		}
+	}
+	for _, c := range r.closers {
+		n[c.bp]++
+	}
+	return n
 }
 
 // mustWidth returns the word.Width of n bits; the tests only ask for

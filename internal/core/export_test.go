@@ -11,13 +11,13 @@ import "metro/internal/link"
 func InvariantVerdicts(r *Router) (bool, error) { return r.consistent(), r.explain() }
 
 // CloneRouter returns a copy of r whose audited state (ports, closers and
-// their parked slots, busyBy, masks, settings and input views) can be
-// corrupted without touching r.
+// their slots, busyBy, masks, settings and input views) can be corrupted
+// without touching r.
 func CloneRouter(r *Router) *Router {
 	c := *r
 	c.fwd = append([]fwdPort(nil), r.fwd...)
 	c.busyBy = append([]int8(nil), r.busyBy...)
-	c.closers = append(make([]closer, 0, cap(r.closers)), r.closers[:cap(r.closers)]...)[:len(r.closers)]
+	c.closers = append(make([]closer, 0, cap(r.closers)), r.closers...)
 	c.fin = append([]link.End(nil), r.fin...)
 	set := r.set.Clone()
 	c.set, c.own = &set, true
@@ -33,23 +33,17 @@ type InvariantCorruption struct {
 
 // InvariantCorruptions covers every kind of field the six clauses read.
 var InvariantCorruptions = []InvariantCorruption{
-	{"fwd set", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].set = uint8(v) }},
 	{"fwd qHead", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].qHead = uint8(v) }},
 	{"fwd qLen", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].qLen = uint8(v) }},
 	{"fwd bp", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].bp = int8(v) }},
 	{"fwd state", func(r *Router, i, v int) { r.fwd[i%len(r.fwd)].state = fpState(v) }},
 	{"busyBy marker", func(r *Router, i, v int) { r.busyBy[i%len(r.busyBy)] = int8(v) }},
 	{"closer bp", func(r *Router, i, v int) {
-		// With no closer in flight, a parked slot is taken, as detach does.
+		// With no closer in flight, a slot is taken, as detach does.
 		if len(r.closers) == 0 {
 			r.closers = r.closers[:1]
 		}
 		r.closers[i%len(r.closers)].bp = int8(v)
-	}},
-	{"closer set", func(r *Router, i, v int) {
-		if len(r.closers) > 0 {
-			r.closers[i%len(r.closers)].set = uint8(v)
-		}
 	}},
 	{"closer qHead", func(r *Router, i, v int) {
 		if len(r.closers) > 0 {
@@ -61,17 +55,24 @@ var InvariantCorruptions = []InvariantCorruption{
 			r.closers[i%len(r.closers)].qLen = uint8(v)
 		}
 	}},
-	{"parked set", func(r *Router, i, v int) {
-		if parked := r.closers[len(r.closers):cap(r.closers)]; len(parked) > 0 {
-			parked[i%len(parked)].set = uint8(v)
-		}
-	}},
 	{"closers capacity", func(r *Router, i, v int) {
 		c := cap(r.closers) - 1 - i%cap(r.closers)
 		r.closers = r.closers[:min(len(r.closers), c):c]
 	}},
-	{"extra parked slot", func(r *Router, i, v int) {
-		r.closers = append(r.closers[:cap(r.closers)], closer{flow: flow{set: uint8(v)}})[:len(r.closers)]
+	{"second closer on one bp", func(r *Router, i, v int) {
+		// With no closer in flight, the first flushes bp v.
+		if len(r.closers) == 0 {
+			r.closers = append(r.closers, closer{flow: flow{bp: int8(v)}})
+		}
+		r.closers = append(r.closers, r.closers[i%len(r.closers)])
+	}},
+	{"queued words on a port with no bp", func(r *Router, i, v int) {
+		for k := range r.fwd {
+			if p := &r.fwd[(i+k)%len(r.fwd)]; p.bp < 0 {
+				p.qHead, p.qLen = 0, uint8(v)
+				return
+			}
+		}
 	}},
 	{"dilation", func(r *Router, i, v int) {
 		// The radix*dilation window only narrows past validation; 0 would

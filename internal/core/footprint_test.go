@@ -17,8 +17,8 @@ import (
 // measured values: growth of any per-port structure fails here before it
 // shows as megabytes on a 4Ki-endpoint network.
 //
-// The 8x8 network router is the buffer backing (640: 16 sets of dp + 3
-// words), the Router struct (256), fin (128), bLinks (128: an End by value
+// The 8x8 network router is the buffer backing (320: a set of dp + 3
+// words per backward port, 8 of them), the Router struct (256), fin (128), bLinks (128: an End by value
 // per backward port, as fin holds per forward port) and the port
 // arrays (fwd 256, closers 192, busyBy 8); NewRouter adds the
 // Shape (160: 152 of Config and Settings, then the width byte, in the
@@ -33,9 +33,9 @@ func TestRouterFootprint(t *testing.T) {
 		cfg           core.Config
 		shared, alone ceiling
 	}{
-		{"8x8 width 8 dp 2", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 2, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1608, 7}, ceiling{1896, 9}},
-		{"Figure 3 stages 0-1: 8x8 dp 1", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1480, 7}, ceiling{1768, 9}},
-		{"Figure 3 stage 2: 4x4 dp 1", core.Config{Inputs: 4, Outputs: 4, Width: 8, MaxDilation: 1, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{868, 7}, ceiling{1092, 9}},
+		{"8x8 width 8 dp 2", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 2, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1288, 7}, ceiling{1576, 9}},
+		{"Figure 3 stages 0-1: 8x8 dp 1", core.Config{Inputs: 8, Outputs: 8, Width: 8, MaxDilation: 2, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{1224, 7}, ceiling{1512, 9}},
+		{"Figure 3 stage 2: 4x4 dp 1", core.Config{Inputs: 4, Outputs: 4, Width: 8, MaxDilation: 1, DataPipe: 1, MaxVTD: 1, RandomInputs: 2, ScanPaths: 2}, ceiling{740, 7}, ceiling{964, 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set := core.DefaultSettings(tc.cfg)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // CheckInvariants audits the router's internal consistency and returns the
 // first violation found, or nil. It is intended for simulation test
@@ -12,13 +9,16 @@ import (
 //  1. ownership is bijective: busyBy[bp] == fp implies fwd[fp].bp == bp,
 //     and a forward port's bp implies matching busyBy;
 //  2. no two forward ports claim the same backward port;
-//  3. every buffer set in [0, Inputs+Outputs) has exactly one holder (a
-//     forward port, a closer or the free pool), so a connected port has
-//     its own pipeline of the configured depth, and every queue cursor
-//     lies within the injWords region it indexes;
+//  3. every buffer set has at most one holder: a backward port's set is
+//     its connected forward port's or the one closer flushing it (no two
+//     closers flush the same backward port), every queue cursor lies
+//     within the injWords region it indexes, and a forward port without a
+//     backward port has empty cursors unless it is in fpBlockedReply,
+//     whose cursor counts its bufferless reply;
 //  4. an allocated backward port lies within the configured dilation's
 //     direction structure;
-//  5. detached closers hold only ports marked as flushing (-2);
+//  5. detached closers hold only ports marked as flushing (-2), and there
+//     are Outputs closer slots, so detach always finds one;
 //  6. the hot header's masks agree with the state they summarize: live
 //     names exactly the non-idle forward ports, enabled exactly the
 //     enabled-and-attached ones (valid between cycles, which is when
@@ -44,42 +44,34 @@ var holding = [256]int8{
 }
 
 // consistent reports whether every clause of CheckInvariants holds. It
-// walks the forward ports, the closers, the parked slots and busyBy once
-// each, claiming buffer sets and collecting the backward ports connected
-// ports hold, the ones closers flush and the non-idle forward ports as
-// masks, and stops at the first failed check. It only decides; explain
-// says which clause failed, and the two agree on every router
+// walks the forward ports, the closers and busyBy once each, collecting
+// the backward ports connected ports hold, the ones closers flush and the
+// non-idle forward ports as masks (MaxPorts bounds every port number by
+// the mask width), and stops at the first failed check. It only decides;
+// explain says which clause failed, and the two agree on every router
 // (FuzzInvariantVerdict).
 func (r *Router) consistent() bool {
 	// NewRouter sizes fwd by Inputs and busyBy by Outputs, and nothing
 	// resizes them, so the router's own lengths stand in for its Config.
 	fwd, busyBy, closers := r.fwd, r.busyBy, r.closers
-	sets := uint(len(fwd) + len(busyBy))
-	if sets > 64 {
-		// The walk below keeps one bit per set in a word; the rare router
-		// with more sets is decided by the clause walk.
-		return r.explain() == nil
-	}
-	if r.watchedPorts() != r.enabled {
+	if r.watchedPorts() != r.enabled || cap(closers) != len(busyBy) {
 		return false
 	}
 	injCap := uint(r.injCap)
-	// held has a bit per buffer set claimed and over the bits of every set
-	// claimed, so a claim of set 64 or above, which would alias a bit of
-	// held, shows in over.
-	var held, over, conn, live uint64
+	var conn, live uint64
 	for fp := range fwd {
 		p := &fwd[fp]
 		if !p.within(injCap) {
 			return false
 		}
-		held |= 1 << (p.set & 63)
-		over |= uint64(p.set)
 		if p.state == fpIdle { // most ports, most cycles: no bp, not live
-			if p.bp != -1 {
+			if p.bp != -1 || p.qLen != 0 {
 				return false
 			}
 			continue
+		}
+		if p.bp < 0 && p.qLen != 0 && p.state != fpBlockedReply {
+			return false
 		}
 		live |= 1 << (fp & 63)
 		switch holding[p.state] {
@@ -102,17 +94,10 @@ func (r *Router) consistent() bool {
 	for i := range closers {
 		c := &closers[i]
 		bp := uint(int(c.bp))
-		if bp >= uint(len(busyBy)) || busyBy[bp] != -2 || !c.within(injCap) {
+		if bp >= uint(len(busyBy)) || busyBy[bp] != -2 || flush>>bp&1 != 0 || !c.within(injCap) {
 			return false
 		}
-		held |= 1 << (c.set & 63)
-		over |= uint64(c.set)
 		flush |= 1 << bp
-	}
-	parked := closers[len(closers):cap(closers)]
-	for i := range parked {
-		held |= 1 << (parked[i].set & 63)
-		over |= uint64(parked[i].set)
 	}
 	// busyBy marks a backward port free, owned or flushing. Each connected
 	// port's bp named that port as owner (checked above), so an owned port
@@ -130,11 +115,7 @@ func (r *Router) consistent() bool {
 			return false
 		}
 	}
-	// Every claim was below 64 and set one bit, so Inputs+Outputs claims
-	// hold every set exactly when each took a distinct one in range
-	// (clause 3).
-	return busy&^conn == 0 && flushing&^flush == 0 && over < 64 &&
-		uint(len(fwd)+cap(closers)) == sets && held == 1<<sets-1
+	return busy&^conn == 0 && flushing&^flush == 0
 }
 
 // explain is CheckInvariants' clause-by-clause walk: it returns the first
@@ -142,12 +123,14 @@ func (r *Router) consistent() bool {
 func (r *Router) explain() error {
 	// claimed[bp] is the claiming forward port plus one, 0 while unclaimed.
 	var claimed [MaxPorts]int8
-	// held has a bit per buffer set, set once a holder has claimed it.
-	var held setMask
 	for fp := range r.fwd {
 		p := &r.fwd[fp]
-		if !r.claimSet(&held, &p.flow) {
-			return r.flowError(&held, &p.flow, "fp", fp)
+		if err := r.cursorError(&p.flow, "fp", fp); err != nil {
+			return err
+		}
+		if p.bp < 0 && p.qLen != 0 && p.state != fpBlockedReply {
+			return fmt.Errorf("%s: fp%d in state %v holds no bp but queues words [%d:%d]",
+				r.name, fp, p.state, p.qHead, p.qLen)
 		}
 		switch p.state {
 		case fpIdle, fpBlockedWait, fpBlockedReply, fpDrain:
@@ -172,6 +155,8 @@ func (r *Router) explain() error {
 			}
 		}
 	}
+	// flushed has a bit per backward port a closer flushes.
+	var flushed uint64
 	for i := range r.closers {
 		c := &r.closers[i]
 		if c.bp < 0 || int(c.bp) >= r.cfg.Outputs {
@@ -181,8 +166,12 @@ func (r *Router) explain() error {
 			return fmt.Errorf("%s: closer holds bp %d but busyBy says %d",
 				r.name, c.bp, r.busyBy[c.bp])
 		}
-		if !r.claimSet(&held, &c.flow) {
-			return r.flowError(&held, &c.flow, "the closer on bp", int(c.bp))
+		if flushed&bit(int(c.bp)) != 0 {
+			return fmt.Errorf("%s: bp %d flushed by two closers", r.name, c.bp)
+		}
+		flushed |= bit(int(c.bp))
+		if err := r.cursorError(&c.flow, "the closer on bp", int(c.bp)); err != nil {
+			return err
 		}
 	}
 	for bp, owner := range r.busyBy {
@@ -193,34 +182,15 @@ func (r *Router) explain() error {
 					r.name, bp, owner)
 			}
 		case owner == -2:
-			found := false
-			for _, c := range r.closers {
-				if int(c.bp) == bp {
-					found = true
-				}
-			}
-			if !found {
+			if flushed&bit(bp) == 0 {
 				return fmt.Errorf("%s: bp %d marked flushing with no closer", r.name, bp)
 			}
 		case owner != -1:
 			return fmt.Errorf("%s: busyBy[%d] has invalid marker %d", r.name, bp, owner)
 		}
 	}
-	free := r.closers[len(r.closers):cap(r.closers)]
-	for i := range free {
-		if f := (flow{set: free[i].set}); !r.claimSet(&held, &f) {
-			return r.flowError(&held, &f, "the free closer slot ", len(r.closers)+i)
-		}
-	}
-	// Each claim took a distinct set in range, so every set is held exactly
-	// when the claims number Inputs+Outputs (they fall short if a holder
-	// went missing: the closers' capacity shrank).
-	if sets := r.cfg.Inputs + r.cfg.Outputs; bits.OnesCount64(held[0])+bits.OnesCount64(held[1]) != sets {
-		for s := 0; s < sets; s++ {
-			if !held.has(s) {
-				return fmt.Errorf("%s: buffer set %d leaked: no port, closer or free closer slot holds it", r.name, s)
-			}
-		}
+	if slots := cap(r.closers); slots != r.cfg.Outputs {
+		return fmt.Errorf("%s: %d closer slots for %d backward ports", r.name, slots, r.cfg.Outputs)
 	}
 	var live uint64
 	bit := uint64(1)
@@ -259,33 +229,11 @@ func (f *flow) within(injCap uint) bool {
 	return (uint(f.qLen)-uint(f.qHead))|(injCap-uint(f.qLen)) < 256
 }
 
-// setMask has a bit per buffer set: Inputs+Outputs <= 2*MaxPorts of them.
-type setMask [2 * MaxPorts / 64]uint64
-
-func (m *setMask) has(s int) bool { return m[s>>6&1]>>(s&63)&1 != 0 }
-
-// claimSet records f's claim on its buffer set in held. It reports false,
-// claiming nothing, if the set index is out of range or already claimed or
-// its queue cursors are not within the injWords region; flowError says
-// which.
-func (r *Router) claimSet(held *setMask, f *flow) bool {
-	if int(f.set) >= r.cfg.Inputs+r.cfg.Outputs || held.has(int(f.set)) ||
-		f.qHead > f.qLen || int(f.qLen) > r.injCap {
-		return false
+// cursorError words the violation, if any, of the queue cursors of forward
+// port or closer who+n lying outside the injWords region.
+func (r *Router) cursorError(f *flow, who string, n int) error {
+	if f.within(uint(r.injCap)) {
+		return nil
 	}
-	held[f.set>>6&1] |= 1 << (f.set & 63)
-	return true
-}
-
-// flowError words the violation claimSet found in the flow of forward port
-// or closer who+n.
-func (r *Router) flowError(held *setMask, f *flow, who string, n int) error {
-	switch sets := r.cfg.Inputs + r.cfg.Outputs; {
-	case int(f.set) >= sets:
-		return fmt.Errorf("%s: %s%d holds buffer set %d outside [0, %d)", r.name, who, n, f.set, sets)
-	case held.has(int(f.set)):
-		return fmt.Errorf("%s: buffer set %d claimed twice, the second time by %s%d", r.name, f.set, who, n)
-	default:
-		return fmt.Errorf("%s: %s%d queue cursors [%d:%d] outside the %d-word region", r.name, who, n, f.qHead, f.qLen, r.injCap)
-	}
+	return fmt.Errorf("%s: %s%d queue cursors [%d:%d] outside the %d-word region", r.name, who, n, f.qHead, f.qLen, r.injCap)
 }

@@ -42,18 +42,19 @@ func TestLayoutPinHotHeader(t *testing.T) {
 	}
 }
 
-// TestLayoutPinPortState pins the per-port state: a forward port is half a
-// cache line and a closer its deadline, its 12-byte flow and two port
-// bytes, so the arrays NewRouter makes of them stay a few lines per router
-// (docs/KERNEL.md has the byte table). A field that grows either, or a
-// reordering that brings back the closer's padding, fails here; byte-sized
-// port numbers and cursors are what Config.Validate's MaxPorts bound and
-// injWords allow.
+// TestLayoutPinPortState pins the per-port state: a forward port is its
+// 12-byte flow (which carries the backward port), the header count and
+// five state bytes, half a cache line on a 64-bit platform, and a closer
+// its deadline, its flow and the forward port byte, so the arrays NewRouter
+// makes of them stay a few lines per router (docs/KERNEL.md has the byte
+// table). A field that grows either, or a reordering that brings back the
+// closer's padding, fails here; byte-sized port numbers and cursors are
+// what Config.Validate's MaxPorts bound and injWords allow.
 func TestLayoutPinPortState(t *testing.T) {
-	if size := unsafe.Sizeof(fwdPort{}); size > 32 {
-		t.Errorf("fwdPort is %d bytes, want at most 32 (half a cache line)", size)
+	if size, want := unsafe.Sizeof(fwdPort{}), 2*wordSize+16; size != want || size > 32 {
+		t.Errorf("fwdPort is %d bytes, want %d, at most 32 (half a cache line)", size, want)
 	}
 	if size, want := unsafe.Sizeof(closer{}), wordSize+16; size != want {
-		t.Errorf("closer is %d bytes, want %d (an int, a 12-byte flow and two port bytes)", size, want)
+		t.Errorf("closer is %d bytes, want %d (an int, a 12-byte flow and a port byte)", size, want)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // twoRegions is the reference the flow queue is held to: the buffer model
 // it replaced, in which a staged injection sequence and the stream words it
-// displaces wait in two separate regions. Staging (flip's or a blocked
-// reply's) replaces the sequence and empties the displaced words, and a
+// displaces wait in two separate regions. Staging (flip's) replaces the
+// sequence and empties the displaced words, and a
 // cycle transmits the next injected word if any, else the oldest
 // displaced word, else the pipe's output, displacing that output whenever
 // a waiting word goes first.
@@ -23,11 +23,8 @@ type twoRegions struct {
 	outQ   []word.Word
 }
 
-func (m *twoRegions) stage(status word.Word, sum uint8, drop bool, w word.Width) {
+func (m *twoRegions) stage(status word.Word, sum uint8, w word.Width) {
 	m.inject = word.AppendChecksum([]word.Word{status}, sum, w)
-	if drop {
-		m.inject = append(m.inject, word.Word{Kind: word.Drop})
-	}
 	m.outQ = m.outQ[:0]
 }
 
@@ -73,7 +70,9 @@ func TestQueueMatchesTwoRegions(t *testing.T) {
 			t.Run(fmt.Sprintf("width %d dp %d seed %d", tc.width, tc.dp, seed), func(t *testing.T) {
 				cfg := Config{Inputs: 2, Outputs: 2, Width: tc.width, MaxDilation: 1, DataPipe: tc.dp, MaxVTD: 1, RandomInputs: 1, ScanPaths: 1}
 				r := NewRouter("rt", cfg, DefaultSettings(cfg), 1)
+				// Each flow holds a backward port, and so its buffer set.
 				flows := []*flow{&r.fwd[0].flow, &r.closers[:1][0].flow}
+				flows[0].bp, flows[1].bp = 0, 1
 				idles := []word.Word{{Kind: word.DataIdle}, {}}
 				refs := make([]twoRegions, len(flows))
 				for i := range refs {
@@ -85,9 +84,9 @@ func TestQueueMatchesTwoRegions(t *testing.T) {
 						m := &refs[i]
 						if rng.NextBits(3) == 0 {
 							status := word.Word{Kind: word.Status, Payload: rng.NextBits(2)}
-							sum, drop := uint8(rng.NextBits(8)), rng.NextBits(1) == 1
-							r.stageInject(f, status, sum, drop)
-							m.stage(status, sum, drop, r.cfg.width)
+							sum := uint8(rng.NextBits(8))
+							r.stageInject(f, status, sum)
+							m.stage(status, sum, r.cfg.width)
 						}
 						in := word.Word{Kind: kinds[rng.NextBits(3)]}
 						if in.Kind == word.Data {

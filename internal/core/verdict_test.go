@@ -150,6 +150,8 @@ func FuzzInvariantVerdict(f *testing.F) {
 	for k := range core.InvariantCorruptions {
 		f.Add(uint16(k*7), uint8(k), uint8(k), int16(-1))
 		f.Add(uint16(k*11), uint8(k), uint8(1), int16(k))
+		// Past every port bound and the width of the port masks.
+		f.Add(uint16(k*13), uint8(k), uint8(2), int16(64))
 	}
 	f.Fuzz(func(t *testing.T, snap uint16, kind, i uint8, v int16) {
 		snaps := routerSnapshots(t)
