@@ -94,7 +94,7 @@ func TestAllocatorInvariantsUnderRandomTraffic(t *testing.T) {
 				if bp == 3 {
 					t.Fatalf("dilation %d cycle %d: disabled port allocated", dilation, cycle)
 				}
-				gotDir := h.r.Direction(bp)
+				gotDir := bp / h.r.Dilation()
 				if gotDir != wantDir[owner] {
 					t.Fatalf("dilation %d cycle %d: fp %d asked dir %d, got bp %d (dir %d)",
 						dilation, cycle, owner, wantDir[owner], bp, gotDir)

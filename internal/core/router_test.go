@@ -740,8 +740,8 @@ func TestRadixDilationHelpers(t *testing.T) {
 	if r.DirBits() != 2 {
 		t.Fatalf("DirBits = %d, want 2", r.DirBits())
 	}
-	if r.Direction(5) != 2 {
-		t.Fatalf("Direction(5) = %d, want 2", r.Direction(5))
+	if dir := 5 / r.Dilation(); dir != 2 {
+		t.Fatalf("backward port 5 serves direction %d, want 2", dir)
 	}
 	lo, hi := r.PortsFor(3)
 	if lo != 6 || hi != 8 {
