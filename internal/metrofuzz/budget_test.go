@@ -13,12 +13,18 @@ import (
 // in objects: the Figure 1 burst of TestParallelDifferentialWorkers with
 // the inline primary leg and a leg partitioned across two workers (two
 // Builds, both cycle loops, the oracle battery and the differential). The
-// best of three runs is taken. A Run needs 98.2-102.0 KB in 729-758
+// best of three runs is taken. A Run needs 92.2-100.1 KB in 730-859
 // objects when the legs' ledgers and traffic sources and the networks'
 // message records and assembly buffers come back from the pools the run
-// before released, and 146.4-153.4 KB in 1,036-1,171 when some are found
+// before released, and 143.2-144.4 KB in 1,130-1,154 when some are found
 // in the other processor's private pool slot, which sync.Pool does not
-// share (with every pool empty it needs about 210 KB in 1,800). It needed
+// share (with every pool empty it needs about 210 KB in 1,800). Each Build
+// allocates 3,072 B less (24 4x4 routers, 128 B of buffer sets each) than
+// while every router kept a buffer set per forward port and per closer
+// slot rather than one per backward port, when the modes were
+// 98.2-108.9 KB in 729-831 objects and 146.4-153.4 KB in 1,036-1,171;
+// the upper mode's ceiling is that range's top less the 6,144 B of two
+// Builds, plus 10%. It needed
 // 100.3-106.3 KB in 922-1,033 objects, and 149.1-155.5 KB in
 // 1,232-1,379, while every delivered payload was unpacked into a slice
 // of its own rather than carved from a chunk its network's endpoints
@@ -30,7 +36,7 @@ func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const ceiling, objects = 168_700, 1_289 // per Run
+	const ceiling, objects = 162_000, 1_289 // per Run
 	s := Scenario{
 		Preset: "fig1", Width: 8, DataPipe: 1, LinkDelay: 1, CascadeWidth: 1,
 		FastReclaim: true, NetSeed: 21, RetryLimit: 100, ListenTimeout: 200,

@@ -153,8 +153,12 @@ func TestZeroAllocKernelCongestedStepObserved(t *testing.T) {
 // sharing one buffered stream, and 906 (about 175.8 KB) before the arenas
 // shed their table of links and per-register owner entry (32 B a link;
 // the builder now holds the placements its audit reads, 24 B a link,
-// until Build returns). It is 905 (about 171.7 KB) now. The
-// allocation budget is 905 plus 10%, the byte budget 171.7 KB plus 10%,
+// until Build returns). It is 905, and about 156.4 KB, 15,360 B less
+// than the 171.7 KB it was while every router kept a buffer set per
+// forward port and per closer slot, Inputs+Outputs sets, where it now
+// keeps one per backward port (320 B less an 8x8 router at dp 2, 160 B a
+// 4x4). The allocation budget is 905 plus 10%, the byte budget 156.4 KB
+// plus 10%,
 // so a per-router settings copy (two allocations a router), a stored
 // link name (one a link), a per-endpoint closure, a per-router wiring
 // slice or a transient per-link table fails here.
@@ -162,7 +166,7 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const budget, bytesBudget = 996, 188_900
+	const budget, bytesBudget = 996, 172_100
 	p := Params{Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1, Seed: 71}
 	ports := 0
 	n, err := Build(p)
@@ -229,8 +233,11 @@ func TestZeroAllocBuildPerPortClones(t *testing.T) {
 // struct a cache line smaller (about 100 B an endpoint at 1.5 routers an
 // endpoint), about 3,440 B (3,424-3,461) before the arenas shed their
 // table of links and per-register owner entry (32 B a link, 12 links an
-// endpoint), and is about 3,060 B now (3,040-3,077 over runs); the
-// ceiling is 10% over 3,077 and fails long before a
+// endpoint), about 3,060 B (3,040-3,077) before a router kept a buffer
+// set per backward port instead of one per forward port and closer slot
+// (320 B less each 8x8 router, 160 B each 4x4: 400 B an endpoint), and
+// is about 2,660 B now (2,640-2,681 over runs); the ceiling is 10% over
+// 2,681 and fails long before a
 // per-router copy, a per-link field, a per-wire PortRef or a per-endpoint
 // Config copy regrows. What a network keeps once it runs is
 // TestRunningFootprintTracksInFlight's.
@@ -238,7 +245,7 @@ func TestScaleFootprintBytesPerEndpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are inflated under the race detector")
 	}
-	const endpoints, ceiling = 1024, 3385
+	const endpoints, ceiling = 1024, 2950
 	spec, err := topo.Scale(endpoints, 4)
 	if err != nil {
 		t.Fatal(err)
