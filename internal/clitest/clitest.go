@@ -32,9 +32,16 @@ var update = flag.Bool("update", false, "rewrite CLI golden files from current o
 // test's working directory.
 func Run(t *testing.T, tool string, args ...string) []byte {
 	t.Helper()
-	out, err := runTool(t, tool, args...)
+	return RunMain(t, "metro/cmd/"+tool, args...)
+}
+
+// RunMain is Run for the main package at import path pkg, such as
+// metro/examples/quickstart.
+func RunMain(t *testing.T, pkg string, args ...string) []byte {
+	t.Helper()
+	out, err := runTool(t, pkg, args...)
 	if err != nil {
-		t.Fatalf("metro/cmd/%s %s: %v\noutput:\n%s", tool, strings.Join(args, " "), err, out)
+		t.Fatalf("%s %s: %v\noutput:\n%s", pkg, strings.Join(args, " "), err, out)
 	}
 	return out
 }
@@ -45,7 +52,7 @@ func Run(t *testing.T, tool string, args ...string) []byte {
 func Stdout(t *testing.T, tool string, args ...string) []byte {
 	t.Helper()
 	var stderr bytes.Buffer
-	cmd := exec.Command(binary(t, tool), args...)
+	cmd := exec.Command(binary(t, "metro/cmd/"+tool), args...)
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
@@ -59,7 +66,7 @@ func Stdout(t *testing.T, tool string, args ...string) []byte {
 // (e.g. metrofuzz exits 2 on a malformed -replay spec).
 func ExitCode(t *testing.T, want int, tool string, args ...string) []byte {
 	t.Helper()
-	out, err := runTool(t, tool, args...)
+	out, err := runTool(t, "metro/cmd/"+tool, args...)
 	got := 0
 	if err != nil {
 		ee, ok := err.(*exec.ExitError)
@@ -158,9 +165,10 @@ var builds struct {
 	done map[string]error
 }
 
-// binary builds metro/cmd/<tool> into a per-process temp directory the
-// first time it is requested and returns the binary's path.
-func binary(t *testing.T, tool string) string {
+// binary builds the main package at import path pkg into a per-process
+// temp directory the first time it is requested and returns the binary's
+// path.
+func binary(t *testing.T, pkg string) string {
 	t.Helper()
 	builds.Lock()
 	defer builds.Unlock()
@@ -172,27 +180,27 @@ func binary(t *testing.T, tool string) string {
 		builds.dir = dir
 		builds.done = map[string]error{}
 	}
-	path := filepath.Join(builds.dir, tool)
-	if err, built := builds.done[tool]; built {
+	path := filepath.Join(builds.dir, strings.ReplaceAll(pkg, "/", "_"))
+	if err, built := builds.done[pkg]; built {
 		if err != nil {
-			t.Fatalf("building metro/cmd/%s failed earlier: %v", tool, err)
+			t.Fatalf("building %s failed earlier: %v", pkg, err)
 		}
 		return path
 	}
-	out, err := exec.Command("go", "build", "-o", path, "metro/cmd/"+tool).CombinedOutput()
+	out, err := exec.Command("go", "build", "-o", path, pkg).CombinedOutput()
 	if err != nil {
 		err = fmt.Errorf("%v\n%s", err, out)
 	}
-	builds.done[tool] = err
+	builds.done[pkg] = err
 	if err != nil {
-		t.Fatalf("go build metro/cmd/%s: %v", tool, err)
+		t.Fatalf("go build %s: %v", pkg, err)
 	}
 	return path
 }
 
-func runTool(t *testing.T, tool string, args ...string) ([]byte, error) {
+func runTool(t *testing.T, pkg string, args ...string) ([]byte, error) {
 	t.Helper()
-	cmd := exec.Command(binary(t, tool), args...)
+	cmd := exec.Command(binary(t, pkg), args...)
 	cmd.Env = os.Environ()
 	return cmd.CombinedOutput()
 }

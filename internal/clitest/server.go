@@ -54,7 +54,7 @@ func StartServer(t *testing.T, flags ...string) *Server {
 		t.Skip("metroserve harness execs a subprocess; skipped in -short mode")
 	}
 	args := append([]string{"-addr", "127.0.0.1:0"}, flags...)
-	cmd := exec.Command(binary(t, "metroserve"), args...)
+	cmd := exec.Command(binary(t, "metro/cmd/metroserve"), args...)
 	cmd.Env = os.Environ()
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
