@@ -170,12 +170,22 @@ type C struct {
 
 func (c *C) Eval(cycle uint64) { c.acc <<= uint(c.w) }
 `, want: []string{"MV010", "MV012"}},
+	{gate: "MV012", name: "shift by an unvalidated signed width", pkg: "metro/internal/core", file: "shift.go", src: `package core
+
+type C struct {
+	acc uint32
+	w   int
+}
+
+func (c *C) Eval(cycle uint64) { c.acc <<= c.w }
+`, want: []string{"MV012"}},
 }
 
 // TestCatchMatrix runs every analyzer on every seeded violation and pins
 // the exact set of rules that fire, then holds the ledger's "Caught by"
 // column in docs/ANALYZERS.md to it. A rule whose every seed another
-// rule also catches is a deletion candidate; the MV004 and MV009 rows
+// rule also catches is a deletion candidate, so every live rule must fire
+// alone on some seed; the MV004 and MV009 rows
 // record the runs that retired clocked-mutation and shard-purity. An
 // exported mutator that another component's Eval calls is caught by
 // eval-isolation at the call, and one nobody's Eval calls runs only
@@ -186,6 +196,7 @@ func TestCatchMatrix(t *testing.T) {
 		live[RuleID(a.Name)] = true
 	}
 	fired := map[string]map[string]bool{} // by gate
+	alone := map[string]bool{}            // rules some seed fires alone
 	for _, row := range catchRows {
 		findings := runRules(Analyzers(), loadFixtureProgram(t, fixturePkg{path: row.pkg, files: map[string]string{row.file: row.src}}))
 		got := map[string][]int{}
@@ -206,6 +217,9 @@ func TestCatchMatrix(t *testing.T) {
 				t.Errorf("%s, %s: %s flags lines %v, want %v", row.gate, row.name, id, got[id], want)
 			}
 		}
+		if len(ids) == 1 {
+			alone[ids[0]] = true
+		}
 		if fired[row.gate] == nil {
 			fired[row.gate] = map[string]bool{}
 		}
@@ -216,6 +230,8 @@ func TestCatchMatrix(t *testing.T) {
 	for id := range live {
 		if fired[id] == nil {
 			t.Errorf("%s has no seeded violation in the matrix", id)
+		} else if !alone[id] {
+			t.Errorf("%s fires alone on no seed: another rule catches each of its violations", id)
 		}
 	}
 

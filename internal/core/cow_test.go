@@ -28,11 +28,6 @@ var settingsMutators = []struct {
 		func(s core.Settings) bool { return s.ForwardEnabled&(1<<1) == 0 }},
 	{"SetBackwardEnabled", func(t *testing.T, r *core.Router) { r.SetBackwardEnabled(2, false) },
 		func(s core.Settings) bool { return s.BackwardEnabled&(1<<2) == 0 }},
-	{"SetTurnDelay", func(t *testing.T, r *core.Router) {
-		if err := r.SetTurnDelay(3, 0); err != nil {
-			t.Fatal(err)
-		}
-	}, func(s core.Settings) bool { return s.TurnDelay[3] == 0 }},
 	{"SetFastReclaim", func(t *testing.T, r *core.Router) { r.SetFastReclaim(0, true) },
 		func(s core.Settings) bool { return s.FastReclaim&(1<<0) != 0 }},
 }

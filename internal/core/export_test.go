@@ -6,9 +6,9 @@ import "metro/internal/link"
 // taken from whole networks built by netsim (an import this package's own
 // tests cannot make).
 
-// InvariantVerdicts returns CheckInvariants' one-pass verdict and its
-// clause-by-clause walk's error for r.
-func InvariantVerdicts(r *Router) (bool, error) { return r.consistent(), r.explain() }
+// ClauseWalk returns the error of the reference audit CheckInvariants is
+// held to for r.
+func ClauseWalk(r *Router) error { return r.clauseWalk() }
 
 // CloneRouter returns a copy of r whose audited state (ports, closers and
 // their slots, busyBy, masks, settings and input views) can be corrupted
@@ -76,7 +76,7 @@ var InvariantCorruptions = []InvariantCorruption{
 	}},
 	{"dilation", func(r *Router, i, v int) {
 		// The radix*dilation window only narrows past validation; 0 would
-		// divide by zero in both walks.
+		// divide by zero in both audits.
 		if v != 0 {
 			r.set.Dilation = v
 		}

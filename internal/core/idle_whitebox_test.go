@@ -97,10 +97,10 @@ func TestIdleRouterIsUntouchedAndAllocatesAsFresh(t *testing.T) {
 	}
 }
 
-// TestSetTurnDelay: the in-place turn-delay write lands in the Table 2
-// register and nowhere else, and a rejected write (port or delay out of
-// range) changes nothing: not the register file, not the enabled and live
-// masks the idle path reads.
+// TestSetTurnDelay: a turn-delay write through ApplySettings, as a scan
+// CONFIG load makes it, lands in the Table 2 register and nowhere else,
+// and a rejected write (a delay out of range) changes nothing: not the
+// register file, not the enabled and live masks the idle path reads.
 func TestSetTurnDelay(t *testing.T) {
 	g := newRig(0xACE1)
 	cfg := g.r.Config()
@@ -114,13 +114,18 @@ func TestSetTurnDelay(t *testing.T) {
 	}
 	g.r.SetForwardEnabled(3, false)
 	enabled, live := g.r.enabled, g.r.live
+	setTurnDelay := func(port, delay int) error {
+		s := g.r.Settings()
+		s.TurnDelay[port] = delay
+		return g.r.ApplySettings(s)
+	}
 
 	for _, w := range []struct{ port, delay int }{{0, cfg.MaxVTD}, {cfg.Inputs, 2}, {ports - 1, 0}, {2, 1}} {
-		if err := g.r.SetTurnDelay(w.port, w.delay); err != nil {
-			t.Fatalf("SetTurnDelay(%d, %d): %v", w.port, w.delay, err)
+		if err := setTurnDelay(w.port, w.delay); err != nil {
+			t.Fatalf("TurnDelay[%d] = %d: %v", w.port, w.delay, err)
 		}
 		if got := g.r.Settings().TurnDelay[w.port]; got != w.delay {
-			t.Errorf("TurnDelay[%d] = %d after SetTurnDelay(%d, %d)", w.port, got, w.port, w.delay)
+			t.Errorf("TurnDelay[%d] = %d after writing %d", w.port, got, w.delay)
 		}
 	}
 	before := g.r.Settings()
@@ -128,14 +133,12 @@ func TestSetTurnDelay(t *testing.T) {
 		port, delay int
 		want        string
 	}{
-		{-1, 1, "port -1"},
-		{ports, 1, "port 8"},
 		{0, -1, "TurnDelay[0] = -1"},
 		{ports - 1, cfg.MaxVTD + 1, "max_vtd=4"},
 	} {
-		err := g.r.SetTurnDelay(w.port, w.delay)
+		err := setTurnDelay(w.port, w.delay)
 		if err == nil || !strings.Contains(err.Error(), w.want) {
-			t.Errorf("SetTurnDelay(%d, %d) = %v, want an error mentioning %q", w.port, w.delay, err, w.want)
+			t.Errorf("TurnDelay[%d] = %d: %v, want an error mentioning %q", w.port, w.delay, err, w.want)
 		}
 	}
 	if after := g.r.Settings(); !reflect.DeepEqual(before, after) {

@@ -25,14 +25,100 @@ import "fmt"
 //     harnesses call this).
 //
 // Harnesses call this for every router every cycle, and nearly every call
-// passes, so the verdict is decided in one walk (consistent); only a router
-// that fails it is walked again clause by clause (explain), which words the
-// first violation.
+// passes, so it is one walk over the forward ports, the closers and busyBy
+// that collects the backward ports connected ports hold, the ones closers
+// flush and the non-idle forward ports as masks (MaxPorts bounds every
+// port number by the mask width). It returns at the first failed check,
+// and only then words it. Tests hold its verdict and its error text to a
+// clause-by-clause reference walk (FuzzInvariantVerdict).
 func (r *Router) CheckInvariants() error {
-	if r.consistent() {
-		return nil
+	// NewRouter sizes fwd by Inputs and busyBy by Outputs, and nothing
+	// resizes them, so the router's own lengths stand in for its Config.
+	fwd, busyBy, closers := r.fwd, r.busyBy, r.closers
+	injCap := uint(r.injCap)
+	window := uint(r.window(len(busyBy)))
+	var conn, live uint64
+	for fp := range fwd {
+		p := &fwd[fp]
+		if !p.within(injCap) {
+			return r.cursorError(&p.flow, "fp", fp)
+		}
+		if p.state == fpIdle && p.bp == -1 && p.qLen == 0 {
+			continue // most ports, most cycles
+		}
+		if p.bp < 0 && p.qLen != 0 && p.state != fpBlockedReply {
+			return fmt.Errorf("%s: fp%d in state %v holds no bp but queues words [%d:%d]",
+				r.name, fp, p.state, p.qHead, p.qLen)
+		}
+		if p.state != fpIdle {
+			live |= bit(fp)
+		}
+		switch holding[p.state] {
+		case -1:
+			if p.bp != -1 {
+				return fmt.Errorf("%s: fp%d in state %v holds bp %d", r.name, fp, p.state, p.bp)
+			}
+		case 1:
+			bp := uint(int(p.bp)) // a negative bp wraps past every bound
+			switch {
+			case bp >= uint(len(busyBy)):
+				return fmt.Errorf("%s: fp%d connected with invalid bp %d", r.name, fp, p.bp)
+			case conn>>bp&1 != 0:
+				return fmt.Errorf("%s: bp %d claimed by fp%d and fp%d", r.name, p.bp, r.claimant(p.bp), fp)
+			case int(busyBy[bp]) != fp:
+				return fmt.Errorf("%s: fp%d holds bp %d but busyBy says %d",
+					r.name, fp, p.bp, busyBy[bp])
+			case bp >= window:
+				return fmt.Errorf("%s: fp%d bp %d outside the configured radix*dilation window",
+					r.name, fp, p.bp)
+			}
+			conn |= 1 << bp
+		}
 	}
-	return r.explain()
+	var flushed uint64
+	for i := range closers {
+		c := &closers[i]
+		bp := uint(int(c.bp))
+		switch {
+		case bp >= uint(len(busyBy)):
+			return fmt.Errorf("%s: closer with invalid bp %d", r.name, c.bp)
+		case busyBy[bp] != -2:
+			return fmt.Errorf("%s: closer holds bp %d but busyBy says %d", r.name, c.bp, busyBy[bp])
+		case flushed>>bp&1 != 0:
+			return fmt.Errorf("%s: bp %d flushed by two closers", r.name, c.bp)
+		case !c.within(injCap):
+			return r.cursorError(&c.flow, "the closer on bp", int(c.bp))
+		}
+		flushed |= 1 << bp
+	}
+	// Each connected port's bp named that port as owner (checked above),
+	// so an owned port outside conn is one no connected port claims.
+	for bp, owner := range busyBy {
+		switch {
+		case owner == -1:
+		case owner >= 0:
+			if conn&bit(bp) == 0 {
+				return fmt.Errorf("%s: busyBy[%d] = fp%d but no connected port claims it",
+					r.name, bp, owner)
+			}
+		case owner == -2:
+			if flushed&bit(bp) == 0 {
+				return fmt.Errorf("%s: bp %d marked flushing with no closer", r.name, bp)
+			}
+		default:
+			return fmt.Errorf("%s: busyBy[%d] has invalid marker %d", r.name, bp, owner)
+		}
+	}
+	if slots := cap(closers); slots != len(busyBy) {
+		return fmt.Errorf("%s: %d closer slots for %d backward ports", r.name, slots, len(busyBy))
+	}
+	if r.live != live {
+		return fmt.Errorf("%s: live mask %#x but the non-idle forward ports are %#x", r.name, r.live, live)
+	}
+	if watched := r.watchedPorts(); r.enabled != watched {
+		return fmt.Errorf("%s: enabled mask %#x but the enabled, attached forward ports are %#x", r.name, r.enabled, watched)
+	}
+	return nil
 }
 
 // holding classes every fpState value by what clause 1 asks of its bp: an
@@ -43,170 +129,15 @@ var holding = [256]int8{
 	fpHeader: 1, fpForward: 1, fpReversed: 1,
 }
 
-// consistent reports whether every clause of CheckInvariants holds. It
-// walks the forward ports, the closers and busyBy once each, collecting
-// the backward ports connected ports hold, the ones closers flush and the
-// non-idle forward ports as masks (MaxPorts bounds every port number by
-// the mask width), and stops at the first failed check. It only decides;
-// explain says which clause failed, and the two agree on every router
-// (FuzzInvariantVerdict).
-func (r *Router) consistent() bool {
-	// NewRouter sizes fwd by Inputs and busyBy by Outputs, and nothing
-	// resizes them, so the router's own lengths stand in for its Config.
-	fwd, busyBy, closers := r.fwd, r.busyBy, r.closers
-	if r.watchedPorts() != r.enabled || cap(closers) != len(busyBy) {
-		return false
-	}
-	injCap := uint(r.injCap)
-	var conn, live uint64
-	for fp := range fwd {
-		p := &fwd[fp]
-		if !p.within(injCap) {
-			return false
-		}
-		if p.state == fpIdle { // most ports, most cycles: no bp, not live
-			if p.bp != -1 || p.qLen != 0 {
-				return false
-			}
-			continue
-		}
-		if p.bp < 0 && p.qLen != 0 && p.state != fpBlockedReply {
-			return false
-		}
-		live |= 1 << (fp & 63)
-		switch holding[p.state] {
-		case 1:
-			bp := uint(int(p.bp)) // a negative bp wraps past every bound
-			if bp >= uint(len(busyBy)) || bp >= uint(r.window(len(busyBy))) || int(busyBy[bp]) != fp {
-				return false
-			}
-			conn |= 1 << bp
-		case -1:
-			if p.bp != -1 {
-				return false
-			}
-		}
-	}
-	if live != r.live {
-		return false
-	}
-	var flush uint64
-	for i := range closers {
-		c := &closers[i]
-		bp := uint(int(c.bp))
-		if bp >= uint(len(busyBy)) || busyBy[bp] != -2 || flush>>bp&1 != 0 || !c.within(injCap) {
-			return false
-		}
-		flush |= 1 << bp
-	}
-	// busyBy marks a backward port free, owned or flushing. Each connected
-	// port's bp named that port as owner (checked above), so an owned port
-	// outside conn is the one clause 1 rejects; a flushing one needs a
-	// closer.
-	var busy, flushing uint64
-	for bp, owner := range busyBy {
-		switch bit := uint64(1) << (bp & 63); {
-		case owner == -1:
-		case owner >= 0:
-			busy |= bit
-		case owner == -2:
-			flushing |= bit
-		default:
-			return false
-		}
-	}
-	return busy&^conn == 0 && flushing&^flush == 0
-}
-
-// explain is CheckInvariants' clause-by-clause walk: it returns the first
-// violation, worded for the clause it breaks, or nil.
-func (r *Router) explain() error {
-	// claimed[bp] is the claiming forward port plus one, 0 while unclaimed.
-	var claimed [MaxPorts]int8
+// claimant returns the first connected forward port that holds bp: the
+// earlier claimant when CheckInvariants finds a second.
+func (r *Router) claimant(bp int8) int {
 	for fp := range r.fwd {
-		p := &r.fwd[fp]
-		if err := r.cursorError(&p.flow, "fp", fp); err != nil {
-			return err
-		}
-		if p.bp < 0 && p.qLen != 0 && p.state != fpBlockedReply {
-			return fmt.Errorf("%s: fp%d in state %v holds no bp but queues words [%d:%d]",
-				r.name, fp, p.state, p.qHead, p.qLen)
-		}
-		switch p.state {
-		case fpIdle, fpBlockedWait, fpBlockedReply, fpDrain:
-			if p.bp != -1 {
-				return fmt.Errorf("%s: fp%d in state %v holds bp %d", r.name, fp, p.state, p.bp)
-			}
-		case fpHeader, fpForward, fpReversed:
-			if p.bp < 0 || int(p.bp) >= r.cfg.Outputs {
-				return fmt.Errorf("%s: fp%d connected with invalid bp %d", r.name, fp, p.bp)
-			}
-			if prev := claimed[p.bp]; prev != 0 {
-				return fmt.Errorf("%s: bp %d claimed by fp%d and fp%d", r.name, p.bp, prev-1, fp)
-			}
-			claimed[p.bp] = int8(fp + 1)
-			if int(r.busyBy[p.bp]) != fp {
-				return fmt.Errorf("%s: fp%d holds bp %d but busyBy says %d",
-					r.name, fp, p.bp, r.busyBy[p.bp])
-			}
-			if int(p.bp) >= r.Radix()*r.set.Dilation {
-				return fmt.Errorf("%s: fp%d bp %d outside the configured radix*dilation window",
-					r.name, fp, p.bp)
-			}
+		if p := &r.fwd[fp]; holding[p.state] == 1 && p.bp == bp {
+			return fp
 		}
 	}
-	// flushed has a bit per backward port a closer flushes.
-	var flushed uint64
-	for i := range r.closers {
-		c := &r.closers[i]
-		if c.bp < 0 || int(c.bp) >= r.cfg.Outputs {
-			return fmt.Errorf("%s: closer with invalid bp %d", r.name, c.bp)
-		}
-		if r.busyBy[c.bp] != -2 {
-			return fmt.Errorf("%s: closer holds bp %d but busyBy says %d",
-				r.name, c.bp, r.busyBy[c.bp])
-		}
-		if flushed&bit(int(c.bp)) != 0 {
-			return fmt.Errorf("%s: bp %d flushed by two closers", r.name, c.bp)
-		}
-		flushed |= bit(int(c.bp))
-		if err := r.cursorError(&c.flow, "the closer on bp", int(c.bp)); err != nil {
-			return err
-		}
-	}
-	for bp, owner := range r.busyBy {
-		switch {
-		case owner >= 0:
-			if claimed[bp]-1 != owner {
-				return fmt.Errorf("%s: busyBy[%d] = fp%d but no connected port claims it",
-					r.name, bp, owner)
-			}
-		case owner == -2:
-			if flushed&bit(bp) == 0 {
-				return fmt.Errorf("%s: bp %d marked flushing with no closer", r.name, bp)
-			}
-		case owner != -1:
-			return fmt.Errorf("%s: busyBy[%d] has invalid marker %d", r.name, bp, owner)
-		}
-	}
-	if slots := cap(r.closers); slots != r.cfg.Outputs {
-		return fmt.Errorf("%s: %d closer slots for %d backward ports", r.name, slots, r.cfg.Outputs)
-	}
-	var live uint64
-	bit := uint64(1)
-	for fp := range r.fwd {
-		if r.fwd[fp].state != fpIdle {
-			live |= bit
-		}
-		bit <<= 1
-	}
-	if r.live != live {
-		return fmt.Errorf("%s: live mask %#x but the non-idle forward ports are %#x", r.name, r.live, live)
-	}
-	if watched := r.watchedPorts(); r.enabled != watched {
-		return fmt.Errorf("%s: enabled mask %#x but the enabled, attached forward ports are %#x", r.name, r.enabled, watched)
-	}
-	return nil
+	return -1
 }
 
 // window is Radix()*Dilation, the backward ports the configured

@@ -218,12 +218,12 @@ func TestCheckInvariantsCatchesEachCorruption(t *testing.T) {
 				t.Fatalf("fresh router must be consistent: %v", err)
 			}
 			tc.corrupt(r)
-			if r.consistent() {
-				t.Fatalf("the one-pass verdict passed a corrupted router")
-			}
 			err := r.CheckInvariants()
 			if err == nil {
 				t.Fatalf("corruption went undetected")
+			}
+			if ref := r.clauseWalk(); ref == nil || ref.Error() != err.Error() {
+				t.Fatalf("CheckInvariants returned %q, the clause walk %v", err, ref)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("wrong clause fired: got %q, want it to mention %q",

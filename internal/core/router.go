@@ -417,22 +417,6 @@ func (r *Router) SetBackwardEnabled(bp int, on bool) {
 	s.BackwardEnabled = withPort(s.BackwardEnabled, bp, r.cfg.Outputs, on)
 }
 
-// SetTurnDelay writes one port's variable turn delay register, as a scan
-// CONFIG load of that field would: port indexes the Table 2 register file
-// (forward ports first, then backward ports) and delay must lie in
-// [0, MaxVTD]. A rejected write changes nothing. Network construction
-// writes no turn delay here: a stage's delays are in its Shape.
-func (r *Router) SetTurnDelay(port, delay int) error {
-	if port < 0 || port >= len(r.set.TurnDelay) {
-		return fmt.Errorf("core: TurnDelay port %d outside [0, Inputs+Outputs=%d)", port, len(r.set.TurnDelay))
-	}
-	if delay < 0 || delay > r.cfg.MaxVTD {
-		return fmt.Errorf("core: TurnDelay[%d] = %d outside [0, max_vtd=%d]", port, delay, r.cfg.MaxVTD)
-	}
-	r.ownSettings().TurnDelay[port] = delay
-	return nil
-}
-
 // SetFastReclaim selects the path reclamation mode of forward port fp
 // during operation, as a scan CONFIG load of the Table 2 register would.
 // Section 5.1 says the tradeoff may be handled dynamically: in the mixed

@@ -25,7 +25,9 @@ import (
 // corruptor call counts, so a lookup that finds another wire, or a fault
 // that reaches a reader differently, fails here. The digests were captured
 // from the build whose arenas still kept a table of links and an owner
-// entry per register.
+// entry per register, and captured again when a detailed blocked reply's
+// checksum verdict began to reach Result.SuspectStage: that moved one
+// result's SuspectStage per network (from -1 to a stage) and nothing else.
 func TestLinkLookupPin(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -35,11 +37,11 @@ func TestLinkLookupPin(t *testing.T) {
 		{"cascade2", Params{
 			Spec: topo.Figure1(), Width: 4, CascadeWidth: 2, StageLinkDelays: []int{2, 1, 3},
 			DataPipe: 2, Seed: 29, RetryLimit: 400, ListenTimeout: 150,
-		}, "45f2fc896b58f05ab2cfcf249c45eaa7d14f9d84ee1545fb41def5df926175f7"},
+		}, "c5815b31b65104ebf7e264c55275d11502d20f8adedeb3cda381f02488e58768"},
 		{"figure3", Params{
 			Spec: topo.Figure3(), Width: 8, DataPipe: 2, LinkDelay: 1,
 			Seed: 71, RetryLimit: 600, ListenTimeout: 200,
-		}, "c3fc5331dfb97599375aca56dced06ea5e936c907473664961dca2d638895063"},
+		}, "dd87c8f53acd84cce7bb9d3026e9b0b4e4ddd6a4fa14ba4cb3d6b13f5fc573a0"},
 	} {
 		for _, workers := range []int{1, 2} {
 			t.Run(tc.name+"/w"+strconv.Itoa(workers), func(t *testing.T) {

@@ -762,6 +762,7 @@ func (s *sender) eval(cycle uint64) {
 			stage := s.p.parse.blockedStage()
 			s.p.res.BlockedDetailed++
 			s.p.res.LastBlockedStage = stage
+			s.p.localize()
 			s.e.emit(cycle, telemetry.EvMsgBlockedDetailed, s.p.res.Msg.ID, stage, 0)
 			p := s.p
 			s.p = nil
@@ -792,10 +793,7 @@ func (s *sender) abortNow(cycle uint64) {
 func (s *sender) complete(cycle uint64) {
 	p := s.p
 	pr := &p.parse
-	// Fault localization: the parse checked each stage's reports on arrival.
-	if pr.suspect >= 0 {
-		p.res.SuspectStage = pr.suspect
-	}
+	p.localize()
 	nack := pr.destStatus&word.StatusNack != 0
 	e2eOK := pr.destCk == p.sentCRC
 	replyOK := true
@@ -817,6 +815,16 @@ func (s *sender) complete(cycle uint64) {
 		p.res.ChecksumFailures++
 		s.e.emit(cycle, telemetry.EvMsgChecksumFail, p.res.Msg.ID, 0, 0)
 		s.afterDrop = dropRetry
+	}
+}
+
+// localize records the attempt's fault localization, which the parse
+// checked on arrival of each stage's reports: a stage whose checksum
+// disagreed becomes the result's SuspectStage, and an attempt whose stages
+// all agreed leaves it as it was.
+func (p *pending) localize() {
+	if p.parse.suspect >= 0 {
+		p.res.SuspectStage = p.parse.suspect
 	}
 }
 

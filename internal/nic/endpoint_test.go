@@ -174,6 +174,78 @@ func TestRetryLimitExhaustion(t *testing.T) {
 	}
 }
 
+// blockingStage stands in for a stage-0 router that blocks every attempt
+// with a detailed reply: after the source's TURN it reports a blocked
+// status and the checksum of the words it received, XORed with flip, and
+// closes with a DROP.
+type blockingStage struct {
+	end   link.End
+	ck    word.Checksum
+	flip  uint8
+	reply []word.Word
+}
+
+func (b *blockingStage) Eval(uint64) {
+	if w := b.end.Recv(); w.Kind == word.Turn {
+		b.reply = append(b.reply, word.Word{Kind: word.Status, Payload: word.StatusBlocked})
+		b.reply = append(word.AppendChecksum(b.reply, b.ck.Sum()^b.flip, mustWidth(8)), word.Word{Kind: word.Drop})
+		b.ck = word.Checksum{}
+	} else {
+		b.ck.Add(w)
+	}
+	var out word.Word
+	if len(b.reply) > 0 {
+		out, b.reply = b.reply[0], b.reply[1:]
+	}
+	b.end.Send(out)
+}
+
+// TestBlockedReplyLocalizesFault blocks both attempts of a message at
+// stage 0 with a detailed reply: a reported checksum that disagrees with
+// the source's names stage 0 the suspect on the failed result, and one
+// that agrees names none.
+func TestBlockedReplyLocalizesFault(t *testing.T) {
+	for _, tc := range []struct {
+		flip    uint8
+		suspect int
+	}{{0, -1}, {0xA5, 0}} {
+		var results []Result
+		src, err := New(0, Config{
+			Width:             8,
+			Header:            HeaderSpec{Stages: []StageHeader{{DirBits: 1}}},
+			AppendRouteDigits: func(dst []int, _ int) []int { return append(dst, 0) },
+			RetryLimit:        1,
+			ListenTimeout:     100,
+			CloseGap:          3,
+			OnResult:          func(_ int, r Result) { results = append(results, r) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := link.New("stage0", 1)
+		stage := &blockingStage{end: l.B(), flip: tc.flip}
+		src.AttachInject(l.A())
+		eng := clock.New()
+		eng.AddLatch(l)
+		eng.Add(src, stage)
+		src.Offer(Message{ID: 1, Dest: 1, Payload: []byte("blocked")})
+		for range 200 {
+			eng.Step()
+			src.Settle()
+		}
+		if len(results) != 1 {
+			t.Fatalf("flip %#x: results = %+v", tc.flip, results)
+		}
+		r := results[0]
+		if r.Delivered || r.BlockedDetailed != 2 || r.LastBlockedStage != 0 {
+			t.Fatalf("flip %#x: want two attempts blocked at stage 0, got %+v", tc.flip, r)
+		}
+		if r.SuspectStage != tc.suspect {
+			t.Fatalf("flip %#x: SuspectStage = %d, want %d", tc.flip, r.SuspectStage, tc.suspect)
+		}
+	}
+}
+
 func TestWatchdogTimeoutOnDeadWire(t *testing.T) {
 	lb := newLoopback(t, func(c *Config) {
 		c.RetryLimit = 2

@@ -35,9 +35,10 @@ type Result struct {
 	ChecksumFailures int
 	// Timeouts counts attempts abandoned by the watchdog.
 	Timeouts int
-	// SuspectStage is the first stage whose reported checksum disagreed
-	// with the expected value on the final attempt (-1 if none): the fault
-	// localization output.
+	// SuspectStage is the fault localization output: the first stage
+	// whose reported checksum disagreed with the expected value, on the
+	// latest attempt, completed or blocked with a detailed reply, that
+	// found a disagreement (-1 if no attempt did).
 	SuspectStage int
 	// Injected is the cycle the first word of the first attempt entered
 	// the network; Done is the cycle the acknowledgment (final TURN)

@@ -31,7 +31,6 @@ type MetricsSink struct {
 	retried   uint64
 	failed    uint64
 	maxQueue  int32 // peak network-wide queued messages
-	deepest   int32 // peak single-endpoint queue depth
 }
 
 // SinkStats is a per-run summary of what the bridge observed.
@@ -44,11 +43,10 @@ type SinkStats struct {
 	Retried   uint64
 	Failed    uint64
 	// MaxQueueDepth is the peak network-wide queued-message count seen
-	// by the EvGaugeQueueDepth sampler; MaxSingleQueue is the deepest
-	// single endpoint queue. Both require a gauge-sampling Recorder
-	// build (netsim wires the sampler whenever a Recorder is attached).
-	MaxQueueDepth  int32
-	MaxSingleQueue int32
+	// by the EvGaugeQueueDepth sampler. It requires a gauge-sampling
+	// Recorder build (netsim wires the sampler whenever a Recorder is
+	// attached).
+	MaxQueueDepth int32
 }
 
 // Sink consumes one buffer's drained events. It is shaped for
@@ -73,9 +71,6 @@ func (s *MetricsSink) Sink(events []Event) {
 			if a := events[i].A; a > s.maxQueue {
 				s.maxQueue = a
 			}
-			if b := events[i].B; b > s.deepest {
-				s.deepest = b
-			}
 		}
 	}
 }
@@ -84,11 +79,10 @@ func (s *MetricsSink) Sink(events []Event) {
 // completed (see the type comment for the ordering argument).
 func (s *MetricsSink) Stats() SinkStats {
 	return SinkStats{
-		Offered:        s.offered,
-		Delivered:      s.delivered,
-		Retried:        s.retried,
-		Failed:         s.failed,
-		MaxQueueDepth:  s.maxQueue,
-		MaxSingleQueue: s.deepest,
+		Offered:       s.offered,
+		Delivered:     s.delivered,
+		Retried:       s.retried,
+		Failed:        s.failed,
+		MaxQueueDepth: s.maxQueue,
 	}
 }

@@ -30,7 +30,7 @@ func TestMetricsSinkTallies(t *testing.T) {
 	})
 
 	got := s.Stats()
-	want := SinkStats{Offered: 2, Delivered: 1, Retried: 1, Failed: 1, MaxQueueDepth: 7, MaxSingleQueue: 4}
+	want := SinkStats{Offered: 2, Delivered: 1, Retried: 1, Failed: 1, MaxQueueDepth: 7}
 	if got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
