@@ -34,6 +34,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"metro/internal/topo"
 )
 
 // Benchmark is one parsed `go test -bench` result line.
@@ -90,6 +92,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrobench: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
 	}
+	// Every flag is checked before anything runs.
+	if *count < 1 {
+		reject("-count %d is not a positive repetition count", *count)
+	}
+	if *scaleCycles < 1 {
+		reject("-scale-cycles %d is not a positive cycle count", *scaleCycles)
+	}
+	if *index < 0 {
+		reject("-index %d is not a snapshot index (0 = next free)", *index)
+	}
+	// A one-stage network of radix endpoints fails only on the radix.
+	if _, err := topo.Scale(*scaleRadix, *scaleRadix); err != nil {
+		reject("-scale-radix %d: %v", *scaleRadix, err)
+	}
+	workers, err := parseIntList("scale-workers", *scaleWorkers)
+	if err != nil {
+		reject("%v", err)
+	}
+	var sizes []int
+	if *scale != "" {
+		if sizes, err = parseIntList("scale", *scale); err != nil {
+			reject("%v", err)
+		}
+		for _, n := range sizes {
+			if _, err := topo.Scale(n, *scaleRadix); err != nil {
+				reject("-scale entry %d: %v", n, err)
+			}
+		}
+	}
 
 	var benchmarks []Benchmark
 	if *bench != "none" {
@@ -112,16 +143,8 @@ func main() {
 	}
 
 	var scalePoints []ScalePoint
-	if *scale != "" {
-		sizes, err := parseIntList("scale", *scale)
-		if err == nil {
-			var workers []int
-			workers, err = parseIntList("scale-workers", *scaleWorkers)
-			if err == nil {
-				scalePoints, err = runScale(sizes, *scaleRadix, *scaleCycles, workers)
-			}
-		}
-		if err != nil {
+	if len(sizes) > 0 {
+		if scalePoints, err = runScale(sizes, *scaleRadix, *scaleCycles, workers); err != nil {
 			fmt.Fprintf(os.Stderr, "metrobench: %v\n", err)
 			os.Exit(1)
 		}
@@ -170,6 +193,12 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(snap.Benchmarks))
 	report(os.Stdout, snap)
+}
+
+// reject reports a flag value the tool cannot serve and exits 2.
+func reject(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "metrobench: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func emit(f *os.File, snap Snapshot) {

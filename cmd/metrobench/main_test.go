@@ -104,6 +104,29 @@ func TestFailureModes(t *testing.T) {
 		"-benchtime", "1x", "-pkgs", "metro/internal/telemetry", "-dir", t.TempDir())
 }
 
+// TestRejectsBadFlags checks the flags before anything runs: a
+// repetition or cycle count below 1, a negative index, a size or radix
+// topo.Scale refuses, or a bad worker entry exits 2 with one line naming
+// the flag.
+func TestRejectsBadFlags(t *testing.T) {
+	curve := []string{"-bench", "none", "-scale", "16", "-scale-cycles", "8", "-stdout"}
+	for _, args := range [][]string{
+		{"-count", "0", "-pkgs", "metro/internal/word", "-benchtime", "1x", "-stdout"},
+		append([]string{"-count", "-2"}, curve...),
+		{"-scale-cycles", "0", "-bench", "none", "-scale", "16", "-stdout"},
+		{"-scale-cycles", "-5", "-bench", "none", "-scale", "16", "-stdout"},
+		append([]string{"-index", "-3"}, curve...),
+		append([]string{"-scale-radix", "3"}, curve...),
+		append([]string{"-scale-radix", "0"}, curve...),
+		{"-scale", "100", "-bench", "none", "-stdout"},
+		{"-scale", "16,x", "-bench", "none", "-stdout"},
+		append([]string{"-scale-workers", "-1"}, curve...),
+		append([]string{"-scale-workers", "1,x"}, curve...),
+	} {
+		clitest.Rejects(t, "metrobench", args...)
+	}
+}
+
 // TestStdoutIsOneJSONDocument: under -stdout the snapshot is all that
 // stdout carries, so `metrobench -stdout | jq` parses it; the human
 // summary goes to stderr.

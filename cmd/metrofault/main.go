@@ -45,6 +45,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrofault: -load %g is not a load in (0, 1]\n", *load)
 		os.Exit(2)
 	}
+	if *msgBytes < 0 {
+		fmt.Fprintf(os.Stderr, "metrofault: -bytes %d is not a payload length\n", *msgBytes)
+		os.Exit(2)
+	}
 	pool := killPool(*kind)
 	var counts []int
 	for _, s := range strings.Split(*countsArg, ",") {

@@ -43,6 +43,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-load", "0"},
 		{"-load", "1.5"},
 		{"-load", "NaN"},
+		{"-bytes", "-1", "-counts", "0", "-measure", "200", "-window", "100", "-warmup", "100"},
 	} {
 		clitest.Rejects(t, "metrofault", args...)
 	}

@@ -72,6 +72,9 @@ func main() {
 	if *hw < 0 {
 		reject("-hw %d is not a count of header words", *hw)
 	}
+	if *msgBytes < 0 {
+		reject("-bytes %d is not a payload length", *msgBytes)
+	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if set["outstanding"] && *openloop {

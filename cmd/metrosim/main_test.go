@@ -49,6 +49,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-outstanding", "-3"},
 		{"-outstanding", "0"},
 		{"-hw", "-1"},
+		{"-bytes", "-4", "-network", "fig1", "-loads", "0.3", "-cycles", "300", "-warmup", "100"},
 	} {
 		clitest.Rejects(t, "metrosim", args...)
 	}

@@ -163,6 +163,10 @@ func export(args []string) {
 		fmt.Fprintf(os.Stderr, "metrotrace export: unknown format %q\n", *format)
 		os.Exit(2)
 	}
+	if *buckets < 1 {
+		fmt.Fprintf(os.Stderr, "metrotrace export: -buckets %d is not a positive bucket count\n", *buckets)
+		os.Exit(2)
+	}
 	t := loadTrace(fs)
 
 	w := output(*out)

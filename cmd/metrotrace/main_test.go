@@ -130,4 +130,11 @@ func TestUsageErrors(t *testing.T) {
 	clitest.ExitCode(t, 2, "metrotrace", "summarize")
 	clitest.ExitCode(t, 1, "metrotrace", "summarize", "no-such-file.mtr")
 	clitest.ExitCode(t, 2, "metrotrace", "export", "-format", "bogus", "whatever.mtr")
+	// A bucket count below 1 is refused before the trace is read.
+	for _, n := range []string{"0", "-2"} {
+		out := clitest.ExitCode(t, 2, "metrotrace", "export", "-format", "csv", "-buckets", n, "whatever.mtr")
+		if bytes.Count(out, []byte("\n")) != 1 || !bytes.Contains(out, []byte("-buckets")) {
+			t.Errorf("export -buckets %s: want one line naming -buckets, got:\n%s", n, out)
+		}
+	}
 }

@@ -91,7 +91,7 @@ func TestLedgerMatchesValveStrippedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.RunTree(copyRoot, analysis.TreeOptions{})
+	res, err := analysis.RunTree(copyRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,15 +308,8 @@ func runSilenced(pkgs []*analysis.Package, v valve, kindRules map[string]map[str
 	prog := analysis.NewProgram(fresh)
 	var out []analysis.Finding
 	for _, a := range analysis.Analyzers() {
-		if !v.silences(a.Name, kindRules) {
-			continue
-		}
-		if a.RunProgram != nil {
-			out = append(out, a.RunProgram(prog)...)
-			continue
-		}
-		for _, p := range prog.Packages {
-			out = append(out, a.Run(p)...)
+		if v.silences(a.Name, kindRules) {
+			out = append(out, a.Run(prog)...)
 		}
 	}
 	return out

@@ -8,7 +8,10 @@
 // It walks the requested packages, runs every analyzer in
 // internal/analysis, prints findings as "file:line: rule-id: message"
 // and exits nonzero if any finding is not inline-suppressed. CI runs it
-// alongside go vet.
+// alongside go vet. The protocol state-machine tables under
+// docs/statemachines are not its business: `go test ./internal/analysis
+// -run TestStateMachinesMatchGolden` diffs them and `-update` rewrites
+// them.
 //
 // Module packages are parsed and type-checked from source; the standard
 // library is imported from the compiler's export data, which `go list
@@ -19,9 +22,6 @@
 // Flags:
 //
 //	-rules                print the rule set and exit
-//	-write-machines dir   write the extracted machine tables to dir
-//	-check-machines dir   diff the extracted tables against dir, exit 1
-//	                      on any difference (the CI golden gate)
 //	-bce                  compile the hot-path packages with the SSA
 //	                      backend's check_bce debug pass and diff the
 //	                      surviving bounds checks against the allowlist
@@ -47,8 +47,6 @@ import (
 
 func main() {
 	listRules := flag.Bool("rules", false, "print the rule set and exit")
-	writeMachines := flag.String("write-machines", "", "write extracted machine tables to `dir`")
-	checkMachines := flag.String("check-machines", "", "diff extracted tables against `dir`, exit 1 on any difference")
 	bce := flag.Bool("bce", false, "diff surviving hot-path bounds checks against the allowlist")
 	bceAllowlist := flag.String("bce-allowlist", "docs/bce_allowlist.txt", "allowlist `file` for -bce")
 	bceWrite := flag.Bool("bce-write", false, "regenerate the -bce allowlist from current compiler output")
@@ -72,16 +70,7 @@ func main() {
 		return
 	}
 
-	if *writeMachines != "" || *checkMachines != "" {
-		loader, err := analysis.NewLoader(root)
-		if err != nil {
-			fatal(err)
-		}
-		runMachines(loader, *writeMachines, *checkMachines)
-		return
-	}
-
-	res, err := analysis.RunTree(root, analysis.TreeOptions{Patterns: flag.Args()})
+	res, err := analysis.RunTree(root, flag.Args()...)
 	if err != nil {
 		fatal(err)
 	}
@@ -97,50 +86,6 @@ func main() {
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "metrovet: %d finding(s)\n", len(findings))
-		os.Exit(1)
-	}
-}
-
-// runMachines extracts the protocol state machines (analysis.DefaultMachines)
-// and writes or golden-diffs their transition tables.
-func runMachines(loader *analysis.Loader, writeDir, checkDir string) {
-	bad := false
-	for _, spec := range analysis.DefaultMachines() {
-		pkgs, err := loader.Load(spec.Pattern)
-		if err != nil {
-			fatal(err)
-		}
-		m, err := analysis.ExtractMachine(pkgs[0], spec.Type)
-		if err != nil {
-			fatal(err)
-		}
-		text := m.Render(spec.Label())
-		if writeDir != "" {
-			path := filepath.Join(writeDir, spec.FileName())
-			if err := os.MkdirAll(writeDir, 0o755); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("metrovet: wrote %s (%d transitions)\n", path, len(m.Transitions))
-			continue
-		}
-		path := filepath.Join(checkDir, spec.FileName())
-		want, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		if diff := analysis.DiffTables(string(want), text); diff != nil {
-			bad = true
-			fmt.Fprintf(os.Stderr, "metrovet: %s: extracted machine differs from %s:\n", spec.Label(), path)
-			for _, l := range diff {
-				fmt.Fprintf(os.Stderr, "  %s\n", l)
-			}
-		}
-	}
-	if bad {
-		fmt.Fprintln(os.Stderr, "metrovet: state-machine tables are stale; regenerate with -write-machines and review the protocol change")
 		os.Exit(1)
 	}
 }

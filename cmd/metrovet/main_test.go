@@ -65,7 +65,7 @@ func BenchmarkMetrovetWholeTree(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := analysis.RunTree(root, analysis.TreeOptions{})
+		res, err := analysis.RunTree(root)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -56,17 +56,25 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 }
 
-// Analyzer is one named rule of the metrovet pass. Run analyzes one
-// package at a time and is always set (whole-program rules analyze a
-// single-package program through it, which is what the fixture tests
-// exercise). RunProgram, when set, marks a whole-program rule: the
-// driver calls it once with every loaded package, so the rule sees the
-// interprocedural call graph instead of one package's slice of it.
+// Analyzer is one named rule of the metrovet pass. Run analyzes every
+// loaded package at once: a whole-program rule sees the interprocedural
+// call graph, and a per-package rule visits the packages one at a time
+// through eachPackage.
 type Analyzer struct {
-	Name       string
-	Doc        string
-	Run        func(*Package) []Finding
-	RunProgram func(*Program) []Finding
+	Name string
+	Doc  string
+	Run  func(*Program) []Finding
+}
+
+// eachPackage lifts a per-package rule to the Analyzer signature.
+func eachPackage(run func(*Package) []Finding) func(*Program) []Finding {
+	return func(prog *Program) []Finding {
+		var out []Finding
+		for _, p := range prog.Packages {
+			out = append(out, run(p)...)
+		}
+		return out
+	}
 }
 
 // Analyzers returns the full rule set in reporting order.

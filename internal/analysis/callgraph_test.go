@@ -54,7 +54,7 @@ func TestCallGraphEdges(t *testing.T) {
 	prog := callGraphFixture(t)
 	cg := BuildCallGraph(prog)
 
-	eval := prog.FuncByKey("metro/internal/rtr.Router.Eval")
+	eval := prog.funcs["metro/internal/rtr.Router.Eval"]
 	if eval == nil {
 		t.Fatal("Eval not indexed")
 	}
@@ -88,10 +88,10 @@ func TestCallGraphEdges(t *testing.T) {
 func TestCallGraphReachable(t *testing.T) {
 	prog := callGraphFixture(t)
 	cg := BuildCallGraph(prog)
-	eval := prog.FuncByKey("metro/internal/rtr.Router.Eval")
+	eval := prog.funcs["metro/internal/rtr.Router.Eval"]
 	reached := cg.Reachable([]RootedNode{{Node: eval, Root: "(*Router).Eval"}}, nil)
 
-	poke := prog.FuncByKey("metro/internal/sink.Counter.Poke")
+	poke := prog.funcs["metro/internal/sink.Counter.Poke"]
 	ri, ok := reached[poke]
 	if !ok {
 		t.Fatal("interface-dispatched Poke not reached from Eval")
@@ -99,10 +99,10 @@ func TestCallGraphReachable(t *testing.T) {
 	if ri.Root != "(*Router).Eval" || ri.Via != "sink.Poker" {
 		t.Errorf("RootInfo = %+v, want root (*Router).Eval via sink.Poker", ri)
 	}
-	if _, ok := reached[prog.FuncByKey("metro/internal/rtr.Router.helper")]; !ok {
+	if _, ok := reached[prog.funcs["metro/internal/rtr.Router.helper"]]; !ok {
 		t.Error("method-value helper not reached")
 	}
-	if _, ok := reached[prog.FuncByKey("metro/internal/rtr.Router.Commit")]; ok {
+	if _, ok := reached[prog.funcs["metro/internal/rtr.Router.Commit"]]; ok {
 		t.Error("Commit reached without an edge")
 	}
 }

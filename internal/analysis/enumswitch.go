@@ -30,7 +30,7 @@ func EnumSwitch() *Analyzer {
 	return &Analyzer{
 		Name: "exhaustive-enum-switch",
 		Doc:  "flag switches over enum-like types that neither name every constant nor panic in default; annotate //metrovet:nonexhaustive <reason>",
-		Run:  runEnumSwitch,
+		Run:  eachPackage(runEnumSwitch),
 	}
 }
 

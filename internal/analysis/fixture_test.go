@@ -128,7 +128,7 @@ func (i *fixtureProgImporter) Import(path string) (*types.Package, error) {
 // runRule loads the fixture and runs one analyzer over it.
 func runRule(t *testing.T, a *Analyzer, importPath string, files map[string]string) []Finding {
 	t.Helper()
-	return a.Run(loadFixture(t, importPath, files))
+	return a.Run(NewProgram([]*Package{loadFixture(t, importPath, files)}))
 }
 
 // wantFindings asserts the findings' (filename, line) pairs exactly.

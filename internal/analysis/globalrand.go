@@ -35,7 +35,7 @@ func GlobalRand() *Analyzer {
 	return &Analyzer{
 		Name: "no-global-rand",
 		Doc:  "forbid crypto/rand and global math/rand state in internal/ packages; randomness flows through internal/prng or seeded *rand.Rand instances",
-		Run:  runGlobalRand,
+		Run:  eachPackage(runGlobalRand),
 	}
 }
 

@@ -33,10 +33,7 @@ func HotPathAlloc() *Analyzer {
 	return &Analyzer{
 		Name: "hot-path-alloc",
 		Doc:  "flag heap-allocation idioms reachable from a component's Eval or a latch's Commit; annotate //metrovet:alloc <reason> for justified per-message work",
-		Run: func(p *Package) []Finding {
-			return runHotPathAlloc(NewProgram([]*Package{p}))
-		},
-		RunProgram: runHotPathAlloc,
+		Run:  runHotPathAlloc,
 	}
 }
 

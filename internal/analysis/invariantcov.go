@@ -20,7 +20,7 @@ func InvariantCoverage() *Analyzer {
 	return &Analyzer{
 		Name: "invariant-coverage",
 		Doc:  "flag exported Check…Invariants functions not called from any test in the same package",
-		Run:  runInvariantCoverage,
+		Run:  eachPackage(runInvariantCoverage),
 	}
 }
 

@@ -41,8 +41,9 @@ func TestLoaderOnRealTree(t *testing.T) {
 	}
 	// prng is the sanctioned randomness source; every analyzer must be
 	// clean on it with no annotations needed.
+	prog := NewProgram(pkgs)
 	for _, a := range Analyzers() {
-		if got := a.Run(p); len(got) != 0 {
+		if got := a.Run(prog); len(got) != 0 {
 			t.Errorf("%s on internal/prng: %v", a.Name, got)
 		}
 	}
@@ -97,7 +98,7 @@ func TestLoadCollectsTypeErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(bad, "bad.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTree(root, TreeOptions{})
+	res, err := RunTree(root)
 	if err != nil {
 		t.Fatalf("type errors must not be fatal: %v", err)
 	}

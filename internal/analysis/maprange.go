@@ -18,7 +18,7 @@ func MapRange() *Analyzer {
 	return &Analyzer{
 		Name: "ordered-map-iteration",
 		Doc:  "flag range-over-map in cycle-state packages (core, netsim, cascade, nic, fault, topo); iterate sorted keys or annotate //metrovet:ordered <reason>",
-		Run:  runMapRange,
+		Run:  eachPackage(runMapRange),
 	}
 }
 

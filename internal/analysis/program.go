@@ -10,10 +10,10 @@ import (
 
 // Program is the whole-program view the interprocedural analyzers work
 // on: every loaded package plus an index of all compiled function
-// declarations. Per-package analyzers see one Package at a time;
-// whole-program analyzers (hot-path-alloc, eval-isolation and the value
-// rules) see the Program, so an Eval that calls an allocating or impure
-// helper three packages away is still on the hook.
+// declarations. Every analyzer runs on the Program; the whole-program
+// ones (hot-path-alloc, eval-isolation and the value rules) use it all,
+// so an Eval that calls an allocating or impure helper three packages
+// away is still on the hook.
 //
 // Functions are indexed by a path-based key, not by types.Object
 // identity: the loader type-checks a package's compiled files once as
@@ -102,9 +102,6 @@ func NewProgram(pkgs []*Package) *Program {
 	}
 	return prog
 }
-
-// FuncByKey returns the indexed declaration for key, or nil.
-func (prog *Program) FuncByKey(key string) *FuncNode { return prog.funcs[key] }
 
 // recvTypeName extracts the receiver's named type ("Router" from
 // (r *Router)); generic receivers resolve through their index expression.

@@ -53,10 +53,7 @@ func EvalIsolation() *Analyzer {
 	return &Analyzer{
 		Name: "eval-isolation",
 		Doc:  "prove, interprocedurally, that Eval-phase call trees (components and telemetry sinks) touch only their own state and link ends; annotate //metrovet:shared <reason> for co-located or serialized components",
-		Run: func(p *Package) []Finding {
-			return runEvalIsolation(NewProgram([]*Package{p}))
-		},
-		RunProgram: runEvalIsolation,
+		Run:  runEvalIsolation,
 	}
 }
 

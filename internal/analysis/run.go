@@ -6,15 +6,6 @@ import (
 	"strings"
 )
 
-// TreeOptions configures a whole-tree analysis run.
-type TreeOptions struct {
-	// Patterns are loader patterns ("./...", "./dir", "./dir/...");
-	// empty means the whole module.
-	Patterns []string
-	// Rules overrides the rule set (nil = Analyzers()).
-	Rules []*Analyzer
-}
-
 // TreeResult is the outcome of one whole-tree run.
 type TreeResult struct {
 	// Findings is the merged, sorted finding list with module-relative
@@ -31,19 +22,15 @@ type TreeResult struct {
 }
 
 // RunTree is the one entry point the CLI, the tests and the benchmark
-// share: load the matched packages, run per-package rules per package
-// and whole-program rules once over the combined Program, and return
-// stable, module-relative findings.
-func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
-	rules := opts.Rules
-	if rules == nil {
-		rules = Analyzers()
-	}
+// share: load the packages the loader patterns match ("./...", "./dir",
+// "./dir/..."; none means the whole module), run every rule once over
+// the combined Program, and return stable, module-relative findings.
+func RunTree(root string, patterns ...string) (*TreeResult, error) {
 	loader, err := NewLoader(root)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := loader.Load(opts.Patterns...)
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +42,7 @@ func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 	}
 
 	prog := NewProgram(pkgs)
-	all := runRules(rules, prog)
+	all := runRules(Analyzers(), prog)
 	if prog.vr != nil {
 		res.Sites = prog.vr.sites
 	}
@@ -71,18 +58,11 @@ func RunTree(root string, opts TreeOptions) (*TreeResult, error) {
 	return res, nil
 }
 
-// runRules runs each rule over prog: a whole-program rule once, a
-// per-package rule on every package.
+// runRules runs each rule once over prog.
 func runRules(rules []*Analyzer, prog *Program) []Finding {
 	var all []Finding
 	for _, a := range rules {
-		if a.RunProgram != nil {
-			all = append(all, a.RunProgram(prog)...)
-			continue
-		}
-		for _, p := range prog.Packages {
-			all = append(all, a.Run(p)...)
-		}
+		all = append(all, a.Run(prog)...)
 	}
 	return all
 }

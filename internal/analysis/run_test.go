@@ -52,7 +52,7 @@ func TestRunTreeDeterministic(t *testing.T) {
 	root := scaffoldModule(t)
 	var lines [2]strings.Builder
 	for i := range lines {
-		res, err := RunTree(root, TreeOptions{})
+		res, err := RunTree(root)
 		if err != nil {
 			t.Fatal(err)
 		}

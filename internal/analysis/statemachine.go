@@ -559,7 +559,7 @@ func (m *Machine) sortTransitions() {
 func (m *Machine) Render(label string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# metrovet state machine: %s (package %s)\n", label, m.ImportPath)
-	b.WriteString("# Regenerate: go run ./cmd/metrovet -write-machines docs/statemachines\n")
+	b.WriteString("# Regenerate: go test ./internal/analysis -run TestStateMachinesMatchGolden -update\n")
 	b.WriteString("# Format: from-state | guard | next-state | via. \"*\" = write outside\n")
 	b.WriteString("# any switch over the machine's state; empty guard = unconditional.\n")
 	b.WriteString("\n")

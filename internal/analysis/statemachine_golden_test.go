@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,15 +26,17 @@ func repoLoader(t *testing.T) *Loader {
 	return l
 }
 
+var update = flag.Bool("update", false, "rewrite docs/statemachines from the extracted machines")
+
 // TestStateMachinesMatchGolden extracts every protocol state machine from
 // the live sources and diffs it against the checked-in spec under
 // docs/statemachines. A diff means the protocol implementation changed:
-// regenerate with `go run ./cmd/metrovet -write-machines docs/statemachines`
-// and review the transition-level change.
+// regenerate with `go test ./internal/analysis -run
+// TestStateMachinesMatchGolden -update` and review the transition-level
+// change.
 func TestStateMachinesMatchGolden(t *testing.T) {
 	l := repoLoader(t)
 	for _, spec := range DefaultMachines() {
-		spec := spec
 		t.Run(spec.Label(), func(t *testing.T) {
 			pkgs, err := l.Load(spec.Pattern)
 			if err != nil {
@@ -49,14 +52,22 @@ func TestStateMachinesMatchGolden(t *testing.T) {
 			if len(m.Transitions) == 0 {
 				t.Fatalf("no transitions extracted for %s", spec.Label())
 			}
-			wantBytes, err := os.ReadFile(filepath.Join("..", "..", "docs", "statemachines", spec.FileName()))
-			if err != nil {
-				t.Fatalf("missing golden table (regenerate with -write-machines): %v", err)
-			}
+			path := filepath.Join("..", "..", "docs", "statemachines", spec.FileName())
 			got := m.Render(spec.Label())
-			if diffs := DiffTables(string(wantBytes), got); len(diffs) > 0 {
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s (%d transitions)", path, len(m.Transitions))
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden table (regenerate with -update): %v", err)
+			}
+			if diffs := DiffTables(string(want), got); len(diffs) > 0 {
 				t.Errorf("extracted %s machine differs from docs/statemachines/%s:\n  %s\n"+
-					"regenerate with `go run ./cmd/metrovet -write-machines docs/statemachines` and review",
+					"regenerate with `go test ./internal/analysis -run TestStateMachinesMatchGolden -update` and review",
 					spec.Label(), spec.FileName(), strings.Join(diffs, "\n  "))
 			}
 		})

@@ -41,10 +41,7 @@ func TruncatingConversion() *Analyzer {
 	return &Analyzer{
 		Name: "truncating-conversion",
 		Doc:  "narrowing integer conversions reachable from Eval/Commit must be shown lossless by their operand expression; annotate //metrovet:truncate <reason> when intended",
-		Run: func(p *Package) []Finding {
-			return valueRangeFindings(NewProgram([]*Package{p}), "truncating-conversion")
-		},
-		RunProgram: func(prog *Program) []Finding {
+		Run: func(prog *Program) []Finding {
 			return valueRangeFindings(prog, "truncating-conversion")
 		},
 	}
@@ -58,10 +55,7 @@ func WidthContract() *Analyzer {
 	return &Analyzer{
 		Name: "width-contract",
 		Doc:  "shift amounts proven below the operand width on Eval/Commit paths; annotate //metrovet:width <reason> when bounded elsewhere",
-		Run: func(p *Package) []Finding {
-			return valueRangeFindings(NewProgram([]*Package{p}), "width-contract")
-		},
-		RunProgram: func(prog *Program) []Finding {
+		Run: func(prog *Program) []Finding {
 			return valueRangeFindings(prog, "width-contract")
 		},
 	}

@@ -28,7 +28,7 @@ func WallClock() *Analyzer {
 	return &Analyzer{
 		Name: "no-wallclock",
 		Doc:  "forbid wall-clock reads (time.Now etc.) in internal/ simulation packages; cycle time comes from internal/clock",
-		Run:  runWallClock,
+		Run:  eachPackage(runWallClock),
 	}
 }
 

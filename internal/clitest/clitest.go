@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -165,15 +166,19 @@ var builds struct {
 	done map[string]error
 }
 
-// binary builds the main package at import path pkg into a per-process
-// temp directory the first time it is requested and returns the binary's
-// path.
+// binary builds the main package at import path pkg the first time a
+// test process asks for it and returns the binary's path. Every test
+// process of a user and module checkout builds into the same directory
+// (buildDir), so test runs leave no directory behind; a build is linked
+// under a name of its own and renamed into place, so a process that
+// starts a binary another process is replacing runs the old file or the
+// new one, never a partial write.
 func binary(t *testing.T, pkg string) string {
 	t.Helper()
 	builds.Lock()
 	defer builds.Unlock()
 	if builds.done == nil {
-		dir, err := os.MkdirTemp("", "clitest-*")
+		dir, err := buildDir()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,15 +192,40 @@ func binary(t *testing.T, pkg string) string {
 		}
 		return path
 	}
-	out, err := exec.Command("go", "build", "-o", path, pkg).CombinedOutput()
-	if err != nil {
+	tmp := fmt.Sprintf("%s.%d.tmp", path, os.Getpid())
+	out, err := exec.Command("go", "build", "-o", tmp, pkg).CombinedOutput()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	} else {
 		err = fmt.Errorf("%v\n%s", err, out)
+	}
+	if err != nil {
+		os.Remove(tmp)
 	}
 	builds.done[pkg] = err
 	if err != nil {
 		t.Fatalf("go build %s: %v", pkg, err)
 	}
 	return path
+}
+
+// buildDir returns the directory the tools are built into: one per
+// module checkout under the user's cache directory (the temp directory
+// when there is none), so two checkouts tested at once never run each
+// other's binaries.
+func buildDir() (string, error) {
+	gomod, err := exec.Command("go", "env", "GOMOD").Output()
+	if err != nil {
+		return "", fmt.Errorf("go env GOMOD: %v", err)
+	}
+	base, err := os.UserCacheDir()
+	if err != nil {
+		base = os.TempDir()
+	}
+	h := fnv.New64a()
+	h.Write(bytes.TrimSpace(gomod))
+	dir := filepath.Join(base, "metro-clitest", fmt.Sprintf("%016x", h.Sum64()))
+	return dir, os.MkdirAll(dir, 0o755)
 }
 
 func runTool(t *testing.T, pkg string, args ...string) ([]byte, error) {

@@ -222,11 +222,8 @@ func category(k Kind) string {
 // ExportCSV writes the summary's latency distributions as a CSV
 // histogram table: one row per (phase, bucket), with the per-phase
 // aggregate statistics repeated for joining. Buckets are equal-width
-// over each phase's observed range.
+// over each phase's observed range; buckets must be positive.
 func ExportCSV(w io.Writer, s *Summary, buckets int) error {
-	if buckets <= 0 {
-		buckets = 20
-	}
 	if _, err := fmt.Fprintln(w, "phase,count,mean,p50,p95,max,bucket_lo,bucket_hi,bucket_count"); err != nil {
 		return err
 	}
