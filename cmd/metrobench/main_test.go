@@ -106,8 +106,8 @@ func TestFailureModes(t *testing.T) {
 
 // TestRejectsBadFlags checks the flags before anything runs: a
 // repetition or cycle count below 1, a negative index, a size or radix
-// topo.Scale refuses, or a bad worker entry exits 2 with one line naming
-// the flag.
+// topo.Scale refuses, or a bad or empty list entry exits 2 with one line
+// naming the flag.
 func TestRejectsBadFlags(t *testing.T) {
 	curve := []string{"-bench", "none", "-scale", "16", "-scale-cycles", "8", "-stdout"}
 	for _, args := range [][]string{
@@ -120,8 +120,10 @@ func TestRejectsBadFlags(t *testing.T) {
 		append([]string{"-scale-radix", "0"}, curve...),
 		{"-scale", "100", "-bench", "none", "-stdout"},
 		{"-scale", "16,x", "-bench", "none", "-stdout"},
+		{"-scale", "16,,16", "-bench", "none", "-stdout"},
 		append([]string{"-scale-workers", "-1"}, curve...),
 		append([]string{"-scale-workers", "1,x"}, curve...),
+		append([]string{"-scale-workers", "1,"}, curve...),
 	} {
 		clitest.Rejects(t, "metrobench", args...)
 	}

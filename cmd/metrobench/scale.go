@@ -148,22 +148,17 @@ func scalePoint(spec topo.Spec, radix, cycles, workers int) (ScalePoint, error) 
 	}, nil
 }
 
-// parseIntList parses a comma-separated list of non-negative integers.
+// parseIntList parses a comma-separated list of non-negative integers. An
+// empty entry, as in "16,,16" or "1,", is a bad value, not skipped.
 func parseIntList(flagName, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
 		v, err := strconv.Atoi(part)
 		if err != nil || v < 0 {
 			return nil, fmt.Errorf("-%s: bad value %q", flagName, part)
 		}
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s: empty list", flagName)
 	}
 	return out, nil
 }

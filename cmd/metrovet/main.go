@@ -8,10 +8,9 @@
 // It walks the requested packages, runs every analyzer in
 // internal/analysis, prints findings as "file:line: rule-id: message"
 // and exits nonzero if any finding is not inline-suppressed. CI runs it
-// alongside go vet. The protocol state-machine tables under
-// docs/statemachines are not its business: `go test ./internal/analysis
-// -run TestStateMachinesMatchGolden` diffs them and `-update` rewrites
-// them.
+// alongside go vet. The protocol state machines are not its business:
+// each is a transition table in its own package's tests, checked against
+// the running code by `go test`.
 //
 // Module packages are parsed and type-checked from source; the standard
 // library is imported from the compiler's export data, which `go list

@@ -91,3 +91,54 @@ var InvariantCorruptions = []InvariantCorruption{
 // WatchedPorts returns r's enabled mask: the forward ports inputPass
 // watches.
 func WatchedPorts(r *Router) uint64 { return r.enabled }
+
+// PortState is a forward port's connection state, as PortStates reports it.
+type PortState = fpState
+
+// PortStates returns the state of each of r's forward ports.
+func PortStates(r *Router) []PortState {
+	s := make([]PortState, len(r.fwd))
+	for fp := range r.fwd {
+		s[fp] = r.fwd[fp].state
+	}
+	return s
+}
+
+// ForwardPortMachine is the forward-port connection protocol as a table:
+// for each state, the states one Eval may leave a port in, and what moves
+// it there. A BCB from downstream tears a connection down to fpDrain
+// before the cycle's input is read, so a DROP or an idle channel in the
+// same cycle takes it on to fpIdle.
+var ForwardPortMachine = map[fpState]map[fpState]string{
+	fpIdle: {
+		fpHeader:      "a ROUTE word is granted a backward port, HeaderWords > 1",
+		fpForward:     "a ROUTE word is granted a backward port, HeaderWords <= 1",
+		fpBlockedWait: "a ROUTE word finds no backward port free, detailed reclamation",
+		fpDrain:       "a ROUTE word finds no backward port free, fast reclamation",
+	},
+	fpHeader: {
+		fpIdle:    "DROP or an idle channel during setup",
+		fpForward: "the last header word is consumed",
+		fpDrain:   "BCB from downstream",
+	},
+	fpForward: {
+		fpIdle:     "DROP in or out, or the channel goes idle with no TURN in the pipe",
+		fpReversed: "TURN sent downstream",
+		fpDrain:    "BCB from downstream",
+	},
+	fpReversed: {
+		fpIdle:    "DROP from the source, or sent toward it",
+		fpForward: "TURN sent toward the source",
+		fpDrain:   "BCB from downstream",
+	},
+	fpBlockedWait: {
+		fpBlockedReply: "TURN",
+		fpIdle:         "DROP or an idle channel",
+	},
+	fpBlockedReply: {
+		fpIdle: "the reply's DROP is sent",
+	},
+	fpDrain: {
+		fpIdle: "DROP or an idle channel",
+	},
+}

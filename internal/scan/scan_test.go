@@ -14,29 +14,39 @@ func testRouter() *core.Router {
 	return core.NewRouter("r", cfg, core.DefaultSettings(cfg), 1)
 }
 
+// ieee1149 is the IEEE 1149.1 TAP controller state diagram, transcribed
+// from the standard's Figure 5-1, not from the simulator: each state's
+// successor for TMS=0 and for TMS=1.
+var ieee1149 = map[State][2]State{
+	TestLogicReset: {RunTestIdle, TestLogicReset},
+	RunTestIdle:    {RunTestIdle, SelectDRScan},
+	SelectDRScan:   {CaptureDR, SelectIRScan},
+	CaptureDR:      {ShiftDR, Exit1DR},
+	ShiftDR:        {ShiftDR, Exit1DR},
+	Exit1DR:        {PauseDR, UpdateDR},
+	PauseDR:        {PauseDR, Exit2DR},
+	Exit2DR:        {ShiftDR, UpdateDR},
+	UpdateDR:       {RunTestIdle, SelectDRScan},
+	SelectIRScan:   {CaptureIR, TestLogicReset},
+	CaptureIR:      {ShiftIR, Exit1IR},
+	ShiftIR:        {ShiftIR, Exit1IR},
+	Exit1IR:        {PauseIR, UpdateIR},
+	PauseIR:        {PauseIR, Exit2IR},
+	Exit2IR:        {ShiftIR, UpdateIR},
+	UpdateIR:       {RunTestIdle, SelectDRScan},
+}
+
+// TestTAPStateDiagram holds State.Next to the standard for all 32
+// (state, TMS) pairs.
 func TestTAPStateDiagram(t *testing.T) {
-	// Walk the canonical DR scan sequence from Run-Test/Idle.
-	s := RunTestIdle
-	seq := []struct {
-		tms  bool
-		want State
-	}{
-		{true, SelectDRScan},
-		{false, CaptureDR},
-		{false, ShiftDR},
-		{false, ShiftDR},
-		{true, Exit1DR},
-		{false, PauseDR},
-		{true, Exit2DR},
-		{false, ShiftDR},
-		{true, Exit1DR},
-		{true, UpdateDR},
-		{false, RunTestIdle},
+	if len(ieee1149) != 16 {
+		t.Fatalf("table has %d states, want 16", len(ieee1149))
 	}
-	for i, step := range seq {
-		s = s.Next(step.tms)
-		if s != step.want {
-			t.Fatalf("step %d: state %v, want %v", i, s, step.want)
+	for s := TestLogicReset; s <= UpdateIR; s++ {
+		for tms, want := range ieee1149[s] {
+			if got := s.Next(tms == 1); got != want {
+				t.Errorf("%v with TMS=%d: Next gives %v, IEEE 1149.1 says %v", s, tms, got, want)
+			}
 		}
 	}
 }
