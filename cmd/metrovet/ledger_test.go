@@ -249,11 +249,7 @@ func checkDeadValves(t *testing.T, root string, vs []valve, stripped []analysis.
 	if len(unshown) == 0 {
 		return
 	}
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load()
+	pkgs, err := analysis.NewLoader(root).Load()
 	if err != nil {
 		t.Fatal(err)
 	}

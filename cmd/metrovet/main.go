@@ -3,20 +3,25 @@
 //
 // Usage:
 //
-//	go run ./cmd/metrovet [flags] [./... | ./dir | ./dir/...]
+//	go run ./cmd/metrovet [flags] [packages]
 //
-// It walks the requested packages, runs every analyzer in
-// internal/analysis, prints findings as "file:line: rule-id: message"
-// and exits nonzero if any finding is not inline-suppressed. CI runs it
-// alongside go vet. The protocol state machines are not its business:
-// each is a transition table in its own package's tests, checked against
-// the running code by `go test`.
+// The packages are any go package patterns ("./...", "./internal/core",
+// "metro/internal/..."), resolved in the module root; none means
+// "./...". It loads the build `go list` describes for them, tests
+// included, runs every analyzer in internal/analysis, prints findings as
+// "file:line: rule-id: message" and exits nonzero if any finding is not
+// inline-suppressed. A type error in any package the run loads is
+// printed and exits 2: the rules are blind where types are missing. CI
+// runs it alongside go vet. The protocol state machines are not its
+// business: each is a transition table in its own package's tests,
+// checked against the running code by `go test`.
 //
-// Module packages are parsed and type-checked from source; the standard
-// library is imported from the compiler's export data, which `go list
-// -export` locates, so a go toolchain must be on PATH for every run and
-// a cold GOCACHE pays one standard-library build (the one `go build
-// ./...` pays) before the first.
+// Module packages are parsed and type-checked from source, each test
+// variant with the files and imports the go command gives it; the
+// standard library is imported from the compiler's export data, which
+// `go list -export` locates, so a go toolchain must be on PATH for every
+// run and a cold GOCACHE pays one standard-library build (the one `go
+// build ./...` pays) before the first.
 //
 // Flags:
 //
@@ -29,10 +34,9 @@
 //	                      (default docs/bce_allowlist.txt)
 //	-bce-write            regenerate the allowlist from the current
 //	                      compiler output instead of diffing
-//	-v                    also print type-checker diagnostics (normally
-//	                      silent: a tree that builds has none)
 //
-// Exit codes: 0 clean, 1 findings, 2 usage or internal error.
+// Exit codes: 0 clean, 1 findings, 2 type errors, usage or internal
+// error.
 package main
 
 import (
@@ -49,7 +53,6 @@ func main() {
 	bce := flag.Bool("bce", false, "diff surviving hot-path bounds checks against the allowlist")
 	bceAllowlist := flag.String("bce-allowlist", "docs/bce_allowlist.txt", "allowlist `file` for -bce")
 	bceWrite := flag.Bool("bce-write", false, "regenerate the -bce allowlist from current compiler output")
-	verbose := flag.Bool("v", false, "print type-checker diagnostics")
 	flag.Parse()
 
 	if *listRules {
@@ -73,18 +76,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *verbose {
-		for _, terr := range res.TypeErrs {
-			fmt.Fprintf(os.Stderr, "metrovet: typecheck: %s\n", terr)
-		}
+	// A package that does not type-check leaves the rules blind where
+	// its types are missing, so no run with type errors passes.
+	for _, terr := range res.TypeErrs {
+		fmt.Fprintf(os.Stderr, "metrovet: typecheck: %s\n", terr)
 	}
-	findings := res.Findings
-
-	for _, f := range findings {
+	if len(res.TypeErrs) > 0 {
+		os.Exit(2)
+	}
+	for _, f := range res.Findings {
 		fmt.Println(f)
 	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "metrovet: %d finding(s)\n", len(findings))
+	if len(res.Findings) > 0 {
+		fmt.Fprintf(os.Stderr, "metrovet: %d finding(s)\n", len(res.Findings))
 		os.Exit(1)
 	}
 }

@@ -2,6 +2,7 @@ package main_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"metro/internal/analysis"
@@ -12,6 +13,9 @@ import (
 // under testdata/ so recursive walks (go build, metrovet ./...) never
 // see it; only this explicit, module-root-relative pattern reaches it.
 const badpkg = "./cmd/metrovet/testdata/src/internal/badpkg"
+
+// badtypes is the fixture package that does not type-check.
+const badtypes = "./cmd/metrovet/testdata/src/internal/badtypes"
 
 // TestGoldenRules pins the -rules listing: the rule names are the
 // annotation vocabulary (//metrovet:alloc etc.) the rest of the tree
@@ -53,6 +57,24 @@ func TestGoldenBadpkgText(t *testing.T) {
 	}
 	out := clitest.ExitCode(t, 1, "metrovet", badpkg)
 	clitest.GoldenBytes(t, "badpkg-text", out)
+}
+
+// TestTypeErrorsExit2: a package that does not type-check never passes.
+// metrovet prints the type checker's diagnostic and exits 2 without
+// running its rules, so a run blind to part of its types cannot look
+// like a clean one.
+func TestTypeErrorsExit2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs a subprocess; skipped in -short mode")
+	}
+	out := string(clitest.ExitCode(t, 2, "metrovet", badtypes))
+	want := "metrovet: typecheck: metro/cmd/metrovet/testdata/src/internal/badtypes: "
+	if !strings.HasPrefix(out, want) || !strings.Contains(out, "cannot use \"many\"") {
+		t.Fatalf("want the type error after %q, got:\n%s", want, out)
+	}
+	if strings.Contains(out, "eval-isolation") {
+		t.Fatalf("rules ran on a package that does not type-check:\n%s", out)
+	}
 }
 
 // BenchmarkMetrovetWholeTree measures the full-repository analysis the

@@ -104,7 +104,7 @@ type Package struct {
 	Fset *token.FileSet
 	// Files holds the compiled (non-test) files.
 	Files []*ast.File
-	// TestFiles holds the in-package _test.go files.
+	// TestFiles holds the in-package _test.go files the build selects.
 	TestFiles []*ast.File
 	// XTestFiles holds the external test package's files, if any.
 	XTestFiles []*ast.File

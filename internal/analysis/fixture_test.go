@@ -3,31 +3,35 @@ package analysis
 import (
 	"go/ast"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// All fixtures share one FileSet and the loader's own standard-library
-// importer (stdImporter over this module, so a fixture may import any
-// std package the module itself reaches). The importer keeps its package
-// map unlocked, so analyzer tests must not call t.Parallel().
+// All fixtures share one FileSet and the standard-library importer of a
+// loader over this module, which has listed the module's packages and
+// checked none, so a fixture may import any std package the module
+// itself reaches. The importer keeps its package map unlocked, so
+// analyzer tests must not call t.Parallel().
 var (
-	fixtureFset = token.NewFileSet()
-	fixtureStd  = sync.OnceValues(func() (types.Importer, error) {
-		return stdImporter(fixtureFset, "../..")
+	fixtureLoader = NewLoader("../..")
+	fixtureFset   = fixtureLoader.Fset
+	fixtureStd    = sync.OnceValue(func() error {
+		listing, err := fixtureLoader.list([]string{"./..."})
+		if err != nil {
+			return err
+		}
+		return fixtureLoader.readExports(listing)
 	})
 )
 
 func fixtureImporter(t *testing.T) types.Importer {
 	t.Helper()
-	imp, err := fixtureStd()
-	if err != nil {
+	if err := fixtureStd(); err != nil {
 		t.Fatal(err)
 	}
-	return imp
+	return fixtureLoader
 }
 
 // loadFixture type-checks an in-memory package for analyzer tests. Keys

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -12,89 +13,111 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// Loader parses and type-checks the repository's packages using only the
-// standard library: module-local imports ("metro/...") are resolved
-// recursively from source, so every AST and position the analyzers see is
-// the module's own, and standard-library imports are read from the
-// compiler's export data (see stdImporter). A go toolchain must therefore
-// be on PATH for every run. Type errors do not abort loading — they are
-// recorded on the Package and the analyzers tolerate the resulting holes
-// in type information.
+// Loader parses and type-checks the build the go command describes,
+// using only the standard library. One listing, `go list -e -json -deps
+// -test <patterns>`, names every package a run needs, dependencies
+// first: the matched packages and the module packages they import, each
+// matched package's in-package test variant ("p [p.test]") and external
+// test ("p_test [p.test]"), and the packages an external test recompiles
+// against that variant ("q [p.test]"). The loader checks each of them
+// once, in listing order, from the GoFiles the go command chose (so build
+// tags are honoured) and with the imports its ImportMap names, so every
+// AST, position and finding is the module's own. The standard library is
+// read from the compiler's export data (see readExports), so a go
+// toolchain must be on PATH for every run. Type errors do not abort
+// loading: they are recorded on the Package, and the analyzers tolerate
+// the resulting holes in type information.
 type Loader struct {
-	Fset       *token.FileSet
-	RootDir    string
-	ModulePath string
+	Fset    *token.FileSet
+	RootDir string
 
-	std     types.Importer
-	pkgs    map[string]*Package // keyed by import path
-	loading map[string]bool     // import-cycle guard
+	std     types.Importer            // the standard library's export data
+	exports map[string]string         // standard-library import path -> export file
+	checked map[string]*types.Package // listed ImportPath -> checked package; nil if it has type errors
+	parsed  map[string]*ast.File      // filename -> AST, shared by a package's variants
 }
 
-// NewLoader builds a loader rooted at the module directory containing
-// go.mod.
-func NewLoader(rootDir string) (*Loader, error) {
-	modPath, err := modulePath(filepath.Join(rootDir, "go.mod"))
-	if err != nil {
-		return nil, err
+// NewLoader returns a loader for the module whose go.mod is in rootDir.
+// Patterns are resolved, and the go command run, by Load.
+func NewLoader(rootDir string) *Loader {
+	l := &Loader{
+		Fset:    token.NewFileSet(),
+		RootDir: rootDir,
+		exports: map[string]string{},
+		checked: map[string]*types.Package{},
+		parsed:  map[string]*ast.File{},
 	}
-	fset := token.NewFileSet()
-	std, err := stdImporter(fset, rootDir)
-	if err != nil {
-		return nil, err
-	}
-	return &Loader{
-		Fset:       fset,
-		RootDir:    rootDir,
-		ModulePath: modPath,
-		std:        std,
-		pkgs:       map[string]*Package{},
-		loading:    map[string]bool{},
-	}, nil
-}
-
-// stdImporter returns an importer for the standard-library closure of
-// the module in dir, test imports included. It asks the go command twice:
-// `go list -deps -test ./...` names the closure, `go list -export` names
-// each package's export file in GOCACHE, and the gc importer reads those
-// files on demand. On a cold GOCACHE the second call compiles the closure
-// once, the same build `go build ./...` and `go test ./...` pay.
-func stdImporter(fset *token.FileSet, dir string) (types.Importer, error) {
-	// -e: a module package with a broken import is a type error on that
-	// package, not a reason to analyze nothing.
-	std, err := goList(dir, "-e", "-deps", "-test", "-f", "{{if .Standard}}{{.ImportPath}}{{end}}", "./...")
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	// With no paths `go list` lists ".", which need not be a package.
-	if len(std) > 0 {
-		lines, err := goList(dir, append([]string{"-export", "-f", "{{.ImportPath}}={{.Export}}"}, std...)...)
-		if err != nil {
-			return nil, err
-		}
-		for _, line := range lines {
-			if path, file, _ := strings.Cut(line, "="); file != "" {
-				exports[path] = file
-			}
-		}
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
+	l.std = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := l.exports[path]
 		if !ok {
-			return nil, fmt.Errorf("analysis: no export data for %q: not in the standard-library closure of %s", path, dir)
+			return nil, fmt.Errorf("analysis: no export data for %q: not in the standard-library closure of the listed packages", path)
 		}
 		return os.Open(file)
-	}
-	return importer.ForCompiler(fset, "gc", lookup), nil
+	})
+	return l
 }
 
-// goList runs `go list args...` in dir and returns its non-empty output
-// lines.
-func goList(dir string, args ...string) ([]string, error) {
+// listed is the part of one `go list -json` record the loader reads.
+type listed struct {
+	ImportPath, Name, Dir, ForTest     string
+	Standard, DepOnly                  bool
+	GoFiles, TestGoFiles, XTestGoFiles []string
+	ImportMap                          map[string]string
+	Match                              []string
+}
+
+// list runs the listing for patterns. -e: a module package with a broken
+// import is a type error on that package, not a reason to analyze
+// nothing.
+func (l *Loader) list(patterns []string) ([]*listed, error) {
+	out, err := goList(l.RootDir, append([]string{"-e", "-deps", "-test",
+		"-json=ImportPath,Name,Dir,ForTest,Standard,DepOnly,GoFiles,TestGoFiles,XTestGoFiles,ImportMap,Match"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	var listing []*listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listed)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("analysis: go list: %w", err)
+		}
+		listing = append(listing, lp)
+	}
+	return listing, nil
+}
+
+// readExports asks `go list -export` for the export file of each
+// standard-library package in the listing; the gc importer reads them as
+// the type checker asks. On a cold GOCACHE this compiles the closure
+// once, the same build `go build ./...` and `go test ./...` pay.
+func (l *Loader) readExports(listing []*listed) error {
+	var std []string
+	for _, lp := range listing {
+		if lp.Standard {
+			std = append(std, lp.ImportPath)
+		}
+	}
+	// With no paths `go list` lists ".", which need not be a package.
+	if len(std) == 0 {
+		return nil
+	}
+	out, err := goList(l.RootDir, append([]string{"-export", "-f", "{{.ImportPath}}={{.Export}}"}, std...)...)
+	if err != nil {
+		return err
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, _ := strings.Cut(line, "="); file != "" {
+			l.exports[path] = file
+		}
+	}
+	return nil
+}
+
+// goList runs `go list args...` in dir and returns its output.
+func goList(dir string, args ...string) ([]byte, error) {
 	cmd := exec.Command("go", append([]string{"list"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -103,208 +126,122 @@ func goList(dir string, args ...string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: go list: %w\n%s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	return strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' }), nil
+	return out, nil
 }
 
-// modulePath extracts the module declaration from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", fmt.Errorf("analysis: %w", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("analysis: no module declaration in %s", gomod)
-}
-
-// Load resolves the given patterns to packages. The only pattern forms
-// supported are "./..." (every package under the module root), "./dir"
-// and "./dir/..." (a directory, optionally recursive).
+// Load lists the packages the patterns match (any go package pattern,
+// resolved in the module root; none means "./..."), checks everything the
+// listing names, and returns one Package per matched package, in listing
+// order.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.Dirs(patterns...)
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	listing, err := l.list(patterns)
 	if err != nil {
 		return nil, err
 	}
+	matched := map[string]bool{}
+	for _, lp := range listing {
+		for _, m := range lp.Match {
+			matched[m] = matched[m] || lp.Name != ""
+		}
+	}
+	for _, pat := range patterns {
+		if !matched[pat] {
+			// A typo'd pattern must not pass vacuously in CI.
+			return nil, fmt.Errorf("analysis: pattern %q matches no Go package", pat)
+		}
+	}
+	if err := l.readExports(listing); err != nil {
+		return nil, err
+	}
 	var out []*Package
-	for _, dir := range dirs {
-		p, err := l.LoadDir(dir)
+	byPath := map[string]*Package{}
+	for _, lp := range listing {
+		// The standard library is export data, a record with no name
+		// is an import that resolves nowhere, and "p.test" is the
+		// generated test main.
+		if lp.Standard || lp.Name == "" || lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test") {
+			continue
+		}
+		files, err := l.parse(lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p)
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		// Info is kept only for the units the rules read: a dependency is
+		// an import surface, and a package with in-package tests takes
+		// its Info from the test variant, which checks its files again.
+		var info *types.Info
+		if !lp.DepOnly && (lp.ForTest != "" || len(lp.TestGoFiles) == 0) {
+			info = newInfo()
+		}
+		var errs []error
+		conf := &types.Config{
+			Importer: importerFunc(func(path string) (*types.Package, error) {
+				if to, ok := lp.ImportMap[path]; ok {
+					path = to
+				}
+				return l.Import(path)
+			}),
+			Error: func(err error) { errs = append(errs, err) },
+		}
+		tp, _ := conf.Check(path, l.Fset, files, info)
+		l.checked[lp.ImportPath] = tp
+		if len(errs) > 0 {
+			l.checked[lp.ImportPath] = nil
+		}
+		switch p := byPath[lp.ForTest]; {
+		case lp.ForTest == "" && !lp.DepOnly:
+			p = &Package{ImportPath: path, Dir: lp.Dir, Fset: l.Fset, Files: files, Types: tp, Info: info, TypeErrs: errs}
+			if p.TestFiles, err = l.parse(lp.Dir, lp.TestGoFiles); err != nil {
+				return nil, err
+			}
+			if p.XTestFiles, err = l.parse(lp.Dir, lp.XTestGoFiles); err != nil {
+				return nil, err
+			}
+			byPath[path] = p
+			out = append(out, p)
+		case path == lp.ForTest:
+			// The compiled files again, with the in-package tests: Info
+			// covers both, and errors already seen are not repeated.
+			p.Info = info
+			seen := map[string]bool{}
+			for _, err := range p.TypeErrs {
+				seen[err.Error()] = true
+			}
+			for _, err := range errs {
+				if !seen[err.Error()] {
+					p.TypeErrs = append(p.TypeErrs, err)
+				}
+			}
+		case path == lp.ForTest+"_test":
+			p.XInfo = info
+			p.TypeErrs = append(p.TypeErrs, errs...)
+		}
+		// A dependency's errors reach the packages that import it.
 	}
 	return out, nil
 }
 
-// Dirs resolves patterns to the sorted package directories they match,
-// without parsing or type-checking anything.
-func (l *Loader) Dirs(patterns ...string) ([]string, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	dirSet := map[string]bool{}
-	for _, orig := range patterns {
-		pat := orig
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "." || pat == "" {
-				pat = "."
+// parse returns the ASTs of the named files in dir, parsing each file
+// once however many variants list it.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		name = filepath.Join(dir, name)
+		f, ok := l.parsed[name]
+		if !ok {
+			var err error
+			if f, err = parser.ParseFile(l.Fset, name, nil, parser.ParseComments); err != nil {
+				return nil, fmt.Errorf("analysis: %w", err)
 			}
+			l.parsed[name] = f
 		}
-		dir := filepath.Join(l.RootDir, filepath.FromSlash(pat))
-		if !recursive {
-			if !hasGoFiles(dir) {
-				// A typo'd pattern must not pass vacuously in CI.
-				return nil, fmt.Errorf("analysis: pattern %q matches no Go package", orig)
-			}
-			dirSet[dir] = true
-			continue
-		}
-		found := 0
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(path) {
-				dirSet[path] = true
-				found++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		if found == 0 {
-			return nil, fmt.Errorf("analysis: pattern %q matches no Go package", orig)
-		}
+		files = append(files, f)
 	}
-	dirs := make([]string, 0, len(dirSet))
-	for d := range dirSet {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			return true
-		}
-	}
-	return false
-}
-
-// importPathFor maps a directory under the module root to its import path.
-func (l *Loader) importPathFor(dir string) (string, error) {
-	rel, err := filepath.Rel(l.RootDir, dir)
-	if err != nil {
-		return "", fmt.Errorf("analysis: %w", err)
-	}
-	rel = filepath.ToSlash(rel)
-	if rel == "." {
-		return l.ModulePath, nil
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("analysis: %s is outside module root %s", dir, l.RootDir)
-	}
-	return l.ModulePath + "/" + rel, nil
-}
-
-// dirFor inverts importPathFor for module-local import paths.
-func (l *Loader) dirFor(importPath string) string {
-	if importPath == l.ModulePath {
-		return l.RootDir
-	}
-	rel := strings.TrimPrefix(importPath, l.ModulePath+"/")
-	return filepath.Join(l.RootDir, filepath.FromSlash(rel))
-}
-
-// LoadDir loads, parses and type-checks the package in dir (caching by
-// import path).
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	importPath, err := l.importPathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	if p, ok := l.pkgs[importPath]; ok {
-		return p, nil
-	}
-	if l.loading[importPath] {
-		return nil, fmt.Errorf("analysis: import cycle through %s", importPath)
-	}
-	l.loading[importPath] = true
-	defer delete(l.loading, importPath)
-
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	var files, tfiles, xfiles []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		switch {
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			xfiles = append(xfiles, f)
-		case strings.HasSuffix(name, "_test.go"):
-			tfiles = append(tfiles, f)
-		default:
-			files = append(files, f)
-		}
-	}
-
-	p := &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		Fset:       l.Fset,
-		Files:      files,
-		TestFiles:  tfiles,
-		XTestFiles: xfiles,
-	}
-	collect := func(err error) { p.TypeErrs = append(p.TypeErrs, err) }
-	// The base unit (compiled files only) is what imports see; it must be
-	// checked and cached first so that test files — which may transitively
-	// re-import this package — do not manufacture spurious cycles.
-	p.Info = newInfo()
-	p.Types, _ = (&types.Config{Importer: l, Error: collect}).Check(importPath, l.Fset, files, p.Info)
-	l.pkgs[importPath] = p
-	if len(tfiles) > 0 {
-		// Re-check compiled + in-package test files as one unit so Info
-		// covers both; the base Types above stays the import surface.
-		info := newInfo()
-		(&types.Config{Importer: l, Error: func(error) {}}).Check(
-			importPath, l.Fset, append(append([]*ast.File{}, files...), tfiles...), info)
-		p.Info = info
-	}
-	if len(xfiles) > 0 {
-		p.XInfo = newInfo()
-		(&types.Config{Importer: l, Error: collect}).Check(importPath+"_test", l.Fset, xfiles, p.XInfo)
-	}
-	return p, nil
+	return files, nil
 }
 
 func newInfo() *types.Info {
@@ -316,18 +253,20 @@ func newInfo() *types.Info {
 	}
 }
 
-// Import implements types.Importer: module-local paths load from source,
-// everything else is read from export data.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Import implements types.Importer for a path as the listing names it:
+// a package checked earlier in the listing, or the standard library. A
+// checked package with type errors fails the import, so no package is
+// analyzed against a surface that does not type-check without saying so.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		p, err := l.LoadDir(l.dirFor(path))
-		if err != nil {
-			return nil, err
+	if tp, ok := l.checked[path]; ok {
+		if tp == nil {
+			return nil, fmt.Errorf("analysis: %s does not type-check", path)
 		}
-		if p.Types == nil {
-			return nil, fmt.Errorf("analysis: no type information for %s", path)
-		}
-		return p.Types, nil
+		return tp, nil
 	}
 	return l.std.Import(path)
 }

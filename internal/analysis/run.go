@@ -11,7 +11,7 @@ type TreeResult struct {
 	// Findings is the merged, sorted finding list with module-relative
 	// filenames.
 	Findings []Finding
-	// Packages is the number of matched package directories.
+	// Packages is the number of matched packages.
 	Packages int
 	// TypeErrs holds type-checker diagnostics ("path: err"), empty on a
 	// tree that builds.
@@ -22,15 +22,11 @@ type TreeResult struct {
 }
 
 // RunTree is the one entry point the CLI, the tests and the benchmark
-// share: load the packages the loader patterns match ("./...", "./dir",
-// "./dir/..."; none means the whole module), run every rule once over
-// the combined Program, and return stable, module-relative findings.
+// share: load the packages the go package patterns match (resolved in
+// root; none means the whole module), run every rule once over the
+// combined Program, and return stable, module-relative findings.
 func RunTree(root string, patterns ...string) (*TreeResult, error) {
-	loader, err := NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := NewLoader(root).Load(patterns...)
 	if err != nil {
 		return nil, err
 	}

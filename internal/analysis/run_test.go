@@ -13,18 +13,9 @@ import (
 func scaffoldModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module metro\n\ngo 1.22\n")
-	write("internal/comp/comp.go", `package comp
+	writeFiles(t, root, map[string]string{
+		"go.mod": "module metro\n\ngo 1.22\n",
+		"internal/comp/comp.go": `package comp
 
 var total int
 
@@ -36,13 +27,28 @@ func (c *C) Eval(cycle uint64) {
 }
 
 func (c *C) Commit(cycle uint64) {}
-`)
-	write("internal/util/util.go", `package util
+`,
+		"internal/util/util.go": `package util
 
 // Add is pure and boring on purpose.
 func Add(a, b int) int { return a + b }
-`)
+`,
+	})
 	return root
+}
+
+// writeFiles writes each source under its slash-separated path in root.
+func writeFiles(t *testing.T, root string, files map[string]string) {
+	t.Helper()
+	for rel, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestRunTreeDeterministic: two runs over the same tree, each with its

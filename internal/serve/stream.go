@@ -323,6 +323,11 @@ func serveEvents(w http.ResponseWriter, r *http.Request, j *job) {
 		http.Error(w, "serve: response writer does not support streaming", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the headers go out: a client that has them may
+	// start the job, and gauges nobody watches are never published, so a
+	// quick job could otherwise finish before its watcher counted.
+	sub, cancel := j.hub.subscribe()
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
@@ -330,8 +335,6 @@ func serveEvents(w http.ResponseWriter, r *http.Request, j *job) {
 	// the stream open immediately, not after the first frame.
 	fl.Flush()
 
-	sub, cancel := j.hub.subscribe()
-	defer cancel()
 	var batch []streamEvent
 	for {
 		var end bool

@@ -444,6 +444,39 @@ func TestEventStreamClientDisconnect(t *testing.T) {
 	}
 }
 
+// watchFlusher is a ResponseWriter that notes, at its first Flush,
+// whether its job's hub had a watcher.
+type watchFlusher struct {
+	*httptest.ResponseRecorder
+	hub              *hub
+	flushed, watched bool
+}
+
+func (f *watchFlusher) Flush() {
+	if !f.flushed {
+		f.flushed, f.watched = true, f.hub.watched()
+	}
+	f.ResponseRecorder.Flush()
+}
+
+// TestEventsSubscribeBeforeHeaders: the events handler is a watcher of
+// its job before the SSE headers reach the client. A client that has the
+// headers may let the job run, and gauges nobody watches are dropped, so
+// a later subscription could miss every gauge of a quick job.
+func TestEventsSubscribeBeforeHeaders(t *testing.T) {
+	j := &job{hub: newHub("job", jobObs{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the handler returns after its first batch
+	w := &watchFlusher{ResponseRecorder: httptest.NewRecorder(), hub: j.hub}
+	serveEvents(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/job/events", nil).WithContext(ctx), j)
+	if !w.flushed || !w.watched {
+		t.Fatalf("headers flushed %v with a watcher %v; want the subscription first", w.flushed, w.watched)
+	}
+	if j.hub.watched() {
+		t.Fatal("the handler left its subscription behind")
+	}
+}
+
 // TestGaugeFrames asserts gauge telemetry reaches SSE subscribers via
 // the recorder sink: a live subscriber on a traced scenario sees gauge
 // frames with parseable payloads.
